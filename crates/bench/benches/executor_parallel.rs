@@ -1,13 +1,14 @@
-//! Reference vs. wavefront executor on a wide, multi-level model.
+//! The serial reference loop vs. the level-parallel plan interpreter on a
+//! wide, multi-level model.
 //!
 //! The model has `BRANCHES` independent `Linear -> Relu` towers fanning out
 //! of a shared input and merging in a `Concat -> MseLoss` head, so the
-//! wavefront partition contains two levels of width `BRANCHES` — the shape
+//! level partition contains two levels of width `BRANCHES` — the shape
 //! the level scheduler is built for. Each executor is benched on a full
 //! `inference_and_backprop` pass at 1, 2 and max worker threads
-//! (`0` = one slot per rayon worker); the wavefront executor additionally
-//! amortises allocations through its tensor buffer pool, so it can win
-//! even at a single thread once the pool is warm.
+//! (`0` = one slot per rayon worker); the plan interpreter additionally
+//! reuses its plan slots and gradient pool across passes, so it can win
+//! even at a single thread once warm.
 //!
 //! Run with `cargo bench --bench executor_parallel`. Thread counts beyond
 //! the machine's core count time-slice rather than speed up; record the
@@ -94,9 +95,9 @@ fn bench_executors(c: &mut Criterion) {
 
     for threads in [1usize, 2, 0] {
         let label = if threads == 0 {
-            "wavefront/max".to_string()
+            "planned/max".to_string()
         } else {
-            format!("wavefront/{threads}")
+            format!("planned/{threads}")
         };
         group.bench_function(&label, |b| {
             let engine = Engine::builder(wide_net())
@@ -105,7 +106,7 @@ fn bench_executors(c: &mut Criterion) {
                 .build()
                 .unwrap();
             let mut ex = engine.lock();
-            // Warm the buffer pool so steady-state reuse is what's measured.
+            // Build the plan and warm its buffers: steady state is measured.
             ex.inference_and_backprop(&feeds, "loss").unwrap();
             b.iter(|| criterion::black_box(ex.inference_and_backprop(&feeds, "loss").unwrap()));
         });

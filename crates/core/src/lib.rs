@@ -66,7 +66,7 @@ pub mod prelude {
     pub use deep500_graph::builder::NetworkBuilder;
     pub use deep500_graph::{
         models, CompileOptions, Engine, EngineBuilder, ExecutorKind, GraphExecutor, Network,
-        PlannedExecutor, ReferenceExecutor, Session, WavefrontExecutor,
+        PlannedExecutor, ReferenceExecutor, Session,
     };
     pub use deep500_metrics::{Table, TestMetric, Timer};
     pub use deep500_ops::registry::{create_op, register_op, Attributes};

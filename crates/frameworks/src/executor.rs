@@ -4,17 +4,18 @@
 //! profiled framework would: the network is first *lowered* through a
 //! [`NetworkVisitor`] (exactly the paper's ONNX-visitor pipeline, Fig. 4),
 //! which rewrites operator algorithm choices to the framework's backend
-//! kernels; execution then pays the profile's dispatch overhead and copy
-//! behaviour per node — all real CPU work.
+//! kernels; execution then runs on the reference loop with the profile
+//! installed as its per-node hook, paying the profile's dispatch overhead
+//! and copy behaviour per node — all real CPU work, all outside the timed
+//! operator spans.
 
 use crate::profile::FrameworkProfile;
 use deep500_graph::network::{Network, Node, NodeId};
 use deep500_graph::visitor::{traverse, NetworkVisitor};
-use deep500_graph::{GraphExecutor, MemoryAccountant};
-use deep500_metrics::event::{EventList, Phase};
+use deep500_graph::{GraphExecutor, NodeHook, OpTotals, ReferenceExecutor};
+use deep500_metrics::event::EventList;
 use deep500_ops::registry::Attributes;
-use deep500_ops::Operator;
-use deep500_tensor::{Error, Result, Shape, Tensor};
+use deep500_tensor::{Result, Tensor};
 use std::collections::HashMap;
 
 /// Visitor that lowers a portable network onto a framework profile:
@@ -85,15 +86,54 @@ pub fn lower_network(net: &Network, profile: &FrameworkProfile) -> Result<Networ
     Ok(v.out)
 }
 
-/// A [`GraphExecutor`] that executes with a framework profile's overheads.
+/// The profile as the reference loop's per-node hook: everything a
+/// framework runtime does around an operator, none of it inside the timed
+/// operator span.
+impl NodeHook for FrameworkProfile {
+    /// Dispatch burn, then owned input copies when the profile stages
+    /// inputs into framework-managed buffers.
+    fn before_forward(&mut self, _node: &Node, inputs: &[&Tensor]) -> Option<Vec<Tensor>> {
+        self.dispatch();
+        self.input_copies
+            .then(|| inputs.iter().map(|&t| t.clone()).collect())
+    }
+
+    /// Extra copy passes on split/concat outputs (TF's memcpy penalty).
+    fn after_forward(&mut self, node: &Node, outputs: &mut [Tensor]) {
+        if !is_split_or_concat(node) {
+            return;
+        }
+        for _ in 0..self.split_concat_copy_passes {
+            for t in outputs.iter_mut() {
+                // A genuine full-buffer copy.
+                let copy = t.data().to_vec();
+                t.data_mut().copy_from_slice(std::hint::black_box(&copy));
+            }
+        }
+    }
+
+    fn before_backward(&mut self, _node: &Node) {
+        self.dispatch();
+    }
+
+    /// Split/Concat on a view-capable backend (PyTorch-like,
+    /// `split_concat_copy_passes == 0`) alias their inputs instead of
+    /// copying, so their outputs cost no device memory.
+    fn outputs_are_views(&self, node: &Node) -> bool {
+        self.split_concat_copy_passes == 0 && is_split_or_concat(node)
+    }
+}
+
+fn is_split_or_concat(node: &Node) -> bool {
+    node.op_type == "Split" || node.op_type == "Concat"
+}
+
+/// A [`GraphExecutor`] that executes with a framework profile's overheads:
+/// the lowered network on the [`ReferenceExecutor`] loop, with the profile
+/// installed as its [`NodeHook`].
 pub struct FrameworkExecutor {
     profile: FrameworkProfile,
-    network: Network,
-    ops: HashMap<NodeId, Box<dyn Operator>>,
-    order: Vec<NodeId>,
-    events: EventList,
-    memory: MemoryAccountant,
-    pass_counter: usize,
+    inner: ReferenceExecutor,
 }
 
 impl FrameworkExecutor {
@@ -104,24 +144,16 @@ impl FrameworkExecutor {
     }
 
     /// Build with a device memory capacity (bytes) — the simulated GPU of
-    /// the Fig. 7 experiment.
+    /// the Fig. 7 experiment. Like every executor, construction is gated
+    /// on the static verifier.
     pub fn with_memory_limit(
         network: &Network,
         profile: FrameworkProfile,
         capacity: usize,
     ) -> Result<Self> {
         let lowered = lower_network(network, &profile)?;
-        let ops = lowered.instantiate_ops()?;
-        let order = lowered.topological_order()?;
-        Ok(FrameworkExecutor {
-            profile,
-            network: lowered,
-            ops,
-            order,
-            events: EventList::new(),
-            memory: MemoryAccountant::new(capacity),
-            pass_counter: 0,
-        })
+        let inner = ReferenceExecutor::with_hook(lowered, capacity, Box::new(profile.clone()))?;
+        Ok(FrameworkExecutor { profile, inner })
     }
 
     /// The active profile.
@@ -129,143 +161,19 @@ impl FrameworkExecutor {
         &self.profile
     }
 
-    /// Re-lower after a graph transformation mutated the network.
+    /// Re-verify and re-derive operators after a graph transformation
+    /// mutated the network.
     pub fn refresh(&mut self) -> Result<()> {
-        self.ops = self.network.instantiate_ops()?;
-        self.order = self.network.topological_order()?;
-        Ok(())
-    }
-
-    /// Framework copy behaviour before an operator runs: returns owned
-    /// copies when the profile copies inputs.
-    fn maybe_copy_inputs(&self, inputs: &[&Tensor]) -> Option<Vec<Tensor>> {
-        if self.profile.input_copies {
-            Some(inputs.iter().map(|&t| t.clone()).collect())
-        } else {
-            None
-        }
-    }
-
-    /// Extra copy passes on split/concat outputs (TF's memcpy penalty).
-    fn split_concat_penalty(&self, node: &Node, outputs: &mut [Tensor]) {
-        if self.profile.split_concat_copy_passes == 0 {
-            return;
-        }
-        if node.op_type == "Split" || node.op_type == "Concat" {
-            for _ in 0..self.profile.split_concat_copy_passes {
-                for t in outputs.iter_mut() {
-                    // A genuine full-buffer copy.
-                    let copy = t.data().to_vec();
-                    t.data_mut().copy_from_slice(std::hint::black_box(&copy));
-                }
-            }
-        }
-    }
-
-    fn forward_env(&mut self, feeds: &[(&str, Tensor)]) -> Result<HashMap<String, Tensor>> {
-        self.memory.reset();
-        let mut env: HashMap<String, Tensor> = HashMap::new();
-        for (name, t) in feeds {
-            self.memory.allocate(t.size_bytes())?;
-            env.insert(name.to_string(), t.clone());
-        }
-        // Remaining-consumer counts: inference-only activations are freed
-        // once their last consumer ran (graph outputs stay pinned).
-        let mut remaining: HashMap<String, usize> = HashMap::new();
-        for (_, node) in self.network.nodes() {
-            for i in &node.inputs {
-                *remaining.entry(i.clone()).or_insert(0) += 1;
-            }
-        }
-        for out in self.network.graph_outputs() {
-            *remaining.entry(out.clone()).or_insert(0) += usize::MAX / 2;
-        }
-        // Split/Concat on a view-capable backend (PyTorch-like,
-        // `split_concat_copy_passes == 0`) alias their inputs instead of
-        // copying, so their outputs cost no device memory. Aliased tensors
-        // are never charged, and their base tensor stays pinned while the
-        // views may still be read.
-        let views = self.profile.split_concat_copy_passes == 0;
-        let mut aliased: std::collections::HashSet<String> = std::collections::HashSet::new();
-
-        for &id in &self.order.clone() {
-            let node = self.network.node(id).expect("live node").clone();
-            let op = self.ops.get(&id).expect("instantiated op");
-            let mut input_refs: Vec<&Tensor> = Vec::with_capacity(node.inputs.len());
-            for name in &node.inputs {
-                let t = env
-                    .get(name)
-                    .map(Ok)
-                    .unwrap_or_else(|| self.network.fetch_tensor(name))?;
-                input_refs.push(t);
-            }
-            let shapes: Vec<&Shape> = input_refs.iter().map(|t| t.shape()).collect();
-            let workspace = op.workspace_bytes(&shapes);
-            self.memory.allocate(workspace)?;
-
-            // Framework runtime behaviour: dispatch burn + optional copies.
-            self.profile.dispatch();
-            let copied = self.maybe_copy_inputs(&input_refs);
-            let exec_refs: Vec<&Tensor> = match &copied {
-                Some(c) => c.iter().collect(),
-                None => input_refs,
-            };
-
-            self.events.begin(Phase::OperatorForward, id.0);
-            let mut outputs = op.forward(&exec_refs)?;
-            self.events.end(Phase::OperatorForward, id.0);
-            self.split_concat_penalty(&node, &mut outputs);
-
-            self.memory.release(workspace);
-            let alias = views && (node.op_type == "Split" || node.op_type == "Concat");
-            for (tensor, name) in outputs.into_iter().zip(&node.outputs) {
-                if alias {
-                    aliased.insert(name.clone());
-                } else {
-                    self.memory.allocate(tensor.size_bytes())?;
-                }
-                env.insert(name.clone(), tensor);
-            }
-            // Free activations whose consumers are all done. A view node
-            // pins its base (the views may still be read); views themselves
-            // were never charged.
-            if !alias {
-                for name in &node.inputs {
-                    if aliased.contains(name) {
-                        continue;
-                    }
-                    if let Some(count) = remaining.get_mut(name) {
-                        *count = count.saturating_sub(1);
-                        if *count == 0 && !self.network.is_parameter(name) {
-                            if let Some(t) = env.get(name) {
-                                self.memory.release(t.size_bytes());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(env)
-    }
-
-    fn collect_outputs(&self, env: &HashMap<String, Tensor>) -> Result<HashMap<String, Tensor>> {
-        let mut out = HashMap::new();
-        for name in self.network.graph_outputs() {
-            let t = env
-                .get(name)
-                .ok_or_else(|| Error::NotFound(format!("graph output '{name}'")))?;
-            out.insert(name.clone(), t.clone());
-        }
-        Ok(out)
+        self.inner.refresh()
     }
 }
 
 impl GraphExecutor for FrameworkExecutor {
     fn network(&self) -> &Network {
-        &self.network
+        self.inner.network()
     }
     fn network_mut(&mut self) -> &mut Network {
-        &mut self.network
+        self.inner.network_mut()
     }
     fn as_any(&self) -> &dyn std::any::Any {
         self
@@ -275,13 +183,7 @@ impl GraphExecutor for FrameworkExecutor {
     }
 
     fn inference(&mut self, feeds: &[(&str, Tensor)]) -> Result<HashMap<String, Tensor>> {
-        self.pass_counter += 1;
-        let pass = self.pass_counter;
-        self.events.begin(Phase::Inference, pass);
-        let env = self.forward_env(feeds)?;
-        let out = self.collect_outputs(&env);
-        self.events.end(Phase::Inference, pass);
-        out
+        self.inner.inference(feeds)
     }
 
     fn inference_and_backprop(
@@ -289,95 +191,30 @@ impl GraphExecutor for FrameworkExecutor {
         feeds: &[(&str, Tensor)],
         loss: &str,
     ) -> Result<HashMap<String, Tensor>> {
-        self.pass_counter += 1;
-        let pass = self.pass_counter;
-        self.events.begin(Phase::Backprop, pass);
-        let env = self.forward_env(feeds)?;
-        let loss_tensor = env
-            .get(loss)
-            .ok_or_else(|| Error::NotFound(format!("loss tensor '{loss}'")))?;
-        let mut grads: HashMap<String, Tensor> = HashMap::new();
-        grads.insert(
-            loss.to_string(),
-            Tensor::full(loss_tensor.shape().clone(), 1.0),
-        );
-
-        for &id in self.order.clone().iter().rev() {
-            let node = self.network.node(id).expect("live node").clone();
-            if !node.outputs.iter().any(|o| grads.contains_key(o)) {
-                continue;
-            }
-            let op = self.ops.get(&id).expect("instantiated op");
-            let mut input_refs: Vec<&Tensor> = Vec::with_capacity(node.inputs.len());
-            for name in &node.inputs {
-                let t = env
-                    .get(name)
-                    .map(Ok)
-                    .unwrap_or_else(|| self.network.fetch_tensor(name))?;
-                input_refs.push(t);
-            }
-            let output_tensors: Vec<&Tensor> = node
-                .outputs
-                .iter()
-                .map(|o| env.get(o).ok_or_else(|| Error::NotFound(o.clone())))
-                .collect::<Result<_>>()?;
-            let grad_outputs: Vec<Tensor> = node
-                .outputs
-                .iter()
-                .zip(&output_tensors)
-                .map(|(name, t)| {
-                    grads
-                        .get(name)
-                        .cloned()
-                        .unwrap_or_else(|| Tensor::zeros(t.shape().clone()))
-                })
-                .collect();
-            let grad_refs: Vec<&Tensor> = grad_outputs.iter().collect();
-
-            self.profile.dispatch();
-            self.events.begin(Phase::OperatorBackward, id.0);
-            let input_grads = op.backward(&grad_refs, &input_refs, &output_tensors)?;
-            self.events.end(Phase::OperatorBackward, id.0);
-
-            for (gname, gtensor) in node.inputs.iter().zip(input_grads) {
-                match grads.get_mut(gname) {
-                    Some(existing) => existing.axpy(1.0, &gtensor)?,
-                    None => {
-                        grads.insert(gname.clone(), gtensor);
-                    }
-                }
-            }
-        }
-        for (pname, gname) in self.network.gradient() {
-            let g = grads.get(&pname).cloned().unwrap_or_else(|| {
-                let shape = self
-                    .network
-                    .fetch_tensor(&pname)
-                    .map(|t| t.shape().clone())
-                    .unwrap_or_else(|_| Shape::scalar());
-                Tensor::zeros(shape)
-            });
-            self.network.feed_tensor(gname, g);
-        }
-        let out = self.collect_outputs(&env);
-        self.events.end(Phase::Backprop, pass);
-        out
+        self.inner.inference_and_backprop(feeds, loss)
     }
 
     fn events_mut(&mut self) -> &mut EventList {
-        &mut self.events
+        self.inner.events_mut()
     }
 
     fn peak_memory(&self) -> usize {
-        self.memory.peak()
+        self.inner.peak_memory()
+    }
+
+    fn op_totals(&self) -> HashMap<usize, OpTotals> {
+        self.inner.op_totals()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deep500_graph::executor::FrameworkOverheadProbe;
     use deep500_graph::validate::{test_executor, test_executor_backprop};
     use deep500_graph::{models, Engine};
+    use deep500_metrics::event::SharedEvent;
+    use deep500_tensor::Error;
 
     fn net() -> Network {
         models::lenet(1, 12, 4, 77).unwrap()
@@ -443,5 +280,62 @@ mod tests {
         fx.inference(&feeds()).unwrap();
         assert!(fx.peak_memory() > 0);
         assert_eq!(fx.profile().name, "pytorch");
+    }
+
+    #[test]
+    fn construction_and_refresh_are_gated_on_the_verifier() {
+        // Dangling fetch: a declared output nothing produces.
+        let mut broken = net();
+        broken.add_output("ghost");
+        let r = FrameworkExecutor::new(&broken, FrameworkProfile::pytorch());
+        assert!(matches!(r, Err(Error::Validation(_))), "construction");
+
+        let mut fx = FrameworkExecutor::new(&net(), FrameworkProfile::pytorch()).unwrap();
+        fx.network_mut().add_output("ghost");
+        assert!(matches!(fx.refresh(), Err(Error::Validation(_))), "refresh");
+    }
+
+    #[test]
+    fn framework_runs_attribute_operator_time() {
+        let mut fx = FrameworkExecutor::new(&net(), FrameworkProfile::caffe2()).unwrap();
+        fx.inference_and_backprop(&feeds(), "loss").unwrap();
+        let rows = fx.op_attribution();
+        assert_eq!(rows.len(), fx.network().num_nodes());
+        for row in &rows {
+            assert_eq!(row.forward_calls, 1, "{}", row.name);
+        }
+        let conv = rows.iter().find(|r| r.name.starts_with("conv")).unwrap();
+        assert_eq!(conv.backward_calls, 1);
+        assert!(conv.flops_per_call > 0.0);
+    }
+
+    /// Pins the hook placement: dispatch burn and copies land in the
+    /// probe's overhead (pass time − Σ operator time), not in operator
+    /// time. Were the hook inside the timed span, tensorflow's operator
+    /// time would carry its 30k-iteration burn per node.
+    #[test]
+    fn profile_costs_are_overhead_not_operator_time() {
+        let measure = |profile: FrameworkProfile| {
+            let mut fx = FrameworkExecutor::new(&net(), profile).unwrap();
+            let probe = SharedEvent::new(FrameworkOverheadProbe::new());
+            fx.events_mut().push(Box::new(probe.clone()));
+            fx.inference_and_backprop(&feeds(), "loss").unwrap(); // warm-up
+            let warm = probe.with(|p| (p.overhead(), p.operator_time()));
+            for _ in 0..5 {
+                fx.inference_and_backprop(&feeds(), "loss").unwrap();
+            }
+            probe.with(|p| (p.overhead() - warm.0, p.operator_time() - warm.1))
+        };
+        let (tf_overhead, tf_ops) = measure(FrameworkProfile::tensorflow());
+        let (db_overhead, db_ops) = measure(FrameworkProfile::deepbench());
+        assert!(
+            tf_overhead > db_overhead,
+            "tensorflow overhead {tf_overhead} vs deepbench {db_overhead}"
+        );
+        let ratio = tf_ops / db_ops;
+        assert!(
+            (0.5..=2.0).contains(&ratio),
+            "operator time must not absorb profile costs: tensorflow {tf_ops} vs deepbench {db_ops}"
+        );
     }
 }

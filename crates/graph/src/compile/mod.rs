@@ -2,9 +2,10 @@
 //! `Network::to_ir()` and the executors.
 //!
 //! Deep500 treats the network as "transformable" but leaves every decision
-//! to execution time: the wavefront executor re-derives readiness, pulls
-//! buffers from a dynamic pool, and dispatches whatever nodes the graph
-//! happens to contain. This module moves that work ahead of time:
+//! to execution time: the reference loop re-derives readiness from string
+//! keys every pass, allocates every activation afresh, and dispatches
+//! whatever nodes the graph happens to contain. This module moves that
+//! work ahead of time, and owns the crate's one level-parallel executor:
 //!
 //! 1. **Convolution layout selection** ([`layout`]) — every `auto` conv's
 //!    execution tier is pinned from statically inferred shapes, and on the
@@ -27,17 +28,19 @@
 //! 4. **Ahead-of-time memory plan** ([`plan::MemoryPlan`]) — greedy
 //!    interval coloring over the live-range interference graph yields a
 //!    static buffer assignment, provably ≥ the verifier's
-//!    `pool_lower_bound` and checked ≤ the pooled executor's observed
-//!    peak.
-//! 5. **Pre-scheduled wavefront** ([`plan::ExecutionPlan`] +
-//!    [`planned::PlannedExecutor`]) — the level partition is frozen into
-//!    per-level dispatch lists over integer tensor ids, so execution stops
-//!    recomputing readiness and stops hashing tensor names each pass.
+//!    `pool_lower_bound` and checked ≤ the executor's observed peak.
+//! 5. **The plan interpreter** ([`plan::ExecutionPlan`] +
+//!    [`planned::PlannedExecutor`]) — the dependency-level partition is
+//!    frozen into per-level dispatch lists over integer tensor ids, so
+//!    execution never recomputes readiness or hashes tensor names. Every
+//!    concurrent run — compiled graph or not — goes through it, and so
+//!    through the plan-soundness gate, the plan cache and the shadow
+//!    checker.
 //!
 //! Results remain bit-identical to the reference executor: every rewrite
 //! preserves the exact per-element float sequence (see the epilogue
-//! contract in `deep500_ops::gemm::packed`), and the planned executor
-//! reuses the wavefront's deterministic gradient-fold order.
+//! contract in `deep500_ops::gemm::packed`), and the interpreter folds
+//! gradient contributions in the reference sweep's order.
 
 pub mod layout;
 pub mod passes;

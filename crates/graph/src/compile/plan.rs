@@ -1,11 +1,13 @@
-//! Ahead-of-time plans: a static buffer assignment ([`MemoryPlan`]) and a
-//! frozen wavefront schedule ([`ExecutionPlan`]).
+//! Ahead-of-time plans: the dependency-level partition
+//! (`partition_levels`), a static buffer assignment ([`MemoryPlan`]) and
+//! the frozen level schedule ([`ExecutionPlan`]).
 //!
-//! Both are derived once per (graph, feed shapes) pair from the verifier's
+//! Plans are derived once per (graph, feed shapes) pair from the verifier's
 //! live-range analysis ([`deep500_verify::aliasing::live_ranges`]) and the
-//! executor's own level partition, then consumed every pass by
-//! [`PlannedExecutor`](super::PlannedExecutor) — no per-pass readiness
-//! recomputation, no per-op pool lookups.
+//! level partition, then consumed every pass by
+//! [`PlannedExecutor`](super::PlannedExecutor) — the one level-parallel
+//! interpreter — with no per-pass readiness recomputation and no per-op
+//! pool lookups.
 
 use crate::network::{Network, NodeId};
 use deep500_tensor::{Result, Shape};
@@ -121,7 +123,48 @@ pub struct PlanStep {
     pub out_numels: Vec<usize>,
 }
 
-/// The frozen wavefront schedule: dense tensor ids, per-level dispatch
+/// Group the topological order into dependency levels (wavefronts): a
+/// node's level is one more than the deepest level among its input
+/// producers, so the nodes of a level are mutually independent and may run
+/// concurrently. Within each level nodes keep their topological order, so
+/// `levels.concat() == order`.
+pub(crate) fn partition_levels(network: &Network, order: &[NodeId]) -> Vec<Vec<NodeId>> {
+    let mut level_of: HashMap<NodeId, usize> = HashMap::new();
+    let mut levels: Vec<Vec<NodeId>> = Vec::new();
+    for &id in order {
+        let node = network.node(id).expect("live node");
+        let mut level = 0;
+        for input in &node.inputs {
+            if let Some(p) = network.producer_of(input) {
+                if let Some(&pl) = level_of.get(&p) {
+                    level = level.max(pl + 1);
+                }
+            }
+        }
+        level_of.insert(id, level);
+        if levels.len() <= level {
+            levels.resize_with(level + 1, Vec::new);
+        }
+        levels[level].push(id);
+    }
+    levels
+}
+
+/// The level partition by node name — the form the verifier's live-range
+/// and aliasing analyses take.
+pub(crate) fn level_names(network: &Network, levels: &[Vec<NodeId>]) -> Vec<Vec<String>> {
+    levels
+        .iter()
+        .map(|level| {
+            level
+                .iter()
+                .map(|id| network.node(*id).expect("live node").name.clone())
+                .collect()
+        })
+        .collect()
+}
+
+/// The frozen level schedule: dense tensor ids, per-level dispatch
 /// lists, per-level death lists, and the static memory plan.
 #[derive(Debug, Clone, Default)]
 pub struct ExecutionPlan {
@@ -151,7 +194,7 @@ pub struct ExecutionPlan {
 
 impl ExecutionPlan {
     /// Freeze the schedule for `network` under the given feed shapes,
-    /// using the executor's own `order` and `levels` partition.
+    /// using the executor's own `order` and its `partition_levels` result.
     pub fn build(
         network: &Network,
         order: &[NodeId],
@@ -171,16 +214,7 @@ impl ExecutionPlan {
         let mut lints = Vec::new();
         let shapes = deep500_verify::shape_pass::infer(&ir, &seeded, &[], &mut lints);
 
-        let name_levels: Vec<Vec<String>> = levels
-            .iter()
-            .map(|level| {
-                level
-                    .iter()
-                    .map(|id| network.node(*id).expect("live node").name.clone())
-                    .collect()
-            })
-            .collect();
-        let memory = MemoryPlan::build(&ir, &name_levels, &shapes);
+        let memory = MemoryPlan::build(&ir, &level_names(network, levels), &shapes);
 
         // Dense ids: feeds first, then node outputs in topological order.
         let mut tensor_ids: HashMap<String, usize> = HashMap::new();
@@ -304,12 +338,12 @@ impl ExecutionPlan {
     }
 
     /// Convenience constructor: freeze a plan for `network` using its own
-    /// topological order and wavefront level partition — exactly the
-    /// schedule [`PlannedExecutor`](super::PlannedExecutor) and the
-    /// wavefront executor run at these feed shapes.
+    /// topological order and level partition — exactly the schedule
+    /// [`PlannedExecutor`](super::PlannedExecutor) runs at these feed
+    /// shapes.
     pub fn freeze(network: &Network, input_shapes: &[(&str, Shape)]) -> Result<ExecutionPlan> {
         let order = network.topological_order()?;
-        let levels = crate::wavefront::partition_levels(network, &order);
+        let levels = partition_levels(network, &order);
         ExecutionPlan::build(network, &order, &levels, input_shapes)
     }
 
@@ -400,11 +434,9 @@ impl ExecutionPlan {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::executor::GraphExecutor;
     use crate::models;
-    use crate::wavefront::WavefrontExecutor;
     use deep500_ops::registry::Attributes;
     use deep500_verify::GraphIr;
 
@@ -437,6 +469,38 @@ mod tests {
         assert!(plan.total_bytes >= plan.pool_lower_bound);
     }
 
+    /// Diamond: x feeds two independent Scale nodes whose outputs are
+    /// concatenated — levels must be {split sources} then {join}.
+    pub(crate) fn diamond_net() -> Network {
+        let mut net = Network::new("diamond");
+        net.add_input("x");
+        for (name, alpha, out) in [("s2", 2.0, "a"), ("s3", 3.0, "b")] {
+            let attrs = Attributes::new().with_float("alpha", alpha);
+            net.add_node(name, "Scale", attrs, &["x"], &[out]).unwrap();
+        }
+        let attrs = Attributes::new().with_int("num_inputs", 2);
+        net.add_node("cc", "Concat", attrs, &["a", "b"], &["y"])
+            .unwrap();
+        net.add_output("y");
+        net
+    }
+
+    #[test]
+    fn levels_partition_the_order() {
+        let net = diamond_net();
+        let order = net.topological_order().unwrap();
+        let levels = partition_levels(&net, &order);
+        assert_eq!(levels.len(), 2);
+        assert_eq!(levels[0].len(), 2, "independent scales share a level");
+        assert_eq!(levels[1].len(), 1);
+        assert_eq!(levels.concat(), order);
+        // The frozen plan keeps exactly that partition.
+        let plan = ExecutionPlan::freeze(&net, &[("x", Shape::new(&[2, 1]))]).unwrap();
+        assert_eq!(plan.level_ranges, vec![(0, 2), (2, 3)]);
+        let stepped: Vec<NodeId> = plan.steps.iter().map(|s| s.node).collect();
+        assert_eq!(stepped, order);
+    }
+
     #[test]
     fn plan_bytes_bounded_by_lower_bound_on_zoo_models() {
         let cases: Vec<(crate::network::Network, Vec<(&str, Shape)>)> = vec![
@@ -453,20 +517,13 @@ mod tests {
             ),
         ];
         for (net, input_shapes) in cases {
-            let ex = WavefrontExecutor::construct(net, usize::MAX).unwrap();
-            let plan = ExecutionPlan::build(
-                ex.network(),
-                &ex.network().topological_order().unwrap(),
-                ex.levels(),
-                &input_shapes,
-            )
-            .unwrap();
+            let plan = ExecutionPlan::freeze(&net, &input_shapes).unwrap();
             assert!(
                 plan.memory.total_bytes >= plan.memory.pool_lower_bound,
                 "static plan cannot undercut the interference lower bound"
             );
             assert!(plan.memory.num_slots() > 0);
-            assert_eq!(plan.steps.len(), ex.network().num_nodes());
+            assert_eq!(plan.steps.len(), net.num_nodes());
             let total_steps: usize = plan.level_ranges.iter().map(|(lo, hi)| hi - lo).sum();
             assert_eq!(total_steps, plan.steps.len());
         }
@@ -475,11 +532,8 @@ mod tests {
     #[test]
     fn death_lists_cover_every_unpinned_consumed_tensor_once() {
         let net = models::mlp(8, &[8, 8], 3, 5).unwrap();
-        let ex = WavefrontExecutor::construct(net, usize::MAX).unwrap();
-        let plan = ExecutionPlan::build(
-            ex.network(),
-            &ex.network().topological_order().unwrap(),
-            ex.levels(),
+        let plan = ExecutionPlan::freeze(
+            &net,
             &[("x", Shape::new(&[2, 8])), ("labels", Shape::new(&[2]))],
         )
         .unwrap();

@@ -1,8 +1,9 @@
-//! The pre-scheduled wavefront executor.
+//! The plan interpreter: the one level-parallel executor.
 //!
-//! [`PlannedExecutor`] runs the same level partition as
-//! [`WavefrontExecutor`](crate::WavefrontExecutor) but consumes a frozen
-//! [`ExecutionPlan`] instead of re-deriving schedule state every pass:
+//! [`PlannedExecutor`] partitions the fixed topological order into
+//! dependency levels (`partition_levels`), freezes the partition into an
+//! [`ExecutionPlan`] and dispatches each level onto the rayon pool, joining
+//! before the next level starts. It is a drop-in [`GraphExecutor`]:
 //!
 //! * the tensor environment is a dense `Vec<Option<Tensor>>` indexed by
 //!   interned tensor id — no string hashing on the hot path,
@@ -11,21 +12,36 @@
 //! * operator outputs draw their buffers from the ahead-of-time
 //!   [`MemoryPlan`](super::MemoryPlan) slots (delivered through the tensor
 //!   crate's slot-buffer scope), falling back to the shared
-//!   [`BufferPool`] only for tensors the shape pass could not size.
+//!   [`BufferPool`] for tensors the shape pass could not size and for
+//!   backward-pass gradients.
 //!
-//! Results are bit-identical to the reference executor: slot buffers are
-//! zero-filled exactly like pool buffers, within a level only independent
-//! nodes run, and the backward sweep folds gradient contributions in the
-//! same descending topological-position order as the wavefront executor.
+//! Three properties are preserved relative to
+//! [`ReferenceExecutor`](crate::ReferenceExecutor):
+//!
+//! * **Bit-identical results.** Slot and pool buffers are zero-filled on
+//!   acquisition and within a level only independent nodes run; the one
+//!   ordering hazard is backward gradient *accumulation*, where `f32`
+//!   addition is commutative but not associative. Contributions are
+//!   therefore buffered per tensor with the topological position of the
+//!   consumer that produced them and folded in descending-position order
+//!   — exactly the order the reference's reverse-topological sweep applies
+//!   its `axpy`s — before the producer's level needs them.
+//! * **Event attribution.** Each operator is timed on its worker thread and
+//!   reported to the [`EventList`] as a completed `Event::span` from the
+//!   coordinating thread, keeping per-op attribution exact where
+//!   interleaved `begin`/`end` pairs would be meaningless.
+//! * **OOM semantics.** The shared [`MemoryAccountant`] is atomic; racing
+//!   allocations either claim their bytes within capacity or fail, so a
+//!   configured memory limit still produces `Error::OutOfMemory`.
 //!
 //! The plan is shape-dependent, so it is built lazily at the first pass
-//! from the actual feed shapes and rebuilt transparently if they change.
+//! from the actual feed shapes, memoized per feed-shape set, and gated on
+//! the plan-soundness analysis before any pass runs it.
 
-use super::plan::{ExecutionPlan, PlanStep, ValueRef};
+use super::plan::{level_names, partition_levels, ExecutionPlan, PlanStep, ValueRef};
 use super::shadow::ShadowChecker;
 use crate::executor::{GraphExecutor, MemoryAccountant, OpTotals};
 use crate::network::{Network, NodeId};
-use crate::wavefront::partition_levels;
 use deep500_metrics::event::{EventList, Phase};
 use deep500_ops::Operator;
 use deep500_tensor::{
@@ -84,6 +100,27 @@ pub struct PlanCacheStats {
 /// per assembled batch size up to `max_batch`).
 const MAX_CACHED_PLANS: usize = 32;
 
+/// Resolve a step's pre-interned input sources against the pass
+/// environment and the network store, in operator-input order.
+fn gather_inputs<'a>(
+    step: &'a PlanStep,
+    env: &'a [Option<Tensor>],
+    network: &'a Network,
+    plan: &'a ExecutionPlan,
+) -> Result<Vec<&'a Tensor>> {
+    step.inputs
+        .iter()
+        .map(|source| match source {
+            ValueRef::Env(id) => match env[*id].as_ref() {
+                Some(t) => Ok(t),
+                // Undeclared-but-prefed name: store fallback.
+                None => network.fetch_tensor(&plan.tensor_names[*id]),
+            },
+            ValueRef::Net(name) => network.fetch_tensor(name),
+        })
+        .collect()
+}
+
 /// The plan-driven executor. See the module docs for the design.
 pub struct PlannedExecutor {
     network: Network,
@@ -107,8 +144,11 @@ pub struct PlannedExecutor {
 }
 
 impl PlannedExecutor {
-    /// The verified construction path behind [`Engine`]. Construction is
-    /// gated on the static verifier like the other executors.
+    /// The verified construction path behind [`Engine`]: `capacity` is the
+    /// device memory limit in bytes. Construction is gated on the static
+    /// verifier (`Error::Validation` on any `Deny` lint) — level-parallel
+    /// execution over recycled buffers makes dataflow defects like
+    /// duplicate writers actively dangerous, not just wrong.
     ///
     /// [`Engine`]: crate::engine::Engine
     pub(crate) fn construct(network: Network, capacity: usize) -> Result<Self> {
@@ -168,6 +208,35 @@ impl PlannedExecutor {
     /// Buffer-pool effectiveness counters (the dynamic fallback tier).
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
+    }
+
+    /// Prove pool-safety of this executor's *actual* level partition: no
+    /// tensor is live in two concurrent levels. Returns the aliasing
+    /// report (interference graph size + pool lower bound) on success;
+    /// `Error::Validation` naming the hazardous node/edge if the partition
+    /// were ever unsound.
+    pub fn verify_aliasing(
+        &self,
+        input_shapes: &[(&str, Shape)],
+    ) -> Result<deep500_verify::AliasReport> {
+        let ir = self.network.to_ir();
+        let mut lints = Vec::new();
+        let shapes = deep500_verify::shape_pass::infer(&ir, input_shapes, &[], &mut lints);
+        let levels = level_names(&self.network, &self.levels);
+        let report = deep500_verify::aliasing::analyze(&ir, &levels, &shapes, &mut lints);
+        let denied = lints
+            .iter()
+            .filter(|l| l.severity == deep500_verify::Severity::Deny)
+            .count();
+        if denied > 0 {
+            let rendered: Vec<String> = lints.iter().map(|l| l.to_string()).collect();
+            return Err(Error::Validation(format!(
+                "level partition of '{}' is not pool-safe ({denied} deny lints):\n{}",
+                self.network.name,
+                rendered.join("\n")
+            )));
+        }
+        Ok(report)
     }
 
     /// Re-derive operators, order, levels, and invalidate the plan after a
@@ -284,7 +353,7 @@ impl PlannedExecutor {
     /// consumers are exhausted are donated back to their static slot as
     /// soon as their level's successors join (inference); without it the
     /// whole environment stays live for backprop and only the memory
-    /// accounting is released, mirroring the wavefront executor.
+    /// accounting is released, mirroring the reference executor.
     fn forward_planned(
         &mut self,
         feeds: &[(&str, Tensor)],
@@ -372,18 +441,7 @@ impl PlannedExecutor {
                 let env_ref = &env;
                 let run = |step: &PlanStep, bufs: SlotBufs| -> Result<ForwardProduct> {
                     let op = ops.get(&step.node).expect("instantiated op");
-                    let mut input_refs: Vec<&Tensor> = Vec::with_capacity(step.inputs.len());
-                    for r in &step.inputs {
-                        let t = match r {
-                            ValueRef::Env(id) => match env_ref[*id].as_ref() {
-                                Some(t) => t,
-                                // Undeclared-but-prefed name: store fallback.
-                                None => network.fetch_tensor(&plan.tensor_names[*id])?,
-                            },
-                            ValueRef::Net(name) => network.fetch_tensor(name)?,
-                        };
-                        input_refs.push(t);
-                    }
+                    let input_refs = gather_inputs(step, env_ref, network, plan)?;
                     let shapes: Vec<&Shape> = input_refs.iter().map(|t| t.shape()).collect();
                     let workspace = op.workspace_bytes(&shapes);
                     let flops = op.flops(&shapes);
@@ -467,7 +525,7 @@ impl PlannedExecutor {
                     }
                 } else if let Some(t) = env[id].as_ref() {
                     // Keep the value for backprop; release accounting only,
-                    // like the wavefront executor.
+                    // like the reference executor.
                     memory.release(t.size_bytes());
                 }
             }
@@ -520,9 +578,9 @@ impl PlannedExecutor {
         }
     }
 
-    /// Fold buffered gradient contributions in descending topological
-    /// position of the contributing consumer — identical to the wavefront
-    /// executor, and therefore to the reference sweep.
+    /// Fold a tensor's buffered gradient contributions in descending
+    /// topological position of the contributing consumer — the order the
+    /// reference's reverse sweep accumulates — and store the result.
     fn materialize(
         pending: &mut HashMap<String, Vec<(usize, Tensor)>>,
         grads: &mut HashMap<String, Tensor>,
@@ -530,6 +588,8 @@ impl PlannedExecutor {
         name: &str,
     ) -> Result<()> {
         if let Some(mut contribs) = pending.remove(name) {
+            // Stable sort: a node consuming the same tensor twice pushes in
+            // input order under one position, which must be preserved.
             contribs.sort_by_key(|c| std::cmp::Reverse(c.0));
             let mut it = contribs.into_iter();
             let (_, mut acc) = it.next().expect("contribution lists are non-empty");
@@ -542,8 +602,8 @@ impl PlannedExecutor {
         Ok(())
     }
 
-    /// Backward sweep over the frozen levels in reverse; mirrors the
-    /// wavefront executor's deterministic accumulation.
+    /// Backward sweep over the frozen levels in reverse; publishes
+    /// parameter gradients into the network value store like the reference.
     fn backward_planned(&mut self, env: &[Option<Tensor>], loss: &str, pass: usize) -> Result<()> {
         let width = self.group_width();
         let plan = self.plan().expect("plan built");
@@ -555,6 +615,7 @@ impl PlannedExecutor {
         let loss_tensor = env[loss_id]
             .as_ref()
             .ok_or_else(|| Error::NotFound(format!("loss tensor '{loss}'")))?;
+        // Seed dL/dL = 1, positioned after every node so it folds first.
         let seed_start = std::time::Instant::now();
         let mut pending: HashMap<String, Vec<(usize, Tensor)>> = HashMap::new();
         pending
@@ -579,25 +640,17 @@ impl PlannedExecutor {
                     Self::materialize(&mut pending, &mut grads, pool, o)?;
                 }
             }
+            // Reverse within the level to mirror the reference sweep.
             let rev: Vec<&PlanStep> = level_steps.iter().rev().collect();
             for group in rev.chunks(width) {
                 let run = |step: &PlanStep| -> Result<BackwardProduct> {
                     let node = network.node(step.node).expect("live node");
+                    // Skip nodes that contribute no gradient.
                     if !node.outputs.iter().any(|o| grads.contains_key(o)) {
                         return Ok(None);
                     }
                     let op = ops.get(&step.node).expect("instantiated op");
-                    let mut input_refs: Vec<&Tensor> = Vec::with_capacity(step.inputs.len());
-                    for r in &step.inputs {
-                        let t = match r {
-                            ValueRef::Env(id) => match env[*id].as_ref() {
-                                Some(t) => t,
-                                None => network.fetch_tensor(&plan.tensor_names[*id])?,
-                            },
-                            ValueRef::Net(name) => network.fetch_tensor(name)?,
-                        };
-                        input_refs.push(t);
-                    }
+                    let input_refs = gather_inputs(step, env, network, plan)?;
                     let output_tensors: Vec<&Tensor> = step
                         .outputs
                         .iter()
@@ -607,6 +660,7 @@ impl PlannedExecutor {
                                 .ok_or_else(|| Error::NotFound(plan.tensor_names[oid].clone()))
                         })
                         .collect::<Result<_>>()?;
+                    // Missing output grads are zeros.
                     let grad_outputs: Vec<Tensor> = with_pool(pool, || {
                         node.outputs
                             .iter()
@@ -777,6 +831,7 @@ impl GraphExecutor for PlannedExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::plan::tests::diamond_net;
     use crate::executor::ReferenceExecutor;
     use crate::models;
 
@@ -898,15 +953,58 @@ mod tests {
     }
 
     #[test]
-    fn executor_kind_builds_planned() {
+    fn both_concurrent_kinds_build_the_plan_interpreter() {
+        use crate::ExecutorKind;
         let net = models::mlp(4, &[4], 2, 6).unwrap();
         let mut rf = ReferenceExecutor::construct(net.clone_structure(), usize::MAX).unwrap();
-        let mut ex = crate::ExecutorKind::Planned
-            .construct(net, usize::MAX, 0)
-            .unwrap();
         let feeds = mlp_feeds(2, 4);
-        let got = ex.inference(&as_refs(&feeds)).unwrap();
         let expect = rf.inference(&as_refs(&feeds)).unwrap();
-        assert_eq!(got["loss"].data(), expect["loss"].data());
+        for kind in [ExecutorKind::Wavefront, ExecutorKind::Planned] {
+            let mut ex = kind
+                .construct(net.clone_structure(), usize::MAX, 0)
+                .unwrap();
+            assert!(ex.as_any().is::<PlannedExecutor>(), "{kind:?}");
+            let got = ex.inference(&as_refs(&feeds)).unwrap();
+            assert_eq!(got["loss"].data(), expect["loss"].data(), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn diamond_inference_matches_reference() {
+        let x = Tensor::from_vec([2, 1], vec![1.5, -0.5]).unwrap();
+        let mut pl = PlannedExecutor::construct(diamond_net(), usize::MAX).unwrap();
+        let mut rf = ReferenceExecutor::construct(diamond_net(), usize::MAX).unwrap();
+        let p = pl.inference(&[("x", x.clone())]).unwrap();
+        let r = rf.inference(&[("x", x)]).unwrap();
+        assert_eq!(p["y"].data(), r["y"].data());
+    }
+
+    #[test]
+    fn concurrent_level_ooms_on_tiny_capacity() {
+        let mut ex = PlannedExecutor::construct(diamond_net(), 8).unwrap();
+        let x = Tensor::from_slice(&[1.0, 2.0, 3.0, 4.0]); // 16 bytes
+        let err = ex.inference(&[("x", x)]).unwrap_err();
+        assert!(matches!(err, Error::OutOfMemory { .. }));
+    }
+
+    #[test]
+    fn buffers_recycle_across_passes() {
+        let net = models::mlp(6, &[6], 2, 2).unwrap();
+        let mut ex = PlannedExecutor::construct(net, usize::MAX).unwrap();
+        let feeds = mlp_feeds(4, 6);
+        ex.inference_and_backprop(&as_refs(&feeds), "loss").unwrap();
+        let first = ex.pool_stats();
+        ex.inference_and_backprop(&as_refs(&feeds), "loss").unwrap();
+        let second = ex.pool_stats();
+        assert!(
+            second.hits > first.hits,
+            "second pass should reuse first-pass gradient buffers: {second:?}"
+        );
+        // Activations come back from the static slots, so the second pass
+        // falls through to the allocator less often than the first did.
+        assert!(
+            second.misses - first.misses < first.misses,
+            "slots + pool must absorb second-pass allocations: {first:?} -> {second:?}"
+        );
     }
 }

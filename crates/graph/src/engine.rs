@@ -1,15 +1,12 @@
 //! The unified execution entry point: [`Engine`] and per-tenant
 //! [`Session`] handles.
 //!
-//! Historically this crate grew three scattered construction paths —
-//! `ReferenceExecutor::new`, `*::with_memory_limit`, and
-//! `ExecutorKind::build` — and every caller (examples, benches, the
-//! training runner, the distributed runner, the serving front-end) picked
-//! one ad hoc. Those wrappers are gone; [`Engine::builder`] replaces all
-//! three: one builder that
-//! takes the model, the [`ExecutorKind`], a device memory limit, optional
-//! ahead-of-time [`CompileOptions`], and a [`TraceRecorder`], and produces
-//! an `Engine` that
+//! [`Engine::builder`] is the single construction path for the crate's two
+//! execution loops — the serial oracle ([`ReferenceExecutor`]) and the
+//! level-parallel plan interpreter ([`PlannedExecutor`]), selected by
+//! [`ExecutorKind`]: one builder that takes the model, the kind, a device
+//! memory limit, optional ahead-of-time [`CompileOptions`], and a
+//! [`TraceRecorder`], and produces an `Engine` that
 //!
 //! * owns the verified, optionally compiled executor behind a mutex,
 //! * hands out cheap, cloneable, `Send` per-tenant [`Session`] handles
@@ -42,15 +39,52 @@
 //! assert!(out.contains_key("logits"));
 //! ```
 
-use crate::compile::{compile, CompileOptions, CompileReport};
-use crate::executor::GraphExecutor;
+use crate::compile::{compile, CompileOptions, CompileReport, PlannedExecutor};
+use crate::executor::{GraphExecutor, ReferenceExecutor};
 use crate::network::Network;
-use crate::wavefront::ExecutorKind;
 use deep500_metrics::trace::TraceRecorder;
 use deep500_tensor::{Result, Shape, Tensor};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Executor selection for [`EngineBuilder::executor`] and the components
+/// that construct engines from configuration (training recipes,
+/// distributed runners, benchmarks).
+///
+/// There are two execution loops: the serial heap-valued oracle and the
+/// level-parallel plan interpreter. `Wavefront` and `Planned` both
+/// construct the same [`PlannedExecutor`]; the two names survive only
+/// because the frozen `spine/` benchmark spells both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ExecutorKind {
+    /// The serial topological-sort interpreter ([`ReferenceExecutor`]) —
+    /// the oracle every bit-identity check replays against.
+    #[default]
+    Reference,
+    /// Level-parallel execution on the rayon pool ([`PlannedExecutor`]).
+    Wavefront,
+    /// Same executor as [`ExecutorKind::Wavefront`].
+    Planned,
+}
+
+impl ExecutorKind {
+    /// `threads` caps per-level concurrency for the plan interpreter
+    /// (`0` = full rayon pool; ignored by the reference loop).
+    pub(crate) fn construct(
+        self,
+        network: Network,
+        capacity: usize,
+        threads: usize,
+    ) -> Result<Box<dyn GraphExecutor>> {
+        Ok(match self {
+            ExecutorKind::Reference => Box::new(ReferenceExecutor::construct(network, capacity)?),
+            ExecutorKind::Wavefront | ExecutorKind::Planned => {
+                Box::new(PlannedExecutor::construct(network, capacity)?.with_threads(threads))
+            }
+        })
+    }
+}
 
 /// Shared state behind every [`Engine`] clone and [`Session`].
 struct EngineCore {
@@ -81,7 +115,7 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Select the executor tier (default: [`ExecutorKind::Reference`]).
+    /// Select the execution loop (default: [`ExecutorKind::Reference`]).
     pub fn executor(mut self, kind: ExecutorKind) -> Self {
         self.kind = kind;
         self
@@ -94,8 +128,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Cap concurrent nodes per wavefront level for the concurrent
-    /// executors (`0` = full rayon pool; ignored by the reference tier).
+    /// Cap concurrent nodes per dependency level for the plan interpreter
+    /// (`0` = full rayon pool; ignored by the reference loop).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

@@ -1,33 +1,40 @@
 //! Graph executors: inference and backpropagation over a [`Network`].
 //!
 //! The paper's `GraphExecutor` "controls the DNN execution" and exposes two
-//! functions: `inference` and `inference_and_backprop`. The provided
-//! [`ReferenceExecutor`] is the paper's reference implementation — a
-//! topological-sort interpreter — extended with:
+//! functions: `inference` and `inference_and_backprop`. This crate has two
+//! loops behind it: the [`ReferenceExecutor`] here — serial, heap-valued,
+//! the oracle every bit-identity test replays against — and the
+//! level-parallel plan interpreter
+//! ([`PlannedExecutor`](crate::compile::PlannedExecutor)). The reference
+//! loop is the paper's reference implementation — a topological-sort
+//! interpreter — extended with:
 //!
 //! * reverse-mode automatic differentiation over the DAG (gradients land in
 //!   the network value store under [`grad_name`](crate::grad_name)),
 //! * [`Event`] hooks around every phase (fine-grained measurement + early
 //!   exit, §IV-D),
+//! * a per-node [`NodeHook`] seam through which a simulated framework pays
+//!   its dispatch and copy costs around — never inside — the timed
+//!   operator spans,
 //! * a [`MemoryAccountant`] that tracks live activation + workspace bytes
 //!   and fails with [`Error::OutOfMemory`] when a device capacity is
 //!   exceeded — the mechanism behind the paper's Fig. 7 OOM observations,
 //! * the [`FrameworkOverheadProbe`] implementing the paper's
 //!   `FrameworkOverhead` metric (whole-pass time minus per-operator time).
 
-use crate::network::{Network, NodeId};
+use crate::network::{Network, Node, NodeId};
 use deep500_metrics::event::{Event, EventList, Phase};
 use deep500_metrics::trace::{OpAttribution, TraceRecorder};
 use deep500_ops::Operator;
 use deep500_tensor::{Error, Result, Shape, Tensor};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Tracks live tensor bytes against a capacity, recording the peak.
 ///
 /// All counters are atomics and every method takes `&self`, so one
 /// accountant can be shared across the worker threads of a concurrent
-/// executor (e.g. [`WavefrontExecutor`](crate::WavefrontExecutor)) while
+/// executor ([`PlannedExecutor`](crate::compile::PlannedExecutor)) while
 /// preserving the capacity check: a racing `allocate` either claims its
 /// bytes within capacity or fails with [`Error::OutOfMemory`], never both.
 #[derive(Debug)]
@@ -211,10 +218,10 @@ pub trait GraphExecutor: Send {
     fn events_mut(&mut self) -> &mut EventList;
 
     /// The concrete executor behind the trait object, for callers that
-    /// need tier-specific analyses (e.g.
-    /// [`WavefrontExecutor::verify_plan`](crate::WavefrontExecutor::verify_plan))
+    /// need loop-specific introspection (e.g.
+    /// [`PlannedExecutor::plan_cache_stats`](crate::compile::PlannedExecutor::plan_cache_stats))
     /// after building through [`Engine`](crate::Engine):
-    /// `engine.into_inner()?.as_any().downcast_ref::<WavefrontExecutor>()`.
+    /// `engine.lock().as_any().downcast_ref::<PlannedExecutor>()`.
     fn as_any(&self) -> &dyn std::any::Any;
 
     /// Mutable counterpart of [`GraphExecutor::as_any`].
@@ -238,9 +245,8 @@ pub trait GraphExecutor: Send {
     }
 
     /// Total bytes of the ahead-of-time memory plan, for executors running
-    /// a compiled [`MemoryPlan`](crate::compile::MemoryPlan) (`None` for
-    /// dynamically pooled executors, or before the first pass builds the
-    /// plan).
+    /// a [`MemoryPlan`](crate::compile::MemoryPlan) (`None` for the
+    /// reference loop, or before the first pass builds the plan).
     fn static_plan_bytes(&self) -> Option<usize> {
         None
     }
@@ -305,6 +311,32 @@ pub trait GraphExecutor: Send {
     }
 }
 
+/// Per-node hook seam of the reference loop: the work a framework runtime
+/// does *around* each operator. Every method runs outside the timed
+/// operator span, so the paper's `FrameworkOverhead` (pass time − Σ
+/// operator time) charges it to the framework, not to the kernels.
+pub trait NodeHook: Send {
+    /// Before a node's forward span (dispatch cost). May return owned
+    /// copies of `inputs` for the operator to read instead — a runtime
+    /// that stages inputs into framework-managed buffers.
+    fn before_forward(&mut self, _node: &Node, _inputs: &[&Tensor]) -> Option<Vec<Tensor>> {
+        None
+    }
+
+    /// After a node's forward span, with its outputs (copy penalties).
+    fn after_forward(&mut self, _node: &Node, _outputs: &mut [Tensor]) {}
+
+    /// Before a node's backward span (dispatch cost).
+    fn before_backward(&mut self, _node: &Node) {}
+
+    /// Whether the node's outputs alias its inputs (views) on this
+    /// runtime. The memory accountant never charges views, and a view
+    /// node keeps its base tensors pinned while the views may be read.
+    fn outputs_are_views(&self, _node: &Node) -> bool {
+        false
+    }
+}
+
 /// The reference topological-sort executor with autodiff.
 pub struct ReferenceExecutor {
     network: Network,
@@ -317,6 +349,7 @@ pub struct ReferenceExecutor {
     pass_counter: usize,
     /// Per-node execution totals across passes (Level-0 attribution).
     op_totals: HashMap<usize, OpTotals>,
+    hook: Option<Box<dyn NodeHook>>,
 }
 
 impl ReferenceExecutor {
@@ -343,7 +376,18 @@ impl ReferenceExecutor {
             memory: MemoryAccountant::new(capacity),
             pass_counter: 0,
             op_totals: HashMap::new(),
+            hook: None,
         })
+    }
+
+    /// The reference loop with a [`NodeHook`] installed — the construction
+    /// path for simulated-framework executors outside this crate. Gated on
+    /// the static verifier exactly like [`Engine`](crate::Engine)-built
+    /// executors.
+    pub fn with_hook(network: Network, capacity: usize, hook: Box<dyn NodeHook>) -> Result<Self> {
+        let mut executor = Self::construct(network, capacity)?;
+        executor.hook = Some(hook);
+        Ok(executor)
     }
 
     /// Re-derive operator instances and topological order after a graph
@@ -373,6 +417,8 @@ impl ReferenceExecutor {
         // Remaining-consumer counts for activation freeing, cloned from the
         // per-build template.
         let mut remaining = self.consumers.clone();
+        // Outputs of view nodes (only a hook declares any): never charged.
+        let mut views: HashSet<String> = HashSet::new();
 
         for &id in &self.order.clone() {
             let node = self.network.node(id).expect("live node").clone();
@@ -393,9 +439,18 @@ impl ReferenceExecutor {
             let bytes = op.bytes_moved(&shapes);
             self.memory.allocate(workspace)?;
 
+            let staged = self
+                .hook
+                .as_mut()
+                .and_then(|hook| hook.before_forward(&node, &input_refs));
+            let exec_refs: Vec<&Tensor> = match &staged {
+                Some(copies) => copies.iter().collect(),
+                None => input_refs,
+            };
+
             self.events.begin(Phase::OperatorForward, id.0);
             let start = std::time::Instant::now();
-            let outputs = op.forward(&input_refs)?;
+            let mut outputs = op.forward(&exec_refs)?;
             let seconds = start.elapsed().as_secs_f64();
             self.events.end(Phase::OperatorForward, id.0);
             let totals = self.op_totals.entry(id.0).or_default();
@@ -404,13 +459,27 @@ impl ReferenceExecutor {
             }
             totals.record_forward(seconds, flops, bytes);
 
+            let mut is_view = false;
+            if let Some(hook) = self.hook.as_mut() {
+                hook.after_forward(&node, &mut outputs);
+                is_view = hook.outputs_are_views(&node);
+            }
+
             self.memory.release(workspace);
             for (tensor, name) in outputs.into_iter().zip(&node.outputs) {
-                self.memory.allocate(tensor.size_bytes())?;
+                if is_view {
+                    views.insert(name.clone());
+                } else {
+                    self.memory.allocate(tensor.size_bytes())?;
+                }
                 env.insert(name.clone(), tensor);
             }
-            // Free inputs whose consumers are exhausted.
+            // Free inputs whose consumers are exhausted. A view node pins
+            // its bases instead, and views themselves were never charged.
             for name in &node.inputs {
+                if is_view || views.contains(name) {
+                    continue;
+                }
                 if let Some(count) = remaining.get_mut(name) {
                     *count = count.saturating_sub(1);
                     if *count == 0 && !self.network.is_parameter(name) {
@@ -520,6 +589,9 @@ impl GraphExecutor for ReferenceExecutor {
                 .collect();
             let grad_refs: Vec<&Tensor> = grad_outputs.iter().collect();
 
+            if let Some(hook) = self.hook.as_mut() {
+                hook.before_backward(&node);
+            }
             self.events.begin(Phase::OperatorBackward, id.0);
             let start = std::time::Instant::now();
             let input_grads = op.backward(&grad_refs, &input_refs, &output_tensors)?;

@@ -10,11 +10,13 @@
 //!   API: add/remove nodes, feed/fetch tensors, parameter enumeration,
 //!   topological ordering,
 //! * [`executor::GraphExecutor`] — the execution interface
-//!   with `inference` and `inference_and_backprop`, plus the
-//!   [`executor::ReferenceExecutor`]: a topological-sort
-//!   interpreter with reverse-mode autodiff, event hooks, and a memory
-//!   accountant (which reproduces the paper's out-of-memory behaviour for
-//!   the micro-batching experiment),
+//!   with `inference` and `inference_and_backprop`, and its two loops: the
+//!   [`executor::ReferenceExecutor`], a serial topological-sort
+//!   interpreter with reverse-mode autodiff, event hooks, a per-node hook
+//!   seam and a memory accountant (which reproduces the paper's
+//!   out-of-memory behaviour for the micro-batching experiment) — the
+//!   oracle — and the level-parallel plan interpreter
+//!   [`compile::PlannedExecutor`], both built through [`Engine`],
 //! * the [`d5nx`](mod@format) binary exchange format — our ONNX substitute —
 //!   with the two-step load pipeline of the paper's Fig. 4 (parse → OO
 //!   representation → visitor),
@@ -39,17 +41,15 @@ pub mod network;
 pub mod transforms;
 pub mod validate;
 pub mod visitor;
-pub mod wavefront;
 
 pub use compile::{
     compile, CompileOptions, CompileReport, ExecutionPlan, MemoryPlan, PlannedExecutor,
     ShadowChecker,
 };
-pub use engine::{Engine, EngineBuilder, EngineGuard, Session};
-pub use executor::{GraphExecutor, MemoryAccountant, OpTotals, ReferenceExecutor};
+pub use engine::{Engine, EngineBuilder, EngineGuard, ExecutorKind, Session};
+pub use executor::{GraphExecutor, MemoryAccountant, NodeHook, OpTotals, ReferenceExecutor};
 pub use network::{Network, Node, NodeId};
 pub use visitor::NetworkVisitor;
-pub use wavefront::{ExecutorKind, WavefrontExecutor};
 
 /// Naming convention for gradient tensors: the gradient of tensor `t` is
 /// stored under `grad::t` in the network's value map.

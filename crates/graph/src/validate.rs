@@ -314,17 +314,12 @@ mod tests {
         let mut b = ReferenceExecutor::construct(net.clone_structure(), usize::MAX).unwrap();
         let r = test_executor(&mut a, &mut b, &feeds, 1).unwrap();
         assert!(r.candidate_pool.is_none() && r.candidate_plan_bytes.is_none());
-        // Planned candidate: both reported, bit-identical outputs.
-        let mut p =
-            crate::compile::PlannedExecutor::construct(net.clone_structure(), usize::MAX).unwrap();
+        // Plan-interpreter candidate: both reported, bit-identical outputs.
+        let mut p = crate::compile::PlannedExecutor::construct(net, usize::MAX).unwrap();
         let r = test_executor(&mut p, &mut b, &feeds, 2).unwrap();
         assert!(r.passes(0.0), "planned executor is bit-identical");
         assert!(r.candidate_pool.is_some());
         assert!(r.candidate_plan_bytes.unwrap() > 0);
-        // Wavefront candidate: pool yes, plan no.
-        let mut w = crate::WavefrontExecutor::construct(net, usize::MAX).unwrap();
-        let r = test_executor(&mut w, &mut b, &feeds, 1).unwrap();
-        assert!(r.candidate_pool.is_some() && r.candidate_plan_bytes.is_none());
     }
 
     #[test]

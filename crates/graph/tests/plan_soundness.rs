@@ -3,8 +3,9 @@
 //! caught, and shadow-checker cross-validation on the unmutated zoo.
 //!
 //! Structure mirrors the verifier's contract:
-//! * every zoo model × {raw, compiled-inference, compiled-training} ×
-//!   {wavefront, planned} verifies with zero deny lints,
+//! * every zoo model × {raw, compiled-inference, compiled-training}
+//!   verifies with zero deny lints, and both concurrent executor kinds run
+//!   the gate,
 //! * ≥8 hand-corrupted plans (slot overlap, level reorder, epilogue
 //!   aliasing, skipped memo invalidation, death-list desync, …) each
 //!   produce the designed deny lint,
@@ -13,10 +14,9 @@
 //!   residency protocol agrees with the static proof.
 
 use deep500_graph::compile::{compile, CompileOptions, ExecutionPlan};
-use deep500_graph::executor::GraphExecutor;
 use deep500_graph::network::Network;
-use deep500_graph::{models, Engine, ExecutorKind, WavefrontExecutor};
-use deep500_tensor::{Shape, Tensor};
+use deep500_graph::{models, Engine, ExecutorKind, PlannedExecutor};
+use deep500_tensor::{Error, Shape, Tensor};
 use deep500_verify::{check_plan, FrozenMemoIr, LintCode, PlanIr, PlanValueIr};
 
 type Case = (&'static str, Network, Vec<(&'static str, Shape)>);
@@ -91,7 +91,7 @@ fn as_refs(feeds: &[(String, Tensor)]) -> Vec<(&str, Tensor)> {
 #[test]
 fn zoo_plans_verify_clean_raw_and_compiled() {
     for (name, net, shapes) in zoo() {
-        // Raw network (the wavefront/planned executors' default schedule).
+        // Raw network (the plan interpreter's default schedule).
         let ir = lower(&net, &shapes, &[]);
         let report = check_plan(&ir);
         assert!(report.passes(), "{name} raw:\n{}", report.render(true));
@@ -117,33 +117,29 @@ fn zoo_plans_verify_clean_raw_and_compiled() {
 }
 
 #[test]
-// `verify_plan` lives on the concrete tier; unwrap the engine and downcast.
-fn wavefront_executor_verifies_its_own_schedule() {
+// A `Wavefront`-kind engine runs the plan interpreter, so its first
+// inference and first backprop each pass the mandatory `ensure_plan` gate
+// (V017-V020; the backprop gate with the trained parameters mutable).
+fn wavefront_kind_passes_run_the_mandatory_plan_gate() {
     for (name, net, shapes) in zoo() {
-        let boxed = Engine::builder(net)
+        let engine = Engine::builder(net)
             .executor(ExecutorKind::Wavefront)
             .build()
-            .unwrap()
-            .into_inner()
             .unwrap();
-        let ex = boxed
-            .as_any()
-            .downcast_ref::<WavefrontExecutor>()
-            .expect("wavefront engine holds a WavefrontExecutor");
-        let report = ex.verify_plan(&shapes, &[]).unwrap();
-        assert!(report.passes(), "{name}:\n{}", report.render(true));
-        let mutable: Vec<String> = ex
-            .network()
-            .gradient()
-            .into_iter()
-            .map(|(p, _)| p)
-            .collect();
+        let feeds = feeds_for(&shapes, 1);
+        let mut ex = engine.lock();
+        ex.inference(&as_refs(&feeds))
+            .unwrap_or_else(|e| panic!("{name} inference gate: {e}"));
         // Uncompiled zoo models freeze nothing, so the trained-parameter
         // lowering is clean too.
-        assert!(
-            ex.verify_plan(&shapes, &mutable).unwrap().passes(),
-            "{name} trained"
-        );
+        ex.inference_and_backprop(&as_refs(&feeds), "loss")
+            .unwrap_or_else(|e| panic!("{name} backprop gate: {e}"));
+        let planned = ex
+            .as_any()
+            .downcast_ref::<PlannedExecutor>()
+            .expect("wavefront engine holds the plan interpreter");
+        assert_eq!(planned.plan_cache_stats().builds, 1, "{name}");
+        assert!(planned.plan().is_some(), "{name}");
     }
 }
 
@@ -486,4 +482,68 @@ fn shadow_checker_is_clean_on_compiled_zoo_models() {
             }
         }
     }
+}
+
+// ------------------------------------------------ failed-pass recovery
+
+#[test]
+fn failed_pass_leaves_the_interpreter_in_a_sound_state() {
+    let (_, net, shapes) = zoo().swap_remove(1);
+    let good = feeds_for(&shapes, 3);
+    // Wrong-shaped labels: every layer runs (filling the environment and
+    // donating dead buffers to their slots) before the loss node fails with
+    // its output buffers pre-taken. Wrong-shaped x fails in the first level.
+    let mut late = good.clone();
+    late[1].1 = Tensor::zeros([5]);
+    let mut early = good.clone();
+    early[0].1 = Tensor::ones([2, 3, 14, 14]);
+
+    let mut ex = Engine::builder(net.clone_structure())
+        .executor(ExecutorKind::Wavefront)
+        .build()
+        .unwrap()
+        .into_inner()
+        .unwrap();
+    // Populate the slots first, so the aborted passes have buffers to take.
+    ex.inference(&as_refs(&good)).unwrap();
+    // The repeated `late` re-enters the cached plan of an aborted pass.
+    for bad in [&late, &early, &late] {
+        for result in [
+            ex.inference(&as_refs(bad)),
+            ex.inference_and_backprop(&as_refs(bad), "loss"),
+        ] {
+            let err = result.expect_err("wrong-shaped feed must fail the pass");
+            assert!(
+                matches!(err, Error::ShapeMismatch(_) | Error::Invalid(_)),
+                "typed error, got {err}"
+            );
+        }
+    }
+
+    let mut oracle = Engine::builder(net).build().unwrap().into_inner().unwrap();
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    let expect = oracle.inference(&as_refs(&good)).unwrap();
+    let got = ex.inference(&as_refs(&good)).unwrap();
+    for (name, t) in &expect {
+        assert_eq!(bits(&got[name]), bits(t), "inference output '{name}'");
+    }
+    let expect = oracle
+        .inference_and_backprop(&as_refs(&good), "loss")
+        .unwrap();
+    let got = ex.inference_and_backprop(&as_refs(&good), "loss").unwrap();
+    for (name, t) in &expect {
+        assert_eq!(bits(&got[name]), bits(t), "backprop output '{name}'");
+    }
+    for (_, gname) in oracle.network().gradient() {
+        assert_eq!(
+            bits(ex.network().fetch_tensor(&gname).unwrap()),
+            bits(oracle.network().fetch_tensor(&gname).unwrap()),
+            "{gname}"
+        );
+    }
+
+    // A tracked pass last: the residency protocol survived the aborts.
+    ex.inference(&as_refs(&good)).unwrap();
+    let tracked = cfg!(any(debug_assertions, feature = "shadow-check"));
+    assert_eq!(ex.shadow_violations(), tracked.then_some(0));
 }

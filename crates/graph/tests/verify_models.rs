@@ -4,13 +4,13 @@
 //! guards executor construction, (2) verify clean — zero Deny lints —
 //! under the full shape/dataflow/aliasing pipeline, (3) propagate a
 //! symbolic batch dimension through to its logits, and (4) prove
-//! pool-safety of the wavefront level partition with an interference-graph
+//! pool-safety of the executor's level partition with an interference-graph
 //! pool lower bound that never exceeds the executor's *observed*
 //! high-water memory mark.
 
 use deep500_graph::models;
 use deep500_graph::network::Network;
-use deep500_graph::{Engine, ExecutorKind, GraphExecutor, WavefrontExecutor};
+use deep500_graph::{Engine, ExecutorKind, GraphExecutor, PlannedExecutor};
 use deep500_tensor::{Shape, Tensor};
 use deep500_verify::{SymShape, Verifier};
 
@@ -159,8 +159,8 @@ fn wavefront_pool_bound_is_a_true_lower_bound_on_observed_peak() {
             .unwrap();
         let ex = boxed
             .as_any_mut()
-            .downcast_mut::<WavefrontExecutor>()
-            .expect("wavefront engine holds a WavefrontExecutor");
+            .downcast_mut::<PlannedExecutor>()
+            .expect("wavefront engine holds the plan interpreter");
         let shape_feeds: Vec<(&str, Shape)> = case
             .feeds
             .iter()

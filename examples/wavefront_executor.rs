@@ -1,7 +1,8 @@
 //! Executor selection: train the same model on the serial reference
-//! executor and the wavefront (level-parallel, buffer-pooled) executor,
-//! and show that the trajectories are bit-identical while the wavefront
-//! executor recycles its allocations.
+//! executor and the level-parallel plan interpreter
+//! (`ExecutorKind::Wavefront` and `ExecutorKind::Planned` both select it),
+//! and show that the trajectories are bit-identical while the interpreter
+//! recycles its allocations.
 //!
 //! ```text
 //! cargo run --release --example wavefront_executor
@@ -32,12 +33,12 @@ fn main() -> deep500::tensor::Result<()> {
     let (wf_losses, _) = train(ExecutorKind::Wavefront, seed)?;
 
     println!("== LeNet, 2 epochs, same seed, both executors ==");
-    println!(" step | reference loss | wavefront loss");
-    println!("------+----------------+---------------");
+    println!(" step | reference loss | level-parallel loss");
+    println!("------+----------------+--------------------");
     let stride = (ref_losses.len() / 6).max(1);
     for (i, (r, w)) in ref_losses.iter().zip(&wf_losses).enumerate() {
         if i % stride == 0 || i + 1 == ref_losses.len() {
-            println!(" {i:<4} | {r:<14.6} | {w:<14.6}");
+            println!(" {i:<4} | {r:<14.6} | {w:<19.6}");
         }
     }
 
@@ -51,7 +52,7 @@ fn main() -> deep500::tensor::Result<()> {
         ref_losses.len()
     );
 
-    // Peek at the pool: a standalone wavefront pass recycles its buffers.
+    // Peek at the buffers: passes reuse plan slots and pooled gradients.
     let net = models::lenet(1, 14, 4, seed)?;
     let engine = Engine::builder(net)
         .executor(ExecutorKind::Wavefront)
@@ -64,13 +65,17 @@ fn main() -> deep500::tensor::Result<()> {
     for _ in 0..3 {
         wf.inference_and_backprop(&feeds, "loss")?;
     }
-    let stats = wf.buffer_pool_stats().expect("wavefront pools buffers");
+    let stats = wf
+        .buffer_pool_stats()
+        .expect("the interpreter pools buffers");
     println!(
-        "buffer pool after 3 passes: {} hits, {} misses, {} recycles, {} KiB parked",
+        "buffer pool after 3 passes: {} hits, {} misses, {} recycles, {} KiB parked; \
+         static plan {} KiB",
         stats.hits,
         stats.misses,
         stats.recycled,
-        stats.held_bytes / 1024
+        stats.held_bytes / 1024,
+        wf.static_plan_bytes().unwrap_or(0) / 1024
     );
     assert!(identical, "executors diverged");
     Ok(())
