@@ -8,10 +8,21 @@
 //! and achieved GFLOP/s plus the direct-over-im2col speedup per shape,
 //! and exits non-zero if any tier diverges from the im2col baseline.
 //!
+//!
+//! A second table times the *backward* pass (`conv::backward_direct`, the
+//! blocked GEMM lowering) on training-class cells — the two LeNet convs the
+//! spine's `train-cnn` workload runs plus two DeepBench training cells —
+//! against the direct-tier forward of the same cell, after a parity gate
+//! against the scalar `conv::backward_reference` oracle (relative l-inf
+//! 1e-4). `bwd_over_fwd` is the number to watch: backward is twice the
+//! forward's FLOPs, so a kernel-speed backward sits in the low single
+//! digits.
+//!
 //! Run with: `cargo run --release -p deep500-bench --bin conv`
 //! Set `D5_CONV_SMOKE=1` for the fast CI-sized run.
 
-use deep500::ops::conv::{Conv2dOp, ConvAlgorithm};
+use deep500::metrics::norms::linf_diff;
+use deep500::ops::conv::{self, Conv2dOp, ConvAlgorithm, ConvGeometry};
 use deep500::ops::deepbench::ConvSize;
 use deep500::ops::Operator;
 use deep500::prelude::*;
@@ -33,6 +44,103 @@ fn cells() -> Vec<(&'static str, ConvSize)> {
         ("body3x3_28", ConvSize::new(1, 64, 28, 28, 64, 3, 1, 1)),
         ("proj1x1", ConvSize::new(1, 64, 28, 28, 128, 1, 1, 0)),
     ]
+}
+
+/// Training-class backward cells: LeNet conv1 / conv2 at the spine's batch
+/// 32, and two DeepBench training cells (ResNet body 3x3s at batch 8).
+fn backward_cells() -> Vec<(&'static str, ConvSize)> {
+    vec![
+        ("lenet_conv1", ConvSize::new(32, 3, 16, 16, 6, 5, 1, 2)),
+        ("lenet_conv2", ConvSize::new(32, 6, 8, 8, 16, 5, 1, 0)),
+        ("resnet3x3_56", ConvSize::new(8, 64, 56, 56, 64, 3, 1, 1)),
+        ("resnet3x3_28", ConvSize::new(8, 128, 28, 28, 128, 3, 1, 1)),
+    ]
+}
+
+/// Relative l-inf of `got` against `want`, scaled by `want`'s magnitude.
+fn rel_linf(got: &Tensor, want: &Tensor) -> f64 {
+    let scale = want.data().iter().fold(1.0f32, |m, v| m.max(v.abs()));
+    linf_diff(got.data(), want.data()) / f64::from(scale)
+}
+
+/// One JSON row per training-class cell: parity against the scalar oracle,
+/// then forward and backward best-of-`reps`, interleaved.
+fn backward_rows(reps: usize, parity_ok: &mut bool) -> Vec<String> {
+    let mut rows = Vec::new();
+    for (name, cs) in backward_cells() {
+        let x = rand_tensor(&[cs.n, cs.c, cs.h, cs.w], 0xD0 ^ cs.k as u64);
+        let w = rand_tensor(&[cs.k, cs.c, cs.r, cs.r], 0xD1 ^ cs.k as u64);
+        let b = rand_tensor(&[cs.k], 0xD2 ^ cs.k as u64);
+        let g = ConvGeometry {
+            stride: cs.stride,
+            pad: cs.pad,
+        };
+        let op = Conv2dOp::new(cs.stride, cs.pad, ConvAlgorithm::Direct);
+        let y = op.forward(&[&x, &w, &b]).expect("warmup forward");
+        // ReLU-masked gradient, as a conv under an activation sees it.
+        let dy = rand_tensor(y[0].shape().dims(), 0xD3 ^ cs.k as u64).map(|v| v.max(0.0));
+
+        let got = conv::backward_direct(&dy, &x, &w, g).expect("backward");
+        let want = conv::backward_reference(&dy, &x, &w, g).expect("oracle backward");
+        let err = got
+            .iter()
+            .zip(&want)
+            .map(|(a, b)| rel_linf(a, b))
+            .fold(0.0, f64::max);
+        if err > 1e-4 {
+            eprintln!("conv: FAIL {name} backward diverges from the oracle (rel l-inf {err:.2e})");
+            *parity_ok = false;
+        }
+
+        let (mut fwd, mut bwd) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..reps {
+            let start = Instant::now();
+            drop(op.forward(&[&x, &w, &b]).expect("timed forward"));
+            fwd = fwd.min(start.elapsed().as_secs_f64());
+            let start = Instant::now();
+            drop(conv::backward_direct(&dy, &x, &w, g).expect("timed backward"));
+            bwd = bwd.min(start.elapsed().as_secs_f64());
+        }
+        // dW and dX are one forward's worth of multiply-adds each.
+        let bwd_gflops = 2.0 * cs.flops() / bwd / 1e9;
+        println!(
+            "conv: bwd {:<13} n{:<2} c{:<3} {:>2}x{:<2} co{:<3} k{} s{} p{}  fwd {:.3}ms  \
+             bwd {:.3}ms ({:.1} GF/s)  bwd/fwd {:.2}  oracle rel l-inf {:.1e}",
+            name,
+            cs.n,
+            cs.c,
+            cs.h,
+            cs.w,
+            cs.k,
+            cs.r,
+            cs.stride,
+            cs.pad,
+            fwd * 1e3,
+            bwd * 1e3,
+            bwd_gflops,
+            bwd / fwd,
+            err
+        );
+        rows.push(format!(
+            "    {{\"name\": \"{}\", \"n\": {}, \"c\": {}, \"hw\": {}, \"co\": {}, \
+             \"k\": {}, \"stride\": {}, \"pad\": {}, \"fwd_ms\": {:.4}, \"bwd_ms\": {:.4}, \
+             \"bwd_gflops\": {:.2}, \"bwd_over_fwd\": {:.3}, \"oracle_rel_linf\": {:.3e}}}",
+            name,
+            cs.n,
+            cs.c,
+            cs.h,
+            cs.k,
+            cs.r,
+            cs.stride,
+            cs.pad,
+            fwd * 1e3,
+            bwd * 1e3,
+            bwd_gflops,
+            bwd / fwd,
+            err
+        ));
+    }
+    rows
 }
 
 struct TierTime {
@@ -176,10 +284,13 @@ fn main() {
         ));
     }
 
+    let bwd_rows = backward_rows(reps, &mut parity_ok);
+
     let json = format!(
         "{{\n  \"benchmark\": \"conv\",\n  \"smoke\": {smoke},\n  \"reps\": {reps},\n  \
-         \"direct_3x_wins\": {wins},\n  \"cases\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
+         \"direct_3x_wins\": {wins},\n  \"cases\": [\n{}\n  ],\n  \"backward\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n"),
+        bwd_rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_conv.json");
     std::fs::write(path, &json).expect("write BENCH_conv.json");

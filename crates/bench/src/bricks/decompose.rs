@@ -28,12 +28,17 @@ pub struct BrickKey {
     /// (empty for ops that report none).
     pub tier: String,
     /// Expected density (percent, bucketed) of the output gradient the
-    /// node receives during backprop in its parent model. Backward cost
-    /// is sensitive to it — the conv backward skips zero gradient
-    /// elements, and a node below a max-pool sees a mostly-zero dY — so
-    /// two otherwise identical bricks with different incoming-gradient
-    /// density are different bricks.
+    /// node receives during backprop in its parent model — a node below a
+    /// max-pool sees a mostly-zero dY. Vestigial as a cost predictor since
+    /// the conv backward became a dense GEMM lowering (no kernel skips
+    /// zero gradient elements any more); kept in the key until the
+    /// follow-up that removes the density model.
     pub grad_pct: u8,
+    /// Which input gradients the parent model's backward sweep reads
+    /// (`Operator::backward_wanted`): parameters and node-produced
+    /// activations, not feeds. A first layer skips its dX product, so it
+    /// is a different — cheaper — brick than the same layer mid-network.
+    pub wanted: Vec<bool>,
 }
 
 impl BrickKey {
@@ -55,6 +60,14 @@ impl BrickKey {
             s.push_str(&format!(" {}", self.tier));
         }
         s.push_str(&format!(" grad={}%", self.grad_pct));
+        if self.wanted.contains(&false) {
+            let mask: String = self
+                .wanted
+                .iter()
+                .map(|&w| if w { 'g' } else { '-' })
+                .collect();
+            s.push_str(&format!(" wanted={mask}"));
+        }
         s
     }
 }
@@ -81,6 +94,10 @@ pub struct BrickInput {
     /// rather than an activation — the micro-runner reproduces the same
     /// binding so gradient publication costs match.
     pub is_param: bool,
+    /// Whether a node of the parent model writes this input (as opposed
+    /// to a feed): its backward then owes the producer a gradient, and the
+    /// micro-runner puts a pass-through producer in front to match.
+    pub produced: bool,
 }
 
 /// One node of a model, resolved to a concrete brick.
@@ -160,6 +177,8 @@ pub fn decompose(
     let mut lints = Vec::new();
     let shapes = deep500::verify::shape_pass::infer(&ir, input_shapes, &[], &mut lints);
     let density = grad_densities(&ir, &shapes, loss);
+    let produced: std::collections::HashSet<&String> =
+        ir.nodes.iter().flat_map(|n| n.outputs.iter()).collect();
 
     let mut bricks = Vec::with_capacity(ir.nodes.len());
     for node in &ir.nodes {
@@ -212,6 +231,16 @@ pub fn decompose(
         // run, and finer buckets would shred the dedup ratio.
         let grad_pct = ((grad_density * 20.0).round() * 5.0) as u8;
 
+        let inputs: Vec<BrickInput> = node
+            .inputs
+            .iter()
+            .zip(&in_shapes)
+            .map(|(name, shape)| BrickInput {
+                shape: shape.clone(),
+                is_param: ir.params.contains_key(name),
+                produced: produced.contains(name),
+            })
+            .collect();
         let key = BrickKey {
             op_type: node.op_type.clone(),
             attrs: attrs_canon.join(";"),
@@ -219,16 +248,8 @@ pub fn decompose(
             dtype,
             tier,
             grad_pct,
+            wanted: inputs.iter().map(|i| i.is_param || i.produced).collect(),
         };
-        let inputs = node
-            .inputs
-            .iter()
-            .zip(&in_shapes)
-            .map(|(name, shape)| BrickInput {
-                shape: shape.clone(),
-                is_param: ir.params.contains_key(name),
-            })
-            .collect();
         bricks.push(BrickInstance {
             node: node.name.clone(),
             key,

@@ -27,11 +27,11 @@ use std::sync::Once;
 ///
 /// In a real model the gradient arriving at a node is rarely dense — a
 /// max-pool upstream (in backprop order) zeroes all but one element per
-/// window, a ReLU zeroes clipped positions — and sparsity-aware backward
-/// kernels (the conv tier skips zero gradient elements) make backward
-/// cost strongly density-dependent. Seeding with the density the
-/// decomposer derived for the brick's context keeps the micro-benchmark
-/// faithful; a plain dense MseLoss tail over-measured conv backward ~2x.
+/// window, a ReLU zeroes clipped positions. When the conv backward still
+/// skipped zero gradient elements that made its cost strongly
+/// density-dependent (a plain dense MseLoss tail over-measured it ~2x);
+/// since the dense GEMM lowering no kernel's cost depends on the mask, and
+/// it survives only until the follow-up that removes the density model.
 #[derive(Debug)]
 struct GradSeedOp {
     /// Nonzero fraction of the emitted gradient, percent.
@@ -184,7 +184,9 @@ impl MicroRunner {
 /// Reconstruct `inst` as a single-node network plus its feeds. Parameter
 /// inputs of the parent model become parameters here too (so backward
 /// publishes their gradients, as it would in the real model); activation
-/// inputs become fed graph inputs. A [`GradSeedOp`] tail is appended when
+/// inputs become fed graph inputs — behind a pass-through `Scale` node
+/// when a node produced them in the parent model, so the brick owes the
+/// same input gradients here as there. A [`GradSeedOp`] tail is appended when
 /// the brick's output is not already a scalar, seeding backprop with a
 /// gradient of the brick's in-context density without disturbing the
 /// brick's own spans.
@@ -214,6 +216,18 @@ fn build_micro(inst: &BrickInstance, seed: u64) -> Result<MicroBench, String> {
         };
         if input.is_param {
             net.add_parameter(&name, data);
+        } else if input.produced {
+            let fed = format!("fed{j}");
+            net.add_input(&fed);
+            net.add_node(
+                format!("producer{j}"),
+                "Scale",
+                Attributes::new(),
+                &[fed.as_str()],
+                &[name.as_str()],
+            )
+            .map_err(|e| format!("{}: producer: {e}", inst.key.render()))?;
+            feeds.push((fed, data));
         } else {
             net.add_input(&name);
             feeds.push((name.clone(), data));

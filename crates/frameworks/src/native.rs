@@ -106,6 +106,16 @@ impl<O: Operator> Operator for NativeOpWrapper<O> {
     ) -> Result<Vec<Tensor>> {
         self.inner.backward(grad_outputs, inputs, outputs)
     }
+    fn backward_wanted(
+        &self,
+        grad_outputs: &[&Tensor],
+        inputs: &[&Tensor],
+        outputs: &[&Tensor],
+        wanted: &[bool],
+    ) -> Result<Vec<Option<Tensor>>> {
+        self.inner
+            .backward_wanted(grad_outputs, inputs, outputs, wanted)
+    }
     fn flops(&self, s: &[&Shape]) -> f64 {
         self.inner.flops(s)
     }

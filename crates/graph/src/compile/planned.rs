@@ -40,7 +40,7 @@
 
 use super::plan::{level_names, partition_levels, ExecutionPlan, PlanStep, ValueRef};
 use super::shadow::ShadowChecker;
-use crate::executor::{GraphExecutor, MemoryAccountant, OpTotals};
+use crate::executor::{produced_tensors, wanted_grads, GraphExecutor, MemoryAccountant, OpTotals};
 use crate::network::{Network, NodeId};
 use deep500_metrics::event::{EventList, Phase};
 use deep500_ops::Operator;
@@ -48,14 +48,14 @@ use deep500_tensor::{
     with_pool, with_slot_buffers, BufferPool, Error, PoolStats, Result, Shape, Tensor,
 };
 use rayon::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// What a forward worker hands back: outputs, unconsumed slot buffers,
 /// wall-clock seconds, declared FLOPs, and bytes moved.
 type SlotBufs = Vec<(usize, Vec<f32>)>;
 type ForwardProduct = (Vec<Tensor>, SlotBufs, f64, f64, u64, Option<String>);
-type BackwardProduct = Option<(Vec<Tensor>, f64)>;
+type BackwardProduct = Option<(Vec<Option<Tensor>>, f64)>;
 
 /// Whether the runtime shadow checker cross-validates slot residency this
 /// build: debug builds and the `shadow-check` feature opt in; release hot
@@ -129,6 +129,8 @@ pub struct PlannedExecutor {
     levels: Vec<Vec<NodeId>>,
     /// Topological position per node for the deterministic gradient fold.
     order_pos: HashMap<NodeId, usize>,
+    /// Node-written tensors, for the backward sweep's `wanted` masks.
+    produced: HashSet<String>,
     /// Compiled plans memoized by sorted feed shapes.
     plans: HashMap<PlanKey, PlanEntry>,
     /// Key of the plan the current pass runs under.
@@ -157,12 +159,14 @@ impl PlannedExecutor {
         let order = network.topological_order()?;
         let levels = partition_levels(&network, &order);
         let order_pos = order.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+        let produced = produced_tensors(&network);
         Ok(PlannedExecutor {
             network,
             ops,
             order,
             levels,
             order_pos,
+            produced,
             plans: HashMap::new(),
             current: None,
             plan_builds: 0,
@@ -252,6 +256,7 @@ impl PlannedExecutor {
             .enumerate()
             .map(|(i, &id)| (id, i))
             .collect();
+        self.produced = produced_tensors(&self.network);
         self.plans.clear();
         self.current = None;
         Ok(())
@@ -628,6 +633,7 @@ impl PlannedExecutor {
         let network = &self.network;
         let ops = &self.ops;
         let order_pos = &self.order_pos;
+        let produced = &self.produced;
         let pool = &self.pool;
         let mut spans: Vec<(usize, f64)> = Vec::new();
         for &(lo, hi) in plan.level_ranges.iter().rev() {
@@ -674,9 +680,10 @@ impl PlannedExecutor {
                             .collect()
                     });
                     let grad_refs: Vec<&Tensor> = grad_outputs.iter().collect();
+                    let wanted = wanted_grads(network, produced, node);
                     let start = std::time::Instant::now();
                     let input_grads = with_pool(pool, || {
-                        op.backward(&grad_refs, &input_refs, &output_tensors)
+                        op.backward_wanted(&grad_refs, &input_refs, &output_tensors, &wanted)
                     });
                     let seconds = start.elapsed().as_secs_f64();
                     for t in grad_outputs {
@@ -697,6 +704,8 @@ impl PlannedExecutor {
                     let node = network.node(step.node).expect("live node");
                     let pos = order_pos[&step.node];
                     for (gname, gtensor) in node.inputs.iter().zip(input_grads) {
+                        // `None`: an unwanted gradient the operator elided.
+                        let Some(gtensor) = gtensor else { continue };
                         pending
                             .entry(gname.clone())
                             .or_default()

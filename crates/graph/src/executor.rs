@@ -149,6 +149,32 @@ pub(crate) fn consumer_template(network: &Network) -> HashMap<String, usize> {
     remaining
 }
 
+/// Every tensor some node writes, computed once per graph (re)build for
+/// [`wanted_grads`].
+pub(crate) fn produced_tensors(network: &Network) -> HashSet<String> {
+    network
+        .nodes()
+        .flat_map(|(_, node)| node.outputs.iter().cloned())
+        .collect()
+}
+
+/// The `wanted` mask a backward sweep hands to
+/// [`Operator::backward_wanted`]: an input's gradient has a reader exactly
+/// when a node produced the input (its backward consumes the gradient) or
+/// the input is a parameter (its gradient is published). Gradients of fed
+/// tensors are never read. Both executors derive the mask here, so they
+/// elide the same products and stay bit-identical.
+pub(crate) fn wanted_grads(
+    network: &Network,
+    produced: &HashSet<String>,
+    node: &Node,
+) -> Vec<bool> {
+    node.inputs
+        .iter()
+        .map(|name| produced.contains(name) || network.is_parameter(name))
+        .collect()
+}
+
 /// Per-node execution totals accumulated by an executor across passes —
 /// the executor-side source of the Level-0 attribution rows.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -344,6 +370,8 @@ pub struct ReferenceExecutor {
     order: Vec<NodeId>,
     /// Pre-counted consumer template cloned at each pass start.
     consumers: HashMap<String, usize>,
+    /// Node-written tensors, for the backward sweep's `wanted` masks.
+    produced: HashSet<String>,
     events: EventList,
     memory: MemoryAccountant,
     pass_counter: usize,
@@ -367,11 +395,13 @@ impl ReferenceExecutor {
         let ops = network.instantiate_ops()?;
         let order = network.topological_order()?;
         let consumers = consumer_template(&network);
+        let produced = produced_tensors(&network);
         Ok(ReferenceExecutor {
             network,
             ops,
             order,
             consumers,
+            produced,
             events: EventList::new(),
             memory: MemoryAccountant::new(capacity),
             pass_counter: 0,
@@ -398,6 +428,7 @@ impl ReferenceExecutor {
         self.ops = self.network.instantiate_ops()?;
         self.order = self.network.topological_order()?;
         self.consumers = consumer_template(&self.network);
+        self.produced = produced_tensors(&self.network);
         Ok(())
     }
 
@@ -588,13 +619,15 @@ impl GraphExecutor for ReferenceExecutor {
                 })
                 .collect();
             let grad_refs: Vec<&Tensor> = grad_outputs.iter().collect();
+            let wanted = wanted_grads(&self.network, &self.produced, &node);
 
             if let Some(hook) = self.hook.as_mut() {
                 hook.before_backward(&node);
             }
             self.events.begin(Phase::OperatorBackward, id.0);
             let start = std::time::Instant::now();
-            let input_grads = op.backward(&grad_refs, &input_refs, &output_tensors)?;
+            let input_grads =
+                op.backward_wanted(&grad_refs, &input_refs, &output_tensors, &wanted)?;
             let seconds = start.elapsed().as_secs_f64();
             self.events.end(Phase::OperatorBackward, id.0);
             self.op_totals
@@ -603,6 +636,8 @@ impl GraphExecutor for ReferenceExecutor {
                 .record_backward(seconds);
 
             for (gname, gtensor) in node.inputs.iter().zip(input_grads) {
+                // `None`: an unwanted gradient the operator elided.
+                let Some(gtensor) = gtensor else { continue };
                 match grads.get_mut(gname) {
                     Some(existing) => existing.axpy(1.0, &gtensor)?,
                     None => {

@@ -160,16 +160,18 @@ impl Operator for FusedElementwiseOp {
         let mut dx = Tensor::zeros(x.shape().clone());
         let depth = self.stages.len();
         let mut vals = vec![0.0f32; depth + 1];
-        for i in 0..x.numel() {
-            vals[0] = x.data()[i];
+        // Slices bound once: `data_mut` stamps a fresh content version
+        // (a global atomic) on every call.
+        for (out, (&xv, &gv)) in dx.data_mut().iter_mut().zip(x.data().iter().zip(g.data())) {
+            vals[0] = xv;
             for (k, st) in self.stages.iter().enumerate() {
                 vals[k + 1] = st.apply(vals[k]);
             }
-            let mut d = g.data()[i];
+            let mut d = gv;
             for (k, st) in self.stages.iter().enumerate().rev() {
                 d *= st.derivative(vals[k], vals[k + 1]);
             }
-            dx.data_mut()[i] = d;
+            *out = d;
         }
         Ok(vec![dx])
     }

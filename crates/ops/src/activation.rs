@@ -88,8 +88,11 @@ impl Operator for ActivationOp {
         let x = inputs[0];
         let y = outputs[0];
         let mut dx = Tensor::zeros(x.shape().clone());
-        for i in 0..x.numel() {
-            dx.data_mut()[i] = g.data()[i] * self.derivative(x.data()[i], y.data()[i]);
+        // Slices bound once: `data_mut` stamps a fresh content version
+        // (a global atomic) on every call.
+        let inputs = g.data().iter().zip(x.data()).zip(y.data());
+        for (d, ((&gv, &xv), &yv)) in dx.data_mut().iter_mut().zip(inputs) {
+            *d = gv * self.derivative(xv, yv);
         }
         Ok(vec![dx])
     }

@@ -1,0 +1,622 @@
+//! `Conv2d` backward: the cache-blocked GEMM lowering, and the scalar
+//! seven-loop oracle it is tested against.
+//!
+//! With `K = C·kh·kw` and a block of `B` output positions (whole images,
+//! or a band of output rows when one image's column matrix is too big),
+//! the three gradients are
+//!
+//! ```text
+//! col  [K x B]   = im2col(X block)                 (row copy)
+//! dW  [Co x K]  += dY [Co x B] · colᵀ               (packed GEMM, B absorbed transposed)
+//! dcol [K x B]   = Wᵀ [K x Co] · dY [Co x B]        (packed GEMM, A absorbed transposed)
+//! dX            += col2im(dcol)                     (row add)
+//! db  [Co]      += row sums of dY
+//! ```
+//!
+//! Every product participates — there is no skip on zero gradient
+//! elements, so the cost does not depend on gradient density and `0 · NaN`
+//! propagates exactly as in the GEMM backward
+//! ([`matmul_at_b_with`](crate::gemm::matmul_at_b_with)).
+//!
+//! **Determinism contract.** The images are cut into contiguous *lanes*
+//! and each lane into column blocks by [`Blocking::for_shape`], a pure
+//! function of the shape. A lane walks its blocks in ascending order,
+//! accumulating `dW`/`db` into its own partial; the partials are then
+//! added in lane-index order. `dX` images belong to exactly one lane.
+//! Lanes may run on rayon workers or serially — the float sequence per
+//! output element is the same, so the result is bitwise independent of
+//! the thread count.
+
+use super::{direct, fetch, im2col_rows, ConvGeometry, Lowering};
+use crate::gemm::packed::gemm_packed_into;
+use crate::gemm::PAR_THRESHOLD;
+use deep500_tensor::{
+    recycle_scratch, scratch_dirty, scratch_zeroed, Error, Result, Shape, Tensor,
+};
+use rayon::prelude::*;
+
+/// Budget for one lane's column block (`K x B` floats): sized to stay
+/// L2-resident next to the packed GEMM panels.
+const COL_BLOCK_BYTES: usize = 512 * 1024;
+
+/// Upper bound on lanes (and so on `dW` partials and concurrent column
+/// blocks). Batches of at least this many images always split this wide.
+const MAX_LANES: usize = 8;
+
+/// How a backward pass over `n` images is cut up — a pure function of the
+/// shape (never of the thread count), which is what makes the reduction
+/// order reproducible.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Blocking {
+    /// Contiguous image ranges, each with its own `dW`/`db` partial.
+    lanes: usize,
+    /// Whole images per column block.
+    imgs: usize,
+    /// Output rows per column block (`ho` unless a single image's column
+    /// matrix exceeds the budget, in which case `imgs == 1`).
+    rows: usize,
+}
+
+impl Blocking {
+    fn for_shape(n: usize, k: usize, ho: usize, wo: usize) -> Blocking {
+        let lanes = n.min(MAX_LANES);
+        let per_lane = n.div_ceil(lanes.max(1));
+        let budget = COL_BLOCK_BYTES / std::mem::size_of::<f32>();
+        let image = (k * ho * wo).max(1);
+        // Even out the blocks: as few as the budget allows, equally sized.
+        let even = |total: usize, fit: usize| total.div_ceil(total.div_ceil(fit).max(1));
+        let (imgs, rows) = if image <= budget {
+            (
+                even(per_lane, (budget / image).clamp(1, per_lane.max(1))),
+                ho,
+            )
+        } else {
+            (1, even(ho, (budget / (k * wo).max(1)).clamp(1, ho)))
+        };
+        Blocking {
+            lanes,
+            imgs: imgs.max(1),
+            rows: rows.max(1),
+        }
+    }
+
+    /// Images `start..end` of lane `lane` out of `n`: as even as possible,
+    /// the earlier lanes taking the remainder.
+    fn lane_images(&self, n: usize, lane: usize) -> (usize, usize) {
+        let (base, extra) = (n / self.lanes, n % self.lanes);
+        let start = lane * base + lane.min(extra);
+        (start, start + base + usize::from(lane < extra))
+    }
+}
+
+/// Sum of a row in a fixed order: eight interleaved partial sums (so the
+/// loop vectorizes), folded pairwise, then the tail.
+fn row_sum(row: &[f32]) -> f32 {
+    let mut acc = [0.0f32; 8];
+    let chunks = row.chunks_exact(8);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (a, &v) in acc.iter_mut().zip(chunk) {
+            *a += v;
+        }
+    }
+    let mut sum = ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7]));
+    for &v in tail {
+        sum += v;
+    }
+    sum
+}
+
+/// Adjoint of [`im2col_rows`]: add columns `col0..` of the `[K, ld]`
+/// matrix `dcol` (output rows `oh0..oh1` of one image) into that image's
+/// input gradient `dxi`, one (strided) row add per reduction row and
+/// output row. Columns the lowering filled from the zero padding are
+/// dropped.
+fn col2im_rows(
+    dcol: &[f32],
+    ld: usize,
+    col0: usize,
+    lw: &Lowering,
+    oh0: usize,
+    oh1: usize,
+    dxi: &mut [f32],
+) {
+    let seg = (oh1 - oh0) * lw.wo;
+    let plane = lw.h * lw.wd;
+    for r in 0..lw.k() {
+        let (ic, fh, fw) = direct::tap(r, lw.kh, lw.kw);
+        let (lo, hi, iw0) = lw.tap_span(fw);
+        if lo == hi {
+            continue;
+        }
+        let dxc = &mut dxi[ic * plane..(ic + 1) * plane];
+        let rows = dcol[r * ld + col0..r * ld + col0 + seg].chunks_exact(lw.wo);
+        for (oh, src) in (oh0..oh1).zip(rows) {
+            let Some(ih) = lw.tap_row(oh, fh) else {
+                continue;
+            };
+            let dst = &mut dxc[ih * lw.wd + iw0..(ih + 1) * lw.wd];
+            if lw.g.stride == 1 {
+                for (d, &v) in dst.iter_mut().zip(&src[lo..hi]) {
+                    *d += v;
+                }
+            } else {
+                for (d, &v) in dst.iter_mut().step_by(lw.g.stride).zip(&src[lo..hi]) {
+                    *d += v;
+                }
+            }
+        }
+    }
+}
+
+/// One lane: images `img0..img0 + imgs` in ascending column blocks,
+/// accumulating into `dw` (`[Co x K]`) and `db` (`[Co]`), both zero on
+/// entry, and writing those images' `dX` into `dxl` when requested.
+#[allow(clippy::too_many_arguments)] // lane plumbing: slices and scalars
+fn lane_backward(
+    dyd: &[f32],
+    xd: &[f32],
+    wdat: &[f32],
+    lw: &Lowering,
+    co: usize,
+    bl: Blocking,
+    img0: usize,
+    imgs: usize,
+    mut dxl: Option<&mut [f32]>,
+    dw: &mut [f32],
+    db: &mut [f32],
+) {
+    let (k, p, chw) = (lw.k(), lw.ho * lw.wo, lw.c * lw.h * lw.wd);
+    let block_cols = bl.imgs * bl.rows * lw.wo;
+    // Dirty scratch: im2col_rows writes every column it lowers, and the
+    // dY block is copied whole before use.
+    let mut col = scratch_dirty(k * block_cols);
+    let mut dyb = scratch_dirty(co * block_cols);
+    for i0 in (img0..img0 + imgs).step_by(bl.imgs) {
+        let ni = bl.imgs.min(img0 + imgs - i0);
+        for oh0 in (0..lw.ho).step_by(bl.rows) {
+            let oh1 = (oh0 + bl.rows).min(lw.ho);
+            let seg = (oh1 - oh0) * lw.wo;
+            let cols = ni * seg;
+            let colb = &mut col[..k * cols];
+            for il in 0..ni {
+                let xi = &xd[(i0 + il) * chw..(i0 + il + 1) * chw];
+                im2col_rows(xi, lw, oh0, oh1, colb, cols, il * seg);
+            }
+            // dY as one [Co x cols] matrix: a whole single image already
+            // is one; anything else is gathered channel by channel.
+            let dyblk: &[f32] = if ni == 1 && seg == p {
+                &dyd[i0 * co * p..(i0 + 1) * co * p]
+            } else {
+                for oc in 0..co {
+                    for il in 0..ni {
+                        let src = ((i0 + il) * co + oc) * p + oh0 * lw.wo;
+                        dyb[oc * cols + il * seg..oc * cols + (il + 1) * seg]
+                            .copy_from_slice(&dyd[src..src + seg]);
+                    }
+                }
+                &dyb[..co * cols]
+            };
+            for (b, row) in db.iter_mut().zip(dyblk.chunks_exact(cols.max(1))) {
+                *b += row_sum(row);
+            }
+            // dW += dY · colᵀ
+            gemm_packed_into(co, k, cols, dyblk, false, colb, true, dw);
+            if let Some(dxl) = dxl.as_deref_mut() {
+                // dcol = Wᵀ · dY, into the column block dW is done with.
+                colb.fill(0.0);
+                gemm_packed_into(k, cols, co, wdat, true, dyblk, false, colb);
+                for il in 0..ni {
+                    let at = (i0 + il - img0) * chw;
+                    col2im_rows(colb, cols, il * seg, lw, oh0, oh1, &mut dxl[at..at + chw]);
+                }
+            }
+        }
+    }
+    recycle_scratch(dyb);
+    recycle_scratch(col);
+}
+
+/// Gradients w.r.t. input, weights and bias — `[dX, dW, db]` — through the
+/// blocked GEMM lowering described in the module docs.
+pub fn backward_direct(
+    dy: &Tensor,
+    x: &Tensor,
+    w: &Tensor,
+    g: ConvGeometry,
+) -> Result<Vec<Tensor>> {
+    let (dx, dw, db) = backward_lowered(dy, x, w, g, true)?;
+    Ok(vec![dx.expect("dX was requested"), dw, db])
+}
+
+/// [`backward_direct`] that computes `dX` only when `want_dx` — the half
+/// of the work a first layer never needs.
+pub(super) fn backward_lowered(
+    dy: &Tensor,
+    x: &Tensor,
+    w: &Tensor,
+    g: ConvGeometry,
+    want_dx: bool,
+) -> Result<(Option<Tensor>, Tensor, Tensor)> {
+    let (lw, n, co) = resolve(dy, x, w, g)?;
+    // Below the GEMM tier's own threshold the task hand-off costs more
+    // than the lanes save.
+    let parallel = n * co * lw.k() * lw.ho * lw.wo >= PAR_THRESHOLD;
+    Ok(backward_blocked(dy, x, w, &lw, n, co, want_dx, parallel))
+}
+
+/// Validate the operand shapes of a backward call and resolve the
+/// lowering geometry, batch size and output channel count.
+fn resolve(
+    dy: &Tensor,
+    x: &Tensor,
+    w: &Tensor,
+    g: ConvGeometry,
+) -> Result<(Lowering, usize, usize)> {
+    let (xs, ws) = (x.shape(), w.shape());
+    if xs.rank() != 4 || ws.rank() != 4 || xs.dim(1) != ws.dim(1) {
+        return Err(Error::ShapeMismatch(format!(
+            "Conv2d backward: X {xs} vs W {ws}"
+        )));
+    }
+    let (n, c, h, wd) = (xs.dim(0), xs.dim(1), xs.dim(2), xs.dim(3));
+    let (co, kh, kw) = (ws.dim(0), ws.dim(2), ws.dim(3));
+    let ho = g.out_extent(h, kh)?;
+    let wo = g.out_extent(wd, kw)?;
+    if dy.shape() != &Shape::new(&[n, co, ho, wo]) {
+        return Err(Error::ShapeMismatch(format!(
+            "Conv2d backward: dY shape {} vs expected [{n}x{co}x{ho}x{wo}]",
+            dy.shape()
+        )));
+    }
+    let lw = Lowering {
+        c,
+        h,
+        wd,
+        kh,
+        kw,
+        ho,
+        wo,
+        g,
+    };
+    Ok((lw, n, co))
+}
+
+/// The lane driver: `parallel` only chooses *where* lanes run, never what
+/// they compute.
+#[allow(clippy::too_many_arguments)] // driver plumbing
+fn backward_blocked(
+    dy: &Tensor,
+    x: &Tensor,
+    w: &Tensor,
+    lw: &Lowering,
+    n: usize,
+    co: usize,
+    want_dx: bool,
+    parallel: bool,
+) -> (Option<Tensor>, Tensor, Tensor) {
+    let k = lw.k();
+    let chw = lw.c * lw.h * lw.wd;
+    let bl = Blocking::for_shape(n, k, lw.ho, lw.wo);
+    let mut dx = want_dx.then(|| Tensor::zeros(x.shape().clone()));
+    let mut dw = Tensor::zeros(w.shape().clone());
+    let mut db = Tensor::zeros([co]);
+    let (dyd, xd, wdat) = (dy.data(), x.data(), w.data());
+
+    // One [dW | db] partial per lane, acquired and recycled on this
+    // thread so the buffer returns to the pool it came from.
+    let part = co * k + co;
+    let mut partials = scratch_zeroed(bl.lanes * part);
+    {
+        let mut dx_rest = dx.as_mut().map(|t| t.data_mut());
+        let mut part_rest = &mut partials[..bl.lanes * part];
+        let mut jobs = Vec::with_capacity(bl.lanes);
+        for lane in 0..bl.lanes {
+            let (img0, end) = bl.lane_images(n, lane);
+            let imgs = end - img0;
+            let dxl = dx_rest.take().map(|rest| {
+                let (head, tail) = rest.split_at_mut(imgs * chw);
+                dx_rest = Some(tail);
+                head
+            });
+            let (head, tail) = part_rest.split_at_mut(part);
+            part_rest = tail;
+            jobs.push((img0, imgs, dxl, head));
+        }
+        let run = |(img0, imgs, dxl, partial): (usize, usize, Option<&mut [f32]>, &mut [f32])| {
+            let (dwl, dbl) = partial.split_at_mut(co * k);
+            lane_backward(dyd, xd, wdat, lw, co, bl, img0, imgs, dxl, dwl, dbl);
+        };
+        if parallel && jobs.len() > 1 {
+            jobs.into_par_iter().for_each(run);
+        } else {
+            jobs.into_iter().for_each(run);
+        }
+    }
+    // Fixed-order reduction: lane 0, then 1, ...
+    {
+        let (dwd, dbd) = (dw.data_mut(), db.data_mut());
+        for partial in partials[..bl.lanes * part].chunks_exact(part.max(1)) {
+            let (dwl, dbl) = partial.split_at(co * k);
+            for (acc, &v) in dwd.iter_mut().zip(dwl) {
+                *acc += v;
+            }
+            for (acc, &v) in dbd.iter_mut().zip(dbl) {
+                *acc += v;
+            }
+        }
+    }
+    recycle_scratch(partials);
+    (dx, dw, db)
+}
+
+/// Seven-loop reference backward pass, serial and scalar. Kept as the
+/// oracle for [`backward_direct`]'s parity tests and the bench parity
+/// gate, exactly like [`forward_reference`](super::forward_reference); no
+/// operator calls it.
+pub fn backward_reference(
+    dy: &Tensor,
+    x: &Tensor,
+    w: &Tensor,
+    g: ConvGeometry,
+) -> Result<Vec<Tensor>> {
+    let (lw, n, co) = resolve(dy, x, w, g)?;
+    let Lowering {
+        c,
+        h,
+        wd,
+        kh,
+        kw,
+        ho,
+        wo,
+        ..
+    } = lw;
+    let mut dx = Tensor::zeros(x.shape().clone());
+    let mut dw = Tensor::zeros(w.shape().clone());
+    let mut db = Tensor::zeros([co]);
+    let (dyd, xd, wdat) = (dy.data(), x.data(), w.data());
+    let (dxd, dwd, dbd) = (dx.data_mut(), dw.data_mut(), db.data_mut());
+    for img in 0..n {
+        for oc in 0..co {
+            for oh in 0..ho {
+                for ow in 0..wo {
+                    let gval = dyd[((img * co + oc) * ho + oh) * wo + ow];
+                    dbd[oc] += gval;
+                    for ic in 0..c {
+                        for fh in 0..kh {
+                            for fw in 0..kw {
+                                let ih = (oh * g.stride + fh) as isize - g.pad as isize;
+                                let iw = (ow * g.stride + fw) as isize - g.pad as isize;
+                                let woff = ((oc * c + ic) * kh + fh) * kw + fw;
+                                dwd[woff] += gval * fetch(xd, c, h, wd, img, ic, ih, iw);
+                                if ih < 0 || iw < 0 || ih as usize >= h || iw as usize >= wd {
+                                    continue;
+                                }
+                                let xoff = ((img * c + ic) * h + ih as usize) * wd + iw as usize;
+                                dxd[xoff] += gval * wdat[woff];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Ok(vec![dx, dw, db])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use deep500_metrics::norms::linf_diff;
+    use deep500_tensor::rng::Xoshiro256StarStar;
+    use proptest::prelude::*;
+
+    /// Incoming-gradient patterns: dense, ReLU-sparse (about half exact
+    /// zeros), all zero.
+    fn make_dy(shape: [usize; 4], kind: u8, rng: &mut Xoshiro256StarStar) -> Tensor {
+        let dense = Tensor::rand_uniform(shape, -1.0, 1.0, rng);
+        match kind % 3 {
+            0 => dense,
+            1 => dense.map(|v| v.max(0.0)),
+            _ => Tensor::zeros(shape),
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn case(
+        n: usize,
+        c: usize,
+        h: usize,
+        w: usize,
+        co: usize,
+        k: usize,
+        g: ConvGeometry,
+        kind: u8,
+        seed: u64,
+    ) -> (Tensor, Tensor, Tensor) {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+        let x = Tensor::rand_uniform([n, c, h, w], -1.0, 1.0, &mut rng);
+        let wt = Tensor::rand_uniform([co, c, k, k], -0.5, 0.5, &mut rng);
+        let (ho, wo) = (g.out_extent(h, k).unwrap(), g.out_extent(w, k).unwrap());
+        let dy = make_dy([n, co, ho, wo], kind, &mut rng);
+        (dy, x, wt)
+    }
+
+    /// Relative l-inf of each gradient against the scalar oracle.
+    fn assert_matches_reference(dy: &Tensor, x: &Tensor, w: &Tensor, g: ConvGeometry, what: &str) {
+        let got = backward_direct(dy, x, w, g).unwrap();
+        let want = backward_reference(dy, x, w, g).unwrap();
+        for (name, (a, b)) in ["dX", "dW", "db"].iter().zip(got.iter().zip(&want)) {
+            assert_eq!(a.shape(), b.shape(), "{what}: {name} shape");
+            let scale = b.data().iter().fold(1.0f32, |m, v| m.max(v.abs()));
+            let err = linf_diff(a.data(), b.data()) / f64::from(scale);
+            assert!(err <= 1e-4, "{what}: {name} relative linf {err}");
+        }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn lowering_matches_reference(
+            n in 1usize..10,
+            c in 1usize..6,
+            h in 1usize..11,
+            w in 1usize..11,
+            co in 1usize..8,
+            k in 1usize..6,
+            stride in 1usize..4,
+            pad in 0usize..3,
+            kind in 0u8..3,
+            seed in 0u64..1000,
+        ) {
+            prop_assume!(k <= h + 2 * pad && k <= w + 2 * pad);
+            let g = ConvGeometry { stride, pad };
+            let (dy, x, wt) = case(n, c, h, w, co, k, g, kind, seed);
+            assert_matches_reference(
+                &dy, &x, &wt, g,
+                &format!("n{n} c{c} {h}x{w} co{co} k{k} s{stride} p{pad} dy{kind}"),
+            );
+        }
+    }
+
+    #[test]
+    fn lowering_matches_reference_on_edge_geometries() {
+        for (what, n, c, h, w, co, k, stride, pad) in [
+            (
+                "1x1 kernel",
+                5usize,
+                3usize,
+                6usize,
+                7usize,
+                5usize,
+                1usize,
+                1usize,
+                0usize,
+            ),
+            ("strided 1x1 with padding", 3, 2, 5, 5, 3, 1, 2, 1),
+            ("kernel == padded input", 6, 3, 3, 3, 4, 5, 1, 1),
+            ("kernel == padded input, strided", 4, 1, 2, 2, 2, 4, 3, 1),
+            ("n not a multiple of the block", 7, 2, 8, 8, 3, 3, 1, 1),
+            ("lenet conv1", 9, 3, 16, 16, 6, 5, 1, 2),
+            // One image's column matrix (144 x 1024 floats) is over the
+            // block budget: the output-row band path.
+            ("row-band blocks", 2, 16, 32, 32, 4, 3, 1, 1),
+        ] {
+            let g = ConvGeometry { stride, pad };
+            for kind in 0..3 {
+                let (dy, x, wt) = case(n, c, h, w, co, k, g, kind, 77);
+                assert_matches_reference(&dy, &x, &wt, g, &format!("{what} dy{kind}"));
+            }
+        }
+    }
+
+    #[test]
+    fn blocking_is_a_pure_function_of_shape_and_covers_the_batch() {
+        // lenet conv1 at batch 32: 8 lanes of 4 images, each lane one
+        // column block of its four 75 x 256 per-image matrices.
+        let bl = Blocking::for_shape(32, 75, 16, 16);
+        assert_eq!((bl.lanes, bl.imgs, bl.rows), (8, 4, 16));
+        assert!(75 * bl.imgs * 256 * 4 <= COL_BLOCK_BYTES);
+        // A 150 x 784 image matrix (459 KiB) fits the budget only once, so
+        // a lane of three images takes three blocks.
+        assert_eq!(Blocking::for_shape(24, 150, 28, 28).imgs, 1);
+        // One lane per image up to the cap, tiling the batch.
+        for n in 1..40 {
+            let bl = Blocking::for_shape(n, 27, 8, 8);
+            assert_eq!(bl.lanes, n.min(MAX_LANES), "{n}: {bl:?}");
+            let mut next = 0;
+            for lane in 0..bl.lanes {
+                let (start, end) = bl.lane_images(n, lane);
+                assert!(
+                    start == next && end > start,
+                    "{n} lane {lane}: {start}..{end}"
+                );
+                next = end;
+            }
+            assert_eq!(next, n);
+        }
+        // Oversized images fall back to row bands of one image.
+        let bl = Blocking::for_shape(2, 144, 32, 32);
+        assert_eq!(bl.imgs, 1);
+        assert!(bl.rows < 32 && 144 * bl.rows * 32 * 4 <= COL_BLOCK_BYTES);
+        assert_eq!(Blocking::for_shape(0, 27, 8, 8).lanes, 0);
+    }
+
+    #[test]
+    fn serial_and_rayon_lanes_are_bitwise_equal() {
+        // Thread-count independence: the same lanes run on this thread in
+        // order, or handed to the pool, must produce identical bits.
+        for (n, c, h, co, k, stride, pad) in [
+            (32usize, 3usize, 16usize, 6usize, 5usize, 1usize, 2usize),
+            (7, 5, 9, 4, 3, 2, 1),
+            (2, 16, 32, 4, 3, 1, 1),
+        ] {
+            let g = ConvGeometry { stride, pad };
+            let (dy, x, wt) = case(n, c, h, h, co, k, g, 1, 5);
+            let (lw, n, co) = resolve(&dy, &x, &wt, g).unwrap();
+            for want_dx in [true, false] {
+                let serial = backward_blocked(&dy, &x, &wt, &lw, n, co, want_dx, false);
+                let pooled = backward_blocked(&dy, &x, &wt, &lw, n, co, want_dx, true);
+                assert_eq!(serial.0.as_ref().map(bits), pooled.0.as_ref().map(bits));
+                assert_eq!(bits(&serial.1), bits(&pooled.1));
+                assert_eq!(bits(&serial.2), bits(&pooled.2));
+                assert_eq!(serial.0.is_some(), want_dx);
+            }
+            // Eliding dX changes nothing about dW / db.
+            let full = backward_blocked(&dy, &x, &wt, &lw, n, co, true, true);
+            let elided = backward_blocked(&dy, &x, &wt, &lw, n, co, false, true);
+            assert_eq!(bits(&full.1), bits(&elided.1));
+            assert_eq!(bits(&full.2), bits(&elided.2));
+        }
+    }
+
+    #[test]
+    fn nan_weight_reaches_dx_under_a_zero_gradient() {
+        // 0 * NaN = NaN: with the zero-skip gone, conv backward has the
+        // GEMM backward's IEEE semantics.
+        let g = ConvGeometry { stride: 1, pad: 1 };
+        let (_, x, mut wt) = case(2, 2, 5, 5, 3, 3, g, 0, 9);
+        wt.data_mut()[4] = f32::NAN;
+        let dy = Tensor::zeros([2, 3, 5, 5]);
+        let grads = backward_direct(&dy, &x, &wt, g).unwrap();
+        assert!(
+            grads[0].data().iter().any(|v| v.is_nan()),
+            "NaN weight was skipped"
+        );
+        let oracle = backward_reference(&dy, &x, &wt, g).unwrap();
+        assert!(oracle[0].data().iter().any(|v| v.is_nan()));
+        // dW = dY · colᵀ has no NaN operand.
+        assert!(grads[1].data().iter().all(|v| *v == 0.0));
+    }
+
+    #[test]
+    fn stale_scratch_never_leaks_into_gradients() {
+        // Both lane buffers are drawn dirty; poison their size classes.
+        let g = ConvGeometry { stride: 2, pad: 2 };
+        let (dy, x, wt) = case(3, 2, 7, 7, 3, 3, g, 0, 13);
+        for len in [2 * 3 * 3 * 3 * 5 * 5, 3 * 3 * 5 * 5] {
+            for _ in 0..4 {
+                let mut buf = scratch_dirty(len);
+                buf.fill(f32::NAN);
+                recycle_scratch(buf);
+            }
+        }
+        assert_matches_reference(&dy, &x, &wt, g, "poisoned scratch");
+    }
+
+    #[test]
+    fn mismatched_operands_are_rejected() {
+        let g = ConvGeometry { stride: 1, pad: 0 };
+        let x = Tensor::zeros([1, 2, 4, 4]);
+        let w = Tensor::zeros([3, 2, 3, 3]);
+        assert!(backward_direct(&Tensor::zeros([1, 3, 3, 3]), &x, &w, g).is_err());
+        let w_bad = Tensor::zeros([3, 1, 3, 3]);
+        assert!(backward_direct(&Tensor::zeros([1, 3, 2, 2]), &x, &w_bad, g).is_err());
+        assert!(backward_reference(&Tensor::zeros([1, 3, 2, 2]), &x, &w_bad, g).is_err());
+    }
+}

@@ -193,7 +193,7 @@ fn gather_xrow(dst: &mut [f32], xrow: &[f32], ow0: usize, fw: usize, g: ConvGeom
 /// filter row, filter column)` tap coordinates — the `K`-index order is
 /// `(ic·kh + fh)·kw + fw`, matching [`pack_filter`]'s row order.
 #[inline]
-fn tap(r: usize, kh: usize, kw: usize) -> (usize, usize, usize) {
+pub(super) fn tap(r: usize, kh: usize, kw: usize) -> (usize, usize, usize) {
     let ic = r / (kh * kw);
     let rem = r % (kh * kw);
     (ic, rem / kw, rem % kw)

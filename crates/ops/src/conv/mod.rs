@@ -30,8 +30,11 @@
 //! the filter (`weights_packed` attribute), the rank-1 blocked image
 //! produced by [`direct::PackConv2dFilterOp`].
 
+mod backward;
 pub mod direct;
 pub mod winograd;
+
+pub use backward::{backward_direct, backward_reference};
 
 use crate::gemm::{self, packed::NR};
 use crate::operator::Operator;
@@ -332,6 +335,16 @@ impl Operator for Conv2dOp {
         inputs: &[&Tensor],
         outputs: &[&Tensor],
     ) -> Result<Vec<Tensor>> {
+        self.backward_wanted(grad_outputs, inputs, outputs, &[true; 3])
+            .map(crate::operator::all_wanted)
+    }
+    fn backward_wanted(
+        &self,
+        grad_outputs: &[&Tensor],
+        inputs: &[&Tensor],
+        outputs: &[&Tensor],
+        wanted: &[bool],
+    ) -> Result<Vec<Option<Tensor>>> {
         if self.packed_weights.is_some() {
             return Err(Error::Invalid(
                 "Conv2d with pre-packed weights is inference-only (no backward)".into(),
@@ -348,7 +361,11 @@ impl Operator for Conv2dOp {
         } else {
             grad_outputs[0]
         };
-        backward_direct(dy, inputs[0], inputs[1], self.geometry)
+        // dX is half the work and the only part worth eliding: a first
+        // layer's input is a feed nobody differentiates.
+        let (dx, dw, db) =
+            backward::backward_lowered(dy, inputs[0], inputs[1], self.geometry, wanted[0])?;
+        Ok(vec![dx, Some(dw), Some(db)])
     }
     fn flops(&self, s: &[&Shape]) -> f64 {
         match self.dims(s[0], s[1]) {
@@ -516,13 +533,9 @@ pub fn forward_direct(x: &Tensor, w: &Tensor, b: &Tensor, g: ConvGeometry) -> Re
     direct::forward_direct_packed(x, &pf.data, co, s.dim(2), s.dim(3), b, g, false)
 }
 
-/// Lower one image into a column matrix `[C*kh*kw, ho*wo]`. Writes every
-/// element of `col[..C*kh*kw * ho*wo]` (zero padding included), so callers
-/// may hand in dirty scratch.
-#[allow(clippy::too_many_arguments)] // kernel plumbing: all scalars
-fn im2col_image(
-    xd: &[f32],
-    img: usize,
+/// Per-image geometry of the explicit lowering (im2col and its adjoint).
+#[derive(Debug, Clone, Copy)]
+struct Lowering {
     c: usize,
     h: usize,
     wd: usize,
@@ -531,21 +544,75 @@ fn im2col_image(
     ho: usize,
     wo: usize,
     g: ConvGeometry,
+}
+
+impl Lowering {
+    /// Rows of the column matrix: the reduction depth `C·kh·kw`.
+    fn k(&self) -> usize {
+        self.c * self.kh * self.kw
+    }
+
+    /// For filter column `fw`: the output columns `lo..hi` whose input
+    /// column `ow·stride + fw - pad` lies inside the image, and the input
+    /// column `lo` reads. Everything outside `lo..hi` is zero padding.
+    fn tap_span(&self, fw: usize) -> (usize, usize, usize) {
+        let (s, pad) = (self.g.stride, self.g.pad);
+        let lo = pad.saturating_sub(fw).div_ceil(s).min(self.wo);
+        let hi = if self.wd + pad > fw {
+            ((self.wd + pad - fw - 1) / s + 1).min(self.wo)
+        } else {
+            0
+        };
+        (lo, hi.max(lo), (lo * s + fw).saturating_sub(pad))
+    }
+
+    /// The input row tap row `fh` reads for output row `oh`, if it is
+    /// inside the image.
+    fn tap_row(&self, oh: usize, fh: usize) -> Option<usize> {
+        (oh * self.g.stride + fh)
+            .checked_sub(self.g.pad)
+            .filter(|&ih| ih < self.h)
+    }
+}
+
+/// Lower output rows `oh0..oh1` of one image `xi` (`[C, h, wd]` flattened)
+/// into columns `col0..col0 + (oh1 - oh0)·wo` of the row-major `[C*kh*kw,
+/// ld]` column matrix `col`: per reduction row and output row, a zero
+/// prefix, one (strided) row copy, a zero suffix — the padding bounds are
+/// resolved once per filter tap, not per element. Writes every element of
+/// those columns, so callers may hand in dirty scratch. The one lowering
+/// behind both [`forward_im2col`] and [`backward_direct`].
+fn im2col_rows(
+    xi: &[f32],
+    lw: &Lowering,
+    oh0: usize,
+    oh1: usize,
     col: &mut [f32],
+    ld: usize,
+    col0: usize,
 ) {
-    let cols = ho * wo;
-    for ic in 0..c {
-        for fh in 0..kh {
-            for fw in 0..kw {
-                let row = (ic * kh + fh) * kw + fw;
-                for oh in 0..ho {
-                    for ow in 0..wo {
-                        let ih = (oh * g.stride + fh) as isize - g.pad as isize;
-                        let iw = (ow * g.stride + fw) as isize - g.pad as isize;
-                        col[row * cols + oh * wo + ow] = fetch(xd, c, h, wd, img, ic, ih, iw);
-                    }
+    let seg = (oh1 - oh0) * lw.wo;
+    let plane = lw.h * lw.wd;
+    for r in 0..lw.k() {
+        let (ic, fh, fw) = direct::tap(r, lw.kh, lw.kw);
+        let (lo, hi, iw0) = lw.tap_span(fw);
+        let xc = &xi[ic * plane..(ic + 1) * plane];
+        let rows = col[r * ld + col0..r * ld + col0 + seg].chunks_exact_mut(lw.wo);
+        for (oh, dst) in (oh0..oh1).zip(rows) {
+            let Some(ih) = lw.tap_row(oh, fh).filter(|_| lo < hi) else {
+                dst.fill(0.0);
+                continue;
+            };
+            let src = &xc[ih * lw.wd + iw0..(ih + 1) * lw.wd];
+            dst[..lo].fill(0.0);
+            if lw.g.stride == 1 {
+                dst[lo..hi].copy_from_slice(&src[..hi - lo]);
+            } else {
+                for (d, &v) in dst[lo..hi].iter_mut().zip(src.iter().step_by(lw.g.stride)) {
+                    *d = v;
                 }
             }
+            dst[hi..].fill(0.0);
         }
     }
 }
@@ -563,18 +630,30 @@ pub fn forward_im2col(x: &Tensor, w: &Tensor, b: &Tensor, g: ConvGeometry) -> Re
     let ho = g.out_extent(h, kh)?;
     let wo = g.out_extent(wd, kw)?;
     let mut out = Tensor::zeros([n, co, ho, wo]);
-    let k = c * kh * kw;
+    let lw = Lowering {
+        c,
+        h,
+        wd,
+        kh,
+        kw,
+        ho,
+        wo,
+        g,
+    };
+    let k = lw.k();
     let cols = ho * wo;
+    let chw = c * h * wd;
     let (xd, wdat, bd) = (x.data(), w.data(), b.data());
     out.data_mut()
         .par_chunks_mut(co * cols)
         .enumerate()
         .for_each(|(img, optr)| {
-            // Dirty scratch: im2col_image overwrites all k * cols elements
+            // Dirty scratch: im2col_rows overwrites all k * cols elements
             // (padding written explicitly), so acquire-time zeroing was
             // pure wasted traffic — k * cols floats cleared per image.
             let mut col = deep500_tensor::scratch_dirty(k * cols);
-            im2col_image(xd, img, c, h, wd, kh, kw, ho, wo, g, &mut col);
+            let xi = &xd[img * chw..(img + 1) * chw];
+            im2col_rows(xi, &lw, 0, ho, &mut col, cols, 0);
             // W [co x k] * col [k x cols] -> out [co x cols]; `optr` comes
             // from Tensor::zeros, so the zeroed-C gemm_into contract holds.
             gemm::gemm_into(
@@ -595,92 +674,6 @@ pub fn forward_im2col(x: &Tensor, w: &Tensor, b: &Tensor, g: ConvGeometry) -> Re
             }
         });
     Ok(out)
-}
-
-/// Direct backward pass: gradients w.r.t. input, weights, bias.
-pub fn backward_direct(
-    dy: &Tensor,
-    x: &Tensor,
-    w: &Tensor,
-    g: ConvGeometry,
-) -> Result<Vec<Tensor>> {
-    let (n, c, h, wd) = {
-        let s = x.shape();
-        (s.dim(0), s.dim(1), s.dim(2), s.dim(3))
-    };
-    let (co, _ci, kh, kw) = {
-        let s = w.shape();
-        (s.dim(0), s.dim(1), s.dim(2), s.dim(3))
-    };
-    let ho = g.out_extent(h, kh)?;
-    let wo = g.out_extent(wd, kw)?;
-    if dy.shape() != &Shape::new(&[n, co, ho, wo]) {
-        return Err(Error::ShapeMismatch(format!(
-            "Conv2d backward: dY shape {} vs expected [{n}x{co}x{ho}x{wo}]",
-            dy.shape()
-        )));
-    }
-    let mut dx = Tensor::zeros(x.shape().clone());
-    let mut dw = Tensor::zeros(w.shape().clone());
-    let mut db = Tensor::zeros([co]);
-    let (dyd, xd, wdat) = (dy.data(), x.data(), w.data());
-    {
-        let dxd = dx.data_mut();
-        for img in 0..n {
-            for oc in 0..co {
-                for oh in 0..ho {
-                    for ow in 0..wo {
-                        let gval = dyd[((img * co + oc) * ho + oh) * wo + ow];
-                        if gval == 0.0 {
-                            continue;
-                        }
-                        for ic in 0..c {
-                            for fh in 0..kh {
-                                for fw in 0..kw {
-                                    let ih = (oh * g.stride + fh) as isize - g.pad as isize;
-                                    let iw = (ow * g.stride + fw) as isize - g.pad as isize;
-                                    if ih < 0 || iw < 0 || ih as usize >= h || iw as usize >= wd {
-                                        continue;
-                                    }
-                                    let xoff =
-                                        ((img * c + ic) * h + ih as usize) * wd + iw as usize;
-                                    dxd[xoff] += gval * wdat[((oc * c + ic) * kh + fh) * kw + fw];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    {
-        let dwd = dw.data_mut();
-        let dbd = db.data_mut();
-        for img in 0..n {
-            for oc in 0..co {
-                for oh in 0..ho {
-                    for ow in 0..wo {
-                        let gval = dyd[((img * co + oc) * ho + oh) * wo + ow];
-                        dbd[oc] += gval;
-                        if gval == 0.0 {
-                            continue;
-                        }
-                        for ic in 0..c {
-                            for fh in 0..kh {
-                                for fw in 0..kw {
-                                    let ih = (oh * g.stride + fh) as isize - g.pad as isize;
-                                    let iw = (ow * g.stride + fw) as isize - g.pad as isize;
-                                    let v = fetch(xd, c, h, wd, img, ic, ih, iw);
-                                    dwd[((oc * c + ic) * kh + fh) * kw + fw] += gval * v;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(vec![dx, dw, db])
 }
 
 #[cfg(test)]
@@ -801,7 +794,7 @@ mod tests {
     fn im2col_is_stale_scratch_safe() {
         // Regression for the wasted-zeroing fix: forward_im2col now takes
         // *dirty* pool scratch for the column buffer, relying on
-        // im2col_image writing every element (padding included). Poison
+        // im2col_rows writing every element (padding included). Poison
         // the current thread's scratch pool with NaN-filled buffers of the
         // exact class the conv will draw, then check parity against the
         // reference. (The per-image closure runs on rayon workers whose

@@ -270,18 +270,26 @@ pub(crate) fn pack_a(
     {
         let i0 = tile * MR;
         let rows = MR.min(mc - i0);
-        for p in 0..kc {
-            let lane = &mut chunk[p * MR..p * MR + MR];
-            if trans {
+        if trans {
+            for p in 0..kc {
+                let lane = &mut chunk[p * MR..p * MR + MR];
                 // A[K x M]: row pc+p is contiguous in i.
                 let src = &a[(pc + p) * lda + ic + i0..];
                 lane[..rows].copy_from_slice(&src[..rows]);
-            } else {
-                for (i, v) in lane.iter_mut().enumerate().take(rows) {
-                    *v = a[(ic + i0 + i) * lda + pc + p];
+                lane[rows..].iter_mut().for_each(|v| *v = 0.0);
+            }
+        } else {
+            // A[M x K]: each source row is contiguous in p, so stream it
+            // once into its lane of every `[p][i]` step.
+            if rows < MR {
+                chunk.fill(0.0);
+            }
+            for i in 0..rows {
+                let at = (ic + i0 + i) * lda + pc;
+                for (lane, &v) in chunk.chunks_exact_mut(MR).zip(&a[at..at + kc]) {
+                    lane[i] = v;
                 }
             }
-            lane[rows..].iter_mut().for_each(|v| *v = 0.0);
         }
     }
 }
@@ -307,18 +315,26 @@ fn pack_b(
     {
         let j0 = tile * NR;
         let cols = NR.min(nc - j0);
-        for p in 0..kc {
-            let lane = &mut chunk[p * NR..p * NR + NR];
-            if trans {
-                for (j, v) in lane.iter_mut().enumerate().take(cols) {
-                    *v = b[(jc + j0 + j) * ldb + pc + p];
+        if trans {
+            // B[N x K]: each source row is contiguous in p, so stream it
+            // once into its lane of every `[p][j]` step.
+            if cols < NR {
+                chunk.fill(0.0);
+            }
+            for j in 0..cols {
+                let at = (jc + j0 + j) * ldb + pc;
+                for (lane, &v) in chunk.chunks_exact_mut(NR).zip(&b[at..at + kc]) {
+                    lane[j] = v;
                 }
-            } else {
+            }
+        } else {
+            for p in 0..kc {
+                let lane = &mut chunk[p * NR..p * NR + NR];
                 // B[K x N]: row pc+p is contiguous in j.
                 let src = &b[(pc + p) * ldb + jc + j0..];
                 lane[..cols].copy_from_slice(&src[..cols]);
+                lane[cols..].iter_mut().for_each(|v| *v = 0.0);
             }
-            lane[cols..].iter_mut().for_each(|v| *v = 0.0);
         }
     }
 }
@@ -922,7 +938,7 @@ pub(crate) fn gemv_bt_padded(
 /// multiply-accumulates; the packed `B` macro-panel is shared read-only
 /// across workers, each worker packs its own `A` panel.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn gemm_packed_into(
+pub(crate) fn gemm_packed_into(
     m: usize,
     n: usize,
     k: usize,

@@ -41,13 +41,9 @@ impl Operator for GlobalAvgPoolOp {
             return Err(Error::Invalid("empty spatial dimensions".into()));
         }
         let mut out = Tensor::zeros([n, c]);
-        let xd = x.data();
-        for img in 0..n {
-            for ch in 0..c {
-                let base = (img * c + ch) * plane;
-                let sum: f64 = xd[base..base + plane].iter().map(|&v| v as f64).sum();
-                out.data_mut()[img * c + ch] = (sum / plane as f64) as f32;
-            }
+        for (o, xplane) in out.data_mut().iter_mut().zip(x.data().chunks_exact(plane)) {
+            let sum: f64 = xplane.iter().map(|&v| v as f64).sum();
+            *o = (sum / plane as f64) as f32;
         }
         Ok(vec![out])
     }
@@ -59,17 +55,12 @@ impl Operator for GlobalAvgPoolOp {
     ) -> Result<Vec<Tensor>> {
         let x = inputs[0];
         let s = x.shape();
-        let (n, c, h, w) = (s.dim(0), s.dim(1), s.dim(2), s.dim(3));
-        let plane = h * w;
+        let plane = s.dim(2) * s.dim(3);
         let g = grad_outputs[0];
         let mut dx = Tensor::zeros(s.clone());
-        for img in 0..n {
-            for ch in 0..c {
-                let share = g.data()[img * c + ch] / plane as f32;
-                let base = (img * c + ch) * plane;
-                for v in &mut dx.data_mut()[base..base + plane] {
-                    *v = share;
-                }
+        if plane > 0 {
+            for (dplane, &gv) in dx.data_mut().chunks_exact_mut(plane).zip(g.data()) {
+                dplane.fill(gv / plane as f32);
             }
         }
         Ok(vec![dx])

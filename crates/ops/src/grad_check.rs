@@ -172,6 +172,26 @@ mod tests {
     }
 
     #[test]
+    fn conv_gradient_strided_and_padded() {
+        // Stride and padding exercise the blocked backward lowering's
+        // analytic row copy / row add bounds on a non-square image.
+        let mut r = rng();
+        let x = Tensor::rand_uniform([2, 3, 7, 6], -1.0, 1.0, &mut r);
+        let w = Tensor::rand_uniform([4, 3, 3, 3], -0.5, 0.5, &mut r);
+        let b = Tensor::rand_uniform([4], -0.1, 0.1, &mut r);
+        for (stride, pad) in [(2, 1), (3, 2), (2, 0)] {
+            let op = Conv2dOp::new(stride, pad, ConvAlgorithm::Im2col);
+            let report = test_gradient(&op, &[&x, &w, &b], EPS, 60).unwrap();
+            assert!(
+                report.passes(TOL),
+                "s{stride} p{pad}: max rel {} at {:?}",
+                report.max_rel_error,
+                report.worst
+            );
+        }
+    }
+
+    #[test]
     fn activation_gradients() {
         let mut r = rng();
         // Keep away from ReLU's kink at 0 by shifting.

@@ -151,6 +151,16 @@ impl Operator for LinearOp {
         inputs: &[&Tensor],
         outputs: &[&Tensor],
     ) -> Result<Vec<Tensor>> {
+        self.backward_wanted(grad_outputs, inputs, outputs, &[true; 3])
+            .map(crate::operator::all_wanted)
+    }
+    fn backward_wanted(
+        &self,
+        grad_outputs: &[&Tensor],
+        inputs: &[&Tensor],
+        outputs: &[&Tensor],
+        wanted: &[bool],
+    ) -> Result<Vec<Option<Tensor>>> {
         let g = grad_outputs[0]; // [N, out]
         let (x, w, b) = (inputs[0], inputs[1], inputs[2]);
         // With the fused ReLU, first mask the incoming gradient exactly
@@ -164,19 +174,25 @@ impl Operator for LinearOp {
         } else {
             g
         };
-        // dX = g * W          [N, in]
-        let dx = gemm::matmul(self.algo, g, w)?;
+        // dX = g * W          [N, in] — skipped for a first layer, whose
+        // input is a feed nobody differentiates.
+        let dx = if wanted[0] {
+            Some(gemm::matmul(self.algo, g, w)?)
+        } else {
+            None
+        };
         // dW = gᵀ * X         [out, in]
         let dw = gemm::matmul_at_b_with(self.algo, g, x)?;
         // db = column sums of g
-        let (n, fout) = (g.shape().dim(0), g.shape().dim(1));
+        let fout = g.shape().dim(1);
         let mut db = Tensor::zeros(b.shape().clone());
-        for r in 0..n {
-            for c in 0..fout {
-                db.data_mut()[c] += g.data()[r * fout + c];
+        let dbd = db.data_mut();
+        for grow in g.data().chunks_exact(fout.max(1)) {
+            for (acc, &gv) in dbd.iter_mut().zip(grow) {
+                *acc += gv;
             }
         }
-        Ok(vec![dx, dw, db])
+        Ok(vec![dx, Some(dw), Some(db)])
     }
     fn flops(&self, s: &[&Shape]) -> f64 {
         deep500_metrics::flops::counts::gemm(s[0].dim(0), s[1].dim(0), s[0].dim(1))

@@ -71,6 +71,24 @@ pub trait Operator: Send + Sync {
         outputs: &[&Tensor],
     ) -> Result<Vec<Tensor>>;
 
+    /// [`Operator::backward`] for a caller that consumes only some of the
+    /// input gradients: `wanted[i]` is false when nobody reads the gradient
+    /// of input `i` (a fed tensor, not a parameter and not another node's
+    /// output), and the operator may return `None` there instead of
+    /// computing it. A returned `Some` must hold exactly what `backward`
+    /// would have produced. The default computes everything.
+    fn backward_wanted(
+        &self,
+        grad_outputs: &[&Tensor],
+        inputs: &[&Tensor],
+        outputs: &[&Tensor],
+        wanted: &[bool],
+    ) -> Result<Vec<Option<Tensor>>> {
+        let _ = wanted;
+        let grads = self.backward(grad_outputs, inputs, outputs)?;
+        Ok(grads.into_iter().map(Some).collect())
+    }
+
     /// Analytical floating-point operation count of `forward` for the given
     /// input shapes (0 for ops we do not model).
     fn flops(&self, input_shapes: &[&Shape]) -> f64 {
@@ -126,6 +144,16 @@ pub trait Operator: Send + Sync {
             .unwrap_or(0);
         ((read + written) * std::mem::size_of::<f32>()) as u64
     }
+}
+
+/// Unwrap the result of a [`Operator::backward_wanted`] call that asked for
+/// every gradient — how an operator implementing `backward_wanted`
+/// natively derives its plain `backward`.
+pub(crate) fn all_wanted(grads: Vec<Option<Tensor>>) -> Vec<Tensor> {
+    grads
+        .into_iter()
+        .map(|g| g.expect("every gradient was requested"))
+        .collect()
 }
 
 /// Run an operator's forward pass with shape checking, as executors do.

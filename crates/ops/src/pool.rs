@@ -10,6 +10,7 @@
 use crate::conv::ConvGeometry;
 use crate::operator::Operator;
 use deep500_tensor::{Error, Result, Shape, Tensor};
+use rayon::prelude::*;
 
 /// The pooling reduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +73,9 @@ impl Pool2dOp {
         Ok((n, c, h, w, ho, wo))
     }
 
-    /// Window values and their input offsets for window (oh, ow).
+    /// Window values and their input offsets for window (oh, ow) — the
+    /// generic gather behind median pooling, which has to sort the window.
+    /// Max and average run the direct plane loops below instead.
     #[allow(clippy::too_many_arguments)]
     fn window(
         &self,
@@ -94,6 +97,117 @@ impl Pool2dOp {
                 vals.push((xd[off], off));
             }
         }
+    }
+
+    /// Offset, within a `w`-wide plane, of the first element of the window
+    /// behind output element `o` of a `wo`-wide output plane. Window row
+    /// `fh` is the `kernel` elements from `origin + fh * w`.
+    #[inline]
+    fn window_origin(&self, o: usize, w: usize, wo: usize) -> usize {
+        (o / wo) * self.stride * w + (o % wo) * self.stride
+    }
+
+    /// Max over each window of one input plane: `f32::max` folded from
+    /// `-inf` in row-major window order (so NaNs are ignored).
+    fn max_plane(&self, xp: &[f32], w: usize, wo: usize, out: &mut [f32]) {
+        let k = self.kernel;
+        for (o, v) in out.iter_mut().enumerate() {
+            let first = self.window_origin(o, w, wo);
+            let mut m = f32::NEG_INFINITY;
+            for fh in 0..k {
+                for &x in &xp[first + fh * w..first + fh * w + k] {
+                    m = m.max(x);
+                }
+            }
+            *v = m;
+        }
+    }
+
+    /// Mean over each window of one input plane, summed in row-major
+    /// window order from the empty `f32` sum.
+    fn avg_plane(&self, xp: &[f32], w: usize, wo: usize, out: &mut [f32]) {
+        let k = self.kernel;
+        let zero: f32 = std::iter::empty::<f32>().sum();
+        let count = (k * k) as f32;
+        for (o, v) in out.iter_mut().enumerate() {
+            let first = self.window_origin(o, w, wo);
+            let mut sum = zero;
+            for fh in 0..k {
+                for &x in &xp[first + fh * w..first + fh * w + k] {
+                    sum += x;
+                }
+            }
+            *v = sum / count;
+        }
+    }
+
+    /// Route each window's gradient to its first maximal element
+    /// (cuDNN-style deterministic tie rule). A window with nothing above
+    /// `-inf` — all NaN or `-inf` — routes to its first element.
+    fn max_plane_backward(&self, xp: &[f32], dyp: &[f32], w: usize, wo: usize, dxp: &mut [f32]) {
+        let k = self.kernel;
+        for (o, &g) in dyp.iter().enumerate() {
+            let first = self.window_origin(o, w, wo);
+            let (mut best, mut at) = (f32::NEG_INFINITY, first);
+            for fh in 0..k {
+                let row = first + fh * w;
+                for (fw, &x) in xp[row..row + k].iter().enumerate() {
+                    if x > best {
+                        (best, at) = (x, row + fw);
+                    }
+                }
+            }
+            dxp[at] += g;
+        }
+    }
+
+    /// Spread each window's gradient evenly over its elements.
+    fn avg_plane_backward(&self, dyp: &[f32], w: usize, wo: usize, dxp: &mut [f32]) {
+        let k = self.kernel;
+        let count = (k * k) as f32;
+        for (o, &g) in dyp.iter().enumerate() {
+            let share = g / count;
+            let first = self.window_origin(o, w, wo);
+            for fh in 0..k {
+                for d in &mut dxp[first + fh * w..first + fh * w + k] {
+                    *d += share;
+                }
+            }
+        }
+    }
+}
+
+/// Window-element visits below which the plane loops stay on the calling
+/// thread (same break-even as the GEMM tier's `PAR_THRESHOLD`).
+const PAR_MIN_VISITS: usize = crate::gemm::PAR_THRESHOLD;
+
+/// Run `f(plane index, plane)` over the `len`-element planes of `data`:
+/// planes are independent, so large problems split across rayon workers
+/// (a few runs of whole planes each) without changing any result.
+fn for_each_plane(
+    data: &mut [f32],
+    len: usize,
+    visits: usize,
+    f: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    if len == 0 {
+        return;
+    }
+    let planes = data.len() / len;
+    let tasks = 4 * rayon::current_num_threads();
+    if visits < PAR_MIN_VISITS || planes < 2 {
+        data.chunks_exact_mut(len)
+            .enumerate()
+            .for_each(|(i, p)| f(i, p));
+    } else {
+        let run = planes.div_ceil(tasks);
+        data.par_chunks_mut(run * len)
+            .enumerate()
+            .for_each(|(t, chunk)| {
+                for (i, p) in chunk.chunks_exact_mut(len).enumerate() {
+                    f(t * run + i, p);
+                }
+            });
     }
 }
 
@@ -118,31 +232,29 @@ impl Operator for Pool2dOp {
         let mut out = Tensor::zeros([n, c, ho, wo]);
         let xd = x.data();
         let od = out.data_mut();
-        let mut vals = Vec::with_capacity(self.kernel * self.kernel);
-        for plane in 0..n * c {
-            let base = plane * h * w;
-            for oh in 0..ho {
-                for ow in 0..wo {
-                    self.window(xd, base, h, w, oh, ow, &mut vals);
-                    let v = match self.kind {
-                        PoolKind::Max => vals
-                            .iter()
-                            .map(|&(v, _)| v)
-                            .fold(f32::NEG_INFINITY, f32::max),
-                        PoolKind::Average => {
-                            vals.iter().map(|&(v, _)| v).sum::<f32>() / vals.len() as f32
-                        }
-                        PoolKind::Median => {
+        let visits = od.len() * self.kernel * self.kernel;
+        match self.kind {
+            PoolKind::Max => for_each_plane(od, ho * wo, visits, |p, o| {
+                self.max_plane(&xd[p * h * w..(p + 1) * h * w], w, wo, o)
+            }),
+            PoolKind::Average => for_each_plane(od, ho * wo, visits, |p, o| {
+                self.avg_plane(&xd[p * h * w..(p + 1) * h * w], w, wo, o)
+            }),
+            PoolKind::Median => {
+                let mut vals = Vec::with_capacity(self.kernel * self.kernel);
+                for plane in 0..n * c {
+                    for oh in 0..ho {
+                        for ow in 0..wo {
+                            self.window(xd, plane * h * w, h, w, oh, ow, &mut vals);
                             vals.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN in pool"));
                             let m = vals.len();
-                            if m % 2 == 1 {
+                            od[(plane * ho + oh) * wo + ow] = if m % 2 == 1 {
                                 vals[m / 2].0
                             } else {
                                 0.5 * (vals[m / 2 - 1].0 + vals[m / 2].0)
-                            }
+                            };
                         }
-                    };
-                    od[(plane * ho + oh) * wo + ow] = v;
+                    }
                 }
             }
         }
@@ -157,39 +269,31 @@ impl Operator for Pool2dOp {
         let x = inputs[0];
         let dy = grad_outputs[0];
         let (n, c, h, w, ho, wo) = self.out_dims(x.shape())?;
+        if dy.numel() != n * c * ho * wo {
+            return Err(Error::ShapeMismatch(format!(
+                "Pool2d backward: dY {} vs expected [{n}x{c}x{ho}x{wo}]",
+                dy.shape()
+            )));
+        }
         let mut dx = Tensor::zeros(x.shape().clone());
         let (xd, dyd) = (x.data(), dy.data());
         let dxd = dx.data_mut();
-        let mut vals = Vec::with_capacity(self.kernel * self.kernel);
-        for plane in 0..n * c {
-            let base = plane * h * w;
-            for oh in 0..ho {
-                for ow in 0..wo {
-                    let g = dyd[(plane * ho + oh) * wo + ow];
-                    self.window(xd, base, h, w, oh, ow, &mut vals);
-                    match self.kind {
-                        PoolKind::Max => {
-                            // Route to the first maximal element (ties: cuDNN-style
-                            // deterministic choice).
-                            let (_, off) = vals.iter().copied().fold(
-                                (f32::NEG_INFINITY, 0usize),
-                                |acc, (v, o)| {
-                                    if v > acc.0 {
-                                        (v, o)
-                                    } else {
-                                        acc
-                                    }
-                                },
-                            );
-                            dxd[off] += g;
-                        }
-                        PoolKind::Average => {
-                            let share = g / vals.len() as f32;
-                            for &(_, off) in vals.iter() {
-                                dxd[off] += share;
-                            }
-                        }
-                        PoolKind::Median => {
+        let visits = dyd.len() * self.kernel * self.kernel;
+        let out_plane = |p: usize| &dyd[p * ho * wo..(p + 1) * ho * wo];
+        match self.kind {
+            PoolKind::Max => for_each_plane(dxd, h * w, visits, |p, d| {
+                self.max_plane_backward(&xd[p * h * w..(p + 1) * h * w], out_plane(p), w, wo, d)
+            }),
+            PoolKind::Average => for_each_plane(dxd, h * w, visits, |p, d| {
+                self.avg_plane_backward(out_plane(p), w, wo, d)
+            }),
+            PoolKind::Median => {
+                let mut vals = Vec::with_capacity(self.kernel * self.kernel);
+                for plane in 0..n * c {
+                    for oh in 0..ho {
+                        for ow in 0..wo {
+                            let g = dyd[(plane * ho + oh) * wo + ow];
+                            self.window(xd, plane * h * w, h, w, oh, ow, &mut vals);
                             vals.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN in pool"));
                             let m = vals.len();
                             if m % 2 == 1 {
@@ -281,6 +385,116 @@ mod tests {
         let g = Tensor::from_vec([1, 1, 1, 1], vec![4.0]).unwrap();
         let dx = op.backward(&[&g], &[&x], &[&y[0]]).unwrap();
         assert_eq!(dx[0].data(), &[1.0, 1.0, 1.0, 1.0]);
+    }
+
+    /// The generic window path max and average pooling ran on before their
+    /// direct plane loops: every window gathered through `window`, then
+    /// folded. Kept here as the bitwise oracle for the fast paths.
+    fn generic(op: &Pool2dOp, x: &Tensor, dy: &Tensor) -> (Tensor, Tensor) {
+        let (n, c, h, w, ho, wo) = op.out_dims(x.shape()).unwrap();
+        let mut out = Tensor::zeros([n, c, ho, wo]);
+        let mut dx = Tensor::zeros(x.shape().clone());
+        let (xd, dyd) = (x.data(), dy.data());
+        let (od, dxd) = (out.data_mut(), dx.data_mut());
+        let mut vals = Vec::new();
+        for plane in 0..n * c {
+            for oh in 0..ho {
+                for ow in 0..wo {
+                    let o = (plane * ho + oh) * wo + ow;
+                    op.window(xd, plane * h * w, h, w, oh, ow, &mut vals);
+                    match op.kind {
+                        PoolKind::Max => {
+                            od[o] = vals
+                                .iter()
+                                .map(|&(v, _)| v)
+                                .fold(f32::NEG_INFINITY, f32::max);
+                            let (_, off) = vals.iter().copied().fold(
+                                (f32::NEG_INFINITY, vals[0].1),
+                                |acc, (v, o)| if v > acc.0 { (v, o) } else { acc },
+                            );
+                            dxd[off] += dyd[o];
+                        }
+                        _ => {
+                            od[o] = vals.iter().map(|&(v, _)| v).sum::<f32>() / vals.len() as f32;
+                            let share = dyd[o] / vals.len() as f32;
+                            for &(_, off) in vals.iter() {
+                                dxd[off] += share;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        (out, dx)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn fast_paths_match_the_generic_window_path_bitwise() {
+        use deep500_tensor::rng::Xoshiro256StarStar;
+        let mut rng = Xoshiro256StarStar::seed_from_u64(17);
+        // Overlapping, touching and gapped windows; odd extents; the
+        // (8, 32, 32, 32) case is large enough to take the rayon split.
+        for (n, c, h, w, k, s) in [
+            (2usize, 3usize, 7usize, 9usize, 2usize, 2usize),
+            (1, 2, 8, 8, 3, 1),
+            (3, 1, 9, 6, 3, 2),
+            (2, 2, 5, 5, 2, 3),
+            (1, 1, 4, 4, 4, 4),
+            (8, 32, 32, 32, 2, 2),
+        ] {
+            for quantize in [false, true] {
+                let mut x = Tensor::rand_uniform([n, c, h, w], -1.0, 1.0, &mut rng);
+                if quantize {
+                    // Three distinct values: every window is full of ties.
+                    // (No zeros: `f32::max` leaves the sign of a +0/-0 tie
+                    // to the compiler, so no two loops need agree on it.)
+                    x = x.map(|v| (v * 1.5).round() * 0.5 + 0.25);
+                }
+                for op in [Pool2dOp::max(k, s), Pool2dOp::average(k, s)] {
+                    let y = op.forward(&[&x]).unwrap();
+                    let dy = Tensor::rand_uniform(y[0].shape().clone(), -1.0, 1.0, &mut rng);
+                    let dx = op.backward(&[&dy], &[&x], &[&y[0]]).unwrap();
+                    let (want_y, want_dx) = generic(&op, &x, &dy);
+                    let what = format!("{} n{n} c{c} {h}x{w} k{k} s{s} ties={quantize}", op.name());
+                    assert_eq!(bits(&y[0]), bits(&want_y), "{what}: forward");
+                    assert_eq!(bits(&dx[0]), bits(&want_dx), "{what}: backward");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn max_pool_ignores_nan_and_routes_degenerate_windows_to_their_first_element() {
+        // f32::max drops NaN operands, forward and backward alike.
+        let x = Tensor::from_vec([1, 1, 2, 2], vec![f32::NAN, 2.0, 1.0, f32::NAN]).unwrap();
+        let op = Pool2dOp::max(2, 2);
+        let y = op.forward(&[&x]).unwrap();
+        assert_eq!(y[0].data(), &[2.0]);
+        let g = Tensor::from_vec([1, 1, 1, 1], vec![3.0]).unwrap();
+        let dx = op.backward(&[&g], &[&x], &[&y[0]]).unwrap();
+        assert_eq!(dx[0].data(), &[0.0, 3.0, 0.0, 0.0]);
+        // Nothing above -inf in the second plane's window: the gradient
+        // stays inside that window (its first element).
+        let x =
+            Tensor::from_vec([1, 2, 1, 2], vec![1.0, 2.0, f32::NAN, f32::NEG_INFINITY]).unwrap();
+        let op = Pool2dOp::max(1, 1);
+        let y = op.forward(&[&x]).unwrap();
+        let g = Tensor::from_vec([1, 2, 1, 2], vec![1.0, 1.0, 5.0, 7.0]).unwrap();
+        let dx = op.backward(&[&g], &[&x], &[&y[0]]).unwrap();
+        assert_eq!(dx[0].data(), &[1.0, 1.0, 5.0, 7.0]);
+    }
+
+    #[test]
+    fn backward_rejects_a_mismatched_gradient() {
+        let x = plane(&[1.0, 2.0, 3.0, 4.0]);
+        let op = Pool2dOp::max(2, 2);
+        let y = op.forward(&[&x]).unwrap();
+        let g = Tensor::zeros([1, 1, 2, 2]);
+        assert!(op.backward(&[&g], &[&x], &[&y[0]]).is_err());
     }
 
     #[test]
