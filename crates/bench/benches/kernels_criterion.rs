@@ -8,13 +8,15 @@ use deep500::data::codec;
 use deep500::dist::collectives::{allreduce_flat, allreduce_ring};
 use deep500::dist::comm::{Communicator, ThreadTransport};
 use deep500::dist::NetworkModel;
+use deep500::metrics::Json;
 use deep500::ops::conv::{Conv2dOp, ConvAlgorithm};
 use deep500::ops::deepbench::GemmSize;
 use deep500::ops::gemm::{gemm_into, matmul, Algorithm};
 use deep500::ops::Operator;
 use deep500::prelude::*;
+use deep500_bench::{reruns, scale, time_rounds, Report, Scale, Subject};
+use std::cell::RefCell;
 use std::hint::black_box;
-use std::time::Instant;
 
 const TIERS: [Algorithm; 4] = [
     Algorithm::Naive,
@@ -42,14 +44,12 @@ fn bench_gemm(c: &mut Criterion) {
 /// DeepBench-shape GEMM sweep across all four algorithm tiers, recording
 /// GFLOP/s per (shape, tier) into `BENCH_gemm.json` at the repo root — the
 /// perf anchor for the packed-microkernel work (EXPERIMENTS.md §E16).
-/// Timed manually (criterion's per-sample statistics are overkill at these
-/// problem sizes); set `D5_GEMM_SWEEP=0` to skip, as the CI smoke job does.
+/// Timed by the bench harness's loop (criterion's per-sample statistics are
+/// overkill at these problem sizes); skipped under `D5_BENCH_SCALE=smoke`,
+/// as the CI smoke job runs it.
 fn bench_gemm_sweep(_c: &mut Criterion) {
-    if std::env::var("D5_GEMM_SWEEP")
-        .map(|v| v == "0")
-        .unwrap_or(false)
-    {
-        println!("gemm_sweep: skipped (D5_GEMM_SWEEP=0)");
+    if scale() == Scale::Smoke {
+        println!("gemm_sweep: skipped (D5_BENCH_SCALE=smoke)");
         return;
     }
     // Shape diversity from the DeepBench training suite (tall-skinny, wide,
@@ -72,24 +72,23 @@ fn bench_gemm_sweep(_c: &mut Criterion) {
     for g in shapes {
         let a = Tensor::rand_uniform([g.m, g.k], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform([g.k, g.n], -1.0, 1.0, &mut rng);
-        let mut c = vec![0.0f32; g.m * g.n];
-        let mut rates = Vec::new();
-        for algo in TIERS {
-            // One warmup, then repeat until >= 0.4 s of measured work
-            // (capped) so fast tiers get stable averages without naive
-            // tiers taking minutes.
-            gemm_into(algo, g.m, g.n, g.k, a.data(), b.data(), &mut c);
-            let (mut reps, mut total) = (0u32, 0.0f64);
-            while total < 0.4 && reps < 20 {
-                c.iter_mut().for_each(|v| *v = 0.0);
-                let t0 = Instant::now();
-                gemm_into(algo, g.m, g.n, g.k, a.data(), b.data(), &mut c);
-                total += t0.elapsed().as_secs_f64();
-                reps += 1;
-            }
-            black_box(&c);
-            rates.push(g.flops() / (total / reps as f64) / 1e9);
-        }
+        let c = RefCell::new(vec![0.0f32; g.m * g.n]);
+        let mut subjects: Vec<Subject> = TIERS
+            .iter()
+            .map(|&algo| {
+                let (a, b, c) = (&a, &b, &c);
+                Subject::wall(move || {
+                    let mut c = c.borrow_mut();
+                    c.fill(0.0);
+                    gemm_into(algo, g.m, g.n, g.k, a.data(), b.data(), &mut c);
+                    black_box(c[0])
+                })
+            })
+            .collect();
+        let rates: Vec<f64> = time_rounds(1, reruns(), &mut subjects)
+            .iter()
+            .map(|t| g.flops() / t[0].median / 1e9)
+            .collect();
         println!(
             "{:>24} {:>9.2} {:>9.2} {:>9.2} {:>9.2}",
             format!("{} x {} x {}", g.m, g.n, g.k),
@@ -98,20 +97,23 @@ fn bench_gemm_sweep(_c: &mut Criterion) {
             rates[2],
             rates[3]
         );
-        rows.push(format!(
-            "    {{\"m\": {}, \"n\": {}, \"k\": {}, \"naive\": {:.3}, \"blocked\": {:.3}, \"parallel\": {:.3}, \"packed\": {:.3}}}",
-            g.m, g.n, g.k, rates[0], rates[1], rates[2], rates[3]
-        ));
+        rows.push(Json::obj([
+            ("m", Json::from(g.m)),
+            ("n", Json::from(g.n)),
+            ("k", Json::from(g.k)),
+            ("naive", Json::fixed(rates[0], 3)),
+            ("blocked", Json::fixed(rates[1], 3)),
+            ("parallel", Json::fixed(rates[2], 3)),
+            ("packed", Json::fixed(rates[3], 3)),
+        ]));
     }
-    let json = format!(
-        "{{\n  \"benchmark\": \"gemm_sweep\",\n  \"unit\": \"GFLOP/s\",\n  \"tiers\": [\"naive\", \"blocked\", \"parallel\", \"packed\"],\n  \"results\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("gemm_sweep: wrote {path}"),
-        Err(e) => eprintln!("gemm_sweep: could not write {path}: {e}"),
-    }
+    let mut report = Report::new("gemm");
+    report
+        .field("unit", "GFLOP/s")
+        .field("rounds", reruns())
+        .rows("results", rows);
+    // No gates: the sweep is a trajectory row, not a pass/fail criterion.
+    let _ = report.finish();
 }
 
 fn bench_conv(c: &mut Criterion) {

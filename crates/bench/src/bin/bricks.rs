@@ -3,375 +3,205 @@
 //! The DLBricks-style pipeline over the model zoo:
 //!
 //! 1. decompose every zoo model into canonical bricks (op kind, resolved
-//!    shapes, attributes, dtype, dispatch tier),
+//!    shapes, attributes, dtype, dispatch tier, wanted input gradients),
 //! 2. deduplicate bricks across the zoo (the dedup ratio is the measured
 //!    benchmarking-cost saving),
 //! 3. micro-benchmark each unique brick once through the Engine/Session
-//!    front door (warmup + interleaved best-of-N),
+//!    front door,
 //! 4. predict each model's forward and training-step time by summing its
 //!    bricks' costs plus a calibrated per-node dispatch overhead, and
 //!    validate against whole-model `TraceRecorder` measurements.
 //!
-//! Emits `BENCH_bricks.json` at the repo root and fails (exit 1) if the
-//! geometric-mean relative prediction error exceeds 25% or the zoo stops
-//! deduplicating (ratio < 1.2).
+//! Bricks, calibration chains and whole models are all subjects of one
+//! `time_rounds` call, so machine-speed drift over the run hits both sides
+//! of the predicted-vs-measured comparison equally.
+//!
+//! Writes `BENCH_bricks.json`; gates: geometric-mean relative prediction
+//! error ≤ 25%, dedup ratio ≥ 1.2, and a sane report (every brick and
+//! model row measured, the zoo not shrunk).
 //!
 //! Run with: `cargo run --release -p deep500-bench --bin bricks`
 
-use deep500::metrics::{Phase, TraceRecorder};
-use deep500::prelude::*;
+use deep500::graph::models::{feed_refs, zoo, ZooCase};
+use deep500::graph::{Engine, ExecutorKind};
+use deep500::metrics::{Json, Phase, TraceRecorder};
+use deep500::tensor::Tensor;
 use deep500_bench::bricks::{
-    calibrate, decompose, dedup, predict, BrickCost, BrickKey, MicroRunner,
+    decompose, dedup, microbench, predict, BrickCost, BrickKey, Calibration, MicroRunner,
 };
+use deep500_bench::{time_rounds, Report, Subject};
 use std::collections::HashMap;
+use std::process::ExitCode;
 
-struct ZooEntry {
-    name: &'static str,
-    net: deep500::graph::Network,
-    x_shape: Shape,
-    classes: usize,
-}
-
-fn zoo() -> Vec<ZooEntry> {
-    vec![
-        ZooEntry {
-            name: "mlp_small",
-            net: models::mlp(16, &[32, 24], 4, 42).expect("mlp_small"),
-            x_shape: Shape::new(&[16, 16]),
-            classes: 4,
-        },
-        ZooEntry {
-            name: "mlp_wide",
-            net: models::mlp(64, &[256, 128], 8, 43).expect("mlp_wide"),
-            x_shape: Shape::new(&[32, 64]),
-            classes: 8,
-        },
-        ZooEntry {
-            name: "lenet",
-            net: models::lenet(1, 14, 4, 44).expect("lenet"),
-            x_shape: Shape::new(&[4, 1, 14, 14]),
-            classes: 4,
-        },
-        ZooEntry {
-            name: "alexnet_like",
-            net: models::alexnet_like(1, 16, 5, 45).expect("alexnet_like"),
-            x_shape: Shape::new(&[2, 1, 16, 16]),
-            classes: 5,
-        },
-        ZooEntry {
-            name: "mlp_deep",
-            net: models::mlp(64, &[128, 128, 128], 8, 47).expect("mlp_deep"),
-            x_shape: Shape::new(&[32, 64]),
-            classes: 8,
-        },
-        ZooEntry {
-            name: "resnet_like",
-            net: models::resnet_like(1, 8, 8, 2, 4, 46).expect("resnet_like"),
-            x_shape: Shape::new(&[2, 1, 8, 8]),
-            classes: 4,
-        },
-        // Same family, twice the depth: the residual blocks are brick-
-        // identical to `resnet_like`'s, which is exactly the cross-model
-        // sharing brick decomposition exploits.
-        ZooEntry {
-            name: "resnet_deep",
-            net: models::resnet_like(1, 8, 8, 4, 4, 48).expect("resnet_deep"),
-            x_shape: Shape::new(&[2, 1, 8, 8]),
-            classes: 4,
-        },
-    ]
-}
-
-/// Whole-model ground truth runner: `TraceRecorder` phase deltas for one
-/// forward pass (`Inference`) and one training step (`Backprop`, whose
-/// span covers the forward half too), folded into a running best-of-N by
-/// [`ModelBench::round`].
+/// Whole-model ground truth: a traced engine whose `TraceRecorder` phase
+/// deltas give one forward pass (`Inference`) and one training step
+/// (`Backprop`, whose span covers the forward half too).
 struct ModelBench {
     recorder: TraceRecorder,
     engine: Engine,
     feeds: Vec<(String, Tensor)>,
-    fwd_s: f64,
-    train_s: f64,
 }
 
 impl ModelBench {
-    fn new(entry: &ZooEntry) -> Result<ModelBench, String> {
+    fn new(case: &ZooCase) -> ModelBench {
         let recorder = TraceRecorder::new();
-        let engine = Engine::builder(entry.net.clone_structure())
+        let engine = Engine::builder(case.net.clone_structure())
             .executor(ExecutorKind::Reference)
             .trace(&recorder)
             .build()
-            .map_err(|e| format!("{}: engine: {e}", entry.name))?;
-        let batch = entry.x_shape.dims()[0];
-        let mut rng = Xoshiro256StarStar::seed_from_u64(0xbead);
-        let x = Tensor::rand_uniform(entry.x_shape.clone(), -0.5, 0.5, &mut rng);
-        let labels: Vec<f32> = (0..batch).map(|i| (i % entry.classes) as f32).collect();
-        let labels = Tensor::from_vec(Shape::new(&[batch]), labels)
-            .map_err(|e| format!("{}: labels: {e}", entry.name))?;
-        Ok(ModelBench {
+            .unwrap_or_else(|e| panic!("{}: engine: {e}", case.name));
+        ModelBench {
             recorder,
             engine,
-            feeds: vec![("x".into(), x), ("labels".into(), labels)],
-            fwd_s: f64::INFINITY,
-            train_s: f64::INFINITY,
-        })
-    }
-
-    fn warmup(&self, passes: usize) -> Result<(), String> {
-        let feeds: Vec<(&str, Tensor)> = self
-            .feeds
-            .iter()
-            .map(|(n, t)| (n.as_str(), t.clone()))
-            .collect();
-        for _ in 0..passes.max(1) {
-            self.engine
-                .session()
-                .infer_and_backprop(&feeds, "loss")
-                .map_err(|e| format!("model warmup: {e}"))?;
+            feeds: case.feeds(0xbead),
         }
-        Ok(())
     }
 
-    /// One measured forward pass and one measured training step.
-    fn round(&mut self) -> Result<(), String> {
-        let feeds: Vec<(&str, Tensor)> = self
-            .feeds
-            .iter()
-            .map(|(n, t)| (n.as_str(), t.clone()))
-            .collect();
-        let session = self.engine.session();
-        self.warmup(1)?;
-        let f0 = self.recorder.phase_total_s(Phase::Inference);
-        session
-            .infer(&feeds)
-            .map_err(|e| format!("model infer: {e}"))?;
-        self.fwd_s = self
-            .fwd_s
-            .min(self.recorder.phase_total_s(Phase::Inference) - f0);
-
-        let t0 = self.recorder.phase_total_s(Phase::Backprop);
-        session
-            .infer_and_backprop(&feeds, "loss")
-            .map_err(|e| format!("model train: {e}"))?;
-        self.train_s = self
-            .train_s
-            .min(self.recorder.phase_total_s(Phase::Backprop) - t0);
-        Ok(())
+    /// One re-warming step, then one measured forward pass and one
+    /// measured training step: `[forward, train]` phase deltas.
+    fn subject(&self) -> Subject<'_> {
+        Subject::spans(move |_| {
+            let feeds = feed_refs(&self.feeds);
+            let session = self.engine.session();
+            let train = || {
+                session
+                    .infer_and_backprop(&feeds, "loss")
+                    .expect("model train");
+            };
+            train();
+            let f0 = self.recorder.phase_total_s(Phase::Inference);
+            session.infer(&feeds).expect("model infer");
+            let fwd = self.recorder.phase_total_s(Phase::Inference) - f0;
+            let t0 = self.recorder.phase_total_s(Phase::Backprop);
+            train();
+            vec![fwd, self.recorder.phase_total_s(Phase::Backprop) - t0]
+        })
     }
 }
 
-fn main() {
-    deep500_bench::banner(
-        "bricks",
-        "Brick-level benchmark generation + runtime prediction by composition",
-    );
+fn main() -> ExitCode {
+    let mut report = Report::new("bricks");
     let warmup = 3;
-    // Min-of-N needs enough rounds to find the noise floor on a shared
-    // machine; the whole pipeline still finishes in seconds.
+    // Sub-microsecond bricks need more rounds than the default for a
+    // steady median on a shared machine; the pipeline still takes seconds.
     let rounds = deep500_bench::reruns().max(12);
     let zoo = zoo();
 
-    // ---- 1. Decompose -----------------------------------------------------
-    let mut per_model = Vec::new();
-    for entry in &zoo {
-        let batch = entry.x_shape.dims()[0];
-        let feeds: Vec<(&str, Shape)> = vec![
-            ("x", entry.x_shape.clone()),
-            ("labels", Shape::new(&[batch])),
-        ];
-        let instances = match decompose(&entry.net, &feeds, "loss") {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("bricks: decompose failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        println!(
-            "{:>14}: {} nodes -> {} bricks",
-            entry.name,
-            instances.len(),
-            instances.len()
-        );
-        per_model.push((entry.name.to_string(), instances));
-    }
-
-    // ---- 2. Deduplicate ---------------------------------------------------
+    // ---- 1. Decompose, 2. deduplicate --------------------------------------
+    let per_model: Vec<(String, Vec<_>)> = zoo
+        .iter()
+        .map(|case| {
+            let instances = decompose(&case.net, &case.input_shapes(), "loss")
+                .unwrap_or_else(|e| panic!("decompose failed: {e}"));
+            (case.name.to_string(), instances)
+        })
+        .collect();
     let set = dedup(&per_model);
-    println!(
-        "\nzoo: {} node instances collapse to {} unique bricks (dedup ratio {:.2}x)\n",
-        set.total_instances,
-        set.len(),
-        set.dedup_ratio()
-    );
 
-    // ---- 3. Interleaved measurement: bricks and whole models --------------
-    // Brick rounds alternate with whole-model validation passes so that
-    // machine-speed drift over the run hits both sides of the
-    // predicted-vs-measured comparison equally; best-of-N then picks both
-    // floors from the same fastest window.
-    type MeasuredPair = (f64, f64);
-    let run = || -> Result<(Vec<BrickCost>, Vec<MeasuredPair>), String> {
-        let mut runner = MicroRunner::new(&set)?;
-        let mut model_benches = Vec::with_capacity(zoo.len());
-        for entry in &zoo {
-            model_benches.push(ModelBench::new(entry)?);
-        }
-        runner.warmup(warmup)?;
-        for mb in &model_benches {
-            mb.warmup(warmup)?;
-        }
-        for _ in 0..rounds {
-            runner.round()?;
-            for mb in &mut model_benches {
-                mb.round()?;
-            }
-        }
-        Ok((
-            runner.costs().to_vec(),
-            model_benches.iter().map(|m| (m.fwd_s, m.train_s)).collect(),
-        ))
-    };
-    let (costs_vec, model_meas) = match run() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bricks: measurement failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let overhead = match calibrate(warmup, rounds) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("bricks: calibration failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    // ---- 3. One interleaved measurement: bricks, chains, whole models ------
+    let runner = MicroRunner::new(&set).unwrap_or_else(|e| panic!("micro-networks: {e}"));
+    let calibration = Calibration::new().unwrap_or_else(|e| panic!("calibration: {e}"));
+    let model_benches: Vec<ModelBench> = zoo.iter().map(ModelBench::new).collect();
+    let mut subjects = runner.subjects();
+    let chains_at = subjects.len();
+    subjects.extend(calibration.subjects());
+    let models_at = subjects.len();
+    subjects.extend(model_benches.iter().map(ModelBench::subject));
+    let summaries = time_rounds(warmup, rounds, &mut subjects);
+    drop(subjects);
+
+    let costs_vec = microbench::costs(&summaries[..chains_at]);
+    let overhead = calibration.solve(&summaries[chains_at..models_at]);
     let costs: HashMap<BrickKey, BrickCost> = set
         .bricks
         .iter()
         .zip(&costs_vec)
         .map(|(b, c)| (b.key.clone(), *c))
         .collect();
-    println!(
-        "dispatch overhead: forward {:.1} + {:.2}/node us, train {:.1} + {:.2}/node us",
-        overhead.fwd_fixed_s * 1e6,
-        overhead.fwd_per_node_s * 1e6,
-        overhead.train_fixed_s * 1e6,
-        overhead.train_per_node_s * 1e6
-    );
 
-    // ---- 4. Predict vs. measure -------------------------------------------
-    let mut table = Table::new(
-        "Predicted vs. measured per-pass runtime",
-        &[
-            "model",
-            "nodes",
-            "pred fwd ms",
-            "meas fwd ms",
-            "err",
-            "pred train ms",
-            "meas train ms",
-            "err",
-        ],
-    );
+    // ---- 4. Predict vs. measure --------------------------------------------
     let mut model_rows = Vec::new();
     let mut log_errs = Vec::new();
-    for ((name, instances), &(meas_fwd, meas_train)) in per_model.iter().zip(&model_meas) {
-        let pred = match predict(instances, &costs, &overhead) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("bricks: predict failed: {e}");
-                std::process::exit(1);
-            }
-        };
+    let mut rows_sane = true;
+    for ((name, instances), measured) in per_model.iter().zip(&summaries[models_at..]) {
+        let (meas_fwd, meas_train) = (measured[1].median, measured[2].median);
+        let pred =
+            predict(instances, &costs, &overhead).unwrap_or_else(|e| panic!("predict failed: {e}"));
         let fwd_err = ((pred.forward_s - meas_fwd).abs() / meas_fwd).max(1e-4);
         let train_err = ((pred.train_s - meas_train).abs() / meas_train).max(1e-4);
-        log_errs.push(fwd_err.ln());
-        log_errs.push(train_err.ln());
-        table.row(&[
-            name.clone(),
-            format!("{}", instances.len()),
-            format!("{:.3}", pred.forward_s * 1e3),
-            format!("{:.3}", meas_fwd * 1e3),
-            format!("{:.1}%", fwd_err * 1e2),
-            format!("{:.3}", pred.train_s * 1e3),
-            format!("{:.3}", meas_train * 1e3),
-            format!("{:.1}%", train_err * 1e2),
-        ]);
-        model_rows.push(format!(
-            "    {{\"model\": \"{}\", \"nodes\": {}, \
-             \"predicted_forward_ms\": {:.6}, \"measured_forward_ms\": {:.6}, \"forward_rel_err\": {:.4}, \
-             \"predicted_train_ms\": {:.6}, \"measured_train_ms\": {:.6}, \"train_rel_err\": {:.4}}}",
-            name,
-            instances.len(),
-            pred.forward_s * 1e3,
-            meas_fwd * 1e3,
-            fwd_err,
-            pred.train_s * 1e3,
-            meas_train * 1e3,
-            train_err,
-        ));
+        log_errs.extend([fwd_err.ln(), train_err.ln()]);
+        rows_sane &= meas_train > meas_fwd && meas_fwd > 0.0;
+        model_rows.push(Json::obj([
+            ("model", Json::from(name.as_str())),
+            ("nodes", Json::from(instances.len())),
+            ("predicted_forward_ms", Json::fixed(pred.forward_s * 1e3, 6)),
+            ("measured_forward_ms", Json::fixed(meas_fwd * 1e3, 6)),
+            ("forward_rel_err", Json::fixed(fwd_err, 4)),
+            ("predicted_train_ms", Json::fixed(pred.train_s * 1e3, 6)),
+            ("measured_train_ms", Json::fixed(meas_train * 1e3, 6)),
+            ("train_rel_err", Json::fixed(train_err, 4)),
+        ]));
     }
-    println!("{}", table.render());
     let geomean = (log_errs.iter().sum::<f64>() / log_errs.len() as f64).exp();
-    println!(
-        "geometric-mean relative prediction error: {:.1}% over {} (model x pass) pairs",
-        geomean * 1e2,
-        log_errs.len()
-    );
 
-    // ---- BENCH_bricks.json ------------------------------------------------
-    let brick_rows: Vec<String> = set
+    // ---- BENCH_bricks.json -------------------------------------------------
+    let brick_rows: Vec<Json> = set
         .bricks
         .iter()
         .zip(&costs_vec)
         .map(|(b, c)| {
-            format!(
-                "    {{\"brick\": \"{}\", \"count\": {}, \
-                 \"forward_ms\": {:.6}, \"backward_ms\": {:.6}}}",
-                b.key.render(),
-                b.count,
-                c.forward_s * 1e3,
-                c.backward_s * 1e3
-            )
+            Json::obj([
+                ("brick", Json::from(b.key.render())),
+                ("count", Json::from(b.count)),
+                ("forward_ms", Json::fixed(c.forward_s * 1e3, 6)),
+                ("backward_ms", Json::fixed(c.backward_s * 1e3, 6)),
+            ])
         })
         .collect();
-    let json = format!(
-        "{{\n  \"benchmark\": \"bricks\",\n  \"unique_bricks\": {},\n  \
-         \"total_instances\": {},\n  \"dedup_ratio\": {:.4},\n  \
-         \"geomean_rel_err\": {:.4},\n  \
-         \"overhead_us\": {{\"forward_fixed\": {:.3}, \"forward_per_node\": {:.3}, \
-         \"train_fixed\": {:.3}, \"train_per_node\": {:.3}}},\n  \
-         \"bricks\": [\n{}\n  ],\n  \"models\": [\n{}\n  ]\n}}\n",
-        set.len(),
-        set.total_instances,
-        set.dedup_ratio(),
-        geomean,
-        overhead.fwd_fixed_s * 1e6,
-        overhead.fwd_per_node_s * 1e6,
-        overhead.train_fixed_s * 1e6,
-        overhead.train_per_node_s * 1e6,
-        brick_rows.join(",\n"),
-        model_rows.join(",\n"),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_bricks.json");
-    std::fs::write(path, &json).expect("write BENCH_bricks.json");
-    println!("bricks: wrote {path}");
-
-    // ---- Gates ------------------------------------------------------------
-    if set.dedup_ratio() < 1.2 {
-        eprintln!(
-            "bricks: FAIL dedup ratio {:.2} below the 1.2 floor — the zoo \
-             no longer shares bricks",
-            set.dedup_ratio()
+    rows_sane &= set.bricks.iter().all(|b| b.count >= 1)
+        && costs_vec.iter().all(|c| c.forward_s >= 0.0)
+        && set.total_instances >= set.len()
+        && !set.is_empty();
+    let us = |s: f64| Json::fixed(s * 1e6, 3);
+    report
+        .field("rounds", rounds)
+        .field("unique_bricks", set.len())
+        .field("total_instances", set.total_instances)
+        .field("dedup_ratio", Json::fixed(set.dedup_ratio(), 4))
+        .field("geomean_rel_err", Json::fixed(geomean, 4))
+        .field(
+            "overhead_us",
+            Json::obj([
+                ("forward_fixed", us(overhead.fwd_fixed_s)),
+                ("forward_per_node", us(overhead.fwd_per_node_s)),
+                ("train_fixed", us(overhead.train_fixed_s)),
+                ("train_per_node", us(overhead.train_per_node_s)),
+            ]),
+        )
+        .rows("bricks", brick_rows)
+        .rows("models", model_rows)
+        .gate(
+            "dedup_ratio",
+            set.dedup_ratio() >= 1.2,
+            format!("{:.2} >= 1.2 (the zoo shares bricks)", set.dedup_ratio()),
+        )
+        .gate(
+            "geomean_rel_err",
+            geomean <= 0.25,
+            format!(
+                "{geomean:.3} <= 0.25 over {} (model x pass) pairs",
+                log_errs.len()
+            ),
+        )
+        .gate(
+            "zoo_size",
+            per_model.len() >= 5,
+            format!("{} models >= 5", per_model.len()),
+        )
+        .gate(
+            "rows_measured",
+            rows_sane,
+            "every brick counted and timed; every model's train step > forward pass > 0",
         );
-        std::process::exit(1);
-    }
-    if geomean > 0.25 {
-        eprintln!(
-            "bricks: FAIL geometric-mean relative prediction error {:.3} \
-             above the 0.25 ceiling",
-            geomean
-        );
-        std::process::exit(1);
-    }
+    report.finish()
 }

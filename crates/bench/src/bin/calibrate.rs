@@ -6,11 +6,21 @@
 //!
 //! Run with: `cargo run --release -p deep500-bench --bin calibrate`
 
+use deep500::metrics::stats::Summary;
 use deep500::ops::conv::{Conv2dOp, ConvAlgorithm};
 use deep500::ops::deepbench::{HIGHLIGHTED_CONV, HIGHLIGHTED_GEMM};
 use deep500::ops::gemm::{matmul, Algorithm};
 use deep500::ops::Operator;
 use deep500::prelude::*;
+use deep500_bench::{reruns, time_rounds, Subject};
+
+fn print_tier(tier: String, wall: &Summary, flops: f64) {
+    println!(
+        "  {tier:>9}: {:8.1} ms  ({:.2} GFLOP/s)",
+        wall.median * 1e3,
+        flops / wall.median / 1e9
+    );
+}
 
 fn main() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(1);
@@ -25,15 +35,20 @@ fn main() {
     println!("GEMM {}x{}x{} (Fig. 6b highlight):", g.m, g.n, g.k);
     let a = Tensor::rand_uniform([g.m, g.k], -1.0, 1.0, &mut rng);
     let b = Tensor::rand_uniform([g.k, g.n], -1.0, 1.0, &mut rng);
-    for algo in [Algorithm::Blocked, Algorithm::Parallel, Algorithm::Packed] {
-        let t = Timer::start();
-        let _ = matmul(algo, &a, &b).unwrap();
-        println!(
-            "  {algo:>9?}: {:8.1} ms  ({:.2} GFLOP/s)",
-            t.elapsed_ms(),
-            g.flops() / t.elapsed_s() / 1e9
-        );
+    let tiers = [Algorithm::Blocked, Algorithm::Parallel, Algorithm::Packed];
+    let mut subjects: Vec<Subject> = tiers
+        .iter()
+        .map(|&algo| {
+            let (a, b) = (&a, &b);
+            Subject::wall(move || matmul(algo, a, b).unwrap())
+        })
+        .collect();
+    // The warm-up round pays first-touch, packing and scratch growth, so
+    // the tier that happens to run first does not look slower than it is.
+    for (algo, t) in tiers.iter().zip(time_rounds(1, reruns(), &mut subjects)) {
+        print_tier(format!("{algo:?}"), &t[0], g.flops());
     }
+    drop(subjects);
 
     let c = HIGHLIGHTED_CONV;
     println!(
@@ -43,23 +58,21 @@ fn main() {
     let x = Tensor::rand_uniform([c.n, c.c, c.h, c.w], -1.0, 1.0, &mut rng);
     let w = Tensor::rand_uniform([c.k, c.c, c.r, c.r], -0.5, 0.5, &mut rng);
     let bias = Tensor::zeros([c.k]);
-    for algo in [
+    let tiers = [
         ConvAlgorithm::Direct,
         ConvAlgorithm::Im2col,
         ConvAlgorithm::Winograd,
-    ] {
-        let op = Conv2dOp::new(c.stride, c.pad, algo);
-        // Untimed warm-up: the first call pays first-touch of the input,
-        // filter packing, and scratch growth — without it the tier that
-        // happens to run first looks slower than it is.
-        let _ = op.forward(&[&x, &w, &bias]).unwrap();
-        let t = Timer::start();
-        let _ = op.forward(&[&x, &w, &bias]).unwrap();
-        println!(
-            "  {algo:>9?}: {:8.1} ms  ({:.2} GFLOP/s)",
-            t.elapsed_ms(),
-            c.flops() / t.elapsed_s() / 1e9
-        );
+    ];
+    let ops: Vec<Conv2dOp> = tiers
+        .iter()
+        .map(|&algo| Conv2dOp::new(c.stride, c.pad, algo))
+        .collect();
+    let mut subjects: Vec<Subject> = ops
+        .iter()
+        .map(|op| Subject::wall(|| op.forward(&[&x, &w, &bias]).unwrap()))
+        .collect();
+    for (algo, t) in tiers.iter().zip(time_rounds(1, reruns(), &mut subjects)) {
+        print_tier(format!("{algo:?}"), &t[0], c.flops());
     }
     println!(
         "\nuse D5_BENCH_SCALE=full for paper-size benchmark sweeps if these\nkernels complete in well under a second each."

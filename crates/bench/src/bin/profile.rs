@@ -14,16 +14,20 @@
 //!   Perfetto. Self-validated with `validate_chrome_trace` before writing.
 //! * `BENCH_profile.json` — machine-readable per-operator attribution
 //!   (wall time, GFLOP/s, bytes moved), phase totals, dataset latency, and
-//!   communication volume.
+//!   communication volume; gates: the trace validates, whole-run
+//!   attribution coverage ≥ 0.90, operators and training phases present.
 //!
 //! Run with: `cargo run --release -p deep500-bench --bin profile`
 
 use deep500::dist::{DistributedRunner, Variant};
-use deep500::metrics::{validate_chrome_trace, Phase, TraceRecorder};
+use deep500::metrics::{validate_chrome_trace, Json, Phase, TraceRecorder};
 use deep500::prelude::*;
+use deep500_bench::{repo_path, Report};
+use std::process::ExitCode;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> ExitCode {
+    let mut report = Report::new("profile");
     let recorder = TraceRecorder::new();
 
     // ---- 1. Traced 2-epoch wavefront training ----------------------------
@@ -96,7 +100,7 @@ fn main() {
         0.2,
         8,
     ));
-    let report = DistributedRunner::new(&dist_net, dist_ds)
+    let report_dist = DistributedRunner::new(&dist_net, dist_ds)
         .world(2)
         .batch(8)
         .steps(8)
@@ -104,103 +108,97 @@ fn main() {
         .trace(&recorder)
         .run()
         .expect("distributed run");
-    assert!(report.all_completed(), "distributed ranks must complete");
-    let volume = report.volume();
+    assert!(
+        report_dist.all_completed(),
+        "distributed ranks must complete"
+    );
+    let volume = report_dist.volume();
 
     // ---- Chrome trace: validate, then write ------------------------------
     let json = recorder.chrome_trace_json();
-    let stats = match validate_chrome_trace(&json) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("profile: emitted Chrome trace fails validation: {e}");
-            std::process::exit(1);
-        }
-    };
-    let trace_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../trace.json");
-    std::fs::write(trace_path, &json).expect("write trace.json");
-    println!(
-        "profile: wrote {trace_path} ({} spans, {} metadata events)",
-        stats.spans, stats.metadata
+    let validated = validate_chrome_trace(&json);
+    let trace_path = repo_path("trace.json");
+    std::fs::write(&trace_path, &json).expect("write trace.json");
+    println!("profile: wrote {}", trace_path.display());
+    report.gate(
+        "chrome_trace_validates",
+        validated.is_ok(),
+        match &validated {
+            Ok(stats) => format!("{} spans, {} metadata events", stats.spans, stats.metadata),
+            Err(e) => e.clone(),
+        },
     );
 
     // ---- Human-readable attribution --------------------------------------
     println!("\n{}", recorder.attribution_table().render());
-    println!(
-        "attribution coverage: {:.1}% of {:.1} ms whole-run (Epoch) wall time",
-        coverage * 100.0,
-        run_total * 1e3
-    );
-    if coverage < 0.90 {
-        eprintln!(
-            "profile: FAIL attribution coverage {:.4} below the 0.90 floor",
-            coverage
-        );
-        std::process::exit(1);
-    }
     let latency = log.dataset_latency().expect("batches were fetched");
-    println!(
-        "dataset latency: median {:.3} ms over {} batches ({:.1} ms total)",
-        latency.median * 1e3,
-        latency.n,
-        log.sampling_total() * 1e3
-    );
-    println!(
-        "communication: {} msgs / {} bytes sent across {} ranks",
-        volume.messages_sent,
-        volume.bytes_sent,
-        report.ranks.len()
-    );
 
     // ---- BENCH_profile.json ----------------------------------------------
-    let op_rows: Vec<String> = attribution
+    let op_rows: Vec<Json> = attribution
         .iter()
         .map(|r| {
-            format!(
-                "    {{\"op\": \"{}\", \"forward_calls\": {}, \"backward_calls\": {}, \
-                 \"forward_ms\": {:.6}, \"backward_ms\": {:.6}, \"gflops_per_s\": {:.3}, \
-                 \"flops_per_call\": {:.1}, \"bytes_per_call\": {}}}",
-                r.name,
-                r.forward_calls,
-                r.backward_calls,
-                r.forward_s * 1e3,
-                r.backward_s * 1e3,
-                r.gflops_per_s(),
-                r.flops_per_call,
-                r.bytes_per_call
-            )
+            Json::obj([
+                ("op", Json::from(r.name.as_str())),
+                ("forward_calls", Json::from(r.forward_calls)),
+                ("backward_calls", Json::from(r.backward_calls)),
+                ("forward_ms", Json::fixed(r.forward_s * 1e3, 6)),
+                ("backward_ms", Json::fixed(r.backward_s * 1e3, 6)),
+                ("gflops_per_s", Json::fixed(r.gflops_per_s(), 3)),
+                ("flops_per_call", Json::from(r.flops_per_call)),
+                ("bytes_per_call", Json::from(r.bytes_per_call)),
+            ])
         })
         .collect();
     // Every phase the metrics layer defines, not a hand-picked subset:
-    // a new Phase variant shows up here (and in the schema check) for free.
-    let phase_rows: Vec<String> = Phase::all()
-        .iter()
-        .map(|p| {
-            // `+ 0.0` normalizes the -0.0 an empty phase can produce.
-            let ms = recorder.phase_total_s(*p) * 1e3 + 0.0;
-            format!("    \"{}\": {:.6}", p.label(), ms)
-        })
+    // a new Phase variant shows up here for free.
+    let phase_totals = Json::obj(Phase::all().iter().map(|p| {
+        // `+ 0.0` normalizes the -0.0 an empty phase can produce.
+        let ms = recorder.phase_total_s(*p) * 1e3 + 0.0;
+        (p.label(), Json::fixed(ms, 6))
+    }));
+    let missing: Vec<&str> = std::iter::once(Phase::Epoch)
+        .chain(owned_phases)
+        .filter(|p| recorder.phase_total_s(*p) <= 0.0)
+        .map(|p| p.label())
         .collect();
-    let profile_json = format!(
-        "{{\n  \"benchmark\": \"profile\",\n  \"trace_file\": \"trace.json\",\n  \
-         \"trace_spans\": {},\n  \"attribution_coverage\": {:.4},\n  \
-         \"phase_totals_ms\": {{\n{}\n  }},\n  \"operators\": [\n{}\n  ],\n  \
-         \"dataset_latency_ms\": {{\"median\": {:.6}, \"mean\": {:.6}, \"max\": {:.6}, \"n\": {}}},\n  \
-         \"communication\": {{\"bytes_sent\": {}, \"bytes_received\": {}, \
-         \"messages_sent\": {}, \"messages_received\": {}}}\n}}\n",
-        stats.spans,
-        coverage,
-        phase_rows.join(",\n"),
-        op_rows.join(",\n"),
-        latency.median * 1e3,
-        latency.mean * 1e3,
-        latency.max * 1e3,
-        latency.n,
-        volume.bytes_sent,
-        volume.bytes_received,
-        volume.messages_sent,
-        volume.messages_received,
-    );
-    let profile_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_profile.json");
-    std::fs::write(profile_path, &profile_json).expect("write BENCH_profile.json");
-    println!("profile: wrote {profile_path}");
+    report
+        .field("trace_file", "trace.json")
+        .field("trace_spans", validated.map_or(0, |stats| stats.spans))
+        .field("attribution_coverage", Json::fixed(coverage, 4))
+        .field("phase_totals_ms", phase_totals)
+        .rows("operators", op_rows)
+        .field(
+            "dataset_latency_ms",
+            Json::obj([
+                ("median", Json::fixed(latency.median * 1e3, 6)),
+                ("mean", Json::fixed(latency.mean * 1e3, 6)),
+                ("max", Json::fixed(latency.max * 1e3, 6)),
+                ("n", Json::from(latency.n)),
+            ]),
+        )
+        .field(
+            "communication",
+            Json::obj([
+                ("bytes_sent", Json::from(volume.bytes_sent)),
+                ("bytes_received", Json::from(volume.bytes_received)),
+                ("messages_sent", Json::from(volume.messages_sent)),
+                ("messages_received", Json::from(volume.messages_received)),
+            ]),
+        )
+        .gate(
+            "attribution_coverage",
+            coverage >= 0.90,
+            format!("{coverage:.4} >= 0.90 of whole-run (Epoch) wall time"),
+        )
+        .gate(
+            "operators_attributed",
+            !attribution.is_empty(),
+            format!("{} operators", attribution.len()),
+        )
+        .gate(
+            "training_phases_traced",
+            missing.is_empty(),
+            format!("Epoch and every owned phase > 0; missing: {missing:?}"),
+        );
+    report.finish()
 }

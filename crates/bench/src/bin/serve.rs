@@ -9,231 +9,152 @@
 //!   reproducible): exposes queueing delay and typed `QueueFull`
 //!   back-pressure.
 //!
-//! Emits `BENCH_serve.json` at the repo root with p50/p95/p99 latency,
-//! throughput, rejection counts, and mean assembled batch size per
-//! (model, loadgen, policy) cell, and exits non-zero if dynamic batching
-//! fails to coalesce anything under the closed-loop burst.
+//! Writes `BENCH_serve.json` with p50/p95/p99 latency, throughput,
+//! rejection counts, and mean assembled batch size per (model, loadgen,
+//! policy) cell; gates: every request accounted for, latency percentiles
+//! ordered, and dynamic batching coalesces under the closed-loop burst.
 //!
 //! Run with: `cargo run --release -p deep500-bench --bin serve`
-//! Set `D5_SERVE_SMOKE=1` for the fast CI-sized run.
+//! (`D5_BENCH_SCALE=smoke` for the fast CI-sized run).
 
+use deep500::graph::models::{zoo, ZooCase};
+use deep500::metrics::Json;
 use deep500::prelude::*;
 use deep500::serve::{closed_loop, open_loop, LoadSummary};
+use deep500_bench::{scale, Report};
+use std::process::ExitCode;
 use std::time::Duration;
 
-struct Case {
+struct Cell {
     model: &'static str,
     loadgen: &'static str,
     policy_label: String,
     summary: LoadSummary,
 }
 
-struct ZooModel {
-    name: &'static str,
-    net_fn: fn() -> Network,
-    feeds_fn: fn(usize) -> Vec<(String, Tensor)>,
-    /// (input name, per-sample trailing dims) pairs for the contract.
-    batched: &'static [(&'static str, &'static [usize])],
-}
+/// The zoo models served: the microsecond MLP and the conv-bound CNN.
+const MODELS: [&str; 2] = ["mlp_small", "lenet"];
 
-fn mlp_net() -> Network {
-    models::mlp(16, &[32, 24], 4, 21).expect("mlp")
-}
-
-fn mlp_feeds(i: usize) -> Vec<(String, Tensor)> {
-    let x: Vec<f32> = (0..16)
-        .map(|j| ((i * 16 + j) as f32 * 0.31).sin())
-        .collect();
-    vec![
-        ("x".to_string(), Tensor::from_vec([1, 16], x).unwrap()),
-        ("labels".to_string(), Tensor::from_slice(&[(i % 4) as f32])),
-    ]
-}
-
-fn lenet_net() -> Network {
-    models::lenet(1, 12, 4, 22).expect("lenet")
-}
-
-fn lenet_feeds(i: usize) -> Vec<(String, Tensor)> {
-    let x: Vec<f32> = (0..144)
-        .map(|j| ((i * 144 + j) as f32 * 0.17).cos())
-        .collect();
-    vec![
-        (
-            "x".to_string(),
-            Tensor::from_vec([1, 1, 12, 12], x).unwrap(),
-        ),
-        ("labels".to_string(), Tensor::from_slice(&[(i % 4) as f32])),
-    ]
-}
-
-fn zoo() -> Vec<ZooModel> {
-    vec![
-        ZooModel {
-            name: "mlp",
-            net_fn: mlp_net,
-            feeds_fn: mlp_feeds,
-            batched: &[("x", &[16]), ("labels", &[])],
-        },
-        ZooModel {
-            name: "lenet",
-            net_fn: lenet_net,
-            feeds_fn: lenet_feeds,
-            batched: &[("x", &[1, 12, 12]), ("labels", &[])],
-        },
-    ]
-}
-
-fn build_server(model: &ZooModel, policy: BatchPolicy, workers: usize) -> Server {
-    let mut config = ModelConfig::new((model.net_fn)())
+fn build_server(model: &ZooCase, policy: BatchPolicy, workers: usize) -> Server {
+    let config = ModelConfig::new(model.net.clone_structure())
         .executor(ExecutorKind::Planned)
         .policy(policy)
         .workers(workers)
-        .queue_capacity(256);
-    for (name, rest) in model.batched {
-        config = config.batched_input(*name, rest);
-    }
+        .queue_capacity(256)
+        .batched_input("x", &model.x.dims()[1..])
+        .batched_input("labels", &[]);
     Server::builder()
         .model(model.name, config)
         .build()
         .expect("server build")
 }
 
-fn main() {
-    let smoke = std::env::var("D5_SERVE_SMOKE").is_ok();
-    let (clients, per_client, open_total, open_rate) = if smoke {
-        (4, 16, 96, 300.0)
-    } else {
-        (8, 64, 512, 600.0)
-    };
-    let policies = |max_delay_ms: u64| {
-        vec![
-            BatchPolicy::Single,
-            BatchPolicy::Dynamic {
-                max_batch: 16,
-                max_delay: Duration::from_millis(max_delay_ms),
-            },
-        ]
-    };
+fn main() -> ExitCode {
+    let mut report = Report::new("serve");
+    let (clients, per_client, open_total, open_rate) =
+        scale().pick((4, 16, 96, 300.0), (8, 64, 512, 600.0), (8, 64, 512, 600.0));
+    let policies = [
+        BatchPolicy::Single,
+        BatchPolicy::Dynamic {
+            max_batch: 16,
+            max_delay: Duration::from_millis(2),
+        },
+    ];
 
-    let mut cases: Vec<Case> = Vec::new();
-    let mut coalesced_somewhere = false;
-    for model in zoo() {
-        for policy in policies(2) {
-            let server = build_server(&model, policy, 2);
-            let summary = closed_loop(&server, model.name, clients, per_client, model.feeds_fn);
-            println!(
-                "serve: {:<6} closed {:<18} p50 {:7.3}ms p95 {:7.3}ms p99 {:7.3}ms \
-                 {:7.1} req/s mean batch {:.2}",
-                model.name,
-                policy.label(),
-                summary.p50_ms,
-                summary.p95_ms,
-                summary.p99_ms,
-                summary.throughput_rps,
-                summary.mean_batch_rows,
-            );
-            if matches!(policy, BatchPolicy::Dynamic { .. }) && summary.mean_batch_rows > 1.0 {
-                coalesced_somewhere = true;
+    let mut cells: Vec<Cell> = Vec::new();
+    for model in zoo().iter().filter(|case| MODELS.contains(&case.name)) {
+        // One request is one row: request `i` feeds the case's seed-`i` row.
+        let model = model.at_batch(1);
+        let feeds_fn = |i: usize| model.feeds(i as u64);
+        for policy in policies {
+            for loadgen in ["closed", "open"] {
+                // A fresh server per cell: no warm queues carried over.
+                let server = build_server(&model, policy, 2);
+                let summary = if loadgen == "closed" {
+                    closed_loop(&server, model.name, clients, per_client, feeds_fn)
+                } else {
+                    open_loop(&server, model.name, open_rate, open_total, 0xD5, feeds_fn)
+                };
+                server.shutdown();
+                cells.push(Cell {
+                    model: model.name,
+                    loadgen,
+                    policy_label: policy.label(),
+                    summary,
+                });
             }
-            cases.push(Case {
-                model: model.name,
-                loadgen: "closed",
-                policy_label: policy.label(),
-                summary,
-            });
-            server.shutdown();
-
-            let server = build_server(&model, policy, 2);
-            let summary = open_loop(
-                &server,
-                model.name,
-                open_rate,
-                open_total,
-                0xD5,
-                model.feeds_fn,
-            );
-            println!(
-                "serve: {:<6} open   {:<18} p50 {:7.3}ms p95 {:7.3}ms p99 {:7.3}ms \
-                 {:7.1} req/s rejected {}",
-                model.name,
-                policy.label(),
-                summary.p50_ms,
-                summary.p95_ms,
-                summary.p99_ms,
-                summary.throughput_rps,
-                summary.rejected,
-            );
-            cases.push(Case {
-                model: model.name,
-                loadgen: "open",
-                policy_label: policy.label(),
-                summary,
-            });
-            server.shutdown();
         }
     }
 
-    let rows: Vec<String> = cases
+    let rows: Vec<Json> = cells
         .iter()
         .map(|c| {
             let s = &c.summary;
-            format!(
-                "    {{\"model\": \"{}\", \"loadgen\": \"{}\", \"policy\": \"{}\", \
-                 \"sent\": {}, \"completed\": {}, \"rejected\": {}, \"failed\": {}, \
-                 \"duration_s\": {:.4}, \"throughput_rps\": {:.2}, \
-                 \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, \
-                 \"mean_batch_rows\": {:.3}}}",
-                c.model,
-                c.loadgen,
-                c.policy_label,
-                s.sent,
-                s.completed,
-                s.rejected,
-                s.failed,
-                s.duration_s,
-                s.throughput_rps,
-                s.p50_ms,
-                s.p95_ms,
-                s.p99_ms,
-                s.mean_batch_rows,
-            )
+            Json::obj([
+                ("model", Json::from(c.model)),
+                ("loadgen", Json::from(c.loadgen)),
+                ("policy", Json::from(c.policy_label.as_str())),
+                ("sent", Json::from(s.sent)),
+                ("completed", Json::from(s.completed)),
+                ("rejected", Json::from(s.rejected)),
+                ("failed", Json::from(s.failed)),
+                ("duration_s", Json::fixed(s.duration_s, 4)),
+                ("throughput_rps", Json::fixed(s.throughput_rps, 2)),
+                ("p50_ms", Json::fixed(s.p50_ms, 4)),
+                ("p95_ms", Json::fixed(s.p95_ms, 4)),
+                ("p99_ms", Json::fixed(s.p99_ms, 4)),
+                ("mean_batch_rows", Json::fixed(s.mean_batch_rows, 3)),
+            ])
         })
         .collect();
-    let json = format!(
-        "{{\n  \"benchmark\": \"serve\",\n  \"smoke\": {smoke},\n  \
-         \"clients\": {clients},\n  \"open_rate_rps\": {open_rate},\n  \
-         \"cases\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(path, &json).expect("write BENCH_serve.json");
-    println!("serve: wrote {path}");
 
-    let incomplete: Vec<&Case> = cases
-        .iter()
-        .filter(|c| {
-            c.summary.failed > 0 || c.summary.completed + c.summary.rejected != c.summary.sent
-        })
-        .collect();
-    if !incomplete.is_empty() {
-        for c in &incomplete {
-            eprintln!(
-                "serve: FAIL {} {} {}: sent {} completed {} rejected {} failed {}",
-                c.model,
-                c.loadgen,
-                c.policy_label,
-                c.summary.sent,
-                c.summary.completed,
-                c.summary.rejected,
-                c.summary.failed
-            );
-        }
-        std::process::exit(1);
-    }
-    if !coalesced_somewhere {
-        eprintln!("serve: FAIL dynamic batching never coalesced under closed-loop load");
-        std::process::exit(1);
-    }
-    println!("serve: all requests accounted for; dynamic batching coalesced under load");
+    // One gate per criterion; the detail names the cells that miss it.
+    let label = |c: &Cell| format!("{} {} {}", c.model, c.loadgen, c.policy_label);
+    let failing = |holds: &dyn Fn(&LoadSummary) -> bool| -> Vec<String> {
+        let missing = cells.iter().filter(|c| !holds(&c.summary));
+        missing.map(label).collect()
+    };
+    let lost = failing(&|s| s.failed == 0 && s.completed + s.rejected == s.sent);
+    let unordered = failing(&|s| s.p50_ms <= s.p95_ms && s.p95_ms <= s.p99_ms);
+    let idle = failing(&|s| s.throughput_rps > 0.0);
+    let expected_cells = MODELS.len() * policies.len() * 2;
+    let distinct: std::collections::HashSet<String> = cells.iter().map(label).collect();
+    let coalesced = cells.iter().any(|c| {
+        c.loadgen == "closed"
+            && c.policy_label.starts_with("dynamic")
+            && c.summary.mean_batch_rows > 1.0
+    });
+    report
+        .field("clients", clients)
+        .field("open_rate_rps", open_rate)
+        .rows("cases", rows)
+        .gate(
+            "cells",
+            distinct.len() == expected_cells,
+            format!(
+                "{} distinct (model, loadgen, policy) cells of {expected_cells}",
+                distinct.len()
+            ),
+        )
+        .gate(
+            "all_requests_accounted",
+            lost.is_empty(),
+            format!("failed == 0 and completed + rejected == sent; failing: {lost:?}"),
+        )
+        .gate(
+            "percentiles_ordered",
+            unordered.is_empty(),
+            format!("p50 <= p95 <= p99; failing: {unordered:?}"),
+        )
+        .gate(
+            "throughput_positive",
+            idle.is_empty(),
+            format!("failing: {idle:?}"),
+        )
+        .gate(
+            "dynamic_batching_coalesces",
+            coalesced,
+            "mean batch rows > 1 on a closed-loop dynamic cell",
+        );
+    report.finish()
 }

@@ -3,19 +3,23 @@
 //! Summing per-brick span times under-predicts a real model: every node
 //! also pays a dispatch cost the spans do not cover (topological walk,
 //! feed routing, timer bookkeeping). That overhead is *measured*, not
-//! assumed: [`calibrate`] runs two Relu-chain networks of different
-//! depths, subtracts their operator-span totals from wall time, and
-//! solves the two-point linear system for a fixed-per-pass and a
-//! per-node overhead term — separately for forward-only and full
-//! training passes, which exercise different amounts of glue.
+//! assumed: [`Calibration`] runs two Relu-chain networks of different
+//! depths through the timing loop, subtracts their operator-span totals
+//! from wall time, and solves the two-point linear system for a
+//! fixed-per-pass and a per-node overhead term — separately for
+//! forward-only and full training passes, which exercise different
+//! amounts of glue.
 
 use super::decompose::{BrickInstance, BrickKey};
 use super::microbench::BrickCost;
-use deep500::graph::{Engine, ExecutorKind, Network};
-use deep500::ops::registry::Attributes;
-use deep500::tensor::{Shape, Tensor, Xoshiro256StarStar};
+use crate::{time_rounds, Subject};
+use deep500::graph::builder::NetworkBuilder;
+use deep500::graph::models::{feed_refs, ZooCase};
+use deep500::graph::{Engine, ExecutorKind};
+use deep500::metrics::stats::Summary;
+use deep500::metrics::TraceRecorder;
+use deep500::tensor::{Shape, Tensor};
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// Measured dispatch overhead of the execution engine, seconds.
 #[derive(Debug, Clone, Copy, Default)]
@@ -39,128 +43,102 @@ pub struct Prediction {
     pub train_s: f64,
 }
 
-/// A `k`-deep Relu chain with an MseLoss tail: `k + 1` nodes whose
-/// operator work is deliberately tiny, so wall time minus span time is
-/// almost pure dispatch overhead.
-fn relu_chain(k: usize) -> Result<(Network, Vec<(String, Tensor)>), String> {
-    let shape = Shape::new(&[32, 64]);
-    let mut rng = Xoshiro256StarStar::seed_from_u64(0xca11);
-    let mut net = Network::new(format!("calibrate-relu-{k}"));
-    net.add_input("x");
-    let mut prev = "x".to_string();
-    for i in 0..k {
-        let out = format!("a{i}");
-        net.add_node(
-            format!("relu{i}"),
-            "Relu",
-            Attributes::new(),
-            &[&prev],
-            &[&out],
-        )
-        .map_err(|e| format!("calibration chain: {e}"))?;
-        prev = out;
+/// A `k`-deep Relu chain under the zoo's classifier head: `k + 2` nodes
+/// whose operator work is deliberately tiny, so wall time minus span time
+/// is almost pure dispatch overhead.
+fn relu_chain(k: usize) -> Result<ZooCase, String> {
+    let mut chain = NetworkBuilder::vector_input("calibrate-relu", 64, 0xca11);
+    for _ in 0..k {
+        chain = chain.relu();
     }
-    net.add_input("target");
-    net.add_node(
-        "mse",
-        "MseLoss",
-        Attributes::new(),
-        &[&prev, "target"],
-        &["loss"],
-    )
-    .map_err(|e| format!("calibration chain: {e}"))?;
-    net.add_output("loss");
-    let feeds = vec![
-        (
-            "x".to_string(),
-            Tensor::rand_uniform(shape.clone(), -0.5, 0.5, &mut rng),
-        ),
-        (
-            "target".to_string(),
-            Tensor::rand_uniform(shape, -0.5, 0.5, &mut rng),
-        ),
-    ];
-    Ok((net, feeds))
+    Ok(ZooCase {
+        name: "calibrate-relu",
+        net: chain
+            .classifier_loss()
+            .build()
+            .map_err(|e| format!("calibration chain: {e}"))?,
+        x: Shape::new(&[32, 64]),
+        classes: 64,
+    })
 }
 
-/// Best-of-N (forward, train) overhead of one pass over `net`: wall time
-/// minus the sum of all operator span deltas.
-fn measure_overhead(
-    net: Network,
-    feeds: &[(String, Tensor)],
-    warmup: usize,
-    rounds: usize,
-) -> Result<(f64, f64), String> {
-    // Trace exactly like the whole-model validation runs do: per-op span
-    // recording is part of the dispatch overhead a traced model pays, so
-    // the calibration chain must pay it too.
-    let recorder = deep500::metrics::TraceRecorder::new();
-    let engine = Engine::builder(net)
-        .executor(ExecutorKind::Reference)
-        .trace(&recorder)
-        .build()
-        .map_err(|e| format!("calibration engine: {e}"))?;
-    let session = engine.session();
-    let feed_refs =
-        || -> Vec<(&str, Tensor)> { feeds.iter().map(|(n, t)| (n.as_str(), t.clone())).collect() };
-    let span_totals = || -> (f64, f64) {
-        engine
-            .lock()
-            .op_attribution()
-            .iter()
-            .map(|r| (r.forward_s, r.backward_s))
-            .fold((0.0, 0.0), |(f, b), (df, db)| (f + df, b + db))
-    };
+/// The two calibration chains, built and traced exactly like the
+/// whole-model validation runs: per-op span recording is part of the
+/// dispatch overhead a traced model pays, so the chains must pay it too.
+pub struct Calibration {
+    chains: Vec<(Engine, Vec<(String, Tensor)>)>,
+}
 
-    for _ in 0..warmup.max(1) {
-        session
-            .infer_and_backprop(&feed_refs(), "loss")
-            .map_err(|e| format!("calibration warmup: {e}"))?;
+impl Calibration {
+    const DEPTHS: [usize; 2] = [4, 16];
+
+    pub fn new() -> Result<Calibration, String> {
+        let recorder = TraceRecorder::new();
+        let mut chains = Vec::new();
+        for k in Self::DEPTHS {
+            let chain = relu_chain(k)?;
+            let feeds = chain.feeds(0xca11);
+            let engine = Engine::builder(chain.net)
+                .executor(ExecutorKind::Reference)
+                .trace(&recorder)
+                .build()
+                .map_err(|e| format!("calibration engine: {e}"))?;
+            chains.push((engine, feeds));
+        }
+        Ok(Calibration { chains })
     }
 
-    let mut fwd_overhead = f64::INFINITY;
-    let mut train_overhead = f64::INFINITY;
-    for _ in 0..rounds.max(1) {
-        let (f0, _) = span_totals();
-        let t0 = Instant::now();
-        session
-            .infer(&feed_refs())
-            .map_err(|e| format!("calibration infer: {e}"))?;
-        let wall = t0.elapsed().as_secs_f64();
-        let (f1, _) = span_totals();
-        fwd_overhead = fwd_overhead.min((wall - (f1 - f0)).max(0.0));
-
-        let (f0, b0) = span_totals();
-        let t0 = Instant::now();
-        session
-            .infer_and_backprop(&feed_refs(), "loss")
-            .map_err(|e| format!("calibration train: {e}"))?;
-        let wall = t0.elapsed().as_secs_f64();
-        let (f1, b1) = span_totals();
-        train_overhead = train_overhead.min((wall - (f1 - f0) - (b1 - b0)).max(0.0));
+    /// Four timing-loop subjects — per chain a forward pass, then a
+    /// training pass — each timing just the pass and returning the
+    /// operator-span seconds inside it, so `wall - spans` is the pass's
+    /// dispatch overhead.
+    pub fn subjects(&self) -> Vec<Subject<'_>> {
+        let mut subjects = Vec::new();
+        for (engine, feeds) in &self.chains {
+            for train in [false, true] {
+                subjects.push(Subject::spans(move |lap| {
+                    let span_total = || -> f64 {
+                        let rows = engine.lock().op_attribution();
+                        rows.iter().map(|r| r.forward_s + r.backward_s).sum()
+                    };
+                    let (before, session, feeds) =
+                        (span_total(), engine.session(), feed_refs(feeds));
+                    lap.time(|| match train {
+                        false => session.infer(&feeds),
+                        true => session.infer_and_backprop(&feeds, "loss"),
+                    })
+                    .expect("calibration chain runs");
+                    vec![span_total() - before]
+                }));
+            }
+        }
+        subjects
     }
-    Ok((fwd_overhead, train_overhead))
+
+    /// Solve the two-point system from the timing loop's output for
+    /// [`Self::subjects`].
+    pub fn solve(&self, summaries: &[Vec<Summary>]) -> Overhead {
+        let overhead = |i: usize| (summaries[i][0].median - summaries[i][1].median).max(0.0);
+        let (f1, t1, f2, t2) = (overhead(0), overhead(1), overhead(2), overhead(3));
+        // The classifier head (logits alias + loss) makes the counts k + 2.
+        let n1 = (Self::DEPTHS[0] + 2) as f64;
+        let n2 = (Self::DEPTHS[1] + 2) as f64;
+        let fwd_per_node_s = ((f2 - f1) / (n2 - n1)).max(0.0);
+        let train_per_node_s = ((t2 - t1) / (n2 - n1)).max(0.0);
+        Overhead {
+            fwd_fixed_s: (f1 - fwd_per_node_s * n1).max(0.0),
+            fwd_per_node_s,
+            train_fixed_s: (t1 - train_per_node_s * n1).max(0.0),
+            train_per_node_s,
+        }
+    }
 }
 
 /// Measure the engine's dispatch overhead from two Relu-chain depths.
 pub fn calibrate(warmup: usize, rounds: usize) -> Result<Overhead, String> {
-    const K1: usize = 4;
-    const K2: usize = 16;
-    let (net1, feeds1) = relu_chain(K1)?;
-    let (net2, feeds2) = relu_chain(K2)?;
-    let (f1, t1) = measure_overhead(net1, &feeds1, warmup, rounds)?;
-    let (f2, t2) = measure_overhead(net2, &feeds2, warmup, rounds)?;
-    // The MseLoss tail makes the node counts k + 1.
-    let n1 = (K1 + 1) as f64;
-    let n2 = (K2 + 1) as f64;
-    let fwd_per_node_s = ((f2 - f1) / (n2 - n1)).max(0.0);
-    let train_per_node_s = ((t2 - t1) / (n2 - n1)).max(0.0);
-    Ok(Overhead {
-        fwd_fixed_s: (f1 - fwd_per_node_s * n1).max(0.0),
-        fwd_per_node_s,
-        train_fixed_s: (t1 - train_per_node_s * n1).max(0.0),
-        train_per_node_s,
-    })
+    let calibration = Calibration::new()?;
+    let summaries = time_rounds(warmup, rounds, &mut calibration.subjects());
+    Ok(calibration.solve(&summaries))
 }
 
 /// Predict a model's per-pass runtime by summing its bricks' measured
@@ -177,9 +155,9 @@ pub fn predict(
             .get(&inst.key)
             .ok_or_else(|| format!("no measured cost for brick {}", inst.key.render()))?;
         fwd += c.forward_s;
-        // Backprop never reaches gradient-free nodes (dead branches like
-        // a logits alias): the executor skips their backward entirely.
-        if inst.grad_density > 0.0 {
+        // The executor skips the backward of a node backprop never
+        // reaches (a dead branch) entirely.
+        if inst.reached {
             bwd += c.backward_s;
         }
     }

@@ -4,14 +4,16 @@
 //! to resolve every tensor, and emits one [`BrickInstance`] per node. The
 //! instance's [`BrickKey`] is the canonical identity used for
 //! deduplication: operator kind, attributes in sorted order, resolved
-//! input shapes, dtype, and the dispatch tier the operator reports for
-//! those shapes (`Operator::annotation`, e.g. a convolution's resolved
+//! input shapes, dtype, the dispatch tier the operator reports for those
+//! shapes (`Operator::annotation`, e.g. a convolution's resolved
 //! algorithm) — two convolutions that dispatch to different tiers are
-//! different bricks even if their attributes agree.
+//! different bricks even if their attributes agree — and the `wanted`
+//! mask of input gradients its backward owes.
 
 use deep500::graph::Network;
 use deep500::ops::registry::{create_op, AttrValue, Attributes};
 use deep500::tensor::Shape;
+use std::collections::HashSet;
 
 /// Canonical brick identity: the dedup key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -27,13 +29,6 @@ pub struct BrickKey {
     /// The dispatch tier the operator resolves to at these shapes
     /// (empty for ops that report none).
     pub tier: String,
-    /// Expected density (percent, bucketed) of the output gradient the
-    /// node receives during backprop in its parent model — a node below a
-    /// max-pool sees a mostly-zero dY. Vestigial as a cost predictor since
-    /// the conv backward became a dense GEMM lowering (no kernel skips
-    /// zero gradient elements any more); kept in the key until the
-    /// follow-up that removes the density model.
-    pub grad_pct: u8,
     /// Which input gradients the parent model's backward sweep reads
     /// (`Operator::backward_wanted`): parameters and node-produced
     /// activations, not feeds. A first layer skips its dX product, so it
@@ -59,7 +54,6 @@ impl BrickKey {
         if !self.tier.is_empty() {
             s.push_str(&format!(" {}", self.tier));
         }
-        s.push_str(&format!(" grad={}%", self.grad_pct));
         if self.wanted.contains(&false) {
             let mask: String = self
                 .wanted
@@ -110,58 +104,26 @@ pub struct BrickInstance {
     pub attrs: Attributes,
     pub inputs: Vec<BrickInput>,
     pub out_shape: Shape,
-    /// Unbucketed incoming-gradient density in `[0, 1]` (0 when backprop
-    /// from `loss` never reaches this node).
-    pub grad_density: f64,
+    /// Whether backprop from `loss` reaches this node. The executors skip
+    /// the backward of a node no gradient arrives at (a dead branch), so
+    /// the predictor must not charge for it. Not part of the key: the
+    /// brick's own cost is the same either way.
+    pub reached: bool,
 }
 
-/// Propagate expected gradient density backward from `loss`.
-///
-/// Backprop's cost depends on how sparse the flowing gradient is: a
-/// max-pool passes gradient to one input element per window, a ReLU
-/// zeroes it wherever the activation was clipped, while GEMM-backed ops
-/// (conv, linear, batchnorm, losses) emit fully dense input gradients
-/// regardless of what they receive. This walk assigns every tensor the
-/// density of the gradient it will carry; multiple consumers accumulate
-/// (saturating at 1.0), and a tensor backprop never reaches stays at 0.
-fn grad_densities(
-    ir: &deep500::verify::ir::GraphIr,
-    shapes: &std::collections::HashMap<String, Shape>,
-    loss: &str,
-) -> std::collections::HashMap<String, f64> {
-    let mut density: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
-    density.insert(loss.to_string(), 1.0);
+/// The tensors backprop from `loss` delivers a gradient to: `loss` itself
+/// and, walking the nodes in reverse, every input of a node one of whose
+/// outputs is already in the set.
+fn reached_tensors(ir: &deep500::verify::ir::GraphIr, loss: &str) -> HashSet<String> {
+    let mut reached = HashSet::from([loss.to_string()]);
     // `to_ir` preserves construction order, which is topological for every
     // network the builder APIs produce.
     for node in ir.nodes.iter().rev() {
-        let dout: f64 = node
-            .outputs
-            .iter()
-            .map(|o| density.get(o).copied().unwrap_or(0.0))
-            .fold(0.0, f64::max);
-        if dout == 0.0 {
-            continue;
-        }
-        let numel = |name: &str| shapes.get(name).map(|s| s.numel().max(1)).unwrap_or(1);
-        for (i, input) in node.inputs.iter().enumerate() {
-            let d_in = match node.op_type.as_str() {
-                // Element-wise mask: roughly half the activations clip.
-                "Relu" => dout * 0.5,
-                // One winning element per pooling window.
-                "MaxPool2d" => dout * numel(&node.outputs[0]) as f64 / numel(input) as f64,
-                // Gradient passes through unchanged (zeros stay zeros).
-                "Add" | "Flatten" | "Reshape" | "Scale" | "Identity" => dout,
-                // Losses are not differentiable in their label input.
-                "SoftmaxCrossEntropy" if i == 1 => 0.0,
-                // Everything else (conv, linear, batchnorm, losses, ...)
-                // produces dense input gradients.
-                _ => 1.0,
-            };
-            let slot = density.entry(input.clone()).or_insert(0.0);
-            *slot = (*slot + d_in).min(1.0);
+        if node.outputs.iter().any(|o| reached.contains(o)) {
+            reached.extend(node.inputs.iter().cloned());
         }
     }
-    density
+    reached
 }
 
 /// Decompose `net` into one brick per node under the given feed shapes,
@@ -176,9 +138,8 @@ pub fn decompose(
     let ir = net.to_ir();
     let mut lints = Vec::new();
     let shapes = deep500::verify::shape_pass::infer(&ir, input_shapes, &[], &mut lints);
-    let density = grad_densities(&ir, &shapes, loss);
-    let produced: std::collections::HashSet<&String> =
-        ir.nodes.iter().flat_map(|n| n.outputs.iter()).collect();
+    let reached = reached_tensors(&ir, loss);
+    let produced: HashSet<&String> = ir.nodes.iter().flat_map(|n| n.outputs.iter()).collect();
 
     let mut bricks = Vec::with_capacity(ir.nodes.len());
     for node in &ir.nodes {
@@ -222,15 +183,6 @@ pub fn decompose(
             Some(AttrValue::Str(s)) => s.clone(),
             _ => "f32".to_string(),
         };
-        let grad_density = density
-            .get(&node.outputs[0])
-            .copied()
-            .unwrap_or(0.0)
-            .clamp(0.0, 1.0);
-        // Bucket to 5% steps: close-enough densities cost the same to
-        // run, and finer buckets would shred the dedup ratio.
-        let grad_pct = ((grad_density * 20.0).round() * 5.0) as u8;
-
         let inputs: Vec<BrickInput> = node
             .inputs
             .iter()
@@ -247,7 +199,6 @@ pub fn decompose(
             in_dims: in_shapes.iter().map(|s| s.dims().to_vec()).collect(),
             dtype,
             tier,
-            grad_pct,
             wanted: inputs.iter().map(|i| i.is_param || i.produced).collect(),
         };
         bricks.push(BrickInstance {
@@ -256,7 +207,7 @@ pub fn decompose(
             attrs: node.attrs.clone(),
             inputs,
             out_shape,
-            grad_density,
+            reached: reached.contains(&node.outputs[0]),
         });
     }
     Ok(bricks)

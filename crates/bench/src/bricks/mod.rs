@@ -14,15 +14,15 @@
 //! 1. [`decompose`](decompose::decompose) — walk a model's verifier IR
 //!    ([`Network::to_ir`]), run the concrete shape pass, and emit one
 //!    [`BrickInstance`] per node, keyed by (op kind, canonical attributes,
-//!    resolved input shapes, dtype, tier).
+//!    resolved input shapes, dtype, tier, wanted input gradients).
 //! 2. [`dedup`](dedup::dedup) — union instances across the zoo into a
 //!    [`BrickSet`] of unique bricks with multiplicities, reporting the
 //!    dedup ratio.
 //! 3. [`microbench`](microbench::measure) — benchmark each unique brick
 //!    once, through the same `Engine`/`Session` front door the serving
-//!    and training layers use, with warmup and interleaved best-of-N.
+//!    and training layers use, as subjects of the crate's one timing loop.
 //! 4. [`compose`](compose::predict) — sum brick costs plus a measured
-//!    per-node dispatch overhead term ([`compose::calibrate`]) into
+//!    per-node dispatch overhead term ([`compose::Calibration`]) into
 //!    whole-model forward and training-step predictions, validated
 //!    against `TraceRecorder` measurements by the `bricks` bin.
 //!
@@ -33,7 +33,7 @@ pub mod decompose;
 pub mod dedup;
 pub mod microbench;
 
-pub use compose::{calibrate, predict, Overhead, Prediction};
+pub use compose::{calibrate, predict, Calibration, Overhead, Prediction};
 pub use decompose::{decompose, BrickInput, BrickInstance, BrickKey};
 pub use dedup::{dedup, Brick, BrickSet};
 pub use microbench::{measure, BrickCost, MicroRunner};

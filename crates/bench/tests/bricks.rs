@@ -1,14 +1,15 @@
-//! Brick subsystem regressions: decompose/dedup round-trip, gradient-
-//! density modeling, and end-to-end prediction error.
+//! Brick subsystem regressions: decompose/dedup round-trip over the zoo,
+//! backprop reachability, and end-to-end prediction error.
 
-use deep500::graph::{models, Engine, ExecutorKind};
+use deep500::graph::models::{self, zoo};
+use deep500::graph::{Engine, ExecutorKind};
 use deep500::metrics::{Phase, TraceRecorder};
 use deep500::tensor::{Shape, Tensor, Xoshiro256StarStar};
 use deep500_bench::bricks::{calibrate, decompose, dedup, measure, predict, BrickCost, BrickKey};
+use deep500_bench::{time_rounds, Subject};
 use std::collections::HashMap;
 
 fn mlp_feeds(batch: usize, features: usize) -> Vec<(&'static str, Shape)> {
-    let _ = features;
     vec![
         ("x", Shape::new(&[batch, features])),
         ("labels", Shape::new(&[batch])),
@@ -17,36 +18,17 @@ fn mlp_feeds(batch: usize, features: usize) -> Vec<(&'static str, Shape)> {
 
 #[test]
 fn decompose_dedup_round_trip_preserves_every_node() {
+    let mlp = |seed| {
+        let net = models::mlp(16, &[32, 24], 4, seed).unwrap();
+        decompose(&net, &mlp_feeds(8, 16), "loss").unwrap()
+    };
+    let lenet = zoo().swap_remove(2);
     let zoo = vec![
-        (
-            "mlp_a".to_string(),
-            decompose(
-                &models::mlp(16, &[32, 24], 4, 1).unwrap(),
-                &mlp_feeds(8, 16),
-                "loss",
-            )
-            .unwrap(),
-        ),
-        (
-            "mlp_b".to_string(),
-            decompose(
-                &models::mlp(16, &[32, 24], 4, 2).unwrap(),
-                &mlp_feeds(8, 16),
-                "loss",
-            )
-            .unwrap(),
-        ),
+        ("mlp_a".to_string(), mlp(1)),
+        ("mlp_b".to_string(), mlp(2)),
         (
             "lenet".to_string(),
-            decompose(
-                &models::lenet(1, 14, 4, 3).unwrap(),
-                &[
-                    ("x", Shape::new(&[2, 1, 14, 14])),
-                    ("labels", Shape::new(&[2])),
-                ],
-                "loss",
-            )
-            .unwrap(),
+            decompose(&lenet.net, &lenet.input_shapes(), "loss").unwrap(),
         ),
     ];
     let total: usize = zoo.iter().map(|(_, v)| v.len()).sum();
@@ -79,8 +61,35 @@ fn decompose_dedup_round_trip_preserves_every_node() {
     );
 }
 
+/// The key holds what a brick's cost depends on and nothing else: with the
+/// gradient-density component gone, fewer key components can only merge
+/// bricks, so the zoo must dedup at least as well as it did with it
+/// (103 instances -> 54 bricks).
 #[test]
-fn gradient_density_reflects_backprop_context() {
+fn dedup_ratio_did_not_fall_with_the_density_key_gone() {
+    let per_model: Vec<(String, Vec<_>)> = zoo()
+        .iter()
+        .map(|case| {
+            let instances = decompose(&case.net, &case.input_shapes(), "loss").unwrap();
+            (case.name.to_string(), instances)
+        })
+        .collect();
+    let set = dedup(&per_model);
+    assert_eq!(set.total_instances, 103, "the zoo's node count moved");
+    assert!(
+        set.len() <= 54,
+        "{} unique bricks, more than with the density key",
+        set.len()
+    );
+    assert!(set.dedup_ratio() >= 103.0 / 54.0);
+    // First layers skip dX: the `wanted` mask still splits them off.
+    assert!(set.bricks.iter().any(|b| b.key.wanted.contains(&false)));
+}
+
+#[test]
+fn reached_marks_the_backprop_path_and_dead_branches_are_not_charged() {
+    // Every node of a classifier sits on the path to its loss (the logits
+    // alias too: the loss consumes its output).
     let bricks = decompose(
         &models::lenet(1, 14, 4, 3).unwrap(),
         &[
@@ -90,34 +99,12 @@ fn gradient_density_reflects_backprop_context() {
         "loss",
     )
     .unwrap();
+    for b in &bricks {
+        assert!(b.reached, "{}", b.node);
+    }
 
-    // The first conv sits below a relu and a max-pool in backprop order:
-    // its incoming gradient must be modeled as mostly zeros.
-    let conv1 = bricks
-        .iter()
-        .find(|b| b.key.op_type == "Conv2d")
-        .expect("lenet has convs");
-    assert!(
-        conv1.grad_density < 0.5,
-        "conv below relu+pool must see a sparse gradient, got {}",
-        conv1.grad_density
-    );
-
-    // The loss node itself receives the dense seed, and the logits alias
-    // sits on the backprop path (the loss consumes its output).
-    let loss = bricks
-        .iter()
-        .find(|b| b.key.op_type == "SoftmaxCrossEntropy")
-        .expect("lenet ends in a classifier loss");
-    assert_eq!(loss.key.grad_pct, 100);
-    let alias = bricks
-        .iter()
-        .find(|b| b.node.contains("alias"))
-        .expect("classifier head exposes a logits alias");
-    assert_eq!(alias.key.grad_pct, 100);
-
-    // A branch backprop never reaches gets density 0: the executor skips
-    // its backward entirely, and the predictor must not charge for it.
+    // A branch backprop never reaches: the executor skips its backward
+    // entirely, and the predictor must not charge for it.
     let mut net = deep500::graph::Network::new("dead-branch");
     net.add_input("x");
     net.add_input("target");
@@ -137,8 +124,21 @@ fn gradient_density_reflects_backprop_context() {
     )
     .unwrap();
     let by_node = |n: &str| bricks.iter().find(|b| b.node == n).unwrap();
-    assert_eq!(by_node("dead").grad_density, 0.0);
-    assert_eq!(by_node("live").key.grad_pct, 100);
+    assert!(by_node("live").reached && by_node("mse").reached);
+    assert!(!by_node("dead").reached);
+    // Same op, shapes and wanted mask: one brick, whichever side of the
+    // loss it sits on.
+    assert_eq!(by_node("live").key, by_node("dead").key);
+
+    let cost = BrickCost {
+        forward_s: 1.0,
+        backward_s: 10.0,
+    };
+    let costs: HashMap<BrickKey, BrickCost> =
+        bricks.iter().map(|b| (b.key.clone(), cost)).collect();
+    let pred = predict(&bricks, &costs, &Default::default()).unwrap();
+    assert_eq!(pred.forward_s, 3.0);
+    assert_eq!(pred.train_s, 3.0 + 20.0, "two reached backwards, not three");
 }
 
 /// End-to-end prediction-error regression. The release-build `bricks` bin
@@ -177,15 +177,12 @@ fn composed_prediction_tracks_whole_model_measurement() {
     let labels: Vec<f32> = (0..batch).map(|i| (i % 4) as f32).collect();
     let labels = Tensor::from_vec(Shape::new(&[batch]), labels).unwrap();
     let feeds = vec![("x", x), ("labels", labels)];
-    for _ in 0..2 {
-        session.infer_and_backprop(&feeds, "loss").unwrap();
-    }
-    let mut meas_train = f64::INFINITY;
-    for _ in 0..5 {
+    let mut train_step = [Subject::spans(|_| {
         let t0 = recorder.phase_total_s(Phase::Backprop);
         session.infer_and_backprop(&feeds, "loss").unwrap();
-        meas_train = meas_train.min(recorder.phase_total_s(Phase::Backprop) - t0);
-    }
+        vec![recorder.phase_total_s(Phase::Backprop) - t0]
+    })];
+    let meas_train = time_rounds(2, 5, &mut train_step)[0][1].median;
 
     let rel_err = (pred.train_s - meas_train).abs() / meas_train;
     assert!(

@@ -15,41 +15,10 @@
 //! any model produces a Deny lint.
 
 use deep500::graph::compile::{compile, CompileOptions, ExecutionPlan};
-use deep500::graph::models;
+use deep500::graph::models::zoo;
 use deep500::graph::network::Network;
 use deep500::tensor::Shape;
 use deep500::verify::{check_plan, PlanIr, SymShape, Verifier};
-
-struct Case {
-    name: &'static str,
-    net: Network,
-    x: Shape,
-}
-
-fn zoo() -> Vec<Case> {
-    vec![
-        Case {
-            name: "mlp",
-            net: models::mlp(12, &[10, 8], 4, 3).expect("bundled model"),
-            x: Shape::new(&[3, 12]),
-        },
-        Case {
-            name: "lenet",
-            net: models::lenet(1, 14, 4, 5).expect("bundled model"),
-            x: Shape::new(&[2, 1, 14, 14]),
-        },
-        Case {
-            name: "alexnet",
-            net: models::alexnet_like(1, 16, 5, 6).expect("bundled model"),
-            x: Shape::new(&[2, 1, 16, 16]),
-        },
-        Case {
-            name: "resnet",
-            net: models::resnet_like(1, 8, 4, 2, 3, 7).expect("bundled model"),
-            x: Shape::new(&[2, 1, 8, 8]),
-        },
-    ]
-}
 
 /// Lower a network's frozen execution plan at the given feed shapes and
 /// return its [`PlanIr`], or exit-worthy text on failure.
@@ -87,10 +56,8 @@ fn check_variant(label: &str, plan: Result<PlanIr, String>, explain: bool) -> us
 fn verify_plans(explain: bool) -> usize {
     let mut denies = 0usize;
     for case in zoo() {
-        for batch in [1usize, case.x.dim(0), 8] {
-            let mut dims = case.x.dims().to_vec();
-            dims[0] = batch;
-            let shapes = [("x", Shape::new(&dims)), ("labels", Shape::new(&[batch]))];
+        for batch in [1usize, case.batch(), 8] {
+            let shapes = case.at_batch(batch).input_shapes();
             println!("model '{}' @ batch {batch}:", case.name);
             denies += check_variant("raw", lower_plan(&case.net, &shapes, &[]), explain);
 
@@ -135,10 +102,7 @@ fn main() {
     let mut denies = 0usize;
     for case in zoo() {
         let ir = case.net.to_ir();
-        let batch = case.x.dim(0);
-        let labels = Shape::new(&[batch]);
-        let report =
-            Verifier::new().check_with_inputs(&ir, &[("x", case.x.clone()), ("labels", labels)]);
+        let report = Verifier::new().check_with_inputs(&ir, &case.input_shapes());
         // Symbolic pass rides along so batch-pinned constructs surface
         // as warnings in the same run.
         let (sym_report, _) = Verifier::new().check_symbolic(

@@ -56,55 +56,34 @@ use crate::network::Network;
 use crate::transforms::fusion;
 use deep500_tensor::{Error, Result, Shape};
 
-/// Which passes the compile driver runs, in its fixed order:
-/// conv layout selection → constant folding → CSE → elementwise-chain
-/// fusion → GEMM-epilogue fusion.
+/// The compile driver always runs its passes in one fixed order — conv
+/// layout selection → constant folding → CSE → elementwise-chain fusion →
+/// GEMM-epilogue fusion. The one decision a caller makes is whether the
+/// parameters are constants.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
-    /// Pin each convolution's execution tier from static shapes and (with
-    /// `freeze_params`) hoist direct-tier filter packing out of the hot
-    /// path. Runs first so the constant folder can elide the pack nodes.
-    pub layout: bool,
-    /// Fold nodes whose inputs are all compile-time constants.
-    pub const_fold: bool,
-    /// Treat parameters as constants when folding. Off for training:
+    /// Treat parameters as constants: fold through them and hoist
+    /// direct-tier filter packing out of the hot path. Off for training —
     /// folded parameters would not see optimizer updates.
-    pub freeze_params: bool,
-    /// Merge structurally identical nodes (same op type, attributes, and
-    /// inputs).
-    pub cse: bool,
-    /// Collapse elementwise chains into `FusedElementwise` nodes.
-    pub fuse_elementwise: bool,
-    /// Fold single-consumer `Relu`s into GEMM write-back epilogues.
-    pub fuse_epilogues: bool,
+    freeze_params: bool,
 }
 
 impl CompileOptions {
-    /// Everything on — parameters are constants, ReLUs ride GEMM
-    /// epilogues. For inference-only deployment.
+    /// Parameters are constants: everything folds, packed filters are
+    /// materialized ahead of time. For inference-only deployment.
     pub fn inference() -> Self {
         CompileOptions {
-            layout: true,
-            const_fold: true,
             freeze_params: true,
-            cse: true,
-            fuse_elementwise: true,
-            fuse_epilogues: true,
         }
     }
 
-    /// Training-safe subset: parameters stay live (no folding through
-    /// them), but CSE and both fusions apply — their backward passes are
-    /// exact (the fused epilogue masks gradients identically to a
+    /// Training-safe: parameters stay live (no folding through them), but
+    /// layout pinning, CSE and both fusions apply — their backward passes
+    /// are exact (the fused epilogue masks gradients identically to a
     /// standalone `Relu` node).
     pub fn training() -> Self {
         CompileOptions {
-            layout: true,
-            const_fold: false,
             freeze_params: false,
-            cse: true,
-            fuse_elementwise: true,
-            fuse_epilogues: true,
         }
     }
 }
@@ -179,7 +158,7 @@ fn gate_pass(
     }
 }
 
-/// Compile `net` in place: run the enabled passes in order, gating each on
+/// Compile `net` in place: run the passes in order, gating each on
 /// the transform-safety harness under the given graph-input shapes.
 /// Returns what was rewritten. The network afterwards is ready for any
 /// executor; [`PlannedExecutor`] additionally freezes the schedule and
@@ -194,42 +173,35 @@ pub fn compile(
         ..CompileReport::default()
     };
 
-    if opts.layout {
-        let before = net.to_ir();
-        let lr = layout::select_conv_layouts(net, input_shapes, opts.freeze_params)?;
-        report.conv_retagged = lr.retagged;
-        report.filters_packed = lr.packed;
-        if lr.rewrites() > 0 {
-            gate_pass("layout", &before, net, input_shapes)?;
-        }
+    // Layout runs first so the constant folder can elide the pack nodes.
+    let before = net.to_ir();
+    let lr = layout::select_conv_layouts(net, input_shapes, opts.freeze_params)?;
+    report.conv_retagged = lr.retagged;
+    report.filters_packed = lr.packed;
+    if lr.rewrites() > 0 {
+        gate_pass("layout", &before, net, input_shapes)?;
     }
-    if opts.const_fold {
+    if opts.freeze_params {
         let before = net.to_ir();
-        report.folded = passes::constant_fold(net, opts.freeze_params)?;
+        report.folded = passes::constant_fold(net, true)?;
         if report.folded > 0 {
             gate_pass("constant_fold", &before, net, input_shapes)?;
         }
     }
-    if opts.cse {
-        let before = net.to_ir();
-        report.merged = passes::eliminate_common_subexpressions(net)?;
-        if report.merged > 0 {
-            gate_pass("cse", &before, net, input_shapes)?;
-        }
+    let before = net.to_ir();
+    report.merged = passes::eliminate_common_subexpressions(net)?;
+    if report.merged > 0 {
+        gate_pass("cse", &before, net, input_shapes)?;
     }
-    if opts.fuse_elementwise {
-        let before = net.to_ir();
-        report.fused_elementwise = fusion::fuse_elementwise(net)?;
-        if report.fused_elementwise > 0 {
-            gate_pass("fuse_elementwise", &before, net, input_shapes)?;
-        }
+    let before = net.to_ir();
+    report.fused_elementwise = fusion::fuse_elementwise(net)?;
+    if report.fused_elementwise > 0 {
+        gate_pass("fuse_elementwise", &before, net, input_shapes)?;
     }
-    if opts.fuse_epilogues {
-        let before = net.to_ir();
-        report.fused_epilogues = fusion::fuse_gemm_epilogues(net)?;
-        if report.fused_epilogues > 0 {
-            gate_pass("fuse_gemm_epilogues", &before, net, input_shapes)?;
-        }
+    let before = net.to_ir();
+    report.fused_epilogues = fusion::fuse_gemm_epilogues(net)?;
+    if report.fused_epilogues > 0 {
+        gate_pass("fuse_gemm_epilogues", &before, net, input_shapes)?;
     }
 
     report.nodes_after = net.num_nodes();
@@ -326,7 +298,7 @@ mod tests {
     #[test]
     fn training_options_keep_params_unfolded() {
         let opts = CompileOptions::training();
-        assert!(!opts.const_fold && !opts.freeze_params);
+        assert!(!opts.freeze_params);
         let mut net = models::mlp(4, &[4], 2, 3).unwrap();
         let shapes = [("x", Shape::new(&[1, 4])), ("labels", Shape::new(&[1]))];
         let report = compile(&mut net, &shapes, &opts).unwrap();

@@ -409,7 +409,11 @@ impl PlannedExecutor {
                 )));
             };
             memory.allocate(t.size_bytes())?;
-            env[id] = Some(t.clone());
+            // The copy's buffer ends the pass in a slot or the pool like
+            // every other environment tensor, so it must come out of the
+            // pool too — a plain allocation here would grow the pool by
+            // one feed-sized buffer per pass.
+            env[id] = Some(with_pool(pool, || t.clone()));
             if SHADOW {
                 if let Some(s) = plan.slot_of_id[id] {
                     shadow.occupy(epoch, s, id);
@@ -730,10 +734,13 @@ impl PlannedExecutor {
                 .record_backward(seconds);
         }
 
-        // Publish parameter gradients into the network value store.
+        // Publish parameter gradients into the network value store: the
+        // gradient's buffer moves into the store and the buffer it
+        // displaces goes back to the pool, so no pass copies a gradient
+        // and the pool stays balanced.
         let publish_start = std::time::Instant::now();
         for (pname, gname) in self.network.gradient() {
-            let g = grads.get(&pname).cloned().unwrap_or_else(|| {
+            let g = grads.remove(&pname).unwrap_or_else(|| {
                 let shape = self
                     .network
                     .fetch_tensor(&pname)
@@ -741,7 +748,9 @@ impl PlannedExecutor {
                     .unwrap_or_else(|_| Shape::scalar());
                 Tensor::zeros(shape)
             });
-            self.network.feed_tensor(gname, g);
+            if let Some(displaced) = self.network.feed_tensor(gname, g) {
+                self.pool.recycle(displaced.into_vec());
+            }
         }
         for (_, t) in grads.drain() {
             self.pool.recycle(t.into_vec());
@@ -858,9 +867,7 @@ mod tests {
         ]
     }
 
-    fn as_refs(feeds: &[(String, Tensor)]) -> Vec<(&str, Tensor)> {
-        feeds.iter().map(|(n, t)| (n.as_str(), t.clone())).collect()
-    }
+    use models::feed_refs as as_refs;
 
     #[test]
     fn planned_inference_is_bit_identical_to_reference() {
@@ -1015,5 +1022,41 @@ mod tests {
             second.misses - first.misses < first.misses,
             "slots + pool must absorb second-pass allocations: {first:?} -> {second:?}"
         );
+    }
+
+    /// Every buffer the interpreter parks in the pool was taken from the
+    /// pool: the feed copy used to be a plain allocation that ended each
+    /// pass in the pool, growing it by one feed-sized class per pass.
+    #[test]
+    fn held_bytes_are_flat_across_steady_state_passes() {
+        let case = models::zoo()
+            .into_iter()
+            .find(|c| c.name == "lenet")
+            .expect("zoo has lenet")
+            .at_batch(32);
+        let feeds = case.feeds(1);
+        for backprop in [false, true] {
+            let mut ex =
+                PlannedExecutor::construct(case.net.clone_structure(), usize::MAX).unwrap();
+            let pass = |ex: &mut PlannedExecutor| {
+                if backprop {
+                    ex.inference_and_backprop(&as_refs(&feeds), "loss").unwrap();
+                } else {
+                    ex.inference(&as_refs(&feeds)).unwrap();
+                }
+            };
+            for _ in 0..10 {
+                pass(&mut ex);
+            }
+            let after_10 = ex.pool_stats().held_bytes;
+            for _ in 0..50 {
+                pass(&mut ex);
+            }
+            assert_eq!(
+                ex.pool_stats().held_bytes,
+                after_10,
+                "backprop={backprop}: pool grew between pass 10 and pass 60"
+            );
+        }
     }
 }

@@ -388,9 +388,7 @@ mod tests {
         ]
     }
 
-    fn as_refs(f: &[(String, Tensor)]) -> Vec<(&str, Tensor)> {
-        f.iter().map(|(n, t)| (n.as_str(), t.clone())).collect()
-    }
+    use crate::models::feed_refs as as_refs;
 
     #[test]
     fn builder_replaces_all_three_construction_paths() {

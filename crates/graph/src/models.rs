@@ -7,12 +7,16 @@
 //! micro-batch study. We provide: [`lenet`], [`mlp`], [`alexnet_like`]
 //! (large early convolutions, the OOM workload of Fig. 7), and
 //! [`resnet_like`] (residual blocks with batchnorm and skip `Add`s).
+//!
+//! [`zoo`] is the one list of named, sized instances of those builders
+//! that the bench bins, the `deep500-verify` gate and the parity / plan /
+//! verifier test suites all run over.
 
 use crate::builder::NetworkBuilder;
 use crate::network::Network;
 use deep500_ops::registry::Attributes;
 use deep500_tensor::rng::{init, Xoshiro256StarStar};
-use deep500_tensor::{Result, Tensor};
+use deep500_tensor::{Result, Shape, Tensor};
 
 /// LeNet-5-style CNN for `in_c x hw x hw` inputs (MNIST: 1×28×28).
 /// Ends in a softmax-cross-entropy loss with inputs `x` and `labels` and
@@ -234,6 +238,102 @@ pub fn resnet_like(
     Ok(net)
 }
 
+/// One zoo entry: a classifier network with inputs `x` and `labels` and
+/// outputs `logits` / `loss`, at a concrete batch.
+pub struct ZooCase {
+    pub name: &'static str,
+    pub net: Network,
+    /// Shape of the `x` feed, batch first.
+    pub x: Shape,
+    /// What the logits' last dimension comes out as.
+    pub classes: usize,
+}
+
+impl ZooCase {
+    fn new(name: &'static str, net: Result<Network>, x: &[usize], classes: usize) -> ZooCase {
+        ZooCase {
+            name,
+            net: net.expect("bundled model builds"),
+            x: Shape::new(x),
+            classes,
+        }
+    }
+
+    pub fn batch(&self) -> usize {
+        self.x.dim(0)
+    }
+
+    /// The same model at another batch size.
+    pub fn at_batch(&self, batch: usize) -> ZooCase {
+        let mut dims = self.x.dims().to_vec();
+        dims[0] = batch;
+        ZooCase {
+            name: self.name,
+            net: self.net.clone_structure(),
+            x: Shape::new(&dims),
+            classes: self.classes,
+        }
+    }
+
+    /// Declared shapes of the two graph inputs.
+    pub fn input_shapes(&self) -> Vec<(&'static str, Shape)> {
+        vec![
+            ("x", self.x.clone()),
+            ("labels", Shape::new(&[self.batch()])),
+        ]
+    }
+
+    /// Seeded feeds matching [`Self::input_shapes`]: uniform `x` in
+    /// `[-1, 1)` and class-index labels cycling through every class.
+    pub fn feeds(&self, seed: u64) -> Vec<(String, Tensor)> {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+        let x = Tensor::rand_uniform(self.x.clone(), -1.0, 1.0, &mut rng);
+        let labels: Vec<f32> = (0..self.batch())
+            .map(|i| ((i + seed as usize) % self.classes) as f32)
+            .collect();
+        vec![
+            ("x".to_string(), x),
+            ("labels".to_string(), Tensor::from_slice(&labels)),
+        ]
+    }
+}
+
+/// The model zoo: every architecture family at a small and a larger
+/// size. `resnet_deep` repeats `resnet_like`'s residual block twice as
+/// often — the cross-model sharing brick decomposition exploits.
+pub fn zoo() -> Vec<ZooCase> {
+    vec![
+        ZooCase::new("mlp_small", mlp(16, &[32, 24], 4, 42), &[16, 16], 4),
+        ZooCase::new("mlp_wide", mlp(64, &[256, 128], 8, 43), &[32, 64], 8),
+        ZooCase::new("lenet", lenet(1, 14, 4, 44), &[4, 1, 14, 14], 4),
+        ZooCase::new(
+            "alexnet_like",
+            alexnet_like(1, 16, 5, 45),
+            &[2, 1, 16, 16],
+            5,
+        ),
+        ZooCase::new("mlp_deep", mlp(64, &[128, 128, 128], 8, 47), &[32, 64], 8),
+        ZooCase::new(
+            "resnet_like",
+            resnet_like(1, 8, 8, 2, 4, 46),
+            &[2, 1, 8, 8],
+            4,
+        ),
+        ZooCase::new(
+            "resnet_deep",
+            resnet_like(1, 8, 8, 4, 4, 48),
+            &[2, 1, 8, 8],
+            4,
+        ),
+    ]
+}
+
+/// Borrow owned feeds in the `(&str, Tensor)` form executors and sessions
+/// take.
+pub fn feed_refs(feeds: &[(String, Tensor)]) -> Vec<(&str, Tensor)> {
+    feeds.iter().map(|(n, t)| (n.as_str(), t.clone())).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,5 +402,41 @@ mod tests {
         );
         assert!(loss.is_finite());
         assert_eq!(grads, nparams, "skip connections must not block gradients");
+    }
+
+    #[test]
+    fn every_zoo_case_passes_the_gate_and_feeds_match_input_shapes() {
+        let zoo = zoo();
+        let mut names: Vec<&str> = zoo.iter().map(|c| c.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), zoo.len(), "case names are unique");
+        for case in &zoo {
+            let report = deep500_verify::gate(&case.net.to_ir())
+                .unwrap_or_else(|e| panic!("{} denied by gate: {e}", case.name));
+            assert_eq!(report.deny_count(), 0, "{}", case.name);
+            for c in [case.at_batch(case.batch()), case.at_batch(1)] {
+                let feeds = c.feeds(7);
+                let shapes = c.input_shapes();
+                assert_eq!(feeds.len(), shapes.len(), "{}", c.name);
+                for ((fname, t), (sname, shape)) in feeds.iter().zip(&shapes) {
+                    assert_eq!(fname, sname, "{}", c.name);
+                    assert_eq!(t.shape(), shape, "{}: feed '{fname}'", c.name);
+                }
+                let labels = &feeds[1].1;
+                assert!(
+                    labels.data().iter().all(|&l| (l as usize) < c.classes),
+                    "{}: labels index a class",
+                    c.name
+                );
+                assert_eq!(feed_refs(&feeds)[0].0, "x");
+            }
+            // Seeded: same seed, same bits; another seed, another x.
+            assert_eq!(
+                case.feeds(3)[0].1.data(),
+                case.at_batch(case.batch()).feeds(3)[0].1.data()
+            );
+            assert_ne!(case.feeds(3)[0].1.data(), case.feeds(4)[0].1.data());
+        }
     }
 }

@@ -181,13 +181,12 @@ impl Network {
 
     /// Feed a tensor value by name — updates the parameter if `name` is an
     /// initializer, otherwise stores into the value map (the paper's
-    /// `feed_tensor`).
-    pub fn feed_tensor(&mut self, name: impl Into<String>, value: Tensor) {
+    /// `feed_tensor`). Returns the tensor it displaced, if any.
+    pub fn feed_tensor(&mut self, name: impl Into<String>, value: Tensor) -> Option<Tensor> {
         let name = name.into();
-        if let Some(p) = self.initializers.get_mut(&name) {
-            *p = value;
-        } else {
-            self.values.insert(name, value);
+        match self.initializers.get_mut(&name) {
+            Some(p) => Some(std::mem::replace(p, value)),
+            None => self.values.insert(name, value),
         }
     }
 

@@ -2,7 +2,8 @@
 //! serialize through the shared executor and stay bit-identical to the
 //! same passes run serially from a single thread.
 
-use deep500_graph::{models, Engine, ExecutorKind};
+use deep500_graph::models::{self, feed_refs as as_refs};
+use deep500_graph::{Engine, ExecutorKind};
 use deep500_tensor::Tensor;
 use std::collections::HashMap;
 
@@ -23,10 +24,6 @@ fn feeds(tenant: usize, pass: usize) -> Vec<(String, Tensor)> {
         ),
         ("labels".to_string(), Tensor::from_slice(&labels)),
     ]
-}
-
-fn as_refs(f: &[(String, Tensor)]) -> Vec<(&str, Tensor)> {
-    f.iter().map(|(n, t)| (n.as_str(), t.clone())).collect()
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {

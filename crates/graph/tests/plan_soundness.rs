@@ -14,46 +14,11 @@
 //!   residency protocol agrees with the static proof.
 
 use deep500_graph::compile::{compile, CompileOptions, ExecutionPlan};
+use deep500_graph::models::{feed_refs as as_refs, zoo};
 use deep500_graph::network::Network;
 use deep500_graph::{models, Engine, ExecutorKind, PlannedExecutor};
 use deep500_tensor::{Error, Shape, Tensor};
 use deep500_verify::{check_plan, FrozenMemoIr, LintCode, PlanIr, PlanValueIr};
-
-type Case = (&'static str, Network, Vec<(&'static str, Shape)>);
-
-fn zoo() -> Vec<Case> {
-    vec![
-        (
-            "mlp",
-            models::mlp(12, &[10, 8], 4, 3).unwrap(),
-            vec![("x", Shape::new(&[3, 12])), ("labels", Shape::new(&[3]))],
-        ),
-        (
-            "lenet",
-            models::lenet(1, 14, 4, 5).unwrap(),
-            vec![
-                ("x", Shape::new(&[2, 1, 14, 14])),
-                ("labels", Shape::new(&[2])),
-            ],
-        ),
-        (
-            "alexnet",
-            models::alexnet_like(1, 16, 5, 6).unwrap(),
-            vec![
-                ("x", Shape::new(&[2, 1, 16, 16])),
-                ("labels", Shape::new(&[2])),
-            ],
-        ),
-        (
-            "resnet",
-            models::resnet_like(1, 8, 4, 2, 3, 7).unwrap(),
-            vec![
-                ("x", Shape::new(&[2, 1, 8, 8])),
-                ("labels", Shape::new(&[2])),
-            ],
-        ),
-    ]
-}
 
 fn lower(net: &Network, shapes: &[(&str, Shape)], mutable: &[String]) -> PlanIr {
     let plan = ExecutionPlan::freeze(net, shapes).unwrap();
@@ -61,38 +26,14 @@ fn lower(net: &Network, shapes: &[(&str, Shape)], mutable: &[String]) -> PlanIr 
     plan.to_plan_ir(net, &ops, mutable)
 }
 
-fn feeds_for(shapes: &[(&str, Shape)], salt: u64) -> Vec<(String, Tensor)> {
-    shapes
-        .iter()
-        .map(|(name, shape)| {
-            let data: Vec<f32> = (0..shape.numel())
-                .map(|i| {
-                    if *name == "labels" {
-                        (i % 2) as f32
-                    } else {
-                        ((i as u64 * 37 + salt * 101) % 17) as f32 / 8.5 - 1.0
-                    }
-                })
-                .collect();
-            (
-                name.to_string(),
-                Tensor::from_vec(shape.clone(), data).unwrap(),
-            )
-        })
-        .collect()
-}
-
-fn as_refs(feeds: &[(String, Tensor)]) -> Vec<(&str, Tensor)> {
-    feeds.iter().map(|(n, t)| (n.as_str(), t.clone())).collect()
-}
-
 // ------------------------------------------------------ clean-zoo gates
 
 #[test]
-fn zoo_plans_verify_clean_raw_and_compiled() {
-    for (name, net, shapes) in zoo() {
+fn every_zoo_plan_verifies_clean_raw_and_compiled() {
+    for case in zoo() {
+        let (name, net, shapes) = (case.name, &case.net, case.input_shapes());
         // Raw network (the plan interpreter's default schedule).
-        let ir = lower(&net, &shapes, &[]);
+        let ir = lower(net, &shapes, &[]);
         let report = check_plan(&ir);
         assert!(report.passes(), "{name} raw:\n{}", report.render(true));
 
@@ -121,12 +62,13 @@ fn zoo_plans_verify_clean_raw_and_compiled() {
 // inference and first backprop each pass the mandatory `ensure_plan` gate
 // (V017-V020; the backprop gate with the trained parameters mutable).
 fn wavefront_kind_passes_run_the_mandatory_plan_gate() {
-    for (name, net, shapes) in zoo() {
-        let engine = Engine::builder(net)
+    for case in zoo() {
+        let name = case.name;
+        let feeds = case.feeds(1);
+        let engine = Engine::builder(case.net)
             .executor(ExecutorKind::Wavefront)
             .build()
             .unwrap();
-        let feeds = feeds_for(&shapes, 1);
         let mut ex = engine.lock();
         ex.inference(&as_refs(&feeds))
             .unwrap_or_else(|e| panic!("{name} inference gate: {e}"));
@@ -433,15 +375,16 @@ fn mutant_unordered_memo_producer_is_stale() {
 
 #[test]
 fn shadow_checker_is_clean_on_the_unmutated_zoo() {
-    for (name, net, shapes) in zoo() {
-        let mut ex = Engine::builder(net)
+    for case in zoo() {
+        let name = case.name;
+        let mut ex = Engine::builder(case.net.clone_structure())
             .executor(ExecutorKind::Planned)
             .build()
             .unwrap()
             .into_inner()
             .unwrap();
         for salt in 0..3u64 {
-            let feeds = feeds_for(&shapes, salt);
+            let feeds = case.feeds(salt);
             ex.inference(&as_refs(&feeds)).unwrap();
             // Debug builds track residency; the static proof and the
             // runtime protocol must agree exactly.
@@ -454,7 +397,7 @@ fn shadow_checker_is_clean_on_the_unmutated_zoo() {
         }
         // Backprop passes (residency tracking suspended) followed by more
         // inference: the checker must stay clean across mode switches.
-        let feeds = feeds_for(&shapes, 7);
+        let feeds = case.feeds(7);
         ex.inference_and_backprop(&as_refs(&feeds), "loss").unwrap();
         ex.inference(&as_refs(&feeds)).unwrap();
         if let Some(v) = ex.shadow_violations() {
@@ -465,9 +408,15 @@ fn shadow_checker_is_clean_on_the_unmutated_zoo() {
 
 #[test]
 fn shadow_checker_is_clean_on_compiled_zoo_models() {
-    for (name, net, shapes) in zoo() {
-        let mut compiled = net.clone_structure();
-        compile(&mut compiled, &shapes, &CompileOptions::inference()).unwrap();
+    for case in zoo() {
+        let name = case.name;
+        let mut compiled = case.net.clone_structure();
+        compile(
+            &mut compiled,
+            &case.input_shapes(),
+            &CompileOptions::inference(),
+        )
+        .unwrap();
         let mut ex = Engine::builder(compiled)
             .executor(ExecutorKind::Planned)
             .build()
@@ -475,7 +424,7 @@ fn shadow_checker_is_clean_on_compiled_zoo_models() {
             .into_inner()
             .unwrap();
         for salt in 0..2u64 {
-            let feeds = feeds_for(&shapes, salt);
+            let feeds = case.feeds(salt);
             ex.inference(&as_refs(&feeds)).unwrap();
             if let Some(v) = ex.shadow_violations() {
                 assert_eq!(v, 0, "{name} compiled salt {salt}");
@@ -488,15 +437,16 @@ fn shadow_checker_is_clean_on_compiled_zoo_models() {
 
 #[test]
 fn failed_pass_leaves_the_interpreter_in_a_sound_state() {
-    let (_, net, shapes) = zoo().swap_remove(1);
-    let good = feeds_for(&shapes, 3);
+    let case = zoo().swap_remove(2);
+    assert_eq!(case.name, "lenet");
+    let (net, good) = (case.net.clone_structure(), case.feeds(3));
     // Wrong-shaped labels: every layer runs (filling the environment and
     // donating dead buffers to their slots) before the loss node fails with
     // its output buffers pre-taken. Wrong-shaped x fails in the first level.
     let mut late = good.clone();
     late[1].1 = Tensor::zeros([5]);
     let mut early = good.clone();
-    early[0].1 = Tensor::ones([2, 3, 14, 14]);
+    early[0].1 = Tensor::ones([4, 3, 14, 14]);
 
     let mut ex = Engine::builder(net.clone_structure())
         .executor(ExecutorKind::Wavefront)

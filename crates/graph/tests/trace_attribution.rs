@@ -16,7 +16,7 @@
 //!    network (the scheduling overhead bound of the issue's acceptance
 //!    criteria).
 
-use deep500_graph::{Engine, ExecutorKind, Network};
+use deep500_graph::{Engine, ExecutorKind, GraphExecutor, Network};
 use deep500_metrics::event::SharedEvent;
 use deep500_metrics::time::WallclockTime;
 use deep500_metrics::{Phase, TraceRecorder};
@@ -141,10 +141,12 @@ fn both_executors_feed_time_hooks_per_op() {
 /// within 5% on a compute-bound chain (issue acceptance criterion).
 #[test]
 fn wavefront_attribution_sums_to_backprop_phase() {
-    // Big enough that per-level scheduling overhead is well under 5% of
-    // the matmul time; a chain, so op times are disjoint (no parallel
-    // overlap double-counting against the wall).
-    let (batch, inner) = (64, 256);
+    // Big enough that per-pass glue is well under 5% of the matmul time:
+    // glue (feed and gradient copies) grows with `batch * inner`, kernel
+    // time with `batch * inner^2`, so width is the lever — at 256 wide the
+    // packed kernels leave ~35 us of glue at 7%. A chain, so op times are
+    // disjoint (no parallel overlap double-counting against the wall).
+    let (batch, inner) = (64, 1024);
     let recorder = TraceRecorder::new();
     let engine = Engine::builder(chain_net(batch, inner, 5))
         .executor(ExecutorKind::Wavefront)
@@ -153,30 +155,44 @@ fn wavefront_attribution_sums_to_backprop_phase() {
         .unwrap();
     let mut ex = engine.lock();
 
-    let passes = 3;
-    for pass in 0..passes {
-        let (x, target) = feeds(batch, inner, 6 + pass as u64);
+    let run_pass = |ex: &mut dyn GraphExecutor, seed: u64| {
+        let (x, target) = feeds(batch, inner, seed);
         ex.inference_and_backprop(&[("x", x), ("target", target)], "loss")
             .unwrap();
+    };
+    // Pass 1 builds and gates the plan inside its `Backprop` window; the
+    // bound below is about steady-state passes, so measure deltas after it.
+    run_pass(&mut *ex, 5);
+    let total_s =
+        |ex: &dyn GraphExecutor| -> f64 { ex.op_attribution().iter().map(|r| r.total_s()).sum() };
+    let (attributed_0, backprop_0) = (total_s(&*ex), recorder.phase_total_s(Phase::Backprop));
+
+    let passes = 3;
+    for pass in 0..passes {
+        run_pass(&mut *ex, 6 + pass as u64);
     }
 
     let attribution = ex.op_attribution();
     assert_eq!(attribution.len(), 3);
     for row in &attribution {
-        assert_eq!(row.forward_calls, passes, "op {}", row.name);
-        assert_eq!(row.backward_calls, passes, "op {}", row.name);
+        assert_eq!(row.forward_calls, passes + 1, "op {}", row.name);
+        assert_eq!(row.backward_calls, passes + 1, "op {}", row.name);
     }
-    let attributed: f64 = attribution.iter().map(|r| r.total_s()).sum();
-    let backprop_total = recorder.phase_total_s(Phase::Backprop);
+    let attributed = total_s(&*ex) - attributed_0;
+    let backprop_total = recorder.phase_total_s(Phase::Backprop) - backprop_0;
     assert!(backprop_total > 0.0);
     assert!(
         attributed <= backprop_total * 1.0001,
         "attributed {attributed}s cannot exceed the pass wall time {backprop_total}s"
     );
     let unexplained = (backprop_total - attributed) / backprop_total;
+    println!(
+        "steady-state Backprop: {:.1}% unexplained",
+        unexplained * 100.0
+    );
     assert!(
         unexplained < 0.05,
-        "attribution must explain >=95% of the Backprop phase: \
+        "attribution must explain >=95% of the steady-state Backprop phase: \
          attributed {attributed}s of {backprop_total}s ({:.1}% unexplained)",
         unexplained * 100.0
     );

@@ -4,46 +4,15 @@
 //! the wavefront executor a drop-in replacement: reordering execution
 //! across a level must never reorder any floating-point accumulation.
 
+use deep500_graph::models::{feed_refs, zoo};
 use deep500_graph::validate::{test_executor, test_executor_backprop};
-use deep500_graph::{grad_name, Engine, ExecutorKind, MemoryAccountant, Network};
+use deep500_graph::{grad_name, Engine, ExecutorKind, MemoryAccountant};
 use deep500_tensor::{Error, Tensor};
-
-/// A `(model name, network, feeds)` parity test case.
-type ZooCase = (&'static str, Network, Vec<(&'static str, Tensor)>);
-
-/// The seed models with matching feeds (class-index labels).
-fn zoo() -> Vec<ZooCase> {
-    vec![
-        (
-            "mlp",
-            deep500_graph::models::mlp(12, &[10, 8], 4, 3).unwrap(),
-            vec![
-                ("x", Tensor::ones([3, 12])),
-                ("labels", Tensor::from_slice(&[0.0, 2.0, 3.0])),
-            ],
-        ),
-        (
-            "lenet",
-            deep500_graph::models::lenet(1, 14, 4, 5).unwrap(),
-            vec![
-                ("x", Tensor::ones([2, 1, 14, 14])),
-                ("labels", Tensor::from_slice(&[1.0, 3.0])),
-            ],
-        ),
-        (
-            "resnet",
-            deep500_graph::models::resnet_like(1, 8, 4, 2, 3, 7).unwrap(),
-            vec![
-                ("x", Tensor::ones([2, 1, 8, 8])),
-                ("labels", Tensor::from_slice(&[0.0, 2.0])),
-            ],
-        ),
-    ]
-}
 
 #[test]
 fn wavefront_inference_is_bit_identical_across_widths() {
-    for (name, net, feeds) in zoo() {
+    for case in zoo() {
+        let (name, net, feeds) = (case.name, &case.net, case.feeds(1));
         for threads in [0usize, 1, 2] {
             let wf = Engine::builder(net.clone_structure())
                 .executor(ExecutorKind::Wavefront)
@@ -52,7 +21,7 @@ fn wavefront_inference_is_bit_identical_across_widths() {
                 .unwrap();
             let rf = Engine::builder(net.clone_structure()).build().unwrap();
             let (mut wf, mut rf) = (wf.lock(), rf.lock());
-            let feeds: Vec<(&str, Tensor)> = feeds.iter().map(|(n, t)| (*n, t.clone())).collect();
+            let feeds = feed_refs(&feeds);
             let report = test_executor(&mut *wf, &mut *rf, &feeds, 2).unwrap();
             assert!(
                 report.passes(0.0),
@@ -65,7 +34,8 @@ fn wavefront_inference_is_bit_identical_across_widths() {
 
 #[test]
 fn wavefront_backprop_is_bit_identical_across_widths() {
-    for (name, net, feeds) in zoo() {
+    for case in zoo() {
+        let (name, net, feeds) = (case.name, &case.net, case.feeds(1));
         for threads in [0usize, 1, 2] {
             let wf = Engine::builder(net.clone_structure())
                 .executor(ExecutorKind::Wavefront)
@@ -74,7 +44,7 @@ fn wavefront_backprop_is_bit_identical_across_widths() {
                 .unwrap();
             let rf = Engine::builder(net.clone_structure()).build().unwrap();
             let (mut wf, mut rf) = (wf.lock(), rf.lock());
-            let feeds: Vec<(&str, Tensor)> = feeds.iter().map(|(n, t)| (*n, t.clone())).collect();
+            let feeds = feed_refs(&feeds);
             let report = test_executor_backprop(&mut *wf, &mut *rf, &feeds, "loss", 2).unwrap();
             assert!(
                 !report.gradient_norms.is_empty(),
@@ -95,14 +65,15 @@ fn wavefront_backprop_is_bit_identical_across_widths() {
 /// gradient, not just an ℓ∞ of 0 (which `-0.0 == 0.0` would satisfy).
 #[test]
 fn wavefront_gradients_match_reference_bitwise() {
-    let (_, net, feeds) = zoo().remove(0);
-    let wf = Engine::builder(net.clone_structure())
+    let case = zoo().remove(0);
+    let wf = Engine::builder(case.net.clone_structure())
         .executor(ExecutorKind::Wavefront)
         .build()
         .unwrap();
-    let rf = Engine::builder(net).build().unwrap();
+    let rf = Engine::builder(case.net.clone_structure()).build().unwrap();
     let (mut wf, mut rf) = (wf.lock(), rf.lock());
-    let feeds: Vec<(&str, Tensor)> = feeds.iter().map(|(n, t)| (*n, t.clone())).collect();
+    let feeds = case.feeds(1);
+    let feeds = feed_refs(&feeds);
     wf.inference_and_backprop(&feeds, "loss").unwrap();
     rf.inference_and_backprop(&feeds, "loss").unwrap();
     let params = rf.network().get_params().to_vec();
@@ -119,13 +90,14 @@ fn wavefront_gradients_match_reference_bitwise() {
 
 #[test]
 fn wavefront_is_deterministic_across_repeated_passes() {
-    let (_, net, feeds) = zoo().remove(1);
-    let engine = Engine::builder(net)
+    let case = zoo().remove(2);
+    let engine = Engine::builder(case.net.clone_structure())
         .executor(ExecutorKind::Wavefront)
         .build()
         .unwrap();
     let mut wf = engine.lock();
-    let feeds: Vec<(&str, Tensor)> = feeds.iter().map(|(n, t)| (*n, t.clone())).collect();
+    let feeds = case.feeds(1);
+    let feeds = feed_refs(&feeds);
     let first = wf.inference_and_backprop(&feeds, "loss").unwrap();
     for _ in 0..3 {
         // Later passes run on recycled pool buffers; results must not move.

@@ -28,6 +28,7 @@ pub mod event;
 pub mod fault;
 pub mod flops;
 pub mod heatmap;
+pub mod json;
 pub mod norms;
 pub mod report;
 pub mod stats;
@@ -41,6 +42,7 @@ pub use event::{Event, EventList, Phase};
 pub use fault::FaultCounters;
 pub use flops::FlopsMetric;
 pub use heatmap::Heatmap;
+pub use json::Json;
 pub use report::Table;
 pub use stats::{ConfidenceInterval, Summary};
 pub use time::{Timer, WallclockTime};

@@ -26,6 +26,7 @@
 //! wall time, declared-FLOP-derived GFLOP/s, and bytes moved.
 
 use crate::event::{Event, Phase};
+use crate::json::{escape as escape_json, Json};
 use crate::report::Table;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -468,22 +469,6 @@ impl Drop for TraceSink {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Format an f64 as JSON (no NaN/inf — callers guard; integral values get
 /// a `.0` so the token stays a JSON number).
 fn fmt_f64(v: f64) -> String {
@@ -495,10 +480,9 @@ fn fmt_f64(v: f64) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal Chrome-trace validation: a dependency-free JSON parser plus the
-// schema checks the CI `profile` job and the bench bin run on emitted
-// artifacts. Deliberately small: objects, arrays, strings, numbers, bools,
-// null — enough to verify our own exporter and catch drift.
+// Minimal Chrome-trace validation: the schema checks the CI `profile` job
+// and the bench bin run on emitted artifacts, over the crate's own
+// dependency-free parser ([`crate::json`]).
 // ---------------------------------------------------------------------------
 
 /// What [`validate_chrome_trace`] measured about a valid trace.
@@ -516,23 +500,18 @@ pub struct ChromeTraceStats {
 /// Returns counts on success, a description of the first violation on
 /// failure.
 pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceStats, String> {
-    let value = JsonParser::parse(json)?;
-    let root = value.as_object().ok_or("root is not an object")?;
-    let events = root
-        .iter()
-        .find(|(k, _)| k == "traceEvents")
-        .map(|(_, v)| v)
-        .ok_or("missing 'traceEvents'")?;
+    let value = Json::parse(json)?;
+    value.as_object().ok_or("root is not an object")?;
+    let events = value.get("traceEvents").ok_or("missing 'traceEvents'")?;
     let events = events.as_array().ok_or("'traceEvents' is not an array")?;
     let mut stats = ChromeTraceStats {
         spans: 0,
         metadata: 0,
     };
     for (i, ev) in events.iter().enumerate() {
-        let obj = ev
-            .as_object()
+        ev.as_object()
             .ok_or_else(|| format!("event {i} is not an object"))?;
-        let field = |k: &str| obj.iter().find(|(n, _)| n == k).map(|(_, v)| v);
+        let field = |k: &str| ev.get(k);
         let ph = field("ph")
             .and_then(|v| v.as_str())
             .ok_or_else(|| format!("event {i}: missing string 'ph'"))?;
@@ -558,239 +537,6 @@ pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceStats, String> {
         }
     }
     Ok(stats)
-}
-
-/// A parsed JSON value (validation-grade subset). Some accessors are only
-/// exercised by the unit tests; the non-test build keeps them for a
-/// complete value API.
-#[cfg_attr(not(test), allow(dead_code))]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-    #[cfg_attr(not(test), allow(dead_code))]
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn parse(s: &'a str) -> Result<Json, String> {
-        let mut p = JsonParser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek()? == c {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let c = *self.bytes.get(self.pos).ok_or("unterminated string")?;
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self.bytes.get(self.pos).ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "non-utf8 \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "invalid \\u escape".to_string())?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                }
-                c => {
-                    // Re-assemble multi-byte UTF-8 sequences.
-                    if c < 0x80 {
-                        out.push(c as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let len = match c {
-                            0xC0..=0xDF => 2,
-                            0xE0..=0xEF => 3,
-                            _ => 4,
-                        };
-                        let slice = self
-                            .bytes
-                            .get(start..start + len)
-                            .ok_or("truncated utf-8 sequence")?;
-                        let s = std::str::from_utf8(slice)
-                            .map_err(|_| "invalid utf-8 in string".to_string())?;
-                        out.push_str(s);
-                        self.pos = start + len;
-                    }
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(
-                self.bytes[self.pos],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.pos += 1;
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid number".to_string())?;
-        s.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number '{s}' at byte {start}"))
-    }
 }
 
 #[cfg(test)]
@@ -977,21 +723,5 @@ mod tests {
              \"ts\":1.0,\"dur\":-2}]}"
         )
         .is_err());
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let v = JsonParser::parse(
-            "{\"a\":[1,2.5,-3e2],\"b\":\"x\\n\\u0041\",\"c\":{\"d\":true,\"e\":null}}",
-        )
-        .unwrap();
-        let obj = v.as_object().unwrap();
-        assert_eq!(obj.len(), 3);
-        let arr = obj[0].1.as_array().unwrap();
-        assert_eq!(arr[2].as_f64(), Some(-300.0));
-        assert_eq!(obj[1].1.as_str(), Some("x\nA"));
-        let inner = obj[2].1.as_object().unwrap();
-        assert_eq!(inner[0].1.as_bool(), Some(true));
-        assert!(matches!(inner[1].1, Json::Null));
     }
 }

@@ -3,7 +3,8 @@
 //! typed errors, interface violations are caught at admission, and
 //! non-batchable models cannot be put behind a dynamic policy.
 
-use deep500_graph::{models, Engine, ExecutorKind};
+use deep500_graph::models::{self, feed_refs as as_refs};
+use deep500_graph::{Engine, ExecutorKind};
 use deep500_metrics::event::Phase;
 use deep500_metrics::trace::TraceRecorder;
 use deep500_serve::{BatchPolicy, ModelConfig, ServeError, Server};
@@ -30,10 +31,6 @@ fn request_feeds(i: usize) -> Vec<(String, Tensor)> {
             Tensor::from_slice(&[(i % CLASSES) as f32]),
         ),
     ]
-}
-
-fn as_refs(feeds: &[(String, Tensor)]) -> Vec<(&str, Tensor)> {
-    feeds.iter().map(|(n, t)| (n.as_str(), t.clone())).collect()
 }
 
 fn dynamic_mlp(executor: ExecutorKind, max_batch: usize) -> ModelConfig {
