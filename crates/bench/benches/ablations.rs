@@ -20,7 +20,7 @@ use deep500::ops::conv::{Conv2dOp, ConvAlgorithm};
 use deep500::ops::gemm::{matmul, Algorithm};
 use deep500::ops::Operator;
 use deep500::prelude::*;
-use deep500_bench::{banner, full_scale, measure};
+use deep500_bench::{banner, measure, scale, Scale};
 use std::sync::Arc;
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
         "median forward time [ms] by channel count",
         &["channels in->out", "direct", "im2col", "winograd", "winner"],
     );
-    let channel_grid: &[(usize, usize)] = if full_scale() {
+    let channel_grid: &[(usize, usize)] = if scale() == Scale::Full {
         &[(1, 4), (4, 16), (16, 64), (64, 128)]
     } else {
         &[(1, 4), (4, 16), (16, 32)]
@@ -66,7 +66,7 @@ fn main() {
 
     // 2 ------------------------------------------------------------------
     println!("\n--- 2. GEMM cache blocking ---");
-    let n = if full_scale() { 512 } else { 256 };
+    let n = if scale() == Scale::Full { 512 } else { 256 };
     let a = Tensor::rand_uniform([n, n], -1.0, 1.0, &mut rng);
     let b = Tensor::rand_uniform([n, n], -1.0, 1.0, &mut rng);
     let mut base = 0.0;

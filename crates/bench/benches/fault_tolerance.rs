@@ -21,7 +21,7 @@ use deep500::dist::scaling::{simulate_step_faulty, Scheme, WorkloadModel};
 use deep500::dist::{FaultPlan, NetworkModel};
 use deep500::metrics::report::fmt_bytes;
 use deep500::prelude::*;
-use deep500_bench::{banner, full_scale};
+use deep500_bench::{banner, scale, Scale};
 use std::sync::Arc;
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
     );
 
     // ------------------------------------------------ part 1: real runs
-    let steps = if full_scale() { 24 } else { 12 };
+    let steps = if scale() == Scale::Full { 24 } else { 12 };
     let dataset: Arc<dyn Dataset> = Arc::new(SyntheticDataset::new(
         "fault-bench",
         Shape::new(&[16]),

@@ -13,7 +13,7 @@
 use deep500::frameworks::fused_optim::FusedAdam;
 use deep500::prelude::*;
 use deep500::train::TrainingConfig;
-use deep500_bench::{banner, full_scale};
+use deep500_bench::{banner, scale, Scale};
 use std::sync::Arc;
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
         "Fig. 10 — Adam across framework backends",
         "native (fused) vs Deep500 reference Adam over TF-like and Caffe2-like executors",
     );
-    let (hw, train_len, epochs, batch) = if full_scale() {
+    let (hw, train_len, epochs, batch) = if scale() == Scale::Full {
         (32, 2048, 10, 64)
     } else {
         (16, 384, 5, 32)

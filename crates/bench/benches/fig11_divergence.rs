@@ -11,7 +11,7 @@
 use deep500::frameworks::fused_optim::FusedAdam;
 use deep500::prelude::*;
 use deep500::train::trajectory::compare_trajectories;
-use deep500_bench::{banner, full_scale};
+use deep500_bench::{banner, scale, Scale};
 use std::sync::Arc;
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
         "Fig. 11 — native-vs-reference trajectory divergence",
         "per-layer l2/l-inf distance between FusedAdam and reference Adam",
     );
-    let iterations = if full_scale() { 900 } else { 150 };
+    let iterations = if scale() == Scale::Full { 900 } else { 150 };
     let record_every = (iterations / 10).max(1);
 
     // MLP on synthetic MNIST-shaped data, as in the paper's Fig. 11 setup.

@@ -20,7 +20,7 @@ use deep500::dist::scaling::{strong_scaling, weak_scaling, Scheme, WorkloadModel
 use deep500::dist::NetworkModel;
 use deep500::metrics::report::fmt_bytes;
 use deep500::prelude::*;
-use deep500_bench::{banner, full_scale};
+use deep500_bench::{banner, scale, Scale};
 use std::sync::Arc;
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
 
     // ------------------------------------------- part 1: real threads
     println!("--- ground truth: 4 real ranks, real messages, virtual Aries clock ---");
-    let steps = if full_scale() { 20 } else { 8 };
+    let steps = if scale() == Scale::Full { 20 } else { 8 };
     let schemes: Vec<(&str, Variant)> = vec![
         ("CDSGD", Variant::Cdsgd),
         ("REF-dsgd", Variant::RefDsgd),

@@ -22,7 +22,7 @@ use deep500::ops::deepbench::{self, ConvSize, GemmSize};
 use deep500::ops::gemm::{Algorithm, MatMulOp};
 use deep500::ops::Operator;
 use deep500::prelude::*;
-use deep500_bench::{banner, fmt_ms, full_scale, measure};
+use deep500_bench::{banner, fmt_ms, measure, scale, Scale};
 
 fn gemm_inputs(g: &GemmSize, rng: &mut Xoshiro256StarStar) -> (Tensor, Tensor) {
     (
@@ -41,7 +41,7 @@ fn conv_inputs(c: &ConvSize, rng: &mut Xoshiro256StarStar) -> (Tensor, Tensor, T
 
 fn gemm_suite() -> Vec<GemmSize> {
     let mut suite = deepbench::gemm_suite();
-    if !full_scale() {
+    if scale() != Scale::Full {
         // Shrink the largest dimensions so a 1-core run stays in minutes
         // (small-kernel regimes are also where framework overhead shows,
         // which is what the violin plots contrast).
@@ -57,7 +57,7 @@ fn gemm_suite() -> Vec<GemmSize> {
 
 fn conv_suite() -> Vec<ConvSize> {
     let suite = deepbench::conv_suite();
-    if full_scale() {
+    if scale() == Scale::Full {
         suite
     } else {
         suite
@@ -125,7 +125,7 @@ fn main() {
     table.print();
 
     // Highlighted GEMM box plot: M=K=2560, N=64.
-    let g = if full_scale() {
+    let g = if scale() == Scale::Full {
         deepbench::HIGHLIGHTED_GEMM
     } else {
         GemmSize::new(1024, 64, 1024)
@@ -183,7 +183,7 @@ fn main() {
     table.print();
 
     // Highlighted conv box plot.
-    let c = if full_scale() {
+    let c = if scale() == Scale::Full {
         deepbench::HIGHLIGHTED_CONV
     } else {
         ConvSize::new(4, 3, 96, 96, 16, 3, 1, 1)

@@ -15,7 +15,7 @@ use deep500::graph::transforms::microbatch::microbatch_convolutions;
 use deep500::metrics::report::fmt_bytes;
 use deep500::prelude::*;
 use deep500::tensor::Error;
-use deep500_bench::{banner, full_scale, measure};
+use deep500_bench::{banner, measure, scale, Scale};
 
 fn conv_net(seed: u64) -> Network {
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
@@ -40,7 +40,7 @@ fn main() {
         "Fig. 7 / §V-C — micro-batch transformation",
         "minibatch sweep under a device memory cap, per framework profile",
     );
-    let (hw, batches, capacity): (usize, Vec<usize>, usize) = if full_scale() {
+    let (hw, batches, capacity): (usize, Vec<usize>, usize) = if scale() == Scale::Full {
         (224, vec![64, 128, 256, 468, 512], 1_500_000_000)
     } else {
         (32, vec![48, 96, 160, 256], 16_000_000)

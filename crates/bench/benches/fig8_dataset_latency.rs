@@ -18,7 +18,7 @@ use deep500::data::dataset::assemble_minibatch;
 use deep500::data::io_model::{StorageClock, StorageModel};
 use deep500::data::{codec, Dataset};
 use deep500::prelude::*;
-use deep500_bench::{banner, full_scale, measure};
+use deep500_bench::{banner, measure, scale, Scale};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -33,8 +33,8 @@ fn main() {
         "Fig. 8 — dataset loading latency",
         "minibatch-assembly latency: real containers vs synthetic generation",
     );
-    let batch = if full_scale() { 128 } else { 32 };
-    let small_len = if full_scale() { 4096 } else { 512 };
+    let batch = if scale() == Scale::Full { 128 } else { 32 };
+    let small_len = if scale() == Scale::Full { 4096 } else { 512 };
     println!("minibatch size: {batch}\n");
 
     // ------------------------------------------------- small datasets
@@ -95,7 +95,11 @@ fn main() {
 
     // ---------------------------------------------------- ImageNet panel
     println!();
-    let (img_hw, img_count) = if full_scale() { (224, 256) } else { (64, 64) };
+    let (img_hw, img_count) = if scale() == Scale::Full {
+        (224, 256)
+    } else {
+        (64, 64)
+    };
     let imagenet = SyntheticDataset::new(
         "imagenet-synth",
         Shape::new(&[3, img_hw, img_hw]),

@@ -17,7 +17,7 @@ use deep500::frameworks::fused_optim::{
 };
 use deep500::prelude::*;
 use deep500::train::TrainingConfig;
-use deep500_bench::{banner, full_scale};
+use deep500_bench::{banner, scale, Scale};
 use std::sync::Arc;
 
 struct Entry {
@@ -83,7 +83,7 @@ fn main() {
         "Fig. 9 — optimizer convergence (Level 2)",
         "test accuracy vs epoch + loss vs time, native vs reference optimizers",
     );
-    let (hw, train_len, epochs, batch) = if full_scale() {
+    let (hw, train_len, epochs, batch) = if scale() == Scale::Full {
         (32, 2048, 10, 64)
     } else {
         (16, 384, 5, 32)
@@ -178,7 +178,11 @@ fn main() {
     // paper's ≈5x composed-vs-fused Adam gap lives (on a small CNN the
     // update is hidden behind convolution time).
     println!("\n--- update-rule microbenchmark (25.6M parameters, ResNet-50 size) ---");
-    let n = if full_scale() { 25_600_000 } else { 2_000_000 };
+    let n = if scale() == Scale::Full {
+        25_600_000
+    } else {
+        2_000_000
+    };
     let mut rng = Xoshiro256StarStar::seed_from_u64(50);
     let w = Tensor::rand_uniform([n], -1.0, 1.0, &mut rng);
     let g = Tensor::rand_uniform([n], -1.0, 1.0, &mut rng);

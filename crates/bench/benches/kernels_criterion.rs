@@ -73,7 +73,7 @@ fn bench_gemm_sweep(_c: &mut Criterion) {
         let a = Tensor::rand_uniform([g.m, g.k], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform([g.k, g.n], -1.0, 1.0, &mut rng);
         let c = RefCell::new(vec![0.0f32; g.m * g.n]);
-        let mut subjects: Vec<Subject> = TIERS
+        let mut subjects: Vec<Subject<1>> = TIERS
             .iter()
             .map(|&algo| {
                 let (a, b, c) = (&a, &b, &c);
@@ -87,7 +87,7 @@ fn bench_gemm_sweep(_c: &mut Criterion) {
             .collect();
         let rates: Vec<f64> = time_rounds(1, reruns(), &mut subjects)
             .iter()
-            .map(|t| g.flops() / t[0].median / 1e9)
+            .map(|[t]| g.flops() / t.median / 1e9)
             .collect();
         println!(
             "{:>24} {:>9.2} {:>9.2} {:>9.2} {:>9.2}",

@@ -13,11 +13,11 @@ use deep500::metrics::event::Phase;
 use deep500::metrics::stats::Summary;
 use deep500::metrics::WallclockTime;
 use deep500::prelude::*;
-use deep500_bench::{banner, full_scale, reruns};
+use deep500_bench::{banner, reruns, scale, Scale};
 use std::sync::Arc;
 
 fn epoch_times(instrumented: bool, epochs: usize) -> Vec<f64> {
-    let (hw, len, batch) = if full_scale() {
+    let (hw, len, batch) = if scale() == Scale::Full {
         (28, 1024, 64)
     } else {
         (16, 256, 32)

@@ -18,7 +18,7 @@ use deep500::data::container::indexed_tar::{write_indexed_tar, Decoder, IndexedT
 use deep500::data::container::recordfile::{write_recordfile, RecordPipeline, RecordReader};
 use deep500::data::io_model::{StorageClock, StorageModel};
 use deep500::prelude::*;
-use deep500_bench::{banner, full_scale, measure};
+use deep500_bench::{banner, measure, scale, Scale};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -33,7 +33,7 @@ fn main() {
         "Table III — ImageNet decoding latency breakdown",
         "indexed tar (scalar/turbo decoders) vs record pipeline (native)",
     );
-    let (hw, count, batch) = if full_scale() {
+    let (hw, count, batch) = if scale() == Scale::Full {
         (224, 256, 128)
     } else {
         (64, 160, 32)

@@ -29,7 +29,7 @@ use deep500::tensor::Tensor;
 use deep500_bench::bricks::{
     decompose, dedup, microbench, predict, BrickCost, BrickKey, Calibration, MicroRunner,
 };
-use deep500_bench::{time_rounds, Report, Subject};
+use deep500_bench::{scale, time_rounds, Report, Scale, Subject};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -59,8 +59,8 @@ impl ModelBench {
 
     /// One re-warming step, then one measured forward pass and one
     /// measured training step: `[forward, train]` phase deltas.
-    fn subject(&self) -> Subject<'_> {
-        Subject::spans(move |_| {
+    fn subject(&self) -> Subject<'_, 2> {
+        Subject::spans(move || {
             let feeds = feed_refs(&self.feeds);
             let session = self.engine.session();
             let train = || {
@@ -74,7 +74,7 @@ impl ModelBench {
             let fwd = self.recorder.phase_total_s(Phase::Inference) - f0;
             let t0 = self.recorder.phase_total_s(Phase::Backprop);
             train();
-            vec![fwd, self.recorder.phase_total_s(Phase::Backprop) - t0]
+            [fwd, self.recorder.phase_total_s(Phase::Backprop) - t0]
         })
     }
 }
@@ -84,7 +84,11 @@ fn main() -> ExitCode {
     let warmup = 3;
     // Sub-microsecond bricks need more rounds than the default for a
     // steady median on a shared machine; the pipeline still takes seconds.
-    let rounds = deep500_bench::reruns().max(12);
+    let rounds = match scale() {
+        Scale::Smoke => 8,
+        Scale::Default => 12,
+        Scale::Full => 30,
+    };
     let zoo = zoo();
 
     // ---- 1. Decompose, 2. deduplicate --------------------------------------
@@ -123,8 +127,8 @@ fn main() -> ExitCode {
     let mut model_rows = Vec::new();
     let mut log_errs = Vec::new();
     let mut rows_sane = true;
-    for ((name, instances), measured) in per_model.iter().zip(&summaries[models_at..]) {
-        let (meas_fwd, meas_train) = (measured[1].median, measured[2].median);
+    for ((name, instances), [fwd, train]) in per_model.iter().zip(&summaries[models_at..]) {
+        let (meas_fwd, meas_train) = (fwd.median, train.median);
         let pred =
             predict(instances, &costs, &overhead).unwrap_or_else(|e| panic!("predict failed: {e}"));
         let fwd_err = ((pred.forward_s - meas_fwd).abs() / meas_fwd).max(1e-4);

@@ -36,7 +36,7 @@ fn main() {
     let a = Tensor::rand_uniform([g.m, g.k], -1.0, 1.0, &mut rng);
     let b = Tensor::rand_uniform([g.k, g.n], -1.0, 1.0, &mut rng);
     let tiers = [Algorithm::Blocked, Algorithm::Parallel, Algorithm::Packed];
-    let mut subjects: Vec<Subject> = tiers
+    let mut subjects: Vec<Subject<1>> = tiers
         .iter()
         .map(|&algo| {
             let (a, b) = (&a, &b);
@@ -45,8 +45,8 @@ fn main() {
         .collect();
     // The warm-up round pays first-touch, packing and scratch growth, so
     // the tier that happens to run first does not look slower than it is.
-    for (algo, t) in tiers.iter().zip(time_rounds(1, reruns(), &mut subjects)) {
-        print_tier(format!("{algo:?}"), &t[0], g.flops());
+    for (algo, [t]) in tiers.iter().zip(time_rounds(1, reruns(), &mut subjects)) {
+        print_tier(format!("{algo:?}"), &t, g.flops());
     }
     drop(subjects);
 
@@ -67,12 +67,12 @@ fn main() {
         .iter()
         .map(|&algo| Conv2dOp::new(c.stride, c.pad, algo))
         .collect();
-    let mut subjects: Vec<Subject> = ops
+    let mut subjects: Vec<Subject<1>> = ops
         .iter()
         .map(|op| Subject::wall(|| op.forward(&[&x, &w, &bias]).unwrap()))
         .collect();
-    for (algo, t) in tiers.iter().zip(time_rounds(1, reruns(), &mut subjects)) {
-        print_tier(format!("{algo:?}"), &t[0], c.flops());
+    for (algo, [t]) in tiers.iter().zip(time_rounds(1, reruns(), &mut subjects)) {
+        print_tier(format!("{algo:?}"), &t, c.flops());
     }
     println!(
         "\nuse D5_BENCH_SCALE=full for paper-size benchmark sweeps if these\nkernels complete in well under a second each."

@@ -17,9 +17,10 @@
 //! digits.
 //!
 //! Gates: forward and backward parity, the direct tier beats im2col on at
-//! least 4 of the 6 shapes, and no backward costs more than 6x its
-//! forward. `direct_3x_wins` is reported, not gated: since the im2col
-//! baseline became a row-copy lowering the ratio sits at 1.6-3.0x.
+//! least 4 of the 6 shapes and by 3x on at least one, and no backward
+//! costs more than 6x its forward. Known red: since the im2col baseline
+//! became a row-copy lowering the best ratio sits at 2.6-2.9x, so
+//! `direct_3x_wins` fails until the threshold is renegotiated.
 //!
 //! Run with: `cargo run --release -p deep500-bench --bin conv`
 //! (`D5_BENCH_SCALE=smoke` for the fast CI-sized run).
@@ -30,7 +31,7 @@ use deep500::ops::conv::{self, Conv2dOp, ConvAlgorithm, ConvGeometry};
 use deep500::ops::deepbench::ConvSize;
 use deep500::ops::Operator;
 use deep500::prelude::*;
-use deep500_bench::{scale, time_rounds, Report, Subject};
+use deep500_bench::{scale, time_rounds, Report, Scale, Subject};
 use std::process::ExitCode;
 
 /// Six DeepBench-class batch-1 inference cells: a strided stem, the
@@ -142,7 +143,7 @@ fn rand_tensor(shape: &[usize], seed: u64) -> Tensor {
 
 fn main() -> ExitCode {
     let mut report = Report::new("conv");
-    let reps = scale().pick(5, 30, 30);
+    let reps = if scale() == Scale::Smoke { 5 } else { 30 };
 
     let mut rows: Vec<Json> = Vec::new();
     let (mut faster, mut wins) = (0usize, 0usize);
@@ -185,7 +186,7 @@ fn main() -> ExitCode {
             .iter()
             .map(|(_, algo)| Conv2dOp::new(cs.stride, cs.pad, *algo))
             .collect();
-        let mut subjects: Vec<Subject> = ops
+        let mut subjects: Vec<Subject<1>> = ops
             .iter()
             .map(|op| Subject::wall(move || op.forward(&inputs).expect("timed forward")))
             .collect();
@@ -240,6 +241,11 @@ fn main() -> ExitCode {
             "direct_beats_im2col",
             faster >= 4,
             format!("direct faster on {faster} of {cells} shapes, need 4"),
+        )
+        .gate(
+            "direct_3x_wins",
+            wins >= 1,
+            format!("direct >= 3x im2col on {wins} of {cells} shapes, need 1"),
         )
         .gate(
             "backward_parity",

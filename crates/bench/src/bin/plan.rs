@@ -131,8 +131,7 @@ fn run_case(case: &ZooCase) -> Row {
             Subject::wall(|| uncompiled.inference(&feeds).expect("uncompiled pass")),
         ],
     );
-    let compiled_ms = timed[0][0].median * 1e3;
-    let uncompiled_ms = timed[1][0].median * 1e3;
+    let (compiled_ms, uncompiled_ms) = (timed[0][0].median * 1e3, timed[1][0].median * 1e3);
     let speedup = if compiled_ms > 0.0 {
         uncompiled_ms / compiled_ms
     } else {

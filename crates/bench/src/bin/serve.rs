@@ -21,7 +21,7 @@ use deep500::graph::models::{zoo, ZooCase};
 use deep500::metrics::Json;
 use deep500::prelude::*;
 use deep500::serve::{closed_loop, open_loop, LoadSummary};
-use deep500_bench::{scale, Report};
+use deep500_bench::{scale, Report, Scale};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -51,8 +51,11 @@ fn build_server(model: &ZooCase, policy: BatchPolicy, workers: usize) -> Server 
 
 fn main() -> ExitCode {
     let mut report = Report::new("serve");
-    let (clients, per_client, open_total, open_rate) =
-        scale().pick((4, 16, 96, 300.0), (8, 64, 512, 600.0), (8, 64, 512, 600.0));
+    let (clients, per_client, open_total, open_rate) = if scale() == Scale::Smoke {
+        (4, 16, 96, 300.0)
+    } else {
+        (8, 64, 512, 600.0)
+    };
     let policies = [
         BatchPolicy::Single,
         BatchPolicy::Dynamic {

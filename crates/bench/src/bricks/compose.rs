@@ -5,7 +5,7 @@
 //! feed routing, timer bookkeeping). That overhead is *measured*, not
 //! assumed: [`Calibration`] runs two Relu-chain networks of different
 //! depths through the timing loop, subtracts their operator-span totals
-//! from wall time, and solves the two-point linear system for a
+//! from the pass's phase time, and solves the two-point linear system for a
 //! fixed-per-pass and a per-node overhead term — separately for
 //! forward-only and full training passes, which exercise different
 //! amounts of glue.
@@ -17,7 +17,7 @@ use deep500::graph::builder::NetworkBuilder;
 use deep500::graph::models::{feed_refs, ZooCase};
 use deep500::graph::{Engine, ExecutorKind};
 use deep500::metrics::stats::Summary;
-use deep500::metrics::TraceRecorder;
+use deep500::metrics::{Phase, TraceRecorder};
 use deep500::tensor::{Shape, Tensor};
 use std::collections::HashMap;
 
@@ -62,10 +62,11 @@ fn relu_chain(k: usize) -> Result<ZooCase, String> {
     })
 }
 
-/// The two calibration chains, built and traced exactly like the
-/// whole-model validation runs: per-op span recording is part of the
+/// The two calibration chains, built, traced and measured exactly like
+/// the whole-model validation runs: per-op span recording is part of the
 /// dispatch overhead a traced model pays, so the chains must pay it too.
 pub struct Calibration {
+    recorder: TraceRecorder,
     chains: Vec<(Engine, Vec<(String, Tensor)>)>,
 }
 
@@ -85,41 +86,50 @@ impl Calibration {
                 .map_err(|e| format!("calibration engine: {e}"))?;
             chains.push((engine, feeds));
         }
-        Ok(Calibration { chains })
+        Ok(Calibration { recorder, chains })
     }
 
-    /// Four timing-loop subjects — per chain a forward pass, then a
-    /// training pass — each timing just the pass and returning the
-    /// operator-span seconds inside it, so `wall - spans` is the pass's
-    /// dispatch overhead.
-    pub fn subjects(&self) -> Vec<Subject<'_>> {
-        let mut subjects = Vec::new();
-        for (engine, feeds) in &self.chains {
-            for train in [false, true] {
-                subjects.push(Subject::spans(move |lap| {
-                    let span_total = || -> f64 {
-                        let rows = engine.lock().op_attribution();
-                        rows.iter().map(|r| r.forward_s + r.backward_s).sum()
-                    };
-                    let (before, session, feeds) =
-                        (span_total(), engine.session(), feed_refs(feeds));
-                    lap.time(|| match train {
-                        false => session.infer(&feeds),
-                        true => session.infer_and_backprop(&feeds, "loss"),
-                    })
-                    .expect("calibration chain runs");
-                    vec![span_total() - before]
-                }));
-            }
-        }
-        subjects
+    /// One timing-loop subject per chain: a forward pass, then a training
+    /// pass, each sampled as the pass's phase time minus the operator-span
+    /// seconds inside it — the `[forward, train]` dispatch overhead.
+    pub fn subjects(&self) -> Vec<Subject<'_, 2>> {
+        self.chains.iter().map(|c| self.subject(c)).collect()
+    }
+
+    fn subject<'a>(
+        &'a self,
+        (engine, feeds): &'a (Engine, Vec<(String, Tensor)>),
+    ) -> Subject<'a, 2> {
+        let overhead = move |phase: Phase, pass: &dyn Fn()| {
+            let totals = || -> (f64, f64) {
+                let rows = engine.lock().op_attribution();
+                let spans = rows.iter().map(|r| r.forward_s + r.backward_s).sum();
+                (self.recorder.phase_total_s(phase), spans)
+            };
+            let (phase_0, spans_0) = totals();
+            pass();
+            let (phase_1, spans_1) = totals();
+            (phase_1 - phase_0) - (spans_1 - spans_0)
+        };
+        Subject::spans(move || {
+            let (session, feeds) = (engine.session(), feed_refs(feeds));
+            let infer = || drop(session.infer(&feeds).expect("chain infers"));
+            let train = || {
+                let out = session.infer_and_backprop(&feeds, "loss");
+                drop(out.expect("chain trains"))
+            };
+            [
+                overhead(Phase::Inference, &infer),
+                overhead(Phase::Backprop, &train),
+            ]
+        })
     }
 
     /// Solve the two-point system from the timing loop's output for
     /// [`Self::subjects`].
-    pub fn solve(&self, summaries: &[Vec<Summary>]) -> Overhead {
-        let overhead = |i: usize| (summaries[i][0].median - summaries[i][1].median).max(0.0);
-        let (f1, t1, f2, t2) = (overhead(0), overhead(1), overhead(2), overhead(3));
+    pub fn solve(&self, summaries: &[[Summary; 2]]) -> Overhead {
+        let [f1, t1] = summaries[0].map(|s| s.median.max(0.0));
+        let [f2, t2] = summaries[1].map(|s| s.median.max(0.0));
         // The classifier head (logits alias + loss) makes the counts k + 2.
         let n1 = (Self::DEPTHS[0] + 2) as f64;
         let n2 = (Self::DEPTHS[1] + 2) as f64;

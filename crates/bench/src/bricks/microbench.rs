@@ -70,30 +70,30 @@ impl MicroRunner {
     /// the cache eviction its interleaved neighbours just caused) and one
     /// measured pass, returning the brick node's `[forward, backward]`
     /// span deltas.
-    pub fn subjects(&self) -> Vec<Subject<'_>> {
+    pub fn subjects(&self) -> Vec<Subject<'_, 2>> {
         self.benches
             .iter()
             .map(|b| {
-                Subject::spans(move |_| {
+                Subject::spans(move || {
                     Self::run_one(b);
                     let (f0, b0) = brick_span_totals(&b.engine);
                     Self::run_one(b);
                     let (f1, b1) = brick_span_totals(&b.engine);
-                    vec![(f1 - f0).max(0.0), (b1 - b0).max(0.0)]
+                    [(f1 - f0).max(0.0), (b1 - b0).max(0.0)]
                 })
             })
             .collect()
     }
 }
 
-/// Fold the timing loop's output for [`MicroRunner::subjects`] (one entry
-/// per brick: wall, forward spans, backward spans) into brick costs.
-pub fn costs(summaries: &[Vec<Summary>]) -> Vec<BrickCost> {
+/// Fold the timing loop's output for [`MicroRunner::subjects`] (one
+/// `[forward, backward]` pair per brick) into brick costs.
+pub fn costs(summaries: &[[Summary; 2]]) -> Vec<BrickCost> {
     summaries
         .iter()
-        .map(|channels| BrickCost {
-            forward_s: channels[1].median,
-            backward_s: channels[2].median,
+        .map(|[forward, backward]| BrickCost {
+            forward_s: forward.median,
+            backward_s: backward.median,
         })
         .collect()
 }

@@ -8,8 +8,9 @@
 //! * [`scale`] — the one environment switch, `D5_BENCH_SCALE`
 //!   (`smoke` | default | `full`);
 //! * [`time_rounds`] — the one timing loop: warm-up, then round-robin
-//!   interleaved rounds over any number of [`Subject`]s, summarized as
-//!   median + nonparametric CI ([`Summary`], minimum kept as a field);
+//!   interleaved rounds over any number of [`Subject`]s, each sample
+//!   summarized as median + nonparametric CI ([`Summary`], minimum kept as
+//!   a field);
 //! * [`Report`] — the one report writer: fields, row tables and named
 //!   gates, rendered to `BENCH_<name>.json` with a non-zero exit code when
 //!   a gate failed.
@@ -36,15 +37,10 @@ pub enum Scale {
 impl Scale {
     /// The value as `D5_BENCH_SCALE` spells it.
     pub fn label(self) -> &'static str {
-        self.pick("smoke", "default", "full")
-    }
-
-    /// Select by scale.
-    pub fn pick<T>(self, smoke: T, default: T, full: T) -> T {
         match self {
-            Scale::Smoke => smoke,
-            Scale::Default => default,
-            Scale::Full => full,
+            Scale::Smoke => "smoke",
+            Scale::Default => "default",
+            Scale::Full => "full",
         }
     }
 }
@@ -58,51 +54,33 @@ pub fn scale() -> Scale {
     }
 }
 
-/// Whether paper-scale problem sizes were asked for.
-pub fn full_scale() -> bool {
-    scale() == Scale::Full
-}
-
 /// Measured rounds per subject: the paper's 30 at full scale, 7 otherwise
 /// (still enough for a nonparametric CI), 5 under smoke.
 pub fn reruns() -> usize {
-    scale().pick(5, 7, 30)
-}
-
-/// The loop's stopwatch, handed to every subject call. A subject that
-/// wraps bookkeeping around its measured work (reading span totals before
-/// and after a pass) times just the work with [`Lap::time`]; otherwise the
-/// whole call counts.
-#[derive(Default)]
-pub struct Lap(Option<f64>);
-
-impl Lap {
-    /// Run `f` on the clock.
-    pub fn time<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        let (out, seconds) = Timer::time(f);
-        self.0 = Some(self.0.unwrap_or(0.0) + seconds);
-        out
+    match scale() {
+        Scale::Smoke => 5,
+        Scale::Default => 7,
+        Scale::Full => 30,
     }
 }
 
-/// One closure under measurement. The loop takes the wall time of every
-/// call; a subject that measures itself (operator-span or phase deltas
-/// read off a recorder) returns those seconds as further channels.
-pub struct Subject<'a>(Box<SubjectFn<'a>>);
-type SubjectFn<'a> = dyn FnMut(&mut Lap) -> Vec<f64> + 'a;
+/// One closure under measurement: each call returns that round's `N`
+/// samples, in seconds.
+pub struct Subject<'a, const N: usize>(Box<dyn FnMut() -> [f64; N] + 'a>);
 
-impl<'a> Subject<'a> {
-    /// Wall time only.
+impl<'a> Subject<'a, 1> {
+    /// The wall time of each call to `f`.
     pub fn wall<T>(mut f: impl FnMut() -> T + 'a) -> Self {
-        Subject(Box::new(move |_| {
-            std::hint::black_box(f());
-            Vec::new()
+        Subject(Box::new(move || {
+            [Timer::time(|| std::hint::black_box(f())).1]
         }))
     }
+}
 
-    /// Wall time plus the samples `f` returns, one channel per element
-    /// (the same number on every call).
-    pub fn spans(f: impl FnMut(&mut Lap) -> Vec<f64> + 'a) -> Self {
+impl<'a, const N: usize> Subject<'a, N> {
+    /// A subject that measures itself: `f` returns operator-span or phase
+    /// deltas read off a recorder.
+    pub fn spans(f: impl FnMut() -> [f64; N] + 'a) -> Self {
         Subject(Box::new(f))
     }
 }
@@ -111,28 +89,30 @@ impl<'a> Subject<'a> {
 /// round-robin order — subject 0, 1, …, n-1, then again — so slow
 /// machine-level drift (a frequency excursion, a noisy neighbour) lands on
 /// one round of every subject rather than on every round of one. The first
-/// `warmup` rounds are discarded. Returns, per subject, one [`Summary`]
-/// per channel: channel 0 is the call's wall time, channels 1.. are what
-/// the subject returned.
-pub fn time_rounds(warmup: usize, rounds: usize, subjects: &mut [Subject]) -> Vec<Vec<Summary>> {
-    let mut samples: Vec<Vec<Vec<f64>>> = vec![Vec::new(); subjects.len()];
+/// `warmup` rounds are discarded. Returns, per subject, one [`Summary`] per
+/// sample it returns.
+pub fn time_rounds<const N: usize>(
+    warmup: usize,
+    rounds: usize,
+    subjects: &mut [Subject<N>],
+) -> Vec<[Summary; N]> {
+    let mut samples: Vec<[Vec<f64>; N]> = subjects
+        .iter()
+        .map(|_| std::array::from_fn(|_| Vec::new()))
+        .collect();
     for round in 0..warmup + rounds.max(1) {
         for (subject, channels) in subjects.iter_mut().zip(&mut samples) {
-            let mut lap = Lap::default();
-            let (own, whole_call) = Timer::time(|| (subject.0)(&mut lap));
-            if round < warmup {
-                continue;
-            }
-            let wall = lap.0.unwrap_or(whole_call);
-            channels.resize(1 + own.len(), Vec::new());
-            for (channel, v) in channels.iter_mut().zip(std::iter::once(wall).chain(own)) {
-                channel.push(v);
+            let sample = (subject.0)();
+            if round >= warmup {
+                for (channel, v) in channels.iter_mut().zip(sample) {
+                    channel.push(v);
+                }
             }
         }
     }
     samples
         .iter()
-        .map(|channels| channels.iter().map(|s| Summary::of(s)).collect())
+        .map(|channels| std::array::from_fn(|c| Summary::of(&channels[c])))
         .collect()
 }
 
@@ -173,15 +153,12 @@ mod tests {
     #[test]
     fn every_subject_runs_warmup_plus_rounds_times_in_round_robin_order() {
         let log = RefCell::new(Vec::new());
-        let mut subjects: Vec<Subject> = (0..3)
+        let mut subjects: Vec<Subject<2>> = (0..3)
             .map(|i| {
                 let log = &log;
-                Subject::spans(move |lap| {
+                Subject::spans(move || {
                     log.borrow_mut().push(i);
-                    // Only the lap counts as wall time, not the sleep.
-                    lap.time(|| ());
-                    std::thread::sleep(std::time::Duration::from_millis(i as u64));
-                    vec![i as f64]
+                    [i as f64, log.borrow().len() as f64]
                 })
             })
             .collect();
@@ -192,15 +169,24 @@ mod tests {
         let expect: Vec<usize> = (0..warmup + rounds).flat_map(|_| 0..3).collect();
         assert_eq!(log.into_inner(), expect);
         assert_eq!(out.len(), 3);
-        for (i, channels) in out.iter().enumerate() {
-            assert_eq!(channels.len(), 2, "wall + one own channel");
-            for s in channels {
-                assert_eq!(s.n, rounds, "warm-up rounds are not sampled");
-                assert!(s.min <= s.median && s.median <= s.max);
-            }
-            assert!(channels[0].max < 1e-3, "wall is the lap, not the call");
-            assert_eq!(channels[1].median, i as f64);
+        for (i, [own, calls]) in out.iter().enumerate() {
+            assert_eq!((own.n, calls.n), (rounds, rounds));
+            assert_eq!(own.median, i as f64);
+            // Warm-up rounds are not sampled: the first kept call is
+            // number `warmup * 3 + i + 1` overall.
+            assert_eq!(calls.min, (warmup * 3 + i + 1) as f64);
         }
+    }
+
+    #[test]
+    fn wall_subjects_time_the_call() {
+        let nap = std::time::Duration::from_millis(2);
+        let mut subjects = [
+            Subject::wall(|| ()),
+            Subject::wall(|| std::thread::sleep(nap)),
+        ];
+        let out = time_rounds(0, 3, &mut subjects);
+        assert!(out[1][0].min >= 2e-3 && out[0][0].min < out[1][0].min);
     }
 
     #[test]

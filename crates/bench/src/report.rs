@@ -29,10 +29,17 @@ pub struct Report {
 }
 
 impl Report {
-    /// A report that will be written to `BENCH_<name>.json` at the repo
-    /// root, stamped with the environment the numbers were taken in.
+    /// A report that will be written to the tracked `BENCH_<name>.json`
+    /// at the repo root, stamped with the environment the numbers were
+    /// taken in. A smoke run is a check, not a measurement: it writes
+    /// `target/BENCH_<name>.json` and leaves the tracked trajectory alone.
     pub fn new(name: &str) -> Report {
-        Report::at(repo_path(&format!("BENCH_{name}.json")), name)
+        let file = format!("BENCH_{name}.json");
+        let path = match crate::scale() {
+            crate::Scale::Smoke => repo_path("target").join(file),
+            _ => repo_path(&file),
+        };
+        Report::at(path, name)
     }
 
     fn at(path: PathBuf, name: &str) -> Report {
@@ -111,7 +118,9 @@ impl Report {
     pub fn finish(self) -> ExitCode {
         let text = self.render();
         print!("{text}");
-        std::fs::write(&self.path, text)
+        let dir = self.path.parent().expect("reports live in a directory");
+        std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&self.path, text))
             .unwrap_or_else(|e| panic!("write {}: {e}", self.path.display()));
         println!(
             "wrote {} ({} gates, {} failed)",

@@ -177,12 +177,13 @@ fn composed_prediction_tracks_whole_model_measurement() {
     let labels: Vec<f32> = (0..batch).map(|i| (i % 4) as f32).collect();
     let labels = Tensor::from_vec(Shape::new(&[batch]), labels).unwrap();
     let feeds = vec![("x", x), ("labels", labels)];
-    let mut train_step = [Subject::spans(|_| {
+    let mut train_step = [Subject::spans(|| {
         let t0 = recorder.phase_total_s(Phase::Backprop);
         session.infer_and_backprop(&feeds, "loss").unwrap();
-        vec![recorder.phase_total_s(Phase::Backprop) - t0]
+        [recorder.phase_total_s(Phase::Backprop) - t0]
     })];
-    let meas_train = time_rounds(2, 5, &mut train_step)[0][1].median;
+    let [meas_train] = time_rounds(2, 5, &mut train_step)[0];
+    let meas_train = meas_train.median;
 
     let rel_err = (pred.train_s - meas_train).abs() / meas_train;
     assert!(

@@ -141,12 +141,12 @@ fn both_executors_feed_time_hooks_per_op() {
 /// within 5% on a compute-bound chain (issue acceptance criterion).
 #[test]
 fn wavefront_attribution_sums_to_backprop_phase() {
-    // Big enough that per-pass glue is well under 5% of the matmul time:
-    // glue (feed and gradient copies) grows with `batch * inner`, kernel
-    // time with `batch * inner^2`, so width is the lever — at 256 wide the
-    // packed kernels leave ~35 us of glue at 7%. A chain, so op times are
-    // disjoint (no parallel overlap double-counting against the wall).
-    let (batch, inner) = (64, 1024);
+    // A chain, so op times are disjoint (no parallel overlap
+    // double-counting against the wall). LeNet-scale on purpose: a pass is
+    // ~0.4 ms in release, so the bound catches ~20 us of per-pass glue.
+    // Known: release builds sit at 5-10% here (per-node dispatch, not one
+    // copy — see ROADMAP item 3); debug builds pass.
+    let (batch, inner) = (64, 256);
     let recorder = TraceRecorder::new();
     let engine = Engine::builder(chain_net(batch, inner, 5))
         .executor(ExecutorKind::Wavefront)
