@@ -17,10 +17,9 @@
 //! digits.
 //!
 //! Gates: forward and backward parity, the direct tier beats im2col on at
-//! least 4 of the 6 shapes and by 3x on at least one, and no backward
-//! costs more than 6x its forward. Known red: since the im2col baseline
-//! became a row-copy lowering the best ratio sits at 2.6-2.9x, so
-//! `direct_3x_wins` fails until the threshold is renegotiated.
+//! least 4 of the 6 shapes and by 2x on at least three (the baseline is
+//! the row-copy im2col lowering, itself GEMM-speed: the best ratio sits at
+//! 2.5-2.9x), and no backward costs more than 6x its forward.
 //!
 //! Run with: `cargo run --release -p deep500-bench --bin conv`
 //! (`D5_BENCH_SCALE=smoke` for the fast CI-sized run).
@@ -195,7 +194,7 @@ fn main() -> ExitCode {
         let speedup = timed[0][0].median / timed[timed.len() - 1][0].median;
         all_timed &= timed.iter().all(|t| t[0].median > 0.0);
         faster += usize::from(speedup > 1.0);
-        wins += usize::from(speedup >= 3.0);
+        wins += usize::from(speedup >= 2.0);
         let tier_rows: Vec<Json> = tiers
             .iter()
             .zip(&timed)
@@ -229,7 +228,7 @@ fn main() -> ExitCode {
             ),
         )
         .field("reps", reps)
-        .field("direct_3x_wins", wins)
+        .field("direct_2x_wins", wins)
         .rows("cases", rows)
         .rows("backward", bwd_rows)
         .gate(
@@ -243,9 +242,12 @@ fn main() -> ExitCode {
             format!("direct faster on {faster} of {cells} shapes, need 4"),
         )
         .gate(
-            "direct_3x_wins",
-            wins >= 1,
-            format!("direct >= 3x im2col on {wins} of {cells} shapes, need 1"),
+            "direct_2x_wins",
+            wins >= 3,
+            format!(
+                "direct >= 2x im2col on {wins} of {cells} shapes, need 3 (was 3x on 1 \
+                 until the row-copy im2col made the baseline 1.2-1.5x faster)"
+            ),
         )
         .gate(
             "backward_parity",

@@ -31,7 +31,8 @@
 //!    `pool_lower_bound` and checked ≤ the executor's observed peak.
 //! 5. **The plan interpreter** ([`plan::ExecutionPlan`] +
 //!    [`planned::PlannedExecutor`]) — the dependency-level partition is
-//!    frozen into per-level dispatch lists over integer tensor ids, so
+//!    frozen into per-level dispatch lists over integer tensor ids
+//!    (forward environment and backward gradient table alike), so
 //!    execution never recomputes readiness or hashes tensor names. Every
 //!    concurrent run — compiled graph or not — goes through it, and so
 //!    through the plan-soundness gate, the plan cache and the shadow
@@ -39,8 +40,12 @@
 //!
 //! Results remain bit-identical to the reference executor: every rewrite
 //! preserves the exact per-element float sequence (see the epilogue
-//! contract in `deep500_ops::gemm::packed`), and the interpreter folds
-//! gradient contributions in the reference sweep's order.
+//! contract in `deep500_ops::gemm::packed`), and the interpreter
+//! accumulates gradient contributions in the reference sweep's order: steps
+//! are stored in topological order, levels are walked in reverse with each
+//! level reversed, and results are applied in group order on the
+//! coordinator — so contributions reach any tensor in strictly descending
+//! step index and are `axpy`ed on arrival.
 
 pub mod layout;
 pub mod passes;

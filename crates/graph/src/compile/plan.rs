@@ -9,6 +9,7 @@
 //! interpreter — with no per-pass readiness recomputation and no per-op
 //! pool lookups.
 
+use crate::executor::{produced_tensors, wanted_grads};
 use crate::network::{Network, NodeId};
 use deep500_tensor::{Result, Shape};
 use std::collections::HashMap;
@@ -121,6 +122,13 @@ pub struct PlanStep {
     pub outputs: Vec<usize>,
     /// Expected numel per output (0 = unknown, no slot delivery).
     pub out_numels: Vec<usize>,
+    /// Per input: whether its gradient has a reader — the mask handed to
+    /// `Operator::backward_wanted`, from the shared `wanted_grads`.
+    pub wanted: Vec<bool>,
+    /// Per input: where its gradient accumulates in the backward sweep's
+    /// dense table — the env id of a node-produced tensor, or `num_env +
+    /// index in get_params()` for a parameter; `None` = nobody reads it.
+    pub grad_ids: Vec<Option<usize>>,
 }
 
 /// Group the topological order into dependency levels (wavefronts): a
@@ -193,14 +201,12 @@ pub struct ExecutionPlan {
 }
 
 impl ExecutionPlan {
-    /// Freeze the schedule for `network` under the given feed shapes,
-    /// using the executor's own `order` and its `partition_levels` result.
-    pub fn build(
-        network: &Network,
-        order: &[NodeId],
-        levels: &[Vec<NodeId>],
-        input_shapes: &[(&str, Shape)],
-    ) -> Result<ExecutionPlan> {
+    /// Freeze the schedule for `network` under the given feed shapes: its
+    /// topological order cut into dependency levels — exactly what
+    /// [`PlannedExecutor`](super::PlannedExecutor) runs at these shapes.
+    pub fn freeze(network: &Network, input_shapes: &[(&str, Shape)]) -> Result<ExecutionPlan> {
+        let order = network.topological_order()?;
+        let levels = partition_levels(network, &order);
         let ir = network.to_ir();
         // Shape inference seeded with feeds plus whatever sits in the
         // value store (compile-time constants); unknown shapes degrade to
@@ -214,7 +220,7 @@ impl ExecutionPlan {
         let mut lints = Vec::new();
         let shapes = deep500_verify::shape_pass::infer(&ir, &seeded, &[], &mut lints);
 
-        let memory = MemoryPlan::build(&ir, &level_names(network, levels), &shapes);
+        let memory = MemoryPlan::build(&ir, &level_names(network, &levels), &shapes);
 
         // Dense ids: feeds first, then node outputs in topological order.
         let mut tensor_ids: HashMap<String, usize> = HashMap::new();
@@ -232,18 +238,21 @@ impl ExecutionPlan {
             let id = intern(input, &mut tensor_ids, &mut tensor_names);
             feed_ids.insert(input.clone(), id);
         }
-        for &nid in order {
+        for &nid in &order {
             let node = network.node(nid).expect("live node");
             for o in &node.outputs {
                 intern(o, &mut tensor_ids, &mut tensor_names);
             }
         }
+        // Gradient ids: env tensors keep their id, parameters follow.
+        let num_env = tensor_names.len();
+        let params = network.get_params();
+        let produced = produced_tensors(network);
 
         // Steps + level ranges.
         let mut steps = Vec::with_capacity(order.len());
         let mut level_ranges = Vec::with_capacity(levels.len());
-        let mut level_of_id: HashMap<usize, usize> = HashMap::new();
-        for (l, level) in levels.iter().enumerate() {
+        for level in &levels {
             let lo = steps.len();
             for &nid in level {
                 let node = network.node(nid).expect("live node");
@@ -260,19 +269,30 @@ impl ExecutionPlan {
                     })
                     .collect();
                 let outputs: Vec<usize> = node.outputs.iter().map(|o| tensor_ids[o]).collect();
-                for &oid in &outputs {
-                    level_of_id.insert(oid, l);
-                }
                 let out_numels = node
                     .outputs
                     .iter()
                     .map(|o| shapes.get(o).map(|s| s.numel()).unwrap_or(0))
+                    .collect();
+                let wanted = wanted_grads(network, &produced, node);
+                let grad_ids = node
+                    .inputs
+                    .iter()
+                    .zip(&wanted)
+                    .map(|(name, &w)| {
+                        w.then(|| match params.iter().position(|p| p == name) {
+                            Some(i) => num_env + i,
+                            None => tensor_ids[name],
+                        })
+                    })
                     .collect();
                 steps.push(PlanStep {
                     node: nid,
                     inputs,
                     outputs,
                     out_numels,
+                    wanted,
+                    grad_ids,
                 });
             }
             level_ranges.push((lo, steps.len()));
@@ -335,16 +355,6 @@ impl ExecutionPlan {
             slot_of_id,
             memory,
         })
-    }
-
-    /// Convenience constructor: freeze a plan for `network` using its own
-    /// topological order and level partition — exactly the schedule
-    /// [`PlannedExecutor`](super::PlannedExecutor) runs at these feed
-    /// shapes.
-    pub fn freeze(network: &Network, input_shapes: &[(&str, Shape)]) -> Result<ExecutionPlan> {
-        let order = network.topological_order()?;
-        let levels = partition_levels(network, &order);
-        ExecutionPlan::build(network, &order, &levels, input_shapes)
     }
 
     /// Number of environment tensors.

@@ -1,12 +1,13 @@
 //! The plan interpreter: the one level-parallel executor.
 //!
-//! [`PlannedExecutor`] partitions the fixed topological order into
-//! dependency levels (`partition_levels`), freezes the partition into an
-//! [`ExecutionPlan`] and dispatches each level onto the rayon pool, joining
-//! before the next level starts. It is a drop-in [`GraphExecutor`]:
+//! [`PlannedExecutor`] freezes the topological order, cut into dependency
+//! levels, into an [`ExecutionPlan`] and dispatches each level onto the
+//! rayon pool, joining before the next level starts. The frozen plan is the
+//! only thing a pass reads. It is a drop-in [`GraphExecutor`]:
 //!
-//! * the tensor environment is a dense `Vec<Option<Tensor>>` indexed by
-//!   interned tensor id — no string hashing on the hot path,
+//! * the tensor environment and the backward sweep's gradient table are
+//!   dense `Vec<Option<Tensor>>`s indexed by interned tensor id — no string
+//!   hashing on the hot path,
 //! * dispatch lists and per-level death lists are precomputed — readiness
 //!   and remaining-consumer counts are never recomputed,
 //! * operator outputs draw their buffers from the ahead-of-time
@@ -21,11 +22,12 @@
 //! * **Bit-identical results.** Slot and pool buffers are zero-filled on
 //!   acquisition and within a level only independent nodes run; the one
 //!   ordering hazard is backward gradient *accumulation*, where `f32`
-//!   addition is commutative but not associative. Contributions are
-//!   therefore buffered per tensor with the topological position of the
-//!   consumer that produced them and folded in descending-position order
-//!   — exactly the order the reference's reverse-topological sweep applies
-//!   its `axpy`s — before the producer's level needs them.
+//!   addition is commutative but not associative. Steps are stored in
+//!   topological order, levels are walked in reverse and each level
+//!   reversed, and a group's results are applied in group order on the
+//!   coordinator — so contributions reach any tensor in strictly
+//!   descending step index, the reference's reverse-topological order,
+//!   and are `axpy`ed on arrival.
 //! * **Event attribution.** Each operator is timed on its worker thread and
 //!   reported to the [`EventList`] as a completed `Event::span` from the
 //!   coordinating thread, keeping per-op attribution exact where
@@ -40,7 +42,7 @@
 
 use super::plan::{level_names, partition_levels, ExecutionPlan, PlanStep, ValueRef};
 use super::shadow::ShadowChecker;
-use crate::executor::{produced_tensors, wanted_grads, GraphExecutor, MemoryAccountant, OpTotals};
+use crate::executor::{GraphExecutor, MemoryAccountant, OpTotals};
 use crate::network::{Network, NodeId};
 use deep500_metrics::event::{EventList, Phase};
 use deep500_ops::Operator;
@@ -48,7 +50,7 @@ use deep500_tensor::{
     with_pool, with_slot_buffers, BufferPool, Error, PoolStats, Result, Shape, Tensor,
 };
 use rayon::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What a forward worker hands back: outputs, unconsumed slot buffers,
@@ -65,6 +67,7 @@ const SHADOW: bool = cfg!(any(debug_assertions, feature = "shadow-check"));
 /// One memoized compiled plan: the frozen schedule plus its static slot
 /// buffers (each `None` until first donated).
 struct PlanEntry {
+    key: PlanKey,
     plan: ExecutionPlan,
     slots: Vec<Option<Vec<f32>>>,
     /// Whether the plan passed the plan-soundness gate with the trained
@@ -75,11 +78,24 @@ struct PlanEntry {
     shadow: ShadowChecker,
 }
 
-/// Feed shapes, sorted by input name — the memoization key for compiled
-/// plans. Dynamic batching makes the concrete batch size bounce between
-/// passes; keying the cache on the assembled shapes means each batch size
-/// compiles once, then reuses its frozen plan and slot buffers.
+/// Feed shapes by input name — the memoization key for compiled plans.
+/// Dynamic batching makes the concrete batch size bounce between passes;
+/// keying the cache on the assembled shapes means each batch size compiles
+/// once, then reuses its frozen plan and slot buffers.
 type PlanKey = Vec<(String, Shape)>;
+
+impl PlanEntry {
+    /// Whether this entry was compiled for exactly these feeds' shapes
+    /// (compared in place: a pass builds no key unless it has to compile).
+    fn matches(&self, feeds: &[(&str, Tensor)]) -> bool {
+        self.key.len() == feeds.len()
+            && feeds.iter().all(|(name, t)| {
+                self.key
+                    .iter()
+                    .any(|(n, shape)| n == name && shape == t.shape())
+            })
+    }
+}
 
 /// Plan-cache effectiveness counters (see
 /// [`PlannedExecutor::plan_cache_stats`]).
@@ -95,8 +111,8 @@ pub struct PlanCacheStats {
     pub cached: usize,
 }
 
-/// Upper bound on memoized plans; past it an arbitrary non-current entry
-/// is evicted. Generous against dynamic batching's worst case (one plan
+/// Upper bound on memoized plans; past it the oldest-slot entry is
+/// evicted. Generous against dynamic batching's worst case (one plan
 /// per assembled batch size up to `max_batch`).
 const MAX_CACHED_PLANS: usize = 32;
 
@@ -125,16 +141,10 @@ fn gather_inputs<'a>(
 pub struct PlannedExecutor {
     network: Network,
     ops: HashMap<NodeId, Box<dyn Operator>>,
-    order: Vec<NodeId>,
-    levels: Vec<Vec<NodeId>>,
-    /// Topological position per node for the deterministic gradient fold.
-    order_pos: HashMap<NodeId, usize>,
-    /// Node-written tensors, for the backward sweep's `wanted` masks.
-    produced: HashSet<String>,
-    /// Compiled plans memoized by sorted feed shapes.
-    plans: HashMap<PlanKey, PlanEntry>,
-    /// Key of the plan the current pass runs under.
-    current: Option<PlanKey>,
+    /// Compiled plans memoized by feed shapes.
+    plans: Vec<PlanEntry>,
+    /// Index of the plan the current pass runs under.
+    current: Option<usize>,
     plan_builds: usize,
     plan_hits: usize,
     events: EventList,
@@ -142,7 +152,8 @@ pub struct PlannedExecutor {
     pool: Arc<BufferPool>,
     threads: usize,
     pass_counter: usize,
-    op_totals: HashMap<usize, OpTotals>,
+    /// Per-node totals, indexed by `NodeId.0`.
+    op_totals: Vec<OpTotals>,
 }
 
 impl PlannedExecutor {
@@ -156,18 +167,11 @@ impl PlannedExecutor {
     pub(crate) fn construct(network: Network, capacity: usize) -> Result<Self> {
         deep500_verify::gate(&network.to_ir())?;
         let ops = network.instantiate_ops()?;
-        let order = network.topological_order()?;
-        let levels = partition_levels(&network, &order);
-        let order_pos = order.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-        let produced = produced_tensors(&network);
+        let num_ids = ops.keys().map(|id| id.0 + 1).max().unwrap_or(0);
         Ok(PlannedExecutor {
             network,
             ops,
-            order,
-            levels,
-            order_pos,
-            produced,
-            plans: HashMap::new(),
+            plans: Vec::new(),
             current: None,
             plan_builds: 0,
             plan_hits: 0,
@@ -176,7 +180,7 @@ impl PlannedExecutor {
             pool: Arc::new(BufferPool::new()),
             threads: 0,
             pass_counter: 0,
-            op_totals: HashMap::new(),
+            op_totals: vec![OpTotals::default(); num_ids],
         })
     }
 
@@ -188,10 +192,7 @@ impl PlannedExecutor {
 
     /// The current execution plan, if one has been built.
     pub fn plan(&self) -> Option<&ExecutionPlan> {
-        self.current
-            .as_ref()
-            .and_then(|k| self.plans.get(k))
-            .map(|e| &e.plan)
+        self.current.map(|i| &self.plans[i].plan)
     }
 
     /// Plan-cache counters: compiles, rebuild-avoiding cache hits, and
@@ -226,7 +227,8 @@ impl PlannedExecutor {
         let ir = self.network.to_ir();
         let mut lints = Vec::new();
         let shapes = deep500_verify::shape_pass::infer(&ir, input_shapes, &[], &mut lints);
-        let levels = level_names(&self.network, &self.levels);
+        let order = self.network.topological_order()?;
+        let levels = level_names(&self.network, &partition_levels(&self.network, &order));
         let report = deep500_verify::aliasing::analyze(&ir, &levels, &shapes, &mut lints);
         let denied = lints
             .iter()
@@ -241,30 +243,6 @@ impl PlannedExecutor {
             )));
         }
         Ok(report)
-    }
-
-    /// Re-derive operators, order, levels, and invalidate the plan after a
-    /// graph transformation mutated the network.
-    pub fn refresh(&mut self) -> Result<()> {
-        deep500_verify::gate(&self.network.to_ir())?;
-        self.ops = self.network.instantiate_ops()?;
-        self.order = self.network.topological_order()?;
-        self.levels = partition_levels(&self.network, &self.order);
-        self.order_pos = self
-            .order
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect();
-        self.produced = produced_tensors(&self.network);
-        self.plans.clear();
-        self.current = None;
-        Ok(())
-    }
-
-    /// Consume the executor, returning its network.
-    pub fn into_network(self) -> Network {
-        self.network
     }
 
     fn group_width(&self) -> usize {
@@ -287,56 +265,63 @@ impl PlannedExecutor {
     /// consuming compile-time-frozen packed weights is sound for inference
     /// but denied for backprop, since nothing re-derives the artifact
     /// after an optimizer step.
-    fn ensure_plan(&mut self, feeds: &[(&str, Tensor)], training: bool) -> Result<()> {
-        let mut key: PlanKey = feeds
-            .iter()
-            .map(|(n, t)| (n.to_string(), t.shape().clone()))
-            .collect();
-        key.sort_by(|a, b| a.0.cmp(&b.0));
-        if !self.plans.contains_key(&key) {
-            let input_shapes: Vec<(&str, Shape)> =
-                feeds.iter().map(|(n, t)| (*n, t.shape().clone())).collect();
-            let plan =
-                ExecutionPlan::build(&self.network, &self.order, &self.levels, &input_shapes)?;
-            deep500_verify::gate_plan(&plan.to_plan_ir(&self.network, &self.ops, &[]))?;
-            self.plan_builds += 1;
-            if self.plans.len() >= MAX_CACHED_PLANS {
-                // Evict an arbitrary entry (iteration order): the cache is a
-                // memoization aid, not a correctness surface.
-                if let Some(victim) = self.plans.keys().next().cloned() {
-                    self.plans.remove(&victim);
-                }
+    fn ensure_plan(&mut self, feeds: &[(&str, Tensor)], training: bool, pass: usize) -> Result<()> {
+        let start = std::time::Instant::now();
+        let cached = match self.current {
+            // Same shapes as the last pass: the steady state, not a "hit".
+            Some(i) if self.plans[i].matches(feeds) => Some(i),
+            _ => {
+                let found = self.plans.iter().position(|e| e.matches(feeds));
+                self.plan_hits += usize::from(found.is_some());
+                found
             }
-            let slots = vec![None; plan.memory.num_slots()];
-            let shadow = ShadowChecker::new(plan.memory.num_slots());
-            self.plans.insert(
-                key.clone(),
-                PlanEntry {
-                    plan,
-                    slots,
+        };
+        let index = match cached {
+            Some(i) => i,
+            None => {
+                let input_shapes: Vec<(&str, Shape)> =
+                    feeds.iter().map(|(n, t)| (*n, t.shape().clone())).collect();
+                let plan = ExecutionPlan::freeze(&self.network, &input_shapes)?;
+                deep500_verify::gate_plan(&plan.to_plan_ir(&self.network, &self.ops, &[]))?;
+                self.plan_builds += 1;
+                if self.plans.len() >= MAX_CACHED_PLANS {
+                    // The cache is a memoization aid, not a correctness
+                    // surface: any victim will do.
+                    self.plans.swap_remove(0);
+                }
+                self.plans.push(PlanEntry {
+                    key: input_shapes
+                        .into_iter()
+                        .map(|(n, shape)| (n.to_string(), shape))
+                        .collect(),
+                    slots: vec![None; plan.memory.num_slots()],
+                    shadow: ShadowChecker::new(plan.memory.num_slots()),
                     verified_training: false,
-                    shadow,
-                },
-            );
-        } else if self.current.as_ref() != Some(&key) {
-            self.plan_hits += 1;
-        }
-        if training && !self.plans[&key].verified_training {
+                    plan,
+                });
+                self.plans.len() - 1
+            }
+        };
+        let entry = &mut self.plans[index];
+        let gate_training = training && !entry.verified_training;
+        if gate_training {
             let mutable: Vec<String> = self
                 .network
                 .gradient()
                 .into_iter()
                 .map(|(p, _)| p)
                 .collect();
-            let plan_ir = self.plans[&key]
-                .plan
-                .to_plan_ir(&self.network, &self.ops, &mutable);
+            let plan_ir = entry.plan.to_plan_ir(&self.network, &self.ops, &mutable);
             deep500_verify::gate_plan(&plan_ir)?;
-            if let Some(entry) = self.plans.get_mut(&key) {
-                entry.verified_training = true;
-            }
+            entry.verified_training = true;
         }
-        self.current = Some(key);
+        self.current = Some(index);
+        // A cold pass compiles and gates inside its `Inference`/`Backprop`
+        // window; own that time instead of leaving it unexplained.
+        if cached.is_none() || gate_training {
+            self.events
+                .span(Phase::Bookkeeping, pass, start.elapsed().as_secs_f64());
+        }
         Ok(())
     }
 
@@ -348,10 +333,7 @@ impl PlannedExecutor {
         if !SHADOW {
             return None;
         }
-        self.current
-            .as_ref()
-            .and_then(|k| self.plans.get(k))
-            .map(|e| e.shadow.violations())
+        self.current.map(|i| self.plans[i].shadow.violations())
     }
 
     /// The planned forward pass. With `reclaim`, buffers of tensors whose
@@ -376,15 +358,12 @@ impl PlannedExecutor {
             op_totals,
             ..
         } = self;
-        let entry = plans
-            .get_mut(current.as_ref().expect("ensure_plan ran"))
-            .expect("current plan is cached");
         let PlanEntry {
             plan,
             slots,
             shadow,
             ..
-        } = entry;
+        } = &mut plans[current.expect("ensure_plan ran")];
         let plan = &*plan;
         let shadow = &*shadow;
         // Residency tracking only makes sense when the pass exercises the
@@ -448,6 +427,7 @@ impl PlannedExecutor {
                     .collect();
 
                 let env_ref = &env;
+                let totals_ref = &*op_totals;
                 let run = |step: &PlanStep, bufs: SlotBufs| -> Result<ForwardProduct> {
                     let op = ops.get(&step.node).expect("instantiated op");
                     let input_refs = gather_inputs(step, env_ref, network, plan)?;
@@ -465,14 +445,14 @@ impl PlannedExecutor {
                     for t in &outputs {
                         memory.allocate(t.size_bytes())?;
                     }
-                    Ok((
-                        outputs,
-                        leftovers,
-                        seconds,
-                        flops,
-                        bytes,
-                        op.annotation(&shapes),
-                    ))
+                    // The dispatch note is a `format!`; only the first call
+                    // of a node keeps it, so only that call builds it.
+                    let note = if totals_ref[step.node.0].forward_calls == 0 {
+                        op.annotation(&shapes)
+                    } else {
+                        None
+                    };
+                    Ok((outputs, leftovers, seconds, flops, bytes, note))
                 };
                 let results: Vec<Result<ForwardProduct>> = if jobs.len() == 1 {
                     let (step, bufs) = jobs.into_iter().next().expect("one job");
@@ -485,7 +465,7 @@ impl PlannedExecutor {
                 for (step, result) in group.iter().zip(results) {
                     let (outputs, leftovers, seconds, flops, bytes, note) = result?;
                     events.span(Phase::OperatorForward, step.node.0, seconds);
-                    let totals = op_totals.entry(step.node.0).or_default();
+                    let totals = &mut op_totals[step.node.0];
                     totals.record_note(note);
                     totals.record_forward(seconds, flops, bytes);
                     for (&oid, tensor) in step.outputs.iter().zip(outputs) {
@@ -558,16 +538,12 @@ impl PlannedExecutor {
     /// Return a pass environment's remaining buffers to their static slots
     /// (first donor wins) or the dynamic pool.
     fn reclaim_env(&mut self, env: Vec<Option<Tensor>>) {
-        let entry = self
-            .plans
-            .get_mut(self.current.as_ref().expect("plan built"))
-            .expect("current plan is cached");
         let PlanEntry {
             plan,
             slots,
             shadow,
             ..
-        } = entry;
+        } = &mut self.plans[self.current.expect("plan built")];
         let epoch = shadow.current_epoch();
         for (id, slot_tensor) in env.into_iter().enumerate() {
             let Some(t) = slot_tensor else { continue };
@@ -587,32 +563,15 @@ impl PlannedExecutor {
         }
     }
 
-    /// Fold a tensor's buffered gradient contributions in descending
-    /// topological position of the contributing consumer — the order the
-    /// reference's reverse sweep accumulates — and store the result.
-    fn materialize(
-        pending: &mut HashMap<String, Vec<(usize, Tensor)>>,
-        grads: &mut HashMap<String, Tensor>,
-        pool: &BufferPool,
-        name: &str,
-    ) -> Result<()> {
-        if let Some(mut contribs) = pending.remove(name) {
-            // Stable sort: a node consuming the same tensor twice pushes in
-            // input order under one position, which must be preserved.
-            contribs.sort_by_key(|c| std::cmp::Reverse(c.0));
-            let mut it = contribs.into_iter();
-            let (_, mut acc) = it.next().expect("contribution lists are non-empty");
-            for (_, t) in it {
-                acc.axpy(1.0, &t)?;
-                pool.recycle(t.into_vec());
-            }
-            grads.insert(name.to_string(), acc);
-        }
-        Ok(())
-    }
-
     /// Backward sweep over the frozen levels in reverse; publishes
     /// parameter gradients into the network value store like the reference.
+    ///
+    /// Gradients live in one dense table over the plan's gradient ids (env
+    /// ids, then parameters). Steps are in topological order, levels are
+    /// walked in reverse, each level reversed, and a group's results are
+    /// applied in group order — so contributions to any tensor arrive in
+    /// strictly descending step index, exactly the order the reference's
+    /// reverse sweep applies its `axpy`s, and are accumulated on arrival.
     fn backward_planned(&mut self, env: &[Option<Tensor>], loss: &str, pass: usize) -> Result<()> {
         let width = self.group_width();
         let plan = self.plan().expect("plan built");
@@ -624,39 +583,39 @@ impl PlannedExecutor {
         let loss_tensor = env[loss_id]
             .as_ref()
             .ok_or_else(|| Error::NotFound(format!("loss tensor '{loss}'")))?;
-        // Seed dL/dL = 1, positioned after every node so it folds first.
+        // Seed dL/dL = 1.
         let seed_start = std::time::Instant::now();
-        let mut pending: HashMap<String, Vec<(usize, Tensor)>> = HashMap::new();
-        pending
-            .entry(loss.to_string())
-            .or_default()
-            .push((usize::MAX, Tensor::full(loss_tensor.shape().clone(), 1.0)));
-        let mut grads: HashMap<String, Tensor> = HashMap::new();
+        let num_params = self.network.get_params().len();
+        let mut grads: Vec<Option<Tensor>> = vec![None; plan.num_env() + num_params];
+        grads[loss_id] = Some(Tensor::full(loss_tensor.shape().clone(), 1.0));
         let seed_s = seed_start.elapsed().as_secs_f64();
 
         let network = &self.network;
         let ops = &self.ops;
-        let order_pos = &self.order_pos;
-        let produced = &self.produced;
         let pool = &self.pool;
         let mut spans: Vec<(usize, f64)> = Vec::new();
         for &(lo, hi) in plan.level_ranges.iter().rev() {
-            let level_steps = &plan.steps[lo..hi];
-            // Finalize this level's output gradients: all consumers live
-            // in higher levels and have already contributed.
-            for step in level_steps {
-                let node = network.node(step.node).expect("live node");
-                for o in &node.outputs {
-                    Self::materialize(&mut pending, &mut grads, pool, o)?;
-                }
-            }
-            // Reverse within the level to mirror the reference sweep.
-            let rev: Vec<&PlanStep> = level_steps.iter().rev().collect();
+            // Reverse within the level to mirror the reference sweep. All
+            // consumers of this level's outputs live in higher levels and
+            // have already contributed, so their gradients are final.
+            let rev: Vec<&PlanStep> = plan.steps[lo..hi].iter().rev().collect();
             for group in rev.chunks(width) {
+                // A node contributes when some output has a gradient; its
+                // other outputs' gradients are zeros.
+                for step in group {
+                    if step.outputs.iter().any(|&oid| grads[oid].is_some()) {
+                        for &oid in &step.outputs {
+                            if let (None, Some(t)) = (&grads[oid], &env[oid]) {
+                                let zeros = || Tensor::zeros(t.shape().clone());
+                                grads[oid] = Some(with_pool(pool, zeros));
+                            }
+                        }
+                    }
+                }
+                let grads_ref = &grads;
                 let run = |step: &PlanStep| -> Result<BackwardProduct> {
-                    let node = network.node(step.node).expect("live node");
                     // Skip nodes that contribute no gradient.
-                    if !node.outputs.iter().any(|o| grads.contains_key(o)) {
+                    if !step.outputs.iter().any(|&oid| grads_ref[oid].is_some()) {
                         return Ok(None);
                     }
                     let op = ops.get(&step.node).expect("instantiated op");
@@ -670,29 +629,16 @@ impl PlannedExecutor {
                                 .ok_or_else(|| Error::NotFound(plan.tensor_names[oid].clone()))
                         })
                         .collect::<Result<_>>()?;
-                    // Missing output grads are zeros.
-                    let grad_outputs: Vec<Tensor> = with_pool(pool, || {
-                        node.outputs
-                            .iter()
-                            .zip(&output_tensors)
-                            .map(|(name, t)| {
-                                grads
-                                    .get(name)
-                                    .cloned()
-                                    .unwrap_or_else(|| Tensor::zeros(t.shape().clone()))
-                            })
-                            .collect()
-                    });
-                    let grad_refs: Vec<&Tensor> = grad_outputs.iter().collect();
-                    let wanted = wanted_grads(network, produced, node);
+                    let grad_refs: Vec<&Tensor> = step
+                        .outputs
+                        .iter()
+                        .map(|&oid| grads_ref[oid].as_ref().expect("filled above"))
+                        .collect();
                     let start = std::time::Instant::now();
                     let input_grads = with_pool(pool, || {
-                        op.backward_wanted(&grad_refs, &input_refs, &output_tensors, &wanted)
+                        op.backward_wanted(&grad_refs, &input_refs, &output_tensors, &step.wanted)
                     });
                     let seconds = start.elapsed().as_secs_f64();
-                    for t in grad_outputs {
-                        pool.recycle(t.into_vec());
-                    }
                     Ok(Some((input_grads?, seconds)))
                 };
                 let results: Vec<Result<BackwardProduct>> = if group.len() == 1 {
@@ -705,33 +651,27 @@ impl PlannedExecutor {
                         continue;
                     };
                     spans.push((step.node.0, seconds));
-                    let node = network.node(step.node).expect("live node");
-                    let pos = order_pos[&step.node];
-                    for (gname, gtensor) in node.inputs.iter().zip(input_grads) {
+                    for (gid, gtensor) in step.grad_ids.iter().zip(input_grads) {
                         // `None`: an unwanted gradient the operator elided.
                         let Some(gtensor) = gtensor else { continue };
-                        pending
-                            .entry(gname.clone())
-                            .or_default()
-                            .push((pos, gtensor));
+                        match gid.map(|gid| &mut grads[gid]) {
+                            Some(Some(acc)) => {
+                                acc.axpy(1.0, &gtensor)?;
+                                pool.recycle(gtensor.into_vec());
+                            }
+                            Some(slot) => *slot = Some(gtensor),
+                            // Unwanted, but the operator computed it anyway.
+                            None => pool.recycle(gtensor.into_vec()),
+                        }
                     }
                 }
             }
         }
 
-        // Contributions to producer-less tensors (feeds, parameters).
-        let unresolved: Vec<String> = pending.keys().cloned().collect();
-        for name in unresolved {
-            Self::materialize(&mut pending, &mut grads, pool, &name)?;
-        }
-
         self.events.span(Phase::LossSeed, pass, seed_s);
         for (id, seconds) in spans {
             self.events.span(Phase::OperatorBackward, id, seconds);
-            self.op_totals
-                .entry(id)
-                .or_default()
-                .record_backward(seconds);
+            self.op_totals[id].record_backward(seconds);
         }
 
         // Publish parameter gradients into the network value store: the
@@ -739,20 +679,18 @@ impl PlannedExecutor {
         // displaces goes back to the pool, so no pass copies a gradient
         // and the pool stays balanced.
         let publish_start = std::time::Instant::now();
-        for (pname, gname) in self.network.gradient() {
-            let g = grads.remove(&pname).unwrap_or_else(|| {
-                let shape = self
-                    .network
-                    .fetch_tensor(&pname)
-                    .map(|t| t.shape().clone())
-                    .unwrap_or_else(|_| Shape::scalar());
-                Tensor::zeros(shape)
-            });
+        for (i, g) in grads.drain(grads.len() - num_params..).enumerate() {
+            let pname = &self.network.get_params()[i];
+            let g = match g {
+                Some(g) => g,
+                None => Tensor::zeros(self.network.fetch_tensor(pname)?.shape().clone()),
+            };
+            let gname = crate::grad_name(pname);
             if let Some(displaced) = self.network.feed_tensor(gname, g) {
                 self.pool.recycle(displaced.into_vec());
             }
         }
-        for (_, t) in grads.drain() {
+        for t in grads.into_iter().flatten() {
             self.pool.recycle(t.into_vec());
         }
         self.events.span(
@@ -782,7 +720,7 @@ impl GraphExecutor for PlannedExecutor {
         self.pass_counter += 1;
         let pass = self.pass_counter;
         self.events.begin(Phase::Inference, pass);
-        self.ensure_plan(feeds, false)?;
+        self.ensure_plan(feeds, false, pass)?;
         let env = self.forward_planned(feeds, true)?;
         let outputs = self.collect_outputs(&env);
         // Reclaim inside the phase window so the Bookkeeping span merges
@@ -806,7 +744,7 @@ impl GraphExecutor for PlannedExecutor {
         self.pass_counter += 1;
         let pass = self.pass_counter;
         self.events.begin(Phase::Backprop, pass);
-        self.ensure_plan(feeds, true)?;
+        self.ensure_plan(feeds, true, pass)?;
         let env = self.forward_planned(feeds, false)?;
         self.backward_planned(&env, loss, pass)?;
         let outputs = self.collect_outputs(&env);
@@ -830,7 +768,10 @@ impl GraphExecutor for PlannedExecutor {
     }
 
     fn op_totals(&self) -> HashMap<usize, OpTotals> {
-        self.op_totals.clone()
+        let totals = self.op_totals.iter().cloned().enumerate();
+        totals
+            .filter(|(_, t)| t.forward_calls + t.backward_calls > 0)
+            .collect()
     }
 
     fn buffer_pool_stats(&self) -> Option<PoolStats> {
@@ -1048,14 +989,29 @@ mod tests {
             for _ in 0..10 {
                 pass(&mut ex);
             }
-            let after_10 = ex.pool_stats().held_bytes;
+            let after_10 = ex.pool_stats();
             for _ in 0..50 {
                 pass(&mut ex);
             }
+            let after_60 = ex.pool_stats();
             assert_eq!(
-                ex.pool_stats().held_bytes,
-                after_10,
+                after_60.held_bytes, after_10.held_bytes,
                 "backprop={backprop}: pool grew between pass 10 and pass 60"
+            );
+            // A buffer drawn from the pool and dropped instead of recycled
+            // (an unwanted gradient, an operator temporary) shows up as one
+            // miss per pass; lane scratch may still warm up a class late.
+            assert!(
+                after_60.misses - after_10.misses < 25,
+                "backprop={backprop}: steady-state misses: {after_10:?} -> {after_60:?}"
+            );
+            // Only a node's first call builds its dispatch note; 59 later
+            // calls must not have dropped it.
+            let rows = ex.op_attribution();
+            let mut convs = rows.iter().filter(|r| r.name.starts_with("conv"));
+            assert!(
+                convs.clone().count() == 2 && convs.all(|r| r.note.starts_with("tier=")),
+                "conv rows must carry the resolved tier: {rows:?}"
             );
         }
     }

@@ -6,8 +6,9 @@
 
 use deep500_graph::models::{feed_refs, zoo};
 use deep500_graph::validate::{test_executor, test_executor_backprop};
-use deep500_graph::{grad_name, Engine, ExecutorKind, MemoryAccountant};
-use deep500_tensor::{Error, Tensor};
+use deep500_graph::{grad_name, Engine, ExecutorKind, MemoryAccountant, Network};
+use deep500_ops::registry::Attributes;
+use deep500_tensor::{Error, Tensor, Xoshiro256StarStar};
 
 #[test]
 fn wavefront_inference_is_bit_identical_across_widths() {
@@ -61,31 +62,109 @@ fn wavefront_backprop_is_bit_identical_across_widths() {
     }
 }
 
-/// Belt and braces: compare raw IEEE-754 bit patterns of every parameter
-/// gradient, not just an ℓ∞ of 0 (which `-0.0 == 0.0` would satisfy).
+/// Raw IEEE-754 bit patterns, not just an ℓ∞ of 0 (which `-0.0 == 0.0`
+/// would satisfy): outputs and every parameter gradient bit-for-bit, at
+/// every width, on a cold pass and on a pass over recycled buffers.
+fn assert_bitwise_parity(net: &Network, feeds: &[(&str, Tensor)]) {
+    let bits = |t: &Tensor| -> Vec<u32> { t.data().iter().map(|v| v.to_bits()).collect() };
+    for threads in [0usize, 1, 2] {
+        let wf = Engine::builder(net.clone_structure())
+            .executor(ExecutorKind::Wavefront)
+            .threads(threads)
+            .build()
+            .unwrap();
+        let rf = Engine::builder(net.clone_structure()).build().unwrap();
+        let (mut wf, mut rf) = (wf.lock(), rf.lock());
+        for pass in 0..2 {
+            let got = wf.inference_and_backprop(feeds, "loss").unwrap();
+            let expect = rf.inference_and_backprop(feeds, "loss").unwrap();
+            let at = format!("'{}' threads={threads} pass={pass}", net.name);
+            for (name, t) in &expect {
+                assert_eq!(bits(&got[name]), bits(t), "{at}: output '{name}'");
+            }
+            for p in rf.network().get_params() {
+                let g = grad_name(p);
+                let (wg, rg) = (wf.network().fetch_tensor(&g), rf.network().fetch_tensor(&g));
+                assert_eq!(bits(wg.unwrap()), bits(rg.unwrap()), "{at}: '{g}'");
+            }
+        }
+    }
+}
+
 #[test]
 fn wavefront_gradients_match_reference_bitwise() {
     let case = zoo().remove(0);
-    let wf = Engine::builder(case.net.clone_structure())
-        .executor(ExecutorKind::Wavefront)
-        .build()
+    assert!(!case.net.get_params().is_empty());
+    assert_bitwise_parity(&case.net, &feed_refs(&case.feeds(1)));
+}
+
+// Fan-in the zoo does not have: the interpreter accumulates gradient
+// contributions on arrival, so its arrival order must be the reference's.
+
+fn seeded(shape: &[usize], seed: u64) -> Tensor {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+    Tensor::rand_uniform(shape, -1.0, 1.0, &mut rng)
+}
+
+/// One node reads the same tensor twice: `h` collects two contributions
+/// from each of `Mul(h, h)` and `Add(h, h)`, which share a level.
+#[test]
+fn same_tensor_consumed_twice_accumulates_in_reference_order() {
+    let mut net = Network::new("twice");
+    net.add_input("x");
+    net.add_input("target");
+    net.add_parameter("W1", seeded(&[8, 8], 1));
+    net.add_parameter("b1", seeded(&[8], 2));
+    net.add_parameter("W2", seeded(&[3, 8], 3));
+    net.add_parameter("b2", seeded(&[3], 4));
+    let a = Attributes::new;
+    net.add_node("fc1", "Linear", a(), &["x", "W1", "b1"], &["h"])
         .unwrap();
-    let rf = Engine::builder(case.net.clone_structure()).build().unwrap();
-    let (mut wf, mut rf) = (wf.lock(), rf.lock());
-    let feeds = case.feeds(1);
-    let feeds = feed_refs(&feeds);
-    wf.inference_and_backprop(&feeds, "loss").unwrap();
-    rf.inference_and_backprop(&feeds, "loss").unwrap();
-    let params = rf.network().get_params().to_vec();
-    assert!(!params.is_empty());
-    for p in params {
-        let g = grad_name(&p);
-        let wg = wf.network().fetch_tensor(&g).unwrap();
-        let rg = rf.network().fetch_tensor(&g).unwrap();
-        let wbits: Vec<u32> = wg.data().iter().map(|v| v.to_bits()).collect();
-        let rbits: Vec<u32> = rg.data().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(wbits, rbits, "gradient '{g}' differs bitwise");
+    net.add_node("sq", "Mul", a(), &["h", "h"], &["hh"])
+        .unwrap();
+    net.add_node("dbl", "Add", a(), &["h", "h"], &["h2"])
+        .unwrap();
+    net.add_node("sum", "Add", a(), &["hh", "h2"], &["s"])
+        .unwrap();
+    net.add_node("fc2", "Linear", a(), &["s", "W2", "b2"], &["pred"])
+        .unwrap();
+    net.add_node("mse", "MseLoss", a(), &["pred", "target"], &["loss"])
+        .unwrap();
+    net.add_output("loss");
+    let feeds = [("x", seeded(&[5, 8], 5)), ("target", seeded(&[5, 3], 6))];
+    assert_bitwise_parity(&net, &feeds);
+}
+
+/// Tied weights: `W`/`b` are read by two nodes of one level and by a third
+/// three levels later — the producer-less accumulation path, where nothing
+/// ever "finalizes" the gradient before it is published.
+#[test]
+fn tied_parameter_gradients_accumulate_in_reference_order() {
+    let mut net = Network::new("tied");
+    for input in ["x", "z", "target"] {
+        net.add_input(input);
     }
+    net.add_parameter("W", seeded(&[8, 8], 7));
+    net.add_parameter("b", seeded(&[8], 8));
+    let a = Attributes::new;
+    net.add_node("fa", "Linear", a(), &["x", "W", "b"], &["a"])
+        .unwrap();
+    net.add_node("fc", "Linear", a(), &["z", "W", "b"], &["c"])
+        .unwrap();
+    net.add_node("sum", "Add", a(), &["a", "c"], &["s"])
+        .unwrap();
+    net.add_node("act", "Relu", a(), &["s"], &["r"]).unwrap();
+    net.add_node("fd", "Linear", a(), &["r", "W", "b"], &["d"])
+        .unwrap();
+    net.add_node("mse", "MseLoss", a(), &["d", "target"], &["loss"])
+        .unwrap();
+    net.add_output("loss");
+    let feeds = [
+        ("x", seeded(&[4, 8], 9)),
+        ("z", seeded(&[4, 8], 10)),
+        ("target", seeded(&[4, 8], 11)),
+    ];
+    assert_bitwise_parity(&net, &feeds);
 }
 
 #[test]

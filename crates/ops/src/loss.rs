@@ -41,16 +41,24 @@ impl Operator for SoftmaxCrossEntropyOp {
     fn forward(&self, inputs: &[&Tensor]) -> Result<Vec<Tensor>> {
         let (logits, labels) = (inputs[0], inputs[1]);
         let (n, k) = self.check(&[logits.shape(), labels.shape()])?;
-        let probs = SoftmaxOp::softmax_rows(logits)?;
         let mut loss = 0.0f64;
         for r in 0..n {
+            let row = &logits.data()[r * k..(r + 1) * k];
             let label = labels.data()[r] as usize;
             if label >= k {
                 return Err(Error::Invalid(format!(
                     "label {label} out of range for {k} classes"
                 )));
             }
-            let p = probs.data()[r * k + label].max(1e-12);
+            // The label's `softmax_rows` probability, float for float,
+            // without the `[N, K]` temporary: inside an executor's pool
+            // scope that was one buffer drawn and dropped per pass.
+            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let mut sum = 0.0f32;
+            for &v in row {
+                sum += (v - m).exp();
+            }
+            let p = ((row[label] - m).exp() / sum).max(1e-12);
             loss -= (p as f64).ln();
         }
         Ok(vec![Tensor::scalar((loss / n as f64) as f32)])
@@ -160,6 +168,18 @@ mod tests {
         let labels = Tensor::from_slice(&[0.0, 1.0]);
         let loss = SoftmaxCrossEntropyOp.forward(&[&logits, &labels]).unwrap();
         assert!(loss[0].data()[0] < 1e-3);
+    }
+
+    #[test]
+    fn forward_is_bitwise_the_mean_log_of_softmax_rows() {
+        let data = (0..12).map(|i| (i * 7 % 5) as f32 * 0.37).collect();
+        let logits = Tensor::from_vec([3, 4], data).unwrap();
+        let labels = Tensor::from_slice(&[3.0, 0.0, 2.0]);
+        let probs = SoftmaxOp::softmax_rows(&logits).unwrap();
+        let picked = [probs.data()[3], probs.data()[4], probs.data()[10]];
+        let want = -picked.iter().map(|&p| f64::from(p).ln()).sum::<f64>() / 3.0;
+        let loss = SoftmaxCrossEntropyOp.forward(&[&logits, &labels]).unwrap();
+        assert_eq!(loss[0].data()[0].to_bits(), (want as f32).to_bits());
     }
 
     #[test]

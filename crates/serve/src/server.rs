@@ -261,7 +261,7 @@ impl Shard {
     }
 
     /// Execute one assembled batch on `session` and deliver every reply.
-    fn run_batch(&self, session: &Session, batch: Vec<Pending>, sink: &mut Option<TraceSink>) {
+    fn run_batch(&self, session: &Session, mut batch: Vec<Pending>, sink: &mut Option<TraceSink>) {
         let batch_id = self.batches.fetch_add(1, Ordering::Relaxed);
         let assembled = Instant::now();
         let rows: Vec<usize> = batch.iter().map(|p| p.rows).collect();
@@ -272,32 +272,24 @@ impl Shard {
             .map(|(_, t)| t.size_bytes() as u64)
             .sum();
 
+        // The executor copies each feed into its environment; move the
+        // owned tensors in rather than cloning them first.
+        let infer = |feeds: Vec<(String, Tensor)>| {
+            let (names, tensors): (Vec<String>, Vec<Tensor>) = feeds.into_iter().unzip();
+            let refs: Vec<(&str, Tensor)> = names.iter().map(String::as_str).zip(tensors).collect();
+            session.infer(&refs).map_err(ServeError::from)
+        };
         let result: ServeResult<Vec<HashMap<String, Tensor>>> = match &self.wire {
             Some(wire) if matches!(self.policy, BatchPolicy::Dynamic { .. }) => {
                 let requests: Vec<&[(String, Tensor)]> =
                     batch.iter().map(|p| p.feeds.as_slice()).collect();
                 wire.coalesce(&requests)
-                    .and_then(|feeds| {
-                        let refs: Vec<(&str, Tensor)> =
-                            feeds.iter().map(|(n, t)| (n.as_str(), t.clone())).collect();
-                        session.infer(&refs).map_err(ServeError::from)
-                    })
+                    .and_then(infer)
                     .and_then(|outputs| wire.split(&outputs, &rows))
             }
-            _ => {
-                // Single policy: exactly one request, feeds verbatim,
-                // every declared output in the reply.
-                let p = &batch[0];
-                let refs: Vec<(&str, Tensor)> = p
-                    .feeds
-                    .iter()
-                    .map(|(n, t)| (n.as_str(), t.clone()))
-                    .collect();
-                session
-                    .infer(&refs)
-                    .map(|outputs| vec![outputs])
-                    .map_err(ServeError::from)
-            }
+            // Single policy: exactly one request, feeds verbatim, every
+            // declared output in the reply.
+            _ => infer(std::mem::take(&mut batch[0].feeds)).map(|outputs| vec![outputs]),
         };
 
         let run_s = assembled.elapsed().as_secs_f64();
