@@ -3,9 +3,9 @@
 //! These are not paper figures; they justify this reproduction's internal
 //! choices with measurements:
 //!
-//! 1. **Convolution algorithm crossover** — direct vs im2col vs Winograd
-//!    across channel counts (why the micro-batch planner assigns
-//!    algorithms per piece size).
+//! 1. **Convolution algorithm crossover** — direct vs im2col across
+//!    channel counts (why `Auto` is the direct tier; the tracked version
+//!    of this table is `BENCH_conv.json`).
 //! 2. **GEMM cache blocking** — naive vs blocked/parallel kernels (why the
 //!    "cuDNN-class" kernel is the blocked one).
 //! 3. **Allreduce algorithm** — ring vs flat under the α-β model across
@@ -34,7 +34,7 @@ fn main() {
     println!("--- 1. convolution algorithm crossover (3x3, stride 1, 16x16 spatial) ---");
     let mut table = Table::new(
         "median forward time [ms] by channel count",
-        &["channels in->out", "direct", "im2col", "winograd", "winner"],
+        &["channels in->out", "direct", "im2col", "winner"],
     );
     let channel_grid: &[(usize, usize)] = if scale() == Scale::Full {
         &[(1, 4), (4, 16), (16, 64), (64, 128)]
@@ -50,7 +50,6 @@ fn main() {
         for (name, algo) in [
             ("direct", ConvAlgorithm::Direct),
             ("im2col", ConvAlgorithm::Im2col),
-            ("winograd", ConvAlgorithm::Winograd),
         ] {
             let op = Conv2dOp::new(1, 1, algo);
             let s = measure(|| op.forward(&[&x, &w, &b]).unwrap());

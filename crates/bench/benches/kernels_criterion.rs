@@ -8,6 +8,7 @@ use deep500::data::codec;
 use deep500::dist::collectives::{allreduce_flat, allreduce_ring};
 use deep500::dist::comm::{Communicator, ThreadTransport};
 use deep500::dist::NetworkModel;
+use deep500::metrics::norms::linf_diff;
 use deep500::metrics::Json;
 use deep500::ops::conv::{Conv2dOp, ConvAlgorithm};
 use deep500::ops::deepbench::GemmSize;
@@ -44,9 +45,12 @@ fn bench_gemm(c: &mut Criterion) {
 /// DeepBench-shape GEMM sweep across all four algorithm tiers, recording
 /// GFLOP/s per (shape, tier) into `BENCH_gemm.json` at the repo root — the
 /// perf anchor for the packed-microkernel work (EXPERIMENTS.md §E16).
-/// Timed by the bench harness's loop (criterion's per-sample statistics are
-/// overkill at these problem sizes); skipped under `D5_BENCH_SCALE=smoke`,
-/// as the CI smoke job runs it.
+/// Gates: every tier within relative l-inf 1e-4 of `Naive` (`parity`), and
+/// `Packed` — the default everything calls — the fastest tier on every
+/// shape (`packed_fastest`). Timed by the bench harness's loop
+/// (criterion's per-sample statistics are overkill at these problem
+/// sizes); skipped under `D5_BENCH_SCALE=smoke`, as the CI smoke job runs
+/// it.
 fn bench_gemm_sweep(_c: &mut Criterion) {
     if scale() == Scale::Smoke {
         println!("gemm_sweep: skipped (D5_BENCH_SCALE=smoke)");
@@ -64,6 +68,7 @@ fn bench_gemm_sweep(_c: &mut Criterion) {
     ];
     let mut rng = Xoshiro256StarStar::seed_from_u64(16);
     let mut rows = Vec::new();
+    let (mut worst_err, mut not_fastest) = (0.0f64, Vec::new());
     println!("gemm_sweep: GFLOP/s per tier");
     println!(
         "{:>24} {:>9} {:>9} {:>9} {:>9}",
@@ -72,11 +77,14 @@ fn bench_gemm_sweep(_c: &mut Criterion) {
     for g in shapes {
         let a = Tensor::rand_uniform([g.m, g.k], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform([g.k, g.n], -1.0, 1.0, &mut rng);
-        let c = RefCell::new(vec![0.0f32; g.m * g.n]);
+        // One output per tier, so the products the timing loop leaves
+        // behind are also the parity check's.
+        let outs = TIERS.map(|_| RefCell::new(vec![0.0f32; g.m * g.n]));
         let mut subjects: Vec<Subject<1>> = TIERS
             .iter()
-            .map(|&algo| {
-                let (a, b, c) = (&a, &b, &c);
+            .zip(&outs)
+            .map(|(&algo, c)| {
+                let (a, b) = (&a, &b);
                 Subject::wall(move || {
                     let mut c = c.borrow_mut();
                     c.fill(0.0);
@@ -89,6 +97,15 @@ fn bench_gemm_sweep(_c: &mut Criterion) {
             .iter()
             .map(|[t]| g.flops() / t.median / 1e9)
             .collect();
+        let naive = outs[0].borrow();
+        let magnitude = naive.iter().fold(1.0f32, |m, v| m.max(v.abs()));
+        for out in &outs[1..] {
+            let err = linf_diff(&out.borrow(), &naive) / f64::from(magnitude);
+            worst_err = worst_err.max(err);
+        }
+        if rates[..3].iter().any(|&r| r >= rates[3]) {
+            not_fastest.push(format!("{}x{}x{}", g.m, g.n, g.k));
+        }
         println!(
             "{:>24} {:>9.2} {:>9.2} {:>9.2} {:>9.2}",
             format!("{} x {} x {}", g.m, g.n, g.k),
@@ -111,8 +128,19 @@ fn bench_gemm_sweep(_c: &mut Criterion) {
     report
         .field("unit", "GFLOP/s")
         .field("rounds", reruns())
-        .rows("results", rows);
-    // No gates: the sweep is a trajectory row, not a pass/fail criterion.
+        .rows("results", rows)
+        .gate(
+            "parity",
+            worst_err <= 1e-4,
+            format!("worst rel l-inf of any tier against Naive {worst_err:.1e} <= 1e-4"),
+        )
+        .gate(
+            "packed_fastest",
+            not_fastest.is_empty(),
+            format!("Packed is the fastest tier on every shape; not on: {not_fastest:?}"),
+        );
+    // The gates are read from the file (CI's "every gate ok" step); a
+    // criterion group function has no exit code to turn them into.
     let _ = report.finish();
 }
 
@@ -123,11 +151,7 @@ fn bench_conv(c: &mut Criterion) {
     let x = Tensor::rand_uniform([2, 8, 32, 32], -1.0, 1.0, &mut rng);
     let w = Tensor::rand_uniform([16, 8, 3, 3], -0.5, 0.5, &mut rng);
     let bias = Tensor::zeros([16]);
-    for algo in [
-        ConvAlgorithm::Direct,
-        ConvAlgorithm::Im2col,
-        ConvAlgorithm::Winograd,
-    ] {
+    for algo in [ConvAlgorithm::Direct, ConvAlgorithm::Im2col] {
         let op = Conv2dOp::new(1, 1, algo);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{algo:?}")),

@@ -1,11 +1,11 @@
 //! `conv` — DeepBench-style convolution tier sweep.
 //!
-//! Times each convolution execution tier (im2col lowering, Winograd
-//! F(2x2, 3x3) where eligible, and the direct NCHWc implicit-GEMM tier)
-//! on a fixed set of CNN-inference-class layer shapes from the embedded
-//! DeepBench suite family, after checking pairwise parity within l-inf
-//! 1e-4. Writes `BENCH_conv.json` with per-tier wall time and achieved
-//! GFLOP/s plus the direct-over-im2col speedup per shape.
+//! Times each convolution execution tier (im2col lowering, the direct
+//! NCHWc implicit-GEMM tier) and `auto` — whatever `ConvAlgorithm::Auto`
+//! resolves to — on a fixed set of CNN-inference-class layer shapes from
+//! the embedded DeepBench suite family, after checking pairwise parity
+//! within l-inf 1e-4. Writes `BENCH_conv.json` with per-tier wall time and
+//! achieved GFLOP/s plus the direct-over-im2col speedup per shape.
 //!
 //! A second table times the *backward* pass (`conv::backward_direct`, the
 //! blocked GEMM lowering) on training-class cells — the two LeNet convs the
@@ -16,10 +16,13 @@
 //! forward's FLOPs, so a kernel-speed backward sits in the low single
 //! digits.
 //!
-//! Gates: forward and backward parity, the direct tier beats im2col on at
-//! least 4 of the 6 shapes and by 2x on at least three (the baseline is
-//! the row-copy im2col lowering, itself GEMM-speed: the best ratio sits at
-//! 2.5-2.9x), and no backward costs more than 6x its forward.
+//! Gates: forward and backward parity, `auto` within 5 % of the best
+//! explicit tier on every shape (the one routing rule,
+//! `conv::direct::auto_picks_direct`, is only as good as this row), the
+//! direct tier beats im2col on at least 4 shapes and by 2x on at least
+//! three (the baseline is the row-copy im2col lowering, itself GEMM-speed:
+//! the best ratio sits at 2.5-2.9x), and no backward costs more than 6x its
+//! forward.
 //!
 //! Run with: `cargo run --release -p deep500-bench --bin conv`
 //! (`D5_BENCH_SCALE=smoke` for the fast CI-sized run).
@@ -40,6 +43,11 @@ use std::process::ExitCode;
 /// 3x3s at descending spatial / ascending channel extents, and a 1x1
 /// projection (im2col's best case: the lowering is the identity, so this
 /// cell keeps the sweep honest about where the direct win comes from).
+/// Then the three cells that decide what `Auto` may be: a wide 3x3 at
+/// batch 8 (where a per-batch cost such as a filter transform would
+/// amortize), and the two shapes a floor under the direct tier would send
+/// away from it — a reduction shallower than one microkernel tile
+/// (`C·kh·kw = 3 < 8`) and an output narrower than one (`Ho·Wo = 4 < 8`).
 fn cells() -> Vec<(&'static str, ConvSize)> {
     vec![
         ("stem7x7", ConvSize::new(1, 3, 112, 112, 32, 7, 2, 3)),
@@ -48,6 +56,9 @@ fn cells() -> Vec<(&'static str, ConvSize)> {
         ("body3x3_56", ConvSize::new(1, 32, 56, 56, 32, 3, 1, 1)),
         ("body3x3_28", ConvSize::new(1, 64, 28, 28, 64, 3, 1, 1)),
         ("proj1x1", ConvSize::new(1, 64, 28, 28, 128, 1, 1, 0)),
+        ("body3x3_28_b8", ConvSize::new(8, 64, 28, 28, 64, 3, 1, 1)),
+        ("tiny_k_rgb1x1", ConvSize::new(1, 3, 32, 32, 16, 1, 1, 0)),
+        ("tiny_p_tail3x3", ConvSize::new(1, 64, 2, 2, 64, 3, 1, 1)),
     ]
 }
 
@@ -148,6 +159,7 @@ fn main() -> ExitCode {
     let (mut faster, mut wins) = (0usize, 0usize);
     let mut all_timed = true;
     let mut diverged: Vec<String> = Vec::new();
+    let mut auto_slow: Vec<String> = Vec::new();
     for (name, cs) in cells() {
         let x = rand_tensor(&[cs.n, cs.c, cs.h, cs.w], 0xC0 ^ cs.k as u64);
         let w = rand_tensor(&[cs.k, cs.c, cs.r, cs.r], 0xC1 ^ cs.k as u64);
@@ -155,14 +167,12 @@ fn main() -> ExitCode {
         let inputs = [&x, &w, &b];
         let flops = cs.flops();
 
-        let wino_ok = cs.r == 3 && cs.stride == 1;
-        let mut tiers: Vec<(&'static str, ConvAlgorithm)> = vec![
+        // The explicit tiers, then what `Auto` makes of the shape.
+        let tiers = [
             ("im2col", ConvAlgorithm::Im2col),
             ("direct", ConvAlgorithm::Direct),
+            ("auto", ConvAlgorithm::Auto),
         ];
-        if wino_ok {
-            tiers.insert(1, ("winograd", ConvAlgorithm::Winograd));
-        }
 
         // Parity first: every tier within l-inf 1e-4 of the im2col baseline.
         let baseline = Conv2dOp::new(cs.stride, cs.pad, ConvAlgorithm::Im2col)
@@ -180,18 +190,41 @@ fn main() -> ExitCode {
         // All tiers of a cell are subjects of one loop, so slow
         // machine-level noise lands on all of them alike. The warm-up round
         // also charges the direct tier's one-time filter packing to setup —
-        // where deployment pays it, via the compile-time pack pass.
+        // where deployment pays it, via the compile-time pack pass. A
+        // sample is at least ~10 MFLOP of calls, so the microsecond-scale
+        // tiny cells are not timing the clock.
+        let calls = (1e7 / flops).ceil().max(1.0) as usize;
         let ops: Vec<Conv2dOp> = tiers
             .iter()
             .map(|(_, algo)| Conv2dOp::new(cs.stride, cs.pad, *algo))
             .collect();
         let mut subjects: Vec<Subject<1>> = ops
             .iter()
-            .map(|op| Subject::wall(move || op.forward(&inputs).expect("timed forward")))
+            .map(|op| {
+                Subject::wall(move || {
+                    for _ in 0..calls {
+                        std::hint::black_box(op.forward(&inputs).expect("timed forward"));
+                    }
+                })
+            })
             .collect();
         let timed = time_rounds(1, reps, &mut subjects);
-        // `tiers` runs im2col first and direct last.
-        let speedup = timed[0][0].median / timed[timed.len() - 1][0].median;
+        let [im2col, direct, auto] = [timed[0][0], timed[1][0], timed[2][0]];
+        let speedup = im2col.median / direct.median;
+        let best = if direct.median < im2col.median {
+            direct
+        } else {
+            im2col
+        };
+        let auto_over_best = auto.median / best.median;
+        // `auto` runs the same kernel as one of the explicit tiers, and on
+        // a shared host two medians of one kernel differ by up to 10 %
+        // (EXPERIMENTS E26): the gate asks whether `auto` is *measurably*
+        // more than 5 % slower, i.e. the medians' 95 % intervals clear the
+        // margin. A routing mistake is a 1.5-9x gap and always does.
+        if auto.median_ci.lo > 1.05 * best.median_ci.hi {
+            auto_slow.push(format!("{name} {auto_over_best:.2}x"));
+        }
         all_timed &= timed.iter().all(|t| t[0].median > 0.0);
         faster += usize::from(speedup > 1.0);
         wins += usize::from(speedup >= 2.0);
@@ -199,11 +232,12 @@ fn main() -> ExitCode {
             .iter()
             .zip(&timed)
             .map(|((tier, _), t)| {
+                let (ms, min_ms) = (t[0].median / calls as f64, t[0].min / calls as f64);
                 Json::obj([
                     ("tier", Json::from(*tier)),
-                    ("ms", Json::fixed(t[0].median * 1e3, 4)),
-                    ("min_ms", Json::fixed(t[0].min * 1e3, 4)),
-                    ("gflops_per_s", Json::fixed(flops / t[0].median / 1e9, 2)),
+                    ("ms", Json::fixed(ms * 1e3, 4)),
+                    ("min_ms", Json::fixed(min_ms * 1e3, 4)),
+                    ("gflops_per_s", Json::fixed(flops / ms / 1e9, 2)),
                 ])
             })
             .collect();
@@ -212,6 +246,7 @@ fn main() -> ExitCode {
             ("flops", Json::from(flops)),
             ("tiers", Json::from(tier_rows)),
             ("speedup_direct_vs_im2col", Json::fixed(speedup, 3)),
+            ("auto_over_best", Json::fixed(auto_over_best, 3)),
         ]);
         rows.push(Json::obj(row));
     }
@@ -221,9 +256,9 @@ fn main() -> ExitCode {
     report
         .gate(
             "cells",
-            cells == 6 && bwd_rows.len() == 4 && all_timed,
+            cells == 9 && bwd_rows.len() == 4 && all_timed,
             format!(
-                "{cells} forward cells of 6, {} backward cells of 4, every timing > 0",
+                "{cells} forward cells of 9, {} backward cells of 4, every timing > 0",
                 bwd_rows.len()
             ),
         )
@@ -235,6 +270,14 @@ fn main() -> ExitCode {
             "forward_parity",
             diverged.is_empty(),
             format!("every tier within l-inf 1e-4 of im2col; diverged: {diverged:?}"),
+        )
+        .gate(
+            "auto_within_5pct_of_best",
+            auto_slow.is_empty(),
+            format!(
+                "auto's median CI within 1.05 x the best explicit tier's on every shape; over: \
+                 {auto_slow:?}"
+            ),
         )
         .gate(
             "direct_beats_im2col",

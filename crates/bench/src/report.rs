@@ -1,8 +1,9 @@
 //! The one report writer behind every tracked `BENCH_<name>.json`.
 //!
 //! Schema, shared by all files: `"benchmark"` (the name), `"env"`
-//! (`cores`, `threads`, `scale` — a number without them is not
-//! comparable), the bin's own fields and row tables in insertion order,
+//! (`cores`, `threads`, `scale`, `cpu`, `git_sha` — a number without them
+//! is not comparable, and two files cannot be told apart or matched to a
+//! host), the bin's own fields and row tables in insertion order,
 //! then `"gates"`: an array of `{"name", "ok", "detail"}`. A threshold
 //! lives in exactly one place — the `gate` call in the bin — and CI checks
 //! only the exit code and that every gate is `ok`.
@@ -18,6 +19,58 @@ pub fn repo_path(file: &str) -> PathBuf {
         .nth(2);
     root.expect("crates/bench sits two levels below the root")
         .join(file)
+}
+
+/// The SIMD features the kernels dispatch on, as detected on this host:
+/// `avx2+fma+avx512f`, any subset, or `baseline`.
+fn cpu_features() -> String {
+    #[cfg(target_arch = "x86_64")]
+    let detected = [
+        ("avx2", std::arch::is_x86_feature_detected!("avx2")),
+        ("fma", std::arch::is_x86_feature_detected!("fma")),
+        ("avx512f", std::arch::is_x86_feature_detected!("avx512f")),
+    ];
+    #[cfg(not(target_arch = "x86_64"))]
+    let detected: [(&str, bool); 0] = [];
+    let names: Vec<&str> = detected
+        .iter()
+        .filter_map(|&(name, on)| on.then_some(name))
+        .collect();
+    if names.is_empty() {
+        "baseline".to_string()
+    } else {
+        names.join("+")
+    }
+}
+
+/// The commit the numbers were measured on, `-dirty` when tracked files
+/// other than the reports themselves differ from it; `unknown` outside a
+/// git checkout.
+fn git_sha() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(repo_path(""))
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    let Some(sha) = git(&["rev-parse", "--short=12", "HEAD"]) else {
+        return "unknown".to_string();
+    };
+    let changed = git(&[
+        "status",
+        "--porcelain",
+        "--untracked-files=no",
+        "--",
+        ".",
+        ":!BENCH_*.json",
+    ]);
+    match changed.as_deref() {
+        Some("") => sha,
+        _ => format!("{sha}-dirty"),
+    }
 }
 
 /// A benchmark report under construction.
@@ -48,6 +101,8 @@ impl Report {
             ("cores", Json::from(cores)),
             ("threads", Json::from(rayon::current_num_threads())),
             ("scale", Json::from(crate::scale().label())),
+            ("cpu", Json::from(cpu_features())),
+            ("git_sha", Json::from(git_sha())),
         ]);
         Report {
             path,
@@ -164,7 +219,10 @@ mod tests {
         for key in ["cores", "threads"] {
             assert!(env.get(key).and_then(Json::as_f64).unwrap() >= 1.0, "{key}");
         }
-        assert!(env.get("scale").and_then(Json::as_str).is_some());
+        for key in ["scale", "cpu", "git_sha"] {
+            let value = env.get(key).and_then(Json::as_str).unwrap_or_default();
+            assert!(!value.is_empty(), "{key}");
+        }
         assert_eq!(
             parsed.get("label").and_then(Json::as_str),
             Some("a \"quoted\" name")

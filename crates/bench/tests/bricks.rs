@@ -64,7 +64,8 @@ fn decompose_dedup_round_trip_preserves_every_node() {
 /// The key holds what a brick's cost depends on and nothing else: with the
 /// gradient-density component gone, fewer key components can only merge
 /// bricks, so the zoo must dedup at least as well as it did with it
-/// (103 instances -> 54 bricks).
+/// (103 instances -> 54 bricks on the seven-model zoo; `resnet_wide` adds
+/// 20 instances and the 8 bricks no narrower model shares).
 #[test]
 fn dedup_ratio_did_not_fall_with_the_density_key_gone() {
     let per_model: Vec<(String, Vec<_>)> = zoo()
@@ -75,13 +76,13 @@ fn dedup_ratio_did_not_fall_with_the_density_key_gone() {
         })
         .collect();
     let set = dedup(&per_model);
-    assert_eq!(set.total_instances, 103, "the zoo's node count moved");
+    assert_eq!(set.total_instances, 123, "the zoo's node count moved");
     assert!(
-        set.len() <= 54,
+        set.len() <= 54 + 8,
         "{} unique bricks, more than with the density key",
         set.len()
     );
-    assert!(set.dedup_ratio() >= 103.0 / 54.0);
+    assert!(set.dedup_ratio() >= 123.0 / 62.0);
     // First layers skip dX: the `wanted` mask still splits them off.
     assert!(set.bricks.iter().any(|b| b.key.wanted.contains(&false)));
 }

@@ -8,7 +8,7 @@
 //! (§V-E) — the serialization shows up in the virtual clock because every
 //! delivery occupies the server endpoint.
 
-use super::{apply_update, collect_gradients, local_backprop, DistributedOptimizer, SchemeCore};
+use super::{collect_gradients, DistributedOptimizer, SchemeCore};
 use crate::comm::{CommResult, Communicator};
 use deep500_data::Minibatch;
 use deep500_graph::GraphExecutor;
@@ -43,7 +43,7 @@ impl DistributedOptimizer for InconsistentCentralized {
         executor: &mut dyn GraphExecutor,
         batch: &Minibatch,
     ) -> Result<StepResult> {
-        let result = local_backprop(self.core.base.as_mut(), executor, batch)?;
+        let result = self.core.backprop(executor, batch)?;
         let world = self.core.comm.world();
         let rank = self.core.comm.rank();
         let grads = collect_gradients(executor)?;
@@ -53,13 +53,13 @@ impl DistributedOptimizer for InconsistentCentralized {
             // reply with whatever the parameters are at that moment
             // (inconsistent reads).
             for (pname, grad) in grads {
-                apply_update(self.core.base.as_mut(), executor, &pname, &grad)?;
+                self.core.apply_update(executor, &pname, &grad)?;
                 self.updates_applied += 1;
                 for peer in 1..world {
                     let incoming = self.core.comm.recv(peer)?;
                     let shape = executor.network().fetch_tensor(&pname)?.shape().clone();
                     let g = Tensor::from_vec(shape, incoming)?;
-                    apply_update(self.core.base.as_mut(), executor, &pname, &g)?;
+                    self.core.apply_update(executor, &pname, &g)?;
                     self.updates_applied += 1;
                     let current = executor.network().fetch_tensor(&pname)?.data().to_vec();
                     self.core.comm.send(peer, &current)?;

@@ -5,7 +5,7 @@
 //! respect to the number of nodes, but usually converges slower and to a
 //! less accurate result" (§V-E).
 
-use super::{apply_update, collect_gradients, local_backprop, DistributedOptimizer, SchemeCore};
+use super::{collect_gradients, DistributedOptimizer, SchemeCore};
 use crate::collectives::neighbor_exchange_among;
 use crate::comm::{CommResult, Communicator};
 use deep500_data::Minibatch;
@@ -38,10 +38,10 @@ impl DistributedOptimizer for DecentralizedNeighbor {
         executor: &mut dyn GraphExecutor,
         batch: &Minibatch,
     ) -> Result<StepResult> {
-        let result = local_backprop(self.core.base.as_mut(), executor, batch)?;
+        let result = self.core.backprop(executor, batch)?;
         // Local update with the local gradient.
         for (pname, grad) in collect_gradients(executor)? {
-            apply_update(self.core.base.as_mut(), executor, &pname, &grad)?;
+            self.core.apply_update(executor, &pname, &grad)?;
         }
         // Gossip: average each parameter with ring neighbors. The ring
         // re-forms over the live group when ranks crash (full group =

@@ -12,8 +12,8 @@
 //!   gradients concatenated, one ring allreduce.
 
 use super::{
-    apply_update, collect_gradients, conversion_roundtrip, flatten_gradients, local_backprop,
-    unflatten_gradients, DistributedOptimizer, SchemeCore,
+    collect_gradients, conversion_roundtrip, flatten_gradients, unflatten_gradients,
+    DistributedOptimizer, SchemeCore,
 };
 use crate::collectives::{allreduce_ring_among, average_among};
 use crate::comm::{CommResult, Communicator};
@@ -75,7 +75,7 @@ impl DistributedOptimizer for ConsistentDecentralized {
         executor: &mut dyn GraphExecutor,
         batch: &Minibatch,
     ) -> Result<StepResult> {
-        let result = local_backprop(self.core.base.as_mut(), executor, batch)?;
+        let result = self.core.backprop(executor, batch)?;
         // Graceful degradation: the ring forms over the live group and the
         // average renormalizes by its size. Without faults the live group
         // is the full world and the schedule is bit-identical.
@@ -87,7 +87,7 @@ impl DistributedOptimizer for ConsistentDecentralized {
             average_among(&mut buf, live.len());
             let grads = unflatten_gradients(executor, &buf, &layout)?;
             for (pname, grad) in grads {
-                apply_update(self.core.base.as_mut(), executor, &pname, &grad)?;
+                self.core.apply_update(executor, &pname, &grad)?;
             }
         } else {
             // Per-tensor allreduce, exactly Listing 9's loop.
@@ -103,7 +103,7 @@ impl DistributedOptimizer for ConsistentDecentralized {
                 }
                 let shape = executor.network().fetch_tensor(&pname)?.shape().clone();
                 let grad = Tensor::from_vec(shape, buf)?;
-                apply_update(self.core.base.as_mut(), executor, &pname, &grad)?;
+                self.core.apply_update(executor, &pname, &grad)?;
             }
         }
         Ok(result)

@@ -5,7 +5,7 @@
 //! gradient allreduce when the period exceeds one, at some statistical
 //! efficiency cost.
 
-use super::{apply_update, collect_gradients, local_backprop, DistributedOptimizer, SchemeCore};
+use super::{collect_gradients, DistributedOptimizer, SchemeCore};
 use crate::collectives::{allreduce_ring_among, average_among};
 use crate::comm::{CommResult, Communicator};
 use deep500_data::Minibatch;
@@ -47,9 +47,9 @@ impl DistributedOptimizer for ModelAveraging {
         executor: &mut dyn GraphExecutor,
         batch: &Minibatch,
     ) -> Result<StepResult> {
-        let result = local_backprop(self.core.base.as_mut(), executor, batch)?;
+        let result = self.core.backprop(executor, batch)?;
         for (pname, grad) in collect_gradients(executor)? {
-            apply_update(self.core.base.as_mut(), executor, &pname, &grad)?;
+            self.core.apply_update(executor, &pname, &grad)?;
         }
         self.step += 1;
         if self.step.is_multiple_of(self.period) {

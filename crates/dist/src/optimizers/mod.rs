@@ -30,7 +30,7 @@ pub mod stale;
 use crate::comm::{CommResult, Communicator};
 use deep500_data::Minibatch;
 use deep500_graph::{grad_name, GraphExecutor};
-use deep500_metrics::{CommunicationVolume, FaultCounters};
+use deep500_metrics::{CommunicationVolume, FaultCounters, Phase};
 use deep500_tensor::{Result, Tensor};
 use deep500_train::optimizer::StepResult;
 
@@ -84,48 +84,6 @@ pub(crate) fn collect_gradients(executor: &dyn GraphExecutor) -> Result<NamedGra
         .collect()
 }
 
-/// Run the local (non-communication) part of a step: three-step prologue +
-/// inference-and-backprop. Returns the step result; gradients are left in
-/// the network for the scheme to communicate.
-pub(crate) fn local_backprop(
-    base: &mut dyn deep500_train::ThreeStepOptimizer,
-    executor: &mut dyn GraphExecutor,
-    batch: &Minibatch,
-) -> Result<StepResult> {
-    base.new_input();
-    let params: Vec<String> = executor.network().get_params().to_vec();
-    for pname in &params {
-        let param = executor.network().fetch_tensor(pname)?;
-        if let Some(adjusted) = base.prepare_param(pname, param) {
-            executor.network_mut().feed_tensor(pname.clone(), adjusted);
-        }
-    }
-    let outputs = executor.inference_and_backprop(&batch.feeds(), "loss")?;
-    let loss = outputs["loss"].data()[0];
-    let acc = outputs
-        .get("logits")
-        .and_then(|l| deep500_ops::loss::accuracy(l, &batch.labels).ok());
-    Ok(StepResult {
-        loss,
-        accuracy: acc,
-    })
-}
-
-/// Apply the base update rule with an already-communicated gradient.
-pub(crate) fn apply_update(
-    base: &mut dyn deep500_train::ThreeStepOptimizer,
-    executor: &mut dyn GraphExecutor,
-    pname: &str,
-    grad: &Tensor,
-) -> Result<()> {
-    let old = executor.network().fetch_tensor(pname)?.clone();
-    let updated = base.update_rule(grad, &old, pname)?;
-    executor
-        .network_mut()
-        .feed_tensor(pname.to_string(), updated);
-    Ok(())
-}
-
 /// A fused gradient buffer plus its `(parameter, element count)` layout.
 pub(crate) type FusedGradients = (Vec<f32>, Vec<(String, usize)>);
 
@@ -173,10 +131,17 @@ pub(crate) fn conversion_roundtrip(buf: &mut [f32]) {
     }
 }
 
-/// Shared communicator-owning plumbing for the schemes.
+/// What every scheme owns: the wrapped Level-2 optimizer and this rank's
+/// communicator. A step is the two halves of
+/// [`train_step_traced`](deep500_train::train_step_traced) with the
+/// scheme's communication spliced in between; a scheme has no event list
+/// of its own, so both halves report their spans to the executor's hooks
+/// (the track `Engine::builder().trace(..)` attaches).
 pub(crate) struct SchemeCore {
     pub base: Box<dyn deep500_train::ThreeStepOptimizer>,
     pub comm: Box<dyn Communicator>,
+    /// Steps begun so far: the id the step's spans carry.
+    steps: usize,
 }
 
 impl SchemeCore {
@@ -184,7 +149,41 @@ impl SchemeCore {
         base: Box<dyn deep500_train::ThreeStepOptimizer>,
         comm: Box<dyn Communicator>,
     ) -> Self {
-        SchemeCore { base, comm }
+        SchemeCore {
+            base,
+            comm,
+            steps: 0,
+        }
+    }
+
+    /// The local (non-communication) half of a step: three-step prologue +
+    /// inference-and-backprop. Gradients are left in the network for the
+    /// scheme to communicate.
+    pub fn backprop(
+        &mut self,
+        executor: &mut dyn GraphExecutor,
+        batch: &Minibatch,
+    ) -> Result<StepResult> {
+        self.steps += 1;
+        deep500_train::backprop_half(self.base.as_mut(), executor, batch, None, self.steps - 1)
+    }
+
+    /// Apply the base update rule with an already-communicated gradient,
+    /// as one [`Phase::OptimizerUpdate`] span.
+    pub fn apply_update(
+        &mut self,
+        executor: &mut dyn GraphExecutor,
+        pname: &str,
+        grad: &Tensor,
+    ) -> Result<()> {
+        let start = std::time::Instant::now();
+        deep500_train::apply_update(self.base.as_mut(), executor, pname, grad)?;
+        executor.events_mut().span(
+            Phase::OptimizerUpdate,
+            self.steps - 1,
+            start.elapsed().as_secs_f64(),
+        );
+        Ok(())
     }
 }
 
@@ -204,7 +203,7 @@ mod tests {
             labels: Tensor::from_slice(&[0.0, 1.0]),
         };
         let mut sgd = GradientDescent::new(0.1);
-        local_backprop(&mut sgd, &mut *ex, &batch).unwrap();
+        deep500_train::backprop_half(&mut sgd, &mut *ex, &batch, None, 0).unwrap();
         let before = collect_gradients(&*ex).unwrap();
         let (buf, layout) = flatten_gradients(&*ex).unwrap();
         assert_eq!(
@@ -216,6 +215,85 @@ mod tests {
             assert_eq!(n1, n2);
             assert_eq!(g1, g2);
         }
+    }
+
+    /// A linear classifier whose `loss` tensor exists (backprop can seed
+    /// it) but, unless `declare_loss`, is not a declared graph output.
+    fn classifier(declare_loss: bool) -> deep500_graph::Network {
+        use deep500_ops::registry::Attributes;
+        let mut net = deep500_graph::Network::new("head-only");
+        net.add_input("x");
+        net.add_input("labels");
+        net.add_parameter("w", Tensor::ones([2, 4]));
+        net.add_parameter("b", Tensor::zeros([2]));
+        net.add_node(
+            "fc",
+            "Linear",
+            Attributes::new(),
+            &["x", "w", "b"],
+            &["logits"],
+        )
+        .unwrap();
+        net.add_node(
+            "xent",
+            "SoftmaxCrossEntropy",
+            Attributes::new(),
+            &["logits", "labels"],
+            &["loss"],
+        )
+        .unwrap();
+        net.add_output("logits");
+        if declare_loss {
+            net.add_output("loss");
+        }
+        net
+    }
+
+    /// One single-rank CDSGD step on `net`, with the phases of every span
+    /// its executor's hooks saw.
+    fn cdsgd_step(net: deep500_graph::Network) -> (Result<StepResult>, Vec<Phase>) {
+        use crate::comm::ThreadTransport;
+        use deep500_metrics::event::{Event, SharedEvent};
+        #[derive(Default)]
+        struct Spans(Vec<Phase>);
+        impl Event for Spans {
+            fn span(&mut self, phase: Phase, _id: usize, _seconds: f64) {
+                self.0.push(phase);
+            }
+        }
+        let spans = SharedEvent::new(Spans::default());
+        let engine = Engine::builder(net).build().unwrap();
+        let mut ex = engine.lock();
+        ex.events_mut().push(Box::new(spans.clone()));
+        let comm = ThreadTransport::create(1, crate::NetworkModel::instant()).remove(0);
+        let mut scheme = dsgd::ConsistentDecentralized::optimized(
+            Box::new(GradientDescent::new(0.1)),
+            Box::new(comm),
+        );
+        let batch = Minibatch {
+            x: Tensor::ones([2, 4]),
+            labels: Tensor::from_slice(&[0.0, 1.0]),
+        };
+        let result = scheme.train_step(&mut *ex, &batch);
+        (result, spans.with(|s| s.0.clone()))
+    }
+
+    #[test]
+    fn a_step_without_a_loss_output_is_a_typed_error_not_a_panic() {
+        let (result, _) = cdsgd_step(classifier(false));
+        assert!(
+            matches!(result, Err(deep500_tensor::Error::NotFound(_))),
+            "{result:?}"
+        );
+    }
+
+    #[test]
+    fn a_step_reports_assembly_and_update_spans_to_the_executor_hooks() {
+        let (result, spans) = cdsgd_step(classifier(true));
+        assert!(result.unwrap().loss.is_finite());
+        let count = |phase| spans.iter().filter(|&&p| p == phase).count();
+        assert_eq!(count(Phase::BatchAssembly), 1);
+        assert_eq!(count(Phase::OptimizerUpdate), 2, "one per parameter");
     }
 
     #[test]

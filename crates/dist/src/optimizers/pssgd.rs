@@ -7,7 +7,7 @@
 //! with the number of workers — the incast that caps PS scalability in
 //! Fig. 12.
 
-use super::{apply_update, collect_gradients, local_backprop, DistributedOptimizer, SchemeCore};
+use super::{collect_gradients, DistributedOptimizer, SchemeCore};
 use crate::comm::{CommError, CommResult, Communicator};
 use deep500_data::Minibatch;
 use deep500_graph::GraphExecutor;
@@ -39,7 +39,7 @@ impl DistributedOptimizer for ConsistentCentralized {
         executor: &mut dyn GraphExecutor,
         batch: &Minibatch,
     ) -> Result<StepResult> {
-        let result = local_backprop(self.core.base.as_mut(), executor, batch)?;
+        let result = self.core.backprop(executor, batch)?;
         let rank = self.core.comm.rank();
         // Failover: the server is the lowest live rank. Synchronous PS
         // keeps all ranks' parameters identical after every step, so any
@@ -70,7 +70,7 @@ impl DistributedOptimizer for ConsistentCentralized {
                 acc.iter_mut().for_each(|v| *v *= inv);
                 let shape = executor.network().fetch_tensor(&pname)?.shape().clone();
                 let grad = Tensor::from_vec(shape, acc)?;
-                apply_update(self.core.base.as_mut(), executor, &pname, &grad)?;
+                self.core.apply_update(executor, &pname, &grad)?;
                 // Broadcast fresh parameters (PS pushes to each worker).
                 let fresh = executor.network().fetch_tensor(&pname)?.data().to_vec();
                 for &peer in live.iter().filter(|&&p| p != server) {

@@ -10,7 +10,7 @@
 //! (payloads are priced at their packed bitset size, the
 //! `DataType::Bitset` description of the tensor-descriptor system).
 
-use super::{apply_update, collect_gradients, local_backprop, DistributedOptimizer, SchemeCore};
+use super::{collect_gradients, DistributedOptimizer, SchemeCore};
 use crate::comm::{CommResult, Communicator};
 use deep500_data::Minibatch;
 use deep500_graph::GraphExecutor;
@@ -75,7 +75,7 @@ impl DistributedOptimizer for SignCompressedSgd {
         executor: &mut dyn GraphExecutor,
         batch: &Minibatch,
     ) -> Result<StepResult> {
-        let result = local_backprop(self.core.base.as_mut(), executor, batch)?;
+        let result = self.core.backprop(executor, batch)?;
         let world = self.core.comm.world();
         let rank = self.core.comm.rank();
         for (pname, grad) in collect_gradients(executor)? {
@@ -125,7 +125,7 @@ impl DistributedOptimizer for SignCompressedSgd {
             }
             let dense = decompress(&voted[..voted.len() - 1], mean_scale, n);
             let g = Tensor::from_vec(grad.shape().clone(), dense)?;
-            apply_update(self.core.base.as_mut(), executor, &pname, &g)?;
+            self.core.apply_update(executor, &pname, &g)?;
         }
         Ok(result)
     }

@@ -7,7 +7,7 @@
 //! volume reduction at 8 nodes, eroding as the vectors densify with node
 //! count — both effects emerge from the real [`sparse_allreduce`] here.
 
-use super::{apply_update, local_backprop, DistributedOptimizer, SchemeCore};
+use super::{DistributedOptimizer, SchemeCore};
 use crate::comm::{CommResult, Communicator};
 use crate::sparse::{sparse_allreduce, SparseVector};
 use deep500_data::Minibatch;
@@ -55,7 +55,7 @@ impl DistributedOptimizer for SparseDecentralized {
         executor: &mut dyn GraphExecutor,
         batch: &Minibatch,
     ) -> Result<StepResult> {
-        let result = local_backprop(self.core.base.as_mut(), executor, batch)?;
+        let result = self.core.backprop(executor, batch)?;
         self.last_merged_density.clear();
         let grad_pairs: Vec<(String, String)> = executor.network().gradient();
         for (pname, gname) in grad_pairs {
@@ -71,7 +71,7 @@ impl DistributedOptimizer for SparseDecentralized {
             let inv = 1.0 / self.core.comm.world() as f32;
             dense.iter_mut().for_each(|v| *v *= inv);
             let sparse_grad = Tensor::from_vec(grad.shape().clone(), dense)?;
-            apply_update(self.core.base.as_mut(), executor, &pname, &sparse_grad)?;
+            self.core.apply_update(executor, &pname, &sparse_grad)?;
         }
         Ok(result)
     }

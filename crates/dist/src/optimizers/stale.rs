@@ -20,7 +20,7 @@
 //! early next-round pushes and counts the missing round as lost instead
 //! of misreading a later message.
 
-use super::{apply_update, collect_gradients, local_backprop, DistributedOptimizer, SchemeCore};
+use super::{collect_gradients, DistributedOptimizer, SchemeCore};
 use crate::comm::{CommError, CommResult, Communicator};
 use deep500_data::Minibatch;
 use deep500_graph::GraphExecutor;
@@ -126,14 +126,14 @@ impl DistributedOptimizer for StaleSynchronous {
         executor: &mut dyn GraphExecutor,
         batch: &Minibatch,
     ) -> Result<StepResult> {
-        let result = local_backprop(self.core.base.as_mut(), executor, batch)?;
+        let result = self.core.backprop(executor, batch)?;
         self.local_step += 1;
         let grads = collect_gradients(executor)?;
 
         // Apply locally right away (staleness: local params drift from the
         // server's between synchronizations) and bank the gradient.
         for (pname, grad) in &grads {
-            apply_update(self.core.base.as_mut(), executor, pname, grad)?;
+            self.core.apply_update(executor, pname, grad)?;
         }
         self.accumulate(grads);
 
@@ -191,7 +191,7 @@ impl DistributedOptimizer for StaleSynchronous {
             for (pname, len) in &layout {
                 let shape = executor.network().fetch_tensor(pname)?.shape().clone();
                 let g = Tensor::from_vec(shape, acc[off..off + len].to_vec())?;
-                apply_update(self.core.base.as_mut(), executor, pname, &g)?;
+                self.core.apply_update(executor, pname, &g)?;
                 fresh.extend_from_slice(executor.network().fetch_tensor(pname)?.data());
                 off += len;
             }

@@ -10,9 +10,8 @@
 //!
 //! 1. **Tier pinning** — every `auto` conv's `algorithm` attribute is
 //!    rewritten to the tier [`Conv2dOp::resolved_algo_for`] picks for its
-//!    inferred shapes (and an explicit `winograd` on non-3×3/stride≠1
-//!    geometry is demoted to its `im2col` fallback), so reports, traces,
-//!    and the d5nx serialization name the tier that actually runs.
+//!    inferred shapes, so reports, traces, and the d5nx serialization name
+//!    the tier that actually runs. An explicit tier is never changed.
 //! 2. **Ahead-of-time filter packing** — when parameters are frozen
 //!    (inference), each direct-tier conv reading a parameter filter gets a
 //!    [`PackConv2dFilter`](deep500_ops::conv::direct::PackConv2dFilterOp)
@@ -233,23 +232,25 @@ mod tests {
 
     #[test]
     fn explicit_tiers_are_respected() {
-        // An explicit im2col conv is never retagged; an explicit winograd
-        // on ineligible geometry is demoted to its real fallback.
+        // Explicit tiers are never retagged — not im2col on shapes `Auto`
+        // would give to direct, and not direct below the `Auto` floor.
         let mut net = crate::builder::NetworkBuilder::image_input("e", 2, 12, 12, 1)
             .conv_with_algo(8, 5, 1, 0, "im2col")
-            .conv_with_algo(4, 5, 1, 0, "winograd")
+            .conv_with_algo(4, 5, 1, 0, "im2col")
+            .conv_with_algo(4, 3, 1, 0, "direct")
             .build()
             .unwrap();
         let shapes = [("x", Shape::new(&[1, 2, 12, 12]))];
-        let report = select_conv_layouts(&mut net, &shapes, false).unwrap();
-        assert_eq!(report.retagged, 1, "only the impossible winograd moves");
-        let algos: Vec<String> = net
-            .nodes()
-            .filter(|(_, n)| n.op_type == "Conv2d")
-            .map(|(_, n)| n.attrs.str_or("algorithm", "").to_string())
-            .collect();
-        assert!(algos.contains(&"im2col".to_string()));
-        assert!(!algos.contains(&"winograd".to_string()));
+        for freeze in [false, true] {
+            let report = select_conv_layouts(&mut net, &shapes, freeze).unwrap();
+            assert_eq!(report.retagged, 0);
+            let algos: Vec<&str> = net
+                .nodes()
+                .filter(|(_, n)| n.op_type == "Conv2d")
+                .map(|(_, n)| n.attrs.str_or("algorithm", ""))
+                .collect();
+            assert_eq!(algos, ["im2col", "im2col", "direct"], "freeze={freeze}");
+        }
     }
 
     #[test]

@@ -342,7 +342,7 @@ mod tests {
             Attributes::new()
                 .with_int("stride", 2)
                 .with_int("pad", 1)
-                .with_str("algorithm", "winograd")
+                .with_str("algorithm", "direct")
                 .with_float("dummy", -2.75)
                 .with_ints("list", &[-1, 0, 7]),
             &["x", "w", "b"],
@@ -352,7 +352,7 @@ mod tests {
         let back = decode(&encode(&net)).unwrap();
         let (_, node) = back.nodes().next().unwrap();
         assert_eq!(node.attrs.int_or("stride", 0), 2);
-        assert_eq!(node.attrs.str_or("algorithm", ""), "winograd");
+        assert_eq!(node.attrs.str_or("algorithm", ""), "direct");
         assert_eq!(node.attrs.float_or("dummy", 0.0), -2.75);
         assert_eq!(node.attrs.ints("list"), vec![-1, 0, 7]);
     }

@@ -300,7 +300,11 @@ impl ZooCase {
 
 /// The model zoo: every architecture family at a small and a larger
 /// size. `resnet_deep` repeats `resnet_like`'s residual block twice as
-/// often — the cross-model sharing brick decomposition exploits.
+/// often — the cross-model sharing brick decomposition exploits — and
+/// `resnet_wide` runs it at 32 channels, the width of the `BENCH_conv`
+/// body cells, so a conv tier-routing mistake shows up in every suite that
+/// walks the zoo and not only in a kernel bench. New cases go last: tests
+/// pick models by index.
 pub fn zoo() -> Vec<ZooCase> {
     vec![
         ZooCase::new("mlp_small", mlp(16, &[32, 24], 4, 42), &[16, 16], 4),
@@ -322,6 +326,12 @@ pub fn zoo() -> Vec<ZooCase> {
         ZooCase::new(
             "resnet_deep",
             resnet_like(1, 8, 8, 4, 4, 48),
+            &[2, 1, 8, 8],
+            4,
+        ),
+        ZooCase::new(
+            "resnet_wide",
+            resnet_like(1, 8, 32, 2, 4, 49),
             &[2, 1, 8, 8],
             4,
         ),
@@ -402,6 +412,30 @@ mod tests {
         );
         assert!(loss.is_finite());
         assert_eq!(grads, nparams, "skip connections must not block gradients");
+    }
+
+    #[test]
+    fn every_zoo_conv_is_auto_and_runs_the_direct_tier() {
+        let mut widest = 0;
+        for case in zoo() {
+            let shapes = crate::transforms::infer_shapes(&case.net, &case.input_shapes()).unwrap();
+            let ops = case.net.instantiate_ops().unwrap();
+            for (id, node) in case.net.nodes().filter(|(_, n)| n.op_type == "Conv2d") {
+                assert_eq!(node.attrs.str_or("algorithm", ""), "auto", "{}", case.name);
+                let ins: Vec<&Shape> = node.inputs.iter().map(|n| &shapes[n]).collect();
+                assert_eq!(
+                    ops[&id].annotation(&ins).as_deref(),
+                    Some("tier=direct"),
+                    "{}/{}: x {} w {}",
+                    case.name,
+                    node.name,
+                    ins[0],
+                    ins[1]
+                );
+                widest = widest.max(ins[0].dim(1).min(ins[1].dim(0)));
+            }
+        }
+        assert!(widest >= 32, "no zoo conv is 32 channels in and out");
     }
 
     #[test]

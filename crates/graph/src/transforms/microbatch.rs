@@ -9,9 +9,11 @@
 //! ```
 //!
 //! choosing micro-batch sizes so every piece fits in memory, and assigning
-//! each piece the fastest admissible algorithm (the paper's Fig. 7 shows
-//! "implicit precompute GEMM" for the small remainder and "Winograd
-//! non-fused" for the large uniform pieces).
+//! each piece an algorithm (the paper's Fig. 7 shows "implicit precompute
+//! GEMM" for the small remainder and the library's fastest kernel for the
+//! large uniform pieces; here that is im2col for the remainder and the
+//! direct tier — fastest on every `BENCH_conv.json` shape at batch 1 and
+//! batch 8 — for the uniform pieces).
 //!
 //! The paper solves an ILP "to maximize performance and preserve memory
 //! utilization constraints". With a per-sample-linear workspace and a
@@ -44,16 +46,12 @@ impl MicrobatchPlan {
 /// Compute the optimal micro-batch sizes for a batch of `batch` samples
 /// when each sample needs `workspace_per_sample` bytes of convolution
 /// workspace and at most `capacity` workspace bytes may live at once.
-///
-/// `kernel` and `stride` decide algorithm admissibility: Winograd is used
-/// for 3×3 stride-1 pieces of at least 8 samples; smaller pieces use
-/// im2col ("implicit precompute GEMM").
+/// The uniform maximal pieces run the direct tier, the remainder im2col
+/// ("implicit precompute GEMM").
 pub fn plan_microbatches(
     batch: usize,
     workspace_per_sample: usize,
     capacity: usize,
-    kernel: usize,
-    stride: usize,
 ) -> Result<MicrobatchPlan> {
     if batch == 0 {
         return Err(Error::Invalid("cannot micro-batch an empty batch".into()));
@@ -62,7 +60,7 @@ pub fn plan_microbatches(
         // No workspace pressure: single piece.
         return Ok(MicrobatchPlan {
             sizes: vec![batch],
-            algorithms: vec![pick_algo(batch, kernel, stride)],
+            algorithms: vec!["direct".to_string()],
         });
     }
     let max_fit = capacity / workspace_per_sample;
@@ -76,23 +74,14 @@ pub fn plan_microbatches(
     let full = batch / piece;
     let rem = batch % piece;
     let mut sizes = Vec::with_capacity(full + 1);
+    let mut algorithms = Vec::with_capacity(full + 1);
     if rem > 0 {
         sizes.push(rem);
+        algorithms.push("im2col".to_string());
     }
     sizes.extend(std::iter::repeat_n(piece, full));
-    let algorithms = sizes
-        .iter()
-        .map(|&s| pick_algo(s, kernel, stride))
-        .collect();
+    algorithms.extend(std::iter::repeat_n("direct".to_string(), full));
     Ok(MicrobatchPlan { sizes, algorithms })
-}
-
-fn pick_algo(size: usize, kernel: usize, stride: usize) -> String {
-    if kernel == 3 && stride == 1 && size >= 8 {
-        "winograd".to_string()
-    } else {
-        "im2col".to_string()
-    }
 }
 
 /// Report of one applied micro-batch rewrite.
@@ -138,16 +127,8 @@ pub fn microbatch_convolutions(
     let mut reports = Vec::with_capacity(todo.len());
     for (id, ws, batch) in todo {
         let node = net.remove_node(id)?;
-        let kernel = {
-            // Kernel extent from the weight parameter shape [co, ci, kh, kw].
-            let wshape = shapes
-                .get(&node.inputs[1])
-                .ok_or_else(|| Error::NotFound(node.inputs[1].clone()))?;
-            wshape.dim(2)
-        };
-        let stride = node.attrs.int_or("stride", 1) as usize;
         let per_sample = ws.div_ceil(batch.max(1));
-        let plan = plan_microbatches(batch, per_sample, capacity, kernel, stride)?;
+        let plan = plan_microbatches(batch, per_sample, capacity)?;
 
         // Split node.
         let split_sizes: Vec<i64> = plan.sizes.iter().map(|&s| s as i64).collect();
@@ -231,37 +212,34 @@ mod tests {
     #[test]
     fn planner_uniform_plus_remainder() {
         // Paper-style: B=468, pieces of 16, remainder 4 first.
-        let plan = plan_microbatches(468, 1, 16, 3, 1).unwrap();
+        let plan = plan_microbatches(468, 1, 16).unwrap();
         assert_eq!(plan.sizes[0], 4);
         assert!(plan.sizes[1..].iter().all(|&s| s == 16));
         assert_eq!(plan.batch(), 468);
-        // Remainder 4 -> im2col; pieces of 16 -> winograd (3x3 stride 1).
+        // Remainder 4 -> im2col; pieces of 16 -> direct.
         assert_eq!(plan.algorithms[0], "im2col");
-        assert!(plan.algorithms[1..].iter().all(|a| a == "winograd"));
+        assert!(plan.algorithms[1..].iter().all(|a| a == "direct"));
     }
 
     #[test]
     fn planner_exact_division() {
-        let plan = plan_microbatches(64, 1, 16, 5, 1).unwrap();
+        let plan = plan_microbatches(64, 1, 16).unwrap();
         assert_eq!(plan.sizes, vec![16, 16, 16, 16]);
-        assert!(
-            plan.algorithms.iter().all(|a| a == "im2col"),
-            "5x5 kernels never winograd"
-        );
+        assert!(plan.algorithms.iter().all(|a| a == "direct"));
     }
 
     #[test]
     fn planner_rejects_impossible() {
         assert!(matches!(
-            plan_microbatches(8, 100, 50, 3, 1),
+            plan_microbatches(8, 100, 50),
             Err(Error::OutOfMemory { .. })
         ));
-        assert!(plan_microbatches(0, 1, 10, 3, 1).is_err());
+        assert!(plan_microbatches(0, 1, 10).is_err());
     }
 
     #[test]
     fn planner_no_pressure_single_piece() {
-        let plan = plan_microbatches(32, 0, 1, 3, 1).unwrap();
+        let plan = plan_microbatches(32, 0, 1).unwrap();
         assert_eq!(plan.sizes, vec![32]);
     }
 

@@ -161,7 +161,7 @@ proptest! {
         cap_factor in 1usize..64,
     ) {
         let capacity = per_sample * cap_factor;
-        let plan = plan_microbatches(batch, per_sample, capacity, 3, 1).unwrap();
+        let plan = plan_microbatches(batch, per_sample, capacity).unwrap();
         prop_assert_eq!(plan.batch(), batch);
         for &s in &plan.sizes {
             prop_assert!(s * per_sample <= capacity, "piece {} exceeds cap", s);

@@ -30,11 +30,21 @@ use rayon::prelude::*;
 
 pub use packed::{Blocking, Epilogue, MR, NR};
 
-/// GEMM kernel selection.
+/// GEMM kernel selection. `Packed` is fastest on every `BENCH_gemm.json`
+/// shape (gate `packed_fastest`) and is what everything calls by default;
+/// each slower tier is kept for the one job named on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Algorithm {
+    /// The parity oracle: plain ascending-`p` triple loop every other tier
+    /// is held to within ℓ∞ tolerance of (`BENCH_gemm` gate `parity`,
+    /// Fig. 6 correctness table, the packed tier's unit tests).
     Naive,
+    /// The single-threaded cache-blocked baseline of the Fig. 6 correctness
+    /// table and the `ablations` GEMM-blocking table.
     Blocked,
+    /// The "different BLAS" of the TensorFlow-like framework profile
+    /// (Fig. 6 / Fig. 10): same products, different accumulation order and
+    /// speed than the packed tier the other profiles share.
     Parallel,
     #[default]
     Packed,

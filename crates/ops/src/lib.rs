@@ -12,7 +12,7 @@
 //!   and the d5nx format can reference them,
 //! * reference implementations of every operator needed by the paper's
 //!   networks: [GEMM](gemm) (naive / blocked / parallel), 2-D
-//!   [convolution](conv) (direct / im2col / Winograd), [pooling](pool)
+//!   [convolution](conv) (direct / im2col), [pooling](pool)
 //!   (max / average / **median** — the paper's running custom-operator
 //!   example), [activations](activation), [batch normalization](norm_ops),
 //!   [losses](loss), [elementwise ops](elementwise), [shape ops](shape_ops),

@@ -313,7 +313,7 @@ pub(crate) fn alloc_copy(src: &[f32]) -> Vec<f32> {
 }
 
 /// Process-wide fallback pool for kernel scratch (packed GEMM panels,
-/// Winograd tile matrices) acquired outside any [`with_pool`] scope —
+/// im2col column blocks) acquired outside any [`with_pool`] scope —
 /// notably on rayon workers, which do not inherit the caller's
 /// thread-local scope. Capped well below the default tensor pool: scratch
 /// working sets are bounded by cache-blocking parameters, not model size.

@@ -34,5 +34,7 @@ pub mod sgd;
 pub mod trajectory;
 pub mod validate;
 
-pub use optimizer::{train_step, train_step_traced, StepResult, ThreeStepOptimizer};
+pub use optimizer::{
+    apply_update, backprop_half, train_step, train_step_traced, StepResult, ThreeStepOptimizer,
+};
 pub use runner::{TrainingConfig, TrainingLog, TrainingRunner};

@@ -67,12 +67,42 @@ pub fn train_step(
 /// reported as spans to `events`, keyed by the iteration number `step`.
 /// Runners pass their event list so whole-run attribution can account for
 /// the time between operator spans; `train_step` itself delegates here
-/// with a throwaway list.
+/// with a throwaway list. The step is [`backprop_half`] followed by one
+/// [`apply_update`] per parameter with its local gradient; a Level-3 scheme
+/// calls the same two with communication in between.
 pub fn train_step_traced(
     opt: &mut dyn ThreeStepOptimizer,
     executor: &mut dyn GraphExecutor,
     batch: &Minibatch,
     events: &mut EventList,
+    step: usize,
+) -> Result<StepResult> {
+    let result = backprop_half(opt, executor, batch, Some(events), step)?;
+    let update_start = std::time::Instant::now();
+    for pname in executor.network().get_params().to_vec() {
+        let grad = executor.network().fetch_tensor(&grad_name(&pname))?.clone();
+        apply_update(opt, executor, &pname, &grad)?;
+    }
+    events.span(
+        Phase::OptimizerUpdate,
+        step,
+        update_start.elapsed().as_secs_f64(),
+    );
+    Ok(result)
+}
+
+/// The first half of a training step: steps ¶ and · of the optimizer,
+/// feed construction (together one [`Phase::BatchAssembly`] span), then
+/// inference + backprop with the checks on what comes back — a network
+/// without a `loss` output is [`Error::NotFound`], non-finite logits are
+/// [`Error::Validation`]. Parameter gradients are left in the network.
+/// The span goes to `events`, or — for a caller with no event list of its
+/// own, `None` — to the executor's hooks.
+pub fn backprop_half(
+    opt: &mut dyn ThreeStepOptimizer,
+    executor: &mut dyn GraphExecutor,
+    batch: &Minibatch,
+    events: Option<&mut EventList>,
     step: usize,
 ) -> Result<StepResult> {
     let assembly_start = std::time::Instant::now();
@@ -85,11 +115,13 @@ pub fn train_step_traced(
         }
     }
     let feeds = batch.feeds();
-    events.span(
-        Phase::BatchAssembly,
-        step,
-        assembly_start.elapsed().as_secs_f64(),
-    );
+    let assembly = assembly_start.elapsed().as_secs_f64();
+    match events {
+        Some(events) => events.span(Phase::BatchAssembly, step, assembly),
+        None => executor
+            .events_mut()
+            .span(Phase::BatchAssembly, step, assembly),
+    }
     let outputs = executor.inference_and_backprop(&feeds, "loss")?;
     let loss = outputs
         .get("loss")
@@ -105,32 +137,36 @@ pub fn train_step_traced(
     let acc = outputs
         .get("logits")
         .and_then(|l| accuracy(l, &batch.labels).ok());
-
-    let update_start = std::time::Instant::now();
-    for pname in &params {
-        let gname = grad_name(pname);
-        let grad = executor.network().fetch_tensor(&gname)?.clone();
-        let old = executor.network().fetch_tensor(pname)?.clone();
-        let updated = opt.update_rule(&grad, &old, pname)?;
-        if updated.shape() != old.shape() {
-            return Err(Error::ShapeMismatch(format!(
-                "{}: update changed shape of '{pname}': {} -> {}",
-                opt.name(),
-                old.shape(),
-                updated.shape()
-            )));
-        }
-        executor.network_mut().feed_tensor(pname.clone(), updated);
-    }
-    events.span(
-        Phase::OptimizerUpdate,
-        step,
-        update_start.elapsed().as_secs_f64(),
-    );
     Ok(StepResult {
         loss,
         accuracy: acc,
     })
+}
+
+/// The second half of a training step, for one parameter: step ¸, the
+/// update rule, applied with `grad` — the local gradient, or whatever a
+/// Level-3 scheme made of it — and the result fed back, after checking the
+/// rule kept the parameter's shape.
+pub fn apply_update(
+    opt: &mut dyn ThreeStepOptimizer,
+    executor: &mut dyn GraphExecutor,
+    pname: &str,
+    grad: &Tensor,
+) -> Result<()> {
+    let old = executor.network().fetch_tensor(pname)?;
+    let updated = opt.update_rule(grad, old, pname)?;
+    if updated.shape() != old.shape() {
+        return Err(Error::ShapeMismatch(format!(
+            "{}: update changed shape of '{pname}': {} -> {}",
+            opt.name(),
+            old.shape(),
+            updated.shape()
+        )));
+    }
+    executor
+        .network_mut()
+        .feed_tensor(pname.to_string(), updated);
+    Ok(())
 }
 
 #[cfg(test)]
