@@ -59,11 +59,12 @@ use rayon::prelude::*;
 /// The one rule behind [`ConvAlgorithm::Auto`](super::ConvAlgorithm::Auto):
 /// this tier, unless one image's output (`cols = Ho·Wo`, the GEMM width)
 /// is narrower than a single [`NR`]-column register tile — the padded tile
-/// then wastes most of its lanes and the explicit lowering is 7–9 % faster
-/// (`BENCH_conv.json` row `tiny_p_tail3x3`, `Ho·Wo = 4`: im2col 0.035 ms,
-/// direct 0.038 ms in five of five runs; EXPERIMENTS E26). Every other
-/// tracked shape, down to a reduction depth of 3 (`tiny_k_rgb1x1`) and up
-/// to batch 8, is fastest here, so there is no second condition.
+/// then wastes most of its lanes and the explicit lowering is 5–11 % faster
+/// (`BENCH_conv.json` row `tiny_p_tail3x3`, `Ho·Wo = 4`: im2col 0.034 ms,
+/// direct 0.037 ms, the same way round in eight of eight runs; EXPERIMENTS
+/// E26). Every other tracked shape, down to a reduction depth of 3
+/// (`tiny_k_rgb1x1`) and up to batch 8, is fastest here, so there is no
+/// second condition.
 pub fn auto_picks_direct(cols: usize) -> bool {
     cols >= NR
 }
