@@ -7,18 +7,21 @@
 //! within l-inf 1e-4. Writes `BENCH_conv.json` with per-tier wall time and
 //! achieved GFLOP/s plus the direct-over-im2col speedup per shape.
 //!
-//! A second table times the *backward* pass (`conv::backward_direct`, the
-//! blocked GEMM lowering) on training-class cells — the two LeNet convs the
-//! spine's `train-cnn` workload runs plus two DeepBench training cells —
-//! against the direct-tier forward of the same cell, after a parity gate
-//! against the scalar `conv::backward_reference` oracle (relative l-inf
-//! 1e-4). `bwd_over_fwd` is the number to watch: backward is twice the
-//! forward's FLOPs, so a kernel-speed backward sits in the low single
-//! digits.
+//! A second table times the *backward* pass (`conv::backward_direct`: the
+//! stride-1 window reduction for `dW` on narrow layers, the blocked GEMM
+//! lowering for everything else) on training-class cells — the two LeNet
+//! convs the spine's `train-cnn` workload runs, a 32-channel body cell on
+//! the window side of the `dW` rule and two DeepBench training cells on
+//! the GEMM side — against the direct-tier forward of the same cell, after
+//! a parity gate against the scalar `conv::backward_reference` oracle
+//! (relative l-inf 1e-4). `bwd_over_fwd` is the number to watch: backward
+//! is twice the forward's FLOPs, so a kernel-speed backward sits in the low
+//! single digits. `dw_ms` is the same pass with `dX` elided (what a first
+//! layer runs) and `dx_ms` the difference, so each half has a tracked row.
 //!
 //! Gates: forward and backward parity, `auto` within 5 % of the best
-//! explicit tier on every shape (the one routing rule,
-//! `conv::direct::auto_picks_direct`, is only as good as this row), the
+//! explicit tier on every shape (`Auto` resolving to the direct tier
+//! everywhere is only as good as this row), the
 //! direct tier beats im2col on at least 4 shapes and by 2x on at least
 //! three (the baseline is the row-copy im2col lowering, itself GEMM-speed:
 //! the best ratio sits at 2.5-2.9x), and no backward costs more than 6x its
@@ -47,7 +50,13 @@ use std::process::ExitCode;
 /// batch 8 (where a per-batch cost such as a filter transform would
 /// amortize), and the two shapes a floor under the direct tier would send
 /// away from it — a reduction shallower than one microkernel tile
-/// (`C·kh·kw = 3 < 8`) and an output narrower than one (`Ho·Wo = 4 < 8`).
+/// (`C·kh·kw = 3 < 8`) and an output narrower than one (`Ho·Wo = 4 < 8`),
+/// the latter at stride 1 (read as windows) and at stride 2 (still
+/// gathered: the one class where the two tiers tie).
+/// Last, the three convolutions the spine benchmark actually runs: LeNet's
+/// two at `train-cnn`'s batch 32 (the second unpadded, so read in place)
+/// and `resnet_like`'s 16-channel body at `serve-conv-open`'s four-row
+/// batches.
 fn cells() -> Vec<(&'static str, ConvSize)> {
     vec![
         ("stem7x7", ConvSize::new(1, 3, 112, 112, 32, 7, 2, 3)),
@@ -59,15 +68,25 @@ fn cells() -> Vec<(&'static str, ConvSize)> {
         ("body3x3_28_b8", ConvSize::new(8, 64, 28, 28, 64, 3, 1, 1)),
         ("tiny_k_rgb1x1", ConvSize::new(1, 3, 32, 32, 16, 1, 1, 0)),
         ("tiny_p_tail3x3", ConvSize::new(1, 64, 2, 2, 64, 3, 1, 1)),
+        ("tiny_p_strided3x3", ConvSize::new(1, 64, 4, 4, 64, 3, 2, 1)),
+        ("lenet_conv1", ConvSize::new(32, 3, 16, 16, 6, 5, 1, 2)),
+        ("lenet_conv2", ConvSize::new(32, 6, 8, 8, 16, 5, 1, 0)),
+        (
+            "resnet16_body_b4",
+            ConvSize::new(4, 16, 32, 32, 16, 3, 1, 1),
+        ),
     ]
 }
 
 /// Training-class backward cells: LeNet conv1 / conv2 at the spine's batch
-/// 32, and two DeepBench training cells (ResNet body 3x3s at batch 8).
+/// 32, a 32-channel body 3x3 (the widest tracked layer whose `dW` reduces
+/// along windows), and two DeepBench training cells (ResNet body 3x3s at
+/// batch 8, 64 and 128 channels: `dW` through the GEMM).
 fn backward_cells() -> Vec<(&'static str, ConvSize)> {
     vec![
         ("lenet_conv1", ConvSize::new(32, 3, 16, 16, 6, 5, 1, 2)),
         ("lenet_conv2", ConvSize::new(32, 6, 8, 8, 16, 5, 1, 0)),
+        ("body3x3_56_b8", ConvSize::new(8, 32, 56, 56, 32, 3, 1, 1)),
         ("resnet3x3_56", ConvSize::new(8, 64, 56, 56, 64, 3, 1, 1)),
         ("resnet3x3_28", ConvSize::new(8, 128, 28, 28, 128, 3, 1, 1)),
     ]
@@ -94,8 +113,9 @@ fn cell_fields(name: &str, cs: &ConvSize) -> Vec<(&'static str, Json)> {
 }
 
 /// One JSON row per training-class cell: parity against the scalar oracle,
-/// then forward and backward timed interleaved. Returns the rows, the
-/// worst oracle error and the worst backward/forward ratio.
+/// then forward, backward and backward without `dX` timed interleaved.
+/// Returns the rows, the worst oracle error and the worst backward/forward
+/// ratio.
 fn backward_rows(reps: usize) -> (Vec<Json>, f64, f64) {
     let mut rows = Vec::new();
     let (mut worst_err, mut worst_ratio) = (0.0f64, 0.0f64);
@@ -126,9 +146,13 @@ fn backward_rows(reps: usize) -> (Vec<Json>, f64, f64) {
             &mut [
                 Subject::wall(|| op.forward(&[&x, &w, &b]).expect("timed forward")),
                 Subject::wall(|| conv::backward_direct(&dy, &x, &w, g).expect("timed backward")),
+                Subject::wall(|| {
+                    op.backward_wanted(&[&dy], &[&x, &w, &b], &[&y[0]], &[false, true, true])
+                        .expect("timed dW")
+                }),
             ],
         );
-        let (fwd, bwd) = (timed[0][0].median, timed[1][0].median);
+        let (fwd, bwd, dw) = (timed[0][0].median, timed[1][0].median, timed[2][0].median);
         // dW and dX are one forward's worth of multiply-adds each.
         let bwd_gflops = 2.0 * cs.flops() / bwd / 1e9;
         worst_err = worst_err.max(err);
@@ -137,6 +161,8 @@ fn backward_rows(reps: usize) -> (Vec<Json>, f64, f64) {
         row.extend([
             ("fwd_ms", Json::fixed(fwd * 1e3, 4)),
             ("bwd_ms", Json::fixed(bwd * 1e3, 4)),
+            ("dw_ms", Json::fixed(dw * 1e3, 4)),
+            ("dx_ms", Json::fixed((bwd - dw) * 1e3, 4)),
             ("bwd_gflops", Json::fixed(bwd_gflops, 2)),
             ("bwd_over_fwd", Json::fixed(bwd / fwd, 3)),
             ("oracle_rel_linf", Json::fixed(err, 9)),
@@ -256,9 +282,9 @@ fn main() -> ExitCode {
     report
         .gate(
             "cells",
-            cells == 9 && bwd_rows.len() == 4 && all_timed,
+            cells == 13 && bwd_rows.len() == 5 && all_timed,
             format!(
-                "{cells} forward cells of 9, {} backward cells of 4, every timing > 0",
+                "{cells} forward cells of 13, {} backward cells of 5, every timing > 0",
                 bwd_rows.len()
             ),
         )

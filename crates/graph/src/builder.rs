@@ -70,10 +70,10 @@ impl NetworkBuilder {
         }
     }
 
-    /// Convolution layer. Defaults to `algorithm = "auto"`: the direct
-    /// tier, or im2col where the output is too narrow to fill a register
-    /// tile (`deep500_ops::conv::direct::auto_picks_direct`) — resolved
-    /// at compile time by the layout pass, else per call by the operator.
+    /// Convolution layer. Defaults to `algorithm = "auto"`: the tier the
+    /// tracked `BENCH_conv.json` sweep ranks first (the direct tier, on
+    /// every shape it holds) — resolved at compile time by the layout
+    /// pass, else per call by the operator.
     /// Use [`Self::conv_with_algo`] to pin a tier explicitly.
     pub fn conv(mut self, out_c: usize, kernel: usize, stride: usize, pad: usize) -> Self {
         self.conv_impl(out_c, kernel, stride, pad, "auto");

@@ -439,6 +439,47 @@ mod tests {
     }
 
     #[test]
+    fn every_zoo_conv_reports_the_workspace_its_kernel_draws() {
+        use deep500_tensor::{with_pool, BufferPool, LINE_F32};
+        use std::sync::Arc;
+        let mut convs = 0;
+        for case in zoo() {
+            // Batch 1: one image in flight, on this thread's pool scope.
+            let case = case.at_batch(1);
+            let shapes = crate::transforms::infer_shapes(&case.net, &case.input_shapes()).unwrap();
+            let ops = case.net.instantiate_ops().unwrap();
+            let mut rng = Xoshiro256StarStar::seed_from_u64(5);
+            for (id, node) in case.net.nodes().filter(|(_, n)| n.op_type == "Conv2d") {
+                let ins: Vec<&Shape> = node.inputs.iter().map(|n| &shapes[n]).collect();
+                let feeds: Vec<Tensor> = ins
+                    .iter()
+                    .map(|s| Tensor::rand_uniform((*s).clone(), -1.0, 1.0, &mut rng))
+                    .collect();
+                let pool = Arc::new(BufferPool::new());
+                let out = with_pool(&pool, || {
+                    ops[&id].forward(&feeds.iter().collect::<Vec<_>>())
+                });
+                // The output is alive, so all the pool holds is the
+                // kernel's scratch: one slab of the reported size, rounded
+                // to cache lines and then to the pool's size class.
+                let floats = ops[&id].workspace_bytes(&ins) / 4;
+                assert!(floats > 0 && out.is_ok(), "{}/{}", case.name, node.name);
+                assert_eq!(
+                    pool.stats().held_bytes,
+                    BufferPool::class_of(floats.next_multiple_of(LINE_F32)) * 4,
+                    "{}/{}: x {} w {} reports {floats} floats",
+                    case.name,
+                    node.name,
+                    ins[0],
+                    ins[1]
+                );
+                convs += 1;
+            }
+        }
+        assert!(convs >= 10, "the zoo has convs of several shapes: {convs}");
+    }
+
+    #[test]
     fn every_zoo_case_passes_the_gate_and_feeds_match_input_shapes() {
         let zoo = zoo();
         let mut names: Vec<&str> = zoo.iter().map(|c| c.name).collect();

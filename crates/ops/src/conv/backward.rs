@@ -1,33 +1,62 @@
-//! `Conv2d` backward: the cache-blocked GEMM lowering, and the scalar
-//! seven-loop oracle it is tested against.
+//! `Conv2d` backward: the cache-blocked lowering to GEMM, the stride-1
+//! window reduction that replaces its `dW` half on narrow layers, and the
+//! scalar seven-loop oracle both are tested against.
 //!
 //! With `K = C·kh·kw` and a block of `B` output positions (whole images,
 //! or a band of output rows when one image's column matrix is too big),
 //! the three gradients are
 //!
 //! ```text
-//! col  [K x B]   = im2col(X block)                 (row copy)
-//! dW  [Co x K]  += dY [Co x B] · colᵀ               (packed GEMM, B absorbed transposed)
+//! dW  [Co x K]  += dY [Co x B] · colᵀ,  col [K x B] = im2col(X block)
 //! dcol [K x B]   = Wᵀ [K x Co] · dY [Co x B]        (packed GEMM, A absorbed transposed)
 //! dX            += col2im(dcol)                     (row add)
 //! db  [Co]      += row sums of dY
 //! ```
 //!
+//! `dX` never reads `col`, and for stride 1 `dW` does not need it built
+//! either: row `r` of `col` is the window of the zero-padded image that
+//! starts at tap `r`'s offset ([`Lowering::window_offsets`]), indexed by
+//! flat padded position `j = oh·Wp + ow`. So `dY` is scattered to the same
+//! flat positions (exact zeros at the seams between output rows) and
+//!
+//! ```text
+//! dW[oc][r] += Σ_img Σ_j dYflat[img][oc][j] · Xpad[img][offs[r] + j]
+//! ```
+//!
+//! is a dot product of two contiguous runs per image
+//! ([`window_dw_block`]) — no `K x B` matrix, no GEMM whose `M` is a
+//! six-channel `Co`. [`dw_reads_windows`] is the one rule for which layers
+//! take it; every other `dW` (any other stride, wide layers) is the packed
+//! GEMM with `B` absorbed transposed, over a `col` built by the shared row
+//! copy (`im2col_block`).
+//!
 //! Every product participates — there is no skip on zero gradient
 //! elements, so the cost does not depend on gradient density and `0 · NaN`
 //! propagates exactly as in the GEMM backward
-//! ([`matmul_at_b_with`](crate::gemm::matmul_at_b_with)).
+//! ([`matmul_at_b_with`](crate::gemm::matmul_at_b_with)): a non-finite
+//! `dY` element reaches every tap of its channel's `dW` and, through `Wᵀ`,
+//! `dX`; a non-finite weight reaches `dX` under an all-zero `dY`. The
+//! window reduction adds one case of its own. It multiplies the seam
+//! zeros of `dYflat` (and the up-to-fifteen zeros that round a run up to
+//! whole vectors) by whatever pixel the window holds there — the start of
+//! the next row, or of the next image of the block — so a non-finite
+//! *input* pixel turns `dW` NaN not only at the taps that read it for some
+//! output, as in the lowering and the oracle, but also at taps that only
+//! meet it across a row seam. Finite inputs are unaffected: those products
+//! are exact zeros.
 //!
 //! **Determinism contract.** The images are cut into contiguous *lanes*
 //! and each lane into column blocks by [`Blocking::for_shape`], a pure
 //! function of the shape. A lane walks its blocks in ascending order,
-//! accumulating `dW`/`db` into its own partial; the partials are then
+//! accumulating `dW`/`db` into its own partial — through the GEMM, or
+//! through 16-lane accumulators carried across a block's images and
+//! folded once per block in a fixed tree ([`fold`]); the partials are then
 //! added in lane-index order. `dX` images belong to exactly one lane.
 //! Lanes may run on rayon workers or serially — the float sequence per
 //! output element is the same, so the result is bitwise independent of
 //! the thread count.
 
-use super::{direct, fetch, im2col_rows, ConvGeometry, Lowering};
+use super::{direct, fetch, im2col_block, pad_image, ConvGeometry, Lowering};
 use crate::gemm::packed::gemm_packed_into;
 use crate::gemm::PAR_THRESHOLD;
 use deep500_tensor::{
@@ -149,6 +178,256 @@ fn col2im_rows(
     }
 }
 
+/// Lanes of one `dW` accumulator: a 512-bit vector of consecutive flat
+/// positions. The portable reduction keeps the same 16 partial sums in an
+/// array, so both fold the same tree.
+const LANES: usize = 16;
+/// The `dW` register tile: `COB` output channels x `TPB` filter taps of
+/// 16-lane accumulators (24 of the 32 zmm registers, plus the tile's six
+/// input windows and one gradient vector).
+const COB: usize = 4;
+const TPB: usize = 6;
+
+/// Whether `dW` reduces along windows of the padded image
+/// ([`window_dw_block`]) instead of through the column matrix and the
+/// packed GEMM. Windows need stride 1; and they only pay while the GEMM is
+/// starved for rows — its `M` is `Co`, and at `Co = 6` a six-row panel runs
+/// at a quarter of what it reaches at 64 (`BENCH_conv.json` backward rows:
+/// `lenet_conv1` 0.84 → 0.26 ms, `lenet_conv2` 0.33 → 0.25 ms with windows;
+/// `resnet3x3_56` / `resnet3x3_28`, `Co` 64 and 128, where the GEMM runs at
+/// 82–84 GFLOP/s and building `col` is under 1 % of its time, are
+/// 1.3–1.5x *slower* with them — EXPERIMENTS E27), so wide layers stay on
+/// the GEMM.
+fn dw_reads_windows(lw: &Lowering, co: usize) -> bool {
+    lw.g.stride == 1 && co < 64
+}
+
+/// The sixteen partial sums of one accumulator, added in a fixed tree:
+/// halves, quarters, pairs, then the last two.
+fn fold(mut acc: [f32; LANES]) -> f32 {
+    for half in [8, 4, 2, 1] {
+        for l in 0..half {
+            acc[l] += acc[l + half];
+        }
+    }
+    acc[0]
+}
+
+/// Portable `dW` tile: `acc[i][t][l] = Σ_img Σ_s dy[img·dy_img + rows[i] +
+/// s + l] · x[img·x_img + offs[t] + s + l]` over `s = 0, 16, .. < fl`,
+/// each lane's sum ascending in `(img, s)` — the loop the AVX-512 tile
+/// runs, on arrays. What miri and hosts without AVX-512 execute.
+#[allow(clippy::too_many_arguments)] // kernel plumbing: slices and scalars
+fn dw_tile_portable<const CO: usize>(
+    dy: &[f32],
+    dy_img: usize,
+    rows: [usize; CO],
+    x: &[f32],
+    x_img: usize,
+    offs: [usize; TPB],
+    imgs: usize,
+    fl: usize,
+) -> [[[f32; LANES]; TPB]; CO] {
+    let mut acc = [[[0.0f32; LANES]; TPB]; CO];
+    for img in 0..imgs {
+        let (dyi, xi) = (&dy[img * dy_img..], &x[img * x_img..]);
+        for s in (0..fl).step_by(LANES) {
+            for (i, row) in rows.into_iter().enumerate() {
+                let d = &dyi[row + s..row + s + LANES];
+                for (t, off) in offs.into_iter().enumerate() {
+                    let xv = &xi[off + s..off + s + LANES];
+                    for l in 0..LANES {
+                        acc[i][t][l] += d[l] * xv[l];
+                    }
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// AVX-512 `dW` tile: [`dw_tile_portable`] with each 16-lane accumulator
+/// in a zmm register and the multiply-add fused. The tile's `TPB` input
+/// windows are loaded once per step and shared by its `CO` gradient rows,
+/// so a step is `CO + TPB` loads for `CO·TPB` FMAs.
+///
+/// # Safety
+///
+/// * The caller must have proven, at runtime, that the executing CPU
+///   supports AVX-512F. [`dw_tile`] is the only caller and establishes
+///   this with `is_x86_feature_detected!`.
+/// * `fl` is a multiple of [`LANES`], and for every image `img < imgs` the
+///   reads stay inside the slices: `img·dy_img + max(rows) + fl <=
+///   dy.len()` and `img·x_img + max(offs) + fl <= x.len()`.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)] // kernel plumbing: slices and scalars
+unsafe fn dw_tile_avx512<const CO: usize>(
+    dy: &[f32],
+    dy_img: usize,
+    rows: [usize; CO],
+    x: &[f32],
+    x_img: usize,
+    offs: [usize; TPB],
+    imgs: usize,
+    fl: usize,
+) -> [[[f32; LANES]; TPB]; CO] {
+    use core::arch::x86_64::*;
+    let mut out = [[[0.0f32; LANES]; TPB]; CO];
+    // SAFETY: every load reads 16 floats at `img·dy_img + rows[i] + s` or
+    // `img·x_img + offs[t] + s` with `s + 16 <= fl` (`fl` a multiple of
+    // 16), which the caller guarantees is inside `dy` / `x` for every
+    // `img < imgs`; `loadu`/`storeu` tolerate any alignment and each
+    // `out[i][t]` is exactly 16 floats. The intrinsics are safe to execute
+    // per this fn's `#[target_feature]` contract, upheld by the caller.
+    unsafe {
+        let mut acc = [[_mm512_setzero_ps(); TPB]; CO];
+        for img in 0..imgs {
+            let (dyi, xi) = (dy.as_ptr().add(img * dy_img), x.as_ptr().add(img * x_img));
+            for s in (0..fl).step_by(LANES) {
+                let xv = offs.map(|off| _mm512_loadu_ps(xi.add(off + s)));
+                for (row, arow) in rows.into_iter().zip(acc.iter_mut()) {
+                    let d = _mm512_loadu_ps(dyi.add(row + s));
+                    for (a, v) in arow.iter_mut().zip(xv) {
+                        *a = _mm512_fmadd_ps(d, v, *a);
+                    }
+                }
+            }
+        }
+        for (orow, arow) in out.iter_mut().zip(acc) {
+            for (o, a) in orow.iter_mut().zip(arow) {
+                _mm512_storeu_ps(o.as_mut_ptr(), a);
+            }
+        }
+    }
+    out
+}
+
+/// One `CO x TPB` tile of `dW`, folded: the reduction of
+/// [`dw_tile_portable`] over channels `oc0..oc0 + CO` on the best kernel
+/// the host has. Rows `CO..` of the result stay zero.
+#[allow(clippy::too_many_arguments)] // kernel plumbing: slices and scalars
+fn dw_tile<const CO: usize>(
+    dy: &[f32],
+    dy_img: usize,
+    oc0: usize,
+    x: &[f32],
+    x_img: usize,
+    offs: [usize; TPB],
+    imgs: usize,
+    fl: usize,
+) -> [[f32; TPB]; COB] {
+    let rows: [usize; CO] = std::array::from_fn(|i| (oc0 + i) * fl);
+    let top = offs.into_iter().max().unwrap_or(0);
+    // What both kernels read; the AVX-512 one relies on it.
+    assert!(fl.is_multiple_of(LANES) && imgs > 0);
+    assert!((imgs - 1) * dy_img + rows[CO - 1] + fl <= dy.len());
+    assert!((imgs - 1) * x_img + top + fl <= x.len());
+    let tile = 'tile: {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: avx512f was detected on this very path, and the
+            // three assertions above are the kernel's bounds contract
+            // (`rows` ascends, so its last entry is its largest).
+            break 'tile unsafe { dw_tile_avx512(dy, dy_img, rows, x, x_img, offs, imgs, fl) };
+        }
+        dw_tile_portable(dy, dy_img, rows, x, x_img, offs, imgs, fl)
+    };
+    let mut sums = [[0.0f32; TPB]; COB];
+    for (srow, trow) in sums.iter_mut().zip(tile) {
+        *srow = trow.map(fold);
+    }
+    sums
+}
+
+/// `dW += dY ⋆ X` for one block of images and one band of output rows,
+/// along the windows of the padded images — no column matrix.
+///
+/// `xp` holds the block's `imgs` zero-padded images back to back (`x_img`
+/// floats each, one vector of zero slack after the last), `dyf` their `dY`
+/// rows `oh0..` scattered to the same flat padded positions (`[imgs][Co]
+/// [fl]`, exact zeros at the seams and past the band). Then
+/// `dW[oc][tap] = Σ_img Σ_j dyf[img][oc][j] · xp[img][base + offs[tap] +
+/// j]`: a dot product of two contiguous runs per image. It is register
+/// blocked [`COB`] channels x [`TPB`] taps, each pair a 16-lane
+/// accumulator carried across the block's images and folded once, in a
+/// fixed tree — so the float sequence depends on the shape alone. A tile
+/// short of taps repeats its last live one and drops the repeats.
+///
+/// Over-read: a tile reads `fl` (`<= flat + 15`) positions past `base +
+/// offs[tap]`, and `base + offs[K - 1] + flat` is at most the image length
+/// — so at most one vector into the next image or the slack, where `dyf`
+/// is zero.
+#[allow(clippy::too_many_arguments)] // block plumbing: slices and scalars
+fn window_dw_block(
+    dyf: &[f32],
+    fl: usize,
+    xp: &[f32],
+    x_img: usize,
+    imgs: usize,
+    offs: &[usize],
+    base: usize,
+    co: usize,
+    dw: &mut [f32],
+) {
+    let k = offs.len();
+    for oc0 in (0..co).step_by(COB) {
+        for t0 in (0..k).step_by(TPB) {
+            let taps = TPB.min(k - t0);
+            let to: [usize; TPB] = std::array::from_fn(|t| base + offs[t0 + t.min(taps - 1)]);
+            macro_rules! tile {
+                ($n:literal) => {
+                    dw_tile::<$n>(dyf, co * fl, oc0, xp, x_img, to, imgs, fl)
+                };
+            }
+            let sums = match co - oc0 {
+                1 => tile!(1),
+                2 => tile!(2),
+                3 => tile!(3),
+                _ => tile!(4),
+            };
+            for (i, srow) in sums.iter().enumerate().take(co - oc0) {
+                let dwrow = &mut dw[(oc0 + i) * k + t0..][..taps];
+                for (acc, &sum) in dwrow.iter_mut().zip(srow) {
+                    *acc += sum;
+                }
+            }
+        }
+    }
+}
+
+/// Scatter output rows `oh0..oh1` of `imgs` images' `dY` (from image `i0`)
+/// to flat padded positions: row `oh` of channel `oc` lands at
+/// `dyf[(il·Co + oc)·fl + (oh - oh0)·Wp..]`, and every other float of the
+/// `fl`-long run — the seams between rows, the tail past the band — is
+/// written as an exact zero, so `dyf` may be dirty scratch.
+#[allow(clippy::too_many_arguments)] // block plumbing: slices and scalars
+fn scatter_dy(
+    dyd: &[f32],
+    lw: &Lowering,
+    co: usize,
+    i0: usize,
+    imgs: usize,
+    oh0: usize,
+    oh1: usize,
+    dyf: &mut [f32],
+    fl: usize,
+) {
+    let (wo, wp, p) = (lw.wo, lw.wp(), lw.ho * lw.wo);
+    let runs = dyf[..imgs * co * fl].chunks_exact_mut(fl);
+    for (ch, run) in runs.enumerate() {
+        let src = &dyd[(i0 * co + ch) * p + oh0 * wo..(i0 * co + ch) * p + oh1 * wo];
+        let mut at = 0;
+        for row in src.chunks_exact(wo) {
+            run[at..at + wo].copy_from_slice(row);
+            let seam = (at + wp).min(fl);
+            run[at + wo..seam].fill(0.0);
+            at = seam;
+        }
+        run[at..].fill(0.0);
+    }
+}
+
 /// One lane: images `img0..img0 + imgs` in ascending column blocks,
 /// accumulating into `dw` (`[Co x K]`) and `db` (`[Co]`), both zero on
 /// entry, and writing those images' `dX` into `dxl` when requested.
@@ -168,21 +447,40 @@ fn lane_backward(
 ) {
     let (k, p, chw) = (lw.k(), lw.ho * lw.wo, lw.c * lw.h * lw.wd);
     let block_cols = bl.imgs * bl.rows * lw.wo;
-    // Dirty scratch: im2col_rows writes every column it lowers, and the
-    // dY block is copied whole before use.
-    let mut col = scratch_dirty(k * block_cols);
+    let windows = dw_reads_windows(lw, co);
+    // Dirty scratch throughout: im2col_block writes every column it
+    // lowers (and the dX GEMM's target is cleared first), the dY block is
+    // copied whole before use, and the window form writes every float of
+    // its padded images, their slack and the scattered dY.
+    let scratch = |needed: bool, len: usize| {
+        if needed {
+            scratch_dirty(len)
+        } else {
+            Vec::new()
+        }
+    };
+    let mut col = scratch(!windows || dxl.is_some(), k * block_cols);
     let mut dyb = scratch_dirty(co * block_cols);
+    let (x_img, fl_max) = (lw.padded_len(), lw.flat(bl.rows).next_multiple_of(LANES));
+    let offs = if windows {
+        lw.window_offsets()
+    } else {
+        Vec::new()
+    };
+    let mut xp = scratch(windows, bl.imgs * x_img + LANES);
+    let mut dyf = scratch(windows, bl.imgs * co * fl_max);
     for i0 in (img0..img0 + imgs).step_by(bl.imgs) {
         let ni = bl.imgs.min(img0 + imgs - i0);
+        if windows {
+            for (il, dst) in xp.chunks_exact_mut(x_img).take(ni).enumerate() {
+                pad_image(&xd[(i0 + il) * chw..(i0 + il + 1) * chw], lw, dst);
+            }
+            xp[ni * x_img..ni * x_img + LANES].fill(0.0);
+        }
         for oh0 in (0..lw.ho).step_by(bl.rows) {
             let oh1 = (oh0 + bl.rows).min(lw.ho);
             let seg = (oh1 - oh0) * lw.wo;
             let cols = ni * seg;
-            let colb = &mut col[..k * cols];
-            for il in 0..ni {
-                let xi = &xd[(i0 + il) * chw..(i0 + il + 1) * chw];
-                im2col_rows(xi, lw, oh0, oh1, colb, cols, il * seg);
-            }
             // dY as one [Co x cols] matrix: a whole single image already
             // is one; anything else is gathered channel by channel.
             let dyblk: &[f32] = if ni == 1 && seg == p {
@@ -200,10 +498,24 @@ fn lane_backward(
             for (b, row) in db.iter_mut().zip(dyblk.chunks_exact(cols.max(1))) {
                 *b += row_sum(row);
             }
-            // dW += dY · colᵀ
-            gemm_packed_into(co, k, cols, dyblk, false, colb, true, dw);
+            if windows {
+                let fl = lw.flat(oh1 - oh0).next_multiple_of(LANES);
+                scatter_dy(dyd, lw, co, i0, ni, oh0, oh1, &mut dyf, fl);
+                let base = oh0 * lw.wp();
+                window_dw_block(&dyf, fl, &xp, x_img, ni, &offs, base, co, dw);
+            } else {
+                let colb = &mut col[..k * cols];
+                for il in 0..ni {
+                    let xi = &xd[(i0 + il) * chw..(i0 + il + 1) * chw];
+                    im2col_block(xi, lw, 0..k, oh0 * lw.wo..oh1 * lw.wo, colb, cols, il * seg);
+                }
+                // dW += dY · colᵀ
+                gemm_packed_into(co, k, cols, dyblk, false, colb, true, dw);
+            }
             if let Some(dxl) = dxl.as_deref_mut() {
-                // dcol = Wᵀ · dY, into the column block dW is done with.
+                // dcol = Wᵀ · dY, into the column block (dW is done with
+                // it, if it used it at all).
+                let colb = &mut col[..k * cols];
                 colb.fill(0.0);
                 gemm_packed_into(k, cols, co, wdat, true, dyblk, false, colb);
                 for il in 0..ni {
@@ -213,6 +525,8 @@ fn lane_backward(
             }
         }
     }
+    recycle_scratch(dyf);
+    recycle_scratch(xp);
     recycle_scratch(dyb);
     recycle_scratch(col);
 }
@@ -551,14 +865,24 @@ mod tests {
     fn serial_and_rayon_lanes_are_bitwise_equal() {
         // Thread-count independence: the same lanes run on this thread in
         // order, or handed to the pool, must produce identical bits.
+        // Window dW (whole-lane blocks; read with no padding; row bands),
+        // then the GEMM dW at a stride with no windows and on a layer too
+        // wide for them.
         for (n, c, h, co, k, stride, pad) in [
             (32usize, 3usize, 16usize, 6usize, 5usize, 1usize, 2usize),
-            (7, 5, 9, 4, 3, 2, 1),
+            (11, 6, 8, 16, 5, 1, 0),
             (2, 16, 32, 4, 3, 1, 1),
+            (7, 5, 9, 4, 3, 2, 1),
+            (9, 2, 6, 64, 3, 1, 1),
         ] {
             let g = ConvGeometry { stride, pad };
             let (dy, x, wt) = case(n, c, h, h, co, k, g, 1, 5);
             let (lw, n, co) = resolve(&dy, &x, &wt, g).unwrap();
+            assert_eq!(
+                dw_reads_windows(&lw, co),
+                stride == 1 && co < 64,
+                "the cases straddle the rule"
+            );
             for want_dx in [true, false] {
                 let serial = backward_blocked(&dy, &x, &wt, &lw, n, co, want_dx, false);
                 let pooled = backward_blocked(&dy, &x, &wt, &lw, n, co, want_dx, true);
@@ -595,8 +919,115 @@ mod tests {
     }
 
     #[test]
+    fn nan_gradient_reaches_every_tap_of_its_channel_and_no_other() {
+        // Window dW (co 3) and GEMM dW (stride 2) alike: every product
+        // participates, padding zeros included.
+        for stride in [1usize, 2] {
+            let g = ConvGeometry { stride, pad: 1 };
+            let (mut dy, x, wt) = case(2, 2, 6, 6, 3, 3, g, 1, 9);
+            let at = dy.numel() / 3 / 2; // channel 1 of image 0
+            dy.data_mut()[at] = f32::NAN;
+            let grads = backward_direct(&dy, &x, &wt, g).unwrap();
+            let oracle = backward_reference(&dy, &x, &wt, g).unwrap();
+            for (oc, (got, want)) in grads[1]
+                .data()
+                .chunks(18)
+                .zip(oracle[1].data().chunks(18))
+                .enumerate()
+            {
+                assert!(
+                    got.iter().all(|v| v.is_nan() == (oc == 1)),
+                    "s{stride} {oc}"
+                );
+                assert!(
+                    want.iter().all(|v| v.is_nan() == (oc == 1)),
+                    "s{stride} {oc}"
+                );
+            }
+            assert!(grads[2].data()[1].is_nan() && grads[2].data()[0].is_finite());
+        }
+    }
+
+    #[test]
+    fn nan_pixel_reaches_window_taps_across_a_row_seam() {
+        // The one case the window reduction adds (module docs): the oracle
+        // turns NaN the four taps that read pixel (0, 0) for some output;
+        // tap (0, 2) never does — its column runs one to the right — but
+        // its window holds the pixel at the seam after output row 0.
+        let g = ConvGeometry { stride: 1, pad: 1 };
+        let (dy, mut x, wt) = case(1, 1, 5, 5, 2, 3, g, 0, 9);
+        x.data_mut()[0] = f32::NAN;
+        let got = backward_direct(&dy, &x, &wt, g).unwrap();
+        let want = backward_reference(&dy, &x, &wt, g).unwrap();
+        let nan = |t: &Tensor| t.data().iter().map(|v| v.is_nan()).collect::<Vec<_>>();
+        let t = true;
+        assert_eq!(
+            nan(&want[1])[..9],
+            [t, t, false, t, t, false, false, false, false]
+        );
+        assert_eq!(
+            nan(&got[1])[..9],
+            [t, t, t, t, t, false, false, false, false]
+        );
+        for (a, b) in got[1].data().iter().zip(want[1].data()) {
+            assert!(a.is_nan() || (a - b).abs() <= 1e-4 * b.abs().max(1.0));
+        }
+        // dX and db never read X.
+        assert!(got[0]
+            .data()
+            .iter()
+            .chain(got[2].data())
+            .all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn portable_dw_tile_matches_the_dispatched_one_and_a_scalar_sum() {
+        // On an AVX-512 host this is the only place the portable tile
+        // runs. Two images, runs of three vectors, windows that overlap.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(31);
+        let (co, fl, imgs, x_img) = (5usize, 48usize, 2usize, 70usize);
+        let dyf = Tensor::rand_uniform([imgs * co * fl], -1.0, 1.0, &mut rng);
+        let xp = Tensor::rand_uniform([imgs * x_img + LANES], -1.0, 1.0, &mut rng);
+        let offs = [0usize, 1, 2, 9, 10, 11, 20, 22];
+        let mut dw = vec![0.0f32; co * offs.len()];
+        window_dw_block(
+            dyf.data(),
+            fl,
+            xp.data(),
+            x_img,
+            imgs,
+            &offs,
+            1,
+            co,
+            &mut dw,
+        );
+        for oc in 0..co {
+            for (t, off) in offs.iter().enumerate() {
+                let want: f64 = (0..imgs)
+                    .flat_map(|img| (0..fl).map(move |j| (img, j)))
+                    .map(|(img, j)| {
+                        f64::from(dyf.data()[(img * co + oc) * fl + j])
+                            * f64::from(xp.data()[img * x_img + 1 + off + j])
+                    })
+                    .sum();
+                let got = f64::from(dw[oc * offs.len() + t]);
+                assert!((got - want).abs() < 1e-4, "dW[{oc}][{t}]: {got} vs {want}");
+            }
+        }
+        let rows = [0, fl, 2 * fl, 3 * fl];
+        let to = [1usize, 2, 3, 10, 11, 12];
+        let tile = dw_tile_portable(dyf.data(), co * fl, rows, xp.data(), x_img, to, imgs, fl);
+        for (i, trow) in tile.into_iter().enumerate() {
+            for (t, sums) in trow.into_iter().enumerate() {
+                let (got, want) = (fold(sums), dw[i * offs.len() + t]);
+                assert!((got - want).abs() < 1e-4, "tile[{i}][{t}]: {got} vs {want}");
+            }
+        }
+    }
+
+    #[test]
     fn stale_scratch_never_leaks_into_gradients() {
-        // Both lane buffers are drawn dirty; poison their size classes.
+        // Every lane buffer is drawn dirty; poison their size classes.
         let g = ConvGeometry { stride: 2, pad: 2 };
         let (dy, x, wt) = case(3, 2, 7, 7, 3, 3, g, 0, 13);
         for len in [2 * 3 * 3 * 3 * 5 * 5, 3 * 3 * 5 * 5] {
@@ -607,6 +1038,17 @@ mod tests {
             }
         }
         assert_matches_reference(&dy, &x, &wt, g, "poisoned scratch");
+        // The window form: padded images, scattered dY.
+        let g = ConvGeometry { stride: 1, pad: 2 };
+        let (dy, x, wt) = case(3, 2, 7, 7, 3, 3, g, 0, 13);
+        for len in [2 * 11 * 11 + 16, 3 * 112, 2 * 3 * 3 * 9 * 9] {
+            for _ in 0..4 {
+                let mut buf = scratch_dirty(len);
+                buf.fill(f32::NAN);
+                recycle_scratch(buf);
+            }
+        }
+        assert_matches_reference(&dy, &x, &wt, g, "poisoned window scratch");
     }
 
     #[test]

@@ -16,11 +16,21 @@
 //!   every input spatial size, so the transform is hoisted to op-instance
 //!   setup (or, under the graph compiler, to a constant-folded
 //!   `PackConv2dFilter` node).
-//! * **Activations** are gathered directly from NCHW into the packed
-//!   B-panel slivers `[p][j]` ([`pack_b_conv`]): the im2col lowering *is*
-//!   the panel-packing copy the GEMM would do anyway, so no `K x P` scratch
-//!   matrix ever exists. Stride-1 rows take a `copy_from_slice` fast path;
-//!   zero padding is written analytically (no per-element bounds branch).
+//! * **Activations** reach the kernel in one of three forms
+//!   ([`BOperand`]), chosen by the one rule in [`BOperand::for_geometry`].
+//!   For stride 1 on the wide driver nothing is lowered at all: the image
+//!   is copied once into a zero-padded `[C, Hp, Wp]` scratch (`3·20·20`
+//!   floats for LeNet conv1, where the gathered rows were `75·256`; with
+//!   `pad = 0` the input is read in place and even that copy goes), and
+//!   the reduction row of tap `(ic, fh, fw)` *is* the window of that image
+//!   starting at `ic·Hp·Wp + fh·Wp + fw`, indexed by flat padded position
+//!   `j = oh·Wp + ow`. The `Wp - Wo` positions between output rows (the
+//!   *seam*) are computed with the rest of their register tile and dropped
+//!   by the write-back ([`Seam`]). Other strides have no such window, so
+//!   their rows are gathered — by the same hoisted row copy the explicit
+//!   lowering uses (`im2col_block`), one `KC x NC` block at a time, never
+//!   the whole `K x P` matrix — either row-major for the wide driver or
+//!   into `NR`-column slivers where the host has no wide kernel.
 //!
 //! The output `C` rows are output channels, so the GEMM writes the NCHW
 //! result natively — there is no NCHWc→NCHW conversion pass to pay on the
@@ -28,46 +38,35 @@
 //! packed GEMM's fused write-back via [`Epilogue::BiasRow`] /
 //! [`Epilogue::BiasRowRelu`], while each freshly stored tile is cache-hot.
 //!
-//! On AVX-512-class hosts the B panel is gathered *row-major* (one
-//! contiguous gathered row per reduction index, no sliver scatter at all)
-//! and driven through the dedicated 16-lane microkernel
-//! ([`run_panel_wide`]) at the wide register tile ([`NR_W`] = 32 columns)
-//! — conv GEMMs have few rows (`Co`) and very many columns (`Ho·Wo`), so
-//! widening the per-tile column count is where the extra vector width
-//! pays, and the kernel's unaligned strided loads make the sliver repack
-//! (a second full copy of the activation block) pure waste. The packed
-//! *filter* layout is width agnostic (`MR`-row slivers), so one packing
-//! serves both widths and the choice can stay a per-run CPUID dispatch.
+//! On AVX-512-class hosts the panel driver is the dedicated 16-lane
+//! microkernel ([`run_panel_wide`]) at the wide register tile ([`NR_W`] =
+//! 32 columns) — conv GEMMs have few rows (`Co`) and very many columns
+//! (`Ho·Wo`), so widening the per-tile column count is where the extra
+//! vector width pays. It addresses `B` through a per-row offset table
+//! (`b[offs[p] + j]`), which is what makes windows and gathered rows the
+//! same kernel: gathered rows are the special case `offs[p] = p·ldb`. The
+//! packed *filter* layout is width agnostic (`MR`-row slivers), so one
+//! packing serves both widths and the choice can stay a per-run CPUID
+//! dispatch.
 //!
 //! Determinism: each output element's `K` reduction ascends in the same
 //! blocked order as [`gemm_packed`](crate::gemm::packed), parallelism is
 //! only over whole images, and the epilogue follows the shared
 //! bit-identity contract — so direct-tier results are bit-identical across
-//! thread counts and across the fused/unfused epilogue split (im2col
-//! parity stays the paper's ℓ∞-measured ~1e-6, the tiers sum in different
-//! groupings).
+//! thread counts, across the fused/unfused epilogue split, and across
+//! windows vs gathered rows (which columns share a register tile never
+//! enters an element's float sequence; `tests/properties.rs` holds the two
+//! to equal bits). im2col parity stays the paper's ℓ∞-measured ~1e-6, the
+//! tiers sum in different groupings.
 
-use super::ConvGeometry;
+use super::{im2col_block, pad_image, ConvGeometry, Lowering};
 use crate::gemm::packed::{
-    pack_a, round_up, run_panel, run_panel_wide, wide_tier_available, Blocking, MR, NR, NR_W,
+    pack_a, round_up, run_panel, run_panel_wide, wide_tier_available, Blocking, Seam, MR, NR, NR_W,
 };
 use crate::gemm::Epilogue;
 use crate::operator::Operator;
 use deep500_tensor::{recycle_scratch, scratch_dirty, Error, Result, Shape, Tensor};
 use rayon::prelude::*;
-
-/// The one rule behind [`ConvAlgorithm::Auto`](super::ConvAlgorithm::Auto):
-/// this tier, unless one image's output (`cols = Ho·Wo`, the GEMM width)
-/// is narrower than a single [`NR`]-column register tile — the padded tile
-/// then wastes most of its lanes and the explicit lowering is 5–11 % faster
-/// (`BENCH_conv.json` row `tiny_p_tail3x3`, `Ho·Wo = 4`: im2col 0.034 ms,
-/// direct 0.037 ms, the same way round in eight of eight runs; EXPERIMENTS
-/// E26). Every other tracked shape, down to a reduction depth of 3
-/// (`tiny_k_rgb1x1`) and up to batch 8, is fastest here, so there is no
-/// second condition.
-pub fn auto_picks_direct(cols: usize) -> bool {
-    cols >= NR
-}
 
 /// A convolution filter pre-packed into the microkernel's blocked sliver
 /// layout for a `Co x K` GEMM A-operand (`K = Cin·kh·kw`).
@@ -137,71 +136,6 @@ pub fn pack_filter(wdat: &[f32], co: usize, k: usize) -> PackedFilter {
     PackedFilter { data, co, k }
 }
 
-/// Gather one logical im2col row segment (fixed reduction index, output
-/// columns `jc..jc + row.len()`) for filter tap `(fh, fw)` of one input
-/// channel plane `xc` (`h x wd`), writing zero padding analytically.
-#[allow(clippy::too_many_arguments)] // gather-kernel plumbing: all scalars
-fn gather_row(
-    row: &mut [f32],
-    xc: &[f32],
-    h: usize,
-    wd: usize,
-    fh: usize,
-    fw: usize,
-    g: ConvGeometry,
-    wo: usize,
-    jc: usize,
-) {
-    let nc_b = row.len();
-    let mut j = 0usize;
-    while j < nc_b {
-        let col = jc + j;
-        let oh = col / wo;
-        let ow0 = col % wo;
-        let seg = (wo - ow0).min(nc_b - j);
-        let ih = (oh * g.stride + fh) as isize - g.pad as isize;
-        let dst = &mut row[j..j + seg];
-        if ih < 0 || ih as usize >= h {
-            dst.fill(0.0);
-        } else {
-            let xrow = &xc[ih as usize * wd..(ih as usize + 1) * wd];
-            gather_xrow(dst, xrow, ow0, fw, g);
-        }
-        j += seg;
-    }
-}
-
-/// One output row's worth of the gather: `dst[i] = xrow[(ow0 + i)·stride +
-/// fw - pad]` with zeros outside `[0, wd)`. The padding bounds are
-/// resolved analytically into prefix fill / in-range copy / suffix fill
-/// for *every* stride — stride 1 is a straight `copy_from_slice`, larger
-/// strides a branchless strided read — which is the fast path that
-/// replaces im2col's per-element branchy fetch.
-fn gather_xrow(dst: &mut [f32], xrow: &[f32], ow0: usize, fw: usize, g: ConvGeometry) {
-    let wd = xrow.len();
-    let s = g.stride as isize;
-    let base = (ow0 * g.stride + fw) as isize - g.pad as isize;
-    let len = dst.len() as isize;
-    // In-range output indices i: 0 <= base + i*s < wd.
-    let lo = if base < 0 { (-base + s - 1) / s } else { 0 }.clamp(0, len) as usize;
-    let hi = ((wd as isize - base + s - 1) / s).clamp(0, len) as usize;
-    dst[..lo].fill(0.0);
-    if hi > lo {
-        let s0 = (base + lo as isize * s) as usize;
-        if g.stride == 1 {
-            dst[lo..hi].copy_from_slice(&xrow[s0..s0 + (hi - lo)]);
-        } else if g.stride == 2 {
-            crate::gemm::packed::strided_copy2(&mut dst[lo..hi], &xrow[s0..]);
-        } else {
-            let src = xrow[s0..].iter().step_by(g.stride);
-            for (v, &xv) in dst[lo..hi].iter_mut().zip(src) {
-                *v = xv;
-            }
-        }
-    }
-    dst[hi.max(lo)..].fill(0.0);
-}
-
 /// Decompose an im2col reduction index `r` into its `(input channel,
 /// filter row, filter column)` tap coordinates — the `K`-index order is
 /// `(ic·kh + fh)·kw + fw`, matching [`pack_filter`]'s row order.
@@ -212,151 +146,314 @@ pub(super) fn tap(r: usize, kh: usize, kw: usize) -> (usize, usize, usize) {
     (ic, rem / kw, rem % kw)
 }
 
-/// Pack the `kc_b x nc_b` implicit-im2col block at `(pc, jc)` of one image
-/// `xi` (`[C, h, wd]` flattened) into packed B-panel slivers of width
-/// [`NR`] (`[jt][p][j]`, edge lanes zero-padded) for the *narrow* panel
-/// driver — the fused activation-layout-conversion step. Each reduction
-/// row is gathered across the full block width in one [`gather_row`] call
-/// (the per-segment geometry math amortizes over the whole row) into
-/// `row_buf` (`nc_b` floats of caller-provided scratch), then split into
-/// slivers with straight `copy_from_slice`s. The wide driver skips this
-/// entirely: it reads `B` row-major, so [`conv_image`] gathers each
-/// reduction row directly into its final slot.
-#[allow(clippy::too_many_arguments)] // pack-kernel plumbing: all scalars
-fn pack_b_conv(
-    dst: &mut [f32],
-    xi: &[f32],
-    h: usize,
-    wd: usize,
-    kh: usize,
-    kw: usize,
-    wo: usize,
-    g: ConvGeometry,
-    pc: usize,
-    jc: usize,
-    kc_b: usize,
-    nc_b: usize,
-    row_buf: &mut [f32],
-) {
-    for p in 0..kc_b {
-        let (ic, fh, fw) = tap(pc + p, kh, kw);
-        let xc = &xi[ic * h * wd..(ic + 1) * h * wd];
-        let row = &mut row_buf[..nc_b];
-        gather_row(row, xc, h, wd, fh, fw, g, wo, jc);
-        for (jt, chunk) in row.chunks(NR).enumerate() {
-            let off = (jt * kc_b + p) * NR;
-            dst[off..off + chunk.len()].copy_from_slice(chunk);
-            dst[off + chunk.len()..off + NR].fill(0.0);
+/// How one image's implicit-GEMM `B` operand (`K` reduction rows of output
+/// positions) reaches the panel driver.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BOperand {
+    /// Rows gathered block by block and split into [`NR`]-column slivers
+    /// for the narrow driver ([`run_panel`]).
+    Slivers,
+    /// Rows gathered block by block, row-major, for the wide driver.
+    Rows,
+    /// Stride 1: no rows at all — the wide driver reads each one as a
+    /// window of the zero-padded image (of the input itself when `pad = 0`)
+    /// and drops the seam columns.
+    Windows,
+}
+
+impl BOperand {
+    /// The one rule: windows wherever they exist (stride 1) and the wide
+    /// driver is there to read them; otherwise rows gathered for whichever
+    /// driver the host has. Tracked by `BENCH_conv.json`: every stride-1
+    /// forward cell's `direct` row is the window form (`lenet_conv1` 0.39
+    /// → 0.17 ms against the gathered rows it replaced, EXPERIMENTS E27),
+    /// and `stem7x7` is the gathered one. `pad = 0` needs no condition of
+    /// its own — it reads the input in place, so the `proj1x1` and
+    /// `tiny_k_rgb1x1` rows pay no copy. The seam costs `Wp / Wo` in
+    /// columns (1.02–1.08 on the tracked 3x3 cells, often nothing once
+    /// rounded to whole tiles); an output much narrower than its filter
+    /// would pay more, and no tracked shape is one.
+    pub fn for_geometry(g: ConvGeometry) -> BOperand {
+        if !wide_tier_available() {
+            BOperand::Slivers
+        } else if g.stride == 1 {
+            BOperand::Windows
+        } else {
+            BOperand::Rows
         }
     }
 }
 
-/// Direct convolution of one image: `optr` is the `[Co x Ho·Wo]` output
-/// slab (zeroed on entry, per the packed GEMM's zeroed-C contract), `pf`
-/// the pre-packed filter data for `(co, k)`. The epilogue fires once per
-/// element on the final `KC` block.
-#[allow(clippy::too_many_arguments)] // driver plumbing: all scalars
-fn conv_image(
-    pf: &[f32],
+/// Blocking and scratch geometry of one `B` operand form: everything
+/// [`workspace_floats`] needs, and nothing that allocates.
+#[derive(Clone, Copy)]
+struct Layout {
+    operand: BOperand,
+    bl: Blocking,
+    /// GEMM width per image: `Ho·Wo` gathered columns, or the flat padded
+    /// positions `(Ho - 1)·Wp + Wo` under [`BOperand::Windows`].
+    width: usize,
+    /// Row pitch of the gathered block (`0` under windows).
+    bwidth: usize,
+    /// Floats of pool scratch [`conv_image`] draws per image in flight:
+    /// the padded image plus one tile of zero slack (so the last tile's
+    /// whole-tile loads stay inside it); or, reading `pad = 0` input in
+    /// place, only the one-tile bounce buffer; or one gathered `KC x NC`
+    /// block (a cache line over, to align it) and, for slivers, the row it
+    /// is gathered through.
+    scratch: usize,
+}
+
+impl Layout {
+    fn new(co: usize, lw: &Lowering, operand: BOperand) -> Layout {
+        let cols = lw.ho * lw.wo;
+        let windows = operand == BOperand::Windows;
+        // The conv blocking rounds the macro-panel step to the sliver
+        // width so every tile is whole; its `(mc, kc)` matches
+        // [`filter_blocking`] by construction, whatever the width.
+        let nr = if operand == BOperand::Slivers {
+            NR
+        } else {
+            NR_W
+        };
+        let width = if windows { lw.flat(lw.ho) } else { cols };
+        let bl = Blocking::for_conv(co, width, lw.k(), nr);
+        let bwidth = if windows {
+            0
+        } else {
+            bl.nc.min(round_up(cols, nr))
+        };
+        let scratch = match operand {
+            BOperand::Windows if lw.g.pad == 0 => bl.kc * NR_W,
+            BOperand::Windows => lw.padded_len() + NR_W,
+            BOperand::Rows => bwidth * bl.kc + 16,
+            BOperand::Slivers => bwidth * bl.kc + 16 + bwidth,
+        };
+        Layout {
+            operand,
+            bl,
+            width,
+            bwidth,
+            scratch,
+        }
+    }
+}
+
+/// Pool scratch, in floats, one in-flight image of a direct-tier forward
+/// draws — what [`Conv2dOp::workspace_bytes`](super::Conv2dOp) reports,
+/// and (being the [`Layout`] the kernel sizes its slab with) what the
+/// kernel acquires.
+pub(super) fn workspace_floats(co: usize, lw: &Lowering) -> usize {
+    Layout::new(co, lw, BOperand::for_geometry(lw.g)).scratch
+}
+
+/// Everything about one forward call that does not depend on the image:
+/// the [`Layout`] and the `B` offset tables.
+struct Plan<'a> {
+    pf: &'a [f32],
     co: usize,
-    k: usize,
-    xi: &[f32],
-    optr: &mut [f32],
-    h: usize,
-    wd: usize,
-    kh: usize,
-    kw: usize,
-    wo: usize,
-    g: ConvGeometry,
-    epilogue: Epilogue<'_>,
-) {
-    let cols = optr.len() / co;
-    // B sliver width: the wide AVX-512 register tile when the host has it
-    // (detection is CPUID-cached, so this is deterministic per run — the
-    // bit-identity contract between pre-packed and on-the-fly filters
-    // holds because both take the same width), the shared narrow tile
-    // otherwise. The conv blocking rounds the macro-panel step to that
-    // width so every sliver is whole; its `(mc, kc)` matches
-    // [`filter_blocking`] by construction.
-    let wide = wide_tier_available();
-    let nr = if wide { NR_W } else { NR };
-    let bl = Blocking::for_conv(co, cols, k, nr);
+    lw: Lowering,
+    epilogue: Epilogue<'a>,
+    layout: Layout,
+    /// Where reduction row `p` starts in `B`: the `K` window offsets, or
+    /// `p·bwidth` for the `kc` rows of a gathered block.
+    offs: Vec<usize>,
+    /// `p·NR_W`: the rows of the one-tile bounce buffer an image read in
+    /// place finishes through (empty otherwise).
+    tile_offs: Vec<usize>,
+}
+
+impl<'a> Plan<'a> {
+    fn new(
+        pf: &'a [f32],
+        co: usize,
+        lw: Lowering,
+        operand: BOperand,
+        epilogue: Epilogue<'a>,
+    ) -> Plan<'a> {
+        let layout = Layout::new(co, &lw, operand);
+        let rows = |pitch: usize| (0..layout.bl.kc).map(|p| p * pitch).collect::<Vec<_>>();
+        let (offs, tile_offs) = match operand {
+            BOperand::Windows if lw.g.pad == 0 => (lw.window_offsets(), rows(NR_W)),
+            BOperand::Windows => (lw.window_offsets(), Vec::new()),
+            BOperand::Rows => (rows(layout.bwidth), Vec::new()),
+            BOperand::Slivers => (Vec::new(), Vec::new()),
+        };
+        Plan {
+            pf,
+            co,
+            lw,
+            epilogue,
+            layout,
+            offs,
+            tile_offs,
+        }
+    }
+}
+
+/// Direct convolution of one image. `x` starts at the image and may run on
+/// to the end of the batch (a window read in place over-reads its last
+/// tile into whatever follows); `optr` is the `[Co x Ho·Wo]` output slab,
+/// zeroed on entry per the packed GEMM's zeroed-C contract. The epilogue
+/// fires once per element on the final `KC` block.
+fn conv_image(pl: &Plan<'_>, x: &[f32], optr: &mut [f32]) {
+    let Layout {
+        operand,
+        bl,
+        width,
+        bwidth,
+        scratch,
+    } = pl.layout;
+    let (lw, co, k) = (&pl.lw, pl.co, pl.lw.k());
+    let xi = &x[..lw.c * lw.h * lw.wd];
+    let cols = lw.ho * lw.wo;
     let rows_pad = round_up(co, MR);
-    let bwidth = bl.nc.min(round_up(cols, nr));
-    // Dirty scratch: the gathers fully overwrite the prefixes read
-    // downstream, so acquire-time zeroing would be wasted traffic. The
-    // slab is over-acquired by one cache line and its use offset to a
-    // 64-byte boundary: `bwidth` is a multiple of the sliver width, and
-    // tile offsets are too, so with an aligned base *every* wide-kernel
-    // B load is cache-line aligned instead of split across two lines.
-    let mut bpack_slab = scratch_dirty(bwidth * bl.kc + 16);
-    let boff = (bpack_slab.as_ptr() as usize).wrapping_neg() % 64 / 4;
-    let bpack = &mut bpack_slab[boff..boff + bwidth * bl.kc];
-    let mut row_buf = scratch_dirty(if wide { 1 } else { bwidth });
-    for jc in (0..cols).step_by(bl.nc) {
-        let nc_b = bl.nc.min(cols - jc);
+    // Dirty scratch: every float read downstream is written first (the
+    // padded copy and the gathers write whole blocks, borders and tile
+    // padding included), so acquire-time zeroing would be wasted traffic.
+    let mut slab = scratch_dirty(scratch);
+    // Windows: `b` is the padded copy with its slack, or the input itself;
+    // in the second case the slab is the bounce tile.
+    let in_place = operand == BOperand::Windows && lw.g.pad == 0;
+    let (window_b, work): (&[f32], &mut [f32]) = match operand {
+        BOperand::Windows if !in_place => {
+            let (img, rest) = slab.split_at_mut(lw.padded_len() + NR_W);
+            pad_image(xi, lw, &mut img[..lw.padded_len()]);
+            img[lw.padded_len()..].fill(0.0);
+            (img, rest)
+        }
+        BOperand::Windows => (x, &mut slab),
+        // The gathered block is offset to a 64-byte boundary: `bwidth` and
+        // the tile offsets are multiples of the sliver width, so with an
+        // aligned base *every* kernel B load is cache-line aligned instead
+        // of split across two lines.
+        _ => {
+            let boff = (slab.as_ptr() as usize).wrapping_neg() % 64 / 4;
+            (&[], &mut slab[boff..])
+        }
+    };
+    let (bpack, row_buf) = work.split_at_mut(bwidth * bl.kc);
+    // No seam when the filter is one column wide and unpadded: every flat
+    // position is an output, and tiles store as single runs.
+    let seam = if lw.wp() == lw.wo {
+        Seam::NONE
+    } else {
+        Seam {
+            period: lw.wp(),
+            keep: lw.wo,
+        }
+    };
+    for jc in (0..width).step_by(bl.nc) {
+        let nc_b = bl.nc.min(width - jc);
         for pc in (0..k).step_by(bl.kc) {
             let kc_b = bl.kc.min(k - pc);
             let first = pc == 0;
             let last = pc + kc_b == k;
-            if wide {
-                // Row-major B: gather each reduction row once, straight
-                // into the slot the wide kernel reads at stride `bwidth`
-                // — no sliver repack, half the pack-side traffic. Columns
-                // `nc_b..` of the last partial tile are zero-filled so
-                // the kernel's whole-tile loads stay in bounds and inert.
-                let wused = round_up(nc_b, nr);
-                for p in 0..kc_b {
-                    let (ic, fh, fw) = tap(pc + p, kh, kw);
-                    let xc = &xi[ic * h * wd..(ic + 1) * h * wd];
-                    let row = &mut bpack[p * bwidth..p * bwidth + wused];
-                    gather_row(&mut row[..nc_b], xc, h, wd, fh, fw, g, wo, jc);
-                    row[nc_b..].fill(0.0);
+            // Columns of this block the wide driver reads straight off
+            // `window_b`; the rest (`tail`, less than a tile) go through
+            // the bounce.
+            let mut body = nc_b;
+            match operand {
+                BOperand::Windows => {
+                    // Window offsets ascend, so the block's last is its
+                    // largest. Whole tiles always fit (`offs[K - 1] +
+                    // width` is the image length exactly); only the last,
+                    // partial tile of an image with nothing behind it can
+                    // reach past the end, and then it is gathered instead.
+                    let reach = jc + pl.offs[pc + kc_b - 1] + round_up(nc_b, NR_W);
+                    if reach > window_b.len() {
+                        body = nc_b / NR_W * NR_W;
+                        let tail = nc_b - body;
+                        for (p, row) in row_buf.chunks_exact_mut(NR_W).take(kc_b).enumerate() {
+                            let at = pl.offs[pc + p] + jc + body;
+                            row[..tail].copy_from_slice(&window_b[at..at + tail]);
+                            row[tail..].fill(0.0);
+                        }
+                    }
                 }
-            } else {
-                pack_b_conv(
-                    bpack,
-                    xi,
-                    h,
-                    wd,
-                    kh,
-                    kw,
-                    wo,
-                    g,
-                    pc,
-                    jc,
-                    kc_b,
-                    nc_b,
-                    &mut row_buf,
-                );
+                BOperand::Rows => {
+                    // Row-major B: each reduction row once, straight into
+                    // the slot the wide kernel reads at pitch `bwidth`.
+                    // Columns `nc_b..` of the last partial tile are
+                    // zero-filled so its whole-tile loads are inert.
+                    im2col_block(xi, lw, pc..pc + kc_b, jc..jc + nc_b, bpack, bwidth, 0);
+                    for row in bpack.chunks_exact_mut(bwidth).take(kc_b) {
+                        row[nc_b..round_up(nc_b, NR_W)].fill(0.0);
+                    }
+                }
+                BOperand::Slivers => {
+                    // Each reduction row is gathered across the block width
+                    // into `row_buf`, then split into `[jt][p][j]` slivers
+                    // (edge lanes zero-padded) with straight copies.
+                    for p in 0..kc_b {
+                        let r = pc + p;
+                        im2col_block(xi, lw, r..r + 1, jc..jc + nc_b, row_buf, nc_b, 0);
+                        for (jt, chunk) in row_buf[..nc_b].chunks(NR).enumerate() {
+                            let off = (jt * kc_b + p) * NR;
+                            bpack[off..off + chunk.len()].copy_from_slice(chunk);
+                            bpack[off + chunk.len()..off + NR].fill(0.0);
+                        }
+                    }
+                }
             }
             for ic in (0..co).step_by(bl.mc) {
                 let mc_b = bl.mc.min(co - ic);
                 // Safety audit: these calls are safe fns, but they feed the
                 // `unsafe` microkernels in `gemm::packed`, whose SAFETY
-                // comments assume whole `MR`/`nr`-padded slivers. The A
-                // slice is `round_up(mc_b, MR)·kc_b` by construction here
-                // and the B rows were padded to `round_up(nc_b, nr)` above;
-                // the kernels re-assert both via slice indexing, and the CI
-                // miri job interprets the `conv::direct` tests to check the
-                // packing arithmetic end to end.
-                let apack = &pf[rows_pad * pc + ic * kc_b..][..round_up(mc_b, MR) * kc_b];
+                // comments assume whole `MR`-padded A slivers and `NR_W`
+                // (`NR`) readable B lanes per reduction row. The A slice is
+                // `round_up(mc_b, MR)·kc_b` by construction here; the B
+                // side is padded above and `run_panel_wide` asserts its
+                // reach against the slice it is given. The CI miri job
+                // interprets the `conv::direct` tests to check the
+                // arithmetic end to end.
+                let apack = &pl.pf[rows_pad * pc + ic * kc_b..][..round_up(mc_b, MR) * kc_b];
                 let cpanel = &mut optr[ic * cols..(ic + mc_b) * cols];
-                if wide {
+                let mut wide = |b: &[f32], offs: &[usize], seam: Seam, j0: usize, nc: usize| {
                     run_panel_wide(
-                        apack, bpack, bwidth, cpanel, cols, ic, jc, mc_b, nc_b, kc_b, epilogue,
-                        first, last,
-                    );
-                } else {
-                    run_panel(
-                        apack, bpack, cpanel, cols, ic, jc, mc_b, nc_b, kc_b, epilogue, last,
-                    );
+                        apack,
+                        b,
+                        offs,
+                        cpanel,
+                        cols,
+                        seam,
+                        ic,
+                        j0,
+                        mc_b,
+                        nc,
+                        pl.epilogue,
+                        first,
+                        last,
+                    )
+                };
+                match operand {
+                    BOperand::Windows => {
+                        if body > 0 {
+                            wide(&window_b[jc..], &pl.offs[pc..pc + kc_b], seam, jc, body);
+                        }
+                        if body < nc_b {
+                            wide(row_buf, &pl.tile_offs[..kc_b], seam, jc + body, nc_b - body);
+                        }
+                    }
+                    BOperand::Rows => wide(bpack, &pl.offs[..kc_b], Seam::NONE, jc, nc_b),
+                    BOperand::Slivers => run_panel(
+                        apack,
+                        bpack,
+                        cpanel,
+                        cols,
+                        ic,
+                        jc,
+                        mc_b,
+                        nc_b,
+                        kc_b,
+                        pl.epilogue,
+                        last,
+                    ),
                 }
             }
         }
     }
-    recycle_scratch(row_buf);
-    recycle_scratch(bpack_slab);
+    recycle_scratch(slab);
 }
 
 /// Direct-tier forward pass over a batch: `pf` is the packed filter data
@@ -377,6 +474,30 @@ pub fn forward_direct_packed(
     g: ConvGeometry,
     relu: bool,
 ) -> Result<Tensor> {
+    forward_direct_packed_as(x, pf, co, kh, kw, b, g, relu, BOperand::for_geometry(g))
+}
+
+/// [`forward_direct_packed`] with the `B` operand form given instead of
+/// chosen: how the tests hold windows to the bits of the gathered rows on
+/// any host (every form runs everywhere — the wide driver falls back to
+/// its portable kernel), and nothing an operator calls.
+///
+/// # Errors
+///
+/// [`BOperand::Windows`] at a stride other than 1, where there are none.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)] // entry-point plumbing: all scalars
+pub fn forward_direct_packed_as(
+    x: &Tensor,
+    pf: &[f32],
+    co: usize,
+    kh: usize,
+    kw: usize,
+    b: &Tensor,
+    g: ConvGeometry,
+    relu: bool,
+    operand: BOperand,
+) -> Result<Tensor> {
     let s = x.shape();
     let (n, c, h, wd) = (s.dim(0), s.dim(1), s.dim(2), s.dim(3));
     let ho = g.out_extent(h, kh)?;
@@ -387,6 +508,12 @@ pub fn forward_direct_packed(
             "packed filter length {} vs expected {} for co={co}, k={k}",
             pf.len(),
             packed_filter_len(co, k)
+        )));
+    }
+    if operand == BOperand::Windows && g.stride != 1 {
+        return Err(Error::Invalid(format!(
+            "window lowering needs stride 1, got {}",
+            g.stride
         )));
     }
     let cols = ho * wo;
@@ -405,10 +532,18 @@ pub fn forward_direct_packed(
         }
         return Ok(out);
     }
-    let image = |img: usize, optr: &mut [f32]| {
-        let xi = &xd[img * c * h * wd..(img + 1) * c * h * wd];
-        conv_image(pf, co, k, xi, optr, h, wd, kh, kw, wo, g, epilogue);
+    let lw = Lowering {
+        c,
+        h,
+        wd,
+        kh,
+        kw,
+        ho,
+        wo,
+        g,
     };
+    let plan = Plan::new(pf, co, lw, operand, epilogue);
+    let image = |img: usize, optr: &mut [f32]| conv_image(&plan, &xd[img * c * h * wd..], optr);
     if n > 1 && n * co * cols * k >= crate::gemm::PAR_THRESHOLD {
         out.data_mut()
             .par_chunks_mut(co * cols)
@@ -520,37 +655,147 @@ mod tests {
 
     #[test]
     fn gather_matches_scalar_fetch() {
+        // The one lowering gather, over blocks that start and stop in the
+        // middle of output rows (as the direct tier's `NC` blocks do) and
+        // cover a sub-range of the reduction.
         let mut rng = Xoshiro256StarStar::seed_from_u64(3);
-        let (h, wd) = (7usize, 9usize);
-        let xc = Tensor::rand_uniform([h, wd], -1.0, 1.0, &mut rng);
-        for (stride, pad, kh, kw) in [(1, 0, 3, 3), (1, 2, 3, 3), (2, 1, 5, 5), (3, 0, 1, 1)] {
+        let (c, h, wd) = (2usize, 7usize, 9usize);
+        let x = Tensor::rand_uniform([c, h, wd], -1.0, 1.0, &mut rng);
+        for (stride, pad, kh, kw) in [
+            (1, 0, 3, 3),
+            (1, 2, 3, 3),
+            (2, 1, 5, 5),
+            (2, 3, 7, 2),
+            (3, 0, 1, 1),
+        ] {
             let g = ConvGeometry { stride, pad };
             let (Ok(ho), Ok(wo)) = (g.out_extent(h, kh), g.out_extent(wd, kw)) else {
                 continue;
             };
-            for fh in 0..kh {
-                for fw in 0..kw {
-                    let mut row = vec![f32::NAN; ho * wo];
-                    gather_row(&mut row, xc.data(), h, wd, fh, fw, g, wo, 0);
-                    for oh in 0..ho {
-                        for ow in 0..wo {
-                            let ih = (oh * stride + fh) as isize - pad as isize;
-                            let iw = (ow * stride + fw) as isize - pad as isize;
-                            let want = if ih < 0 || iw < 0 || ih as usize >= h || iw as usize >= wd
-                            {
-                                0.0
-                            } else {
-                                xc.data()[ih as usize * wd + iw as usize]
-                            };
-                            assert_eq!(
-                                row[oh * wo + ow],
-                                want,
-                                "s{stride} p{pad} tap ({fh},{fw}) at ({oh},{ow})"
-                            );
-                        }
+            let lw = Lowering {
+                c,
+                h,
+                wd,
+                kh,
+                kw,
+                ho,
+                wo,
+                g,
+            };
+            let (k, cols) = (lw.k(), ho * wo);
+            for (taps, block) in [
+                (0..k, 0..cols),
+                (1..k, 1..cols),
+                (k / 2..k, cols / 3..cols - cols / 4),
+                (0..1, cols - 1..cols),
+            ] {
+                let (ld, col0) = (block.len() + 3, 2);
+                let mut got = vec![f32::NAN; taps.len() * ld];
+                im2col_block(
+                    x.data(),
+                    &lw,
+                    taps.clone(),
+                    block.clone(),
+                    &mut got,
+                    ld,
+                    col0,
+                );
+                for r in taps.clone() {
+                    let (ic, fh, fw) = tap(r, kh, kw);
+                    for j in block.clone() {
+                        let ih = (j / wo * stride + fh) as isize - pad as isize;
+                        let iw = (j % wo * stride + fw) as isize - pad as isize;
+                        let inside = ih >= 0 && iw >= 0 && (ih as usize) < h && (iw as usize) < wd;
+                        let want = if inside {
+                            x.data()[(ic * h + ih as usize) * wd + iw as usize]
+                        } else {
+                            0.0
+                        };
+                        assert_eq!(
+                            got[(r - taps.start) * ld + col0 + j - block.start],
+                            want,
+                            "s{stride} p{pad} {kh}x{kw} tap {r} col {j} of {block:?}"
+                        );
                     }
                 }
             }
+        }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_b_operand_form_computes_the_same_convolution() {
+        // Forced forms, so this runs the window and gathered-row paths —
+        // offset tables, seams, the in-place bounce tile — on any host and
+        // under miri (through the portable wide kernel there). Shapes:
+        // LeNet conv1 in small (one seamed tile and a bit), a 1x1 and a
+        // 2x3 read in place whose last tile is partial, a wide padding,
+        // and a reduction of three KC blocks.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(23);
+        for (n, c, h, wd, co, kh, kw, pad) in [
+            (
+                2usize, 3usize, 6usize, 7usize, 6usize, 5usize, 5usize, 2usize,
+            ),
+            (1, 4, 5, 9, 9, 1, 1, 0),
+            (3, 2, 6, 8, 3, 2, 3, 0),
+            (1, 1, 3, 4, 2, 3, 2, 3),
+            (1, 130, 3, 5, 2, 3, 3, 1),
+        ] {
+            let g = ConvGeometry { stride: 1, pad };
+            let x = Tensor::rand_uniform([n, c, h, wd], -1.0, 1.0, &mut rng);
+            let w = Tensor::rand_uniform([co, c, kh, kw], -0.5, 0.5, &mut rng);
+            let b = Tensor::rand_uniform([co], -0.1, 0.1, &mut rng);
+            let pf = pack_filter(w.data(), co, c * kh * kw);
+            let run = |operand| {
+                forward_direct_packed_as(&x, &pf.data, co, kh, kw, &b, g, true, operand).unwrap()
+            };
+            let what = format!("n{n} c{c} {h}x{wd} co{co} {kh}x{kw} p{pad}");
+            let (windows, rows) = (run(BOperand::Windows), run(BOperand::Rows));
+            assert_eq!(bits(&windows), bits(&rows), "{what}: windows vs rows");
+            // Slivers run another microkernel (fused or not, by host), so
+            // only closeness is owed; the scalar oracle anchors all three.
+            assert!(run(BOperand::Slivers).approx_eq(&rows, 1e-4), "{what}");
+            let mut want = super::super::forward_reference(&x, &w, &b, g).unwrap();
+            want.data_mut().iter_mut().for_each(|v| *v = v.max(0.0));
+            assert!(windows.approx_eq(&want, 1e-4), "{what}: vs reference");
+        }
+        // Windows exist at stride 1 only.
+        let x = Tensor::zeros([1, 1, 4, 4]);
+        let pf = pack_filter(&[1.0], 1, 1);
+        let g = ConvGeometry { stride: 2, pad: 0 };
+        let b = Tensor::zeros([1]);
+        assert!(
+            forward_direct_packed_as(&x, &pf.data, 1, 1, 1, &b, g, false, BOperand::Windows)
+                .is_err()
+        );
+    }
+
+    #[test]
+    fn stale_scratch_never_reaches_a_window_output() {
+        // The padded copy and the bounce tile are drawn dirty: poison the
+        // size classes both forms of window scratch fall in.
+        for len in [64usize, 256, 1024] {
+            for _ in 0..4 {
+                let mut buf = scratch_dirty(len);
+                buf.fill(f32::NAN);
+                recycle_scratch(buf);
+            }
+        }
+        let mut rng = Xoshiro256StarStar::seed_from_u64(29);
+        for pad in [0usize, 2] {
+            let g = ConvGeometry { stride: 1, pad };
+            let x = Tensor::rand_uniform([1, 2, 7, 6], -1.0, 1.0, &mut rng);
+            let w = Tensor::rand_uniform([3, 2, 3, 3], -0.5, 0.5, &mut rng);
+            let b = Tensor::zeros([3]);
+            let pf = pack_filter(w.data(), 3, 18);
+            let y =
+                forward_direct_packed_as(&x, &pf.data, 3, 3, 3, &b, g, false, BOperand::Windows)
+                    .unwrap();
+            let want = super::super::forward_reference(&x, &w, &b, g).unwrap();
+            assert!(y.approx_eq(&want, 1e-4), "pad {pad}");
         }
     }
 

@@ -10,22 +10,32 @@
 //! * [`ConvAlgorithm::Direct`] — the fast tier ([`direct`]): implicit-GEMM
 //!   convolution in an NCHWc blocked layout driving the packed SIMD GEMM
 //!   microkernel, with weights pre-packed once per op instance (or ahead
-//!   of time by the graph compiler), the activation layout conversion
-//!   fused into the panel-packing gather, and bias/ReLU folded into the
-//!   GEMM write-back via [`Epilogue`](crate::gemm::Epilogue),
+//!   of time by the graph compiler), no activation lowering at all at
+//!   stride 1 (the kernel reads windows of one zero-padded copy of the
+//!   image; other strides gather a cache block of rows at a time), and
+//!   bias/ReLU folded into the GEMM write-back via
+//!   [`Epilogue`](crate::gemm::Epilogue),
 //! * [`ConvAlgorithm::Im2col`] — lowering to GEMM through a materialized
 //!   whole-image column buffer (the "explicit precompute GEMM" of the
 //!   paper's figure), sharing the Level-0 GEMM kernels; it sums in a
 //!   different grouping than the direct tier, which is what keeps the
 //!   paper's ℓ∞ cross-implementation comparisons non-trivial (the scalar
 //!   [`forward_reference`] is the third, bit-transparent, arithmetic),
-//! * [`ConvAlgorithm::Auto`] — the direct tier, except where
-//!   [`direct::auto_picks_direct`] says the output is too narrow to fill
-//!   one register tile (the one shape class the sweep gives to im2col).
-//!   The `auto` row of `BENCH_conv.json` is gated to stay within 5 % of
-//!   the best explicit tier on every shape, and the choice is reported
-//!   through [`Operator::annotation`] so per-op trace attribution records
-//!   which tier actually ran.
+//! * [`ConvAlgorithm::Auto`] — whatever the sweep ranks first, which since
+//!   the window lowering is the direct tier on every tracked shape: the
+//!   one class it used to give to im2col (an output narrower than a
+//!   register tile, row `tiny_p_tail3x3`) was lost to the gather the
+//!   direct tier no longer does. The `auto` row of `BENCH_conv.json` is
+//!   gated to stay within 5 % of the best explicit tier on every shape, so
+//!   a shape class that turns up faster on im2col fails the bench rather
+//!   than going unnoticed, and the choice is reported through
+//!   [`Operator::annotation`] so per-op trace attribution records which
+//!   tier actually ran.
+//!
+//! The backward pass ([`backward_direct`]) is shared by the tiers: `dX`
+//! through the blocked GEMM lowering, `dW` through it too on wide layers
+//! and, at stride 1 on narrow ones, as a reduction along the same windows
+//! the forward reads.
 //!
 //! Inputs follow ONNX `Conv`: `X [N,C,H,W]`, `W [Cout,Cin,kh,kw]`,
 //! `B [Cout]` — or, when the graph compiler's layout pass has pre-packed
@@ -37,7 +47,7 @@ pub mod direct;
 
 pub use backward::{backward_direct, backward_reference};
 
-use crate::gemm::{self, packed::NR};
+use crate::gemm;
 use crate::operator::Operator;
 use deep500_tensor::{Error, Result, Shape, Tensor};
 use parking_lot::Mutex;
@@ -47,7 +57,8 @@ use std::sync::Arc;
 /// Convolution algorithm selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConvAlgorithm {
-    /// Pick per shape, by [`direct::auto_picks_direct`].
+    /// The tier `BENCH_conv.json` ranks first — on every tracked shape,
+    /// [`ConvAlgorithm::Direct`].
     Auto,
     Direct,
     #[default]
@@ -207,16 +218,14 @@ impl Conv2dOp {
         Ok((n, c, h, wd, co, kh, kw, ho, wo))
     }
 
-    /// The algorithm that will actually execute for these dimensions:
-    /// `Auto` resolved, pre-packed weights forcing the direct tier.
-    pub fn resolved_algo(&self, d: &ConvDims) -> ConvAlgorithm {
+    /// The algorithm that will actually execute: `Auto` resolved,
+    /// pre-packed weights forcing the direct tier.
+    pub fn resolved_algo(&self) -> ConvAlgorithm {
         if self.packed_weights.is_some() {
             return ConvAlgorithm::Direct;
         }
-        let (.., ho, wo) = *d;
         match self.algo {
-            ConvAlgorithm::Auto if direct::auto_picks_direct(ho * wo) => ConvAlgorithm::Direct,
-            ConvAlgorithm::Auto => ConvAlgorithm::Im2col,
+            ConvAlgorithm::Auto => ConvAlgorithm::Direct,
             explicit => explicit,
         }
     }
@@ -225,7 +234,7 @@ impl Conv2dOp {
     /// graph compiler's layout pass uses to pin each conv's tier ahead of
     /// time from statically inferred shapes.
     pub fn resolved_algo_for(&self, x: &Shape, w: &Shape) -> Result<ConvAlgorithm> {
-        Ok(self.resolved_algo(&self.dims(x, w)?))
+        self.dims(x, w).map(|_| self.resolved_algo())
     }
 
     /// Pack (or fetch the memoized packing of) the natural-layout filter.
@@ -278,7 +287,7 @@ impl Operator for Conv2dOp {
         let g = self.geometry;
         let d = self.dims(x.shape(), w.shape())?;
         let (_, c, _, _, co, kh, kw, _, _) = d;
-        let out = match self.resolved_algo(&d) {
+        let out = match self.resolved_algo() {
             ConvAlgorithm::Direct => {
                 if self.packed_weights.is_some() {
                     direct::forward_direct_packed(x, w.data(), co, kh, kw, b, g, self.relu)?
@@ -347,20 +356,27 @@ impl Operator for Conv2dOp {
         // Models the per-algorithm lowering buffer: im2col materializes
         // [N * C*kh*kw * Ho*Wo] floats. This batch-proportional workspace
         // is exactly what the micro-batch transformation (Fig. 7)
-        // reduces. The direct tier never materializes the lowering — only
-        // a cache-blocked B panel plus a gather row per worker.
+        // reduces. The direct tier never materializes the lowering: per
+        // image in flight it holds what `direct::workspace_floats` says —
+        // one zero-padded copy of the image at stride 1 (nothing but a
+        // one-tile bounce when `pad = 0` is read in place), one
+        // cache-blocked block of gathered rows otherwise.
         match self.dims(s[0], s[1]) {
             Ok(d) => {
-                let (n, c, _, _, co, kh, kw, ho, wo) = d;
-                let k = c * kh * kw;
-                let cols = ho * wo;
-                match self.resolved_algo(&d) {
-                    ConvAlgorithm::Direct => {
-                        let bl = gemm::Blocking::for_shape(co, cols, k);
-                        let bwidth = bl.nc.min(cols.div_ceil(NR) * NR);
-                        (bwidth * bl.kc + bwidth) * 4
-                    }
-                    _ => n * k * cols * 4,
+                let (n, c, h, wd, co, kh, kw, ho, wo) = d;
+                let lw = Lowering {
+                    c,
+                    h,
+                    wd,
+                    kh,
+                    kw,
+                    ho,
+                    wo,
+                    g: self.geometry,
+                };
+                match self.resolved_algo() {
+                    ConvAlgorithm::Direct => direct::workspace_floats(co, &lw) * 4,
+                    _ => n * lw.k() * ho * wo * 4,
                 }
             }
             Err(_) => 0,
@@ -370,10 +386,10 @@ impl Operator for Conv2dOp {
         // Inputs read + outputs written, plus the lowering-buffer traffic
         // the tier actually generates (written once, read once by its
         // GEMM): the whole [K x Ho·Wo] im2col matrix per image for the
-        // explicit lowering, nothing for the direct tier (its packed
-        // panels stay cache-resident by construction — that difference is
-        // the point of the tier, and it is what the attribution's
-        // bytes-moved column should show).
+        // explicit lowering, nothing for the direct tier (its padded image
+        // copy or gathered block stays cache-resident by construction —
+        // that difference is the point of the tier, and it is what the
+        // attribution's bytes-moved column should show).
         let io: usize = s.iter().map(|sh| sh.numel()).sum::<usize>()
             + self
                 .output_shapes(s)
@@ -382,7 +398,7 @@ impl Operator for Conv2dOp {
         let lowering = match self.dims(s[0], s[1]) {
             Ok(d) => {
                 let (n, c, _, _, _, kh, kw, ho, wo) = d;
-                match self.resolved_algo(&d) {
+                match self.resolved_algo() {
                     ConvAlgorithm::Direct => 0,
                     _ => 2 * n * c * kh * kw * ho * wo,
                 }
@@ -392,8 +408,8 @@ impl Operator for Conv2dOp {
         ((io + lowering) * std::mem::size_of::<f32>()) as u64
     }
     fn annotation(&self, s: &[&Shape]) -> Option<String> {
-        let d = self.dims(s[0], s[1]).ok()?;
-        let mut note = format!("tier={}", self.resolved_algo(&d).attr_name());
+        self.dims(s[0], s[1]).ok()?;
+        let mut note = format!("tier={}", self.resolved_algo().attr_name());
         if self.relu {
             note.push_str("+relu");
         }
@@ -491,7 +507,9 @@ pub fn forward_direct(x: &Tensor, w: &Tensor, b: &Tensor, g: ConvGeometry) -> Re
     direct::forward_direct_packed(x, &pf.data, co, s.dim(2), s.dim(3), b, g, false)
 }
 
-/// Per-image geometry of the explicit lowering (im2col and its adjoint).
+/// Per-image geometry of a convolution's lowering to GEMM — the gathered
+/// column matrix (im2col and its adjoint) and the stride-1 window form
+/// both read it.
 #[derive(Debug, Clone, Copy)]
 struct Lowering {
     c: usize,
@@ -531,46 +549,120 @@ impl Lowering {
             .checked_sub(self.g.pad)
             .filter(|&ih| ih < self.h)
     }
+
+    /// Row pitch `Wp = W + 2·pad` of the zero-padded image.
+    fn wp(&self) -> usize {
+        self.wd + 2 * self.g.pad
+    }
+
+    /// Floats in one channel plane `[Hp, Wp]` of the zero-padded image.
+    fn padded_plane(&self) -> usize {
+        (self.h + 2 * self.g.pad) * self.wp()
+    }
+
+    /// Floats in one zero-padded image `[C, Hp, Wp]`.
+    fn padded_len(&self) -> usize {
+        self.c * self.padded_plane()
+    }
+
+    /// Stride 1 only. Number of *flat padded positions* `j = oh·Wp + ow`
+    /// spanned by `rows` whole output rows: the last row stops at `Wo`, so
+    /// `(rows - 1)·Wp + Wo`. Positions with `j mod Wp >= Wo` are seams —
+    /// they belong to no output.
+    fn flat(&self, rows: usize) -> usize {
+        (rows - 1) * self.wp() + self.wo
+    }
+
+    /// Stride 1 only. Where each reduction row starts in the padded image:
+    /// tap `(ic, fh, fw)` at flat position `j` reads padded pixel
+    /// `ic·Hp·Wp + fh·Wp + fw + j`, so the whole row is the *window* of
+    /// the image beginning at that offset — nothing to gather. Ascending
+    /// in the reduction index, and `last + flat(Ho) == padded_len()`
+    /// exactly: the windows tile the image with no slack.
+    fn window_offsets(&self) -> Vec<usize> {
+        let (wp, plane) = (self.wp(), self.padded_plane());
+        (0..self.k())
+            .map(|r| {
+                let (ic, fh, fw) = direct::tap(r, self.kh, self.kw);
+                ic * plane + fh * wp + fw
+            })
+            .collect()
+    }
 }
 
-/// Lower output rows `oh0..oh1` of one image `xi` (`[C, h, wd]` flattened)
-/// into columns `col0..col0 + (oh1 - oh0)·wo` of the row-major `[C*kh*kw,
-/// ld]` column matrix `col`: per reduction row and output row, a zero
-/// prefix, one (strided) row copy, a zero suffix — the padding bounds are
-/// resolved once per filter tap, not per element. Writes every element of
-/// those columns, so callers may hand in dirty scratch. The one lowering
-/// behind both [`forward_im2col`] and [`backward_direct`].
-fn im2col_rows(
+/// Copy one image `xi` (`[C, h, wd]`) into `dst` (`[C, Hp, Wp]`,
+/// [`Lowering::padded_len`] floats) with its zero border. Writes every
+/// element, so `dst` may be dirty scratch.
+fn pad_image(xi: &[f32], lw: &Lowering, dst: &mut [f32]) {
+    let (pad, wp, wd) = (lw.g.pad, lw.wp(), lw.wd);
+    for (ic, pc) in dst.chunks_exact_mut(lw.padded_plane()).enumerate() {
+        // Top border and the first row's left border; then each row with
+        // the border that follows it (its right, the next row's left).
+        let mut at = pad * wp + pad;
+        pc[..at].fill(0.0);
+        for ih in 0..lw.h {
+            let src = (ic * lw.h + ih) * wd;
+            pc[at..at + wd].copy_from_slice(&xi[src..src + wd]);
+            pc[at + wd..at + wp].fill(0.0);
+            at += wp;
+        }
+        pc[at..].fill(0.0);
+    }
+}
+
+/// Lower one image `xi` (`[C, h, wd]` flattened): reduction rows `taps` x
+/// output columns `cols` (`oh·wo + ow`; any range, rows may be cut) of its
+/// column matrix go to `dst[(r - taps.start)·ld + col0..]`. Per reduction
+/// row and output row that is a zero prefix, one (strided) row copy and a
+/// zero suffix — the padding bounds are resolved once per filter tap, not
+/// per element or per segment. Writes every element of the block, so
+/// callers may hand in dirty scratch. The one gather behind
+/// [`forward_im2col`], [`backward_direct`] and the direct tier's gathered
+/// `B` rows.
+fn im2col_block(
     xi: &[f32],
     lw: &Lowering,
-    oh0: usize,
-    oh1: usize,
-    col: &mut [f32],
+    taps: std::ops::Range<usize>,
+    cols: std::ops::Range<usize>,
+    dst: &mut [f32],
     ld: usize,
     col0: usize,
 ) {
-    let seg = (oh1 - oh0) * lw.wo;
+    if cols.is_empty() {
+        return;
+    }
+    let (wo, s) = (lw.wo, lw.g.stride);
     let plane = lw.h * lw.wd;
-    for r in 0..lw.k() {
+    let (oh0, oh1) = (cols.start / wo, (cols.end - 1) / wo + 1);
+    for r in taps.clone() {
         let (ic, fh, fw) = direct::tap(r, lw.kh, lw.kw);
         let (lo, hi, iw0) = lw.tap_span(fw);
         let xc = &xi[ic * plane..(ic + 1) * plane];
-        let rows = col[r * ld + col0..r * ld + col0 + seg].chunks_exact_mut(lw.wo);
-        for (oh, dst) in (oh0..oh1).zip(rows) {
-            let Some(ih) = lw.tap_row(oh, fh).filter(|_| lo < hi) else {
-                dst.fill(0.0);
+        let at = (r - taps.start) * ld + col0;
+        let row = &mut dst[at..at + cols.len()];
+        for oh in oh0..oh1 {
+            // This output row's columns `a..b`, cut to the block.
+            let a = cols.start.max(oh * wo) - oh * wo;
+            let b = cols.end.min((oh + 1) * wo) - oh * wo;
+            let seg = &mut row[oh * wo + a - cols.start..][..b - a];
+            let (l, u) = (lo.clamp(a, b), hi.clamp(a, b));
+            let Some(ih) = lw.tap_row(oh, fh).filter(|_| l < u) else {
+                seg.fill(0.0);
                 continue;
             };
-            let src = &xc[ih * lw.wd + iw0..(ih + 1) * lw.wd];
-            dst[..lo].fill(0.0);
-            if lw.g.stride == 1 {
-                dst[lo..hi].copy_from_slice(&src[..hi - lo]);
-            } else {
-                for (d, &v) in dst[lo..hi].iter_mut().zip(src.iter().step_by(lw.g.stride)) {
-                    *d = v;
+            let src = &xc[ih * lw.wd + iw0 + (l - lo) * s..(ih + 1) * lw.wd];
+            seg[..l - a].fill(0.0);
+            let live = &mut seg[l - a..u - a];
+            match s {
+                1 => live.copy_from_slice(&src[..u - l]),
+                2 => gemm::packed::strided_copy2(live, src),
+                _ => {
+                    for (d, &v) in live.iter_mut().zip(src.iter().step_by(s)) {
+                        *d = v;
+                    }
                 }
             }
-            dst[hi..].fill(0.0);
+            seg[u - a..].fill(0.0);
         }
     }
 }
@@ -606,12 +698,12 @@ pub fn forward_im2col(x: &Tensor, w: &Tensor, b: &Tensor, g: ConvGeometry) -> Re
         .par_chunks_mut(co * cols)
         .enumerate()
         .for_each(|(img, optr)| {
-            // Dirty scratch: im2col_rows overwrites all k * cols elements
+            // Dirty scratch: im2col_block overwrites all k * cols elements
             // (padding written explicitly), so acquire-time zeroing was
             // pure wasted traffic — k * cols floats cleared per image.
             let mut col = deep500_tensor::scratch_dirty(k * cols);
             let xi = &xd[img * chw..(img + 1) * chw];
-            im2col_rows(xi, &lw, 0, ho, &mut col, cols, 0);
+            im2col_block(xi, &lw, 0..k, 0..cols, &mut col, cols, 0);
             // W [co x k] * col [k x cols] -> out [co x cols]; `optr` comes
             // from Tensor::zeros, so the zeroed-C gemm_into contract holds.
             gemm::gemm_into(
@@ -744,7 +836,7 @@ mod tests {
     fn im2col_is_stale_scratch_safe() {
         // Regression for the wasted-zeroing fix: forward_im2col now takes
         // *dirty* pool scratch for the column buffer, relying on
-        // im2col_rows writing every element (padding included). Poison
+        // im2col_block writing every element (padding included). Poison
         // the current thread's scratch pool with NaN-filled buffers of the
         // exact class the conv will draw, then check parity against the
         // reference. (The per-image closure runs on rayon workers whose
@@ -780,8 +872,9 @@ mod tests {
         // A reduction shallower than a microkernel tile is still direct
         // (BENCH_conv `tiny_k_rgb1x1`) ...
         assert_eq!(auto([1, 1, 4, 4], [2, 1, 1, 1]), ConvAlgorithm::Direct);
-        // ... an output narrower than one is not (`tiny_p_tail3x3`).
-        assert_eq!(auto([1, 64, 2, 2], [64, 64, 3, 3]), ConvAlgorithm::Im2col);
+        // ... and so, now that it gathers nothing, is an output narrower
+        // than one (`tiny_p_tail3x3`: direct 0.026 ms, im2col 0.036 ms).
+        assert_eq!(auto([1, 64, 2, 2], [64, 64, 3, 3]), ConvAlgorithm::Direct);
     }
 
     #[test]

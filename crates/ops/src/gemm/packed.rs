@@ -28,11 +28,13 @@
 //! when the CPU supports it (`#[target_feature]`-gated, so the default
 //! baseline build still carries it).
 //!
-//! Unsafe-code policy: this module is the workspace's only vendor-SIMD
-//! site. Every `unsafe` block carries a `// SAFETY:` comment (enforced by
-//! the workspace `clippy::undocumented_unsafe_blocks` deny), and the AVX2
-//! kernel is reachable *only* through [`microkernel`]'s runtime CPUID
-//! check — see its docs for the dispatch invariant. Under miri the AVX2
+//! Unsafe-code policy: this module is the workspace's vendor-SIMD site
+//! (the one kernel outside it, the convolution `dW` tile in
+//! `conv::backward`, follows the same rules). Every `unsafe` block carries
+//! a `// SAFETY:` comment (enforced by the workspace
+//! `clippy::undocumented_unsafe_blocks` deny), and the AVX2 kernel is
+//! reachable *only* through [`microkernel`]'s runtime CPUID check — see
+//! its docs for the dispatch invariant. Under miri the AVX2
 //! path is compiled out entirely (`cfg(not(miri))`), so
 //! `cargo miri test -p deep500-ops gemm` checks the packing and the
 //! portable kernel, which share all slice-bounds reasoning with the SIMD
@@ -429,24 +431,24 @@ fn microkernel(kc: usize, asliver: &[f32], bsliver: &[f32], acc: &mut [[f32; NR]
 }
 
 /// Portable wide microkernel: identical loop nest to
-/// [`microkernel_portable`] at `NR_W` columns, reading `B` *row-major*
-/// with row stride `ldb` (the wide path skips sliver-packing `B`
-/// entirely — an unaligned strided load costs the same as a packed one,
-/// and skipping the pack halves the activation-side memory traffic).
-/// Exercised on non-AVX-512 hosts (where the wide tier is never
-/// *selected*, but stays testable) and under miri, which cannot interpret
-/// vendor intrinsics.
+/// [`microkernel_portable`] at `NR_W` columns, reading reduction row `p`
+/// of `B` at `b[offs[p]..][..NR_W]` — `B` is never sliver-packed on the
+/// wide path (an unaligned load costs the same as a packed one, and
+/// skipping the pack halves the activation-side memory traffic), and the
+/// per-row offset table lets the rows be anything from gathered rows at a
+/// fixed stride to overlapping windows of one image (see
+/// [`run_panel_wide`]). Exercised on non-AVX-512 hosts and under miri,
+/// which cannot interpret vendor intrinsics.
 #[inline(always)]
 fn microkernel_wide_portable(
-    kc: usize,
     asliver: &[f32],
     b: &[f32],
-    ldb: usize,
+    offs: &[usize],
     acc: &mut [[f32; NR_W]; MR],
 ) {
-    for p in 0..kc {
+    for (p, &off) in offs.iter().enumerate() {
         let ar = &asliver[p * MR..p * MR + MR];
-        let br = &b[p * ldb..p * ldb + NR_W];
+        let br = &b[off..off + NR_W];
         for i in 0..MR {
             let ai = ar[i];
             for j in 0..NR_W {
@@ -460,11 +462,12 @@ fn microkernel_wide_portable(
 /// `__m512` accumulators per `C` row (16 live accumulator registers plus
 /// four `B` vectors and one broadcast — well inside the 32 zmm registers),
 /// with the `K` loop unrolled by two so the four `B` loads per iteration
-/// hide the FMA latency chain. `B` is read *row-major* with row stride
-/// `ldb` — no sliver packing on the activation side. Per output element
-/// the reduction still ascends in `p` one FMA at a time, so results are
-/// bit-identical to the non-unrolled order (and to [`microkernel_avx2`]'s,
-/// which fuses the same per-element multiply-add sequence).
+/// hide the FMA latency chain. Reduction row `p` of `B` is the 32 floats at
+/// `b[offs[p]..]` — no sliver packing on the activation side. Per output
+/// element the reduction still ascends in `p` one FMA at a time, so results
+/// are bit-identical to the non-unrolled order (and to
+/// [`microkernel_avx2`]'s, which fuses the same per-element multiply-add
+/// sequence) and do not depend on what the offsets are.
 ///
 /// # Safety
 ///
@@ -472,39 +475,40 @@ fn microkernel_wide_portable(
 ///   supports AVX-512F — calling this without it is immediate UB (illegal
 ///   instruction). [`microkernel_wide`] is the only caller and establishes
 ///   this with `is_x86_feature_detected!`.
-/// * `asliver.len() >= kc * MR`, and for `kc > 0`,
-///   `b.len() >= (kc - 1) * ldb + NR_W`: the unaligned vector loads read
-///   `MR` lanes / `NR_W` lanes at each `p`.
+/// * `asliver.len() >= offs.len() * MR`, and `off + NR_W <= b.len()` for
+///   every `off` in `offs`: the unaligned vector loads read `MR` lanes /
+///   `NR_W` lanes at each reduction step.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx512f")]
 unsafe fn microkernel_avx512(
-    kc: usize,
     asliver: &[f32],
     b: &[f32],
-    ldb: usize,
+    offs: &[usize],
     acc: &mut [[f32; NR_W]; MR],
 ) {
     use core::arch::x86_64::*;
+    let kc = offs.len();
     debug_assert!(asliver.len() >= kc * MR);
-    debug_assert!(kc == 0 || b.len() >= (kc - 1) * ldb + NR_W);
+    debug_assert!(offs.iter().all(|&off| off + NR_W <= b.len()));
     // SAFETY: pointer arithmetic stays inside the slices — the A packer
     // always produces whole slivers (`asliver.len() >= kc * MR`, edge rows
-    // zero-padded) and the caller guarantees `B` rows of at least `NR_W`
-    // readable lanes at stride `ldb` (zero-padded to a whole tile), so
-    // `p * ldb + 31` and `p * MR + i` (i < MR) index in-bounds for every
-    // `p < kc`. `_mm512_loadu_ps`/`_mm512_storeu_ps` tolerate any
-    // alignment, and `acc[i]` is exactly `NR_W == 32` floats, matching two
-    // `__m512` stores. The intrinsics themselves are safe to execute
-    // because this fn's `#[target_feature]` contract (CPU has avx512f) is
-    // upheld by the caller per the function-level Safety section.
+    // zero-padded) and the caller guarantees `NR_W` readable lanes past
+    // every row offset, so `offs[p] + 31` and `p * MR + i` (i < MR) index
+    // in-bounds for every `p < kc`; `offs[p]` itself is a checked slice
+    // index. `_mm512_loadu_ps`/`_mm512_storeu_ps` tolerate any alignment,
+    // and `acc[i]` is exactly `NR_W == 32` floats, matching two `__m512`
+    // stores. The intrinsics themselves are safe to execute because this
+    // fn's `#[target_feature]` contract (CPU has avx512f) is upheld by the
+    // caller per the function-level Safety section.
     unsafe {
         let mut vacc = [[_mm512_setzero_ps(); 2]; MR];
         let mut p = 0usize;
         while p + 2 <= kc {
-            let b0 = _mm512_loadu_ps(b.as_ptr().add(p * ldb));
-            let b1 = _mm512_loadu_ps(b.as_ptr().add(p * ldb + 16));
-            let b2 = _mm512_loadu_ps(b.as_ptr().add((p + 1) * ldb));
-            let b3 = _mm512_loadu_ps(b.as_ptr().add((p + 1) * ldb + 16));
+            let (r0, r1) = (b.as_ptr().add(offs[p]), b.as_ptr().add(offs[p + 1]));
+            let b0 = _mm512_loadu_ps(r0);
+            let b1 = _mm512_loadu_ps(r0.add(16));
+            let b2 = _mm512_loadu_ps(r1);
+            let b3 = _mm512_loadu_ps(r1.add(16));
             let a0 = asliver.as_ptr().add(p * MR);
             let a1 = asliver.as_ptr().add((p + 1) * MR);
             for (i, v) in vacc.iter_mut().enumerate() {
@@ -520,8 +524,9 @@ unsafe fn microkernel_avx512(
             p += 2;
         }
         if p < kc {
-            let b0 = _mm512_loadu_ps(b.as_ptr().add(p * ldb));
-            let b1 = _mm512_loadu_ps(b.as_ptr().add(p * ldb + 16));
+            let r0 = b.as_ptr().add(offs[p]);
+            let b0 = _mm512_loadu_ps(r0);
+            let b1 = _mm512_loadu_ps(r0.add(16));
             let a0 = asliver.as_ptr().add(p * MR);
             for (i, v) in vacc.iter_mut().enumerate() {
                 let av = _mm512_set1_ps(*a0.add(i));
@@ -536,54 +541,49 @@ unsafe fn microkernel_avx512(
     }
 }
 
-/// Run the best wide (`MR x NR_W`) microkernel the host supports. `b` is
-/// a row-major block read at row stride `ldb` starting from the tile's
-/// first column; every row must have `NR_W` readable (zero-padded at the
-/// edge) lanes.
+/// Run the best wide (`MR x NR_W`) microkernel the host supports over
+/// `offs.len()` reduction steps, step `p` reading `b[offs[p]..][..NR_W]`.
 ///
 /// Runtime-dispatch invariant: this function is the *only* caller of
 /// [`microkernel_avx512`], and it calls it exclusively behind a successful
 /// `is_x86_feature_detected!("avx512f")` check on the executing thread —
 /// the same CPUID-backed pattern as [`microkernel`].
 #[inline]
-fn microkernel_wide(
-    kc: usize,
-    asliver: &[f32],
-    b: &[f32],
-    ldb: usize,
-    acc: &mut [[f32; NR_W]; MR],
-) {
+fn microkernel_wide(asliver: &[f32], b: &[f32], offs: &[usize], acc: &mut [[f32; NR_W]; MR]) {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     if std::arch::is_x86_feature_detected!("avx512f") {
         // SAFETY: the `#[target_feature(enable = "avx512f")]` contract is
         // established by the runtime detection on this exact execution
         // path, and the slice-length preconditions hold because the sole
         // caller (`run_panel_wide`) passes whole packed A slivers of
-        // `kc * MR` elements and a `B` block whose rows carry a whole
-        // zero-padded tile beyond the tile's first column.
-        unsafe { microkernel_avx512(kc, asliver, b, ldb, acc) };
+        // `offs.len() * MR` elements and has asserted — a release-mode
+        // `assert!`, not a debug one — that `max(offs) + NR_W` stays
+        // inside the `b` it hands over for every tile.
+        unsafe { microkernel_avx512(asliver, b, offs, acc) };
         return;
     }
-    microkernel_wide_portable(kc, asliver, b, ldb, acc)
+    microkernel_wide_portable(asliver, b, offs, acc)
 }
 
 /// Stride-2 gather: `dst[i] = src[2 * i]`. The hot path of strided
-/// (downsampling) convolutions' activation packing — the direct conv
-/// tier calls this from its analytic row gather once the padding bounds
+/// (downsampling) convolutions' activation lowering — the convolution
+/// lowering (`conv::im2col_block`) calls this once a tap's padding bounds
 /// are resolved, so no per-element bounds checks remain. On AVX-512
 /// hosts each 16-element group is produced by two vector loads and one
 /// even-lane compaction shuffle; elsewhere a scalar loop.
 ///
-/// Requires `src.len() > 2 * (dst.len() - 1)` (the last element read is
+/// # Panics
+///
+/// Unless `src.len() > 2 * (dst.len() - 1)` (the last element read is
 /// `src[2 * (dst.len() - 1)]`).
 pub(crate) fn strided_copy2(dst: &mut [f32], src: &[f32]) {
+    assert!(dst.is_empty() || src.len() > 2 * (dst.len() - 1));
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     if dst.len() >= 16 && std::arch::is_x86_feature_detected!("avx512f") {
         // SAFETY: the `#[target_feature(enable = "avx512f")]` contract is
         // established by the runtime detection on this exact execution
-        // path; the slice-length precondition is documented above and
-        // upheld by the (sole) gather_xrow caller, and re-checked inside
-        // via debug_assert plus an explicit in-bounds loop guard.
+        // path; the slice-length precondition is asserted above, and the
+        // vector loop carries its own explicit in-bounds guard.
         unsafe { strided_copy2_avx512(dst, src) };
         return;
     }
@@ -697,16 +697,62 @@ pub(crate) fn run_panel(
     }
 }
 
-/// [`run_panel`] at the wide tile width, reading `B` *row-major*: `bpack`
-/// holds `kc` gathered reduction rows of `ldb` floats each (the direct
-/// convolution tier gathers them straight off the activation image), with
-/// columns `nc..` of each row zero-filled up to the last whole `NR_W`
-/// tile. Skipping the sliver repack halves the pack-side memory traffic;
-/// the wide microkernel's unaligned strided loads cost the same as packed
-/// ones. The `A` panel format (`MR`-row slivers) is shared with the narrow
-/// path, so pre-packed filters serve both. Epilogue timing and per-element
-/// accumulation order match [`run_panel`] exactly — only the column
-/// grouping per register tile differs.
+/// Which of the wide driver's flat `B` columns are output columns, and
+/// where they land in a `C` row: flat column `j = r * period + q` is kept
+/// iff `q < keep` and is `C` column `r * keep + q`; the rest are *seam*
+/// columns — computed, because the tile is, and dropped on the way out.
+/// This is what lets the direct convolution read its reduction rows as
+/// windows of one zero-padded image: indexed by flat padded position
+/// `oh * Wp + ow`, every filter tap's row is one contiguous window, at the
+/// price of `Wp - Wo` columns per output row that belong to no output.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Seam {
+    pub period: usize,
+    pub keep: usize,
+}
+
+impl Seam {
+    /// Every column kept in place: `C` column `j` is flat column `j`.
+    pub(crate) const NONE: Seam = Seam {
+        period: usize::MAX,
+        keep: usize::MAX,
+    };
+
+    /// Cut flat columns `j0..j0 + cols` (`cols <= NR_W`) into runs of kept
+    /// columns, written to `runs` as `(lane in the tile, C column, length)`;
+    /// returns how many.
+    fn runs(self, j0: usize, cols: usize, runs: &mut [(usize, usize, usize); NR_W]) -> usize {
+        let (end, mut j, mut n) = (j0 + cols, j0, 0);
+        while j < end {
+            let (r, q) = (j / self.period, j % self.period);
+            if q < self.keep {
+                runs[n] = (j - j0, r * self.keep + q, (self.keep - q).min(end - j));
+                n += 1;
+            }
+            j = (r + 1).saturating_mul(self.period);
+        }
+        n
+    }
+}
+
+/// [`run_panel`] at the wide tile width, reading `B` through a per-row
+/// offset table: reduction step `p` of the tile at flat column `j` is the
+/// `NR_W` floats at `b[offs[p] + j..]`. The direct convolution tier feeds
+/// it either rows it gathered off the activation image (`offs[p] = p *
+/// ldb`, the columns past `nc` zero-filled to a whole tile) or, for
+/// stride 1, the overlapping *windows* of one zero-padded image
+/// (`offs[p]` = the tap's `ic * Hp * Wp + fh * Wp + fw`) with the [`Seam`]
+/// that drops the columns between output rows. There is no sliver repack
+/// either way, and the `A` panel format (`MR`-row slivers) is shared with
+/// the narrow path, so pre-packed filters serve both. Epilogue timing and
+/// per-element accumulation order match [`run_panel`] exactly — only the
+/// column grouping per register tile differs, and that grouping (so also
+/// the choice of offsets) never enters an output element's float sequence.
+///
+/// `jc` is the flat column of the panel's first tile in `C` terms (`b` is
+/// already positioned there), `nc` the flat columns to produce. Lanes past
+/// `nc` in the last tile, like seam lanes, are computed from whatever
+/// `b` holds there and never stored.
 ///
 /// `first` marks the reduction's first `KC` block over a caller-zeroed
 /// `C`: the tile write-back then *stores* instead of read-modify-writes,
@@ -714,34 +760,39 @@ pub(crate) fn run_panel(
 /// inputs this is bit-identical to accumulating into zero — the register
 /// accumulator starts at `+0.0` and IEEE-754 addition can never turn it
 /// into `-0.0`, and `0.0 + x == x` bitwise for every other `x`.
+///
+/// # Panics
+///
+/// If a whole last tile would read past `b`: `max(offs) + round_up(nc,
+/// NR_W) <= b.len()` is asserted in release builds too, because the
+/// AVX-512 kernel's loads rely on it.
 #[allow(clippy::too_many_arguments)] // hot-path plumbing: all scalars
 pub(crate) fn run_panel_wide(
     apack: &[f32],
-    bpack: &[f32],
-    ldb: usize,
+    b: &[f32],
+    offs: &[usize],
     cpanel: &mut [f32],
     ldc: usize,
+    seam: Seam,
     row0: usize,
     jc: usize,
     mc: usize,
     nc: usize,
-    kc: usize,
     epilogue: Epilogue<'_>,
     first: bool,
     last: bool,
 ) {
-    debug_assert!(nc.div_ceil(NR_W) * NR_W <= ldb || kc == 0);
-    debug_assert!(bpack.len() >= kc * ldb);
+    let kc = offs.len();
+    let reach = offs.iter().max().map_or(0, |&m| m + round_up(nc, NR_W));
+    assert!(reach <= b.len(), "wide panel reads {reach} of {}", b.len());
     let mut acc = [[0.0f32; NR_W]; MR];
+    let mut runs = [(0usize, 0usize, 0usize); NR_W];
     let fuse = last && !matches!(epilogue, Epilogue::None);
-    for jt in 0..nc.div_ceil(NR_W) {
-        let j0r = jt * NR_W;
-        let j0 = jc + j0r;
-        let cols = NR_W.min(nc - j0r);
-        // The kernel reads up to `(kc - 1) * ldb + NR_W` lanes past this
-        // offset; in bounds because `j0r + NR_W <= round_up(nc, NR_W) <=
-        // ldb` and `bpack` holds `kc * ldb` floats.
-        let btile = &bpack[j0r..];
+    for j0r in (0..nc).step_by(NR_W) {
+        let nruns = seam.runs(jc + j0r, NR_W.min(nc - j0r), &mut runs);
+        // The kernel reads `NR_W` lanes past `offs[p]` in this slice: in
+        // bounds by the assertion above, `j0r + NR_W <= round_up(nc, NR_W)`.
+        let btile = &b[j0r..];
         for (it, asliver) in apack[..mc.div_ceil(MR) * MR * kc]
             .chunks(MR * kc)
             .enumerate()
@@ -749,20 +800,21 @@ pub(crate) fn run_panel_wide(
             let i0 = it * MR;
             let rows = MR.min(mc - i0);
             acc.iter_mut().for_each(|row| row.fill(0.0));
-            microkernel_wide(kc, asliver, btile, ldb, &mut acc);
+            microkernel_wide(asliver, btile, offs, &mut acc);
             for (i, arow) in acc.iter().enumerate().take(rows) {
-                let crow = &mut cpanel[(i0 + i) * ldc + j0..(i0 + i) * ldc + j0 + cols];
-                if first {
-                    for (cv, &av) in crow.iter_mut().zip(arow) {
-                        *cv = av;
+                for &(lane, col, len) in &runs[..nruns] {
+                    let crow = &mut cpanel[(i0 + i) * ldc + col..][..len];
+                    let vals = &arow[lane..lane + len];
+                    if first {
+                        crow.copy_from_slice(vals);
+                    } else {
+                        for (cv, &av) in crow.iter_mut().zip(vals) {
+                            *cv += av;
+                        }
                     }
-                } else {
-                    for (cv, &av) in crow.iter_mut().zip(arow) {
-                        *cv += av;
+                    if fuse {
+                        epilogue.apply_row(crow, row0 + i0 + i, col);
                     }
-                }
-                if fuse {
-                    epilogue.apply_row(crow, row0 + i0 + i, j0);
                 }
             }
         }
@@ -1195,5 +1247,122 @@ mod tests {
             }
         }
         assert_eq!(par, serial);
+    }
+
+    #[test]
+    fn seam_runs_keep_the_leading_columns_of_each_period() {
+        let mut runs = [(0, 0, 0); NR_W];
+        // Period 5, keep 3: flat 3, 4, 8, 9 are seams.
+        let seam = Seam { period: 5, keep: 3 };
+        let n = seam.runs(2, 10, &mut runs);
+        // Flat 2 | 5 6 7 | 10 11 -> C columns 2 | 3 4 5 | 6 7.
+        assert_eq!(&runs[..n], &[(0, 2, 1), (3, 3, 3), (8, 6, 2)]);
+        // A tile that starts on a seam, and one that is all seam.
+        let n = seam.runs(4, 3, &mut runs);
+        assert_eq!(&runs[..n], &[(1, 3, 2)]);
+        assert_eq!(seam.runs(3, 2, &mut runs), 0);
+        // No seam: one run, columns in place.
+        let n = Seam::NONE.runs(64, NR_W, &mut runs);
+        assert_eq!(&runs[..n], &[(0, 64, NR_W)]);
+        // Every column its own period (1x1 on a one-column image).
+        let n = Seam { period: 1, keep: 1 }.runs(7, NR_W, &mut runs);
+        assert_eq!(n, NR_W);
+        assert_eq!(runs[NR_W - 1], (NR_W - 1, 7 + NR_W - 1, 1));
+    }
+
+    #[test]
+    fn wide_panel_reads_overlapping_windows_and_drops_seams() {
+        use deep500_tensor::rng::Xoshiro256StarStar;
+        use deep500_tensor::Tensor;
+        // A 2-tap "convolution" of a 5-wide signal kept 3 of every 5: B
+        // rows are windows of one buffer at offsets 0 and 1, 11 rows of A
+        // (an edge sliver), 44 flat columns (an edge tile), two KC blocks.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(17);
+        let (m, k, flat) = (11usize, 6usize, 44usize);
+        let seam = Seam { period: 5, keep: 3 };
+        let offs = [0usize, 1, 7, 8, 14, 15];
+        let b = Tensor::rand_uniform([15 + 64], -1.0, 1.0, &mut rng);
+        let a = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng);
+        let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.25 - 1.0).collect();
+        let kept: Vec<usize> = (0..flat).filter(|j| j % 5 < 3).collect();
+        let ldc = kept.len();
+        let mut c = vec![0.0f32; m * ldc];
+        for (pc, kc) in [(0usize, 4usize), (4, 2)] {
+            let mut apack = vec![0.0f32; round_up(m, MR) * kc];
+            pack_a(&mut apack, a.data(), false, k, 0, pc, m, kc);
+            run_panel_wide(
+                &apack,
+                b.data(),
+                &offs[pc..pc + kc],
+                &mut c,
+                ldc,
+                seam,
+                0,
+                0,
+                m,
+                flat,
+                Epilogue::BiasRowRelu(&bias),
+                pc == 0,
+                pc + kc == k,
+            );
+        }
+        for i in 0..m {
+            for (col, &j) in kept.iter().enumerate() {
+                let dot: f32 = (0..k)
+                    .map(|p| a.data()[i * k + p] * b.data()[offs[p] + j])
+                    .sum();
+                let want = (dot + bias[i]).max(0.0);
+                assert!(
+                    (c[i * ldc + col] - want).abs() < 1e-5,
+                    "row {i} flat {j}: {} vs {want}",
+                    c[i * ldc + col]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn wide_portable_kernel_matches_the_dispatched_one() {
+        use deep500_tensor::rng::Xoshiro256StarStar;
+        use deep500_tensor::Tensor;
+        // On an AVX-512 host this is the only place the portable wide
+        // kernel runs; everywhere else the two are the same function.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(19);
+        let offs = [40usize, 3, 3, 0, 97, 64, 65];
+        let asliver = Tensor::rand_uniform([offs.len() * MR], -1.0, 1.0, &mut rng);
+        let b = Tensor::rand_uniform([97 + NR_W], -1.0, 1.0, &mut rng);
+        let mut portable = [[0.0f32; NR_W]; MR];
+        let mut dispatched = [[0.0f32; NR_W]; MR];
+        microkernel_wide_portable(asliver.data(), b.data(), &offs, &mut portable);
+        microkernel_wide(asliver.data(), b.data(), &offs, &mut dispatched);
+        for (prow, drow) in portable.iter().zip(&dispatched) {
+            for (p, d) in prow.iter().zip(drow) {
+                assert!((p - d).abs() < 1e-5, "{p} vs {d}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wide panel reads")]
+    fn wide_panel_refuses_a_tile_that_would_read_past_b() {
+        let apack = vec![0.0f32; MR * 2];
+        let b = vec![0.0f32; 40];
+        let mut c = vec![0.0f32; 8];
+        // Offset 9 plus one whole tile is 41 floats.
+        run_panel_wide(
+            &apack,
+            &b,
+            &[0, 9],
+            &mut c,
+            8,
+            Seam::NONE,
+            0,
+            0,
+            1,
+            8,
+            Epilogue::None,
+            true,
+            true,
+        );
     }
 }

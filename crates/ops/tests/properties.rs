@@ -2,7 +2,9 @@
 //! analytical invariants, and gradient correctness on random inputs.
 
 use deep500_ops::activation::{ActivationOp, SoftmaxOp};
-use deep500_ops::conv::direct::pack_filter;
+use deep500_ops::conv::direct::{
+    forward_direct_packed_as, pack_filter, BOperand, PackConv2dFilterOp,
+};
 use deep500_ops::conv::{forward_direct, forward_im2col, Conv2dOp, ConvAlgorithm, ConvGeometry};
 use deep500_ops::gemm::{
     gemm_into, matmul, matmul_a_bt_with, matmul_at_b_with, Algorithm, Blocking,
@@ -237,5 +239,53 @@ proptest! {
         let op = deep500_ops::linear::LinearOp::default();
         let report = test_gradient(&op, &[&x, &w, &b], 1e-3, 30).unwrap();
         prop_assert!(report.passes(5e-3), "max rel {}", report.max_rel_error);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Stride 1: reading the reduction rows as windows of the padded image
+    /// gives the bits of gathering them. Non-square images and filters,
+    /// padding from none (read in place, last tile bounced) to the whole
+    /// kernel, reductions of one to three `KC` blocks, output rows
+    /// narrower than a vector and flat widths that fill no whole tile —
+    /// with and without ReLU, the filter packed here or by the graph
+    /// compiler's op.
+    #[test]
+    fn conv_window_forward_is_bitwise_the_gathered_forward(
+        three in any::<bool>(), c in 1usize..48, co in 1usize..20,
+        h in 1usize..10, dw in 1usize..14, kh in 1usize..6, tall in any::<bool>(),
+        padi in 0usize..8, relu in any::<bool>(), prepacked in any::<bool>(),
+        seed in 0u64..500,
+    ) {
+        let n = if three { 3 } else { 1 };
+        let wd = h + dw;
+        let (kh, kw) = if tall { (kh + 1, kh) } else { (kh, kh + 1) };
+        let pad = padi % (kh.max(kw) + 1);
+        let g = ConvGeometry { stride: 1, pad };
+        prop_assume!(h + 2 * pad >= kh && wd + 2 * pad >= kw);
+        let x = rand_tensor(&[n, c, h, wd], seed);
+        let w = rand_tensor(&[co, c, kh, kw], seed ^ 3);
+        let b = rand_tensor(&[co], seed ^ 4);
+        let pf = if prepacked {
+            PackConv2dFilterOp.forward(&[&w]).unwrap().remove(0).data().to_vec()
+        } else {
+            pack_filter(w.data(), co, c * kh * kw).data
+        };
+        let run = |operand| {
+            forward_direct_packed_as(&x, &pf, co, kh, kw, &b, g, relu, operand).unwrap()
+        };
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let windows = run(BOperand::Windows);
+        prop_assert_eq!(
+            bits(&windows), bits(&run(BOperand::Rows)),
+            "n={} c={} {}x{} co={} {}x{} p={} relu={}", n, c, h, wd, co, kh, kw, pad, relu
+        );
+        // And it is what the operator runs wherever the rule picks it.
+        if BOperand::for_geometry(g) == BOperand::Windows {
+            let op = Conv2dOp::new(1, pad, ConvAlgorithm::Direct).with_relu(relu);
+            prop_assert_eq!(bits(&op.forward(&[&x, &w, &b]).unwrap()[0]), bits(&windows));
+        }
     }
 }
