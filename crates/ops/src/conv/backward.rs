@@ -191,13 +191,15 @@ const TPB: usize = 6;
 /// Whether `dW` reduces along windows of the padded image
 /// ([`window_dw_block`]) instead of through the column matrix and the
 /// packed GEMM. Windows need stride 1; and they only pay while the GEMM is
-/// starved for rows — its `M` is `Co`, and at `Co = 6` a six-row panel runs
-/// at a quarter of what it reaches at 64 (`BENCH_conv.json` backward rows:
-/// `lenet_conv1` 0.84 → 0.26 ms, `lenet_conv2` 0.33 → 0.25 ms with windows;
-/// `resnet3x3_56` / `resnet3x3_28`, `Co` 64 and 128, where the GEMM runs at
-/// 82–84 GFLOP/s and building `col` is under 1 % of its time, are
-/// 1.3–1.5x *slower* with them — EXPERIMENTS E27), so wide layers stay on
-/// the GEMM.
+/// starved for rows — its `M` is `Co`. `BENCH_conv.json` backward rows,
+/// `dw_ms`, against the GEMM `dW` measured beside them (EXPERIMENTS E27):
+/// `lenet_conv1` (`Co` 6, a six-row panel at 19.6 GFLOP/s after a `K x B`
+/// lowering used once) 0.66 → 0.16 ms; `lenet_conv2` (16) 0.20 → 0.15;
+/// `body3x3_56_b8` (32) 8.2 → 4.5. At `Co` 64 (`resnet3x3_56`) the GEMM
+/// runs at 80 GFLOP/s, building `col` is under 1 % of its time and the
+/// two are level (24.5 vs 23.2 ms); at 128 (`resnet3x3_28`, runs too short
+/// to amortise a tile's fold) windows are 1.3x *slower* (25.3 vs 32.5).
+/// So layers from 64 channels up stay on the GEMM.
 fn dw_reads_windows(lw: &Lowering, co: usize) -> bool {
     lw.g.stride == 1 && co < 64
 }

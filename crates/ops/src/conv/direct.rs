@@ -165,10 +165,11 @@ impl BOperand {
     /// The one rule: windows wherever they exist (stride 1) and the wide
     /// driver is there to read them; otherwise rows gathered for whichever
     /// driver the host has. Tracked by `BENCH_conv.json`: every stride-1
-    /// forward cell's `direct` row is the window form (`lenet_conv1` 0.39
-    /// → 0.17 ms against the gathered rows it replaced, EXPERIMENTS E27),
-    /// and `stem7x7` is the gathered one. `pad = 0` needs no condition of
-    /// its own — it reads the input in place, so the `proj1x1` and
+    /// forward cell's `direct` row is the window form (`lenet_conv1` 0.36
+    /// → 0.16 ms, `resnet16_body_b4` 0.47 → 0.22 against the gathered rows
+    /// it replaced, the 3x3 body cells 1.1–1.9x; EXPERIMENTS E27), and
+    /// `stem7x7` is the gathered one. `pad = 0` needs no condition of its
+    /// own — it reads the input in place, so the `proj1x1` and
     /// `tiny_k_rgb1x1` rows pay no copy. The seam costs `Wp / Wo` in
     /// columns (1.02–1.08 on the tracked 3x3 cells, often nothing once
     /// rounded to whole tiles); an output much narrower than its filter

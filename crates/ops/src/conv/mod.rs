@@ -873,7 +873,7 @@ mod tests {
         // (BENCH_conv `tiny_k_rgb1x1`) ...
         assert_eq!(auto([1, 1, 4, 4], [2, 1, 1, 1]), ConvAlgorithm::Direct);
         // ... and so, now that it gathers nothing, is an output narrower
-        // than one (`tiny_p_tail3x3`: direct 0.026 ms, im2col 0.036 ms).
+        // than one (`tiny_p_tail3x3`: direct 0.024 ms, im2col 0.036 ms).
         assert_eq!(auto([1, 64, 2, 2], [64, 64, 3, 3]), ConvAlgorithm::Direct);
     }
 
