@@ -24,8 +24,8 @@
 //! everywhere is only as good as this row), the
 //! direct tier beats im2col on at least 4 shapes and by 2x on at least
 //! three (the baseline is the row-copy im2col lowering, itself GEMM-speed:
-//! the best ratio sits at 2.5-2.9x), and no backward costs more than 6x its
-//! forward.
+//! the best ratio sits at 2.5-2.9x), and no backward costs measurably more
+//! than 6x its forward.
 //!
 //! Run with: `cargo run --release -p deep500-bench --bin conv`
 //! (`D5_BENCH_SCALE=smoke` for the fast CI-sized run).
@@ -114,11 +114,17 @@ fn cell_fields(name: &str, cs: &ConvSize) -> Vec<(&'static str, Json)> {
 
 /// One JSON row per training-class cell: parity against the scalar oracle,
 /// then forward, backward and backward without `dX` timed interleaved.
-/// Returns the rows, the worst oracle error and the worst backward/forward
-/// ratio.
-fn backward_rows(reps: usize) -> (Vec<Json>, f64, f64) {
+/// Returns the rows, the worst oracle error, the worst backward/forward
+/// ratio, and the cells whose backward is *measurably* over 6x their
+/// forward — the medians' 95 % intervals clear the factor, the estimator
+/// of the `auto` gate (EXPERIMENTS E26). Since ISSUE 18 `lenet_conv1`'s
+/// forward is 2.4x faster and the `dX` half of its backward is not, so its
+/// ratio sits at 4.3-4.6 and a plain ratio of five-rep medians crossed 6
+/// in half of the smoke runs (E27).
+fn backward_rows(reps: usize) -> (Vec<Json>, f64, f64, Vec<String>) {
     let mut rows = Vec::new();
     let (mut worst_err, mut worst_ratio) = (0.0f64, 0.0f64);
+    let mut over = Vec::new();
     for (name, cs) in backward_cells() {
         let x = rand_tensor(&[cs.n, cs.c, cs.h, cs.w], 0xD0 ^ cs.k as u64);
         let w = rand_tensor(&[cs.k, cs.c, cs.r, cs.r], 0xD1 ^ cs.k as u64);
@@ -157,6 +163,9 @@ fn backward_rows(reps: usize) -> (Vec<Json>, f64, f64) {
         let bwd_gflops = 2.0 * cs.flops() / bwd / 1e9;
         worst_err = worst_err.max(err);
         worst_ratio = worst_ratio.max(bwd / fwd);
+        if timed[1][0].median_ci.lo > 6.0 * timed[0][0].median_ci.hi {
+            over.push(format!("{name} {:.2}x", bwd / fwd));
+        }
         let mut row = cell_fields(name, &cs);
         row.extend([
             ("fwd_ms", Json::fixed(fwd * 1e3, 4)),
@@ -169,7 +178,7 @@ fn backward_rows(reps: usize) -> (Vec<Json>, f64, f64) {
         ]);
         rows.push(Json::obj(row));
     }
-    (rows, worst_err, worst_ratio)
+    (rows, worst_err, worst_ratio, over)
 }
 
 fn rand_tensor(shape: &[usize], seed: u64) -> Tensor {
@@ -277,7 +286,7 @@ fn main() -> ExitCode {
         rows.push(Json::obj(row));
     }
 
-    let (bwd_rows, bwd_err, bwd_ratio) = backward_rows(reps);
+    let (bwd_rows, bwd_err, bwd_ratio, bwd_slow) = backward_rows(reps);
     let cells = rows.len();
     report
         .gate(
@@ -325,8 +334,12 @@ fn main() -> ExitCode {
         )
         .gate(
             "backward_over_forward",
-            bwd_ratio <= 6.0,
-            format!("worst backward/forward {bwd_ratio:.2} <= 6"),
+            bwd_slow.is_empty(),
+            format!(
+                "no backward's median CI above 6 x its forward's (worst ratio of medians \
+                 {bwd_ratio:.2}; since ISSUE 18 forwards fell further than backwards); over: \
+                 {bwd_slow:?}"
+            ),
         );
     report.finish()
 }
