@@ -20,18 +20,17 @@
 //! error ≤ 25%, dedup ratio ≥ 1.2, and a sane report (every brick and
 //! model row measured, the zoo not shrunk).
 //!
-//! Run with: `cargo run --release -p deep500-bench --bin bricks`
+//! Run with: `cargo run --release -p deep500-bench -- bricks`
 
+use crate::bricks::{
+    decompose, dedup, microbench, predict, BrickCost, BrickKey, Calibration, MicroRunner,
+};
+use crate::{scale, time_rounds, Report, Scale, Subject};
 use deep500::graph::models::{feed_refs, zoo, ZooCase};
 use deep500::graph::{Engine, ExecutorKind};
 use deep500::metrics::{Json, Phase, TraceRecorder};
 use deep500::tensor::Tensor;
-use deep500_bench::bricks::{
-    decompose, dedup, microbench, predict, BrickCost, BrickKey, Calibration, MicroRunner,
-};
-use deep500_bench::{scale, time_rounds, Report, Scale, Subject};
 use std::collections::HashMap;
-use std::process::ExitCode;
 
 /// Whole-model ground truth: a traced engine whose `TraceRecorder` phase
 /// deltas give one forward pass (`Inference`) and one training step
@@ -79,8 +78,7 @@ impl ModelBench {
     }
 }
 
-fn main() -> ExitCode {
-    let mut report = Report::new("bricks");
+pub fn run(report: &mut Report) {
     let warmup = 3;
     // Sub-microsecond bricks need more rounds than the default for a
     // steady median on a shared machine; the pipeline still takes seconds.
@@ -207,5 +205,4 @@ fn main() -> ExitCode {
             rows_sane,
             "every brick counted and timed; every model's train step > forward pass > 0",
         );
-    report.finish()
 }

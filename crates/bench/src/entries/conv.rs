@@ -27,17 +27,16 @@
 //! the best ratio sits at 2.5-2.9x), and no backward costs measurably more
 //! than 8x its forward.
 //!
-//! Run with: `cargo run --release -p deep500-bench --bin conv`
+//! Run with: `cargo run --release -p deep500-bench -- conv`
 //! (`D5_BENCH_SCALE=smoke` for the fast CI-sized run).
 
+use crate::{scale, time_rounds, Report, Scale, Subject};
 use deep500::metrics::norms::linf_diff;
 use deep500::metrics::Json;
 use deep500::ops::conv::{self, Conv2dOp, ConvAlgorithm, ConvGeometry};
 use deep500::ops::deepbench::ConvSize;
 use deep500::ops::Operator;
 use deep500::prelude::*;
-use deep500_bench::{scale, time_rounds, Report, Scale, Subject};
-use std::process::ExitCode;
 
 /// Six DeepBench-class batch-1 inference cells: a strided stem, the
 /// early big-spatial 3x3 body cells (where im2col's materialized `K x P`
@@ -193,8 +192,7 @@ fn rand_tensor(shape: &[usize], seed: u64) -> Tensor {
     Tensor::rand_uniform(shape, -1.0, 1.0, &mut rng)
 }
 
-fn main() -> ExitCode {
-    let mut report = Report::new("conv");
+pub fn run(report: &mut Report) {
     let reps = if scale() == Scale::Smoke { 5 } else { 30 };
 
     let mut rows: Vec<Json> = Vec::new();
@@ -348,5 +346,4 @@ fn main() -> ExitCode {
                  medians {bwd_ratio:.2}); over: {bwd_slow:?}"
             ),
         );
-    report.finish()
 }

@@ -18,17 +18,22 @@
 //!    verifier's interference lower bound (must be ≥) and the uncompiled
 //!    run's observed `peak_memory()` (must be ≤).
 //!
+//! 4. **Executors** — the serial reference loop against the plan
+//!    interpreter at 1, 2 and all worker threads on a wide multi-level
+//!    model (rows only: thread counts beyond the host's cores time-slice,
+//!    so read them next to `env.cores`).
+//!
 //! Writes `BENCH_plan.json`; every parity, memory-bound and speed
 //! criterion is a gate.
 //!
-//! Run with: `cargo run --release -p deep500-bench --bin plan`
+//! Run with: `cargo run --release -p deep500-bench -- plan`
 
+use crate::rows::Timing;
+use crate::{time_rounds, Report, Subject};
 use deep500::graph::compile;
 use deep500::graph::models::{feed_refs, zoo, ZooCase};
 use deep500::metrics::Json;
 use deep500::prelude::*;
-use deep500_bench::{time_rounds, Report, Subject};
-use std::process::ExitCode;
 
 /// The zoo slice the speed floor is gated on: one tiny and one wide
 /// dispatch-bound MLP, one conv-bound CNN.
@@ -164,11 +169,103 @@ fn run_case(case: &ZooCase) -> Row {
     }
 }
 
+const BRANCHES: usize = 8;
+const FEATURES: usize = 96;
+const BATCH: usize = 16;
+
+/// `BRANCHES` independent `Linear -> Relu` towers over a shared input,
+/// concatenated (axis 0) and reduced to a scalar MSE loss: the level
+/// partition has two levels of width `BRANCHES`, the shape the level
+/// scheduler is built for.
+fn wide_net() -> Network {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(0x5eed);
+    let mut net = Network::new("wide");
+    net.add_input("x");
+    net.add_input("target");
+    let mut towers: Vec<String> = Vec::new();
+    for i in 0..BRANCHES {
+        let [w, b, h, r] = ["w", "b", "h", "r"].map(|p| format!("{p}{i}"));
+        let init = Tensor::rand_normal([FEATURES, FEATURES], 0.0, 0.05, &mut rng);
+        net.add_parameter(&w, init);
+        net.add_parameter(&b, Tensor::zeros([FEATURES]));
+        net.add_node(
+            format!("fc{i}"),
+            "Linear",
+            Attributes::new(),
+            &["x", &w, &b],
+            &[&h],
+        )
+        .expect("tower linear");
+        net.add_node(format!("act{i}"), "Relu", Attributes::new(), &[&h], &[&r])
+            .expect("tower relu");
+        towers.push(r);
+    }
+    let tower_refs: Vec<&str> = towers.iter().map(String::as_str).collect();
+    let cat = Attributes::new().with_int("num_inputs", BRANCHES as i64);
+    net.add_node("merge", "Concat", cat, &tower_refs, &["y"])
+        .expect("merge");
+    net.add_node(
+        "mse",
+        "MseLoss",
+        Attributes::new(),
+        &["y", "target"],
+        &["loss"],
+    )
+    .expect("loss");
+    net.add_output("loss");
+    net
+}
+
+/// One full `inference_and_backprop` pass of [`wide_net`] per executor
+/// and thread count (`0` = one slot per rayon worker), interleaved; the
+/// plan interpreter reuses its plan slots and gradient pool across
+/// passes, so it can win even at a single thread once warm.
+fn executor_rows() -> Vec<Json> {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(7);
+    let x = Tensor::rand_uniform([BATCH, FEATURES], -1.0, 1.0, &mut rng);
+    let feeds = [
+        ("x", x),
+        ("target", Tensor::zeros([BRANCHES * BATCH, FEATURES])),
+    ];
+    let configs = [
+        (ExecutorKind::Reference, 1),
+        (ExecutorKind::Planned, 1),
+        (ExecutorKind::Planned, 2),
+        (ExecutorKind::Planned, 0),
+    ];
+    let engines = configs.map(|(kind, threads)| {
+        let builder = Engine::builder(wide_net()).executor(kind).threads(threads);
+        builder.build().expect("wide engine")
+    });
+    let mut subjects: Vec<Subject<1>> = engines
+        .iter()
+        .map(|engine| {
+            let feeds = &feeds;
+            Subject::wall(move || {
+                let mut ex = engine.lock();
+                ex.inference_and_backprop(feeds, "loss").expect("wide pass")
+            })
+        })
+        .collect();
+    let timed = time_rounds(3, 30, &mut subjects);
+    let row = |((kind, threads), [t]): (&(ExecutorKind, usize), &[_; 1])| {
+        Json::obj([
+            (
+                "model",
+                Json::from(format!("wide{BRANCHES}x{FEATURES}b{BATCH}")),
+            ),
+            ("executor", Json::from(format!("{kind:?}").to_lowercase())),
+            ("threads", Json::from(*threads)),
+            ("pass", Timing::of(t).json()),
+        ])
+    };
+    configs.iter().zip(&timed).map(row).collect()
+}
+
 /// Compiling must never cost speed; 5 % absorbs timing noise.
 const SPEEDUP_FLOOR: f64 = 0.95;
 
-fn main() -> ExitCode {
-    let mut report = Report::new("plan");
+pub fn run(report: &mut Report) {
     let rows: Vec<Row> = zoo()
         .iter()
         .filter(|case| MODELS.contains(&case.name))
@@ -179,6 +276,7 @@ fn main() -> ExitCode {
     report
         .field("min_speedup", Json::fixed(min_speedup, 4))
         .rows("models", rows.iter().map(|r| r.json.clone()).collect())
+        .rows("executors", executor_rows())
         .gate(
             "models_benchmarked",
             rows.len() == MODELS.len(),
@@ -213,5 +311,4 @@ fn main() -> ExitCode {
         &|r| r.speedup >= SPEEDUP_FLOOR,
         &format!("speedup >= {SPEEDUP_FLOOR} on every model (min {min_speedup:.2})"),
     );
-    report.finish()
 }

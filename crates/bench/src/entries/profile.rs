@@ -17,17 +17,15 @@
 //!   communication volume; gates: the trace validates, whole-run
 //!   attribution coverage ≥ 0.90, operators and training phases present.
 //!
-//! Run with: `cargo run --release -p deep500-bench --bin profile`
+//! Run with: `cargo run --release -p deep500-bench -- profile`
 
+use crate::{repo_path, Report};
 use deep500::dist::{DistributedRunner, Variant};
 use deep500::metrics::{validate_chrome_trace, Json, Phase, TraceRecorder};
 use deep500::prelude::*;
-use deep500_bench::{repo_path, Report};
-use std::process::ExitCode;
 use std::sync::Arc;
 
-fn main() -> ExitCode {
-    let mut report = Report::new("profile");
+pub fn run(report: &mut Report) {
     let recorder = TraceRecorder::new();
 
     // ---- 1. Traced 2-epoch wavefront training ----------------------------
@@ -200,5 +198,4 @@ fn main() -> ExitCode {
             missing.is_empty(),
             format!("Epoch and every owned phase > 0; missing: {missing:?}"),
         );
-    report.finish()
 }

@@ -10,19 +10,19 @@
 //!   back-pressure.
 //!
 //! Writes `BENCH_serve.json` with p50/p95/p99 latency, throughput,
-//! rejection counts, and mean assembled batch size per (model, loadgen,
-//! policy) cell; gates: every request accounted for, latency percentiles
+//! rejection counts, mean assembled batch size and why the shard closed
+//! each batch (`fired`: full / quiet / deadline / closed) per (model,
+//! loadgen, policy) cell; gates: every request accounted for, latency percentiles
 //! ordered, and dynamic batching coalesces under the closed-loop burst.
 //!
-//! Run with: `cargo run --release -p deep500-bench --bin serve`
+//! Run with: `cargo run --release -p deep500-bench -- serve`
 //! (`D5_BENCH_SCALE=smoke` for the fast CI-sized run).
 
+use crate::{scale, Report, Scale};
 use deep500::graph::models::{zoo, ZooCase};
 use deep500::metrics::Json;
 use deep500::prelude::*;
-use deep500::serve::{closed_loop, open_loop, LoadSummary};
-use deep500_bench::{scale, Report, Scale};
-use std::process::ExitCode;
+use deep500::serve::{closed_loop, open_loop, LoadSummary, ShardStats};
 use std::time::Duration;
 
 struct Cell {
@@ -30,6 +30,7 @@ struct Cell {
     loadgen: &'static str,
     policy_label: String,
     summary: LoadSummary,
+    stats: ShardStats,
 }
 
 /// The zoo models served: the microsecond MLP and the conv-bound CNN.
@@ -49,8 +50,7 @@ fn build_server(model: &ZooCase, policy: BatchPolicy, workers: usize) -> Server 
         .expect("server build")
 }
 
-fn main() -> ExitCode {
-    let mut report = Report::new("serve");
+pub fn run(report: &mut Report) {
     let (clients, per_client, open_total, open_rate) = if scale() == Scale::Smoke {
         (4, 16, 96, 300.0)
     } else {
@@ -78,12 +78,14 @@ fn main() -> ExitCode {
                 } else {
                     open_loop(&server, model.name, open_rate, open_total, 0xD5, feeds_fn)
                 };
+                let stats = server.stats(model.name).expect("model registered");
                 server.shutdown();
                 cells.push(Cell {
                     model: model.name,
                     loadgen,
                     policy_label: policy.label(),
                     summary,
+                    stats,
                 });
             }
         }
@@ -107,6 +109,15 @@ fn main() -> ExitCode {
                 ("p95_ms", Json::fixed(s.p95_ms, 4)),
                 ("p99_ms", Json::fixed(s.p99_ms, 4)),
                 ("mean_batch_rows", Json::fixed(s.mean_batch_rows, 3)),
+                (
+                    "fired",
+                    Json::obj([
+                        ("full", Json::from(c.stats.fired_full)),
+                        ("quiet", Json::from(c.stats.fired_quiet)),
+                        ("deadline", Json::from(c.stats.fired_deadline)),
+                        ("closed", Json::from(c.stats.fired_closed)),
+                    ]),
+                ),
             ])
         })
         .collect();
@@ -159,5 +170,4 @@ fn main() -> ExitCode {
             coalesced,
             "mean batch rows > 1 on a closed-loop dynamic cell",
         );
-    report.finish()
 }

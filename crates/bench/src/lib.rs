@@ -1,9 +1,11 @@
 //! # deep500-bench — the one bench harness
 //!
-//! Each `benches/figN_*.rs` target regenerates one table or figure of the
-//! paper's evaluation and each `src/bin/*.rs` writes one tracked
-//! `BENCH_<name>.json` (see `DESIGN.md` §17 and `EXPERIMENTS.md`). All of
-//! them measure and report through the three things in this library:
+//! One binary, `deep500-bench <name>… | all`, over one table,
+//! [`BENCHES`]: every entry fills one [`Report`] that is written to the
+//! tracked `BENCH_<name>.json`, and the process exit code is non-zero iff
+//! some gate of some report failed (see `DESIGN.md` §17 and
+//! `EXPERIMENTS.md`). Everything is measured and reported through the
+//! three things in this library:
 //!
 //! * [`scale`] — the one environment switch, `D5_BENCH_SCALE`
 //!   (`smoke` | default | `full`);
@@ -12,16 +14,72 @@
 //!   summarized as median + nonparametric CI ([`Summary`], minimum kept as
 //!   a field);
 //! * [`Report`] — the one report writer: fields, row tables and named
-//!   gates, rendered to `BENCH_<name>.json` with a non-zero exit code when
-//!   a gate failed.
+//!   gates, rendered to `BENCH_<name>.json`.
 
 use deep500::metrics::stats::Summary;
 use deep500::metrics::Timer;
 
 pub mod bricks;
+mod entries;
+mod paper;
 mod report;
+mod rows;
 
-pub use report::{repo_path, Report};
+pub use report::{repo_path, report_dir, Report};
+use std::path::Path;
+use std::process::ExitCode;
+
+/// One bench: its name — the positional argument, and the `<name>` of the
+/// `BENCH_<name>.json` it fills — and the function that fills the report.
+pub type Entry = (&'static str, fn(&mut Report));
+
+/// Every bench there is, in the order `all` runs them: kernels first,
+/// then executor, whole-run and serving reports, then the paper's own
+/// evaluation and this reproduction's ablations.
+pub const BENCHES: &[Entry] = &[
+    ("gemm", entries::gemm::run),
+    ("conv", entries::conv::run),
+    ("plan", entries::plan::run),
+    ("bricks", entries::bricks::run),
+    ("profile", entries::profile::run),
+    ("serve", entries::serve::run),
+    ("paper", paper::run),
+    ("ablations", entries::ablations::run),
+];
+
+/// Run the entries of `table` that `names` selects (`all` = every one,
+/// once, in table order), each into `dir/BENCH_<name>.json`. The exit code
+/// is the OR over the reports: `FAILURE` iff some gate of some report
+/// failed. A missing or unknown name runs nothing and exits 2.
+pub fn run(table: &[Entry], names: &[String], dir: &Path) -> ExitCode {
+    let selected: Option<Vec<&Entry>> = if names.iter().any(|n| n == "all") {
+        Some(table.iter().collect())
+    } else {
+        let find = |n: &String| table.iter().find(|(name, _)| name == n);
+        names.iter().map(find).collect()
+    };
+    let Some(selected) = selected.filter(|entries| !entries.is_empty()) else {
+        let known: Vec<&str> = table.iter().map(|(name, _)| *name).collect();
+        eprintln!("usage: deep500-bench <name>... | all   (names: {known:?})");
+        return ExitCode::from(2);
+    };
+    let mut red = Vec::new();
+    for (name, fill) in selected {
+        let started = std::time::Instant::now();
+        let mut report = Report::at(dir.join(format!("BENCH_{name}.json")), name);
+        fill(&mut report);
+        if report.finish() != ExitCode::SUCCESS {
+            red.push(*name);
+        }
+        eprintln!("{name}: {:.1} s", started.elapsed().as_secs_f64());
+    }
+    if red.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("reports with a failed gate: {red:?}");
+        ExitCode::FAILURE
+    }
+}
 
 /// How much work a run does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,35 +174,6 @@ pub fn time_rounds<const N: usize>(
         .collect()
 }
 
-/// Wall-time summary of one closure: one warm-up call, then `reruns()`
-/// measured ones.
-pub fn measure<T>(f: impl FnMut() -> T) -> Summary {
-    time_rounds(1, reruns(), &mut [Subject::wall(f)])[0][0]
-}
-
-/// Format a summary as `median [lo, hi] ms`.
-pub fn fmt_ms(s: &Summary) -> String {
-    format!(
-        "{:8.2} [{:6.2}, {:6.2}]",
-        s.median * 1e3,
-        s.median_ci.lo * 1e3,
-        s.median_ci.hi * 1e3
-    )
-}
-
-/// Print the standard bench banner.
-pub fn banner(figure: &str, what: &str) {
-    println!("================================================================");
-    println!("Deep500-rs — {figure}");
-    println!("{what}");
-    println!(
-        "scale: {} (D5_BENCH_SCALE=smoke|full) | reruns: {}",
-        scale().label(),
-        reruns()
-    );
-    println!("================================================================\n");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,6 +207,103 @@ mod tests {
         }
     }
 
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("d5_bench_{tag}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
+    fn args(names: &[&str]) -> Vec<String> {
+        names.iter().map(|n| n.to_string()).collect()
+    }
+
+    fn green(report: &mut Report) {
+        report.gate("holds", true, "fine");
+    }
+
+    fn red(report: &mut Report) {
+        report
+            .gate("holds", true, "fine")
+            .gate("floor", false, "0.4 < 0.5");
+    }
+
+    #[test]
+    fn bench_names_are_unique_and_paper_and_the_six_trajectories_are_registered() {
+        let mut names: Vec<&str> = BENCHES.iter().map(|(name, _)| *name).collect();
+        for tracked in [
+            "bricks", "conv", "gemm", "paper", "plan", "profile", "serve",
+        ] {
+            assert!(names.contains(&tracked), "{tracked} is not an entry");
+        }
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), BENCHES.len());
+        assert!(!names.contains(&"all"), "`all` is the driver's own word");
+    }
+
+    #[test]
+    fn all_visits_each_entry_once_and_every_entry_writes_the_report_named_after_it() {
+        let dir = scratch_dir("all");
+        let table: &[Entry] = &[("stub_a", green), ("stub_b", green)];
+        assert_eq!(run(table, &args(&["all"]), &dir), ExitCode::SUCCESS);
+        let mut written: Vec<_> = std::fs::read_dir(&dir)
+            .expect("reports were written")
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        written.sort();
+        assert_eq!(written, ["BENCH_stub_a.json", "BENCH_stub_b.json"]);
+        for name in ["stub_a", "stub_b"] {
+            let text = std::fs::read_to_string(dir.join(format!("BENCH_{name}.json"))).unwrap();
+            let report = deep500::metrics::Json::parse(&text).expect("valid JSON");
+            let benchmark = report.get("benchmark").and_then(|b| b.as_str());
+            assert_eq!(benchmark, Some(name));
+            // `all` ran the entry exactly once: one `holds` gate.
+            assert_eq!(
+                report
+                    .get("gates")
+                    .and_then(|g| g.as_array())
+                    .unwrap()
+                    .len(),
+                1
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_red_gate_in_any_one_entry_fails_the_whole_run() {
+        let dir = scratch_dir("red");
+        for table in [
+            &[("stub_a", red as fn(&mut Report)), ("stub_b", green)],
+            &[("stub_a", green as fn(&mut Report)), ("stub_b", red)],
+        ] {
+            assert_eq!(run(table, &args(&["all"]), &dir), ExitCode::FAILURE);
+            // The entry after a red one still ran and wrote its report.
+            assert!(dir.join("BENCH_stub_b.json").exists());
+            std::fs::remove_file(dir.join("BENCH_stub_b.json")).unwrap();
+        }
+        // Named runs report only what they ran.
+        let table: &[Entry] = &[("stub_a", red), ("stub_b", green)];
+        assert_eq!(run(table, &args(&["stub_b"]), &dir), ExitCode::SUCCESS);
+        assert_eq!(
+            run(table, &args(&["stub_b", "stub_a"]), &dir),
+            ExitCode::FAILURE
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_missing_or_unknown_name_runs_nothing() {
+        let dir = scratch_dir("usage");
+        let table: &[Entry] = &[("stub_a", green)];
+        assert_eq!(run(table, &[], &dir), ExitCode::from(2));
+        assert_eq!(
+            run(table, &args(&["stub_a", "nope"]), &dir),
+            ExitCode::from(2)
+        );
+        assert!(!dir.exists(), "nothing was written");
+    }
+
     #[test]
     fn wall_subjects_time_the_call() {
         let nap = std::time::Duration::from_millis(2);
@@ -187,24 +313,5 @@ mod tests {
         ];
         let out = time_rounds(0, 3, &mut subjects);
         assert!(out[1][0].min >= 2e-3 && out[0][0].min < out[1][0].min);
-    }
-
-    #[test]
-    fn measure_returns_sane_summary() {
-        let mut calls = 0;
-        let s = measure(|| {
-            calls += 1;
-            (0..1000u64).sum::<u64>()
-        });
-        assert_eq!(calls, 1 + reruns());
-        assert_eq!(s.n, reruns());
-        assert!(s.median_ci.lo <= s.median && s.median <= s.median_ci.hi);
-    }
-
-    #[test]
-    fn fmt_ms_shape() {
-        let s = Summary::of(&[0.001, 0.002, 0.003]);
-        let t = fmt_ms(&s);
-        assert!(t.contains('['));
     }
 }

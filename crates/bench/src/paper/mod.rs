@@ -1,0 +1,94 @@
+//! `paper` — the paper's own evaluation (Section V: Fig. 6–12, Table III,
+//! the §V-D overhead claim) as one tracked report, `BENCH_paper.json`.
+//!
+//! One module per figure adds its row tables (keys prefixed with the
+//! figure) and turns each "Expected shapes (paper)" sentence of its header
+//! into a named gate — a pure function of the rows (see [`crate::rows`]).
+//! A claim this substrate cannot reproduce is renegotiated in the open:
+//! the gate's `detail` quotes the paper, the measured values and the
+//! restated criterion (EXPERIMENTS E28).
+//!
+//! Run with: `cargo run --release -p deep500-bench -- paper`
+
+use crate::Report;
+use deep500::prelude::*;
+use deep500::train::runner::evaluate;
+
+mod fig10_frameworks;
+mod fig11_divergence;
+mod fig12_scaling;
+mod fig6_operators;
+mod fig7_microbatch;
+mod fig8_dataset_latency;
+mod fig9_optimizers;
+mod level2_overhead;
+mod table3_decode;
+
+pub fn run(report: &mut Report) {
+    fig6_operators::section(report);
+    fig7_microbatch::section(report);
+    fig8_dataset_latency::section(report);
+    table3_decode::section(report);
+    fig9_optimizers::section(report);
+    fig10_frameworks::section(report);
+    fig11_divergence::section(report);
+    fig12_scaling::section(report);
+    level2_overhead::section(report);
+}
+
+/// One training configuration that advances an epoch per call, so any
+/// number of them are subjects of one `time_rounds` loop — every round is
+/// one epoch of every configuration, and machine drift over the run lands
+/// on all of them alike. The epoch's time is the runner's own (test-set
+/// evaluation excluded); the warm-up round is the first epoch, which the
+/// paper also drops ("instantiation overhead").
+struct Trainee {
+    executor: Box<dyn GraphExecutor>,
+    optimizer: Box<dyn ThreeStepOptimizer>,
+    train: ShuffleSampler,
+    test: ShuffleSampler,
+    /// Test accuracy after each epoch run so far.
+    accuracy: Vec<f64>,
+}
+
+impl Trainee {
+    /// `optimizer` training `executor`'s network on a seeded synthetic
+    /// `[3, hw, hw]` 10-class task, identical across the trainees of a
+    /// figure: a fair comparison.
+    fn new(
+        executor: Box<dyn GraphExecutor>,
+        optimizer: Box<dyn ThreeStepOptimizer>,
+        (channels, hw, len, batch): (usize, usize, usize, usize),
+        seed: u64,
+    ) -> Trainee {
+        let shape = Shape::new(&[channels, hw, hw]);
+        let train_ds = SyntheticDataset::new("paper", shape, 10, len, 2.0, seed);
+        let test_ds = train_ds.holdout(len / 4);
+        Trainee {
+            executor,
+            optimizer,
+            train: ShuffleSampler::new(std::sync::Arc::new(train_ds), batch, seed),
+            test: ShuffleSampler::new(std::sync::Arc::new(test_ds), batch * 2, seed),
+            accuracy: Vec::new(),
+        }
+    }
+
+    /// Train one epoch; returns its wall time in seconds.
+    fn epoch(&mut self) -> [f64; 1] {
+        let mut runner = TrainingRunner::new(TrainingConfig {
+            epochs: 1,
+            ..Default::default()
+        });
+        let log = runner
+            .run(
+                &mut *self.optimizer,
+                &mut *self.executor,
+                &mut self.train,
+                None,
+            )
+            .expect("training epoch");
+        let accuracy = evaluate(&mut *self.executor, &mut self.test).expect("test accuracy");
+        self.accuracy.push(accuracy);
+        [log.epoch_times[0]]
+    }
+}

@@ -3,10 +3,10 @@
 //! Schema, shared by all files: `"benchmark"` (the name), `"env"`
 //! (`cores`, `threads`, `scale`, `cpu`, `git_sha` — a number without them
 //! is not comparable, and two files cannot be told apart or matched to a
-//! host), the bin's own fields and row tables in insertion order,
+//! host), the entry's own fields and row tables in insertion order,
 //! then `"gates"`: an array of `{"name", "ok", "detail"}`. A threshold
-//! lives in exactly one place — the `gate` call in the bin — and CI checks
-//! only the exit code and that every gate is `ok`.
+//! lives in exactly one place — the `gate` call in the entry — and CI
+//! checks only the exit code.
 
 use deep500::metrics::Json;
 use std::path::PathBuf;
@@ -19,6 +19,17 @@ pub fn repo_path(file: &str) -> PathBuf {
         .nth(2);
     root.expect("crates/bench sits two levels below the root")
         .join(file)
+}
+
+/// Where the reports of this run land: the repository root, where the
+/// tracked `BENCH_<name>.json` live — except that a smoke run is a check,
+/// not a measurement: it writes under `target/` and leaves the tracked
+/// trajectory alone.
+pub fn report_dir() -> PathBuf {
+    match crate::scale() {
+        crate::Scale::Smoke => repo_path("target"),
+        _ => repo_path(""),
+    }
 }
 
 /// The SIMD features the kernels dispatch on, as detected on this host:
@@ -82,20 +93,9 @@ pub struct Report {
 }
 
 impl Report {
-    /// A report that will be written to the tracked `BENCH_<name>.json`
-    /// at the repo root, stamped with the environment the numbers were
-    /// taken in. A smoke run is a check, not a measurement: it writes
-    /// `target/BENCH_<name>.json` and leaves the tracked trajectory alone.
-    pub fn new(name: &str) -> Report {
-        let file = format!("BENCH_{name}.json");
-        let path = match crate::scale() {
-            crate::Scale::Smoke => repo_path("target").join(file),
-            _ => repo_path(&file),
-        };
-        Report::at(path, name)
-    }
-
-    fn at(path: PathBuf, name: &str) -> Report {
+    /// A report named `name` that [`Self::finish`] writes to `path`,
+    /// stamped with the environment the numbers were taken in.
+    pub fn at(path: PathBuf, name: &str) -> Report {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let env = Json::obj([
             ("cores", Json::from(cores)),
@@ -167,9 +167,9 @@ impl Report {
         format!("{{\n{}\n}}\n", fields.join(",\n"))
     }
 
-    /// Print and write the file — the report is the bin's output, no bin
-    /// formats a second, human-only copy of its rows — and turn the gates
-    /// into the process exit code.
+    /// Print and write the file — the report is the entry's output, no
+    /// entry formats a second, human-only copy of its rows — and turn the
+    /// gates into an exit code.
     pub fn finish(self) -> ExitCode {
         let text = self.render();
         print!("{text}");

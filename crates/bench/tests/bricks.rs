@@ -165,7 +165,7 @@ fn composed_prediction_tracks_whole_model_measurement() {
     let pred = predict(&instances, &costs, &overhead).unwrap();
     assert!(pred.forward_s > 0.0 && pred.train_s > pred.forward_s);
 
-    // Whole-model ground truth, same discipline as the bin.
+    // Whole-model ground truth, same discipline as the `bricks` entry.
     let recorder = TraceRecorder::new();
     let engine = Engine::builder(net)
         .executor(ExecutorKind::Reference)

@@ -9,7 +9,7 @@
 //! [`resnet_like`] (residual blocks with batchnorm and skip `Add`s).
 //!
 //! [`zoo`] is the one list of named, sized instances of those builders
-//! that the bench bins, the `deep500-verify` gate and the parity / plan /
+//! that the bench entries, the `deep500-verify` gate and the parity / plan /
 //! verifier test suites all run over.
 
 use crate::builder::NetworkBuilder;

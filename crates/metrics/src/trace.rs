@@ -480,8 +480,8 @@ fn fmt_f64(v: f64) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal Chrome-trace validation: the schema checks the CI `profile` job
-// and the bench bin run on emitted artifacts, over the crate's own
+// Minimal Chrome-trace validation: the schema checks the CI `bench` job
+// and the bench entry run on emitted artifacts, over the crate's own
 // dependency-free parser ([`crate::json`]).
 // ---------------------------------------------------------------------------
 

@@ -152,6 +152,17 @@ struct Shard {
     served: AtomicUsize,
     rejected: AtomicUsize,
     batches: AtomicUsize,
+    fired: Fired,
+}
+
+/// Why [`Shard::next_batch`] closed each batch it handed out. Statistics
+/// only — they publish no other data, hence `Relaxed`.
+#[derive(Default)]
+struct Fired {
+    full: AtomicUsize,
+    quiet: AtomicUsize,
+    deadline: AtomicUsize,
+    closed: AtomicUsize,
 }
 
 /// Counters for one model's shard.
@@ -165,6 +176,16 @@ pub struct ShardStats {
     pub batches: usize,
     /// Requests currently admitted but not yet picked up.
     pub queued: usize,
+    /// Batches closed because they were full: `max_batch` rows reached, the
+    /// next queued request would not fit, or the policy is `Single`.
+    pub fired_full: usize,
+    /// Batches closed early: a grace window expired quietly while the
+    /// batch covered every outstanding row.
+    pub fired_quiet: usize,
+    /// Batches closed because the oldest request's `max_delay` ran out.
+    pub fired_deadline: usize,
+    /// Batches closed because the shard stopped admitting.
+    pub fired_closed: usize,
 }
 
 impl Shard {
@@ -185,13 +206,17 @@ impl Shard {
     }
 
     /// Pop the next deadline-bounded batch, blocking while the queue is
-    /// empty and open. `None` once the shard is closed and drained.
+    /// empty and open, and count why it was closed. `None` once the shard
+    /// is closed and drained.
     fn next_batch(&self) -> Option<Vec<Pending>> {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(first) = st.queue.pop_front() {
                 let (max_rows, deadline) = match self.policy {
-                    BatchPolicy::Single => return Some(vec![first]),
+                    BatchPolicy::Single => {
+                        self.fired.full.fetch_add(1, Ordering::Relaxed);
+                        return Some(vec![first]);
+                    }
                     BatchPolicy::Dynamic {
                         max_batch,
                         max_delay,
@@ -210,7 +235,7 @@ impl Shard {
                 let mut rows = first.rows;
                 let mut batch = vec![first];
                 let mut grace_expired = false;
-                loop {
+                let reason = loop {
                     while rows < max_rows {
                         let fits = st.queue.front().is_some_and(|p| rows + p.rows <= max_rows);
                         if !fits {
@@ -223,16 +248,19 @@ impl Shard {
                     // Close the batch when it is full, when the next
                     // request would not fit, or when the shard is closed
                     // (serve what we have, don't wait for company).
-                    if rows >= max_rows || !st.queue.is_empty() || !st.open {
-                        break;
+                    if rows >= max_rows || !st.queue.is_empty() {
+                        break &self.fired.full;
+                    }
+                    if !st.open {
+                        break &self.fired.closed;
                     }
                     let covers_all = rows >= st.outstanding;
                     if covers_all && grace_expired {
-                        break;
+                        break &self.fired.quiet;
                     }
                     let now = Instant::now();
                     if now >= deadline {
-                        break;
+                        break &self.fired.deadline;
                     }
                     let wait = if covers_all {
                         grace.min(deadline - now)
@@ -250,7 +278,8 @@ impl Shard {
                     if covers_all && timeout.timed_out() {
                         grace_expired = true;
                     }
-                }
+                };
+                reason.fetch_add(1, Ordering::Relaxed);
                 return Some(batch);
             }
             if !st.open {
@@ -509,6 +538,7 @@ impl ServerBuilder {
                 served: AtomicUsize::new(0),
                 rejected: AtomicUsize::new(0),
                 batches: AtomicUsize::new(0),
+                fired: Fired::default(),
             });
             for w in 0..config.workers {
                 let engine = Engine::builder(config.network.clone_structure())
@@ -652,6 +682,10 @@ impl Server {
             served: s.served.load(Ordering::Relaxed),
             rejected: s.rejected.load(Ordering::Relaxed),
             batches: s.batches.load(Ordering::Relaxed),
+            fired_full: s.fired.full.load(Ordering::Relaxed),
+            fired_quiet: s.fired.quiet.load(Ordering::Relaxed),
+            fired_deadline: s.fired.deadline.load(Ordering::Relaxed),
+            fired_closed: s.fired.closed.load(Ordering::Relaxed),
             queued: s
                 .state
                 .lock()

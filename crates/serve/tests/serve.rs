@@ -108,6 +108,13 @@ fn closed_loop_request_fires_before_the_coalescing_deadline() {
         );
         assert_eq!(reply.timing.batch_rows, 1);
     }
+    // Each of the three batches covered the lone outstanding row and was
+    // closed by a quiet grace window — and the counters say so.
+    let stats = server.stats("mlp").unwrap();
+    assert_eq!(
+        (stats.batches, stats.fired_quiet, stats.fired_deadline),
+        (3, 3, 0)
+    );
     server.shutdown();
 }
 
@@ -255,6 +262,9 @@ fn concurrent_clients_against_a_multi_worker_shard_all_get_their_rows() {
     });
     let stats = server.stats("mlp").unwrap();
     assert_eq!((stats.served, stats.queued), (n, 0));
+    // Every batch handed to a worker was closed for exactly one reason.
+    let fired = stats.fired_full + stats.fired_quiet + stats.fired_deadline + stats.fired_closed;
+    assert_eq!(fired, stats.batches);
     server.shutdown();
 }
 

@@ -5,7 +5,7 @@
 //! recycles its allocations.
 //!
 //! ```text
-//! cargo run --release --example wavefront_executor
+//! cargo run --release --example executor_selection
 //! ```
 
 use deep500::prelude::*;
