@@ -23,7 +23,7 @@
 //!
 //! Run with: `cargo run --release -p deep500-bench -- ablations`
 
-use crate::rows::{claim, field, num, text, unless, Verdict};
+use crate::rows::{claims, field, num, text, unless, Verdict};
 use crate::{scale, Report, Scale};
 use deep500::data::sampler::{BufferShuffleSampler, DatasetSampler};
 use deep500::dist::runner::{DistributedRunner, Variant};
@@ -38,73 +38,81 @@ pub fn ring_advantage_grows(rows: &[Json]) -> Verdict {
         .iter()
         .map(|r| num(r, "flat_s") / num(r, "ring_s"))
         .collect();
-    (
+    Verdict::new(
+        "ring_advantage_grows",
         advantage.windows(2).all(|w| w[1] > w[0]) && advantage.last().is_some_and(|a| *a > 1.0),
-        format!(
-            "flat/ring communication time {advantage:.1?} over {:?} nodes: rising, > 1 at the largest",
-            rows.iter().map(|r| num(r, "nodes")).collect::<Vec<_>>()
-        ),
+        format!("flat/ring communication time {advantage:.1?} by node count: rising, > 1 at the largest"),
     )
 }
 
 pub fn displacement_grows_with_the_buffer(rows: &[Json]) -> Verdict {
     let share: Vec<f64> = rows.iter().map(|r| num(r, "of_true_shuffle")).collect();
     let (first, last) = (share[0], *share.last().expect("rows"));
-    (
+    Verdict::new(
+        "displacement_grows_with_the_buffer",
         share.windows(2).all(|w| w[1] >= w[0]) && first == 0.0 && last >= 0.8,
         format!(
-            "mean displacement as a share of a true shuffle's {share:.2?} at buffers {:?}: \
-             non-decreasing, 0 with no buffer, >= 0.8 once the buffer spans the dataset",
-            rows.iter().map(|r| num(r, "buffer")).collect::<Vec<_>>()
+            "mean displacement as a share of a true shuffle's {share:.2?} by buffer size: never \
+             falling, 0 with no buffer, >= 0.8 once the buffer spans the dataset"
         ),
     )
 }
 
-fn run_label(row: &Json) -> String {
-    format!(
-        "{} at {:.0}%",
-        text(row, "scheme"),
-        num(row, "drop_rate") * 100.0
+/// A rule over the drop-sweep runs: contradicted by each run `breaks` it.
+fn every_run(name: &'static str, claim: &str, rows: &[Json], breaks: fn(&Json) -> bool) -> Verdict {
+    let label = |r: &Json| {
+        format!(
+            "{} at {:.0}%",
+            text(r, "scheme"),
+            num(r, "drop_rate") * 100.0
+        )
+    };
+    unless(
+        name,
+        claim,
+        rows.iter().filter(|r| breaks(r)).map(label).collect(),
     )
 }
 
+fn incomplete(run: &Json) -> bool {
+    num(run, "completed") != num(run, "ranks")
+}
+
 pub fn zero_drop_plans_inject_nothing(rows: &[Json]) -> Verdict {
-    let clean = rows.iter().filter(|r| num(r, "drop_rate") == 0.0);
-    let dirty = clean.filter(|r| {
-        num(r, "drops") + num(r, "retries") > 0.0 || num(r, "completed") != num(r, "ranks")
-    });
-    unless(
+    every_run(
+        "zero_drop_plans_inject_nothing",
         "a 0% plan drops and retries nothing and every rank completes",
-        dirty.map(run_label).collect(),
+        rows,
+        |r| {
+            num(r, "drop_rate") == 0.0
+                && (num(r, "drops") + num(r, "retries") > 0.0 || incomplete(r))
+        },
     )
 }
 
 pub fn retries_absorb_moderate_drops(rows: &[Json]) -> Verdict {
-    let moderate = rows.iter().filter(|r| num(r, "drop_rate") <= 0.10);
-    let lost =
-        moderate.filter(|r| num(r, "completed") != num(r, "ranks") || num(r, "steps_lost") > 0.0);
-    unless(
+    every_run(
+        "retries_absorb_moderate_drops",
         "up to 10% drops every scheme completes on every rank with no step lost (3 retries)",
-        lost.map(run_label).collect(),
+        rows,
+        |r| num(r, "drop_rate") <= 0.10 && (incomplete(r) || num(r, "steps_lost") > 0.0),
     )
 }
 
 pub fn runs_finish_or_abort_together(rows: &[Json]) -> Verdict {
-    let partial = rows.iter().filter(|r| {
-        let done = num(r, "completed");
-        done != 0.0 && done != num(r, "ranks")
-    });
-    unless(
-        "a run either completes on all ranks or aborts on all (an exhausted retry budget \
-         strands nobody)",
-        partial.map(run_label).collect(),
+    every_run(
+        "runs_finish_or_abort_together",
+        "a run completes on all ranks or aborts on all (an exhausted retry budget strands nobody)",
+        rows,
+        |r| incomplete(r) && num(r, "completed") != 0.0,
     )
 }
 
 pub fn crash_survivors_stay_consistent(row: &Json) -> Verdict {
     let (ranks, done) = (num(row, "ranks"), num(row, "completed"));
     let consistent = field(row, "survivors_consistent").as_bool() == Some(true);
-    (
+    Verdict::new(
+        "crash_survivors_stay_consistent",
         done == ranks - 1.0 && consistent,
         format!(
             "{done} of {ranks} ranks finish after one crash; survivors consistent: {consistent}"
@@ -126,12 +134,12 @@ pub fn drops_slow_every_scheme_and_only_the_ps_aborts(rows: &[Json]) -> Verdict 
             ));
         }
         let aborted = alive.len() < points.len();
-        let expect_abort = text(row, "scheme") == "REF-pssgd" && num(row, "nodes") == 64.0;
-        if aborted != expect_abort {
+        if aborted != (text(row, "scheme") == "REF-pssgd" && num(row, "nodes") == 64.0) {
             against.push(format!("{label}: aborted = {aborted}"));
         }
     }
     unless(
+        "drops_slow_every_scheme_and_only_the_ps_aborts",
         "throughput falls with the drop rate on every row, and only the synchronous PS at 64 \
          nodes exhausts its retry budget",
         against,
@@ -300,41 +308,16 @@ pub fn run(report: &mut Report) {
     let shuffle = shuffle_buffer_rows();
     let (faults, crash) = fault_rows();
     let analytic = analytic_fault_rows();
-    claim(
-        report,
-        "ring_advantage_grows",
+    let verdicts = [
         ring_advantage_grows(&allreduce),
-    );
-    claim(
-        report,
-        "displacement_grows_with_the_buffer",
         displacement_grows_with_the_buffer(&shuffle),
-    );
-    claim(
-        report,
-        "zero_drop_plans_inject_nothing",
         zero_drop_plans_inject_nothing(&faults),
-    );
-    claim(
-        report,
-        "retries_absorb_moderate_drops",
         retries_absorb_moderate_drops(&faults),
-    );
-    claim(
-        report,
-        "runs_finish_or_abort_together",
         runs_finish_or_abort_together(&faults),
-    );
-    claim(
-        report,
-        "crash_survivors_stay_consistent",
         crash_survivors_stay_consistent(&crash),
-    );
-    claim(
-        report,
-        "drops_slow_every_scheme_and_only_the_ps_aborts",
         drops_slow_every_scheme_and_only_the_ps_aborts(&analytic),
-    );
+    ];
+    claims(report, verdicts);
     report
         .rows("allreduce", allreduce)
         .rows("shuffle_buffer", shuffle)
@@ -359,9 +342,9 @@ mod tests {
             };
             [4usize, 16, 64].into_iter().zip(flat).map(row).collect()
         };
-        assert!(ring_advantage_grows(&allreduce([0.08, 0.33, 1.31])).0);
-        assert!(!ring_advantage_grows(&allreduce([0.08, 0.33, 0.30])).0);
-        assert!(!ring_advantage_grows(&allreduce([0.001, 0.002, 0.003])).0);
+        assert!(ring_advantage_grows(&allreduce([0.08, 0.33, 1.31])).ok);
+        assert!(!ring_advantage_grows(&allreduce([0.08, 0.33, 0.30])).ok);
+        assert!(!ring_advantage_grows(&allreduce([0.001, 0.002, 0.003])).ok);
 
         let shuffle = |share: [f64; 3]| -> Vec<Json> {
             let row = |(buffer, share): (usize, f64)| {
@@ -372,9 +355,9 @@ mod tests {
             };
             [1usize, 128, 512].into_iter().zip(share).map(row).collect()
         };
-        assert!(displacement_grows_with_the_buffer(&shuffle([0.0, 0.49, 0.98])).0);
-        assert!(!displacement_grows_with_the_buffer(&shuffle([0.0, 0.49, 0.40])).0);
-        assert!(!displacement_grows_with_the_buffer(&shuffle([0.2, 0.49, 0.98])).0);
+        assert!(displacement_grows_with_the_buffer(&shuffle([0.0, 0.49, 0.98])).ok);
+        assert!(!displacement_grows_with_the_buffer(&shuffle([0.0, 0.49, 0.40])).ok);
+        assert!(!displacement_grows_with_the_buffer(&shuffle([0.2, 0.49, 0.98])).ok);
     }
 
     fn fault(scheme: &str, drop_rate: f64, completed: usize, drops: usize, lost: usize) -> Json {
@@ -396,15 +379,15 @@ mod tests {
             fault("CDSGD", 0.10, 4, 133, 0),
             fault("CDSGD", 0.20, 0, 158, 0),
         ];
-        assert!(zero_drop_plans_inject_nothing(&sound).0);
-        assert!(retries_absorb_moderate_drops(&sound).0);
-        assert!(runs_finish_or_abort_together(&sound).0);
+        assert!(zero_drop_plans_inject_nothing(&sound).ok);
+        assert!(retries_absorb_moderate_drops(&sound).ok);
+        assert!(runs_finish_or_abort_together(&sound).ok);
 
-        assert!(!zero_drop_plans_inject_nothing(&[fault("CDSGD", 0.0, 4, 3, 0)]).0);
-        assert!(!retries_absorb_moderate_drops(&[fault("PSSGD", 0.05, 4, 20, 1)]).0);
-        assert!(!retries_absorb_moderate_drops(&[fault("PSSGD", 0.05, 0, 20, 0)]).0);
-        let (ok, detail) = runs_finish_or_abort_together(&[fault("Horovod", 0.20, 3, 76, 0)]);
-        assert!(!ok && detail.contains("Horovod at 20%"), "{detail}");
+        assert!(!zero_drop_plans_inject_nothing(&[fault("CDSGD", 0.0, 4, 3, 0)]).ok);
+        assert!(!retries_absorb_moderate_drops(&[fault("PSSGD", 0.05, 4, 20, 1)]).ok);
+        assert!(!retries_absorb_moderate_drops(&[fault("PSSGD", 0.05, 0, 20, 0)]).ok);
+        let v = runs_finish_or_abort_together(&[fault("Horovod", 0.20, 3, 76, 0)]);
+        assert!(!v.ok && v.detail.contains("Horovod at 20%"), "{}", v.detail);
 
         let crash = |completed: usize, consistent: bool| {
             Json::obj([
@@ -413,9 +396,9 @@ mod tests {
                 ("survivors_consistent", Json::from(consistent)),
             ])
         };
-        assert!(crash_survivors_stay_consistent(&crash(3, true)).0);
-        assert!(!crash_survivors_stay_consistent(&crash(3, false)).0);
-        assert!(!crash_survivors_stay_consistent(&crash(2, true)).0);
+        assert!(crash_survivors_stay_consistent(&crash(3, true)).ok);
+        assert!(!crash_survivors_stay_consistent(&crash(3, false)).ok);
+        assert!(!crash_survivors_stay_consistent(&crash(2, true)).ok);
     }
 
     #[test]
@@ -430,13 +413,13 @@ mod tests {
         };
         let ring = row("CDSGD", 64, [Some(14353.0), Some(14326.0), Some(14227.0)]);
         let ps = row("REF-pssgd", 64, [Some(4100.0), Some(3949.0), None]);
-        assert!(drops_slow_every_scheme_and_only_the_ps_aborts(&[ring.clone(), ps.clone()]).0);
+        assert!(drops_slow_every_scheme_and_only_the_ps_aborts(&[ring.clone(), ps.clone()]).ok);
         // Drops that cost nothing, a ring that aborts, a PS that does not.
         let free = row("CDSGD", 8, [Some(1802.0), Some(1802.0), Some(1788.0)]);
-        assert!(!drops_slow_every_scheme_and_only_the_ps_aborts(&[free]).0);
+        assert!(!drops_slow_every_scheme_and_only_the_ps_aborts(&[free]).ok);
         let ring_aborts = row("CDSGD", 64, [Some(14353.0), Some(14326.0), None]);
-        assert!(!drops_slow_every_scheme_and_only_the_ps_aborts(&[ring_aborts]).0);
+        assert!(!drops_slow_every_scheme_and_only_the_ps_aborts(&[ring_aborts]).ok);
         let ps_survives = row("REF-pssgd", 64, [Some(4100.0), Some(3949.0), Some(3000.0)]);
-        assert!(!drops_slow_every_scheme_and_only_the_ps_aborts(&[ps_survives]).0);
+        assert!(!drops_slow_every_scheme_and_only_the_ps_aborts(&[ps_survives]).ok);
     }
 }

@@ -126,7 +126,7 @@ fn cutover_rows(rng: &mut Xoshiro256StarStar) -> Vec<Json> {
             ("fin", Json::from(fin)),
             ("fout", Json::from(fout)),
             ("gflops", rate(2.0 * (n * fin * fout) as f64, &t)),
-            ("per_row", t.per(n).json()),
+            ("per_row", t.times(1.0 / n as f64).json()),
         ]));
     }
     rows

@@ -20,8 +20,8 @@
 //!   convolutions, so only "reference measurably cheaper" contradicts.
 
 use super::Trainee;
-use crate::rows::{claim, num, select, text, unless, Timing, Verdict};
-use crate::{reruns, scale, time_rounds, Report, Scale, Subject};
+use crate::rows::{claims, no_slower, num, select, text, Timing, Verdict};
+use crate::{reruns, scale, Report, Scale};
 use deep500::frameworks::fused_optim::FusedAdam;
 use deep500::metrics::Json;
 use deep500::prelude::*;
@@ -33,52 +33,52 @@ pub fn frameworks_reach_comparable_accuracy(rows: &[Json]) -> Verdict {
     let accuracies: Vec<f64> = rows.iter().map(|r| num(r, "final_accuracy")).collect();
     let spread = accuracies.iter().fold(f64::NEG_INFINITY, |m, a| m.max(*a))
         - accuracies.iter().fold(f64::INFINITY, |m, a| m.min(*a));
-    (
+    Verdict::new(
+        "frameworks_reach_comparable_accuracy",
         spread <= ACCURACY_BAND,
         format!("final test accuracies {accuracies:?}: spread {spread:.3} <= {ACCURACY_BAND}"),
     )
 }
 
+/// `(label, a's epoch, b's epoch)` for every row pair picked by `pairs_of`.
+fn epoch_pair(a: &Json, b: &Json) -> (String, Timing, Timing) {
+    let label = format!(
+        "{} vs {}",
+        text(a, "configuration"),
+        text(b, "configuration")
+    );
+    (label, Timing::read(a, "epoch"), Timing::read(b, "epoch"))
+}
+
 pub fn tensorflow_executor_slowest(rows: &[Json]) -> Verdict {
-    let mut against = Vec::new();
-    for tf in select(rows, "executor", "tensorflow") {
-        for cf2 in select(rows, "executor", "caffe2") {
-            let (slow, fast) = (Timing::read(tf, "epoch"), Timing::read(cf2, "epoch"));
-            if fast.above(&slow) {
-                against.push(format!(
-                    "{} {:.1} ms/epoch above {} {:.1}",
-                    text(cf2, "configuration"),
-                    fast.ms,
-                    text(tf, "configuration"),
-                    slow.ms
-                ));
-            }
-        }
-    }
-    unless("no Caffe2-like epoch CI sits above a TF-like one", against)
+    let pairs = select(rows, "executor", "caffe2")
+        .flat_map(|cf2| select(rows, "executor", "tensorflow").map(move |tf| epoch_pair(cf2, tf)));
+    no_slower(
+        "tensorflow_executor_slowest",
+        "no Caffe2-like epoch CI sits above a TF-like one",
+        pairs,
+    )
 }
 
 pub fn reference_costs_no_less_than_native(rows: &[Json]) -> Verdict {
-    let mut against = Vec::new();
-    let mut factors = Vec::new();
-    for reference in select(rows, "optimizer", "reference") {
-        let executor = text(reference, "executor");
-        let native = select(rows, "executor", executor).find(|r| text(r, "optimizer") == "native");
-        let native = Timing::read(native.expect("a native row per executor"), "epoch");
-        let own = Timing::read(reference, "epoch");
-        factors.push(format!("{executor} {:.2}x", own.ms / native.ms));
-        if native.above(&own) {
-            against.push(format!(
-                "{executor}: reference {:.1} below native {:.1} ms/epoch",
-                own.ms, native.ms
-            ));
-        }
-    }
-    let (ok, detail) = unless(
+    let pairs: Vec<(String, Timing, Timing)> = select(rows, "optimizer", "reference")
+        .map(|reference| {
+            let executor = text(reference, "executor");
+            let native =
+                select(rows, "executor", executor).find(|r| text(r, "optimizer") == "native");
+            epoch_pair(native.expect("a native row per executor"), reference)
+        })
+        .collect();
+    let factors: Vec<String> = pairs
+        .iter()
+        .map(|(_, n, r)| format!("{:.2}x", r.ms / n.ms))
+        .collect();
+    no_slower(
+        "reference_costs_no_less_than_native",
         "no native epoch CI sits above its executor's reference run",
-        against,
-    );
-    (ok, format!("{detail}; reference/native {factors:?}"))
+        pairs,
+    )
+    .with(format!("reference/native {factors:?}"))
 }
 
 pub fn section(report: &mut Report) {
@@ -126,45 +126,28 @@ pub fn section(report: &mut Report) {
             Trainee::new(Box::new(executor), optimizer, task, 10)
         })
         .collect();
-    let mut subjects: Vec<Subject<1>> = trainees
-        .iter_mut()
-        .map(|trainee| Subject::spans(move || trainee.epoch()))
-        .collect();
-    let timed = time_rounds(1, reruns(), &mut subjects);
-    drop(subjects);
+    let timed = Trainee::train(&mut trainees, reruns());
     let rows: Vec<Json> = configs
         .iter()
         .zip(&trainees)
         .zip(&timed)
-        .map(|(((label, profile, optimizer, fused), trainee), [t])| {
+        .map(|(((label, profile, optimizer, fused), trainee), epoch)| {
             Json::obj([
                 ("configuration", Json::from(*label)),
                 ("executor", Json::from(profile.name)),
                 ("optimizer", Json::from(*optimizer)),
                 ("fused", Json::from(*fused)),
-                ("epoch", Timing::of(t).json()),
-                (
-                    "final_accuracy",
-                    Json::fixed(*trainee.accuracy.last().expect("epochs ran"), 4),
-                ),
+                ("epoch", epoch.json()),
+                ("final_accuracy", Json::fixed(trainee.final_accuracy(), 4)),
             ])
         })
         .collect();
-    claim(
-        report,
-        "frameworks_reach_comparable_accuracy",
+    let verdicts = [
         frameworks_reach_comparable_accuracy(&rows),
-    );
-    claim(
-        report,
-        "tensorflow_executor_slowest",
         tensorflow_executor_slowest(&rows),
-    );
-    claim(
-        report,
-        "reference_costs_no_less_than_native",
         reference_costs_no_less_than_native(&rows),
-    );
+    ];
+    claims(report, verdicts);
     report.rows("fig10_frameworks", rows);
 }
 
@@ -200,9 +183,9 @@ mod tests {
             ((72.0, 80.0), 0.89),
             ((46.0, 52.0), 0.89),
         ]);
-        assert!(frameworks_reach_comparable_accuracy(&rows).0);
-        assert!(tensorflow_executor_slowest(&rows).0);
-        assert!(reference_costs_no_less_than_native(&rows).0);
+        assert!(frameworks_reach_comparable_accuracy(&rows).ok);
+        assert!(tensorflow_executor_slowest(&rows).ok);
+        assert!(reference_costs_no_less_than_native(&rows).ok);
     }
 
     #[test]
@@ -215,15 +198,19 @@ mod tests {
         ];
         let mut cells = agreeing;
         cells[3].1 = 0.70; // one configuration falls out of the band
-        assert!(!frameworks_reach_comparable_accuracy(&rows(cells)).0);
+        assert!(!frameworks_reach_comparable_accuracy(&rows(cells)).ok);
 
         let mut cells = agreeing;
         cells[1].0 = (90.0, 95.0); // a Caffe2-like run slower than both TF runs
-        assert!(!tensorflow_executor_slowest(&rows(cells)).0);
+        assert!(!tensorflow_executor_slowest(&rows(cells)).ok);
 
         let mut cells = agreeing;
         cells[3].0 = (30.0, 40.0); // the reference Adam cheaper than the fused one
-        let (ok, detail) = reference_costs_no_less_than_native(&rows(cells));
-        assert!(!ok && detail.contains("caffe2: reference"), "{detail}");
+        let v = reference_costs_no_less_than_native(&rows(cells));
+        assert!(
+            !v.ok && v.detail.contains("Adam CF2 Deep500"),
+            "{}",
+            v.detail
+        );
     }
 }

@@ -17,7 +17,7 @@
 //! * `divergence_grows_with_training`;
 //! * `weights_diverge_faster_than_biases`.
 
-use crate::rows::{claim, num, Verdict};
+use crate::rows::{claims, num, Verdict};
 use crate::{scale, Report, Scale};
 use deep500::frameworks::fused_optim::FusedAdam;
 use deep500::metrics::Json;
@@ -34,7 +34,8 @@ fn ends(rows: &[Json]) -> (&Json, &Json) {
 
 pub fn one_step_is_faithful(rows: &[Json]) -> Verdict {
     let first = num(ends(rows).0, "total_l2");
-    (
+    Verdict::new(
+        "one_step_is_faithful",
         first <= ONE_STEP_L2,
         format!("total l2 after one step {first:.2e} <= {ONE_STEP_L2:.0e}"),
     )
@@ -43,7 +44,8 @@ pub fn one_step_is_faithful(rows: &[Json]) -> Verdict {
 pub fn divergence_grows_with_training(rows: &[Json]) -> Verdict {
     let (first, last) = ends(rows);
     let (start, end) = (num(first, "total_l2"), num(last, "total_l2"));
-    (
+    Verdict::new(
+        "divergence_grows_with_training",
         end > start,
         format!(
             "total l2 {start:.2e} at iteration {} -> {end:.2e} at {} ({:.0}x)",
@@ -57,7 +59,8 @@ pub fn divergence_grows_with_training(rows: &[Json]) -> Verdict {
 pub fn weights_diverge_faster_than_biases(rows: &[Json]) -> Verdict {
     let last = ends(rows).1;
     let (weights, biases) = (num(last, "weights_l2"), num(last, "biases_l2"));
-    (
+    Verdict::new(
+        "weights_diverge_faster_than_biases",
         weights > biases,
         format!("at the last iteration: weight matrices {weights:.2e} > bias vectors {biases:.2e}"),
     )
@@ -119,17 +122,12 @@ pub fn section(report: &mut Report) {
             ])
         })
         .collect();
-    claim(report, "one_step_is_faithful", one_step_is_faithful(&rows));
-    claim(
-        report,
-        "divergence_grows_with_training",
+    let verdicts = [
+        one_step_is_faithful(&rows),
         divergence_grows_with_training(&rows),
-    );
-    claim(
-        report,
-        "weights_diverge_faster_than_biases",
         weights_diverge_faster_than_biases(&rows),
-    );
+    ];
+    claims(report, verdicts);
     report.rows("fig11_divergence", rows);
 }
 
@@ -152,15 +150,15 @@ mod tests {
             row(0, 2.1e-3, 2.1e-3, 4.7e-6),
             row(149, 6.5e-2, 6.3e-2, 2.0e-3),
         ];
-        assert!(one_step_is_faithful(&agreeing).0);
-        assert!(divergence_grows_with_training(&agreeing).0);
-        assert!(weights_diverge_faster_than_biases(&agreeing).0);
+        assert!(one_step_is_faithful(&agreeing).ok);
+        assert!(divergence_grows_with_training(&agreeing).ok);
+        assert!(weights_diverge_faster_than_biases(&agreeing).ok);
 
         // An unfaithful first step, a trajectory that converges back, and
         // biases that drift further than the weight matrices.
         let contradicting = [row(0, 0.3, 0.2, 0.1), row(149, 0.1, 0.04, 0.06)];
-        assert!(!one_step_is_faithful(&contradicting).0);
-        assert!(!divergence_grows_with_training(&contradicting).0);
-        assert!(!weights_diverge_faster_than_biases(&contradicting).0);
+        assert!(!one_step_is_faithful(&contradicting).ok);
+        assert!(!divergence_grows_with_training(&contradicting).ok);
+        assert!(!weights_diverge_faster_than_biases(&contradicting).ok);
     }
 }

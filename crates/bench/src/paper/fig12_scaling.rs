@@ -23,7 +23,7 @@
 //! * TF-PS crashes and Horovod diverges at 256 nodes —
 //!   `tfps_crashes_and_horovod_diverges_at_256`.
 
-use crate::rows::{claim, field, num, text, Verdict};
+use crate::rows::{claims, field, num, text, unless, Verdict};
 use crate::{scale, Report, Scale};
 use deep500::dist::runner::{DistributedRunner, Variant};
 use deep500::dist::scaling::{strong_scaling, weak_scaling, ScalingPoint, Scheme, WorkloadModel};
@@ -43,32 +43,29 @@ const DECENTRALIZED: [&str; 6] = [
     "SparCML",
 ];
 
-/// `(nodes, column)` of `scheme` in `mode`, ascending in nodes; a failed
-/// point's throughput is `None`.
-fn series(rows: &[Json], mode: &str, scheme: &str, column: &str) -> Vec<(f64, Option<f64>)> {
+/// `column` of `scheme`'s `mode` rows, ascending in nodes; `None` where
+/// the point failed.
+fn series(rows: &[Json], mode: &str, scheme: &str, column: &str) -> Vec<Option<f64>> {
     let points = rows
         .iter()
         .filter(|r| text(r, "mode") == mode && text(r, "scheme") == scheme);
+    points.map(|r| field(r, column).as_f64()).collect()
+}
+
+/// The strong-scaling series of a scheme that ran at every node count.
+fn strong(rows: &[Json], scheme: &str, column: &str) -> Vec<f64> {
+    let points = series(rows, "strong", scheme, column).into_iter();
     points
-        .map(|r| (num(r, "nodes"), field(r, column).as_f64()))
+        .map(|v| v.unwrap_or_else(|| panic!("{scheme} failed in strong scaling")))
         .collect()
 }
 
-/// The series, every point of which ran.
-fn alive(rows: &[Json], mode: &str, scheme: &str, column: &str) -> Vec<(f64, f64)> {
-    let unwrap =
-        |(n, v): (f64, Option<f64>)| (n, v.unwrap_or_else(|| panic!("{scheme} failed at {n}")));
-    series(rows, mode, scheme, column)
-        .into_iter()
-        .map(unwrap)
-        .collect()
-}
-
-fn schemes(rows: &[Json], mode: &str) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
+/// The distinct values of `column` over the `mode` rows, in row order.
+fn distinct<'a>(rows: &'a [Json], mode: &str, column: &str) -> Vec<&'a Json> {
+    let mut out: Vec<&Json> = Vec::new();
     for row in rows.iter().filter(|r| text(r, "mode") == mode) {
-        if !out.iter().any(|s| s == text(row, "scheme")) {
-            out.push(text(row, "scheme").to_string());
+        if !out.contains(&field(row, column)) {
+            out.push(field(row, column));
         }
     }
     out
@@ -76,124 +73,99 @@ fn schemes(rows: &[Json], mode: &str) -> Vec<String> {
 
 pub fn cdsgd_far_ahead_of_ref_dsgd(rows: &[Json]) -> Verdict {
     let (fast, slow) = (
-        alive(rows, "strong", "CDSGD", "images_per_s"),
-        alive(rows, "strong", "REF-dsgd", "images_per_s"),
+        strong(rows, "CDSGD", "images_per_s"),
+        strong(rows, "REF-dsgd", "images_per_s"),
     );
-    let ratios: Vec<f64> = fast.iter().zip(&slow).map(|(f, s)| f.1 / s.1).collect();
-    let last = *ratios.last().expect("strong rows");
-    (
-        ratios.iter().all(|r| *r > 1.0) && last >= 2.0,
-        format!(
-            "CDSGD/REF-dsgd strong-scaling throughput {ratios:.2?} over {:?} nodes: > 1 \
-             everywhere and >= 2 at the largest",
-            fast.iter().map(|p| p.0).collect::<Vec<_>>()
-        ),
+    let ratios: Vec<f64> = fast.iter().zip(&slow).map(|(f, s)| f / s).collect();
+    Verdict::new(
+        "cdsgd_far_ahead_of_ref_dsgd",
+        ratios.iter().all(|r| *r > 1.0) && ratios.last().is_some_and(|r| *r >= 2.0),
+        format!("CDSGD/REF-dsgd strong-scaling throughput {ratios:.2?}: > 1 everywhere, >= 2 at the largest node count"),
     )
 }
 
 pub fn decentralized_beats_centralized_at_scale(rows: &[Json]) -> Verdict {
-    // Best centralized and worst decentralized throughput per node count.
-    let mut worst_decentralized: Vec<(f64, f64)> = Vec::new();
-    let mut best_centralized: Vec<(f64, f64)> = Vec::new();
-    for scheme in schemes(rows, "strong") {
-        let decentralized = DECENTRALIZED.contains(&scheme.as_str());
-        let (fold, acc): (fn(f64, f64) -> f64, _) = if decentralized {
-            (f64::min, &mut worst_decentralized)
-        } else {
-            (f64::max, &mut best_centralized)
-        };
-        for (i, (nodes, t)) in alive(rows, "strong", &scheme, "images_per_s")
-            .into_iter()
-            .enumerate()
-        {
-            match acc.get_mut(i) {
-                Some(point) => point.1 = fold(point.1, t),
-                None => acc.push((nodes, t)),
-            }
-        }
-    }
-    let margins: Vec<f64> = worst_decentralized
-        .iter()
-        .zip(&best_centralized)
-        .map(|(d, c)| d.1 / c.1)
+    let schemes = distinct(rows, "strong", "scheme")
+        .into_iter()
+        .filter_map(Json::as_str);
+    let (decentralized, centralized): (Vec<&str>, Vec<&str>) =
+        schemes.partition(|s| DECENTRALIZED.contains(s));
+    let at = |schemes: &[&str], i: usize, pick: fn(f64, f64) -> f64, from: f64| {
+        schemes
+            .iter()
+            .map(|s| strong(rows, s, "images_per_s")[i])
+            .fold(from, pick)
+    };
+    let node_counts = distinct(rows, "strong", "nodes").len();
+    let margins: Vec<f64> = (0..node_counts)
+        .map(|i| {
+            at(&decentralized, i, f64::min, f64::INFINITY) / at(&centralized, i, f64::max, 0.0)
+        })
         .collect();
-    let (first, last) = (margins[0], *margins.last().expect("strong rows"));
-    (
+    let (first, last) = (margins[0], margins[node_counts - 1]);
+    Verdict::new(
+        "decentralized_beats_centralized_at_scale",
         last > 1.0 && last > first,
-        format!(
-            "slowest decentralized / fastest centralized scheme {margins:.2?} over {:?} nodes: \
-             > 1 at the largest and growing",
-            best_centralized.iter().map(|p| p.0).collect::<Vec<_>>()
-        ),
+        format!("slowest decentralized / fastest centralized scheme {margins:.2?} by node count: > 1 at the largest and growing"),
     )
 }
 
 pub fn asgd_degrades_with_nodes(rows: &[Json]) -> Verdict {
-    let throughput = alive(rows, "strong", "REF-asgd", "images_per_s");
-    let volume = alive(rows, "strong", "REF-asgd", "sent_mb_per_step");
-    let peak = throughput.iter().map(|p| p.1).fold(0.0, f64::max);
-    let last = throughput.last().expect("strong rows").1;
-    let volume_grows = volume.windows(2).all(|w| w[1].1 >= w[0].1);
-    (
-        last < peak && volume_grows,
-        format!(
-            "REF-asgd throughput {:.0?} images/s (last below its peak) and volume {:.0?} MB/step \
-             (non-decreasing) over {:?} nodes",
-            throughput.iter().map(|p| p.1).collect::<Vec<_>>(),
-            volume.iter().map(|p| p.1).collect::<Vec<_>>(),
-            volume.iter().map(|p| p.0).collect::<Vec<_>>()
-        ),
+    let throughput = strong(rows, "REF-asgd", "images_per_s");
+    let volume = strong(rows, "REF-asgd", "sent_mb_per_step");
+    let peak = throughput.iter().fold(0.0f64, |m, t| m.max(*t));
+    Verdict::new(
+        "asgd_degrades_with_nodes",
+        throughput.last().is_some_and(|t| *t < peak) && volume.windows(2).all(|w| w[1] >= w[0]),
+        format!("REF-asgd throughput {throughput:.0?} images/s ends below its peak; volume {volume:.0?} MB/step never falls"),
     )
 }
 
 pub fn dpsgd_volume_constant(rows: &[Json]) -> Verdict {
-    let volume: Vec<f64> = alive(rows, "strong", "REF-dpsgd", "sent_mb_per_step")
-        .iter()
-        .map(|p| p.1)
-        .collect();
-    (
+    let volume = strong(rows, "REF-dpsgd", "sent_mb_per_step");
+    Verdict::new(
+        "dpsgd_volume_constant",
         volume.windows(2).all(|w| w[0] == w[1]),
         format!("REF-dpsgd sends {volume:?} MB per node per step across node counts"),
     )
 }
 
 pub fn sparcml_densifies_with_nodes(rows: &[Json]) -> Verdict {
-    let sparse = alive(rows, "strong", "SparCML", "sent_mb_per_step");
-    let dense = alive(rows, "strong", "CDSGD", "sent_mb_per_step");
-    let share: Vec<f64> = sparse.iter().zip(&dense).map(|(s, d)| s.1 / d.1).collect();
-    (
+    let (sparse, dense) = (
+        strong(rows, "SparCML", "sent_mb_per_step"),
+        strong(rows, "CDSGD", "sent_mb_per_step"),
+    );
+    let share: Vec<f64> = sparse.iter().zip(&dense).map(|(s, d)| s / d).collect();
+    Verdict::new(
+        "sparcml_densifies_with_nodes",
         share[0] < 1.0 && share.windows(2).all(|w| w[1] >= w[0]) && share.last() > share.first(),
-        format!(
-            "SparCML / dense allreduce volume {share:.2?} over {:?} nodes: below 1 at the \
-             smallest, rising with nodes",
-            sparse.iter().map(|p| p.0).collect::<Vec<_>>()
-        ),
+        format!("SparCML / dense allreduce volume {share:.2?} by node count: below 1 at the smallest, rising"),
     )
 }
 
 pub fn tfps_crashes_and_horovod_diverges_at_256(rows: &[Json]) -> Verdict {
     let mut against = Vec::new();
-    let mut notes = Vec::new();
     for (scheme, symptom) in [("TF-PS", "crash"), ("Horovod", "exploding")] {
-        let row = |nodes: f64| {
-            let found = rows.iter().find(|r| {
-                text(r, "mode") == "weak" && text(r, "scheme") == scheme && num(r, "nodes") == nodes
-            });
-            found.unwrap_or_else(|| panic!("no weak row {scheme} at {nodes}"))
-        };
-        if field(row(64.0), "images_per_s").as_f64().is_none() {
-            against.push(format!("{scheme} already fails at 64 nodes"));
+        let points = rows
+            .iter()
+            .filter(|r| text(r, "mode") == "weak" && text(r, "scheme") == scheme);
+        for row in points {
+            let (nodes, failed) = (
+                num(row, "nodes"),
+                field(row, "images_per_s").as_f64().is_none(),
+            );
+            let note = field(row, "note").as_str().unwrap_or("none");
+            if failed != (nodes == 256.0) || (failed && !note.contains(symptom)) {
+                against.push(format!(
+                    "{scheme} at {nodes} nodes: failed = {failed}, note '{note}'"
+                ));
+            }
         }
-        let at_256 = row(256.0);
-        let note = field(at_256, "note").as_str().unwrap_or("none");
-        if field(at_256, "images_per_s").as_f64().is_some() || !note.contains(symptom) {
-            against.push(format!("{scheme} at 256 nodes: note '{note}'"));
-        }
-        notes.push(format!("{scheme}: {note}"));
     }
-    (
-        against.is_empty(),
-        format!("both run at 64 nodes and fail at 256 ({notes:?}); contradicted by: {against:?}"),
+    unless(
+        "tfps_crashes_and_horovod_diverges_at_256",
+        "TF-PS (crash) and Horovod (exploding loss) fail at 256 nodes and only there",
+        against,
     )
 }
 
@@ -280,36 +252,15 @@ pub fn section(report: &mut Report) {
         .chain(scaling_rows("weak", weak))
         .collect();
 
-    claim(
-        report,
-        "cdsgd_far_ahead_of_ref_dsgd",
+    let verdicts = [
         cdsgd_far_ahead_of_ref_dsgd(&rows),
-    );
-    claim(
-        report,
-        "decentralized_beats_centralized_at_scale",
         decentralized_beats_centralized_at_scale(&rows),
-    );
-    claim(
-        report,
-        "asgd_degrades_with_nodes",
         asgd_degrades_with_nodes(&rows),
-    );
-    claim(
-        report,
-        "dpsgd_volume_constant",
         dpsgd_volume_constant(&rows),
-    );
-    claim(
-        report,
-        "sparcml_densifies_with_nodes",
         sparcml_densifies_with_nodes(&rows),
-    );
-    claim(
-        report,
-        "tfps_crashes_and_horovod_diverges_at_256",
         tfps_crashes_and_horovod_diverges_at_256(&rows),
-    );
+    ];
+    claims(report, verdicts);
     report
         .rows("fig12_ground_truth", ground_truth)
         .rows("fig12_scaling", rows);
@@ -379,24 +330,24 @@ mod tests {
             dpsgd_volume_constant(&paper),
             sparcml_densifies_with_nodes(&paper),
         ] {
-            assert!(verdict.0, "{}", verdict.1);
+            assert!(verdict.ok, "{}", verdict.detail);
         }
         let edited = |scheme: &'static str, at: usize, point: (f64, f64)| {
             strong(move |s, n| (s == scheme && n == at).then_some(point))
         };
         // REF-dsgd keeps up with CDSGD at 64 nodes.
-        assert!(!cdsgd_far_ahead_of_ref_dsgd(&edited("REF-dsgd", 64, (9000.0, 201.6))).0);
+        assert!(!cdsgd_far_ahead_of_ref_dsgd(&edited("REF-dsgd", 64, (9000.0, 201.6))).ok);
         // The parameter-server scheme out-scales the slowest allreduce one.
         let ps_wins = edited("REF-asgd", 64, (5000.0, 6656.0));
-        assert!(!decentralized_beats_centralized_at_scale(&ps_wins).0);
+        assert!(!decentralized_beats_centralized_at_scale(&ps_wins).ok);
         // ASGD keeps scaling; its volume stops growing.
-        assert!(!asgd_degrades_with_nodes(&edited("REF-asgd", 64, (2500.0, 6656.0))).0);
-        assert!(!asgd_degrades_with_nodes(&edited("REF-asgd", 64, (1275.0, 500.0))).0);
+        assert!(!asgd_degrades_with_nodes(&edited("REF-asgd", 64, (2500.0, 6656.0))).ok);
+        assert!(!asgd_degrades_with_nodes(&edited("REF-asgd", 64, (1275.0, 500.0))).ok);
         // DPSGD's volume depends on the node count.
-        assert!(!dpsgd_volume_constant(&edited("REF-dpsgd", 64, (4530.0, 260.0))).0);
+        assert!(!dpsgd_volume_constant(&edited("REF-dpsgd", 64, (4530.0, 260.0))).ok);
         // SparCML is denser than the dense allreduce from the start, or thins out.
-        assert!(!sparcml_densifies_with_nodes(&edited("SparCML", 8, (1662.0, 190.0))).0);
-        assert!(!sparcml_densifies_with_nodes(&edited("SparCML", 64, (6204.0, 100.0))).0);
+        assert!(!sparcml_densifies_with_nodes(&edited("SparCML", 8, (1662.0, 190.0))).ok);
+        assert!(!sparcml_densifies_with_nodes(&edited("SparCML", 64, (6204.0, 100.0))).ok);
     }
 
     #[test]
@@ -410,9 +361,9 @@ mod tests {
                 ],
             )
         };
-        assert!(tfps_crashes_and_horovod_diverges_at_256(&weak(None, Some(14340.0))).0);
+        assert!(tfps_crashes_and_horovod_diverges_at_256(&weak(None, Some(14340.0))).ok);
         // TF-PS survives 256 nodes; Horovod is already gone at 64.
-        assert!(!tfps_crashes_and_horovod_diverges_at_256(&weak(Some(9000.0), Some(14340.0))).0);
-        assert!(!tfps_crashes_and_horovod_diverges_at_256(&weak(None, None)).0);
+        assert!(!tfps_crashes_and_horovod_diverges_at_256(&weak(Some(9000.0), Some(14340.0))).ok);
+        assert!(!tfps_crashes_and_horovod_diverges_at_256(&weak(None, None)).ok);
     }
 }

@@ -19,7 +19,7 @@
 //! `operators_within_paper_linf` holds the §V-B table to the paper's own
 //! figure (≈7e-4 between frameworks).
 
-use crate::rows::{claim, num, text, unless, Timing, Verdict};
+use crate::rows::{claims, no_slower, num, text, unless, Timing, Verdict};
 use crate::{reruns, scale, time_rounds, Report, Scale, Subject};
 use deep500::frameworks::native::{run_kernel_framework, NativeOpWrapper};
 use deep500::metrics::norms::linf_diff;
@@ -131,86 +131,65 @@ fn panel<O: Operator>(
         .collect()
 }
 
-/// The rows of each (op, problem) panel, labelled `op problem`.
-fn panels(rows: &[Json]) -> Vec<(String, Vec<&Json>)> {
-    let mut out: Vec<(String, Vec<&Json>)> = Vec::new();
-    for row in rows {
-        let label = format!("{} {}", text(row, "op"), text(row, "problem"));
-        match out.iter_mut().find(|(l, _)| *l == label) {
-            Some((_, members)) => members.push(row),
-            None => out.push((label, vec![row])),
-        }
-    }
-    out
-}
-
-/// `framework` is at one end of every panel: no other framework's native
-/// timing is measurably on the wrong side of it (`slowest` = above it,
-/// else below it).
-fn extreme(rows: &[Json], framework: &str, slowest: bool) -> Vec<String> {
-    let mut against = Vec::new();
-    for (label, members) in panels(rows) {
-        let own = select_one(&members, framework);
-        for other in members.iter().filter(|r| text(r, "framework") != framework) {
-            let t = Timing::read(other, "native");
-            let contradicts = if slowest {
-                t.above(&own)
-            } else {
-                own.above(&t)
-            };
-            if contradicts {
-                let who = text(other, "framework");
-                against.push(format!(
-                    "{label}: {framework} {:.3} ms vs {who} {:.3} ms",
-                    own.ms, t.ms
-                ));
-            }
-        }
-    }
-    against
-}
-
-fn select_one(members: &[&Json], framework: &str) -> Timing {
-    let row = members
+/// `(label, framework's native timing, every other framework's)` within
+/// each (op, problem) panel.
+fn against_others<'a>(
+    rows: &'a [Json],
+    framework: &'a str,
+) -> impl Iterator<Item = (String, Timing, Timing)> + 'a {
+    let panel = |r: &Json| (text(r, "op").to_string(), text(r, "problem").to_string());
+    let own = rows
         .iter()
-        .find(|r| text(r, "framework") == framework)
-        .unwrap_or_else(|| panic!("panel has no {framework} row"));
-    Timing::read(row, "native")
+        .filter(move |r| text(r, "framework") == framework);
+    own.flat_map(move |own| {
+        let others = rows
+            .iter()
+            .filter(move |r| panel(r) == panel(own) && !std::ptr::eq(*r, own));
+        others.map(move |other| {
+            let (op, problem) = panel(own);
+            let label = format!(
+                "{op} {problem}: {framework} vs {}",
+                text(other, "framework")
+            );
+            (
+                label,
+                Timing::read(own, "native"),
+                Timing::read(other, "native"),
+            )
+        })
+    })
 }
 
 pub fn deepbench_fastest(rows: &[Json]) -> Verdict {
-    unless(
-        "no framework's native CI sits below DeepBench's (the raw kernel call) on any panel",
-        extreme(rows, "deepbench", false),
+    no_slower(
+        "deepbench_fastest",
+        "DeepBench's (raw kernel call) CI is never above another framework's on a panel",
+        against_others(rows, "deepbench"),
     )
 }
 
 pub fn tensorflow_slowest(rows: &[Json]) -> Verdict {
-    unless(
-        "no framework's native CI sits above the TensorFlow-like profile's on any panel",
-        extreme(rows, "tensorflow", true),
+    no_slower(
+        "tensorflow_slowest",
+        "no framework's CI is above the TensorFlow-like profile's on a panel",
+        against_others(rows, "tensorflow").map(|(label, tf, other)| (label, other, tf)),
     )
 }
 
 pub fn wrapped_matches_native(rows: &[Json]) -> Verdict {
-    let slower = rows.iter().filter_map(|row| {
-        let (native, wrapped) = (Timing::read(row, "native"), Timing::read(row, "wrapped"));
-        wrapped.above(&native).then(|| {
-            format!(
-                "{} {} {}: wrapped [{:.3}, {:.3}] above native [{:.3}, {:.3}] ms",
-                text(row, "op"),
-                text(row, "problem"),
-                text(row, "framework"),
-                wrapped.lo,
-                wrapped.hi,
-                native.lo,
-                native.hi
-            )
-        })
+    let pairs = rows.iter().map(|r| {
+        let label = format!(
+            "{} {} {}",
+            text(r, "op"),
+            text(r, "problem"),
+            text(r, "framework")
+        );
+        (label, Timing::read(r, "wrapped"), Timing::read(r, "native"))
     });
-    unless(
-        "the Deep500-wrapped CI is never strictly above the native one",
-        slower.collect(),
+    no_slower(
+        "wrapped_matches_native",
+        "the Deep500-wrapped CI is never above the native one",
+        pairs,
     )
 }
 
@@ -218,10 +197,12 @@ pub fn wrapped_matches_native(rows: &[Json]) -> Verdict {
 /// must sit inside that against its scalar reference.
 pub fn operators_within_paper_linf(rows: &[Json]) -> Verdict {
     let over = rows.iter().filter(|r| num(r, "median_linf") > 7e-4);
-    let over: Vec<String> = over
-        .map(|r| format!("{} {:.1e}", text(r, "kernel"), num(r, "median_linf")))
-        .collect();
-    unless("median l-inf vs the reference kernel <= 7e-4 (paper)", over)
+    let over = over.map(|r| format!("{} {:.1e}", text(r, "kernel"), num(r, "median_linf")));
+    unless(
+        "operators_within_paper_linf",
+        "median l-inf vs the reference kernel <= 7e-4 (paper)",
+        over.collect(),
+    )
 }
 
 /// §V-B: each optimized tier against its scalar reference over the suite
@@ -322,18 +303,13 @@ pub fn section(report: &mut Report) {
     }
 
     let correctness = correctness_rows(&mut rng);
-    claim(report, "deepbench_fastest", deepbench_fastest(&rows));
-    claim(report, "tensorflow_slowest", tensorflow_slowest(&rows));
-    claim(
-        report,
-        "wrapped_matches_native",
+    let verdicts = [
+        deepbench_fastest(&rows),
+        tensorflow_slowest(&rows),
         wrapped_matches_native(&rows),
-    );
-    claim(
-        report,
-        "operators_within_paper_linf",
         operators_within_paper_linf(&correctness),
-    );
+    ];
+    claims(report, verdicts);
     report
         .rows("fig6_operators", rows)
         .rows("fig6_correctness", correctness);
@@ -367,9 +343,9 @@ mod tests {
             // Overlaps pytorch from above: not *measurably* slower.
             ("deepbench", (1.05, 1.15), (1.0, 1.2)),
         ]);
-        assert!(deepbench_fastest(&agreeing).0);
-        assert!(tensorflow_slowest(&agreeing).0);
-        assert!(wrapped_matches_native(&agreeing).0);
+        assert!(deepbench_fastest(&agreeing).ok);
+        assert!(tensorflow_slowest(&agreeing).ok);
+        assert!(wrapped_matches_native(&agreeing).ok);
 
         let contradicting = panel_rows(&[
             ("caffe2", (2.5, 2.6), (2.5, 2.6)),
@@ -377,12 +353,12 @@ mod tests {
             ("pytorch", (0.8, 0.9), (0.8, 0.9)),
             ("deepbench", (1.0, 1.1), (1.0, 1.1)),
         ]);
-        let (ok, detail) = deepbench_fastest(&contradicting);
-        assert!(!ok && detail.contains("pytorch"), "{detail}");
-        let (ok, detail) = tensorflow_slowest(&contradicting);
-        assert!(!ok && detail.contains("caffe2"), "{detail}");
-        let (ok, detail) = wrapped_matches_native(&contradicting);
-        assert!(!ok && detail.contains("tensorflow"), "{detail}");
+        let v = deepbench_fastest(&contradicting);
+        assert!(!v.ok && v.detail.contains("pytorch"), "{}", v.detail);
+        let v = tensorflow_slowest(&contradicting);
+        assert!(!v.ok && v.detail.contains("caffe2"), "{}", v.detail);
+        let v = wrapped_matches_native(&contradicting);
+        assert!(!v.ok && v.detail.contains("tensorflow"), "{}", v.detail);
     }
 
     #[test]
@@ -393,9 +369,9 @@ mod tests {
                 ("median_linf", Json::from(err)),
             ])
         };
-        assert!(operators_within_paper_linf(&[row("conv direct", 1.8e-6)]).0);
-        let (ok, detail) =
+        assert!(operators_within_paper_linf(&[row("conv direct", 1.8e-6)]).ok);
+        let v =
             operators_within_paper_linf(&[row("conv direct", 1.8e-6), row("gemm packed", 9e-4)]);
-        assert!(!ok && detail.contains("gemm packed"), "{detail}");
+        assert!(!v.ok && v.detail.contains("gemm packed"), "{}", v.detail);
     }
 }

@@ -17,7 +17,7 @@
 //! * the transformation picks micro-batch sizes `[rem, k, k, …]`, exactly
 //!   like the paper's ILP — `plans_are_remainder_then_equal_pieces`.
 
-use crate::rows::{claim, field, num, select, unless, Timing, Verdict};
+use crate::rows::{claims, field, no_slower, num, select, unless, Timing, Verdict};
 use crate::{reruns, scale, time_rounds, Report, Scale, Subject};
 use deep500::graph::transforms::microbatch::microbatch_convolutions;
 use deep500::metrics::Json;
@@ -54,15 +54,13 @@ fn runnable(
 }
 
 pub fn microbatching_removes_the_oom(rows: &[Json]) -> Verdict {
-    let pytorch: Vec<&Json> = select(rows, "framework", "pytorch").collect();
     let oom = |row: &&Json, key: &str| Timing::read_opt(row, key).is_none();
+    let pytorch: Vec<&Json> = select(rows, "framework", "pytorch").collect();
     let ran_out = pytorch.iter().filter(|r| oom(r, "native")).count();
-    let still_out: Vec<f64> = pytorch
-        .iter()
-        .filter(|r| oom(r, "microbatched"))
-        .map(|r| num(r, "batch"))
-        .collect();
-    (
+    let still_out = pytorch.iter().filter(|r| oom(r, "microbatched"));
+    let still_out: Vec<f64> = still_out.map(|r| num(r, "batch")).collect();
+    Verdict::new(
+        "microbatching_removes_the_oom",
         ran_out > 0 && still_out.is_empty(),
         format!(
             "PyTorch-like: {ran_out} of {} minibatches OOM untransformed (need >= 1), \
@@ -73,42 +71,40 @@ pub fn microbatching_removes_the_oom(rows: &[Json]) -> Verdict {
 }
 
 pub fn microbatching_slows_tensorflow(rows: &[Json]) -> Verdict {
-    let (mut ratios, mut against) = (Vec::new(), Vec::new());
-    for row in select(rows, "framework", "tensorflow") {
-        let batch = num(row, "batch");
-        let Some(native) = Timing::read_opt(row, "native") else {
-            against.push(format!(
-                "batch {batch}: the TF-like device ran out of memory"
-            ));
-            continue;
-        };
-        let transformed = !field(row, "plan")
-            .as_array()
-            .expect("plan is an array")
-            .is_empty();
-        match Timing::read_opt(row, "microbatched") {
-            // An untransformed row (the workspace already fits) runs the
-            // same graph twice: no evidence either way.
-            Some(micro) if transformed => {
-                ratios.push(format!("{:.2}x at {batch}", micro.ms / native.ms));
-                if native.above(&micro) {
-                    against.push(format!(
-                        "batch {batch}: micro-batched {:.2} ms measurably faster than native {:.2} ms",
-                        micro.ms, native.ms
-                    ));
-                }
-            }
-            _ => {}
-        }
-    }
-    let (ok, detail) = unless(
-        "TF-like survives untransformed and is never measurably faster micro-batched",
-        against,
+    let tensorflow: Vec<&Json> = select(rows, "framework", "tensorflow").collect();
+    let oom = tensorflow
+        .iter()
+        .any(|r| Timing::read_opt(r, "native").is_none());
+    // An untransformed row (the workspace already fits) runs the same
+    // graph twice: only transformed minibatches are evidence.
+    let transformed = tensorflow
+        .iter()
+        .filter(|r| field(r, "plan").as_array().is_some_and(|p| !p.is_empty()));
+    let pairs: Vec<(String, Timing, Timing)> = transformed
+        .filter_map(|r| {
+            let label = format!("batch {}, native vs micro-batched", num(r, "batch"));
+            Some((
+                label,
+                Timing::read_opt(r, "native")?,
+                Timing::read_opt(r, "microbatched")?,
+            ))
+        })
+        .collect();
+    let ratios: Vec<String> = pairs
+        .iter()
+        .map(|(_, n, m)| format!("{:.2}x", m.ms / n.ms))
+        .collect();
+    let verdict = no_slower(
+        "microbatching_slows_tensorflow",
+        "TF-like survives untransformed and its native CI is never above the micro-batched one",
+        pairs,
     );
-    (
-        ok && !ratios.is_empty(),
-        format!("{detail}; micro-batched/native (Split/Concat copies) {ratios:?}, need >= 1 transformed minibatch"),
-    )
+    Verdict {
+        ok: verdict.ok && !oom && !ratios.is_empty(),
+        ..verdict.with(format!(
+            "OOM untransformed: {oom}; micro-batched/native {ratios:?} (need >= 1)"
+        ))
+    }
 }
 
 pub fn plans_are_remainder_then_equal_pieces(rows: &[Json]) -> Verdict {
@@ -121,18 +117,17 @@ pub fn plans_are_remainder_then_equal_pieces(rows: &[Json]) -> Verdict {
         let k = pieces.first().copied().unwrap_or(*rem);
         sizes.iter().sum::<f64>() != num(row, "batch") || *rem > k || pieces.iter().any(|p| *p != k)
     });
-    let malformed: Vec<String> = malformed
-        .map(|row| {
-            format!(
-                "batch {}: {}",
-                num(row, "batch"),
-                field(row, "plan").render()
-            )
-        })
-        .collect();
+    let malformed = malformed.map(|row| {
+        format!(
+            "batch {}: {}",
+            num(row, "batch"),
+            field(row, "plan").render()
+        )
+    });
     unless(
+        "plans_are_remainder_then_equal_pieces",
         "every plan is [rem, k, k, ...] with rem <= k and sums to its minibatch",
-        malformed,
+        malformed.collect(),
     )
 }
 
@@ -196,21 +191,12 @@ pub fn section(report: &mut Report) {
             ]));
         }
     }
-    claim(
-        report,
-        "microbatching_removes_the_oom",
+    let verdicts = [
         microbatching_removes_the_oom(&rows),
-    );
-    claim(
-        report,
-        "microbatching_slows_tensorflow",
         microbatching_slows_tensorflow(&rows),
-    );
-    claim(
-        report,
-        "plans_are_remainder_then_equal_pieces",
         plans_are_remainder_then_equal_pieces(&rows),
-    );
+    ];
+    claims(report, verdicts);
     report
         .field("fig7_conv", format!("Cin=3 HxW={hw}x{hw} Cout=8 3x3"))
         .rows("fig7_microbatch", rows);
@@ -244,12 +230,12 @@ mod tests {
             &[12, 36],
         );
         let cured = row("pytorch", 256, [None, Some((30.0, 40.0))], &[4, 36, 36]);
-        assert!(microbatching_removes_the_oom(&[small.clone(), cured]).0);
+        assert!(microbatching_removes_the_oom(&[small.clone(), cured]).ok);
         // Never reaching the OOM regime proves nothing ...
-        assert!(!microbatching_removes_the_oom(std::slice::from_ref(&small)).0);
+        assert!(!microbatching_removes_the_oom(std::slice::from_ref(&small)).ok);
         // ... and an OOM the transformation leaves in place contradicts.
         let stuck = row("pytorch", 256, [None, None], &[4, 36, 36]);
-        assert!(!microbatching_removes_the_oom(&[small, stuck]).0);
+        assert!(!microbatching_removes_the_oom(&[small, stuck]).ok);
     }
 
     #[test]
@@ -261,18 +247,18 @@ mod tests {
             [Some((9.0, 11.0)), Some((10.0, 25.0))],
             &[4, 36],
         );
-        assert!(microbatching_slows_tensorflow(&[untransformed.clone(), slower.clone()]).0);
+        assert!(microbatching_slows_tensorflow(&[untransformed.clone(), slower.clone()]).ok);
         // Only transformed minibatches are evidence.
-        assert!(!microbatching_slows_tensorflow(&[untransformed]).0);
+        assert!(!microbatching_slows_tensorflow(&[untransformed]).ok);
         let faster = row(
             "tensorflow",
             96,
             [Some((3.0, 3.5)), Some((2.0, 2.5))],
             &[24, 36, 36],
         );
-        assert!(!microbatching_slows_tensorflow(&[faster, slower.clone()]).0);
+        assert!(!microbatching_slows_tensorflow(&[faster, slower.clone()]).ok);
         let oom = row("tensorflow", 512, [None, Some((20.0, 25.0))], &[4, 36]);
-        assert!(!microbatching_slows_tensorflow(&[oom, slower]).0);
+        assert!(!microbatching_slows_tensorflow(&[oom, slower]).ok);
     }
 
     #[test]
@@ -283,14 +269,14 @@ mod tests {
             row("pytorch", 8, cells, &[]),
             row("pytorch", 72, cells, &[36, 36]),
         ];
-        assert!(plans_are_remainder_then_equal_pieces(&good).0);
+        assert!(plans_are_remainder_then_equal_pieces(&good).ok);
         for bad in [
             &[36, 16, 36, 36, 36][..],
             &[16, 36, 36, 36],
             &[40, 36, 36, 48],
         ] {
             let rows = [row("pytorch", 160, cells, bad)];
-            assert!(!plans_are_remainder_then_equal_pieces(&rows).0, "{bad:?}");
+            assert!(!plans_are_remainder_then_equal_pieces(&rows).ok, "{bad:?}");
         }
     }
 }

@@ -23,7 +23,8 @@
 //!   shards win by ~10% — `sharding_wins_only_at_scale`, on the modeled
 //!   I/O (deterministic).
 
-use crate::rows::{claim, find, num, text, unless, Timing, Verdict};
+use super::{imagenet_shard, scratch_file};
+use crate::rows::{claims, find, no_slower, num, text, Timing, Verdict};
 use crate::{reruns, scale, time_rounds, Report, Scale, Subject};
 use deep500::data::container::binfile::{write_binfile, BinFileDataset};
 use deep500::data::container::recordfile::{write_recordfile, RecordPipeline, RecordReader};
@@ -32,25 +33,12 @@ use deep500::data::io_model::{StorageClock, StorageModel};
 use deep500::data::{codec, Dataset};
 use deep500::metrics::Json;
 use deep500::prelude::*;
-use std::path::PathBuf;
 use std::sync::Arc;
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("d5-fig8-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(name)
-}
-
 pub fn small_datasets_load_faster_than_synthesis(rows: &[Json]) -> Verdict {
-    let slower = rows.iter().filter_map(|row| {
-        let (real, synth) = (Timing::read(row, "real"), Timing::read(row, "synthetic"));
-        real.above(&synth).then(|| {
-            let name = text(row, "dataset");
-            format!(
-                "{name}: real {:.4} ms above synthetic {:.4} ms",
-                real.ms, synth.ms
-            )
-        })
+    let pairs = rows.iter().map(|r| {
+        let label = format!("{}, real vs synthetic", text(r, "dataset"));
+        (label, Timing::read(r, "real"), Timing::read(r, "synthetic"))
     });
     let ratio = |name: &str| {
         let row = find(rows, "dataset", name);
@@ -58,33 +46,30 @@ pub fn small_datasets_load_faster_than_synthesis(rows: &[Json]) -> Verdict {
     };
     let (mnist, cifar) = (ratio("MNIST"), ratio("CIFAR-10"));
     let trend = if cifar > mnist { "tightens" } else { "widens" };
-    let (ok, detail) = unless(
+    no_slower(
+        "small_datasets_load_faster_than_synthesis",
         "loading a memory-resident batch is never measurably slower than synthesizing one",
-        slower.collect(),
-    );
-    (
-        ok,
-        format!(
-            "{detail}; real/synthetic {mnist:.2} on MNIST, {cifar:.2} on CIFAR-10: the gap \
-             {trend} (paper: tightens; not gated — the generator's cost grows with the sample, \
-             the resident load does not, E28)"
-        ),
+        pairs,
     )
+    .with(format!(
+        "real/synthetic {mnist:.2} on MNIST, {cifar:.2} on CIFAR-10: the gap {trend} (paper: \
+         tightens; not gated — the generator's cost grows with the sample, the resident load \
+         does not, E28)"
+    ))
 }
 
 pub fn synthetic_beats_imagenet_decode(rows: &[Json]) -> Verdict {
     let decode = Timing::read(find(rows, "source", "record pipeline"), "batch");
     let synth = Timing::read(find(rows, "source", "synthetic"), "batch");
-    (
-        !synth.above(&decode),
-        format!(
-            "synthetic {:.2} ms vs decode pipeline {:.2} ms per batch: {:.1}x (paper: ~100x at \
-             224x224 full scale); red only if synthetic's CI sits above the pipeline's",
-            synth.ms,
-            decode.ms,
-            decode.ms / synth.ms
-        ),
+    no_slower(
+        "synthetic_beats_imagenet_decode",
+        "synthesizing an ImageNet-shaped batch is never measurably slower than decoding one",
+        [("synthetic vs record pipeline".to_string(), synth, decode)],
     )
+    .with(format!(
+        "{:.1}x faster (paper: ~100x at 224x224 full scale)",
+        decode.ms / synth.ms
+    ))
 }
 
 pub fn sharding_wins_only_at_scale(rows: &[Json]) -> Verdict {
@@ -94,13 +79,10 @@ pub fn sharding_wins_only_at_scale(rows: &[Json]) -> Verdict {
             .find(|r| num(r, "files") == files && num(r, "nodes") == nodes);
         num(row.expect("io row"), "io_ms")
     };
-    let (one, sharded, one_at_64, sharded_at_64) = (
-        io(1.0, 1.0),
-        io(1024.0, 1.0),
-        io(1.0, 64.0),
-        io(1024.0, 64.0),
-    );
-    (
+    let (one, sharded) = (io(1.0, 1.0), io(1024.0, 1.0));
+    let (one_at_64, sharded_at_64) = (io(1.0, 64.0), io(1024.0, 64.0));
+    Verdict::new(
+        "sharding_wins_only_at_scale",
         one < sharded && sharded_at_64 < one_at_64,
         format!(
             "modeled I/O per batch: 1 node {one:.3} (1 file) < {sharded:.3} ms (1024 files); \
@@ -131,7 +113,7 @@ pub fn section(report: &mut Report) {
         // Write the real on-disk file once, then time batch assembly.
         let d = synth.sample_shape().dims().to_vec();
         let samples: Vec<(Vec<u8>, u32)> = (0..small_len).map(|i| synth.sample_u8(i)).collect();
-        let path = tmp(&format!("{name}.d5bin"));
+        let path = scratch_file(&format!("{name}.d5bin"));
         write_binfile(&path, d[0], d[1], d[2], &samples).expect("write binfile");
         let clock = Arc::new(StorageClock::new());
         let model = StorageModel::local_ssd();
@@ -168,15 +150,9 @@ pub fn section(report: &mut Report) {
         5,
     );
     // Encode a shard of images into a record file (the real decode work).
-    let samples: Vec<(codec::RawImage, u32)> = (0..img_count)
-        .map(|i| {
-            let (pix, label) = imagenet.sample_u8(i);
-            let image = codec::RawImage::new(3, img_hw, img_hw, pix).expect("raw image");
-            (image, label)
-        })
-        .collect();
+    let samples = imagenet_shard(&imagenet, img_hw, img_count);
     let bytes_per_image = codec::encode(&samples[0].0, 85).expect("encode").len();
-    let path = tmp("imagenet.d5rec");
+    let path = scratch_file("imagenet.d5rec");
     write_recordfile(&path, &samples, 85).expect("write record file");
     let clock = Arc::new(StorageClock::new());
     let reader = RecordReader::open(&path, StorageModel::local_ssd(), clock).expect("open");
@@ -230,21 +206,12 @@ pub fn section(report: &mut Report) {
         })
         .collect();
 
-    claim(
-        report,
-        "small_datasets_load_faster_than_synthesis",
+    let verdicts = [
         small_datasets_load_faster_than_synthesis(&small_rows),
-    );
-    claim(
-        report,
-        "synthetic_beats_imagenet_decode",
         synthetic_beats_imagenet_decode(&imagenet_rows),
-    );
-    claim(
-        report,
-        "sharding_wins_only_at_scale",
         sharding_wins_only_at_scale(&io_rows),
-    );
+    ];
+    claims(report, verdicts);
     report
         .field("fig8_batch", batch)
         .rows("fig8_small", small_rows)
@@ -275,11 +242,11 @@ mod tests {
     #[test]
     fn loading_is_gated_and_the_cifar_trend_is_reported() {
         let agreeing = small([((0.01, 0.02), (0.04, 0.05)), ((0.04, 0.05), (0.2, 0.3))]);
-        let (ok, detail) = small_datasets_load_faster_than_synthesis(&agreeing);
-        assert!(ok && detail.contains("widens"), "{detail}");
+        let v = small_datasets_load_faster_than_synthesis(&agreeing);
+        assert!(v.ok && v.detail.contains("widens"), "{}", v.detail);
         let contradicting = small([((0.06, 0.07), (0.04, 0.05)), ((0.04, 0.05), (0.05, 0.06))]);
-        let (ok, detail) = small_datasets_load_faster_than_synthesis(&contradicting);
-        assert!(!ok && detail.contains("MNIST: real"), "{detail}");
+        let v = small_datasets_load_faster_than_synthesis(&contradicting);
+        assert!(!v.ok && v.detail.contains("MNIST, real"), "{}", v.detail);
     }
 
     #[test]
@@ -290,8 +257,8 @@ mod tests {
             };
             [row("record pipeline", decode), row("synthetic", synth)]
         };
-        assert!(synthetic_beats_imagenet_decode(&rows((5.0, 5.5), (1.0, 1.4))).0);
-        assert!(!synthetic_beats_imagenet_decode(&rows((1.0, 1.4), (5.0, 5.5))).0);
+        assert!(synthetic_beats_imagenet_decode(&rows((5.0, 5.5), (1.0, 1.4))).ok);
+        assert!(!synthetic_beats_imagenet_decode(&rows((1.0, 1.4), (5.0, 5.5))).ok);
     }
 
     #[test]
@@ -307,8 +274,8 @@ mod tests {
             };
             cells.into_iter().zip(io).map(row).collect::<Vec<_>>()
         };
-        assert!(sharding_wins_only_at_scale(&rows([0.128, 0.165, 0.204, 0.165])).0);
-        assert!(!sharding_wins_only_at_scale(&rows([0.128, 0.100, 0.204, 0.165])).0);
-        assert!(!sharding_wins_only_at_scale(&rows([0.128, 0.165, 0.150, 0.165])).0);
+        assert!(sharding_wins_only_at_scale(&rows([0.128, 0.165, 0.204, 0.165])).ok);
+        assert!(!sharding_wins_only_at_scale(&rows([0.128, 0.100, 0.204, 0.165])).ok);
+        assert!(!sharding_wins_only_at_scale(&rows([0.128, 0.165, 0.150, 0.165])).ok);
     }
 }

@@ -4,7 +4,9 @@
 //! CIFAR at the paper's scale; CNN + synthetic CIFAR-shaped task here):
 //! test accuracy per epoch and time per epoch, for native (fused)
 //! optimizers against Deep500 reference optimizers and the custom
-//! AcceleGrad — all nine trained an epoch per timing round, interleaved.
+//! AcceleGrad — all nine trained an epoch per timing round, interleaved
+//! (a row with a `twin` is a reference optimizer; the twin is its fused
+//! native counterpart).
 //! A second table isolates the update rule at ResNet-50 parameter scale,
 //! where the paper's ≈5× composed-vs-fused Adam gap lives (on a small CNN
 //! the update hides behind convolution time).
@@ -24,7 +26,7 @@
 //! * while matching their accuracy — `reference_matches_fused_accuracy`.
 
 use super::Trainee;
-use crate::rows::{claim, find, num, select, text, unless, Timing, Verdict};
+use crate::rows::{claims, field, find, no_slower, num, text, unless, Timing, Verdict};
 use crate::{reruns, scale, time_rounds, Report, Scale, Subject};
 use deep500::frameworks::fused_optim::{
     FusedAdaGrad, FusedAdam, FusedMomentum, FusedRmsProp, FusedSgd,
@@ -32,15 +34,21 @@ use deep500::frameworks::fused_optim::{
 use deep500::metrics::Json;
 use deep500::prelude::*;
 
-/// (label, kind, the fused twin of a reference optimizer, optimizer).
+/// (label, the fused twin of a reference optimizer, optimizer).
 type Entry = (
-    &'static str,
     &'static str,
     Option<&'static str>,
     Box<dyn ThreeStepOptimizer>,
 );
 
 fn lineup() -> Vec<Entry> {
+    fn entry(
+        name: &'static str,
+        twin: Option<&'static str>,
+        opt: impl ThreeStepOptimizer + 'static,
+    ) -> Entry {
+        (name, twin, Box::new(opt))
+    }
     let accelegrad = AcceleGradConfig {
         d: 2.0,
         g: 5.0,
@@ -48,61 +56,32 @@ fn lineup() -> Vec<Entry> {
         eps: 1e-8,
     };
     vec![
-        (
-            "GradDescent native",
-            "native",
-            None,
-            Box::new(FusedSgd::new(0.05)),
-        ),
-        (
-            "Momentum native",
-            "native",
-            None,
-            Box::new(FusedMomentum::new(0.01, 0.9)),
-        ),
-        (
-            "Adam native",
-            "native",
-            None,
-            Box::new(FusedAdam::new(0.002)),
-        ),
-        (
-            "AdaGrad native",
-            "native",
-            None,
-            Box::new(FusedAdaGrad::new(0.01)),
-        ),
-        (
-            "RmsProp native",
-            "native",
-            None,
-            Box::new(FusedRmsProp::new(0.001)),
-        ),
-        (
+        entry("GradDescent native", None, FusedSgd::new(0.05)),
+        entry("Momentum native", None, FusedMomentum::new(0.01, 0.9)),
+        entry("Adam native", None, FusedAdam::new(0.002)),
+        entry("AdaGrad native", None, FusedAdaGrad::new(0.01)),
+        entry("RmsProp native", None, FusedRmsProp::new(0.001)),
+        entry(
             "GradDescent Deep500",
-            "reference",
             Some("GradDescent native"),
-            Box::new(GradientDescent::new(0.05)),
+            GradientDescent::new(0.05),
         ),
-        (
+        entry(
             "Momentum Deep500",
-            "reference",
             Some("Momentum native"),
-            Box::new(Momentum::new(0.01, 0.9)),
+            Momentum::new(0.01, 0.9),
         ),
-        (
-            "Adam-Ref Deep500",
-            "reference",
-            Some("Adam native"),
-            Box::new(Adam::new(0.002)),
-        ),
-        (
-            "AcceleGrad (custom)",
-            "custom",
-            None,
-            Box::new(AcceleGrad::new(accelegrad)),
-        ),
+        entry("Adam-Ref Deep500", Some("Adam native"), Adam::new(0.002)),
+        entry("AcceleGrad (custom)", None, AcceleGrad::new(accelegrad)),
     ]
+}
+
+/// The reference optimizers of the table, each with its fused twin's row.
+fn twins(rows: &[Json]) -> impl Iterator<Item = (&Json, &Json)> {
+    rows.iter().filter_map(|row| {
+        let twin = field(row, "twin").as_str()?;
+        Some((row, find(rows, "optimizer", twin)))
+    })
 }
 
 /// How far apart the best test accuracies may lie and still be "comparable".
@@ -116,7 +95,8 @@ pub fn optimizers_reach_comparable_accuracy(rows: &[Json]) -> Verdict {
     let worst = rows.iter().min_by(by_best).expect("optimizer rows");
     let best = rows.iter().max_by(by_best).expect("optimizer rows");
     let spread = num(best, "best_accuracy") - num(worst, "best_accuracy");
-    (
+    Verdict::new(
+        "optimizers_reach_comparable_accuracy",
         spread <= ACCURACY_BAND,
         format!(
             "best test accuracy over the run: spread {spread:.3} <= {ACCURACY_BAND} ({} {:.3} .. {} {:.3})",
@@ -129,56 +109,51 @@ pub fn optimizers_reach_comparable_accuracy(rows: &[Json]) -> Verdict {
 }
 
 pub fn reference_matches_fused_accuracy(rows: &[Json]) -> Verdict {
-    let apart = select(rows, "kind", "reference").filter_map(|row| {
-        let twin = find(rows, "optimizer", text(row, "twin"));
+    let apart = twins(rows).filter_map(|(row, twin)| {
         let gap = (num(row, "final_accuracy") - num(twin, "final_accuracy")).abs();
         (gap > TWIN_TOLERANCE).then(|| format!("{}: {gap:.3}", text(row, "optimizer")))
     });
     unless(
+        "reference_matches_fused_accuracy",
         &format!("every reference optimizer within {TWIN_TOLERANCE} of its fused twin's accuracy"),
         apart.collect(),
     )
 }
 
 pub fn reference_slower_than_fused(training: &[Json], update_rule: &[Json]) -> Verdict {
-    let mut against = Vec::new();
-    let mut factors = Vec::new();
-    for row in select(training, "kind", "reference") {
-        let (reference, fused) = (
-            Timing::read(row, "epoch"),
-            Timing::read(find(training, "optimizer", text(row, "twin")), "epoch"),
+    let epochs = twins(training).map(|(row, twin)| {
+        let label = format!(
+            "{} vs {}, per epoch",
+            text(twin, "optimizer"),
+            text(row, "optimizer")
         );
-        factors.push(format!(
-            "{} {:.2}x/epoch",
-            text(row, "optimizer"),
-            reference.ms / fused.ms
-        ));
-        if fused.above(&reference) {
-            against.push(format!(
-                "{} trains measurably faster than its twin",
-                text(row, "optimizer")
-            ));
-        }
-    }
-    for row in update_rule {
-        let (composed, fused) = (Timing::read(row, "composed"), Timing::read(row, "fused"));
-        factors.push(format!(
-            "{} update {:.1}x",
-            text(row, "rule"),
-            composed.ms / fused.ms
-        ));
-        if fused.above(&composed) {
-            against.push(format!(
-                "{} update: composed measurably faster",
-                text(row, "rule")
-            ));
-        }
-    }
-    let (ok, detail) = unless("no fused CI sits above its reference's", against);
-    (
-        ok,
-        format!("{detail}; reference/fused {factors:?} (paper: Adam ~5x)"),
+        (
+            label,
+            Timing::read(twin, "epoch"),
+            Timing::read(row, "epoch"),
+        )
+    });
+    let updates = update_rule.iter().map(|row| {
+        let label = format!("{} update, fused vs composed", text(row, "rule"));
+        (
+            label,
+            Timing::read(row, "fused"),
+            Timing::read(row, "composed"),
+        )
+    });
+    let pairs: Vec<(String, Timing, Timing)> = epochs.chain(updates).collect();
+    let factors: Vec<String> = pairs
+        .iter()
+        .map(|(_, f, r)| format!("{:.2}x", r.ms / f.ms))
+        .collect();
+    no_slower(
+        "reference_slower_than_fused",
+        "no fused CI sits above its reference's",
+        pairs,
     )
+    .with(format!(
+        "reference/fused, in pair order: {factors:?} (paper: Adam ~5x)"
+    ))
 }
 
 pub fn section(report: &mut Report) {
@@ -188,52 +163,34 @@ pub fn section(report: &mut Report) {
     } else {
         (3, 16, 384, 32)
     };
-    let lineup = lineup();
-    let labels: Vec<_> = lineup
-        .iter()
-        .map(|(name, kind, twin, _)| (*name, *kind, *twin))
-        .collect();
     // Identical model/data seeds across optimizers: a fair comparison.
-    let mut trainees: Vec<Trainee> = lineup
+    let (labels, mut trainees): (Vec<_>, Vec<Trainee>) = lineup()
         .into_iter()
-        .map(|(.., optimizer)| {
+        .map(|(name, twin, optimizer)| {
             let net = models::lenet(3, task.1, 10, 99).expect("lenet");
-            let engine = Engine::builder(net).build().expect("engine");
-            Trainee::new(
-                engine.into_inner().expect("sole handle"),
-                optimizer,
-                task,
-                9,
-            )
+            let executor = Engine::builder(net).build().expect("engine").into_inner();
+            let trainee = Trainee::new(executor.expect("sole handle"), optimizer, task, 9);
+            ((name, twin), trainee)
         })
-        .collect();
-    let mut subjects: Vec<Subject<1>> = trainees
-        .iter_mut()
-        .map(|trainee| Subject::spans(move || trainee.epoch()))
-        .collect();
-    let timed = time_rounds(1, reruns(), &mut subjects);
-    drop(subjects);
+        .unzip();
+    let timed = Trainee::train(&mut trainees, reruns());
     let rows: Vec<Json> = labels
         .iter()
         .zip(&trainees)
         .zip(&timed)
-        .map(|(((name, kind, twin), trainee), [t])| {
+        .map(|(((name, twin), trainee), epoch)| {
             let accuracy = trainee.accuracy.iter().map(|&a| Json::fixed(a, 4));
             let best = trainee.accuracy.iter().fold(0.0f64, |m, a| m.max(*a));
             Json::obj([
                 ("optimizer", Json::from(*name)),
-                ("kind", Json::from(*kind)),
                 ("twin", twin.map_or(Json::Null, Json::from)),
-                ("epoch", Timing::of(t).json()),
+                ("epoch", epoch.json()),
                 (
                     "accuracy_per_epoch",
                     Json::from(accuracy.collect::<Vec<_>>()),
                 ),
                 ("best_accuracy", Json::fixed(best, 4)),
-                (
-                    "final_accuracy",
-                    Json::fixed(*trainee.accuracy.last().expect("epochs ran"), 4),
-                ),
+                ("final_accuracy", Json::fixed(trainee.final_accuracy(), 4)),
             ])
         })
         .collect();
@@ -274,21 +231,12 @@ pub fn section(report: &mut Report) {
         ]));
     }
 
-    claim(
-        report,
-        "optimizers_reach_comparable_accuracy",
+    let verdicts = [
         optimizers_reach_comparable_accuracy(&rows),
-    );
-    claim(
-        report,
-        "reference_matches_fused_accuracy",
         reference_matches_fused_accuracy(&rows),
-    );
-    claim(
-        report,
-        "reference_slower_than_fused",
         reference_slower_than_fused(&rows, &update_rows),
-    );
+    ];
+    claims(report, verdicts);
     report
         .rows("fig9_optimizers", rows)
         .rows("fig9_update_rule", update_rows);
@@ -302,14 +250,6 @@ mod tests {
     fn optimizer(name: &str, twin: Option<&str>, epoch: Span, accuracy: f64) -> Json {
         Json::obj([
             ("optimizer", Json::from(name)),
-            (
-                "kind",
-                Json::from(if twin.is_some() {
-                    "reference"
-                } else {
-                    "native"
-                }),
-            ),
             ("twin", twin.map_or(Json::Null, Json::from)),
             ("epoch", interval(epoch)),
             ("best_accuracy", Json::from(accuracy)),
@@ -332,16 +272,20 @@ mod tests {
             optimizer("Adam-Ref Deep500", Some("Adam native"), (31.0, 34.0), 0.97),
             optimizer("RmsProp native", None, (30.0, 32.0), 0.85),
         ];
-        assert!(optimizers_reach_comparable_accuracy(&agreeing).0);
-        assert!(reference_matches_fused_accuracy(&agreeing).0);
+        assert!(optimizers_reach_comparable_accuracy(&agreeing).ok);
+        assert!(reference_matches_fused_accuracy(&agreeing).ok);
 
         let contradicting = [
             optimizer("Adam native", None, (30.0, 32.0), 0.99),
             optimizer("Adam-Ref Deep500", Some("Adam native"), (31.0, 34.0), 0.60),
         ];
-        let (ok, detail) = optimizers_reach_comparable_accuracy(&contradicting);
-        assert!(!ok && detail.contains("Adam-Ref Deep500 0.600"), "{detail}");
-        assert!(!reference_matches_fused_accuracy(&contradicting).0);
+        let v = optimizers_reach_comparable_accuracy(&contradicting);
+        assert!(
+            !v.ok && v.detail.contains("Adam-Ref Deep500 0.600"),
+            "{}",
+            v.detail
+        );
+        assert!(!reference_matches_fused_accuracy(&contradicting).ok);
     }
 
     #[test]
@@ -351,17 +295,17 @@ mod tests {
             optimizer("Adam-Ref Deep500", Some("Adam native"), (31.0, 34.0), 0.99),
         ];
         let updates = [update("Adam", (1.8, 2.0), (35.0, 40.0))];
-        let (ok, detail) = reference_slower_than_fused(&training, &updates);
-        assert!(ok && detail.contains("Adam update 19."), "{detail}");
+        let v = reference_slower_than_fused(&training, &updates);
+        assert!(v.ok && v.detail.contains("19.74x"), "{}", v.detail);
 
         // A composed update measurably faster than the fused kernel ...
         let fast_composed = [update("Adam", (35.0, 40.0), (1.8, 2.0))];
-        assert!(!reference_slower_than_fused(&training, &fast_composed).0);
+        assert!(!reference_slower_than_fused(&training, &fast_composed).ok);
         // ... or a reference run measurably faster than its twin.
         let fast_reference = [
             optimizer("Adam native", None, (40.0, 42.0), 0.99),
             optimizer("Adam-Ref Deep500", Some("Adam native"), (31.0, 34.0), 0.99),
         ];
-        assert!(!reference_slower_than_fused(&fast_reference, &updates).0);
+        assert!(!reference_slower_than_fused(&fast_reference, &updates).ok);
     }
 }

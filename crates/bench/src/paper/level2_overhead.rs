@@ -15,8 +15,8 @@
 //! percentage is in the detail.)
 
 use super::Trainee;
-use crate::rows::{claim, find, Timing, Verdict};
-use crate::{reruns, scale, time_rounds, Report, Scale, Subject};
+use crate::rows::{claims, find, no_slower, Timing, Verdict};
+use crate::{reruns, scale, Report, Scale};
 use deep500::graph::executor::FrameworkOverheadProbe;
 use deep500::metrics::event::Phase;
 use deep500::metrics::{Json, WallclockTime};
@@ -25,18 +25,15 @@ use deep500::prelude::*;
 pub fn instrumentation_within_ci_of_bare(rows: &[Json]) -> Verdict {
     let bare = Timing::read(find(rows, "configuration", "native"), "epoch");
     let instrumented = Timing::read(find(rows, "configuration", "Deep500-instrumented"), "epoch");
-    (
-        !instrumented.above(&bare),
-        format!(
-            "instrumented [{:.2}, {:.2}] ms/epoch vs bare [{:.2}, {:.2}]: median overhead \
-             {:+.2}% (paper: <1%); red only if the instrumented CI sits above the bare one",
-            instrumented.lo,
-            instrumented.hi,
-            bare.lo,
-            bare.hi,
-            (instrumented.ms / bare.ms - 1.0) * 100.0
-        ),
+    no_slower(
+        "instrumentation_within_ci_of_bare",
+        "the instrumented per-epoch CI does not sit above the bare one",
+        [("instrumented vs bare".to_string(), instrumented, bare)],
     )
+    .with(format!(
+        "median overhead {:+.2}% (paper: <1%)",
+        (instrumented.ms / bare.ms - 1.0) * 100.0
+    ))
 }
 
 pub fn section(report: &mut Report) {
@@ -65,27 +62,18 @@ pub fn section(report: &mut Report) {
         }
         Trainee::new(Box::new(ex), Box::new(GradientDescent::new(0.05)), task, 20)
     });
-    let mut subjects: Vec<Subject<1>> = trainees
-        .iter_mut()
-        .map(|trainee| Subject::spans(move || trainee.epoch()))
-        .collect();
-    let timed = time_rounds(1, reruns().max(5), &mut subjects);
-    drop(subjects);
+    let timed = Trainee::train(&mut trainees, reruns().max(5));
     let rows: Vec<Json> = configurations
         .iter()
         .zip(&timed)
-        .map(|(configuration, [t])| {
+        .map(|(configuration, epoch)| {
             Json::obj([
                 ("configuration", Json::from(*configuration)),
-                ("epoch", Timing::of(t).json()),
+                ("epoch", epoch.json()),
             ])
         })
         .collect();
-    claim(
-        report,
-        "instrumentation_within_ci_of_bare",
-        instrumentation_within_ci_of_bare(&rows),
-    );
+    claims(report, [instrumentation_within_ci_of_bare(&rows)]);
     report.rows("level2_overhead", rows);
 }
 
@@ -109,10 +97,10 @@ mod tests {
 
     #[test]
     fn overlapping_intervals_pass_and_a_separated_one_fails() {
-        assert!(instrumentation_within_ci_of_bare(&rows((25.7, 27.1), (25.0, 31.3))).0);
+        assert!(instrumentation_within_ci_of_bare(&rows((25.7, 27.1), (25.0, 31.3))).ok);
         // Faster under instrumentation is noise, not a contradiction.
-        assert!(instrumentation_within_ci_of_bare(&rows((25.7, 27.1), (24.0, 25.0))).0);
-        let (ok, detail) = instrumentation_within_ci_of_bare(&rows((25.7, 27.1), (28.0, 29.0)));
-        assert!(!ok && detail.contains('%'), "{detail}");
+        assert!(instrumentation_within_ci_of_bare(&rows((25.7, 27.1), (24.0, 25.0))).ok);
+        let v = instrumentation_within_ci_of_bare(&rows((25.7, 27.1), (28.0, 29.0)));
+        assert!(!v.ok && v.detail.contains('%'), "{}", v.detail);
     }
 }

@@ -10,7 +10,9 @@
 //!
 //! Run with: `cargo run --release -p deep500-bench -- paper`
 
-use crate::Report;
+use crate::rows::Timing;
+use crate::{time_rounds, Report, Subject};
+use deep500::data::codec::RawImage;
 use deep500::prelude::*;
 use deep500::train::runner::evaluate;
 
@@ -73,6 +75,23 @@ impl Trainee {
         }
     }
 
+    /// One warm-up epoch (dropped, as the paper drops the first), then
+    /// `rounds` timed epochs of every trainee, interleaved; returns each
+    /// trainee's per-epoch timing.
+    fn train(trainees: &mut [Trainee], rounds: usize) -> Vec<Timing> {
+        let mut subjects: Vec<Subject<1>> = trainees
+            .iter_mut()
+            .map(|trainee| Subject::spans(move || trainee.epoch()))
+            .collect();
+        let timed = time_rounds(1, rounds, &mut subjects);
+        timed.iter().map(|[t]| Timing::of(t)).collect()
+    }
+
+    /// The accuracy after the last epoch run.
+    fn final_accuracy(&self) -> f64 {
+        *self.accuracy.last().expect("epochs ran")
+    }
+
     /// Train one epoch; returns its wall time in seconds.
     fn epoch(&mut self) -> [f64; 1] {
         let mut runner = TrainingRunner::new(TrainingConfig {
@@ -91,4 +110,21 @@ impl Trainee {
         self.accuracy.push(accuracy);
         [log.epoch_times[0]]
     }
+}
+
+/// A file under a per-process scratch directory of the system temp dir.
+fn scratch_file(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("d5-paper-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir.join(name)
+}
+
+/// `count` labelled `3 x hw x hw` images of a seeded ImageNet-shaped
+/// synthetic dataset, ready for a container writer.
+fn imagenet_shard(dataset: &SyntheticDataset, hw: usize, count: usize) -> Vec<(RawImage, u32)> {
+    let sample = |i| {
+        let (pixels, label) = dataset.sample_u8(i);
+        (RawImage::new(3, hw, hw, pixels).expect("raw image"), label)
+    };
+    (0..count).map(sample).collect()
 }

@@ -26,9 +26,9 @@
 //!   **Red since the gate exists** (EXPERIMENTS E28): the reader charges
 //!   sequential and shuffled reads alike — see the gate's detail.
 
-use crate::rows::{claim, num, text, unless, Timing, Verdict};
+use super::{imagenet_shard, scratch_file};
+use crate::rows::{claims, no_slower, num, select, text, unless, Timing, Verdict};
 use crate::{reruns, scale, time_rounds, Report, Scale, Subject};
-use deep500::data::codec;
 use deep500::data::container::indexed_tar::{write_indexed_tar, Decoder, IndexedTarReader};
 use deep500::data::container::recordfile::{write_recordfile, RecordPipeline, RecordReader};
 use deep500::data::io_model::{StorageClock, StorageModel};
@@ -37,72 +37,53 @@ use deep500::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("d5-table3-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(name)
-}
-
 const PATHS: [&str; 3] = ["tar+scalar", "tar+turbo", "record pipeline"];
 
-/// The `key` timing of the row for (`images`, `access`, `path`).
-fn cell(rows: &[Json], images: f64, access: &str, path: &str, key: &str) -> Timing {
-    let row = rows.iter().find(|r| {
+/// The row for (`images`, `access`, `path`).
+fn row<'a>(rows: &'a [Json], images: f64, access: &str, path: &str) -> &'a Json {
+    let found = rows.iter().find(|r| {
         num(r, "images") == images && text(r, "access") == access && text(r, "path") == path
     });
-    Timing::read(
-        row.unwrap_or_else(|| panic!("no row {images} {access} {path}")),
-        key,
-    )
+    found.unwrap_or_else(|| panic!("no row {images} {access} {path}"))
 }
 
-/// Every (images, access) pair present, in row order.
-fn groups(rows: &[Json]) -> Vec<(f64, &str)> {
-    let mut out = Vec::new();
-    for row in rows {
-        let group = (num(row, "images"), text(row, "access"));
-        if !out.contains(&group) {
-            out.push(group);
-        }
-    }
-    out
+/// `(label, first path's key, second path's key)` for every (images,
+/// access) group of the table.
+fn versus<'a>(
+    rows: &'a [Json],
+    (first, second, key): (&'a str, &'a str, &'a str),
+) -> impl Iterator<Item = (String, Timing, Timing)> + 'a {
+    select(rows, "path", first).map(move |r| {
+        let (images, access) = (num(r, "images"), text(r, "access"));
+        let other = row(rows, images, access, second);
+        let label = format!("{images} {access}: {first} vs {second}");
+        (label, Timing::read(r, key), Timing::read(other, key))
+    })
+}
+
+/// The largest `images` of the table: the minibatch rows.
+fn minibatch(rows: &[Json]) -> f64 {
+    rows.iter().map(|r| num(r, "images")).fold(0.0, f64::max)
 }
 
 pub fn turbo_beats_scalar(rows: &[Json]) -> Verdict {
-    let slower = groups(rows).into_iter().filter_map(|(images, access)| {
-        let turbo = cell(rows, images, access, "tar+turbo", "cpu");
-        let scalar = cell(rows, images, access, "tar+scalar", "cpu");
-        turbo.above(&scalar).then(|| {
-            format!(
-                "{images} {access}: turbo {:.3} ms above scalar {:.3} ms",
-                turbo.ms, scalar.ms
-            )
-        })
-    });
-    unless(
+    no_slower(
+        "turbo_beats_scalar",
         "the turbo decoder's CI is never above the scalar decoder's",
-        slower.collect(),
+        versus(rows, ("tar+turbo", "tar+scalar", "cpu")),
     )
 }
 
 pub fn record_pipeline_wins_at_minibatch(rows: &[Json]) -> Verdict {
-    let batch = rows.iter().map(|r| num(r, "images")).fold(0.0, f64::max);
-    let mut against = Vec::new();
-    for (images, access) in groups(rows) {
-        let record = cell(rows, images, access, "record pipeline", "total");
-        for tar in &PATHS[..2] {
-            let tar_total = cell(rows, images, access, tar, "total");
-            if images == batch && record.above(&tar_total) {
-                against.push(format!(
-                    "{images} {access}: record {:.2} ms above {tar} {:.2} ms",
-                    record.ms, tar_total.ms
-                ));
-            }
-        }
-    }
-    unless(
+    let batch = minibatch(rows);
+    let at_batch = |(label, ..): &(String, Timing, Timing)| label.starts_with(&format!("{batch} "));
+    let tars = PATHS[..2].iter();
+    let pairs =
+        tars.flat_map(|tar| versus(rows, ("record pipeline", tar, "total")).filter(at_batch));
+    no_slower(
+        "record_pipeline_wins_at_minibatch",
         &format!("at {batch} images the record pipeline's total is never above a tar path's"),
-        against,
+        pairs,
     )
 }
 
@@ -110,62 +91,57 @@ pub fn record_pipeline_wins_at_minibatch(rows: &[Json]) -> Verdict {
 const SHUFFLE_TOLERANCE: f64 = 1.5;
 
 pub fn record_barely_hurt_by_shuffling(rows: &[Json]) -> Verdict {
-    let mut ratios = Vec::new();
-    let hurt = groups(rows).into_iter().filter_map(|(images, access)| {
-        if access != "shuffled" {
-            return None;
-        }
-        let shuffled = cell(rows, images, access, "record pipeline", "total");
-        let sequential = cell(rows, images, "sequential", "record pipeline", "total");
-        ratios.push(format!("{:.2}x at {images}", shuffled.ms / sequential.ms));
-        (shuffled.lo > SHUFFLE_TOLERANCE * sequential.hi).then(|| {
-            format!(
-                "{images} images: shuffled {:.2} ms vs sequential {:.2} ms",
-                shuffled.ms, sequential.ms
-            )
+    let shuffled =
+        select(rows, "path", "record pipeline").filter(|r| text(r, "access") == "shuffled");
+    let pairs: Vec<(String, Timing, Timing)> = shuffled
+        .map(|r| {
+            let images = num(r, "images");
+            let sequential = row(rows, images, "sequential", "record pipeline");
+            let allowed = Timing::read(sequential, "total").times(SHUFFLE_TOLERANCE);
+            let label = format!("{images} images, shuffled vs {SHUFFLE_TOLERANCE} x sequential");
+            (label, Timing::read(r, "total"), allowed)
         })
-    });
-    let hurt: Vec<String> = hurt.collect();
-    let (ok, detail) = unless(
-        &format!("record shuffled CI within {SHUFFLE_TOLERANCE} x the sequential one"),
-        hurt,
-    );
-    (ok, format!("{detail}; shuffled/sequential {ratios:?}"))
+        .collect();
+    let ratio = |(_, s, allowed): &(String, Timing, Timing)| s.ms / allowed.ms * SHUFFLE_TOLERANCE;
+    let ratios: Vec<String> = pairs.iter().map(|p| format!("{:.2}x", ratio(p))).collect();
+    no_slower(
+        "record_barely_hurt_by_shuffling",
+        &format!(
+            "the record pipeline's shuffled CI is within {SHUFFLE_TOLERANCE} x its sequential one"
+        ),
+        pairs,
+    )
+    .with(format!("shuffled/sequential {ratios:?}"))
 }
 
 pub fn tar_pays_seeks_when_shuffled(rows: &[Json]) -> Verdict {
-    let batch = rows.iter().map(|r| num(r, "images")).fold(0.0, f64::max);
-    let io = |access: &str, path: &str| {
-        let row = rows.iter().find(|r| {
-            num(r, "images") == batch && text(r, "access") == access && text(r, "path") == path
-        });
-        num(row.expect("tar row"), "io_ms")
-    };
-    let mut against = Vec::new();
-    let mut penalties = Vec::new();
-    for tar in &PATHS[..2] {
-        let (sequential, shuffled) = (io("sequential", tar), io("shuffled", tar));
-        penalties.push(format!("{tar} {sequential:.3} -> {shuffled:.3} ms"));
-        if shuffled <= sequential {
-            against.push(format!(
-                "{tar}: shuffled {shuffled:.3} <= sequential {sequential:.3} ms"
-            ));
-        }
-    }
-    let (ok, detail) = unless(
+    let batch = minibatch(rows);
+    let io = |access: &str, path: &str| num(row(rows, batch, access, path), "io_ms");
+    let free = PATHS[..2]
+        .iter()
+        .filter(|tar| io("shuffled", tar) <= io("sequential", tar));
+    let free = free.map(|tar| {
+        format!(
+            "{tar}: sequential {:.3} ms, shuffled {:.3} ms",
+            io("sequential", tar),
+            io("shuffled", tar)
+        )
+    });
+    let verdict = unless(
+        "tar_pays_seeks_when_shuffled",
         &format!("modeled I/O of {batch} tar reads is higher shuffled than sequential"),
-        against,
+        free.collect(),
     );
+    if verdict.ok {
+        return verdict;
+    }
     // What a red reading means, for whoever meets it in the file.
-    let diagnosis = if ok {
-        ""
-    } else {
-        " — `IndexedTarReader::read_sample` never classes a read as sequential: it compares \
-         an entry's payload offset with the previous entry's padded end, which is the next \
-         *header* (512 bytes short), so every read is charged a seek; the fix is in \
-         crates/data, outside ISSUE 20's paths (EXPERIMENTS E28)"
-    };
-    (ok, format!("{detail}; {penalties:?}{diagnosis}"))
+    verdict.with(
+        "`IndexedTarReader::read_sample` never classes a read as sequential: it compares an \
+         entry's payload offset with the previous entry's padded end, which is the next *header* \
+         (512 bytes short), so every read is charged a seek; the fix is in crates/data, outside \
+         ISSUE 20's paths (EXPERIMENTS E28)",
+    )
 }
 
 pub fn section(report: &mut Report) {
@@ -177,16 +153,8 @@ pub fn section(report: &mut Report) {
     // Build both containers from identical images.
     let shape = Shape::new(&[3, hw, hw]);
     let src = SyntheticDataset::new("imagenet-synth", shape, 1000, count, 0.4, 13);
-    let samples: Vec<(codec::RawImage, u32)> = (0..count)
-        .map(|i| {
-            let (pix, label) = src.sample_u8(i);
-            (
-                codec::RawImage::new(3, hw, hw, pix).expect("raw image"),
-                label,
-            )
-        })
-        .collect();
-    let (tar_path, rec_path) = (tmp("t3.tar"), tmp("t3.d5rec"));
+    let samples = imagenet_shard(&src, hw, count);
+    let (tar_path, rec_path) = (scratch_file("t3.tar"), scratch_file("t3.d5rec"));
     write_indexed_tar(&tar_path, &samples, 85).expect("write tar");
     write_recordfile(&rec_path, &samples, 85).expect("write record file");
 
@@ -258,22 +226,13 @@ pub fn section(report: &mut Report) {
     idx.push(".idx");
     std::fs::remove_file(PathBuf::from(idx)).ok();
 
-    claim(report, "turbo_beats_scalar", turbo_beats_scalar(&rows));
-    claim(
-        report,
-        "record_pipeline_wins_at_minibatch",
+    let verdicts = [
+        turbo_beats_scalar(&rows),
         record_pipeline_wins_at_minibatch(&rows),
-    );
-    claim(
-        report,
-        "record_barely_hurt_by_shuffling",
         record_barely_hurt_by_shuffling(&rows),
-    );
-    claim(
-        report,
-        "tar_pays_seeks_when_shuffled",
         tar_pays_seeks_when_shuffled(&rows),
-    );
+    ];
+    claims(report, verdicts);
     report
         .field(
             "table3_images",
@@ -335,7 +294,7 @@ mod tests {
             record_barely_hurt_by_shuffling(&rows),
             tar_pays_seeks_when_shuffled(&rows),
         ] {
-            assert!(verdict.0, "{}", verdict.1);
+            assert!(verdict.ok, "{}", verdict.detail);
         }
     }
 
@@ -343,22 +302,22 @@ mod tests {
     fn each_gate_goes_red_on_the_rows_that_contradict_it() {
         let mut cells = paper_like();
         cells[1][1] = (2.6, 2.8, 0.6); // turbo slower than scalar on one row
-        assert!(!turbo_beats_scalar(&table(cells)).0);
+        assert!(!turbo_beats_scalar(&table(cells)).ok);
 
         let mut cells = paper_like();
         cells[3][2] = (20.0, 22.0, 0.3); // record loses the shuffled minibatch
         let rows = table(cells);
-        assert!(!record_pipeline_wins_at_minibatch(&rows).0);
-        assert!(!record_barely_hurt_by_shuffling(&rows).0);
+        assert!(!record_pipeline_wins_at_minibatch(&rows).ok);
+        assert!(!record_barely_hurt_by_shuffling(&rows).ok);
         // Losing at one image is not what the claim is about.
         let mut cells = paper_like();
         cells[0][2] = (5.0, 6.0, 0.1);
-        assert!(record_pipeline_wins_at_minibatch(&table(cells)).0);
+        assert!(record_pipeline_wins_at_minibatch(&table(cells)).ok);
 
         let mut cells = paper_like();
         cells[3][0].2 = 1.0; // shuffled tar reads charged like sequential ones
         cells[3][1].2 = 1.0;
-        let (ok, detail) = tar_pays_seeks_when_shuffled(&table(cells));
-        assert!(!ok && detail.contains("tar+scalar"), "{detail}");
+        let v = tar_pays_seeks_when_shuffled(&table(cells));
+        assert!(!v.ok && v.detail.contains("tar+scalar"), "{}", v.detail);
     }
 }

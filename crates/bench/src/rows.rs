@@ -16,19 +16,56 @@ use crate::Report;
 use deep500::metrics::stats::Summary;
 use deep500::metrics::Json;
 
-/// A gate's outcome: does the claim hold, and the measured values that
-/// say so (the gate's `detail`).
-pub type Verdict = (bool, String);
+/// A gate's outcome: its name in the report, whether the claim holds, and
+/// the measured values that say so.
+#[derive(Debug)]
+pub struct Verdict {
+    pub name: &'static str,
+    pub ok: bool,
+    pub detail: String,
+}
 
-/// Record `verdict` as the gate `name` of `report`.
-pub fn claim(report: &mut Report, name: &str, (ok, detail): Verdict) {
-    report.gate(name, ok, detail);
+impl Verdict {
+    pub fn new(name: &'static str, ok: bool, detail: String) -> Verdict {
+        Verdict { name, ok, detail }
+    }
+
+    /// The same verdict with `more` measured values appended to its detail.
+    pub fn with(mut self, more: impl std::fmt::Display) -> Verdict {
+        self.detail = format!("{}; {more}", self.detail);
+        self
+    }
+}
+
+/// Record each verdict as a gate of `report`.
+pub fn claims(report: &mut Report, verdicts: impl IntoIterator<Item = Verdict>) {
+    for v in verdicts {
+        report.gate(v.name, v.ok, v.detail);
+    }
 }
 
 /// The verdict of a claim that holds unless something contradicts it.
-pub fn unless(claim: &str, contradictions: Vec<String>) -> Verdict {
-    let ok = contradictions.is_empty();
-    (ok, format!("{claim}; contradicted by: {contradictions:?}"))
+pub fn unless(name: &'static str, claim: &str, contradictions: Vec<String>) -> Verdict {
+    let detail = format!("{claim}; contradicted by: {contradictions:?}");
+    Verdict::new(name, contradictions.is_empty(), detail)
+}
+
+/// The verdict of the claim that in every labelled pair the first timing
+/// is no slower than the second: contradicted by each pair whose first
+/// sits [`Timing::above`] its second.
+pub fn no_slower(
+    name: &'static str,
+    claim: &str,
+    pairs: impl IntoIterator<Item = (String, Timing, Timing)>,
+) -> Verdict {
+    let separated = pairs.into_iter().filter(|(_, a, b)| a.above(b));
+    let against = separated.map(|(label, a, b)| {
+        format!(
+            "{label}: [{:.3}, {:.3}] above [{:.3}, {:.3}] ms",
+            a.lo, a.hi, b.lo, b.hi
+        )
+    });
+    unless(name, claim, against.collect())
 }
 
 /// A timing as rows carry it: the median and the 95 % CI of the median.
@@ -84,13 +121,13 @@ impl Timing {
         }
     }
 
-    /// The timing of one of `n` equal parts.
-    pub fn per(self, n: usize) -> Timing {
-        let n = n as f64;
+    /// The same timing scaled by `factor` (one of `n` equal parts is
+    /// `times(1.0 / n)`).
+    pub fn times(self, factor: f64) -> Timing {
         Timing {
-            ms: self.ms / n,
-            lo: self.lo / n,
-            hi: self.hi / n,
+            ms: self.ms * factor,
+            lo: self.lo * factor,
+            hi: self.hi * factor,
         }
     }
 
