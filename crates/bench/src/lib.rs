@@ -84,7 +84,7 @@ pub fn run(table: &[Entry], names: &[String], dir: &Path) -> ExitCode {
 /// How much work a run does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// CI-sized: every code path, few repetitions, long sweeps skipped.
+    /// CI-sized: every code path and every gate, fewer repetitions.
     Smoke,
     /// Reduced problem sizes that finish in minutes on one core.
     Default,
