@@ -17,13 +17,93 @@
 //!   communication volume; gates: the trace validates, whole-run
 //!   attribution coverage ≥ 0.90, operators and training phases present.
 //!
+//! A third, untraced run fills the `data_pipeline` table: what a batch
+//! costs to assemble against how long a training step waits for it, and
+//! the gate `sampling_wait_hidden` on the two.
+//!
 //! Run with: `cargo run --release -p deep500-bench -- profile`
 
-use crate::{repo_path, Report};
+use crate::rows::{claims, unless, Timing, Verdict};
+use crate::{repo_path, time_rounds, Report, Subject};
+use deep500::data::dataset::assemble_minibatch;
 use deep500::dist::{DistributedRunner, Variant};
+use deep500::metrics::stats::Summary;
 use deep500::metrics::{validate_chrome_trace, Json, Phase, TraceRecorder};
 use deep500::prelude::*;
 use std::sync::Arc;
+
+/// The samplers assemble one batch ahead, so the `Phase::Sampling` window
+/// of a step is the time it waited for its batch, not what the batch cost:
+/// on every row the wait's whole CI sits below half the assembly's.
+pub fn sampling_wait_hidden(rows: &[Json]) -> Verdict {
+    let exposed = rows.iter().filter_map(|row| {
+        let (wait, assemble) = (
+            Timing::read(row, "wait_ms"),
+            Timing::read(row, "assemble_ms"),
+        );
+        (wait.hi >= 0.5 * assemble.lo).then(|| {
+            format!(
+                "wait [{:.3}, {:.3}] ms vs assembly [{:.3}, {:.3}] ms",
+                wait.lo, wait.hi, assemble.lo, assemble.hi
+            )
+        })
+    });
+    unless(
+        "sampling_wait_hidden",
+        "a step's wait for its batch (CI upper bound) is under half of the batch's assembly \
+         (CI lower bound)",
+        exposed.collect(),
+    )
+}
+
+/// LeNet on MNIST-like data, batch 32, `ShuffleSampler`: the cost of
+/// assembling a batch directly, and the per-step sampling wait and wall
+/// time of a `TrainingRunner` run over the same dataset.
+fn data_pipeline_row() -> Json {
+    let (batch, seed) = (32, 7);
+    let dataset: Arc<dyn Dataset> = Arc::new(SyntheticDataset::mnist_like(2048, seed));
+    let mut sampler = ShuffleSampler::new(dataset.clone(), batch, seed);
+    let steps = sampler.batches_per_epoch();
+
+    let mut chunks = sampler.order().chunks(batch).cycle();
+    let mut direct = [Subject::wall(|| {
+        assemble_minibatch(&*dataset, chunks.next().expect("a cycle never ends"))
+    })];
+    let [assemble] = time_rounds(4, steps, &mut direct)[0];
+    drop(direct);
+
+    let net = models::lenet(1, 28, 10, seed).expect("build lenet");
+    let engine = Engine::builder(net)
+        .executor(ExecutorKind::Wavefront)
+        .build()
+        .expect("build wavefront engine");
+    let mut runner = TrainingRunner::new(TrainingConfig {
+        epochs: 2,
+        ..Default::default()
+    });
+    let log = runner
+        .run(
+            &mut GradientDescent::new(0.05),
+            &mut *engine.lock(),
+            &mut sampler,
+            None,
+        )
+        .expect("training run");
+    let stamps: Vec<f64> = log.step_losses.iter().map(|&(at, _)| at).collect();
+    let step_s: Vec<f64> = stamps.windows(2).map(|w| w[1] - w[0]).collect();
+    Json::obj([
+        ("model", Json::from("lenet 1x28x28")),
+        ("sampler", Json::from("ShuffleSampler")),
+        ("batch", Json::from(batch)),
+        ("steps", Json::from(log.sampling_times.len())),
+        ("assemble_ms", Timing::of(&assemble).json()),
+        (
+            "wait_ms",
+            Timing::of(&Summary::of(&log.sampling_times)).json(),
+        ),
+        ("step_ms", Timing::of(&Summary::of(&step_s)).json()),
+    ])
+}
 
 pub fn run(report: &mut Report) {
     let recorder = TraceRecorder::new();
@@ -198,4 +278,32 @@ pub fn run(report: &mut Report) {
             missing.is_empty(),
             format!("Epoch and every owned phase > 0; missing: {missing:?}"),
         );
+
+    // ---- 3. Data pipeline: a batch's cost vs a step's wait for it --------
+    let rows = vec![data_pipeline_row()];
+    claims(report, [sampling_wait_hidden(&rows)]);
+    report.rows("data_pipeline", rows);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rows::{interval, Span};
+
+    fn rows(assemble: Span, wait: Span) -> [Json; 1] {
+        [Json::obj([
+            ("assemble_ms", interval(assemble)),
+            ("wait_ms", interval(wait)),
+        ])]
+    }
+
+    #[test]
+    fn a_hidden_wait_passes_and_an_exposed_one_fails() {
+        assert!(sampling_wait_hidden(&rows((0.42, 0.46), (0.010, 0.018))).ok);
+        // The whole assembly shows up in the step: what inline sampling reads.
+        let v = sampling_wait_hidden(&rows((0.42, 0.46), (0.43, 0.47)));
+        assert!(!v.ok && v.detail.contains("0.430"), "{}", v.detail);
+        // Under half at the medians, but the intervals do not show it.
+        assert!(!sampling_wait_hidden(&rows((0.30, 0.50), (0.10, 0.16))).ok);
+    }
 }

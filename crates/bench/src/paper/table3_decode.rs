@@ -23,8 +23,6 @@
 //!   1.5 × the sequential one);
 //! * whereas tar pays real seeks for every shuffled access —
 //!   `tar_pays_seeks_when_shuffled`, on the modeled I/O (deterministic).
-//!   **Red since the gate exists** (EXPERIMENTS E28): the reader charges
-//!   sequential and shuffled reads alike — see the gate's detail.
 
 use super::{imagenet_shard, scratch_file};
 use crate::rows::{claims, no_slower, num, select, text, unless, Timing, Verdict};
@@ -127,20 +125,10 @@ pub fn tar_pays_seeks_when_shuffled(rows: &[Json]) -> Verdict {
             io("shuffled", tar)
         )
     });
-    let verdict = unless(
+    unless(
         "tar_pays_seeks_when_shuffled",
         &format!("modeled I/O of {batch} tar reads is higher shuffled than sequential"),
         free.collect(),
-    );
-    if verdict.ok {
-        return verdict;
-    }
-    // What a red reading means, for whoever meets it in the file.
-    verdict.with(
-        "`IndexedTarReader::read_sample` never classes a read as sequential: it compares an \
-         entry's payload offset with the previous entry's padded end, which is the next *header* \
-         (512 bytes short), so every read is charged a seek; the fix is in crates/data, outside \
-         ISSUE 20's paths (EXPERIMENTS E28)",
     )
 }
 

@@ -113,7 +113,8 @@ pub struct IndexedTarReader {
     index: Vec<IndexEntry>,
     model: StorageModel,
     clock: Arc<StorageClock>,
-    /// Last read end-offset, to distinguish sequential from random access.
+    /// Padded end of the last payload read — where the next entry's header
+    /// starts — to distinguish sequential from random access.
     last_end: u64,
     pub decoder: Decoder,
 }
@@ -174,9 +175,10 @@ impl IndexedTarReader {
             .index
             .get(idx)
             .ok_or_else(|| Error::NotFound(format!("tar sample {idx}")))?;
-        // Charge modeled I/O. A header read precedes the payload; when
-        // jumping, charge a seek.
-        let sequential = e.offset == self.last_end;
+        // Charge modeled I/O. A header read precedes the payload, so the
+        // entry that follows the last one read has its payload one header
+        // past `last_end`; when jumping, charge a seek.
+        let sequential = self.last_end.checked_add(512) == Some(e.offset);
         if sequential {
             self.clock
                 .charge(self.model.stream_cost(e.size as usize + 512));
@@ -295,6 +297,30 @@ mod tests {
             shuf_clock.elapsed(),
             seq_clock.elapsed()
         );
+        cleanup(&path);
+    }
+
+    #[test]
+    fn consecutive_entries_stream_and_a_jump_seeks() {
+        let path = make_tar(4, "stream.tar");
+        let model = StorageModel::parallel_fs();
+        // Streaming a few KB costs far less than one seek.
+        let seek = model.seek_latency_s;
+        assert!(model.stream_cost(64 << 10) < seek);
+        let clock = Arc::new(StorageClock::new());
+        let mut r = IndexedTarReader::open(&path, Decoder::Turbo, model, clock.clone()).unwrap();
+        let mut seeks = |idx: usize| {
+            let before = clock.elapsed();
+            r.read_sample(idx).unwrap();
+            clock.elapsed() - before >= seek
+        };
+        assert!(seeks(0), "nothing was read before the first entry");
+        assert!(!seeks(1), "the entry after the last one read streams");
+        assert!(!seeks(2));
+        assert!(seeks(0), "backwards");
+        assert!(seeks(2), "forwards past an entry");
+        assert!(seeks(2), "the same entry again");
+        assert!(!seeks(3));
         cleanup(&path);
     }
 

@@ -23,7 +23,9 @@ pub enum Phase {
     Iteration,
     /// One pass over the training set.
     Epoch,
-    /// Loading/sampling one minibatch.
+    /// Waiting for one minibatch: the window around the sampler's
+    /// `next_batch`. A sampler that assembles ahead returns a ready batch,
+    /// so this is what loading cost the step, not what it cost to load.
     Sampling,
     /// A distributed communication operation (allreduce, push/pull, ...).
     Communication,

@@ -51,9 +51,12 @@ pub struct TrainingLog {
     pub test_accuracy: Vec<(usize, f64, f64)>,
     /// Wallclock seconds per epoch.
     pub epoch_times: Vec<f64>,
-    /// Wallclock seconds spent fetching each minibatch (the
-    /// `Phase::Sampling` window) — the dataset-pipeline latency the paper's
-    /// Level-2 metrics attribute separately from compute.
+    /// Wallclock seconds each step waited for its minibatch (the
+    /// `Phase::Sampling` window around `next_batch`) — the dataset-pipeline
+    /// latency the paper's Level-2 metrics attribute separately from
+    /// compute. With a sampler that assembles ahead this is the part of a
+    /// batch's cost the previous step did not hide, not the cost itself
+    /// (time `assemble_minibatch` directly for that).
     pub sampling_times: Vec<f64>,
     /// Total wallclock seconds.
     pub total_time: f64,
@@ -77,13 +80,15 @@ impl TrainingLog {
         }
     }
 
-    /// Summary of per-minibatch dataset latency (`None` before any batch
-    /// was fetched) — mean/median/p95 of the `Phase::Sampling` windows.
+    /// Summary of per-minibatch dataset latency as the training loop saw it
+    /// (`None` before any batch was fetched) — mean/median/p95 of the time
+    /// each step waited in `Phase::Sampling`.
     pub fn dataset_latency(&self) -> Option<Summary> {
         Summary::try_of(&self.sampling_times)
     }
 
-    /// Total seconds spent in the data pipeline (sum of sampling windows).
+    /// Total seconds the run waited for the data pipeline (sum of sampling
+    /// windows).
     pub fn sampling_total(&self) -> f64 {
         self.sampling_times.iter().sum()
     }
