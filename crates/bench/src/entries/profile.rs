@@ -19,14 +19,20 @@
 //!
 //! A third, untraced run fills the `data_pipeline` table: what a batch
 //! costs to assemble against how long a training step waits for it, and
-//! the gate `sampling_wait_hidden` on the two.
+//! the gate `sampling_wait_hidden` on the two. A fourth fills
+//! `dist_rendezvous`: what two ranks on the thread transport pay to meet
+//! (a ping-pong, one ring allreduce) and what that does to a CDSGD step,
+//! gated by `sync_costs_less_than_a_step`.
 //!
 //! Run with: `cargo run --release -p deep500-bench -- profile`
 
 use crate::rows::{claims, unless, Timing, Verdict};
-use crate::{repo_path, time_rounds, Report, Subject};
+use crate::{repo_path, scale, time_rounds, Report, Scale, Subject};
 use deep500::data::dataset::assemble_minibatch;
-use deep500::dist::{DistributedRunner, Variant};
+use deep500::dist::collectives::allreduce_ring;
+use deep500::dist::comm::ThreadCommunicator;
+use deep500::dist::optimizers::{dsgd::ConsistentDecentralized, DistributedOptimizer};
+use deep500::dist::{Communicator, DistributedRunner, NetworkModel, ThreadTransport, Variant};
 use deep500::metrics::stats::Summary;
 use deep500::metrics::{validate_chrome_trace, Json, Phase, TraceRecorder};
 use deep500::prelude::*;
@@ -102,6 +108,123 @@ fn data_pipeline_row() -> Json {
             Timing::of(&Summary::of(&log.sampling_times)).json(),
         ),
         ("step_ms", Timing::of(&Summary::of(&step_s)).json()),
+    ])
+}
+
+/// Two ranks that synchronise every step spend less on meeting each other
+/// than on the step itself: the two-rank step's excess over the solo step
+/// (CI upper bound minus CI lower bound) is under one solo step.
+pub fn sync_costs_less_than_a_step(rows: &[Json]) -> Verdict {
+    let costly = rows.iter().filter_map(|row| {
+        let (solo, dp2) = (
+            Timing::read(row, "solo_step_ms"),
+            Timing::read(row, "dp2_step_ms"),
+        );
+        (dp2.hi - solo.lo >= solo.lo).then(|| {
+            format!(
+                "two-rank step [{:.3}, {:.3}] ms vs solo [{:.3}, {:.3}] ms",
+                dp2.lo, dp2.hi, solo.lo, solo.hi
+            )
+        })
+    });
+    unless(
+        "sync_costs_less_than_a_step",
+        "a two-rank CDSGD step (CI upper bound) exceeds a solo step (CI lower bound) by less \
+         than a solo step",
+        costly.collect(),
+    )
+}
+
+/// What one rank does per call, built from its communicator.
+type RankBody = Box<dyn FnMut() + Send>;
+
+/// Per-rank batch of the `dist_rendezvous` steps (spine `dist-mlp-dp2`'s).
+const RENDEZVOUS_BATCH: usize = 16;
+
+/// The time of one call of `body` on rank 0 of a fresh two-rank thread
+/// transport while rank 1 runs its own body as many times on a thread of
+/// its own (the ranks meet inside the bodies). One subject per
+/// `time_rounds`: a peer that parked while another subject ran would be
+/// woken, and placed anew by the kernel, at every switch.
+fn in_lockstep(calls: usize, body: fn(ThreadCommunicator) -> RankBody) -> Json {
+    let warmup = calls / 8;
+    let mut comms = ThreadTransport::create(2, NetworkModel::instant());
+    let (rank1, rank0) = (comms.pop().expect("rank 1"), comms.pop().expect("rank 0"));
+    let call = std::thread::scope(|ranks| {
+        ranks.spawn(move || {
+            // A thread starts on its parent's core and is placed anew only
+            // when it wakes: sleep once, so that a kernel that does not
+            // balance load does not leave both ranks on one core.
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            let mut peer = body(rank1);
+            (0..warmup + calls).for_each(|_| peer());
+        });
+        time_rounds(warmup, calls, &mut [Subject::wall(body(rank0))])[0][0]
+    });
+    Timing::of(&call).json()
+}
+
+/// A 1-float message to the other rank and back.
+fn ping_pong(mut comm: ThreadCommunicator) -> RankBody {
+    let rank = comm.rank();
+    Box::new(move || {
+        if rank == 0 {
+            comm.send(1, &[1.0]).expect("ping");
+        }
+        comm.recv(1 - rank).expect("the other rank answers");
+        if rank == 1 {
+            comm.send(0, &[1.0]).expect("pong");
+        }
+    })
+}
+
+/// One ring allreduce of 32 768 floats (the spine MLP's largest gradient
+/// is 64 × 256 = 16 384).
+fn ring_allreduce(mut comm: ThreadCommunicator) -> RankBody {
+    let mut buf = vec![1.0f32; 32_768];
+    Box::new(move || allreduce_ring(&mut comm, &mut buf).expect("allreduce"))
+}
+
+/// One CDSGD step of `mlp(64, [256, 128], 8)` at batch 16 on the reference
+/// executor (spine `dist-mlp-dp2`'s shape), on one fixed batch per rank so
+/// that the step is backprop + exchange + update and nothing else.
+fn cdsgd_step(comm: ThreadCommunicator) -> RankBody {
+    let (features, batch, rank) = (64, RENDEZVOUS_BATCH, comm.rank());
+    let net = models::mlp(features, &[256, 128], 8, 42).expect("build mlp");
+    let mut exec = Engine::builder(net)
+        .build()
+        .and_then(Engine::into_inner)
+        .expect("build the rank's executor");
+    let shape = deep500::tensor::Shape::new(&[features]);
+    let dataset = SyntheticDataset::new("rendezvous", shape, 8, 64, 0.2, 9);
+    let indices: Vec<usize> = (rank * batch..(rank + 1) * batch).collect();
+    let mb = assemble_minibatch(&dataset, &indices).expect("assemble the rank's batch");
+    let sgd = Box::new(GradientDescent::new(0.01));
+    let mut opt = ConsistentDecentralized::optimized(sgd, Box::new(comm));
+    Box::new(move || {
+        opt.train_step(exec.as_mut(), &mb).expect("train step");
+    })
+}
+
+/// The same step with nobody to meet: each rank trains on a one-rank
+/// transport of its own. Measured two at a time like the real pair, so that
+/// the two step times of the row differ by the exchange and not by what a
+/// busy neighbouring core costs (two vCPUs may be one physical core).
+fn solo_step(_: ThreadCommunicator) -> RankBody {
+    cdsgd_step(ThreadTransport::create(1, NetworkModel::instant()).remove(0))
+}
+
+fn dist_rendezvous_row() -> Json {
+    let steps = if scale() == Scale::Smoke { 400 } else { 2000 };
+    Json::obj([
+        ("model", Json::from("mlp 64-256-128-8")),
+        ("scheme", Json::from("CDSGD, thread transport")),
+        ("batch", Json::from(RENDEZVOUS_BATCH)),
+        ("world", Json::from(2usize)),
+        ("roundtrip_ms", in_lockstep(16 * steps, ping_pong)),
+        ("allreduce_ms", in_lockstep(steps, ring_allreduce)),
+        ("solo_step_ms", in_lockstep(steps, solo_step)),
+        ("dp2_step_ms", in_lockstep(steps, cdsgd_step)),
     ])
 }
 
@@ -283,6 +406,11 @@ pub fn run(report: &mut Report) {
     let rows = vec![data_pipeline_row()];
     claims(report, [sampling_wait_hidden(&rows)]);
     report.rows("data_pipeline", rows);
+
+    // ---- 4. Rank rendezvous: what meeting costs vs what a step costs -----
+    let rows = vec![dist_rendezvous_row()];
+    claims(report, [sync_costs_less_than_a_step(&rows)]);
+    report.rows("dist_rendezvous", rows);
 }
 
 #[cfg(test)]
@@ -305,5 +433,21 @@ mod tests {
         assert!(!v.ok && v.detail.contains("0.430"), "{}", v.detail);
         // Under half at the medians, but the intervals do not show it.
         assert!(!sampling_wait_hidden(&rows((0.30, 0.50), (0.10, 0.16))).ok);
+    }
+
+    #[test]
+    fn cheap_rendezvous_passes_and_a_sync_dearer_than_the_step_fails() {
+        let rows = |solo: Span, dp2: Span| {
+            [Json::obj([
+                ("solo_step_ms", interval(solo)),
+                ("dp2_step_ms", interval(dp2)),
+            ])]
+        };
+        assert!(sync_costs_less_than_a_step(&rows((0.233, 0.253), (0.350, 0.370))).ok);
+        // The parked transport: 627 − 253 > 253.
+        let v = sync_costs_less_than_a_step(&rows((0.233, 0.253), (0.627, 0.642)));
+        assert!(!v.ok && v.detail.contains("0.642"), "{}", v.detail);
+        // Under one step at the medians, but the intervals do not show it.
+        assert!(!sync_costs_less_than_a_step(&rows((0.20, 0.30), (0.38, 0.42))).ok);
     }
 }

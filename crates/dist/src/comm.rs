@@ -8,6 +8,13 @@
 //! the real message schedule while the data itself moves for real. Compute
 //! time enters via [`Communicator::advance`].
 //!
+//! A rank waits in one place, [`ThreadCommunicator`]'s private `wait`: it
+//! polls its inbox for at most `SPIN_WINDOW`, then parks on the channel for
+//! what remains of the caller's deadline. It polls only when `world <=
+//! available_parallelism()`: with more ranks than cores a polling rank would
+//! hold the core of the rank it waits for. How a rank waits moves wall time;
+//! message order, volumes and virtual time never depend on it.
+//!
 //! Communication is **fallible by design**: every operation returns a
 //! typed [`CommError`] instead of panicking, so the fault-injection layer
 //! ([`crate::fault`]) can surface drops, timeouts, and rank deaths through
@@ -15,9 +22,18 @@
 //! recovery decisions (retry, renormalize, fail over, or abort cleanly).
 
 use crate::netmodel::NetworkModel;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use deep500_metrics::{CommunicationVolume, FaultCounters};
 use std::fmt;
+use std::time::{Duration, Instant};
+
+/// How long a receive polls before it parks: about one park/unpark round
+/// trip on a virtualised host (25–50 µs), so waiting for a message that
+/// comes later costs at most ~2× the optimal wait. Sized by the sweep in
+/// EXPERIMENTS E30; tracked by `BENCH_profile.json` → `dist_rendezvous`.
+const SPIN_WINDOW: Duration = Duration::from_micros(50);
+/// Polls separated by a `spin_loop` hint before `yield_now` takes over.
+const SPIN_POLLS: u32 = 8;
 
 /// A typed communication failure.
 ///
@@ -136,9 +152,10 @@ pub trait Communicator: Send {
     /// Non-blocking receive: `Ok(None)` when no message is waiting.
     fn try_recv(&mut self, from: usize) -> CommResult<Option<Vec<f32>>>;
 
-    /// Receive with a (real-time) patience budget. The default ignores the
-    /// budget and blocks — on a perfect network nothing is ever lost, so a
-    /// bounded wait is only meaningful under fault injection.
+    /// Receive with a (real-time) patience budget: `Timeout` once
+    /// `patience_s` passed without a message. [`ThreadCommunicator`] honours
+    /// the budget; this default, for transports that cannot wait against a
+    /// deadline, blocks.
     fn recv_timeout(&mut self, from: usize, _patience_s: f64) -> CommResult<Vec<f32>> {
         self.recv(from)
     }
@@ -212,6 +229,8 @@ pub struct ThreadCommunicator {
     model: NetworkModel,
     vclock: f64,
     volume: CommunicationVolume,
+    /// Poll before parking: `world <= available_parallelism()`.
+    spin: bool,
 }
 
 impl ThreadCommunicator {
@@ -228,6 +247,40 @@ impl ThreadCommunicator {
             )));
         }
         Ok(())
+    }
+
+    /// The one place a rank waits: the next message from `from`, or
+    /// `Timeout` once `patience` has passed (`Duration::MAX`: no deadline).
+    fn wait(&mut self, from: usize, patience: Duration) -> CommResult<Vec<f32>> {
+        self.check_peer(from, "recv from")?;
+        let inbox = &self.receivers[from];
+        let start = Instant::now();
+        let mut polls = 0u32;
+        let outcome = loop {
+            match inbox.try_recv() {
+                Err(TryRecvError::Empty) => {}
+                got => break got.map_err(|_| RecvTimeoutError::Disconnected),
+            }
+            let waited = start.elapsed();
+            if !self.spin || waited >= SPIN_WINDOW.min(patience) {
+                break inbox.recv_timeout(patience.saturating_sub(waited));
+            }
+            if polls < SPIN_POLLS {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now(); // a peer sharing this core gets it
+            }
+            polls += 1;
+        };
+        let msg = outcome.map_err(|e| match e {
+            RecvTimeoutError::Disconnected => CommError::Closed(format!("rank {from} hung up")),
+            RecvTimeoutError::Timeout => CommError::Timeout {
+                peer: from,
+                waited_s: start.elapsed().as_secs_f64(),
+            },
+        })?;
+        self.account_arrival(&msg);
+        Ok(msg.data)
     }
 
     /// Price an arrived message on the receiving endpoint's clock.
@@ -247,6 +300,7 @@ impl ThreadTransport {
     /// Create `world` fully-connected communicators under `model`.
     pub fn create(world: usize, model: NetworkModel) -> Vec<ThreadCommunicator> {
         assert!(world >= 1);
+        let spin = std::thread::available_parallelism().is_ok_and(|cores| world <= cores.get());
         // channels[src][dst]
         let mut txs: Vec<Vec<Option<Sender<Message>>>> = (0..world)
             .map(|_| (0..world).map(|_| None).collect())
@@ -279,6 +333,7 @@ impl ThreadTransport {
                 model,
                 vclock: 0.0,
                 volume: CommunicationVolume::new(),
+                spin,
             });
         }
         comms
@@ -308,24 +363,16 @@ impl Communicator for ThreadCommunicator {
         Ok(())
     }
     fn recv(&mut self, from: usize) -> CommResult<Vec<f32>> {
-        self.check_peer(from, "recv from")?;
-        let msg = self.receivers[from]
-            .recv()
-            .map_err(|_| CommError::Closed(format!("rank {from} hung up")))?;
-        self.account_arrival(&msg);
-        Ok(msg.data)
+        self.wait(from, Duration::MAX)
+    }
+    fn recv_timeout(&mut self, from: usize, patience_s: f64) -> CommResult<Vec<f32>> {
+        let patience = Duration::try_from_secs_f64(patience_s.max(0.0));
+        self.wait(from, patience.unwrap_or(Duration::MAX))
     }
     fn try_recv(&mut self, from: usize) -> CommResult<Option<Vec<f32>>> {
-        self.check_peer(from, "recv from")?;
-        match self.receivers[from].try_recv() {
-            Ok(msg) => {
-                self.account_arrival(&msg);
-                Ok(Some(msg.data))
-            }
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => {
-                Err(CommError::Closed(format!("rank {from} hung up")))
-            }
+        match self.wait(from, Duration::ZERO) {
+            Err(CommError::Timeout { .. }) => Ok(None),
+            got => got.map(Some),
         }
     }
     fn advance(&mut self, seconds: f64) {
@@ -472,6 +519,85 @@ mod tests {
         assert_eq!(c0.try_recv(1).unwrap(), None);
         drop(c1);
         assert!(matches!(c0.try_recv(1), Err(CommError::Closed(_))));
+    }
+
+    fn two() -> (ThreadCommunicator, ThreadCommunicator) {
+        let mut comms = ThreadTransport::create(2, NetworkModel::instant());
+        let c1 = comms.pop().unwrap();
+        (comms.pop().unwrap(), c1)
+    }
+
+    #[test]
+    fn ranks_poll_only_when_each_has_a_core() {
+        let cores = thread::available_parallelism().map_or(1, |c| c.get());
+        assert!(ThreadTransport::create(cores, NetworkModel::instant())[0].spin);
+        assert!(!ThreadTransport::create(cores + 1, NetworkModel::instant())[0].spin);
+    }
+
+    #[test]
+    fn a_queued_message_needs_no_wait_and_a_late_one_wakes_the_parked_receiver() {
+        let (mut c0, mut c1) = two();
+        c1.send(0, &[1.0]).unwrap();
+        // Delivered on a zero budget: nothing was waited for.
+        assert_eq!(c0.recv_timeout(1, 0.0).unwrap(), vec![1.0]);
+        assert!(matches!(
+            c0.recv_timeout(1, 0.0),
+            Err(CommError::Timeout { peer: 1, .. })
+        ));
+        // 5 ms is a hundred polling windows: this one arrives in the park.
+        let h = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(5));
+            c1.send(0, &[2.0]).unwrap();
+            c1
+        });
+        assert_eq!(c0.recv(1).unwrap(), vec![2.0]);
+        assert_eq!(c0.stats().messages_received, 2);
+        drop(h.join().unwrap());
+    }
+
+    #[test]
+    fn recv_timeout_waits_its_patience_and_loses_nothing() {
+        let (mut c0, mut c1) = two();
+        let patience = 0.02;
+        match c0.recv_timeout(1, patience) {
+            Err(CommError::Timeout { peer: 1, waited_s }) => assert!(
+                (patience..=patience + 0.05).contains(&waited_s),
+                "waited {waited_s}"
+            ),
+            other => panic!("expected a timeout, got {other:?}"),
+        }
+        // A timeout is not an arrival: clock and volume did not move.
+        assert_eq!((c0.elapsed(), c0.stats().messages_received), (0.0, 0));
+        c1.send(0, &[3.0]).unwrap();
+        assert_eq!(c0.recv_timeout(1, patience).unwrap(), vec![3.0]);
+    }
+
+    #[test]
+    fn a_peer_dropped_while_polling_or_while_parked_is_closed() {
+        // 0: gone before the receive; 20 µs: inside the polling window;
+        // 5 ms: long after the receiver parked.
+        for delay_us in [0u64, 20, 5_000] {
+            for bounded in [false, true] {
+                let (mut c0, c1) = two();
+                let h = thread::spawn(move || {
+                    let t0 = Instant::now();
+                    while t0.elapsed() < Duration::from_micros(delay_us) {
+                        std::hint::spin_loop();
+                    }
+                    drop(c1);
+                });
+                let got = if bounded {
+                    c0.recv_timeout(1, 5.0)
+                } else {
+                    c0.recv(1)
+                };
+                assert!(
+                    matches!(got, Err(CommError::Closed(_))),
+                    "{delay_us} µs: {got:?}"
+                );
+                h.join().unwrap();
+            }
+        }
     }
 
     #[test]

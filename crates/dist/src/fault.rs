@@ -21,7 +21,6 @@ use crate::comm::{CommError, CommResult, Communicator, SendOptions};
 use crate::netmodel::NetworkModel;
 use deep500_metrics::{CommunicationVolume, FaultCounters};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// SplitMix64 — a tiny, high-quality, seedable PRNG (public domain
 /// reference constants). Enough for fault decisions; not for crypto.
@@ -111,7 +110,7 @@ pub struct FaultPlan {
     /// step: its `begin_step(step)` returns `RankDead` and every later
     /// operation fails.
     pub crashes: Vec<(usize, u64)>,
-    /// Real-time patience while polling for a message before a `Timeout`
+    /// Real-time patience while waiting for a message before a `Timeout`
     /// surfaces (bounds wall-clock hangs when a peer aborted outside the
     /// plan).
     pub recv_patience_s: f64,
@@ -367,42 +366,27 @@ impl<C: Communicator> Communicator for FaultyCommunicator<C> {
 
     fn recv_timeout(&mut self, from: usize, patience_s: f64) -> CommResult<Vec<f32>> {
         self.check_self_alive()?;
-        let start = Instant::now();
-        loop {
-            // Drain anything already delivered (messages sent before a
-            // peer's crash remain consumable).
+        // Whether the plan has killed `from` depends on the step, which
+        // cannot change during a call, so it is decided before waiting.
+        let (kind, err) = if self.plan.is_dead(from, self.step) {
+            // Messages sent before the crash remain consumable.
             match self.inner.try_recv(from) {
                 Ok(Some(data)) => return Ok(data),
-                Ok(None) => {}
-                Err(CommError::Closed(_)) if self.plan.is_dead(from, self.step) => {
-                    // Planned crash: the peer's endpoint is gone.
-                    self.counters.recoveries += 1;
-                    self.counters.recovery_virtual_s += self.plan.detect_virtual_s;
-                    self.inner.advance(self.plan.detect_virtual_s);
-                    self.log(FaultKind::CrashDetected, from);
-                    return Err(CommError::RankDead(from));
-                }
+                Ok(None) | Err(CommError::Closed(_)) => {}
                 Err(e) => return Err(e),
             }
-            if self.plan.is_dead(from, self.step) {
-                self.counters.recoveries += 1;
-                self.counters.recovery_virtual_s += self.plan.detect_virtual_s;
-                self.inner.advance(self.plan.detect_virtual_s);
-                self.log(FaultKind::CrashDetected, from);
-                return Err(CommError::RankDead(from));
+            self.counters.recoveries += 1;
+            (FaultKind::CrashDetected, CommError::RankDead(from))
+        } else {
+            match self.inner.recv_timeout(from, patience_s) {
+                Err(e @ CommError::Timeout { .. }) => (FaultKind::TimeoutDetected, e),
+                other => return other,
             }
-            let waited = start.elapsed().as_secs_f64();
-            if waited > patience_s {
-                self.counters.recovery_virtual_s += self.plan.detect_virtual_s;
-                self.inner.advance(self.plan.detect_virtual_s);
-                self.log(FaultKind::TimeoutDetected, from);
-                return Err(CommError::Timeout {
-                    peer: from,
-                    waited_s: waited,
-                });
-            }
-            std::thread::sleep(std::time::Duration::from_micros(200));
-        }
+        };
+        self.counters.recovery_virtual_s += self.plan.detect_virtual_s;
+        self.inner.advance(self.plan.detect_virtual_s);
+        self.log(kind, from);
+        Err(err)
     }
 
     fn try_recv(&mut self, from: usize) -> CommResult<Option<Vec<f32>>> {
@@ -473,6 +457,7 @@ impl<C: Communicator> Communicator for FaultyCommunicator<C> {
 mod tests {
     use super::*;
     use crate::comm::ThreadTransport;
+    use std::time::Instant;
 
     fn pair(
         plan: FaultPlan,

@@ -4,6 +4,7 @@
 
 pub mod channel {
     use std::sync::mpsc;
+    use std::time::Duration;
 
     /// Error returned by [`Sender::send`] when the receiver is gone.
     #[derive(Debug, PartialEq, Eq)]
@@ -19,6 +20,14 @@ pub mod channel {
     #[derive(Debug, PartialEq, Eq)]
     pub enum TryRecvError {
         Empty,
+        Disconnected,
+    }
+
+    /// Error returned by [`Receiver::recv_timeout`]: nothing arrived within
+    /// the timeout, or every sender has hung up.
+    #[derive(Debug, PartialEq, Eq)]
+    pub enum RecvTimeoutError {
+        Timeout,
         Disconnected,
     }
 
@@ -53,6 +62,15 @@ pub mod channel {
                 mpsc::TryRecvError::Disconnected => TryRecvError::Disconnected,
             })
         }
+
+        /// Block for at most `timeout`. A message already queued is
+        /// returned even when `timeout` is zero.
+        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+            self.0.recv_timeout(timeout).map_err(|e| match e {
+                mpsc::RecvTimeoutError::Timeout => RecvTimeoutError::Timeout,
+                mpsc::RecvTimeoutError::Disconnected => RecvTimeoutError::Disconnected,
+            })
+        }
     }
 
     /// An unbounded FIFO channel.
@@ -84,6 +102,31 @@ pub mod channel {
             assert_eq!(rx.try_recv(), Ok(7));
             drop(tx);
             assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+        }
+
+        #[test]
+        fn recv_timeout_delivers_times_out_and_sees_the_hangup() {
+            let (tx, rx) = unbounded();
+            tx.send(8).unwrap();
+            // Queued before the call: delivered even on a zero budget.
+            assert_eq!(rx.recv_timeout(Duration::ZERO), Ok(8));
+            let t0 = std::time::Instant::now();
+            assert_eq!(
+                rx.recv_timeout(Duration::from_millis(20)),
+                Err(RecvTimeoutError::Timeout)
+            );
+            assert!(t0.elapsed() >= Duration::from_millis(20));
+            // Sent while the receiver is parked: wakes it.
+            let late = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(5));
+                tx.send(9).unwrap();
+            });
+            assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(9));
+            late.join().unwrap();
+            assert_eq!(
+                rx.recv_timeout(Duration::from_secs(5)),
+                Err(RecvTimeoutError::Disconnected)
+            );
         }
 
         #[test]
