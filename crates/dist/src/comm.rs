@@ -10,10 +10,11 @@
 //!
 //! A rank waits in one place, [`ThreadCommunicator`]'s private `wait`: it
 //! polls its inbox for at most `SPIN_WINDOW`, then parks on the channel for
-//! what remains of the caller's deadline. It polls only when `world <=
-//! available_parallelism()`: with more ranks than cores a polling rank would
-//! hold the core of the rank it waits for. How a rank waits moves wall time;
-//! message order, volumes and virtual time never depend on it.
+//! what remains of the caller's deadline — also with more ranks than cores,
+//! where a polling rank hands its core over through `yield_now` (measured in
+//! EXPERIMENTS E30: never slower than parking at once). How a rank waits
+//! moves wall time; message order, volumes and virtual time never depend on
+//! it.
 //!
 //! Communication is **fallible by design**: every operation returns a
 //! typed [`CommError`] instead of panicking, so the fault-injection layer
@@ -229,8 +230,6 @@ pub struct ThreadCommunicator {
     model: NetworkModel,
     vclock: f64,
     volume: CommunicationVolume,
-    /// Poll before parking: `world <= available_parallelism()`.
-    spin: bool,
 }
 
 impl ThreadCommunicator {
@@ -262,7 +261,7 @@ impl ThreadCommunicator {
                 got => break got.map_err(|_| RecvTimeoutError::Disconnected),
             }
             let waited = start.elapsed();
-            if !self.spin || waited >= SPIN_WINDOW.min(patience) {
+            if waited >= SPIN_WINDOW.min(patience) {
                 break inbox.recv_timeout(patience.saturating_sub(waited));
             }
             if polls < SPIN_POLLS {
@@ -300,7 +299,6 @@ impl ThreadTransport {
     /// Create `world` fully-connected communicators under `model`.
     pub fn create(world: usize, model: NetworkModel) -> Vec<ThreadCommunicator> {
         assert!(world >= 1);
-        let spin = std::thread::available_parallelism().is_ok_and(|cores| world <= cores.get());
         // channels[src][dst]
         let mut txs: Vec<Vec<Option<Sender<Message>>>> = (0..world)
             .map(|_| (0..world).map(|_| None).collect())
@@ -333,7 +331,6 @@ impl ThreadTransport {
                 model,
                 vclock: 0.0,
                 volume: CommunicationVolume::new(),
-                spin,
             });
         }
         comms
@@ -370,9 +367,16 @@ impl Communicator for ThreadCommunicator {
         self.wait(from, patience.unwrap_or(Duration::MAX))
     }
     fn try_recv(&mut self, from: usize) -> CommResult<Option<Vec<f32>>> {
-        match self.wait(from, Duration::ZERO) {
-            Err(CommError::Timeout { .. }) => Ok(None),
-            got => got.map(Some),
+        self.check_peer(from, "recv from")?;
+        match self.receivers[from].try_recv() {
+            Ok(msg) => {
+                self.account_arrival(&msg);
+                Ok(Some(msg.data))
+            }
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => {
+                Err(CommError::Closed(format!("rank {from} hung up")))
+            }
         }
     }
     fn advance(&mut self, seconds: f64) {
@@ -525,13 +529,6 @@ mod tests {
         let mut comms = ThreadTransport::create(2, NetworkModel::instant());
         let c1 = comms.pop().unwrap();
         (comms.pop().unwrap(), c1)
-    }
-
-    #[test]
-    fn ranks_poll_only_when_each_has_a_core() {
-        let cores = thread::available_parallelism().map_or(1, |c| c.get());
-        assert!(ThreadTransport::create(cores, NetworkModel::instant())[0].spin);
-        assert!(!ThreadTransport::create(cores + 1, NetworkModel::instant())[0].spin);
     }
 
     #[test]

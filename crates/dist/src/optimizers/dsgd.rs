@@ -30,42 +30,38 @@ pub struct ConsistentDecentralized {
     name: &'static str,
     conversion_overhead: bool,
     fused_buffers: bool,
-    /// The live group. Membership is a function of the step, so it is
-    /// asked for where the step changes (`begin_step`), not per step here.
-    live: Vec<usize>,
 }
 
 impl ConsistentDecentralized {
-    fn flavour(
-        name: &'static str,
-        conversion_overhead: bool,
-        fused_buffers: bool,
-        base: Box<dyn ThreeStepOptimizer>,
-        comm: Box<dyn Communicator>,
-    ) -> Self {
-        ConsistentDecentralized {
-            live: comm.live_ranks(),
-            core: SchemeCore::new(base, comm),
-            name,
-            conversion_overhead,
-            fused_buffers,
-        }
-    }
-
     /// The optimized direct-buffer variant (the paper's CDSGD).
     pub fn optimized(base: Box<dyn ThreeStepOptimizer>, comm: Box<dyn Communicator>) -> Self {
-        Self::flavour("CDSGD", false, false, base, comm)
+        ConsistentDecentralized {
+            core: SchemeCore::new(base, comm),
+            name: "CDSGD",
+            conversion_overhead: false,
+            fused_buffers: false,
+        }
     }
 
     /// The Python-reference variant (REF-dsgd): pays buffer conversions
     /// around every communication.
     pub fn reference(base: Box<dyn ThreeStepOptimizer>, comm: Box<dyn Communicator>) -> Self {
-        Self::flavour("REF-dsgd", true, false, base, comm)
+        ConsistentDecentralized {
+            core: SchemeCore::new(base, comm),
+            name: "REF-dsgd",
+            conversion_overhead: true,
+            fused_buffers: false,
+        }
     }
 
     /// Horovod-style fused-buffer allreduce.
     pub fn horovod(base: Box<dyn ThreeStepOptimizer>, comm: Box<dyn Communicator>) -> Self {
-        Self::flavour("Horovod", false, true, base, comm)
+        ConsistentDecentralized {
+            core: SchemeCore::new(base, comm),
+            name: "Horovod",
+            conversion_overhead: false,
+            fused_buffers: true,
+        }
     }
 }
 
@@ -83,11 +79,11 @@ impl DistributedOptimizer for ConsistentDecentralized {
         // Graceful degradation: the ring forms over the live group and the
         // average renormalizes by its size. Without faults the live group
         // is the full world and the schedule is bit-identical.
-        let live = &self.live;
+        let live = self.core.comm.live_ranks();
         if self.fused_buffers {
             // One fused allreduce over all gradients.
             let (mut buf, layout) = flatten_gradients(executor)?;
-            allreduce_ring_among(self.core.comm.as_mut(), &mut buf, live)?;
+            allreduce_ring_among(self.core.comm.as_mut(), &mut buf, &live)?;
             average_among(&mut buf, live.len());
             let grads = unflatten_gradients(executor, &buf, &layout)?;
             for (pname, grad) in grads {
@@ -101,7 +97,7 @@ impl DistributedOptimizer for ConsistentDecentralized {
                 if self.conversion_overhead {
                     conversion_roundtrip(&mut buf);
                 }
-                allreduce_ring_among(self.core.comm.as_mut(), &mut buf, live)?;
+                allreduce_ring_among(self.core.comm.as_mut(), &mut buf, &live)?;
                 average_among(&mut buf, live.len());
                 if self.conversion_overhead {
                     conversion_roundtrip(&mut buf);
@@ -122,9 +118,7 @@ impl DistributedOptimizer for ConsistentDecentralized {
     }
 
     fn begin_step(&mut self, step: u64) -> CommResult<()> {
-        self.core.comm.begin_step(step)?;
-        self.live = self.core.comm.live_ranks();
-        Ok(())
+        self.core.comm.begin_step(step)
     }
 
     fn advance_virtual(&mut self, seconds: f64) {
