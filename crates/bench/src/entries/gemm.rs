@@ -7,9 +7,9 @@
 //! calls — the fastest tier on every shape (`packed_fastest`).
 //!
 //! A second table, `cutovers`, holds one row on each side of the two
-//! hand-set routing cuts no other row measures: `PAR_THRESHOLD` (a shape
-//! pair of one aspect whose `m·n·k` straddles `64³`, on the two tiers that
-//! consult it) and `Linear`'s single-row GEMV path (`n = 1` against
+//! hand-set routing cuts no other row measures: `par::FORK_CUT` (a shape
+//! pair of one aspect whose `m·n·k` straddles it, on the two tiers that
+//! hand row panels to `par`) and `Linear`'s single-row GEMV path (`n = 1` against
 //! `n = 2`, per-row time). No gate reads them yet: they exist so the next
 //! routing change has a before-row on both sides of each cut.
 //!
@@ -20,8 +20,9 @@ use crate::{reruns, time_rounds, Report, Subject};
 use deep500::metrics::norms::linf_diff;
 use deep500::metrics::Json;
 use deep500::ops::deepbench::GemmSize;
-use deep500::ops::gemm::{gemm_into, Algorithm, PAR_THRESHOLD};
+use deep500::ops::gemm::{gemm_into, Algorithm};
 use deep500::ops::linear::LinearOp;
+use deep500::ops::par;
 use deep500::ops::Operator;
 use deep500::prelude::*;
 use std::cell::RefCell;
@@ -74,23 +75,23 @@ fn rate(flops: f64, t: &Timing) -> Json {
     Json::fixed(flops / t.ms / 1e6, 3)
 }
 
-/// One row on each side of `PAR_THRESHOLD` and of the GEMV cut-over.
+/// One row on each side of `par::FORK_CUT` and of the GEMV cut-over.
 fn cutover_rows(rng: &mut Xoshiro256StarStar) -> Vec<Json> {
     let mut rows = Vec::new();
-    // `Parallel` forks on `m·n·k >= PAR_THRESHOLD` alone; `Packed` also
-    // needs more than one `MC` row panel (`mc = 128` at `k = 256`), so a
-    // tall shape is one where the threshold is what decides for both.
+    // Both tiers fork on `par::worth_forking(m·n·k)` and more than one row
+    // panel — 64 rows for `Parallel`, `mc = 128` at `k = 256` for `Packed`
+    // — so a tall shape is one where the cut is what decides for both.
     for m in [248, 264] {
         let g = GemmSize::new(m, 4, 256);
-        let side = if m * g.n * g.k < PAR_THRESHOLD {
-            "below"
-        } else {
+        let side = if par::worth_forking(m * g.n * g.k) {
             "above"
+        } else {
+            "below"
         };
         let tiers = [Algorithm::Parallel, Algorithm::Packed];
         for (algo, (t, _)) in tiers.iter().zip(time_tiers(g, &tiers, 10 * reruns(), rng)) {
             rows.push(Json::obj([
-                ("cut", Json::from("PAR_THRESHOLD")),
+                ("cut", Json::from("fork_cut")),
                 ("side", Json::from(side)),
                 ("tier", Json::from(format!("{algo:?}").to_lowercase())),
                 ("m", Json::from(g.m)),

@@ -19,16 +19,20 @@
 //!    run's observed `peak_memory()` (must be ≤).
 //!
 //! 4. **Executors** — the serial reference loop against the plan
-//!    interpreter at 1, 2 and all worker threads on a wide multi-level
-//!    model (rows only: thread counts beyond the host's cores time-slice,
-//!    so read them next to `env.cores`).
+//!    interpreter on two wide multi-level models, one on each side of the
+//!    fork decision (`deep500_ops::par`): eight 96-wide towers whose
+//!    levels sit below the cut, so the interpreter must run them inline
+//!    and be no slower than the serial loop (gate
+//!    `small_levels_run_inline`), and eight 256-wide towers whose `Linear`
+//!    level forks (rows only: what a fork buys depends on the host's
+//!    cores, so read them next to `env.cores`).
 //!
 //! Writes `BENCH_plan.json`; every parity, memory-bound and speed
 //! criterion is a gate.
 //!
 //! Run with: `cargo run --release -p deep500-bench -- plan`
 
-use crate::rows::Timing;
+use crate::rows::{claims, no_slower, select, text, Timing, Verdict};
 use crate::{time_rounds, Report, Subject};
 use deep500::graph::compile;
 use deep500::graph::models::{feed_refs, zoo, ZooCase};
@@ -170,14 +174,22 @@ fn run_case(case: &ZooCase) -> Row {
 }
 
 const BRANCHES: usize = 8;
-const FEATURES: usize = 96;
 const BATCH: usize = 16;
+/// Tower widths of the two `executors` models: at [`BATCH`] rows a 96-wide
+/// `Linear` is 147 k multiply-adds, below `par::FORK_CUT` (262 k), and a
+/// 256-wide one 1 M, above it.
+const SMALL: usize = 96;
+const LARGE: usize = 256;
 
-/// `BRANCHES` independent `Linear -> Relu` towers over a shared input,
-/// concatenated (axis 0) and reduced to a scalar MSE loss: the level
-/// partition has two levels of width `BRANCHES`, the shape the level
-/// scheduler is built for.
-fn wide_net() -> Network {
+fn wide_name(features: usize) -> String {
+    format!("wide{BRANCHES}x{features}b{BATCH}")
+}
+
+/// `BRANCHES` independent `Linear -> Relu` towers of width `features`
+/// over a shared input, concatenated (axis 0) and reduced to a scalar MSE
+/// loss: the level partition has two levels of width `BRANCHES`, the shape
+/// the level scheduler is built for.
+fn wide_net(features: usize) -> Network {
     let mut rng = Xoshiro256StarStar::seed_from_u64(0x5eed);
     let mut net = Network::new("wide");
     net.add_input("x");
@@ -185,9 +197,9 @@ fn wide_net() -> Network {
     let mut towers: Vec<String> = Vec::new();
     for i in 0..BRANCHES {
         let [w, b, h, r] = ["w", "b", "h", "r"].map(|p| format!("{p}{i}"));
-        let init = Tensor::rand_normal([FEATURES, FEATURES], 0.0, 0.05, &mut rng);
+        let init = Tensor::rand_normal([features, features], 0.0, 0.05, &mut rng);
         net.add_parameter(&w, init);
-        net.add_parameter(&b, Tensor::zeros([FEATURES]));
+        net.add_parameter(&b, Tensor::zeros([features]));
         net.add_node(
             format!("fc{i}"),
             "Linear",
@@ -216,50 +228,63 @@ fn wide_net() -> Network {
     net
 }
 
-/// One full `inference_and_backprop` pass of [`wide_net`] per executor
-/// and thread count (`0` = one slot per rayon worker), interleaved; the
-/// plan interpreter reuses its plan slots and gradient pool across
-/// passes, so it can win even at a single thread once warm.
+/// One full `inference_and_backprop` pass of [`wide_net`] per width and
+/// executor, the two executors of a width interleaved; the plan
+/// interpreter reuses its plan slots and gradient pool across passes, so
+/// it can win without forking once warm.
 fn executor_rows() -> Vec<Json> {
     let mut rng = Xoshiro256StarStar::seed_from_u64(7);
-    let x = Tensor::rand_uniform([BATCH, FEATURES], -1.0, 1.0, &mut rng);
-    let feeds = [
-        ("x", x),
-        ("target", Tensor::zeros([BRANCHES * BATCH, FEATURES])),
-    ];
-    let configs = [
-        (ExecutorKind::Reference, 1),
-        (ExecutorKind::Planned, 1),
-        (ExecutorKind::Planned, 2),
-        (ExecutorKind::Planned, 0),
-    ];
-    let engines = configs.map(|(kind, threads)| {
-        let builder = Engine::builder(wide_net()).executor(kind).threads(threads);
-        builder.build().expect("wide engine")
-    });
-    let mut subjects: Vec<Subject<1>> = engines
-        .iter()
-        .map(|engine| {
-            let feeds = &feeds;
-            Subject::wall(move || {
-                let mut ex = engine.lock();
-                ex.inference_and_backprop(feeds, "loss").expect("wide pass")
+    let mut rows = Vec::new();
+    for features in [SMALL, LARGE] {
+        let x = Tensor::rand_uniform([BATCH, features], -1.0, 1.0, &mut rng);
+        let feeds = [
+            ("x", x),
+            ("target", Tensor::zeros([BRANCHES * BATCH, features])),
+        ];
+        let kinds = [ExecutorKind::Reference, ExecutorKind::Planned];
+        let engines = kinds.map(|kind| {
+            let builder = Engine::builder(wide_net(features)).executor(kind);
+            builder.build().expect("wide engine")
+        });
+        let mut subjects: Vec<Subject<1>> = engines
+            .iter()
+            .map(|engine| {
+                let feeds = &feeds;
+                Subject::wall(move || {
+                    let mut ex = engine.lock();
+                    ex.inference_and_backprop(feeds, "loss").expect("wide pass")
+                })
             })
-        })
-        .collect();
-    let timed = time_rounds(3, 30, &mut subjects);
-    let row = |((kind, threads), [t]): (&(ExecutorKind, usize), &[_; 1])| {
-        Json::obj([
-            (
-                "model",
-                Json::from(format!("wide{BRANCHES}x{FEATURES}b{BATCH}")),
-            ),
-            ("executor", Json::from(format!("{kind:?}").to_lowercase())),
-            ("threads", Json::from(*threads)),
-            ("pass", Timing::of(t).json()),
-        ])
+            .collect();
+        let timed = time_rounds(3, 30, &mut subjects);
+        rows.extend(kinds.iter().zip(&timed).map(|(kind, [t])| {
+            Json::obj([
+                ("model", Json::from(wide_name(features))),
+                ("executor", Json::from(format!("{kind:?}").to_lowercase())),
+                ("pass", Timing::of(t).json()),
+            ])
+        }));
+    }
+    rows
+}
+
+/// Levels whose steps sit below the fork cut run inline: on the small
+/// wide model the plan interpreter is no slower than the serial loop.
+/// (When every level of two or more nodes was handed to the pool it read
+/// 0.71 ms against 0.35.)
+pub fn small_levels_run_inline(executors: &[Json]) -> Verdict {
+    let model = wide_name(SMALL);
+    let pass = |executor: &str| {
+        let row = select(executors, "model", &model)
+            .find(|row| text(row, "executor") == executor)
+            .unwrap_or_else(|| panic!("no {executor} row of {model}"));
+        Timing::read(row, "pass")
     };
-    configs.iter().zip(&timed).map(row).collect()
+    no_slower(
+        "small_levels_run_inline",
+        "planned is no slower than reference where no level clears the fork cut",
+        [(model.clone(), pass("planned"), pass("reference"))],
+    )
 }
 
 /// Compiling must never cost speed; 5 % absorbs timing noise.
@@ -273,10 +298,12 @@ pub fn run(report: &mut Report) {
         .collect();
 
     let min_speedup = rows.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
+    let executors = executor_rows();
+    let inline = small_levels_run_inline(&executors);
     report
         .field("min_speedup", Json::fixed(min_speedup, 4))
         .rows("models", rows.iter().map(|r| r.json.clone()).collect())
-        .rows("executors", executor_rows())
+        .rows("executors", executors)
         .gate(
             "models_benchmarked",
             rows.len() == MODELS.len(),
@@ -311,4 +338,30 @@ pub fn run(report: &mut Report) {
         &|r| r.speedup >= SPEEDUP_FLOOR,
         &format!("speedup >= {SPEEDUP_FLOOR} on every model (min {min_speedup:.2})"),
     );
+    claims(report, [inline]);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rows::{interval, Span};
+
+    #[test]
+    fn an_inline_small_model_passes_and_a_forked_one_fails() {
+        let rows = |reference: Span, planned: Span| {
+            [("reference", reference), ("planned", planned)].map(|(executor, pass)| {
+                Json::obj([
+                    ("model", Json::from(wide_name(SMALL))),
+                    ("executor", Json::from(executor)),
+                    ("pass", interval(pass)),
+                ])
+            })
+        };
+        assert!(small_levels_run_inline(&rows((0.33, 0.36), (0.26, 0.29))).ok);
+        // Overlapping intervals do not contradict the claim.
+        assert!(small_levels_run_inline(&rows((0.33, 0.36), (0.35, 0.39))).ok);
+        // What forking every level read at the parent commit.
+        let v = small_levels_run_inline(&rows((0.33, 0.36), (0.70, 0.73)));
+        assert!(!v.ok && v.detail.contains("0.700"), "{}", v.detail);
+    }
 }

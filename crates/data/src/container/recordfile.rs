@@ -168,6 +168,9 @@ impl RecordPipeline {
             let data: Vec<f32> = img.pixels.iter().map(|&b| b as f32 / 127.5 - 1.0).collect();
             Ok((data, r.label, (img.c, img.h, img.w)))
         };
+        // Not through `deep500_ops::par`: its cut counts multiply-adds, a
+        // record decode is not counted in those, so the caller's
+        // `parallel_decode` decides.
         let decoded: Vec<_> = if self.parallel_decode {
             records.par_iter().map(decode).collect::<Result<_>>()?
         } else {

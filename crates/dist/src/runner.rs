@@ -19,7 +19,7 @@
 //!
 //! The result is a [`RunReport`]: per-rank losses, parameters, volumes,
 //! virtual times, fault counters, and a [`RankStatus`] that distinguishes
-//! planned crashes from failures. [`ranks_consistent`] produces a
+//! planned crashes from failures. [`RunReport::consistency`] produces a
 //! [`ConsistencyReport`] that *names* the diverging ranks and parameters
 //! instead of a bare boolean.
 
@@ -84,21 +84,6 @@ fn spawn_ranks<T: Send + 'static>(
         Some(e) => Err(e),
         None => Ok(results),
     }
-}
-
-/// Per-rank parameters-and-losses summary consumed by the cross-rank
-/// consistency checks ([`ranks_consistent`]).
-#[derive(Debug, Clone)]
-pub struct RankResult {
-    pub rank: usize,
-    /// Loss after each step on this rank.
-    pub losses: Vec<f32>,
-    /// Final parameters (name → flat values) for cross-rank checks.
-    pub final_params: Vec<(String, Vec<f32>)>,
-    /// Communication counters.
-    pub volume: CommunicationVolume,
-    /// Virtual time (compute + modeled communication).
-    pub virtual_time: f64,
 }
 
 /// Factory signature of [`Variant::Custom`].
@@ -327,31 +312,6 @@ impl RunReport {
             tol,
         )
     }
-
-    /// Collapse into the legacy per-rank results, erroring (like the old
-    /// runner) if any rank crashed or failed.
-    pub fn into_rank_results(self) -> Result<Vec<RankResult>> {
-        self.ranks
-            .into_iter()
-            .map(|r| match r.status {
-                RankStatus::Completed => Ok(RankResult {
-                    rank: r.rank,
-                    losses: r.losses,
-                    final_params: r.final_params,
-                    volume: r.volume,
-                    virtual_time: r.virtual_time,
-                }),
-                RankStatus::Crashed { at_step } => Err(Error::Communication(format!(
-                    "rank {} crashed at step {at_step}",
-                    r.rank
-                ))),
-                RankStatus::Failed(msg) => Err(Error::Communication(format!(
-                    "rank {} failed: {msg}",
-                    r.rank
-                ))),
-            })
-            .collect()
-    }
 }
 
 /// One elementwise parameter divergence between two ranks.
@@ -480,18 +440,6 @@ fn consistency_over<'a>(
         }
     }
     report
-}
-
-/// Check that all ranks hold identical parameters within `tol` — the
-/// consistency property of synchronous schemes. Returns a diagnostic
-/// [`ConsistencyReport`] naming any diverging ranks/parameters; use
-/// `is_consistent()` for the boolean and `{}` formatting in assertion
-/// messages.
-pub fn ranks_consistent(results: &[RankResult], tol: f32) -> ConsistencyReport {
-    consistency_over(
-        results.iter().map(|r| (r.rank, r.final_params.as_slice())),
-        tol,
-    )
 }
 
 /// Builder for Level-3 distributed training runs (collapses the old
@@ -961,16 +909,14 @@ mod tests {
 
     #[test]
     fn consistency_report_names_the_divergence() {
-        let mk = |rank: usize, v: f32| RankResult {
-            rank,
-            losses: vec![],
-            final_params: vec![("w".into(), vec![1.0, v])],
-            volume: CommunicationVolume::default(),
-            virtual_time: 0.0,
+        type Params = Vec<(String, Vec<f32>)>;
+        let mk = |v: f32| -> Params { vec![("w".into(), vec![1.0, v])] };
+        let check = |ranks: &[(usize, Params)]| {
+            consistency_over(ranks.iter().map(|(r, p)| (*r, p.as_slice())), 1e-6)
         };
-        let good = ranks_consistent(&[mk(0, 2.0), mk(1, 2.0)], 1e-6);
+        let good = check(&[(0, mk(2.0)), (1, mk(2.0))]);
         assert!(good.is_consistent());
-        let bad = ranks_consistent(&[mk(0, 2.0), mk(1, 2.5)], 1e-6);
+        let bad = check(&[(0, mk(2.0)), (1, mk(2.5))]);
         assert!(!bad.is_consistent());
         assert_eq!(bad.divergences.len(), 1);
         let d = &bad.divergences[0];
@@ -980,14 +926,8 @@ mod tests {
         assert!(msg.contains("'w'[1]"), "{msg}");
         assert!(msg.contains("INCONSISTENT"), "{msg}");
         // Structural mismatches are diagnosed, not panicked on.
-        let odd = RankResult {
-            rank: 2,
-            losses: vec![],
-            final_params: vec![("b".into(), vec![0.0])],
-            volume: CommunicationVolume::default(),
-            virtual_time: 0.0,
-        };
-        let mixed = ranks_consistent(&[mk(0, 2.0), odd], 1e-6);
+        let odd: Params = vec![("b".into(), vec![0.0])];
+        let mixed = check(&[(0, mk(2.0)), (2, odd)]);
         assert!(!mixed.is_consistent());
         assert!(!mixed.structural.is_empty());
     }

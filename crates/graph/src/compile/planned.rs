@@ -1,9 +1,12 @@
 //! The plan interpreter: the one level-parallel executor.
 //!
 //! [`PlannedExecutor`] freezes the topological order, cut into dependency
-//! levels, into an [`ExecutionPlan`] and dispatches each level onto the
-//! rayon pool, joining before the next level starts. The frozen plan is the
-//! only thing a pass reads. It is a drop-in [`GraphExecutor`]:
+//! levels, into an [`ExecutionPlan`] and runs it level by level, joining
+//! before the next level starts. Whether a level's steps go to the thread
+//! pool or run in order on the coordinator is [`deep500_ops::par`]'s
+//! decision, taken from the steps' declared FLOPs (see [`level_work`]): a
+//! chain, or a level of small nodes, never pays a hand-off. The frozen plan
+//! is the only thing a pass reads. It is a drop-in [`GraphExecutor`]:
 //!
 //! * the tensor environment and the backward sweep's gradient table are
 //!   dense `Vec<Option<Tensor>>`s indexed by interned tensor id — no string
@@ -24,7 +27,7 @@
 //!   ordering hazard is backward gradient *accumulation*, where `f32`
 //!   addition is commutative but not associative. Steps are stored in
 //!   topological order, levels are walked in reverse and each level
-//!   reversed, and a group's results are applied in group order on the
+//!   reversed, and a level's results are applied in that order on the
 //!   coordinator — so contributions reach any tensor in strictly
 //!   descending step index, the reference's reverse-topological order,
 //!   and are `axpy`ed on arrival.
@@ -45,19 +48,40 @@ use super::shadow::ShadowChecker;
 use crate::executor::{GraphExecutor, MemoryAccountant, OpTotals};
 use crate::network::{Network, NodeId};
 use deep500_metrics::event::{EventList, Phase};
-use deep500_ops::Operator;
+use deep500_ops::{par, Operator};
 use deep500_tensor::{
     with_pool, with_slot_buffers, BufferPool, Error, PoolStats, Result, Shape, Tensor,
 };
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// What a forward worker hands back: outputs, unconsumed slot buffers,
-/// wall-clock seconds, declared FLOPs, and bytes moved.
 type SlotBufs = Vec<(usize, Vec<f32>)>;
-type ForwardProduct = (Vec<Tensor>, SlotBufs, f64, f64, u64, Option<String>);
-type BackwardProduct = Option<(Vec<Option<Tensor>>, f64)>;
+/// What the coordinator hands a forward worker: the operator, its resolved
+/// inputs, the workspace bytes to account, and the slot buffers pre-taken
+/// for its outputs.
+type ForwardJob<'a> = (&'a dyn Operator, Vec<&'a Tensor>, usize, SlotBufs);
+/// What the worker hands back: outputs, unconsumed slot buffers, and
+/// wall-clock seconds.
+type ForwardProduct = (Vec<Tensor>, SlotBufs, f64);
+type BackwardJob<'a> = (&'a PlanStep, &'a dyn Operator, Vec<&'a Tensor>);
+type BackwardProduct = (Vec<Option<Tensor>>, f64);
+
+/// The work estimate [`par::map_items`] gets for a level: the
+/// multiply-adds (FLOPs / 2) of its *second-largest* step, so a level
+/// forks only when at least two of its steps would each be worth handing
+/// to the pool. One big step beside small ones gains nothing from a fork —
+/// it forks inside its own kernel — and a one-step level has no second.
+fn level_work(flops: impl Iterator<Item = f64>) -> usize {
+    let (mut largest, mut second) = (0.0f64, 0.0f64);
+    for f in flops {
+        if f > largest {
+            (largest, second) = (f, largest);
+        } else if f > second {
+            second = f;
+        }
+    }
+    (second / 2.0) as usize
+}
 
 /// Whether the runtime shadow checker cross-validates slot residency this
 /// build: debug builds and the `shadow-check` feature opt in; release hot
@@ -150,7 +174,6 @@ pub struct PlannedExecutor {
     events: EventList,
     memory: MemoryAccountant,
     pool: Arc<BufferPool>,
-    threads: usize,
     pass_counter: usize,
     /// Per-node totals, indexed by `NodeId.0`.
     op_totals: Vec<OpTotals>,
@@ -178,16 +201,9 @@ impl PlannedExecutor {
             events: EventList::new(),
             memory: MemoryAccountant::new(capacity),
             pool: Arc::new(BufferPool::new()),
-            threads: 0,
             pass_counter: 0,
             op_totals: vec![OpTotals::default(); num_ids],
         })
-    }
-
-    /// Cap concurrent nodes per level (`0` = full rayon pool).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// The current execution plan, if one has been built.
@@ -243,14 +259,6 @@ impl PlannedExecutor {
             )));
         }
         Ok(report)
-    }
-
-    fn group_width(&self) -> usize {
-        if self.threads == 0 {
-            rayon::current_num_threads().max(1)
-        } else {
-            self.threads
-        }
     }
 
     /// Ensure a compiled plan exists for the given feed shapes and make it
@@ -346,7 +354,6 @@ impl PlannedExecutor {
         feeds: &[(&str, Tensor)],
         reclaim: bool,
     ) -> Result<Vec<Option<Tensor>>> {
-        let width = self.group_width();
         let Self {
             network,
             ops,
@@ -401,98 +408,89 @@ impl PlannedExecutor {
         }
 
         for (l, &(lo, hi)) in plan.level_ranges.iter().enumerate() {
-            let level_steps = &plan.steps[lo..hi];
-            for group in level_steps.chunks(width) {
-                // The coordinator owns the slot store; pre-take each
-                // step's output buffers before dispatch. Tensors defined
-                // in the same level always interfere, so no two steps of a
-                // group contend for a slot.
-                let jobs: Vec<(&PlanStep, SlotBufs)> = group
-                    .iter()
-                    .map(|step| {
-                        let bufs = step
-                            .outputs
-                            .iter()
-                            .zip(&step.out_numels)
-                            .filter_map(|(&oid, &numel)| {
-                                if numel == 0 {
-                                    return None;
-                                }
-                                let slot = plan.slot_of_id[oid]?;
-                                slots[slot].take().map(|b| (numel, b))
-                            })
-                            .collect();
-                        (step, bufs)
-                    })
-                    .collect();
-
-                let env_ref = &env;
-                let totals_ref = &*op_totals;
-                let run = |step: &PlanStep, bufs: SlotBufs| -> Result<ForwardProduct> {
-                    let op = ops.get(&step.node).expect("instantiated op");
-                    let input_refs = gather_inputs(step, env_ref, network, plan)?;
-                    let shapes: Vec<&Shape> = input_refs.iter().map(|t| t.shape()).collect();
-                    let workspace = op.workspace_bytes(&shapes);
-                    let flops = op.flops(&shapes);
-                    let bytes = op.bytes_moved(&shapes);
-                    memory.allocate(workspace)?;
-                    let start = std::time::Instant::now();
-                    let (outputs, leftovers) =
-                        with_slot_buffers(bufs, || with_pool(pool, || op.forward(&input_refs)));
-                    let seconds = start.elapsed().as_secs_f64();
-                    memory.release(workspace);
-                    let outputs = outputs?;
-                    for t in &outputs {
-                        memory.allocate(t.size_bytes())?;
-                    }
+            let level = &plan.steps[lo..hi];
+            // The coordinator resolves each step's inputs and reads off
+            // their shapes everything the operator declares — the FLOPs
+            // are what the fork decision goes by — and, owning the slot
+            // store, pre-takes the step's output buffers before dispatch.
+            // Tensors defined in the same level always interfere, so no
+            // two steps of a level contend for a slot.
+            let mut declared = Vec::with_capacity(level.len());
+            let jobs: Vec<ForwardJob> = level
+                .iter()
+                .map(|step| {
+                    let op = ops.get(&step.node).expect("instantiated op").as_ref();
+                    let inputs = gather_inputs(step, &env, network, plan)?;
+                    let shapes: Vec<&Shape> = inputs.iter().map(|t| t.shape()).collect();
                     // The dispatch note is a `format!`; only the first call
                     // of a node keeps it, so only that call builds it.
-                    let note = if totals_ref[step.node.0].forward_calls == 0 {
+                    let note = if op_totals[step.node.0].forward_calls == 0 {
                         op.annotation(&shapes)
                     } else {
                         None
                     };
-                    Ok((outputs, leftovers, seconds, flops, bytes, note))
-                };
-                let results: Vec<Result<ForwardProduct>> = if jobs.len() == 1 {
-                    let (step, bufs) = jobs.into_iter().next().expect("one job");
-                    vec![run(step, bufs)]
-                } else {
-                    jobs.into_par_iter()
-                        .map(|(step, bufs)| run(step, bufs))
-                        .collect()
-                };
-                for (step, result) in group.iter().zip(results) {
-                    let (outputs, leftovers, seconds, flops, bytes, note) = result?;
-                    events.span(Phase::OperatorForward, step.node.0, seconds);
-                    let totals = &mut op_totals[step.node.0];
-                    totals.record_note(note);
-                    totals.record_forward(seconds, flops, bytes);
-                    for (&oid, tensor) in step.outputs.iter().zip(outputs) {
-                        env[oid] = Some(tensor);
-                        if SHADOW {
-                            if let Some(s) = plan.slot_of_id[oid] {
-                                shadow.occupy(epoch, s, oid);
+                    declared.push((op.flops(&shapes), op.bytes_moved(&shapes), note));
+                    let bufs = step
+                        .outputs
+                        .iter()
+                        .zip(&step.out_numels)
+                        .filter_map(|(&oid, &numel)| {
+                            if numel == 0 {
+                                return None;
                             }
+                            let slot = plan.slot_of_id[oid]?;
+                            slots[slot].take().map(|b| (numel, b))
+                        })
+                        .collect();
+                    Ok((op, inputs, op.workspace_bytes(&shapes), bufs))
+                })
+                .collect::<Result<_>>()?;
+
+            let run = |(op, inputs, workspace, bufs): ForwardJob| -> Result<ForwardProduct> {
+                memory.allocate(workspace)?;
+                let start = std::time::Instant::now();
+                let (outputs, leftovers) =
+                    with_slot_buffers(bufs, || with_pool(pool, || op.forward(&inputs)));
+                let seconds = start.elapsed().as_secs_f64();
+                memory.release(workspace);
+                let outputs = outputs?;
+                for t in &outputs {
+                    memory.allocate(t.size_bytes())?;
+                }
+                Ok((outputs, leftovers, seconds))
+            };
+            let work = level_work(declared.iter().map(|d| d.0));
+            let results = par::map_items(jobs, work, run);
+            for ((step, (flops, bytes, note)), result) in level.iter().zip(declared).zip(results) {
+                let (outputs, leftovers, seconds) = result?;
+                events.span(Phase::OperatorForward, step.node.0, seconds);
+                let totals = &mut op_totals[step.node.0];
+                totals.record_note(note);
+                totals.record_forward(seconds, flops, bytes);
+                for (&oid, tensor) in step.outputs.iter().zip(outputs) {
+                    env[oid] = Some(tensor);
+                    if SHADOW {
+                        if let Some(s) = plan.slot_of_id[oid] {
+                            shadow.occupy(epoch, s, oid);
                         }
                     }
-                    // Buffers the operator did not consume go back to
-                    // their slot (matched by tagged numel) or the pool.
-                    for (numel, buf) in leftovers {
-                        let home =
-                            step.outputs
-                                .iter()
-                                .zip(&step.out_numels)
-                                .find_map(|(&oid, &n)| {
-                                    if n != numel {
-                                        return None;
-                                    }
-                                    plan.slot_of_id[oid].filter(|&s| slots[s].is_none())
-                                });
-                        match home {
-                            Some(s) => slots[s] = Some(buf),
-                            None => pool.recycle(buf),
-                        }
+                }
+                // Buffers the operator did not consume go back to
+                // their slot (matched by tagged numel) or the pool.
+                for (numel, buf) in leftovers {
+                    let home = step
+                        .outputs
+                        .iter()
+                        .zip(&step.out_numels)
+                        .find_map(|(&oid, &n)| {
+                            if n != numel {
+                                return None;
+                            }
+                            plan.slot_of_id[oid].filter(|&s| slots[s].is_none())
+                        });
+                    match home {
+                        Some(s) => slots[s] = Some(buf),
+                        None => pool.recycle(buf),
                     }
                 }
             }
@@ -568,12 +566,11 @@ impl PlannedExecutor {
     ///
     /// Gradients live in one dense table over the plan's gradient ids (env
     /// ids, then parameters). Steps are in topological order, levels are
-    /// walked in reverse, each level reversed, and a group's results are
-    /// applied in group order — so contributions to any tensor arrive in
+    /// walked in reverse, each level reversed, and a level's results are
+    /// applied in that order — so contributions to any tensor arrive in
     /// strictly descending step index, exactly the order the reference's
     /// reverse sweep applies its `axpy`s, and are accumulated on arrival.
     fn backward_planned(&mut self, env: &[Option<Tensor>], loss: &str, pass: usize) -> Result<()> {
-        let width = self.group_width();
         let plan = self.plan().expect("plan built");
         let loss_id = plan
             .tensor_ids
@@ -598,71 +595,72 @@ impl PlannedExecutor {
             // Reverse within the level to mirror the reference sweep. All
             // consumers of this level's outputs live in higher levels and
             // have already contributed, so their gradients are final.
-            let rev: Vec<&PlanStep> = plan.steps[lo..hi].iter().rev().collect();
-            for group in rev.chunks(width) {
-                // A node contributes when some output has a gradient; its
-                // other outputs' gradients are zeros.
-                for step in group {
-                    if step.outputs.iter().any(|&oid| grads[oid].is_some()) {
-                        for &oid in &step.outputs {
-                            if let (None, Some(t)) = (&grads[oid], &env[oid]) {
-                                let zeros = || Tensor::zeros(t.shape().clone());
-                                grads[oid] = Some(with_pool(pool, zeros));
-                            }
-                        }
+            // A node contributes when some output has a gradient; its
+            // other outputs' gradients are zeros.
+            let level: Vec<&PlanStep> = plan.steps[lo..hi]
+                .iter()
+                .rev()
+                .filter(|step| step.outputs.iter().any(|&oid| grads[oid].is_some()))
+                .collect();
+            for step in &level {
+                for &oid in &step.outputs {
+                    if let (None, Some(t)) = (&grads[oid], &env[oid]) {
+                        let zeros = || Tensor::zeros(t.shape().clone());
+                        grads[oid] = Some(with_pool(pool, zeros));
                     }
                 }
-                let grads_ref = &grads;
-                let run = |step: &PlanStep| -> Result<BackwardProduct> {
-                    // Skip nodes that contribute no gradient.
-                    if !step.outputs.iter().any(|&oid| grads_ref[oid].is_some()) {
-                        return Ok(None);
-                    }
-                    let op = ops.get(&step.node).expect("instantiated op");
-                    let input_refs = gather_inputs(step, env, network, plan)?;
-                    let output_tensors: Vec<&Tensor> = step
-                        .outputs
-                        .iter()
-                        .map(|&oid| {
-                            env[oid]
-                                .as_ref()
-                                .ok_or_else(|| Error::NotFound(plan.tensor_names[oid].clone()))
-                        })
-                        .collect::<Result<_>>()?;
-                    let grad_refs: Vec<&Tensor> = step
-                        .outputs
-                        .iter()
-                        .map(|&oid| grads_ref[oid].as_ref().expect("filled above"))
-                        .collect();
-                    let start = std::time::Instant::now();
-                    let input_grads = with_pool(pool, || {
-                        op.backward_wanted(&grad_refs, &input_refs, &output_tensors, &step.wanted)
-                    });
-                    let seconds = start.elapsed().as_secs_f64();
-                    Ok(Some((input_grads?, seconds)))
-                };
-                let results: Vec<Result<BackwardProduct>> = if group.len() == 1 {
-                    vec![run(group[0])]
-                } else {
-                    group.par_iter().map(|&step| run(step)).collect()
-                };
-                for (&step, result) in group.iter().zip(results) {
-                    let Some((input_grads, seconds)) = result? else {
-                        continue;
-                    };
-                    spans.push((step.node.0, seconds));
-                    for (gid, gtensor) in step.grad_ids.iter().zip(input_grads) {
-                        // `None`: an unwanted gradient the operator elided.
-                        let Some(gtensor) = gtensor else { continue };
-                        match gid.map(|gid| &mut grads[gid]) {
-                            Some(Some(acc)) => {
-                                acc.axpy(1.0, &gtensor)?;
-                                pool.recycle(gtensor.into_vec());
-                            }
-                            Some(slot) => *slot = Some(gtensor),
-                            // Unwanted, but the operator computed it anyway.
-                            None => pool.recycle(gtensor.into_vec()),
+            }
+            // As in the forward pass, the coordinator resolves the inputs
+            // and reads the fork decision off the forward FLOPs.
+            let mut flops = Vec::with_capacity(level.len());
+            let jobs: Vec<BackwardJob> = level
+                .iter()
+                .map(|&step| {
+                    let op = ops.get(&step.node).expect("instantiated op").as_ref();
+                    let inputs = gather_inputs(step, env, network, plan)?;
+                    let shapes: Vec<&Shape> = inputs.iter().map(|t| t.shape()).collect();
+                    flops.push(op.flops(&shapes));
+                    Ok((step, op, inputs))
+                })
+                .collect::<Result<_>>()?;
+            let grads_ref = &grads;
+            let run = |(step, op, inputs): BackwardJob| -> Result<BackwardProduct> {
+                let output_tensors: Vec<&Tensor> = step
+                    .outputs
+                    .iter()
+                    .map(|&oid| {
+                        env[oid]
+                            .as_ref()
+                            .ok_or_else(|| Error::NotFound(plan.tensor_names[oid].clone()))
+                    })
+                    .collect::<Result<_>>()?;
+                let grad_refs: Vec<&Tensor> = step
+                    .outputs
+                    .iter()
+                    .map(|&oid| grads_ref[oid].as_ref().expect("filled above"))
+                    .collect();
+                let start = std::time::Instant::now();
+                let input_grads = with_pool(pool, || {
+                    op.backward_wanted(&grad_refs, &inputs, &output_tensors, &step.wanted)
+                });
+                let seconds = start.elapsed().as_secs_f64();
+                Ok((input_grads?, seconds))
+            };
+            let results = par::map_items(jobs, level_work(flops.into_iter()), run);
+            for (&step, result) in level.iter().zip(results) {
+                let (input_grads, seconds) = result?;
+                spans.push((step.node.0, seconds));
+                for (gid, gtensor) in step.grad_ids.iter().zip(input_grads) {
+                    // `None`: an unwanted gradient the operator elided.
+                    let Some(gtensor) = gtensor else { continue };
+                    match gid.map(|gid| &mut grads[gid]) {
+                        Some(Some(acc)) => {
+                            acc.axpy(1.0, &gtensor)?;
+                            pool.recycle(gtensor.into_vec());
                         }
+                        Some(slot) => *slot = Some(gtensor),
+                        // Unwanted, but the operator computed it anyway.
+                        None => pool.recycle(gtensor.into_vec()),
                     }
                 }
             }
@@ -917,9 +915,7 @@ mod tests {
         let feeds = mlp_feeds(2, 4);
         let expect = rf.inference(&as_refs(&feeds)).unwrap();
         for kind in [ExecutorKind::Wavefront, ExecutorKind::Planned] {
-            let mut ex = kind
-                .construct(net.clone_structure(), usize::MAX, 0)
-                .unwrap();
+            let mut ex = kind.construct(net.clone_structure(), usize::MAX).unwrap();
             assert!(ex.as_any().is::<PlannedExecutor>(), "{kind:?}");
             let got = ex.inference(&as_refs(&feeds)).unwrap();
             assert_eq!(got["loss"].data(), expect["loss"].data(), "{kind:?}");

@@ -62,25 +62,22 @@ pub enum ExecutorKind {
     /// the oracle every bit-identity check replays against.
     #[default]
     Reference,
-    /// Level-parallel execution on the rayon pool ([`PlannedExecutor`]).
+    /// Level-parallel execution on the thread pool ([`PlannedExecutor`]).
     Wavefront,
     /// Same executor as [`ExecutorKind::Wavefront`].
     Planned,
 }
 
 impl ExecutorKind {
-    /// `threads` caps per-level concurrency for the plan interpreter
-    /// (`0` = full rayon pool; ignored by the reference loop).
     pub(crate) fn construct(
         self,
         network: Network,
         capacity: usize,
-        threads: usize,
     ) -> Result<Box<dyn GraphExecutor>> {
         Ok(match self {
             ExecutorKind::Reference => Box::new(ReferenceExecutor::construct(network, capacity)?),
             ExecutorKind::Wavefront | ExecutorKind::Planned => {
-                Box::new(PlannedExecutor::construct(network, capacity)?.with_threads(threads))
+                Box::new(PlannedExecutor::construct(network, capacity)?)
             }
         })
     }
@@ -108,7 +105,6 @@ pub struct EngineBuilder {
     network: Network,
     kind: ExecutorKind,
     memory_limit: usize,
-    threads: usize,
     compile: Option<CompileOptions>,
     input_shapes: Vec<(String, Shape)>,
     trace: Option<TraceRecorder>,
@@ -125,13 +121,6 @@ impl EngineBuilder {
     /// `Error::OutOfMemory` beyond it (default: unbounded).
     pub fn memory_limit(mut self, bytes: usize) -> Self {
         self.memory_limit = bytes;
-        self
-    }
-
-    /// Cap concurrent nodes per dependency level for the plan interpreter
-    /// (`0` = full rayon pool; ignored by the reference loop).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -164,7 +153,6 @@ impl EngineBuilder {
             mut network,
             kind,
             memory_limit,
-            threads,
             compile: compile_opts,
             input_shapes,
             trace,
@@ -179,7 +167,7 @@ impl EngineBuilder {
             }
             None => None,
         };
-        let mut executor = kind.construct(network, memory_limit, threads)?;
+        let mut executor = kind.construct(network, memory_limit)?;
         if let Some(rec) = &trace {
             executor.events_mut().push(Box::new(rec.sink("engine")));
         }
@@ -228,7 +216,6 @@ impl Engine {
             network,
             kind: ExecutorKind::default(),
             memory_limit: usize::MAX,
-            threads: 0,
             compile: None,
             input_shapes: Vec::new(),
             trace: None,

@@ -25,7 +25,9 @@ pub mod varint;
 use crate::network::Network;
 use deep500_ops::registry::{AttrValue, Attributes};
 use deep500_tensor::{Error, Result, Shape, Tensor};
-use varint::{read_string, read_u64, write_string, write_u64, zigzag_decode, zigzag_encode};
+use varint::{
+    read_count, read_string, read_u64, write_string, write_u64, zigzag_decode, zigzag_encode,
+};
 
 /// Magic bytes at the start of every d5nx file.
 pub const MAGIC: &[u8; 4] = b"D5NX";
@@ -76,7 +78,7 @@ fn read_attr(buf: &[u8], pos: &mut usize) -> Result<(String, AttrValue)> {
             AttrValue::Float(v)
         }
         2 => {
-            let n = read_u64(buf, pos)? as usize;
+            let n = read_count(buf, pos)?;
             let mut vs = Vec::with_capacity(n);
             for _ in 0..n {
                 vs.push(zigzag_decode(read_u64(buf, pos)?));
@@ -176,22 +178,29 @@ pub fn decode(buf: &[u8]) -> Result<Network> {
     let n_params = read_u64(buf, &mut pos)? as usize;
     for _ in 0..n_params {
         let pname = read_string(buf, &mut pos)?;
-        let rank = read_u64(buf, &mut pos)? as usize;
+        let rank = read_count(buf, &mut pos)?;
         let mut dims = Vec::with_capacity(rank);
         for _ in 0..rank {
-            dims.push(read_u64(buf, &mut pos)? as usize);
+            let d = read_u64(buf, &mut pos)?;
+            let too_big = |_| Error::Format(format!("dimension {d} of '{pname}'"));
+            dims.push(usize::try_from(d).map_err(too_big)?);
         }
-        let shape = Shape::new(&dims);
-        let numel = shape.numel();
-        if pos + numel * 4 > buf.len() {
-            return Err(Error::Format(format!("truncated parameter '{pname}'")));
-        }
-        let mut data = Vec::with_capacity(numel);
-        for _ in 0..numel {
-            data.push(f32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()));
-            pos += 4;
-        }
-        net.add_parameter(pname, Tensor::from_vec(shape, data)?);
+        // The dims are the file's word: their product, its byte length and
+        // where that payload ends must each fit before anything is sized
+        // by them.
+        let payload = dims
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .and_then(|numel| numel.checked_mul(4))
+            .and_then(|bytes| pos.checked_add(bytes))
+            .and_then(|end| buf.get(pos..end))
+            .ok_or_else(|| Error::Format(format!("truncated parameter '{pname}'")))?;
+        pos += payload.len();
+        let data = payload
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes(b.try_into().expect("four bytes")))
+            .collect();
+        net.add_parameter(pname, Tensor::from_vec(Shape::new(&dims), data)?);
     }
 
     let n_nodes = read_u64(buf, &mut pos)? as usize;
@@ -204,12 +213,12 @@ pub fn decode(buf: &[u8]) -> Result<Network> {
             let (k, v) = read_attr(buf, &mut pos)?;
             attrs = attrs.with(&k, v);
         }
-        let n_in = read_u64(buf, &mut pos)? as usize;
+        let n_in = read_count(buf, &mut pos)?;
         let mut inputs = Vec::with_capacity(n_in);
         for _ in 0..n_in {
             inputs.push(read_string(buf, &mut pos)?);
         }
-        let n_out = read_u64(buf, &mut pos)? as usize;
+        let n_out = read_count(buf, &mut pos)?;
         let mut outputs = Vec::with_capacity(n_out);
         for _ in 0..n_out {
             outputs.push(read_string(buf, &mut pos)?);
@@ -312,6 +321,83 @@ mod tests {
         for cut in [5, 10, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} must fail");
         }
+    }
+
+    /// A well-formed file up to the parameter count: no inputs, no outputs.
+    fn header() -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        write_u64(&mut buf, FORMAT_VERSION);
+        write_u64(&mut buf, OPSET_VERSION);
+        write_string(&mut buf, "hostile");
+        write_u64(&mut buf, 0);
+        write_u64(&mut buf, 0);
+        buf
+    }
+
+    /// [`header`], no parameters, and one `Relu` node up to its attributes.
+    fn node_header(n_attrs: u64) -> Vec<u8> {
+        let mut buf = header();
+        write_u64(&mut buf, 0);
+        write_u64(&mut buf, 1);
+        write_string(&mut buf, "n");
+        write_string(&mut buf, "Relu");
+        write_u64(&mut buf, n_attrs);
+        buf
+    }
+
+    /// [`header`], one parameter `p` with these dims, and `payload` bytes.
+    fn param(dims: &[u64], payload: usize) -> Vec<u8> {
+        let mut buf = header();
+        write_u64(&mut buf, 1);
+        write_string(&mut buf, "p");
+        write_u64(&mut buf, dims.len() as u64);
+        for &d in dims {
+            write_u64(&mut buf, d);
+        }
+        buf.resize(buf.len() + payload, 0);
+        buf
+    }
+
+    fn assert_format_error(bytes: &[u8], what: &str) {
+        assert!(
+            matches!(decode(bytes), Err(Error::Format(_))),
+            "{what}: {:?}",
+            decode(bytes).map(|_| ())
+        );
+    }
+
+    #[test]
+    fn a_huge_count_is_refused_before_it_is_allocated() {
+        const HUGE: u64 = 1 << 60;
+        let mut ints = node_header(1);
+        write_string(&mut ints, "list");
+        ints.push(2);
+        write_u64(&mut ints, HUGE);
+        assert_format_error(&ints, "Ints attribute length");
+
+        let mut rank = header();
+        write_u64(&mut rank, 1);
+        write_string(&mut rank, "p");
+        write_u64(&mut rank, HUGE);
+        assert_format_error(&rank, "parameter rank");
+
+        let mut n_in = node_header(0);
+        write_u64(&mut n_in, HUGE);
+        assert_format_error(&n_in, "node input count");
+
+        let mut n_out = node_header(0);
+        write_u64(&mut n_out, 0);
+        write_u64(&mut n_out, HUGE);
+        assert_format_error(&n_out, "node output count");
+    }
+
+    #[test]
+    fn parameter_dims_that_overflow_are_refused() {
+        assert_format_error(&param(&[1 << 40, 1 << 40], 64), "dims product");
+        // The product fits, four bytes per element do not.
+        assert_format_error(&param(&[1 << 62], 64), "payload length");
+        // The length fits, the position it is added to tips it over.
+        assert_format_error(&param(&[(1 << 62) - 1], 64), "payload end");
     }
 
     #[test]

@@ -35,6 +35,20 @@ pub fn read_u64(buf: &[u8], pos: &mut usize) -> Result<u64> {
     }
 }
 
+/// Read the count of a sequence whose items follow it. Every item takes at
+/// least one byte, so a count beyond the bytes that remain is malformed —
+/// and is refused here, before anyone allocates for it.
+pub fn read_count(buf: &[u8], pos: &mut usize) -> Result<usize> {
+    let n = read_u64(buf, pos)?;
+    match usize::try_from(n) {
+        Ok(n) if n <= buf.len() - *pos => Ok(n),
+        _ => Err(Error::Format(format!(
+            "count {n} exceeds the {} bytes that remain",
+            buf.len() - *pos
+        ))),
+    }
+}
+
 /// ZigZag-encode a signed integer so small magnitudes stay small.
 pub fn zigzag_encode(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64

@@ -52,17 +52,15 @@
 //! through 16-lane accumulators carried across a block's images and
 //! folded once per block in a fixed tree ([`fold`]); the partials are then
 //! added in lane-index order. `dX` images belong to exactly one lane.
-//! Lanes may run on rayon workers or serially — the float sequence per
-//! output element is the same, so the result is bitwise independent of
-//! the thread count.
+//! Lanes may run on pool workers or serially ([`crate::par`] decides) —
+//! the float sequence per output element is the same, so the result is
+//! bitwise independent of the thread count.
 
 use super::{direct, fetch, im2col_block, pad_image, ConvGeometry, Lowering};
 use crate::gemm::packed::gemm_packed_into;
-use crate::gemm::PAR_THRESHOLD;
 use deep500_tensor::{
     recycle_scratch, scratch_dirty, scratch_zeroed, Error, Result, Shape, Tensor,
 };
-use rayon::prelude::*;
 
 /// Budget for one lane's column block (`K x B` floats): sized to stay
 /// L2-resident next to the packed GEMM panels.
@@ -555,10 +553,8 @@ pub(super) fn backward_lowered(
     want_dx: bool,
 ) -> Result<(Option<Tensor>, Tensor, Tensor)> {
     let (lw, n, co) = resolve(dy, x, w, g)?;
-    // Below the GEMM tier's own threshold the task hand-off costs more
-    // than the lanes save.
-    let parallel = n * co * lw.k() * lw.ho * lw.wo >= PAR_THRESHOLD;
-    Ok(backward_blocked(dy, x, w, &lw, n, co, want_dx, parallel))
+    let work = n * co * lw.k() * lw.ho * lw.wo;
+    Ok(backward_blocked(dy, x, w, &lw, n, co, want_dx, work))
 }
 
 /// Validate the operand shapes of a backward call and resolve the
@@ -598,8 +594,8 @@ fn resolve(
     Ok((lw, n, co))
 }
 
-/// The lane driver: `parallel` only chooses *where* lanes run, never what
-/// they compute.
+/// The lane driver: `work` (the forward's multiply-adds; 0 = stay on the
+/// caller) only chooses *where* lanes run, never what they compute.
 #[allow(clippy::too_many_arguments)] // driver plumbing
 fn backward_blocked(
     dy: &Tensor,
@@ -609,7 +605,7 @@ fn backward_blocked(
     n: usize,
     co: usize,
     want_dx: bool,
-    parallel: bool,
+    work: usize,
 ) -> (Option<Tensor>, Tensor, Tensor) {
     let k = lw.k();
     let chw = lw.c * lw.h * lw.wd;
@@ -639,15 +635,10 @@ fn backward_blocked(
             part_rest = tail;
             jobs.push((img0, imgs, dxl, head));
         }
-        let run = |(img0, imgs, dxl, partial): (usize, usize, Option<&mut [f32]>, &mut [f32])| {
+        crate::par::map_items(jobs, work, |(img0, imgs, dxl, partial)| {
             let (dwl, dbl) = partial.split_at_mut(co * k);
             lane_backward(dyd, xd, wdat, lw, co, bl, img0, imgs, dxl, dwl, dbl);
-        };
-        if parallel && jobs.len() > 1 {
-            jobs.into_par_iter().for_each(run);
-        } else {
-            jobs.into_iter().for_each(run);
-        }
+        });
     }
     // Fixed-order reduction: lane 0, then 1, ...
     {
@@ -886,16 +877,16 @@ mod tests {
                 "the cases straddle the rule"
             );
             for want_dx in [true, false] {
-                let serial = backward_blocked(&dy, &x, &wt, &lw, n, co, want_dx, false);
-                let pooled = backward_blocked(&dy, &x, &wt, &lw, n, co, want_dx, true);
+                let serial = backward_blocked(&dy, &x, &wt, &lw, n, co, want_dx, 0);
+                let pooled = backward_blocked(&dy, &x, &wt, &lw, n, co, want_dx, usize::MAX);
                 assert_eq!(serial.0.as_ref().map(bits), pooled.0.as_ref().map(bits));
                 assert_eq!(bits(&serial.1), bits(&pooled.1));
                 assert_eq!(bits(&serial.2), bits(&pooled.2));
                 assert_eq!(serial.0.is_some(), want_dx);
             }
             // Eliding dX changes nothing about dW / db.
-            let full = backward_blocked(&dy, &x, &wt, &lw, n, co, true, true);
-            let elided = backward_blocked(&dy, &x, &wt, &lw, n, co, false, true);
+            let full = backward_blocked(&dy, &x, &wt, &lw, n, co, true, usize::MAX);
+            let elided = backward_blocked(&dy, &x, &wt, &lw, n, co, false, usize::MAX);
             assert_eq!(bits(&full.1), bits(&elided.1));
             assert_eq!(bits(&full.2), bits(&elided.2));
         }

@@ -66,7 +66,6 @@ use crate::gemm::packed::{
 use crate::gemm::Epilogue;
 use crate::operator::Operator;
 use deep500_tensor::{recycle_scratch, scratch_dirty, Error, Result, Shape, Tensor};
-use rayon::prelude::*;
 
 /// A convolution filter pre-packed into the microkernel's blocked sliver
 /// layout for a `Co x K` GEMM A-operand (`K = Cin·kh·kw`).
@@ -460,10 +459,9 @@ fn conv_image(pl: &Plan<'_>, x: &[f32], optr: &mut [f32]) {
 /// Direct-tier forward pass over a batch: `pf` is the packed filter data
 /// for a `[co, c, kh, kw]` filter (see [`pack_filter`] /
 /// [`packed_filter_len`]), `relu` folds `max(x, 0)` into the write-back.
-/// Parallel over images above the GEMM [`PAR_THRESHOLD`]; a single image
-/// (the closed-loop serving case) runs serially with zero dispatch cost.
-///
-/// [`PAR_THRESHOLD`]: crate::gemm::PAR_THRESHOLD
+/// Images go through [`par`](crate::par) with the batch's multiply-adds as
+/// their work; a single image (the closed-loop serving case) runs on the
+/// caller with zero dispatch cost.
 #[allow(clippy::too_many_arguments)] // entry-point plumbing: all scalars
 pub fn forward_direct_packed(
     x: &Tensor,
@@ -544,17 +542,10 @@ pub fn forward_direct_packed_as(
         g,
     };
     let plan = Plan::new(pf, co, lw, operand, epilogue);
-    let image = |img: usize, optr: &mut [f32]| conv_image(&plan, &xd[img * c * h * wd..], optr);
-    if n > 1 && n * co * cols * k >= crate::gemm::PAR_THRESHOLD {
-        out.data_mut()
-            .par_chunks_mut(co * cols)
-            .enumerate()
-            .for_each(|(img, optr)| image(img, optr));
-    } else {
-        for (img, optr) in out.data_mut().chunks_mut(co * cols).enumerate() {
-            image(img, optr);
-        }
-    }
+    let work = n * co * cols * k;
+    crate::par::for_each_chunk(out.data_mut(), co * cols, work, |img, optr| {
+        conv_image(&plan, &xd[img * c * h * wd..], optr)
+    });
     Ok(out)
 }
 

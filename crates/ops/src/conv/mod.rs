@@ -51,7 +51,6 @@ use crate::gemm;
 use crate::operator::Operator;
 use deep500_tensor::{Error, Result, Shape, Tensor};
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Convolution algorithm selection.
@@ -465,29 +464,27 @@ pub fn forward_reference(x: &Tensor, w: &Tensor, b: &Tensor, g: ConvGeometry) ->
     let wo = g.out_extent(wd, kw)?;
     let mut out = Tensor::zeros([n, co, ho, wo]);
     let (xd, wdat, bd) = (x.data(), w.data(), b.data());
-    out.data_mut()
-        .par_chunks_mut(co * ho * wo)
-        .enumerate()
-        .for_each(|(img, optr)| {
-            for oc in 0..co {
-                for oh in 0..ho {
-                    for ow in 0..wo {
-                        let mut acc = bd[oc];
-                        for ic in 0..c {
-                            for fh in 0..kh {
-                                for fw in 0..kw {
-                                    let ih = (oh * g.stride + fh) as isize - g.pad as isize;
-                                    let iw = (ow * g.stride + fw) as isize - g.pad as isize;
-                                    let v = fetch(xd, c, h, wd, img, ic, ih, iw);
-                                    acc += v * wdat[((oc * c + ic) * kh + fh) * kw + fw];
-                                }
+    let work = n * co * ho * wo * c * kh * kw;
+    crate::par::for_each_chunk(out.data_mut(), co * ho * wo, work, |img, optr| {
+        for oc in 0..co {
+            for oh in 0..ho {
+                for ow in 0..wo {
+                    let mut acc = bd[oc];
+                    for ic in 0..c {
+                        for fh in 0..kh {
+                            for fw in 0..kw {
+                                let ih = (oh * g.stride + fh) as isize - g.pad as isize;
+                                let iw = (ow * g.stride + fw) as isize - g.pad as isize;
+                                let v = fetch(xd, c, h, wd, img, ic, ih, iw);
+                                acc += v * wdat[((oc * c + ic) * kh + fh) * kw + fw];
                             }
                         }
-                        optr[(oc * ho + oh) * wo + ow] = acc;
                     }
+                    optr[(oc * ho + oh) * wo + ow] = acc;
                 }
             }
-        });
+        }
+    });
     Ok(out)
 }
 
@@ -694,35 +691,32 @@ pub fn forward_im2col(x: &Tensor, w: &Tensor, b: &Tensor, g: ConvGeometry) -> Re
     let cols = ho * wo;
     let chw = c * h * wd;
     let (xd, wdat, bd) = (x.data(), w.data(), b.data());
-    out.data_mut()
-        .par_chunks_mut(co * cols)
-        .enumerate()
-        .for_each(|(img, optr)| {
-            // Dirty scratch: im2col_block overwrites all k * cols elements
-            // (padding written explicitly), so acquire-time zeroing was
-            // pure wasted traffic — k * cols floats cleared per image.
-            let mut col = deep500_tensor::scratch_dirty(k * cols);
-            let xi = &xd[img * chw..(img + 1) * chw];
-            im2col_block(xi, &lw, 0..k, 0..cols, &mut col, cols, 0);
-            // W [co x k] * col [k x cols] -> out [co x cols]; `optr` comes
-            // from Tensor::zeros, so the zeroed-C gemm_into contract holds.
-            gemm::gemm_into(
-                gemm::Algorithm::default(),
-                co,
-                cols,
-                k,
-                wdat,
-                &col[..k * cols],
-                optr,
-            );
-            deep500_tensor::recycle_scratch(col);
-            for oc in 0..co {
-                let bias = bd[oc];
-                for v in &mut optr[oc * cols..(oc + 1) * cols] {
-                    *v += bias;
-                }
+    crate::par::for_each_chunk(out.data_mut(), co * cols, n * co * cols * k, |img, optr| {
+        // Dirty scratch: im2col_block overwrites all k * cols elements
+        // (padding written explicitly), so acquire-time zeroing was
+        // pure wasted traffic — k * cols floats cleared per image.
+        let mut col = deep500_tensor::scratch_dirty(k * cols);
+        let xi = &xd[img * chw..(img + 1) * chw];
+        im2col_block(xi, &lw, 0..k, 0..cols, &mut col, cols, 0);
+        // W [co x k] * col [k x cols] -> out [co x cols]; `optr` comes
+        // from Tensor::zeros, so the zeroed-C gemm_into contract holds.
+        gemm::gemm_into(
+            gemm::Algorithm::default(),
+            co,
+            cols,
+            k,
+            wdat,
+            &col[..k * cols],
+            optr,
+        );
+        deep500_tensor::recycle_scratch(col);
+        for oc in 0..co {
+            let bias = bd[oc];
+            for v in &mut optr[oc * cols..(oc + 1) * cols] {
+                *v += bias;
             }
-        });
+        }
+    });
     Ok(out)
 }
 

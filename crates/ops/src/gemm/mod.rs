@@ -8,10 +8,10 @@
 //!   stands in for an unoptimized reference,
 //! * [`Algorithm::Blocked`] — cache-blocked `ikj` micro-kernels,
 //! * [`Algorithm::Parallel`] — the blocked kernel parallelized across row
-//!   panels with rayon,
+//!   panels (through [`crate::par`]),
 //! * [`Algorithm::Packed`] — the default: a BLIS-style register-tiled
 //!   microkernel over packed panels with cache-aware `MC/KC/NC` dispatch
-//!   and rayon row-panel parallelism (see [`packed`]); this is the
+//!   and row-panel parallelism (see [`packed`]); this is the
 //!   "cuDNN-class" kernel that the simulated frameworks, the DeepBench
 //!   baseline, and both graph executors call by default.
 //!
@@ -25,8 +25,8 @@
 
 pub mod packed;
 
+use crate::par;
 use deep500_tensor::{Error, Result, Tensor};
-use rayon::prelude::*;
 
 pub use packed::{Blocking, Epilogue, MR, NR};
 
@@ -50,14 +50,20 @@ pub enum Algorithm {
     Packed,
 }
 
+impl Algorithm {
+    /// The work a reference tier reports to [`par`] for a product's row
+    /// panels: `Parallel` its multiply-adds, the serial tiers none.
+    fn panel_work(self, m: usize, n: usize, k: usize) -> usize {
+        if self == Algorithm::Parallel {
+            m * n * k
+        } else {
+            0
+        }
+    }
+}
+
 /// Cache-block edge for the blocked kernels (elements).
 const BLOCK: usize = 64;
-
-/// Below this many multiply-accumulates (`m * n * k`), parallel dispatch
-/// costs more than it saves and the parallel entry points run serially.
-/// Shared by [`gemm`]'s `Parallel`/`Packed` algorithms and the transposed
-/// backward kernels [`matmul_at_b`] / [`matmul_a_bt`].
-pub const PAR_THRESHOLD: usize = 64 * 64 * 64;
 
 /// `C = A * B` with the selected algorithm; buffers are row-major slices.
 /// `C`'s prior contents are ignored (the accumulate-style kernels clear it
@@ -139,20 +145,16 @@ fn gemm_blocked_acc(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut 
     }
 }
 
-/// The blocked kernel parallelized over `C`'s row panels (zeroed-`C`
-/// contract).
+/// The blocked kernel over `C`'s row panels (zeroed-`C` contract), forked
+/// when `m * n * k` clears [`par`]'s cut; the blocked kernel's outer loop
+/// walks the same panels, so the bits are its bits either way.
 fn gemm_parallel_acc(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    if m * n * k < PAR_THRESHOLD {
-        return gemm_blocked_acc(m, n, k, a, b, c);
-    }
-    c.par_chunks_mut(BLOCK * n)
-        .enumerate()
-        .for_each(|(chunk, cpanel)| {
-            let ib = chunk * BLOCK;
-            let rows = cpanel.len() / n;
-            let apanel = &a[ib * k..(ib + rows) * k];
-            gemm_blocked_acc(rows, n, k, apanel, b, cpanel);
-        });
+    par::for_each_chunk(c, BLOCK * n, m * n * k, |chunk, cpanel| {
+        let ib = chunk * BLOCK;
+        let rows = cpanel.len() / n;
+        let apanel = &a[ib * k..(ib + rows) * k];
+        gemm_blocked_acc(rows, n, k, apanel, b, cpanel);
+    });
 }
 
 /// Tensor-level GEMM: `A [M x K] * B [K x N] -> C [M x N]`.
@@ -249,9 +251,9 @@ fn at_b_panel(ib: usize, m: usize, n: usize, k: usize, ad: &[f32], bd: &[f32], c
 /// `A^T * B` without materializing the transpose: `A [K x M]`, `B [K x N]`,
 /// result `[M x N]`. Used by FC/conv backward passes.
 ///
-/// `Naive`/`Blocked` run the serial panel kernel (bit-exact reference),
-/// `Parallel` distributes the same panel kernel over rayon row panels above
-/// [`PAR_THRESHOLD`] (bit-identical to serial), and `Packed` absorbs the
+/// `Naive`/`Blocked` run the panel kernel serially (bit-exact reference),
+/// `Parallel` hands the same row panels to [`par`] with the product's
+/// multiply-adds as their work (bit-identical to serial), and `Packed` absorbs the
 /// transposition into the A-panel pack gather so the backward product runs
 /// the same register-tiled microkernel as the forward GEMM.
 pub fn matmul_at_b_with(algo: Algorithm, a: &Tensor, b: &Tensor) -> Result<Tensor> {
@@ -266,12 +268,9 @@ pub fn matmul_at_b_with(algo: Algorithm, a: &Tensor, b: &Tensor) -> Result<Tenso
     let (ad, bd, cd) = (a.data(), b.data(), c.data_mut());
     match algo {
         Algorithm::Packed => packed::gemm_packed_into(m, n, k, ad, true, bd, false, cd),
-        Algorithm::Parallel if m * n * k >= PAR_THRESHOLD => {
-            cd.par_chunks_mut(BLOCK * n)
-                .enumerate()
-                .for_each(|(chunk, cpanel)| at_b_panel(chunk * BLOCK, m, n, k, ad, bd, cpanel));
-        }
-        _ => at_b_panel(0, m, n, k, ad, bd, cd),
+        _ => par::for_each_chunk(cd, BLOCK * n, algo.panel_work(m, n, k), |chunk, cpanel| {
+            at_b_panel(chunk * BLOCK, m, n, k, ad, bd, cpanel)
+        }),
     }
     Ok(c)
 }
@@ -298,25 +297,7 @@ fn a_bt_panel(ib: usize, n: usize, k: usize, ad: &[f32], bd: &[f32], cpanel: &mu
 /// mirrors [`matmul_at_b_with`]; under `Packed` the transposition is
 /// absorbed into the B-panel pack gather.
 pub fn matmul_a_bt_with(algo: Algorithm, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, k) = (a.shape().dim(0), a.shape().dim(1));
-    let (n, kb) = (b.shape().dim(0), b.shape().dim(1));
-    if k != kb {
-        return Err(Error::ShapeMismatch(format!(
-            "A*B^T inner dims: {k} vs {kb}"
-        )));
-    }
-    let mut c = Tensor::zeros([m, n]);
-    let (ad, bd, cd) = (a.data(), b.data(), c.data_mut());
-    match algo {
-        Algorithm::Packed => packed::gemm_packed_into(m, n, k, ad, false, bd, true, cd),
-        Algorithm::Parallel if m * n * k >= PAR_THRESHOLD => {
-            cd.par_chunks_mut(BLOCK * n)
-                .enumerate()
-                .for_each(|(chunk, cpanel)| a_bt_panel(chunk * BLOCK, n, k, ad, bd, cpanel));
-        }
-        _ => a_bt_panel(0, n, k, ad, bd, cd),
-    }
-    Ok(c)
+    matmul_a_bt_with_epilogue(algo, a, b, Epilogue::None)
 }
 
 /// `A * B^T` with the default algorithm ([`Algorithm::Packed`]).
@@ -346,14 +327,10 @@ pub fn matmul_a_bt_with_epilogue(
         Algorithm::Packed => {
             packed::gemm_packed_into_epilogue(m, n, k, ad, false, bd, true, cd, epilogue);
         }
-        Algorithm::Parallel if m * n * k >= PAR_THRESHOLD => {
-            cd.par_chunks_mut(BLOCK * n)
-                .enumerate()
-                .for_each(|(chunk, cpanel)| a_bt_panel(chunk * BLOCK, n, k, ad, bd, cpanel));
-            epilogue.apply_matrix(cd, n);
-        }
         _ => {
-            a_bt_panel(0, n, k, ad, bd, cd);
+            par::for_each_chunk(cd, BLOCK * n, algo.panel_work(m, n, k), |chunk, cpanel| {
+                a_bt_panel(chunk * BLOCK, n, k, ad, bd, cpanel)
+            });
             epilogue.apply_matrix(cd, n);
         }
     }
@@ -592,12 +569,12 @@ mod tests {
 
     #[test]
     fn transposed_kernels_parallel_path_is_bit_identical() {
-        // Sizes straddling PAR_THRESHOLD: the parallel row-panel path must
+        // Sizes straddling `par`'s cut: the parallel row-panel path must
         // reproduce the serial panel bit for bit (same per-element
         // reduction order, only the rows are distributed).
         let mut rng = Xoshiro256StarStar::seed_from_u64(7);
-        let (m, n, k) = (130, 70, 64); // m*n*k > PAR_THRESHOLD
-        assert!(m * n * k >= PAR_THRESHOLD);
+        let (m, n, k) = (130, 70, 64); // above the cut
+        assert!(par::worth_forking(m * n * k));
 
         let a = Tensor::rand_uniform([k, m], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng);

@@ -47,9 +47,8 @@
 //! differs from the `Naive`/`Blocked` tiers, which is exactly the distinct
 //! accumulation order the paper's cross-kernel ℓ∞ comparisons measure.
 
-use super::PAR_THRESHOLD;
+use crate::par;
 use deep500_tensor::{recycle_scratch, scratch_dirty, scratch_zeroed};
-use rayon::prelude::*;
 use std::cell::RefCell;
 
 /// Microkernel tile rows (`C` rows kept in registers).
@@ -986,9 +985,9 @@ pub(crate) fn gemv_bt_padded(
 /// that already holds the addend — `matmul`-style entry points pass a
 /// freshly zeroed buffer (see [`super::gemm_into`]).
 ///
-/// Parallelizes over `MC` row panels of `C` above [`PAR_THRESHOLD`]
-/// multiply-accumulates; the packed `B` macro-panel is shared read-only
-/// across workers, each worker packs its own `A` panel.
+/// The `MC` row panels of `C` go through [`par`] with `m * n * k` as their
+/// work; the packed `B` macro-panel is shared read-only across workers,
+/// each worker packs its own `A` panel.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_packed_into(
     m: usize,
@@ -1031,7 +1030,6 @@ pub(super) fn gemm_packed_into_epilogue(
     let bl = Blocking::for_shape(m, n, k);
     let lda = if a_trans { m } else { k };
     let ldb = if b_trans { k } else { n };
-    let parallel = m * n * k >= PAR_THRESHOLD && m > bl.mc;
     // Dirty scratch: pack_b overwrites every element of the prefix
     // run_panel reads ([..nc.div_ceil(NR) * NR * kc], edge lanes
     // zero-padded explicitly), so the acquire-time zero-fill would be
@@ -1044,24 +1042,15 @@ pub(super) fn gemm_packed_into_epilogue(
             let last = pc + kc == k;
             pack_b(&mut bpack, b, b_trans, ldb, pc, jc, kc, nc);
             let bshared = &bpack;
-            let do_panel = |ic: usize, cpanel: &mut [f32]| {
-                let mc = cpanel.len() / n;
+            par::for_each_chunk(c, bl.mc * n, m * n * k, |chunk, cpanel| {
+                let (ic, mc) = (chunk * bl.mc, cpanel.len() / n);
                 let mut apack = scratch_zeroed(round_up(mc, MR) * kc);
                 pack_a(&mut apack, a, a_trans, lda, ic, pc, mc, kc);
                 run_panel(
                     &apack, bshared, cpanel, n, ic, jc, mc, nc, kc, epilogue, last,
                 );
                 recycle_scratch(apack);
-            };
-            if parallel {
-                c.par_chunks_mut(bl.mc * n)
-                    .enumerate()
-                    .for_each(|(chunk, cpanel)| do_panel(chunk * bl.mc, cpanel));
-            } else {
-                for (chunk, cpanel) in c.chunks_mut(bl.mc * n).enumerate() {
-                    do_panel(chunk * bl.mc, cpanel);
-                }
-            }
+            });
         }
     }
     recycle_scratch(bpack);
@@ -1209,9 +1198,9 @@ mod tests {
         use deep500_tensor::rng::Xoshiro256StarStar;
         use deep500_tensor::Tensor;
         let mut rng = Xoshiro256StarStar::seed_from_u64(11);
-        // Above PAR_THRESHOLD and spanning several MC panels.
+        // Above `par`'s cut and spanning several MC panels.
         let (m, n, k) = (300, 96, 64);
-        assert!(m * n * k >= PAR_THRESHOLD);
+        assert!(par::worth_forking(m * n * k));
         let a = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng);
         let mut par = vec![0.0f32; m * n];

@@ -17,6 +17,8 @@
 //!   example), [activations](activation), [batch normalization](norm_ops),
 //!   [losses](loss), [elementwise ops](elementwise), [shape ops](shape_ops),
 //!   and a GEMM-backed [fully-connected layer](linear),
+//! * [`par`] — the one fork-or-inline decision every kernel (and the plan
+//!   interpreter) takes before handing work to the thread pool,
 //! * Level-0 validation: [`test_forward`](validate::test_forward) and
 //!   [`test_gradient`](grad_check::test_gradient) (numerical
 //!   differentiation via central finite differences),
@@ -34,6 +36,7 @@ pub mod linear;
 pub mod loss;
 pub mod norm_ops;
 pub mod operator;
+pub mod par;
 pub mod pool;
 pub mod registry;
 pub mod shape_ops;

@@ -10,7 +10,6 @@
 use crate::conv::ConvGeometry;
 use crate::operator::Operator;
 use deep500_tensor::{Error, Result, Shape, Tensor};
-use rayon::prelude::*;
 
 /// The pooling reduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,13 +176,10 @@ impl Pool2dOp {
     }
 }
 
-/// Window-element visits below which the plane loops stay on the calling
-/// thread (same break-even as the GEMM tier's `PAR_THRESHOLD`).
-const PAR_MIN_VISITS: usize = crate::gemm::PAR_THRESHOLD;
-
 /// Run `f(plane index, plane)` over the `len`-element planes of `data`:
-/// planes are independent, so large problems split across rayon workers
-/// (a few runs of whole planes each) without changing any result.
+/// planes are independent, so they go through [`crate::par`] — a few runs
+/// of whole planes per worker, `visits` window-element visits as the work
+/// — without changing any result.
 fn for_each_plane(
     data: &mut [f32],
     len: usize,
@@ -193,22 +189,13 @@ fn for_each_plane(
     if len == 0 {
         return;
     }
-    let planes = data.len() / len;
     let tasks = 4 * rayon::current_num_threads();
-    if visits < PAR_MIN_VISITS || planes < 2 {
-        data.chunks_exact_mut(len)
-            .enumerate()
-            .for_each(|(i, p)| f(i, p));
-    } else {
-        let run = planes.div_ceil(tasks);
-        data.par_chunks_mut(run * len)
-            .enumerate()
-            .for_each(|(t, chunk)| {
-                for (i, p) in chunk.chunks_exact_mut(len).enumerate() {
-                    f(t * run + i, p);
-                }
-            });
-    }
+    let run = (data.len() / len).div_ceil(tasks);
+    crate::par::for_each_chunk(data, run * len, visits, |t, chunk| {
+        for (i, p) in chunk.chunks_exact_mut(len).enumerate() {
+            f(t * run + i, p);
+        }
+    });
 }
 
 impl Operator for Pool2dOp {
@@ -437,7 +424,7 @@ mod tests {
         use deep500_tensor::rng::Xoshiro256StarStar;
         let mut rng = Xoshiro256StarStar::seed_from_u64(17);
         // Overlapping, touching and gapped windows; odd extents; the
-        // (8, 32, 32, 32) case is large enough to take the rayon split.
+        // (8, 32, 32, 32) case is large enough to take the pool split.
         for (n, c, h, w, k, s) in [
             (2usize, 3usize, 7usize, 9usize, 2usize, 2usize),
             (1, 2, 8, 8, 3, 1),
