@@ -56,22 +56,31 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 type SlotBufs = Vec<(usize, Vec<f32>)>;
+/// What an operator declares for its input shapes: FLOPs, bytes moved, and
+/// (first call only) the dispatch note.
+type Declared = (f64, u64, Option<String>);
 /// What the coordinator hands a forward worker: the operator, its resolved
-/// inputs, the workspace bytes to account, and the slot buffers pre-taken
-/// for its outputs.
-type ForwardJob<'a> = (&'a dyn Operator, Vec<&'a Tensor>, usize, SlotBufs);
-/// What the worker hands back: outputs, unconsumed slot buffers, and
-/// wall-clock seconds.
-type ForwardProduct = (Vec<Tensor>, SlotBufs, f64);
+/// inputs, the workspace bytes to account, the slot buffers pre-taken for
+/// its outputs — and what the operator declared, which rides through the
+/// worker untouched so the level needs no second list.
+type ForwardJob<'a> = (&'a dyn Operator, Vec<&'a Tensor>, usize, SlotBufs, Declared);
+/// What the worker hands back: outputs, unconsumed slot buffers,
+/// wall-clock seconds, and the job's [`Declared`].
+type ForwardProduct = (Vec<Tensor>, SlotBufs, f64, Declared);
 type BackwardJob<'a> = (&'a PlanStep, &'a dyn Operator, Vec<&'a Tensor>);
-type BackwardProduct = (Vec<Option<Tensor>>, f64);
+/// The step comes back with its input gradients and wall-clock seconds.
+type BackwardProduct<'a> = (&'a PlanStep, Vec<Option<Tensor>>, f64);
 
 /// The work estimate [`par::map_items`] gets for a level: the
 /// multiply-adds (FLOPs / 2) of its *second-largest* step, so a level
 /// forks only when at least two of its steps would each be worth handing
 /// to the pool. One big step beside small ones gains nothing from a fork —
-/// it forks inside its own kernel — and a one-step level has no second.
-fn level_work(flops: impl Iterator<Item = f64>) -> usize {
+/// it forks inside its own kernel — and a one-step level has no second, so
+/// its FLOPs are not even asked for.
+fn level_work(flops: impl ExactSizeIterator<Item = f64>) -> usize {
+    if flops.len() < 2 {
+        return 0;
+    }
     let (mut largest, mut second) = (0.0f64, 0.0f64);
     for f in flops {
         if f > largest {
@@ -415,38 +424,35 @@ impl PlannedExecutor {
             // store, pre-takes the step's output buffers before dispatch.
             // Tensors defined in the same level always interfere, so no
             // two steps of a level contend for a slot.
-            let mut declared = Vec::with_capacity(level.len());
-            let jobs: Vec<ForwardJob> = level
-                .iter()
-                .map(|step| {
-                    let op = ops.get(&step.node).expect("instantiated op").as_ref();
-                    let inputs = gather_inputs(step, &env, network, plan)?;
-                    let shapes: Vec<&Shape> = inputs.iter().map(|t| t.shape()).collect();
-                    // The dispatch note is a `format!`; only the first call
-                    // of a node keeps it, so only that call builds it.
-                    let note = if op_totals[step.node.0].forward_calls == 0 {
-                        op.annotation(&shapes)
-                    } else {
-                        None
-                    };
-                    declared.push((op.flops(&shapes), op.bytes_moved(&shapes), note));
-                    let bufs = step
-                        .outputs
-                        .iter()
-                        .zip(&step.out_numels)
-                        .filter_map(|(&oid, &numel)| {
-                            if numel == 0 {
-                                return None;
-                            }
-                            let slot = plan.slot_of_id[oid]?;
-                            slots[slot].take().map(|b| (numel, b))
-                        })
-                        .collect();
-                    Ok((op, inputs, op.workspace_bytes(&shapes), bufs))
-                })
-                .collect::<Result<_>>()?;
+            let mut jobs: Vec<ForwardJob> = Vec::with_capacity(level.len());
+            for step in level {
+                let op = ops.get(&step.node).expect("instantiated op").as_ref();
+                let inputs = gather_inputs(step, &env, network, plan)?;
+                let shapes: Vec<&Shape> = inputs.iter().map(|t| t.shape()).collect();
+                // The dispatch note is a `format!`; only the first call of
+                // a node keeps it, so only that call builds it.
+                let note = if op_totals[step.node.0].forward_calls == 0 {
+                    op.annotation(&shapes)
+                } else {
+                    None
+                };
+                let declared = (op.flops(&shapes), op.bytes_moved(&shapes), note);
+                let bufs = step
+                    .outputs
+                    .iter()
+                    .zip(&step.out_numels)
+                    .filter_map(|(&oid, &numel)| {
+                        if numel == 0 {
+                            return None;
+                        }
+                        let slot = plan.slot_of_id[oid]?;
+                        slots[slot].take().map(|b| (numel, b))
+                    })
+                    .collect();
+                jobs.push((op, inputs, op.workspace_bytes(&shapes), bufs, declared));
+            }
 
-            let run = |(op, inputs, workspace, bufs): ForwardJob| -> Result<ForwardProduct> {
+            let run = |(op, inputs, workspace, bufs, declared): ForwardJob| {
                 memory.allocate(workspace)?;
                 let start = std::time::Instant::now();
                 let (outputs, leftovers) =
@@ -457,12 +463,12 @@ impl PlannedExecutor {
                 for t in &outputs {
                     memory.allocate(t.size_bytes())?;
                 }
-                Ok((outputs, leftovers, seconds))
+                Ok((outputs, leftovers, seconds, declared))
             };
-            let work = level_work(declared.iter().map(|d| d.0));
-            let results = par::map_items(jobs, work, run);
-            for ((step, (flops, bytes, note)), result) in level.iter().zip(declared).zip(results) {
-                let (outputs, leftovers, seconds) = result?;
+            let work = level_work(jobs.iter().map(|job| job.4 .0));
+            let results: Vec<Result<ForwardProduct>> = par::map_items(jobs, work, run);
+            for (step, result) in level.iter().zip(results) {
+                let (outputs, leftovers, seconds, (flops, bytes, note)) = result?;
                 events.span(Phase::OperatorForward, step.node.0, seconds);
                 let totals = &mut op_totals[step.node.0];
                 totals.record_note(note);
@@ -596,35 +602,29 @@ impl PlannedExecutor {
             // consumers of this level's outputs live in higher levels and
             // have already contributed, so their gradients are final.
             // A node contributes when some output has a gradient; its
-            // other outputs' gradients are zeros.
-            let level: Vec<&PlanStep> = plan.steps[lo..hi]
-                .iter()
-                .rev()
-                .filter(|step| step.outputs.iter().any(|&oid| grads[oid].is_some()))
-                .collect();
-            for step in &level {
+            // other outputs' gradients are zeros. As in the forward pass,
+            // the coordinator resolves the inputs.
+            let mut jobs: Vec<BackwardJob> = Vec::new();
+            for step in plan.steps[lo..hi].iter().rev() {
+                if !step.outputs.iter().any(|&oid| grads[oid].is_some()) {
+                    continue;
+                }
                 for &oid in &step.outputs {
                     if let (None, Some(t)) = (&grads[oid], &env[oid]) {
                         let zeros = || Tensor::zeros(t.shape().clone());
                         grads[oid] = Some(with_pool(pool, zeros));
                     }
                 }
+                let op = ops.get(&step.node).expect("instantiated op").as_ref();
+                jobs.push((step, op, gather_inputs(step, env, network, plan)?));
             }
-            // As in the forward pass, the coordinator resolves the inputs
-            // and reads the fork decision off the forward FLOPs.
-            let mut flops = Vec::with_capacity(level.len());
-            let jobs: Vec<BackwardJob> = level
-                .iter()
-                .map(|&step| {
-                    let op = ops.get(&step.node).expect("instantiated op").as_ref();
-                    let inputs = gather_inputs(step, env, network, plan)?;
-                    let shapes: Vec<&Shape> = inputs.iter().map(|t| t.shape()).collect();
-                    flops.push(op.flops(&shapes));
-                    Ok((step, op, inputs))
-                })
-                .collect::<Result<_>>()?;
+            // The fork decision reads the forward FLOPs, as the forward
+            // pass does; a one-step level is never priced.
+            let work = level_work(jobs.iter().map(|(_, op, inputs)| {
+                op.flops(&inputs.iter().map(|t| t.shape()).collect::<Vec<_>>())
+            }));
             let grads_ref = &grads;
-            let run = |(step, op, inputs): BackwardJob| -> Result<BackwardProduct> {
+            let results = par::map_items(jobs, work, |(step, op, inputs)| {
                 let output_tensors: Vec<&Tensor> = step
                     .outputs
                     .iter()
@@ -644,11 +644,10 @@ impl PlannedExecutor {
                     op.backward_wanted(&grad_refs, &inputs, &output_tensors, &step.wanted)
                 });
                 let seconds = start.elapsed().as_secs_f64();
-                Ok((input_grads?, seconds))
-            };
-            let results = par::map_items(jobs, level_work(flops.into_iter()), run);
-            for (&step, result) in level.iter().zip(results) {
-                let (input_grads, seconds) = result?;
+                Ok::<BackwardProduct, Error>((step, input_grads?, seconds))
+            });
+            for result in results {
+                let (step, input_grads, seconds) = result?;
                 spans.push((step.node.0, seconds));
                 for (gid, gtensor) in step.grad_ids.iter().zip(input_grads) {
                     // `None`: an unwanted gradient the operator elided.
