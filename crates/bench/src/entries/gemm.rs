@@ -78,12 +78,12 @@ fn rate(flops: f64, t: &Timing) -> Json {
 /// One row on each side of `par::FORK_CUT` and of the GEMV cut-over.
 fn cutover_rows(rng: &mut Xoshiro256StarStar) -> Vec<Json> {
     let mut rows = Vec::new();
-    // Both tiers fork on `par::worth_forking(m·n·k)` and more than one row
+    // Both tiers fork on `m·n·k >= par::FORK_CUT` and more than one row
     // panel — 64 rows for `Parallel`, `mc = 128` at `k = 256` for `Packed`
     // — so a tall shape is one where the cut is what decides for both.
     for m in [248, 264] {
         let g = GemmSize::new(m, 4, 256);
-        let side = if par::worth_forking(m * g.n * g.k) {
+        let side = if m * g.n * g.k >= par::FORK_CUT {
             "above"
         } else {
             "below"

@@ -253,9 +253,9 @@ fn at_b_panel(ib: usize, m: usize, n: usize, k: usize, ad: &[f32], bd: &[f32], c
 ///
 /// `Naive`/`Blocked` run the panel kernel serially (bit-exact reference),
 /// `Parallel` hands the same row panels to [`par`] with the product's
-/// multiply-adds as their work (bit-identical to serial), and `Packed` absorbs the
-/// transposition into the A-panel pack gather so the backward product runs
-/// the same register-tiled microkernel as the forward GEMM.
+/// multiply-adds as their work (bit-identical to serial), and `Packed`
+/// absorbs the transposition into the A-panel pack gather so the backward
+/// product runs the same register-tiled microkernel as the forward GEMM.
 pub fn matmul_at_b_with(algo: Algorithm, a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (k, m) = (a.shape().dim(0), a.shape().dim(1));
     let (kb, n) = (b.shape().dim(0), b.shape().dim(1));

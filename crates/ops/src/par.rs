@@ -19,7 +19,7 @@ use rayon::prelude::*;
 pub const FORK_CUT: usize = 64 * 64 * 64;
 
 /// Whether a job of `work` multiply-accumulates is worth forking.
-pub fn worth_forking(work: usize) -> bool {
+pub(crate) fn worth_forking(work: usize) -> bool {
     work >= FORK_CUT
 }
 
