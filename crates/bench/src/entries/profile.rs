@@ -169,7 +169,10 @@ fn in_lockstep(calls: usize, body: fn(ThreadCommunicator) -> RankBody) -> (Json,
         });
         time_rounds(warmup, calls, &mut [Subject::wall(|| received = subject())])[0][0]
     });
-    (Timing::of(&call).json(), received as usize / (warmup + calls))
+    (
+        Timing::of(&call).json(),
+        received as usize / (warmup + calls),
+    )
 }
 
 /// A 1-float message to the other rank and back.

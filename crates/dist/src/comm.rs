@@ -9,12 +9,13 @@
 //! time enters via [`Communicator::advance`].
 //!
 //! A rank waits in one place, [`ThreadCommunicator`]'s private `wait`: it
-//! polls its inbox for at most `SPIN_WINDOW`, then parks on the channel for
-//! what remains of the caller's deadline — also with more ranks than cores,
-//! where a polling rank hands its core over through `yield_now` (measured in
-//! EXPERIMENTS E30: never slower than parking at once). How a rank waits
-//! moves wall time; message order, volumes and virtual time never depend on
-//! it.
+//! polls its inbox through [`deep500_tensor::wait::poll`] — the workspace's
+//! one poll-before-park loop, shared with `deep500-serve`, which owns the
+//! 50 µs window and gives the core away between polls — then parks on the
+//! channel for what remains of the caller's deadline. Every receive
+//! polls, also with more ranks than cores (measured in EXPERIMENTS E30:
+//! never slower than parking at once). How a rank waits moves wall time;
+//! message order, volumes and virtual time never depend on it.
 //!
 //! Communication is **fallible by design**: every operation returns a
 //! typed [`CommError`] instead of panicking, so the fault-injection layer
@@ -25,16 +26,9 @@
 use crate::netmodel::NetworkModel;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use deep500_metrics::{CommunicationVolume, FaultCounters};
+use deep500_tensor::wait::poll;
 use std::fmt;
 use std::time::{Duration, Instant};
-
-/// How long a receive polls before it parks: about one park/unpark round
-/// trip on a virtualised host (25–50 µs), so waiting for a message that
-/// comes later costs at most ~2× the optimal wait. Sized by the sweep in
-/// EXPERIMENTS E30; tracked by `BENCH_profile.json` → `dist_rendezvous`.
-const SPIN_WINDOW: Duration = Duration::from_micros(50);
-/// Polls separated by a `spin_loop` hint before `yield_now` takes over.
-const SPIN_POLLS: u32 = 8;
 
 /// A typed communication failure.
 ///
@@ -250,27 +244,17 @@ impl ThreadCommunicator {
 
     /// The one place a rank waits: the next message from `from`, or
     /// `Timeout` once `patience` has passed (`Duration::MAX`: no deadline).
+    /// Polls the inbox first, then parks on the channel for the rest.
     fn wait(&mut self, from: usize, patience: Duration) -> CommResult<Vec<f32>> {
         self.check_peer(from, "recv from")?;
         let inbox = &self.receivers[from];
         let start = Instant::now();
-        let mut polls = 0u32;
-        let outcome = loop {
-            match inbox.try_recv() {
-                Err(TryRecvError::Empty) => {}
-                got => break got.map_err(|_| RecvTimeoutError::Disconnected),
-            }
-            let waited = start.elapsed();
-            if waited >= SPIN_WINDOW.min(patience) {
-                break inbox.recv_timeout(patience.saturating_sub(waited));
-            }
-            if polls < SPIN_POLLS {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now(); // a peer sharing this core gets it
-            }
-            polls += 1;
-        };
+        let polled = poll(patience, || match inbox.try_recv() {
+            Err(TryRecvError::Empty) => None,
+            got => Some(got.map_err(|_| RecvTimeoutError::Disconnected)),
+        });
+        let outcome =
+            polled.unwrap_or_else(|| inbox.recv_timeout(patience.saturating_sub(start.elapsed())));
         let msg = outcome.map_err(|e| match e {
             RecvTimeoutError::Disconnected => CommError::Closed(format!("rank {from} hung up")),
             RecvTimeoutError::Timeout => CommError::Timeout {

@@ -8,6 +8,13 @@
 //! shard's [`BatchPolicy`]. The substrate is plain threads, mutexes and
 //! condvars — no async runtime — matching the rest of the workspace.
 //!
+//! Requests change hands twice: client → worker (the queue) and worker →
+//! client (the [`Ticket`]). Waking a parked thread costs more than a small
+//! model's pass on a virtualised host, so both waiting sides first poll an
+//! atomic hint through [`deep500_tensor::wait::poll`] and park only when
+//! that window passes; each records under its mutex that it parked, and
+//! the other side signals only then.
+//!
 //! Clients talk to the server through two calls:
 //!
 //! * [`Server::submit`] — non-blocking admission. Returns a [`Ticket`]
@@ -24,10 +31,11 @@ use crate::error::{ServeError, ServeResult};
 use deep500_graph::{Engine, ExecutorKind, Network, Session};
 use deep500_metrics::event::Phase;
 use deep500_metrics::trace::{TraceRecorder, TraceSink};
+use deep500_tensor::wait::poll;
 use deep500_tensor::Tensor;
 use deep500_verify::{batch_contract, BatchContract, BatchRole, SymShape};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -64,16 +72,33 @@ pub struct InferReply {
 // ---------------------------------------------------------------- tickets
 
 /// One-shot reply slot shared between the admitting client and the worker.
+/// `done` is only a hint the waiter polls; the reply and whether the waiter
+/// parked live under `slot`'s lock, so `deliver` signals exactly when
+/// someone sleeps on `ready` and no wake-up can be lost.
+#[derive(Default)]
 struct TicketState {
-    slot: Mutex<Option<ServeResult<InferReply>>>,
+    done: AtomicBool,
+    slot: Mutex<Slot>,
     ready: Condvar,
+}
+
+#[derive(Default)]
+struct Slot {
+    reply: Option<ServeResult<InferReply>>,
+    parked: bool,
 }
 
 impl TicketState {
     fn deliver(&self, result: ServeResult<InferReply>) {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        *slot = Some(result);
-        self.ready.notify_all();
+        let parked = {
+            let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
+            slot.reply = Some(result);
+            self.done.store(true, Ordering::Release);
+            slot.parked
+        };
+        if parked {
+            self.ready.notify_one();
+        }
     }
 }
 
@@ -97,16 +122,19 @@ impl Ticket {
 
     /// Block until the request is served (or fails), consuming the ticket.
     pub fn wait(self) -> ServeResult<InferReply> {
-        let mut slot = self.state.slot.lock().unwrap_or_else(|e| e.into_inner());
+        let state = &*self.state;
+        // A small model's reply usually lands within the poll window, and
+        // then neither side pays a futex round trip.
+        poll(Duration::MAX, || {
+            state.done.load(Ordering::Acquire).then_some(())
+        });
+        let mut slot = state.slot.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if let Some(result) = slot.take() {
+            if let Some(result) = slot.reply.take() {
                 return result;
             }
-            slot = self
-                .state
-                .ready
-                .wait(slot)
-                .unwrap_or_else(|e| e.into_inner());
+            slot.parked = true;
+            slot = state.ready.wait(slot).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
@@ -122,9 +150,30 @@ struct Pending {
     ticket: Arc<TicketState>,
 }
 
+/// A request dropped before its batch replied — its worker unwound out of
+/// an operator panic, say — fails its ticket instead of stranding the
+/// waiter. Every path that replies has set `done` by then.
+impl Drop for Pending {
+    fn drop(&mut self) {
+        if !self.ticket.done.load(Ordering::Acquire) {
+            self.ticket
+                .deliver(Err(ServeError::Execution(deep500_tensor::Error::Invalid(
+                    format!("request {} dropped unanswered: its worker stopped", self.id),
+                ))));
+        }
+    }
+}
+
 struct ShardState {
     queue: VecDeque<Pending>,
     open: bool,
+    /// Workers parked on `not_empty` with nothing to do, and workers
+    /// waiting on it with a half-assembled `Dynamic` batch. `submit` wakes
+    /// one idle worker, or everyone when someone is assembling (the
+    /// request may belong in that batch); a finished pass wakes only the
+    /// assemblers, whose early-fire condition it may have made true.
+    idle: usize,
+    assembling: usize,
     /// Rows admitted but not yet delivered (queued + in assembling/running
     /// batches). When an assembling batch holds every outstanding row, no
     /// straggler can arrive before the replies go out — closed-loop
@@ -149,6 +198,9 @@ struct Shard {
     inputs: Vec<String>,
     state: Mutex<ShardState>,
     not_empty: Condvar,
+    /// `state.queue.len()` as of the last change, for idle workers to poll
+    /// without the lock; a hint only — they re-check under the lock.
+    queued: AtomicUsize,
     served: AtomicUsize,
     rejected: AtomicUsize,
     batches: AtomicUsize,
@@ -205,6 +257,12 @@ impl Shard {
         }
     }
 
+    /// Refresh the `queued` hint; called under the lock after the queue
+    /// changed.
+    fn publish_len(&self, st: &ShardState) {
+        self.queued.store(st.queue.len(), Ordering::Relaxed);
+    }
+
     /// Pop the next deadline-bounded batch, blocking while the queue is
     /// empty and open, and count why it was closed. `None` once the shard
     /// is closed and drained.
@@ -214,6 +272,7 @@ impl Shard {
             if let Some(first) = st.queue.pop_front() {
                 let (max_rows, deadline) = match self.policy {
                     BatchPolicy::Single => {
+                        self.publish_len(&st);
                         self.fired.full.fetch_add(1, Ordering::Relaxed);
                         return Some(vec![first]);
                     }
@@ -245,6 +304,7 @@ impl Shard {
                         rows += p.rows;
                         batch.push(p);
                     }
+                    self.publish_len(&st);
                     // Close the batch when it is full, when the next
                     // request would not fit, or when the shard is closed
                     // (serve what we have, don't wait for company).
@@ -267,11 +327,13 @@ impl Shard {
                     } else {
                         deadline - now
                     };
+                    st.assembling += 1;
                     let (guard, timeout) = self
                         .not_empty
                         .wait_timeout(st, wait)
                         .unwrap_or_else(|e| e.into_inner());
                     st = guard;
+                    st.assembling -= 1;
                     // A notification restarts the grace: the drain above
                     // picks up what just landed and the next quiet grace
                     // window closes the batch.
@@ -285,7 +347,19 @@ impl Shard {
             if !st.open {
                 return None;
             }
-            st = self.not_empty.wait(st).unwrap_or_else(|e| e.into_inner());
+            // Idle: poll for a request about to land, then park — counted,
+            // so that `submit` knows to signal. Under the lock the queue is
+            // checked again, so a stale hint only costs a poll or a park.
+            drop(st);
+            poll(Duration::MAX, || {
+                (self.queued.load(Ordering::Relaxed) > 0).then_some(())
+            });
+            st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+            if st.queue.is_empty() && st.open {
+                st.idle += 1;
+                st = self.not_empty.wait(st).unwrap_or_else(|e| e.into_inner());
+                st.idle -= 1;
+            }
         }
     }
 
@@ -337,9 +411,10 @@ impl Shard {
                 s.record_span_bytes(Phase::Queue, p.id, queued_s, 0);
                 s.record_span_bytes(Phase::Request, p.id, total_s, 0);
             }
-            // Count before delivering: the ticket's mutex hand-off makes
-            // the increment visible to a client that reads stats right
-            // after its `wait()` returns.
+            // Count before delivering: the ticket's hand-off (a release
+            // store of `done`, then its mutex) makes the increment visible
+            // to a client that reads stats right after its `wait()`
+            // returns.
             self.served.fetch_add(1, Ordering::Relaxed);
             p.ticket.deliver(outcome.map(|outputs| InferReply {
                 outputs,
@@ -357,12 +432,15 @@ impl Shard {
         }
         // Replies are out: retire these rows from the outstanding count and
         // wake any worker holding a half-assembled batch — its early-fire
-        // condition may have just become true.
-        {
+        // condition may have just become true. Idle workers stay asleep.
+        let assembling = {
             let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
             st.outstanding = st.outstanding.saturating_sub(batch_rows);
+            st.assembling > 0
+        };
+        if assembling {
+            self.not_empty.notify_all();
         }
-        self.not_empty.notify_all();
     }
 }
 
@@ -533,8 +611,11 @@ impl ServerBuilder {
                     queue: VecDeque::new(),
                     open: true,
                     outstanding: 0,
+                    idle: 0,
+                    assembling: 0,
                 }),
                 not_empty: Condvar::new(),
+                queued: AtomicUsize::new(0),
                 served: AtomicUsize::new(0),
                 rejected: AtomicUsize::new(0),
                 batches: AtomicUsize::new(0),
@@ -630,11 +711,8 @@ impl Server {
             .collect();
         let rows = shard.validate(&owned)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let ticket = Arc::new(TicketState {
-            slot: Mutex::new(None),
-            ready: Condvar::new(),
-        });
-        {
+        let ticket = Arc::new(TicketState::default());
+        let (assembling, idle) = {
             let mut st = shard.state.lock().unwrap_or_else(|e| e.into_inner());
             if !st.open {
                 return Err(ServeError::Shutdown);
@@ -654,8 +732,17 @@ impl Server {
                 enqueued: Instant::now(),
                 ticket: ticket.clone(),
             });
+            shard.publish_len(&st);
+            (st.assembling > 0, st.idle > 0)
+        };
+        // An assembler may want this request in its batch, and `notify_one`
+        // could pick an idle worker instead; otherwise one idle worker is
+        // enough, and a polling or busy one needs no signal.
+        if assembling {
+            shard.not_empty.notify_all();
+        } else if idle {
+            shard.not_empty.notify_one();
         }
-        shard.not_empty.notify_all();
         Ok(Ticket { state: ticket, id })
     }
 
@@ -733,5 +820,131 @@ impl std::fmt::Debug for Server {
             .field("models", &self.models())
             .field("workers", &self.workers.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn reply(batch_id: usize) -> ServeResult<InferReply> {
+        Ok(InferReply {
+            outputs: HashMap::new(),
+            timing: RequestTiming {
+                queued_s: 0.0,
+                run_s: 0.0,
+                total_s: 0.0,
+                batch_rows: 1,
+                batch_id,
+            },
+        })
+    }
+
+    /// When the worker delivers, relative to the client's `wait`.
+    #[derive(Debug, Clone, Copy)]
+    enum When {
+        /// Before `wait` is called.
+        Before,
+        /// 10 µs into it: inside the poll window.
+        Polling,
+        /// Once the waiter has recorded that it parked.
+        Parked,
+    }
+
+    #[test]
+    fn a_reply_reaches_its_waiter_before_during_and_after_the_poll() {
+        for when in [When::Before, When::Polling, When::Parked] {
+            for round in 0..1000 {
+                let state = Arc::new(TicketState::default());
+                let ticket = Ticket {
+                    state: state.clone(),
+                    id: round,
+                };
+                let got = std::thread::scope(|s| {
+                    let worker = || match when {
+                        When::Before => state.deliver(reply(round)),
+                        When::Polling => {
+                            let t0 = Instant::now();
+                            while t0.elapsed() < Duration::from_micros(10) {
+                                std::hint::spin_loop();
+                            }
+                            state.deliver(reply(round));
+                        }
+                        When::Parked => {
+                            while !state.slot.lock().unwrap().parked {
+                                std::thread::sleep(Duration::from_micros(20));
+                            }
+                            state.deliver(reply(round));
+                        }
+                    };
+                    if let When::Before = when {
+                        worker();
+                    } else {
+                        s.spawn(worker);
+                    }
+                    ticket.wait()
+                });
+                assert_eq!(got.unwrap().timing.batch_id, round, "{when:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_request_submitted_after_every_worker_parked_is_served() {
+        let dynamic = BatchPolicy::Dynamic {
+            max_batch: 4,
+            max_delay: Duration::from_millis(20),
+        };
+        for policy in [BatchPolicy::Single, dynamic] {
+            let net = deep500_graph::models::mlp(8, &[16], 4, 5).unwrap();
+            let config = ModelConfig::new(net)
+                .batched_input("x", &[8])
+                .batched_input("labels", &[])
+                .policy(policy)
+                .workers(2);
+            let server = Server::builder().model("mlp", config).build().unwrap();
+            let shard = &server.shards["mlp"];
+            for i in 0..10 {
+                let asleep = Instant::now();
+                while shard.state.lock().unwrap().idle < 2 {
+                    assert!(asleep.elapsed() < Duration::from_secs(10), "never parked");
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+                let labels = Tensor::from_slice(&[(i % 4) as f32]);
+                let feeds = [("x", Tensor::ones([1, 8])), ("labels", labels)];
+                server.infer("mlp", &feeds).unwrap();
+            }
+            assert_eq!(server.stats("mlp").unwrap().served, 10);
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_request_dropped_unanswered_fails_its_ticket_once() {
+        let pending = |id, ticket: &Arc<TicketState>| Pending {
+            id,
+            feeds: Vec::new(),
+            rows: 1,
+            enqueued: Instant::now(),
+            ticket: ticket.clone(),
+        };
+        let dropped = Arc::new(TicketState::default());
+        drop(pending(7, &dropped));
+        let got = Ticket {
+            state: dropped,
+            id: 7,
+        }
+        .wait();
+        assert!(matches!(got, Err(ServeError::Execution(_))), "{got:?}");
+        // A request that was answered is left alone by its drop.
+        let answered = Arc::new(TicketState::default());
+        answered.deliver(reply(3));
+        drop(pending(8, &answered));
+        let got = Ticket {
+            state: answered,
+            id: 8,
+        }
+        .wait();
+        assert_eq!(got.unwrap().timing.batch_id, 3);
     }
 }

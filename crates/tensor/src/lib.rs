@@ -19,7 +19,10 @@
 //!   an explicit seed through this generator),
 //! * [`Error`] — the common error type shared by the higher-level crates
 //!   (notably [`Error::OutOfMemory`], which the Level-1 micro-batching
-//!   experiment relies on).
+//!   experiment relies on),
+//! * [`wait::poll`] — the poll-before-park loop every thread that waits for
+//!   another (a rank for a message, a serve client for its reply, an idle
+//!   serve worker for a request) runs before it parks.
 
 pub mod descriptor;
 pub mod error;
@@ -28,6 +31,7 @@ pub mod pool;
 pub mod rng;
 pub mod shape;
 pub mod tensor;
+pub mod wait;
 
 pub use descriptor::{DataType, DeviceDesc, TensorDesc};
 pub use error::{Error, Result};
