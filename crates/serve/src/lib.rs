@@ -19,6 +19,12 @@
 //! * **Tracing** ([`deep500_metrics::trace::TraceRecorder`]) — every
 //!   request emits `Queue`/`Batch`/`Request` spans next to the engine's
 //!   operator spans, so a served request is attributable end to end.
+//! * **Waiting** ([`deep500_tensor::wait::poll`]) — the poll-before-park
+//!   loop `deep500-dist`'s ranks use. A client waiting for its reply and an
+//!   idle worker waiting for a request poll an atomic hint for up to 50 µs
+//!   before they park on their condvar, and the other side signals only a
+//!   thread that recorded it parked: a small model's request crosses both
+//!   hand-offs without a futex round trip.
 //!
 //! ```
 //! use deep500_graph::models;
