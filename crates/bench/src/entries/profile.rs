@@ -20,13 +20,15 @@
 //! A third, untraced run fills the `data_pipeline` table: what a batch
 //! costs to assemble against how long a training step waits for it, and
 //! the gate `sampling_wait_hidden` on the two. A fourth fills
-//! `dist_rendezvous`: what two ranks on the thread transport pay to meet
-//! (a ping-pong, one ring allreduce) and what that does to a CDSGD step;
-//! `sync_costs_less_than_a_step` gates the round trip against the step.
+//! `dist_rendezvous`, one row per executor a rank can train on: what two
+//! ranks on the thread transport pay to meet (a ping-pong, one ring
+//! allreduce) and what that does to a CDSGD step;
+//! `sync_costs_less_than_a_step` gates the round trip against the step, and
+//! `planned_dp2_step_beats_reference` the two executors' two-rank steps.
 //!
 //! Run with: `cargo run --release -p deep500-bench -- profile`
 
-use crate::rows::{claims, num, unless, Timing, Verdict};
+use crate::rows::{claims, find, num, text, unless, Timing, Verdict};
 use crate::{repo_path, scale, time_rounds, Report, Scale, Subject};
 use deep500::data::dataset::assemble_minibatch;
 use deep500::dist::collectives::allreduce_ring;
@@ -126,17 +128,39 @@ pub fn sync_costs_less_than_a_step(rows: &[Json]) -> Verdict {
         let recvs = num(row, "recvs_per_step");
         (recvs * roundtrip.hi >= solo.lo).then(|| {
             format!(
-                "{recvs} receives at [{:.4}, {:.4}] ms a round trip vs a solo step of \
+                "{}: {recvs} receives at [{:.4}, {:.4}] ms a round trip vs a solo step of \
                  [{:.3}, {:.3}] ms",
-                roundtrip.lo, roundtrip.hi, solo.lo, solo.hi
+                text(row, "executor"),
+                roundtrip.lo,
+                roundtrip.hi,
+                solo.lo,
+                solo.hi
             )
         })
     });
     unless(
         "sync_costs_less_than_a_step",
         "the receives of a two-rank CDSGD step, each priced at a round trip (CI upper bound), \
-         cost less than a solo step (CI lower bound)",
+         cost less than a solo step (CI lower bound), on every executor",
         costly.collect(),
+    )
+}
+
+/// The runner's ranks train on the plan interpreter because it is faster
+/// where they spend their time: a two-rank CDSGD step on it (CI upper
+/// bound) is shorter than on the reference oracle (CI lower bound).
+pub fn planned_dp2_step_beats_reference(rows: &[Json]) -> Verdict {
+    let step = |executor| Timing::read(find(rows, "executor", executor), "dp2_step_ms");
+    let (planned, reference) = (step("planned"), step("reference"));
+    Verdict::new(
+        "planned_dp2_step_beats_reference",
+        reference.above(&planned),
+        format!(
+            "a two-rank CDSGD step on the planned executor (CI upper bound) is shorter than on \
+             the reference executor (CI lower bound): planned [{:.3}, {:.3}] vs reference \
+             [{:.3}, {:.3}] ms",
+            planned.lo, planned.hi, reference.lo, reference.hi
+        ),
     )
 }
 
@@ -153,7 +177,10 @@ const RENDEZVOUS_BATCH: usize = 16;
 /// bodies). One subject per `time_rounds`: a peer that parked while another
 /// subject ran would be woken, and placed anew by the kernel, at every
 /// switch.
-fn in_lockstep(calls: usize, body: fn(ThreadCommunicator) -> RankBody) -> (Json, usize) {
+fn in_lockstep(
+    calls: usize,
+    body: impl Fn(ThreadCommunicator) -> RankBody + Send,
+) -> (Json, usize) {
     let warmup = calls / 8;
     let mut comms = ThreadTransport::create(2, NetworkModel::instant());
     let (rank1, rank0) = (comms.pop().expect("rank 1"), comms.pop().expect("rank 0"));
@@ -200,13 +227,14 @@ fn ring_allreduce(mut comm: ThreadCommunicator) -> RankBody {
     })
 }
 
-/// One CDSGD step of `mlp(64, [256, 128], 8)` at batch 16 on the reference
-/// executor (spine `dist-mlp-dp2`'s shape), on one fixed batch per rank so
-/// that the step is backprop + exchange + update and nothing else.
-fn cdsgd_step(comm: ThreadCommunicator) -> RankBody {
+/// One CDSGD step of `mlp(64, [256, 128], 8)` at batch 16 on `kind` (spine
+/// `dist-mlp-dp2`'s shape), on one fixed batch per rank so that the step is
+/// backprop + exchange + update and nothing else.
+fn cdsgd_step(kind: ExecutorKind, comm: ThreadCommunicator) -> RankBody {
     let (features, batch, rank) = (64, RENDEZVOUS_BATCH, comm.rank());
     let net = models::mlp(features, &[256, 128], 8, 42).expect("build mlp");
     let mut exec = Engine::builder(net)
+        .executor(kind)
         .build()
         .and_then(Engine::into_inner)
         .expect("build the rank's executor");
@@ -226,20 +254,19 @@ fn cdsgd_step(comm: ThreadCommunicator) -> RankBody {
 /// transport of its own. Measured two at a time like the real pair, so that
 /// the two step times of the row differ by the exchange and not by what a
 /// busy neighbouring core costs (two vCPUs may be one physical core).
-fn solo_step(_: ThreadCommunicator) -> RankBody {
-    cdsgd_step(ThreadTransport::create(1, NetworkModel::instant()).remove(0))
+fn solo_step(kind: ExecutorKind) -> RankBody {
+    let alone = ThreadTransport::create(1, NetworkModel::instant()).remove(0);
+    cdsgd_step(kind, alone)
 }
 
-fn dist_rendezvous_row() -> Json {
+fn dist_rendezvous_row(kind: ExecutorKind) -> Json {
     let steps = if scale() == Scale::Smoke { 400 } else { 2000 };
-    let [roundtrip, allreduce, solo, dp2] = [
-        (16 * steps, ping_pong as fn(ThreadCommunicator) -> RankBody),
-        (steps, ring_allreduce),
-        (steps, solo_step),
-        (steps, cdsgd_step),
-    ]
-    .map(|(calls, body)| in_lockstep(calls, body));
+    let roundtrip = in_lockstep(16 * steps, ping_pong);
+    let allreduce = in_lockstep(steps, ring_allreduce);
+    let solo = in_lockstep(steps, |_| solo_step(kind));
+    let dp2 = in_lockstep(steps, |comm| cdsgd_step(kind, comm));
     Json::obj([
+        ("executor", Json::from(format!("{kind:?}").to_lowercase())),
         ("model", Json::from("mlp 64-256-128-8")),
         ("scheme", Json::from("CDSGD, thread transport")),
         ("batch", Json::from(RENDEZVOUS_BATCH)),
@@ -432,8 +459,17 @@ pub fn run(report: &mut Report) {
     report.rows("data_pipeline", rows);
 
     // ---- 4. Rank rendezvous: what meeting costs vs what a step costs -----
-    let rows = vec![dist_rendezvous_row()];
-    claims(report, [sync_costs_less_than_a_step(&rows)]);
+    let rows = vec![
+        dist_rendezvous_row(ExecutorKind::Reference),
+        dist_rendezvous_row(ExecutorKind::Planned),
+    ];
+    claims(
+        report,
+        [
+            sync_costs_less_than_a_step(&rows),
+            planned_dp2_step_beats_reference(&rows),
+        ],
+    );
     report.rows("dist_rendezvous", rows);
 }
 
@@ -459,21 +495,53 @@ mod tests {
         assert!(!sampling_wait_hidden(&rows((0.30, 0.50), (0.10, 0.16))).ok);
     }
 
+    /// A `dist_rendezvous` row of `executor` with the given CIs.
+    fn rendezvous(executor: &str, roundtrip: Span, solo: Span, dp2: Span) -> Json {
+        Json::obj([
+            ("executor", Json::from(executor)),
+            ("recvs_per_step", Json::from(12usize)),
+            ("roundtrip_ms", interval(roundtrip)),
+            ("solo_step_ms", interval(solo)),
+            ("dp2_step_ms", interval(dp2)),
+        ])
+    }
+
     #[test]
     fn cheap_rendezvous_passes_and_a_sync_dearer_than_the_step_fails() {
+        // Polled on the oracle, and on the plan interpreter as given.
         let rows = |roundtrip: Span, solo: Span| {
-            [Json::obj([
-                ("recvs_per_step", Json::from(12usize)),
-                ("roundtrip_ms", interval(roundtrip)),
-                ("solo_step_ms", interval(solo)),
-            ])]
+            [
+                rendezvous("reference", (0.0009, 0.0019), (0.230, 0.240), (0.40, 0.42)),
+                rendezvous("planned", roundtrip, solo, (0.30, 0.31)),
+            ]
         };
         // Polled: 12 × 1.9 µs against a 0.18 ms step.
         assert!(sync_costs_less_than_a_step(&rows((0.0009, 0.0019), (0.182, 0.237))).ok);
-        // Every receive parks: 12 × 38 µs > 198 µs.
+        // Every receive parks: 12 × 38 µs > 198 µs, on the second row only.
         let v = sync_costs_less_than_a_step(&rows((0.0345, 0.0383), (0.198, 0.262)));
-        assert!(!v.ok && v.detail.contains("0.0383"), "{}", v.detail);
+        let priced = "planned: 12 receives at [0.0345, 0.0383]";
+        assert!(!v.ok && v.detail.contains(priced), "{}", v.detail);
         // Under one step at the medians, but the intervals do not show it.
         assert!(!sync_costs_less_than_a_step(&rows((0.010, 0.020), (0.22, 0.28))).ok);
+    }
+
+    #[test]
+    fn a_planned_step_below_the_oracles_passes_and_an_overlapping_one_fails() {
+        let rows = |planned: Span, reference: Span| {
+            let cheap = ((0.0009, 0.0019), (0.18, 0.24));
+            [
+                rendezvous("reference", cheap.0, cheap.1, reference),
+                rendezvous("planned", cheap.0, cheap.1, planned),
+            ]
+        };
+        // What the runner's default is for: 0.30 ms against 0.40.
+        let v = planned_dp2_step_beats_reference(&rows((0.295, 0.305), (0.395, 0.410)));
+        assert!(v.ok, "{}", v.detail);
+        // Faster at the medians, but the intervals touch.
+        let v = planned_dp2_step_beats_reference(&rows((0.30, 0.40), (0.40, 0.42)));
+        let touching = "planned [0.300, 0.400] vs reference [0.400, 0.420]";
+        assert!(!v.ok && v.detail.contains(touching), "{}", v.detail);
+        // The plan interpreter slower than the oracle.
+        assert!(!planned_dp2_step_beats_reference(&rows((0.45, 0.47), (0.40, 0.42))).ok);
     }
 }

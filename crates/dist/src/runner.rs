@@ -5,7 +5,9 @@
 //! model, executor, and (optionally) a seeded [`FaultPlan`], then spawns
 //! one OS thread per rank — the reproduction's analogue of the paper's
 //! "OS forking to turn an existing Python application into an MPI-capable
-//! one":
+//! one". Every rank trains on the plan interpreter unless
+//! `.executor(ExecutorKind::Reference)` selects the serial oracle, which
+//! gives the same bits:
 //!
 //! ```ignore
 //! let report = DistributedRunner::new(&network, dataset)
@@ -463,7 +465,7 @@ pub struct DistributedRunner {
 impl DistributedRunner {
     /// A runner over `network` and `dataset` with defaults: 2 ranks,
     /// per-rank batch 8, 10 steps, seed 0, lr 0.1, instant network,
-    /// reference executor, [`Variant::Cdsgd`], no faults.
+    /// planned executor, [`Variant::Cdsgd`], no faults.
     pub fn new(network: &Network, dataset: Arc<dyn Dataset>) -> Self {
         DistributedRunner {
             network: network.clone_structure(),
@@ -474,7 +476,7 @@ impl DistributedRunner {
             seed: 0,
             lr: 0.1,
             model: NetworkModel::instant(),
-            executor: ExecutorKind::Reference,
+            executor: ExecutorKind::Planned,
             variant: Variant::Cdsgd,
             faults: None,
             trace: None,
@@ -523,7 +525,8 @@ impl DistributedRunner {
         self
     }
 
-    /// Per-rank graph executor.
+    /// Per-rank graph executor; `ExecutorKind::Reference` is the oracle
+    /// the default plan interpreter must match bit for bit.
     pub fn executor(mut self, kind: ExecutorKind) -> Self {
         self.executor = kind;
         self
@@ -667,6 +670,14 @@ mod tests {
 
     fn net() -> Network {
         models::mlp(8, &[8], 3, 7).unwrap()
+    }
+
+    #[test]
+    fn ranks_default_to_the_plan_interpreter() {
+        let runner = DistributedRunner::new(&net(), dataset(16));
+        assert_eq!(runner.executor, ExecutorKind::Planned);
+        let oracle = runner.executor(ExecutorKind::Reference);
+        assert_eq!(oracle.executor, ExecutorKind::Reference);
     }
 
     #[test]
