@@ -528,10 +528,10 @@ mod tests {
     #[test]
     fn a_planned_step_below_the_oracles_passes_and_an_overlapping_one_fails() {
         let rows = |planned: Span, reference: Span| {
-            let cheap = ((0.0009, 0.0019), (0.18, 0.24));
+            let (roundtrip, solo) = ((0.0009, 0.0019), (0.18, 0.24));
             [
-                rendezvous("reference", cheap.0, cheap.1, reference),
-                rendezvous("planned", cheap.0, cheap.1, planned),
+                rendezvous("reference", roundtrip, solo, reference),
+                rendezvous("planned", roundtrip, solo, planned),
             ]
         };
         // What the runner's default is for: 0.30 ms against 0.40.

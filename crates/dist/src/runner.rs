@@ -676,6 +676,7 @@ mod tests {
     fn ranks_default_to_the_plan_interpreter() {
         let runner = DistributedRunner::new(&net(), dataset(16));
         assert_eq!(runner.executor, ExecutorKind::Planned);
+        // Else `executor_parity` would compare the default with itself.
         let oracle = runner.executor(ExecutorKind::Reference);
         assert_eq!(oracle.executor, ExecutorKind::Reference);
     }
