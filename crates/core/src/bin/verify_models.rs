@@ -22,14 +22,10 @@ use deep500::verify::{check_plan, PlanIr, SymShape, Verifier};
 
 /// Lower a network's frozen execution plan at the given feed shapes and
 /// return its [`PlanIr`], or exit-worthy text on failure.
-fn lower_plan(
-    net: &Network,
-    shapes: &[(&str, Shape)],
-    mutable: &[String],
-) -> Result<PlanIr, String> {
+fn lower_plan(net: &Network, shapes: &[(&str, Shape)]) -> Result<PlanIr, String> {
     let plan = ExecutionPlan::freeze(net, shapes).map_err(|e| format!("freeze: {e}"))?;
     let ops = net.instantiate_ops().map_err(|e| format!("ops: {e}"))?;
-    Ok(plan.to_plan_ir(net, &ops, mutable))
+    Ok(plan.to_plan_ir(net, &ops, &[]))
 }
 
 /// Verify one lowered plan variant, returning its deny count.
@@ -59,17 +55,13 @@ fn verify_plans(explain: bool) -> usize {
         for batch in [1usize, case.batch(), 8] {
             let shapes = case.at_batch(batch).input_shapes();
             println!("model '{}' @ batch {batch}:", case.name);
-            denies += check_variant("raw", lower_plan(&case.net, &shapes, &[]), explain);
+            denies += check_variant("raw", lower_plan(&case.net, &shapes), explain);
 
             let mut inf = case.net.clone_structure();
             denies += match compile(&mut inf, &shapes, &CompileOptions::inference()) {
                 // compile() already ran the gate; re-check the lowered IR
                 // so the binary reports through one code path.
-                Ok(_) => check_variant(
-                    "compiled-inference",
-                    lower_plan(&inf, &shapes, &[]),
-                    explain,
-                ),
+                Ok(_) => check_variant("compiled-inference", lower_plan(&inf, &shapes), explain),
                 Err(e) => {
                     eprintln!("  plan 'compiled-inference': compile denied: {e}");
                     1
@@ -78,15 +70,7 @@ fn verify_plans(explain: bool) -> usize {
 
             let mut train = case.net.clone_structure();
             denies += match compile(&mut train, &shapes, &CompileOptions::training()) {
-                Ok(_) => {
-                    let mutable: Vec<String> =
-                        train.gradient().into_iter().map(|(p, _)| p).collect();
-                    check_variant(
-                        "compiled-training",
-                        lower_plan(&train, &shapes, &mutable),
-                        explain,
-                    )
-                }
+                Ok(_) => check_variant("compiled-training", lower_plan(&train, &shapes), explain),
                 Err(e) => {
                     eprintln!("  plan 'compiled-training': compile denied: {e}");
                     1

@@ -21,9 +21,9 @@ use std::sync::Arc;
 /// A ready-made Level-2 benchmark scenario: model + train/test samplers.
 ///
 /// The executor is built from an [`ExecutorKind`], so any scenario can run
-/// on the serial reference executor (the default) or the wavefront
-/// executor — they are bit-identical, so recipe results do not depend on
-/// the choice.
+/// on the serial reference executor (the default) or the plan interpreter
+/// — they are bit-identical, so recipe results do not depend on the
+/// choice.
 pub struct Scenario {
     pub executor: Box<dyn GraphExecutor>,
     pub train_sampler: ShuffleSampler,
@@ -34,7 +34,7 @@ pub struct Scenario {
 
 impl Scenario {
     /// MLP on a learnable synthetic task — the workhorse of the optimizer
-    /// benchmarks (small enough for Criterion, hard enough to rank
+    /// benchmarks (small enough to time in seconds, hard enough to rank
     /// optimizers).
     pub fn mlp_classification(
         features: usize,

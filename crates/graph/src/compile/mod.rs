@@ -8,11 +8,9 @@
 //! work ahead of time, and owns the crate's one level-parallel executor:
 //!
 //! 1. **Convolution layout selection** ([`layout`]) — every `auto` conv's
-//!    execution tier is pinned from statically inferred shapes, and on the
-//!    direct tier the filter's blocked-layout packing is hoisted into a
-//!    `PackConv2dFilter` node that the constant folder then materializes
-//!    into the value store (eliding the conversion from the runtime graph
-//!    entirely).
+//!    execution tier is pinned from statically inferred shapes. A
+//!    direct-tier filter is packed into the blocked layout at run time, once
+//!    per weight version, by the operator's memo.
 //! 2. **IR optimization passes** ([`passes`]) — constant folding and
 //!    common-subexpression elimination over the [`Network`], each gated by
 //!    the transform-safety diff harness
@@ -67,15 +65,14 @@ use deep500_tensor::{Error, Result, Shape};
 /// parameters are constants.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
-    /// Treat parameters as constants: fold through them and hoist
-    /// direct-tier filter packing out of the hot path. Off for training —
-    /// folded parameters would not see optimizer updates.
+    /// Treat parameters as constants: fold through them. Off for training
+    /// — folded parameters would not see optimizer updates.
     freeze_params: bool,
 }
 
 impl CompileOptions {
-    /// Parameters are constants: everything folds, packed filters are
-    /// materialized ahead of time. For inference-only deployment.
+    /// Parameters are constants: everything folds. For inference-only
+    /// deployment.
     pub fn inference() -> Self {
         CompileOptions {
             freeze_params: true,
@@ -104,7 +101,8 @@ impl Default for CompileOptions {
 pub struct CompileReport {
     /// Convolutions whose `algorithm` attribute was pinned to a tier.
     pub conv_retagged: usize,
-    /// Convolutions switched to ahead-of-time packed filters.
+    /// Direct-tier convolutions whose filter is a parameter, which the
+    /// operator's memo packs on first use. Not a rewrite.
     pub filters_packed: usize,
     /// Nodes folded to constants.
     pub folded: usize,
@@ -123,12 +121,23 @@ impl CompileReport {
     /// Total rewrites applied.
     pub fn rewrites(&self) -> usize {
         self.conv_retagged
-            + self.filters_packed
             + self.folded
             + self.merged
             + self.fused_elementwise
             + self.fused_epilogues
     }
+}
+
+/// `input_shapes` plus the shape of every value in the store (constants
+/// folded by earlier passes), so shape inference reaches every tensor.
+fn known_shapes<'a>(net: &'a Network, input_shapes: &[(&'a str, Shape)]) -> Vec<(&'a str, Shape)> {
+    let mut known = input_shapes.to_vec();
+    for (name, t) in net.values() {
+        if !known.iter().any(|(n, _)| *n == name.as_str()) {
+            known.push((name.as_str(), t.shape().clone()));
+        }
+    }
+    known
 }
 
 /// Run a transform-safety diff of `net` against the `before` snapshot and
@@ -143,12 +152,7 @@ fn gate_pass(
     input_shapes: &[(&str, Shape)],
 ) -> Result<()> {
     let after = net.to_ir();
-    let mut extended: Vec<(&str, Shape)> = input_shapes.to_vec();
-    for (name, t) in net.values() {
-        if !extended.iter().any(|(n, _)| *n == name.as_str()) {
-            extended.push((name.as_str(), t.shape().clone()));
-        }
-    }
+    let extended = known_shapes(net, input_shapes);
     let diff = deep500_verify::transform_safety::diff(before, &after, &extended);
     if diff.passes() {
         Ok(())
@@ -178,9 +182,8 @@ pub fn compile(
         ..CompileReport::default()
     };
 
-    // Layout runs first so the constant folder can elide the pack nodes.
     let before = net.to_ir();
-    let lr = layout::select_conv_layouts(net, input_shapes, opts.freeze_params)?;
+    let lr = layout::select_conv_layouts(net, input_shapes)?;
     report.conv_retagged = lr.retagged;
     report.filters_packed = lr.packed;
     if lr.rewrites() > 0 {
@@ -210,23 +213,17 @@ pub fn compile(
     }
 
     report.nodes_after = net.num_nodes();
-    // Final structural gate: whatever the pipeline produced must still
-    // pass the constructor-grade verifier.
-    deep500_verify::gate(&net.to_ir())?;
+    // Final gate: whatever the pipeline produced must pass the full
+    // shape-aware verifier at the declared shapes — so a graph the passes
+    // left alone is checked too (e.g. a conv fed a rank-1 filter).
+    deep500_verify::gate_with_inputs(&net.to_ir(), &known_shapes(net, input_shapes))?;
     // Plan-soundness gate (V017–V020): freeze the schedule and memory
     // plan the planned executor would run at these shapes and prove slot
     // safety, fusion aliasing, and memo invalidation before anything
-    // executes. Under training options the parameters count as mutable,
-    // so a pipeline that froze packed weights into a trainable graph is
-    // rejected here.
+    // executes.
     let exec_plan = plan::ExecutionPlan::freeze(net, input_shapes)?;
     let ops = net.instantiate_ops()?;
-    let mutable: Vec<String> = if opts.freeze_params {
-        Vec::new()
-    } else {
-        net.gradient().into_iter().map(|(p, _)| p).collect()
-    };
-    deep500_verify::gate_plan(&exec_plan.to_plan_ir(net, &ops, &mutable))?;
+    deep500_verify::gate_plan(&exec_plan.to_plan_ir(net, &ops, &[]))?;
     Ok(report)
 }
 

@@ -211,14 +211,8 @@ impl ExecutionPlan {
         // Shape inference seeded with feeds plus whatever sits in the
         // value store (compile-time constants); unknown shapes degrade to
         // pool-backed tensors, never errors.
-        let mut seeded: Vec<(&str, Shape)> = input_shapes.to_vec();
-        for (name, t) in network.values() {
-            if !seeded.iter().any(|(n, _)| *n == name.as_str()) {
-                seeded.push((name.as_str(), t.shape().clone()));
-            }
-        }
-        let mut lints = Vec::new();
-        let shapes = deep500_verify::shape_pass::infer(&ir, &seeded, &[], &mut lints);
+        let seeded = super::known_shapes(network, input_shapes);
+        let shapes = deep500_verify::shape_pass::infer(&ir, &seeded, &[], &mut Vec::new());
 
         let memory = MemoryPlan::build(&ir, &level_names(network, &levels), &shapes);
 
@@ -368,19 +362,18 @@ impl ExecutionPlan {
     ///
     /// `ops` supplies the instantiated operators whose effect annotations
     /// ([`deep500_ops::OpEffects`]) mark version-memoized and mutated
-    /// inputs; `mutable_params` lists the parameters the runtime may
-    /// re-stamp between passes (the trained set — empty for pure
-    /// inference).
+    /// inputs. The third argument is ignored: every weight memo re-checks
+    /// its version stamp on each call, so no parameter set can make a plan
+    /// stale. It stays for callers written against the earlier signature.
     pub fn to_plan_ir(
         &self,
         network: &Network,
         ops: &HashMap<NodeId, Box<dyn deep500_ops::Operator>>,
-        mutable_params: &[String],
+        _ignored: &[String],
     ) -> deep500_verify::PlanIr {
-        use deep500_verify::{FrozenMemoIr, PlanIr, PlanStepIr, PlanValueIr};
+        use deep500_verify::{PlanIr, PlanStepIr, PlanValueIr};
 
         let mut steps = Vec::with_capacity(self.steps.len());
-        let mut frozen_memos = Vec::new();
         for (l, &(lo, hi)) in self.level_ranges.iter().enumerate() {
             for step in &self.steps[lo..hi.min(self.steps.len())] {
                 let node = network.node(step.node).expect("live node");
@@ -388,7 +381,7 @@ impl ExecutionPlan {
                     .get(&step.node)
                     .map(|op| op.effects())
                     .unwrap_or_default();
-                let inputs: Vec<PlanValueIr> = step
+                let inputs = step
                     .inputs
                     .iter()
                     .map(|v| match v {
@@ -396,24 +389,6 @@ impl ExecutionPlan {
                         ValueRef::Net(name) => PlanValueIr::Net(name.clone()),
                     })
                     .collect();
-                // A conv retagged `weights_packed` whose packed image comes
-                // from the value store (the pack node was const-folded
-                // away) consumes a compile-time-frozen artifact: nothing in
-                // the schedule re-derives it if its source is re-stamped.
-                if node.attrs.int_or("weights_packed", 0) == 1 {
-                    for input in &inputs {
-                        let PlanValueIr::Net(name) = input else {
-                            continue;
-                        };
-                        if let Some(src) = name.strip_suffix("::packed") {
-                            frozen_memos.push(FrozenMemoIr {
-                                node: node.name.clone(),
-                                artifact: name.clone(),
-                                source: src.to_string(),
-                            });
-                        }
-                    }
-                }
                 steps.push(PlanStepIr {
                     node: node.name.clone(),
                     op_type: node.op_type.clone(),
@@ -437,8 +412,6 @@ impl ExecutionPlan {
             dies_after_level: self.dies_after_level.clone(),
             pinned_outputs: self.outputs.iter().map(|(_, id)| *id).collect(),
             feed_ids,
-            mutable_params: mutable_params.to_vec(),
-            frozen_memos,
         }
     }
 }

@@ -103,10 +103,6 @@ struct PlanEntry {
     key: PlanKey,
     plan: ExecutionPlan,
     slots: Vec<Option<Vec<f32>>>,
-    /// Whether the plan passed the plan-soundness gate with the trained
-    /// parameter set marked mutable (re-checked lazily on the first
-    /// backprop pass; inference-soundness is checked at build).
-    verified_training: bool,
     /// Runtime cross-validation of the static slot-safety proof.
     shadow: ShadowChecker,
 }
@@ -277,12 +273,8 @@ impl PlannedExecutor {
     ///
     /// Every freshly built plan must pass the plan-soundness gate
     /// ([`deep500_verify::gate_plan`], `V017`–`V020`) before any pass runs
-    /// it. With `training`, the gate additionally runs with the trained
-    /// parameter set marked mutable (once per cached plan) — a plan
-    /// consuming compile-time-frozen packed weights is sound for inference
-    /// but denied for backprop, since nothing re-derives the artifact
-    /// after an optimizer step.
-    fn ensure_plan(&mut self, feeds: &[(&str, Tensor)], training: bool, pass: usize) -> Result<()> {
+    /// it; the one gate serves inference and backprop alike.
+    fn ensure_plan(&mut self, feeds: &[(&str, Tensor)], pass: usize) -> Result<()> {
         let start = std::time::Instant::now();
         let cached = match self.current {
             // Same shapes as the last pass: the steady state, not a "hit".
@@ -313,29 +305,15 @@ impl PlannedExecutor {
                         .collect(),
                     slots: vec![None; plan.memory.num_slots()],
                     shadow: ShadowChecker::new(plan.memory.num_slots()),
-                    verified_training: false,
                     plan,
                 });
                 self.plans.len() - 1
             }
         };
-        let entry = &mut self.plans[index];
-        let gate_training = training && !entry.verified_training;
-        if gate_training {
-            let mutable: Vec<String> = self
-                .network
-                .gradient()
-                .into_iter()
-                .map(|(p, _)| p)
-                .collect();
-            let plan_ir = entry.plan.to_plan_ir(&self.network, &self.ops, &mutable);
-            deep500_verify::gate_plan(&plan_ir)?;
-            entry.verified_training = true;
-        }
         self.current = Some(index);
         // A cold pass compiles and gates inside its `Inference`/`Backprop`
         // window; own that time instead of leaving it unexplained.
-        if cached.is_none() || gate_training {
+        if cached.is_none() {
             self.events
                 .span(Phase::Bookkeeping, pass, start.elapsed().as_secs_f64());
         }
@@ -717,7 +695,7 @@ impl GraphExecutor for PlannedExecutor {
         self.pass_counter += 1;
         let pass = self.pass_counter;
         self.events.begin(Phase::Inference, pass);
-        self.ensure_plan(feeds, false, pass)?;
+        self.ensure_plan(feeds, pass)?;
         let env = self.forward_planned(feeds, true)?;
         let outputs = self.collect_outputs(&env);
         // Reclaim inside the phase window so the Bookkeeping span merges
@@ -741,7 +719,7 @@ impl GraphExecutor for PlannedExecutor {
         self.pass_counter += 1;
         let pass = self.pass_counter;
         self.events.begin(Phase::Backprop, pass);
-        self.ensure_plan(feeds, true, pass)?;
+        self.ensure_plan(feeds, pass)?;
         let env = self.forward_planned(feeds, false)?;
         self.backward_planned(&env, loss, pass)?;
         let outputs = self.collect_outputs(&env);

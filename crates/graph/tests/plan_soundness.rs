@@ -18,12 +18,12 @@ use deep500_graph::models::{feed_refs as as_refs, zoo};
 use deep500_graph::network::Network;
 use deep500_graph::{models, Engine, ExecutorKind, PlannedExecutor};
 use deep500_tensor::{Error, Shape, Tensor};
-use deep500_verify::{check_plan, FrozenMemoIr, LintCode, PlanIr, PlanValueIr};
+use deep500_verify::{check_plan, LintCode, PlanIr, PlanValueIr};
 
-fn lower(net: &Network, shapes: &[(&str, Shape)], mutable: &[String]) -> PlanIr {
+fn lower(net: &Network, shapes: &[(&str, Shape)]) -> PlanIr {
     let plan = ExecutionPlan::freeze(net, shapes).unwrap();
     let ops = net.instantiate_ops().unwrap();
-    plan.to_plan_ir(net, &ops, mutable)
+    plan.to_plan_ir(net, &ops, &[])
 }
 
 // ------------------------------------------------------ clean-zoo gates
@@ -33,7 +33,7 @@ fn every_zoo_plan_verifies_clean_raw_and_compiled() {
     for case in zoo() {
         let (name, net, shapes) = (case.name, &case.net, case.input_shapes());
         // Raw network (the plan interpreter's default schedule).
-        let ir = lower(net, &shapes, &[]);
+        let ir = lower(net, &shapes);
         let report = check_plan(&ir);
         assert!(report.passes(), "{name} raw:\n{}", report.render(true));
 
@@ -41,7 +41,7 @@ fn every_zoo_plan_verifies_clean_raw_and_compiled() {
         let mut inf = net.clone_structure();
         compile(&mut inf, &shapes, &CompileOptions::inference())
             .unwrap_or_else(|e| panic!("{name} inference compile denied: {e}"));
-        let report = check_plan(&lower(&inf, &shapes, &[]));
+        let report = check_plan(&lower(&inf, &shapes));
         assert!(
             report.passes(),
             "{name} inference:\n{}",
@@ -51,16 +51,15 @@ fn every_zoo_plan_verifies_clean_raw_and_compiled() {
         let mut train = net.clone_structure();
         compile(&mut train, &shapes, &CompileOptions::training())
             .unwrap_or_else(|e| panic!("{name} training compile denied: {e}"));
-        let mutable: Vec<String> = train.gradient().into_iter().map(|(p, _)| p).collect();
-        let report = check_plan(&lower(&train, &shapes, &mutable));
+        let report = check_plan(&lower(&train, &shapes));
         assert!(report.passes(), "{name} training:\n{}", report.render(true));
     }
 }
 
 #[test]
-// A `Wavefront`-kind engine runs the plan interpreter, so its first
-// inference and first backprop each pass the mandatory `ensure_plan` gate
-// (V017-V020; the backprop gate with the trained parameters mutable).
+// A `Wavefront`-kind engine runs the plan interpreter, so its first pass
+// builds a plan through the mandatory `ensure_plan` gate (V017-V020), and
+// backprop reuses that plan.
 fn wavefront_kind_passes_run_the_mandatory_plan_gate() {
     for case in zoo() {
         let name = case.name;
@@ -72,8 +71,6 @@ fn wavefront_kind_passes_run_the_mandatory_plan_gate() {
         let mut ex = engine.lock();
         ex.inference(&as_refs(&feeds))
             .unwrap_or_else(|e| panic!("{name} inference gate: {e}"));
-        // Uncompiled zoo models freeze nothing, so the trained-parameter
-        // lowering is clean too.
         ex.inference_and_backprop(&as_refs(&feeds), "loss")
             .unwrap_or_else(|e| panic!("{name} backprop gate: {e}"));
         let planned = ex
@@ -85,41 +82,13 @@ fn wavefront_kind_passes_run_the_mandatory_plan_gate() {
     }
 }
 
-#[test]
-fn frozen_packed_weights_deny_training_but_pass_inference() {
-    let shapes = [
-        ("x", Shape::new(&[2, 1, 14, 14])),
-        ("labels", Shape::new(&[2])),
-    ];
-    let mut net = models::lenet(1, 14, 4, 5).unwrap();
-    let report = compile(&mut net, &shapes, &CompileOptions::inference()).unwrap();
-    if report.filters_packed == 0 {
-        // Layout heuristics kept every conv off the direct tier at these
-        // shapes; the frozen-memo path is covered by the mutant below.
-        return;
-    }
-    let ir = lower(&net, &shapes, &[]);
-    assert!(
-        !ir.frozen_memos.is_empty(),
-        "packed filters must lower as frozen memos"
-    );
-    assert!(check_plan(&ir).passes(), "inference lowering is sound");
-    let mutable: Vec<String> = net.gradient().into_iter().map(|(p, _)| p).collect();
-    let denied = check_plan(&lower(&net, &shapes, &mutable));
-    assert!(
-        !denied.with_code(LintCode::StaleMemo).is_empty(),
-        "training over frozen packed filters must be V020:\n{}",
-        denied.render(true)
-    );
-}
-
 // ------------------------------------------------------- mutation suite
 
 fn compiled_mlp_plan() -> PlanIr {
     let shapes = [("x", Shape::new(&[3, 12])), ("labels", Shape::new(&[3]))];
     let mut net = models::mlp(12, &[10, 8], 4, 3).unwrap();
     compile(&mut net, &shapes, &CompileOptions::inference()).unwrap();
-    lower(&net, &shapes, &[])
+    lower(&net, &shapes)
 }
 
 fn lenet_plan() -> PlanIr {
@@ -128,7 +97,7 @@ fn lenet_plan() -> PlanIr {
         ("labels", Shape::new(&[2])),
     ];
     let net = models::lenet(1, 14, 4, 5).unwrap();
-    lower(&net, &shapes, &[])
+    lower(&net, &shapes)
 }
 
 #[test]
@@ -235,38 +204,8 @@ fn mutant_epilogue_output_aliasing_live_input_is_denied() {
 }
 
 #[test]
-fn mutant_frozen_memo_with_mutable_source_is_stale() {
-    // Mutant 5: declare a frozen packed-filter artifact whose source the
-    // plan also treats as trainable — the skipped-invalidation case.
-    let mut plan = lenet_plan();
-    let param = plan
-        .steps
-        .iter()
-        .find_map(|s| {
-            s.inputs.iter().find_map(|i| match i {
-                PlanValueIr::Net(n) => Some(n.clone()),
-                PlanValueIr::Env(_) => None,
-            })
-        })
-        .expect("some step reads a store parameter");
-    plan.frozen_memos.push(FrozenMemoIr {
-        node: plan.steps[0].node.clone(),
-        artifact: format!("{param}::packed"),
-        source: param.clone(),
-    });
-    assert!(check_plan(&plan).passes(), "immutable source stays sound");
-    plan.mutable_params.push(param);
-    let report = check_plan(&plan);
-    assert!(
-        !report.with_code(LintCode::StaleMemo).is_empty(),
-        "{}",
-        report.render(true)
-    );
-}
-
-#[test]
 fn mutant_early_death_is_a_liveness_gap() {
-    // Mutant 6: move a tensor's death one level earlier than its last
+    // Mutant 5: move a tensor's death one level earlier than its last
     // reader — the buffer is recycled while still due to be read.
     let mut plan = lenet_plan();
     let (level, pos) = plan
@@ -287,7 +226,7 @@ fn mutant_early_death_is_a_liveness_gap() {
 
 #[test]
 fn mutant_input_retargeted_to_later_definition_is_a_liveness_gap() {
-    // Mutant 7: rewire an early step to read a tensor only defined at the
+    // Mutant 6: rewire an early step to read a tensor only defined at the
     // final level.
     let mut plan = lenet_plan();
     let late_id = *plan
@@ -311,7 +250,7 @@ fn mutant_input_retargeted_to_later_definition_is_a_liveness_gap() {
 
 #[test]
 fn mutant_double_writer_is_denied() {
-    // Mutant 8: schedule a second writer of an existing env tensor.
+    // Mutant 7: schedule a second writer of an existing env tensor.
     let mut plan = lenet_plan();
     let mut clone = plan.steps[1].clone();
     clone.node = format!("{}::dup", clone.node);
@@ -327,7 +266,7 @@ fn mutant_double_writer_is_denied() {
 
 #[test]
 fn mutant_pinned_output_in_death_list_is_denied() {
-    // Mutant 9: recycle a declared graph output's buffer before the
+    // Mutant 8: recycle a declared graph output's buffer before the
     // caller collects it.
     let mut plan = lenet_plan();
     let pinned = *plan.pinned_outputs.first().expect("zoo nets have outputs");
@@ -343,7 +282,7 @@ fn mutant_pinned_output_in_death_list_is_denied() {
 
 #[test]
 fn mutant_unordered_memo_producer_is_stale() {
-    // Mutant 10: mark a step as memoizing on an env input, then hoist it
+    // Mutant 9: mark a step as memoizing on an env input, then hoist it
     // into its producer's level — the memo's version stamp races the
     // producing write.
     let mut plan = lenet_plan();

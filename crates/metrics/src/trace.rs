@@ -58,7 +58,7 @@ pub struct OpInfo {
     /// Bytes moved (inputs + outputs) by one forward call.
     pub bytes_per_call: u64,
     /// Free-form operator annotation (e.g. a convolution's resolved
-    /// execution tier, `"tier=direct+relu prepacked"`); empty when the
+    /// execution tier, `"tier=direct+relu"`); empty when the
     /// operator reports none.
     pub note: String,
 }

@@ -13,9 +13,8 @@
 //!   layout, with the output-channel dimension split into
 //!   register-tile-sized chunks. Because the packed A-panel geometry
 //!   ([`Blocking`]) depends only on `(Co, K)`, one packed image serves
-//!   every input spatial size, so the transform is hoisted to op-instance
-//!   setup (or, under the graph compiler, to a constant-folded
-//!   `PackConv2dFilter` node).
+//!   every input spatial size, so the transform runs once per weight
+//!   version, memoized by the `Conv2d` operator.
 //! * **Activations** reach the kernel in one of three forms
 //!   ([`BOperand`]), chosen by the one rule in [`BOperand::for_geometry`].
 //!   For stride 1 on the wide driver nothing is lowered at all: the image
@@ -64,8 +63,7 @@ use crate::gemm::packed::{
     pack_a, round_up, run_panel, run_panel_wide, wide_tier_available, Blocking, Seam, MR, NR, NR_W,
 };
 use crate::gemm::Epilogue;
-use crate::operator::Operator;
-use deep500_tensor::{recycle_scratch, scratch_dirty, Error, Result, Shape, Tensor};
+use deep500_tensor::{recycle_scratch, scratch_dirty, Error, Result, Tensor};
 
 /// A convolution filter pre-packed into the microkernel's blocked sliver
 /// layout for a `Co x K` GEMM A-operand (`K = Cin·kh·kw`).
@@ -85,9 +83,8 @@ pub struct PackedFilter {
 }
 
 /// The `(mc, kc)` A-panel blocking a `Co x K` filter packs under. Shared by
-/// [`pack_filter`] and [`conv_image`] so a filter packed ahead of time (op
-/// cache or `PackConv2dFilter` graph node) always matches the geometry the
-/// forward pass consumes: the conv [`Blocking`]'s `mc`/`kc` depend only on
+/// [`pack_filter`] and [`conv_image`] so a memoized packed filter always
+/// matches the geometry the forward pass consumes: the conv [`Blocking`]'s `mc`/`kc` depend only on
 /// `(m, k)`, never on the GEMM width or sliver width, so one packing
 /// serves every input spatial size on both the narrow and wide panel
 /// drivers.
@@ -549,58 +546,6 @@ pub fn forward_direct_packed_as(
     Ok(out)
 }
 
-/// Pre-packs a `[Co, Cin, kh, kw]` convolution filter into the direct
-/// tier's blocked layout ([`pack_filter`]), producing a rank-1 tensor of
-/// [`packed_filter_len`] floats. Inserted on frozen-parameter weight edges
-/// by the graph compiler's layout pass so constant folding materializes
-/// the packed image ahead of time and `Conv2d` (with `weights_packed = 1`)
-/// borrows it at zero per-call cost.
-#[derive(Debug, Clone, Default)]
-pub struct PackConv2dFilterOp;
-
-impl Operator for PackConv2dFilterOp {
-    fn name(&self) -> &str {
-        "PackConv2dFilter"
-    }
-    fn num_inputs(&self) -> usize {
-        1
-    }
-    fn output_shapes(&self, s: &[&Shape]) -> Result<Vec<Shape>> {
-        if s[0].rank() != 4 {
-            return Err(Error::ShapeMismatch(format!(
-                "PackConv2dFilter: W {} must be rank 4",
-                s[0]
-            )));
-        }
-        let (co, ci, kh, kw) = (s[0].dim(0), s[0].dim(1), s[0].dim(2), s[0].dim(3));
-        Ok(vec![Shape::new(&[packed_filter_len(co, ci * kh * kw)])])
-    }
-    fn forward(&self, inputs: &[&Tensor]) -> Result<Vec<Tensor>> {
-        let s = inputs[0].shape();
-        if s.rank() != 4 {
-            return Err(Error::ShapeMismatch(format!(
-                "PackConv2dFilter: W {s} must be rank 4"
-            )));
-        }
-        let (co, k) = (s.dim(0), s.dim(1) * s.dim(2) * s.dim(3));
-        let pf = pack_filter(inputs[0].data(), co, k);
-        Tensor::from_vec([pf.data.len()], pf.data).map(|t| vec![t])
-    }
-    fn backward(
-        &self,
-        _grad_outputs: &[&Tensor],
-        inputs: &[&Tensor],
-        _outputs: &[&Tensor],
-    ) -> Result<Vec<Tensor>> {
-        // Layout-only node, inserted exclusively on frozen (inference)
-        // parameter edges — no gradient flows through a packing.
-        Ok(vec![Tensor::zeros(inputs[0].shape().clone())])
-    }
-    fn input_differentiable(&self, _i: usize) -> bool {
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -789,17 +734,5 @@ mod tests {
             let want = super::super::forward_reference(&x, &w, &b, g).unwrap();
             assert!(y.approx_eq(&want, 1e-4), "pad {pad}");
         }
-    }
-
-    #[test]
-    fn pack_op_output_shape_matches_forward() {
-        let op = PackConv2dFilterOp;
-        let ws = Shape::new(&[6, 3, 3, 3]);
-        let declared = op.output_shapes(&[&ws]).unwrap();
-        let mut rng = Xoshiro256StarStar::seed_from_u64(8);
-        let w = Tensor::rand_uniform([6, 3, 3, 3], -1.0, 1.0, &mut rng);
-        let out = op.forward(&[&w]).unwrap();
-        assert_eq!(out[0].shape(), &declared[0]);
-        assert_eq!(out[0].shape().numel(), packed_filter_len(6, 27));
     }
 }

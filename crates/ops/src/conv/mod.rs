@@ -9,8 +9,9 @@
 //!
 //! * [`ConvAlgorithm::Direct`] — the fast tier ([`direct`]): implicit-GEMM
 //!   convolution in an NCHWc blocked layout driving the packed SIMD GEMM
-//!   microkernel, with weights pre-packed once per op instance (or ahead
-//!   of time by the graph compiler), no activation lowering at all at
+//!   microkernel, with the filter packed once per weight version (one
+//!   memo per op instance, the only place a filter is packed), no
+//!   activation lowering at all at
 //!   stride 1 (the kernel reads windows of one zero-padded copy of the
 //!   image; other strides gather a cache block of rows at a time), and
 //!   bias/ReLU folded into the GEMM write-back via
@@ -38,9 +39,7 @@
 //! the forward reads.
 //!
 //! Inputs follow ONNX `Conv`: `X [N,C,H,W]`, `W [Cout,Cin,kh,kw]`,
-//! `B [Cout]` — or, when the graph compiler's layout pass has pre-packed
-//! the filter (`weights_packed` attribute), the rank-1 blocked image
-//! produced by [`direct::PackConv2dFilterOp`].
+//! `B [Cout]`.
 
 mod backward;
 pub mod direct;
@@ -48,9 +47,9 @@ pub mod direct;
 pub use backward::{backward_direct, backward_reference};
 
 use crate::gemm;
+use crate::memo::VersionMemo;
 use crate::operator::Operator;
 use deep500_tensor::{Error, Result, Shape, Tensor};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Convolution algorithm selection.
@@ -123,16 +122,6 @@ impl ConvGeometry {
     }
 }
 
-/// Memoized packed filter keyed by the weight tensor's content-version
-/// stamp ([`Tensor::version`]): O(1) per call, and sound even when the
-/// buffer pool recycles a freed parameter allocation at the same address
-/// — a recycled buffer is a new construction with a fresh stamp.
-#[derive(Debug, Default)]
-struct FilterCache {
-    version: u64,
-    packed: Option<Arc<direct::PackedFilter>>,
-}
-
 /// The 2-D convolution operator.
 #[derive(Debug, Clone)]
 pub struct Conv2dOp {
@@ -143,15 +132,8 @@ pub struct Conv2dOp {
     /// the GEMM epilogue; im2col applies the identical float sequence as
     /// a separate pass.
     pub relu: bool,
-    /// `Some([co, ci, kh, kw])` when input 1 is a filter pre-packed by
-    /// [`direct::PackConv2dFilterOp`] (rank-1, [`direct::packed_filter_len`]
-    /// floats) rather than the natural `[Co, Cin, kh, kw]` tensor. Forces
-    /// the direct tier; inference-only.
-    pub packed_weights: Option<[usize; 4]>,
-    /// Per-instance packed-filter memo for the direct tier with natural
-    /// weights (training, or inference without the compile pass). Shared
-    /// across clones so executor snapshots reuse one packing.
-    cache: Arc<Mutex<FilterCache>>,
+    /// The direct tier's packed filter, memoized on the weight's version.
+    cache: VersionMemo<direct::PackedFilter>,
 }
 
 impl Conv2dOp {
@@ -161,8 +143,7 @@ impl Conv2dOp {
             geometry: ConvGeometry { stride, pad },
             algo,
             relu: false,
-            packed_weights: None,
-            cache: Arc::new(Mutex::new(FilterCache::default())),
+            cache: VersionMemo::default(),
         }
     }
 
@@ -172,40 +153,18 @@ impl Conv2dOp {
         self
     }
 
-    /// Declare input 1 as a pre-packed filter with the given natural
-    /// `[co, ci, kh, kw]` dimensions.
-    pub fn with_packed_weights(mut self, dims: [usize; 4]) -> Self {
-        self.packed_weights = Some(dims);
-        self
-    }
-
     fn dims(&self, x: &Shape, w: &Shape) -> Result<ConvDims> {
         if x.rank() != 4 {
             return Err(Error::ShapeMismatch(format!(
                 "Conv2d: X {x} must be rank 4"
             )));
         }
-        let (co, ci, kh, kw) = match self.packed_weights {
-            Some([co, ci, kh, kw]) => {
-                let expect = direct::packed_filter_len(co, ci * kh * kw);
-                if w.numel() != expect {
-                    return Err(Error::ShapeMismatch(format!(
-                        "Conv2d: packed filter {w} has {} floats, expected {expect} \
-                         for [{co},{ci},{kh},{kw}]",
-                        w.numel()
-                    )));
-                }
-                (co, ci, kh, kw)
-            }
-            None => {
-                if w.rank() != 4 {
-                    return Err(Error::ShapeMismatch(format!(
-                        "Conv2d: W {w} must be rank 4"
-                    )));
-                }
-                (w.dim(0), w.dim(1), w.dim(2), w.dim(3))
-            }
-        };
+        if w.rank() != 4 {
+            return Err(Error::ShapeMismatch(format!(
+                "Conv2d: W {w} must be rank 4"
+            )));
+        }
+        let (co, ci, kh, kw) = (w.dim(0), w.dim(1), w.dim(2), w.dim(3));
         let (n, c, h, wd) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
         if ci != c {
             return Err(Error::ShapeMismatch(format!(
@@ -217,12 +176,8 @@ impl Conv2dOp {
         Ok((n, c, h, wd, co, kh, kw, ho, wo))
     }
 
-    /// The algorithm that will actually execute: `Auto` resolved,
-    /// pre-packed weights forcing the direct tier.
+    /// The algorithm that will actually execute: `Auto` resolved.
     pub fn resolved_algo(&self) -> ConvAlgorithm {
-        if self.packed_weights.is_some() {
-            return ConvAlgorithm::Direct;
-        }
         match self.algo {
             ConvAlgorithm::Auto => ConvAlgorithm::Direct,
             explicit => explicit,
@@ -236,19 +191,10 @@ impl Conv2dOp {
         self.dims(x, w).map(|_| self.resolved_algo())
     }
 
-    /// Pack (or fetch the memoized packing of) the natural-layout filter.
+    /// Pack (or fetch the memoized packing of) the filter.
     fn packed_filter(&self, w: &Tensor, co: usize, k: usize) -> Arc<direct::PackedFilter> {
-        let version = w.version();
-        let mut cache = self.cache.lock();
-        match &cache.packed {
-            Some(p) if cache.version == version => Arc::clone(p),
-            _ => {
-                let p = Arc::new(direct::pack_filter(w.data(), co, k));
-                cache.version = version;
-                cache.packed = Some(Arc::clone(&p));
-                p
-            }
-        }
+        self.cache
+            .get_or_build(w, |w| direct::pack_filter(w.data(), co, k))
     }
 }
 
@@ -260,12 +206,10 @@ impl Operator for Conv2dOp {
         3
     }
     fn effects(&self) -> crate::operator::OpEffects {
-        // With natural weights, the direct tier (reachable via an explicit
-        // `direct` tag or `Auto` resolution) memoizes the MR-blocked filter
-        // keyed on input 1's version stamp. Pre-packed weights skip the
-        // memo entirely — the image arrives ready-made.
-        let memo = self.packed_weights.is_none()
-            && matches!(self.algo, ConvAlgorithm::Auto | ConvAlgorithm::Direct);
+        // The direct tier (reachable via an explicit `direct` tag or `Auto`
+        // resolution) memoizes the MR-blocked filter keyed on input 1's
+        // version stamp.
+        let memo = self.resolved_algo() == ConvAlgorithm::Direct;
         crate::operator::OpEffects {
             version_memo_inputs: if memo { vec![1] } else { Vec::new() },
             mutated_inputs: Vec::new(),
@@ -288,12 +232,8 @@ impl Operator for Conv2dOp {
         let (_, c, _, _, co, kh, kw, _, _) = d;
         let out = match self.resolved_algo() {
             ConvAlgorithm::Direct => {
-                if self.packed_weights.is_some() {
-                    direct::forward_direct_packed(x, w.data(), co, kh, kw, b, g, self.relu)?
-                } else {
-                    let pf = self.packed_filter(w, co, c * kh * kw);
-                    direct::forward_direct_packed(x, &pf.data, co, kh, kw, b, g, self.relu)?
-                }
+                let pf = self.packed_filter(w, co, c * kh * kw);
+                direct::forward_direct_packed(x, &pf.data, co, kh, kw, b, g, self.relu)?
             }
             _ => {
                 let mut y = forward_im2col(x, w, b, g)?;
@@ -321,11 +261,6 @@ impl Operator for Conv2dOp {
         outputs: &[&Tensor],
         wanted: &[bool],
     ) -> Result<Vec<Option<Tensor>>> {
-        if self.packed_weights.is_some() {
-            return Err(Error::Invalid(
-                "Conv2d with pre-packed weights is inference-only (no backward)".into(),
-            ));
-        }
         // With the fused ReLU, first mask the incoming gradient exactly
         // like a standalone Relu node's backward: g * (y > 0 ? 1 : 0),
         // where y is this op's (post-ReLU) output.
@@ -411,9 +346,6 @@ impl Operator for Conv2dOp {
         let mut note = format!("tier={}", self.resolved_algo().attr_name());
         if self.relu {
             note.push_str("+relu");
-        }
-        if self.packed_weights.is_some() {
-            note.push_str(" prepacked");
         }
         Some(note)
     }
@@ -898,32 +830,6 @@ mod tests {
             let wb: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
             assert_eq!(fb, wb, "{algo:?}: fused ReLU diverged from separate pass");
         }
-    }
-
-    #[test]
-    fn prepacked_weights_match_natural_layout() {
-        let (x, w, b) = rand_case(2, 3, 9, 9, 5, 3, 41);
-        let natural = Conv2dOp::new(1, 1, ConvAlgorithm::Direct)
-            .forward(&[&x, &w, &b])
-            .unwrap();
-        let packed = direct::PackConv2dFilterOp.forward(&[&w]).unwrap();
-        let op = Conv2dOp::new(1, 1, ConvAlgorithm::Auto).with_packed_weights([5, 3, 3, 3]);
-        let y = op.forward(&[&x, &packed[0], &b]).unwrap();
-        assert_eq!(
-            natural[0].data(),
-            y[0].data(),
-            "pre-packed filter path must be bit-identical to the op-cache path"
-        );
-        // Declared output shape goes through the packed-dims path too.
-        let shapes = op
-            .output_shapes(&[x.shape(), packed[0].shape(), b.shape()])
-            .unwrap();
-        assert_eq!(shapes[0], *y[0].shape());
-        // Backward through a packed filter is a contract violation.
-        let dy = Tensor::ones(y[0].shape().clone());
-        assert!(op
-            .backward(&[&dy], &[&x, &packed[0], &b], &[&y[0]])
-            .is_err());
     }
 
     #[test]

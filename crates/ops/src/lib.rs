@@ -34,6 +34,7 @@ pub mod global_pool;
 pub mod grad_check;
 pub mod linear;
 pub mod loss;
+mod memo;
 pub mod norm_ops;
 pub mod operator;
 pub mod par;

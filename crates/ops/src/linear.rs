@@ -10,21 +10,10 @@
 
 use crate::gemm::packed::{gemv_bt_padded, round_up, NR_W};
 use crate::gemm::{self, Algorithm, Epilogue};
+use crate::memo::VersionMemo;
 use crate::operator::Operator;
 use deep500_tensor::{Error, Result, Shape, Tensor};
-use parking_lot::Mutex;
 use std::sync::Arc;
-
-/// Per-instance memo of the `[K x n_pad]` transposed, column-padded weight
-/// image the `N == 1` GEMV fast path streams. Keyed on the weight
-/// tensor's content-version stamp ([`Tensor::version`]) like the conv
-/// filter cache — O(1) per call, and immune to the buffer pool recycling
-/// a freed parameter allocation at the same address.
-#[derive(Debug, Default)]
-struct GemvCache {
-    version: u64,
-    wt: Option<Arc<Vec<f32>>>,
-}
 
 /// Fully-connected layer operator. The bias add always rides the GEMM
 /// write-back epilogue (zero extra memory traffic under `Packed`), and a
@@ -37,17 +26,16 @@ pub struct LinearOp {
     pub algo: Algorithm,
     /// Fold `max(x, 0)` into the write-back after the bias add.
     pub relu: bool,
-    /// Transposed-weight memo for the single-row GEMV path. Shared across
-    /// clones so executor snapshots reuse one image.
-    cache: Arc<Mutex<GemvCache>>,
+    /// The `[K x n_pad]` transposed, column-padded weight image the
+    /// `N == 1` GEMV fast path streams, memoized on the weight's version.
+    cache: VersionMemo<Vec<f32>>,
 }
 
 impl LinearOp {
     pub fn new(algo: Algorithm) -> Self {
         LinearOp {
             algo,
-            relu: false,
-            cache: Arc::new(Mutex::new(GemvCache::default())),
+            ..LinearOp::default()
         }
     }
 
@@ -62,24 +50,16 @@ impl LinearOp {
     /// trailing columns so the GEMV kernel's whole-tile loads stay in
     /// bounds and inert.
     fn transposed(&self, w: &Tensor, fout: usize, fin: usize) -> Arc<Vec<f32>> {
-        let version = w.version();
-        let mut cache = self.cache.lock();
-        if let Some(wt) = &cache.wt {
-            if cache.version == version {
-                return Arc::clone(wt);
+        self.cache.get_or_build(w, |w| {
+            let n_pad = round_up(fout, NR_W);
+            let mut wt = vec![0.0f32; fin * n_pad];
+            for (j, wrow) in w.data().chunks(fin).enumerate() {
+                for (p, &wv) in wrow.iter().enumerate() {
+                    wt[p * n_pad + j] = wv;
+                }
             }
-        }
-        let n_pad = round_up(fout, NR_W);
-        let mut wt = vec![0.0f32; fin * n_pad];
-        for (j, wrow) in w.data().chunks(fin).enumerate() {
-            for (p, &wv) in wrow.iter().enumerate() {
-                wt[p * n_pad + j] = wv;
-            }
-        }
-        let wt = Arc::new(wt);
-        cache.version = version;
-        cache.wt = Some(Arc::clone(&wt));
-        wt
+            wt
+        })
     }
 
     fn dims(&self, x: &Shape, w: &Shape, b: &Shape) -> Result<(usize, usize, usize)> {

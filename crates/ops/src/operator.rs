@@ -11,11 +11,12 @@ use deep500_tensor::{Result, Shape, Tensor};
 /// the plan-soundness verifier (`deep500-verify`'s V020 `StaleMemo` and the
 /// schedule-race analysis). Operators are pure functions of their inputs,
 /// but some keep *internal* memos of derived data keyed on an input's
-/// content-version stamp ([`Tensor::version`]) — e.g. the direct-tier
-/// convolution's packed filter or the GEMV path's transposed weight image.
-/// Such memos are sound only when the memoized input is stable (its
-/// producer happens-before the consuming step) while `forward` runs, which
-/// is exactly what the effect summary lets the verifier prove.
+/// content-version stamp ([`Tensor::version`]) — the direct-tier
+/// convolution's packed filter and the GEMV path's transposed weight image,
+/// the only two, both built by one memo type that re-checks the stamp on
+/// every call. Such memos are sound only when the memoized input is stable
+/// (its producer happens-before the consuming step) while `forward` runs,
+/// which is exactly what the effect summary lets the verifier prove.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpEffects {
     /// Input indices whose tensors key an internal version-stamped memo of
@@ -24,8 +25,9 @@ pub struct OpEffects {
     /// consumer.
     pub version_memo_inputs: Vec<usize>,
     /// Input indices the operator writes through. No bundled operator
-    /// mutates its inputs; the verifier treats any entry conservatively as
-    /// a write that races with every unordered reader of the same tensor.
+    /// mutates its inputs; the field is for registered custom operators,
+    /// and the verifier treats any entry conservatively as a write that
+    /// races with every unordered reader of the same tensor.
     pub mutated_inputs: Vec<usize>,
 }
 

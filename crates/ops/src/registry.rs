@@ -8,7 +8,6 @@
 //! indistinguishable from built-ins.
 
 use crate::activation::{ActivationOp, SoftmaxOp};
-use crate::conv::direct::PackConv2dFilterOp;
 use crate::conv::{Conv2dOp, ConvAlgorithm};
 use crate::elementwise::{BinaryOp, ScaleOp, SqrtOp};
 use crate::gemm::{Algorithm, MatMulOp};
@@ -224,35 +223,15 @@ fn register_builtins(r: &Registry) {
     reg(
         "Conv2d",
         Arc::new(|a: &Attributes| {
-            let mut op = Conv2dOp::new(
-                a.int_or("stride", 1) as usize,
-                a.int_or("pad", 0) as usize,
-                parse_conv_algo(a),
-            )
-            .with_relu(parse_gemm_epilogue(a));
-            // The graph compiler's layout pass marks convs whose filter
-            // edge carries a PackConv2dFilter image; `w_dims` records the
-            // natural [co, ci, kh, kw] the packed rank-1 tensor encodes.
-            if a.int_or("weights_packed", 0) == 1 {
-                let d = a.ints("w_dims");
-                if d.len() != 4 {
-                    return Err(Error::Invalid(
-                        "Conv2d: weights_packed requires a 4-element 'w_dims' attribute".into(),
-                    ));
-                }
-                op = op.with_packed_weights([
-                    d[0] as usize,
-                    d[1] as usize,
-                    d[2] as usize,
-                    d[3] as usize,
-                ]);
-            }
-            Ok(Box::new(op) as Box<dyn Operator>)
+            Ok(Box::new(
+                Conv2dOp::new(
+                    a.int_or("stride", 1) as usize,
+                    a.int_or("pad", 0) as usize,
+                    parse_conv_algo(a),
+                )
+                .with_relu(parse_gemm_epilogue(a)),
+            ) as Box<dyn Operator>)
         }),
-    );
-    reg(
-        "PackConv2dFilter",
-        Arc::new(|_| Ok(Box::new(PackConv2dFilterOp) as Box<dyn Operator>)),
     );
     reg(
         "MaxPool2d",

@@ -2,9 +2,7 @@
 //! analytical invariants, and gradient correctness on random inputs.
 
 use deep500_ops::activation::{ActivationOp, SoftmaxOp};
-use deep500_ops::conv::direct::{
-    forward_direct_packed_as, pack_filter, BOperand, PackConv2dFilterOp,
-};
+use deep500_ops::conv::direct::{forward_direct_packed_as, pack_filter, BOperand};
 use deep500_ops::conv::{forward_direct, forward_im2col, Conv2dOp, ConvAlgorithm, ConvGeometry};
 use deep500_ops::gemm::{
     gemm_into, matmul, matmul_a_bt_with, matmul_at_b_with, Algorithm, Blocking,
@@ -146,19 +144,6 @@ proptest! {
         let yi = im2col.forward(&[&x, &w, &b]).unwrap();
         prop_assert!(yd[0].approx_eq(&yi[0], 1e-4),
                      "direct vs im2col n={n} c={c} hw={hw} co={co} k={k} s={stride} p={pad}");
-
-        // Pre-packed weights: same kernel, same blocking, same bits.
-        let packed = pack_filter(w.data(), co, c * k * k);
-        let wp = Tensor::from_vec([packed.data.len()], packed.data).unwrap();
-        let prepacked = Conv2dOp::new(stride, pad, ConvAlgorithm::Direct)
-            .with_relu(relu)
-            .with_packed_weights([co, c, k, k]);
-        let yp = prepacked.forward(&[&x, &wp, &b]).unwrap();
-        prop_assert_eq!(
-            yp[0].data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            yd[0].data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "prepacked filter must be bit-identical to on-the-fly packing"
-        );
     }
 
     /// The direct tier's backward pass agrees with numerical gradients on
@@ -250,14 +235,12 @@ proptest! {
     /// padding from none (read in place, last tile bounced) to the whole
     /// kernel, reductions of one to three `KC` blocks, output rows
     /// narrower than a vector and flat widths that fill no whole tile —
-    /// with and without ReLU, the filter packed here or by the graph
-    /// compiler's op.
+    /// with and without ReLU.
     #[test]
     fn conv_window_forward_is_bitwise_the_gathered_forward(
         three in any::<bool>(), c in 1usize..48, co in 1usize..20,
         h in 1usize..10, dw in 1usize..14, kh in 1usize..6, tall in any::<bool>(),
-        padi in 0usize..8, relu in any::<bool>(), prepacked in any::<bool>(),
-        seed in 0u64..500,
+        padi in 0usize..8, relu in any::<bool>(), seed in 0u64..500,
     ) {
         let n = if three { 3 } else { 1 };
         let wd = h + dw;
@@ -268,11 +251,7 @@ proptest! {
         let x = rand_tensor(&[n, c, h, wd], seed);
         let w = rand_tensor(&[co, c, kh, kw], seed ^ 3);
         let b = rand_tensor(&[co], seed ^ 4);
-        let pf = if prepacked {
-            PackConv2dFilterOp.forward(&[&w]).unwrap().remove(0).data().to_vec()
-        } else {
-            pack_filter(w.data(), co, c * kh * kw).data
-        };
+        let pf = pack_filter(w.data(), co, c * kh * kw).data;
         let run = |operand| {
             forward_direct_packed_as(&x, &pf, co, kh, kw, &b, g, relu, operand).unwrap()
         };

@@ -88,9 +88,9 @@ impl Shape {
         idx
     }
 
-    /// Reshape to `new_dims`; element counts must match.
-    pub fn reshape(&self, new_dims: &[usize]) -> Result<Shape> {
-        let new = Shape::new(new_dims);
+    /// Reshape to `dims`; element counts must match.
+    pub fn reshape(&self, dims: &[usize]) -> Result<Shape> {
+        let new = Shape::new(dims);
         if new.numel() != self.numel() {
             return Err(Error::ShapeMismatch(format!(
                 "cannot reshape {} ({} elements) to {} ({} elements)",

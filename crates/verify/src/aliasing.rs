@@ -1,6 +1,6 @@
 //! Buffer-aliasing analysis for wavefront (level-parallel) execution.
 //!
-//! The wavefront executor runs all nodes of a level concurrently over
+//! The plan interpreter runs all nodes of a level concurrently over
 //! buffers drawn from a shared [`BufferPool`]. That is only sound if no
 //! tensor is *written* in the same level where it is *read* (or written
 //! again): a same-level def/use pair would race on the buffer. This pass

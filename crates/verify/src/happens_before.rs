@@ -1,6 +1,6 @@
 //! The happens-before relation of a level-partitioned schedule.
 //!
-//! The wavefront executors run a plan level by level: every step of level
+//! The plan interpreter runs a plan level by level: every step of level
 //! `l` is dispatched concurrently, and level `l + 1` starts only after
 //! level `l` joins. That barrier structure induces a partial order over
 //! steps — the *happens-before* relation the plan-soundness analysis

@@ -5,7 +5,7 @@
 //! reference, §IV of the paper); this crate adds the missing *static* tier:
 //! an nGraph-style IR verifier that catches shape, dtype, and dataflow
 //! defects before any kernel runs, plus a buffer-aliasing proof for the
-//! wavefront executor's pooled concurrency and a safety harness for graph
+//! plan interpreter's pooled concurrency and a safety harness for graph
 //! transforms. Diagnostics are a typed lint stream ([`Lint`]) with
 //! rustc-style severities and `--explain` renderings — a lint engine for
 //! models, not a boolean check.
@@ -42,7 +42,7 @@ pub use batch_contract::{batch_contract, BatchContract, BatchRole};
 pub use happens_before::HappensBefore;
 pub use ir::{GraphIr, NodeIr};
 pub use lint::{Lint, LintCode, Severity, VerifyReport};
-pub use plan_check::{check_plan, FrozenMemoIr, PlanIr, PlanStepIr, PlanValueIr};
+pub use plan_check::{check_plan, PlanIr, PlanStepIr, PlanValueIr};
 pub use shape_pass::{SymDim, SymShape};
 pub use transform_safety::TransformDiff;
 
@@ -107,7 +107,6 @@ impl Verifier {
         let mut lints = Vec::new();
         dataflow::run(ir, &mut lints);
         let shapes = shape_pass::infer(ir, input_shapes, input_dtypes, &mut lints);
-        shape_pass::check_layouts(ir, &shapes, &mut lints);
         let levels: Vec<Vec<String>> = aliasing::compute_levels(ir)
             .into_iter()
             .map(|level| {

@@ -72,10 +72,6 @@ pub enum LintCode {
     InterfaceDrift,
     /// Transform safety: the transform dropped or reshaped parameters.
     ParamDrift,
-    /// A node declares a blocked-layout contract its edges do not satisfy —
-    /// e.g. a `Conv2d` marked `weights_packed` whose filter edge is not the
-    /// rank-1 packed image `PackConv2dFilter` produces for its `w_dims`.
-    LayoutMismatch,
     /// Plan soundness: one memory slot is assigned to two buffers whose
     /// live ranges overlap under the schedule's happens-before relation,
     /// so concurrent steps could read and write the same physical buffer.
@@ -112,7 +108,7 @@ impl LintCode {
             LintCode::ShapeDrift => "V013",
             LintCode::InterfaceDrift => "V014",
             LintCode::ParamDrift => "V015",
-            LintCode::LayoutMismatch => "V016",
+            // V016 is retired with the ahead-of-time filter layout it checked.
             LintCode::PlanSlotRace => "V017",
             LintCode::PlanLivenessGap => "V018",
             LintCode::EpilogueAlias => "V019",
@@ -140,7 +136,6 @@ impl LintCode {
             LintCode::ShapeDrift,
             LintCode::InterfaceDrift,
             LintCode::ParamDrift,
-            LintCode::LayoutMismatch,
             LintCode::PlanSlotRace,
             LintCode::PlanLivenessGap,
             LintCode::EpilogueAlias,
@@ -162,7 +157,6 @@ impl LintCode {
             | LintCode::SameLevelHazard
             | LintCode::ShapeDrift
             | LintCode::InterfaceDrift
-            | LintCode::LayoutMismatch
             | LintCode::PlanSlotRace
             | LintCode::PlanLivenessGap
             | LintCode::EpilogueAlias
@@ -192,7 +186,7 @@ impl LintCode {
             }
             LintCode::DuplicateWriter => {
                 "Two nodes produce the same tensor name. Execution order would silently \
-                 decide which value consumers observe, and the wavefront executor could \
+                 decide which value consumers observe, and the plan interpreter could \
                  even run both writers concurrently. Every tensor name must have exactly \
                  one producer (SSA discipline)."
             }
@@ -259,15 +253,6 @@ impl LintCode {
                 "The transform dropped or reshaped parameter tensors; optimizer state \
                  keyed by parameter name would silently desynchronize."
             }
-            LintCode::LayoutMismatch => {
-                "The node declares a blocked-layout contract its edges do not satisfy. \
-                 A Conv2d marked `weights_packed = 1` promises its filter input is the \
-                 rank-1 MR-blocked image PackConv2dFilter emits for the natural \
-                 [co, ci, kh, kw] recorded in `w_dims`; a filter edge of any other \
-                 rank or length would be reinterpreted as garbage weights at \
-                 execution time. Usual cause: a layout rewrite that retagged the conv \
-                 without inserting (or after deleting) the matching pack node."
-            }
             LintCode::PlanSlotRace => {
                 "The memory plan assigns one static slot to two buffers whose live \
                  ranges overlap under the schedule's happens-before relation. Steps in \
@@ -300,12 +285,10 @@ impl LintCode {
                 "A version-keyed memo (packed conv filter image, GEMV transposed \
                  weight image) can serve stale derived data. Soundness requires the \
                  memoized source to be stable while the consuming step runs: a \
-                 frozen pre-packed artifact whose natural source parameter can still \
-                 be re-stamped (training), or a memoized input produced by a step \
-                 not ordered before its consumer, re-validates on no path and can \
-                 pair an old version stamp with new bytes. Usual cause: freezing \
-                 packed weights in a plan that also trains them, or a schedule edit \
-                 that made the memoized producer concurrent with its consumer."
+                 memoized input produced by a step not ordered before its consumer, \
+                 or mutated by a step unordered with a reader, can pair an old \
+                 version stamp with new bytes. Usual cause: a schedule edit that \
+                 made the memoized producer concurrent with its consumer."
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Plan-soundness analysis: schedule-aware race, aliasing, and
 //! memo-invalidation checks over a *compiled* execution plan.
 //!
-//! The graph-level passes (V001–V016) prove properties of the IR; the hot
+//! The graph-level passes (V001–V015) prove properties of the IR; the hot
 //! path, however, executes a compiled artifact — an interval-colored
 //! memory plan plus a frozen wavefront schedule with slot reuse, fused
 //! epilogues, and version-stamped weight memos. This module closes that
@@ -26,9 +26,8 @@
 //!   a half-applied activation).
 //! * **V020 `StaleMemo`** — every version-keyed memo re-validates on every
 //!   path that can re-stamp its source: memoized inputs are store values
-//!   or happen-before-ordered productions, frozen pre-packed artifacts
-//!   have immutable sources, and declared mutators never race unordered
-//!   readers.
+//!   or happen-before-ordered productions, and declared mutators never
+//!   race unordered readers.
 
 use crate::happens_before::HappensBefore;
 use crate::lint::{Lint, LintCode, VerifyReport};
@@ -65,19 +64,6 @@ pub struct PlanStepIr {
     pub epilogue: bool,
 }
 
-/// A derived artifact frozen into the value store at compile time, still
-/// keyed (conceptually) on a source parameter's content — e.g. the
-/// constant-folded `w::packed` image of a direct-tier conv filter `w`.
-#[derive(Debug, Clone)]
-pub struct FrozenMemoIr {
-    /// Consuming node, for diagnostics.
-    pub node: String,
-    /// The pre-materialized artifact's tensor name.
-    pub artifact: String,
-    /// The natural source parameter the artifact was derived from.
-    pub source: String,
-}
-
 /// Plain-data view of a compiled `ExecutionPlan` + `MemoryPlan`, lowered
 /// by the graph crate for this analysis.
 #[derive(Debug, Clone, Default)]
@@ -98,10 +84,6 @@ pub struct PlanIr {
     pub pinned_outputs: Vec<usize>,
     /// Env ids of declared graph inputs (defined before level 0).
     pub feed_ids: Vec<usize>,
-    /// Parameters the runtime may re-stamp between passes (training).
-    pub mutable_params: Vec<String>,
-    /// Compile-time-frozen derived artifacts and their sources.
-    pub frozen_memos: Vec<FrozenMemoIr>,
 }
 
 /// Definition point of an env tensor under the plan.
@@ -474,24 +456,6 @@ pub fn check_plan(plan: &PlanIr) -> VerifyReport {
     }
 
     // ---- V020: memo-invalidation soundness.
-    for memo in &plan.frozen_memos {
-        if plan.mutable_params.iter().any(|p| p == &memo.source) {
-            lints.push(
-                Lint::new(
-                    LintCode::StaleMemo,
-                    format!(
-                        "plan '{}': node '{}' consumes frozen artifact '{}' derived \
-                         from parameter '{}', which this plan treats as mutable — a \
-                         re-stamped source is never re-packed, so the artifact goes \
-                         stale on the first update",
-                        plan.name, memo.node, memo.artifact, memo.source
-                    ),
-                )
-                .with_node(memo.node.clone())
-                .with_tensor(memo.artifact.clone()),
-            );
-        }
-    }
     for step in &plan.steps {
         for &i in &step.memo_inputs {
             let Some(input) = step.inputs.get(i) else {
@@ -554,25 +518,6 @@ pub fn check_plan(plan: &PlanIr) -> VerifyReport {
                     );
                 }
             }
-            if let PlanValueIr::Net(pname) = input {
-                for memo in &plan.frozen_memos {
-                    if &memo.source == pname {
-                        lints.push(
-                            Lint::new(
-                                LintCode::StaleMemo,
-                                format!(
-                                    "plan '{}': step '{}' mutates parameter '{pname}', \
-                                     the source of frozen artifact '{}' consumed by \
-                                     '{}' — the artifact is never re-derived",
-                                    plan.name, step.node, memo.artifact, memo.node
-                                ),
-                            )
-                            .with_node(step.node.clone())
-                            .with_tensor(memo.artifact.clone()),
-                        );
-                    }
-                }
-            }
         }
     }
 
@@ -619,8 +564,6 @@ mod tests {
             dies_after_level: vec![vec![0], vec![1]],
             pinned_outputs: vec![2],
             feed_ids: vec![0],
-            mutable_params: vec![],
-            frozen_memos: vec![],
         }
     }
 
@@ -680,20 +623,6 @@ mod tests {
         plan.slot_of_id = vec![Some(0), Some(0), Some(2)];
         let report = check_plan(&plan);
         assert!(!report.with_code(LintCode::EpilogueAlias).is_empty());
-    }
-
-    #[test]
-    fn frozen_memo_with_mutable_source_is_stale() {
-        let mut plan = clean_plan();
-        plan.frozen_memos = vec![FrozenMemoIr {
-            node: "n0".into(),
-            artifact: "w::packed".into(),
-            source: "w".into(),
-        }];
-        assert!(check_plan(&plan).passes(), "immutable source is sound");
-        plan.mutable_params = vec!["w".into()];
-        let report = check_plan(&plan);
-        assert!(!report.with_code(LintCode::StaleMemo).is_empty());
     }
 
     #[test]

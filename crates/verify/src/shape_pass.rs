@@ -280,59 +280,6 @@ pub fn infer(
     shapes
 }
 
-/// Blocked-layout contract check ([`LintCode::LayoutMismatch`], V016):
-/// every `Conv2d` marked `weights_packed = 1` must carry a 4-element
-/// `w_dims` attribute, and its filter edge must be the rank-1 packed image
-/// of exactly `packed_filter_len(co, ci·kh·kw)` floats that
-/// `PackConv2dFilter` produces for those dims. Runs over the shapes
-/// [`infer`] produced; edges the shape pass could not reach are skipped
-/// (their upstream defect is already linted).
-pub fn check_layouts(ir: &GraphIr, shapes: &HashMap<String, Shape>, lints: &mut Vec<Lint>) {
-    for node in &ir.nodes {
-        if node.op_type != "Conv2d" || node.attrs.int_or("weights_packed", 0) != 1 {
-            continue;
-        }
-        let d = node.attrs.ints("w_dims");
-        if d.len() != 4 || d.iter().any(|&v| v < 0) {
-            lints.push(
-                Lint::new(
-                    LintCode::LayoutMismatch,
-                    format!(
-                        "node '{}': weights_packed without a valid 4-element 'w_dims' \
-                         attribute (got {d:?})",
-                        node.name
-                    ),
-                )
-                .with_node(node.name.as_str()),
-            );
-            continue;
-        }
-        let (co, ci, kh, kw) = (d[0] as usize, d[1] as usize, d[2] as usize, d[3] as usize);
-        let expect = deep500_ops::conv::direct::packed_filter_len(co, ci * kh * kw);
-        let Some(wname) = node.inputs.get(1) else {
-            continue; // arity lint already covers this
-        };
-        let Some(ws) = shapes.get(wname) else {
-            continue;
-        };
-        if ws.rank() != 1 || ws.numel() != expect {
-            lints.push(
-                Lint::new(
-                    LintCode::LayoutMismatch,
-                    format!(
-                        "node '{}': filter edge '{wname}' has shape {ws}, expected the \
-                         rank-1 packed image of {expect} floats for w_dims \
-                         [{co},{ci},{kh},{kw}]",
-                        node.name
-                    ),
-                )
-                .with_node(node.name.as_str())
-                .with_tensor(wname.as_str()),
-            );
-        }
-    }
-}
-
 /// Symbolic inference by dual concrete evaluation at [`PROBE_BATCHES`].
 /// Returns the symbolic shape of every tensor inferred at *both* probe
 /// sizes. Lints from the first probe are kept (the second evaluates the

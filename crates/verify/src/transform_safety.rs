@@ -89,12 +89,9 @@ pub fn diff(before: &GraphIr, after: &GraphIr, input_shapes: &[(&str, Shape)]) -
         }
     }
 
-    // Full pipeline on the post-transform graph, including the blocked-
-    // layout contract check — a layout rewrite that retags a conv without a
-    // matching pack node is denied here, not discovered at execution.
+    // Full pipeline on the post-transform graph.
     dataflow::run(after, &mut lints);
     let shapes_after = shape_pass::infer(after, input_shapes, &[], &mut lints);
-    shape_pass::check_layouts(after, &shapes_after, &mut lints);
 
     // Shape diff over surviving tensors (pre-transform lints are the
     // caller's baseline; only `before`'s inferred shapes are needed here).

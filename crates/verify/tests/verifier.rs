@@ -340,72 +340,48 @@ fn transform_diff_passes_identity_and_flags_drift() {
 
 // -------------------------------------------------------- layout contract
 
-/// A `Conv2d` declaring `weights_packed` must present a rank-1 filter edge
-/// of exactly the blocked-layout length its `w_dims` promises; anything
-/// else is a V016 deny. The same check runs inside the transform-safety
-/// diff, so a compile pass that retags a conv without producing the packed
-/// image is rejected at the gate.
+/// `Conv2d` takes its filter in the natural `[co, ci, kh, kw]` layout only:
+/// a rank-1 filter edge — the shape a packed image would have — is a V007
+/// deny, and so is a transform that flattens the filter on its way in.
 #[test]
 fn packed_conv_layout_contract_is_enforced() {
-    let conv = |attrs: Attributes| {
-        GraphIr::new("packed-conv")
-            .input("x")
-            .input("w")
-            .input("b")
-            .node("c", "Conv2d", attrs, &["x", "w", "b"], &["y"])
-            .output("y")
-    };
-    let base = || {
+    let attrs = || {
         Attributes::new()
             .with_int("stride", 1)
             .with_int("pad", 0)
             .with_str("algorithm", "direct")
-            .with_int("weights_packed", 1)
+    };
+    let conv = |filter: &str| {
+        GraphIr::new("conv")
+            .input("x")
+            .input("w")
+            .input("b")
+            .node("c", "Conv2d", attrs(), &["x", filter, "b"], &["y"])
+            .output("y")
     };
     let x = ("x", Shape::new(&[1, 2, 8, 8]));
     let b = ("b", Shape::new(&[8]));
-    let k = 2 * 3 * 3;
-    let good_len = deep500_ops::conv::direct::packed_filter_len(8, k);
+    let natural = ("w", Shape::new(&[8, 2, 3, 3]));
+    let packed_len = deep500_ops::conv::direct::packed_filter_len(8, 2 * 3 * 3);
 
-    // Missing w_dims: denied.
-    let ir = conv(base());
-    let report = Verifier::new()
-        .check_with_inputs(&ir, &[x.clone(), ("w", Shape::new(&[good_len])), b.clone()]);
-    let lints = report.with_code(LintCode::LayoutMismatch);
+    let report =
+        Verifier::new().check_with_inputs(&conv("w"), &[x.clone(), natural.clone(), b.clone()]);
+    assert!(report.passes(), "{}", report.render(true));
+
+    let packed = ("w", Shape::new(&[packed_len]));
+    let report = Verifier::new().check_with_inputs(&conv("w"), &[x.clone(), packed, b.clone()]);
+    let lints = report.with_code(LintCode::ShapeMismatch);
     assert_eq!(lints.len(), 1, "{}", report.render(true));
     assert_eq!(lints[0].severity, Severity::Deny);
     assert_eq!(lints[0].node.as_deref(), Some("c"));
 
-    // Natural (rank-4) filter edge despite the packed claim: denied.
-    let ir = conv(base().with_ints("w_dims", &[8, 2, 3, 3]));
-    let report = Verifier::new().check_with_inputs(
-        &ir,
-        &[x.clone(), ("w", Shape::new(&[8, 2, 3, 3])), b.clone()],
-    );
-    assert_eq!(report.with_code(LintCode::LayoutMismatch).len(), 1);
-
-    // Correct packed image: clean.
-    let ir = conv(base().with_ints("w_dims", &[8, 2, 3, 3]));
-    let report = Verifier::new()
-        .check_with_inputs(&ir, &[x.clone(), ("w", Shape::new(&[good_len])), b.clone()]);
-    assert!(
-        report.with_code(LintCode::LayoutMismatch).is_empty(),
-        "{}",
-        report.render(true)
-    );
-
-    // The transform-safety harness catches a broken layout rewrite: the
-    // "after" graph claims packing but kept the natural filter.
-    let before = conv(
-        Attributes::new()
-            .with_int("stride", 1)
-            .with_int("pad", 0)
-            .with_str("algorithm", "direct"),
-    );
-    let after = conv(base().with_ints("w_dims", &[8, 2, 3, 3]));
-    let diff = transform_safety::diff(&before, &after, &[x, ("w", Shape::new(&[8, 2, 3, 3])), b]);
-    assert!(!diff.passes(), "broken layout rewrite must be denied");
-    assert_eq!(diff.report.with_code(LintCode::LayoutMismatch).len(), 1);
+    // The transform-safety harness denies a rewrite that hands the conv a
+    // rank-1 filter.
+    let flat = Attributes::new().with_ints("shape", &[8 * 2 * 3 * 3]);
+    let after = conv("w::flat").node("flatten", "Reshape", flat, &["w"], &["w::flat"]);
+    let diff = transform_safety::diff(&conv("w"), &after, &[x, natural, b]);
+    assert!(!diff.passes(), "a rank-1 filter rewrite must be denied");
+    assert!(!diff.report.with_code(LintCode::ShapeMismatch).is_empty());
 }
 
 // ------------------------------------------------- explain / rendering
@@ -416,16 +392,15 @@ fn packed_conv_layout_contract_is_enforced() {
 #[test]
 fn every_lint_code_has_distinct_code_and_explain() {
     let all = LintCode::all();
-    assert_eq!(all.len(), 20, "V001..V020");
+    assert_eq!(all.len(), 19, "V001..V020 without the retired V016");
     let mut codes = std::collections::HashSet::new();
     let mut explains = std::collections::HashSet::new();
-    for (i, lc) in all.iter().enumerate() {
+    // Retired codes keep their numbers unused, so every other code keeps
+    // meaning what it meant.
+    let numbers = (1..=20).filter(|&n| n != 16);
+    for (lc, n) in all.iter().zip(numbers) {
         let code = lc.code();
-        assert_eq!(
-            code,
-            format!("V{:03}", i + 1),
-            "codes are dense and ordered"
-        );
+        assert_eq!(code, format!("V{n:03}"), "codes are ordered");
         assert!(codes.insert(code), "duplicate code string");
         let text = lc.explain();
         assert!(
@@ -439,13 +414,12 @@ fn every_lint_code_has_distinct_code_and_explain() {
 
 /// `render(true)` appends each distinct code's long-form text exactly once
 /// (the `--explain` contract), `render(false)` never does — exercised over
-/// the plan-soundness codes V017–V020 plus V016, which gained its text.
+/// the plan-soundness codes V017–V020.
 #[test]
 fn render_emits_each_explain_exactly_once() {
     use deep500_verify::{Lint, VerifyReport};
     let mut report = VerifyReport::default();
     for code in [
-        LintCode::LayoutMismatch,
         LintCode::PlanSlotRace,
         LintCode::PlanSlotRace, // repeated: explained once
         LintCode::PlanLivenessGap,
@@ -466,7 +440,7 @@ fn render_emits_each_explain_exactly_once() {
         "no explain text unless asked"
     );
     let explained = report.render(true);
-    for code in ["V016", "V017", "V018", "V019", "V020"] {
+    for code in ["V017", "V018", "V019", "V020"] {
         let marker = format!("= explain({code}):");
         assert_eq!(
             explained.matches(&marker).count(),
@@ -502,8 +476,6 @@ fn plan_lints_render_with_explanations() {
         dies_after_level: vec![vec![0], vec![1]],
         pinned_outputs: vec![2],
         feed_ids: vec![0],
-        mutable_params: Vec::new(),
-        frozen_memos: Vec::new(),
     };
     let report = check_plan(&plan);
     let lints = report.with_code(LintCode::PlanSlotRace);
