@@ -11,8 +11,9 @@
 //! propagation, and wavefront buffer-aliasing analysis with the pool
 //! lower bound. Then every model × batch size × {raw, compiled-inference,
 //! compiled-training} execution plan is lowered to [`PlanIr`] and run
-//! through the plan-soundness analysis (`V017`–`V020`). Exit status 1 if
-//! any model produces a Deny lint.
+//! through the plan-soundness analysis (`V018`, `V020`); the raw plan does
+//! not depend on the batch size, the compiled graph's conv tiers do. Exit
+//! status 1 if any model produces a Deny lint.
 
 use deep500::graph::compile::{compile, CompileOptions, ExecutionPlan};
 use deep500::graph::models::zoo;
@@ -20,8 +21,8 @@ use deep500::graph::network::Network;
 use deep500::tensor::Shape;
 use deep500::verify::{check_plan, PlanIr, SymShape, Verifier};
 
-/// Lower a network's frozen execution plan at the given feed shapes and
-/// return its [`PlanIr`], or exit-worthy text on failure.
+/// Lower a network's frozen execution plan and return its [`PlanIr`], or
+/// exit-worthy text on failure.
 fn lower_plan(net: &Network, shapes: &[(&str, Shape)]) -> Result<PlanIr, String> {
     let plan = ExecutionPlan::freeze(net, shapes).map_err(|e| format!("freeze: {e}"))?;
     let ops = net.instantiate_ops().map_err(|e| format!("ops: {e}"))?;

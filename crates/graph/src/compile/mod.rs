@@ -23,18 +23,17 @@
 //!    collapses into one node whose packed-microkernel write-back applies
 //!    the activation (zero extra memory traffic), plus the existing
 //!    elementwise-chain fusion.
-//! 4. **Ahead-of-time memory plan** ([`plan::MemoryPlan`]) — greedy
-//!    interval coloring over the live-range interference graph yields a
-//!    static buffer assignment, provably ≥ the verifier's
-//!    `pool_lower_bound` and checked ≤ the executor's observed peak.
-//! 5. **The plan interpreter** ([`plan::ExecutionPlan`] +
+//! 4. **The plan interpreter** ([`plan::ExecutionPlan`] +
 //!    [`planned::PlannedExecutor`]) — the dependency-level partition is
-//!    frozen into per-level dispatch lists over integer tensor ids
-//!    (forward environment and backward gradient table alike), so
-//!    execution never recomputes readiness or hashes tensor names. Every
-//!    concurrent run — compiled graph or not — goes through it, and so
-//!    through the plan-soundness gate, the plan cache and the shadow
-//!    checker.
+//!    frozen into per-level dispatch lists and death lists over integer
+//!    tensor ids (forward environment and backward gradient table alike),
+//!    so execution never recomputes readiness or hashes tensor names. The
+//!    plan holds the schedule, not the memory: nothing in it depends on the
+//!    feed shapes, so it is frozen and gated once per network, and every
+//!    pass buffer comes from the interpreter's
+//!    [`BufferPool`](deep500_tensor::BufferPool). Every concurrent run —
+//!    compiled graph or not — goes through it, and so through the
+//!    plan-soundness gate.
 //!
 //! Results remain bit-identical to the reference executor: every rewrite
 //! preserves the exact per-element float sequence (see the epilogue
@@ -49,11 +48,9 @@ pub mod layout;
 pub mod passes;
 pub mod plan;
 pub mod planned;
-pub mod shadow;
 
-pub use plan::{ExecutionPlan, MemoryPlan};
+pub use plan::ExecutionPlan;
 pub use planned::{PlanCacheStats, PlannedExecutor};
-pub use shadow::ShadowChecker;
 
 use crate::network::Network;
 use crate::transforms::fusion;
@@ -170,8 +167,8 @@ fn gate_pass(
 /// Compile `net` in place: run the passes in order, gating each on
 /// the transform-safety harness under the given graph-input shapes.
 /// Returns what was rewritten. The network afterwards is ready for any
-/// executor; [`PlannedExecutor`] additionally freezes the schedule and
-/// memory plan at its first pass.
+/// executor; [`PlannedExecutor`] additionally freezes the schedule at its
+/// first pass.
 pub fn compile(
     net: &mut Network,
     input_shapes: &[(&str, Shape)],
@@ -217,10 +214,9 @@ pub fn compile(
     // shape-aware verifier at the declared shapes — so a graph the passes
     // left alone is checked too (e.g. a conv fed a rank-1 filter).
     deep500_verify::gate_with_inputs(&net.to_ir(), &known_shapes(net, input_shapes))?;
-    // Plan-soundness gate (V017–V020): freeze the schedule and memory
-    // plan the planned executor would run at these shapes and prove slot
-    // safety, fusion aliasing, and memo invalidation before anything
-    // executes.
+    // Plan-soundness gate (V018, V020): freeze the schedule the planned
+    // executor would run and prove liveness and memo invalidation before
+    // anything executes.
     let exec_plan = plan::ExecutionPlan::freeze(net, input_shapes)?;
     let ops = net.instantiate_ops()?;
     deep500_verify::gate_plan(&exec_plan.to_plan_ir(net, &ops, &[]))?;

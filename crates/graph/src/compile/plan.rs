@@ -1,106 +1,17 @@
 //! Ahead-of-time plans: the dependency-level partition
-//! (`partition_levels`), a static buffer assignment ([`MemoryPlan`]) and
-//! the frozen level schedule ([`ExecutionPlan`]).
+//! (`partition_levels`) and the frozen level schedule ([`ExecutionPlan`]).
 //!
-//! Plans are derived once per (graph, feed shapes) pair from the verifier's
-//! live-range analysis ([`deep500_verify::aliasing::live_ranges`]) and the
-//! level partition, then consumed every pass by
-//! [`PlannedExecutor`](super::PlannedExecutor) — the one level-parallel
-//! interpreter — with no per-pass readiness recomputation and no per-op
-//! pool lookups.
+//! A plan is derived once per graph from its topological order and
+//! consumed every pass by [`PlannedExecutor`](super::PlannedExecutor) —
+//! the one level-parallel interpreter — with no per-pass readiness
+//! recomputation. It fixes the schedule, not the memory: nothing in it
+//! depends on the feed shapes, and the interpreter draws every buffer from
+//! its pool.
 
 use crate::executor::{produced_tensors, wanted_grads};
 use crate::network::{Network, NodeId};
 use deep500_tensor::{Result, Shape};
 use std::collections::HashMap;
-
-/// Static buffer assignment from greedy interval coloring over the
-/// live-range interference graph: tensors whose live ranges cannot overlap
-/// — with a one-level safety gap for level-parallel execution — share a
-/// slot. Slot capacity is the maximum numel ever assigned to it.
-#[derive(Debug, Clone, Default)]
-pub struct MemoryPlan {
-    /// Slot index per planned tensor name. Tensors without an inferred
-    /// shape get no slot and fall back to the dynamic pool.
-    pub slot_of: HashMap<String, usize>,
-    /// Capacity (f32 elements) of each slot.
-    pub slot_numel: Vec<usize>,
-    /// Total static bytes: Σ slot capacities × 4.
-    pub total_bytes: usize,
-    /// The verifier's lower bound on any level-parallel schedule's pool
-    /// bytes, for the `lower_bound ≤ total_bytes` invariant.
-    pub pool_lower_bound: usize,
-}
-
-impl MemoryPlan {
-    /// Color the given live ranges. `levels` and `shapes` must describe
-    /// the same partition the executor will run.
-    ///
-    /// Reuse rule: tensor `b` may take tensor `a`'s slot only when
-    /// `b.def >= a.end + 2`. `a` is still read *during* level `a.end + 1`
-    /// (its range is live through the end of `a.end`), so the first level
-    /// whose writers may safely touch the buffer is `a.end + 2` — writers
-    /// of level `a.end + 1` run concurrently with `a`'s readers.
-    pub fn build(
-        ir: &deep500_verify::GraphIr,
-        levels: &[Vec<String>],
-        shapes: &HashMap<String, Shape>,
-    ) -> MemoryPlan {
-        let mut ranges = deep500_verify::aliasing::live_ranges(ir, levels, shapes);
-        // Per-level live bytes -> the verifier's pool lower bound.
-        let num_levels = levels.len();
-        let mut level_bytes = vec![0usize; num_levels];
-        for r in &ranges {
-            for lb in level_bytes.iter_mut().take(r.end + 1).skip(r.def) {
-                *lb += r.bytes;
-            }
-        }
-        let pool_lower_bound = level_bytes.iter().copied().max().unwrap_or(0);
-
-        // Deterministic coloring order: by definition level, then range
-        // end, then name (live_ranges already sorts by name).
-        ranges.sort_by(|a, b| {
-            a.def
-                .cmp(&b.def)
-                .then(a.end.cmp(&b.end))
-                .then(a.tensor.cmp(&b.tensor))
-        });
-        let mut slot_of = HashMap::new();
-        let mut slot_numel: Vec<usize> = Vec::new();
-        let mut slot_free_at: Vec<usize> = Vec::new(); // first level allowed to reuse
-        for r in &ranges {
-            if r.bytes == 0 {
-                continue; // shape unknown: dynamic pool fallback
-            }
-            let numel = r.bytes / std::mem::size_of::<f32>();
-            let slot = match slot_free_at.iter().position(|&free_at| r.def >= free_at) {
-                Some(s) => {
-                    slot_numel[s] = slot_numel[s].max(numel);
-                    s
-                }
-                None => {
-                    slot_numel.push(numel);
-                    slot_free_at.push(0);
-                    slot_numel.len() - 1
-                }
-            };
-            slot_free_at[slot] = r.end + 2;
-            slot_of.insert(r.tensor.clone(), slot);
-        }
-        let total_bytes = slot_numel.iter().sum::<usize>() * std::mem::size_of::<f32>();
-        MemoryPlan {
-            slot_of,
-            slot_numel,
-            total_bytes,
-            pool_lower_bound,
-        }
-    }
-
-    /// Number of slots in the plan.
-    pub fn num_slots(&self) -> usize {
-        self.slot_numel.len()
-    }
-}
 
 /// Where a step input comes from at dispatch time.
 #[derive(Debug, Clone)]
@@ -120,8 +31,6 @@ pub struct PlanStep {
     pub inputs: Vec<ValueRef>,
     /// Dense env ids of the outputs, in operator-output order.
     pub outputs: Vec<usize>,
-    /// Expected numel per output (0 = unknown, no slot delivery).
-    pub out_numels: Vec<usize>,
     /// Per input: whether its gradient has a reader — the mask handed to
     /// `Operator::backward_wanted`, from the shared `wanted_grads`.
     pub wanted: Vec<bool>,
@@ -172,16 +81,14 @@ pub(crate) fn level_names(network: &Network, levels: &[Vec<NodeId>]) -> Vec<Vec<
         .collect()
 }
 
-/// The frozen level schedule: dense tensor ids, per-level dispatch
-/// lists, per-level death lists, and the static memory plan.
+/// The frozen level schedule: dense tensor ids, per-level dispatch lists
+/// and per-level death lists.
 #[derive(Debug, Clone, Default)]
 pub struct ExecutionPlan {
     /// Dense id per environment tensor name (feeds + node outputs).
     pub tensor_ids: HashMap<String, usize>,
     /// Inverse map: name per dense id.
     pub tensor_names: Vec<String>,
-    /// Expected numel per env tensor (0 = unknown).
-    pub tensor_numels: Vec<usize>,
     /// All steps in topological order.
     pub steps: Vec<PlanStep>,
     /// `steps[lo..hi]` per wavefront level.
@@ -194,27 +101,17 @@ pub struct ExecutionPlan {
     pub outputs: Vec<(String, usize)>,
     /// Env ids of the declared graph inputs, keyed by name.
     pub feed_ids: HashMap<String, usize>,
-    /// Static slot per env id (`None` = dynamic pool fallback).
-    pub slot_of_id: Vec<Option<usize>>,
-    /// The memory plan the slots come from.
-    pub memory: MemoryPlan,
 }
 
 impl ExecutionPlan {
-    /// Freeze the schedule for `network` under the given feed shapes: its
-    /// topological order cut into dependency levels — exactly what
-    /// [`PlannedExecutor`](super::PlannedExecutor) runs at these shapes.
-    pub fn freeze(network: &Network, input_shapes: &[(&str, Shape)]) -> Result<ExecutionPlan> {
+    /// Freeze the schedule for `network`: its topological order cut into
+    /// dependency levels — exactly what
+    /// [`PlannedExecutor`](super::PlannedExecutor) runs, at any feed
+    /// shapes. The second argument is ignored; it stays because the frozen
+    /// `spine/` benchmark calls `freeze(net, shapes)`.
+    pub fn freeze(network: &Network, _input_shapes: &[(&str, Shape)]) -> Result<ExecutionPlan> {
         let order = network.topological_order()?;
         let levels = partition_levels(network, &order);
-        let ir = network.to_ir();
-        // Shape inference seeded with feeds plus whatever sits in the
-        // value store (compile-time constants); unknown shapes degrade to
-        // pool-backed tensors, never errors.
-        let seeded = super::known_shapes(network, input_shapes);
-        let shapes = deep500_verify::shape_pass::infer(&ir, &seeded, &[], &mut Vec::new());
-
-        let memory = MemoryPlan::build(&ir, &level_names(network, &levels), &shapes);
 
         // Dense ids: feeds first, then node outputs in topological order.
         let mut tensor_ids: HashMap<String, usize> = HashMap::new();
@@ -263,11 +160,6 @@ impl ExecutionPlan {
                     })
                     .collect();
                 let outputs: Vec<usize> = node.outputs.iter().map(|o| tensor_ids[o]).collect();
-                let out_numels = node
-                    .outputs
-                    .iter()
-                    .map(|o| shapes.get(o).map(|s| s.numel()).unwrap_or(0))
-                    .collect();
                 let wanted = wanted_grads(network, &produced, node);
                 let grad_ids = node
                     .inputs
@@ -284,7 +176,6 @@ impl ExecutionPlan {
                     node: nid,
                     inputs,
                     outputs,
-                    out_numels,
                     wanted,
                     grad_ids,
                 });
@@ -328,26 +219,15 @@ impl ExecutionPlan {
             .iter()
             .filter_map(|o| tensor_ids.get(o).map(|&id| (o.clone(), id)))
             .collect();
-        let tensor_numels = tensor_names
-            .iter()
-            .map(|n| shapes.get(n).map(|s| s.numel()).unwrap_or(0))
-            .collect();
-        let slot_of_id = tensor_names
-            .iter()
-            .map(|n| memory.slot_of.get(n).copied())
-            .collect();
 
         Ok(ExecutionPlan {
             tensor_ids,
             tensor_names,
-            tensor_numels,
             steps,
             level_ranges,
             dies_after_level,
             outputs,
             feed_ids,
-            slot_of_id,
-            memory,
         })
     }
 
@@ -357,14 +237,14 @@ impl ExecutionPlan {
     }
 
     /// Lower the frozen plan into the verifier's plain-data [`PlanIr`] for
-    /// the plan-soundness pipeline (`V017`–`V020`), mirroring how
+    /// the plan-soundness pipeline (`V018`, `V020`), mirroring how
     /// `Network::to_ir()` feeds the graph-level passes.
     ///
     /// `ops` supplies the instantiated operators whose effect annotations
     /// ([`deep500_ops::OpEffects`]) mark version-memoized and mutated
     /// inputs. The third argument is ignored: every weight memo re-checks
     /// its version stamp on each call, so no parameter set can make a plan
-    /// stale. It stays for callers written against the earlier signature.
+    /// stale. It stays because the frozen `spine/` benchmark passes it.
     pub fn to_plan_ir(
         &self,
         network: &Network,
@@ -397,7 +277,6 @@ impl ExecutionPlan {
                     outputs: step.outputs.clone(),
                     memo_inputs: effects.version_memo_inputs,
                     mutated_inputs: effects.mutated_inputs,
-                    epilogue: !node.attrs.str_or("epilogue", "").is_empty(),
                 });
             }
         }
@@ -408,7 +287,6 @@ impl ExecutionPlan {
             tensor_names: self.tensor_names.clone(),
             steps,
             level_count: self.level_ranges.len(),
-            slot_of_id: self.slot_of_id.clone(),
             dies_after_level: self.dies_after_level.clone(),
             pinned_outputs: self.outputs.iter().map(|(_, id)| *id).collect(),
             feed_ids,
@@ -421,36 +299,6 @@ pub(crate) mod tests {
     use super::*;
     use crate::models;
     use deep500_ops::registry::Attributes;
-    use deep500_verify::GraphIr;
-
-    fn shapes_of(pairs: &[(&str, usize)]) -> HashMap<String, Shape> {
-        pairs
-            .iter()
-            .map(|(n, numel)| (n.to_string(), Shape::new(&[*numel])))
-            .collect()
-    }
-
-    #[test]
-    fn coloring_reuses_disjoint_ranges_and_respects_the_gap() {
-        // a: def 0, last consumer at level 1 (end 0). b: def 2 -> may
-        // reuse a's slot (2 >= 0 + 2). c: def 1 -> may not.
-        let ir = GraphIr::new("g")
-            .input("x")
-            .node("n0", "Relu", Attributes::new(), &["x"], &["a"])
-            .node("n1", "Relu", Attributes::new(), &["a"], &["c"])
-            .node("n2", "Relu", Attributes::new(), &["c"], &["b"])
-            .node("n3", "Relu", Attributes::new(), &["b"], &["y"])
-            .output("y");
-        let levels: Vec<Vec<String>> = [["n0"], ["n1"], ["n2"], ["n3"]]
-            .iter()
-            .map(|l| l.iter().map(|s| s.to_string()).collect())
-            .collect();
-        let shapes = shapes_of(&[("a", 8), ("b", 8), ("c", 8), ("y", 8), ("x", 8)]);
-        let plan = MemoryPlan::build(&ir, &levels, &shapes);
-        assert_eq!(plan.slot_of["a"], plan.slot_of["b"], "a ends before b defs");
-        assert_ne!(plan.slot_of["a"], plan.slot_of["c"], "gap rule blocks c");
-        assert!(plan.total_bytes >= plan.pool_lower_bound);
-    }
 
     /// Diamond: x feeds two independent Scale nodes whose outputs are
     /// concatenated — levels must be {split sources} then {join}.
@@ -485,7 +333,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn plan_bytes_bounded_by_lower_bound_on_zoo_models() {
+    fn frozen_plans_step_every_node_once_on_zoo_models() {
         let cases: Vec<(crate::network::Network, Vec<(&str, Shape)>)> = vec![
             (
                 models::mlp(16, &[32, 16], 4, 1).unwrap(),
@@ -501,11 +349,6 @@ pub(crate) mod tests {
         ];
         for (net, input_shapes) in cases {
             let plan = ExecutionPlan::freeze(&net, &input_shapes).unwrap();
-            assert!(
-                plan.memory.total_bytes >= plan.memory.pool_lower_bound,
-                "static plan cannot undercut the interference lower bound"
-            );
-            assert!(plan.memory.num_slots() > 0);
             assert_eq!(plan.steps.len(), net.num_nodes());
             let total_steps: usize = plan.level_ranges.iter().map(|(lo, hi)| hi - lo).sum();
             assert_eq!(total_steps, plan.steps.len());

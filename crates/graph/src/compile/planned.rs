@@ -13,16 +13,16 @@
 //!   hashing on the hot path,
 //! * dispatch lists and per-level death lists are precomputed — readiness
 //!   and remaining-consumer counts are never recomputed,
-//! * operator outputs draw their buffers from the ahead-of-time
-//!   [`MemoryPlan`](super::MemoryPlan) slots (delivered through the tensor
-//!   crate's slot-buffer scope), falling back to the shared
-//!   [`BufferPool`] for tensors the shape pass could not size and for
-//!   backward-pass gradients.
+//! * every buffer a pass touches — operator outputs, feed copies and
+//!   gradients — comes from the executor's one [`BufferPool`], and a dead
+//!   tensor's buffer goes back to it when its level joins (inference) or at
+//!   pass end (backprop), so the pool holds one working set per size class
+//!   whatever batch sizes arrive.
 //!
 //! Three properties are preserved relative to
 //! [`ReferenceExecutor`](crate::ReferenceExecutor):
 //!
-//! * **Bit-identical results.** Slot and pool buffers are zero-filled on
+//! * **Bit-identical results.** Pool buffers are zero-filled on
 //!   acquisition and within a level only independent nodes run; the one
 //!   ordering hazard is backward gradient *accumulation*, where `f32`
 //!   addition is commutative but not associative. Steps are stored in
@@ -39,34 +39,30 @@
 //!   allocations either claim their bytes within capacity or fail, so a
 //!   configured memory limit still produces `Error::OutOfMemory`.
 //!
-//! The plan is shape-dependent, so it is built lazily at the first pass
-//! from the actual feed shapes, memoized per feed-shape set, and gated on
-//! the plan-soundness analysis before any pass runs it.
+//! Nothing in the plan depends on the feed shapes, so it is frozen once,
+//! at the first pass, and gated on the plan-soundness analysis before any
+//! pass runs it.
 
 use super::plan::{level_names, partition_levels, ExecutionPlan, PlanStep, ValueRef};
-use super::shadow::ShadowChecker;
 use crate::executor::{GraphExecutor, MemoryAccountant, OpTotals};
 use crate::network::{Network, NodeId};
 use deep500_metrics::event::{EventList, Phase};
 use deep500_ops::{par, Operator};
-use deep500_tensor::{
-    with_pool, with_slot_buffers, BufferPool, Error, PoolStats, Result, Shape, Tensor,
-};
+use deep500_tensor::{with_pool, BufferPool, Error, PoolStats, Result, Shape, Tensor};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-type SlotBufs = Vec<(usize, Vec<f32>)>;
 /// What an operator declares for its input shapes: FLOPs, bytes moved, and
 /// (first call only) the dispatch note.
 type Declared = (f64, u64, Option<String>);
 /// What the coordinator hands a forward worker: the operator, its resolved
-/// inputs, the workspace bytes to account, the slot buffers pre-taken for
-/// its outputs — and what the operator declared, which rides through the
-/// worker untouched so the level needs no second list.
-type ForwardJob<'a> = (&'a dyn Operator, Vec<&'a Tensor>, usize, SlotBufs, Declared);
-/// What the worker hands back: outputs, unconsumed slot buffers,
-/// wall-clock seconds, and the job's [`Declared`].
-type ForwardProduct = (Vec<Tensor>, SlotBufs, f64, Declared);
+/// inputs, the workspace bytes to account — and what the operator
+/// declared, which rides through the worker untouched so the level needs
+/// no second list.
+type ForwardJob<'a> = (&'a dyn Operator, Vec<&'a Tensor>, usize, Declared);
+/// What the worker hands back: outputs, wall-clock seconds, and the job's
+/// [`Declared`].
+type ForwardProduct = (Vec<Tensor>, f64, Declared);
 type BackwardJob<'a> = (&'a PlanStep, &'a dyn Operator, Vec<&'a Tensor>);
 /// The step comes back with its input gradients and wall-clock seconds.
 type BackwardProduct<'a> = (&'a PlanStep, Vec<Option<Tensor>>, f64);
@@ -92,58 +88,19 @@ fn level_work(flops: impl ExactSizeIterator<Item = f64>) -> usize {
     (second / 2.0) as usize
 }
 
-/// Whether the runtime shadow checker cross-validates slot residency this
-/// build: debug builds and the `shadow-check` feature opt in; release hot
-/// paths stay free of the bookkeeping.
-const SHADOW: bool = cfg!(any(debug_assertions, feature = "shadow-check"));
-
-/// One memoized compiled plan: the frozen schedule plus its static slot
-/// buffers (each `None` until first donated).
-struct PlanEntry {
-    key: PlanKey,
-    plan: ExecutionPlan,
-    slots: Vec<Option<Vec<f32>>>,
-    /// Runtime cross-validation of the static slot-safety proof.
-    shadow: ShadowChecker,
-}
-
-/// Feed shapes by input name — the memoization key for compiled plans.
-/// Dynamic batching makes the concrete batch size bounce between passes;
-/// keying the cache on the assembled shapes means each batch size compiles
-/// once, then reuses its frozen plan and slot buffers.
-type PlanKey = Vec<(String, Shape)>;
-
-impl PlanEntry {
-    /// Whether this entry was compiled for exactly these feeds' shapes
-    /// (compared in place: a pass builds no key unless it has to compile).
-    fn matches(&self, feeds: &[(&str, Tensor)]) -> bool {
-        self.key.len() == feeds.len()
-            && feeds.iter().all(|(name, t)| {
-                self.key
-                    .iter()
-                    .any(|(n, shape)| n == name && shape == t.shape())
-            })
-    }
-}
-
-/// Plan-cache effectiveness counters (see
-/// [`PlannedExecutor::plan_cache_stats`]).
+/// Plan counters (see [`PlannedExecutor::plan_cache_stats`]). One plan
+/// serves every feed shape, so they read builds 1, hits 0, cached 1 once
+/// the first pass has run. Kept because the frozen `spine/` benchmark
+/// reads them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Plans compiled from scratch.
+    /// Plans frozen.
     pub builds: usize,
-    /// Passes that switched to an already-compiled plan instead of
-    /// recompiling (same-shape consecutive passes are not counted; they
-    /// never rebuilt).
+    /// Always 0: there is no second plan to switch to.
     pub hits: usize,
-    /// Plans currently memoized.
+    /// Plans held.
     pub cached: usize,
 }
-
-/// Upper bound on memoized plans; past it the oldest-slot entry is
-/// evicted. Generous against dynamic batching's worst case (one plan
-/// per assembled batch size up to `max_batch`).
-const MAX_CACHED_PLANS: usize = 32;
 
 /// Resolve a step's pre-interned input sources against the pass
 /// environment and the network store, in operator-input order.
@@ -170,12 +127,8 @@ fn gather_inputs<'a>(
 pub struct PlannedExecutor {
     network: Network,
     ops: HashMap<NodeId, Box<dyn Operator>>,
-    /// Compiled plans memoized by feed shapes.
-    plans: Vec<PlanEntry>,
-    /// Index of the plan the current pass runs under.
-    current: Option<usize>,
-    plan_builds: usize,
-    plan_hits: usize,
+    /// The frozen schedule, built and gated at the first pass.
+    plan: Option<ExecutionPlan>,
     events: EventList,
     memory: MemoryAccountant,
     pool: Arc<BufferPool>,
@@ -199,10 +152,7 @@ impl PlannedExecutor {
         Ok(PlannedExecutor {
             network,
             ops,
-            plans: Vec::new(),
-            current: None,
-            plan_builds: 0,
-            plan_hits: 0,
+            plan: None,
             events: EventList::new(),
             memory: MemoryAccountant::new(capacity),
             pool: Arc::new(BufferPool::new()),
@@ -211,27 +161,23 @@ impl PlannedExecutor {
         })
     }
 
-    /// The current execution plan, if one has been built.
+    /// The execution plan, once the first pass has built it.
     pub fn plan(&self) -> Option<&ExecutionPlan> {
-        self.current.map(|i| &self.plans[i].plan)
+        self.plan.as_ref()
     }
 
-    /// Plan-cache counters: compiles, rebuild-avoiding cache hits, and
-    /// entries currently memoized.
+    /// Plan counters: 1 build and 1 plan held once the first pass has run,
+    /// never a hit.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
+        let built = usize::from(self.plan.is_some());
         PlanCacheStats {
-            builds: self.plan_builds,
-            hits: self.plan_hits,
-            cached: self.plans.len(),
+            builds: built,
+            hits: 0,
+            cached: built,
         }
     }
 
-    /// Total bytes of the static memory plan, once built.
-    pub fn plan_bytes(&self) -> Option<usize> {
-        self.plan().map(|p| p.memory.total_bytes)
-    }
-
-    /// Buffer-pool effectiveness counters (the dynamic fallback tier).
+    /// Buffer-pool effectiveness counters.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
@@ -266,74 +212,27 @@ impl PlannedExecutor {
         Ok(report)
     }
 
-    /// Ensure a compiled plan exists for the given feed shapes and make it
-    /// current. Shapes seen before reuse their memoized plan (and slot
-    /// buffers) instead of recompiling — the property dynamic batching
-    /// leans on when assembled batch sizes bounce between passes.
-    ///
-    /// Every freshly built plan must pass the plan-soundness gate
-    /// ([`deep500_verify::gate_plan`], `V017`–`V020`) before any pass runs
-    /// it; the one gate serves inference and backprop alike.
-    fn ensure_plan(&mut self, feeds: &[(&str, Tensor)], pass: usize) -> Result<()> {
-        let start = std::time::Instant::now();
-        let cached = match self.current {
-            // Same shapes as the last pass: the steady state, not a "hit".
-            Some(i) if self.plans[i].matches(feeds) => Some(i),
-            _ => {
-                let found = self.plans.iter().position(|e| e.matches(feeds));
-                self.plan_hits += usize::from(found.is_some());
-                found
-            }
-        };
-        let index = match cached {
-            Some(i) => i,
-            None => {
-                let input_shapes: Vec<(&str, Shape)> =
-                    feeds.iter().map(|(n, t)| (*n, t.shape().clone())).collect();
-                let plan = ExecutionPlan::freeze(&self.network, &input_shapes)?;
-                deep500_verify::gate_plan(&plan.to_plan_ir(&self.network, &self.ops, &[]))?;
-                self.plan_builds += 1;
-                if self.plans.len() >= MAX_CACHED_PLANS {
-                    // The cache is a memoization aid, not a correctness
-                    // surface: any victim will do.
-                    self.plans.swap_remove(0);
-                }
-                self.plans.push(PlanEntry {
-                    key: input_shapes
-                        .into_iter()
-                        .map(|(n, shape)| (n.to_string(), shape))
-                        .collect(),
-                    slots: vec![None; plan.memory.num_slots()],
-                    shadow: ShadowChecker::new(plan.memory.num_slots()),
-                    plan,
-                });
-                self.plans.len() - 1
-            }
-        };
-        self.current = Some(index);
-        // A cold pass compiles and gates inside its `Inference`/`Backprop`
-        // window; own that time instead of leaving it unexplained.
-        if cached.is_none() {
-            self.events
-                .span(Phase::Bookkeeping, pass, start.elapsed().as_secs_f64());
+    /// Freeze the plan at the first pass. It must pass the plan-soundness
+    /// gate ([`deep500_verify::gate_plan`], `V018`, `V020`) before any pass
+    /// runs it; the one gate serves inference and backprop alike.
+    fn ensure_plan(&mut self, pass: usize) -> Result<()> {
+        if self.plan.is_some() {
+            return Ok(());
         }
+        let start = std::time::Instant::now();
+        let plan = ExecutionPlan::freeze(&self.network, &[])?;
+        deep500_verify::gate_plan(&plan.to_plan_ir(&self.network, &self.ops, &[]))?;
+        self.plan = Some(plan);
+        // The cold pass freezes and gates inside its `Inference`/`Backprop`
+        // window; own that time instead of leaving it unexplained.
+        self.events
+            .span(Phase::Bookkeeping, pass, start.elapsed().as_secs_f64());
         Ok(())
     }
 
-    /// Shadow-checker violation count of the current plan, when runtime
-    /// cross-validation is compiled in (debug builds or the `shadow-check`
-    /// feature). `Some(0)` is the expected steady state: the static
-    /// analysis proved exactly what the runtime observes.
-    pub fn shadow_violations(&self) -> Option<usize> {
-        if !SHADOW {
-            return None;
-        }
-        self.current.map(|i| self.plans[i].shadow.violations())
-    }
-
     /// The planned forward pass. With `reclaim`, buffers of tensors whose
-    /// consumers are exhausted are donated back to their static slot as
-    /// soon as their level's successors join (inference); without it the
+    /// consumers are exhausted go back to the pool as soon as their
+    /// level's successors join (inference); without it the
     /// whole environment stays live for backprop and only the memory
     /// accounting is released, mirroring the reference executor.
     fn forward_planned(
@@ -344,33 +243,14 @@ impl PlannedExecutor {
         let Self {
             network,
             ops,
-            plans,
-            current,
+            plan,
             events,
             memory,
             pool,
             op_totals,
             ..
         } = self;
-        let PlanEntry {
-            plan,
-            slots,
-            shadow,
-            ..
-        } = &mut plans[current.expect("ensure_plan ran")];
-        let plan = &*plan;
-        let shadow = &*shadow;
-        // Residency tracking only makes sense when the pass exercises the
-        // reclaim protocol; backprop passes keep buffers alive past their
-        // death levels by design.
-        let epoch = if SHADOW && reclaim {
-            shadow.begin_pass()
-        } else {
-            if SHADOW {
-                shadow.suspend_pass();
-            }
-            0
-        };
+        let plan = plan.as_ref().expect("ensure_plan ran");
 
         memory.reset();
         let mut env: Vec<Option<Tensor>> = vec![None; plan.num_env()];
@@ -382,26 +262,18 @@ impl PlannedExecutor {
                 )));
             };
             memory.allocate(t.size_bytes())?;
-            // The copy's buffer ends the pass in a slot or the pool like
-            // every other environment tensor, so it must come out of the
-            // pool too — a plain allocation here would grow the pool by
-            // one feed-sized buffer per pass.
+            // The copy's buffer ends the pass in the pool like every other
+            // environment tensor, so it must come out of the pool too — a
+            // plain allocation here would grow the pool by one feed-sized
+            // buffer per pass.
             env[id] = Some(with_pool(pool, || t.clone()));
-            if SHADOW {
-                if let Some(s) = plan.slot_of_id[id] {
-                    shadow.occupy(epoch, s, id);
-                }
-            }
         }
 
         for (l, &(lo, hi)) in plan.level_ranges.iter().enumerate() {
             let level = &plan.steps[lo..hi];
             // The coordinator resolves each step's inputs and reads off
             // their shapes everything the operator declares — the FLOPs
-            // are what the fork decision goes by — and, owning the slot
-            // store, pre-takes the step's output buffers before dispatch.
-            // Tensors defined in the same level always interfere, so no
-            // two steps of a level contend for a slot.
+            // are what the fork decision goes by.
             let mut jobs: Vec<ForwardJob> = Vec::with_capacity(level.len());
             for step in level {
                 let op = ops.get(&step.node).expect("instantiated op").as_ref();
@@ -415,67 +287,31 @@ impl PlannedExecutor {
                     None
                 };
                 let declared = (op.flops(&shapes), op.bytes_moved(&shapes), note);
-                let bufs = step
-                    .outputs
-                    .iter()
-                    .zip(&step.out_numels)
-                    .filter_map(|(&oid, &numel)| {
-                        if numel == 0 {
-                            return None;
-                        }
-                        let slot = plan.slot_of_id[oid]?;
-                        slots[slot].take().map(|b| (numel, b))
-                    })
-                    .collect();
-                jobs.push((op, inputs, op.workspace_bytes(&shapes), bufs, declared));
+                jobs.push((op, inputs, op.workspace_bytes(&shapes), declared));
             }
 
-            let run = |(op, inputs, workspace, bufs, declared): ForwardJob| {
+            let run = |(op, inputs, workspace, declared): ForwardJob| {
                 memory.allocate(workspace)?;
                 let start = std::time::Instant::now();
-                let (outputs, leftovers) =
-                    with_slot_buffers(bufs, || with_pool(pool, || op.forward(&inputs)));
+                let outputs = with_pool(pool, || op.forward(&inputs));
                 let seconds = start.elapsed().as_secs_f64();
                 memory.release(workspace);
                 let outputs = outputs?;
                 for t in &outputs {
                     memory.allocate(t.size_bytes())?;
                 }
-                Ok((outputs, leftovers, seconds, declared))
+                Ok((outputs, seconds, declared))
             };
-            let work = level_work(jobs.iter().map(|job| job.4 .0));
+            let work = level_work(jobs.iter().map(|job| job.3 .0));
             let results: Vec<Result<ForwardProduct>> = par::map_items(jobs, work, run);
             for (step, result) in level.iter().zip(results) {
-                let (outputs, leftovers, seconds, (flops, bytes, note)) = result?;
+                let (outputs, seconds, (flops, bytes, note)) = result?;
                 events.span(Phase::OperatorForward, step.node.0, seconds);
                 let totals = &mut op_totals[step.node.0];
                 totals.record_note(note);
                 totals.record_forward(seconds, flops, bytes);
                 for (&oid, tensor) in step.outputs.iter().zip(outputs) {
                     env[oid] = Some(tensor);
-                    if SHADOW {
-                        if let Some(s) = plan.slot_of_id[oid] {
-                            shadow.occupy(epoch, s, oid);
-                        }
-                    }
-                }
-                // Buffers the operator did not consume go back to
-                // their slot (matched by tagged numel) or the pool.
-                for (numel, buf) in leftovers {
-                    let home = step
-                        .outputs
-                        .iter()
-                        .zip(&step.out_numels)
-                        .find_map(|(&oid, &n)| {
-                            if n != numel {
-                                return None;
-                            }
-                            plan.slot_of_id[oid].filter(|&s| slots[s].is_none())
-                        });
-                    match home {
-                        Some(s) => slots[s] = Some(buf),
-                        None => pool.recycle(buf),
-                    }
                 }
             }
             // Level joined: process the precomputed death list.
@@ -483,16 +319,7 @@ impl PlannedExecutor {
                 if reclaim {
                     if let Some(t) = env[id].take() {
                         memory.release(t.size_bytes());
-                        let v = t.into_vec();
-                        if SHADOW {
-                            if let Some(s) = plan.slot_of_id[id] {
-                                shadow.vacate(epoch, s, id);
-                            }
-                        }
-                        match plan.slot_of_id[id] {
-                            Some(s) if slots[s].is_none() => slots[s] = Some(v),
-                            _ => pool.recycle(v),
-                        }
+                        pool.recycle(t.into_vec());
                     }
                 } else if let Some(t) = env[id].as_ref() {
                     // Keep the value for backprop; release accounting only,
@@ -517,31 +344,10 @@ impl PlannedExecutor {
         Ok(out)
     }
 
-    /// Return a pass environment's remaining buffers to their static slots
-    /// (first donor wins) or the dynamic pool.
-    fn reclaim_env(&mut self, env: Vec<Option<Tensor>>) {
-        let PlanEntry {
-            plan,
-            slots,
-            shadow,
-            ..
-        } = &mut self.plans[self.current.expect("plan built")];
-        let epoch = shadow.current_epoch();
-        for (id, slot_tensor) in env.into_iter().enumerate() {
-            let Some(t) = slot_tensor else { continue };
-            let v = t.into_vec();
-            if SHADOW {
-                if let Some(s) = plan.slot_of_id[id] {
-                    shadow.vacate(epoch, s, id);
-                }
-            }
-            match plan.slot_of_id[id] {
-                Some(s) if slots[s].is_none() => slots[s] = Some(v),
-                _ => self.pool.recycle(v),
-            }
-        }
-        if SHADOW {
-            shadow.end_pass();
+    /// Return a pass environment's remaining buffers to the pool.
+    fn reclaim_env(&self, env: Vec<Option<Tensor>>) {
+        for t in env.into_iter().flatten() {
+            self.pool.recycle(t.into_vec());
         }
     }
 
@@ -695,7 +501,7 @@ impl GraphExecutor for PlannedExecutor {
         self.pass_counter += 1;
         let pass = self.pass_counter;
         self.events.begin(Phase::Inference, pass);
-        self.ensure_plan(feeds, pass)?;
+        self.ensure_plan(pass)?;
         let env = self.forward_planned(feeds, true)?;
         let outputs = self.collect_outputs(&env);
         // Reclaim inside the phase window so the Bookkeeping span merges
@@ -719,7 +525,7 @@ impl GraphExecutor for PlannedExecutor {
         self.pass_counter += 1;
         let pass = self.pass_counter;
         self.events.begin(Phase::Backprop, pass);
-        self.ensure_plan(feeds, pass)?;
+        self.ensure_plan(pass)?;
         let env = self.forward_planned(feeds, false)?;
         self.backward_planned(&env, loss, pass)?;
         let outputs = self.collect_outputs(&env);
@@ -751,14 +557,6 @@ impl GraphExecutor for PlannedExecutor {
 
     fn buffer_pool_stats(&self) -> Option<PoolStats> {
         Some(self.pool.stats())
-    }
-
-    fn static_plan_bytes(&self) -> Option<usize> {
-        self.plan_bytes()
-    }
-
-    fn shadow_violations(&self) -> Option<usize> {
-        PlannedExecutor::shadow_violations(self)
     }
 }
 
@@ -792,7 +590,7 @@ mod tests {
         let mut rf = ReferenceExecutor::construct(net.clone_structure(), usize::MAX).unwrap();
         let mut pl = PlannedExecutor::construct(net, usize::MAX).unwrap();
         let expect = rf.inference(&as_refs(&feeds)).unwrap();
-        // Two passes: the second exercises slot reuse.
+        // Two passes: the second runs on recycled pool buffers.
         for _ in 0..2 {
             let got = pl.inference(&as_refs(&feeds)).unwrap();
             for (name, t) in &expect {
@@ -818,43 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_rebuilds_on_feed_shape_change() {
-        let net = models::mlp(6, &[6], 2, 2).unwrap();
-        let mut pl = PlannedExecutor::construct(net, usize::MAX).unwrap();
-        pl.inference(&as_refs(&mlp_feeds(2, 6))).unwrap();
-        let bytes_small = pl.plan_bytes().unwrap();
-        pl.inference(&as_refs(&mlp_feeds(8, 6))).unwrap();
-        let bytes_large = pl.plan_bytes().unwrap();
-        assert!(bytes_large > bytes_small, "plan follows the batch size");
-        // And back again, still correct.
-        pl.inference(&as_refs(&mlp_feeds(2, 6))).unwrap();
-        assert_eq!(pl.plan_bytes().unwrap(), bytes_small);
-    }
-
-    #[test]
-    fn plan_cache_memoizes_alternating_batch_sizes() {
-        let net = models::mlp(6, &[6], 2, 2).unwrap();
-        let mut pl = PlannedExecutor::construct(net, usize::MAX).unwrap();
-        // Alternate between two batch sizes: after the first visit to each,
-        // every revisit must hit the cache instead of replanning — the
-        // property dynamic batching relies on to keep tail latency flat.
-        let small = mlp_feeds(2, 6);
-        let large = mlp_feeds(8, 6);
-        let expect_small = pl.inference(&as_refs(&small)).unwrap();
-        let expect_large = pl.inference(&as_refs(&large)).unwrap();
-        for _ in 0..3 {
-            let got = pl.inference(&as_refs(&small)).unwrap();
-            assert_eq!(got["loss"].data(), expect_small["loss"].data());
-            let got = pl.inference(&as_refs(&large)).unwrap();
-            assert_eq!(got["loss"].data(), expect_large["loss"].data());
-        }
-        let stats = pl.plan_cache_stats();
-        assert_eq!(stats.builds, 2, "one build per distinct batch size");
-        assert_eq!(stats.hits, 6, "every revisit is a cache hit");
-        assert_eq!(stats.cached, 2);
-    }
-
-    #[test]
     fn undeclared_feed_is_rejected() {
         let net = models::mlp(4, &[], 2, 3).unwrap();
         let mut pl = PlannedExecutor::construct(net, usize::MAX).unwrap();
@@ -865,15 +626,14 @@ mod tests {
     }
 
     #[test]
-    fn slot_plan_bytes_cover_lower_bound_and_report_via_trait() {
+    fn trait_reports_pool_stats_and_no_static_plan() {
         let net = models::mlp(16, &[24, 16], 4, 4).unwrap();
         let mut pl = PlannedExecutor::construct(net, usize::MAX).unwrap();
         pl.inference(&as_refs(&mlp_feeds(4, 16))).unwrap();
-        let plan = pl.plan().unwrap();
-        assert!(plan.memory.total_bytes >= plan.memory.pool_lower_bound);
         let as_trait: &dyn GraphExecutor = &pl;
-        assert_eq!(as_trait.static_plan_bytes(), Some(plan.memory.total_bytes));
-        assert!(as_trait.buffer_pool_stats().is_some());
+        assert_eq!(as_trait.static_plan_bytes(), None);
+        assert_eq!(as_trait.buffer_pool_stats(), Some(pl.pool_stats()));
+        assert!(pl.pool_stats().held_bytes > 0);
     }
 
     #[test]
@@ -930,8 +690,8 @@ mod tests {
             second.hits > first.hits,
             "second pass should reuse first-pass gradient buffers: {second:?}"
         );
-        // Activations come back from the static slots, so the second pass
-        // falls through to the allocator less often than the first did.
+        // Activations come back from the pool, so the second pass falls
+        // through to the allocator less often than the first did.
         assert!(
             second.misses - first.misses < first.misses,
             "slots + pool must absorb second-pass allocations: {first:?} -> {second:?}"
@@ -987,5 +747,40 @@ mod tests {
                 "conv rows must carry the resolved tier: {rows:?}"
             );
         }
+    }
+
+    /// Dynamic batching hands the interpreter a different batch size from
+    /// pass to pass. One plan serves them all, and the pool's working set
+    /// is the largest batch's: a second sweep over the same sizes neither
+    /// builds a plan nor parks another byte.
+    #[test]
+    fn plans_and_pool_do_not_multiply_with_batch_sizes() {
+        use crate::{Engine, ExecutorKind};
+        let case = models::zoo()
+            .into_iter()
+            .find(|c| c.name == "resnet_like")
+            .expect("zoo has resnet_like");
+        let engine = Engine::builder(case.net.clone_structure())
+            .executor(ExecutorKind::Planned)
+            .build()
+            .unwrap();
+        let mut rf = ReferenceExecutor::construct(case.net.clone_structure(), usize::MAX).unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let mut held = Vec::new();
+        for _ in 0..2 {
+            for batch in 1..=8 {
+                let feeds = case.at_batch(batch).feeds(batch as u64);
+                let expect = rf.inference(&as_refs(&feeds)).unwrap();
+                let got = engine.lock().inference(&as_refs(&feeds)).unwrap();
+                for (name, t) in &expect {
+                    assert_eq!(bits(&got[name]), bits(t), "batch {batch} '{name}'");
+                }
+            }
+            let ex = engine.lock();
+            let planned = ex.as_any().downcast_ref::<PlannedExecutor>().unwrap();
+            assert_eq!(planned.plan_cache_stats().builds, 1);
+            held.push(planned.pool_stats().held_bytes);
+        }
+        assert_eq!(held[1], held[0], "the second sweep grew the pool");
     }
 }

@@ -270,19 +270,10 @@ pub trait GraphExecutor: Send {
         None
     }
 
-    /// Total bytes of the ahead-of-time memory plan, for executors running
-    /// a [`MemoryPlan`](crate::compile::MemoryPlan) (`None` for the
-    /// reference loop, or before the first pass builds the plan).
+    /// Bytes of a static memory plan. No executor has one — the plan
+    /// interpreter draws every buffer from its pool — so this is always
+    /// `None`; it stays because the frozen `spine/` benchmark reads it.
     fn static_plan_bytes(&self) -> Option<usize> {
-        None
-    }
-
-    /// Violations observed by the runtime shadow checker cross-validating
-    /// the static plan-soundness analysis (see
-    /// [`ShadowChecker`](crate::compile::ShadowChecker)). `None` for
-    /// executors without residency tracking or builds where it is compiled
-    /// out; `Some(0)` is the expected steady state.
-    fn shadow_violations(&self) -> Option<usize> {
         None
     }
 

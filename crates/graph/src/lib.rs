@@ -42,10 +42,7 @@ pub mod transforms;
 pub mod validate;
 pub mod visitor;
 
-pub use compile::{
-    compile, CompileOptions, CompileReport, ExecutionPlan, MemoryPlan, PlannedExecutor,
-    ShadowChecker,
-};
+pub use compile::{compile, CompileOptions, CompileReport, ExecutionPlan, PlannedExecutor};
 pub use engine::{Engine, EngineBuilder, EngineGuard, ExecutorKind, Session};
 pub use executor::{GraphExecutor, MemoryAccountant, NodeHook, OpTotals, ReferenceExecutor};
 pub use network::{Network, Node, NodeId};

@@ -31,11 +31,6 @@ pub struct ExecutorReport {
     /// Dynamic buffer-pool counters of the candidate, if it is
     /// pool-backed ([`GraphExecutor::buffer_pool_stats`]).
     pub candidate_pool: Option<PoolStats>,
-    /// Static memory-plan bytes of the candidate, if it runs an
-    /// ahead-of-time plan ([`GraphExecutor::static_plan_bytes`]). Reported
-    /// alongside the pool stats so plan-vs-pool memory comparisons come
-    /// straight out of validation runs.
-    pub candidate_plan_bytes: Option<usize>,
 }
 
 /// Candidate/reference runtime ratio with an explicit degeneracy marker.
@@ -145,7 +140,6 @@ pub fn test_executor(
         reference_time: Summary::of(&ref_times),
         candidate_attribution: candidate.op_attribution(),
         candidate_pool: candidate.buffer_pool_stats(),
-        candidate_plan_bytes: candidate.static_plan_bytes(),
     })
 }
 
@@ -205,7 +199,6 @@ pub fn test_executor_backprop(
         reference_time: Summary::of(&ref_times),
         candidate_attribution: candidate.op_attribution(),
         candidate_pool: candidate.buffer_pool_stats(),
-        candidate_plan_bytes: candidate.static_plan_bytes(),
     })
 }
 
@@ -292,7 +285,6 @@ mod tests {
             reference_time: deep500_metrics::stats::Summary::of(&[reference]),
             candidate_attribution: Vec::new(),
             candidate_pool: None,
-            candidate_plan_bytes: None,
         };
         let r = mk(3.0, 0.0);
         assert!(r.slowdown_detail().degenerate);
@@ -303,23 +295,22 @@ mod tests {
     }
 
     #[test]
-    fn report_carries_pool_stats_and_plan_bytes() {
+    fn report_carries_pool_stats() {
         let net = models::mlp(6, &[6], 2, 8).unwrap();
         let feeds = [
             ("x", Tensor::ones([2, 6])),
             ("labels", Tensor::from_slice(&[0.0, 1.0])),
         ];
-        // Reference candidate: neither a pool nor a plan.
+        // Reference candidate: no pool.
         let mut a = ReferenceExecutor::construct(net.clone_structure(), usize::MAX).unwrap();
         let mut b = ReferenceExecutor::construct(net.clone_structure(), usize::MAX).unwrap();
         let r = test_executor(&mut a, &mut b, &feeds, 1).unwrap();
-        assert!(r.candidate_pool.is_none() && r.candidate_plan_bytes.is_none());
-        // Plan-interpreter candidate: both reported, bit-identical outputs.
+        assert!(r.candidate_pool.is_none());
+        // Plan-interpreter candidate: pool reported, bit-identical outputs.
         let mut p = crate::compile::PlannedExecutor::construct(net, usize::MAX).unwrap();
         let r = test_executor(&mut p, &mut b, &feeds, 2).unwrap();
         assert!(r.passes(0.0), "planned executor is bit-identical");
         assert!(r.candidate_pool.is_some());
-        assert!(r.candidate_plan_bytes.unwrap() > 0);
     }
 
     #[test]
@@ -332,7 +323,6 @@ mod tests {
             reference_time: deep500_metrics::stats::Summary::of(&[1.0]),
             candidate_attribution: Vec::new(),
             candidate_pool: None,
-            candidate_plan_bytes: None,
         };
         assert!(report.passes(0.5), "linf == tol must pass");
         assert!(!report.passes(0.49));
@@ -344,7 +334,6 @@ mod tests {
             reference_time: deep500_metrics::stats::Summary::of(&[1.0]),
             candidate_attribution: Vec::new(),
             candidate_pool: None,
-            candidate_plan_bytes: None,
         };
         assert!(empty.passes(0.0));
     }

@@ -37,8 +37,7 @@ pub use descriptor::{DataType, DeviceDesc, TensorDesc};
 pub use error::{Error, Result};
 pub use layout::DataLayout;
 pub use pool::{
-    recycle_scratch, scratch_dirty, scratch_zeroed, with_pool, with_slot_buffers, BufferPool,
-    PoolStats, LINE_F32,
+    recycle_scratch, scratch_dirty, scratch_zeroed, with_pool, BufferPool, PoolStats, LINE_F32,
 };
 pub use rng::Xoshiro256StarStar;
 pub use shape::Shape;

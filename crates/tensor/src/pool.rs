@@ -14,7 +14,10 @@
 //! a thread-local handle, so operator kernels recycle buffers without
 //! knowing the pool exists. The pool itself is `Sync` (a
 //! `parking_lot`-guarded free list plus atomic counters) and is shared
-//! across worker threads by concurrent executors.
+//! across worker threads by concurrent executors. It is the plan
+//! interpreter's only source of pass buffers: activations, feed copies and
+//! gradients alike come from one pool per executor and go back to it when
+//! they die, whatever the batch size.
 
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -220,57 +223,6 @@ impl BufferPool {
 
 thread_local! {
     static ACTIVE_POOL: RefCell<Option<Arc<BufferPool>>> = const { RefCell::new(None) };
-    /// Pre-assigned output buffers for the current operator dispatch, keyed
-    /// by exact element count (see [`with_slot_buffers`]).
-    static SLOT_BUFFERS: RefCell<Vec<(usize, Vec<f32>)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Run `f` with `bufs` as a set of pre-assigned output buffers, each tagged
-/// with the exact element count it is destined for. Inside the scope,
-/// [`Tensor::zeros`](crate::Tensor::zeros) requests whose element count
-/// matches a tagged buffer consume that buffer (zero-filled, exactly like a
-/// pool acquisition, so execution stays bit-identical); all other requests
-/// fall through to the active pool. Returns `f`'s result plus the buffers
-/// that were not consumed, so a static memory plan can keep ownership of
-/// its slots across passes. A mismatch is a perf miss, never an error.
-pub fn with_slot_buffers<R>(
-    bufs: Vec<(usize, Vec<f32>)>,
-    f: impl FnOnce() -> R,
-) -> (R, Vec<(usize, Vec<f32>)>) {
-    let previous = SLOT_BUFFERS.with(|s| std::mem::replace(&mut *s.borrow_mut(), bufs));
-    // Drop guard so a panicking operator still restores the outer scope
-    // (the in-scope buffers are dropped with the guard — a perf loss only).
-    struct Restore(Option<Vec<(usize, Vec<f32>)>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            if let Some(prev) = self.0.take() {
-                SLOT_BUFFERS.with(|s| *s.borrow_mut() = prev);
-            }
-        }
-    }
-    let mut restore = Restore(Some(previous));
-    let out = f();
-    // Disarm the guard and restore the outer scope by hand, keeping the
-    // unconsumed buffers for the caller.
-    let prev = restore.0.take().unwrap_or_default();
-    let leftovers = SLOT_BUFFERS.with(|s| std::mem::replace(&mut *s.borrow_mut(), prev));
-    (out, leftovers)
-}
-
-/// Consume the slot buffer tagged with exactly `numel` elements, if one is
-/// in scope. Zero-fills before returning, mirroring [`BufferPool::acquire`].
-fn take_slot_buffer(numel: usize) -> Option<Vec<f32>> {
-    SLOT_BUFFERS.with(|s| {
-        let mut stack = s.borrow_mut();
-        if stack.is_empty() {
-            return None;
-        }
-        let pos = stack.iter().position(|(n, _)| *n == numel)?;
-        let (_, mut buf) = stack.swap_remove(pos);
-        buf.clear();
-        buf.resize(numel, 0.0);
-        Some(buf)
-    })
 }
 
 /// Run `f` with `pool` as this thread's active allocation pool:
@@ -290,13 +242,9 @@ pub fn with_pool<R>(pool: &Arc<BufferPool>, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// A zeroed buffer from the in-scope slot buffers (exact element-count
-/// match, see [`with_slot_buffers`]), else the thread's active pool, else a
-/// plain allocation.
+/// A zeroed buffer from the thread's active pool, or a plain allocation if
+/// no pool scope is active.
 pub(crate) fn alloc_zeroed(numel: usize) -> Vec<f32> {
-    if let Some(buf) = take_slot_buffer(numel) {
-        return buf;
-    }
     ACTIVE_POOL.with(|p| match p.borrow().as_ref() {
         Some(pool) => pool.acquire(numel),
         None => vec![0.0; numel],
@@ -442,53 +390,6 @@ mod tests {
         pool.recycle(t2.into_vec());
         let _plain = Tensor::zeros([10, 10]);
         assert_eq!(pool.stats().hits, 1);
-    }
-
-    #[test]
-    fn slot_buffers_serve_exact_matches_and_return_leftovers() {
-        let mut poisoned = vec![f32::NAN; 100];
-        poisoned[0] = 7.0;
-        let spare = vec![0.0f32; 50];
-        let (t, leftovers) = with_slot_buffers(vec![(100, poisoned), (50, spare)], || {
-            Tensor::zeros([10, 10])
-        });
-        // The 100-element request consumed (and zeroed) the tagged buffer;
-        // the 50-element buffer comes back untouched.
-        assert_eq!(t.data(), &[0.0; 100]);
-        assert_eq!(leftovers.len(), 1);
-        assert_eq!(leftovers[0].0, 50);
-        // Outside the scope, allocation is back to normal.
-        let t2 = Tensor::zeros([5, 10]);
-        assert_eq!(t2.data(), &[0.0; 50]);
-    }
-
-    #[test]
-    fn slot_buffer_mismatch_falls_through_to_pool() {
-        let pool = Arc::new(BufferPool::new());
-        let ((), leftovers) = with_slot_buffers(vec![(33, vec![0.0; 33])], || {
-            with_pool(&pool, || {
-                let t = Tensor::zeros([100]);
-                assert_eq!(t.numel(), 100);
-            });
-        });
-        assert_eq!(pool.stats().misses, 1, "mismatched request used the pool");
-        assert_eq!(leftovers.len(), 1, "untouched slot buffer survives");
-    }
-
-    #[test]
-    fn slot_buffer_scopes_nest_and_restore() {
-        let (_, outer_left) = with_slot_buffers(vec![(64, vec![0.0; 64])], || {
-            let (_, inner_left) = with_slot_buffers(vec![(16, vec![0.0; 16])], || {
-                // The outer 64-buffer is shadowed: this allocates fresh.
-                let t = Tensor::zeros([64]);
-                assert_eq!(t.numel(), 64);
-            });
-            assert_eq!(inner_left.len(), 1);
-            // Outer scope restored: a 64-element request now hits its slot.
-            let t = Tensor::zeros([64]);
-            assert_eq!(t.numel(), 64);
-        });
-        assert!(outer_left.is_empty());
     }
 
     #[test]

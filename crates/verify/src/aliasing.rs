@@ -39,9 +39,7 @@ pub struct AliasReport {
     pub level_bytes: Vec<usize>,
 }
 
-/// Live range of one produced tensor over a level partition, exported for
-/// the graph crate's ahead-of-time memory planner (greedy interval coloring
-/// over these ranges yields the static buffer assignment).
+/// Live range of one produced tensor over a level partition.
 #[derive(Debug, Clone)]
 pub struct LiveRange {
     /// Produced tensor name.
@@ -216,8 +214,7 @@ pub fn analyze(
 
     // Live ranges of produced tensors: graph outputs and never-consumed
     // tensors stay live to the end (the executor pins fetched outputs and
-    // never releases unconsumed buffers mid-pass). Shared with the memory
-    // planner via [`live_ranges`].
+    // never releases unconsumed buffers mid-pass).
     let ranges = live_ranges(ir, levels, shapes);
 
     // Interference edges + per-level live bytes.

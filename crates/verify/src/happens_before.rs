@@ -92,22 +92,6 @@ impl HappensBefore {
     pub fn unordered(&self, a: usize, b: usize) -> bool {
         a != b && self.level_of_step[a] == self.level_of_step[b]
     }
-
-    /// Whether everything scheduled at `earlier_level` happens-before
-    /// everything at `later_level`.
-    pub fn levels_ordered(&self, earlier_level: usize, later_level: usize) -> bool {
-        earlier_level < later_level
-    }
-
-    /// The slot-handoff soundness predicate: a buffer whose tenant is last
-    /// accessed (read, written, or resident) at `last_access_level` may be
-    /// reassigned to a tenant first written at `next_def_level` only when
-    /// the entire old access window happens-before the new write. Under
-    /// the barrier order that is a strict level inequality — an equal
-    /// level means the old reader and the new writer race.
-    pub fn safe_handoff(&self, last_access_level: usize, next_def_level: usize) -> bool {
-        self.levels_ordered(last_access_level, next_def_level)
-    }
 }
 
 #[cfg(test)]
@@ -140,13 +124,5 @@ mod tests {
         assert!(HappensBefore::from_level_ranges(&[(0, 2), (2, 1)], 2).is_none());
         // Out-of-bounds explicit level.
         assert!(HappensBefore::from_step_levels(vec![0, 3], 2).is_none());
-    }
-
-    #[test]
-    fn safe_handoff_requires_strict_order() {
-        let hb = HappensBefore::from_level_ranges(&[(0, 1), (1, 2), (2, 3)], 3).expect("valid");
-        assert!(hb.safe_handoff(0, 1), "next level may reuse");
-        assert!(!hb.safe_handoff(1, 1), "same level races");
-        assert!(!hb.safe_handoff(2, 1), "reuse before last access is worse");
     }
 }

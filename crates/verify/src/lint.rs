@@ -72,17 +72,10 @@ pub enum LintCode {
     InterfaceDrift,
     /// Transform safety: the transform dropped or reshaped parameters.
     ParamDrift,
-    /// Plan soundness: one memory slot is assigned to two buffers whose
-    /// live ranges overlap under the schedule's happens-before relation,
-    /// so concurrent steps could read and write the same physical buffer.
-    PlanSlotRace,
     /// Plan soundness: a step reads an environment tensor after the plan
     /// already recycled its buffer (death level before the read), or a
     /// value is read before any ordered step defines it.
     PlanLivenessGap,
-    /// Plan soundness: a fused epilogue (or in-place rewrite) writes an
-    /// output slot that aliases a live input of a step unordered with it.
-    EpilogueAlias,
     /// Plan soundness: a version-keyed memo (packed conv filter, GEMV
     /// weight image) can serve stale derived data — its source may be
     /// re-stamped on a path the plan never re-validates.
@@ -108,10 +101,9 @@ impl LintCode {
             LintCode::ShapeDrift => "V013",
             LintCode::InterfaceDrift => "V014",
             LintCode::ParamDrift => "V015",
-            // V016 is retired with the ahead-of-time filter layout it checked.
-            LintCode::PlanSlotRace => "V017",
+            // V016 is retired with the ahead-of-time filter layout it
+            // checked, V017 and V019 with the static slot plan.
             LintCode::PlanLivenessGap => "V018",
-            LintCode::EpilogueAlias => "V019",
             LintCode::StaleMemo => "V020",
         }
     }
@@ -136,9 +128,7 @@ impl LintCode {
             LintCode::ShapeDrift,
             LintCode::InterfaceDrift,
             LintCode::ParamDrift,
-            LintCode::PlanSlotRace,
             LintCode::PlanLivenessGap,
-            LintCode::EpilogueAlias,
             LintCode::StaleMemo,
         ]
     }
@@ -157,9 +147,7 @@ impl LintCode {
             | LintCode::SameLevelHazard
             | LintCode::ShapeDrift
             | LintCode::InterfaceDrift
-            | LintCode::PlanSlotRace
             | LintCode::PlanLivenessGap
-            | LintCode::EpilogueAlias
             | LintCode::StaleMemo => Severity::Deny,
             LintCode::DanglingFeed | LintCode::DeadNode | LintCode::NonAffineBatch => {
                 Severity::Warn
@@ -253,33 +241,14 @@ impl LintCode {
                 "The transform dropped or reshaped parameter tensors; optimizer state \
                  keyed by parameter name would silently desynchronize."
             }
-            LintCode::PlanSlotRace => {
-                "The memory plan assigns one static slot to two buffers whose live \
-                 ranges overlap under the schedule's happens-before relation. Steps in \
-                 the same wavefront level are unordered, so slot reuse is sound only \
-                 when every reader of the old tenant happens-before the writer of the \
-                 new one — the next definition must sit strictly after the level of \
-                 the old tenant's last consumer. A violating plan lets a concurrent \
-                 writer scribble over a buffer another step is still reading. Usual \
-                 cause: an interval-coloring bug or a plan mutated after coloring."
-            }
             LintCode::PlanLivenessGap => {
                 "A step reads an environment tensor outside the window in which the \
                  plan guarantees its buffer holds that value: either the tensor's \
                  death level precedes the reading step's level (the buffer may \
-                 already be recycled into its slot), the tensor is never defined by \
+                 already be back in the pool), the tensor is never defined by \
                  any step ordered before the read, or a pinned graph output appears \
                  in a death list. Usual cause: a death list or level assignment \
                  edited out of sync with the dispatch schedule."
-            }
-            LintCode::EpilogueAlias => {
-                "A step carrying a fused write-back epilogue (e.g. `epilogue = relu` \
-                 riding a GEMM/conv write-back) has an output slot that aliases a \
-                 live input of a step unordered with it. The epilogue writes the \
-                 buffer element-by-element as the kernel retires tiles, so an \
-                 unordered reader of the same slot could observe a half-applied \
-                 activation. Fusion is sound only when the fused output's slot is \
-                 disjoint from every buffer a same-level step may still read."
             }
             LintCode::StaleMemo => {
                 "A version-keyed memo (packed conv filter image, GEMV transposed \

@@ -1,33 +1,24 @@
-//! Plan-soundness analysis: schedule-aware race, aliasing, and
-//! memo-invalidation checks over a *compiled* execution plan.
+//! Plan-soundness analysis: schedule-aware liveness and memo-invalidation
+//! checks over a *compiled* execution plan.
 //!
 //! The graph-level passes (V001–V015) prove properties of the IR; the hot
-//! path, however, executes a compiled artifact — an interval-colored
-//! memory plan plus a frozen wavefront schedule with slot reuse, fused
-//! epilogues, and version-stamped weight memos. This module closes that
-//! gap: the graph crate lowers its `ExecutionPlan`/`MemoryPlan` into the
-//! plain-data [`PlanIr`] (mirroring how `Network::to_ir()` feeds the IR
-//! passes) and [`check_plan`] proves, before the first pass runs:
+//! path, however, executes a compiled artifact — a frozen wavefront
+//! schedule with per-level death lists that hand dead buffers back to the
+//! pool, and version-stamped weight memos. This module closes that gap:
+//! the graph crate lowers its `ExecutionPlan` into the plain-data
+//! [`PlanIr`] (mirroring how `Network::to_ir()` feeds the IR passes) and
+//! [`check_plan`] proves, before the first pass runs:
 //!
-//! * **V017 `PlanSlotRace`** — no slot is assigned to two buffers whose
-//!   live ranges overlap under the schedule's happens-before relation
-//!   ([`HappensBefore`]): every access to the old tenant (including its
-//!   residency until the death list vacates it) must happen-before the
-//!   next tenant's defining write. This independently re-derives the
-//!   property the interval coloring's `+2` gap rule is supposed to
-//!   guarantee, from the plan data alone.
 //! * **V018 `PlanLivenessGap`** — every read of an environment tensor
 //!   falls inside its guaranteed-live window: defined by a strictly
 //!   earlier level (or a feed), not yet recycled by a death list, pinned
 //!   outputs never die, and nothing dies twice.
-//! * **V019 `EpilogueAlias`** — a fused write-back epilogue's output slot
-//!   never aliases a live input of a step unordered with it (the epilogue
-//!   retires elements incrementally, so a concurrent reader could observe
-//!   a half-applied activation).
 //! * **V020 `StaleMemo`** — every version-keyed memo re-validates on every
 //!   path that can re-stamp its source: memoized inputs are store values
 //!   or happen-before-ordered productions, and declared mutators never
 //!   race unordered readers.
+//!
+//! V017 and V019 are retired with the static slot plan they checked.
 
 use crate::happens_before::HappensBefore;
 use crate::lint::{Lint, LintCode, VerifyReport};
@@ -59,13 +50,10 @@ pub struct PlanStepIr {
     pub memo_inputs: Vec<usize>,
     /// Operator effect: input indices the operator writes through.
     pub mutated_inputs: Vec<usize>,
-    /// Whether a fused write-back epilogue rides this step
-    /// (`epilogue = "relu"` installed by the fusion pass).
-    pub epilogue: bool,
 }
 
-/// Plain-data view of a compiled `ExecutionPlan` + `MemoryPlan`, lowered
-/// by the graph crate for this analysis.
+/// Plain-data view of a compiled `ExecutionPlan`, lowered by the graph
+/// crate for this analysis.
 #[derive(Debug, Clone, Default)]
 pub struct PlanIr {
     /// Plan (graph) name, for diagnostics.
@@ -76,8 +64,6 @@ pub struct PlanIr {
     pub steps: Vec<PlanStepIr>,
     /// Number of wavefront levels.
     pub level_count: usize,
-    /// Static slot per env id (`None` = dynamic pool fallback).
-    pub slot_of_id: Vec<Option<usize>>,
     /// Env ids whose buffer is vacated after each level joins.
     pub dies_after_level: Vec<Vec<usize>>,
     /// Env ids of declared graph outputs (pinned: must never die).
@@ -105,13 +91,6 @@ impl Def {
             Def::Level(l) => l < level,
         }
     }
-
-    fn level(self) -> usize {
-        match self {
-            Def::Feed => 0,
-            Def::Level(l) => l,
-        }
-    }
 }
 
 /// Run the plan-soundness pipeline over a lowered plan.
@@ -127,18 +106,6 @@ pub fn check_plan(plan: &PlanIr) -> VerifyReport {
 
     // ---- Structural sanity: the analysis needs a well-formed container.
     let mut malformed = false;
-    if plan.slot_of_id.len() != num_env {
-        lints.push(Lint::new(
-            LintCode::PlanLivenessGap,
-            format!(
-                "plan '{}': slot table covers {} ids but the plan has {} env tensors",
-                plan.name,
-                plan.slot_of_id.len(),
-                num_env
-            ),
-        ));
-        malformed = true;
-    }
     if plan.dies_after_level.len() != plan.level_count {
         lints.push(Lint::new(
             LintCode::PlanLivenessGap,
@@ -273,15 +240,13 @@ pub fn check_plan(plan: &PlanIr) -> VerifyReport {
         }
     }
 
-    // ---- Reads: visibility (V018) and last-read levels for liveness.
-    let mut last_read: Vec<Option<usize>> = vec![None; num_env];
+    // ---- Reads: visibility and recycled buffers (V018).
     for step in &plan.steps {
         for input in &step.inputs {
             let PlanValueIr::Env(id) = input else {
                 continue;
             };
             let id = *id;
-            last_read[id] = Some(last_read[id].map_or(step.level, |l| l.max(step.level)));
             match def[id] {
                 Some(d) if d.visible_at(step.level) => {}
                 Some(Def::Level(l)) => lints.push(
@@ -332,124 +297,6 @@ pub fn check_plan(plan: &PlanIr) -> VerifyReport {
                         .with_node(step.node.clone())
                         .with_tensor(name_of(id)),
                     );
-                }
-            }
-        }
-    }
-
-    // ---- Residency windows, then V017 slot-handoff sweep per slot.
-    //
-    // A tensor occupies its slot from its defining level until the death
-    // list vacates it; tensors with no death entry (pinned outputs,
-    // never-consumed feeds) stay resident to pass end. The window also
-    // covers every read, even one past the death level (already a V018 —
-    // the sweep stays conservative rather than reasoning from a broken
-    // premise).
-    let last_level = plan.level_count.saturating_sub(1);
-    let mut tenants: Vec<(usize, usize, usize)> = Vec::new(); // (slot, start, id)
-    let mut end_of: Vec<usize> = vec![0; num_env];
-    for id in 0..num_env {
-        let Some(d) = def[id] else { continue };
-        let start = d.level();
-        let mut end = death[id].unwrap_or(last_level);
-        if let Some(r) = last_read[id] {
-            end = end.max(r);
-        }
-        end = end.max(start);
-        end_of[id] = end;
-        if let Some(slot) = plan.slot_of_id[id] {
-            tenants.push((slot, start, id));
-        }
-    }
-    // Pairwise per slot: two tenants are compatible only when one's entire
-    // access window happens-before the other's defining write (strict level
-    // order — the handoff predicate). Slots hold a handful of tenants, so
-    // the quadratic pass stays cheap even on the largest zoo plans.
-    tenants.sort_unstable();
-    for (i, &(slot_a, start_a, a)) in tenants.iter().enumerate() {
-        for &(slot_b, start_b, b) in &tenants[i + 1..] {
-            if slot_a != slot_b {
-                break; // sorted by slot first
-            }
-            let disjoint =
-                hb.safe_handoff(end_of[a], start_b) || hb.safe_handoff(end_of[b], start_a);
-            if !disjoint {
-                lints.push(
-                    Lint::new(
-                        LintCode::PlanSlotRace,
-                        format!(
-                            "plan '{}': slot {slot_a} is assigned to '{}' (live levels \
-                             {start_a}..={}) and '{}' (live levels {start_b}..={}) — \
-                             the ranges overlap under the concurrent partial order, so \
-                             an unordered writer could scribble over a buffer still \
-                             being read",
-                            plan.name,
-                            name_of(a),
-                            end_of[a],
-                            name_of(b),
-                            end_of[b]
-                        ),
-                    )
-                    .with_tensor(name_of(b)),
-                );
-            }
-        }
-    }
-
-    // ---- V019: fused epilogue outputs vs live inputs of unordered steps.
-    for (si, step) in plan.steps.iter().enumerate() {
-        if !step.epilogue {
-            continue;
-        }
-        let out_slots: Vec<usize> = step
-            .outputs
-            .iter()
-            .filter_map(|&oid| plan.slot_of_id[oid])
-            .collect();
-        if out_slots.is_empty() {
-            continue;
-        }
-        let alias_lint = |other: &PlanStepIr, id: usize, slot: usize| {
-            Lint::new(
-                LintCode::EpilogueAlias,
-                format!(
-                    "plan '{}': fused epilogue of '{}' writes slot {slot}, which \
-                     aliases '{}' — a live input of unordered step '{}' in level {} \
-                     that could observe a half-applied write-back",
-                    plan.name,
-                    step.node,
-                    name_of(id),
-                    other.node,
-                    other.level
-                ),
-            )
-            .with_node(step.node.clone())
-            .with_tensor(name_of(id))
-        };
-        // The step's own inputs: an in-place epilogue over a buffer the
-        // kernel is still reading is unsound even without concurrency.
-        for input in &step.inputs {
-            let PlanValueIr::Env(id) = input else {
-                continue;
-            };
-            if let Some(slot) = plan.slot_of_id[*id] {
-                if out_slots.contains(&slot) {
-                    lints.push(alias_lint(step, *id, slot));
-                }
-            }
-        }
-        for (ti, other) in plan.steps.iter().enumerate() {
-            if !hb.unordered(si, ti) {
-                continue;
-            }
-            for input in &other.inputs {
-                let PlanValueIr::Env(id) = input else {
-                    continue;
-                };
-                if let Some(slot) = plan.slot_of_id[*id] {
-                    if out_slots.contains(&slot) {
-                        lints.push(alias_lint(other, *id, slot));
-                    }
                 }
             }
         }
@@ -532,7 +379,7 @@ mod tests {
     use super::*;
 
     /// A hand-built sound plan: two levels, `x -> a -> y`, `a` dying after
-    /// level 1, `a` and `y` in different slots, `x` sharing nothing.
+    /// level 1.
     fn clean_plan() -> PlanIr {
         PlanIr {
             name: "clean".into(),
@@ -546,7 +393,6 @@ mod tests {
                     outputs: vec![1],
                     memo_inputs: vec![],
                     mutated_inputs: vec![],
-                    epilogue: false,
                 },
                 PlanStepIr {
                     node: "n1".into(),
@@ -556,11 +402,9 @@ mod tests {
                     outputs: vec![2],
                     memo_inputs: vec![],
                     mutated_inputs: vec![],
-                    epilogue: false,
                 },
             ],
             level_count: 2,
-            slot_of_id: vec![Some(0), Some(1), Some(2)],
             dies_after_level: vec![vec![0], vec![1]],
             pinned_outputs: vec![2],
             feed_ids: vec![0],
@@ -572,17 +416,6 @@ mod tests {
         let report = check_plan(&clean_plan());
         assert!(report.passes(), "{}", report.render(true));
         assert!(report.lints.is_empty());
-    }
-
-    #[test]
-    fn overlapping_slot_tenants_race() {
-        let mut plan = clean_plan();
-        // `a` (live through level 1) and `y` (defined at level 1) in one
-        // slot: the reader of `a` races the writer of `y`.
-        plan.slot_of_id = vec![Some(0), Some(1), Some(1)];
-        let report = check_plan(&plan);
-        assert!(!report.passes());
-        assert!(!report.with_code(LintCode::PlanSlotRace).is_empty());
     }
 
     #[test]
@@ -613,19 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn epilogue_alias_against_unordered_reader() {
-        let mut plan = clean_plan();
-        // Second step moves into level 0 reading the feed, while the first
-        // step grows an epilogue whose output shares the feed's slot.
-        plan.steps[1].level = 0;
-        plan.steps[1].inputs = vec![PlanValueIr::Env(0)];
-        plan.steps[0].epilogue = true;
-        plan.slot_of_id = vec![Some(0), Some(0), Some(2)];
-        let report = check_plan(&plan);
-        assert!(!report.with_code(LintCode::EpilogueAlias).is_empty());
-    }
-
-    #[test]
     fn unordered_memo_producer_is_stale() {
         let mut plan = clean_plan();
         plan.steps[1].level = 0; // producer of `a` now unordered with reader
@@ -646,7 +466,6 @@ mod tests {
             outputs: vec![],
             memo_inputs: vec![],
             mutated_inputs: vec![0],
-            epilogue: false,
         });
         let report = check_plan(&plan);
         assert!(!report.with_code(LintCode::StaleMemo).is_empty());
@@ -660,7 +479,7 @@ mod tests {
         assert!(!report.with_code(LintCode::DuplicateWriter).is_empty());
 
         let mut plan = clean_plan();
-        plan.slot_of_id.pop();
+        plan.dies_after_level.pop(); // one death list for two levels
         assert!(!check_plan(&plan).passes());
 
         let mut plan = clean_plan();

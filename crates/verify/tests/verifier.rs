@@ -392,12 +392,16 @@ fn packed_conv_layout_contract_is_enforced() {
 #[test]
 fn every_lint_code_has_distinct_code_and_explain() {
     let all = LintCode::all();
-    assert_eq!(all.len(), 19, "V001..V020 without the retired V016");
+    assert_eq!(
+        all.len(),
+        17,
+        "V001..V020 without the retired V016, V017, V019"
+    );
     let mut codes = std::collections::HashSet::new();
     let mut explains = std::collections::HashSet::new();
     // Retired codes keep their numbers unused, so every other code keeps
     // meaning what it meant.
-    let numbers = (1..=20).filter(|&n| n != 16);
+    let numbers = (1..=20).filter(|n| ![16, 17, 19].contains(n));
     for (lc, n) in all.iter().zip(numbers) {
         let code = lc.code();
         assert_eq!(code, format!("V{n:03}"), "codes are ordered");
@@ -414,16 +418,14 @@ fn every_lint_code_has_distinct_code_and_explain() {
 
 /// `render(true)` appends each distinct code's long-form text exactly once
 /// (the `--explain` contract), `render(false)` never does — exercised over
-/// the plan-soundness codes V017–V020.
+/// the plan-soundness codes V018 and V020.
 #[test]
 fn render_emits_each_explain_exactly_once() {
     use deep500_verify::{Lint, VerifyReport};
     let mut report = VerifyReport::default();
     for code in [
-        LintCode::PlanSlotRace,
-        LintCode::PlanSlotRace, // repeated: explained once
         LintCode::PlanLivenessGap,
-        LintCode::EpilogueAlias,
+        LintCode::PlanLivenessGap, // repeated: explained once
         LintCode::StaleMemo,
     ] {
         report.lints.push(Lint {
@@ -440,7 +442,7 @@ fn render_emits_each_explain_exactly_once() {
         "no explain text unless asked"
     );
     let explained = report.render(true);
-    for code in ["V017", "V018", "V019", "V020"] {
+    for code in ["V018", "V020"] {
         let marker = format!("= explain({code}):");
         assert_eq!(
             explained.matches(&marker).count(),
@@ -451,8 +453,8 @@ fn render_emits_each_explain_exactly_once() {
 }
 
 /// The plan verifier's diagnostics render with their explanations: a
-/// minimal corrupted plan produces a V017 whose `--explain` rendering
-/// carries the long-form race description.
+/// minimal corrupted plan produces a V018 whose `--explain` rendering
+/// carries the long-form liveness description.
 #[test]
 fn plan_lints_render_with_explanations() {
     use deep500_verify::{check_plan, PlanIr, PlanStepIr, PlanValueIr};
@@ -464,26 +466,24 @@ fn plan_lints_render_with_explanations() {
         outputs: vec![output],
         memo_inputs: Vec::new(),
         mutated_inputs: Vec::new(),
-        epilogue: false,
     };
     let plan = PlanIr {
         name: "mini".into(),
         tensor_names: vec!["x".into(), "a".into(), "y".into()],
         steps: vec![step("a", 0, 0, 1), step("y", 1, 1, 2)],
         level_count: 2,
-        // Both live tensors share slot 0 while their windows overlap.
-        slot_of_id: vec![None, Some(0), Some(0)],
-        dies_after_level: vec![vec![0], vec![1]],
+        // `a` dies after level 0, but its reader runs at level 1.
+        dies_after_level: vec![vec![0, 1], vec![]],
         pinned_outputs: vec![2],
         feed_ids: vec![0],
     };
     let report = check_plan(&plan);
-    let lints = report.with_code(LintCode::PlanSlotRace);
+    let lints = report.with_code(LintCode::PlanLivenessGap);
     assert!(!lints.is_empty(), "{}", report.render(true));
     assert_eq!(lints[0].severity, Severity::Deny);
     let rendered = report.render(true);
     assert!(
-        rendered.contains("= explain(V017):"),
+        rendered.contains("= explain(V018):"),
         "rendering carries the explanation:\n{rendered}"
     );
 }

@@ -52,7 +52,7 @@ fn main() -> deep500::tensor::Result<()> {
         ref_losses.len()
     );
 
-    // Peek at the buffers: passes reuse plan slots and pooled gradients.
+    // Peek at the buffers: every pass draws from and returns to one pool.
     let net = models::lenet(1, 14, 4, seed)?;
     let engine = Engine::builder(net)
         .executor(ExecutorKind::Wavefront)
@@ -69,13 +69,8 @@ fn main() -> deep500::tensor::Result<()> {
         .buffer_pool_stats()
         .expect("the interpreter pools buffers");
     println!(
-        "buffer pool after 3 passes: {} hits, {} misses, {} recycles, {} KiB parked; \
-         static plan {} KiB",
-        stats.hits,
-        stats.misses,
-        stats.recycled,
-        stats.held_bytes / 1024,
-        wf.static_plan_bytes().unwrap_or(0) / 1024
+        "buffer pool after 3 passes: {} hits, {} misses, {} recycles, {} bytes held",
+        stats.hits, stats.misses, stats.recycled, stats.held_bytes
     );
     assert!(identical, "executors diverged");
     Ok(())
