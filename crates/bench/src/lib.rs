@@ -144,11 +144,13 @@ impl<'a, const N: usize> Subject<'a, N> {
 }
 
 /// The one timing loop. Every subject is called `warmup + rounds` times in
-/// round-robin order — subject 0, 1, …, n-1, then again — so slow
-/// machine-level drift (a frequency excursion, a noisy neighbour) lands on
-/// one round of every subject rather than on every round of one. The first
-/// `warmup` rounds are discarded. Returns, per subject, one [`Summary`] per
-/// sample it returns.
+/// round-robin order, so slow machine-level drift (a frequency excursion, a
+/// noisy neighbour) lands on one round of every subject rather than on
+/// every round of one. Round `r` starts at subject `r % n` — r, r+1, …,
+/// n-1, 0, …, r-1 — so over `n` rounds each subject runs once in each
+/// position, and running first (or last) in a round is no subject's
+/// standing advantage. The first `warmup` rounds are discarded.
+/// Returns, per subject, one [`Summary`] per sample it returns.
 pub fn time_rounds<const N: usize>(
     warmup: usize,
     rounds: usize,
@@ -158,9 +160,11 @@ pub fn time_rounds<const N: usize>(
         .iter()
         .map(|_| std::array::from_fn(|_| Vec::new()))
         .collect();
+    let n = subjects.len();
     for round in 0..warmup + rounds.max(1) {
-        for (subject, channels) in subjects.iter_mut().zip(&mut samples) {
-            let sample = (subject.0)();
+        for i in (round..round + n).map(|i| i % n) {
+            let sample = (subjects[i].0)();
+            let channels = &mut samples[i];
             if round >= warmup {
                 for (channel, v) in channels.iter_mut().zip(sample) {
                     channel.push(v);
@@ -191,19 +195,31 @@ mod tests {
                 })
             })
             .collect();
-        let (warmup, rounds) = (2, 5);
+        let (warmup, rounds) = (2, 6);
         let out = time_rounds(warmup, rounds, &mut subjects);
         drop(subjects);
 
-        let expect: Vec<usize> = (0..warmup + rounds).flat_map(|_| 0..3).collect();
-        assert_eq!(log.into_inner(), expect);
+        // Round `r` starts at subject `r % 3` and wraps around.
+        let log = log.into_inner();
+        let expect: Vec<usize> = (0..warmup + rounds)
+            .flat_map(|r| (r..r + 3).map(|i| i % 3))
+            .collect();
+        assert_eq!(log, expect);
+        // Over the measured rounds each subject holds each position equally
+        // often.
+        let mut positions = [[0usize; 3]; 3];
+        for (k, &i) in log[warmup * 3..].iter().enumerate() {
+            positions[i][k % 3] += 1;
+        }
+        assert_eq!(positions, [[rounds / 3; 3]; 3]);
         assert_eq!(out.len(), 3);
         for (i, [own, calls]) in out.iter().enumerate() {
             assert_eq!((own.n, calls.n), (rounds, rounds));
             assert_eq!(own.median, i as f64);
-            // Warm-up rounds are not sampled: the first kept call is
-            // number `warmup * 3 + i + 1` overall.
-            assert_eq!(calls.min, (warmup * 3 + i + 1) as f64);
+            // Warm-up rounds are not sampled: the first kept call is in
+            // round `warmup`, which starts at subject `warmup % 3`.
+            let first = warmup * 3 + (i + 3 - warmup % 3) % 3 + 1;
+            assert_eq!(calls.min, first as f64);
         }
     }
 

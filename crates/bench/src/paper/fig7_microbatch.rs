@@ -24,13 +24,18 @@ use deep500::metrics::Json;
 use deep500::prelude::*;
 use deep500::tensor::Error;
 
+/// One AlexNet-style conv on im2col, the tier whose lowering buffer grows
+/// with the minibatch — the workspace the transformation exists to cap.
 fn conv_net(seed: u64) -> Network {
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
     let mut net = Network::new("alex-conv");
     net.add_input("x");
     net.add_parameter("w", Tensor::rand_uniform([8, 3, 3, 3], -0.3, 0.3, &mut rng));
     net.add_parameter("b", Tensor::zeros([8]));
-    let attrs = Attributes::new().with_int("stride", 1).with_int("pad", 1);
+    let attrs = Attributes::new()
+        .with_int("stride", 1)
+        .with_int("pad", 1)
+        .with_str("algorithm", "im2col");
     net.add_node("conv", "Conv2d", attrs, &["x", "w", "b"], &["y"])
         .expect("conv node");
     net.add_output("y");

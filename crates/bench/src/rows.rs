@@ -5,9 +5,8 @@
 //! A gate there is a pure function of the rows *as they are written to the
 //! file* — `fn(&[Json]) -> Verdict` — so it can be unit-tested on
 //! hand-built rows and re-evaluated by anyone from the tracked report.
-//! Timing claims use the CI-separation form of `conv`'s
-//! `auto_within_5pct_of_best` (EXPERIMENTS E26): "a is no slower than b"
-//! fails only when a's whole 95 % interval sits above b's
+//! Timing claims use the CI-separation form of EXPERIMENTS E26: "a is no
+//! slower than b" fails only when a's whole 95 % interval sits above b's
 //! ([`Timing::above`]), i.e. when the measurement *contradicts* the claim.
 //! Two medians of one kernel differ by up to 10 % on a shared host; a
 //! five-round smoke run must not turn that into a red gate.

@@ -70,13 +70,11 @@ impl NetworkBuilder {
         }
     }
 
-    /// Convolution layer. Defaults to `algorithm = "auto"`: the tier the
-    /// tracked `BENCH_conv.json` sweep ranks first (the direct tier, on
-    /// every shape it holds) — resolved at compile time by the layout
-    /// pass, else per call by the operator.
-    /// Use [`Self::conv_with_algo`] to pin a tier explicitly.
+    /// Convolution layer on the direct tier (`algorithm = "direct"`), the
+    /// one the tracked `BENCH_conv.json` sweep ranks first on every shape
+    /// it holds. Use [`Self::conv_with_algo`] to name another tier.
     pub fn conv(mut self, out_c: usize, kernel: usize, stride: usize, pad: usize) -> Self {
-        self.conv_impl(out_c, kernel, stride, pad, "auto");
+        self.conv_impl(out_c, kernel, stride, pad, "direct");
         self
     }
 

@@ -7,23 +7,19 @@
 //! whatever nodes the graph happens to contain. This module moves that
 //! work ahead of time, and owns the crate's one level-parallel executor:
 //!
-//! 1. **Convolution layout selection** ([`layout`]) — every `auto` conv's
-//!    execution tier is pinned from statically inferred shapes. A
-//!    direct-tier filter is packed into the blocked layout at run time, once
-//!    per weight version, by the operator's memo.
-//! 2. **IR optimization passes** ([`passes`]) — constant folding and
+//! 1. **IR optimization passes** ([`passes`]) — constant folding and
 //!    common-subexpression elimination over the [`Network`], each gated by
 //!    the transform-safety diff harness
 //!    ([`deep500_verify::transform_safety`]): a pass that drifts the
 //!    observable interface, a parameter, or a surviving tensor's shape is
 //!    rejected, not executed.
-//! 3. **Generalized fusion** — producer→consumer fusion into GEMM epilogues
+//! 2. **Generalized fusion** — producer→consumer fusion into GEMM epilogues
 //!    ([`crate::transforms::fusion::fuse_gemm_epilogues`]): a
 //!    `Linear`/`MatMul`/`Conv2d` followed by a single-consumer `Relu`
 //!    collapses into one node whose packed-microkernel write-back applies
 //!    the activation (zero extra memory traffic), plus the existing
 //!    elementwise-chain fusion.
-//! 4. **The plan interpreter** ([`plan::ExecutionPlan`] +
+//! 3. **The plan interpreter** ([`plan::ExecutionPlan`] +
 //!    [`planned::PlannedExecutor`]) — the dependency-level partition is
 //!    frozen into per-level dispatch lists and death lists over integer
 //!    tensor ids (forward environment and backward gradient table alike),
@@ -44,7 +40,6 @@
 //! coordinator — so contributions reach any tensor in strictly descending
 //! step index and are `axpy`ed on arrival.
 
-pub mod layout;
 pub mod passes;
 pub mod plan;
 pub mod planned;
@@ -54,12 +49,12 @@ pub use planned::{PlanCacheStats, PlannedExecutor};
 
 use crate::network::Network;
 use crate::transforms::fusion;
+use deep500_ops::conv::ConvAlgorithm;
 use deep500_tensor::{Error, Result, Shape};
 
-/// The compile driver always runs its passes in one fixed order — conv
-/// layout selection → constant folding → CSE → elementwise-chain fusion →
-/// GEMM-epilogue fusion. The one decision a caller makes is whether the
-/// parameters are constants.
+/// The compile driver always runs its passes in one fixed order — constant
+/// folding → CSE → elementwise-chain fusion → GEMM-epilogue fusion. The one
+/// decision a caller makes is whether the parameters are constants.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
     /// Treat parameters as constants: fold through them. Off for training
@@ -77,9 +72,9 @@ impl CompileOptions {
     }
 
     /// Training-safe: parameters stay live (no folding through them), but
-    /// layout pinning, CSE and both fusions apply — their backward passes
-    /// are exact (the fused epilogue masks gradients identically to a
-    /// standalone `Relu` node).
+    /// CSE and both fusions apply — their backward passes are exact (the
+    /// fused epilogue masks gradients identically to a standalone `Relu`
+    /// node).
     pub fn training() -> Self {
         CompileOptions {
             freeze_params: false,
@@ -96,10 +91,9 @@ impl Default for CompileOptions {
 /// What the compile driver did to the graph.
 #[derive(Debug, Clone, Default)]
 pub struct CompileReport {
-    /// Convolutions whose `algorithm` attribute was pinned to a tier.
-    pub conv_retagged: usize,
     /// Direct-tier convolutions whose filter is a parameter, which the
-    /// operator's memo packs on first use. Not a rewrite.
+    /// operator's memo packs on first use. Not a rewrite; kept because the
+    /// spine benchmark reports it as `graph.filters_packed`.
     pub filters_packed: usize,
     /// Nodes folded to constants.
     pub folded: usize,
@@ -117,11 +111,7 @@ pub struct CompileReport {
 impl CompileReport {
     /// Total rewrites applied.
     pub fn rewrites(&self) -> usize {
-        self.conv_retagged
-            + self.folded
-            + self.merged
-            + self.fused_elementwise
-            + self.fused_epilogues
+        self.folded + self.merged + self.fused_elementwise + self.fused_epilogues
     }
 }
 
@@ -179,13 +169,17 @@ pub fn compile(
         ..CompileReport::default()
     };
 
-    let before = net.to_ir();
-    let lr = layout::select_conv_layouts(net, input_shapes)?;
-    report.conv_retagged = lr.retagged;
-    report.filters_packed = lr.packed;
-    if lr.rewrites() > 0 {
-        gate_pass("layout", &before, net, input_shapes)?;
-    }
+    report.filters_packed = net
+        .nodes()
+        .filter(|(_, n)| {
+            n.op_type == "Conv2d"
+                && matches!(
+                    ConvAlgorithm::parse(n.attrs.str_or("algorithm", "direct")),
+                    Ok(ConvAlgorithm::Direct)
+                )
+                && n.inputs.get(1).is_some_and(|w| net.is_parameter(w))
+        })
+        .count();
     if opts.freeze_params {
         let before = net.to_ir();
         report.folded = passes::constant_fold(net, true)?;
@@ -261,6 +255,54 @@ mod tests {
                 "compiled output '{name}' must be bit-identical"
             );
         }
+    }
+
+    #[test]
+    fn packed_network_is_bit_identical_and_still_verifies() {
+        let net = models::lenet(1, 28, 10, 7).unwrap();
+        let x: Vec<f32> = (0..28 * 28).map(|i| (i as f32 * 0.05).sin()).collect();
+        let feeds = [
+            ("x", Tensor::from_vec([1, 1, 28, 28], x).unwrap()),
+            ("labels", Tensor::from_slice(&[4.0])),
+        ];
+        let mut reference =
+            ReferenceExecutor::construct(net.clone_structure(), usize::MAX).unwrap();
+        let expect = reference.inference(&feeds).unwrap();
+
+        // `compile` ends on the full shape-aware verifier gate.
+        let mut compiled = net.clone_structure();
+        let shapes = [
+            ("x", Shape::new(&[1, 1, 28, 28])),
+            ("labels", Shape::new(&[1])),
+        ];
+        let report = compile(&mut compiled, &shapes, &CompileOptions::inference()).unwrap();
+        assert_eq!(
+            report.filters_packed, 2,
+            "both LeNet convs ride the direct tier"
+        );
+        let mut ex = ReferenceExecutor::construct(compiled, usize::MAX).unwrap();
+        let got = ex.inference(&feeds).unwrap();
+        for (name, t) in &expect {
+            let gb: Vec<u32> = got[name].data().iter().map(|v| v.to_bits()).collect();
+            let eb: Vec<u32> = t.data().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(gb, eb, "output '{name}' drifted under compilation");
+        }
+    }
+
+    #[test]
+    fn only_direct_convs_count_as_packed_filters() {
+        let mut net = crate::builder::NetworkBuilder::image_input("e", 2, 12, 12, 1)
+            .conv_with_algo(8, 5, 1, 0, "im2col")
+            .conv_with_algo(4, 5, 1, 0, "im2col")
+            .conv(4, 3, 1, 0)
+            .build()
+            .unwrap();
+        let shapes = [("x", Shape::new(&[1, 2, 12, 12]))];
+        let report = compile(&mut net, &shapes, &CompileOptions::training()).unwrap();
+        assert_eq!(
+            report.filters_packed, 1,
+            "only the direct conv packs its filter"
+        );
     }
 
     #[test]

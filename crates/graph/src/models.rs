@@ -55,10 +55,10 @@ pub fn mlp(features: usize, hidden: &[usize], classes: usize, seed: u64) -> Resu
 /// not ImageNet accuracy).
 pub fn alexnet_like(in_c: usize, hw: usize, classes: usize, seed: u64) -> Result<Network> {
     NetworkBuilder::image_input("alexnet", in_c, hw, hw, seed)
-        .conv_with_algo(16, 5, 2, 2, "auto")
+        .conv(16, 5, 2, 2)
         .relu()
         .maxpool(2, 2)
-        .conv_with_algo(32, 3, 1, 1, "auto")
+        .conv(32, 3, 1, 1)
         .relu()
         .maxpool(2, 2)
         .flatten()
@@ -106,7 +106,7 @@ pub fn resnet_like(
             Attributes::new()
                 .with_int("stride", 1)
                 .with_int("pad", 1)
-                .with_str("algorithm", "auto"),
+                .with_str("algorithm", "direct"),
             &[input, &wname, &bname],
             &[output],
         )?;
@@ -415,13 +415,18 @@ mod tests {
     }
 
     #[test]
-    fn every_zoo_conv_is_auto_and_runs_the_direct_tier() {
+    fn every_zoo_conv_runs_the_direct_tier() {
         let mut widest = 0;
         for case in zoo() {
             let shapes = crate::transforms::infer_shapes(&case.net, &case.input_shapes()).unwrap();
             let ops = case.net.instantiate_ops().unwrap();
             for (id, node) in case.net.nodes().filter(|(_, n)| n.op_type == "Conv2d") {
-                assert_eq!(node.attrs.str_or("algorithm", ""), "auto", "{}", case.name);
+                assert_eq!(
+                    node.attrs.str_or("algorithm", ""),
+                    "direct",
+                    "{}",
+                    case.name
+                );
                 let ins: Vec<&Shape> = node.inputs.iter().map(|n| &shapes[n]).collect();
                 assert_eq!(
                     ops[&id].annotation(&ins).as_deref(),

@@ -93,10 +93,12 @@ pub struct MicrobatchReport {
     pub workspace_after: usize,
 }
 
-/// Rewrite every `Conv2d` node whose im2col workspace (at the batch implied
-/// by `input_shapes`) exceeds `capacity` into a micro-batched
-/// Split/Conv*/Concat subgraph. Framework-independent: operates purely on
-/// the portable graph, exactly as the paper's Level-1 code does.
+/// Rewrite every `Conv2d` node whose workspace at the batch implied by
+/// `input_shapes` (the whole-batch lowering buffer on the im2col tier, a
+/// per-image buffer on the direct tier) exceeds `capacity` into a
+/// micro-batched Split/Conv*/Concat subgraph. Framework-independent:
+/// operates purely on the portable graph, exactly as the paper's Level-1
+/// code does.
 ///
 /// Returns one report per transformed node.
 pub fn microbatch_convolutions(
@@ -252,7 +254,10 @@ mod tests {
         net.add_node(
             "conv",
             "Conv2d",
-            Attributes::new().with_int("stride", 1).with_int("pad", 1),
+            Attributes::new()
+                .with_int("stride", 1)
+                .with_int("pad", 1)
+                .with_str("algorithm", "im2col"),
             &["x", "w", "b"],
             &["y"],
         )

@@ -1,8 +1,10 @@
 //! Stored graphs that use the retired ahead-of-time filter layout — a
 //! `Conv2d` tagged `weights_packed` / `w_dims`, a rank-1 filter edge, a
-//! `PackConv2dFilter` node — are untrusted bytes like any other. Each case
-//! round-trips through d5nx and either runs exactly like its natural-layout
-//! twin or fails with a typed error; none panics.
+//! `PackConv2dFilter` node — or an `algorithm` attribute that is missing,
+//! the retired `auto` selector, or no tier at all, are untrusted bytes like
+//! any other. Each case round-trips through d5nx and either runs exactly
+//! like its natural-layout (or explicitly tiered) twin or fails with a
+//! typed error; none panics.
 
 use deep500_graph::compile::CompileOptions;
 use deep500_graph::format::{decode, encode};
@@ -114,4 +116,80 @@ fn a_pack_conv2d_filter_node_is_refused_on_decode() {
     };
     assert!(matches!(err, Error::NotFound(_)), "{err}");
     assert!(err.to_string().contains("PackConv2dFilter"), "{err}");
+}
+
+#[test]
+fn a_stored_unknown_conv_tier_decodes_and_is_refused_at_build() {
+    let attrs = conv_attrs().with_str("algorithm", "winograd");
+    let stored = roundtrip(&conv_net(attrs, filter(&[3, 2, 3, 3]))).unwrap();
+    for kind in [ExecutorKind::Reference, ExecutorKind::Planned] {
+        let err = run(stored.clone_structure(), kind).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{kind:?}: {err}");
+        assert!(
+            err.to_string().contains("algorithm = \"winograd\""),
+            "{kind:?}: {err}"
+        );
+    }
+}
+
+#[test]
+fn a_stored_auto_conv_runs_like_an_explicit_direct_one() {
+    let direct = conv_net(conv_attrs(), filter(&[3, 2, 3, 3]));
+    let auto = conv_net(
+        conv_attrs().with_str("algorithm", "auto"),
+        filter(&[3, 2, 3, 3]),
+    );
+    for kind in [ExecutorKind::Reference, ExecutorKind::Planned] {
+        let want = run(roundtrip(&direct).unwrap(), kind).unwrap();
+        let got = run(roundtrip(&auto).unwrap(), kind).unwrap();
+        assert_eq!(got, want, "{kind:?}");
+    }
+}
+
+#[test]
+fn a_conv_without_an_algorithm_attribute_runs_like_an_explicit_direct_one() {
+    let direct = conv_net(conv_attrs(), filter(&[3, 2, 3, 3]));
+    let bare = Attributes::new().with_int("stride", 1).with_int("pad", 1);
+    let bare = conv_net(bare, filter(&[3, 2, 3, 3]));
+    for kind in [ExecutorKind::Reference, ExecutorKind::Planned] {
+        let want = run(roundtrip(&direct).unwrap(), kind).unwrap();
+        let got = run(roundtrip(&bare).unwrap(), kind).unwrap();
+        assert_eq!(got, want, "{kind:?}");
+    }
+}
+
+#[test]
+fn an_unknown_gemm_tier_is_refused_and_a_missing_one_means_packed() {
+    let linear = |attrs: Attributes| {
+        let mut net = Network::new("stored_linear");
+        net.add_input("x");
+        net.add_parameter("w", filter(&[3, 4]));
+        net.add_parameter("b", Tensor::from_slice(&[0.1, -0.2, 0.3]));
+        net.add_node("fc", "Linear", attrs, &["x", "w", "b"], &["y"])
+            .unwrap();
+        net.add_output("y");
+        roundtrip(&net).unwrap()
+    };
+    let run_linear = |net: Network, kind| -> Result<Vec<u32>> {
+        let engine = Engine::builder(net).executor(kind).build()?;
+        let x = Tensor::from_vec([2, 4], (0..8).map(|i| (i as f32 * 0.3).cos()).collect())?;
+        let y = engine.session().infer(&[("x", x)])?.remove("y").unwrap();
+        Ok(y.data().iter().map(|v| v.to_bits()).collect())
+    };
+    for kind in [ExecutorKind::Reference, ExecutorKind::Planned] {
+        let unknown = Attributes::new().with_str("algorithm", "strassen");
+        let err = run_linear(linear(unknown), kind).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{kind:?}: {err}");
+        assert!(
+            err.to_string().contains("algorithm = \"strassen\""),
+            "{kind:?}: {err}"
+        );
+        let packed = Attributes::new().with_str("algorithm", "packed");
+        let want = run_linear(linear(packed), kind).unwrap();
+        assert_eq!(
+            run_linear(linear(Attributes::new()), kind).unwrap(),
+            want,
+            "{kind:?}"
+        );
+    }
 }

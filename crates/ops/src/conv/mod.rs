@@ -5,9 +5,11 @@
 //! fast; the Level-1 micro-batch experiment even assigns *different*
 //! algorithms to different micro-batch sizes (Fig. 7). We keep the two
 //! interchangeable algorithms the tracked `BENCH_conv.json` sweep ever
-//! ranks first, plus a selector that follows it:
+//! ranks first, and a graph names the one that runs (a missing `algorithm`
+//! attribute means the direct tier, an unknown one is refused):
 //!
-//! * [`ConvAlgorithm::Direct`] — the fast tier ([`direct`]): implicit-GEMM
+//! * [`ConvAlgorithm::Direct`] — the fast tier ([`direct`]), fastest on
+//!   every tracked shape: implicit-GEMM
 //!   convolution in an NCHWc blocked layout driving the packed SIMD GEMM
 //!   microkernel, with the filter packed once per weight version (one
 //!   memo per op instance, the only place a filter is packed), no
@@ -21,17 +23,10 @@
 //!   paper's figure), sharing the Level-0 GEMM kernels; it sums in a
 //!   different grouping than the direct tier, which is what keeps the
 //!   paper's ℓ∞ cross-implementation comparisons non-trivial (the scalar
-//!   [`forward_reference`] is the third, bit-transparent, arithmetic),
-//! * [`ConvAlgorithm::Auto`] — whatever the sweep ranks first, which since
-//!   the window lowering is the direct tier on every tracked shape: the
-//!   one class it used to give to im2col (an output narrower than a
-//!   register tile, row `tiny_p_tail3x3`) was lost to the gather the
-//!   direct tier no longer does. The `auto` row of `BENCH_conv.json` is
-//!   gated to stay within 5 % of the best explicit tier on every shape, so
-//!   a shape class that turns up faster on im2col fails the bench rather
-//!   than going unnoticed, and the choice is reported through
-//!   [`Operator::annotation`] so per-op trace attribution records which
-//!   tier actually ran.
+//!   [`forward_reference`] is the third, bit-transparent, arithmetic).
+//!
+//! The tier is reported through [`Operator::annotation`] so per-op trace
+//! attribution records which one ran.
 //!
 //! The backward pass ([`backward_direct`]) is shared by the tiers: `dX`
 //! through the blocked GEMM lowering, `dW` through it too on wide layers
@@ -55,11 +50,8 @@ use std::sync::Arc;
 /// Convolution algorithm selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConvAlgorithm {
-    /// The tier `BENCH_conv.json` ranks first — on every tracked shape,
-    /// [`ConvAlgorithm::Direct`].
-    Auto,
-    Direct,
     #[default]
+    Direct,
     Im2col,
 }
 
@@ -67,20 +59,23 @@ impl ConvAlgorithm {
     /// The registry `algorithm` attribute value naming this variant.
     pub fn attr_name(self) -> &'static str {
         match self {
-            ConvAlgorithm::Auto => "auto",
             ConvAlgorithm::Direct => "direct",
             ConvAlgorithm::Im2col => "im2col",
         }
     }
 
-    /// Parse a registry `algorithm` attribute value (unknown → Im2col,
-    /// matching the registry's historical default — which is also how a
-    /// stored graph naming a tier that no longer exists keeps loading).
-    pub fn parse(s: &str) -> ConvAlgorithm {
+    /// Parse a registry `algorithm` attribute value. Any name that is not
+    /// a tier is refused, never run on some other tier.
+    pub fn parse(s: &str) -> Result<ConvAlgorithm> {
         match s {
-            "auto" => ConvAlgorithm::Auto,
-            "direct" => ConvAlgorithm::Direct,
-            _ => ConvAlgorithm::Im2col,
+            "direct" => Ok(ConvAlgorithm::Direct),
+            // The retired tier selector's name, which resolved to the
+            // direct tier on every shape: stored graphs still carry it.
+            "auto" => Ok(ConvAlgorithm::Direct),
+            "im2col" => Ok(ConvAlgorithm::Im2col),
+            other => Err(Error::Invalid(format!(
+                "Conv2d attribute algorithm = \"{other}\" names no tier (direct, im2col)"
+            ))),
         }
     }
 }
@@ -176,21 +171,6 @@ impl Conv2dOp {
         Ok((n, c, h, wd, co, kh, kw, ho, wo))
     }
 
-    /// The algorithm that will actually execute: `Auto` resolved.
-    pub fn resolved_algo(&self) -> ConvAlgorithm {
-        match self.algo {
-            ConvAlgorithm::Auto => ConvAlgorithm::Direct,
-            explicit => explicit,
-        }
-    }
-
-    /// [`Self::resolved_algo`] from raw input shapes — the entry point the
-    /// graph compiler's layout pass uses to pin each conv's tier ahead of
-    /// time from statically inferred shapes.
-    pub fn resolved_algo_for(&self, x: &Shape, w: &Shape) -> Result<ConvAlgorithm> {
-        self.dims(x, w).map(|_| self.resolved_algo())
-    }
-
     /// Pack (or fetch the memoized packing of) the filter.
     fn packed_filter(&self, w: &Tensor, co: usize, k: usize) -> Arc<direct::PackedFilter> {
         self.cache
@@ -206,10 +186,9 @@ impl Operator for Conv2dOp {
         3
     }
     fn effects(&self) -> crate::operator::OpEffects {
-        // The direct tier (reachable via an explicit `direct` tag or `Auto`
-        // resolution) memoizes the MR-blocked filter keyed on input 1's
-        // version stamp.
-        let memo = self.resolved_algo() == ConvAlgorithm::Direct;
+        // The direct tier memoizes the MR-blocked filter keyed on input
+        // 1's version stamp.
+        let memo = self.algo == ConvAlgorithm::Direct;
         crate::operator::OpEffects {
             version_memo_inputs: if memo { vec![1] } else { Vec::new() },
             mutated_inputs: Vec::new(),
@@ -230,12 +209,12 @@ impl Operator for Conv2dOp {
         let g = self.geometry;
         let d = self.dims(x.shape(), w.shape())?;
         let (_, c, _, _, co, kh, kw, _, _) = d;
-        let out = match self.resolved_algo() {
+        let out = match self.algo {
             ConvAlgorithm::Direct => {
                 let pf = self.packed_filter(w, co, c * kh * kw);
                 direct::forward_direct_packed(x, &pf.data, co, kh, kw, b, g, self.relu)?
             }
-            _ => {
+            ConvAlgorithm::Im2col => {
                 let mut y = forward_im2col(x, w, b, g)?;
                 if self.relu {
                     relu_inplace(&mut y);
@@ -308,9 +287,9 @@ impl Operator for Conv2dOp {
                     wo,
                     g: self.geometry,
                 };
-                match self.resolved_algo() {
+                match self.algo {
                     ConvAlgorithm::Direct => direct::workspace_floats(co, &lw) * 4,
-                    _ => n * lw.k() * ho * wo * 4,
+                    ConvAlgorithm::Im2col => n * lw.k() * ho * wo * 4,
                 }
             }
             Err(_) => 0,
@@ -332,9 +311,9 @@ impl Operator for Conv2dOp {
         let lowering = match self.dims(s[0], s[1]) {
             Ok(d) => {
                 let (n, c, _, _, _, kh, kw, ho, wo) = d;
-                match self.resolved_algo() {
+                match self.algo {
                     ConvAlgorithm::Direct => 0,
-                    _ => 2 * n * c * kh * kw * ho * wo,
+                    ConvAlgorithm::Im2col => 2 * n * c * kh * kw * ho * wo,
                 }
             }
             Err(_) => 0,
@@ -343,7 +322,7 @@ impl Operator for Conv2dOp {
     }
     fn annotation(&self, s: &[&Shape]) -> Option<String> {
         self.dims(s[0], s[1]).ok()?;
-        let mut note = format!("tier={}", self.resolved_algo().attr_name());
+        let mut note = format!("tier={}", self.algo.attr_name());
         if self.relu {
             note.push_str("+relu");
         }
@@ -786,32 +765,16 @@ mod tests {
     }
 
     #[test]
-    fn auto_resolves_by_shape() {
-        let auto = |x: [usize; 4], w: [usize; 4]| {
-            Conv2dOp::new(1, 1, ConvAlgorithm::Auto)
-                .resolved_algo_for(&Shape::new(&x), &Shape::new(&w))
-                .unwrap()
-        };
-        // Wide 3x3 stride-1 (the BENCH_conv body cells) and 5x5 alike.
-        assert_eq!(auto([1, 32, 8, 8], [32, 32, 3, 3]), ConvAlgorithm::Direct);
-        assert_eq!(auto([1, 8, 14, 14], [16, 8, 5, 5]), ConvAlgorithm::Direct);
-        // A reduction shallower than a microkernel tile is still direct
-        // (BENCH_conv `tiny_k_rgb1x1`) ...
-        assert_eq!(auto([1, 1, 4, 4], [2, 1, 1, 1]), ConvAlgorithm::Direct);
-        // ... and so, now that it gathers nothing, is an output narrower
-        // than one (`tiny_p_tail3x3`: direct 0.024 ms, im2col 0.036 ms).
-        assert_eq!(auto([1, 64, 2, 2], [64, 64, 3, 3]), ConvAlgorithm::Direct);
-    }
-
-    #[test]
-    fn a_stored_winograd_attribute_loads_as_im2col() {
-        assert_eq!(ConvAlgorithm::parse("winograd"), ConvAlgorithm::Im2col);
-        for algo in [
-            ConvAlgorithm::Auto,
-            ConvAlgorithm::Direct,
-            ConvAlgorithm::Im2col,
-        ] {
-            assert_eq!(ConvAlgorithm::parse(algo.attr_name()), algo);
+    fn an_unknown_tier_name_is_refused_and_auto_reads_as_direct() {
+        let err = ConvAlgorithm::parse("winograd").unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
+        assert!(
+            err.to_string().contains("algorithm = \"winograd\""),
+            "{err}"
+        );
+        assert_eq!(ConvAlgorithm::parse("auto").unwrap(), ConvAlgorithm::Direct);
+        for algo in [ConvAlgorithm::Direct, ConvAlgorithm::Im2col] {
+            assert_eq!(ConvAlgorithm::parse(algo.attr_name()).unwrap(), algo);
         }
     }
 
@@ -851,7 +814,7 @@ mod tests {
 
     #[test]
     fn annotation_reports_resolved_tier() {
-        let op = Conv2dOp::new(1, 1, ConvAlgorithm::Auto).with_relu(true);
+        let op = Conv2dOp::new(1, 1, ConvAlgorithm::Direct).with_relu(true);
         let x = Shape::new(&[1, 8, 14, 14]);
         let w = Shape::new(&[16, 8, 5, 5]);
         let b = Shape::new(&[16]);

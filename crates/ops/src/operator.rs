@@ -113,8 +113,8 @@ pub trait Operator: Send + Sync {
     }
 
     /// Short human-readable note on *how* this operator will execute for
-    /// the given input shapes — e.g. the convolution tier picked by
-    /// [`ConvAlgorithm::Auto`](crate::conv::ConvAlgorithm) — surfaced in
+    /// the given input shapes — e.g. the convolution tier
+    /// ([`ConvAlgorithm`](crate::conv::ConvAlgorithm)) — surfaced in
     /// trace span args and the per-op attribution table so profiles show
     /// which code path actually ran. `None` (the default) when there is
     /// nothing interesting to report.

@@ -178,12 +178,15 @@ pub fn registered_ops() -> Vec<String> {
     names
 }
 
-fn parse_gemm_algo(attrs: &Attributes) -> Algorithm {
+fn parse_gemm_algo(attrs: &Attributes) -> Result<Algorithm> {
     match attrs.str_or("algorithm", "packed") {
-        "naive" => Algorithm::Naive,
-        "blocked" => Algorithm::Blocked,
-        "parallel" => Algorithm::Parallel,
-        _ => Algorithm::Packed,
+        "naive" => Ok(Algorithm::Naive),
+        "blocked" => Ok(Algorithm::Blocked),
+        "parallel" => Ok(Algorithm::Parallel),
+        "packed" => Ok(Algorithm::Packed),
+        other => Err(Error::Invalid(format!(
+            "GEMM attribute algorithm = \"{other}\" names no tier (naive, blocked, parallel, packed)"
+        ))),
     }
 }
 
@@ -191,10 +194,6 @@ fn parse_gemm_algo(attrs: &Attributes) -> Algorithm {
 /// (installed by the graph crate's epilogue-fusion transform).
 fn parse_gemm_epilogue(attrs: &Attributes) -> bool {
     attrs.str_or("epilogue", "") == "relu"
-}
-
-fn parse_conv_algo(attrs: &Attributes) -> ConvAlgorithm {
-    ConvAlgorithm::parse(attrs.str_or("algorithm", "im2col"))
 }
 
 fn register_builtins(r: &Registry) {
@@ -206,7 +205,7 @@ fn register_builtins(r: &Registry) {
         "MatMul",
         Arc::new(|a: &Attributes| {
             Ok(
-                Box::new(MatMulOp::new(parse_gemm_algo(a)).with_relu(parse_gemm_epilogue(a)))
+                Box::new(MatMulOp::new(parse_gemm_algo(a)?).with_relu(parse_gemm_epilogue(a)))
                     as Box<dyn Operator>,
             )
         }),
@@ -215,7 +214,7 @@ fn register_builtins(r: &Registry) {
         "Linear",
         Arc::new(|a: &Attributes| {
             Ok(
-                Box::new(LinearOp::new(parse_gemm_algo(a)).with_relu(parse_gemm_epilogue(a)))
+                Box::new(LinearOp::new(parse_gemm_algo(a)?).with_relu(parse_gemm_epilogue(a)))
                     as Box<dyn Operator>,
             )
         }),
@@ -227,7 +226,7 @@ fn register_builtins(r: &Registry) {
                 Conv2dOp::new(
                     a.int_or("stride", 1) as usize,
                     a.int_or("pad", 0) as usize,
-                    parse_conv_algo(a),
+                    ConvAlgorithm::parse(a.str_or("algorithm", "direct"))?,
                 )
                 .with_relu(parse_gemm_epilogue(a)),
             ) as Box<dyn Operator>)

@@ -299,10 +299,9 @@ fn request_spans_flow_into_the_trace_recorder() {
         .expect("serve spans export as a valid chrome trace");
 }
 
-/// A conv model (auto-tier LeNet) served behind dynamic batching replies
+/// A conv model (direct-tier LeNet) served behind dynamic batching replies
 /// bit-identically to a solo engine compiled down the whole fast path —
-/// layout-pinned direct tier, ahead-of-time packed filters, fused
-/// bias+ReLU epilogues. Exercises the contract end to end: batch
+/// memoized packed filters, fused bias+ReLU epilogues. Exercises the contract end to end: batch
 /// assembly, the direct conv tier's per-image independence, and every
 /// compile rewrite must preserve the exact float sequence.
 #[test]

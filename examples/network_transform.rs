@@ -20,7 +20,10 @@ fn main() {
     net.add_node(
         "bigconv",
         "Conv2d",
-        Attributes::new().with_int("stride", 1).with_int("pad", 1),
+        Attributes::new()
+            .with_int("stride", 1)
+            .with_int("pad", 1)
+            .with_str("algorithm", "im2col"),
         &["x", "w", "b"],
         &["y"],
     )

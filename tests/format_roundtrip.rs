@@ -100,7 +100,9 @@ fn microbatched_graph_roundtrips() {
     net.add_node(
         "conv",
         "Conv2d",
-        Attributes::new().with_int("pad", 1),
+        Attributes::new()
+            .with_int("pad", 1)
+            .with_str("algorithm", "im2col"),
         &["x", "w", "b"],
         &["y"],
     )

@@ -51,7 +51,10 @@ fn conv_net() -> Network {
     net.add_node(
         "conv",
         "Conv2d",
-        Attributes::new().with_int("stride", 1).with_int("pad", 1),
+        Attributes::new()
+            .with_int("stride", 1)
+            .with_int("pad", 1)
+            .with_str("algorithm", "im2col"),
         &["x", "w", "b"],
         &["y"],
     )
