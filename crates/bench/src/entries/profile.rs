@@ -25,6 +25,10 @@
 //! allreduce) and what that does to a CDSGD step;
 //! `sync_costs_less_than_a_step` gates the round trip against the step, and
 //! `planned_dp2_step_beats_reference` the two executors' two-rank steps.
+//! A fifth fills `pass_breakdown`: where one pass of the plan interpreter
+//! spends its time, per operator type, read from the executor's own
+//! `op_totals()`; its only gate, `pass_breakdown_within_the_pass`, is a
+//! sanity check that the operators' shares sum to at most the pass.
 //!
 //! Run with: `cargo run --release -p deep500-bench -- profile`
 
@@ -35,6 +39,7 @@ use deep500::dist::collectives::allreduce_ring;
 use deep500::dist::comm::ThreadCommunicator;
 use deep500::dist::optimizers::{dsgd::ConsistentDecentralized, DistributedOptimizer};
 use deep500::dist::{Communicator, DistributedRunner, NetworkModel, ThreadTransport, Variant};
+use deep500::graph::NodeId;
 use deep500::metrics::stats::Summary;
 use deep500::metrics::{validate_chrome_trace, Json, Phase, TraceRecorder};
 use deep500::prelude::*;
@@ -279,6 +284,142 @@ fn dist_rendezvous_row(kind: ExecutorKind) -> Json {
     ])
 }
 
+/// Operator types `pass_breakdown` gives a row of their own; every other
+/// type is summed under `other`.
+const BREAKDOWN_OPS: [&str; 6] = ["Conv2d", "BatchNorm", "MaxPool2d", "Relu", "Add", "Linear"];
+
+/// Each workload's operators take at most its pass: the shares of its
+/// operator rows (all but `residual`) sum to ≤ 1. A sum above one would
+/// mean the executor's totals count time twice or outside the pass.
+pub fn pass_breakdown_within_the_pass(rows: &[Json]) -> Verdict {
+    let mut workloads: Vec<&str> = rows.iter().map(|r| text(r, "workload")).collect();
+    workloads.dedup();
+    let over = workloads.into_iter().filter_map(|workload| {
+        let ops = rows
+            .iter()
+            .filter(|r| text(r, "workload") == workload && text(r, "op") != "residual");
+        let sum: f64 = ops.map(|r| num(r, "share")).sum();
+        (sum > 1.0).then(|| format!("{workload}: operator shares sum to {sum:.4}"))
+    });
+    unless(
+        "pass_breakdown_within_the_pass",
+        "on every workload the operator rows' shares of the pass sum to at most 1",
+        over.collect(),
+    )
+}
+
+/// Per-type seconds (forward + backward) the executor behind `engine` has
+/// accounted so far, in `BREAKDOWN_OPS` order with `other` last, and the
+/// calls behind them.
+fn op_seconds_by_type(engine: &Engine) -> [(f64, usize); BREAKDOWN_OPS.len() + 1] {
+    let ex = engine.lock();
+    let mut by_type = [(0.0, 0); BREAKDOWN_OPS.len() + 1];
+    for (id, t) in ex.op_totals() {
+        let op_type = ex.network().node(NodeId(id)).map(|n| n.op_type.as_str());
+        let slot = BREAKDOWN_OPS
+            .iter()
+            .position(|&op| Some(op) == op_type)
+            .unwrap_or(BREAKDOWN_OPS.len());
+        by_type[slot].0 += t.forward_s + t.backward_s;
+        by_type[slot].1 += t.forward_calls + t.backward_calls;
+    }
+    by_type
+}
+
+/// Where `passes` calls of `pass` on `engine` (a plan interpreter) spend
+/// their time: one row per operator type with its µs and calls per pass and
+/// its share of the pass, and a `residual` row for the pass time no
+/// operator accounts for. Warmed first, so that plan, packed filters and
+/// buffer pool are built.
+fn pass_breakdown(
+    workload: &str,
+    engine: &Engine,
+    passes: usize,
+    mut pass: impl FnMut(),
+) -> Vec<Json> {
+    (0..passes / 4 + 1).for_each(|_| pass());
+    let before = op_seconds_by_type(engine);
+    let start = std::time::Instant::now();
+    (0..passes).for_each(|_| pass());
+    let pass_us = start.elapsed().as_secs_f64() * 1e6 / passes as f64;
+    let after = op_seconds_by_type(engine);
+    let per_pass = after.iter().zip(before).map(|(a, b)| {
+        let us = (a.0 - b.0) * 1e6 / passes as f64;
+        (us, (a.1 - b.1) as f64 / passes as f64)
+    });
+    let mut ops: Vec<(&str, f64, f64)> = BREAKDOWN_OPS
+        .into_iter()
+        .chain(["other"])
+        .zip(per_pass)
+        .map(|(op, (us, calls))| (op, us, calls))
+        .collect();
+    let residual = pass_us - ops.iter().map(|&(_, us, _)| us).sum::<f64>();
+    ops.push(("residual", residual, 0.0));
+    ops.into_iter()
+        .map(|(op, us, calls)| {
+            Json::obj([
+                ("workload", Json::from(workload)),
+                ("op", Json::from(op)),
+                ("calls_per_pass", Json::fixed(calls, 2)),
+                ("us_per_pass", Json::fixed(us, 2)),
+                ("share", Json::fixed(us / pass_us, 4)),
+                ("pass_us", Json::fixed(pass_us, 2)),
+            ])
+        })
+        .collect()
+}
+
+/// `pass_breakdown` rows of `resnet_like(3, 32, 16, 2, 10)` inference at 1
+/// and 4 rows (spine `serve-conv-open`'s model and common batch sizes) and
+/// of one Adam training step of `lenet(3, 16, 10)` at 32 rows (spine
+/// `train-cnn`'s), each on a Planned engine of its own.
+fn pass_breakdown_rows() -> Vec<Json> {
+    let passes = if scale() == Scale::Smoke { 100 } else { 1000 };
+    let planned = |net| {
+        Engine::builder(net)
+            .executor(ExecutorKind::Planned)
+            .build()
+            .expect("build planned engine")
+    };
+    let mut rows = Vec::new();
+    for batch in [1, 4] {
+        let engine = planned(models::resnet_like(3, 32, 16, 2, 10, 23).expect("build resnet"));
+        let x: Vec<f32> = (0..batch * 3 * 32 * 32)
+            .map(|i| (i as f32 * 0.37).sin())
+            .collect();
+        let feeds = [
+            (
+                "x",
+                Tensor::from_vec([batch, 3, 32, 32], x).expect("x shape"),
+            ),
+            (
+                "labels",
+                Tensor::from_vec([batch], vec![1.0; batch]).expect("labels shape"),
+            ),
+        ];
+        let session = engine.session();
+        let workload = format!("resnet_like 3x32x32 c16 b2 forward, {batch} row(s)");
+        rows.extend(pass_breakdown(&workload, &engine, passes, || {
+            session.infer(&feeds).expect("resnet pass");
+        }));
+    }
+    let engine = planned(models::lenet(3, 16, 10, 24).expect("build lenet"));
+    let shape = deep500::tensor::Shape::new(&[3, 16, 16]);
+    let dataset = SyntheticDataset::new("pass-breakdown", shape, 10, 64, 0.3, 9);
+    let indices: Vec<usize> = (0..32).collect();
+    let batch = assemble_minibatch(&dataset, &indices).expect("assemble the batch");
+    let mut adam = Adam::new(1e-3);
+    rows.extend(pass_breakdown(
+        "lenet 3x16x16 Adam train step, 32 rows",
+        &engine,
+        passes / 4,
+        || {
+            train_step(&mut adam, &mut *engine.lock(), &batch).expect("train step");
+        },
+    ));
+    rows
+}
+
 pub fn run(report: &mut Report) {
     let recorder = TraceRecorder::new();
 
@@ -471,6 +612,11 @@ pub fn run(report: &mut Report) {
         ],
     );
     report.rows("dist_rendezvous", rows);
+
+    // ---- 5. Pass breakdown: where a pass's time goes, per operator type --
+    let rows = pass_breakdown_rows();
+    claims(report, [pass_breakdown_within_the_pass(&rows)]);
+    report.rows("pass_breakdown", rows);
 }
 
 #[cfg(test)]
@@ -483,6 +629,34 @@ mod tests {
             ("assemble_ms", interval(assemble)),
             ("wait_ms", interval(wait)),
         ])]
+    }
+
+    #[test]
+    fn pass_breakdown_shares_above_one_fail() {
+        let row = |workload: &str, op: &str, share: f64| {
+            Json::obj([
+                ("workload", Json::from(workload)),
+                ("op", Json::from(op)),
+                ("share", Json::fixed(share, 4)),
+            ])
+        };
+        let rows = |conv: f64| {
+            [
+                row("a", "Conv2d", 0.6),
+                row("a", "BatchNorm", 0.3),
+                row("a", "residual", 0.1),
+                row("b", "Conv2d", conv),
+                row("b", "other", 0.2),
+                row("b", "residual", 0.9),
+            ]
+        };
+        assert!(pass_breakdown_within_the_pass(&rows(0.7)).ok);
+        let v = pass_breakdown_within_the_pass(&rows(0.9));
+        assert!(
+            !v.ok && v.detail.contains("b: operator shares sum to 1.1000"),
+            "{}",
+            v.detail
+        );
     }
 
     #[test]

@@ -106,9 +106,29 @@ impl Pool2dOp {
         (o / wo) * self.stride * w + (o % wo) * self.stride
     }
 
+    /// Whether windows are the non-overlapping 2x2 tiles of the plane, which
+    /// `max_plane` and `max_plane_backward` walk two input rows at a time.
+    fn is_2x2(&self) -> bool {
+        self.kernel == 2 && self.stride == 2
+    }
+
     /// Max over each window of one input plane: `f32::max` folded from
-    /// `-inf` in row-major window order (so NaNs are ignored).
+    /// `-inf` in row-major window order (so NaNs are ignored). With
+    /// `kernel == stride == 2` each output row reads its two input rows
+    /// directly and folds `-inf.max(a).max(b).max(c).max(d)` — the same
+    /// operands in the same order, so the result is bitwise the general
+    /// loop's.
     fn max_plane(&self, xp: &[f32], w: usize, wo: usize, out: &mut [f32]) {
+        if self.is_2x2() {
+            for (orow, rows) in out.chunks_exact_mut(wo).zip(xp.chunks_exact(2 * w)) {
+                let (top, bottom) = rows.split_at(w);
+                let windows = top.chunks_exact(2).zip(bottom.chunks_exact(2));
+                for (v, (t, b)) in orow.iter_mut().zip(windows) {
+                    *v = f32::NEG_INFINITY.max(t[0]).max(t[1]).max(b[0]).max(b[1]);
+                }
+            }
+            return;
+        }
         let k = self.kernel;
         for (o, v) in out.iter_mut().enumerate() {
             let first = self.window_origin(o, w, wo);
@@ -142,8 +162,46 @@ impl Pool2dOp {
 
     /// Route each window's gradient to its first maximal element
     /// (cuDNN-style deterministic tie rule). A window with nothing above
-    /// `-inf` — all NaN or `-inf` — routes to its first element.
+    /// `-inf` — all NaN or `-inf` — routes to its first element. With
+    /// `kernel == stride == 2` the windows do not overlap, so each 2x2 tile
+    /// picks its element by selects and the tile is stored whole: `0.0 + g`
+    /// there and `0.0` elsewhere — what the general `+=` leaves in a zeroed
+    /// plane, a `-0.0` gradient landing as `+0.0`.
     fn max_plane_backward(&self, xp: &[f32], dyp: &[f32], w: usize, wo: usize, dxp: &mut [f32]) {
+        if self.is_2x2() {
+            let tiles = xp.chunks_exact(2 * w).zip(dxp.chunks_exact_mut(2 * w));
+            for ((rows, drows), grow) in tiles.zip(dyp.chunks_exact(wo)) {
+                let (top, bottom) = rows.split_at(w);
+                let (dtop, dbottom) = drows.split_at_mut(w);
+                for (j, &g) in grow.iter().enumerate() {
+                    let (l, r) = (2 * j, 2 * j + 1);
+                    let (a, b, c, d) = (top[l], top[r], bottom[l], bottom[r]);
+                    // The general scan's running maximum, and whether each
+                    // later element wins (rises strictly above it).
+                    let m1 = if a > f32::NEG_INFINITY {
+                        a
+                    } else {
+                        f32::NEG_INFINITY
+                    };
+                    let b_wins = b > m1;
+                    let m2 = if b_wins { b } else { m1 };
+                    let c_wins = c > m2;
+                    let m3 = if c_wins { c } else { m2 };
+                    let d_wins = d > m3;
+                    // The last winner takes the gradient; without one, `a`.
+                    let pd = d_wins;
+                    let pc = c_wins && !pd;
+                    let pb = b_wins && !c_wins && !pd;
+                    let pa = !(pb || pc || pd);
+                    let v = 0.0 + g;
+                    dtop[l] = if pa { v } else { 0.0 };
+                    dtop[r] = if pb { v } else { 0.0 };
+                    dbottom[l] = if pc { v } else { 0.0 };
+                    dbottom[r] = if pd { v } else { 0.0 };
+                }
+            }
+            return;
+        }
         let k = self.kernel;
         for (o, &g) in dyp.iter().enumerate() {
             let first = self.window_origin(o, w, wo);

@@ -268,3 +268,78 @@ proptest! {
         }
     }
 }
+
+/// Uniform values in [-1, 1) with about a third of the elements replaced by
+/// NaN, ±inf, ±0.0 or a repeated ±1.0 (ties). `dense` draws every element
+/// from the first five, so that windows of nothing but NaN and `-inf` come
+/// up too.
+fn planted_tensor(shape: &[usize], seed: u64, dense: bool) -> Tensor {
+    const PLANTED: [f32; 7] = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+    ];
+    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+    let mut t = Tensor::rand_uniform(shape, -1.0, 1.0, &mut rng);
+    for v in t.data_mut() {
+        if dense {
+            *v = PLANTED[rng.next_below(5)];
+        } else if rng.next_below(3) == 0 {
+            *v = PLANTED[rng.next_below(PLANTED.len())];
+        }
+    }
+    t
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `kernel == stride == 2` max pooling, forward and backward, is bitwise
+    /// a scalar walk over each window in row-major order: the output is
+    /// `f32::max` folded from `-inf`, and the gradient is added (`+=`) to
+    /// the first element strictly above everything before it (the first
+    /// element if nothing is above `-inf`). Odd extents drop their last row
+    /// or column.
+    #[test]
+    fn max_pool_2x2_is_bitwise_the_window_fold(
+        n in 1usize..4, c in 1usize..5, h in 2usize..13, w in 2usize..13, dense in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        let op = Pool2dOp::max(2, 2);
+        let x = planted_tensor(&[n, c, h, w], seed, dense);
+        let y = op.forward(&[&x]).unwrap();
+        let (ho, wo) = (h / 2, w / 2);
+        let dy = planted_tensor(&[n, c, ho, wo], seed ^ 5, false);
+        let dx = op.backward(&[&dy], &[&x], &[&y[0]]).unwrap();
+
+        let (xd, dyd) = (x.data(), dy.data());
+        let mut want_y = vec![0.0f32; n * c * ho * wo];
+        let mut want_dx = vec![0.0f32; n * c * h * w];
+        for p in 0..n * c {
+            for oh in 0..ho {
+                for ow in 0..wo {
+                    let o = (p * ho + oh) * wo + ow;
+                    let window = [(0, 0), (0, 1), (1, 0), (1, 1)]
+                        .map(|(fh, fw)| (p * h + 2 * oh + fh) * w + 2 * ow + fw);
+                    let (mut m, mut best, mut at) = (f32::NEG_INFINITY, f32::NEG_INFINITY, window[0]);
+                    for i in window {
+                        m = m.max(xd[i]);
+                        if xd[i] > best {
+                            (best, at) = (xd[i], i);
+                        }
+                    }
+                    want_y[o] = m;
+                    want_dx[at] += dyd[o];
+                }
+            }
+        }
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let what = format!("n={n} c={c} {h}x{w} dense={dense} seed={seed}");
+        prop_assert_eq!(bits(y[0].data()), bits(&want_y), "{} forward", what);
+        prop_assert_eq!(bits(dx[0].data()), bits(&want_dx), "{} backward", what);
+    }
+}

@@ -170,19 +170,24 @@ struct ShardState {
     /// Workers parked on `not_empty` with nothing to do, and workers
     /// waiting on it with a half-assembled `Dynamic` batch. `submit` wakes
     /// one idle worker, or everyone when someone is assembling (the
-    /// request may belong in that batch); a finished pass wakes only the
-    /// assemblers, whose early-fire condition it may have made true.
+    /// request may belong in that batch). A finished pass wakes nobody: it
+    /// retires as many `running` rows as `outstanding` ones, so no
+    /// assembler's early-fire condition changes.
     idle: usize,
     assembling: usize,
     /// Rows admitted but not yet delivered (queued + in assembling/running
-    /// batches). When an assembling batch holds every outstanding row, no
-    /// straggler can arrive before the replies go out — closed-loop
-    /// clients block on their tickets — so the batch fires immediately
-    /// instead of sleeping out the coalescing deadline. Decremented only
-    /// after delivery, so the count can over-estimate (never
-    /// under-estimate) what could still join: early fire stays
-    /// conservative.
+    /// batches). Decremented only after delivery.
     outstanding: usize,
+    /// Rows of batches a worker has taken from `next_batch` and not yet
+    /// delivered. They cannot join anyone's batch; the joinable rows are
+    /// `outstanding - running`, those queued or in a batch being assembled.
+    /// When an assembling batch holds every joinable row, no straggler can
+    /// arrive before the replies go out — closed-loop clients block on
+    /// their tickets — so the batch fires after a quiet grace instead of
+    /// sleeping out the coalescing deadline. Both counts fall together at
+    /// delivery, so a batch that never delivers (its worker unwound) leaves
+    /// the difference exact.
+    running: usize,
 }
 
 /// One model's admission queue + contract; shared by its workers.
@@ -274,6 +279,7 @@ impl Shard {
                     BatchPolicy::Single => {
                         self.publish_len(&st);
                         self.fired.full.fetch_add(1, Ordering::Relaxed);
+                        st.running += first.rows;
                         return Some(vec![first]);
                     }
                     BatchPolicy::Dynamic {
@@ -281,12 +287,13 @@ impl Shard {
                         max_delay,
                     } => (max_batch, first.enqueued + max_delay),
                 };
-                // When the batch covers every outstanding row, closed-loop
-                // clients are all blocked on these replies — nothing more
-                // is coming, so sleeping out `max_delay` only adds latency.
-                // A short grace wait (a sliver of the deadline) absorbs a
-                // burst still being admitted; once it expires quietly, fire
-                // early.
+                // When the batch covers every joinable row (outstanding
+                // rows not already running on a worker), closed-loop
+                // clients are all blocked on these replies or on passes
+                // under way — nothing more can join, so sleeping out
+                // `max_delay` only adds latency. A short grace wait (a
+                // sliver of the deadline) absorbs a burst still being
+                // admitted; once it expires quietly, fire early.
                 let grace = match self.policy {
                     BatchPolicy::Dynamic { max_delay, .. } => max_delay / 16,
                     BatchPolicy::Single => Duration::ZERO,
@@ -314,7 +321,7 @@ impl Shard {
                     if !st.open {
                         break &self.fired.closed;
                     }
-                    let covers_all = rows >= st.outstanding;
+                    let covers_all = rows >= st.outstanding - st.running;
                     if covers_all && grace_expired {
                         break &self.fired.quiet;
                     }
@@ -342,6 +349,7 @@ impl Shard {
                     }
                 };
                 reason.fetch_add(1, Ordering::Relaxed);
+                st.running += rows;
                 return Some(batch);
             }
             if !st.open {
@@ -430,17 +438,11 @@ impl Shard {
         if let Some(s) = sink.as_mut() {
             s.flush();
         }
-        // Replies are out: retire these rows from the outstanding count and
-        // wake any worker holding a half-assembled batch — its early-fire
-        // condition may have just become true. Idle workers stay asleep.
-        let assembling = {
-            let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.outstanding = st.outstanding.saturating_sub(batch_rows);
-            st.assembling > 0
-        };
-        if assembling {
-            self.not_empty.notify_all();
-        }
+        // Replies are out: retire these rows from both counts. The joinable
+        // rows do not change, so nobody is woken.
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        st.outstanding -= batch_rows;
+        st.running -= batch_rows;
     }
 }
 
@@ -611,6 +613,7 @@ impl ServerBuilder {
                     queue: VecDeque::new(),
                     open: true,
                     outstanding: 0,
+                    running: 0,
                     idle: 0,
                     assembling: 0,
                 }),

@@ -369,3 +369,72 @@ fn conv_model_replies_are_bit_identical_to_a_compiled_solo_engine() {
     }
     server.shutdown();
 }
+
+/// Rows running on one worker cannot join a batch another worker is
+/// assembling, so they must not hold that batch back: with one worker busy
+/// on a long pass, a lone request on the free worker fires after its quiet
+/// grace instead of sleeping out `max_delay` (which it did while the early-
+/// fire test counted every undelivered row).
+#[test]
+fn a_free_worker_fires_while_the_other_runs() {
+    const HW: usize = 40;
+    const HEAVY_ROWS: usize = 64;
+    // A 64-row `resnet_like(3, 40, 16, 2, 4)` pass takes 63-84 ms on a
+    // two-vCPU x86-64 host in release, also pinned to one core (≈ 1.8 s in
+    // debug): more than 3× this.
+    let max_delay = Duration::from_millis(20);
+    let resnet = models::resnet_like(3, HW, 16, 2, CLASSES, SEED).unwrap();
+    let feeds = |rows: usize| -> Vec<(String, Tensor)> {
+        let x: Vec<f32> = (0..rows * 3 * HW * HW)
+            .map(|j| (j as f32 * 0.013).sin())
+            .collect();
+        let labels: Vec<f32> = (0..rows).map(|i| (i % CLASSES) as f32).collect();
+        vec![
+            (
+                "x".to_string(),
+                Tensor::from_vec([rows, 3, HW, HW], x).unwrap(),
+            ),
+            (
+                "labels".to_string(),
+                Tensor::from_vec([rows], labels).unwrap(),
+            ),
+        ]
+    };
+    let server = Server::builder()
+        .model(
+            "resnet",
+            ModelConfig::new(resnet)
+                .executor(ExecutorKind::Planned)
+                .batched_input("x", &[3, HW, HW])
+                .batched_input("labels", &[])
+                .workers(2)
+                .policy(BatchPolicy::Dynamic {
+                    max_batch: 64,
+                    max_delay,
+                }),
+        )
+        .build()
+        .unwrap();
+    let heavy = server
+        .submit("resnet", &as_refs(&feeds(HEAVY_ROWS)))
+        .unwrap();
+    while server.stats("resnet").unwrap().batches < 1 {
+        std::thread::yield_now();
+    }
+    let light = server.infer("resnet", &as_refs(&feeds(1))).unwrap();
+    assert_eq!(
+        server.stats("resnet").unwrap().served,
+        1,
+        "the heavy pass ended before the lone request was answered"
+    );
+    heavy.wait().unwrap();
+    assert_eq!(light.timing.batch_rows, 1);
+    assert!(
+        light.timing.queued_s < max_delay.as_secs_f64(),
+        "the lone request waited {:.1} ms for rows that were already running",
+        light.timing.queued_s * 1e3
+    );
+    let stats = server.stats("resnet").unwrap();
+    assert_eq!((stats.batches, stats.fired_deadline), (2, 0));
+    server.shutdown();
+}
