@@ -10,6 +10,7 @@
 use crate::conv::ConvGeometry;
 use crate::operator::Operator;
 use deep500_tensor::{Error, Result, Shape, Tensor};
+use std::hint::select_unpredictable;
 
 /// The pooling reduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,40 +165,27 @@ impl Pool2dOp {
     /// (cuDNN-style deterministic tie rule). A window with nothing above
     /// `-inf` — all NaN or `-inf` — routes to its first element. With
     /// `kernel == stride == 2` the windows do not overlap, so each 2x2 tile
-    /// picks its element by selects and the tile is stored whole: `0.0 + g`
-    /// there and `0.0` elsewhere — what the general `+=` leaves in a zeroed
-    /// plane, a `-0.0` gradient landing as `+0.0`.
+    /// picks its element by selects and stores `0.0 + g` there: what the
+    /// general `+=` leaves in a zeroed plane, a `-0.0` gradient landing as
+    /// `+0.0`.
     fn max_plane_backward(&self, xp: &[f32], dyp: &[f32], w: usize, wo: usize, dxp: &mut [f32]) {
         if self.is_2x2() {
-            let tiles = xp.chunks_exact(2 * w).zip(dxp.chunks_exact_mut(2 * w));
-            for ((rows, drows), grow) in tiles.zip(dyp.chunks_exact(wo)) {
-                let (top, bottom) = rows.split_at(w);
-                let (dtop, dbottom) = drows.split_at_mut(w);
+            for (i, grow) in dyp.chunks_exact(wo).enumerate() {
+                let (top, bottom) = xp[2 * i * w..][..2 * w].split_at(w);
                 for (j, &g) in grow.iter().enumerate() {
                     let (l, r) = (2 * j, 2 * j + 1);
-                    let (a, b, c, d) = (top[l], top[r], bottom[l], bottom[r]);
-                    // The general scan's running maximum, and whether each
-                    // later element wins (rises strictly above it).
-                    let m1 = if a > f32::NEG_INFINITY {
-                        a
-                    } else {
-                        f32::NEG_INFINITY
-                    };
-                    let b_wins = b > m1;
-                    let m2 = if b_wins { b } else { m1 };
-                    let c_wins = c > m2;
-                    let m3 = if c_wins { c } else { m2 };
-                    let d_wins = d > m3;
-                    // The last winner takes the gradient; without one, `a`.
-                    let pd = d_wins;
-                    let pc = c_wins && !pd;
-                    let pb = b_wins && !c_wins && !pd;
-                    let pa = !(pb || pc || pd);
-                    let v = 0.0 + g;
-                    dtop[l] = if pa { v } else { 0.0 };
-                    dtop[r] = if pb { v } else { 0.0 };
-                    dbottom[l] = if pc { v } else { 0.0 };
-                    dbottom[r] = if pd { v } else { 0.0 };
+                    // The general scan unrolled: `at` moves to each element
+                    // strictly above the running maximum. `f32::max` keeps
+                    // that maximum (a `±0.0` tie may keep either zero, which
+                    // no later `>` can tell apart), and the moves are
+                    // selects, not branches: which element wins is data.
+                    let m = f32::NEG_INFINITY.max(top[l]);
+                    let at = select_unpredictable(top[r] > m, 1, 0);
+                    let m = m.max(top[r]);
+                    let at = select_unpredictable(bottom[l] > m, 2, at);
+                    let m = m.max(bottom[l]);
+                    let at = select_unpredictable(bottom[r] > m, 3, at);
+                    dxp[(2 * i + at / 2) * w + l + at % 2] = 0.0 + g;
                 }
             }
             return;
