@@ -11,9 +11,10 @@
 //!
 //! Writes `BENCH_serve.json` with p50/p95/p99 latency, throughput,
 //! rejection counts, mean assembled batch size and why the shard closed
-//! each batch (`fired`: full / quiet / deadline / closed) per (model,
-//! loadgen, policy) cell; gates: every request accounted for, latency percentiles
-//! ordered, and dynamic batching coalesces under the closed-loop burst.
+//! each batch (`fired`: full / quiet) per (model, loadgen, policy) cell;
+//! gates: every request accounted for, latency percentiles ordered, dynamic
+//! batching coalesces under the closed-loop burst, and closed-loop dynamic
+//! throughput is not worse than single's on any model.
 //!
 //! A second table, `handoff`, prices the serving layer itself: one client's
 //! `Server::infer` against the solo `Session::infer` of the same feed, and
@@ -22,7 +23,7 @@
 //! Run with: `cargo run --release -p deep500-bench -- serve`
 //! (`D5_BENCH_SCALE=smoke` for the fast CI-sized run).
 
-use crate::rows::{claims, unless, Timing, Verdict};
+use crate::rows::{claims, num, select, text, unless, Timing, Verdict};
 use crate::{scale, time_rounds, Report, Scale, Subject};
 use deep500::graph::models::{feed_refs, zoo, ZooCase};
 use deep500::metrics::Json;
@@ -77,6 +78,29 @@ pub fn handoff_costs_less_than_two_passes(rows: &[Json]) -> Verdict {
         "a one-client request (CI upper bound) costs less than three solo passes of its model \
          (CI lower bound)",
         costly.collect(),
+    )
+}
+
+/// ROADMAP item 9's headline: a closed-loop `dynamic` cell serves at
+/// least 0.9 × the throughput of the `single` cell of its model. The
+/// detail names the cells that miss it.
+pub fn dynamic_not_worse_than_single(rows: &[Json]) -> Verdict {
+    let closed: Vec<&Json> = select(rows, "loadgen", "closed").collect();
+    let dynamic = closed
+        .iter()
+        .filter(|r| text(r, "policy").starts_with("dynamic"));
+    let slower = dynamic.filter_map(|cell| {
+        let (model, policy) = (text(cell, "model"), text(cell, "policy"));
+        let single = closed
+            .iter()
+            .find(|r| text(r, "model") == model && text(r, "policy") == "single")?;
+        let (d, s) = (num(cell, "throughput_rps"), num(single, "throughput_rps"));
+        (d < 0.9 * s).then(|| format!("{model} closed {policy}: {d:.0} rps vs single {s:.0} rps"))
+    });
+    unless(
+        "dynamic_not_worse_than_single",
+        "closed-loop dynamic throughput >= 0.9 x single's on every model",
+        slower.collect(),
     )
 }
 
@@ -230,8 +254,6 @@ pub fn run(report: &mut Report) {
                     Json::obj([
                         ("full", Json::from(c.stats.fired_full)),
                         ("quiet", Json::from(c.stats.fired_quiet)),
-                        ("deadline", Json::from(c.stats.fired_deadline)),
-                        ("closed", Json::from(c.stats.fired_closed)),
                     ]),
                 ),
             ])
@@ -254,6 +276,7 @@ pub fn run(report: &mut Report) {
             && c.policy_label.starts_with("dynamic")
             && c.summary.mean_batch_rows > 1.0
     });
+    let frontier = dynamic_not_worse_than_single(&rows);
     report
         .field("clients", clients)
         .field("open_rate_rps", open_rate)
@@ -291,7 +314,10 @@ pub fn run(report: &mut Report) {
     let rows = vec![handoff_row(
         &mlp.expect("mlp_small is in the zoo").at_batch(1),
     )];
-    claims(report, [handoff_costs_less_than_two_passes(&rows)]);
+    claims(
+        report,
+        [frontier, handoff_costs_less_than_two_passes(&rows)],
+    );
     report.rows("handoff", rows);
 }
 
@@ -315,5 +341,40 @@ mod tests {
         assert!(!v.ok && v.detail.contains("0.0230"), "{}", v.detail);
         // Under three passes at the medians, but the intervals do not show it.
         assert!(!handoff_costs_less_than_two_passes(&rows((0.0110, 0.0140), (0.0044, 0.0046))).ok);
+    }
+
+    #[test]
+    fn dynamic_at_single_speed_passes_and_a_slower_dynamic_cell_fails() {
+        let cell = |model: &str, loadgen: &str, policy: &str, rps: f64| {
+            Json::obj([
+                ("model", Json::from(model)),
+                ("loadgen", Json::from(loadgen)),
+                ("policy", Json::from(policy)),
+                ("throughput_rps", Json::from(rps)),
+            ])
+        };
+        let dynamic = "dynamic(b16,2000us)";
+        let rows = |mlp_dynamic: f64| {
+            [
+                cell("mlp_small", "closed", "single", 90_897.0),
+                cell("mlp_small", "closed", dynamic, mlp_dynamic),
+                // Open-loop cells are paced by the generator: not judged.
+                cell("mlp_small", "open", "single", 527.0),
+                cell("mlp_small", "open", dynamic, 100.0),
+                cell("lenet", "closed", "single", 33_759.0),
+                cell("lenet", "closed", dynamic, 42_349.0),
+            ]
+        };
+        // Work-conserving: 120 054 rps; a tenth under single still passes.
+        assert!(dynamic_not_worse_than_single(&rows(120_054.0)).ok);
+        assert!(dynamic_not_worse_than_single(&rows(82_000.0)).ok);
+        // A grace window per batch: 4 329 rps.
+        let v = dynamic_not_worse_than_single(&rows(4_329.0));
+        assert!(
+            !v.ok && v.detail.contains("mlp_small closed"),
+            "{}",
+            v.detail
+        );
+        assert!(!v.detail.contains("lenet"), "{}", v.detail);
     }
 }

@@ -23,15 +23,17 @@ pub enum BatchPolicy {
     /// graph output (aggregates included) in the reply. Works for any
     /// model, batchable or not.
     Single,
-    /// Deadline-bounded coalescing: a worker that picks up a request
-    /// waits up to `max_delay` (measured from the *first* request's
-    /// admission) for more, executes as soon as `max_batch` rows are
-    /// assembled, and splits per-sample outputs back out. Requires a
-    /// batchable [`BatchContract`](deep500_verify::BatchContract).
+    /// Work-conserving coalescing: a worker that picks up a request takes
+    /// every queued request behind it that fits under `max_batch` rows,
+    /// runs them as one pass at once, and splits per-sample outputs back
+    /// out. Nothing waits for company, so requests coalesce only while
+    /// every worker is busy. Requires a batchable
+    /// [`BatchContract`](deep500_verify::BatchContract).
     Dynamic {
         /// Upper bound on coalesced rows per pass.
         max_batch: usize,
-        /// How long the first queued request may wait for company.
+        /// Not read; kept because the frozen spine constructs it. Only
+        /// [`label`](BatchPolicy::label) prints it.
         max_delay: Duration,
     },
 }

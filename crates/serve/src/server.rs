@@ -4,9 +4,12 @@
 //! *shard*: a bounded admission queue plus a pool of worker threads. Every
 //! worker owns a replica [`Engine`] (identical parameters — replicas are
 //! [`Network::clone_structure`] copies of one seeded network) and drains
-//! the shard's queue, assembling deadline-bounded batches under the
-//! shard's [`BatchPolicy`]. The substrate is plain threads, mutexes and
-//! condvars — no async runtime — matching the rest of the workspace.
+//! the shard's queue under the shard's [`BatchPolicy`]. Batching is
+//! work-conserving: a worker that takes a request runs it at once, together
+//! with whatever else is queued and fits, and never waits for company.
+//! Requests coalesce only while every worker is busy, which is exactly when
+//! they queue. The substrate is plain threads, mutexes and condvars — no
+//! async runtime — matching the rest of the workspace.
 //!
 //! Requests change hands twice: client → worker (the queue) and worker →
 //! client (the [`Ticket`]). Waking a parked thread costs more than a small
@@ -45,7 +48,7 @@ use std::time::{Duration, Instant};
 /// Where a request's time went, measured by the worker that served it.
 #[derive(Debug, Clone, Copy)]
 pub struct RequestTiming {
-    /// Admission to batch assembly (queue + coalescing delay).
+    /// Admission to the moment a worker took the request's batch.
     pub queued_s: f64,
     /// The executor pass of the batch this request rode in.
     pub run_s: f64,
@@ -167,27 +170,10 @@ impl Drop for Pending {
 struct ShardState {
     queue: VecDeque<Pending>,
     open: bool,
-    /// Workers parked on `not_empty` with nothing to do, and workers
-    /// waiting on it with a half-assembled `Dynamic` batch. `submit` wakes
-    /// one idle worker, or everyone when someone is assembling (the
-    /// request may belong in that batch). A finished pass wakes nobody: it
-    /// retires as many `running` rows as `outstanding` ones, so no
-    /// assembler's early-fire condition changes.
+    /// Workers parked on `not_empty` with nothing to do. Only an empty
+    /// queue makes a worker wait, so `submit` wakes one of them and a
+    /// finished pass wakes nobody.
     idle: usize,
-    assembling: usize,
-    /// Rows admitted but not yet delivered (queued + in assembling/running
-    /// batches). Decremented only after delivery.
-    outstanding: usize,
-    /// Rows of batches a worker has taken from `next_batch` and not yet
-    /// delivered. They cannot join anyone's batch; the joinable rows are
-    /// `outstanding - running`, those queued or in a batch being assembled.
-    /// When an assembling batch holds every joinable row, no straggler can
-    /// arrive before the replies go out — closed-loop clients block on
-    /// their tickets — so the batch fires after a quiet grace instead of
-    /// sleeping out the coalescing deadline. Both counts fall together at
-    /// delivery, so a batch that never delivers (its worker unwound) leaves
-    /// the difference exact.
-    running: usize,
 }
 
 /// One model's admission queue + contract; shared by its workers.
@@ -218,8 +204,6 @@ struct Shard {
 struct Fired {
     full: AtomicUsize,
     quiet: AtomicUsize,
-    deadline: AtomicUsize,
-    closed: AtomicUsize,
 }
 
 /// Counters for one model's shard.
@@ -236,13 +220,8 @@ pub struct ShardStats {
     /// Batches closed because they were full: `max_batch` rows reached, the
     /// next queued request would not fit, or the policy is `Single`.
     pub fired_full: usize,
-    /// Batches closed early: a grace window expired quietly while the
-    /// batch covered every outstanding row.
+    /// Batches fired with the queue empty: every queued request rode along.
     pub fired_quiet: usize,
-    /// Batches closed because the oldest request's `max_delay` ran out.
-    pub fired_deadline: usize,
-    /// Batches closed because the shard stopped admitting.
-    pub fired_closed: usize,
 }
 
 impl Shard {
@@ -268,88 +247,35 @@ impl Shard {
         self.queued.store(st.queue.len(), Ordering::Relaxed);
     }
 
-    /// Pop the next deadline-bounded batch, blocking while the queue is
-    /// empty and open, and count why it was closed. `None` once the shard
-    /// is closed and drained.
+    /// Pop the next batch, blocking while the queue is empty and open, and
+    /// count why it was closed. `None` once the shard is closed and
+    /// drained. A `Dynamic` batch takes every queued request, in order,
+    /// that fits under `max_batch`, and fires at once.
     fn next_batch(&self) -> Option<Vec<Pending>> {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(first) = st.queue.pop_front() {
-                let (max_rows, deadline) = match self.policy {
-                    BatchPolicy::Single => {
-                        self.publish_len(&st);
-                        self.fired.full.fetch_add(1, Ordering::Relaxed);
-                        st.running += first.rows;
-                        return Some(vec![first]);
-                    }
-                    BatchPolicy::Dynamic {
-                        max_batch,
-                        max_delay,
-                    } => (max_batch, first.enqueued + max_delay),
-                };
-                // When the batch covers every joinable row (outstanding
-                // rows not already running on a worker), closed-loop
-                // clients are all blocked on these replies or on passes
-                // under way — nothing more can join, so sleeping out
-                // `max_delay` only adds latency. A short grace wait (a
-                // sliver of the deadline) absorbs a burst still being
-                // admitted; once it expires quietly, fire early.
-                let grace = match self.policy {
-                    BatchPolicy::Dynamic { max_delay, .. } => max_delay / 16,
-                    BatchPolicy::Single => Duration::ZERO,
+                let max_rows = match self.policy {
+                    // Nothing joins: the request runs alone, feeds verbatim.
+                    BatchPolicy::Single => 0,
+                    BatchPolicy::Dynamic { max_batch, .. } => max_batch,
                 };
                 let mut rows = first.rows;
                 let mut batch = vec![first];
-                let mut grace_expired = false;
-                let reason = loop {
-                    while rows < max_rows {
-                        let fits = st.queue.front().is_some_and(|p| rows + p.rows <= max_rows);
-                        if !fits {
-                            break;
-                        }
-                        let p = st.queue.pop_front().expect("front just checked");
-                        rows += p.rows;
-                        batch.push(p);
+                while let Some(p) = st.queue.front() {
+                    if rows + p.rows > max_rows {
+                        break;
                     }
-                    self.publish_len(&st);
-                    // Close the batch when it is full, when the next
-                    // request would not fit, or when the shard is closed
-                    // (serve what we have, don't wait for company).
-                    if rows >= max_rows || !st.queue.is_empty() {
-                        break &self.fired.full;
-                    }
-                    if !st.open {
-                        break &self.fired.closed;
-                    }
-                    let covers_all = rows >= st.outstanding - st.running;
-                    if covers_all && grace_expired {
-                        break &self.fired.quiet;
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break &self.fired.deadline;
-                    }
-                    let wait = if covers_all {
-                        grace.min(deadline - now)
-                    } else {
-                        deadline - now
-                    };
-                    st.assembling += 1;
-                    let (guard, timeout) = self
-                        .not_empty
-                        .wait_timeout(st, wait)
-                        .unwrap_or_else(|e| e.into_inner());
-                    st = guard;
-                    st.assembling -= 1;
-                    // A notification restarts the grace: the drain above
-                    // picks up what just landed and the next quiet grace
-                    // window closes the batch.
-                    if covers_all && timeout.timed_out() {
-                        grace_expired = true;
-                    }
+                    rows += p.rows;
+                    batch.push(st.queue.pop_front().expect("front just checked"));
+                }
+                self.publish_len(&st);
+                let reason = if rows >= max_rows || !st.queue.is_empty() {
+                    &self.fired.full
+                } else {
+                    &self.fired.quiet
                 };
                 reason.fetch_add(1, Ordering::Relaxed);
-                st.running += rows;
                 return Some(batch);
             }
             if !st.open {
@@ -438,11 +364,6 @@ impl Shard {
         if let Some(s) = sink.as_mut() {
             s.flush();
         }
-        // Replies are out: retire these rows from both counts. The joinable
-        // rows do not change, so nobody is woken.
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.outstanding -= batch_rows;
-        st.running -= batch_rows;
     }
 }
 
@@ -612,10 +533,7 @@ impl ServerBuilder {
                 state: Mutex::new(ShardState {
                     queue: VecDeque::new(),
                     open: true,
-                    outstanding: 0,
-                    running: 0,
                     idle: 0,
-                    assembling: 0,
                 }),
                 not_empty: Condvar::new(),
                 queued: AtomicUsize::new(0),
@@ -715,7 +633,7 @@ impl Server {
         let rows = shard.validate(&owned)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let ticket = Arc::new(TicketState::default());
-        let (assembling, idle) = {
+        let idle = {
             let mut st = shard.state.lock().unwrap_or_else(|e| e.into_inner());
             if !st.open {
                 return Err(ServeError::Shutdown);
@@ -727,7 +645,6 @@ impl Server {
                     capacity: shard.capacity,
                 });
             }
-            st.outstanding += rows;
             st.queue.push_back(Pending {
                 id,
                 feeds: owned,
@@ -736,14 +653,10 @@ impl Server {
                 ticket: ticket.clone(),
             });
             shard.publish_len(&st);
-            (st.assembling > 0, st.idle > 0)
+            st.idle > 0
         };
-        // An assembler may want this request in its batch, and `notify_one`
-        // could pick an idle worker instead; otherwise one idle worker is
-        // enough, and a polling or busy one needs no signal.
-        if assembling {
-            shard.not_empty.notify_all();
-        } else if idle {
+        // One idle worker is enough; a polling or busy one needs no signal.
+        if idle {
             shard.not_empty.notify_one();
         }
         Ok(Ticket { state: ticket, id })
@@ -774,8 +687,6 @@ impl Server {
             batches: s.batches.load(Ordering::Relaxed),
             fired_full: s.fired.full.load(Ordering::Relaxed),
             fired_quiet: s.fired.quiet.load(Ordering::Relaxed),
-            fired_deadline: s.fired.deadline.load(Ordering::Relaxed),
-            fired_closed: s.fired.closed.load(Ordering::Relaxed),
             queued: s
                 .state
                 .lock()
