@@ -41,7 +41,7 @@ use deep500::dist::optimizers::{dsgd::ConsistentDecentralized, DistributedOptimi
 use deep500::dist::{Communicator, DistributedRunner, NetworkModel, ThreadTransport, Variant};
 use deep500::graph::NodeId;
 use deep500::metrics::stats::Summary;
-use deep500::metrics::{validate_chrome_trace, Json, Phase, TraceRecorder};
+use deep500::metrics::{op_table, validate_chrome_trace, Json, Phase, TraceRecorder};
 use deep500::prelude::*;
 use std::sync::Arc;
 
@@ -523,7 +523,7 @@ pub fn run(report: &mut Report) {
     );
 
     // ---- Human-readable attribution --------------------------------------
-    println!("\n{}", recorder.attribution_table().render());
+    println!("\n{}", op_table(&attribution).render());
     let latency = log.dataset_latency().expect("batches were fetched");
 
     // ---- BENCH_profile.json ----------------------------------------------

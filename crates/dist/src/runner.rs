@@ -37,7 +37,7 @@ use crate::tracing::TracingCommunicator;
 use deep500_data::sampler::{DatasetSampler, ShardedSampler};
 use deep500_data::Dataset;
 use deep500_graph::{Engine, ExecutorKind, Network};
-use deep500_metrics::trace::{OpAttribution, TraceRecorder};
+use deep500_metrics::trace::{rank_by_total, OpAttribution, TraceRecorder};
 use deep500_metrics::{CommunicationVolume, FaultCounters};
 use deep500_tensor::{Error, Result};
 use deep500_train::sgd::GradientDescent;
@@ -254,28 +254,19 @@ impl RunReport {
             .collect()
     }
 
-    /// Per-operator attribution merged across all ranks (calls and wall
-    /// time summed by node id; per-call FLOPs/bytes are structural and
-    /// identical on every rank). Sorted by total time, descending.
+    /// Per-operator attribution merged across all ranks (calls, wall time
+    /// and forward FLOP/byte totals summed by node id; the latest per-call
+    /// figures are structural and identical on every rank), ranked by
+    /// [`rank_by_total`].
     pub fn op_attribution(&self) -> Vec<OpAttribution> {
         let mut merged: Vec<OpAttribution> = Vec::new();
         for row in self.ranks.iter().flat_map(|r| &r.op_attribution) {
             match merged.iter_mut().find(|m| m.id == row.id) {
-                Some(m) => {
-                    m.forward_calls += row.forward_calls;
-                    m.backward_calls += row.backward_calls;
-                    m.forward_s += row.forward_s;
-                    m.backward_s += row.backward_s;
-                }
+                Some(m) => m.merge(row),
                 None => merged.push(row.clone()),
             }
         }
-        merged.sort_by(|a, b| {
-            b.total_s()
-                .partial_cmp(&a.total_s())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.name.cmp(&b.name))
-        });
+        rank_by_total(&mut merged);
         merged
     }
 

@@ -12,8 +12,9 @@
 use crate::profile::FrameworkProfile;
 use deep500_graph::network::{Network, Node, NodeId};
 use deep500_graph::visitor::{traverse, NetworkVisitor};
-use deep500_graph::{GraphExecutor, NodeHook, OpTotals, ReferenceExecutor};
+use deep500_graph::{GraphExecutor, NodeHook, ReferenceExecutor};
 use deep500_metrics::event::EventList;
+use deep500_metrics::trace::OpAttribution;
 use deep500_ops::registry::Attributes;
 use deep500_tensor::{Result, Tensor};
 use std::collections::HashMap;
@@ -202,7 +203,7 @@ impl GraphExecutor for FrameworkExecutor {
         self.inner.peak_memory()
     }
 
-    fn op_totals(&self) -> HashMap<usize, OpTotals> {
+    fn op_totals(&self) -> HashMap<usize, OpAttribution> {
         self.inner.op_totals()
     }
 }

@@ -44,9 +44,10 @@
 //! pass runs it.
 
 use super::plan::{level_names, partition_levels, ExecutionPlan, PlanStep, ValueRef};
-use crate::executor::{GraphExecutor, MemoryAccountant, OpTotals};
+use crate::executor::{node_rows, rows_by_id, GraphExecutor, MemoryAccountant};
 use crate::network::{Network, NodeId};
 use deep500_metrics::event::{EventList, Phase};
+use deep500_metrics::trace::OpAttribution;
 use deep500_ops::{par, Operator};
 use deep500_tensor::{with_pool, BufferPool, Error, PoolStats, Result, Shape, Tensor};
 use std::collections::HashMap;
@@ -133,8 +134,8 @@ pub struct PlannedExecutor {
     memory: MemoryAccountant,
     pool: Arc<BufferPool>,
     pass_counter: usize,
-    /// Per-node totals, indexed by `NodeId.0`.
-    op_totals: Vec<OpTotals>,
+    /// One row per node, indexed by node id (Level-0 attribution).
+    rows: Vec<OpAttribution>,
 }
 
 impl PlannedExecutor {
@@ -148,7 +149,7 @@ impl PlannedExecutor {
     pub(crate) fn construct(network: Network, capacity: usize) -> Result<Self> {
         deep500_verify::gate(&network.to_ir())?;
         let ops = network.instantiate_ops()?;
-        let num_ids = ops.keys().map(|id| id.0 + 1).max().unwrap_or(0);
+        let rows = node_rows(&network, &[]);
         Ok(PlannedExecutor {
             network,
             ops,
@@ -157,7 +158,7 @@ impl PlannedExecutor {
             memory: MemoryAccountant::new(capacity),
             pool: Arc::new(BufferPool::new()),
             pass_counter: 0,
-            op_totals: vec![OpTotals::default(); num_ids],
+            rows,
         })
     }
 
@@ -247,7 +248,7 @@ impl PlannedExecutor {
             events,
             memory,
             pool,
-            op_totals,
+            rows,
             ..
         } = self;
         let plan = plan.as_ref().expect("ensure_plan ran");
@@ -281,7 +282,7 @@ impl PlannedExecutor {
                 let shapes: Vec<&Shape> = inputs.iter().map(|t| t.shape()).collect();
                 // The dispatch note is a `format!`; only the first call of
                 // a node keeps it, so only that call builds it.
-                let note = if op_totals[step.node.0].forward_calls == 0 {
+                let note = if rows[step.node.0].forward_calls == 0 {
                     op.annotation(&shapes)
                 } else {
                     None
@@ -307,9 +308,11 @@ impl PlannedExecutor {
             for (step, result) in level.iter().zip(results) {
                 let (outputs, seconds, (flops, bytes, note)) = result?;
                 events.span(Phase::OperatorForward, step.node.0, seconds);
-                let totals = &mut op_totals[step.node.0];
-                totals.record_note(note);
-                totals.record_forward(seconds, flops, bytes);
+                let row = &mut rows[step.node.0];
+                if let Some(note) = note {
+                    row.note = note;
+                }
+                row.record_forward(seconds, flops, bytes);
                 for (&oid, tensor) in step.outputs.iter().zip(outputs) {
                     env[oid] = Some(tensor);
                 }
@@ -452,7 +455,7 @@ impl PlannedExecutor {
         self.events.span(Phase::LossSeed, pass, seed_s);
         for (id, seconds) in spans {
             self.events.span(Phase::OperatorBackward, id, seconds);
-            self.op_totals[id].record_backward(seconds);
+            self.rows[id].record_backward(seconds);
         }
 
         // Publish parameter gradients into the network value store: the
@@ -548,11 +551,8 @@ impl GraphExecutor for PlannedExecutor {
         self.memory.peak()
     }
 
-    fn op_totals(&self) -> HashMap<usize, OpTotals> {
-        let totals = self.op_totals.iter().cloned().enumerate();
-        totals
-            .filter(|(_, t)| t.forward_calls + t.backward_calls > 0)
-            .collect()
+    fn op_totals(&self) -> HashMap<usize, OpAttribution> {
+        rows_by_id(&self.network, &self.rows)
     }
 
     fn buffer_pool_stats(&self) -> Option<PoolStats> {

@@ -24,7 +24,7 @@
 
 use crate::network::{Network, Node, NodeId};
 use deep500_metrics::event::{Event, EventList, Phase};
-use deep500_metrics::trace::{OpAttribution, TraceRecorder};
+use deep500_metrics::trace::{rank_by_total, OpAttribution, TraceRecorder};
 use deep500_ops::Operator;
 use deep500_tensor::{Error, Result, Shape, Tensor};
 use std::collections::{HashMap, HashSet};
@@ -175,48 +175,29 @@ pub(crate) fn wanted_grads(
         .collect()
 }
 
-/// Per-node execution totals accumulated by an executor across passes —
-/// the executor-side source of the Level-0 attribution rows.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OpTotals {
-    /// Declared analytical FLOPs of one forward call.
-    pub flops_per_call: f64,
-    /// Bytes moved (inputs + outputs) by one forward call.
-    pub bytes_per_call: u64,
-    /// Forward invocations so far.
-    pub forward_calls: usize,
-    /// Backward invocations so far.
-    pub backward_calls: usize,
-    /// Total forward wall time, seconds.
-    pub forward_s: f64,
-    /// Total backward wall time, seconds.
-    pub backward_s: f64,
-    /// The operator's self-reported dispatch annotation (e.g. a conv's
-    /// resolved tier, [`Operator::annotation`]), captured on the first
-    /// forward call; `None` for ops that report nothing.
-    pub note: Option<String>,
+/// One [`OpAttribution`] row per node slot of `network`, indexed by node
+/// id and named after the node: the rows an execution loop adds each
+/// call's measurement to. A row of `kept` whose node is still live carries
+/// over; a removed node's slot holds an unnamed row nothing reads.
+pub(crate) fn node_rows(network: &Network, kept: &[OpAttribution]) -> Vec<OpAttribution> {
+    let mut rows = Vec::new();
+    for (id, node) in network.nodes() {
+        rows.resize_with(id.0 + 1, OpAttribution::default);
+        rows[id.0] = match kept.get(id.0) {
+            Some(row) if row.name == node.name => row.clone(),
+            _ => OpAttribution::new(id.0, node.name.clone()),
+        };
+    }
+    rows
 }
 
-impl OpTotals {
-    pub(crate) fn record_forward(&mut self, seconds: f64, flops: f64, bytes: u64) {
-        self.forward_calls += 1;
-        self.forward_s += seconds;
-        self.flops_per_call = flops;
-        self.bytes_per_call = bytes;
-    }
-
-    /// Store the dispatch note from the first forward call (later calls
-    /// resolve identically — shapes are fixed per node).
-    pub(crate) fn record_note(&mut self, note: Option<String>) {
-        if self.note.is_none() {
-            self.note = note;
-        }
-    }
-
-    pub(crate) fn record_backward(&mut self, seconds: f64) {
-        self.backward_calls += 1;
-        self.backward_s += seconds;
-    }
+/// The rows of `network`'s live nodes, keyed by node id.
+pub(crate) fn rows_by_id(
+    network: &Network,
+    rows: &[OpAttribution],
+) -> HashMap<usize, OpAttribution> {
+    let live = network.nodes().filter_map(|(id, _)| rows.get(id.0));
+    live.map(|row| (row.id, row.clone())).collect()
 }
 
 /// The graph-execution interface (paper §IV-D).
@@ -258,9 +239,12 @@ pub trait GraphExecutor: Send {
         0
     }
 
-    /// Per-node execution totals accumulated so far, keyed by node id
-    /// (empty for executors that do not track them).
-    fn op_totals(&self) -> HashMap<usize, OpTotals> {
+    /// The executor's per-operator rows — one per node, named when the
+    /// executor was built, holding every call so far — keyed by node id
+    /// (empty for executors that do not track them). The same rows as
+    /// [`GraphExecutor::op_attribution`]; this keyed form stays because the
+    /// frozen `spine/` benchmark reads it.
+    fn op_totals(&self) -> HashMap<usize, OpAttribution> {
         HashMap::new()
     }
 
@@ -277,54 +261,20 @@ pub trait GraphExecutor: Send {
         None
     }
 
-    /// Fold [`GraphExecutor::op_totals`] into per-operator attribution
-    /// rows (wall time, FLOPs, bytes moved), named from the network and
-    /// sorted by descending total time.
+    /// The executor's per-operator rows (wall time, FLOPs, bytes moved,
+    /// dispatch note), ranked by [`rank_by_total`].
     fn op_attribution(&self) -> Vec<OpAttribution> {
-        let mut rows: Vec<OpAttribution> = self
-            .op_totals()
-            .into_iter()
-            .map(|(id, t)| OpAttribution {
-                name: self
-                    .network()
-                    .node(NodeId(id))
-                    .map(|n| n.name.clone())
-                    .unwrap_or_else(|| format!("op{id}")),
-                id,
-                forward_calls: t.forward_calls,
-                backward_calls: t.backward_calls,
-                forward_s: t.forward_s,
-                backward_s: t.backward_s,
-                flops_per_call: t.flops_per_call,
-                bytes_per_call: t.bytes_per_call,
-                note: t.note.unwrap_or_default(),
-            })
-            .collect();
-        rows.sort_by(|a, b| {
-            b.total_s()
-                .partial_cmp(&a.total_s())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.name.cmp(&b.name))
-        });
+        let mut rows: Vec<OpAttribution> = self.op_totals().into_values().collect();
+        rank_by_total(&mut rows);
         rows
     }
 
-    /// Register node names, per-call FLOP/byte figures, and dispatch
-    /// notes with a trace recorder, so operator spans export with real
-    /// names, attribute GFLOP/s and bytes moved, and carry dispatch
-    /// decisions (e.g. a conv's resolved tier) in their `args.detail`.
+    /// Hand the executor's rows to a trace recorder, so operator spans
+    /// export with real names, attribute GFLOP/s and bytes moved, and
+    /// carry dispatch decisions (e.g. a conv's resolved tier) in their
+    /// `args.detail`.
     fn annotate_trace(&self, recorder: &TraceRecorder) {
-        let totals = self.op_totals();
-        for (id, node) in self.network().nodes() {
-            let t = totals.get(&id.0).cloned().unwrap_or_default();
-            recorder.annotate_with_note(
-                id.0,
-                node.name.clone(),
-                t.flops_per_call,
-                t.bytes_per_call,
-                t.note.unwrap_or_default(),
-            );
-        }
+        recorder.annotate(self.op_totals().into_values());
     }
 }
 
@@ -366,8 +316,8 @@ pub struct ReferenceExecutor {
     events: EventList,
     memory: MemoryAccountant,
     pass_counter: usize,
-    /// Per-node execution totals across passes (Level-0 attribution).
-    op_totals: HashMap<usize, OpTotals>,
+    /// One row per node, indexed by node id (Level-0 attribution).
+    rows: Vec<OpAttribution>,
     hook: Option<Box<dyn NodeHook>>,
 }
 
@@ -387,6 +337,7 @@ impl ReferenceExecutor {
         let order = network.topological_order()?;
         let consumers = consumer_template(&network);
         let produced = produced_tensors(&network);
+        let rows = node_rows(&network, &[]);
         Ok(ReferenceExecutor {
             network,
             ops,
@@ -396,7 +347,7 @@ impl ReferenceExecutor {
             events: EventList::new(),
             memory: MemoryAccountant::new(capacity),
             pass_counter: 0,
-            op_totals: HashMap::new(),
+            rows,
             hook: None,
         })
     }
@@ -413,13 +364,15 @@ impl ReferenceExecutor {
 
     /// Re-derive operator instances and topological order after a graph
     /// transformation mutated the network. Re-runs the static verifier: a
-    /// transform that broke the graph is caught here, not mid-pass.
+    /// transform that broke the graph is caught here, not mid-pass. The
+    /// rows of nodes that survive keep their totals.
     pub fn refresh(&mut self) -> Result<()> {
         deep500_verify::gate(&self.network.to_ir())?;
         self.ops = self.network.instantiate_ops()?;
         self.order = self.network.topological_order()?;
         self.consumers = consumer_template(&self.network);
         self.produced = produced_tensors(&self.network);
+        self.rows = node_rows(&self.network, &self.rows);
         Ok(())
     }
 
@@ -475,11 +428,11 @@ impl ReferenceExecutor {
             let mut outputs = op.forward(&exec_refs)?;
             let seconds = start.elapsed().as_secs_f64();
             self.events.end(Phase::OperatorForward, id.0);
-            let totals = self.op_totals.entry(id.0).or_default();
-            if totals.forward_calls == 0 {
-                totals.record_note(op.annotation(&shapes));
+            let row = &mut self.rows[id.0];
+            if row.forward_calls == 0 {
+                row.note = op.annotation(&shapes).unwrap_or_default();
             }
-            totals.record_forward(seconds, flops, bytes);
+            row.record_forward(seconds, flops, bytes);
 
             let mut is_view = false;
             if let Some(hook) = self.hook.as_mut() {
@@ -621,10 +574,7 @@ impl GraphExecutor for ReferenceExecutor {
                 op.backward_wanted(&grad_refs, &input_refs, &output_tensors, &wanted)?;
             let seconds = start.elapsed().as_secs_f64();
             self.events.end(Phase::OperatorBackward, id.0);
-            self.op_totals
-                .entry(id.0)
-                .or_default()
-                .record_backward(seconds);
+            self.rows[id.0].record_backward(seconds);
 
             for (gname, gtensor) in node.inputs.iter().zip(input_grads) {
                 // `None`: an unwanted gradient the operator elided.
@@ -670,8 +620,8 @@ impl GraphExecutor for ReferenceExecutor {
         self.memory.peak()
     }
 
-    fn op_totals(&self) -> HashMap<usize, OpTotals> {
-        self.op_totals.clone()
+    fn op_totals(&self) -> HashMap<usize, OpAttribution> {
+        rows_by_id(&self.network, &self.rows)
     }
 }
 

@@ -44,7 +44,7 @@ pub mod visitor;
 
 pub use compile::{compile, CompileOptions, CompileReport, ExecutionPlan, PlannedExecutor};
 pub use engine::{Engine, EngineBuilder, EngineGuard, ExecutorKind, Session};
-pub use executor::{GraphExecutor, MemoryAccountant, NodeHook, OpTotals, ReferenceExecutor};
+pub use executor::{GraphExecutor, MemoryAccountant, NodeHook, ReferenceExecutor};
 pub use network::{Network, Node, NodeId};
 pub use visitor::NetworkVisitor;
 

@@ -16,12 +16,12 @@
 //!    network (the scheduling overhead bound of the issue's acceptance
 //!    criteria).
 
-use deep500_graph::{Engine, ExecutorKind, GraphExecutor, Network};
+use deep500_graph::{models, Engine, ExecutorKind, GraphExecutor, Network};
 use deep500_metrics::event::SharedEvent;
 use deep500_metrics::time::WallclockTime;
-use deep500_metrics::{Phase, TraceRecorder};
-use deep500_ops::registry::Attributes;
-use deep500_tensor::{Tensor, Xoshiro256StarStar};
+use deep500_metrics::{Json, Phase, TraceRecorder};
+use deep500_ops::registry::{create_op, Attributes};
+use deep500_tensor::{Shape, Tensor, Xoshiro256StarStar};
 
 /// x[B,I] → Linear → Linear → MseLoss, a pure chain: every wavefront level
 /// holds one op, so per-op times are disjoint and must sum to the pass.
@@ -74,7 +74,7 @@ fn feeds(batch: usize, inner: usize, seed: u64) -> (Tensor, Tensor) {
 }
 
 /// The worker-measured op duration reaches time-accumulating hooks intact.
-/// The identical f64 feeds both the executor's `OpTotals` and the
+/// The identical f64 feeds both the executor's per-operator rows and the
 /// `Event::span` call, so the sums must match bit-for-bit; the old default
 /// span-forwarding re-measured on the coordinator and breaks this.
 #[test]
@@ -206,4 +206,95 @@ fn wavefront_attribution_sums_to_backprop_phase() {
     assert!(stats.spans >= attribution.len() * passes * 2);
     assert!(json.contains("\"name\":\"fc1\""));
     assert!(json.contains("Backprop"));
+}
+
+/// A node served at several batch sizes — every dynamic-batching serve
+/// worker's case — is rated by the FLOPs and bytes of the calls it actually
+/// ran: three passes at batch 1 and one at batch 4 must not be rated as
+/// four passes at batch 4.
+#[test]
+fn mixed_batch_rows_total_the_flops_and_bytes_of_every_call() {
+    let (features, batches) = (16, [1, 1, 1, 4]);
+    let engine = Engine::builder(models::mlp(features, &[32], 4, 7).unwrap())
+        .executor(ExecutorKind::Planned)
+        .build()
+        .unwrap();
+    let session = engine.session();
+    for &batch in &batches {
+        let x = Tensor::ones([batch, features]);
+        let labels = Tensor::zeros([batch]);
+        session.infer(&[("x", x), ("labels", labels)]).unwrap();
+    }
+
+    let ex = engine.lock();
+    let rows = ex.op_totals();
+    let mut linears = 0;
+    for (id, node) in ex.network().nodes() {
+        if node.op_type != "Linear" {
+            continue;
+        }
+        linears += 1;
+        let op = create_op(&node.op_type, &node.attrs).unwrap();
+        let w = ex.network().fetch_tensor(&node.inputs[1]).unwrap();
+        let b = ex.network().fetch_tensor(&node.inputs[2]).unwrap();
+        let (mut flops, mut bytes) = (0.0, 0);
+        for &batch in &batches {
+            let x = Shape::new(&[batch, w.shape().dims()[1]]);
+            let shapes = [&x, w.shape(), b.shape()];
+            flops += op.flops(&shapes);
+            bytes += op.bytes_moved(&shapes);
+        }
+        let row = &rows[&id.0];
+        assert_eq!(row.forward_calls, batches.len(), "{}", row.name);
+        let expect = flops / row.forward_s / 1e9;
+        let got = row.gflops_per_s();
+        assert!(
+            (got - expect).abs() <= 1e-9 * expect,
+            "{}: {got} GFLOP/s, the calls it ran say {expect}",
+            row.name
+        );
+        assert_eq!(row.total_bytes(), bytes, "{}", row.name);
+    }
+    assert_eq!(linears, 2, "mlp with one hidden layer has two Linear nodes");
+}
+
+/// The Chrome export names and annotates every operator span from the
+/// executor's own row: its name, its per-call FLOPs, and its dispatch
+/// note, which carries a convolution's tier.
+#[test]
+fn chrome_operator_spans_read_the_executor_rows() {
+    let recorder = TraceRecorder::new();
+    let engine = Engine::builder(models::lenet(1, 28, 10, 5).unwrap())
+        .executor(ExecutorKind::Planned)
+        .trace(&recorder)
+        .build()
+        .unwrap();
+    let feeds = [
+        ("x", Tensor::ones([1, 1, 28, 28])),
+        ("labels", Tensor::from_slice(&[0.0])),
+    ];
+    engine.session().infer(&feeds).unwrap();
+    engine.annotate_trace();
+
+    let rows = engine.lock().op_totals();
+    let trace = Json::parse(&recorder.chrome_trace_json()).unwrap();
+    let events = trace.get("traceEvents").unwrap().as_array().unwrap();
+    let forward = events
+        .iter()
+        .filter(|e| e.get("cat").and_then(Json::as_str) == Some("OperatorForward"));
+    let (mut spans, mut tiers) = (0, 0);
+    for event in forward {
+        let args = event.get("args").unwrap();
+        let id = args.get("id").and_then(Json::as_f64).unwrap() as usize;
+        let row = &rows[&id];
+        assert_eq!(event.get("name").and_then(Json::as_str), Some(&*row.name));
+        let flops = args.get("flops").and_then(Json::as_f64).unwrap_or(0.0);
+        assert_eq!(flops, row.flops_per_call, "{}", row.name);
+        let detail = args.get("detail").and_then(Json::as_str).unwrap_or("");
+        assert_eq!(detail, row.note, "{}", row.name);
+        tiers += usize::from(detail.starts_with("tier="));
+        spans += 1;
+    }
+    assert_eq!(spans, rows.len(), "one forward span per node");
+    assert_eq!(tiers, 2, "both LeNet convs carry their tier");
 }

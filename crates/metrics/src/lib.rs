@@ -46,7 +46,10 @@ pub use json::Json;
 pub use report::Table;
 pub use stats::{ConfidenceInterval, Summary};
 pub use time::{Timer, WallclockTime};
-pub use trace::{validate_chrome_trace, OpAttribution, TraceRecorder, TraceSink, TraceSpan};
+pub use trace::{
+    op_table, rank_by_total, validate_chrome_trace, OpAttribution, TraceRecorder, TraceSink,
+    TraceSpan,
+};
 pub use variance::VarianceMap;
 
 /// The result of summarizing a metric: a single number, a series, a 2-D map,

@@ -21,9 +21,17 @@
 //!   taken once per pass per thread, never per operator.
 //!
 //! At report time the recorder exports a Chrome trace-event JSON file
-//! (loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev))
-//! and folds operator spans into a per-op attribution table with
-//! wall time, declared-FLOP-derived GFLOP/s, and bytes moved.
+//! (loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)).
+//!
+//! **One per-operator record.** [`OpAttribution`] is the Level-0 row:
+//! calls, wall time, declared FLOPs and bytes moved, and the operator's
+//! dispatch note. A graph executor is its one producer — it keeps one row
+//! per node and adds every call's measurement to it. Everything else reads
+//! those rows: [`TraceRecorder::annotate`] takes them to name operator
+//! spans in the Chrome export, [`rank_by_total`] orders them for reports
+//! and rank merges, and [`op_table`] renders them. The recorder's name
+//! table is keyed by node id alone, so two networks that annotate one
+//! recorder overwrite each other's names.
 
 use crate::event::{Event, Phase};
 use crate::json::{escape as escape_json, Json};
@@ -48,46 +56,76 @@ pub struct TraceSpan {
     pub bytes: u64,
 }
 
-/// Static per-node metadata used to name and attribute operator spans.
-#[derive(Debug, Clone, Default)]
-pub struct OpInfo {
-    /// Node name in the network.
-    pub name: String,
-    /// Declared analytical FLOPs of one forward call.
-    pub flops_per_call: f64,
-    /// Bytes moved (inputs + outputs) by one forward call.
-    pub bytes_per_call: u64,
-    /// Free-form operator annotation (e.g. a convolution's resolved
-    /// execution tier, `"tier=direct+relu"`); empty when the
-    /// operator reports none.
-    pub note: String,
-}
-
-/// One row of the per-operator attribution table.
+/// One operator's Level-0 record: the row a graph executor keeps per node
+/// and adds every call to, and the row traces, reports and rank merges
+/// read.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OpAttribution {
-    /// Node name (falls back to `op<id>` when unannotated).
+    /// Node name in the network.
     pub name: String,
-    /// Node id the row aggregates.
+    /// Node id the row belongs to.
     pub id: usize,
-    /// Number of forward spans folded in.
+    /// Forward calls so far.
     pub forward_calls: usize,
-    /// Number of backward spans folded in.
+    /// Backward calls so far.
     pub backward_calls: usize,
     /// Total forward wall time, seconds.
     pub forward_s: f64,
     /// Total backward wall time, seconds.
     pub backward_s: f64,
-    /// Declared FLOPs of one forward call (0 for unmodeled ops).
+    /// Declared FLOPs of the latest forward call (0 for unmodeled ops).
     pub flops_per_call: f64,
-    /// Bytes moved by one forward call.
+    /// Bytes moved (inputs + outputs) by the latest forward call.
     pub bytes_per_call: u64,
-    /// Operator annotation (dispatch decisions such as a conv's resolved
-    /// tier); empty when unannotated.
+    /// Declared FLOPs summed over every forward call, whatever batch size
+    /// each ran at.
+    pub forward_flops: f64,
+    /// Bytes moved, summed over every forward call.
+    pub forward_bytes: u64,
+    /// The operator's dispatch annotation (e.g. a convolution's resolved
+    /// tier, `"tier=direct+relu"`), taken from its first forward call;
+    /// empty when the operator reports none.
     pub note: String,
 }
 
 impl OpAttribution {
+    /// An empty row for node `id`.
+    pub fn new(id: usize, name: impl Into<String>) -> OpAttribution {
+        OpAttribution {
+            name: name.into(),
+            id,
+            ..OpAttribution::default()
+        }
+    }
+
+    /// Add one forward call of `seconds` that was declared at `flops` and
+    /// `bytes`.
+    pub fn record_forward(&mut self, seconds: f64, flops: f64, bytes: u64) {
+        self.forward_calls += 1;
+        self.forward_s += seconds;
+        self.flops_per_call = flops;
+        self.bytes_per_call = bytes;
+        self.forward_flops += flops;
+        self.forward_bytes += bytes;
+    }
+
+    /// Add one backward call of `seconds`.
+    pub fn record_backward(&mut self, seconds: f64) {
+        self.backward_calls += 1;
+        self.backward_s += seconds;
+    }
+
+    /// Add `other`'s calls, times and totals to this row (the same node
+    /// measured somewhere else, e.g. on another rank).
+    pub fn merge(&mut self, other: &OpAttribution) {
+        self.forward_calls += other.forward_calls;
+        self.backward_calls += other.backward_calls;
+        self.forward_s += other.forward_s;
+        self.backward_s += other.backward_s;
+        self.forward_flops += other.forward_flops;
+        self.forward_bytes += other.forward_bytes;
+    }
+
     /// Total attributed wall time (forward + backward), seconds.
     pub fn total_s(&self) -> f64 {
         self.forward_s + self.backward_s
@@ -96,7 +134,7 @@ impl OpAttribution {
     /// Achieved forward throughput in GFLOP/s (0 when unmeasurable).
     pub fn gflops_per_s(&self) -> f64 {
         if self.forward_s > 0.0 {
-            self.flops_per_call * self.forward_calls as f64 / self.forward_s / 1e9
+            self.forward_flops / self.forward_s / 1e9
         } else {
             0.0
         }
@@ -104,8 +142,46 @@ impl OpAttribution {
 
     /// Total bytes moved by the forward calls.
     pub fn total_bytes(&self) -> u64 {
-        self.bytes_per_call * self.forward_calls as u64
+        self.forward_bytes
     }
+}
+
+/// Order rows by descending total time, ties by name.
+pub fn rank_by_total(rows: &mut [OpAttribution]) {
+    rows.sort_by(|a, b| {
+        b.total_s()
+            .partial_cmp(&a.total_s())
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.name.cmp(&b.name))
+    });
+}
+
+/// Render rows as the standard report [`Table`], in the order given.
+pub fn op_table(rows: &[OpAttribution]) -> Table {
+    let mut t = Table::new(
+        "per-operator attribution",
+        &[
+            "op",
+            "fwd",
+            "bwd",
+            "fwd ms",
+            "bwd ms",
+            "GFLOP/s",
+            "bytes/call",
+        ],
+    );
+    for r in rows {
+        t.row(&[
+            r.name.clone(),
+            r.forward_calls.to_string(),
+            r.backward_calls.to_string(),
+            format!("{:.3}", r.forward_s * 1e3),
+            format!("{:.3}", r.backward_s * 1e3),
+            format!("{:.2}", r.gflops_per_s()),
+            r.bytes_per_call.to_string(),
+        ]);
+    }
+    t
 }
 
 /// Shared recorder state. Sinks hold an `Arc` to this; the mutexes are
@@ -114,8 +190,8 @@ struct TraceShared {
     origin: Instant,
     /// Merged spans per track (a track maps to one Chrome `tid`).
     tracks: Mutex<Vec<(String, Vec<TraceSpan>)>>,
-    /// Node id → metadata for naming/attributing operator spans.
-    ops: Mutex<HashMap<usize, OpInfo>>,
+    /// Node id → the executor's row, naming and annotating operator spans.
+    ops: Mutex<HashMap<usize, OpAttribution>>,
 }
 
 /// The shared tracing recorder. Clone it freely — clones record into the
@@ -155,39 +231,12 @@ impl TraceRecorder {
         }
     }
 
-    /// Attach metadata to node `id` so its operator spans export with a
-    /// real name and attribute FLOPs/bytes. Executors provide this via
-    /// `GraphExecutor::annotate_trace`.
-    pub fn annotate(
-        &self,
-        id: usize,
-        name: impl Into<String>,
-        flops_per_call: f64,
-        bytes_per_call: u64,
-    ) {
-        self.annotate_with_note(id, name, flops_per_call, bytes_per_call, "");
-    }
-
-    /// [`Self::annotate`] with an operator note (e.g. the dispatch tier a
-    /// convolution resolved to). The note rides along into attribution
-    /// rows and the Chrome export's span `args.detail`.
-    pub fn annotate_with_note(
-        &self,
-        id: usize,
-        name: impl Into<String>,
-        flops_per_call: f64,
-        bytes_per_call: u64,
-        note: impl Into<String>,
-    ) {
-        self.shared.ops.lock().expect("trace ops poisoned").insert(
-            id,
-            OpInfo {
-                name: name.into(),
-                flops_per_call,
-                bytes_per_call,
-                note: note.into(),
-            },
-        );
+    /// Register an executor's rows (`GraphExecutor::annotate_trace` passes
+    /// its own), so operator spans export with the node's name, its
+    /// per-call FLOPs and bytes, and its dispatch note in `args.detail`.
+    pub fn annotate(&self, rows: impl IntoIterator<Item = OpAttribution>) {
+        let mut ops = self.shared.ops.lock().expect("trace ops poisoned");
+        ops.extend(rows.into_iter().map(|row| (row.id, row)));
     }
 
     /// Snapshot of all merged spans, `(track, spans)` in registration
@@ -220,82 +269,6 @@ impl TraceRecorder {
             .filter(|s| s.phase == phase)
             .map(|s| s.dur_s)
             .sum()
-    }
-
-    /// Fold operator spans (`OperatorForward`/`OperatorBackward`) into the
-    /// per-op attribution table, sorted by descending total time.
-    pub fn attribution(&self) -> Vec<OpAttribution> {
-        let ops = self.shared.ops.lock().expect("trace ops poisoned");
-        let tracks = self.shared.tracks.lock().expect("trace poisoned");
-        let mut rows: HashMap<usize, OpAttribution> = HashMap::new();
-        for (_, spans) in tracks.iter() {
-            for s in spans {
-                let (fwd, bwd) = match s.phase {
-                    Phase::OperatorForward => (true, false),
-                    Phase::OperatorBackward => (false, true),
-                    _ => continue,
-                };
-                let row = rows.entry(s.id).or_insert_with(|| {
-                    let info = ops.get(&s.id).cloned().unwrap_or_default();
-                    OpAttribution {
-                        name: if info.name.is_empty() {
-                            format!("op{}", s.id)
-                        } else {
-                            info.name
-                        },
-                        id: s.id,
-                        flops_per_call: info.flops_per_call,
-                        bytes_per_call: info.bytes_per_call,
-                        note: info.note,
-                        ..OpAttribution::default()
-                    }
-                });
-                if fwd {
-                    row.forward_calls += 1;
-                    row.forward_s += s.dur_s;
-                }
-                if bwd {
-                    row.backward_calls += 1;
-                    row.backward_s += s.dur_s;
-                }
-            }
-        }
-        let mut rows: Vec<OpAttribution> = rows.into_values().collect();
-        rows.sort_by(|a, b| {
-            b.total_s()
-                .partial_cmp(&a.total_s())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.name.cmp(&b.name))
-        });
-        rows
-    }
-
-    /// Render the attribution as the standard report [`Table`].
-    pub fn attribution_table(&self) -> Table {
-        let mut t = Table::new(
-            "per-operator attribution",
-            &[
-                "op",
-                "fwd",
-                "bwd",
-                "fwd ms",
-                "bwd ms",
-                "GFLOP/s",
-                "bytes/call",
-            ],
-        );
-        for r in self.attribution() {
-            t.row(&[
-                r.name.clone(),
-                r.forward_calls.to_string(),
-                r.backward_calls.to_string(),
-                format!("{:.3}", r.forward_s * 1e3),
-                format!("{:.3}", r.backward_s * 1e3),
-                format!("{:.2}", r.gflops_per_s()),
-                r.bytes_per_call.to_string(),
-            ]);
-        }
-        t
     }
 
     /// Export everything merged so far as Chrome trace-event JSON (the
@@ -643,17 +616,14 @@ mod tests {
 
     #[test]
     fn attribution_aggregates_and_ranks() {
-        let rec = TraceRecorder::new();
-        rec.annotate(0, "mm", 2e9, 1024);
-        let mut sink = rec.sink("main");
-        sink.span(Phase::OperatorForward, 0, 1.0);
-        sink.span(Phase::OperatorForward, 0, 1.0);
-        sink.span(Phase::OperatorBackward, 0, 0.5);
-        sink.span(Phase::OperatorForward, 1, 0.25); // unannotated
-        sink.span(Phase::Inference, 9, 3.0); // not an operator span
-        drop(sink);
-        let rows = rec.attribution();
-        assert_eq!(rows.len(), 2);
+        let mut mm = OpAttribution::new(0, "mm");
+        mm.record_forward(1.0, 2e9, 1024);
+        mm.record_forward(1.0, 2e9, 1024);
+        mm.record_backward(0.5);
+        let mut small = OpAttribution::new(1, "small");
+        small.record_forward(0.25, 1e6, 16);
+        let mut rows = vec![small, mm];
+        rank_by_total(&mut rows);
         assert_eq!(rows[0].name, "mm");
         assert_eq!(rows[0].forward_calls, 2);
         assert_eq!(rows[0].backward_calls, 1);
@@ -661,9 +631,26 @@ mod tests {
         // 2 calls * 2 GFLOP in 2 s = 2 GFLOP/s.
         assert!((rows[0].gflops_per_s() - 2.0).abs() < 1e-9);
         assert_eq!(rows[0].total_bytes(), 2048);
-        assert_eq!(rows[1].name, "op1");
-        let table = rec.attribution_table().render();
+        assert_eq!(rows[1].name, "small");
+        let table = op_table(&rows).render();
         assert!(table.contains("mm"));
+    }
+
+    #[test]
+    fn rows_total_every_call_at_its_own_size() {
+        // One call at 1 GFLOP, one at 4: the latest call's figures stay
+        // per-call, the totals carry both.
+        let mut row = OpAttribution::new(0, "fc");
+        row.record_forward(1.0, 1e9, 100);
+        row.record_forward(1.0, 4e9, 400);
+        assert_eq!((row.flops_per_call, row.bytes_per_call), (4e9, 400));
+        assert!((row.gflops_per_s() - 2.5).abs() < 1e-12);
+        assert_eq!(row.total_bytes(), 500);
+        let mut merged = row.clone();
+        merged.merge(&row);
+        assert_eq!(merged.forward_calls, 4);
+        assert_eq!(merged.total_bytes(), 1000);
+        assert!((merged.gflops_per_s() - 2.5).abs() < 1e-12);
     }
 
     #[test]
@@ -682,7 +669,11 @@ mod tests {
     #[test]
     fn chrome_export_validates_and_names_ops() {
         let rec = TraceRecorder::new();
-        rec.annotate(0, "fc1\"w", 1e6, 64); // name needing escaping
+        rec.annotate([OpAttribution {
+            flops_per_call: 1e6,
+            bytes_per_call: 64,
+            ..OpAttribution::new(0, "fc1\"w") // name needing escaping
+        }]);
         let mut sink = rec.sink("main");
         sink.begin(Phase::Inference, 1);
         sink.span(Phase::OperatorForward, 0, 0.002);

@@ -49,7 +49,6 @@
 
 use crate::par;
 use deep500_tensor::{recycle_scratch, scratch_dirty, scratch_zeroed};
-use std::cell::RefCell;
 
 /// Microkernel tile rows (`C` rows kept in registers).
 pub const MR: usize = 8;
@@ -75,21 +74,11 @@ pub struct Blocking {
 }
 
 impl Blocking {
-    /// Pick blocking from the problem shape, memoized per thread: graph
-    /// executors issue the same GEMM shapes pass after pass, so repeated
-    /// calls hit a small shape cache instead of redoing the divisions.
-    pub fn for_shape(m: usize, n: usize, k: usize) -> Blocking {
-        thread_local! {
-            static CACHE: RefCell<ShapeCache> = const { RefCell::new(ShapeCache::new()) };
-        }
-        CACHE.with(|c| c.borrow_mut().get_or_compute(m, n, k))
-    }
-
     /// Pick blocking from the problem shape. Targets are conservative
     /// laptop/server-class caches: `MR x KC` and `KC x NR` slivers well
     /// inside a 32 KiB L1, the packed A panel in half of a 256 KiB L2,
     /// and the packed B macro-panel in a ~1 MiB L3 share.
-    fn compute(m: usize, n: usize, k: usize) -> Blocking {
+    pub fn for_shape(m: usize, n: usize, k: usize) -> Blocking {
         let kc = k.clamp(1, 256);
         let mc_cap = ((128 * 1024 / 4) / kc).max(MR);
         let mc = round_up(m.clamp(1, mc_cap), MR);
@@ -99,7 +88,7 @@ impl Blocking {
     }
 
     /// Blocking for the direct convolution tier's implicit GEMM at sliver
-    /// width `nr` ([`NR`] or [`NR_W`]). Differs from [`Blocking::compute`]
+    /// width `nr` ([`NR`] or [`NR_W`]). Differs from [`Blocking::for_shape`]
     /// in two ways. First, the `kc` cap stretches beyond 256 (up to 512)
     /// while the `Co`-row A panel still fits the L2 budget — conv GEMMs
     /// have few rows, and every extra `KC` block costs a full
@@ -127,40 +116,6 @@ impl Blocking {
         let nc_cap = ((1024 * 1024 / 4) / kc).max(nr);
         let nc = round_up(n.clamp(1, nc_cap), nr);
         Blocking { mc, kc, nc }
-    }
-}
-
-type CacheEntry = ((usize, usize, usize), Blocking);
-
-/// Tiny per-thread shape→[`Blocking`] cache with round-robin replacement.
-/// A handful of entries covers every GEMM shape a network issues (forward
-/// plus both transposed backward products per layer).
-struct ShapeCache {
-    entries: [Option<CacheEntry>; ShapeCache::WAYS],
-    cursor: usize,
-}
-
-impl ShapeCache {
-    const WAYS: usize = 8;
-
-    const fn new() -> ShapeCache {
-        ShapeCache {
-            entries: [None; ShapeCache::WAYS],
-            cursor: 0,
-        }
-    }
-
-    fn get_or_compute(&mut self, m: usize, n: usize, k: usize) -> Blocking {
-        let key = (m, n, k);
-        for e in self.entries.iter().flatten() {
-            if e.0 == key {
-                return e.1;
-            }
-        }
-        let bl = Blocking::compute(m, n, k);
-        self.entries[self.cursor] = Some((key, bl));
-        self.cursor = (self.cursor + 1) % Self::WAYS;
-        bl
     }
 }
 
@@ -944,7 +899,7 @@ fn gemv_tile(kc: usize, a: &[f32], b: &[f32], ldb: usize, acc: &mut [f32; NR_W])
 /// register-tile rows for the seven absent `A` rows.
 ///
 /// Bit-identity contract: the reduction runs in `KC` chunks of
-/// `k.clamp(1, 256)` — the same chunking [`Blocking::compute`] gives any
+/// `k.clamp(1, 256)` — the same chunking [`Blocking::for_shape`] gives any
 /// batched GEMM at this `k` — and each output element accumulates one
 /// fused multiply-add per `p`, ascending, via [`gemv_tile`]'s
 /// batched-kernel-matching dispatch. A request served alone therefore
@@ -1092,20 +1047,6 @@ mod tests {
         let mut c = vec![0.0f32; 6];
         gemm_packed_into(2, 3, 0, &[], false, &[], false, &mut c);
         assert_eq!(c, vec![0.0; 6]);
-    }
-
-    #[test]
-    fn blocking_memoization_matches_fresh_computation() {
-        // More distinct shapes than cache ways, twice over, so both the
-        // replacement path and repeat hits are exercised.
-        let shapes: Vec<(usize, usize, usize)> = (0..20)
-            .map(|i| (8 * i + 1, 16 * i + 3, 32 * i + 5))
-            .collect();
-        for _ in 0..2 {
-            for &(m, n, k) in &shapes {
-                assert_eq!(Blocking::for_shape(m, n, k), Blocking::compute(m, n, k));
-            }
-        }
     }
 
     #[test]

@@ -48,33 +48,15 @@ pub use transform_safety::TransformDiff;
 
 use deep500_tensor::{DataType, Error, Result, Shape};
 
-/// Configurable pipeline driver: severity overrides plus entry points for
-/// the structural, shape-aware, and symbolic variants of the pipeline.
+/// Pipeline driver: entry points for the structural, shape-aware, and
+/// symbolic variants of the pipeline, each reporting lints at their
+/// default severities.
 #[derive(Debug, Clone, Default)]
-pub struct Verifier {
-    overrides: Vec<(LintCode, Severity)>,
-}
+pub struct Verifier;
 
 impl Verifier {
     pub fn new() -> Verifier {
-        Verifier::default()
-    }
-
-    /// Override a lint's severity (e.g. promote `DeadNode` to `Deny` in CI,
-    /// or `Allow` a known-benign `DanglingFeed`).
-    pub fn severity(mut self, code: LintCode, severity: Severity) -> Verifier {
-        self.overrides.push((code, severity));
-        self
-    }
-
-    fn apply_overrides(&self, lints: &mut [Lint]) {
-        for lint in lints.iter_mut() {
-            for &(code, sev) in &self.overrides {
-                if lint.code == code {
-                    lint.severity = sev;
-                }
-            }
-        }
+        Verifier
     }
 
     /// Structural pipeline: dataflow/liveness only. Needs no input shapes,
@@ -82,7 +64,6 @@ impl Verifier {
     pub fn check(&self, ir: &GraphIr) -> VerifyReport {
         let mut lints = Vec::new();
         dataflow::run(ir, &mut lints);
-        self.apply_overrides(&mut lints);
         VerifyReport {
             lints,
             ..VerifyReport::default()
@@ -117,7 +98,6 @@ impl Verifier {
             })
             .collect();
         let alias = aliasing::analyze(ir, &levels, &shapes, &mut lints);
-        self.apply_overrides(&mut lints);
         VerifyReport {
             lints,
             shapes: shapes
@@ -138,7 +118,6 @@ impl Verifier {
         let mut lints = Vec::new();
         dataflow::run(ir, &mut lints);
         let sym = shape_pass::infer_symbolic(ir, input_shapes, &mut lints);
-        self.apply_overrides(&mut lints);
         let report = VerifyReport {
             lints,
             shapes: sym
@@ -206,21 +185,6 @@ mod tests {
         assert!(report.passes(), "{}", report.render(true));
         assert_eq!(report.deny_count(), 0);
         assert!(report.render(false).contains("0 deny"));
-    }
-
-    #[test]
-    fn severity_override_applies() {
-        // Dead node is Warn by default; promote to Deny.
-        let ir =
-            GraphIr::new("dead")
-                .input("x")
-                .node("relu", "Relu", Attributes::new(), &["x"], &["y"]);
-        assert!(check(&ir).passes());
-        let report = Verifier::new()
-            .severity(LintCode::DeadNode, Severity::Deny)
-            .check(&ir);
-        assert!(!report.passes());
-        assert!(gate(&ir).is_ok(), "default severities still gate clean");
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl LintCode {
         ]
     }
 
-    /// Default severity, before any [`crate::Verifier::severity`] override.
+    /// The severity every lint of this code carries.
     pub fn default_severity(self) -> Severity {
         match self {
             LintCode::UseBeforeDef
