@@ -71,18 +71,11 @@ fn run_case(case: &ZooCase) -> Row {
         .build()
         .expect("reference");
     let mut reference = reference_engine.lock();
-    // `verify_aliasing` (the memory bound below) lives on the concrete
-    // executor, not the `GraphExecutor` trait, so unwrap and downcast.
-    let mut planned_boxed = Engine::builder(compiled)
+    let planned_engine = Engine::builder(compiled)
         .executor(ExecutorKind::Planned)
         .build()
-        .expect("planned")
-        .into_inner()
-        .expect("sole handle");
-    let planned = planned_boxed
-        .as_any_mut()
-        .downcast_mut::<deep500::graph::PlannedExecutor>()
-        .expect("planned engine holds a PlannedExecutor");
+        .expect("planned");
+    let mut planned = planned_engine.lock();
     let expect = reference.inference(&feeds).expect("reference pass");
     let mut parity = true;
     // Two passes so pool reuse is exercised, not just first-touch buffers.
@@ -149,10 +142,15 @@ fn run_case(case: &ZooCase) -> Row {
     };
 
     // ---- Memory: verifier's lower bound vs observed peak ---------------
-    let lower_bound = planned
-        .verify_aliasing(&shapes)
-        .expect("compiled level partition is pool-safe")
-        .pool_lower_bound;
+    let verified =
+        deep500::verify::Verifier::new().check_with_inputs(&planned.network().to_ir(), &shapes);
+    assert!(
+        verified.passes(),
+        "plan: {} compiled level partition is not pool-safe:\n{}",
+        case.name,
+        verified.render(true)
+    );
+    let lower_bound = verified.pool_lower_bound.expect("aliasing pass ran");
     let observed_peak = uncompiled.peak_memory();
     Row {
         name: case.name,

@@ -6,6 +6,7 @@
 //! Xavier/He schemes from a single seed (reproducibility).
 
 use crate::network::Network;
+use deep500_ops::conv::ConvGeometry;
 use deep500_ops::registry::Attributes;
 use deep500_tensor::rng::{init, Xoshiro256StarStar};
 use deep500_tensor::{Error, Result, Tensor};
@@ -17,6 +18,15 @@ enum Flow {
     Image(usize, usize, usize),
     /// `[F]` feature-vector sample.
     Features(usize),
+}
+
+/// `(h_out, w_out)` of a `kernel`-square window over `h × w`, from the
+/// conv operator's own geometry — the one place output sizes are computed.
+fn out_hw(geometry: ConvGeometry, h: usize, w: usize, kernel: usize) -> Result<(usize, usize)> {
+    Ok((
+        geometry.out_extent(h, kernel)?,
+        geometry.out_extent(w, kernel)?,
+    ))
 }
 
 /// Fluent builder for feed-forward networks.
@@ -98,11 +108,10 @@ impl NetworkBuilder {
                 return self.fail(Error::Invalid("conv on feature-vector flow".into()))
             }
         };
-        if h + 2 * pad < kernel || w + 2 * pad < kernel {
-            return self.fail(Error::ShapeMismatch(format!(
-                "conv kernel {kernel} too large for {h}x{w} (pad {pad})"
-            )));
-        }
+        let (ho, wo) = match out_hw(ConvGeometry { stride, pad }, h, w, kernel) {
+            Ok(hw) => hw,
+            Err(e) => return self.fail(e),
+        };
         let out = self.fresh("conv");
         let wname = format!("{out}.w");
         let bname = format!("{out}.b");
@@ -124,8 +133,6 @@ impl NetworkBuilder {
         if let Err(e) = r {
             return self.fail(e);
         }
-        let ho = (h + 2 * pad - kernel) / stride + 1;
-        let wo = (w + 2 * pad - kernel) / stride + 1;
         self.flow = Flow::Image(out_c, ho, wo);
         self.cursor = out;
     }
@@ -163,15 +170,13 @@ impl NetworkBuilder {
     /// Max pooling.
     pub fn maxpool(mut self, kernel: usize, stride: usize) -> Self {
         match self.flow {
-            Flow::Image(c, h, w) => {
-                if h < kernel || w < kernel {
-                    self.fail(Error::ShapeMismatch(format!(
-                        "pool kernel {kernel} too large for {h}x{w}"
-                    )));
+            Flow::Image(c, h, w) => match out_hw(ConvGeometry { stride, pad: 0 }, h, w, kernel) {
+                Ok((ho, wo)) => self.flow = Flow::Image(c, ho, wo),
+                Err(e) => {
+                    self.fail(e);
                     return self;
                 }
-                self.flow = Flow::Image(c, (h - kernel) / stride + 1, (w - kernel) / stride + 1);
-            }
+            },
             Flow::Features(_) => {
                 self.fail(Error::Invalid("pool on feature-vector flow".into()));
                 return self;

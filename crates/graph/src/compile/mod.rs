@@ -35,10 +35,11 @@
 //! preserves the exact per-element float sequence (see the epilogue
 //! contract in `deep500_ops::gemm::packed`), and the interpreter
 //! accumulates gradient contributions in the reference sweep's order: steps
-//! are stored in topological order, levels are walked in reverse with each
-//! level reversed, and results are applied in group order on the
-//! coordinator — so contributions reach any tensor in strictly descending
-//! step index and are `axpy`ed on arrival.
+//! are stored in the network's level order — which the reference loop walks
+//! too — levels are walked in reverse with each level reversed, and results
+//! are applied in group order on the coordinator — so contributions reach
+//! any tensor in strictly descending step index and are `axpy`ed on
+//! arrival.
 
 pub mod passes;
 pub mod plan;

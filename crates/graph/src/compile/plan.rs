@@ -1,12 +1,13 @@
-//! Ahead-of-time plans: the dependency-level partition
-//! (`partition_levels`) and the frozen level schedule ([`ExecutionPlan`]).
+//! The frozen level schedule ([`ExecutionPlan`]).
 //!
-//! A plan is derived once per graph from its topological order and
-//! consumed every pass by [`PlannedExecutor`](super::PlannedExecutor) —
-//! the one level-parallel interpreter — with no per-pass readiness
-//! recomputation. It fixes the schedule, not the memory: nothing in it
-//! depends on the feed shapes, and the interpreter draws every buffer from
-//! its pool.
+//! A plan is derived once per graph from its dependency levels — the
+//! verifier's `compute_levels`, read through `Network::levels`, the same
+//! partition whose concatenation is the reference loop's
+//! `topological_order` — and consumed every pass by
+//! [`PlannedExecutor`](super::PlannedExecutor), the one level-parallel
+//! interpreter, with no per-pass readiness recomputation. It fixes the
+//! schedule, not the memory: nothing in it depends on the feed shapes, and
+//! the interpreter draws every buffer from its pool.
 
 use crate::executor::{produced_tensors, wanted_grads};
 use crate::network::{Network, NodeId};
@@ -40,47 +41,6 @@ pub struct PlanStep {
     pub grad_ids: Vec<Option<usize>>,
 }
 
-/// Group the topological order into dependency levels (wavefronts): a
-/// node's level is one more than the deepest level among its input
-/// producers, so the nodes of a level are mutually independent and may run
-/// concurrently. Within each level nodes keep their topological order, so
-/// `levels.concat() == order`.
-pub(crate) fn partition_levels(network: &Network, order: &[NodeId]) -> Vec<Vec<NodeId>> {
-    let mut level_of: HashMap<NodeId, usize> = HashMap::new();
-    let mut levels: Vec<Vec<NodeId>> = Vec::new();
-    for &id in order {
-        let node = network.node(id).expect("live node");
-        let mut level = 0;
-        for input in &node.inputs {
-            if let Some(p) = network.producer_of(input) {
-                if let Some(&pl) = level_of.get(&p) {
-                    level = level.max(pl + 1);
-                }
-            }
-        }
-        level_of.insert(id, level);
-        if levels.len() <= level {
-            levels.resize_with(level + 1, Vec::new);
-        }
-        levels[level].push(id);
-    }
-    levels
-}
-
-/// The level partition by node name — the form the verifier's live-range
-/// and aliasing analyses take.
-pub(crate) fn level_names(network: &Network, levels: &[Vec<NodeId>]) -> Vec<Vec<String>> {
-    levels
-        .iter()
-        .map(|level| {
-            level
-                .iter()
-                .map(|id| network.node(*id).expect("live node").name.clone())
-                .collect()
-        })
-        .collect()
-}
-
 /// The frozen level schedule: dense tensor ids, per-level dispatch lists
 /// and per-level death lists.
 #[derive(Debug, Clone, Default)]
@@ -89,7 +49,7 @@ pub struct ExecutionPlan {
     pub tensor_ids: HashMap<String, usize>,
     /// Inverse map: name per dense id.
     pub tensor_names: Vec<String>,
-    /// All steps in topological order.
+    /// All steps in level order ([`Network::topological_order`]).
     pub steps: Vec<PlanStep>,
     /// `steps[lo..hi]` per wavefront level.
     pub level_ranges: Vec<(usize, usize)>,
@@ -104,16 +64,15 @@ pub struct ExecutionPlan {
 }
 
 impl ExecutionPlan {
-    /// Freeze the schedule for `network`: its topological order cut into
-    /// dependency levels — exactly what
+    /// Freeze the schedule for `network`: its dependency levels, whose
+    /// concatenation is [`Network::topological_order`] — exactly what
     /// [`PlannedExecutor`](super::PlannedExecutor) runs, at any feed
     /// shapes. The second argument is ignored; it stays because the frozen
     /// `spine/` benchmark calls `freeze(net, shapes)`.
     pub fn freeze(network: &Network, _input_shapes: &[(&str, Shape)]) -> Result<ExecutionPlan> {
-        let order = network.topological_order()?;
-        let levels = partition_levels(network, &order);
+        let levels = network.levels(&network.to_ir())?;
 
-        // Dense ids: feeds first, then node outputs in topological order.
+        // Dense ids: feeds first, then node outputs in level order.
         let mut tensor_ids: HashMap<String, usize> = HashMap::new();
         let mut tensor_names: Vec<String> = Vec::new();
         let intern = |name: &str,
@@ -129,7 +88,7 @@ impl ExecutionPlan {
             let id = intern(input, &mut tensor_ids, &mut tensor_names);
             feed_ids.insert(input.clone(), id);
         }
-        for &nid in &order {
+        for &nid in levels.iter().flatten() {
             let node = network.node(nid).expect("live node");
             for o in &node.outputs {
                 intern(o, &mut tensor_ids, &mut tensor_names);
@@ -141,7 +100,7 @@ impl ExecutionPlan {
         let produced = produced_tensors(network);
 
         // Steps + level ranges.
-        let mut steps = Vec::with_capacity(order.len());
+        let mut steps = Vec::with_capacity(network.num_nodes());
         let mut level_ranges = Vec::with_capacity(levels.len());
         for level in &levels {
             let lo = steps.len();
@@ -320,7 +279,7 @@ pub(crate) mod tests {
     fn levels_partition_the_order() {
         let net = diamond_net();
         let order = net.topological_order().unwrap();
-        let levels = partition_levels(&net, &order);
+        let levels = net.levels(&net.to_ir()).unwrap();
         assert_eq!(levels.len(), 2);
         assert_eq!(levels[0].len(), 2, "independent scales share a level");
         assert_eq!(levels[1].len(), 1);

@@ -1,12 +1,14 @@
 //! The plan interpreter: the one level-parallel executor.
 //!
-//! [`PlannedExecutor`] freezes the topological order, cut into dependency
-//! levels, into an [`ExecutionPlan`] and runs it level by level, joining
-//! before the next level starts. Whether a level's steps go to the thread
-//! pool or run in order on the coordinator is [`deep500_ops::par`]'s
-//! decision, taken from the steps' declared FLOPs (see [`level_work`]): a
-//! chain, or a level of small nodes, never pays a hand-off. The frozen plan
-//! is the only thing a pass reads. It is a drop-in [`GraphExecutor`]:
+//! [`PlannedExecutor`] freezes the network's dependency levels — the
+//! verifier's partition, whose concatenation is the topological order the
+//! reference loop walks — into an [`ExecutionPlan`] and runs it level by
+//! level, joining before the next level starts. Whether a level's steps go
+//! to the thread pool or run in order on the coordinator is
+//! [`deep500_ops::par`]'s decision, taken from the steps' declared FLOPs
+//! (see [`level_work`]): a chain, or a level of small nodes, never pays a
+//! hand-off. The frozen plan is the only thing a pass reads. It is a
+//! drop-in [`GraphExecutor`]:
 //!
 //! * the tensor environment and the backward sweep's gradient table are
 //!   dense `Vec<Option<Tensor>>`s indexed by interned tensor id — no string
@@ -26,11 +28,12 @@
 //!   acquisition and within a level only independent nodes run; the one
 //!   ordering hazard is backward gradient *accumulation*, where `f32`
 //!   addition is commutative but not associative. Steps are stored in
-//!   topological order, levels are walked in reverse and each level
-//!   reversed, and a level's results are applied in that order on the
-//!   coordinator — so contributions reach any tensor in strictly
-//!   descending step index, the reference's reverse-topological order,
-//!   and are `axpy`ed on arrival.
+//!   level order, levels are walked in reverse and each level reversed,
+//!   and a level's results are applied in that order on the coordinator —
+//!   so contributions reach any tensor in strictly descending step index.
+//!   The reference loop's order is the same level order, so that is its
+//!   reverse sweep by construction, and contributions are `axpy`ed on
+//!   arrival.
 //! * **Event attribution.** Each operator is timed on its worker thread and
 //!   reported to the [`EventList`] as a completed `Event::span` from the
 //!   coordinating thread, keeping per-op attribution exact where
@@ -43,7 +46,7 @@
 //! at the first pass, and gated on the plan-soundness analysis before any
 //! pass runs it.
 
-use super::plan::{level_names, partition_levels, ExecutionPlan, PlanStep, ValueRef};
+use super::plan::{ExecutionPlan, PlanStep, ValueRef};
 use crate::executor::{node_rows, rows_by_id, GraphExecutor, MemoryAccountant};
 use crate::network::{Network, NodeId};
 use deep500_metrics::event::{EventList, Phase};
@@ -181,36 +184,6 @@ impl PlannedExecutor {
     /// Buffer-pool effectiveness counters.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
-    }
-
-    /// Prove pool-safety of this executor's *actual* level partition: no
-    /// tensor is live in two concurrent levels. Returns the aliasing
-    /// report (interference graph size + pool lower bound) on success;
-    /// `Error::Validation` naming the hazardous node/edge if the partition
-    /// were ever unsound.
-    pub fn verify_aliasing(
-        &self,
-        input_shapes: &[(&str, Shape)],
-    ) -> Result<deep500_verify::AliasReport> {
-        let ir = self.network.to_ir();
-        let mut lints = Vec::new();
-        let shapes = deep500_verify::shape_pass::infer(&ir, input_shapes, &[], &mut lints);
-        let order = self.network.topological_order()?;
-        let levels = level_names(&self.network, &partition_levels(&self.network, &order));
-        let report = deep500_verify::aliasing::analyze(&ir, &levels, &shapes, &mut lints);
-        let denied = lints
-            .iter()
-            .filter(|l| l.severity == deep500_verify::Severity::Deny)
-            .count();
-        if denied > 0 {
-            let rendered: Vec<String> = lints.iter().map(|l| l.to_string()).collect();
-            return Err(Error::Validation(format!(
-                "level partition of '{}' is not pool-safe ({denied} deny lints):\n{}",
-                self.network.name,
-                rendered.join("\n")
-            )));
-        }
-        Ok(report)
     }
 
     /// Freeze the plan at the first pass. It must pass the plan-soundness
@@ -358,11 +331,11 @@ impl PlannedExecutor {
     /// parameter gradients into the network value store like the reference.
     ///
     /// Gradients live in one dense table over the plan's gradient ids (env
-    /// ids, then parameters). Steps are in topological order, levels are
-    /// walked in reverse, each level reversed, and a level's results are
-    /// applied in that order — so contributions to any tensor arrive in
-    /// strictly descending step index, exactly the order the reference's
-    /// reverse sweep applies its `axpy`s, and are accumulated on arrival.
+    /// ids, then parameters). Steps are in level order, levels are walked
+    /// in reverse, each level reversed, and a level's results are applied
+    /// in that order — so contributions to any tensor arrive in strictly
+    /// descending step index, which is the reference's reverse sweep over
+    /// the same level order, and are accumulated on arrival.
     fn backward_planned(&mut self, env: &[Option<Tensor>], loss: &str, pass: usize) -> Result<()> {
         let plan = self.plan().expect("plan built");
         let loss_id = plan

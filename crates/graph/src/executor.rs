@@ -308,6 +308,9 @@ pub trait NodeHook: Send {
 pub struct ReferenceExecutor {
     network: Network,
     ops: HashMap<NodeId, Box<dyn Operator>>,
+    /// The network's dependency levels, concatenated — the order the plan
+    /// interpreter's steps are stored in, so both loops add gradient
+    /// contributions in one order.
     order: Vec<NodeId>,
     /// Pre-counted consumer template cloned at each pass start.
     consumers: HashMap<String, usize>,
@@ -332,9 +335,10 @@ impl ReferenceExecutor {
     ///
     /// [`Engine`]: crate::engine::Engine
     pub(crate) fn construct(network: Network, capacity: usize) -> Result<Self> {
-        deep500_verify::gate(&network.to_ir())?;
+        let ir = network.to_ir();
+        deep500_verify::gate(&ir)?;
         let ops = network.instantiate_ops()?;
-        let order = network.topological_order()?;
+        let order = network.levels(&ir)?.concat();
         let consumers = consumer_template(&network);
         let produced = produced_tensors(&network);
         let rows = node_rows(&network, &[]);
@@ -367,9 +371,10 @@ impl ReferenceExecutor {
     /// transform that broke the graph is caught here, not mid-pass. The
     /// rows of nodes that survive keep their totals.
     pub fn refresh(&mut self) -> Result<()> {
-        deep500_verify::gate(&self.network.to_ir())?;
+        let ir = self.network.to_ir();
+        deep500_verify::gate(&ir)?;
         self.ops = self.network.instantiate_ops()?;
-        self.order = self.network.topological_order()?;
+        self.order = self.network.levels(&ir)?.concat();
         self.consumers = consumer_template(&self.network);
         self.produced = produced_tensors(&self.network);
         self.rows = node_rows(&self.network, &self.rows);

@@ -418,7 +418,12 @@ mod tests {
     fn every_zoo_conv_runs_the_direct_tier() {
         let mut widest = 0;
         for case in zoo() {
-            let shapes = crate::transforms::infer_shapes(&case.net, &case.input_shapes()).unwrap();
+            let shapes = deep500_verify::shape_pass::infer(
+                &case.net.to_ir(),
+                &case.input_shapes(),
+                &[],
+                &mut Vec::new(),
+            );
             let ops = case.net.instantiate_ops().unwrap();
             for (id, node) in case.net.nodes().filter(|(_, n)| n.op_type == "Conv2d") {
                 assert_eq!(
@@ -451,7 +456,12 @@ mod tests {
         for case in zoo() {
             // Batch 1: one image in flight, on this thread's pool scope.
             let case = case.at_batch(1);
-            let shapes = crate::transforms::infer_shapes(&case.net, &case.input_shapes()).unwrap();
+            let shapes = deep500_verify::shape_pass::infer(
+                &case.net.to_ir(),
+                &case.input_shapes(),
+                &[],
+                &mut Vec::new(),
+            );
             let ops = case.net.instantiate_ops().unwrap();
             let mut rng = Xoshiro256StarStar::seed_from_u64(5);
             for (id, node) in case.net.nodes().filter(|(_, n)| n.op_type == "Conv2d") {

@@ -10,7 +10,7 @@
 use deep500_ops::registry::{self, Attributes};
 use deep500_ops::Operator;
 use deep500_tensor::{Error, Result, Tensor};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Identifier of a node within a network (stable across removals).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -258,43 +258,47 @@ impl Network {
 
     // --------------------------------------------------------- structure
 
-    /// Topological order of live nodes (Kahn's algorithm over tensor-name
-    /// dependencies). Errors on cycles or missing producers.
+    /// Topological order of live nodes: the dependency levels of
+    /// [`Self::levels`], concatenated. Every walk of the graph — both
+    /// execution loops, the visitor, the compile passes and
+    /// [`ExecutionPlan::freeze`](crate::ExecutionPlan::freeze) — reads this
+    /// one sequence. Errors on a cycle or on an input nothing defines.
     pub fn topological_order(&self) -> Result<Vec<NodeId>> {
-        // Available tensors: graph inputs + initializers + fed values.
-        let mut available: HashSet<&str> = self.inputs.iter().map(|s| s.as_str()).collect();
-        available.extend(self.initializers.keys().map(|s| s.as_str()));
-        available.extend(self.values.keys().map(|s| s.as_str()));
+        Ok(self.levels(&self.to_ir())?.concat())
+    }
 
-        let mut remaining: Vec<NodeId> = self.nodes().map(|(id, _)| id).collect();
-        let mut order = Vec::with_capacity(remaining.len());
-        while !remaining.is_empty() {
-            let mut progressed = false;
-            let mut next_remaining = Vec::with_capacity(remaining.len());
-            for id in remaining {
-                let node = self.node(id).expect("live node");
-                if node.inputs.iter().all(|i| available.contains(i.as_str())) {
-                    for o in &node.outputs {
-                        available.insert(o);
-                    }
-                    order.push(id);
-                    progressed = true;
-                } else {
-                    next_remaining.push(id);
-                }
-            }
-            if !progressed {
-                let stuck: Vec<String> = next_remaining
-                    .iter()
-                    .filter_map(|id| self.node(*id).map(|n| n.name.clone()))
-                    .collect();
+    /// The dependency levels of the live nodes, by id: the verifier's
+    /// [`compute_levels`](deep500_verify::aliasing::compute_levels) over
+    /// `ir`, which must be this network's [`Self::to_ir`] (its node `i` is
+    /// the `i`-th live node). Errors on a cycle or on an input nothing
+    /// defines, both of which the verifier's level split passes over.
+    pub(crate) fn levels(&self, ir: &deep500_verify::GraphIr) -> Result<Vec<Vec<NodeId>>> {
+        let sources = ir.source_names();
+        for node in &ir.nodes {
+            if let Some(input) = node
+                .inputs
+                .iter()
+                .find(|i| !sources.contains(i.as_str()) && ir.producer_of(i).is_none())
+            {
                 return Err(Error::Invalid(format!(
-                    "graph has a cycle or missing tensors; stuck nodes: {stuck:?}"
+                    "node '{}' reads '{input}', which nothing defines",
+                    node.name
                 )));
             }
-            remaining = next_remaining;
         }
-        Ok(order)
+        let levels = deep500_verify::aliasing::compute_levels(ir);
+        if levels.iter().map(Vec::len).sum::<usize>() < ir.nodes.len() {
+            let (_, stuck) = ir.topo_order_lenient();
+            let stuck: Vec<&str> = stuck.iter().map(|&i| ir.nodes[i].name.as_str()).collect();
+            return Err(Error::Invalid(format!(
+                "graph has a cycle; stuck nodes: {stuck:?}"
+            )));
+        }
+        let ids: Vec<NodeId> = self.nodes().map(|(id, _)| id).collect();
+        Ok(levels
+            .into_iter()
+            .map(|level| level.into_iter().map(|i| ids[i]).collect())
+            .collect())
     }
 
     /// Instantiate the operator of each node via the registry, keyed by id.
@@ -325,10 +329,9 @@ impl Network {
         Ok(ops)
     }
 
-    /// Lower the network to the plain-data IR `deep500-verify` analyzes.
-    /// The IR's `prefed` set carries the names currently in the value store
-    /// so the verifier's use-before-def semantics match
-    /// [`Self::topological_order`]'s notion of "available" exactly.
+    /// Lower the network to the plain-data IR `deep500-verify` analyzes:
+    /// live nodes in [`Self::nodes`] order, and the names currently in the
+    /// value store as `prefed` (fed values count as available).
     pub fn to_ir(&self) -> deep500_verify::GraphIr {
         deep500_verify::GraphIr {
             name: self.name.clone(),
@@ -435,6 +438,19 @@ mod tests {
         net.add_node("b", "Relu", Attributes::new(), &["t1"], &["t2"])
             .unwrap();
         assert!(net.topological_order().is_err());
+    }
+
+    #[test]
+    fn undefined_input_is_an_error() {
+        let mut net = tiny_net();
+        net.add_node("late", "Add", Attributes::new(), &["z", "ghost"], &["w"])
+            .unwrap();
+        let err = net.topological_order().unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
+        assert!(err.to_string().contains("ghost"), "{err}");
+        // Fed, the same name is available and the order exists.
+        net.feed_tensor("ghost", Tensor::from_slice(&[1.0]));
+        assert_eq!(net.topological_order().unwrap().len(), 3);
     }
 
     #[test]

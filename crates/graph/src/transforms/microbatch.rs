@@ -21,7 +21,6 @@
 //! overhead better), the ILP optimum is: uniform maximal pieces plus one
 //! remainder — which [`plan_microbatches`] computes in closed form.
 
-use super::infer_shapes;
 use crate::network::{Network, NodeId};
 use deep500_ops::registry::Attributes;
 use deep500_tensor::{Error, Result, Shape};
@@ -107,7 +106,7 @@ pub fn microbatch_convolutions(
     capacity: usize,
 ) -> Result<Vec<MicrobatchReport>> {
     let before_ir = net.to_ir();
-    let shapes = infer_shapes(net, input_shapes)?;
+    let shapes = deep500_verify::shape_pass::infer(&before_ir, input_shapes, &[], &mut Vec::new());
     let ops = net.instantiate_ops()?;
     let mut todo: Vec<(NodeId, usize, usize)> = Vec::new(); // id, workspace, batch
     for (id, node) in net.nodes() {

@@ -15,63 +15,26 @@
 pub mod fusion;
 pub mod microbatch;
 
-use crate::network::Network;
-use deep500_tensor::{Error, Result, Shape};
-use std::collections::HashMap;
-
-/// Static shape inference: propagate shapes from the given graph-input
-/// shapes (and parameter shapes) through every node in topological order.
-/// Returns the shape of every tensor in the graph.
-pub fn infer_shapes(
-    net: &Network,
-    input_shapes: &[(&str, Shape)],
-) -> Result<HashMap<String, Shape>> {
-    let ops = net.instantiate_ops()?;
-    let mut shapes: HashMap<String, Shape> = HashMap::new();
-    for (name, s) in input_shapes {
-        shapes.insert(name.to_string(), s.clone());
-    }
-    for p in net.get_params() {
-        shapes.insert(p.clone(), net.fetch_tensor(p)?.shape().clone());
-    }
-    for id in net.topological_order()? {
-        let node = net.node(id).expect("live node");
-        let in_shapes: Vec<&Shape> = node
-            .inputs
-            .iter()
-            .map(|n| {
-                shapes
-                    .get(n)
-                    .ok_or_else(|| Error::NotFound(format!("shape of '{n}'")))
-            })
-            .collect::<Result<_>>()?;
-        let out_shapes = ops
-            .get(&id)
-            .expect("instantiated op")
-            .output_shapes(&in_shapes)?;
-        for (name, s) in node.outputs.iter().zip(out_shapes) {
-            shapes.insert(name.clone(), s);
-        }
-    }
-    Ok(shapes)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::models;
+    use deep500_tensor::{Error, Shape};
+    use deep500_verify::shape_pass;
 
     #[test]
-    fn infer_shapes_through_lenet() {
+    fn shape_pass_infers_through_lenet() {
         let net = models::lenet(1, 28, 10, 0).unwrap();
-        let shapes = infer_shapes(
-            &net,
+        let mut lints = Vec::new();
+        let shapes = shape_pass::infer(
+            &net.to_ir(),
             &[
                 ("x", Shape::new(&[4, 1, 28, 28])),
                 ("labels", Shape::new(&[4])),
             ],
-        )
-        .unwrap();
+            &[],
+            &mut lints,
+        );
+        assert!(lints.is_empty(), "{lints:?}");
         assert_eq!(shapes["logits"], Shape::new(&[4, 10]));
         assert_eq!(shapes["loss"], Shape::scalar());
         // First conv: same padding keeps 28x28 with 6 channels.
@@ -80,8 +43,15 @@ mod tests {
 
     #[test]
     fn missing_input_shape_is_reported() {
-        let net = models::mlp(8, &[4], 2, 0).unwrap();
-        let err = infer_shapes(&net, &[("x", Shape::new(&[1, 8]))]).unwrap_err();
-        assert!(matches!(err, Error::NotFound(_)));
+        // No shape for `x`: nothing downstream of it is inferred, and the
+        // micro-batch rewrite cannot size the first convolution.
+        let mut net = models::lenet(1, 28, 10, 0).unwrap();
+        let err = super::microbatch::microbatch_convolutions(
+            &mut net,
+            &[("labels", Shape::new(&[4]))],
+            1,
+        )
+        .unwrap_err();
+        assert!(matches!(err, Error::NotFound(_)), "{err}");
     }
 }

@@ -1,13 +1,15 @@
 //! Property-based tests for Level 1: d5nx round-trips over randomly
 //! generated networks, topological-order validity, shape-inference
-//! agreement with execution, and transformation semantics.
+//! agreement with execution, transformation semantics, and bitwise parity
+//! of the two execution loops over random DAGs.
 
 use deep500_graph::format;
 use deep500_graph::network::Network;
-use deep500_graph::transforms::{infer_shapes, microbatch::plan_microbatches};
-use deep500_graph::Engine;
+use deep500_graph::transforms::microbatch::plan_microbatches;
+use deep500_graph::{grad_name, Engine, ExecutorKind};
 use deep500_ops::registry::Attributes;
 use deep500_tensor::{Shape, Tensor, Xoshiro256StarStar};
+use deep500_verify::shape_pass;
 use proptest::prelude::*;
 
 /// Generate a random feed-forward chain of unary ops over a vector input.
@@ -69,6 +71,108 @@ fn random_chain(ops: &[u8], features: usize, seed: u64) -> Network {
     }
     net.add_output(cur);
     net
+}
+
+/// One node of [`random_dag`] before insertion: name, operator type,
+/// attributes, inputs, output.
+type Drawn = (String, &'static str, Attributes, Vec<String>, String);
+
+/// A random DAG of `nodes` `Scale`/`Add`/`Mul`/`Relu` nodes behind a
+/// `Linear` stem, its unread tensors summed into an MSE loss. Each input is
+/// the stem's output half the time and an earlier node's otherwise, so the
+/// stem collects many gradient contributions. The nodes are inserted in a
+/// random order (a network accepts a consumer before its producer), so
+/// insertion order is neither level order nor depth-first order.
+fn random_dag(nodes: usize, features: usize, seed: u64) -> Network {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+    let a = Attributes::new;
+    let stem_inputs = vec!["x".into(), "W".into(), "b".into()];
+    let mut drawn: Vec<Drawn> = vec![("stem".into(), "Linear", a(), stem_inputs, "t0".into())];
+    let pick = |rng: &mut Xoshiro256StarStar, i: usize| match rng.next_below(2) {
+        0 => "t0".to_string(),
+        _ => format!("t{}", rng.next_below(i)),
+    };
+    for i in 1..=nodes {
+        let (op_type, attrs, arity) = match rng.next_below(4) {
+            0 => (
+                "Scale",
+                a().with_float("alpha", 0.25 + 2.0 * rng.next_f64()),
+                1,
+            ),
+            1 => ("Add", a(), 2),
+            2 => ("Mul", a(), 2),
+            _ => ("Relu", a(), 1),
+        };
+        let inputs = (0..arity).map(|_| pick(&mut rng, i)).collect();
+        drawn.push((format!("n{i}"), op_type, attrs, inputs, format!("t{i}")));
+    }
+    let read: std::collections::HashSet<String> =
+        drawn.iter().flat_map(|d| d.3.iter().cloned()).collect();
+    let mut sinks: Vec<String> = (0..=nodes)
+        .map(|i| format!("t{i}"))
+        .filter(|t| !read.contains(t))
+        .collect();
+    let mut k = 0;
+    while sinks.len() > 1 {
+        let (l, r) = (sinks.remove(0), sinks.remove(0));
+        drawn.push((format!("sum{k}"), "Add", a(), vec![l, r], format!("s{k}")));
+        sinks.push(format!("s{k}"));
+        k += 1;
+    }
+    let loss_inputs = vec![sinks.remove(0), "target".into()];
+    drawn.push(("mse".into(), "MseLoss", a(), loss_inputs, "loss".into()));
+    rng.shuffle(&mut drawn);
+
+    let mut net = Network::new(format!("dag{seed}"));
+    net.add_input("x");
+    net.add_input("target");
+    let w = Tensor::rand_uniform([features, features], -0.5, 0.5, &mut rng);
+    net.add_parameter("W", w);
+    net.add_parameter("b", Tensor::rand_uniform([features], -0.1, 0.1, &mut rng));
+    for (name, op_type, attrs, inputs, output) in drawn {
+        let inputs: Vec<&str> = inputs.iter().map(String::as_str).collect();
+        net.add_node(name, op_type, attrs, &inputs, &[&output])
+            .unwrap();
+    }
+    net.add_output("loss");
+    net
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The reference loop and the plan interpreter give the same loss and
+    /// parameter gradients, bit for bit, on random DAGs inserted in random
+    /// order: both walk one level order, so every gradient's contributions
+    /// are added in one order.
+    #[test]
+    fn random_dags_match_reference_bitwise(
+        nodes in 4usize..13,
+        features in 2usize..6,
+        seed in 0u64..10_000,
+    ) {
+        let net = random_dag(nodes, features, seed);
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed ^ 7);
+        let feeds = [
+            ("x", Tensor::rand_uniform([3, features], -1.0, 1.0, &mut rng)),
+            ("target", Tensor::rand_uniform([3, features], -1.0, 1.0, &mut rng)),
+        ];
+        let bits = |t: &Tensor| -> Vec<u32> { t.data().iter().map(|v| v.to_bits()).collect() };
+        let planned = Engine::builder(net.clone_structure())
+            .executor(ExecutorKind::Planned)
+            .build()
+            .unwrap();
+        let reference = Engine::builder(net).build().unwrap();
+        let (mut p, mut r) = (planned.lock(), reference.lock());
+        let got = p.inference_and_backprop(&feeds, "loss").unwrap();
+        let expect = r.inference_and_backprop(&feeds, "loss").unwrap();
+        prop_assert_eq!(bits(&got["loss"]), bits(&expect["loss"]));
+        for param in ["W", "b"] {
+            let g = grad_name(param);
+            let (pg, rg) = (p.network().fetch_tensor(&g), r.network().fetch_tensor(&g));
+            prop_assert_eq!(bits(pg.unwrap()), bits(rg.unwrap()), "{} seed {}", g, seed);
+        }
+    }
 }
 
 proptest! {
@@ -142,8 +246,12 @@ proptest! {
         seed in 0u64..100,
     ) {
         let net = random_chain(&ops, features, seed);
-        let shapes =
-            infer_shapes(&net, &[("x", Shape::new(&[batch, features]))]).unwrap();
+        let shapes = shape_pass::infer(
+            &net.to_ir(),
+            &[("x", Shape::new(&[batch, features]))],
+            &[],
+            &mut Vec::new(),
+        );
         let out_name = net.graph_outputs()[0].clone();
         let engine = Engine::builder(net).build().unwrap();
         let mut ex = engine.lock();

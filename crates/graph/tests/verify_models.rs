@@ -10,7 +10,7 @@
 //! high-water memory mark.
 
 use deep500_graph::models::{feed_refs, zoo};
-use deep500_graph::{Engine, ExecutorKind, GraphExecutor, PlannedExecutor};
+use deep500_graph::{Engine, ExecutorKind};
 use deep500_verify::{SymShape, Verifier};
 
 #[test]
@@ -72,39 +72,36 @@ fn symbolic_batch_reaches_the_logits_of_every_model() {
 }
 
 #[test]
-// `verify_aliasing` lives on the concrete executor, not the `GraphExecutor`
-// trait, so this test unwraps the engine and downcasts to the tier.
 fn wavefront_pool_bound_is_a_true_lower_bound_on_observed_peak() {
     for case in zoo() {
-        let mut boxed = Engine::builder(case.net.clone_structure())
+        let engine = Engine::builder(case.net.clone_structure())
             .executor(ExecutorKind::Wavefront)
             .build()
-            .unwrap()
-            .into_inner()
             .unwrap();
-        let ex = boxed
-            .as_any_mut()
-            .downcast_mut::<PlannedExecutor>()
-            .expect("wavefront engine holds the plan interpreter");
-        // Aliasing analysis of the *actual* level partition must prove
-        // pool-safety (no tensor live in two concurrent levels)...
-        let report = ex
-            .verify_aliasing(&case.input_shapes())
-            .unwrap_or_else(|e| panic!("{}: aliasing verification failed: {e}", case.name));
-        assert!(report.num_levels > 0, "{}", case.name);
+        let mut ex = engine.lock();
+        // Aliasing analysis of the level partition the executor runs must
+        // prove pool-safety (no tensor live in two concurrent levels)...
+        let report = Verifier::new().check_with_inputs(&ex.network().to_ir(), &case.input_shapes());
+        assert!(
+            report.passes(),
+            "{}: aliasing verification failed:\n{}",
+            case.name,
+            report.render(true)
+        );
+        let bound = report.pool_lower_bound.expect("aliasing pass ran");
         // ...and its interference-graph bound must stay below what the
         // executor actually touched on a real pass.
         ex.inference(&feed_refs(&case.feeds(1))).unwrap();
         let observed = ex.peak_memory();
         assert!(
-            report.pool_lower_bound <= observed,
+            bound <= observed,
             "{}: pool lower bound {} exceeds observed peak {}",
             case.name,
-            report.pool_lower_bound,
+            bound,
             observed
         );
         // The bound is not vacuous: at least the largest single
         // intermediate must be accounted.
-        assert!(report.pool_lower_bound > 0, "{}", case.name);
+        assert!(bound > 0, "{}", case.name);
     }
 }

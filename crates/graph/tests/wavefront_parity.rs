@@ -435,3 +435,59 @@ fn wavefront_respects_memory_limit() {
         .unwrap_err();
     assert!(matches!(err, Error::OutOfMemory { .. }));
 }
+
+/// `h = Linear(x, W, b)` read by four nodes — `A = Scale(h)`,
+/// `B = Add(a, h)`, `C = Scale(h)`, `D = Add(c, h)` — inserted in
+/// `order`, then `F = Add(b, d)` into an MSE loss. `dh` sums four
+/// contributions, and `f32` addition is not associative, so both loops
+/// must add them in one order whatever order the nodes were inserted in.
+fn four_consumers(order: [&str; 4], seed: u64) -> (Network, [(&'static str, Tensor); 2]) {
+    let mut net = Network::new(format!("four_consumers_{}", order.concat()));
+    net.add_input("x");
+    net.add_input("target");
+    net.add_parameter("W", seeded(&[8, 8], seed));
+    net.add_parameter("b", seeded(&[8], seed + 1));
+    let a = Attributes::new;
+    net.add_node("fc", "Linear", a(), &["x", "W", "b"], &["h"])
+        .unwrap();
+    for node in order {
+        let (op_type, attrs, inputs, out): (_, _, &[&str], _) = match node {
+            "A" => ("Scale", a().with_float("alpha", 0.37), &["h"], "a"),
+            "B" => ("Add", a(), &["a", "h"], "b_out"),
+            "C" => ("Scale", a().with_float("alpha", 3.1), &["h"], "c"),
+            "D" => ("Add", a(), &["c", "h"], "d"),
+            _ => unreachable!("nodes are A, B, C and D"),
+        };
+        net.add_node(node, op_type, attrs, inputs, &[out]).unwrap();
+    }
+    net.add_node("F", "Add", a(), &["b_out", "d"], &["f"])
+        .unwrap();
+    net.add_node("mse", "MseLoss", a(), &["f", "target"], &["loss"])
+        .unwrap();
+    net.add_output("loss");
+    let feeds = [
+        ("x", seeded(&[4, 8], seed + 2)),
+        ("target", seeded(&[4, 8], seed + 3)),
+    ];
+    (net, feeds)
+}
+
+/// Inserted depth-first, the graph's insertion order is not its level
+/// order ({A, C} before {B, D}); the reference loop must still add `dh`'s
+/// contributions in the order the plan interpreter does.
+#[test]
+fn depth_first_four_consumers_match_reference_bitwise() {
+    for seed in 0..50 {
+        let (net, feeds) = four_consumers(["A", "B", "C", "D"], 100 + 4 * seed);
+        assert_bitwise_parity(&net, &feeds);
+    }
+}
+
+/// The control: inserted breadth-first, insertion order is level order.
+#[test]
+fn breadth_first_four_consumers_match_reference_bitwise() {
+    for seed in 0..50 {
+        let (net, feeds) = four_consumers(["A", "C", "B", "D"], 100 + 4 * seed);
+        assert_bitwise_parity(&net, &feeds);
+    }
+}

@@ -66,12 +66,15 @@ impl ConvSize {
         }
     }
 
-    /// Output spatial extent.
+    /// Output spatial extent, from the conv operator's own geometry.
+    /// Every suite size is a valid convolution.
     pub fn out_hw(&self) -> (usize, usize) {
-        (
-            (self.h + 2 * self.pad - self.r) / self.stride + 1,
-            (self.w + 2 * self.pad - self.r) / self.stride + 1,
-        )
+        let g = crate::conv::ConvGeometry {
+            stride: self.stride,
+            pad: self.pad,
+        };
+        let extent = |x| g.out_extent(x, self.r).expect("a valid convolution size");
+        (extent(self.h), extent(self.w))
     }
 
     /// FLOP count of this convolution.

@@ -1,13 +1,12 @@
-//! Tensor and device descriptors.
+//! Tensor descriptors.
 //!
 //! Deep500 "uses its own descriptors for tensors and devices to enable
 //! interoperability with frameworks and platforms" (§IV-B). A
-//! [`TensorDesc`] describes element type, shape, and data layout — enough
-//! for any backend to allocate and exchange buffers. A [`DeviceDesc`]
-//! identifies the (possibly simulated) compute device and its capacity,
-//! and is what the Level-1 memory accountant draws its limits from.
+//! [`TensorDesc`] describes element type and shape — enough for any
+//! backend to allocate and exchange buffers; native-operator wrappers check
+//! their inputs against it. [`DataType`] is also the element type the
+//! verifier's dtype pass infers.
 
-use crate::layout::DataLayout;
 use crate::shape::Shape;
 
 /// Element data types. The compute substrate stores `f32`; the descriptor
@@ -48,29 +47,21 @@ impl DataType {
     }
 }
 
-/// Description of a tensor: type, shape, layout. ABI-stable by design in
-/// the paper (C-compatible); here a plain value type.
+/// Description of a tensor: type and shape. ABI-stable by design in the
+/// paper (C-compatible); here a plain value type.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TensorDesc {
     pub dtype: DataType,
     pub shape: Shape,
-    pub layout: DataLayout,
 }
 
 impl TensorDesc {
-    /// `f32`, NCHW descriptor of the given shape — the common case.
+    /// `f32` descriptor of the given shape — the common case.
     pub fn f32(shape: impl Into<Shape>) -> TensorDesc {
         TensorDesc {
             dtype: DataType::Float32,
             shape: shape.into(),
-            layout: DataLayout::Nchw,
         }
-    }
-
-    /// Same descriptor with a different layout.
-    pub fn with_layout(mut self, layout: DataLayout) -> TensorDesc {
-        self.layout = layout;
-        self
     }
 
     /// Total elements.
@@ -81,64 +72,6 @@ impl TensorDesc {
     /// Total bytes of a buffer with this descriptor.
     pub fn size_bytes(&self) -> usize {
         self.dtype.bytes_for(self.numel())
-    }
-}
-
-/// Kinds of compute devices Deep500 can describe. CPU is the only kind this
-/// reproduction executes on; the others parameterize simulated capacities
-/// and appear in device-selection examples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DeviceKind {
-    Cpu,
-    Gpu,
-    Fpga,
-    Accelerator,
-}
-
-/// A compute-device descriptor: kind, ordinal, memory capacity.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct DeviceDesc {
-    pub kind: DeviceKind,
-    /// Device ordinal (e.g. GPU 0, GPU 1).
-    pub ordinal: usize,
-    /// Memory capacity in bytes. The Level-1 out-of-memory experiment caps
-    /// executors at this value.
-    pub memory_bytes: usize,
-    /// Human-readable name for reports.
-    pub name: String,
-}
-
-impl DeviceDesc {
-    /// Host CPU with effectively unbounded memory.
-    pub fn cpu() -> DeviceDesc {
-        DeviceDesc {
-            kind: DeviceKind::Cpu,
-            ordinal: 0,
-            memory_bytes: usize::MAX,
-            name: "cpu".into(),
-        }
-    }
-
-    /// A simulated GPU with a 16 GB capacity (P100-like, as on Piz Daint).
-    pub fn simulated_gpu(ordinal: usize) -> DeviceDesc {
-        DeviceDesc {
-            kind: DeviceKind::Gpu,
-            ordinal,
-            memory_bytes: 16 * 1024 * 1024 * 1024,
-            name: format!("sim-gpu{ordinal}"),
-        }
-    }
-
-    /// Override the memory capacity (used to provoke OOM in experiments).
-    pub fn with_memory(mut self, bytes: usize) -> DeviceDesc {
-        self.memory_bytes = bytes;
-        self
-    }
-
-    /// Whether a buffer of `bytes` fits on this device (ignoring current
-    /// occupancy; the executor's accountant tracks that).
-    pub fn fits(&self, bytes: usize) -> bool {
-        bytes <= self.memory_bytes
     }
 }
 
@@ -160,18 +93,5 @@ mod tests {
         let d = TensorDesc::f32([2, 3, 4]);
         assert_eq!(d.numel(), 24);
         assert_eq!(d.size_bytes(), 96);
-        assert_eq!(d.layout, DataLayout::Nchw);
-        let d = d.with_layout(DataLayout::Nhwc);
-        assert_eq!(d.layout, DataLayout::Nhwc);
-    }
-
-    #[test]
-    fn device_capacities() {
-        let cpu = DeviceDesc::cpu();
-        assert!(cpu.fits(usize::MAX));
-        let gpu = DeviceDesc::simulated_gpu(1).with_memory(1000);
-        assert_eq!(gpu.ordinal, 1);
-        assert!(gpu.fits(1000));
-        assert!(!gpu.fits(1001));
     }
 }

@@ -7,9 +7,9 @@
 //! * [`shape::Shape`] — dimension/stride algebra for N-D arrays,
 //! * [`Tensor`] — an owned, contiguous, row-major `f32` tensor (the paper
 //!   uses 32-bit floats for all DNN parameters and errors),
-//! * [`descriptor::TensorDesc`] / [`descriptor::DeviceDesc`]
-//!   — the paper's ABI-style tensor and device descriptors used for
-//!   framework interoperability,
+//! * [`descriptor::TensorDesc`] / [`descriptor::DataType`] — the paper's
+//!   ABI-style tensor descriptor (element type and shape) used for
+//!   framework interoperability, and the element types the verifier infers,
 //! * [`pool::BufferPool`] — size-class recycling of tensor buffers, scoped
 //!   per thread via [`pool::with_pool`] so executors can reuse activation
 //!   and gradient storage across passes without touching operator code,
@@ -26,16 +26,14 @@
 
 pub mod descriptor;
 pub mod error;
-pub mod layout;
 pub mod pool;
 pub mod rng;
 pub mod shape;
 pub mod tensor;
 pub mod wait;
 
-pub use descriptor::{DataType, DeviceDesc, TensorDesc};
+pub use descriptor::{DataType, TensorDesc};
 pub use error::{Error, Result};
-pub use layout::DataLayout;
 pub use pool::{
     recycle_scratch, scratch_dirty, scratch_zeroed, with_pool, BufferPool, PoolStats, LINE_F32,
 };

@@ -90,28 +90,34 @@ impl BufferPool {
         numel.next_power_of_two().max(MIN_CLASS)
     }
 
-    /// A zeroed buffer of exactly `numel` elements, recycled if a buffer of
-    /// the right class is parked, freshly allocated otherwise. Zeroing on
-    /// acquisition keeps pooled and unpooled execution bit-identical.
-    pub fn acquire(&self, numel: usize) -> Vec<f32> {
+    /// A parked buffer of `numel`'s class (a hit), or an empty one with the
+    /// class's capacity (a miss). Its contents are whatever it retired
+    /// with; each `acquire*` decides what to keep.
+    fn pop(&self, numel: usize) -> Vec<f32> {
         let class = Self::class_of(numel);
         let reused = self.classes.lock().get_mut(&class).and_then(Vec::pop);
         match reused {
-            Some(mut buf) => {
+            Some(buf) => {
                 self.held_bytes
                     .fetch_sub(class * std::mem::size_of::<f32>(), Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                buf.clear();
-                buf.resize(numel, 0.0);
                 buf
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                let mut buf = Vec::with_capacity(class);
-                buf.resize(numel, 0.0);
-                buf
+                Vec::with_capacity(class)
             }
         }
+    }
+
+    /// A zeroed buffer of exactly `numel` elements, recycled if a buffer of
+    /// the right class is parked, freshly allocated otherwise. Zeroing on
+    /// acquisition keeps pooled and unpooled execution bit-identical.
+    pub fn acquire(&self, numel: usize) -> Vec<f32> {
+        let mut buf = self.pop(numel);
+        buf.clear();
+        buf.resize(numel, 0.0);
+        buf
     }
 
     /// A buffer of `numel` elements with *unspecified* (but initialized)
@@ -121,47 +127,20 @@ impl BufferPool {
     /// zero-fill pass of [`BufferPool::acquire`], which on a recycled
     /// multi-megabyte panel is pure wasted memory traffic.
     pub fn acquire_dirty(&self, numel: usize) -> Vec<f32> {
-        let class = Self::class_of(numel);
-        let reused = self.classes.lock().get_mut(&class).and_then(Vec::pop);
-        match reused {
-            Some(mut buf) => {
-                self.held_bytes
-                    .fetch_sub(class * std::mem::size_of::<f32>(), Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                // No clear(): the prefix keeps its stale values. resize only
-                // zero-fills growth beyond the retired length, so this stays
-                // safe code with no uninitialized memory.
-                buf.truncate(numel);
-                buf.resize(numel, 0.0);
-                buf
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let mut buf = Vec::with_capacity(class);
-                buf.resize(numel, 0.0);
-                buf
-            }
-        }
+        let mut buf = self.pop(numel);
+        // No clear(): the prefix keeps its stale values. resize only
+        // zero-fills growth beyond the retired length, so this stays safe
+        // code with no uninitialized memory.
+        buf.truncate(numel);
+        buf.resize(numel, 0.0);
+        buf
     }
 
     /// A buffer holding a copy of `src`, recycled when possible. Skips the
     /// zero-fill of [`BufferPool::acquire`] since every element is written.
     pub fn acquire_copy(&self, src: &[f32]) -> Vec<f32> {
-        let class = Self::class_of(src.len());
-        let reused = self.classes.lock().get_mut(&class).and_then(Vec::pop);
-        let mut buf = match reused {
-            Some(mut buf) => {
-                self.held_bytes
-                    .fetch_sub(class * std::mem::size_of::<f32>(), Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                buf.clear();
-                buf
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Vec::with_capacity(class)
-            }
-        };
+        let mut buf = self.pop(src.len());
+        buf.clear();
         buf.extend_from_slice(src);
         buf
     }

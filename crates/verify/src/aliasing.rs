@@ -4,9 +4,10 @@
 //! buffers drawn from a shared [`BufferPool`]. That is only sound if no
 //! tensor is *written* in the same level where it is *read* (or written
 //! again): a same-level def/use pair would race on the buffer. This pass
-//! proves the property for a given level partition — by default the one the
-//! executor itself derives, handed in by node name — and reports a
-//! [`LintCode::SameLevelHazard`] for every violation.
+//! proves the property for a level partition of node indices — by default
+//! [`compute_levels`], the one partition both of the graph crate's
+//! execution loops walk — and reports a [`LintCode::SameLevelHazard`] for
+//! every violation.
 //!
 //! The same liveness information builds an interference graph over produced
 //! tensors (edges between tensors whose live ranges overlap), whose maximum
@@ -61,19 +62,14 @@ pub struct LiveRange {
 /// never-consumed tensors are pinned to the final level.
 pub fn live_ranges(
     ir: &GraphIr,
-    levels: &[Vec<String>],
+    levels: &[Vec<usize>],
     shapes: &HashMap<String, Shape>,
 ) -> Vec<LiveRange> {
     let num_levels = levels.len();
-    let mut level_of_node: HashMap<&str, usize> = HashMap::new();
-    for (l, names) in levels.iter().enumerate() {
-        for n in names {
-            level_of_node.insert(n.as_str(), l);
-        }
-    }
+    let level_of = level_of_node(ir, levels);
     let mut def_of: HashMap<&str, usize> = HashMap::new();
-    for n in &ir.nodes {
-        let Some(&l) = level_of_node.get(n.name.as_str()) else {
+    for (n, level) in ir.nodes.iter().zip(&level_of) {
+        let Some(l) = *level else {
             continue; // stuck in a cycle; dataflow pass denies separately
         };
         for o in &n.outputs {
@@ -89,7 +85,7 @@ pub fn live_ranges(
             end = num_levels.saturating_sub(1);
         } else {
             for c in consumers {
-                if let Some(&cl) = level_of_node.get(ir.nodes[c].name.as_str()) {
+                if let Some(cl) = level_of[c] {
                     // Consumed at level cl => still accounted at the end of
                     // every level strictly before cl.
                     end = end.max(cl.saturating_sub(1));
@@ -111,10 +107,25 @@ pub fn live_ranges(
     ranges
 }
 
-/// Derive a level partition from the IR exactly like the wavefront
-/// executor: a node's level is one more than the deepest level among its
-/// input producers. Returns levels of node indices. Nodes stuck in cycles
-/// are omitted (the dataflow pass denies the graph separately).
+/// The level of each node index under `levels`; `None` for a node the
+/// partition omits.
+fn level_of_node(ir: &GraphIr, levels: &[Vec<usize>]) -> Vec<Option<usize>> {
+    let mut level_of = vec![None; ir.nodes.len()];
+    for (l, level) in levels.iter().enumerate() {
+        for &i in level {
+            level_of[i] = Some(l);
+        }
+    }
+    level_of
+}
+
+/// The level partition — the one schedule order: a node's level is one
+/// more than the deepest level among its input producers, and within a
+/// level nodes keep [`GraphIr::topo_order_lenient`]'s order. Returns levels
+/// of node indices. Both of the graph crate's execution loops walk these
+/// levels concatenated (`Network::topological_order`), so a reverse walk
+/// of either is the same sequence. Nodes stuck in cycles are omitted (the
+/// dataflow pass denies the graph separately).
 pub fn compute_levels(ir: &GraphIr) -> Vec<Vec<usize>> {
     let (order, _) = ir.topo_order_lenient();
     let mut level_of: HashMap<usize, usize> = HashMap::new();
@@ -138,28 +149,23 @@ pub fn compute_levels(ir: &GraphIr) -> Vec<Vec<usize>> {
     levels
 }
 
-/// Analyze a level partition given by *node name* (the executor's own
-/// partition, or [`compute_levels`] mapped to names). `shapes` supplies
-/// concrete tensor shapes from the shape pass; tensors without an inferred
-/// shape contribute 0 bytes to the bound (conservative for a lower bound).
+/// Analyze a level partition of node indices ([`compute_levels`], or a
+/// hand-built one in tests). `shapes` supplies concrete tensor shapes from
+/// the shape pass; tensors without an inferred shape contribute 0 bytes to
+/// the bound (conservative for a lower bound).
 pub fn analyze(
     ir: &GraphIr,
-    levels: &[Vec<String>],
+    levels: &[Vec<usize>],
     shapes: &HashMap<String, Shape>,
     lints: &mut Vec<Lint>,
 ) -> AliasReport {
     let num_levels = levels.len();
-    let mut level_of_node: HashMap<&str, usize> = HashMap::new();
-    for (l, names) in levels.iter().enumerate() {
-        for n in names {
-            level_of_node.insert(n.as_str(), l);
-        }
-    }
+    let level_of = level_of_node(ir, levels);
 
     // Def level of each produced tensor, and the writer node's name.
     let mut def_of: HashMap<&str, (usize, &str)> = HashMap::new();
-    for n in &ir.nodes {
-        let Some(&l) = level_of_node.get(n.name.as_str()) else {
+    for (n, level) in ir.nodes.iter().zip(&level_of) {
+        let Some(l) = *level else {
             continue; // stuck in a cycle; dataflow pass already denied it
         };
         for o in &n.outputs {
@@ -187,8 +193,8 @@ pub fn analyze(
 
     // Same-level (or earlier) read of a written tensor: every consumer must
     // sit in a strictly later level than the producer.
-    for n in &ir.nodes {
-        let Some(&l) = level_of_node.get(n.name.as_str()) else {
+    for (n, level) in ir.nodes.iter().zip(&level_of) {
+        let Some(l) = *level else {
             continue;
         };
         for i in &n.inputs {

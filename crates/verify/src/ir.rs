@@ -34,9 +34,7 @@ pub struct GraphIr {
     /// Declared graph-output tensor names.
     pub outputs: Vec<String>,
     /// Names of values already present in the network's value store (fed
-    /// tensors, cached activations). Execution treats these as available, so
-    /// use-before-def must too — the verifier matches `topological_order`'s
-    /// semantics exactly.
+    /// tensors, cached activations): available before any node runs.
     pub prefed: Vec<String>,
 }
 

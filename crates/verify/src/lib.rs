@@ -71,8 +71,9 @@ impl Verifier {
     }
 
     /// Full pipeline: dataflow, concrete shape & dtype inference from the
-    /// given graph-input shapes, and the aliasing analysis over the
-    /// IR-derived level partition.
+    /// given graph-input shapes, and the aliasing analysis over
+    /// [`aliasing::compute_levels`] — the partition both of the graph
+    /// crate's execution loops walk.
     pub fn check_with_inputs(&self, ir: &GraphIr, input_shapes: &[(&str, Shape)]) -> VerifyReport {
         self.check_with_inputs_and_dtypes(ir, input_shapes, &[])
     }
@@ -88,16 +89,7 @@ impl Verifier {
         let mut lints = Vec::new();
         dataflow::run(ir, &mut lints);
         let shapes = shape_pass::infer(ir, input_shapes, input_dtypes, &mut lints);
-        let levels: Vec<Vec<String>> = aliasing::compute_levels(ir)
-            .into_iter()
-            .map(|level| {
-                level
-                    .into_iter()
-                    .map(|i| ir.nodes[i].name.clone())
-                    .collect()
-            })
-            .collect();
-        let alias = aliasing::analyze(ir, &levels, &shapes, &mut lints);
+        let alias = aliasing::analyze(ir, &aliasing::compute_levels(ir), &shapes, &mut lints);
         VerifyReport {
             lints,
             shapes: shapes

@@ -235,10 +235,9 @@ fn aliasing_rejects_same_level_hazard() {
     let mut lints = Vec::new();
     let shapes = std::collections::HashMap::new();
     // Broken partition: producer s2 and consumer cc share level 1.
-    let levels = vec![
-        vec!["s3".to_string()],
-        vec!["s2".to_string(), "cc".to_string()],
-    ];
+    let [s2, s3, cc] =
+        ["s2", "s3", "cc"].map(|n| ir.nodes.iter().position(|m| m.name == n).unwrap());
+    let levels = vec![vec![s3], vec![s2, cc]];
     let alias = aliasing::analyze(&ir, &levels, &shapes, &mut lints);
     assert_eq!(alias.num_levels, 2);
     let hazards: Vec<_> = lints
@@ -261,11 +260,7 @@ fn interference_graph_counts_overlaps() {
     ]
     .into_iter()
     .collect();
-    let levels: Vec<Vec<String>> = aliasing::compute_levels(&ir)
-        .into_iter()
-        .map(|l| l.into_iter().map(|i| ir.nodes[i].name.clone()).collect())
-        .collect();
-    let alias = aliasing::analyze(&ir, &levels, &shapes, &mut lints);
+    let alias = aliasing::analyze(&ir, &aliasing::compute_levels(&ir), &shapes, &mut lints);
     assert!(lints.is_empty(), "{lints:?}");
     // a-b overlap at level 0; y overlaps neither (a, b die entering level 1
     // where y is defined)... except a and b are live *through the end of
