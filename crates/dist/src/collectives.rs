@@ -472,7 +472,7 @@ mod tests {
                 .into_iter()
                 .map(|mut c| {
                     thread::spawn(move || {
-                        let mut rng = crate::fault::SplitMix64::new(97);
+                        let mut rng = deep500_tensor::SplitMix64::new(97);
                         let mut folded = 0u64;
                         for round in 0..1000usize {
                             let skew_us = rng.next_u64() % 201;

@@ -20,33 +20,8 @@
 use crate::comm::{CommError, CommResult, Communicator, SendOptions};
 use crate::netmodel::NetworkModel;
 use deep500_metrics::{CommunicationVolume, FaultCounters};
+use deep500_tensor::SplitMix64;
 use std::sync::Arc;
-
-/// SplitMix64 — a tiny, high-quality, seedable PRNG (public domain
-/// reference constants). Enough for fault decisions; not for crypto.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
 
 /// What kind of fault (or recovery action) an event records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -572,16 +547,5 @@ mod tests {
         let err = f0.recv_timeout(1, 0.05).unwrap_err();
         assert!(matches!(err, CommError::Timeout { peer: 1, .. }));
         assert!(t0.elapsed().as_secs_f64() < 2.0, "wait must be bounded");
-    }
-
-    #[test]
-    fn splitmix_is_deterministic_and_uniformish() {
-        let mut a = SplitMix64::new(42);
-        let mut b = SplitMix64::new(42);
-        let xs: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
-        assert_eq!(xs, ys);
-        let mean = (0..1000).map(|_| a.next_f64()).sum::<f64>() / 1000.0;
-        assert!((mean - 0.5).abs() < 0.05, "mean {mean}");
     }
 }

@@ -148,21 +148,6 @@ impl Variant {
         }
     }
 
-    /// Whether the variant degrades gracefully when ranks crash
-    /// (decentralized group re-formation or staleness tolerance) rather
-    /// than failing over/aborting.
-    pub fn survives_crashes(&self) -> bool {
-        matches!(
-            self,
-            Variant::Cdsgd
-                | Variant::RefDsgd
-                | Variant::Horovod
-                | Variant::Dpsgd
-                | Variant::Mavg { .. }
-                | Variant::StaleSynchronous { .. }
-        )
-    }
-
     /// Build the per-rank scheme over `comm` with a gradient-descent base
     /// optimizer at learning rate `lr`.
     fn build(&self, lr: f32, comm: Box<dyn Communicator>) -> Box<dyn DistributedOptimizer> {

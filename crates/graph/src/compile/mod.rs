@@ -25,11 +25,13 @@
 //!    tensor ids (forward environment and backward gradient table alike),
 //!    so execution never recomputes readiness or hashes tensor names. The
 //!    plan holds the schedule, not the memory: nothing in it depends on the
-//!    feed shapes, so it is frozen and gated once per network, and every
+//!    feed shapes, so it is frozen once per network, when the interpreter
+//!    is built, and gated there on the plan-soundness lint (`V018`); every
 //!    pass buffer comes from the interpreter's
 //!    [`BufferPool`](deep500_tensor::BufferPool). Every concurrent run —
-//!    compiled graph or not — goes through it, and so through the
-//!    plan-soundness gate.
+//!    compiled graph or not — goes through it, and so through that one
+//!    plan gate. [`compile`] itself ends on the shape-aware graph gate and
+//!    builds no plan.
 //!
 //! Results remain bit-identical to the reference executor: every rewrite
 //! preserves the exact per-element float sequence (see the epilogue
@@ -158,8 +160,8 @@ fn gate_pass(
 /// Compile `net` in place: run the passes in order, gating each on
 /// the transform-safety harness under the given graph-input shapes.
 /// Returns what was rewritten. The network afterwards is ready for any
-/// executor; [`PlannedExecutor`] additionally freezes the schedule at its
-/// first pass.
+/// executor; [`PlannedExecutor`] freezes its schedule and gates it on the
+/// plan-soundness lint when it is built, so compile builds no plan.
 pub fn compile(
     net: &mut Network,
     input_shapes: &[(&str, Shape)],
@@ -209,12 +211,6 @@ pub fn compile(
     // shape-aware verifier at the declared shapes — so a graph the passes
     // left alone is checked too (e.g. a conv fed a rank-1 filter).
     deep500_verify::gate_with_inputs(&net.to_ir(), &known_shapes(net, input_shapes))?;
-    // Plan-soundness gate (V018, V020): freeze the schedule the planned
-    // executor would run and prove liveness and memo invalidation before
-    // anything executes.
-    let exec_plan = plan::ExecutionPlan::freeze(net, input_shapes)?;
-    let ops = net.instantiate_ops()?;
-    deep500_verify::gate_plan(&exec_plan.to_plan_ir(net, &ops, &[]))?;
     Ok(report)
 }
 

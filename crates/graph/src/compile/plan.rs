@@ -71,7 +71,13 @@ impl ExecutionPlan {
     /// `spine/` benchmark calls `freeze(net, shapes)`.
     pub fn freeze(network: &Network, _input_shapes: &[(&str, Shape)]) -> Result<ExecutionPlan> {
         let levels = network.levels(&network.to_ir())?;
+        Ok(Self::from_levels(network, &levels))
+    }
 
+    /// Freeze the schedule over `levels`, which must be
+    /// [`Network::levels`] of `network` — for a caller that already holds
+    /// the network's IR.
+    pub(crate) fn from_levels(network: &Network, levels: &[Vec<NodeId>]) -> ExecutionPlan {
         // Dense ids: feeds first, then node outputs in level order.
         let mut tensor_ids: HashMap<String, usize> = HashMap::new();
         let mut tensor_names: Vec<String> = Vec::new();
@@ -102,7 +108,7 @@ impl ExecutionPlan {
         // Steps + level ranges.
         let mut steps = Vec::with_capacity(network.num_nodes());
         let mut level_ranges = Vec::with_capacity(levels.len());
-        for level in &levels {
+        for level in levels {
             let lo = steps.len();
             for &nid in level {
                 let node = network.node(nid).expect("live node");
@@ -179,7 +185,7 @@ impl ExecutionPlan {
             .filter_map(|o| tensor_ids.get(o).map(|&id| (o.clone(), id)))
             .collect();
 
-        Ok(ExecutionPlan {
+        ExecutionPlan {
             tensor_ids,
             tensor_names,
             steps,
@@ -187,7 +193,7 @@ impl ExecutionPlan {
             dies_after_level,
             outputs,
             feed_ids,
-        })
+        }
     }
 
     /// Number of environment tensors.
@@ -196,18 +202,17 @@ impl ExecutionPlan {
     }
 
     /// Lower the frozen plan into the verifier's plain-data [`PlanIr`] for
-    /// the plan-soundness pipeline (`V018`, `V020`), mirroring how
-    /// `Network::to_ir()` feeds the graph-level passes.
+    /// the plan-soundness lint (`V018`), mirroring how `Network::to_ir()`
+    /// feeds the graph-level passes.
     ///
-    /// `ops` supplies the instantiated operators whose effect annotations
-    /// ([`deep500_ops::OpEffects`]) mark version-memoized and mutated
-    /// inputs. The third argument is ignored: every weight memo re-checks
-    /// its version stamp on each call, so no parameter set can make a plan
-    /// stale. It stays because the frozen `spine/` benchmark passes it.
+    /// The second and third arguments are ignored: liveness needs no
+    /// operator, and every weight memo re-checks its version stamp on each
+    /// call, so no operator or parameter set can make a plan unsound. They
+    /// stay because the frozen `spine/` benchmark passes them.
     pub fn to_plan_ir(
         &self,
         network: &Network,
-        ops: &HashMap<NodeId, Box<dyn deep500_ops::Operator>>,
+        _ops: &HashMap<NodeId, Box<dyn deep500_ops::Operator>>,
         _ignored: &[String],
     ) -> deep500_verify::PlanIr {
         use deep500_verify::{PlanIr, PlanStepIr, PlanValueIr};
@@ -216,10 +221,6 @@ impl ExecutionPlan {
         for (l, &(lo, hi)) in self.level_ranges.iter().enumerate() {
             for step in &self.steps[lo..hi.min(self.steps.len())] {
                 let node = network.node(step.node).expect("live node");
-                let effects = ops
-                    .get(&step.node)
-                    .map(|op| op.effects())
-                    .unwrap_or_default();
                 let inputs = step
                     .inputs
                     .iter()
@@ -234,8 +235,6 @@ impl ExecutionPlan {
                     level: l,
                     inputs,
                     outputs: step.outputs.clone(),
-                    memo_inputs: effects.version_memo_inputs,
-                    mutated_inputs: effects.mutated_inputs,
                 });
             }
         }

@@ -43,8 +43,8 @@
 //!   configured memory limit still produces `Error::OutOfMemory`.
 //!
 //! Nothing in the plan depends on the feed shapes, so it is frozen once,
-//! at the first pass, and gated on the plan-soundness analysis before any
-//! pass runs it.
+//! when the executor is built, and gated there on the plan-soundness lint
+//! (`V018`), right after the graph gate — no pass runs an unchecked plan.
 
 use super::plan::{ExecutionPlan, PlanStep, ValueRef};
 use crate::executor::{node_rows, rows_by_id, GraphExecutor, MemoryAccountant};
@@ -92,9 +92,9 @@ fn level_work(flops: impl ExactSizeIterator<Item = f64>) -> usize {
     (second / 2.0) as usize
 }
 
-/// Plan counters (see [`PlannedExecutor::plan_cache_stats`]). One plan
-/// serves every feed shape, so they read builds 1, hits 0, cached 1 once
-/// the first pass has run. Kept because the frozen `spine/` benchmark
+/// Plan counters (see [`PlannedExecutor::plan_cache_stats`]). One plan,
+/// built with the executor, serves every feed shape, so they always read
+/// builds 1, hits 0, cached 1. Kept because the frozen `spine/` benchmark
 /// reads them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
@@ -131,8 +131,8 @@ fn gather_inputs<'a>(
 pub struct PlannedExecutor {
     network: Network,
     ops: HashMap<NodeId, Box<dyn Operator>>,
-    /// The frozen schedule, built and gated at the first pass.
-    plan: Option<ExecutionPlan>,
+    /// The frozen schedule, built and gated at construction.
+    plan: ExecutionPlan,
     events: EventList,
     memory: MemoryAccountant,
     pool: Arc<BufferPool>,
@@ -144,19 +144,24 @@ pub struct PlannedExecutor {
 impl PlannedExecutor {
     /// The verified construction path behind [`Engine`]: `capacity` is the
     /// device memory limit in bytes. Construction is gated on the static
-    /// verifier (`Error::Validation` on any `Deny` lint) — level-parallel
-    /// execution over recycled buffers makes dataflow defects like
-    /// duplicate writers actively dangerous, not just wrong.
+    /// verifier, then freezes the plan and gates it on the plan-soundness
+    /// lint ([`deep500_verify::gate_plan`], `V018`) — `Error::Validation`
+    /// on any `Deny` lint of either. Level-parallel execution over recycled
+    /// buffers makes dataflow defects like duplicate writers actively
+    /// dangerous, not just wrong.
     ///
     /// [`Engine`]: crate::engine::Engine
     pub(crate) fn construct(network: Network, capacity: usize) -> Result<Self> {
-        deep500_verify::gate(&network.to_ir())?;
+        let ir = network.to_ir();
+        deep500_verify::gate(&ir)?;
         let ops = network.instantiate_ops()?;
+        let plan = ExecutionPlan::from_levels(&network, &network.levels(&ir)?);
+        deep500_verify::gate_plan(&plan.to_plan_ir(&network, &ops, &[]))?;
         let rows = node_rows(&network, &[]);
         Ok(PlannedExecutor {
             network,
             ops,
-            plan: None,
+            plan,
             events: EventList::new(),
             memory: MemoryAccountant::new(capacity),
             pool: Arc::new(BufferPool::new()),
@@ -165,43 +170,23 @@ impl PlannedExecutor {
         })
     }
 
-    /// The execution plan, once the first pass has built it.
-    pub fn plan(&self) -> Option<&ExecutionPlan> {
-        self.plan.as_ref()
+    /// The execution plan every pass runs.
+    pub fn plan(&self) -> &ExecutionPlan {
+        &self.plan
     }
 
-    /// Plan counters: 1 build and 1 plan held once the first pass has run,
-    /// never a hit.
+    /// Plan counters: always 1 build and 1 plan held, never a hit.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        let built = usize::from(self.plan.is_some());
         PlanCacheStats {
-            builds: built,
+            builds: 1,
             hits: 0,
-            cached: built,
+            cached: 1,
         }
     }
 
     /// Buffer-pool effectiveness counters.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
-    }
-
-    /// Freeze the plan at the first pass. It must pass the plan-soundness
-    /// gate ([`deep500_verify::gate_plan`], `V018`, `V020`) before any pass
-    /// runs it; the one gate serves inference and backprop alike.
-    fn ensure_plan(&mut self, pass: usize) -> Result<()> {
-        if self.plan.is_some() {
-            return Ok(());
-        }
-        let start = std::time::Instant::now();
-        let plan = ExecutionPlan::freeze(&self.network, &[])?;
-        deep500_verify::gate_plan(&plan.to_plan_ir(&self.network, &self.ops, &[]))?;
-        self.plan = Some(plan);
-        // The cold pass freezes and gates inside its `Inference`/`Backprop`
-        // window; own that time instead of leaving it unexplained.
-        self.events
-            .span(Phase::Bookkeeping, pass, start.elapsed().as_secs_f64());
-        Ok(())
     }
 
     /// The planned forward pass. With `reclaim`, buffers of tensors whose
@@ -224,7 +209,6 @@ impl PlannedExecutor {
             rows,
             ..
         } = self;
-        let plan = plan.as_ref().expect("ensure_plan ran");
 
         memory.reset();
         let mut env: Vec<Option<Tensor>> = vec![None; plan.num_env()];
@@ -309,7 +293,7 @@ impl PlannedExecutor {
 
     /// Collect declared graph outputs from a planned environment.
     fn collect_outputs(&self, env: &[Option<Tensor>]) -> Result<HashMap<String, Tensor>> {
-        let plan = self.plan().expect("plan built");
+        let plan = &self.plan;
         let mut out = HashMap::new();
         for (name, id) in &plan.outputs {
             let t = env[*id]
@@ -337,7 +321,7 @@ impl PlannedExecutor {
     /// descending step index, which is the reference's reverse sweep over
     /// the same level order, and are accumulated on arrival.
     fn backward_planned(&mut self, env: &[Option<Tensor>], loss: &str, pass: usize) -> Result<()> {
-        let plan = self.plan().expect("plan built");
+        let plan = &self.plan;
         let loss_id = plan
             .tensor_ids
             .get(loss)
@@ -477,7 +461,6 @@ impl GraphExecutor for PlannedExecutor {
         self.pass_counter += 1;
         let pass = self.pass_counter;
         self.events.begin(Phase::Inference, pass);
-        self.ensure_plan(pass)?;
         let env = self.forward_planned(feeds, true)?;
         let outputs = self.collect_outputs(&env);
         // Reclaim inside the phase window so the Bookkeeping span merges
@@ -501,7 +484,6 @@ impl GraphExecutor for PlannedExecutor {
         self.pass_counter += 1;
         let pass = self.pass_counter;
         self.events.begin(Phase::Backprop, pass);
-        self.ensure_plan(pass)?;
         let env = self.forward_planned(feeds, false)?;
         self.backward_planned(&env, loss, pass)?;
         let outputs = self.collect_outputs(&env);

@@ -222,20 +222,6 @@ impl Engine {
         }
     }
 
-    /// Wrap an already-built executor (custom [`GraphExecutor`]
-    /// implementations, e.g. the simulated-framework backends) in an
-    /// engine, gaining sessions and shared access.
-    pub fn from_executor(executor: Box<dyn GraphExecutor>) -> Engine {
-        Engine {
-            core: Arc::new(EngineCore {
-                executor: Mutex::new(executor),
-                trace: None,
-                report: None,
-                tenants: AtomicUsize::new(0),
-            }),
-        }
-    }
-
     /// A new per-tenant session handle. Cheap: an `Arc` clone and a
     /// counter increment.
     pub fn session(&self) -> Session {

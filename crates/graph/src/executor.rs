@@ -381,11 +381,6 @@ impl ReferenceExecutor {
         Ok(())
     }
 
-    /// Consume the executor, returning its network.
-    pub fn into_network(self) -> Network {
-        self.network
-    }
-
     /// Forward pass producing the full tensor environment.
     fn forward_env(&mut self, feeds: &[(&str, Tensor)]) -> Result<HashMap<String, Tensor>> {
         self.memory.reset();

@@ -1,15 +1,15 @@
-//! Plan-soundness verification: the static analysis (`V018`, `V020`) over
-//! real compiled plans, and a mutation suite proving each defect class is
+//! Plan-soundness verification: the one plan lint (`V018`) over real
+//! compiled plans, and a mutation suite proving each defect class is
 //! caught.
 //!
 //! Structure mirrors the verifier's contract:
 //! * every zoo model × {raw, compiled-inference, compiled-training}
 //!   verifies with zero deny lints, and both concurrent executor kinds run
-//!   the gate,
+//!   the gate when they are built,
 //! * six hand-corrupted plans (level reorder, death-list desync, a read
 //!   retargeted past its definition, a second writer, a recycled graph
-//!   output, skipped memo invalidation) each produce the designed deny
-//!   lint,
+//!   output, a memoized input hoisted beside its producer) each produce
+//!   the designed deny lint,
 //! * an interpreter whose passes failed part-way runs the next pass
 //!   bitwise like the reference.
 
@@ -22,8 +22,7 @@ use deep500_verify::{check_plan, LintCode, PlanIr, PlanValueIr};
 
 fn lower(net: &Network, shapes: &[(&str, Shape)]) -> PlanIr {
     let plan = ExecutionPlan::freeze(net, shapes).unwrap();
-    let ops = net.instantiate_ops().unwrap();
-    plan.to_plan_ir(net, &ops, &[])
+    plan.to_plan_ir(net, &Default::default(), &[])
 }
 
 // ------------------------------------------------------ clean-zoo gates
@@ -37,7 +36,7 @@ fn every_zoo_plan_verifies_clean_raw_and_compiled() {
         let report = check_plan(&ir);
         assert!(report.passes(), "{name} raw:\n{}", report.render(true));
 
-        // compile() itself runs the gate; both option sets must clear it.
+        // Both compile option sets must leave a plan that clears the gate.
         let mut inf = net.clone_structure();
         compile(&mut inf, &shapes, &CompileOptions::inference())
             .unwrap_or_else(|e| panic!("{name} inference compile denied: {e}"));
@@ -57,9 +56,9 @@ fn every_zoo_plan_verifies_clean_raw_and_compiled() {
 }
 
 #[test]
-// A `Wavefront`-kind engine runs the plan interpreter, so its first pass
-// builds a plan through the mandatory `ensure_plan` gate (V018, V020), and
-// backprop reuses that plan.
+// A `Wavefront`-kind engine runs the plan interpreter, which freezes its
+// plan and runs the mandatory plan gate (V018) when it is built; every
+// inference and backprop pass reuses that plan.
 fn wavefront_kind_passes_run_the_mandatory_plan_gate() {
     for case in zoo() {
         let name = case.name;
@@ -70,15 +69,49 @@ fn wavefront_kind_passes_run_the_mandatory_plan_gate() {
             .unwrap();
         let mut ex = engine.lock();
         ex.inference(&as_refs(&feeds))
-            .unwrap_or_else(|e| panic!("{name} inference gate: {e}"));
+            .unwrap_or_else(|e| panic!("{name} inference: {e}"));
         ex.inference_and_backprop(&as_refs(&feeds), "loss")
-            .unwrap_or_else(|e| panic!("{name} backprop gate: {e}"));
+            .unwrap_or_else(|e| panic!("{name} backprop: {e}"));
         let planned = ex
             .as_any()
             .downcast_ref::<PlannedExecutor>()
             .expect("wavefront engine holds the plan interpreter");
         assert_eq!(planned.plan_cache_stats().builds, 1, "{name}");
-        assert!(planned.plan().is_some(), "{name}");
+        assert_eq!(
+            planned.plan().steps.len(),
+            ex.network().num_nodes(),
+            "{name}"
+        );
+    }
+}
+
+/// The plan is frozen and gated by `build()`, not by the first pass: a
+/// fresh engine already holds it, and its counters read one build.
+#[test]
+fn planned_engine_holds_its_plan_before_any_pass() {
+    for case in zoo() {
+        let engine = Engine::builder(case.net)
+            .executor(ExecutorKind::Planned)
+            .build()
+            .unwrap();
+        let ex = engine.lock();
+        let planned = ex
+            .as_any()
+            .downcast_ref::<PlannedExecutor>()
+            .expect("planned engine holds the plan interpreter");
+        let stats = planned.plan_cache_stats();
+        assert_eq!(
+            (stats.builds, stats.hits, stats.cached),
+            (1, 0, 1),
+            "{}",
+            case.name
+        );
+        assert_eq!(
+            planned.plan().steps.len(),
+            ex.network().num_nodes(),
+            "{}",
+            case.name
+        );
     }
 }
 
@@ -199,30 +232,33 @@ fn mutant_pinned_output_in_death_list_is_denied() {
 }
 
 #[test]
-fn mutant_unordered_memo_producer_is_stale() {
-    // Mutant 6: mark a step as memoizing on an env input, then hoist it
-    // into its producer's level — the memo's version stamp races the
-    // producing write.
+fn mutant_unordered_memo_producer_is_a_liveness_gap() {
+    // Mutant 6: hoist a step into the level of the producer of one of its
+    // inputs — the mutant retired V020 caught when that input keyed a
+    // memo. V018 lints the same step and tensor with no memo annotation.
     let mut plan = lenet_plan();
-    let (producer_level, reader_idx, input_idx) = plan
+    let (producer_level, reader_idx, id) = plan
         .steps
         .iter()
         .enumerate()
         .find_map(|(i, s)| {
-            s.inputs.iter().enumerate().find_map(|(j, input)| {
+            s.inputs.iter().find_map(|input| {
                 let PlanValueIr::Env(id) = input else {
                     return None;
                 };
                 let def = plan.steps.iter().find(|p| p.outputs.contains(id))?;
-                (def.level < s.level).then_some((def.level, i, j))
+                (def.level < s.level).then_some((def.level, i, *id))
             })
         })
         .expect("some step reads another step's output");
-    plan.steps[reader_idx].memo_inputs = vec![input_idx];
     plan.steps[reader_idx].level = producer_level;
+    let (node, tensor) = (&plan.steps[reader_idx].node, &plan.tensor_names[id]);
     let report = check_plan(&plan);
     assert!(
-        !report.with_code(LintCode::StaleMemo).is_empty(),
+        report
+            .with_code(LintCode::PlanLivenessGap)
+            .iter()
+            .any(|l| l.node.as_ref() == Some(node) && l.tensor.as_ref() == Some(tensor)),
         "{}",
         report.render(true)
     );

@@ -21,11 +21,6 @@ impl Heatmap {
         Heatmap { rows, cols, data }
     }
 
-    /// Build from an `f32` buffer (the tensor element type).
-    pub fn from_f32(rows: usize, cols: usize, data: &[f32]) -> Heatmap {
-        Heatmap::new(rows, cols, data.iter().map(|&x| x as f64).collect())
-    }
-
     /// Absolute elementwise difference map of two buffers — the paper's
     /// error-localization heatmap.
     pub fn abs_diff(rows: usize, cols: usize, a: &[f32], b: &[f32]) -> Heatmap {

@@ -25,11 +25,6 @@ impl Timer {
         self.start.elapsed().as_secs_f64()
     }
 
-    /// Elapsed milliseconds since `start`.
-    pub fn elapsed_ms(&self) -> f64 {
-        self.elapsed_s() * 1e3
-    }
-
     /// Time a closure, returning `(result, seconds)`.
     pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
         let t = Timer::start();

@@ -185,15 +185,6 @@ impl Operator for Conv2dOp {
     fn num_inputs(&self) -> usize {
         3
     }
-    fn effects(&self) -> crate::operator::OpEffects {
-        // The direct tier memoizes the MR-blocked filter keyed on input
-        // 1's version stamp.
-        let memo = self.algo == ConvAlgorithm::Direct;
-        crate::operator::OpEffects {
-            version_memo_inputs: if memo { vec![1] } else { Vec::new() },
-            mutated_inputs: Vec::new(),
-        }
-    }
     fn output_shapes(&self, s: &[&Shape]) -> Result<Vec<Shape>> {
         let (n, _, _, _, co, _, _, ho, wo) = self.dims(s[0], s[1])?;
         if s[2].numel() != co {

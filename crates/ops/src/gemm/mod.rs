@@ -275,11 +275,6 @@ pub fn matmul_at_b_with(algo: Algorithm, a: &Tensor, b: &Tensor) -> Result<Tenso
     Ok(c)
 }
 
-/// `A^T * B` with the default algorithm ([`Algorithm::Packed`]).
-pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    matmul_at_b_with(Algorithm::default(), a, b)
-}
-
 /// `A * B^T` for rows `ib..` of the result (each row is an independent set
 /// of dot products, so panelling cannot change the accumulation order).
 fn a_bt_panel(ib: usize, n: usize, k: usize, ad: &[f32], bd: &[f32], cpanel: &mut [f32]) {

@@ -43,4 +43,4 @@ pub mod registry;
 pub mod shape_ops;
 pub mod validate;
 
-pub use operator::{OpEffects, Operator};
+pub use operator::Operator;

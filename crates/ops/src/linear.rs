@@ -84,18 +84,6 @@ impl Operator for LinearOp {
     fn num_inputs(&self) -> usize {
         3
     }
-    fn effects(&self) -> crate::operator::OpEffects {
-        // Under `Packed`, single-row batches take the GEMV fast path over a
-        // transposed weight image memoized on input 1's version stamp.
-        crate::operator::OpEffects {
-            version_memo_inputs: if self.algo == Algorithm::Packed {
-                vec![1]
-            } else {
-                Vec::new()
-            },
-            mutated_inputs: Vec::new(),
-        }
-    }
     fn output_shapes(&self, s: &[&Shape]) -> Result<Vec<Shape>> {
         let (n, _, fout) = self.dims(s[0], s[1], s[2])?;
         Ok(vec![Shape::new(&[n, fout])])

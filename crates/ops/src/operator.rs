@@ -7,37 +7,6 @@
 
 use deep500_tensor::{Result, Shape, Tensor};
 
-/// Conservative side-effect summary of an operator's `forward`, consumed by
-/// the plan-soundness verifier (`deep500-verify`'s V020 `StaleMemo` and the
-/// schedule-race analysis). Operators are pure functions of their inputs,
-/// but some keep *internal* memos of derived data keyed on an input's
-/// content-version stamp ([`Tensor::version`]) — the direct-tier
-/// convolution's packed filter and the GEMV path's transposed weight image,
-/// the only two, both built by one memo type that re-checks the stamp on
-/// every call. Such memos are sound only when the memoized input is stable
-/// (its producer happens-before the consuming step) while `forward` runs,
-/// which is exactly what the effect summary lets the verifier prove.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OpEffects {
-    /// Input indices whose tensors key an internal version-stamped memo of
-    /// derived data. The verifier requires each such input to come from
-    /// the network store or from a step strictly ordered before the
-    /// consumer.
-    pub version_memo_inputs: Vec<usize>,
-    /// Input indices the operator writes through. No bundled operator
-    /// mutates its inputs; the field is for registered custom operators,
-    /// and the verifier treats any entry conservatively as a write that
-    /// races with every unordered reader of the same tensor.
-    pub mutated_inputs: Vec<usize>,
-}
-
-impl OpEffects {
-    /// True when the operator declares no memoization and no mutation.
-    pub fn is_pure(&self) -> bool {
-        self.version_memo_inputs.is_empty() && self.mutated_inputs.is_empty()
-    }
-}
-
 /// A Deep500 Level-0 operator.
 ///
 /// Mirrors the paper's `CustomOperator` with its two methods:
@@ -121,15 +90,6 @@ pub trait Operator: Send + Sync {
     fn annotation(&self, input_shapes: &[&Shape]) -> Option<String> {
         let _ = input_shapes;
         None
-    }
-
-    /// Conservative effect summary for the plan-soundness verifier: which
-    /// inputs key internal version-stamped memos, and which (if any) the
-    /// operator writes through. Defaults to pure — operators with hidden
-    /// memoization (direct-tier conv, packed GEMV) must override so the
-    /// static analysis can prove their memos sound.
-    fn effects(&self) -> OpEffects {
-        OpEffects::default()
     }
 
     /// Bytes moved by one `forward` call — inputs read plus outputs
@@ -250,7 +210,6 @@ mod tests {
         let op = Double;
         assert_eq!(op.num_outputs(), 1);
         assert!(op.input_differentiable(0));
-        assert!(op.effects().is_pure(), "operators default to pure");
         assert_eq!(op.flops(&[&Shape::new(&[4])]), 4.0);
         // 4 floats read + 4 written, 4 bytes each.
         assert_eq!(op.bytes_moved(&[&Shape::new(&[4])]), 32);

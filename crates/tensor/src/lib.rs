@@ -37,6 +37,6 @@ pub use error::{Error, Result};
 pub use pool::{
     recycle_scratch, scratch_dirty, scratch_zeroed, with_pool, BufferPool, PoolStats, LINE_F32,
 };
-pub use rng::Xoshiro256StarStar;
+pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -1,6 +1,6 @@
 //! Version-stamp integrity under buffer recycling.
 //!
-//! Memoization (packed weight caches, the plan verifier's `V020` model)
+//! Memoization (the packed conv filter and the GEMV weight image)
 //! keys on [`Tensor::version`]: equal stamps must imply equal contents.
 //! [`BufferPool`] recycling is the dangerous path — the same physical
 //! allocation comes back as a "new" tensor, and a reused stamp would let a

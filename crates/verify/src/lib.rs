@@ -30,7 +30,6 @@
 pub mod aliasing;
 pub mod batch_contract;
 pub mod dataflow;
-pub mod happens_before;
 pub mod ir;
 pub mod lint;
 pub mod plan_check;
@@ -39,7 +38,6 @@ pub mod transform_safety;
 
 pub use aliasing::{AliasReport, LiveRange};
 pub use batch_contract::{batch_contract, BatchContract, BatchRole};
-pub use happens_before::HappensBefore;
 pub use ir::{GraphIr, NodeIr};
 pub use lint::{Lint, LintCode, Severity, VerifyReport};
 pub use plan_check::{check_plan, PlanIr, PlanStepIr, PlanValueIr};

@@ -76,10 +76,6 @@ pub enum LintCode {
     /// already recycled its buffer (death level before the read), or a
     /// value is read before any ordered step defines it.
     PlanLivenessGap,
-    /// Plan soundness: a version-keyed memo (packed conv filter, GEMV
-    /// weight image) can serve stale derived data — its source may be
-    /// re-stamped on a path the plan never re-validates.
-    StaleMemo,
 }
 
 impl LintCode {
@@ -102,9 +98,10 @@ impl LintCode {
             LintCode::InterfaceDrift => "V014",
             LintCode::ParamDrift => "V015",
             // V016 is retired with the ahead-of-time filter layout it
-            // checked, V017 and V019 with the static slot plan.
+            // checked, V017 and V019 with the static slot plan, V020 with
+            // the operator memo annotations whose clauses V018 subsumed or
+            // never had an input to check.
             LintCode::PlanLivenessGap => "V018",
-            LintCode::StaleMemo => "V020",
         }
     }
 
@@ -129,7 +126,6 @@ impl LintCode {
             LintCode::InterfaceDrift,
             LintCode::ParamDrift,
             LintCode::PlanLivenessGap,
-            LintCode::StaleMemo,
         ]
     }
 
@@ -147,8 +143,7 @@ impl LintCode {
             | LintCode::SameLevelHazard
             | LintCode::ShapeDrift
             | LintCode::InterfaceDrift
-            | LintCode::PlanLivenessGap
-            | LintCode::StaleMemo => Severity::Deny,
+            | LintCode::PlanLivenessGap => Severity::Deny,
             LintCode::DanglingFeed | LintCode::DeadNode | LintCode::NonAffineBatch => {
                 Severity::Warn
             }
@@ -249,15 +244,6 @@ impl LintCode {
                  any step ordered before the read, or a pinned graph output appears \
                  in a death list. Usual cause: a death list or level assignment \
                  edited out of sync with the dispatch schedule."
-            }
-            LintCode::StaleMemo => {
-                "A version-keyed memo (packed conv filter image, GEMV transposed \
-                 weight image) can serve stale derived data. Soundness requires the \
-                 memoized source to be stable while the consuming step runs: a \
-                 memoized input produced by a step not ordered before its consumer, \
-                 or mutated by a step unordered with a reader, can pair an old \
-                 version stamp with new bytes. Usual cause: a schedule edit that \
-                 made the memoized producer concurrent with its consumer."
             }
         }
     }

@@ -1,26 +1,28 @@
-//! Plan-soundness analysis: schedule-aware liveness and memo-invalidation
-//! checks over a *compiled* execution plan.
+//! Plan-soundness analysis: one schedule-aware liveness lint over a
+//! *compiled* execution plan.
 //!
 //! The graph-level passes (V001–V015) prove properties of the IR; the hot
-//! path, however, executes a compiled artifact — a frozen wavefront
-//! schedule with per-level death lists that hand dead buffers back to the
-//! pool, and version-stamped weight memos. This module closes that gap:
-//! the graph crate lowers its `ExecutionPlan` into the plain-data
-//! [`PlanIr`] (mirroring how `Network::to_ir()` feeds the IR passes) and
-//! [`check_plan`] proves, before the first pass runs:
+//! path, however, executes a compiled artifact — a frozen level schedule
+//! with per-level death lists that hand dead buffers back to the pool.
+//! This module closes that gap: the graph crate lowers its `ExecutionPlan`
+//! into the plain-data [`PlanIr`] (mirroring how `Network::to_ir()` feeds
+//! the IR passes) and [`check_plan`] proves, before the first pass runs:
 //!
 //! * **V018 `PlanLivenessGap`** — every read of an environment tensor
 //!   falls inside its guaranteed-live window: defined by a strictly
 //!   earlier level (or a feed), not yet recycled by a death list, pinned
 //!   outputs never die, and nothing dies twice.
-//! * **V020 `StaleMemo`** — every version-keyed memo re-validates on every
-//!   path that can re-stamp its source: memoized inputs are store values
-//!   or happen-before-ordered productions, and declared mutators never
-//!   race unordered readers.
+//!
+//! The interpreter starts level `l + 1` only after level `l` joins, so a
+//! write is visible to every later level and to nothing in its own level;
+//! that barrier order is the only one the analysis assumes. A plan whose
+//! step levels fall outside its level count is a V018 defect too.
 //!
 //! V017 and V019 are retired with the static slot plan they checked.
+//! V020 is retired with the operator memo annotations it read: its memo
+//! clause linted exactly the reads V018 lints, and no operator declared an
+//! input its mutator clause could check.
 
-use crate::happens_before::HappensBefore;
 use crate::lint::{Lint, LintCode, VerifyReport};
 
 /// Where a plan step's input comes from at dispatch time. Mirrors the
@@ -33,7 +35,7 @@ pub enum PlanValueIr {
     Net(String),
 }
 
-/// One scheduled dispatch, with the operator effects the analysis needs.
+/// One scheduled dispatch.
 #[derive(Debug, Clone)]
 pub struct PlanStepIr {
     /// Node name, for diagnostics.
@@ -46,10 +48,6 @@ pub struct PlanStepIr {
     pub inputs: Vec<PlanValueIr>,
     /// Dense env ids written, in operator-output order.
     pub outputs: Vec<usize>,
-    /// Operator effect: input indices keying version-stamped memos.
-    pub memo_inputs: Vec<usize>,
-    /// Operator effect: input indices the operator writes through.
-    pub mutated_inputs: Vec<usize>,
 }
 
 /// Plain-data view of a compiled `ExecutionPlan`, lowered by the graph
@@ -82,9 +80,8 @@ enum Def {
 }
 
 impl Def {
-    /// Whether a read at `level` observes this definition under
-    /// happens-before (feeds precede everything; writes must be strictly
-    /// earlier).
+    /// Whether a read at `level` observes this definition (feeds precede
+    /// everything; writes must be at a strictly earlier level).
     fn visible_at(self, level: usize) -> bool {
         match self {
             Def::Feed => true,
@@ -118,23 +115,19 @@ pub fn check_plan(plan: &PlanIr) -> VerifyReport {
         ));
         malformed = true;
     }
-    let step_levels: Vec<usize> = plan.steps.iter().map(|s| s.level).collect();
-    let hb = match HappensBefore::from_step_levels(step_levels, plan.level_count.max(1)) {
-        Some(hb) => hb,
-        None => {
-            lints.push(Lint::new(
+    if let Some(step) = plan.steps.iter().find(|s| s.level >= plan.level_count) {
+        lints.push(
+            Lint::new(
                 LintCode::PlanLivenessGap,
                 format!(
-                    "plan '{}': step levels do not form a valid partition of {} levels",
-                    plan.name, plan.level_count
+                    "plan '{}': step '{}' runs at level {} of a {}-level partition",
+                    plan.name, step.node, step.level, plan.level_count
                 ),
-            ));
-            return VerifyReport {
-                lints,
-                ..VerifyReport::default()
-            };
-        }
-    };
+            )
+            .with_node(step.node.clone()),
+        );
+        malformed = true;
+    }
     for step in &plan.steps {
         let bad_id = step
             .outputs
@@ -302,72 +295,6 @@ pub fn check_plan(plan: &PlanIr) -> VerifyReport {
         }
     }
 
-    // ---- V020: memo-invalidation soundness.
-    for step in &plan.steps {
-        for &i in &step.memo_inputs {
-            let Some(input) = step.inputs.get(i) else {
-                continue;
-            };
-            let PlanValueIr::Env(id) = input else {
-                // Store values are written before the pass starts and are
-                // stable while it runs; the per-call version compare
-                // re-validates across passes. Sound.
-                continue;
-            };
-            let ordered = def[*id].map(|d| d.visible_at(step.level)).unwrap_or(false);
-            if !ordered {
-                lints.push(
-                    Lint::new(
-                        LintCode::StaleMemo,
-                        format!(
-                            "plan '{}': step '{}' memoizes derived data keyed on \
-                             '{}''s version stamp, but the producer is not ordered \
-                             before the step — the memo could pair a stale stamp \
-                             with half-written bytes",
-                            plan.name,
-                            step.node,
-                            name_of(*id)
-                        ),
-                    )
-                    .with_node(step.node.clone())
-                    .with_tensor(name_of(*id)),
-                );
-            }
-        }
-    }
-    for (si, step) in plan.steps.iter().enumerate() {
-        for &i in &step.mutated_inputs {
-            let Some(input) = step.inputs.get(i) else {
-                continue;
-            };
-            for (ti, other) in plan.steps.iter().enumerate() {
-                if !hb.unordered(si, ti) {
-                    continue;
-                }
-                let races = other.inputs.iter().any(|oin| oin == input);
-                if races {
-                    let tname = match input {
-                        PlanValueIr::Env(id) => name_of(*id).to_string(),
-                        PlanValueIr::Net(n) => n.clone(),
-                    };
-                    lints.push(
-                        Lint::new(
-                            LintCode::StaleMemo,
-                            format!(
-                                "plan '{}': step '{}' mutates '{tname}' while unordered \
-                                 step '{}' reads it — the version stamp can change \
-                                 mid-read, invalidating every memo keyed on it",
-                                plan.name, step.node, other.node
-                            ),
-                        )
-                        .with_node(step.node.clone())
-                        .with_tensor(tname),
-                    );
-                }
-            }
-        }
-    }
-
     VerifyReport {
         lints,
         ..VerifyReport::default()
@@ -391,8 +318,6 @@ mod tests {
                     level: 0,
                     inputs: vec![PlanValueIr::Env(0)],
                     outputs: vec![1],
-                    memo_inputs: vec![],
-                    mutated_inputs: vec![],
                 },
                 PlanStepIr {
                     node: "n1".into(),
@@ -400,8 +325,6 @@ mod tests {
                     level: 1,
                     inputs: vec![PlanValueIr::Env(1)],
                     outputs: vec![2],
-                    memo_inputs: vec![],
-                    mutated_inputs: vec![],
                 },
             ],
             level_count: 2,
@@ -445,30 +368,21 @@ mod tests {
         assert!(!report.with_code(LintCode::PlanLivenessGap).is_empty());
     }
 
+    /// The plan retired V020 linted as a stale memo when `n1` memoized on
+    /// `a`: V018 lints the same step and tensor, with no memo annotation to
+    /// read.
     #[test]
-    fn unordered_memo_producer_is_stale() {
+    fn unordered_memo_producer_is_a_liveness_gap() {
         let mut plan = clean_plan();
         plan.steps[1].level = 0; // producer of `a` now unordered with reader
-        plan.steps[1].memo_inputs = vec![0];
         let report = check_plan(&plan);
-        assert!(!report.with_code(LintCode::StaleMemo).is_empty());
-    }
-
-    #[test]
-    fn mutator_racing_reader_is_stale() {
-        let mut plan = clean_plan();
-        // A second level-0 step mutating the feed while n0 reads it.
-        plan.steps.push(PlanStepIr {
-            node: "mut".into(),
-            op_type: "Mutate".into(),
-            level: 0,
-            inputs: vec![PlanValueIr::Env(0)],
-            outputs: vec![],
-            memo_inputs: vec![],
-            mutated_inputs: vec![0],
-        });
-        let report = check_plan(&plan);
-        assert!(!report.with_code(LintCode::StaleMemo).is_empty());
+        let gaps = report.with_code(LintCode::PlanLivenessGap);
+        assert!(
+            gaps.iter()
+                .any(|l| l.node.as_deref() == Some("n1") && l.tensor.as_deref() == Some("a")),
+            "{}",
+            report.render(true)
+        );
     }
 
     #[test]

@@ -387,16 +387,12 @@ fn packed_conv_layout_contract_is_enforced() {
 #[test]
 fn every_lint_code_has_distinct_code_and_explain() {
     let all = LintCode::all();
-    assert_eq!(
-        all.len(),
-        17,
-        "V001..V020 without the retired V016, V017, V019"
-    );
+    assert_eq!(all.len(), 16, "V001..V018 without the retired V016, V017");
     let mut codes = std::collections::HashSet::new();
     let mut explains = std::collections::HashSet::new();
     // Retired codes keep their numbers unused, so every other code keeps
     // meaning what it meant.
-    let numbers = (1..=20).filter(|n| ![16, 17, 19].contains(n));
+    let numbers = (1..=20).filter(|n| ![16, 17, 19, 20].contains(n));
     for (lc, n) in all.iter().zip(numbers) {
         let code = lc.code();
         assert_eq!(code, format!("V{n:03}"), "codes are ordered");
@@ -413,7 +409,7 @@ fn every_lint_code_has_distinct_code_and_explain() {
 
 /// `render(true)` appends each distinct code's long-form text exactly once
 /// (the `--explain` contract), `render(false)` never does — exercised over
-/// the plan-soundness codes V018 and V020.
+/// the plan-soundness code V018 and the dataflow code V003.
 #[test]
 fn render_emits_each_explain_exactly_once() {
     use deep500_verify::{Lint, VerifyReport};
@@ -421,7 +417,7 @@ fn render_emits_each_explain_exactly_once() {
     for code in [
         LintCode::PlanLivenessGap,
         LintCode::PlanLivenessGap, // repeated: explained once
-        LintCode::StaleMemo,
+        LintCode::DuplicateWriter,
     ] {
         report.lints.push(Lint {
             code,
@@ -437,7 +433,7 @@ fn render_emits_each_explain_exactly_once() {
         "no explain text unless asked"
     );
     let explained = report.render(true);
-    for code in ["V018", "V020"] {
+    for code in ["V018", "V003"] {
         let marker = format!("= explain({code}):");
         assert_eq!(
             explained.matches(&marker).count(),
@@ -459,8 +455,6 @@ fn plan_lints_render_with_explanations() {
         level,
         inputs: vec![PlanValueIr::Env(input)],
         outputs: vec![output],
-        memo_inputs: Vec::new(),
-        mutated_inputs: Vec::new(),
     };
     let plan = PlanIr {
         name: "mini".into(),
