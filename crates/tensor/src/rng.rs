@@ -191,9 +191,10 @@ mod tests {
         assert!((mean - 0.5).abs() < 0.05, "mean {mean}");
     }
 
-    /// The first outputs for two seeds, as the generator produced them
-    /// before it moved here from `deep500-dist`; seed 0 is the published
-    /// reference vector. Fault plans and seeded schedules replay these.
+    /// The first outputs for two seeds. Fault plans, weight init and
+    /// seeded schedules all replay this stream, so any change to it must
+    /// show here first; seed 0's outputs are the published reference
+    /// vector.
     #[test]
     fn splitmix_outputs_are_pinned() {
         let mut r = SplitMix64::new(42);

@@ -139,9 +139,9 @@ pub fn gate_with_inputs(ir: &GraphIr, input_shapes: &[(&str, Shape)]) -> Result<
     deny_to_error(&ir.name, report)
 }
 
-/// Gate over the plan-soundness pipeline ([`plan_check::check_plan`]):
-/// executors call this on a lowered [`PlanIr`] before the first pass runs
-/// over a compiled plan.
+/// Gate over the plan-soundness lint ([`plan_check::check_plan`]): the
+/// plan interpreter calls this on its lowered [`PlanIr`] when it is built,
+/// before any pass runs the plan.
 pub fn gate_plan(plan: &PlanIr) -> Result<VerifyReport> {
     let report = check_plan(plan);
     deny_to_error(&plan.name, report)
