@@ -19,24 +19,29 @@
 //!    `crash_survivors_stay_consistent`,
 //!    `drops_slow_every_scheme_and_only_the_ps_aborts`.
 //!
-//! Everything here is seeded or modeled, so the gates compare numbers.
+//! Everything here is seeded or modeled, so the gates compare numbers and
+//! every row is one observation (`n = 1`). Tables: `allreduce` (keyed by
+//! `nodes`), `shuffle_buffer` (`samples`, `buffer`), `fault_tolerance`
+//! (`scheme`, `ranks`, `drop_pct`), `fault_crash` and `fault_analytic`
+//! (`scheme`, `nodes`, `drop_pct`; a point whose run aborts holds a
+//! `failed` row keyed by its `note` instead of a throughput).
 //!
 //! Run with: `cargo run --release -p deep500-bench -- ablations`
 
-use crate::rows::{claims, field, num, text, unless, Verdict};
-use crate::{scale, Report, Scale};
+use crate::paper::fig12_scaling::point_rows;
+use crate::rows::{find, select, unless, Better, Row, Verdict};
+use crate::{scale, Scale};
 use deep500::data::sampler::{BufferShuffleSampler, DatasetSampler};
 use deep500::dist::runner::{DistributedRunner, Variant};
 use deep500::dist::scaling::{simulate_step, simulate_step_faulty, Scheme, WorkloadModel};
 use deep500::dist::{FaultPlan, NetworkModel};
-use deep500::metrics::Json;
 use deep500::prelude::*;
 use std::sync::Arc;
 
-pub fn ring_advantage_grows(rows: &[Json]) -> Verdict {
-    let advantage: Vec<f64> = rows
-        .iter()
-        .map(|r| num(r, "flat_s") / num(r, "ring_s"))
+pub fn ring_advantage_grows(rows: &[Row]) -> Verdict {
+    let flat = select(rows, "allreduce", "flat_s");
+    let advantage: Vec<f64> = flat
+        .map(|r| r.median / r.median_of(rows, "ring_s"))
         .collect();
     Verdict::new(
         "ring_advantage_grows",
@@ -45,8 +50,12 @@ pub fn ring_advantage_grows(rows: &[Json]) -> Verdict {
     )
 }
 
-pub fn displacement_grows_with_the_buffer(rows: &[Json]) -> Verdict {
-    let share: Vec<f64> = rows.iter().map(|r| num(r, "of_true_shuffle")).collect();
+pub fn displacement_grows_with_the_buffer(rows: &[Row]) -> Verdict {
+    // A true shuffle's expected displacement is a third of the dataset.
+    let shuffled = select(rows, "shuffle_buffer", "mean_displacement");
+    let share: Vec<f64> = shuffled
+        .map(|r| r.median / (r.int("samples") as f64 / 3.0))
+        .collect();
     let (first, last) = (share[0], *share.last().expect("rows"));
     Verdict::new(
         "displacement_grows_with_the_buffer",
@@ -58,59 +67,54 @@ pub fn displacement_grows_with_the_buffer(rows: &[Json]) -> Verdict {
     )
 }
 
-/// A rule over the drop-sweep runs: contradicted by each run `breaks` it.
-fn every_run(name: &'static str, claim: &str, rows: &[Json], breaks: fn(&Json) -> bool) -> Verdict {
-    let label = |r: &Json| {
-        format!(
-            "{} at {:.0}%",
-            text(r, "scheme"),
-            num(r, "drop_rate") * 100.0
-        )
-    };
-    unless(
-        name,
-        claim,
-        rows.iter().filter(|r| breaks(r)).map(label).collect(),
-    )
+/// A rule over the drop-sweep runs, each given by its `completed` row:
+/// contradicted by each run it `breaks`.
+fn every_run(name: &str, claim: &str, rows: &[Row], breaks: fn(&[Row], &Row) -> bool) -> Verdict {
+    let broken = select(rows, "fault_tolerance", "completed").filter(|r| breaks(rows, r));
+    let label = |r: &Row| format!("{} at {}%", r.text("scheme"), r.int("drop_pct"));
+    unless(name, claim, broken.map(label).collect())
 }
 
-fn incomplete(run: &Json) -> bool {
-    num(run, "completed") != num(run, "ranks")
+fn incomplete(run: &Row) -> bool {
+    run.median != run.int("ranks") as f64
 }
 
-pub fn zero_drop_plans_inject_nothing(rows: &[Json]) -> Verdict {
+pub fn zero_drop_plans_inject_nothing(rows: &[Row]) -> Verdict {
     every_run(
         "zero_drop_plans_inject_nothing",
         "a 0% plan drops and retries nothing and every rank completes",
         rows,
-        |r| {
-            num(r, "drop_rate") == 0.0
-                && (num(r, "drops") + num(r, "retries") > 0.0 || incomplete(r))
+        |rows, r| {
+            let injected = r.median_of(rows, "drops") + r.median_of(rows, "retries");
+            r.int("drop_pct") == 0 && (injected > 0.0 || incomplete(r))
         },
     )
 }
 
-pub fn retries_absorb_moderate_drops(rows: &[Json]) -> Verdict {
+pub fn retries_absorb_moderate_drops(rows: &[Row]) -> Verdict {
     every_run(
         "retries_absorb_moderate_drops",
         "up to 10% drops every scheme completes on every rank with no step lost (3 retries)",
         rows,
-        |r| num(r, "drop_rate") <= 0.10 && (incomplete(r) || num(r, "steps_lost") > 0.0),
+        |rows, r| {
+            r.int("drop_pct") <= 10 && (incomplete(r) || r.median_of(rows, "steps_lost") > 0.0)
+        },
     )
 }
 
-pub fn runs_finish_or_abort_together(rows: &[Json]) -> Verdict {
+pub fn runs_finish_or_abort_together(rows: &[Row]) -> Verdict {
     every_run(
         "runs_finish_or_abort_together",
         "a run completes on all ranks or aborts on all (an exhausted retry budget strands nobody)",
         rows,
-        |r| incomplete(r) && num(r, "completed") != 0.0,
+        |_, r| incomplete(r) && r.median != 0.0,
     )
 }
 
-pub fn crash_survivors_stay_consistent(row: &Json) -> Verdict {
-    let (ranks, done) = (num(row, "ranks"), num(row, "completed"));
-    let consistent = field(row, "survivors_consistent").as_bool() == Some(true);
+pub fn crash_survivors_stay_consistent(rows: &[Row]) -> Verdict {
+    let run = find(rows, "fault_crash", "completed", ("scheme", "CDSGD"));
+    let (ranks, done) = (run.int("ranks") as f64, run.median);
+    let consistent = run.median_of(rows, "inconsistent_survivors") == 0.0;
     Verdict::new(
         "crash_survivors_stay_consistent",
         done == ranks - 1.0 && consistent,
@@ -120,22 +124,24 @@ pub fn crash_survivors_stay_consistent(row: &Json) -> Verdict {
     )
 }
 
-pub fn drops_slow_every_scheme_and_only_the_ps_aborts(rows: &[Json]) -> Verdict {
+pub fn drops_slow_every_scheme_and_only_the_ps_aborts(rows: &[Row]) -> Verdict {
     let mut against = Vec::new();
-    for row in rows {
-        let label = format!("{} at {} nodes", text(row, "scheme"), num(row, "nodes"));
-        let points = field(row, "images_per_s")
-            .as_array()
-            .expect("throughput per drop rate");
-        let alive: Vec<f64> = points.iter().map_while(Json::as_f64).collect();
+    let points = || select(rows, "fault_analytic", "sent_mb_per_step");
+    for point in points().filter(|r| r.int("drop_pct") == 0) {
+        let (scheme, nodes) = (point.text("scheme"), point.int("nodes"));
+        let sweep = points().filter(|r| r.is("scheme", scheme) && r.int("nodes") == nodes);
+        let throughput: Vec<Option<f64>> = sweep
+            .map(|r| r.try_sibling(rows, "images_per_s").map(|t| t.median))
+            .collect();
+        let alive: Vec<f64> = throughput.iter().map_while(|t| *t).collect();
         if alive.windows(2).any(|w| w[1] >= w[0]) {
             against.push(format!(
-                "{label}: throughput does not fall with p: {alive:?}"
+                "{scheme} at {nodes} nodes: throughput does not fall with p: {alive:?}"
             ));
         }
-        let aborted = alive.len() < points.len();
-        if aborted != (text(row, "scheme") == "REF-pssgd" && num(row, "nodes") == 64.0) {
-            against.push(format!("{label}: aborted = {aborted}"));
+        let aborted = alive.len() < throughput.len();
+        if aborted != (scheme == "REF-pssgd" && nodes == 64) {
+            against.push(format!("{scheme} at {nodes} nodes: aborted = {aborted}"));
         }
     }
     unless(
@@ -146,25 +152,21 @@ pub fn drops_slow_every_scheme_and_only_the_ps_aborts(rows: &[Json]) -> Verdict 
     )
 }
 
-fn allreduce_rows() -> Vec<Json> {
+fn allreduce_rows() -> Vec<Row> {
     let (w, net) = (WorkloadModel::default(), NetworkModel::aries());
-    [4usize, 8, 16, 32, 64, 128]
-        .iter()
-        .map(|&nodes| {
-            // Per-node batch of 1: subtract its compute, keep communication.
-            let comm = |scheme| {
-                simulate_step(scheme, nodes, 1, &w, &net).step_time_s - w.compute_s_per_image
-            };
-            Json::obj([
-                ("nodes", Json::from(nodes)),
-                ("ring_s", Json::fixed(comm(Scheme::Cdsgd), 6)),
-                ("flat_s", Json::fixed(comm(Scheme::TfPs), 6)),
-            ])
-        })
-        .collect()
+    let mut rows = Vec::new();
+    for nodes in [4usize, 8, 16, 32, 64, 128] {
+        // Per-node batch of 1: subtract its compute, keep communication.
+        let comm =
+            |scheme| simulate_step(scheme, nodes, 1, &w, &net).step_time_s - w.compute_s_per_image;
+        let row = Row::of("allreduce").key("nodes", nodes);
+        rows.push(row.value("ring_s", "s", Better::Lower, comm(Scheme::Cdsgd)));
+        rows.push(row.value("flat_s", "s", Better::Lower, comm(Scheme::TfPs)));
+    }
+    rows
 }
 
-fn shuffle_buffer_rows() -> Vec<Json> {
+fn shuffle_buffer_rows() -> Vec<Row> {
     let len = 512usize;
     let ds: Arc<dyn Dataset> = Arc::new(SyntheticDataset::mnist_like(len, 77));
     let originals: Vec<_> = (0..len).map(|i| ds.sample(i).expect("sample")).collect();
@@ -184,18 +186,16 @@ fn shuffle_buffer_rows() -> Vec<Json> {
                 displacement += (emitted as f64 - source as f64).abs();
                 emitted += 1;
             }
+            let row = Row::of("shuffle_buffer").key("samples", len);
             let mean = displacement / len as f64;
-            Json::obj([
-                ("buffer", Json::from(capacity)),
-                ("mean_displacement", Json::fixed(mean, 2)),
-                ("of_true_shuffle", Json::fixed(mean / (len as f64 / 3.0), 4)),
-            ])
+            let row = row.key("buffer", capacity);
+            row.value("mean_displacement", "positions", Better::None, mean)
         })
         .collect()
 }
 
-/// (drop-sweep rows, the crash-scenario row) from 4 real ranks.
-fn fault_rows() -> (Vec<Json>, Json) {
+/// The drop-sweep rows and the crash-scenario rows, from 4 real ranks.
+fn fault_rows() -> Vec<Row> {
     let steps = if scale() == Scale::Full { 24 } else { 12 };
     let dataset: Arc<dyn Dataset> = Arc::new(SyntheticDataset::new(
         "fault-bench",
@@ -227,103 +227,70 @@ fn fault_rows() -> (Vec<Json>, Json) {
     ];
     let mut rows = Vec::new();
     for (name, variant) in &variants {
-        for rate in [0.0f64, 0.05, 0.10, 0.20] {
+        for drop_pct in [0usize, 5, 10, 20] {
+            let rate = drop_pct as f64 / 100.0;
             let report = run(variant.clone(), FaultPlan::seeded(42).with_drops(rate, 3));
             let (f, completed) = (report.faults(), report.completed());
-            let loss = completed.first().and_then(|r| r.losses.last());
-            rows.push(Json::obj([
-                ("scheme", Json::from(*name)),
-                ("drop_rate", Json::from(rate)),
-                ("ranks", Json::from(report.ranks.len())),
-                ("completed", Json::from(completed.len())),
-                ("drops", Json::from(f.drops_injected)),
-                ("retries", Json::from(f.retries)),
-                ("recoveries", Json::from(f.recoveries)),
-                ("steps_lost", Json::from(f.steps_lost)),
-                (
-                    "recovery_virtual_ms",
-                    Json::fixed(f.recovery_virtual_s * 1e3, 4),
-                ),
-                (
-                    "loss_end",
-                    loss.map_or(Json::Null, |l| Json::fixed(f64::from(*l), 4)),
-                ),
-            ]));
+            let row = Row::of("fault_tolerance")
+                .key("scheme", *name)
+                .key("ranks", report.ranks.len())
+                .key("drop_pct", drop_pct);
+            let recovery_ms = f.recovery_virtual_s * 1e3;
+            rows.extend([
+                row.count("completed", Better::Higher, completed.len()),
+                row.count("drops", Better::None, f.drops_injected as usize),
+                row.count("retries", Better::None, f.retries as usize),
+                row.count("recoveries", Better::None, f.recoveries as usize),
+                row.count("steps_lost", Better::Lower, f.steps_lost as usize),
+                row.value("recovery_virtual_ms", "ms", Better::Lower, recovery_ms),
+            ]);
+            if let Some(loss) = completed.first().and_then(|r| r.losses.last()) {
+                rows.push(row.value("loss_end", "loss", Better::Lower, f64::from(*loss)));
+            }
         }
     }
     // A crash scenario: rank 2 dies mid-run; survivors renormalize.
     let crash_at = steps as u64 / 2;
-    let plan = FaultPlan::seeded(42)
-        .with_drops(0.05, 3)
-        .with_crash(2, crash_at);
-    let report = run(Variant::Cdsgd, plan);
-    let crash = Json::obj([
-        ("scheme", Json::from("CDSGD")),
-        ("crashed_rank", Json::from(2usize)),
-        ("at_step", Json::from(crash_at)),
-        ("ranks", Json::from(report.ranks.len())),
-        ("completed", Json::from(report.completed().len())),
-        (
-            "survivors_consistent",
-            Json::from(report.consistency(1e-5).is_consistent()),
-        ),
-        ("recoveries", Json::from(report.faults().recoveries)),
+    let plan = FaultPlan::seeded(42).with_drops(0.05, 3);
+    let report = run(Variant::Cdsgd, plan.with_crash(2, crash_at));
+    let row = Row::of("fault_crash").key("scheme", "CDSGD");
+    let row = row
+        .key("ranks", report.ranks.len())
+        .key("crashed_rank", 2usize);
+    let row = row.key("at_step", crash_at as usize);
+    let inconsistent = usize::from(!report.consistency(1e-5).is_consistent());
+    let recoveries = report.faults().recoveries as usize;
+    rows.extend([
+        row.count("completed", Better::Higher, report.completed().len()),
+        row.count("inconsistent_survivors", Better::Lower, inconsistent),
+        row.count("recoveries", Better::None, recoveries),
     ]);
-    (rows, crash)
+    rows
 }
 
-fn analytic_fault_rows() -> Vec<Json> {
+fn analytic_fault_rows() -> Vec<Row> {
     let (w, net) = (WorkloadModel::default(), NetworkModel::aries());
-    let drop_rates = [0.0, 0.05, 0.2];
     let mut rows = Vec::new();
     for scheme in [Scheme::Cdsgd, Scheme::RefDpsgd, Scheme::RefPssgd] {
         for nodes in [8usize, 64] {
-            let points =
-                drop_rates.map(|p| simulate_step_faulty(scheme, nodes, 128, &w, &net, p, 3));
-            let throughput = points
-                .iter()
-                .map(|pt| pt.throughput.map_or(Json::Null, |t| Json::fixed(t, 1)));
-            let last = &points[drop_rates.len() - 1];
-            rows.push(Json::obj([
-                ("scheme", Json::from(scheme.label())),
-                ("nodes", Json::from(nodes)),
-                (
-                    "drop_rates",
-                    Json::from(drop_rates.map(Json::from).to_vec()),
-                ),
-                ("images_per_s", Json::from(throughput.collect::<Vec<_>>())),
-                (
-                    "sent_mb_at_worst",
-                    Json::fixed(last.sent_bytes_per_step as f64 / 1e6, 3),
-                ),
-                ("note", last.note.map_or(Json::Null, Json::from)),
-            ]));
+            for drop_pct in [0usize, 5, 20] {
+                let p = drop_pct as f64 / 100.0;
+                let point = simulate_step_faulty(scheme, nodes, 128, &w, &net, p, 3);
+                let row = Row::of("fault_analytic").key("scheme", scheme.label());
+                let row = row.key("nodes", nodes).key("drop_pct", drop_pct);
+                rows.extend(point_rows(row, &point));
+            }
         }
     }
     rows
 }
 
-pub fn run(report: &mut Report) {
-    let allreduce = allreduce_rows();
-    let shuffle = shuffle_buffer_rows();
-    let (faults, crash) = fault_rows();
-    let analytic = analytic_fault_rows();
-    let verdicts = [
-        ring_advantage_grows(&allreduce),
-        displacement_grows_with_the_buffer(&shuffle),
-        zero_drop_plans_inject_nothing(&faults),
-        retries_absorb_moderate_drops(&faults),
-        runs_finish_or_abort_together(&faults),
-        crash_survivors_stay_consistent(&crash),
-        drops_slow_every_scheme_and_only_the_ps_aborts(&analytic),
-    ];
-    claims(report, verdicts);
-    report
-        .rows("allreduce", allreduce)
-        .rows("shuffle_buffer", shuffle)
-        .rows("fault_tolerance", faults)
-        .field("fault_crash", crash)
-        .rows("fault_analytic", analytic);
+pub fn measure() -> Vec<Row> {
+    let mut rows = allreduce_rows();
+    rows.extend(shuffle_buffer_rows());
+    rows.extend(fault_rows());
+    rows.extend(analytic_fault_rows());
+    rows
 }
 
 #[cfg(test)]
@@ -332,26 +299,30 @@ mod tests {
 
     #[test]
     fn the_two_design_ablations_read_monotone_series() {
-        let allreduce = |flat: [f64; 3]| -> Vec<Json> {
-            let row = |(nodes, flat): (usize, f64)| {
-                Json::obj([
-                    ("nodes", Json::from(nodes)),
-                    ("ring_s", Json::from(0.02)),
-                    ("flat_s", Json::from(flat)),
-                ])
-            };
-            [4usize, 16, 64].into_iter().zip(flat).map(row).collect()
+        let allreduce = |flat: [f64; 3]| -> Vec<Row> {
+            let mut rows = Vec::new();
+            for (nodes, flat) in [4usize, 16, 64].into_iter().zip(flat) {
+                let row = Row::of("allreduce").key("nodes", nodes);
+                rows.push(row.value("ring_s", "s", Better::Lower, 0.02));
+                rows.push(row.value("flat_s", "s", Better::Lower, flat));
+            }
+            rows
         };
         assert!(ring_advantage_grows(&allreduce([0.08, 0.33, 1.31])).ok);
         assert!(!ring_advantage_grows(&allreduce([0.08, 0.33, 0.30])).ok);
         assert!(!ring_advantage_grows(&allreduce([0.001, 0.002, 0.003])).ok);
 
-        let shuffle = |share: [f64; 3]| -> Vec<Json> {
+        let shuffle = |share: [f64; 3]| -> Vec<Row> {
             let row = |(buffer, share): (usize, f64)| {
-                Json::obj([
-                    ("buffer", Json::from(buffer)),
-                    ("of_true_shuffle", Json::from(share)),
-                ])
+                let row = Row::of("shuffle_buffer")
+                    .key("samples", 512usize)
+                    .key("buffer", buffer);
+                row.value(
+                    "mean_displacement",
+                    "positions",
+                    Better::None,
+                    share * 512.0 / 3.0,
+                )
             };
             [1usize, 128, 512].into_iter().zip(share).map(row).collect()
         };
@@ -360,66 +331,86 @@ mod tests {
         assert!(!displacement_grows_with_the_buffer(&shuffle([0.2, 0.49, 0.98])).ok);
     }
 
-    fn fault(scheme: &str, drop_rate: f64, completed: usize, drops: usize, lost: usize) -> Json {
-        Json::obj([
-            ("scheme", Json::from(scheme)),
-            ("drop_rate", Json::from(drop_rate)),
-            ("ranks", Json::from(4usize)),
-            ("completed", Json::from(completed)),
-            ("drops", Json::from(drops)),
-            ("retries", Json::from(drops)),
-            ("steps_lost", Json::from(lost)),
-        ])
+    fn fault(
+        scheme: &str,
+        drop_pct: usize,
+        completed: usize,
+        drops: usize,
+        lost: usize,
+    ) -> Vec<Row> {
+        let row = Row::of("fault_tolerance")
+            .key("scheme", scheme)
+            .key("ranks", 4usize)
+            .key("drop_pct", drop_pct);
+        vec![
+            row.count("completed", Better::Higher, completed),
+            row.count("drops", Better::None, drops),
+            row.count("retries", Better::None, drops),
+            row.count("steps_lost", Better::Lower, lost),
+        ]
     }
 
     #[test]
     fn the_fault_sweep_gates_read_completion_and_counters() {
         let sound = [
-            fault("CDSGD", 0.0, 4, 0, 0),
-            fault("CDSGD", 0.10, 4, 133, 0),
-            fault("CDSGD", 0.20, 0, 158, 0),
-        ];
+            fault("CDSGD", 0, 4, 0, 0),
+            fault("CDSGD", 10, 4, 133, 0),
+            fault("CDSGD", 20, 0, 158, 0),
+        ]
+        .concat();
         assert!(zero_drop_plans_inject_nothing(&sound).ok);
         assert!(retries_absorb_moderate_drops(&sound).ok);
         assert!(runs_finish_or_abort_together(&sound).ok);
 
-        assert!(!zero_drop_plans_inject_nothing(&[fault("CDSGD", 0.0, 4, 3, 0)]).ok);
-        assert!(!retries_absorb_moderate_drops(&[fault("PSSGD", 0.05, 4, 20, 1)]).ok);
-        assert!(!retries_absorb_moderate_drops(&[fault("PSSGD", 0.05, 0, 20, 0)]).ok);
-        let v = runs_finish_or_abort_together(&[fault("Horovod", 0.20, 3, 76, 0)]);
+        assert!(!zero_drop_plans_inject_nothing(&fault("CDSGD", 0, 4, 3, 0)).ok);
+        assert!(!retries_absorb_moderate_drops(&fault("PSSGD", 5, 4, 20, 1)).ok);
+        assert!(!retries_absorb_moderate_drops(&fault("PSSGD", 5, 0, 20, 0)).ok);
+        let v = runs_finish_or_abort_together(&fault("Horovod", 20, 3, 76, 0));
         assert!(!v.ok && v.detail.contains("Horovod at 20%"), "{}", v.detail);
 
-        let crash = |completed: usize, consistent: bool| {
-            Json::obj([
-                ("ranks", Json::from(4usize)),
-                ("completed", Json::from(completed)),
-                ("survivors_consistent", Json::from(consistent)),
-            ])
+        let crash = |completed: usize, inconsistent: usize| {
+            let row = Row::of("fault_crash")
+                .key("scheme", "CDSGD")
+                .key("ranks", 4usize);
+            [
+                row.count("completed", Better::Higher, completed),
+                row.count("inconsistent_survivors", Better::Lower, inconsistent),
+            ]
         };
-        assert!(crash_survivors_stay_consistent(&crash(3, true)).ok);
-        assert!(!crash_survivors_stay_consistent(&crash(3, false)).ok);
-        assert!(!crash_survivors_stay_consistent(&crash(2, true)).ok);
+        assert!(crash_survivors_stay_consistent(&crash(3, 0)).ok);
+        assert!(!crash_survivors_stay_consistent(&crash(3, 1)).ok);
+        assert!(!crash_survivors_stay_consistent(&crash(2, 0)).ok);
     }
 
     #[test]
     fn the_analytic_sweep_gate_wants_falling_throughput_and_one_abort() {
-        let row = |scheme: &str, nodes: usize, throughput: [Option<f64>; 3]| {
-            let points = throughput.map(|t| t.map_or(Json::Null, Json::from));
-            Json::obj([
-                ("scheme", Json::from(scheme)),
-                ("nodes", Json::from(nodes)),
-                ("images_per_s", Json::from(points.to_vec())),
-            ])
+        let sweep = |scheme: &str, nodes: usize, throughput: [Option<f64>; 3]| {
+            let mut rows = Vec::new();
+            for (drop_pct, t) in [0usize, 5, 20].into_iter().zip(throughput) {
+                let row = Row::of("fault_analytic")
+                    .key("scheme", scheme)
+                    .key("nodes", nodes)
+                    .key("drop_pct", drop_pct);
+                rows.push(row.value("sent_mb_per_step", "MB", Better::Lower, 200.0));
+                rows.push(match t {
+                    Some(t) => row.value("images_per_s", "1/s", Better::Higher, t),
+                    None => {
+                        row.key("note", "retry budget exhausted")
+                            .count("failed", Better::Lower, 1)
+                    }
+                });
+            }
+            rows
         };
-        let ring = row("CDSGD", 64, [Some(14353.0), Some(14326.0), Some(14227.0)]);
-        let ps = row("REF-pssgd", 64, [Some(4100.0), Some(3949.0), None]);
-        assert!(drops_slow_every_scheme_and_only_the_ps_aborts(&[ring.clone(), ps.clone()]).ok);
+        let ring = sweep("CDSGD", 64, [Some(14353.0), Some(14326.0), Some(14227.0)]);
+        let ps = sweep("REF-pssgd", 64, [Some(4100.0), Some(3949.0), None]);
+        assert!(drops_slow_every_scheme_and_only_the_ps_aborts(&[ring, ps].concat()).ok);
         // Drops that cost nothing, a ring that aborts, a PS that does not.
-        let free = row("CDSGD", 8, [Some(1802.0), Some(1802.0), Some(1788.0)]);
-        assert!(!drops_slow_every_scheme_and_only_the_ps_aborts(&[free]).ok);
-        let ring_aborts = row("CDSGD", 64, [Some(14353.0), Some(14326.0), None]);
-        assert!(!drops_slow_every_scheme_and_only_the_ps_aborts(&[ring_aborts]).ok);
-        let ps_survives = row("REF-pssgd", 64, [Some(4100.0), Some(3949.0), Some(3000.0)]);
-        assert!(!drops_slow_every_scheme_and_only_the_ps_aborts(&[ps_survives]).ok);
+        let free = sweep("CDSGD", 8, [Some(1802.0), Some(1802.0), Some(1788.0)]);
+        assert!(!drops_slow_every_scheme_and_only_the_ps_aborts(&free).ok);
+        let ring_aborts = sweep("CDSGD", 64, [Some(14353.0), Some(14326.0), None]);
+        assert!(!drops_slow_every_scheme_and_only_the_ps_aborts(&ring_aborts).ok);
+        let ps_survives = sweep("REF-pssgd", 64, [Some(4100.0), Some(3949.0), Some(3000.0)]);
+        assert!(!drops_slow_every_scheme_and_only_the_ps_aborts(&ps_survives).ok);
     }
 }

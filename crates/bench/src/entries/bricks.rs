@@ -16,19 +16,26 @@
 //! `time_rounds` call, so machine-speed drift over the run hits both sides
 //! of the predicted-vs-measured comparison equally.
 //!
-//! Writes `BENCH_bricks.json`; gates: geometric-mean relative prediction
-//! error ≤ 25%, dedup ratio ≥ 1.2, and a sane report (every brick and
-//! model row measured, the zoo not shrunk).
+//! Writes `BENCH_bricks.json`: `bricks` rows keyed by `brick` (its
+//! multiplicity `count` across the zoo, `forward_ms`, `backward_ms`),
+//! `models` rows keyed by `model` (`nodes`, `predicted_forward_ms`,
+//! `measured_forward_ms`, `predicted_train_ms`, `measured_train_ms`) and
+//! the calibrated dispatch overhead, `overhead` rows keyed by `pass` and
+//! `term`. Gates: geometric-mean relative prediction error ≤ 25%, dedup
+//! ratio (instances per unique brick, Σ `count` over the brick rows) ≥
+//! 1.2, and a sane report (every brick and model row measured, the zoo
+//! not shrunk).
 //!
 //! Run with: `cargo run --release -p deep500-bench -- bricks`
 
 use crate::bricks::{
     decompose, dedup, microbench, predict, BrickCost, BrickKey, Calibration, MicroRunner,
 };
-use crate::{scale, time_rounds, Report, Scale, Subject};
+use crate::rows::{select, Better, Row, Verdict};
+use crate::{scale, time_rounds, Scale, Subject};
 use deep500::graph::models::{feed_refs, zoo, ZooCase};
 use deep500::graph::{Engine, ExecutorKind};
-use deep500::metrics::{Json, Phase, TraceRecorder};
+use deep500::metrics::{Phase, TraceRecorder};
 use deep500::tensor::Tensor;
 use std::collections::HashMap;
 
@@ -78,7 +85,7 @@ impl ModelBench {
     }
 }
 
-pub fn run(report: &mut Report) {
+pub fn measure() -> Vec<Row> {
     let warmup = 3;
     // Sub-microsecond bricks need more rounds than the default for a
     // steady median on a shared machine; the pipeline still takes seconds.
@@ -114,95 +121,109 @@ pub fn run(report: &mut Report) {
 
     let costs_vec = microbench::costs(&summaries[..chains_at]);
     let overhead = calibration.solve(&summaries[chains_at..models_at]);
-    let costs: HashMap<BrickKey, BrickCost> = set
+    let keyed = set
         .bricks
         .iter()
         .zip(&costs_vec)
-        .map(|(b, c)| (b.key.clone(), *c))
-        .collect();
-
-    // ---- 4. Predict vs. measure --------------------------------------------
-    let mut model_rows = Vec::new();
-    let mut log_errs = Vec::new();
-    let mut rows_sane = true;
-    for ((name, instances), [fwd, train]) in per_model.iter().zip(&summaries[models_at..]) {
-        let (meas_fwd, meas_train) = (fwd.median, train.median);
-        let pred =
-            predict(instances, &costs, &overhead).unwrap_or_else(|e| panic!("predict failed: {e}"));
-        let fwd_err = ((pred.forward_s - meas_fwd).abs() / meas_fwd).max(1e-4);
-        let train_err = ((pred.train_s - meas_train).abs() / meas_train).max(1e-4);
-        log_errs.extend([fwd_err.ln(), train_err.ln()]);
-        rows_sane &= meas_train > meas_fwd && meas_fwd > 0.0;
-        model_rows.push(Json::obj([
-            ("model", Json::from(name.as_str())),
-            ("nodes", Json::from(instances.len())),
-            ("predicted_forward_ms", Json::fixed(pred.forward_s * 1e3, 6)),
-            ("measured_forward_ms", Json::fixed(meas_fwd * 1e3, 6)),
-            ("forward_rel_err", Json::fixed(fwd_err, 4)),
-            ("predicted_train_ms", Json::fixed(pred.train_s * 1e3, 6)),
-            ("measured_train_ms", Json::fixed(meas_train * 1e3, 6)),
-            ("train_rel_err", Json::fixed(train_err, 4)),
-        ]));
-    }
-    let geomean = (log_errs.iter().sum::<f64>() / log_errs.len() as f64).exp();
+        .map(|(b, c)| (b.key.clone(), *c));
+    let costs: HashMap<BrickKey, BrickCost> = keyed.collect();
 
     // ---- BENCH_bricks.json -------------------------------------------------
-    let brick_rows: Vec<Json> = set
-        .bricks
-        .iter()
-        .zip(&costs_vec)
-        .map(|(b, c)| {
-            Json::obj([
-                ("brick", Json::from(b.key.render())),
-                ("count", Json::from(b.count)),
-                ("forward_ms", Json::fixed(c.forward_s * 1e3, 6)),
-                ("backward_ms", Json::fixed(c.backward_s * 1e3, 6)),
-            ])
+    let mut rows = Vec::new();
+    for (brick, [forward, backward]) in set.bricks.iter().zip(&summaries[..chains_at]) {
+        let row = Row::of("bricks").key("brick", brick.key.render());
+        rows.push(row.count("count", Better::None, brick.count));
+        rows.push(row.ms("forward_ms", forward));
+        rows.push(row.ms("backward_ms", backward));
+    }
+
+    // ---- 4. Predict vs. measure --------------------------------------------
+    for ((name, instances), [fwd, train]) in per_model.iter().zip(&summaries[models_at..]) {
+        let pred =
+            predict(instances, &costs, &overhead).unwrap_or_else(|e| panic!("predict failed: {e}"));
+        let row = Row::of("models").key("model", name.as_str());
+        let predicted = |metric, s: f64| row.value(metric, "ms", Better::None, s * 1e3);
+        rows.push(row.count("nodes", Better::None, instances.len()));
+        rows.push(predicted("predicted_forward_ms", pred.forward_s));
+        rows.push(row.ms("measured_forward_ms", fwd));
+        rows.push(predicted("predicted_train_ms", pred.train_s));
+        rows.push(row.ms("measured_train_ms", train));
+    }
+    let terms = [
+        ("forward", "fixed", overhead.fwd_fixed_s),
+        ("forward", "per_node", overhead.fwd_per_node_s),
+        ("train", "fixed", overhead.train_fixed_s),
+        ("train", "per_node", overhead.train_per_node_s),
+    ];
+    for (pass, term, s) in terms {
+        let row = Row::of("overhead").key("pass", pass).key("term", term);
+        rows.push(row.value("overhead", "us", Better::Lower, s * 1e6));
+    }
+    rows
+}
+
+/// Instances per unique brick: Σ `count` over the brick rows, per row.
+fn dedup_of(rows: &[Row]) -> f64 {
+    let counts: Vec<f64> = select(rows, "bricks", "count").map(|r| r.median).collect();
+    counts.iter().sum::<f64>() / counts.len() as f64
+}
+
+pub fn dedup_ratio(rows: &[Row]) -> Verdict {
+    let ratio = dedup_of(rows);
+    Verdict::new(
+        "dedup_ratio",
+        ratio >= 1.2,
+        format!("{ratio:.2} >= 1.2 (the zoo shares bricks)"),
+    )
+}
+
+/// A prediction's relative error against its measurement, floored at
+/// 1e-4 so one lucky model cannot pull the geometric mean to zero.
+fn rel_err(rows: &[Row], model: &Row, pass: &str) -> f64 {
+    let predicted = model.median_of(rows, &format!("predicted_{pass}_ms"));
+    let measured = model.median_of(rows, &format!("measured_{pass}_ms"));
+    ((predicted - measured).abs() / measured).max(1e-4)
+}
+
+pub fn geomean_rel_err(rows: &[Row]) -> Verdict {
+    let errs: Vec<(String, f64, f64)> = select(rows, "models", "nodes")
+        .map(|m| {
+            let name = m.text("model").to_string();
+            (name, rel_err(rows, m, "forward"), rel_err(rows, m, "train"))
         })
         .collect();
-    rows_sane &= set.bricks.iter().all(|b| b.count >= 1)
-        && costs_vec.iter().all(|c| c.forward_s >= 0.0)
-        && set.total_instances >= set.len()
-        && !set.is_empty();
-    let us = |s: f64| Json::fixed(s * 1e6, 3);
-    report
-        .field("rounds", rounds)
-        .field("unique_bricks", set.len())
-        .field("total_instances", set.total_instances)
-        .field("dedup_ratio", Json::fixed(set.dedup_ratio(), 4))
-        .field("geomean_rel_err", Json::fixed(geomean, 4))
-        .field(
-            "overhead_us",
-            Json::obj([
-                ("forward_fixed", us(overhead.fwd_fixed_s)),
-                ("forward_per_node", us(overhead.fwd_per_node_s)),
-                ("train_fixed", us(overhead.train_fixed_s)),
-                ("train_per_node", us(overhead.train_per_node_s)),
-            ]),
-        )
-        .rows("bricks", brick_rows)
-        .rows("models", model_rows)
-        .gate(
-            "dedup_ratio",
-            set.dedup_ratio() >= 1.2,
-            format!("{:.2} >= 1.2 (the zoo shares bricks)", set.dedup_ratio()),
-        )
-        .gate(
-            "geomean_rel_err",
-            geomean <= 0.25,
-            format!(
-                "{geomean:.3} <= 0.25 over {} (model x pass) pairs",
-                log_errs.len()
-            ),
-        )
-        .gate(
-            "zoo_size",
-            per_model.len() >= 5,
-            format!("{} models >= 5", per_model.len()),
-        )
-        .gate(
-            "rows_measured",
-            rows_sane,
-            "every brick counted and timed; every model's train step > forward pass > 0",
-        );
+    let logs = errs.iter().flat_map(|(_, f, t)| [f.ln(), t.ln()]);
+    let geomean = (logs.sum::<f64>() / (2 * errs.len()) as f64).exp();
+    let per_model: Vec<String> = errs
+        .iter()
+        .map(|(m, f, t)| format!("{m} {f:.3}/{t:.3}"))
+        .collect();
+    Verdict::new(
+        "geomean_rel_err",
+        geomean <= 0.25,
+        format!(
+            "{geomean:.3} <= 0.25 over {} (model x pass) pairs; forward/train per model: \
+             {per_model:?}",
+            2 * errs.len()
+        ),
+    )
+}
+
+pub fn zoo_size(rows: &[Row]) -> Verdict {
+    let models = select(rows, "models", "nodes").count();
+    Verdict::new("zoo_size", models >= 5, format!("{models} models >= 5"))
+}
+
+pub fn rows_measured(rows: &[Row]) -> Verdict {
+    let bricks: Vec<&Row> = select(rows, "bricks", "count").collect();
+    let counted = !bricks.is_empty() && bricks.iter().all(|b| b.median >= 1.0);
+    let timed = select(rows, "bricks", "forward_ms").all(|r| r.median >= 0.0);
+    let mut forward = select(rows, "models", "measured_forward_ms");
+    let ordered =
+        forward.all(|f| f.median_of(rows, "measured_train_ms") > f.median && f.median > 0.0);
+    Verdict::new(
+        "rows_measured",
+        counted && timed && ordered,
+        "every brick counted and timed; every model's train step > forward pass > 0".to_string(),
+    )
 }

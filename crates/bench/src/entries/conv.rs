@@ -4,35 +4,37 @@
 //! NCHWc implicit-GEMM tier) on a fixed set of CNN-inference-class layer
 //! shapes from the embedded DeepBench suite family, after checking
 //! pairwise parity within l-inf 1e-4. The direct tier is timed twice, as
-//! two op instances (`direct` and `direct_aa`): their ratio `aa_ratio` is
-//! an A/A noise witness — how far two medians of one kernel sit apart in
-//! this run — not a decision, and no gate reads it. Writes
-//! `BENCH_conv.json` with per-tier wall time, its median's 95 % CI and
-//! achieved GFLOP/s plus the direct-over-im2col speedup per shape.
+//! two op instances (`direct` and `direct_aa`): how far their two medians
+//! sit apart is an A/A noise witness for this run — not a decision, and no
+//! gate reads it. `cases` rows are keyed by the cell's geometry (`name`,
+//! `n`, `c`, `hw`, `co`, `k`, `stride`, `pad`): its `flops`, and per
+//! `tier` the wall time of one call (`ms`) and whether the tier's output
+//! `diverged` from im2col's.
 //!
-//! A second table times the *backward* pass (`conv::backward_direct`: the
-//! stride-1 window reduction for `dW` on narrow layers, the blocked GEMM
-//! lowering for everything else) on training-class cells — the two LeNet
-//! convs the spine's `train-cnn` workload runs, a 32-channel body cell on
-//! the window side of the `dW` rule and two DeepBench training cells on
-//! the GEMM side — against the direct-tier forward of the same cell, after
-//! a parity gate against the scalar `conv::backward_reference` oracle
-//! (relative l-inf 1e-4). `bwd_over_fwd` is the number to watch: backward
-//! is twice the forward's FLOPs, so a kernel-speed backward sits in the low
-//! single digits. `dw_ms` is the same pass with `dX` elided (what a first
-//! layer runs) and `dx_ms` the difference, so each half has a tracked row.
+//! A second table, `backward`, times the *backward* pass
+//! (`conv::backward_direct`: the stride-1 window reduction for `dW` on
+//! narrow layers, the blocked GEMM lowering for everything else) on
+//! training-class cells — the two LeNet convs the spine's `train-cnn`
+//! workload runs, a 32-channel body cell on the window side of the `dW`
+//! rule and two DeepBench training cells on the GEMM side — against the
+//! direct-tier forward of the same cell (`fwd_ms`, `bwd_ms`), after a
+//! parity check against the scalar `conv::backward_reference` oracle
+//! (`oracle_rel_linf`). `bwd_ms` over `fwd_ms` is the number to watch:
+//! backward is twice the forward's FLOPs, so a kernel-speed backward sits
+//! in the low single digits. `dw_ms` is the same pass with `dX` elided
+//! (what a first layer runs); `bwd_ms - dw_ms` is the `dX` half.
 //!
 //! Gates: forward and backward parity, the direct tier beats im2col on at
-//! least 4 shapes and by 2x on at least three (the baseline is the row-copy im2col lowering, itself GEMM-speed:
-//! the best ratio sits at 2.5-2.9x), and no backward costs measurably more
-//! than 8x its forward.
+//! least 4 shapes and by 2x on at least three (the baseline is the
+//! row-copy im2col lowering, itself GEMM-speed: the best ratio sits at
+//! 2.5-2.9x), and no backward costs measurably more than 8x its forward.
 //!
 //! Run with: `cargo run --release -p deep500-bench -- conv`
 //! (`D5_BENCH_SCALE=smoke` for the fast CI-sized run).
 
-use crate::{scale, time_rounds, Report, Scale, Subject};
+use crate::rows::{select, unless, Better, Row, Verdict};
+use crate::{scale, time_rounds, Scale, Subject};
 use deep500::metrics::norms::linf_diff;
-use deep500::metrics::Json;
 use deep500::ops::conv::{self, Conv2dOp, ConvAlgorithm, ConvGeometry};
 use deep500::ops::deepbench::ConvSize;
 use deep500::ops::Operator;
@@ -106,85 +108,58 @@ fn rel_linf(got: &Tensor, want: &Tensor) -> f64 {
     linf_diff(got.data(), want.data()) / f64::from(scale)
 }
 
-/// The cell's geometry, the leading fields of every JSON row.
-fn cell_fields(name: &str, cs: &ConvSize) -> Vec<(&'static str, Json)> {
-    vec![
-        ("name", Json::from(name)),
-        ("n", Json::from(cs.n)),
-        ("c", Json::from(cs.c)),
-        ("hw", Json::from(cs.h)),
-        ("co", Json::from(cs.k)),
-        ("k", Json::from(cs.r)),
-        ("stride", Json::from(cs.stride)),
-        ("pad", Json::from(cs.pad)),
-    ]
+/// The cell's geometry: the leading key columns of every row of `table`.
+fn cell(table: &str, name: &str, cs: &ConvSize) -> Row {
+    Row::of(table)
+        .key("name", name)
+        .key("n", cs.n)
+        .key("c", cs.c)
+        .key("hw", cs.h)
+        .key("co", cs.k)
+        .key("k", cs.r)
+        .key("stride", cs.stride)
+        .key("pad", cs.pad)
 }
 
-/// One JSON row per training-class cell: parity against the scalar oracle,
+/// The rows of one training-class cell: parity against the scalar oracle,
 /// then forward, backward and backward without `dX` timed interleaved.
-/// Returns the rows, the worst oracle error, the worst backward/forward
-/// ratio, and the cells whose backward is *measurably* over
-/// [`BWD_OVER_FWD_LIMIT`] times their forward — the medians' 95 %
-/// intervals clear the factor, the CI-separation estimator of
-/// EXPERIMENTS E26.
-fn backward_rows(reps: usize) -> (Vec<Json>, f64, f64, Vec<String>) {
-    let mut rows = Vec::new();
-    let (mut worst_err, mut worst_ratio) = (0.0f64, 0.0f64);
-    let mut over = Vec::new();
-    for (name, cs) in backward_cells() {
-        let x = rand_tensor(&[cs.n, cs.c, cs.h, cs.w], 0xD0 ^ cs.k as u64);
-        let w = rand_tensor(&[cs.k, cs.c, cs.r, cs.r], 0xD1 ^ cs.k as u64);
-        let b = rand_tensor(&[cs.k], 0xD2 ^ cs.k as u64);
-        let g = ConvGeometry {
-            stride: cs.stride,
-            pad: cs.pad,
-        };
-        let op = Conv2dOp::new(cs.stride, cs.pad, ConvAlgorithm::Direct);
-        let y = op.forward(&[&x, &w, &b]).expect("warmup forward");
-        // ReLU-masked gradient, as a conv under an activation sees it.
-        let dy = rand_tensor(y[0].shape().dims(), 0xD3 ^ cs.k as u64).map(|v| v.max(0.0));
+fn backward_rows(name: &str, cs: &ConvSize, reps: usize) -> Vec<Row> {
+    let x = rand_tensor(&[cs.n, cs.c, cs.h, cs.w], 0xD0 ^ cs.k as u64);
+    let w = rand_tensor(&[cs.k, cs.c, cs.r, cs.r], 0xD1 ^ cs.k as u64);
+    let b = rand_tensor(&[cs.k], 0xD2 ^ cs.k as u64);
+    let (stride, pad) = (cs.stride, cs.pad);
+    let (g, op) = (
+        ConvGeometry { stride, pad },
+        Conv2dOp::new(stride, pad, ConvAlgorithm::Direct),
+    );
+    let y = op.forward(&[&x, &w, &b]).expect("warmup forward");
+    // ReLU-masked gradient, as a conv under an activation sees it.
+    let dy = rand_tensor(y[0].shape().dims(), 0xD3 ^ cs.k as u64).map(|v| v.max(0.0));
 
-        let got = conv::backward_direct(&dy, &x, &w, g).expect("backward");
-        let want = conv::backward_reference(&dy, &x, &w, g).expect("oracle backward");
-        let err = got
-            .iter()
-            .zip(&want)
-            .map(|(a, b)| rel_linf(a, b))
-            .fold(0.0, f64::max);
+    let got = conv::backward_direct(&dy, &x, &w, g).expect("backward");
+    let want = conv::backward_reference(&dy, &x, &w, g).expect("oracle backward");
+    let errs = got.iter().zip(&want).map(|(a, b)| rel_linf(a, b));
+    let err = errs.fold(0.0, f64::max);
 
-        let timed = time_rounds(
-            1,
-            reps,
-            &mut [
-                Subject::wall(|| op.forward(&[&x, &w, &b]).expect("timed forward")),
-                Subject::wall(|| conv::backward_direct(&dy, &x, &w, g).expect("timed backward")),
-                Subject::wall(|| {
-                    op.backward_wanted(&[&dy], &[&x, &w, &b], &[&y[0]], &[false, true, true])
-                        .expect("timed dW")
-                }),
-            ],
-        );
-        let (fwd, bwd, dw) = (timed[0][0].median, timed[1][0].median, timed[2][0].median);
-        // dW and dX are one forward's worth of multiply-adds each.
-        let bwd_gflops = 2.0 * cs.flops() / bwd / 1e9;
-        worst_err = worst_err.max(err);
-        worst_ratio = worst_ratio.max(bwd / fwd);
-        if timed[1][0].median_ci.lo > BWD_OVER_FWD_LIMIT * timed[0][0].median_ci.hi {
-            over.push(format!("{name} {:.2}x", bwd / fwd));
-        }
-        let mut row = cell_fields(name, &cs);
-        row.extend([
-            ("fwd_ms", Json::fixed(fwd * 1e3, 4)),
-            ("bwd_ms", Json::fixed(bwd * 1e3, 4)),
-            ("dw_ms", Json::fixed(dw * 1e3, 4)),
-            ("dx_ms", Json::fixed((bwd - dw) * 1e3, 4)),
-            ("bwd_gflops", Json::fixed(bwd_gflops, 2)),
-            ("bwd_over_fwd", Json::fixed(bwd / fwd, 3)),
-            ("oracle_rel_linf", Json::fixed(err, 9)),
-        ]);
-        rows.push(Json::obj(row));
-    }
-    (rows, worst_err, worst_ratio, over)
+    let timed = time_rounds(
+        1,
+        reps,
+        &mut [
+            Subject::wall(|| op.forward(&[&x, &w, &b]).expect("timed forward")),
+            Subject::wall(|| conv::backward_direct(&dy, &x, &w, g).expect("timed backward")),
+            Subject::wall(|| {
+                op.backward_wanted(&[&dy], &[&x, &w, &b], &[&y[0]], &[false, true, true])
+                    .expect("timed dW")
+            }),
+        ],
+    );
+    let cell = cell("backward", name, cs);
+    vec![
+        cell.ms("fwd_ms", &timed[0][0]),
+        cell.ms("bwd_ms", &timed[1][0]),
+        cell.ms("dw_ms", &timed[2][0]),
+        cell.value("oracle_rel_linf", "ratio", Better::Lower, err),
+    ]
 }
 
 fn rand_tensor(shape: &[usize], seed: u64) -> Tensor {
@@ -192,13 +167,10 @@ fn rand_tensor(shape: &[usize], seed: u64) -> Tensor {
     Tensor::rand_uniform(shape, -1.0, 1.0, &mut rng)
 }
 
-pub fn run(report: &mut Report) {
+pub fn measure() -> Vec<Row> {
     let reps = if scale() == Scale::Smoke { 5 } else { 30 };
 
-    let mut rows: Vec<Json> = Vec::new();
-    let (mut faster, mut wins) = (0usize, 0usize);
-    let mut all_timed = true;
-    let mut diverged: Vec<String> = Vec::new();
+    let mut rows = Vec::new();
     for (name, cs) in cells() {
         let x = rand_tensor(&[cs.n, cs.c, cs.h, cs.w], 0xC0 ^ cs.k as u64);
         let w = rand_tensor(&[cs.k, cs.c, cs.r, cs.r], 0xC1 ^ cs.k as u64);
@@ -214,29 +186,21 @@ pub fn run(report: &mut Report) {
         ];
 
         // Parity first: every tier within l-inf 1e-4 of the im2col baseline.
-        let baseline = Conv2dOp::new(cs.stride, cs.pad, ConvAlgorithm::Im2col)
-            .forward(&inputs)
-            .expect("baseline forward");
-        for (tier, algo) in &tiers[1..] {
-            let out = Conv2dOp::new(cs.stride, cs.pad, *algo)
-                .forward(&inputs)
-                .expect("tier forward");
-            if !out[0].approx_eq(&baseline[0], 1e-4) {
-                diverged.push(format!("{name}/{tier}"));
-            }
-        }
+        // This first pass also charges the direct tier's one-time filter
+        // packing to setup — where deployment pays it, on the first pass.
+        let ops = tiers.map(|(_, algo)| Conv2dOp::new(cs.stride, cs.pad, algo));
+        let outs = ops
+            .each_ref()
+            .map(|op| op.forward(&inputs).expect("tier forward"));
+        let diverged = outs
+            .each_ref()
+            .map(|out| !out[0].approx_eq(&outs[0][0], 1e-4));
 
         // All tiers of a cell are subjects of one loop, so slow
-        // machine-level noise lands on all of them alike. The warm-up round
-        // also charges the direct tier's one-time filter packing to setup —
-        // where deployment pays it, on the first pass. A
-        // sample is at least ~10 MFLOP of calls, so the microsecond-scale
-        // tiny cells are not timing the clock.
+        // machine-level noise lands on all of them alike. A sample is at
+        // least ~10 MFLOP of calls, so the microsecond-scale tiny cells are
+        // not timing the clock.
         let calls = (1e7 / flops).ceil().max(1.0) as usize;
-        let ops: Vec<Conv2dOp> = tiers
-            .iter()
-            .map(|(_, algo)| Conv2dOp::new(cs.stride, cs.pad, *algo))
-            .collect();
         let mut subjects: Vec<Subject<1>> = ops
             .iter()
             .map(|op| {
@@ -248,83 +212,104 @@ pub fn run(report: &mut Report) {
             })
             .collect();
         let timed = time_rounds(1, reps, &mut subjects);
-        let [im2col, direct, direct_aa] = [timed[0][0], timed[1][0], timed[2][0]];
-        let speedup = im2col.median / direct.median;
-        all_timed &= timed.iter().all(|t| t[0].median > 0.0);
-        faster += usize::from(speedup > 1.0);
-        wins += usize::from(speedup >= 2.0);
-        let tier_rows: Vec<Json> = tiers
-            .iter()
-            .zip(&timed)
-            .map(|((tier, _), t)| {
-                let ms = |seconds: f64| seconds * 1e3 / calls as f64;
-                let ci = [t[0].median_ci.lo, t[0].median_ci.hi].map(|v| Json::fixed(ms(v), 4));
-                let median = ms(t[0].median);
-                Json::obj([
-                    ("tier", Json::from(*tier)),
-                    ("ms", Json::fixed(median, 4)),
-                    ("min_ms", Json::fixed(ms(t[0].min), 4)),
-                    ("ms_ci", Json::from(ci.to_vec())),
-                    ("gflops_per_s", Json::fixed(flops / median / 1e6, 2)),
-                ])
-            })
-            .collect();
-        let mut row = cell_fields(name, &cs);
-        row.extend([
-            ("flops", Json::from(flops)),
-            ("tiers", Json::from(tier_rows)),
-            ("speedup_direct_vs_im2col", Json::fixed(speedup, 3)),
-            // A noise witness, not a decision: one kernel against itself.
-            ("aa_ratio", Json::fixed(direct_aa.median / direct.median, 3)),
-        ]);
-        rows.push(Json::obj(row));
+        let cell = cell("cases", name, &cs);
+        rows.push(cell.value("flops", "flop", Better::None, flops));
+        for (i, ((tier, _), [t])) in tiers.iter().zip(&timed).enumerate() {
+            let cell = cell.clone().key("tier", *tier);
+            rows.push(cell.ms_per("ms", t, calls));
+            if i > 0 {
+                rows.push(cell.count("diverged", Better::Lower, usize::from(diverged[i])));
+            }
+        }
     }
+    for (name, cs) in backward_cells() {
+        rows.extend(backward_rows(name, &cs, reps));
+    }
+    rows
+}
 
-    let (bwd_rows, bwd_err, bwd_ratio, bwd_slow) = backward_rows(reps);
-    let cells = rows.len();
-    report
-        .gate(
-            "cells",
-            cells == 13 && bwd_rows.len() == 5 && all_timed,
-            format!(
-                "{cells} forward cells of 13, {} backward cells of 5, every timing > 0",
-                bwd_rows.len()
-            ),
-        )
-        .field("reps", reps)
-        .field("direct_2x_wins", wins)
-        .rows("cases", rows)
-        .rows("backward", bwd_rows)
-        .gate(
-            "forward_parity",
-            diverged.is_empty(),
-            format!("every tier within l-inf 1e-4 of im2col; diverged: {diverged:?}"),
-        )
-        .gate(
-            "direct_beats_im2col",
-            faster >= 4,
-            format!("direct faster on {faster} of {cells} shapes, need 4"),
-        )
-        .gate(
-            "direct_2x_wins",
-            wins >= 3,
-            format!(
-                "direct >= 2x im2col on {wins} of {cells} shapes, need 3 (was 3x on 1 \
-                 until the row-copy im2col made the baseline 1.2-1.5x faster)"
-            ),
-        )
-        .gate(
-            "backward_parity",
-            bwd_err <= 1e-4,
-            format!("worst oracle rel l-inf {bwd_err:.1e} <= 1e-4"),
-        )
-        .gate(
-            "backward_over_forward",
-            bwd_slow.is_empty(),
-            format!(
-                "no backward's median CI above {BWD_OVER_FWD_LIMIT} x its forward's (was 6 x the \
-                 median until ISSUE 18: forwards fell 2.4x, the dX half did not; worst ratio of \
-                 medians {bwd_ratio:.2}); over: {bwd_slow:?}"
-            ),
-        );
+/// `im2col` over `direct` median time per `cases` cell, in file order.
+fn speedups(rows: &[Row]) -> Vec<f64> {
+    let times = select(rows, "cases", "ms");
+    let im2col = times.filter(|r| r.is("tier", "im2col"));
+    let speedup = |r: &Row| {
+        let direct = select(rows, "cases", "ms")
+            .find(|d| d.is("tier", "direct") && d.text("name") == r.text("name"));
+        r.median / direct.expect("a direct row per cell").median
+    };
+    im2col.map(speedup).collect()
+}
+
+pub fn cells_timed(rows: &[Row]) -> Verdict {
+    let forward = select(rows, "cases", "flops").count();
+    let backward = select(rows, "backward", "bwd_ms").count();
+    let mut timings = rows.iter().filter(|r| r.unit == "ms");
+    let all_timed = timings.all(|r| r.median > 0.0);
+    Verdict::new(
+        "cells",
+        forward == 13 && backward == 5 && all_timed,
+        format!("{forward} forward cells of 13, {backward} backward cells of 5, every timing > 0"),
+    )
+}
+
+pub fn forward_parity(rows: &[Row]) -> Verdict {
+    let diverged = select(rows, "cases", "diverged").filter(|r| r.median > 0.0);
+    let diverged = diverged.map(|r| format!("{}/{}", r.text("name"), r.text("tier")));
+    let claim = "every tier within l-inf 1e-4 of im2col";
+    unless("forward_parity", claim, diverged.collect())
+}
+
+pub fn direct_beats_im2col(rows: &[Row]) -> Verdict {
+    let (speedups, cells) = (speedups(rows), select(rows, "cases", "flops").count());
+    let faster = speedups.iter().filter(|&&s| s > 1.0).count();
+    let detail = format!("direct faster on {faster} of {cells} shapes, need 4");
+    Verdict::new("direct_beats_im2col", faster >= 4, detail)
+}
+
+pub fn direct_2x_wins(rows: &[Row]) -> Verdict {
+    let speedups = speedups(rows);
+    let wins = speedups.iter().filter(|&&s| s >= 2.0).count();
+    Verdict::new(
+        "direct_2x_wins",
+        wins >= 3,
+        format!(
+            "direct >= 2x im2col on {wins} of {} shapes, need 3 (was 3x on 1 until the row-copy \
+             im2col made the baseline 1.2-1.5x faster); im2col/direct per cell {speedups:.2?}",
+            speedups.len()
+        ),
+    )
+}
+
+pub fn backward_parity(rows: &[Row]) -> Verdict {
+    let errs = select(rows, "backward", "oracle_rel_linf").map(|r| r.median);
+    let worst = errs.fold(0.0f64, f64::max);
+    Verdict::new(
+        "backward_parity",
+        worst <= 1e-4,
+        format!("worst oracle rel l-inf {worst:.1e} <= 1e-4"),
+    )
+}
+
+/// No backward's median CI sits above [`BWD_OVER_FWD_LIMIT`] times its
+/// forward's — the CI-separation estimator of EXPERIMENTS E26.
+pub fn backward_over_forward(rows: &[Row]) -> Verdict {
+    let mut worst = 0.0f64;
+    let mut over = Vec::new();
+    for bwd in select(rows, "backward", "bwd_ms") {
+        let fwd = bwd.sibling(rows, "fwd_ms");
+        let ratio = bwd.median / fwd.median;
+        worst = worst.max(ratio);
+        if bwd.interval().lo > BWD_OVER_FWD_LIMIT * fwd.interval().hi {
+            over.push(format!("{} {ratio:.2}x", bwd.text("name")));
+        }
+    }
+    Verdict::new(
+        "backward_over_forward",
+        over.is_empty(),
+        format!(
+            "no backward's median CI above {BWD_OVER_FWD_LIMIT} x its forward's (was 6 x the \
+             median until forwards fell 2.4x and the dX half did not; worst ratio of medians \
+             {worst:.2}); over: {over:?}"
+        ),
+    )
 }

@@ -1,24 +1,28 @@
 //! `gemm` — DeepBench-shape GEMM sweep across the four algorithm tiers.
 //!
-//! Records GFLOP/s per (shape, tier) — the perf anchor for the
-//! packed-microkernel work (EXPERIMENTS.md §E16). Gates: every tier
-//! within relative l-inf 1e-4 of `Naive` (`parity`, read off the products
-//! the timing loop leaves behind), and `Packed` — the default everything
-//! calls — the fastest tier on every shape (`packed_fastest`).
+//! Rows of `results`, keyed `(m, n, k, tier)`: `gflops` per shape and
+//! tier (the perf anchor for the packed-microkernel work, EXPERIMENTS.md
+//! §E16; `better: higher`, the median's CI mapped through `flops / t`) and,
+//! for every tier but `naive`, `rel_linf` against `Naive` (read off the
+//! products the timing loop leaves behind). Gates: every tier within
+//! relative l-inf 1e-4 of `Naive` (`parity`), and `Packed` — the default
+//! everything calls — the fastest tier on every shape (`packed_fastest`).
 //!
-//! A second table, `cutovers`, holds one row on each side of the two
-//! hand-set routing cuts no other row measures: `par::FORK_CUT` (a shape
-//! pair of one aspect whose `m·n·k` straddles it, on the two tiers that
-//! hand row panels to `par`) and `Linear`'s single-row GEMV path (`n = 1` against
-//! `n = 2`, per-row time). No gate reads them yet: they exist so the next
-//! routing change has a before-row on both sides of each cut.
+//! A second table, `cutovers`, holds `gflops` on each side of the two
+//! hand-set routing cuts no other row measures: `par::FORK_CUT` (keyed
+//! `cut = fork_cut`, `side`, `tier`, `m`, `n`, `k`: a shape pair of one
+//! aspect whose `m·n·k` straddles it, on the two tiers that hand row
+//! panels to `par`) and `Linear`'s single-row GEMV path (`cut =
+//! linear_gemv`, `side`, `n`, `fin`, `fout`: `n = 1` against `n = 2`).
+//! No gate reads them yet: they exist so the next routing change has a
+//! before-row on both sides of each cut.
 //!
 //! Run with: `cargo run --release -p deep500-bench -- gemm`
 
-use crate::rows::Timing;
-use crate::{reruns, time_rounds, Report, Subject};
+use crate::rows::{select, unless, Better, Row, Verdict};
+use crate::{reruns, time_rounds, Subject};
 use deep500::metrics::norms::linf_diff;
-use deep500::metrics::Json;
+use deep500::metrics::stats::Summary;
 use deep500::ops::deepbench::GemmSize;
 use deep500::ops::gemm::{gemm_into, Algorithm};
 use deep500::ops::linear::LinearOp;
@@ -35,6 +39,10 @@ const TIERS: [Algorithm; 4] = [
     Algorithm::Packed,
 ];
 
+fn tier_name(algo: Algorithm) -> String {
+    format!("{algo:?}").to_lowercase()
+}
+
 /// Time `tiers` on one shape over `rounds` interleaved rounds. Returns
 /// each tier's summary and the product it left behind.
 fn time_tiers(
@@ -42,7 +50,7 @@ fn time_tiers(
     tiers: &[Algorithm],
     rounds: usize,
     rng: &mut Xoshiro256StarStar,
-) -> Vec<(Timing, Vec<f32>)> {
+) -> Vec<(Summary, Vec<f32>)> {
     let a = Tensor::rand_uniform([g.m, g.k], -1.0, 1.0, rng);
     let b = Tensor::rand_uniform([g.k, g.n], -1.0, 1.0, rng);
     let outs: Vec<_> = tiers
@@ -64,19 +72,12 @@ fn time_tiers(
         .collect();
     let timed = time_rounds(1, rounds, &mut subjects);
     drop(subjects);
-    let timings = timed.iter().map(|[t]| Timing::of(t));
-    timings
-        .zip(outs.into_iter().map(RefCell::into_inner))
-        .collect()
-}
-
-/// GFLOP/s of a `flops`-sized call that took `t`.
-fn rate(flops: f64, t: &Timing) -> Json {
-    Json::fixed(flops / t.ms / 1e6, 3)
+    let outs = outs.into_iter().map(RefCell::into_inner);
+    timed.into_iter().map(|[t]| t).zip(outs).collect()
 }
 
 /// One row on each side of `par::FORK_CUT` and of the GEMV cut-over.
-fn cutover_rows(rng: &mut Xoshiro256StarStar) -> Vec<Json> {
+fn cutover_rows(rng: &mut Xoshiro256StarStar) -> Vec<Row> {
     let mut rows = Vec::new();
     // Both tiers fork on `m·n·k >= par::FORK_CUT` and more than one row
     // panel — 64 rows for `Parallel`, `mc = 128` at `k = 256` for `Packed`
@@ -89,17 +90,11 @@ fn cutover_rows(rng: &mut Xoshiro256StarStar) -> Vec<Json> {
             "below"
         };
         let tiers = [Algorithm::Parallel, Algorithm::Packed];
-        for (algo, (t, _)) in tiers.iter().zip(time_tiers(g, &tiers, 10 * reruns(), rng)) {
-            rows.push(Json::obj([
-                ("cut", Json::from("fork_cut")),
-                ("side", Json::from(side)),
-                ("tier", Json::from(format!("{algo:?}").to_lowercase())),
-                ("m", Json::from(g.m)),
-                ("n", Json::from(g.n)),
-                ("k", Json::from(g.k)),
-                ("gflops", rate(g.flops(), &t)),
-                ("call", t.json()),
-            ]));
+        for (&algo, (t, _)) in tiers.iter().zip(time_tiers(g, &tiers, 10 * reruns(), rng)) {
+            let cell = Row::of("cutovers").key("cut", "fork_cut").key("side", side);
+            let cell = cell.key("tier", tier_name(algo));
+            let cell = cell.key("m", g.m).key("n", g.n).key("k", g.k);
+            rows.push(cell.rate("gflops", "GFLOP/s", g.flops() / 1e9, &t));
         }
     }
     // `Linear` forward: one row takes the GEMV over the memoized
@@ -119,21 +114,18 @@ fn cutover_rows(rng: &mut Xoshiro256StarStar) -> Vec<Json> {
     let timed = time_rounds(3, 10 * reruns(), &mut subjects);
     for (x, [t]) in xs.iter().zip(&timed) {
         let n = x.shape().dim(0);
-        let t = Timing::of(t);
-        rows.push(Json::obj([
-            ("cut", Json::from("linear_gemv")),
-            ("side", Json::from(if n == 1 { "gemv" } else { "gemm" })),
-            ("n", Json::from(n)),
-            ("fin", Json::from(fin)),
-            ("fout", Json::from(fout)),
-            ("gflops", rate(2.0 * (n * fin * fout) as f64, &t)),
-            ("per_row", t.times(1.0 / n as f64).json()),
-        ]));
+        let side = if n == 1 { "gemv" } else { "gemm" };
+        let cell = Row::of("cutovers")
+            .key("cut", "linear_gemv")
+            .key("side", side);
+        let cell = cell.key("n", n).key("fin", fin).key("fout", fout);
+        let flops = 2.0 * (n * fin * fout) as f64;
+        rows.push(cell.rate("gflops", "GFLOP/s", flops / 1e9, t));
     }
     rows
 }
 
-pub fn run(report: &mut Report) {
+pub fn measure() -> Vec<Row> {
     // Shape diversity from the DeepBench training suite (tall-skinny, wide,
     // square) plus the 1024^3 acceptance shape for the packed tier.
     let shapes = [
@@ -146,42 +138,46 @@ pub fn run(report: &mut Report) {
     ];
     let mut rng = Xoshiro256StarStar::seed_from_u64(16);
     let mut rows = Vec::new();
-    let (mut worst_err, mut not_fastest) = (0.0f64, Vec::new());
     for g in shapes {
         let timed = time_tiers(g, &TIERS, reruns(), &mut rng);
-        let rates: Vec<f64> = timed.iter().map(|(t, _)| g.flops() / t.ms / 1e6).collect();
         let naive = &timed[0].1;
         let magnitude = naive.iter().fold(1.0f32, |m, v| m.max(v.abs()));
-        for (_, out) in &timed[1..] {
-            let err = linf_diff(out, naive) / f64::from(magnitude);
-            worst_err = worst_err.max(err);
+        let shape = Row::of("results").key("m", g.m).key("n", g.n).key("k", g.k);
+        for (&algo, (t, out)) in TIERS.iter().zip(&timed) {
+            let cell = shape.clone().key("tier", tier_name(algo));
+            rows.push(cell.rate("gflops", "GFLOP/s", g.flops() / 1e9, t));
+            if algo != Algorithm::Naive {
+                let err = linf_diff(out, naive) / f64::from(magnitude);
+                rows.push(cell.value("rel_linf", "ratio", Better::Lower, err));
+            }
         }
-        if rates[..3].iter().any(|&r| r >= rates[3]) {
-            not_fastest.push(format!("{}x{}x{}", g.m, g.n, g.k));
-        }
-        rows.push(Json::obj([
-            ("m", Json::from(g.m)),
-            ("n", Json::from(g.n)),
-            ("k", Json::from(g.k)),
-            ("naive", Json::fixed(rates[0], 3)),
-            ("blocked", Json::fixed(rates[1], 3)),
-            ("parallel", Json::fixed(rates[2], 3)),
-            ("packed", Json::fixed(rates[3], 3)),
-        ]));
     }
-    report
-        .field("unit", "GFLOP/s")
-        .field("rounds", reruns())
-        .rows("results", rows)
-        .rows("cutovers", cutover_rows(&mut rng))
-        .gate(
-            "parity",
-            worst_err <= 1e-4,
-            format!("worst rel l-inf of any tier against Naive {worst_err:.1e} <= 1e-4"),
-        )
-        .gate(
-            "packed_fastest",
-            not_fastest.is_empty(),
-            format!("Packed is the fastest tier on every shape; not on: {not_fastest:?}"),
-        );
+    rows.extend(cutover_rows(&mut rng));
+    rows
+}
+
+pub fn parity(rows: &[Row]) -> Verdict {
+    let errs = select(rows, "results", "rel_linf").map(|r| r.median);
+    let worst = errs.fold(0.0f64, f64::max);
+    Verdict::new(
+        "parity",
+        worst <= 1e-4,
+        format!("worst rel l-inf of any tier against Naive {worst:.1e} <= 1e-4"),
+    )
+}
+
+pub fn packed_fastest(rows: &[Row]) -> Verdict {
+    let packed = select(rows, "results", "gflops").filter(|r| r.is("tier", "packed"));
+    let not_fastest = packed.filter_map(|p| {
+        let shape = |r: &Row| ["m", "n", "k"].map(|k| r.int(k));
+        let others = select(rows, "results", "gflops")
+            .filter(|r| shape(r) == shape(p) && !r.is("tier", "packed"));
+        let mut beaten = others.filter(|r| r.median >= p.median);
+        beaten.next().map(|_| {
+            let [m, n, k] = shape(p);
+            format!("{m}x{n}x{k}")
+        })
+    });
+    let claim = "Packed is the fastest tier on every shape";
+    unless("packed_fastest", claim, not_fastest.collect())
 }

@@ -1,6 +1,6 @@
 //! The entries of [`crate::BENCHES`] other than `paper`: one file per
-//! tracked report, each a `run(&mut Report)` that adds its fields, row
-//! tables and gates.
+//! tracked report, each a `measure() -> Vec<Row>` and the gates, pure
+//! functions of those rows, that `BENCHES` lists beside it.
 
 pub mod ablations;
 pub mod bricks;

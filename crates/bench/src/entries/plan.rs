@@ -1,19 +1,21 @@
 //! `plan` — the graph compile pipeline benchmark.
 //!
-//! For every model in the zoo slice below, this harness:
+//! For every model in the zoo slice below, this harness writes `models`
+//! rows keyed by `model`:
 //!
 //! 1. **Parity** — compiles the network (constant folding, CSE,
 //!    elementwise fusion, GEMM-epilogue fusion) and checks the
 //!    `PlannedExecutor` on the compiled graph against the
 //!    `ReferenceExecutor` on the original graph, *bitwise*: inference
 //!    outputs and — under the training-safe pass set — every parameter
-//!    gradient.
+//!    gradient (`inference_mismatches`, `backprop_mismatches`: tensors
+//!    that differ in any bit).
 //! 2. **Speed** — times the compiled graph against the uncompiled graph,
 //!    both on the one level-parallel tier (`PlannedExecutor`: frozen
-//!    dispatch lists, integer-indexed environment, pooled buffers),
-//!    and reports the median-over-median speedup. The row measures what
-//!    the rewrites buy; the gate is that compiling never costs speed
-//!    (speedup ≥ 0.95 on every model).
+//!    dispatch lists, integer-indexed environment, pooled buffers):
+//!    `compiled_ms` and `uncompiled_ms`. Their ratio measures what the
+//!    rewrites buy; the gate is that compiling never costs speed (speedup
+//!    ≥ 0.95 on every model).
 //! 3. **Memory** — the verifier's interference lower bound on the
 //!    compiled graph's pool bytes must not exceed the uncompiled run's
 //!    observed `peak_memory()` — the verifier-vs-runtime check
@@ -26,18 +28,18 @@
 //!    and be no slower than the serial loop (gate
 //!    `small_levels_run_inline`), and eight 256-wide towers whose `Linear`
 //!    level forks (rows only: what a fork buys depends on the host's
-//!    cores, so read them next to `env.cores`).
+//!    cores, so read them next to `env.cores`). `executors` rows are keyed
+//!    by `model` and `executor`.
 //!
 //! Writes `BENCH_plan.json`; every parity, memory-bound and speed
 //! criterion is a gate.
 //!
 //! Run with: `cargo run --release -p deep500-bench -- plan`
 
-use crate::rows::{claims, no_slower, select, text, Timing, Verdict};
-use crate::{time_rounds, Report, Subject};
+use crate::rows::{no_slower, select, unless, Better, Row, Verdict};
+use crate::{engine, time_rounds, Subject};
 use deep500::graph::compile;
 use deep500::graph::models::{feed_refs, zoo, ZooCase};
-use deep500::metrics::Json;
 use deep500::prelude::*;
 
 /// The zoo slice the speed floor is gated on: one tiny and one wide
@@ -48,17 +50,8 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
-/// What the gates read, plus the model's report row.
-struct Row {
-    name: &'static str,
-    parity: bool,
-    backprop_parity: bool,
-    speedup: f64,
-    pool_bound_below_peak: bool,
-    json: Json,
-}
-
-fn run_case(case: &ZooCase) -> Row {
+/// The `models` rows of one zoo case.
+fn run_case(case: &ZooCase) -> Vec<Row> {
     let feeds = case.feeds(1234);
     let feeds = feed_refs(&feeds);
     let shapes = case.input_shapes();
@@ -67,24 +60,19 @@ fn run_case(case: &ZooCase) -> Row {
     let mut compiled = case.net.clone_structure();
     let report = compile::compile(&mut compiled, &shapes, &CompileOptions::inference())
         .expect("compile (inference)");
-    let reference_engine = Engine::builder(case.net.clone_structure())
-        .build()
-        .expect("reference");
+    let reference_engine = engine(case.net.clone_structure(), ExecutorKind::Reference);
     let mut reference = reference_engine.lock();
-    let planned_engine = Engine::builder(compiled)
-        .executor(ExecutorKind::Planned)
-        .build()
-        .expect("planned");
+    let planned_engine = engine(compiled, ExecutorKind::Planned);
     let mut planned = planned_engine.lock();
     let expect = reference.inference(&feeds).expect("reference pass");
-    let mut parity = true;
+    let mut inference_mismatches = 0;
     // Two passes so pool reuse is exercised, not just first-touch buffers.
     for _ in 0..2 {
         let got = planned.inference(&feeds).expect("planned pass");
         for (name, t) in &expect {
             if bits(&got[name]) != bits(t) {
                 eprintln!("plan: {} output '{name}' diverged bitwise", case.name);
-                parity = false;
+                inference_mismatches += 1;
             }
         }
     }
@@ -93,10 +81,7 @@ fn run_case(case: &ZooCase) -> Row {
     let mut train_compiled = case.net.clone_structure();
     compile::compile(&mut train_compiled, &shapes, &CompileOptions::training())
         .expect("compile (training)");
-    let tplan_engine = Engine::builder(train_compiled)
-        .executor(ExecutorKind::Planned)
-        .build()
-        .expect("planned");
+    let tplan_engine = engine(train_compiled, ExecutorKind::Planned);
     let mut tplan = tplan_engine.lock();
     let r_out = reference
         .inference_and_backprop(&feeds, "loss")
@@ -104,7 +89,7 @@ fn run_case(case: &ZooCase) -> Row {
     let p_out = tplan
         .inference_and_backprop(&feeds, "loss")
         .expect("planned backprop");
-    let mut backprop_parity = bits(&r_out["loss"]) == bits(&p_out["loss"]);
+    let mut backprop_mismatches = usize::from(bits(&r_out["loss"]) != bits(&p_out["loss"]));
     for p in reference.network().get_params().to_vec() {
         let g = deep500::graph::grad_name(&p);
         let rg = reference
@@ -114,15 +99,12 @@ fn run_case(case: &ZooCase) -> Row {
         let pg = tplan.network().fetch_tensor(&g).expect("planned grad");
         if bits(rg) != bits(pg) {
             eprintln!("plan: {} gradient of '{p}' diverged bitwise", case.name);
-            backprop_parity = false;
+            backprop_mismatches += 1;
         }
     }
 
     // ---- Timing: compiled vs original graph, same executor tier -------
-    let uncompiled_engine = Engine::builder(case.net.clone_structure())
-        .executor(ExecutorKind::Planned)
-        .build()
-        .expect("uncompiled");
+    let uncompiled_engine = engine(case.net.clone_structure(), ExecutorKind::Planned);
     let mut uncompiled = uncompiled_engine.lock();
     // Heavy conv models time fewer rounds than the microsecond MLPs.
     let rounds = if case.x.rank() > 2 { 20 } else { 200 };
@@ -134,12 +116,6 @@ fn run_case(case: &ZooCase) -> Row {
             Subject::wall(|| uncompiled.inference(&feeds).expect("uncompiled pass")),
         ],
     );
-    let (compiled_ms, uncompiled_ms) = (timed[0][0].median * 1e3, timed[1][0].median * 1e3);
-    let speedup = if compiled_ms > 0.0 {
-        uncompiled_ms / compiled_ms
-    } else {
-        1.0
-    };
 
     // ---- Memory: verifier's lower bound vs observed peak ---------------
     let verified =
@@ -152,25 +128,20 @@ fn run_case(case: &ZooCase) -> Row {
     );
     let lower_bound = verified.pool_lower_bound.expect("aliasing pass ran");
     let observed_peak = uncompiled.peak_memory();
-    Row {
-        name: case.name,
-        parity,
-        backprop_parity,
-        speedup,
-        pool_bound_below_peak: lower_bound <= observed_peak,
-        json: Json::obj([
-            ("model", Json::from(case.name)),
-            ("nodes_before", Json::from(report.nodes_before)),
-            ("nodes_after", Json::from(report.nodes_after)),
-            ("fused_epilogues", Json::from(report.fused_epilogues)),
-            ("rewrites", Json::from(report.rewrites())),
-            ("compiled_ms", Json::fixed(compiled_ms, 6)),
-            ("uncompiled_ms", Json::fixed(uncompiled_ms, 6)),
-            ("speedup", Json::fixed(speedup, 4)),
-            ("pool_lower_bound_bytes", Json::from(lower_bound)),
-            ("observed_peak_bytes", Json::from(observed_peak)),
-        ]),
-    }
+    let model = Row::of("models").key("model", case.name);
+    let count = |metric, v| model.count(metric, Better::None, v);
+    vec![
+        count("nodes_before", report.nodes_before),
+        count("nodes_after", report.nodes_after),
+        count("fused_epilogues", report.fused_epilogues),
+        count("rewrites", report.rewrites()),
+        model.count("inference_mismatches", Better::Lower, inference_mismatches),
+        model.count("backprop_mismatches", Better::Lower, backprop_mismatches),
+        model.ms("compiled_ms", &timed[0][0]),
+        model.ms("uncompiled_ms", &timed[1][0]),
+        model.bytes("pool_lower_bound_bytes", Better::Lower, lower_bound),
+        model.bytes("observed_peak_bytes", Better::Lower, observed_peak),
+    ]
 }
 
 const BRANCHES: usize = 8;
@@ -232,7 +203,7 @@ fn wide_net(features: usize) -> Network {
 /// executor, the two executors of a width interleaved; the plan
 /// interpreter reuses its pooled buffers across passes, so it can win
 /// without forking once warm.
-fn executor_rows() -> Vec<Json> {
+fn executor_rows() -> Vec<Row> {
     let mut rng = Xoshiro256StarStar::seed_from_u64(7);
     let mut rows = Vec::new();
     for features in [SMALL, LARGE] {
@@ -242,10 +213,7 @@ fn executor_rows() -> Vec<Json> {
             ("target", Tensor::zeros([BRANCHES * BATCH, features])),
         ];
         let kinds = [ExecutorKind::Reference, ExecutorKind::Planned];
-        let engines = kinds.map(|kind| {
-            let builder = Engine::builder(wide_net(features)).executor(kind);
-            builder.build().expect("wide engine")
-        });
+        let engines = kinds.map(|kind| engine(wide_net(features), kind));
         let mut subjects: Vec<Subject<1>> = engines
             .iter()
             .map(|engine| {
@@ -258,11 +226,10 @@ fn executor_rows() -> Vec<Json> {
             .collect();
         let timed = time_rounds(3, 30, &mut subjects);
         rows.extend(kinds.iter().zip(&timed).map(|(kind, [t])| {
-            Json::obj([
-                ("model", Json::from(wide_name(features))),
-                ("executor", Json::from(format!("{kind:?}").to_lowercase())),
-                ("pass", Timing::of(t).json()),
-            ])
+            Row::of("executors")
+                .key("model", wide_name(features))
+                .key("executor", format!("{kind:?}").to_lowercase())
+                .ms("pass", t)
         }));
     }
     rows
@@ -272,13 +239,13 @@ fn executor_rows() -> Vec<Json> {
 /// wide model the plan interpreter is no slower than the serial loop.
 /// (When every level of two or more nodes was handed to the pool it read
 /// 0.71 ms against 0.35.)
-pub fn small_levels_run_inline(executors: &[Json]) -> Verdict {
+pub fn small_levels_run_inline(rows: &[Row]) -> Verdict {
     let model = wide_name(SMALL);
     let pass = |executor: &str| {
-        let row = select(executors, "model", &model)
-            .find(|row| text(row, "executor") == executor)
+        let row = select(rows, "executors", "pass")
+            .find(|row| row.text("model") == model && row.is("executor", executor))
             .unwrap_or_else(|| panic!("no {executor} row of {model}"));
-        Timing::read(row, "pass")
+        row.interval()
     };
     no_slower(
         "small_levels_run_inline",
@@ -290,71 +257,99 @@ pub fn small_levels_run_inline(executors: &[Json]) -> Verdict {
 /// Compiling must never cost speed; 5 % absorbs timing noise.
 const SPEEDUP_FLOOR: f64 = 0.95;
 
-pub fn run(report: &mut Report) {
-    let rows: Vec<Row> = zoo()
-        .iter()
-        .filter(|case| MODELS.contains(&case.name))
-        .map(run_case)
-        .collect();
+pub fn measure() -> Vec<Row> {
+    let cases = zoo().into_iter().filter(|case| MODELS.contains(&case.name));
+    let mut rows: Vec<Row> = cases.flat_map(|case| run_case(&case)).collect();
+    rows.extend(executor_rows());
+    rows
+}
 
-    let min_speedup = rows.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
-    let executors = executor_rows();
-    let inline = small_levels_run_inline(&executors);
-    report
-        .field("min_speedup", Json::fixed(min_speedup, 4))
-        .rows("models", rows.iter().map(|r| r.json.clone()).collect())
-        .rows("executors", executors)
-        .gate(
-            "models_benchmarked",
-            rows.len() == MODELS.len(),
-            format!("{} of {}", rows.len(), MODELS.len()),
-        );
-    // One gate per criterion; the detail names the models that miss it.
-    let mut gate = |name: &str, holds: &dyn Fn(&Row) -> bool, what: &str| {
-        let failing: Vec<&str> = rows.iter().filter(|r| !holds(r)).map(|r| r.name).collect();
-        report.gate(
-            name,
-            failing.is_empty(),
-            format!("{what}; failing: {failing:?}"),
-        );
-    };
-    gate(
+pub fn models_benchmarked(rows: &[Row]) -> Verdict {
+    let benchmarked = select(rows, "models", "compiled_ms").count();
+    Verdict::new(
+        "models_benchmarked",
+        benchmarked == MODELS.len(),
+        format!("{benchmarked} of {}", MODELS.len()),
+    )
+}
+
+/// The models whose `metric` row reads non-zero.
+fn mismatched(rows: &[Row], metric: &str) -> Vec<String> {
+    let failing = select(rows, "models", metric).filter(|r| r.median > 0.0);
+    failing.map(|r| r.text("model").to_string()).collect()
+}
+
+pub fn parity_bitwise(rows: &[Row]) -> Verdict {
+    unless(
         "parity_bitwise",
-        &|r| r.parity,
         "compiled inference outputs == reference, bitwise",
-    );
-    gate(
+        mismatched(rows, "inference_mismatches"),
+    )
+}
+
+pub fn backprop_parity_bitwise(rows: &[Row]) -> Verdict {
+    unless(
         "backprop_parity_bitwise",
-        &|r| r.backprop_parity,
         "training-compiled loss and gradients == reference, bitwise",
-    );
-    gate(
+        mismatched(rows, "backprop_mismatches"),
+    )
+}
+
+pub fn pool_bound_below_peak(rows: &[Row]) -> Verdict {
+    let bounds = select(rows, "models", "pool_lower_bound_bytes");
+    let over = bounds.filter(|b| b.median > b.sibling(rows, "observed_peak_bytes").median);
+    unless(
         "pool_bound_below_peak",
-        &|r| r.pool_bound_below_peak,
         "interference lower bound <= observed peak",
+        over.map(|r| r.text("model").to_string()).collect(),
+    )
+}
+
+pub fn compiled_not_slower(rows: &[Row]) -> Verdict {
+    let compiled = select(rows, "models", "compiled_ms");
+    let speedups: Vec<(&str, f64)> = compiled
+        .map(|c| {
+            (
+                c.text("model"),
+                c.median_of(rows, "uncompiled_ms") / c.median,
+            )
+        })
+        .collect();
+    let min = speedups.iter().map(|s| s.1).fold(f64::INFINITY, f64::min);
+    let each: Vec<String> = speedups
+        .iter()
+        .map(|(m, s)| format!("{m} {s:.2}"))
+        .collect();
+    let claim = format!(
+        "uncompiled/compiled median >= {SPEEDUP_FLOOR} on every model (min {min:.2}; {each:?})"
     );
-    gate(
+    let slower = speedups.iter().filter(|s| s.1 < SPEEDUP_FLOOR);
+    unless(
         "compiled_not_slower",
-        &|r| r.speedup >= SPEEDUP_FLOOR,
-        &format!("speedup >= {SPEEDUP_FLOOR} on every model (min {min_speedup:.2})"),
-    );
-    claims(report, [inline]);
+        &claim,
+        slower.map(|s| s.0.to_string()).collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rows::{interval, Span};
 
     #[test]
     fn an_inline_small_model_passes_and_a_forked_one_fails() {
-        let rows = |reference: Span, planned: Span| {
-            [("reference", reference), ("planned", planned)].map(|(executor, pass)| {
-                Json::obj([
-                    ("model", Json::from(wide_name(SMALL))),
-                    ("executor", Json::from(executor)),
-                    ("pass", interval(pass)),
-                ])
+        let rows = |reference: (f64, f64), planned: (f64, f64)| {
+            [("reference", reference), ("planned", planned)].map(|(executor, (lo, hi))| {
+                let row = Row::of("executors")
+                    .key("model", wide_name(SMALL))
+                    .key("executor", executor);
+                row.measured(
+                    "pass",
+                    "ms",
+                    Better::Lower,
+                    (lo + hi) / 2.0,
+                    Some((lo, hi)),
+                    30,
+                )
             })
         };
         assert!(small_levels_run_inline(&rows((0.33, 0.36), (0.26, 0.29))).ok);
@@ -363,5 +358,24 @@ mod tests {
         // What forking every level read at the parent commit.
         let v = small_levels_run_inline(&rows((0.33, 0.36), (0.70, 0.73)));
         assert!(!v.ok && v.detail.contains("0.700"), "{}", v.detail);
+    }
+
+    #[test]
+    fn compiling_may_not_cost_speed_or_bits() {
+        let rows = |compiled: f64, mismatches: usize| {
+            let model = Row::of("models").key("model", "lenet");
+            let ms =
+                |metric, v: f64| model.measured(metric, "ms", Better::Lower, v, Some((v, v)), 20);
+            [
+                ms("compiled_ms", compiled),
+                ms("uncompiled_ms", 1.0),
+                model.count("inference_mismatches", Better::Lower, mismatches),
+            ]
+        };
+        assert!(compiled_not_slower(&rows(1.05, 0)).ok);
+        let v = compiled_not_slower(&rows(1.10, 0));
+        assert!(!v.ok && v.detail.contains("min 0.91"), "{}", v.detail);
+        assert!(parity_bitwise(&rows(1.0, 0)).ok);
+        assert!(!parity_bitwise(&rows(1.0, 2)).ok);
     }
 }

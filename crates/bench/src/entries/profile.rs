@@ -12,10 +12,13 @@
 //!
 //! * `trace.json` — Chrome trace-event JSON; open in `chrome://tracing` or
 //!   Perfetto. Self-validated with `validate_chrome_trace` before writing.
-//! * `BENCH_profile.json` — machine-readable per-operator attribution
-//!   (wall time, GFLOP/s, bytes moved), phase totals, dataset latency, and
-//!   communication volume; gates: the trace validates, whole-run
-//!   attribution coverage ≥ 0.90, operators and training phases present.
+//! * `BENCH_profile.json` — the trace's own rows (`trace`, keyed by
+//!   `file`: spans, metadata events, validation errors), machine-readable
+//!   per-operator attribution (`operators`, keyed by `op`: calls, wall
+//!   time, FLOPs and bytes per call), `phase_totals` keyed by `phase`,
+//!   `dataset_latency`, and `communication` volume keyed by `direction`;
+//!   gates: the trace validates, whole-run attribution coverage ≥ 0.90,
+//!   operators and training phases present.
 //!
 //! A third, untraced run fills the `data_pipeline` table: what a batch
 //! costs to assemble against how long a training step waits for it, and
@@ -27,13 +30,15 @@
 //! `planned_dp2_step_beats_reference` the two executors' two-rank steps.
 //! A fifth fills `pass_breakdown`: where one pass of the plan interpreter
 //! spends its time, per operator type, read from the executor's own
-//! `op_totals()`; its only gate, `pass_breakdown_within_the_pass`, is a
-//! sanity check that the operators' shares sum to at most the pass.
+//! `op_totals()` (`us_per_pass`, `calls_per_pass`, keyed by `workload`
+//! and `op`), next to the pass itself (`pass_us`, keyed by `workload`);
+//! its only gate, `pass_breakdown_within_the_pass`, is a sanity check that
+//! the operators' shares sum to at most the pass.
 //!
 //! Run with: `cargo run --release -p deep500-bench -- profile`
 
-use crate::rows::{claims, find, num, text, unless, Timing, Verdict};
-use crate::{repo_path, scale, time_rounds, Report, Scale, Subject};
+use crate::rows::{find, select, unless, Better, Row, Verdict};
+use crate::{engine, repo_path, scale, time_rounds, Scale, Subject};
 use deep500::data::dataset::assemble_minibatch;
 use deep500::dist::collectives::allreduce_ring;
 use deep500::dist::comm::ThreadCommunicator;
@@ -41,25 +46,18 @@ use deep500::dist::optimizers::{dsgd::ConsistentDecentralized, DistributedOptimi
 use deep500::dist::{Communicator, DistributedRunner, NetworkModel, ThreadTransport, Variant};
 use deep500::graph::NodeId;
 use deep500::metrics::stats::Summary;
-use deep500::metrics::{op_table, validate_chrome_trace, Json, Phase, TraceRecorder};
+use deep500::metrics::{op_table, validate_chrome_trace, Phase, TraceRecorder};
 use deep500::prelude::*;
 use std::sync::Arc;
 
 /// The samplers assemble one batch ahead, so the `Phase::Sampling` window
 /// of a step is the time it waited for its batch, not what the batch cost:
 /// on every row the wait's whole CI sits below half the assembly's.
-pub fn sampling_wait_hidden(rows: &[Json]) -> Verdict {
-    let exposed = rows.iter().filter_map(|row| {
-        let (wait, assemble) = (
-            Timing::read(row, "wait_ms"),
-            Timing::read(row, "assemble_ms"),
-        );
-        (wait.hi >= 0.5 * assemble.lo).then(|| {
-            format!(
-                "wait [{:.3}, {:.3}] ms vs assembly [{:.3}, {:.3}] ms",
-                wait.lo, wait.hi, assemble.lo, assemble.hi
-            )
-        })
+pub fn sampling_wait_hidden(rows: &[Row]) -> Verdict {
+    let exposed = select(rows, "data_pipeline", "wait_ms").filter_map(|row| {
+        let (wait, assemble) = (row.interval(), row.sibling(rows, "assemble_ms").interval());
+        let detail = format!("wait {wait} ms vs assembly {assemble} ms");
+        (wait.hi >= 0.5 * assemble.lo).then_some(detail)
     });
     unless(
         "sampling_wait_hidden",
@@ -72,7 +70,7 @@ pub fn sampling_wait_hidden(rows: &[Json]) -> Verdict {
 /// LeNet on MNIST-like data, batch 32, `ShuffleSampler`: the cost of
 /// assembling a batch directly, and the per-step sampling wait and wall
 /// time of a `TrainingRunner` run over the same dataset.
-fn data_pipeline_row() -> Json {
+fn data_pipeline_rows() -> Vec<Row> {
     let (batch, seed) = (32, 7);
     let dataset: Arc<dyn Dataset> = Arc::new(SyntheticDataset::mnist_like(2048, seed));
     let mut sampler = ShuffleSampler::new(dataset.clone(), batch, seed);
@@ -86,10 +84,7 @@ fn data_pipeline_row() -> Json {
     drop(direct);
 
     let net = models::lenet(1, 28, 10, seed).expect("build lenet");
-    let engine = Engine::builder(net)
-        .executor(ExecutorKind::Wavefront)
-        .build()
-        .expect("build wavefront engine");
+    let engine = engine(net, ExecutorKind::Wavefront);
     let mut runner = TrainingRunner::new(TrainingConfig {
         epochs: 2,
         ..Default::default()
@@ -104,18 +99,16 @@ fn data_pipeline_row() -> Json {
         .expect("training run");
     let stamps: Vec<f64> = log.step_losses.iter().map(|&(at, _)| at).collect();
     let step_s: Vec<f64> = stamps.windows(2).map(|w| w[1] - w[0]).collect();
-    Json::obj([
-        ("model", Json::from("lenet 1x28x28")),
-        ("sampler", Json::from("ShuffleSampler")),
-        ("batch", Json::from(batch)),
-        ("steps", Json::from(log.sampling_times.len())),
-        ("assemble_ms", Timing::of(&assemble).json()),
-        (
-            "wait_ms",
-            Timing::of(&Summary::of(&log.sampling_times)).json(),
-        ),
-        ("step_ms", Timing::of(&Summary::of(&step_s)).json()),
-    ])
+    let row = Row::of("data_pipeline")
+        .key("model", "lenet 1x28x28")
+        .key("sampler", "ShuffleSampler")
+        .key("batch", batch);
+    vec![
+        row.count("steps", Better::None, log.sampling_times.len()),
+        row.ms("assemble_ms", &assemble),
+        row.ms("wait_ms", &Summary::of(&log.sampling_times)),
+        row.ms("step_ms", &Summary::of(&step_s)),
+    ]
 }
 
 /// Two ranks that synchronise every step spend less on meeting each other
@@ -124,24 +117,17 @@ fn data_pipeline_row() -> Json {
 /// lower bound). The step times themselves are rows, not gated: how far
 /// `dp2_step_ms` sits above `solo_step_ms` moves with where the host puts
 /// the two threads (EXPERIMENTS E30); what a rendezvous costs does not.
-pub fn sync_costs_less_than_a_step(rows: &[Json]) -> Verdict {
-    let costly = rows.iter().filter_map(|row| {
-        let (roundtrip, solo) = (
-            Timing::read(row, "roundtrip_ms"),
-            Timing::read(row, "solo_step_ms"),
+pub fn sync_costs_less_than_a_step(rows: &[Row]) -> Verdict {
+    let costly = select(rows, "dist_rendezvous", "roundtrip_ms").filter_map(|row| {
+        let roundtrip = row.interval();
+        let solo = row.sibling(rows, "solo_step_ms").interval();
+        let recvs = row.sibling(rows, "recvs_per_step").median;
+        let executor = row.text("executor");
+        let detail = format!(
+            "{executor}: {recvs} receives at {roundtrip:.4} ms a round trip vs a solo step of \
+             {solo} ms"
         );
-        let recvs = num(row, "recvs_per_step");
-        (recvs * roundtrip.hi >= solo.lo).then(|| {
-            format!(
-                "{}: {recvs} receives at [{:.4}, {:.4}] ms a round trip vs a solo step of \
-                 [{:.3}, {:.3}] ms",
-                text(row, "executor"),
-                roundtrip.lo,
-                roundtrip.hi,
-                solo.lo,
-                solo.hi
-            )
-        })
+        (recvs * roundtrip.hi >= solo.lo).then_some(detail)
     });
     unless(
         "sync_costs_less_than_a_step",
@@ -154,17 +140,23 @@ pub fn sync_costs_less_than_a_step(rows: &[Json]) -> Verdict {
 /// The runner's ranks train on the plan interpreter because it is faster
 /// where they spend their time: a two-rank CDSGD step on it (CI upper
 /// bound) is shorter than on the reference oracle (CI lower bound).
-pub fn planned_dp2_step_beats_reference(rows: &[Json]) -> Verdict {
-    let step = |executor| Timing::read(find(rows, "executor", executor), "dp2_step_ms");
-    let (planned, reference) = (step("planned"), step("reference"));
+pub fn planned_dp2_step_beats_reference(rows: &[Row]) -> Verdict {
+    let step = |executor| {
+        find(
+            rows,
+            "dist_rendezvous",
+            "dp2_step_ms",
+            ("executor", executor),
+        )
+    };
+    let (planned, reference) = (step("planned").interval(), step("reference").interval());
     Verdict::new(
         "planned_dp2_step_beats_reference",
         reference.above(&planned),
         format!(
             "a two-rank CDSGD step on the planned executor (CI upper bound) is shorter than on \
-             the reference executor (CI lower bound): planned [{:.3}, {:.3}] vs reference \
-             [{:.3}, {:.3}] ms",
-            planned.lo, planned.hi, reference.lo, reference.hi
+             the reference executor (CI lower bound): planned {planned} vs reference \
+             {reference} ms"
         ),
     )
 }
@@ -185,7 +177,7 @@ const RENDEZVOUS_BATCH: usize = 16;
 fn in_lockstep(
     calls: usize,
     body: impl Fn(ThreadCommunicator) -> RankBody + Send,
-) -> (Json, usize) {
+) -> (Summary, usize) {
     let warmup = calls / 8;
     let mut comms = ThreadTransport::create(2, NetworkModel::instant());
     let (rank1, rank0) = (comms.pop().expect("rank 1"), comms.pop().expect("rank 0"));
@@ -201,10 +193,7 @@ fn in_lockstep(
         });
         time_rounds(warmup, calls, &mut [Subject::wall(|| received = subject())])[0][0]
     });
-    (
-        Timing::of(&call).json(),
-        received as usize / (warmup + calls),
-    )
+    (call, received as usize / (warmup + calls))
 }
 
 /// A 1-float message to the other rank and back.
@@ -238,11 +227,7 @@ fn ring_allreduce(mut comm: ThreadCommunicator) -> RankBody {
 fn cdsgd_step(kind: ExecutorKind, comm: ThreadCommunicator) -> RankBody {
     let (features, batch, rank) = (64, RENDEZVOUS_BATCH, comm.rank());
     let net = models::mlp(features, &[256, 128], 8, 42).expect("build mlp");
-    let mut exec = Engine::builder(net)
-        .executor(kind)
-        .build()
-        .and_then(Engine::into_inner)
-        .expect("build the rank's executor");
+    let mut exec = engine(net, kind).into_inner().expect("the sole handle");
     let shape = deep500::tensor::Shape::new(&[features]);
     let dataset = SyntheticDataset::new("rendezvous", shape, 8, 64, 0.2, 9);
     let indices: Vec<usize> = (rank * batch..(rank + 1) * batch).collect();
@@ -264,24 +249,25 @@ fn solo_step(kind: ExecutorKind) -> RankBody {
     cdsgd_step(kind, alone)
 }
 
-fn dist_rendezvous_row(kind: ExecutorKind) -> Json {
+fn dist_rendezvous_rows(kind: ExecutorKind) -> Vec<Row> {
     let steps = if scale() == Scale::Smoke { 400 } else { 2000 };
     let roundtrip = in_lockstep(16 * steps, ping_pong);
     let allreduce = in_lockstep(steps, ring_allreduce);
     let solo = in_lockstep(steps, |_| solo_step(kind));
     let dp2 = in_lockstep(steps, |comm| cdsgd_step(kind, comm));
-    Json::obj([
-        ("executor", Json::from(format!("{kind:?}").to_lowercase())),
-        ("model", Json::from("mlp 64-256-128-8")),
-        ("scheme", Json::from("CDSGD, thread transport")),
-        ("batch", Json::from(RENDEZVOUS_BATCH)),
-        ("world", Json::from(2usize)),
-        ("recvs_per_step", Json::from(dp2.1)),
-        ("roundtrip_ms", roundtrip.0),
-        ("allreduce_ms", allreduce.0),
-        ("solo_step_ms", solo.0),
-        ("dp2_step_ms", dp2.0),
-    ])
+    let row = Row::of("dist_rendezvous")
+        .key("executor", format!("{kind:?}").to_lowercase())
+        .key("model", "mlp 64-256-128-8")
+        .key("scheme", "CDSGD, thread transport")
+        .key("batch", RENDEZVOUS_BATCH)
+        .key("world", 2usize);
+    vec![
+        row.count("recvs_per_step", Better::None, dp2.1),
+        row.ms("roundtrip_ms", &roundtrip.0),
+        row.ms("allreduce_ms", &allreduce.0),
+        row.ms("solo_step_ms", &solo.0),
+        row.ms("dp2_step_ms", &dp2.0),
+    ]
 }
 
 /// Operator types `pass_breakdown` gives a row of their own; every other
@@ -289,16 +275,14 @@ fn dist_rendezvous_row(kind: ExecutorKind) -> Json {
 const BREAKDOWN_OPS: [&str; 6] = ["Conv2d", "BatchNorm", "MaxPool2d", "Relu", "Add", "Linear"];
 
 /// Each workload's operators take at most its pass: the shares of its
-/// operator rows (all but `residual`) sum to ≤ 1. A sum above one would
-/// mean the executor's totals count time twice or outside the pass.
-pub fn pass_breakdown_within_the_pass(rows: &[Json]) -> Verdict {
-    let mut workloads: Vec<&str> = rows.iter().map(|r| text(r, "workload")).collect();
-    workloads.dedup();
-    let over = workloads.into_iter().filter_map(|workload| {
-        let ops = rows
-            .iter()
-            .filter(|r| text(r, "workload") == workload && text(r, "op") != "residual");
-        let sum: f64 = ops.map(|r| num(r, "share")).sum();
+/// operator rows sum to ≤ 1. A sum above one would mean the executor's
+/// totals count time twice or outside the pass.
+pub fn pass_breakdown_within_the_pass(rows: &[Row]) -> Verdict {
+    let over = select(rows, "pass_breakdown", "pass_us").filter_map(|pass| {
+        let workload = pass.text("workload");
+        let ops =
+            select(rows, "pass_breakdown", "us_per_pass").filter(|r| r.is("workload", workload));
+        let sum = ops.map(|r| r.median).sum::<f64>() / pass.median;
         (sum > 1.0).then(|| format!("{workload}: operator shares sum to {sum:.4}"))
     });
     unless(
@@ -327,60 +311,41 @@ fn op_seconds_by_type(engine: &Engine) -> [(f64, usize); BREAKDOWN_OPS.len() + 1
 }
 
 /// Where `passes` calls of `pass` on `engine` (a plan interpreter) spend
-/// their time: one row per operator type with its µs and calls per pass and
-/// its share of the pass, and a `residual` row for the pass time no
-/// operator accounts for. Warmed first, so that plan, packed filters and
+/// their time: one row per operator type with its µs and calls per pass,
+/// and the pass itself. Warmed first, so that plan, packed filters and
 /// buffer pool are built.
 fn pass_breakdown(
     workload: &str,
     engine: &Engine,
     passes: usize,
     mut pass: impl FnMut(),
-) -> Vec<Json> {
+) -> Vec<Row> {
     (0..passes / 4 + 1).for_each(|_| pass());
     let before = op_seconds_by_type(engine);
     let start = std::time::Instant::now();
     (0..passes).for_each(|_| pass());
     let pass_us = start.elapsed().as_secs_f64() * 1e6 / passes as f64;
     let after = op_seconds_by_type(engine);
-    let per_pass = after.iter().zip(before).map(|(a, b)| {
+    let workload = Row::of("pass_breakdown").key("workload", workload);
+    let mut rows = vec![workload.value("pass_us", "us", Better::Lower, pass_us)];
+    let ops = BREAKDOWN_OPS.into_iter().chain(["other"]);
+    for (op, (a, b)) in ops.zip(after.iter().zip(before)) {
+        let row = workload.clone().key("op", op);
         let us = (a.0 - b.0) * 1e6 / passes as f64;
-        (us, (a.1 - b.1) as f64 / passes as f64)
-    });
-    let mut ops: Vec<(&str, f64, f64)> = BREAKDOWN_OPS
-        .into_iter()
-        .chain(["other"])
-        .zip(per_pass)
-        .map(|(op, (us, calls))| (op, us, calls))
-        .collect();
-    let residual = pass_us - ops.iter().map(|&(_, us, _)| us).sum::<f64>();
-    ops.push(("residual", residual, 0.0));
-    ops.into_iter()
-        .map(|(op, us, calls)| {
-            Json::obj([
-                ("workload", Json::from(workload)),
-                ("op", Json::from(op)),
-                ("calls_per_pass", Json::fixed(calls, 2)),
-                ("us_per_pass", Json::fixed(us, 2)),
-                ("share", Json::fixed(us / pass_us, 4)),
-                ("pass_us", Json::fixed(pass_us, 2)),
-            ])
-        })
-        .collect()
+        let calls = (a.1 - b.1) as f64 / passes as f64;
+        rows.push(row.value("us_per_pass", "us", Better::Lower, us));
+        rows.push(row.value("calls_per_pass", "count", Better::None, calls));
+    }
+    rows
 }
 
 /// `pass_breakdown` rows of `resnet_like(3, 32, 16, 2, 10)` inference at 1
 /// and 4 rows (spine `serve-conv-open`'s model and common batch sizes) and
 /// of one Adam training step of `lenet(3, 16, 10)` at 32 rows (spine
 /// `train-cnn`'s), each on a Planned engine of its own.
-fn pass_breakdown_rows() -> Vec<Json> {
+fn pass_breakdown_rows() -> Vec<Row> {
     let passes = if scale() == Scale::Smoke { 100 } else { 1000 };
-    let planned = |net| {
-        Engine::builder(net)
-            .executor(ExecutorKind::Planned)
-            .build()
-            .expect("build planned engine")
-    };
+    let planned = |net| engine(net, ExecutorKind::Planned);
     let mut rows = Vec::new();
     for batch in [1, 4] {
         let engine = planned(models::resnet_like(3, 32, 16, 2, 10, 23).expect("build resnet"));
@@ -409,18 +374,14 @@ fn pass_breakdown_rows() -> Vec<Json> {
     let indices: Vec<usize> = (0..32).collect();
     let batch = assemble_minibatch(&dataset, &indices).expect("assemble the batch");
     let mut adam = Adam::new(1e-3);
-    rows.extend(pass_breakdown(
-        "lenet 3x16x16 Adam train step, 32 rows",
-        &engine,
-        passes / 4,
-        || {
-            train_step(&mut adam, &mut *engine.lock(), &batch).expect("train step");
-        },
-    ));
+    let workload = "lenet 3x16x16 Adam train step, 32 rows";
+    rows.extend(pass_breakdown(workload, &engine, passes / 4, || {
+        train_step(&mut adam, &mut *engine.lock(), &batch).expect("train step");
+    }));
     rows
 }
 
-pub fn run(report: &mut Report) {
+pub fn measure() -> Vec<Row> {
     let recorder = TraceRecorder::new();
 
     // ---- 1. Traced 2-epoch wavefront training ----------------------------
@@ -436,14 +397,8 @@ pub fn run(report: &mut Report) {
         .expect("build wavefront engine");
     let mut ex = engine.lock();
 
-    let train_ds = SyntheticDataset::new(
-        "profile-train",
-        deep500::tensor::Shape::new(&[features]),
-        8,
-        256,
-        0.2,
-        7,
-    );
+    let shape = deep500::tensor::Shape::new(&[features]);
+    let train_ds = SyntheticDataset::new("profile-train", shape.clone(), 8, 256, 0.2, 7);
     let mut sampler = ShuffleSampler::new(Arc::new(train_ds), 32, 7);
     let mut opt = GradientDescent::new(0.05);
     let mut runner = TrainingRunner::new(TrainingConfig {
@@ -465,14 +420,7 @@ pub fn run(report: &mut Report) {
     // unowned glue (wavefront dispatch, runner loop overhead).
     let attribution = ex.op_attribution();
     let attributed: f64 = attribution.iter().map(|r| r.total_s()).sum();
-    let owned_phases = [
-        Phase::Sampling,
-        Phase::BatchAssembly,
-        Phase::LossSeed,
-        Phase::OptimizerUpdate,
-        Phase::Bookkeeping,
-    ];
-    let owned: f64 = owned_phases
+    let owned: f64 = OWNED_PHASES
         .iter()
         .map(|p| recorder.phase_total_s(*p))
         .sum();
@@ -485,14 +433,8 @@ pub fn run(report: &mut Report) {
 
     // ---- 2. Traced distributed run ---------------------------------------
     let dist_net = models::mlp(features, &[32], 4, 43).expect("build dist mlp");
-    let dist_ds: Arc<dyn Dataset> = Arc::new(SyntheticDataset::new(
-        "profile-dist",
-        deep500::tensor::Shape::new(&[features]),
-        4,
-        128,
-        0.2,
-        8,
-    ));
+    let dist_ds = SyntheticDataset::new("profile-dist", shape, 4, 128, 0.2, 8);
+    let dist_ds: Arc<dyn Dataset> = Arc::new(dist_ds);
     let report_dist = DistributedRunner::new(&dist_net, dist_ds)
         .world(2)
         .batch(8)
@@ -508,147 +450,166 @@ pub fn run(report: &mut Report) {
     let volume = report_dist.volume();
 
     // ---- Chrome trace: validate, then write ------------------------------
-    let json = recorder.chrome_trace_json();
-    let validated = validate_chrome_trace(&json);
+    let trace = recorder.chrome_trace_json();
+    let validated = validate_chrome_trace(&trace);
     let trace_path = repo_path("trace.json");
-    std::fs::write(&trace_path, &json).expect("write trace.json");
+    std::fs::write(&trace_path, &trace).expect("write trace.json");
     println!("profile: wrote {}", trace_path.display());
-    report.gate(
-        "chrome_trace_validates",
-        validated.is_ok(),
-        match &validated {
-            Ok(stats) => format!("{} spans, {} metadata events", stats.spans, stats.metadata),
-            Err(e) => e.clone(),
-        },
-    );
+    if let Err(e) = &validated {
+        eprintln!("profile: trace.json does not validate: {e}");
+    }
+    let (spans, metadata) = validated.as_ref().map_or((0, 0), |v| (v.spans, v.metadata));
+    let errors = usize::from(validated.is_err());
+    let file = Row::of("trace").key("file", "trace.json");
+    let mut rows = vec![
+        file.count("spans", Better::None, spans),
+        file.count("metadata_events", Better::None, metadata),
+        file.count("validation_errors", Better::Lower, errors),
+        Row::of("attribution").value("coverage", "ratio", Better::Higher, coverage),
+    ];
 
     // ---- Human-readable attribution --------------------------------------
     println!("\n{}", op_table(&attribution).render());
-    let latency = log.dataset_latency().expect("batches were fetched");
 
     // ---- BENCH_profile.json ----------------------------------------------
-    let op_rows: Vec<Json> = attribution
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("op", Json::from(r.name.as_str())),
-                ("forward_calls", Json::from(r.forward_calls)),
-                ("backward_calls", Json::from(r.backward_calls)),
-                ("forward_ms", Json::fixed(r.forward_s * 1e3, 6)),
-                ("backward_ms", Json::fixed(r.backward_s * 1e3, 6)),
-                ("gflops_per_s", Json::fixed(r.gflops_per_s(), 3)),
-                ("flops_per_call", Json::from(r.flops_per_call)),
-                ("bytes_per_call", Json::from(r.bytes_per_call)),
-            ])
-        })
-        .collect();
+    for r in &attribution {
+        let op = Row::of("operators").key("op", r.name.as_str());
+        rows.extend([
+            op.count("forward_calls", Better::None, r.forward_calls),
+            op.count("backward_calls", Better::None, r.backward_calls),
+            op.value("forward_ms", "ms", Better::Lower, r.forward_s * 1e3),
+            op.value("backward_ms", "ms", Better::Lower, r.backward_s * 1e3),
+            op.value("flops_per_call", "flop", Better::None, r.flops_per_call),
+            op.bytes("bytes_per_call", Better::None, r.bytes_per_call as usize),
+        ]);
+    }
     // Every phase the metrics layer defines, not a hand-picked subset:
     // a new Phase variant shows up here for free.
-    let phase_totals = Json::obj(Phase::all().iter().map(|p| {
+    for p in Phase::all() {
         // `+ 0.0` normalizes the -0.0 an empty phase can produce.
         let ms = recorder.phase_total_s(*p) * 1e3 + 0.0;
-        (p.label(), Json::fixed(ms, 6))
-    }));
-    let missing: Vec<&str> = std::iter::once(Phase::Epoch)
-        .chain(owned_phases)
-        .filter(|p| recorder.phase_total_s(*p) <= 0.0)
-        .map(|p| p.label())
-        .collect();
-    report
-        .field("trace_file", "trace.json")
-        .field("trace_spans", validated.map_or(0, |stats| stats.spans))
-        .field("attribution_coverage", Json::fixed(coverage, 4))
-        .field("phase_totals_ms", phase_totals)
-        .rows("operators", op_rows)
-        .field(
-            "dataset_latency_ms",
-            Json::obj([
-                ("median", Json::fixed(latency.median * 1e3, 6)),
-                ("mean", Json::fixed(latency.mean * 1e3, 6)),
-                ("max", Json::fixed(latency.max * 1e3, 6)),
-                ("n", Json::from(latency.n)),
-            ]),
-        )
-        .field(
-            "communication",
-            Json::obj([
-                ("bytes_sent", Json::from(volume.bytes_sent)),
-                ("bytes_received", Json::from(volume.bytes_received)),
-                ("messages_sent", Json::from(volume.messages_sent)),
-                ("messages_received", Json::from(volume.messages_received)),
-            ]),
-        )
-        .gate(
-            "attribution_coverage",
-            coverage >= 0.90,
-            format!("{coverage:.4} >= 0.90 of whole-run (Epoch) wall time"),
-        )
-        .gate(
-            "operators_attributed",
-            !attribution.is_empty(),
-            format!("{} operators", attribution.len()),
-        )
-        .gate(
-            "training_phases_traced",
-            missing.is_empty(),
-            format!("Epoch and every owned phase > 0; missing: {missing:?}"),
-        );
+        let phase = Row::of("phase_totals").key("phase", p.label());
+        rows.push(phase.value("total_ms", "ms", Better::Lower, ms));
+    }
+    let latency = log.dataset_latency().expect("batches were fetched");
+    rows.push(Row::of("dataset_latency").ms("fetch_ms", &latency));
+    let volume = [
+        ("sent", volume.bytes_sent, volume.messages_sent),
+        ("received", volume.bytes_received, volume.messages_received),
+    ];
+    for (direction, bytes, messages) in volume {
+        let row = Row::of("communication").key("direction", direction);
+        rows.push(row.bytes("bytes", Better::None, bytes as usize));
+        rows.push(row.count("messages", Better::None, messages as usize));
+    }
 
     // ---- 3. Data pipeline: a batch's cost vs a step's wait for it --------
-    let rows = vec![data_pipeline_row()];
-    claims(report, [sampling_wait_hidden(&rows)]);
-    report.rows("data_pipeline", rows);
+    rows.extend(data_pipeline_rows());
 
     // ---- 4. Rank rendezvous: what meeting costs vs what a step costs -----
-    let rows = vec![
-        dist_rendezvous_row(ExecutorKind::Reference),
-        dist_rendezvous_row(ExecutorKind::Planned),
-    ];
-    claims(
-        report,
-        [
-            sync_costs_less_than_a_step(&rows),
-            planned_dp2_step_beats_reference(&rows),
-        ],
-    );
-    report.rows("dist_rendezvous", rows);
+    rows.extend(dist_rendezvous_rows(ExecutorKind::Reference));
+    rows.extend(dist_rendezvous_rows(ExecutorKind::Planned));
 
     // ---- 5. Pass breakdown: where a pass's time goes, per operator type --
-    let rows = pass_breakdown_rows();
-    claims(report, [pass_breakdown_within_the_pass(&rows)]);
-    report.rows("pass_breakdown", rows);
+    rows.extend(pass_breakdown_rows());
+    rows
+}
+
+/// The non-operator phases of the training loop that count as attributed
+/// time: sampling, batch assembly, loss-gradient seeding, optimizer
+/// updates, pool/plan bookkeeping.
+const OWNED_PHASES: [Phase; 5] = [
+    Phase::Sampling,
+    Phase::BatchAssembly,
+    Phase::LossSeed,
+    Phase::OptimizerUpdate,
+    Phase::Bookkeeping,
+];
+
+pub fn chrome_trace_validates(rows: &[Row]) -> Verdict {
+    let trace = find(rows, "trace", "spans", ("file", "trace.json"));
+    let errors = trace.median_of(rows, "validation_errors");
+    let metadata = trace.median_of(rows, "metadata_events");
+    let detail = if errors == 0.0 {
+        format!("{} spans, {metadata} metadata events", trace.median)
+    } else {
+        "trace.json does not validate (the run's log says why)".to_string()
+    };
+    Verdict::new("chrome_trace_validates", errors == 0.0, detail)
+}
+
+pub fn attribution_coverage(rows: &[Row]) -> Verdict {
+    let mut coverage = select(rows, "attribution", "coverage").map(|r| r.median);
+    let coverage = coverage.next().unwrap_or(0.0);
+    Verdict::new(
+        "attribution_coverage",
+        coverage >= 0.90,
+        format!("{coverage:.4} >= 0.90 of whole-run (Epoch) wall time"),
+    )
+}
+
+pub fn operators_attributed(rows: &[Row]) -> Verdict {
+    let operators = select(rows, "operators", "forward_calls").count();
+    Verdict::new(
+        "operators_attributed",
+        operators > 0,
+        format!("{operators} operators"),
+    )
+}
+
+pub fn training_phases_traced(rows: &[Row]) -> Verdict {
+    let phases = std::iter::once(Phase::Epoch).chain(OWNED_PHASES);
+    let missing: Vec<&str> = phases
+        .map(|p| p.label())
+        .filter(|&p| {
+            let total = select(rows, "phase_totals", "total_ms").find(|r| r.is("phase", p));
+            total.is_none_or(|r| r.median <= 0.0)
+        })
+        .collect();
+    Verdict::new(
+        "training_phases_traced",
+        missing.is_empty(),
+        format!("Epoch and every owned phase > 0; missing: {missing:?}"),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rows::{interval, Span};
 
-    fn rows(assemble: Span, wait: Span) -> [Json; 1] {
-        [Json::obj([
-            ("assemble_ms", interval(assemble)),
-            ("wait_ms", interval(wait)),
-        ])]
+    /// A timing row of `row`'s table and keys whose CI is `(lo, hi)`.
+    fn ms(row: &Row, metric: &str, (lo, hi): (f64, f64)) -> Row {
+        row.measured(
+            metric,
+            "ms",
+            Better::Lower,
+            (lo + hi) / 2.0,
+            Some((lo, hi)),
+            7,
+        )
+    }
+
+    fn pipeline(assemble: (f64, f64), wait: (f64, f64)) -> Vec<Row> {
+        let row = Row::of("data_pipeline").key("model", "lenet");
+        vec![ms(&row, "assemble_ms", assemble), ms(&row, "wait_ms", wait)]
     }
 
     #[test]
     fn pass_breakdown_shares_above_one_fail() {
-        let row = |workload: &str, op: &str, share: f64| {
-            Json::obj([
-                ("workload", Json::from(workload)),
-                ("op", Json::from(op)),
-                ("share", Json::fixed(share, 4)),
-            ])
-        };
         let rows = |conv: f64| {
-            [
-                row("a", "Conv2d", 0.6),
-                row("a", "BatchNorm", 0.3),
-                row("a", "residual", 0.1),
-                row("b", "Conv2d", conv),
-                row("b", "other", 0.2),
-                row("b", "residual", 0.9),
-            ]
+            let mut rows = Vec::new();
+            for (workload, ops) in [
+                ("a", [("Conv2d", 0.6), ("BatchNorm", 0.3)]),
+                ("b", [("Conv2d", conv), ("other", 0.2)]),
+            ] {
+                let w = Row::of("pass_breakdown").key("workload", workload);
+                rows.push(w.value("pass_us", "us", Better::Lower, 100.0));
+                for (op, share) in ops {
+                    let op = w.clone().key("op", op);
+                    rows.push(op.value("us_per_pass", "us", Better::Lower, share * 100.0));
+                }
+            }
+            rows
         };
         assert!(pass_breakdown_within_the_pass(&rows(0.7)).ok);
         let v = pass_breakdown_within_the_pass(&rows(0.9));
@@ -661,33 +622,37 @@ mod tests {
 
     #[test]
     fn a_hidden_wait_passes_and_an_exposed_one_fails() {
-        assert!(sampling_wait_hidden(&rows((0.42, 0.46), (0.010, 0.018))).ok);
+        assert!(sampling_wait_hidden(&pipeline((0.42, 0.46), (0.010, 0.018))).ok);
         // The whole assembly shows up in the step: what inline sampling reads.
-        let v = sampling_wait_hidden(&rows((0.42, 0.46), (0.43, 0.47)));
+        let v = sampling_wait_hidden(&pipeline((0.42, 0.46), (0.43, 0.47)));
         assert!(!v.ok && v.detail.contains("0.430"), "{}", v.detail);
         // Under half at the medians, but the intervals do not show it.
-        assert!(!sampling_wait_hidden(&rows((0.30, 0.50), (0.10, 0.16))).ok);
+        assert!(!sampling_wait_hidden(&pipeline((0.30, 0.50), (0.10, 0.16))).ok);
     }
 
-    /// A `dist_rendezvous` row of `executor` with the given CIs.
-    fn rendezvous(executor: &str, roundtrip: Span, solo: Span, dp2: Span) -> Json {
-        Json::obj([
-            ("executor", Json::from(executor)),
-            ("recvs_per_step", Json::from(12usize)),
-            ("roundtrip_ms", interval(roundtrip)),
-            ("solo_step_ms", interval(solo)),
-            ("dp2_step_ms", interval(dp2)),
-        ])
+    /// The `dist_rendezvous` rows of `executor` with the given CIs.
+    fn rendezvous(
+        executor: &str,
+        roundtrip: (f64, f64),
+        solo: (f64, f64),
+        dp2: (f64, f64),
+    ) -> Vec<Row> {
+        let row = Row::of("dist_rendezvous").key("executor", executor);
+        vec![
+            row.count("recvs_per_step", Better::None, 12),
+            ms(&row, "roundtrip_ms", roundtrip),
+            ms(&row, "solo_step_ms", solo),
+            ms(&row, "dp2_step_ms", dp2),
+        ]
     }
 
     #[test]
     fn cheap_rendezvous_passes_and_a_sync_dearer_than_the_step_fails() {
         // Polled on the oracle, and on the plan interpreter as given.
-        let rows = |roundtrip: Span, solo: Span| {
-            [
-                rendezvous("reference", (0.0009, 0.0019), (0.230, 0.240), (0.40, 0.42)),
-                rendezvous("planned", roundtrip, solo, (0.30, 0.31)),
-            ]
+        let rows = |roundtrip, solo| {
+            let mut rows = rendezvous("reference", (0.0009, 0.0019), (0.230, 0.240), (0.40, 0.42));
+            rows.extend(rendezvous("planned", roundtrip, solo, (0.30, 0.31)));
+            rows
         };
         // Polled: 12 × 1.9 µs against a 0.18 ms step.
         assert!(sync_costs_less_than_a_step(&rows((0.0009, 0.0019), (0.182, 0.237))).ok);
@@ -701,12 +666,11 @@ mod tests {
 
     #[test]
     fn a_planned_step_below_the_oracles_passes_and_an_overlapping_one_fails() {
-        let rows = |planned: Span, reference: Span| {
+        let rows = |planned, reference| {
             let (roundtrip, solo) = ((0.0009, 0.0019), (0.18, 0.24));
-            [
-                rendezvous("reference", roundtrip, solo, reference),
-                rendezvous("planned", roundtrip, solo, planned),
-            ]
+            let mut rows = rendezvous("reference", roundtrip, solo, reference);
+            rows.extend(rendezvous("planned", roundtrip, solo, planned));
+            rows
         };
         // What the runner's default is for: 0.30 ms against 0.40.
         let v = planned_dp2_step_beats_reference(&rows((0.295, 0.305), (0.395, 0.410)));
@@ -717,5 +681,41 @@ mod tests {
         assert!(!v.ok && v.detail.contains(touching), "{}", v.detail);
         // The plan interpreter slower than the oracle.
         assert!(!planned_dp2_step_beats_reference(&rows((0.45, 0.47), (0.40, 0.42))).ok);
+    }
+
+    #[test]
+    fn an_invalid_trace_or_a_missing_phase_is_red() {
+        let trace = |errors| {
+            let file = Row::of("trace").key("file", "trace.json");
+            vec![
+                file.count("spans", Better::None, 612),
+                file.count("metadata_events", Better::None, 5),
+                file.count("validation_errors", Better::Lower, errors),
+            ]
+        };
+        let v = chrome_trace_validates(&trace(0));
+        assert!(
+            v.ok && v.detail == "612 spans, 5 metadata events",
+            "{}",
+            v.detail
+        );
+        assert!(!chrome_trace_validates(&trace(1)).ok);
+        let phases = |sampling: f64| {
+            let total = |phase: Phase, ms| {
+                Row::of("phase_totals").key("phase", phase.label()).value(
+                    "total_ms",
+                    "ms",
+                    Better::Lower,
+                    ms,
+                )
+            };
+            let mut rows: Vec<Row> = OWNED_PHASES.iter().map(|&p| total(p, 1.0)).collect();
+            rows.push(total(Phase::Epoch, 9.0));
+            rows[0] = total(Phase::Sampling, sampling);
+            rows
+        };
+        assert!(training_phases_traced(&phases(0.4)).ok);
+        let v = training_phases_traced(&phases(0.0));
+        assert!(!v.ok && v.detail.contains("Sampling"), "{}", v.detail);
     }
 }

@@ -1,11 +1,12 @@
 //! # deep500-bench — the one bench harness
 //!
 //! One binary, `deep500-bench <name>… | all`, over one table,
-//! [`BENCHES`]: every entry fills one [`Report`] that is written to the
-//! tracked `BENCH_<name>.json`, and the process exit code is non-zero iff
-//! some gate of some report failed (see `DESIGN.md` §17 and
-//! `EXPERIMENTS.md`). Everything is measured and reported through the
-//! three things in this library:
+//! [`BENCHES`]: every entry measures a list of [`Row`]s, one [`Report`]
+//! writes them to the tracked `BENCH_<name>.json` and evaluates the
+//! entry's gates — functions of the rows, listed beside it — on what it
+//! wrote, and the process exit code is non-zero iff some gate of some
+//! report failed (see `DESIGN.md` §17 and `EXPERIMENTS.md`). Everything
+//! is measured and reported through the three things in this library:
 //!
 //! * [`scale`] — the one environment switch, `D5_BENCH_SCALE`
 //!   (`smoke` | default | `full`);
@@ -13,9 +14,11 @@
 //!   interleaved rounds over any number of [`Subject`]s, each sample
 //!   summarized as median + nonparametric CI ([`Summary`], minimum kept as
 //!   a field);
-//! * [`Report`] — the one report writer: fields, row tables and named
-//!   gates, rendered to `BENCH_<name>.json`.
+//! * [`Report`] — the one report writer: `benchmark`, `env`, `rows` and
+//!   `gates`, rendered to `BENCH_<name>.json` (the row schema is
+//!   [`rows`]'s).
 
+use deep500::graph::Engine;
 use deep500::metrics::stats::Summary;
 use deep500::metrics::Timer;
 
@@ -25,26 +28,145 @@ mod paper;
 mod report;
 mod rows;
 
-pub use report::{repo_path, report_dir, Report};
+use entries::{ablations, bricks as brick, conv, gemm, plan, profile, serve};
+use paper::{
+    fig10_frameworks as fig10, fig11_divergence as fig11, fig12_scaling as fig12,
+    fig6_operators as fig6, fig7_microbatch as fig7, fig8_dataset_latency as fig8,
+    fig9_optimizers as fig9, level2_overhead as level2, table3_decode as table3,
+};
+pub use report::{repo_path, report_dir, root_of, Report};
+pub use rows::{Better, Gate, Row, Verdict};
 use std::path::Path;
 use std::process::ExitCode;
 
 /// One bench: its name — the positional argument, and the `<name>` of the
-/// `BENCH_<name>.json` it fills — and the function that fills the report.
-pub type Entry = (&'static str, fn(&mut Report));
+/// `BENCH_<name>.json` it fills — the function that measures its rows,
+/// and the gates evaluated on them, in report order.
+pub struct Entry {
+    pub name: &'static str,
+    pub measure: fn() -> Vec<Row>,
+    pub gates: &'static [Gate],
+}
 
 /// Every bench there is, in the order `all` runs them: kernels first,
 /// then executor, whole-run and serving reports, then the paper's own
 /// evaluation and this reproduction's ablations.
 pub const BENCHES: &[Entry] = &[
-    ("gemm", entries::gemm::run),
-    ("conv", entries::conv::run),
-    ("plan", entries::plan::run),
-    ("bricks", entries::bricks::run),
-    ("profile", entries::profile::run),
-    ("serve", entries::serve::run),
-    ("paper", paper::run),
-    ("ablations", entries::ablations::run),
+    Entry {
+        name: "gemm",
+        measure: gemm::measure,
+        gates: &[gemm::parity, gemm::packed_fastest],
+    },
+    Entry {
+        name: "conv",
+        measure: conv::measure,
+        gates: &[
+            conv::cells_timed,
+            conv::forward_parity,
+            conv::direct_beats_im2col,
+            conv::direct_2x_wins,
+            conv::backward_parity,
+            conv::backward_over_forward,
+        ],
+    },
+    Entry {
+        name: "plan",
+        measure: plan::measure,
+        gates: &[
+            plan::models_benchmarked,
+            plan::parity_bitwise,
+            plan::backprop_parity_bitwise,
+            plan::pool_bound_below_peak,
+            plan::compiled_not_slower,
+            plan::small_levels_run_inline,
+        ],
+    },
+    Entry {
+        name: "bricks",
+        measure: brick::measure,
+        gates: &[
+            brick::dedup_ratio,
+            brick::geomean_rel_err,
+            brick::zoo_size,
+            brick::rows_measured,
+        ],
+    },
+    Entry {
+        name: "profile",
+        measure: profile::measure,
+        gates: &[
+            profile::chrome_trace_validates,
+            profile::attribution_coverage,
+            profile::operators_attributed,
+            profile::training_phases_traced,
+            profile::sampling_wait_hidden,
+            profile::sync_costs_less_than_a_step,
+            profile::planned_dp2_step_beats_reference,
+            profile::pass_breakdown_within_the_pass,
+        ],
+    },
+    Entry {
+        name: "serve",
+        measure: serve::measure,
+        gates: &[
+            serve::cells_distinct,
+            serve::all_requests_accounted,
+            serve::percentiles_ordered,
+            serve::throughput_positive,
+            serve::dynamic_batching_coalesces,
+            serve::dynamic_not_worse_than_single,
+            serve::handoff_costs_less_than_two_passes,
+        ],
+    },
+    Entry {
+        name: "paper",
+        measure: paper::measure,
+        gates: &[
+            fig6::deepbench_fastest,
+            fig6::tensorflow_slowest,
+            fig6::wrapped_matches_native,
+            fig6::operators_within_paper_linf,
+            fig7::microbatching_removes_the_oom,
+            fig7::microbatching_slows_tensorflow,
+            fig7::plans_are_remainder_then_equal_pieces,
+            fig8::small_datasets_load_faster_than_synthesis,
+            fig8::synthetic_beats_imagenet_decode,
+            fig8::sharding_wins_only_at_scale,
+            table3::turbo_beats_scalar,
+            table3::record_pipeline_wins_at_minibatch,
+            table3::record_barely_hurt_by_shuffling,
+            table3::tar_pays_seeks_when_shuffled,
+            fig9::optimizers_reach_comparable_accuracy,
+            fig9::reference_matches_fused_accuracy,
+            fig9::reference_slower_than_fused,
+            fig10::frameworks_reach_comparable_accuracy,
+            fig10::tensorflow_executor_slowest,
+            fig10::reference_costs_no_less_than_native,
+            fig11::one_step_is_faithful,
+            fig11::divergence_grows_with_training,
+            fig11::weights_diverge_faster_than_biases,
+            fig12::cdsgd_far_ahead_of_ref_dsgd,
+            fig12::decentralized_beats_centralized_at_scale,
+            fig12::asgd_degrades_with_nodes,
+            fig12::dpsgd_volume_constant,
+            fig12::sparcml_densifies_with_nodes,
+            fig12::tfps_crashes_and_horovod_diverges_at_256,
+            level2::instrumentation_within_ci_of_bare,
+        ],
+    },
+    Entry {
+        name: "ablations",
+        measure: ablations::measure,
+        gates: &[
+            ablations::ring_advantage_grows,
+            ablations::displacement_grows_with_the_buffer,
+            ablations::zero_drop_plans_inject_nothing,
+            ablations::retries_absorb_moderate_drops,
+            ablations::runs_finish_or_abort_together,
+            ablations::crash_survivors_stay_consistent,
+            ablations::drops_slow_every_scheme_and_only_the_ps_aborts,
+        ],
+    },
 ];
 
 /// Run the entries of `table` that `names` selects (`all` = every one,
@@ -55,23 +177,23 @@ pub fn run(table: &[Entry], names: &[String], dir: &Path) -> ExitCode {
     let selected: Option<Vec<&Entry>> = if names.iter().any(|n| n == "all") {
         Some(table.iter().collect())
     } else {
-        let find = |n: &String| table.iter().find(|(name, _)| name == n);
+        let find = |n: &String| table.iter().find(|entry| entry.name == n);
         names.iter().map(find).collect()
     };
     let Some(selected) = selected.filter(|entries| !entries.is_empty()) else {
-        let known: Vec<&str> = table.iter().map(|(name, _)| *name).collect();
+        let known: Vec<&str> = table.iter().map(|entry| entry.name).collect();
         eprintln!("usage: deep500-bench <name>... | all   (names: {known:?})");
         return ExitCode::from(2);
     };
     let mut red = Vec::new();
-    for (name, fill) in selected {
+    for entry in selected {
         let started = std::time::Instant::now();
-        let mut report = Report::at(dir.join(format!("BENCH_{name}.json")), name);
-        fill(&mut report);
-        if report.finish() != ExitCode::SUCCESS {
-            red.push(*name);
+        let report = Report::new(entry.name, (entry.measure)());
+        let path = dir.join(format!("BENCH_{}.json", entry.name));
+        if report.finish(entry.gates, &path) != ExitCode::SUCCESS {
+            red.push(entry.name);
         }
-        eprintln!("{name}: {:.1} s", started.elapsed().as_secs_f64());
+        eprintln!("{}: {:.1} s", entry.name, started.elapsed().as_secs_f64());
     }
     if red.is_empty() {
         ExitCode::SUCCESS
@@ -79,6 +201,13 @@ pub fn run(table: &[Entry], names: &[String], dir: &Path) -> ExitCode {
         eprintln!("reports with a failed gate: {red:?}");
         ExitCode::FAILURE
     }
+}
+
+/// An engine of `kind` over `net`: a network the harness built that does
+/// not build is a bug in the harness.
+pub fn engine(net: deep500::graph::Network, kind: deep500::graph::ExecutorKind) -> Engine {
+    let built = Engine::builder(net).executor(kind).build();
+    built.unwrap_or_else(|e| panic!("engine: {e}"))
 }
 
 /// How much work a run does.
@@ -233,35 +362,100 @@ mod tests {
         names.iter().map(|n| n.to_string()).collect()
     }
 
-    fn green(report: &mut Report) {
-        report.gate("holds", true, "fine");
+    fn one_row() -> Vec<Row> {
+        vec![Row::of("t").count("calls", Better::None, 1)]
     }
 
-    fn red(report: &mut Report) {
-        report
-            .gate("holds", true, "fine")
-            .gate("floor", false, "0.4 < 0.5");
+    fn holds(rows: &[Row]) -> Verdict {
+        Verdict::new("holds", rows.len() == 1, "fine".to_string())
+    }
+
+    fn floor(_: &[Row]) -> Verdict {
+        Verdict::new("floor", false, "0.4 < 0.5".to_string())
+    }
+
+    const fn stub(name: &'static str, gates: &'static [Gate]) -> Entry {
+        Entry {
+            name,
+            measure: one_row,
+            gates,
+        }
+    }
+
+    const GREEN: &[Gate] = &[holds];
+    const RED: &[Gate] = &[holds, floor];
+
+    /// The repository root, where the tracked reports live.
+    fn tracked_root() -> &'static Path {
+        let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+        crate_dir
+            .ancestors()
+            .nth(2)
+            .expect("crates/bench sits two levels below the root")
+    }
+
+    /// `(name, text)` of every `BENCH_*.json` at the repository root.
+    fn tracked_reports() -> Vec<(String, String)> {
+        let mut reports: Vec<(String, String)> = std::fs::read_dir(tracked_root())
+            .expect("the root is readable")
+            .filter_map(|entry| {
+                let file = entry.ok()?.file_name().into_string().ok()?;
+                let name = file
+                    .strip_prefix("BENCH_")?
+                    .strip_suffix(".json")?
+                    .to_string();
+                let text = std::fs::read_to_string(tracked_root().join(&file)).ok()?;
+                Some((name, text))
+            })
+            .collect();
+        reports.sort();
+        reports
     }
 
     #[test]
-    fn bench_names_are_unique_and_paper_and_the_six_trajectories_are_registered() {
-        let mut names: Vec<&str> = BENCHES.iter().map(|(name, _)| *name).collect();
-        for tracked in [
-            "bricks", "conv", "gemm", "paper", "plan", "profile", "serve",
-        ] {
-            assert!(names.contains(&tracked), "{tracked} is not an entry");
-        }
+    fn the_entries_are_unique_and_are_the_tracked_reports() {
+        let mut names: Vec<&str> = BENCHES.iter().map(|entry| entry.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), BENCHES.len());
+        assert_eq!(names.len(), BENCHES.len(), "entry names are unique");
+        let tracked: Vec<String> = tracked_reports()
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        assert_eq!(
+            names, tracked,
+            "one entry per BENCH_*.json at the root, and no other"
+        );
         assert!(!names.contains(&"all"), "`all` is the driver's own word");
+    }
+
+    #[test]
+    fn every_committed_report_keeps_the_one_schema() {
+        for (name, text) in tracked_reports() {
+            let report = Report::parse(&text).unwrap_or_else(|e| panic!("BENCH_{name}.json: {e}"));
+            assert_eq!(report.benchmark, name);
+            assert!(!report.rows.is_empty(), "BENCH_{name}.json has rows");
+        }
+    }
+
+    #[test]
+    fn every_gate_reproduces_its_verdict_from_the_committed_rows() {
+        let mut gates = 0;
+        for (name, text) in tracked_reports() {
+            let report = Report::parse(&text).expect("the schema holds");
+            let entry = BENCHES.iter().find(|e| e.name == name).expect("an entry");
+            let verdicts: Vec<Verdict> = entry.gates.iter().map(|g| g(&report.rows)).collect();
+            assert_eq!(verdicts, report.gates, "BENCH_{name}.json");
+            gates += verdicts.len();
+        }
+        assert_eq!(gates, 70);
     }
 
     #[test]
     fn all_visits_each_entry_once_and_every_entry_writes_the_report_named_after_it() {
         let dir = scratch_dir("all");
-        let table: &[Entry] = &[("stub_a", green), ("stub_b", green)];
-        assert_eq!(run(table, &args(&["all"]), &dir), ExitCode::SUCCESS);
+        let table = [stub("stub_a", GREEN), stub("stub_b", GREEN)];
+        assert_eq!(run(&table, &args(&["all"]), &dir), ExitCode::SUCCESS);
         let mut written: Vec<_> = std::fs::read_dir(&dir)
             .expect("reports were written")
             .map(|entry| entry.unwrap().file_name().into_string().unwrap())
@@ -270,18 +464,10 @@ mod tests {
         assert_eq!(written, ["BENCH_stub_a.json", "BENCH_stub_b.json"]);
         for name in ["stub_a", "stub_b"] {
             let text = std::fs::read_to_string(dir.join(format!("BENCH_{name}.json"))).unwrap();
-            let report = deep500::metrics::Json::parse(&text).expect("valid JSON");
-            let benchmark = report.get("benchmark").and_then(|b| b.as_str());
-            assert_eq!(benchmark, Some(name));
-            // `all` ran the entry exactly once: one `holds` gate.
-            assert_eq!(
-                report
-                    .get("gates")
-                    .and_then(|g| g.as_array())
-                    .unwrap()
-                    .len(),
-                1
-            );
+            let report = Report::parse(&text).expect("valid report");
+            assert_eq!(report.benchmark, name);
+            // `all` ran the entry exactly once: one row, one `holds` gate.
+            assert_eq!((report.rows.len(), report.gates.len()), (1, 1));
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -290,19 +476,19 @@ mod tests {
     fn a_red_gate_in_any_one_entry_fails_the_whole_run() {
         let dir = scratch_dir("red");
         for table in [
-            &[("stub_a", red as fn(&mut Report)), ("stub_b", green)],
-            &[("stub_a", green as fn(&mut Report)), ("stub_b", red)],
+            [stub("stub_a", RED), stub("stub_b", GREEN)],
+            [stub("stub_a", GREEN), stub("stub_b", RED)],
         ] {
-            assert_eq!(run(table, &args(&["all"]), &dir), ExitCode::FAILURE);
+            assert_eq!(run(&table, &args(&["all"]), &dir), ExitCode::FAILURE);
             // The entry after a red one still ran and wrote its report.
             assert!(dir.join("BENCH_stub_b.json").exists());
             std::fs::remove_file(dir.join("BENCH_stub_b.json")).unwrap();
         }
         // Named runs report only what they ran.
-        let table: &[Entry] = &[("stub_a", red), ("stub_b", green)];
-        assert_eq!(run(table, &args(&["stub_b"]), &dir), ExitCode::SUCCESS);
+        let table = [stub("stub_a", RED), stub("stub_b", GREEN)];
+        assert_eq!(run(&table, &args(&["stub_b"]), &dir), ExitCode::SUCCESS);
         assert_eq!(
-            run(table, &args(&["stub_b", "stub_a"]), &dir),
+            run(&table, &args(&["stub_b", "stub_a"]), &dir),
             ExitCode::FAILURE
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -311,10 +497,10 @@ mod tests {
     #[test]
     fn a_missing_or_unknown_name_runs_nothing() {
         let dir = scratch_dir("usage");
-        let table: &[Entry] = &[("stub_a", green)];
-        assert_eq!(run(table, &[], &dir), ExitCode::from(2));
+        let table = [stub("stub_a", GREEN)];
+        assert_eq!(run(&table, &[], &dir), ExitCode::from(2));
         assert_eq!(
-            run(table, &args(&["stub_a", "nope"]), &dir),
+            run(&table, &args(&["stub_a", "nope"]), &dir),
             ExitCode::from(2)
         );
         assert!(!dir.exists(), "nothing was written");

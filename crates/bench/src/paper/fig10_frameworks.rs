@@ -7,6 +7,8 @@
 //! trained an epoch per timing round, interleaved. The paper's TF composes
 //! Adam from tensor ops — modeled by the composed reference running over
 //! the TF executor; Caffe2's fused Adam kernel is the `FusedAdam` update.
+//! `fig10_frameworks` rows are keyed by `configuration`, `executor` and
+//! `optimizer` (`native` or `reference`): `epoch` and `final_accuracy`.
 //!
 //! Expected shapes (paper), each a gate:
 //! * all four reach comparable accuracy ("Deep500's Adam … still achieves
@@ -20,39 +22,40 @@
 //!   convolutions, so only "reference measurably cheaper" contradicts.
 
 use super::Trainee;
-use crate::rows::{claims, no_slower, num, select, text, Timing, Verdict};
-use crate::{reruns, scale, Report, Scale};
+use crate::rows::{no_slower, select, Better, Interval, Row, Verdict};
+use crate::{reruns, scale, Scale};
 use deep500::frameworks::fused_optim::FusedAdam;
-use deep500::metrics::Json;
 use deep500::prelude::*;
 
 /// How far apart final test accuracies may lie and still be "comparable".
 const ACCURACY_BAND: f64 = 0.05;
 
-pub fn frameworks_reach_comparable_accuracy(rows: &[Json]) -> Verdict {
-    let accuracies: Vec<f64> = rows.iter().map(|r| num(r, "final_accuracy")).collect();
+pub fn frameworks_reach_comparable_accuracy(rows: &[Row]) -> Verdict {
+    let accuracies = select(rows, "fig10_frameworks", "final_accuracy");
+    let accuracies: Vec<f64> = accuracies.map(|r| r.median).collect();
     let spread = accuracies.iter().fold(f64::NEG_INFINITY, |m, a| m.max(*a))
         - accuracies.iter().fold(f64::INFINITY, |m, a| m.min(*a));
     Verdict::new(
         "frameworks_reach_comparable_accuracy",
         spread <= ACCURACY_BAND,
-        format!("final test accuracies {accuracies:?}: spread {spread:.3} <= {ACCURACY_BAND}"),
+        format!("final test accuracies {accuracies:.3?}: spread {spread:.3} <= {ACCURACY_BAND}"),
     )
 }
 
-/// `(label, a's epoch, b's epoch)` for every row pair picked by `pairs_of`.
-fn epoch_pair(a: &Json, b: &Json) -> (String, Timing, Timing) {
-    let label = format!(
-        "{} vs {}",
-        text(a, "configuration"),
-        text(b, "configuration")
-    );
-    (label, Timing::read(a, "epoch"), Timing::read(b, "epoch"))
+/// The `epoch` rows whose key `name` reads `value`.
+fn epochs<'a>(rows: &'a [Row], name: &'a str, value: &'a str) -> impl Iterator<Item = &'a Row> {
+    select(rows, "fig10_frameworks", "epoch").filter(move |r| r.is(name, value))
 }
 
-pub fn tensorflow_executor_slowest(rows: &[Json]) -> Verdict {
-    let pairs = select(rows, "executor", "caffe2")
-        .flat_map(|cf2| select(rows, "executor", "tensorflow").map(move |tf| epoch_pair(cf2, tf)));
+/// `(label, a's epoch, b's epoch)`.
+fn epoch_pair(a: &Row, b: &Row) -> (String, Interval, Interval) {
+    let label = format!("{} vs {}", a.text("configuration"), b.text("configuration"));
+    (label, a.interval(), b.interval())
+}
+
+pub fn tensorflow_executor_slowest(rows: &[Row]) -> Verdict {
+    let pairs = epochs(rows, "executor", "caffe2")
+        .flat_map(|cf2| epochs(rows, "executor", "tensorflow").map(move |tf| epoch_pair(cf2, tf)));
     no_slower(
         "tensorflow_executor_slowest",
         "no Caffe2-like epoch CI sits above a TF-like one",
@@ -60,18 +63,17 @@ pub fn tensorflow_executor_slowest(rows: &[Json]) -> Verdict {
     )
 }
 
-pub fn reference_costs_no_less_than_native(rows: &[Json]) -> Verdict {
-    let pairs: Vec<(String, Timing, Timing)> = select(rows, "optimizer", "reference")
+pub fn reference_costs_no_less_than_native(rows: &[Row]) -> Verdict {
+    let pairs: Vec<(String, Interval, Interval)> = epochs(rows, "optimizer", "reference")
         .map(|reference| {
-            let executor = text(reference, "executor");
-            let native =
-                select(rows, "executor", executor).find(|r| text(r, "optimizer") == "native");
+            let executor = reference.text("executor");
+            let native = epochs(rows, "executor", executor).find(|r| r.is("optimizer", "native"));
             epoch_pair(native.expect("a native row per executor"), reference)
         })
         .collect();
     let factors: Vec<String> = pairs
         .iter()
-        .map(|(_, n, r)| format!("{:.2}x", r.ms / n.ms))
+        .map(|(_, n, r)| format!("{:.2}x", r.median / n.median))
         .collect();
     no_slower(
         "reference_costs_no_less_than_native",
@@ -81,7 +83,7 @@ pub fn reference_costs_no_less_than_native(rows: &[Json]) -> Verdict {
     .with(format!("reference/native {factors:?}"))
 }
 
-pub fn section(report: &mut Report) {
+pub fn section() -> Vec<Row> {
     let task = if scale() == Scale::Full {
         (3, 32, 2048, 64)
     } else {
@@ -127,52 +129,49 @@ pub fn section(report: &mut Report) {
         })
         .collect();
     let timed = Trainee::train(&mut trainees, reruns());
-    let rows: Vec<Json> = configs
-        .iter()
-        .zip(&trainees)
-        .zip(&timed)
-        .map(|(((label, profile, optimizer, fused), trainee), epoch)| {
-            Json::obj([
-                ("configuration", Json::from(*label)),
-                ("executor", Json::from(profile.name)),
-                ("optimizer", Json::from(*optimizer)),
-                ("fused", Json::from(*fused)),
-                ("epoch", epoch.json()),
-                ("final_accuracy", Json::fixed(trainee.final_accuracy(), 4)),
-            ])
-        })
-        .collect();
-    let verdicts = [
-        frameworks_reach_comparable_accuracy(&rows),
-        tensorflow_executor_slowest(&rows),
-        reference_costs_no_less_than_native(&rows),
-    ];
-    claims(report, verdicts);
-    report.rows("fig10_frameworks", rows);
+    let mut rows = Vec::new();
+    for (((label, profile, optimizer, _), trainee), epoch) in
+        configs.iter().zip(&trainees).zip(&timed)
+    {
+        let row = Row::of("fig10_frameworks")
+            .key("configuration", *label)
+            .key("executor", profile.name)
+            .key("optimizer", *optimizer);
+        rows.push(row.ms("epoch", epoch));
+        let accuracy = trainee.final_accuracy();
+        rows.push(row.value("final_accuracy", "ratio", Better::Higher, accuracy));
+    }
+    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rows::{interval, Span};
 
-    fn rows(cells: [(Span, f64); 4]) -> Vec<Json> {
+    fn rows(cells: [((f64, f64), f64); 4]) -> Vec<Row> {
         let labels = [
             ("Adam TF (native)", "tensorflow", "native"),
             ("Adam CF2 (native, fused)", "caffe2", "native"),
             ("Adam TF Deep500", "tensorflow", "reference"),
             ("Adam CF2 Deep500", "caffe2", "reference"),
         ];
-        let row = |((label, executor, optimizer), (epoch, accuracy))| {
-            Json::obj([
-                ("configuration", Json::from(label)),
-                ("executor", Json::from(executor)),
-                ("optimizer", Json::from(optimizer)),
-                ("epoch", interval(epoch)),
-                ("final_accuracy", Json::from(accuracy)),
-            ])
-        };
-        labels.into_iter().zip(cells).map(row).collect()
+        let mut rows = Vec::new();
+        for ((label, executor, optimizer), ((lo, hi), accuracy)) in labels.into_iter().zip(cells) {
+            let row = Row::of("fig10_frameworks")
+                .key("configuration", label)
+                .key("executor", executor)
+                .key("optimizer", optimizer);
+            rows.push(row.measured(
+                "epoch",
+                "ms",
+                Better::Lower,
+                (lo + hi) / 2.0,
+                Some((lo, hi)),
+                7,
+            ));
+            rows.push(row.value("final_accuracy", "ratio", Better::Higher, accuracy));
+        }
+        rows
     }
 
     #[test]

@@ -5,7 +5,11 @@
 //! from identical parameters through identical minibatch streams (an MLP
 //! on synthetic MNIST-shaped data, as in the paper's setup), recording
 //! per-layer ℓ2 and ℓ∞ distances per iteration. Seeded and bit-identical
-//! across thread counts, so the rows are deterministic.
+//! across thread counts, so the rows are deterministic. `fig11_divergence`
+//! rows are keyed by `iteration` (every tenth of the run, and the last):
+//! the ℓ2 distance of each parameter (keyed by `param` as well; the
+//! total, weight and bias distances are their sums) and the largest ℓ∞
+//! distance of any (`total_linf`).
 //!
 //! Expected shapes (paper) — "a single step … is faithful to the original
 //! algorithm, however, continuing training increases divergence, where
@@ -17,10 +21,9 @@
 //! * `divergence_grows_with_training`;
 //! * `weights_diverge_faster_than_biases`.
 
-use crate::rows::{claims, num, Verdict};
-use crate::{scale, Report, Scale};
+use crate::rows::{select, Better, Row, Verdict};
+use crate::{engine, scale, Scale};
 use deep500::frameworks::fused_optim::FusedAdam;
-use deep500::metrics::Json;
 use deep500::prelude::*;
 use deep500::train::trajectory::compare_trajectories;
 use std::sync::Arc;
@@ -28,12 +31,23 @@ use std::sync::Arc;
 /// Total ℓ2 distance after one step that still counts as "faithful".
 const ONE_STEP_L2: f64 = 1e-2;
 
-fn ends(rows: &[Json]) -> (&Json, &Json) {
-    (rows.first().expect("rows"), rows.last().expect("rows"))
+/// The sum of the per-parameter ℓ2 distances at `iteration` over the
+/// parameters whose name ends in `suffix` (every one for `""`).
+fn l2(rows: &[Row], iteration: i64, suffix: &str) -> f64 {
+    let at = select(rows, "fig11_divergence", "l2").filter(|r| r.int("iteration") == iteration);
+    let params = at.filter(|r| r.text("param").ends_with(suffix));
+    params.map(|r| r.median).sum()
 }
 
-pub fn one_step_is_faithful(rows: &[Json]) -> Verdict {
-    let first = num(ends(rows).0, "total_l2");
+/// The first and last iterations of the table: one `total_linf` row each.
+fn ends(rows: &[Row]) -> (i64, i64) {
+    let mut iterations = select(rows, "fig11_divergence", "total_linf").map(|r| r.int("iteration"));
+    let first = iterations.next().expect("rows");
+    (first, iterations.last().unwrap_or(first))
+}
+
+pub fn one_step_is_faithful(rows: &[Row]) -> Verdict {
+    let first = l2(rows, ends(rows).0, "");
     Verdict::new(
         "one_step_is_faithful",
         first <= ONE_STEP_L2,
@@ -41,24 +55,22 @@ pub fn one_step_is_faithful(rows: &[Json]) -> Verdict {
     )
 }
 
-pub fn divergence_grows_with_training(rows: &[Json]) -> Verdict {
+pub fn divergence_grows_with_training(rows: &[Row]) -> Verdict {
     let (first, last) = ends(rows);
-    let (start, end) = (num(first, "total_l2"), num(last, "total_l2"));
+    let (start, end) = (l2(rows, first, ""), l2(rows, last, ""));
     Verdict::new(
         "divergence_grows_with_training",
         end > start,
         format!(
-            "total l2 {start:.2e} at iteration {} -> {end:.2e} at {} ({:.0}x)",
-            num(first, "iteration"),
-            num(last, "iteration"),
+            "total l2 {start:.2e} at iteration {first} -> {end:.2e} at {last} ({:.0}x)",
             end / start.max(1e-30)
         ),
     )
 }
 
-pub fn weights_diverge_faster_than_biases(rows: &[Json]) -> Verdict {
+pub fn weights_diverge_faster_than_biases(rows: &[Row]) -> Verdict {
     let last = ends(rows).1;
-    let (weights, biases) = (num(last, "weights_l2"), num(last, "biases_l2"));
+    let (weights, biases) = (l2(rows, last, ".w"), l2(rows, last, ".b"));
     Verdict::new(
         "weights_diverge_faster_than_biases",
         weights > biases,
@@ -66,7 +78,7 @@ pub fn weights_diverge_faster_than_biases(rows: &[Json]) -> Verdict {
     )
 }
 
-pub fn section(report: &mut Report) {
+pub fn section() -> Vec<Row> {
     let iterations = if scale() == Scale::Full { 900 } else { 150 };
     let ds: Arc<dyn Dataset> = Arc::new(SyntheticDataset::mnist_like(1024, 42));
     let mut sampler = ShuffleSampler::new(ds, 32, 4);
@@ -83,10 +95,8 @@ pub fn section(report: &mut Report) {
         }
     }
     let net = models::mlp(28 * 28, &[64, 32], 10, 11).expect("mlp");
-    let engine_a = Engine::builder(net.clone_structure())
-        .build()
-        .expect("engine");
-    let engine_b = Engine::builder(net).build().expect("engine");
+    let engine_a = engine(net.clone_structure(), ExecutorKind::Reference);
+    let engine_b = engine(net, ExecutorKind::Reference);
     let log = compare_trajectories(
         &mut *engine_a.lock(),
         &mut FusedAdam::new(0.002),
@@ -96,67 +106,51 @@ pub fn section(report: &mut Report) {
     )
     .expect("trajectories");
 
-    let value = |v: f64| Json::fixed(v, 12);
     let sampled = (0..iterations).step_by((iterations / 10).max(1));
-    let rows: Vec<Json> = sampled
-        .chain([iterations - 1])
-        .map(|it| {
-            let sum_of = |suffix: &str| -> f64 {
-                let matching = log.per_param.iter().filter(|p| p.name.ends_with(suffix));
-                matching.map(|p| p.l2[it]).sum()
-            };
-            Json::obj([
-                ("iteration", Json::from(it)),
-                ("total_l2", value(log.total_l2[it])),
-                ("total_linf", value(log.total_linf[it])),
-                ("weights_l2", value(sum_of(".w"))),
-                ("biases_l2", value(sum_of(".b"))),
-                (
-                    "l2",
-                    Json::obj(
-                        log.per_param
-                            .iter()
-                            .map(|p| (p.name.as_str(), value(p.l2[it]))),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-    let verdicts = [
-        one_step_is_faithful(&rows),
-        divergence_grows_with_training(&rows),
-        weights_diverge_faster_than_biases(&rows),
-    ];
-    claims(report, verdicts);
-    report.rows("fig11_divergence", rows);
+    let mut rows = Vec::new();
+    for it in sampled.chain([iterations - 1]) {
+        let row = Row::of("fig11_divergence").key("iteration", it);
+        for p in &log.per_param {
+            let param = row.clone().key("param", p.name.as_str());
+            rows.push(param.value("l2", "abs", Better::Lower, p.l2[it]));
+        }
+        rows.push(row.value("total_linf", "abs", Better::Lower, log.total_linf[it]));
+    }
+    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn row(iteration: usize, total: f64, weights: f64, biases: f64) -> Json {
-        Json::obj([
-            ("iteration", Json::from(iteration)),
-            ("total_l2", Json::from(total)),
-            ("weights_l2", Json::from(weights)),
-            ("biases_l2", Json::from(biases)),
-        ])
+    fn rows(iteration: usize, weights: f64, biases: f64) -> Vec<Row> {
+        let row = Row::of("fig11_divergence").key("iteration", iteration);
+        let mut rows: Vec<Row> = [("fc1.w", weights), ("fc1.b", biases)]
+            .map(|(param, l2)| {
+                row.clone()
+                    .key("param", param)
+                    .value("l2", "abs", Better::Lower, l2)
+            })
+            .to_vec();
+        rows.push(row.value("total_linf", "abs", Better::Lower, weights));
+        rows
     }
 
     #[test]
     fn the_three_clauses_are_three_gates() {
-        let agreeing = [
-            row(0, 2.1e-3, 2.1e-3, 4.7e-6),
-            row(149, 6.5e-2, 6.3e-2, 2.0e-3),
-        ];
+        let agreeing = [rows(0, 2.1e-3, 4.7e-6), rows(149, 6.3e-2, 2.0e-3)].concat();
         assert!(one_step_is_faithful(&agreeing).ok);
-        assert!(divergence_grows_with_training(&agreeing).ok);
+        let v = divergence_grows_with_training(&agreeing);
+        assert!(
+            v.ok && v.detail.contains("at iteration 0 ->"),
+            "{}",
+            v.detail
+        );
         assert!(weights_diverge_faster_than_biases(&agreeing).ok);
 
         // An unfaithful first step, a trajectory that converges back, and
         // biases that drift further than the weight matrices.
-        let contradicting = [row(0, 0.3, 0.2, 0.1), row(149, 0.1, 0.04, 0.06)];
+        let contradicting = [rows(0, 0.2, 0.1), rows(149, 0.04, 0.06)].concat();
         assert!(!one_step_is_faithful(&contradicting).ok);
         assert!(!divergence_grows_with_training(&contradicting).ok);
         assert!(!weights_diverge_faster_than_biases(&contradicting).ok);

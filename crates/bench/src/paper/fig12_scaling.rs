@@ -4,12 +4,16 @@
 //!
 //! 1. **Small-scale ground truth** (real threads, real messages, virtual
 //!    clock): four ranks run every scheme on a real model; communication
-//!    volumes are exact message counts. Rows only.
+//!    volumes are exact message counts: `fig12_ground_truth` rows keyed
+//!    by `scheme` and `steps`. Rows only.
 //! 2. **Schedule simulation at paper scale** (8–256 nodes, ResNet-50-like
 //!    workload, Aries-like α-β network): strong scaling with a global
 //!    minibatch of 1,024 and weak scaling at 128 images/node, with the
 //!    per-node communication volume of every point (the figure caption's
-//!    table). Deterministic, so the gates compare numbers, not intervals.
+//!    table). Deterministic, so the gates compare numbers, not intervals:
+//!    `fig12_scaling` rows keyed by `mode`, `scheme` and `nodes` hold
+//!    `sent_mb_per_step` and `images_per_s`, or, where the scheme fails
+//!    at that scale, a `failed` row keyed by its `note` as well.
 //!
 //! Expected shapes (paper), each a gate over the simulated rows:
 //! * CDSGD ≫ REF-dsgd (Python conversions) — `cdsgd_far_ahead_of_ref_dsgd`
@@ -23,12 +27,11 @@
 //! * TF-PS crashes and Horovod diverges at 256 nodes —
 //!   `tfps_crashes_and_horovod_diverges_at_256`.
 
-use crate::rows::{claims, field, num, text, unless, Verdict};
-use crate::{scale, Report, Scale};
+use crate::rows::{select, unless, Better, Row, Verdict};
+use crate::{scale, Scale};
 use deep500::dist::runner::{DistributedRunner, Variant};
 use deep500::dist::scaling::{strong_scaling, weak_scaling, ScalingPoint, Scheme, WorkloadModel};
 use deep500::dist::NetworkModel;
-use deep500::metrics::Json;
 use deep500::prelude::*;
 use std::sync::Arc;
 
@@ -43,35 +46,22 @@ const DECENTRALIZED: [&str; 6] = [
     "SparCML",
 ];
 
-/// `column` of `scheme`'s `mode` rows, ascending in nodes; `None` where
-/// the point failed.
-fn series(rows: &[Json], mode: &str, scheme: &str, column: &str) -> Vec<Option<f64>> {
-    let points = rows
-        .iter()
-        .filter(|r| text(r, "mode") == mode && text(r, "scheme") == scheme);
-    points.map(|r| field(r, column).as_f64()).collect()
+/// The `sent_mb_per_step` rows — one per point — of `scheme`'s `mode`
+/// rows, ascending in nodes.
+fn points<'a>(rows: &'a [Row], mode: &'a str, scheme: &'a str) -> impl Iterator<Item = &'a Row> {
+    let sent = select(rows, "fig12_scaling", "sent_mb_per_step");
+    sent.filter(move |r| r.is("mode", mode) && r.is("scheme", scheme))
 }
 
-/// The strong-scaling series of a scheme that ran at every node count.
-fn strong(rows: &[Json], scheme: &str, column: &str) -> Vec<f64> {
-    let points = series(rows, "strong", scheme, column).into_iter();
-    points
-        .map(|v| v.unwrap_or_else(|| panic!("{scheme} failed in strong scaling")))
-        .collect()
+/// The strong-scaling series of `metric` for a scheme that ran at every
+/// node count.
+fn strong(rows: &[Row], scheme: &str, metric: &str) -> Vec<f64> {
+    let points = points(rows, "strong", scheme).map(|p| p.try_sibling(rows, metric));
+    let values = points.map(|v| v.unwrap_or_else(|| panic!("{scheme} failed in strong scaling")));
+    values.map(|r| r.median).collect()
 }
 
-/// The distinct values of `column` over the `mode` rows, in row order.
-fn distinct<'a>(rows: &'a [Json], mode: &str, column: &str) -> Vec<&'a Json> {
-    let mut out: Vec<&Json> = Vec::new();
-    for row in rows.iter().filter(|r| text(r, "mode") == mode) {
-        if !out.contains(&field(row, column)) {
-            out.push(field(row, column));
-        }
-    }
-    out
-}
-
-pub fn cdsgd_far_ahead_of_ref_dsgd(rows: &[Json]) -> Verdict {
+pub fn cdsgd_far_ahead_of_ref_dsgd(rows: &[Row]) -> Verdict {
     let (fast, slow) = (
         strong(rows, "CDSGD", "images_per_s"),
         strong(rows, "REF-dsgd", "images_per_s"),
@@ -84,19 +74,24 @@ pub fn cdsgd_far_ahead_of_ref_dsgd(rows: &[Json]) -> Verdict {
     )
 }
 
-pub fn decentralized_beats_centralized_at_scale(rows: &[Json]) -> Verdict {
-    let schemes = distinct(rows, "strong", "scheme")
-        .into_iter()
-        .filter_map(Json::as_str);
+pub fn decentralized_beats_centralized_at_scale(rows: &[Row]) -> Verdict {
+    let mut schemes: Vec<&str> = Vec::new();
+    let strong_points =
+        select(rows, "fig12_scaling", "sent_mb_per_step").filter(|r| r.is("mode", "strong"));
+    for point in strong_points {
+        if !schemes.contains(&point.text("scheme")) {
+            schemes.push(point.text("scheme"));
+        }
+    }
     let (decentralized, centralized): (Vec<&str>, Vec<&str>) =
-        schemes.partition(|s| DECENTRALIZED.contains(s));
+        schemes.iter().partition(|s| DECENTRALIZED.contains(s));
     let at = |schemes: &[&str], i: usize, pick: fn(f64, f64) -> f64, from: f64| {
         schemes
             .iter()
             .map(|s| strong(rows, s, "images_per_s")[i])
             .fold(from, pick)
     };
-    let node_counts = distinct(rows, "strong", "nodes").len();
+    let node_counts = points(rows, "strong", schemes[0]).count();
     let margins: Vec<f64> = (0..node_counts)
         .map(|i| {
             at(&decentralized, i, f64::min, f64::INFINITY) / at(&centralized, i, f64::max, 0.0)
@@ -110,7 +105,7 @@ pub fn decentralized_beats_centralized_at_scale(rows: &[Json]) -> Verdict {
     )
 }
 
-pub fn asgd_degrades_with_nodes(rows: &[Json]) -> Verdict {
+pub fn asgd_degrades_with_nodes(rows: &[Row]) -> Verdict {
     let throughput = strong(rows, "REF-asgd", "images_per_s");
     let volume = strong(rows, "REF-asgd", "sent_mb_per_step");
     let peak = throughput.iter().fold(0.0f64, |m, t| m.max(*t));
@@ -121,7 +116,7 @@ pub fn asgd_degrades_with_nodes(rows: &[Json]) -> Verdict {
     )
 }
 
-pub fn dpsgd_volume_constant(rows: &[Json]) -> Verdict {
+pub fn dpsgd_volume_constant(rows: &[Row]) -> Verdict {
     let volume = strong(rows, "REF-dpsgd", "sent_mb_per_step");
     Verdict::new(
         "dpsgd_volume_constant",
@@ -130,7 +125,7 @@ pub fn dpsgd_volume_constant(rows: &[Json]) -> Verdict {
     )
 }
 
-pub fn sparcml_densifies_with_nodes(rows: &[Json]) -> Verdict {
+pub fn sparcml_densifies_with_nodes(rows: &[Row]) -> Verdict {
     let (sparse, dense) = (
         strong(rows, "SparCML", "sent_mb_per_step"),
         strong(rows, "CDSGD", "sent_mb_per_step"),
@@ -143,19 +138,19 @@ pub fn sparcml_densifies_with_nodes(rows: &[Json]) -> Verdict {
     )
 }
 
-pub fn tfps_crashes_and_horovod_diverges_at_256(rows: &[Json]) -> Verdict {
+pub fn tfps_crashes_and_horovod_diverges_at_256(rows: &[Row]) -> Verdict {
     let mut against = Vec::new();
     for (scheme, symptom) in [("TF-PS", "crash"), ("Horovod", "exploding")] {
-        let points = rows
-            .iter()
-            .filter(|r| text(r, "mode") == "weak" && text(r, "scheme") == scheme);
-        for row in points {
-            let (nodes, failed) = (
-                num(row, "nodes"),
-                field(row, "images_per_s").as_f64().is_none(),
+        for point in points(rows, "weak", scheme) {
+            let nodes = point.int("nodes");
+            let failure = select(rows, "fig12_scaling", "failed").find(|r| {
+                r.is("mode", "weak") && r.is("scheme", scheme) && r.int("nodes") == nodes
+            });
+            let (failed, note) = (
+                failure.is_some(),
+                failure.map_or("none", |r| r.text("note")),
             );
-            let note = field(row, "note").as_str().unwrap_or("none");
-            if failed != (nodes == 256.0) || (failed && !note.contains(symptom)) {
+            if failed != (nodes == 256) || (failed && !note.contains(symptom)) {
                 against.push(format!(
                     "{scheme} at {nodes} nodes: failed = {failed}, note '{note}'"
                 ));
@@ -169,26 +164,35 @@ pub fn tfps_crashes_and_horovod_diverges_at_256(rows: &[Json]) -> Verdict {
     )
 }
 
-fn scaling_rows(mode: &str, points: Vec<ScalingPoint>) -> impl Iterator<Item = Json> + '_ {
-    points.into_iter().map(move |p| {
-        Json::obj([
-            ("mode", Json::from(mode)),
-            ("scheme", Json::from(p.scheme.label())),
-            ("nodes", Json::from(p.nodes)),
-            (
-                "images_per_s",
-                p.throughput.map_or(Json::Null, |t| Json::fixed(t, 1)),
-            ),
-            (
-                "sent_mb_per_step",
-                Json::fixed(p.sent_bytes_per_step as f64 / 1e6, 3),
-            ),
-            ("note", p.note.map_or(Json::Null, Json::from)),
-        ])
+/// A simulated point's rows: its volume, and its throughput or, where the
+/// scheme fails at that scale, a `failed` row keyed by the failure's note.
+pub(crate) fn point_rows(row: Row, p: &ScalingPoint) -> [Row; 2] {
+    let sent = p.sent_bytes_per_step as f64 / 1e6;
+    let outcome = match (p.throughput, p.note) {
+        (Some(t), _) => row.value("images_per_s", "1/s", Better::Higher, t),
+        (None, note) => {
+            row.clone()
+                .key("note", note.unwrap_or("none"))
+                .count("failed", Better::Lower, 1)
+        }
+    };
+    [
+        row.value("sent_mb_per_step", "MB", Better::Lower, sent),
+        outcome,
+    ]
+}
+
+fn scaling_rows(mode: &str, points: Vec<ScalingPoint>) -> impl Iterator<Item = Row> + '_ {
+    points.into_iter().flat_map(move |p| {
+        let row = Row::of("fig12_scaling").key("mode", mode);
+        point_rows(
+            row.key("scheme", p.scheme.label()).key("nodes", p.nodes),
+            &p,
+        )
     })
 }
 
-pub fn section(report: &mut Report) {
+pub fn section() -> Vec<Row> {
     // ------------------------------------------- part 1: real threads
     let steps = if scale() == Scale::Full { 20 } else { 8 };
     let variants: [(&str, Variant); 8] = [
@@ -201,14 +205,9 @@ pub fn section(report: &mut Report) {
         ("REF-mavg", Variant::Mavg { period: 2 }),
         ("SparCML", Variant::SparCml { density: 0.1 }),
     ];
-    let dataset: Arc<dyn Dataset> = Arc::new(SyntheticDataset::new(
-        "fig12",
-        Shape::new(&[32]),
-        4,
-        4096,
-        0.3,
-        12,
-    ));
+    let shape = Shape::new(&[32]);
+    let dataset: Arc<dyn Dataset> =
+        Arc::new(SyntheticDataset::new("fig12", shape, 4, 4096, 0.3, 12));
     let network = models::mlp(32, &[64], 4, 12).expect("mlp");
     let run = |variant: Variant| {
         DistributedRunner::new(&network, dataset.clone())
@@ -225,45 +224,35 @@ pub fn section(report: &mut Report) {
     // The virtual clock includes each rank's measured compute: one
     // discarded run first, so the first scheme does not pay the cold start.
     run(Variant::Cdsgd);
-    let ground_truth: Vec<Json> = variants
-        .into_iter()
-        .map(|(name, variant)| {
-            let run = run(variant);
-            let rank0 = &run.ranks[0];
-            Json::obj([
-                ("scheme", Json::from(name)),
-                ("steps", Json::from(steps)),
-                (
-                    "loss_end",
-                    Json::fixed(f64::from(*rank0.losses.last().expect("losses")), 4),
-                ),
-                ("bytes_sent", Json::from(rank0.volume.bytes_sent)),
-                ("messages_sent", Json::from(rank0.volume.messages_sent)),
-                ("virtual_ms", Json::fixed(rank0.virtual_time * 1e3, 3)),
-            ])
-        })
-        .collect();
+    let mut rows = Vec::new();
+    for (name, variant) in variants {
+        let run = run(variant);
+        let rank0 = &run.ranks[0];
+        let row = Row::of("fig12_ground_truth").key("scheme", name);
+        let row = row.key("steps", steps);
+        let (loss, volume) = (
+            f64::from(*rank0.losses.last().expect("losses")),
+            &rank0.volume,
+        );
+        rows.extend([
+            row.value("loss_end", "loss", Better::Lower, loss),
+            row.bytes("bytes_sent", Better::Lower, volume.bytes_sent as usize),
+            row.count(
+                "messages_sent",
+                Better::Lower,
+                volume.messages_sent as usize,
+            ),
+            row.value("virtual_ms", "ms", Better::Lower, rank0.virtual_time * 1e3),
+        ]);
+    }
 
     // --------------------------------------- part 2: paper-scale schedules
     let (w, net) = (WorkloadModel::default(), NetworkModel::aries());
     let strong = strong_scaling(&Scheme::strong_set(), &[8, 16, 32, 64], 1024, &w, &net);
     let weak = weak_scaling(&Scheme::weak_set(), &[1, 4, 16, 64, 256], 128, &w, &net);
-    let rows: Vec<Json> = scaling_rows("strong", strong)
-        .chain(scaling_rows("weak", weak))
-        .collect();
-
-    let verdicts = [
-        cdsgd_far_ahead_of_ref_dsgd(&rows),
-        decentralized_beats_centralized_at_scale(&rows),
-        asgd_degrades_with_nodes(&rows),
-        dpsgd_volume_constant(&rows),
-        sparcml_densifies_with_nodes(&rows),
-        tfps_crashes_and_horovod_diverges_at_256(&rows),
-    ];
-    claims(report, verdicts);
-    report
-        .rows("fig12_ground_truth", ground_truth)
-        .rows("fig12_scaling", rows);
+    rows.extend(scaling_rows("strong", strong));
+    rows.extend(scaling_rows("weak", weak));
+    rows
 }
 
 #[cfg(test)]
@@ -274,30 +263,30 @@ mod tests {
     type Point = (usize, Option<f64>, f64);
 
     /// Rows of one mode: the points of each scheme.
-    fn rows(mode: &str, table: &[(&str, &[Point])]) -> Vec<Json> {
+    fn rows(mode: &str, table: &[(&str, &[Point])]) -> Vec<Row> {
         let mut out = Vec::new();
         for (scheme, points) in table {
             for &(nodes, throughput, sent) in *points {
-                let note = match (throughput, *scheme) {
-                    (None, "TF-PS") => Json::from("application crashed"),
-                    (None, _) => Json::from("exploding loss"),
-                    _ => Json::Null,
+                let row = Row::of("fig12_scaling")
+                    .key("mode", mode)
+                    .key("scheme", *scheme)
+                    .key("nodes", nodes);
+                out.push(row.value("sent_mb_per_step", "MB", Better::Lower, sent));
+                let note = match *scheme {
+                    "TF-PS" => "application crashed",
+                    _ => "exploding loss",
                 };
-                out.push(Json::obj([
-                    ("mode", Json::from(mode)),
-                    ("scheme", Json::from(*scheme)),
-                    ("nodes", Json::from(nodes)),
-                    ("images_per_s", throughput.map_or(Json::Null, Json::from)),
-                    ("sent_mb_per_step", Json::from(sent)),
-                    ("note", note),
-                ]));
+                out.push(match throughput {
+                    Some(t) => row.value("images_per_s", "1/s", Better::Higher, t),
+                    None => row.key("note", note).count("failed", Better::Lower, 1),
+                });
             }
         }
         out
     }
 
     /// A strong-scaling table with the paper's shapes at 8 and 64 nodes.
-    fn strong(edit: impl Fn(&str, usize) -> Option<(f64, f64)>) -> Vec<Json> {
+    fn strong(edit: impl Fn(&str, usize) -> Option<(f64, f64)>) -> Vec<Row> {
         let base: [(&str, [(f64, f64); 2]); 5] = [
             ("CDSGD", [(1800.0, 179.2), (11486.0, 201.6)]),
             ("REF-dsgd", [(1449.0, 179.2), (4252.0, 201.6)]),

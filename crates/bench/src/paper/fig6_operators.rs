@@ -6,7 +6,10 @@
 //! the highlighted single problem size (conv: N=16, C=3, H=W=224, 3×3;
 //! GEMM: M=K=2560, N=64); plus the §V-B ℓ∞ correctness table (median over
 //! the suite vs the reference kernel). The eight subjects of a panel
-//! (four frameworks × native/wrapped) are timed interleaved.
+//! (four frameworks × native/wrapped) are timed interleaved:
+//! `fig6_operators` rows keyed by `op`, `problem` and `framework` hold the
+//! `native` and the `wrapped` pass; `fig6_correctness` rows keyed by
+//! `kernel` hold `linf` over the suite.
 //!
 //! Expected shapes (paper), each a gate over every panel:
 //! * DeepBench fastest (no framework management) — `deepbench_fastest`;
@@ -19,12 +22,11 @@
 //! `operators_within_paper_linf` holds the §V-B table to the paper's own
 //! figure (≈7e-4 between frameworks).
 
-use crate::rows::{claims, no_slower, num, text, unless, Timing, Verdict};
-use crate::{reruns, scale, time_rounds, Report, Scale, Subject};
+use crate::rows::{no_slower, select, unless, Better, Interval, Row, Verdict};
+use crate::{reruns, scale, time_rounds, Scale, Subject};
 use deep500::frameworks::native::{run_kernel_framework, NativeOpWrapper};
 use deep500::metrics::norms::linf_diff;
-use deep500::metrics::stats::median;
-use deep500::metrics::Json;
+use deep500::metrics::stats::Summary;
 use deep500::ops::conv::{self, Conv2dOp, ConvAlgorithm, ConvGeometry};
 use deep500::ops::deepbench::{self, ConvSize, GemmSize};
 use deep500::ops::gemm::{matmul, Algorithm, MatMulOp};
@@ -65,13 +67,12 @@ fn gemm_suite() -> Vec<GemmSize> {
 fn conv_suite() -> Vec<ConvSize> {
     let suite = deepbench::conv_suite();
     if scale() == Scale::Full {
-        suite
-    } else {
-        suite
-            .iter()
-            .map(|c| deepbench::shrink_conv(c, 64))
-            .collect()
+        return suite;
     }
+    suite
+        .iter()
+        .map(|c| deepbench::shrink_conv(c, 64))
+        .collect()
 }
 
 /// One panel: a pass over `cases` (the inputs of each problem) per
@@ -83,7 +84,7 @@ fn panel<O: Operator>(
     (op, problem): (&str, String),
     cases: &[Vec<Tensor>],
     make: impl Fn(&FrameworkProfile, usize) -> O,
-) -> Vec<Json> {
+) -> Vec<Row> {
     let profiles = FrameworkProfile::all();
     let ops: Vec<(Vec<O>, Vec<NativeOpWrapper<O>>)> = profiles
         .iter()
@@ -116,51 +117,38 @@ fn panel<O: Operator>(
     // Millisecond passes: three times the usual rounds cost nothing and
     // give the 24 interval comparisons of the section proper CIs.
     let timed = time_rounds(1, 3 * reruns(), &mut subjects);
-    profiles
-        .iter()
-        .zip(timed.chunks(2))
-        .map(|(profile, pair)| {
-            Json::obj([
-                ("op", Json::from(op)),
-                ("problem", Json::from(problem.as_str())),
-                ("framework", Json::from(profile.name)),
-                ("native", Timing::of(&pair[0][0]).json()),
-                ("wrapped", Timing::of(&pair[1][0]).json()),
-            ])
-        })
-        .collect()
+    let mut rows = Vec::new();
+    for (profile, pair) in profiles.iter().zip(timed.chunks(2)) {
+        let row = Row::of("fig6_operators")
+            .key("op", op)
+            .key("problem", problem.as_str());
+        let row = row.key("framework", profile.name);
+        rows.push(row.ms("native", &pair[0][0]));
+        rows.push(row.ms("wrapped", &pair[1][0]));
+    }
+    rows
 }
 
 /// `(label, framework's native timing, every other framework's)` within
 /// each (op, problem) panel.
 fn against_others<'a>(
-    rows: &'a [Json],
+    rows: &'a [Row],
     framework: &'a str,
-) -> impl Iterator<Item = (String, Timing, Timing)> + 'a {
-    let panel = |r: &Json| (text(r, "op").to_string(), text(r, "problem").to_string());
-    let own = rows
-        .iter()
-        .filter(move |r| text(r, "framework") == framework);
+) -> impl Iterator<Item = (String, Interval, Interval)> + 'a {
+    let native = move || select(rows, "fig6_operators", "native");
+    let panel = |r: &Row| (r.text("op").to_string(), r.text("problem").to_string());
+    let own = native().filter(move |r| r.is("framework", framework));
     own.flat_map(move |own| {
-        let others = rows
-            .iter()
-            .filter(move |r| panel(r) == panel(own) && !std::ptr::eq(*r, own));
+        let others = native().filter(move |r| panel(r) == panel(own) && !std::ptr::eq(*r, own));
         others.map(move |other| {
             let (op, problem) = panel(own);
-            let label = format!(
-                "{op} {problem}: {framework} vs {}",
-                text(other, "framework")
-            );
-            (
-                label,
-                Timing::read(own, "native"),
-                Timing::read(other, "native"),
-            )
+            let label = format!("{op} {problem}: {framework} vs {}", other.text("framework"));
+            (label, own.interval(), other.interval())
         })
     })
 }
 
-pub fn deepbench_fastest(rows: &[Json]) -> Verdict {
+pub fn deepbench_fastest(rows: &[Row]) -> Verdict {
     no_slower(
         "deepbench_fastest",
         "DeepBench's (raw kernel call) CI is never above another framework's on a panel",
@@ -168,7 +156,7 @@ pub fn deepbench_fastest(rows: &[Json]) -> Verdict {
     )
 }
 
-pub fn tensorflow_slowest(rows: &[Json]) -> Verdict {
+pub fn tensorflow_slowest(rows: &[Row]) -> Verdict {
     no_slower(
         "tensorflow_slowest",
         "no framework's CI is above the TensorFlow-like profile's on a panel",
@@ -176,15 +164,14 @@ pub fn tensorflow_slowest(rows: &[Json]) -> Verdict {
     )
 }
 
-pub fn wrapped_matches_native(rows: &[Json]) -> Verdict {
-    let pairs = rows.iter().map(|r| {
-        let label = format!(
-            "{} {} {}",
-            text(r, "op"),
-            text(r, "problem"),
-            text(r, "framework")
-        );
-        (label, Timing::read(r, "wrapped"), Timing::read(r, "native"))
+pub fn wrapped_matches_native(rows: &[Row]) -> Verdict {
+    let wrapped = select(rows, "fig6_operators", "wrapped");
+    let pairs = wrapped.map(|r| {
+        (
+            r.label(),
+            r.interval(),
+            r.sibling(rows, "native").interval(),
+        )
     });
     no_slower(
         "wrapped_matches_native",
@@ -195,9 +182,9 @@ pub fn wrapped_matches_native(rows: &[Json]) -> Verdict {
 
 /// The paper reports ≈7e-4 between frameworks; every optimized tier here
 /// must sit inside that against its scalar reference.
-pub fn operators_within_paper_linf(rows: &[Json]) -> Verdict {
-    let over = rows.iter().filter(|r| num(r, "median_linf") > 7e-4);
-    let over = over.map(|r| format!("{} {:.1e}", text(r, "kernel"), num(r, "median_linf")));
+pub fn operators_within_paper_linf(rows: &[Row]) -> Verdict {
+    let over = select(rows, "fig6_correctness", "linf").filter(|r| r.median > 7e-4);
+    let over = over.map(|r| format!("{} {:.1e}", r.text("kernel"), r.median));
     unless(
         "operators_within_paper_linf",
         "median l-inf vs the reference kernel <= 7e-4 (paper)",
@@ -207,15 +194,15 @@ pub fn operators_within_paper_linf(rows: &[Json]) -> Verdict {
 
 /// §V-B: each optimized tier against its scalar reference over the suite
 /// — different summation orders of the same operator.
-fn correctness_rows(rng: &mut Xoshiro256StarStar) -> Vec<Json> {
+fn correctness_rows(rng: &mut Xoshiro256StarStar) -> Vec<Row> {
     let mut rows = Vec::new();
     let mut row = |kernel: String, errs: &[f64]| {
-        rows.push(Json::obj([
-            ("kernel", Json::from(kernel)),
-            ("median_linf", Json::fixed(median(errs), 9)),
-        ]));
+        let s = Summary::of(errs);
+        let ci = Some((s.median_ci.lo, s.median_ci.hi));
+        let row = Row::of("fig6_correctness").key("kernel", kernel);
+        rows.push(row.measured("linf", "abs", Better::Lower, s.median, ci, s.n));
     };
-    let conv_cases: Vec<(ConvSize, Vec<Tensor>)> = conv_suite()
+    let conv_cases: Vec<_> = conv_suite()
         .into_iter()
         .map(|c| (c, conv_inputs(&c, rng)))
         .collect();
@@ -223,15 +210,12 @@ fn correctness_rows(rng: &mut Xoshiro256StarStar) -> Vec<Json> {
         let errs: Vec<f64> = conv_cases
             .iter()
             .map(|(c, t)| {
-                let geometry = ConvGeometry {
-                    stride: c.stride,
-                    pad: c.pad,
-                };
-                let reference =
-                    conv::forward_reference(&t[0], &t[1], &t[2], geometry).expect("reference");
-                let out = Conv2dOp::new(c.stride, c.pad, algo)
-                    .forward(&[&t[0], &t[1], &t[2]])
-                    .expect("tier forward");
+                let (stride, pad) = (c.stride, c.pad);
+                let geometry = ConvGeometry { stride, pad };
+                let reference = conv::forward_reference(&t[0], &t[1], &t[2], geometry);
+                let reference = reference.expect("reference");
+                let out = Conv2dOp::new(stride, pad, algo).forward(&[&t[0], &t[1], &t[2]]);
+                let out = out.expect("tier forward");
                 linf_diff(out[0].data(), reference.data())
             })
             .collect();
@@ -254,24 +238,24 @@ fn correctness_rows(rng: &mut Xoshiro256StarStar) -> Vec<Json> {
     rows
 }
 
-pub fn section(report: &mut Report) {
+pub fn section() -> Vec<Row> {
     let mut rng = Xoshiro256StarStar::seed_from_u64(6);
     let full = scale() == Scale::Full;
     let mut rows = Vec::new();
 
     // Fig. 6b: the GEMM suite, then the highlighted box plot.
+    let reduced = GemmSize::new(1024, 64, 1024);
     let highlighted = if full {
         deepbench::HIGHLIGHTED_GEMM
     } else {
-        GemmSize::new(1024, 64, 1024)
+        reduced
     };
     let suite = gemm_suite();
+    let (m, n, k) = (highlighted.m, highlighted.n, highlighted.k);
+    let one = format!("{m}x{n}x{k}");
     for (problem, sizes) in [
         (format!("suite({})", suite.len()), suite),
-        (
-            format!("{}x{}x{}", highlighted.m, highlighted.n, highlighted.k),
-            vec![highlighted],
-        ),
+        (one, vec![highlighted]),
     ] {
         let cases: Vec<_> = sizes.iter().map(|g| gemm_inputs(g, &mut rng)).collect();
         rows.extend(panel(("gemm", problem), &cases, |p, _| {
@@ -280,21 +264,18 @@ pub fn section(report: &mut Report) {
     }
 
     // Fig. 6a: the convolution suite, then the highlighted box plot.
+    let reduced = ConvSize::new(4, 3, 96, 96, 16, 3, 1, 1);
     let highlighted = if full {
         deepbench::HIGHLIGHTED_CONV
     } else {
-        ConvSize::new(4, 3, 96, 96, 16, 3, 1, 1)
+        reduced
     };
     let suite = conv_suite();
+    let (n, c, hw, k) = (highlighted.n, highlighted.c, highlighted.h, highlighted.r);
+    let one = format!("n{n}c{c}hw{hw}k{k}");
     for (problem, sizes) in [
         (format!("suite({})", suite.len()), suite),
-        (
-            format!(
-                "n{}c{}hw{}k{}",
-                highlighted.n, highlighted.c, highlighted.h, highlighted.r
-            ),
-            vec![highlighted],
-        ),
+        (one, vec![highlighted]),
     ] {
         let cases: Vec<_> = sizes.iter().map(|c| conv_inputs(c, &mut rng)).collect();
         rows.extend(panel(("conv", problem), &cases, |p, i| {
@@ -302,36 +283,36 @@ pub fn section(report: &mut Report) {
         }));
     }
 
-    let correctness = correctness_rows(&mut rng);
-    let verdicts = [
-        deepbench_fastest(&rows),
-        tensorflow_slowest(&rows),
-        wrapped_matches_native(&rows),
-        operators_within_paper_linf(&correctness),
-    ];
-    claims(report, verdicts);
-    report
-        .rows("fig6_operators", rows)
-        .rows("fig6_correctness", correctness);
+    rows.extend(correctness_rows(&mut rng));
+    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rows::{interval, Span};
+
+    type Span = (f64, f64);
 
     /// One panel; each framework's native and wrapped `(lo, hi)`.
-    fn panel_rows(cells: &[(&str, Span, Span)]) -> Vec<Json> {
-        let row = |&(framework, native, wrapped): &(&str, Span, Span)| {
-            Json::obj([
-                ("op", Json::from("gemm")),
-                ("problem", Json::from("suite(2)")),
-                ("framework", Json::from(framework)),
-                ("native", interval(native)),
-                ("wrapped", interval(wrapped)),
-            ])
-        };
-        cells.iter().map(row).collect()
+    fn panel_rows(cells: &[(&str, Span, Span)]) -> Vec<Row> {
+        let mut rows = Vec::new();
+        for &(framework, native, wrapped) in cells {
+            let row = Row::of("fig6_operators")
+                .key("op", "gemm")
+                .key("problem", "suite(2)")
+                .key("framework", framework);
+            for (metric, (lo, hi)) in [("native", native), ("wrapped", wrapped)] {
+                rows.push(row.measured(
+                    metric,
+                    "ms",
+                    Better::Lower,
+                    (lo + hi) / 2.0,
+                    Some((lo, hi)),
+                    21,
+                ));
+            }
+        }
+        rows
     }
 
     #[test]
@@ -364,10 +345,12 @@ mod tests {
     #[test]
     fn the_linf_gate_holds_every_kernel_to_the_papers_figure() {
         let row = |kernel: &str, err: f64| {
-            Json::obj([
-                ("kernel", Json::from(kernel)),
-                ("median_linf", Json::from(err)),
-            ])
+            Row::of("fig6_correctness").key("kernel", kernel).value(
+                "linf",
+                "abs",
+                Better::Lower,
+                err,
+            )
         };
         assert!(operators_within_paper_linf(&[row("conv direct", 1.8e-6)]).ok);
         let v =

@@ -5,7 +5,11 @@
 //! synthetic generation. Right panel: ImageNet-shaped data, record
 //! container in steady state (the pipeline is built once; a batch is one
 //! `next_batch`), against synthetic generation, plus the modeled PFS I/O
-//! of 1 vs 1024 files on 1 vs 64 nodes.
+//! of 1 vs 1024 files on 1 vs 64 nodes. Every row is keyed by the
+//! minibatch size `batch` as well: `fig8_small` by `dataset` (`real`,
+//! `synthetic`), `fig8_imagenet` by `source` and `image_hw` (`batch`
+//! time; `encoded_bytes_per_image` on the record pipeline), `fig8_io` by
+//! `files` and `nodes` (`io_ms`).
 //!
 //! Expected shapes (paper), each a gate:
 //! * for MNIST-class in-memory datasets, *loading is faster than
@@ -24,25 +28,24 @@
 //!   I/O (deterministic).
 
 use super::{imagenet_shard, scratch_file};
-use crate::rows::{claims, find, no_slower, num, text, Timing, Verdict};
-use crate::{reruns, scale, time_rounds, Report, Scale, Subject};
+use crate::rows::{find, no_slower, select, Better, Row, Verdict};
+use crate::{reruns, scale, time_rounds, Scale, Subject};
 use deep500::data::container::binfile::{write_binfile, BinFileDataset};
 use deep500::data::container::recordfile::{write_recordfile, RecordPipeline, RecordReader};
 use deep500::data::dataset::assemble_minibatch;
 use deep500::data::io_model::{StorageClock, StorageModel};
 use deep500::data::{codec, Dataset};
-use deep500::metrics::Json;
 use deep500::prelude::*;
 use std::sync::Arc;
 
-pub fn small_datasets_load_faster_than_synthesis(rows: &[Json]) -> Verdict {
-    let pairs = rows.iter().map(|r| {
-        let label = format!("{}, real vs synthetic", text(r, "dataset"));
-        (label, Timing::read(r, "real"), Timing::read(r, "synthetic"))
+pub fn small_datasets_load_faster_than_synthesis(rows: &[Row]) -> Verdict {
+    let pairs = select(rows, "fig8_small", "real").map(|r| {
+        let label = format!("{}, real vs synthetic", r.text("dataset"));
+        (label, r.interval(), r.sibling(rows, "synthetic").interval())
     });
     let ratio = |name: &str| {
-        let row = find(rows, "dataset", name);
-        Timing::read(row, "real").ms / Timing::read(row, "synthetic").ms
+        let real = find(rows, "fig8_small", "real", ("dataset", name));
+        real.median / real.sibling(rows, "synthetic").median
     };
     let (mnist, cifar) = (ratio("MNIST"), ratio("CIFAR-10"));
     let trend = if cifar > mnist { "tightens" } else { "widens" };
@@ -58,9 +61,9 @@ pub fn small_datasets_load_faster_than_synthesis(rows: &[Json]) -> Verdict {
     ))
 }
 
-pub fn synthetic_beats_imagenet_decode(rows: &[Json]) -> Verdict {
-    let decode = Timing::read(find(rows, "source", "record pipeline"), "batch");
-    let synth = Timing::read(find(rows, "source", "synthetic"), "batch");
+pub fn synthetic_beats_imagenet_decode(rows: &[Row]) -> Verdict {
+    let batch = |source| find(rows, "fig8_imagenet", "batch", ("source", source)).interval();
+    let (decode, synth) = (batch("record pipeline"), batch("synthetic"));
     no_slower(
         "synthetic_beats_imagenet_decode",
         "synthesizing an ImageNet-shaped batch is never measurably slower than decoding one",
@@ -68,19 +71,18 @@ pub fn synthetic_beats_imagenet_decode(rows: &[Json]) -> Verdict {
     )
     .with(format!(
         "{:.1}x faster (paper: ~100x at 224x224 full scale)",
-        decode.ms / synth.ms
+        decode.median / synth.median
     ))
 }
 
-pub fn sharding_wins_only_at_scale(rows: &[Json]) -> Verdict {
-    let io = |files: f64, nodes: f64| {
-        let row = rows
-            .iter()
-            .find(|r| num(r, "files") == files && num(r, "nodes") == nodes);
-        num(row.expect("io row"), "io_ms")
+pub fn sharding_wins_only_at_scale(rows: &[Row]) -> Verdict {
+    let io = |files: i64, nodes: i64| {
+        let mut cells = select(rows, "fig8_io", "io_ms");
+        let row = cells.find(|r| r.int("files") == files && r.int("nodes") == nodes);
+        row.expect("io row").median
     };
-    let (one, sharded) = (io(1.0, 1.0), io(1024.0, 1.0));
-    let (one_at_64, sharded_at_64) = (io(1.0, 64.0), io(1024.0, 64.0));
+    let (one, sharded) = (io(1, 1), io(1024, 1));
+    let (one_at_64, sharded_at_64) = (io(1, 64), io(1024, 64));
     Verdict::new(
         "sharding_wins_only_at_scale",
         one < sharded && sharded_at_64 < one_at_64,
@@ -93,22 +95,20 @@ pub fn sharding_wins_only_at_scale(rows: &[Json]) -> Verdict {
     )
 }
 
-pub fn section(report: &mut Report) {
+pub fn section() -> Vec<Row> {
     let full = scale() == Scale::Full;
     let batch = if full { 128 } else { 32 };
     let small_len = if full { 4096 } else { 512 };
 
     // ------------------------------------------------- small datasets
+    let fashion = SyntheticDataset::fashion_mnist_like(small_len, 2);
     let small: [(&str, SyntheticDataset); 4] = [
         ("MNIST", SyntheticDataset::mnist_like(small_len, 1)),
-        (
-            "Fashion-MNIST",
-            SyntheticDataset::fashion_mnist_like(small_len, 2),
-        ),
+        ("Fashion-MNIST", fashion),
         ("CIFAR-10", SyntheticDataset::cifar10_like(small_len, 3)),
         ("CIFAR-100", SyntheticDataset::cifar100_like(small_len, 4)),
     ];
-    let mut small_rows = Vec::new();
+    let mut rows = Vec::new();
     for (name, synth) in &small {
         // Write the real on-disk file once, then time batch assembly.
         let d = synth.sample_shape().dims().to_vec();
@@ -131,11 +131,11 @@ pub fn section(report: &mut Report) {
                 }),
             ],
         );
-        small_rows.push(Json::obj([
-            ("dataset", Json::from(*name)),
-            ("real", Timing::of(&timed[0][0]).json()),
-            ("synthetic", Timing::of(&timed[1][0]).json()),
-        ]));
+        let row = Row::of("fig8_small")
+            .key("batch", batch)
+            .key("dataset", *name);
+        rows.push(row.ms("real", &timed[0][0]));
+        rows.push(row.ms("synthetic", &timed[1][0]));
         std::fs::remove_file(&path).ok();
     }
 
@@ -180,63 +180,52 @@ pub fn section(report: &mut Report) {
         ],
     );
     std::fs::remove_file(&path).ok();
-    let imagenet_rows: Vec<Json> = ["record pipeline", "synthetic"]
-        .iter()
-        .zip(&timed)
-        .map(|(source, [t])| {
-            Json::obj([
-                ("source", Json::from(*source)),
-                ("image_hw", Json::from(img_hw)),
-                ("encoded_bytes_per_image", Json::from(bytes_per_image)),
-                ("batch", Timing::of(t).json()),
-            ])
-        })
-        .collect();
+    for (source, [t]) in ["record pipeline", "synthetic"].iter().zip(&timed) {
+        let row = Row::of("fig8_imagenet")
+            .key("batch", batch)
+            .key("source", *source);
+        let row = row.key("image_hw", img_hw);
+        rows.push(row.ms("batch", t));
+        if *source == "record pipeline" {
+            rows.push(row.bytes("encoded_bytes_per_image", Better::None, bytes_per_image));
+        }
+    }
 
     let pfs = StorageModel::parallel_fs();
-    let io_rows: Vec<Json> = [(1usize, 1usize), (1024, 1), (1, 64), (1024, 64)]
-        .iter()
-        .map(|&(files, nodes)| {
-            let io = pfs.batch_read_cost(batch, bytes_per_image, 1_281_167, files, nodes, true);
-            Json::obj([
-                ("files", Json::from(files)),
-                ("nodes", Json::from(nodes)),
-                ("io_ms", Json::fixed(io * 1e3, 6)),
-            ])
-        })
-        .collect();
-
-    let verdicts = [
-        small_datasets_load_faster_than_synthesis(&small_rows),
-        synthetic_beats_imagenet_decode(&imagenet_rows),
-        sharding_wins_only_at_scale(&io_rows),
-    ];
-    claims(report, verdicts);
-    report
-        .field("fig8_batch", batch)
-        .rows("fig8_small", small_rows)
-        .rows("fig8_imagenet", imagenet_rows)
-        .rows("fig8_io", io_rows);
+    for (files, nodes) in [(1usize, 1usize), (1024, 1), (1, 64), (1024, 64)] {
+        let io = pfs.batch_read_cost(batch, bytes_per_image, 1_281_167, files, nodes, true);
+        let row = Row::of("fig8_io").key("batch", batch);
+        let row = row.key("files", files).key("nodes", nodes);
+        rows.push(row.value("io_ms", "ms", Better::Lower, io * 1e3));
+    }
+    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rows::{interval, Span};
 
-    fn small(cells: [(Span, Span); 2]) -> Vec<Json> {
-        let row = |(name, (real, synth)): (&str, (Span, Span))| {
-            Json::obj([
-                ("dataset", Json::from(name)),
-                ("real", interval(real)),
-                ("synthetic", interval(synth)),
-            ])
-        };
-        ["MNIST", "CIFAR-10"]
-            .into_iter()
-            .zip(cells)
-            .map(row)
-            .collect()
+    type Span = (f64, f64);
+
+    fn ms(row: &Row, metric: &str, (lo, hi): Span) -> Row {
+        row.measured(
+            metric,
+            "ms",
+            Better::Lower,
+            (lo + hi) / 2.0,
+            Some((lo, hi)),
+            21,
+        )
+    }
+
+    fn small(cells: [(Span, Span); 2]) -> Vec<Row> {
+        let mut rows = Vec::new();
+        for (name, (real, synth)) in ["MNIST", "CIFAR-10"].into_iter().zip(cells) {
+            let row = Row::of("fig8_small").key("dataset", name);
+            rows.push(ms(&row, "real", real));
+            rows.push(ms(&row, "synthetic", synth));
+        }
+        rows
     }
 
     #[test]
@@ -253,7 +242,11 @@ mod tests {
     fn synthetic_must_not_be_measurably_slower_than_decode() {
         let rows = |decode: Span, synth: Span| {
             let row = |source: &str, span: Span| {
-                Json::obj([("source", Json::from(source)), ("batch", interval(span))])
+                ms(
+                    &Row::of("fig8_imagenet").key("source", source),
+                    "batch",
+                    span,
+                )
             };
             [row("record pipeline", decode), row("synthetic", synth)]
         };
@@ -266,11 +259,8 @@ mod tests {
         let rows = |io: [f64; 4]| {
             let cells = [(1usize, 1usize), (1024, 1), (1, 64), (1024, 64)];
             let row = |((files, nodes), io): ((usize, usize), f64)| {
-                Json::obj([
-                    ("files", Json::from(files)),
-                    ("nodes", Json::from(nodes)),
-                    ("io_ms", Json::from(io)),
-                ])
+                let row = Row::of("fig8_io").key("files", files).key("nodes", nodes);
+                row.value("io_ms", "ms", Better::Lower, io)
             };
             cells.into_iter().zip(io).map(row).collect::<Vec<_>>()
         };

@@ -4,10 +4,14 @@
 //! CIFAR at the paper's scale; CNN + synthetic CIFAR-shaped task here):
 //! test accuracy per epoch and time per epoch, for native (fused)
 //! optimizers against Deep500 reference optimizers and the custom
-//! AcceleGrad — all nine trained an epoch per timing round, interleaved
-//! (a row with a `twin` is a reference optimizer; the twin is its fused
-//! native counterpart).
-//! A second table isolates the update rule at ResNet-50 parameter scale,
+//! AcceleGrad — all nine trained an epoch per timing round, interleaved.
+//! `fig9_optimizers` rows are keyed by `optimizer` (and, for a reference
+//! optimizer, its fused native `twin`): the `epoch` time, and keyed by
+//! `after_epoch` as well, the test `accuracy` after each epoch (the
+//! warm-up epoch first).
+//! A second table, `fig9_update_rule` (keyed by `rule` and `parameters`:
+//! `fused` and `composed`), isolates the update rule at ResNet-50
+//! parameter scale,
 //! where the paper's ≈5× composed-vs-fused Adam gap lives (on a small CNN
 //! the update hides behind convolution time).
 //!
@@ -26,12 +30,11 @@
 //! * while matching their accuracy — `reference_matches_fused_accuracy`.
 
 use super::Trainee;
-use crate::rows::{claims, field, find, no_slower, num, text, unless, Timing, Verdict};
-use crate::{reruns, scale, time_rounds, Report, Scale, Subject};
+use crate::rows::{no_slower, select, unless, Better, Interval, Row, Verdict};
+use crate::{engine, reruns, scale, time_rounds, Scale, Subject};
 use deep500::frameworks::fused_optim::{
     FusedAdaGrad, FusedAdam, FusedMomentum, FusedRmsProp, FusedSgd,
 };
-use deep500::metrics::Json;
 use deep500::prelude::*;
 
 /// (label, the fused twin of a reference optimizer, optimizer).
@@ -76,12 +79,29 @@ fn lineup() -> Vec<Entry> {
     ]
 }
 
-/// The reference optimizers of the table, each with its fused twin's row.
-fn twins(rows: &[Json]) -> impl Iterator<Item = (&Json, &Json)> {
-    rows.iter().filter_map(|row| {
-        let twin = field(row, "twin").as_str()?;
-        Some((row, find(rows, "optimizer", twin)))
+/// The `epoch` rows of the optimizers, in file order.
+fn optimizers(rows: &[Row]) -> impl Iterator<Item = &Row> {
+    select(rows, "fig9_optimizers", "epoch")
+}
+
+/// The reference optimizers of the table, each with its fused twin's
+/// `epoch` row.
+fn twins(rows: &[Row]) -> impl Iterator<Item = (&Row, &Row)> {
+    optimizers(rows).filter_map(|row| {
+        let twin = row.try_text("twin")?;
+        let fused = optimizers(rows).find(|r| r.is("optimizer", twin));
+        Some((row, fused.expect("the twin has a row")))
     })
+}
+
+/// The test accuracies of the optimizer of `epoch` (its `epoch` row),
+/// epoch by epoch.
+fn accuracies<'a>(rows: &'a [Row], epoch: &'a Row) -> impl Iterator<Item = f64> + 'a {
+    let optimizer = epoch.text("optimizer");
+    let after = select(rows, "fig9_optimizers", "accuracy");
+    after
+        .filter(move |r| r.is("optimizer", optimizer))
+        .map(|r| r.median)
 }
 
 /// How far apart the best test accuracies may lie and still be "comparable".
@@ -89,29 +109,30 @@ const ACCURACY_BAND: f64 = 0.25;
 /// How close a reference optimizer must land to its fused twin.
 const TWIN_TOLERANCE: f64 = 0.05;
 
-pub fn optimizers_reach_comparable_accuracy(rows: &[Json]) -> Verdict {
-    let by_best =
-        |a: &&Json, b: &&Json| num(a, "best_accuracy").total_cmp(&num(b, "best_accuracy"));
-    let worst = rows.iter().min_by(by_best).expect("optimizer rows");
-    let best = rows.iter().max_by(by_best).expect("optimizer rows");
-    let spread = num(best, "best_accuracy") - num(worst, "best_accuracy");
+pub fn optimizers_reach_comparable_accuracy(rows: &[Row]) -> Verdict {
+    let best = |r: &Row| accuracies(rows, r).fold(0.0f64, f64::max);
+    let best: Vec<(&str, f64)> = optimizers(rows)
+        .map(|r| (r.text("optimizer"), best(r)))
+        .collect();
+    let by_best = |a: &&(&str, f64), b: &&(&str, f64)| a.1.total_cmp(&b.1);
+    let worst = best.iter().min_by(by_best).expect("optimizer rows");
+    let top = best.iter().max_by(by_best).expect("optimizer rows");
+    let spread = top.1 - worst.1;
     Verdict::new(
         "optimizers_reach_comparable_accuracy",
         spread <= ACCURACY_BAND,
         format!(
             "best test accuracy over the run: spread {spread:.3} <= {ACCURACY_BAND} ({} {:.3} .. {} {:.3})",
-            text(worst, "optimizer"),
-            num(worst, "best_accuracy"),
-            text(best, "optimizer"),
-            num(best, "best_accuracy")
+            worst.0, worst.1, top.0, top.1
         ),
     )
 }
 
-pub fn reference_matches_fused_accuracy(rows: &[Json]) -> Verdict {
+pub fn reference_matches_fused_accuracy(rows: &[Row]) -> Verdict {
     let apart = twins(rows).filter_map(|(row, twin)| {
-        let gap = (num(row, "final_accuracy") - num(twin, "final_accuracy")).abs();
-        (gap > TWIN_TOLERANCE).then(|| format!("{}: {gap:.3}", text(row, "optimizer")))
+        let accuracy = |r| accuracies(rows, r).last().expect("epochs ran");
+        let gap = (accuracy(row) - accuracy(twin)).abs();
+        (gap > TWIN_TOLERANCE).then(|| format!("{}: {gap:.3}", row.text("optimizer")))
     });
     unless(
         "reference_matches_fused_accuracy",
@@ -120,31 +141,21 @@ pub fn reference_matches_fused_accuracy(rows: &[Json]) -> Verdict {
     )
 }
 
-pub fn reference_slower_than_fused(training: &[Json], update_rule: &[Json]) -> Verdict {
-    let epochs = twins(training).map(|(row, twin)| {
-        let label = format!(
-            "{} vs {}, per epoch",
-            text(twin, "optimizer"),
-            text(row, "optimizer")
-        );
-        (
-            label,
-            Timing::read(twin, "epoch"),
-            Timing::read(row, "epoch"),
-        )
+pub fn reference_slower_than_fused(rows: &[Row]) -> Verdict {
+    let epochs = twins(rows).map(|(row, twin)| {
+        let (fused, reference) = (twin.text("optimizer"), row.text("optimizer"));
+        let label = format!("{fused} vs {reference}, per epoch");
+        (label, twin.interval(), row.interval())
     });
-    let updates = update_rule.iter().map(|row| {
-        let label = format!("{} update, fused vs composed", text(row, "rule"));
-        (
-            label,
-            Timing::read(row, "fused"),
-            Timing::read(row, "composed"),
-        )
+    let updates = select(rows, "fig9_update_rule", "fused").map(|row| {
+        let label = format!("{} update, fused vs composed", row.text("rule"));
+        let composed = row.sibling(rows, "composed");
+        (label, row.interval(), composed.interval())
     });
-    let pairs: Vec<(String, Timing, Timing)> = epochs.chain(updates).collect();
+    let pairs: Vec<(String, Interval, Interval)> = epochs.chain(updates).collect();
     let factors: Vec<String> = pairs
         .iter()
-        .map(|(_, f, r)| format!("{:.2}x", r.ms / f.ms))
+        .map(|(_, f, r)| format!("{:.2}x", r.median / f.median))
         .collect();
     no_slower(
         "reference_slower_than_fused",
@@ -156,7 +167,7 @@ pub fn reference_slower_than_fused(training: &[Json], update_rule: &[Json]) -> V
     ))
 }
 
-pub fn section(report: &mut Report) {
+pub fn section() -> Vec<Row> {
     let full = scale() == Scale::Full;
     let task = if full {
         (3, 32, 2048, 64)
@@ -168,53 +179,38 @@ pub fn section(report: &mut Report) {
         .into_iter()
         .map(|(name, twin, optimizer)| {
             let net = models::lenet(3, task.1, 10, 99).expect("lenet");
-            let executor = Engine::builder(net).build().expect("engine").into_inner();
+            let executor = engine(net, ExecutorKind::Reference).into_inner();
             let trainee = Trainee::new(executor.expect("sole handle"), optimizer, task, 9);
             ((name, twin), trainee)
         })
         .unzip();
     let timed = Trainee::train(&mut trainees, reruns());
-    let rows: Vec<Json> = labels
-        .iter()
-        .zip(&trainees)
-        .zip(&timed)
-        .map(|(((name, twin), trainee), epoch)| {
-            let accuracy = trainee.accuracy.iter().map(|&a| Json::fixed(a, 4));
-            let best = trainee.accuracy.iter().fold(0.0f64, |m, a| m.max(*a));
-            Json::obj([
-                ("optimizer", Json::from(*name)),
-                ("twin", twin.map_or(Json::Null, Json::from)),
-                ("epoch", epoch.json()),
-                (
-                    "accuracy_per_epoch",
-                    Json::from(accuracy.collect::<Vec<_>>()),
-                ),
-                ("best_accuracy", Json::fixed(best, 4)),
-                ("final_accuracy", Json::fixed(trainee.final_accuracy(), 4)),
-            ])
-        })
-        .collect();
+    let mut rows = Vec::new();
+    for (((name, twin), trainee), epoch) in labels.iter().zip(&trainees).zip(&timed) {
+        let row = Row::of("fig9_optimizers").key("optimizer", *name);
+        let row = match twin {
+            Some(twin) => row.key("twin", *twin),
+            None => row,
+        };
+        rows.push(row.ms("epoch", epoch));
+        for (after, accuracy) in trainee.accuracy.iter().enumerate() {
+            let after = row.clone().key("after_epoch", after + 1);
+            rows.push(after.value("accuracy", "ratio", Better::Higher, *accuracy));
+        }
+    }
 
     // Isolated update-rule cost at ResNet-50 parameter scale.
     let n = if full { 25_600_000 } else { 2_000_000 };
     let mut rng = Xoshiro256StarStar::seed_from_u64(50);
     let w = Tensor::rand_uniform([n], -1.0, 1.0, &mut rng);
     let g = Tensor::rand_uniform([n], -1.0, 1.0, &mut rng);
-    let pairs: [(&str, [Box<dyn ThreeStepOptimizer>; 2]); 2] = [
-        (
-            "Adam",
-            [Box::new(FusedAdam::new(0.01)), Box::new(Adam::new(0.01))],
-        ),
-        (
-            "Momentum",
-            [
-                Box::new(FusedMomentum::new(0.01, 0.9)),
-                Box::new(Momentum::new(0.01, 0.9)),
-            ],
-        ),
+    let adam: [Box<dyn ThreeStepOptimizer>; 2] =
+        [Box::new(FusedAdam::new(0.01)), Box::new(Adam::new(0.01))];
+    let momentum: [Box<dyn ThreeStepOptimizer>; 2] = [
+        Box::new(FusedMomentum::new(0.01, 0.9)),
+        Box::new(Momentum::new(0.01, 0.9)),
     ];
-    let mut update_rows = Vec::new();
-    for (rule, mut optimizers) in pairs {
+    for (rule, mut optimizers) in [("Adam", adam), ("Momentum", momentum)] {
         let mut subjects: Vec<Subject<1>> = optimizers
             .iter_mut()
             .map(|opt| {
@@ -223,46 +219,55 @@ pub fn section(report: &mut Report) {
             })
             .collect();
         let timed = time_rounds(1, reruns(), &mut subjects);
-        update_rows.push(Json::obj([
-            ("rule", Json::from(rule)),
-            ("parameters", Json::from(n)),
-            ("fused", Timing::of(&timed[0][0]).json()),
-            ("composed", Timing::of(&timed[1][0]).json()),
-        ]));
+        let row = Row::of("fig9_update_rule").key("rule", rule);
+        let row = row.key("parameters", n);
+        rows.push(row.ms("fused", &timed[0][0]));
+        rows.push(row.ms("composed", &timed[1][0]));
     }
-
-    let verdicts = [
-        optimizers_reach_comparable_accuracy(&rows),
-        reference_matches_fused_accuracy(&rows),
-        reference_slower_than_fused(&rows, &update_rows),
-    ];
-    claims(report, verdicts);
-    report
-        .rows("fig9_optimizers", rows)
-        .rows("fig9_update_rule", update_rows);
+    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rows::{interval, Span};
 
-    fn optimizer(name: &str, twin: Option<&str>, epoch: Span, accuracy: f64) -> Json {
-        Json::obj([
-            ("optimizer", Json::from(name)),
-            ("twin", twin.map_or(Json::Null, Json::from)),
-            ("epoch", interval(epoch)),
-            ("best_accuracy", Json::from(accuracy)),
-            ("final_accuracy", Json::from(accuracy)),
-        ])
+    type Span = (f64, f64);
+
+    fn optimizer(name: &str, twin: Option<&str>, (lo, hi): Span, accuracy: f64) -> Vec<Row> {
+        let row = Row::of("fig9_optimizers").key("optimizer", name);
+        let row = match twin {
+            Some(twin) => row.key("twin", twin),
+            None => row,
+        };
+        let epoch = row.measured(
+            "epoch",
+            "ms",
+            Better::Lower,
+            (lo + hi) / 2.0,
+            Some((lo, hi)),
+            7,
+        );
+        let after = row.key("after_epoch", 1usize);
+        vec![
+            epoch,
+            after.value("accuracy", "ratio", Better::Higher, accuracy),
+        ]
     }
 
-    fn update(rule: &str, fused: Span, composed: Span) -> Json {
-        Json::obj([
-            ("rule", Json::from(rule)),
-            ("fused", interval(fused)),
-            ("composed", interval(composed)),
-        ])
+    fn update(rule: &str, fused: Span, composed: Span) -> Vec<Row> {
+        let row = Row::of("fig9_update_rule").key("rule", rule);
+        [("fused", fused), ("composed", composed)]
+            .map(|(metric, (lo, hi))| {
+                row.measured(
+                    metric,
+                    "ms",
+                    Better::Lower,
+                    (lo + hi) / 2.0,
+                    Some((lo, hi)),
+                    7,
+                )
+            })
+            .to_vec()
     }
 
     #[test]
@@ -271,14 +276,16 @@ mod tests {
             optimizer("Adam native", None, (30.0, 32.0), 0.99),
             optimizer("Adam-Ref Deep500", Some("Adam native"), (31.0, 34.0), 0.97),
             optimizer("RmsProp native", None, (30.0, 32.0), 0.85),
-        ];
+        ]
+        .concat();
         assert!(optimizers_reach_comparable_accuracy(&agreeing).ok);
         assert!(reference_matches_fused_accuracy(&agreeing).ok);
 
         let contradicting = [
             optimizer("Adam native", None, (30.0, 32.0), 0.99),
             optimizer("Adam-Ref Deep500", Some("Adam native"), (31.0, 34.0), 0.60),
-        ];
+        ]
+        .concat();
         let v = optimizers_reach_comparable_accuracy(&contradicting);
         assert!(
             !v.ok && v.detail.contains("Adam-Ref Deep500 0.600"),
@@ -293,19 +300,22 @@ mod tests {
         let training = [
             optimizer("Adam native", None, (30.0, 32.0), 0.99),
             optimizer("Adam-Ref Deep500", Some("Adam native"), (31.0, 34.0), 0.99),
-        ];
-        let updates = [update("Adam", (1.8, 2.0), (35.0, 40.0))];
-        let v = reference_slower_than_fused(&training, &updates);
+        ]
+        .concat();
+        let updates = update("Adam", (1.8, 2.0), (35.0, 40.0));
+        let v = reference_slower_than_fused(&[training.clone(), updates.clone()].concat());
         assert!(v.ok && v.detail.contains("19.74x"), "{}", v.detail);
 
         // A composed update measurably faster than the fused kernel ...
-        let fast_composed = [update("Adam", (35.0, 40.0), (1.8, 2.0))];
-        assert!(!reference_slower_than_fused(&training, &fast_composed).ok);
+        let fast_composed = update("Adam", (35.0, 40.0), (1.8, 2.0));
+        assert!(!reference_slower_than_fused(&[training, fast_composed].concat()).ok);
         // ... or a reference run measurably faster than its twin.
         let fast_reference = [
             optimizer("Adam native", None, (40.0, 42.0), 0.99),
             optimizer("Adam-Ref Deep500", Some("Adam native"), (31.0, 34.0), 0.99),
-        ];
-        assert!(!reference_slower_than_fused(&fast_reference, &updates).ok);
+            updates,
+        ]
+        .concat();
+        assert!(!reference_slower_than_fused(&fast_reference).ok);
     }
 }

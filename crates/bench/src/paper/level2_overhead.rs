@@ -15,16 +15,16 @@
 //! percentage is in the detail.)
 
 use super::Trainee;
-use crate::rows::{claims, find, no_slower, Timing, Verdict};
-use crate::{reruns, scale, Report, Scale};
+use crate::rows::{find, no_slower, Row, Verdict};
+use crate::{reruns, scale, Scale};
 use deep500::graph::executor::FrameworkOverheadProbe;
 use deep500::metrics::event::Phase;
-use deep500::metrics::{Json, WallclockTime};
+use deep500::metrics::WallclockTime;
 use deep500::prelude::*;
 
-pub fn instrumentation_within_ci_of_bare(rows: &[Json]) -> Verdict {
-    let bare = Timing::read(find(rows, "configuration", "native"), "epoch");
-    let instrumented = Timing::read(find(rows, "configuration", "Deep500-instrumented"), "epoch");
+pub fn instrumentation_within_ci_of_bare(rows: &[Row]) -> Verdict {
+    let epoch = |name| find(rows, "level2_overhead", "epoch", ("configuration", name)).interval();
+    let (bare, instrumented) = (epoch("native"), epoch("Deep500-instrumented"));
     no_slower(
         "instrumentation_within_ci_of_bare",
         "the instrumented per-epoch CI does not sit above the bare one",
@@ -32,11 +32,11 @@ pub fn instrumentation_within_ci_of_bare(rows: &[Json]) -> Verdict {
     )
     .with(format!(
         "median overhead {:+.2}% (paper: <1%)",
-        (instrumented.ms / bare.ms - 1.0) * 100.0
+        (instrumented.median / bare.median - 1.0) * 100.0
     ))
 }
 
-pub fn section(report: &mut Report) {
+pub fn section() -> Vec<Row> {
     let task = if scale() == Scale::Full {
         (1, 28, 1024, 64)
     } else {
@@ -63,31 +63,28 @@ pub fn section(report: &mut Report) {
         Trainee::new(Box::new(ex), Box::new(GradientDescent::new(0.05)), task, 20)
     });
     let timed = Trainee::train(&mut trainees, reruns().max(5));
-    let rows: Vec<Json> = configurations
-        .iter()
-        .zip(&timed)
-        .map(|(configuration, epoch)| {
-            Json::obj([
-                ("configuration", Json::from(*configuration)),
-                ("epoch", epoch.json()),
-            ])
-        })
-        .collect();
-    claims(report, [instrumentation_within_ci_of_bare(&rows)]);
-    report.rows("level2_overhead", rows);
+    let row = |name: &str| Row::of("level2_overhead").key("configuration", name);
+    let rows = configurations.iter().zip(&timed);
+    rows.map(|(name, epoch)| row(name).ms("epoch", epoch))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rows::{interval, Span};
+    use crate::rows::Better;
 
-    fn rows(bare: Span, instrumented: Span) -> [Json; 2] {
-        let row = |configuration: &str, epoch: Span| {
-            Json::obj([
-                ("configuration", Json::from(configuration)),
-                ("epoch", interval(epoch)),
-            ])
+    fn rows(bare: (f64, f64), instrumented: (f64, f64)) -> [Row; 2] {
+        let row = |configuration: &str, (lo, hi): (f64, f64)| {
+            let row = Row::of("level2_overhead").key("configuration", configuration);
+            row.measured(
+                "epoch",
+                "ms",
+                Better::Lower,
+                (lo + hi) / 2.0,
+                Some((lo, hi)),
+                7,
+            )
         };
         [
             row("native", bare),

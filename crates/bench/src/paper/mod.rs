@@ -1,41 +1,48 @@
 //! `paper` — the paper's own evaluation (Section V: Fig. 6–12, Table III,
 //! the §V-D overhead claim) as one tracked report, `BENCH_paper.json`.
 //!
-//! One module per figure adds its row tables (keys prefixed with the
-//! figure) and turns each "Expected shapes (paper)" sentence of its header
-//! into a named gate — a pure function of the rows (see [`crate::rows`]).
+//! One module per figure adds its row tables (table names prefixed with
+//! the figure) and turns each "Expected shapes (paper)" sentence of its
+//! header into a named gate — a pure function of the rows (see
+//! [`crate::rows`]), listed beside the entry in [`crate::BENCHES`].
 //! A claim this substrate cannot reproduce is renegotiated in the open:
 //! the gate's `detail` quotes the paper, the measured values and the
 //! restated criterion (EXPERIMENTS E28).
 //!
 //! Run with: `cargo run --release -p deep500-bench -- paper`
 
-use crate::rows::Timing;
-use crate::{time_rounds, Report, Subject};
+use crate::rows::Row;
+use crate::{time_rounds, Subject};
 use deep500::data::codec::RawImage;
+use deep500::metrics::stats::Summary;
 use deep500::prelude::*;
 use deep500::train::runner::evaluate;
 
-mod fig10_frameworks;
-mod fig11_divergence;
-mod fig12_scaling;
-mod fig6_operators;
-mod fig7_microbatch;
-mod fig8_dataset_latency;
-mod fig9_optimizers;
-mod level2_overhead;
-mod table3_decode;
+pub mod fig10_frameworks;
+pub mod fig11_divergence;
+pub mod fig12_scaling;
+pub mod fig6_operators;
+pub mod fig7_microbatch;
+pub mod fig8_dataset_latency;
+pub mod fig9_optimizers;
+pub mod level2_overhead;
+pub mod table3_decode;
 
-pub fn run(report: &mut Report) {
-    fig6_operators::section(report);
-    fig7_microbatch::section(report);
-    fig8_dataset_latency::section(report);
-    table3_decode::section(report);
-    fig9_optimizers::section(report);
-    fig10_frameworks::section(report);
-    fig11_divergence::section(report);
-    fig12_scaling::section(report);
-    level2_overhead::section(report);
+pub fn measure() -> Vec<Row> {
+    [
+        fig6_operators::section,
+        fig7_microbatch::section,
+        fig8_dataset_latency::section,
+        table3_decode::section,
+        fig9_optimizers::section,
+        fig10_frameworks::section,
+        fig11_divergence::section,
+        fig12_scaling::section,
+        level2_overhead::section,
+    ]
+    .iter()
+    .flat_map(|section| section())
+    .collect()
 }
 
 /// One training configuration that advances an epoch per call, so any
@@ -78,13 +85,13 @@ impl Trainee {
     /// One warm-up epoch (dropped, as the paper drops the first), then
     /// `rounds` timed epochs of every trainee, interleaved; returns each
     /// trainee's per-epoch timing.
-    fn train(trainees: &mut [Trainee], rounds: usize) -> Vec<Timing> {
+    fn train(trainees: &mut [Trainee], rounds: usize) -> Vec<Summary> {
         let mut subjects: Vec<Subject<1>> = trainees
             .iter_mut()
             .map(|trainee| Subject::spans(move || trainee.epoch()))
             .collect();
         let timed = time_rounds(1, rounds, &mut subjects);
-        timed.iter().map(|[t]| Timing::of(t)).collect()
+        timed.into_iter().map(|[t]| t).collect()
     }
 
     /// The accuracy after the last epoch run.

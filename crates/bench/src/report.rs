@@ -1,24 +1,45 @@
 //! The one report writer behind every tracked `BENCH_<name>.json`.
 //!
-//! Schema, shared by all files: `"benchmark"` (the name), `"env"`
-//! (`cores`, `threads`, `scale`, `cpu`, `git_sha` — a number without them
-//! is not comparable, and two files cannot be told apart or matched to a
-//! host), the entry's own fields and row tables in insertion order,
-//! then `"gates"`: an array of `{"name", "ok", "detail"}`. A threshold
-//! lives in exactly one place — the `gate` call in the entry — and CI
-//! checks only the exit code.
+//! Every file holds exactly four top-level keys: `"benchmark"` (the
+//! name), `"env"` (`cores`, `threads`, `scale`, `cpu`, `git_sha` — a
+//! number without them is not comparable, and two files cannot be told
+//! apart or matched to a host), `"rows"` (one [`Row`] per line, see
+//! [`crate::rows`]) and `"gates"`: an array of `{"name", "ok", "detail"}`.
+//! [`Report::finish`] evaluates the entry's gates on the rows it parses
+//! back from the text it writes, so no gate can read anything the file
+//! does not hold. A threshold lives in exactly one place — the entry's
+//! gate function — and CI checks only the exit code.
 
+use crate::rows::{Gate, Row, Verdict};
 use deep500::metrics::Json;
-use std::path::PathBuf;
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// `file` at the repository root, where the tracked reports live.
+/// What `git args` prints in `dir`, trimmed; `None` where it fails.
+fn git(dir: &Path, args: &[&str]) -> Option<String> {
+    let out = std::process::Command::new("git")
+        .args(args)
+        .current_dir(dir)
+        .output();
+    let out = out.ok().filter(|out| out.status.success())?;
+    Some(String::from_utf8_lossy(&out.stdout).trim().to_string())
+}
+
+/// The root of the git checkout `dir` sits in, or `dir` itself outside
+/// one.
+pub fn root_of(dir: &Path) -> PathBuf {
+    let top = git(dir, &["rev-parse", "--show-toplevel"]);
+    top.map_or_else(|| dir.to_path_buf(), PathBuf::from)
+}
+
+/// `file` at the root of the checkout the binary runs in: where the
+/// tracked reports live. Resolved from the current directory at run time,
+/// so a binary copied with its `target/` writes into the tree it runs in,
+/// not the one it was built from.
 pub fn repo_path(file: &str) -> PathBuf {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2);
-    root.expect("crates/bench sits two levels below the root")
-        .join(file)
+    let here = std::env::current_dir().expect("a current directory");
+    root_of(&here).join(file)
 }
 
 /// Where the reports of this run land: the repository root, where the
@@ -48,54 +69,40 @@ fn cpu_features() -> String {
         .filter_map(|&(name, on)| on.then_some(name))
         .collect();
     if names.is_empty() {
-        "baseline".to_string()
-    } else {
-        names.join("+")
+        return "baseline".to_string();
     }
+    names.join("+")
 }
 
 /// The commit the numbers were measured on, `-dirty` when tracked files
 /// other than the reports themselves differ from it; `unknown` outside a
 /// git checkout.
 fn git_sha() -> String {
-    let git = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .current_dir(repo_path(""))
-            .output()
-            .ok()
-            .filter(|out| out.status.success())
-            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
-    };
-    let Some(sha) = git(&["rev-parse", "--short=12", "HEAD"]) else {
+    let root = repo_path("");
+    let Some(sha) = git(&root, &["rev-parse", "--short=12", "HEAD"]) else {
         return "unknown".to_string();
     };
-    let changed = git(&[
-        "status",
-        "--porcelain",
-        "--untracked-files=no",
-        "--",
-        ".",
-        ":!BENCH_*.json",
-    ]);
+    let tracked = ["status", "--porcelain", "--untracked-files=no", "--", "."];
+    let changed = git(&root, &[&tracked[..], &[":!BENCH_*.json"]].concat());
     match changed.as_deref() {
         Some("") => sha,
         _ => format!("{sha}-dirty"),
     }
 }
 
-/// A benchmark report under construction.
+/// One report: what [`Self::finish`] writes and [`Self::parse`] reads.
+#[derive(Debug)]
 pub struct Report {
-    path: PathBuf,
-    fields: Vec<(String, Json)>,
-    gates: Vec<Json>,
-    failed: usize,
+    pub benchmark: String,
+    pub env: Json,
+    pub rows: Vec<Row>,
+    pub gates: Vec<Verdict>,
 }
 
 impl Report {
-    /// A report named `name` that [`Self::finish`] writes to `path`,
-    /// stamped with the environment the numbers were taken in.
-    pub fn at(path: PathBuf, name: &str) -> Report {
+    /// The rows of entry `name`, stamped with the environment the numbers
+    /// were taken in; no gate has been evaluated yet.
+    pub fn new(name: &str, rows: Vec<Row>) -> Report {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let env = Json::obj([
             ("cores", Json::from(cores)),
@@ -105,85 +112,123 @@ impl Report {
             ("git_sha", Json::from(git_sha())),
         ]);
         Report {
-            path,
-            fields: vec![
-                ("benchmark".to_string(), Json::from(name)),
-                ("env".to_string(), env),
-            ],
+            benchmark: name.to_string(),
+            env,
+            rows,
             gates: Vec::new(),
-            failed: 0,
         }
     }
 
-    /// Add a top-level field.
-    pub fn field(&mut self, key: &str, value: impl Into<Json>) -> &mut Self {
-        self.fields.push((key.to_string(), value.into()));
-        self
+    /// The four top-level keys and their values.
+    fn fields(&self) -> [(&'static str, Json); 4] {
+        let gates = self.gates.iter().map(|g| {
+            let (name, detail) = (g.name.as_str(), g.detail.as_str());
+            Json::obj([
+                ("name", name.into()),
+                ("ok", g.ok.into()),
+                ("detail", detail.into()),
+            ])
+        });
+        [
+            ("benchmark", Json::from(self.benchmark.as_str())),
+            ("env", self.env.clone()),
+            ("rows", Json::Arr(self.rows.iter().map(Row::json).collect())),
+            ("gates", Json::Arr(gates.collect())),
+        ]
     }
 
-    /// Add a table: an array rendered one row per line.
-    pub fn rows(&mut self, key: &str, rows: Vec<Json>) -> &mut Self {
-        self.field(key, rows)
-    }
-
-    /// Record a pass/fail criterion; `detail` states the measured value
-    /// against its threshold. A failed gate fails [`Self::finish`].
-    pub fn gate(&mut self, name: &str, ok: bool, detail: impl Into<String>) -> &mut Self {
-        let detail = detail.into();
-        if !ok {
-            self.failed += 1;
-            eprintln!("gate {name}: FAIL — {detail}");
-        }
-        self.gates.push(Json::obj([
-            ("name", Json::from(name)),
-            ("ok", Json::from(ok)),
-            ("detail", Json::from(detail)),
-        ]));
-        self
-    }
-
-    /// The report as JSON text: one top-level field per line, arrays one
-    /// element per line, so a re-run diffs row by row.
+    /// The report as JSON text: one top-level key per line, rows and gates
+    /// one per line, so a re-run diffs row by row.
     pub fn render(&self) -> String {
-        let gates = ("gates".to_string(), Json::Arr(self.gates.clone()));
-        let fields: Vec<String> = self
-            .fields
-            .iter()
-            .chain(std::iter::once(&gates))
-            .map(|(key, value)| {
-                let value = match value.as_array() {
-                    Some(items) if !items.is_empty() => {
-                        let items: Vec<String> = items
-                            .iter()
-                            .map(|i| format!("    {}", i.render()))
-                            .collect();
-                        format!("[\n{}\n  ]", items.join(",\n"))
-                    }
-                    _ => value.render(),
-                };
-                format!("  {}: {value}", Json::from(key.as_str()).render())
-            })
-            .collect();
+        let fields = self.fields().map(|(key, value)| {
+            let value = match value.as_array() {
+                Some(items) if !items.is_empty() => {
+                    let items: Vec<String> = items
+                        .iter()
+                        .map(|i| format!("    {}", i.render()))
+                        .collect();
+                    format!("[\n{}\n  ]", items.join(",\n"))
+                }
+                _ => value.render(),
+            };
+            format!("  \"{key}\": {value}")
+        });
         format!("{{\n{}\n}}\n", fields.join(",\n"))
     }
 
-    /// Print and write the file — the report is the entry's output, no
-    /// entry formats a second, human-only copy of its rows — and turn the
-    /// gates into an exit code.
-    pub fn finish(self) -> ExitCode {
+    /// Parse a report, refusing any file that breaks the schema: a report
+    /// is what it renders to — the four top-level keys, `env` an object,
+    /// every row and gate typed (see [`Row`]) — and `(table, keys, metric)`
+    /// is unique.
+    pub fn parse(text: &str) -> Result<Report, String> {
+        let json = Json::parse(text)?;
+        let text = |j: &Json, key| {
+            j.get(key)
+                .and_then(Json::as_str)
+                .unwrap_or_default()
+                .to_string()
+        };
+        let array = |key| json.get(key).and_then(Json::as_array).unwrap_or_default();
+        let gates = array("gates").iter().map(|g| {
+            let ok = g.get("ok") == Some(&Json::Bool(true));
+            Verdict::new(&text(g, "name"), ok, text(g, "detail"))
+        });
+        let report = Report {
+            benchmark: text(&json, "benchmark"),
+            env: json
+                .get("env")
+                .filter(|e| e.as_object().is_some())
+                .cloned()
+                .unwrap_or(Json::Null),
+            rows: array("rows")
+                .iter()
+                .map(Row::parse)
+                .collect::<Result<_, _>>()?,
+            gates: gates.collect(),
+        };
+        if Json::obj(report.fields()) != json {
+            return Err("not a report: its top-level keys, env or gates are malformed".into());
+        }
+        let mut seen = HashSet::new();
+        let id = |r: &Row| {
+            format!(
+                "{} {} {}",
+                r.table,
+                Json::Obj(r.keys.clone()).render(),
+                r.metric
+            )
+        };
+        if let Some(r) = report.rows.iter().find(|r| !seen.insert(id(r))) {
+            return Err(format!("two rows of {}", id(r)));
+        }
+        Ok(report)
+    }
+
+    /// Evaluate `gates` on the rows parsed back from this report's text,
+    /// then print and write the file to `path` — the report is the entry's
+    /// output, no entry formats a second, human-only copy of its rows —
+    /// and turn the gates into an exit code.
+    pub fn finish(mut self, gates: &[Gate], path: &Path) -> ExitCode {
+        let written = Report::parse(&self.render())
+            .unwrap_or_else(|e| panic!("{}: the report breaks its schema: {e}", self.benchmark));
+        self.gates = gates.iter().map(|gate| gate(&written.rows)).collect();
         let text = self.render();
         print!("{text}");
-        let dir = self.path.parent().expect("reports live in a directory");
+        let dir = path.parent().expect("reports live in a directory");
         std::fs::create_dir_all(dir)
-            .and_then(|()| std::fs::write(&self.path, text))
-            .unwrap_or_else(|e| panic!("write {}: {e}", self.path.display()));
+            .and_then(|()| std::fs::write(path, text))
+            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        let failed: Vec<&Verdict> = self.gates.iter().filter(|g| !g.ok).collect();
+        for gate in &failed {
+            eprintln!("gate {}: FAIL — {}", gate.name, gate.detail);
+        }
         println!(
             "wrote {} ({} gates, {} failed)",
-            self.path.display(),
+            path.display(),
             self.gates.len(),
-            self.failed
+            failed.len()
         );
-        if self.failed == 0 {
+        if failed.is_empty() {
             ExitCode::SUCCESS
         } else {
             ExitCode::FAILURE
@@ -194,74 +239,92 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rows::Better;
 
     fn scratch(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("d5_report_{tag}_{}.json", std::process::id()))
     }
 
-    #[test]
-    fn rendered_report_reparses_with_env_fields_rows_and_gates() {
-        let mut report = Report::at(scratch("render"), "unit");
-        report
-            .field("label", "a \"quoted\" name")
-            .field("ratio", Json::fixed(1.23456, 2))
-            .rows(
-                "cases",
-                vec![
-                    Json::obj([("n", Json::from(1usize))]),
-                    Json::obj([("n", Json::from(2usize))]),
-                ],
-            )
-            .gate("floor", true, "1.23 >= 1.2");
-        let parsed = Json::parse(&report.render()).expect("report is valid JSON");
-        assert_eq!(parsed.get("benchmark").and_then(Json::as_str), Some("unit"));
-        let env = parsed.get("env").expect("env stamp");
-        for key in ["cores", "threads"] {
-            assert!(env.get(key).and_then(Json::as_f64).unwrap() >= 1.0, "{key}");
-        }
-        for key in ["scale", "cpu", "git_sha"] {
-            let value = env.get(key).and_then(Json::as_str).unwrap_or_default();
-            assert!(!value.is_empty(), "{key}");
-        }
-        assert_eq!(
-            parsed.get("label").and_then(Json::as_str),
-            Some("a \"quoted\" name")
-        );
-        assert_eq!(parsed.get("ratio").and_then(Json::as_f64), Some(1.23));
-        assert_eq!(
-            parsed.get("cases").and_then(Json::as_array).unwrap().len(),
-            2
-        );
-        let gates = parsed.get("gates").and_then(Json::as_array).unwrap();
-        assert_eq!(gates.len(), 1);
-        assert_eq!(gates[0].get("ok").and_then(Json::as_bool), Some(true));
-        // `gates` is the last key of every file.
-        assert_eq!(parsed.as_object().unwrap().last().unwrap().0, "gates");
+    fn rows() -> Vec<Row> {
+        let cell = Row::of("cases").key("label", "a \"quoted\" name");
+        vec![
+            cell.value("ratio", "ratio", Better::None, 1.23456),
+            cell.count("failed", Better::Lower, 0),
+        ]
+    }
+
+    fn holds(rows: &[Row]) -> Verdict {
+        Verdict::new("holds", rows.len() == 2, format!("{} rows", rows.len()))
+    }
+
+    fn ceiling(rows: &[Row]) -> Verdict {
+        let ratio = rows[0].median;
+        Verdict::new("ceiling", ratio <= 1.2, format!("{ratio} <= 1.2"))
     }
 
     #[test]
-    fn a_failed_gate_fails_finish_and_is_in_the_written_file() {
-        let path = scratch("pass");
-        let mut ok = Report::at(path.clone(), "unit");
-        ok.gate("holds", true, "fine");
-        assert_eq!(ok.finish(), ExitCode::SUCCESS);
+    fn a_rendered_report_reparses_with_env_rows_and_gates() {
+        let mut report = Report::new("unit", rows());
+        report.gates.push(holds(&report.rows));
+        let parsed = Report::parse(&report.render()).expect("report is valid");
+        assert_eq!(parsed.benchmark, "unit");
+        for key in ["cores", "threads"] {
+            assert!(
+                parsed.env.get(key).and_then(Json::as_f64).unwrap() >= 1.0,
+                "{key}"
+            );
+        }
+        for key in ["scale", "cpu", "git_sha"] {
+            let value = parsed
+                .env
+                .get(key)
+                .and_then(Json::as_str)
+                .unwrap_or_default();
+            assert!(!value.is_empty(), "{key}");
+        }
+        // Values are written at round-trip precision.
+        assert_eq!(parsed.rows, report.rows);
+        assert_eq!(parsed.gates, report.gates);
+    }
 
-        let mut bad = Report::at(path.clone(), "unit");
-        bad.gate("holds", true, "fine")
-            .gate("ceiling", false, "0.31 > 0.25");
-        assert_eq!(bad.finish(), ExitCode::FAILURE);
+    #[test]
+    fn a_report_that_breaks_the_schema_is_refused() {
+        let mut doubled = Report::new("unit", rows());
+        doubled.rows.push(doubled.rows[1].clone());
+        let e = Report::parse(&doubled.render()).unwrap_err();
+        assert!(e.contains("two rows of cases"), "{e}");
+        let extra =
+            Report::new("unit", rows())
+                .render()
+                .replacen("{\n", "{\n  \"unit\": \"ms\",\n", 1);
+        assert!(Report::parse(&extra)
+            .unwrap_err()
+            .contains("top-level keys"));
+    }
+
+    #[test]
+    fn finish_evaluates_the_gates_on_what_it_writes() {
+        let path = scratch("finish");
+        let ok = Report::new("unit", rows()).finish(&[holds], &path);
+        assert_eq!(ok, ExitCode::SUCCESS);
+        let bad = Report::new("unit", rows()).finish(&[holds, ceiling], &path);
+        assert_eq!(bad, ExitCode::FAILURE);
         let written = std::fs::read_to_string(&path).expect("finish wrote the file");
         std::fs::remove_file(&path).ok();
-        let gates = Json::parse(&written).unwrap();
-        let gates = gates.get("gates").and_then(Json::as_array).unwrap();
-        let oks: Vec<bool> = gates
-            .iter()
-            .map(|g| g.get("ok").and_then(Json::as_bool).unwrap())
-            .collect();
+        let gates = Report::parse(&written).unwrap().gates;
+        let oks: Vec<bool> = gates.iter().map(|g| g.ok).collect();
         assert_eq!(oks, [true, false]);
-        assert_eq!(
-            gates[1].get("detail").and_then(Json::as_str),
-            Some("0.31 > 0.25")
-        );
+        assert_eq!(gates[1].detail, "1.23456 <= 1.2");
+    }
+
+    #[test]
+    fn the_root_is_the_checkout_or_the_directory_itself() {
+        let outside = std::env::temp_dir().join(format!("d5_root_{}", std::process::id()));
+        std::fs::create_dir_all(&outside).unwrap();
+        assert_eq!(root_of(&outside), outside);
+        std::fs::remove_dir_all(&outside).ok();
+        let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = root_of(crate_dir);
+        assert_eq!(Some(root.as_path()), crate_dir.ancestors().nth(2));
     }
 }
