@@ -263,7 +263,7 @@ mod tests {
     }
 
     #[test]
-    fn a_rendered_report_reparses_with_env_rows_and_gates() {
+    fn rendered_report_reparses_with_env_fields_rows_and_gates() {
         let mut report = Report::new("unit", rows());
         report.gates.push(holds(&report.rows));
         let parsed = Report::parse(&report.render()).expect("report is valid");
@@ -303,7 +303,7 @@ mod tests {
     }
 
     #[test]
-    fn finish_evaluates_the_gates_on_what_it_writes() {
+    fn a_failed_gate_fails_finish_and_is_in_the_written_file() {
         let path = scratch("finish");
         let ok = Report::new("unit", rows()).finish(&[holds], &path);
         assert_eq!(ok, ExitCode::SUCCESS);

@@ -365,7 +365,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_timing_row_carries_the_summary_and_separation_is_strict() {
+    fn a_timing_survives_the_row_and_separation_is_strict() {
         let s = Summary::of(&[0.0030, 0.0031, 0.0032]);
         let slow = Row::of("t").key("who", "slow").ms("pass", &s);
         assert_eq!(
