@@ -121,12 +121,12 @@ pub fn measure() -> Vec<Row> {
 
     let costs_vec = microbench::costs(&summaries[..chains_at]);
     let overhead = calibration.solve(&summaries[chains_at..models_at]);
-    let keyed = set
+    let costs: HashMap<BrickKey, BrickCost> = set
         .bricks
         .iter()
         .zip(&costs_vec)
-        .map(|(b, c)| (b.key.clone(), *c));
-    let costs: HashMap<BrickKey, BrickCost> = keyed.collect();
+        .map(|(b, c)| (b.key.clone(), *c))
+        .collect();
 
     // ---- BENCH_bricks.json -------------------------------------------------
     let mut rows = Vec::new();
@@ -162,14 +162,10 @@ pub fn measure() -> Vec<Row> {
     rows
 }
 
-/// Instances per unique brick: Σ `count` over the brick rows, per row.
-fn dedup_of(rows: &[Row]) -> f64 {
-    let counts: Vec<f64> = select(rows, "bricks", "count").map(|r| r.median).collect();
-    counts.iter().sum::<f64>() / counts.len() as f64
-}
-
 pub fn dedup_ratio(rows: &[Row]) -> Verdict {
-    let ratio = dedup_of(rows);
+    // Instances per unique brick: Σ `count` over the brick rows, per row.
+    let counts: Vec<f64> = select(rows, "bricks", "count").map(|r| r.median).collect();
+    let ratio = counts.iter().sum::<f64>() / counts.len() as f64;
     Verdict::new(
         "dedup_ratio",
         ratio >= 1.2,
