@@ -13,9 +13,17 @@
 //! `cut = fork_cut`, `side`, `tier`, `m`, `n`, `k`: a shape pair of one
 //! aspect whose `m·n·k` straddles it, on the two tiers that hand row
 //! panels to `par`) and `Linear`'s single-row GEMV path (`cut =
-//! linear_gemv`, `side`, `n`, `fin`, `fout`: `n = 1` against `n = 2`).
-//! No gate reads them yet: they exist so the next routing change has a
-//! before-row on both sides of each cut.
+//! linear_gemv`, `side`, `n`, `fin`, `fout`: `n = 1` against `n =
+//! 2..8`; at one `fin x fout` a row's cost is `2·fin·fout` over its
+//! rate). No gate reads them yet: they exist so the next routing change
+//! has a before-row on both sides of each cut.
+//!
+//! A third, `linear`, is the kernel layer under the training workloads:
+//! `gflops` of `Linear`'s forward (`fwd` over the memoized weight image,
+//! `fwd_step` right after a weight update) and of its two backward
+//! products (`dx`, `dw`), keyed `model`, `n`, `fin`, `fout`, `pass`, on
+//! the distributed MLP's three layers at batch 16 and LeNet's three fully
+//! connected layers at batch 32. Ungated, like `cutovers`.
 //!
 //! Run with: `cargo run --release -p deep500-bench -- gemm`
 
@@ -24,7 +32,7 @@ use crate::{reruns, time_rounds, Subject};
 use deep500::metrics::norms::linf_diff;
 use deep500::metrics::stats::Summary;
 use deep500::ops::deepbench::GemmSize;
-use deep500::ops::gemm::{gemm_into, Algorithm};
+use deep500::ops::gemm::{gemm_into, matmul, matmul_at_b_with, Algorithm};
 use deep500::ops::linear::LinearOp;
 use deep500::ops::par;
 use deep500::ops::Operator;
@@ -98,12 +106,15 @@ fn cutover_rows(rng: &mut Xoshiro256StarStar) -> Vec<Row> {
         }
     }
     // `Linear` forward: one row takes the GEMV over the memoized
-    // transposed weights, two rows the packed GEMM.
+    // transposed weights, two to eight rows the packed GEMM over the same
+    // image — the per-row cost on each side of the cut-over.
     let (fin, fout) = (512, 512);
     let w = Tensor::rand_uniform([fout, fin], -1.0, 1.0, rng);
     let bias = Tensor::zeros([fout]);
     let op = LinearOp::new(Algorithm::Packed);
-    let xs = [1, 2].map(|n| Tensor::rand_uniform([n, fin], -1.0, 1.0, rng));
+    let xs: Vec<Tensor> = (1..=8)
+        .map(|n| Tensor::rand_uniform([n, fin], -1.0, 1.0, rng))
+        .collect();
     let mut subjects: Vec<Subject<1>> = xs
         .iter()
         .map(|x| {
@@ -121,6 +132,50 @@ fn cutover_rows(rng: &mut Xoshiro256StarStar) -> Vec<Row> {
         let cell = cell.key("n", n).key("fin", fin).key("fout", fout);
         let flops = 2.0 * (n * fin * fout) as f64;
         rows.push(cell.rate("gflops", "GFLOP/s", flops / 1e9, t));
+    }
+    rows
+}
+
+/// `Linear`'s three products on the layers the spine trains: the
+/// distributed MLP's (`64 -> 256 -> 128 -> 8`, batch 16) and LeNet's fully
+/// connected head (`64 -> 120 -> 84 -> 10` after `lenet(3, 16, 10)`'s
+/// convolutions, batch 32). `fwd` is the forward over a memoized weight
+/// image, `fwd_step` the forward right after a weight update (the image
+/// rebuilt, as every training step pays it), `dx` and `dw` the two
+/// backward products as `LinearOp::backward` calls them.
+fn linear_rows(rng: &mut Xoshiro256StarStar) -> Vec<Row> {
+    let layers = [
+        ("dist_mlp", 16, [(64, 256), (256, 128), (128, 8)]),
+        ("lenet", 32, [(64, 120), (120, 84), (84, 10)]),
+    ];
+    let mut rows = Vec::new();
+    for (model, n, shapes) in layers {
+        for (fin, fout) in shapes {
+            let x = Tensor::rand_uniform([n, fin], -1.0, 1.0, rng);
+            let w = RefCell::new(Tensor::rand_uniform([fout, fin], -1.0, 1.0, rng));
+            let bias = Tensor::rand_uniform([fout], -1.0, 1.0, rng);
+            let g = Tensor::rand_uniform([n, fout], -1.0, 1.0, rng);
+            let op = LinearOp::new(Algorithm::Packed).with_relu(true);
+            let (x, w, bias, g, op) = (&x, &w, &bias, &g, &op);
+            let forward = move || op.forward(&[x, &w.borrow(), bias]).expect("linear forward");
+            let mut subjects: Vec<Subject<1>> = vec![
+                Subject::wall(forward),
+                Subject::wall(move || {
+                    // Any write re-stamps the weight's version.
+                    w.borrow_mut().data_mut()[0] += 0.0;
+                    forward()
+                }),
+                Subject::wall(move || matmul(Algorithm::Packed, g, &w.borrow()).expect("dX")),
+                Subject::wall(move || matmul_at_b_with(Algorithm::Packed, g, x).expect("dW")),
+            ];
+            let timed = time_rounds(3, 20 * reruns(), &mut subjects);
+            let flops = 2.0 * (n * fin * fout) as f64;
+            for (pass, [t]) in ["fwd", "fwd_step", "dx", "dw"].into_iter().zip(&timed) {
+                let cell = Row::of("linear").key("model", model).key("n", n);
+                let cell = cell.key("fin", fin).key("fout", fout).key("pass", pass);
+                rows.push(cell.rate("gflops", "GFLOP/s", flops / 1e9, t));
+            }
+        }
     }
     rows
 }
@@ -153,6 +208,7 @@ pub fn measure() -> Vec<Row> {
         }
     }
     rows.extend(cutover_rows(&mut rng));
+    rows.extend(linear_rows(&mut rng));
     rows
 }
 

@@ -8,7 +8,8 @@
 //! 2. a small data-parallel distributed run with every rank's communicator
 //!    wrapped in a `TracingCommunicator` (per-peer communication spans).
 //!
-//! Emits, at the repo root:
+//! Emits, beside the run's other reports (the repo root; `target/` under
+//! `D5_BENCH_SCALE=smoke`):
 //!
 //! * `trace.json` — Chrome trace-event JSON; open in `chrome://tracing` or
 //!   Perfetto. Self-validated with `validate_chrome_trace` before writing.
@@ -37,8 +38,9 @@
 //!
 //! Run with: `cargo run --release -p deep500-bench -- profile`
 
+use crate::report::report_dir_at;
 use crate::rows::{find, select, unless, Better, Row, Verdict};
-use crate::{engine, repo_path, scale, time_rounds, Scale, Subject};
+use crate::{engine, scale, time_rounds, Scale, Subject};
 use deep500::data::dataset::assemble_minibatch;
 use deep500::dist::collectives::allreduce_ring;
 use deep500::dist::comm::ThreadCommunicator;
@@ -452,7 +454,7 @@ pub fn measure() -> Vec<Row> {
     // ---- Chrome trace: validate, then write ------------------------------
     let trace = recorder.chrome_trace_json();
     let validated = validate_chrome_trace(&trace);
-    let trace_path = repo_path("trace.json");
+    let trace_path = trace_path(scale());
     std::fs::write(&trace_path, &trace).expect("write trace.json");
     println!("profile: wrote {}", trace_path.display());
     if let Err(e) = &validated {
@@ -573,9 +575,27 @@ pub fn training_phases_traced(rows: &[Row]) -> Verdict {
     )
 }
 
+/// Where a run at `scale` writes its Chrome trace: beside its reports, so
+/// a smoke run's trace lands under `target/` with its smoke reports and
+/// leaves the last default-scale run's alone.
+fn trace_path(scale: Scale) -> std::path::PathBuf {
+    report_dir_at(scale).join("trace.json")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_trace_goes_where_the_reports_go() {
+        let root = crate::repo_path("");
+        assert_eq!(
+            trace_path(Scale::Smoke),
+            root.join("target").join("trace.json")
+        );
+        assert_eq!(trace_path(Scale::Default), root.join("trace.json"));
+        assert_eq!(trace_path(Scale::Full), root.join("trace.json"));
+    }
 
     /// A timing row of `row`'s table and keys whose CI is `(lo, hi)`.
     fn ms(row: &Row, metric: &str, (lo, hi): (f64, f64)) -> Row {

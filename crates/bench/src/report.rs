@@ -47,7 +47,12 @@ pub fn repo_path(file: &str) -> PathBuf {
 /// not a measurement: it writes under `target/` and leaves the tracked
 /// trajectory alone.
 pub fn report_dir() -> PathBuf {
-    match crate::scale() {
+    report_dir_at(crate::scale())
+}
+
+/// [`report_dir`] for a run at `scale`.
+pub(crate) fn report_dir_at(scale: crate::Scale) -> PathBuf {
+    match scale {
         crate::Scale::Smoke => repo_path("target"),
         _ => repo_path(""),
     }

@@ -30,13 +30,6 @@ impl Json {
         Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
-    /// A number rounded to `places` decimals — keeps timing rows compact
-    /// instead of printing seventeen significant digits of noise.
-    pub fn fixed(v: f64, places: i32) -> Json {
-        let scale = 10f64.powi(places);
-        Json::Num((v * scale).round() / scale)
-    }
-
     pub fn as_object(&self) -> Option<&[(String, Json)]> {
         match self {
             Json::Obj(m) => Some(m),
@@ -358,7 +351,7 @@ mod tests {
         let v = Json::obj([
             ("name", Json::from("quote \" slash \\ tab \t")),
             ("n", Json::from(3usize)),
-            ("ms", Json::fixed(0.123456789, 4)),
+            ("ms", Json::Num(0.1235)),
             ("nan", Json::Num(f64::NAN)),
             ("rows", Json::from(vec![Json::from(true), Json::Null])),
         ]);

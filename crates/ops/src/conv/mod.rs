@@ -174,7 +174,7 @@ impl Conv2dOp {
     /// Pack (or fetch the memoized packing of) the filter.
     fn packed_filter(&self, w: &Tensor, co: usize, k: usize) -> Arc<direct::PackedFilter> {
         self.cache
-            .get_or_build(w, |w| direct::pack_filter(w.data(), co, k))
+            .get_or_build(w, |w, _| direct::pack_filter(w.data(), co, k))
     }
 }
 

@@ -6,46 +6,64 @@
 //!
 //! ```text
 //! for jc in 0..N step NC          // B macro-panel   (~L3)
-//!   for pc in 0..K step KC        // pack B[pc.., jc..] once   (shared)
+//!   for pc in 0..K step KC        // B block: read in place or packed once (shared)
 //!     parfor ic in 0..M step MC   // pack A[ic.., pc..] per worker (~L2)
-//!       for jr in 0..NC step NR   // B sliver resident in L1
+//!       for jr in 0..NC step NR   // B tile resident in L1
 //!         for ir in 0..MC step MR //   MR x NR microkernel
 //! ```
 //!
-//! Panels are copied into contiguous scratch drawn from the tensor
+//! `A` panels are copied into contiguous scratch drawn from the tensor
 //! [`BufferPool`](deep500_tensor::BufferPool) (`scratch_zeroed` /
-//! `recycle_scratch`, rounded to whole cache lines): `A` slivers are laid
-//! out `[p][i]` (`MR` consecutive rows per `K` step) and `B` slivers
-//! `[p][j]`, so the microkernel streams both with unit stride regardless
-//! of the source operand's layout. That makes the *transposed* backward
-//! products (`AᵀB`, `ABᵀ`) free: transposition is absorbed into the pack
-//! gather and the same microkernel runs unchanged.
+//! `recycle_scratch`, rounded to whole cache lines) as `MR`-row slivers
+//! laid out `[p][i]`, so the microkernel streams them with unit stride
+//! whatever the source layout — the transposed `AᵀB` product is absorbed
+//! into that gather.
 //!
-//! The microkernel keeps an `MR x NR` accumulator block in registers
-//! across the whole `KC` reduction — the portable version is written so
-//! LLVM autovectorizes it at whatever SIMD width the target offers, and on
-//! `x86_64` an explicit 8-wide AVX2+FMA variant is selected at runtime
-//! when the CPU supports it (`#[target_feature]`-gated, so the default
-//! baseline build still carries it).
+//! Two register tiles share the `A` sliver format, and the host picks one
+//! by CPU detection alone ([`wide_tier_available`]):
+//!
+//! * **Wide, `MR x NR_W` (8x32), AVX-512.** Every packed GEMM on a host
+//!   with AVX-512F, and the direct convolution tier. [`run_panel_wide`]
+//!   reads reduction row `p` of `B` through an offset table, so a
+//!   row-major `B [K x N]` is read in place — no pack at all, only a
+//!   ragged last tile copied into padded scratch when it would read past
+//!   the operand — and a transposed `B [N x K]` takes one transposing pack
+//!   per `KC x NC` block ([`pack_bt_rows`]) into `[p][j]` rows padded to
+//!   whole tiles. `Linear` hands in its memoized `[K x round_up(N, NR_W)]`
+//!   weight image instead, the one its `n = 1` GEMV reads.
+//! * **Narrow, `MR x NR` (8x8), AVX2+FMA.** The fallback for hosts without
+//!   AVX-512F, and what miri interprets: `B` is packed per block into
+//!   `NR`-column slivers `[p][j]`, transposition absorbed into the gather.
+//!
+//! Each microkernel keeps its accumulator block in registers across the
+//! whole `KC` reduction. The portable versions are written so LLVM
+//! autovectorizes them at whatever SIMD width the target offers; on
+//! `x86_64` the explicit AVX2+FMA and AVX-512 variants are selected at
+//! runtime when the CPU supports them (`#[target_feature]`-gated, so the
+//! default baseline build still carries them).
 //!
 //! Unsafe-code policy: this module is the workspace's vendor-SIMD site
 //! (the one kernel outside it, the convolution `dW` tile in
 //! `conv::backward`, follows the same rules). Every `unsafe` block carries
 //! a `// SAFETY:` comment (enforced by the workspace
-//! `clippy::undocumented_unsafe_blocks` deny), and the AVX2 kernel is
-//! reachable *only* through [`microkernel`]'s runtime CPUID check — see
-//! its docs for the dispatch invariant. Under miri the AVX2
-//! path is compiled out entirely (`cfg(not(miri))`), so
-//! `cargo miri test -p deep500-ops gemm` checks the packing and the
-//! portable kernel, which share all slice-bounds reasoning with the SIMD
-//! variant.
+//! `clippy::undocumented_unsafe_blocks` deny), and each SIMD kernel is
+//! reachable *only* through its dispatcher's runtime CPUID check — see
+//! [`microkernel`] for the dispatch invariant. Under miri every vendor
+//! path is compiled out (`cfg(not(miri))`), so `cargo miri test -p
+//! deep500-ops gemm::packed` checks the packing, the offset tables and
+//! the portable kernels of both widths (the tests call the wide driver
+//! directly), which share all slice-bounds reasoning with the SIMD
+//! variants.
 //!
 //! Determinism: parallelism is only over disjoint `C` row panels and each
-//! output element's `K` reduction ascends in `p` (register-summed per `KC`
-//! block, block partials added to `C` in ascending `pc` order), so results
-//! are bit-identical across thread counts — but the *grouping* of that sum
-//! differs from the `Naive`/`Blocked` tiers, which is exactly the distinct
-//! accumulation order the paper's cross-kernel ℓ∞ comparisons measure.
+//! output element's `K` reduction ascends in `p` (one fused multiply-add
+//! per step where the host has FMA, register-summed per `KC` block, block
+//! partials added to `C` in ascending `pc` order), so results are
+//! bit-identical across thread counts and across the two tiles — which
+//! columns share a register tile never enters an element's float
+//! sequence. The *grouping* of that sum differs from the
+//! `Naive`/`Blocked` tiers, which is exactly the distinct accumulation
+//! order the paper's cross-kernel ℓ∞ comparisons measure.
 
 use crate::par;
 use deep500_tensor::{recycle_scratch, scratch_dirty, scratch_zeroed};
@@ -54,10 +72,10 @@ use deep500_tensor::{recycle_scratch, scratch_dirty, scratch_zeroed};
 pub const MR: usize = 8;
 /// Microkernel tile columns (one 8-wide SIMD vector per row).
 pub const NR: usize = 8;
-/// Wide-variant microkernel tile columns (two 16-lane vectors per row),
-/// used by the direct convolution tier on AVX-512-class hosts. The A
-/// sliver format is shared with the narrow kernel (`MR` rows), so a
-/// filter packed once serves both widths.
+/// Wide-variant microkernel tile columns (two 16-lane vectors per row):
+/// the tile of every packed GEMM and of the direct convolution tier on
+/// AVX-512-class hosts. The A sliver format is shared with the narrow
+/// kernel (`MR` rows), so a filter packed once serves both widths.
 pub const NR_W: usize = 32;
 
 /// Cache-aware blocking parameters, in elements. `mc`/`nc` are rounded to
@@ -295,6 +313,159 @@ fn pack_b(
     }
 }
 
+/// The wide tile's transposing pack: the `kc x nc` block of logical `B`
+/// at `(pc, jc)`, stored `[N x K]` at row pitch `ldb`, written into `dst`
+/// as `kc` rows of `ldd >= nc` floats — `dst[p * ldd + j] = B[jc + j][pc +
+/// p]`, columns `nc..ldd` zeroed — which [`run_panel_wide`] reads at
+/// offsets `p * ldd`. `Linear` builds its whole weight image with it
+/// (`pc = jc = 0`, `ldd = round_up(N, NR_W)`). The whole 8x8 blocks go
+/// through [`transpose_blocks`], eight output rows at a time so each is
+/// written contiguously; the ragged edges go element by element.
+///
+/// # Panics
+///
+/// If `dst` holds fewer than `kc * ldd` floats, `ldd < nc`, or `b` ends
+/// before the block does.
+#[allow(clippy::too_many_arguments)] // pack-kernel plumbing: all scalars
+pub(crate) fn pack_bt_rows(
+    dst: &mut [f32],
+    ldd: usize,
+    b: &[f32],
+    ldb: usize,
+    pc: usize,
+    jc: usize,
+    kc: usize,
+    nc: usize,
+) {
+    if kc == 0 || ldd == 0 {
+        return;
+    }
+    assert!(
+        ldd >= nc && dst.len() >= kc * ldd,
+        "transposing pack target"
+    );
+    if nc == 0 {
+        dst[..kc * ldd].fill(0.0);
+        return;
+    }
+    let src = &b[jc * ldb + pc..];
+    let (kw, nw) = (kc / 8 * 8, nc / 8 * 8);
+    transpose_blocks(dst, ldd, src, ldb, kw, nw);
+    for j in 0..nc {
+        let from = if j < nw { kw } else { 0 };
+        for (p, &v) in src[j * ldb..][..kc].iter().enumerate().skip(from) {
+            dst[p * ldd + j] = v;
+        }
+    }
+    for row in dst.chunks_exact_mut(ldd).take(kc) {
+        row[nc..].fill(0.0);
+    }
+}
+
+/// `dst[p * ldd + j] = src[j * lds + p]` for `p < kw`, `j < nw`, both
+/// multiples of 8: the whole blocks of [`pack_bt_rows`], transposed in
+/// registers where the host has AVX.
+///
+/// # Panics
+///
+/// Unless `src` holds `(nw - 1) * lds + kw` floats and `dst` `(kw - 1) *
+/// ldd + nw` (when both are non-zero).
+fn transpose_blocks(dst: &mut [f32], ldd: usize, src: &[f32], lds: usize, kw: usize, nw: usize) {
+    if kw == 0 || nw == 0 {
+        return;
+    }
+    assert!(kw.is_multiple_of(8) && nw.is_multiple_of(8));
+    assert!(src.len() >= (nw - 1) * lds + kw && dst.len() >= (kw - 1) * ldd + nw);
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: the `#[target_feature(enable = "avx")]` contract is
+        // established by the runtime detection on this exact execution
+        // path, and the slice-length preconditions are asserted above.
+        unsafe { transpose_blocks_avx(dst, ldd, src, lds, kw, nw) };
+        return;
+    }
+    for p in 0..kw {
+        for j in 0..nw {
+            dst[p * ldd + j] = src[j * lds + p];
+        }
+    }
+}
+
+/// AVX body of [`transpose_blocks`]: per 8x8 block, eight row loads, three
+/// shuffle stages (interleave pairs, then quads, then 128-bit halves) and
+/// eight row stores; blocks go `j`-fastest, so the eight output rows of a
+/// block row fill in order.
+///
+/// # Safety
+///
+/// * The executing CPU must support AVX ([`transpose_blocks`], the only
+///   caller, detects it at runtime).
+/// * `kw` and `nw` are non-zero multiples of 8, `src.len() >= (nw - 1) *
+///   lds + kw` and `dst.len() >= (kw - 1) * ldd + nw`.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx")]
+unsafe fn transpose_blocks_avx(
+    dst: &mut [f32],
+    ldd: usize,
+    src: &[f32],
+    lds: usize,
+    kw: usize,
+    nw: usize,
+) {
+    use core::arch::x86_64::*;
+    // SAFETY: for the block at `(p0, j0)` (`p0 + 8 <= kw`, `j0 + 8 <=
+    // nw`) the loads read the 8 floats at `src[(j0 + r) * lds + p0..]` and
+    // the stores write the 8 at `dst[(p0 + r) * ldd + j0..]` (r < 8), all
+    // in bounds by the function contract; the unaligned intrinsics
+    // tolerate any alignment, and executing them is sound because the
+    // caller established AVX.
+    unsafe {
+        for p0 in (0..kw).step_by(8) {
+            for j0 in (0..nw).step_by(8) {
+                let s = src.as_ptr().add(j0 * lds + p0);
+                let r = [
+                    _mm256_loadu_ps(s),
+                    _mm256_loadu_ps(s.add(lds)),
+                    _mm256_loadu_ps(s.add(2 * lds)),
+                    _mm256_loadu_ps(s.add(3 * lds)),
+                    _mm256_loadu_ps(s.add(4 * lds)),
+                    _mm256_loadu_ps(s.add(5 * lds)),
+                    _mm256_loadu_ps(s.add(6 * lds)),
+                    _mm256_loadu_ps(s.add(7 * lds)),
+                ];
+                // Pairs: t0 = a00 a10 a01 a11 | a04 a14 a05 a15, and so on.
+                let t = [
+                    _mm256_unpacklo_ps(r[0], r[1]),
+                    _mm256_unpackhi_ps(r[0], r[1]),
+                    _mm256_unpacklo_ps(r[2], r[3]),
+                    _mm256_unpackhi_ps(r[2], r[3]),
+                    _mm256_unpacklo_ps(r[4], r[5]),
+                    _mm256_unpackhi_ps(r[4], r[5]),
+                    _mm256_unpacklo_ps(r[6], r[7]),
+                    _mm256_unpackhi_ps(r[6], r[7]),
+                ];
+                // Quads: q0 = a00 a10 a20 a30 | a04 a14 a24 a34, and so on.
+                let q = [
+                    _mm256_shuffle_ps::<0x44>(t[0], t[2]),
+                    _mm256_shuffle_ps::<0xEE>(t[0], t[2]),
+                    _mm256_shuffle_ps::<0x44>(t[1], t[3]),
+                    _mm256_shuffle_ps::<0xEE>(t[1], t[3]),
+                    _mm256_shuffle_ps::<0x44>(t[4], t[6]),
+                    _mm256_shuffle_ps::<0xEE>(t[4], t[6]),
+                    _mm256_shuffle_ps::<0x44>(t[5], t[7]),
+                    _mm256_shuffle_ps::<0xEE>(t[5], t[7]),
+                ];
+                let d = dst.as_mut_ptr().add(p0 * ldd + j0);
+                for c in 0..4 {
+                    let (lo, hi) = (q[c], q[c + 4]);
+                    _mm256_storeu_ps(d.add(c * ldd), _mm256_permute2f128_ps::<0x20>(lo, hi));
+                    _mm256_storeu_ps(d.add((c + 4) * ldd), _mm256_permute2f128_ps::<0x31>(lo, hi));
+                }
+            }
+        }
+    }
+}
+
 /// Portable microkernel: `acc += Asliver * Bsliver` with the full `MR x NR`
 /// accumulator in locals. Written lane-wise so LLVM autovectorizes the `j`
 /// loop at the target's native SIMD width.
@@ -385,7 +556,8 @@ fn microkernel(kc: usize, asliver: &[f32], bsliver: &[f32], acc: &mut [[f32; NR]
 }
 
 /// Portable wide microkernel: identical loop nest to
-/// [`microkernel_portable`] at `NR_W` columns, reading reduction row `p`
+/// [`microkernel_portable`] at `NR_W` columns (`acc` is overwritten, like
+/// the SIMD variant's), reading reduction row `p`
 /// of `B` at `b[offs[p]..][..NR_W]` — `B` is never sliver-packed on the
 /// wide path (an unaligned load costs the same as a packed one, and
 /// skipping the pack halves the activation-side memory traffic), and the
@@ -400,16 +572,18 @@ fn microkernel_wide_portable(
     offs: &[usize],
     acc: &mut [[f32; NR_W]; MR],
 ) {
+    let mut local = [[0.0f32; NR_W]; MR];
     for (p, &off) in offs.iter().enumerate() {
         let ar = &asliver[p * MR..p * MR + MR];
         let br = &b[off..off + NR_W];
         for i in 0..MR {
             let ai = ar[i];
             for j in 0..NR_W {
-                acc[i][j] += ai * br[j];
+                local[i][j] += ai * br[j];
             }
         }
     }
+    *acc = local;
 }
 
 /// Explicit 16-wide AVX-512 microkernel for the `MR x NR_W` tile: two
@@ -427,8 +601,8 @@ fn microkernel_wide_portable(
 ///
 /// * The caller must have proven, at runtime, that the executing CPU
 ///   supports AVX-512F — calling this without it is immediate UB (illegal
-///   instruction). [`microkernel_wide`] is the only caller and establishes
-///   this with `is_x86_feature_detected!`.
+///   instruction). [`run_panel_wide_avx512`] is the only caller; it runs
+///   only behind [`run_panel_wide`]'s `is_x86_feature_detected!`.
 /// * `asliver.len() >= offs.len() * MR`, and `off + NR_W <= b.len()` for
 ///   every `off` in `offs`: the unaligned vector loads read `MR` lanes /
 ///   `NR_W` lanes at each reduction step.
@@ -493,30 +667,6 @@ unsafe fn microkernel_avx512(
             _mm512_storeu_ps(acc[i].as_mut_ptr().add(16), v[1]);
         }
     }
-}
-
-/// Run the best wide (`MR x NR_W`) microkernel the host supports over
-/// `offs.len()` reduction steps, step `p` reading `b[offs[p]..][..NR_W]`.
-///
-/// Runtime-dispatch invariant: this function is the *only* caller of
-/// [`microkernel_avx512`], and it calls it exclusively behind a successful
-/// `is_x86_feature_detected!("avx512f")` check on the executing thread —
-/// the same CPUID-backed pattern as [`microkernel`].
-#[inline]
-fn microkernel_wide(asliver: &[f32], b: &[f32], offs: &[usize], acc: &mut [[f32; NR_W]; MR]) {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if std::arch::is_x86_feature_detected!("avx512f") {
-        // SAFETY: the `#[target_feature(enable = "avx512f")]` contract is
-        // established by the runtime detection on this exact execution
-        // path, and the slice-length preconditions hold because the sole
-        // caller (`run_panel_wide`) passes whole packed A slivers of
-        // `offs.len() * MR` elements and has asserted — a release-mode
-        // `assert!`, not a debug one — that `max(offs) + NR_W` stays
-        // inside the `b` it hands over for every tile.
-        unsafe { microkernel_avx512(asliver, b, offs, acc) };
-        return;
-    }
-    microkernel_wide_portable(asliver, b, offs, acc)
 }
 
 /// Stride-2 gather: `dst[i] = src[2 * i]`. The hot path of strided
@@ -589,8 +739,10 @@ unsafe fn strided_copy2_avx512(dst: &mut [f32], src: &[f32]) {
 /// Whether selecting the wide (`NR_W`-column) tile is a win on this host:
 /// true exactly when the AVX-512 kernel will be dispatched. On narrower
 /// machines the wide tile would run the portable kernel over 4x the
-/// columns of the tuned AVX2 path, so callers (the direct convolution
-/// tier) stay on [`run_panel`] / `NR` there.
+/// columns of the tuned AVX2 path, so both of its callers — the packed
+/// GEMM driver ([`gemm_packed_into_epilogue`]) and the direct convolution
+/// tier — stay on [`run_panel`] / `NR` there. This is the only switch
+/// between the widths: there is no option for it.
 pub(crate) fn wide_tier_available() -> bool {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
@@ -736,43 +888,120 @@ pub(crate) fn run_panel_wide(
     first: bool,
     last: bool,
 ) {
-    let kc = offs.len();
     let reach = offs.iter().max().map_or(0, |&m| m + round_up(nc, NR_W));
     assert!(reach <= b.len(), "wide panel reads {reach} of {}", b.len());
-    let mut acc = [[0.0f32; NR_W]; MR];
-    let mut runs = [(0usize, 0usize, 0usize); NR_W];
-    let fuse = last && !matches!(epilogue, Epilogue::None);
-    for j0r in (0..nc).step_by(NR_W) {
-        let nruns = seam.runs(jc + j0r, NR_W.min(nc - j0r), &mut runs);
-        // The kernel reads `NR_W` lanes past `offs[p]` in this slice: in
-        // bounds by the assertion above, `j0r + NR_W <= round_up(nc, NR_W)`.
-        let btile = &b[j0r..];
-        for (it, asliver) in apack[..mc.div_ceil(MR) * MR * kc]
-            .chunks(MR * kc)
-            .enumerate()
-        {
-            let i0 = it * MR;
-            let rows = MR.min(mc - i0);
-            acc.iter_mut().for_each(|row| row.fill(0.0));
-            microkernel_wide(asliver, btile, offs, &mut acc);
-            for (i, arow) in acc.iter().enumerate().take(rows) {
-                for &(lane, col, len) in &runs[..nruns] {
-                    let crow = &mut cpanel[(i0 + i) * ldc + col..][..len];
-                    let vals = &arow[lane..lane + len];
-                    if first {
-                        crow.copy_from_slice(vals);
-                    } else {
-                        for (cv, &av) in crow.iter_mut().zip(vals) {
-                            *cv += av;
+    let panel = WidePanel {
+        apack,
+        b,
+        offs,
+        ldc,
+        seam,
+        row0,
+        jc,
+        mc,
+        nc,
+        epilogue,
+        first,
+        last,
+    };
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        // SAFETY: the `#[target_feature(enable = "avx512f")]` contract is
+        // established by the runtime detection on this exact execution
+        // path, and the reach precondition is the release-mode assertion
+        // above.
+        unsafe { run_panel_wide_avx512(&panel, cpanel) };
+        return;
+    }
+    panel.run(cpanel, microkernel_wide_portable);
+}
+
+/// [`run_panel_wide`]'s operands, past its reach check.
+struct WidePanel<'a> {
+    apack: &'a [f32],
+    b: &'a [f32],
+    offs: &'a [usize],
+    ldc: usize,
+    seam: Seam,
+    row0: usize,
+    jc: usize,
+    mc: usize,
+    nc: usize,
+    epilogue: Epilogue<'a>,
+    first: bool,
+    last: bool,
+}
+
+impl WidePanel<'_> {
+    /// The panel loop over `kernel`. Inlined into each caller, so under
+    /// [`run_panel_wide_avx512`] the kernel, the accumulator and the
+    /// write-back are compiled for AVX-512 together.
+    #[inline(always)]
+    fn run(
+        &self,
+        cpanel: &mut [f32],
+        kernel: impl Fn(&[f32], &[f32], &[usize], &mut [[f32; NR_W]; MR]),
+    ) {
+        let (offs, ldc, mc, nc) = (self.offs, self.ldc, self.mc, self.nc);
+        let kc = offs.len();
+        let mut acc = [[0.0f32; NR_W]; MR];
+        let mut runs = [(0usize, 0usize, 0usize); NR_W];
+        let fuse = self.last && !matches!(self.epilogue, Epilogue::None);
+        for j0r in (0..nc).step_by(NR_W) {
+            let nruns = self.seam.runs(self.jc + j0r, NR_W.min(nc - j0r), &mut runs);
+            // The kernel reads `NR_W` lanes past `offs[p]` in this slice:
+            // in bounds by `run_panel_wide`'s assertion, `j0r + NR_W <=
+            // round_up(nc, NR_W)`.
+            let btile = &self.b[j0r..];
+            for (it, asliver) in self.apack[..mc.div_ceil(MR) * MR * kc]
+                .chunks(MR * kc)
+                .enumerate()
+            {
+                let i0 = it * MR;
+                let rows = MR.min(mc - i0);
+                kernel(asliver, btile, offs, &mut acc);
+                for (i, arow) in acc.iter().enumerate().take(rows) {
+                    for &(lane, col, len) in &runs[..nruns] {
+                        let crow = &mut cpanel[(i0 + i) * ldc + col..][..len];
+                        let vals = &arow[lane..lane + len];
+                        if self.first {
+                            crow.copy_from_slice(vals);
+                        } else {
+                            for (cv, &av) in crow.iter_mut().zip(vals) {
+                                *cv += av;
+                            }
                         }
-                    }
-                    if fuse {
-                        epilogue.apply_row(crow, row0 + i0 + i, col);
+                        if fuse {
+                            self.epilogue.apply_row(crow, self.row0 + i0 + i, col);
+                        }
                     }
                 }
             }
         }
     }
+}
+
+/// [`WidePanel::run`] over [`microkernel_avx512`], the whole loop nest
+/// compiled for AVX-512: the kernel inlines into it, and the accumulator
+/// write-back runs at the kernel's vector width instead of the baseline
+/// build's.
+///
+/// # Safety
+///
+/// * The executing CPU must support AVX-512F; [`run_panel_wide`], the only
+///   caller, detects it at runtime.
+/// * `max(offs) + round_up(nc, NR_W) <= b.len()`, which
+///   [`run_panel_wide`] asserts: the kernel's loads rely on it.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f")]
+unsafe fn run_panel_wide_avx512(panel: &WidePanel<'_>, cpanel: &mut [f32]) {
+    panel.run(cpanel, |asliver, b, offs, acc| {
+        // SAFETY: avx512f holds per this function's contract; the A
+        // sliver is whole (`asliver.len() == offs.len() * MR`, by the
+        // `chunks` in `WidePanel::run`) and every row offset has `NR_W`
+        // readable lanes in `b` by the reach contract.
+        unsafe { microkernel_avx512(asliver, b, offs, acc) }
+    });
 }
 
 /// Portable single-row GEMV tile: `acc[j] = Σ_p a[p] * b[p][j]` over one
@@ -938,11 +1167,10 @@ pub(crate) fn gemv_bt_padded(
 /// `op` is transpose when the corresponding flag is set (`A` stored
 /// `[K x M]`, `B` stored `[N x K]`). **Contract:** callers hand in a `C`
 /// that already holds the addend — `matmul`-style entry points pass a
-/// freshly zeroed buffer (see [`super::gemm_into`]).
+/// freshly zeroed buffer (see [`super::gemm_into`]), and the convolution
+/// backward accumulates `dW` across blocks through it.
 ///
-/// The `MC` row panels of `C` go through [`par`] with `m * n * k` as their
-/// work; the packed `B` macro-panel is shared read-only across workers,
-/// each worker packs its own `A` panel.
+/// Runs at the host's tile width ([`host_nr`]); see [`gemm_packed_as`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_packed_into(
     m: usize,
@@ -971,6 +1199,55 @@ pub(super) fn gemm_packed_into_epilogue(
     c: &mut [f32],
     epilogue: Epilogue<'_>,
 ) {
+    let ldb = if b_trans { k } else { n };
+    gemm_packed_as(host_nr(), m, n, k, a, a_trans, b, b_trans, ldb, c, epilogue)
+}
+
+/// The register tile width packed GEMMs run at on this host: [`NR_W`]
+/// where [`wide_tier_available`], else [`NR`].
+pub(crate) fn host_nr() -> usize {
+    if wide_tier_available() {
+        NR_W
+    } else {
+        NR
+    }
+}
+
+/// The packed GEMM at tile width `nr` ([`NR`] or [`NR_W`]; callers pass
+/// [`host_nr`], tests either), `B` stored at row pitch `ldb` (`>= n`, or
+/// `>= k` transposed) — `Linear` passes its weight image, whose rows are
+/// padded to whole wide tiles.
+///
+/// The `MC` row panels of `C` go through [`par`] with `m * n * k` as their
+/// work; each worker packs its own `A` panel, and the `B` block is shared
+/// read-only. How `B` reaches the kernel depends on the width:
+///
+/// * narrow: each `KC x NC` block packed into `NR`-column slivers;
+/// * wide, `B [K x N]`: read in place — reduction row `p` is the
+///   caller's row `pc + p`, at offset `(pc + p) * ldb` — except a ragged
+///   last tile that would read past the end of `b`, whose `kc` rows are
+///   copied into a zero-padded one-tile bounce;
+/// * wide, `B [N x K]`: each block transposed once into `kc` rows padded
+///   to whole tiles ([`pack_bt_rows`]).
+///
+/// Both widths add each block's register partial into `C` (the wide
+/// driver runs with `first = false`), so the per-element float sequence
+/// is the same at either width and the addend contract holds.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_packed_as(
+    nr: usize,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    a_trans: bool,
+    b: &[f32],
+    b_trans: bool,
+    ldb: usize,
+    c: &mut [f32],
+    epilogue: Epilogue<'_>,
+) {
+    debug_assert!(nr == NR || nr == NR_W);
     if m == 0 || n == 0 {
         return;
     }
@@ -984,26 +1261,102 @@ pub(super) fn gemm_packed_into_epilogue(
     }
     let bl = Blocking::for_shape(m, n, k);
     let lda = if a_trans { m } else { k };
-    let ldb = if b_trans { k } else { n };
-    // Dirty scratch: pack_b overwrites every element of the prefix
-    // run_panel reads ([..nc.div_ceil(NR) * NR * kc], edge lanes
-    // zero-padded explicitly), so the acquire-time zero-fill would be
-    // wasted traffic.
-    let mut bpack = scratch_dirty(bl.nc.min(round_up(n, NR)) * bl.kc);
-    for jc in (0..n).step_by(bl.nc) {
-        let nc = bl.nc.min(n - jc);
+    let wide = nr == NR_W;
+    let in_place = wide && !b_trans;
+    let nc_step = round_up(bl.nc, nr);
+    // Dirty scratch: every packer overwrites the whole prefix its panel
+    // driver reads, edge lanes zero-padded explicitly, so the
+    // acquire-time zero-fill would be wasted traffic. Rows read in place
+    // need only the bounce tile.
+    let mut bpack = scratch_dirty(if in_place {
+        bl.kc * NR_W
+    } else {
+        nc_step.min(round_up(n, nr)) * bl.kc
+    });
+    // The bounce tile's row offsets, built the first time one is needed.
+    let mut tile_offs = Vec::new();
+    let mut offs = Vec::with_capacity(if wide { bl.kc } else { 0 });
+    for jc in (0..n).step_by(nc_step) {
+        let nc = nc_step.min(n - jc);
         for pc in (0..k).step_by(bl.kc) {
             let kc = bl.kc.min(k - pc);
             let last = pc + kc == k;
-            pack_b(&mut bpack, b, b_trans, ldb, pc, jc, kc, nc);
-            let bshared = &bpack;
+            if !wide {
+                pack_b(&mut bpack, b, b_trans, ldb, pc, jc, kc, nc);
+                let bshared = &bpack;
+                par::for_each_chunk(c, bl.mc * n, m * n * k, |chunk, cpanel| {
+                    let (ic, mc) = (chunk * bl.mc, cpanel.len() / n);
+                    let mut apack = scratch_zeroed(round_up(mc, MR) * kc);
+                    pack_a(&mut apack, a, a_trans, lda, ic, pc, mc, kc);
+                    run_panel(
+                        &apack, bshared, cpanel, n, ic, jc, mc, nc, kc, epilogue, last,
+                    );
+                    recycle_scratch(apack);
+                });
+                continue;
+            }
+            // Columns `..body` of the block read `rows` at `offs`; the
+            // rest, less than a tile, read the bounce tile.
+            offs.clear();
+            let (rows, body): (&[f32], usize) = if b_trans {
+                let ldd = round_up(nc, NR_W);
+                pack_bt_rows(&mut bpack, ldd, b, ldb, pc, jc, kc, nc);
+                offs.extend((0..kc).map(|p| p * ldd));
+                (&bpack, nc)
+            } else {
+                offs.extend((pc..pc + kc).map(|p| p * ldb));
+                let rows = &b[jc..];
+                // Offsets ascend, so the last is the largest. Whole tiles
+                // always fit (`b` holds `(k - 1) * ldb + n` floats); only
+                // a ragged last tile of `B`'s last rows can reach past it.
+                if offs[kc - 1] + round_up(nc, NR_W) <= rows.len() {
+                    (rows, nc)
+                } else {
+                    if tile_offs.is_empty() {
+                        tile_offs.extend((0..bl.kc).map(|p| p * NR_W));
+                    }
+                    let body = nc / NR_W * NR_W;
+                    let tail = nc - body;
+                    for (row, &off) in bpack.chunks_exact_mut(NR_W).zip(&offs) {
+                        row[..tail].copy_from_slice(&rows[off + body..off + nc]);
+                        row[tail..].fill(0.0);
+                    }
+                    (rows, body)
+                }
+            };
+            let (offs, bounce, tile_offs) = (&offs[..], &bpack[..], &tile_offs[..]);
             par::for_each_chunk(c, bl.mc * n, m * n * k, |chunk, cpanel| {
                 let (ic, mc) = (chunk * bl.mc, cpanel.len() / n);
                 let mut apack = scratch_zeroed(round_up(mc, MR) * kc);
                 pack_a(&mut apack, a, a_trans, lda, ic, pc, mc, kc);
-                run_panel(
-                    &apack, bshared, cpanel, n, ic, jc, mc, nc, kc, epilogue, last,
-                );
+                // Safety audit: `run_panel_wide` asserts, in release
+                // builds too, that every tile's reach stays inside the `B`
+                // slice it is handed — the bound the AVX-512 kernel's
+                // loads rely on — and the A slivers are whole by
+                // construction above.
+                let mut panel = |b: &[f32], offs: &[usize], j0: usize, cols: usize| {
+                    run_panel_wide(
+                        &apack,
+                        b,
+                        offs,
+                        cpanel,
+                        n,
+                        Seam::NONE,
+                        ic,
+                        j0,
+                        mc,
+                        cols,
+                        epilogue,
+                        false,
+                        last,
+                    )
+                };
+                if body > 0 {
+                    panel(rows, offs, jc, body);
+                }
+                if body < nc {
+                    panel(bounce, &tile_offs[..kc], jc + body, nc - body);
+                }
                 recycle_scratch(apack);
             });
         }
@@ -1256,19 +1609,50 @@ mod tests {
         use deep500_tensor::rng::Xoshiro256StarStar;
         use deep500_tensor::Tensor;
         // On an AVX-512 host this is the only place the portable wide
-        // kernel runs; everywhere else the two are the same function.
+        // kernel runs inside the panel loop; everywhere else the two are
+        // the same code.
         let mut rng = Xoshiro256StarStar::seed_from_u64(19);
         let offs = [40usize, 3, 3, 0, 97, 64, 65];
-        let asliver = Tensor::rand_uniform([offs.len() * MR], -1.0, 1.0, &mut rng);
-        let b = Tensor::rand_uniform([97 + NR_W], -1.0, 1.0, &mut rng);
-        let mut portable = [[0.0f32; NR_W]; MR];
-        let mut dispatched = [[0.0f32; NR_W]; MR];
-        microkernel_wide_portable(asliver.data(), b.data(), &offs, &mut portable);
-        microkernel_wide(asliver.data(), b.data(), &offs, &mut dispatched);
-        for (prow, drow) in portable.iter().zip(&dispatched) {
-            for (p, d) in prow.iter().zip(drow) {
-                assert!((p - d).abs() < 1e-5, "{p} vs {d}");
-            }
+        let (m, nc) = (11usize, 40usize);
+        let apack = Tensor::rand_uniform([round_up(m, MR) * offs.len()], -1.0, 1.0, &mut rng);
+        let b = Tensor::rand_uniform([97 + round_up(nc, NR_W)], -1.0, 1.0, &mut rng);
+        let addend = Tensor::rand_uniform([m * nc], -1.0, 1.0, &mut rng);
+        let mut dispatched = addend.data().to_vec();
+        let mut portable = addend.data().to_vec();
+        let (ap, bd) = (apack.data(), b.data());
+        let ep = Epilogue::Relu;
+        run_panel_wide(
+            ap,
+            bd,
+            &offs,
+            &mut dispatched,
+            nc,
+            Seam::NONE,
+            0,
+            0,
+            m,
+            nc,
+            ep,
+            false,
+            true,
+        );
+        let panel = WidePanel {
+            apack: ap,
+            b: bd,
+            offs: &offs,
+            ldc: nc,
+            seam: Seam::NONE,
+            row0: 0,
+            jc: 0,
+            mc: m,
+            nc,
+            epilogue: ep,
+            first: false,
+            last: true,
+        };
+        panel.run(&mut portable, microkernel_wide_portable);
+        for (p, d) in portable.iter().zip(&dispatched) {
+            assert!((p - d).abs() < 1e-5, "{p} vs {d}");
         }
     }
 
@@ -1294,5 +1678,144 @@ mod tests {
             true,
             true,
         );
+    }
+
+    #[test]
+    fn transposing_pack_matches_scalar_transpose() {
+        // Whole 8x8 blocks, ragged edges in both directions, an interior
+        // block of a larger operand (`pc`, `jc`), and padding columns that
+        // start dirty.
+        let (rows, cols) = (21usize, 30usize); // B stored [N x K]
+        let b: Vec<f32> = (0..rows * cols).map(|v| v as f32).collect();
+        for (pc, jc, kc, nc, ldd) in [(0, 0, 30, 21, 32), (3, 2, 17, 19, 40), (8, 8, 8, 8, 8)] {
+            let mut dst = vec![f32::NAN; kc * ldd];
+            pack_bt_rows(&mut dst, ldd, &b, cols, pc, jc, kc, nc);
+            for p in 0..kc {
+                for j in 0..ldd {
+                    let want = if j < nc {
+                        b[(jc + j) * cols + pc + p]
+                    } else {
+                        0.0
+                    };
+                    assert_eq!(
+                        dst[p * ldd + j],
+                        want,
+                        "block {pc},{jc} {kc}x{nc}: p {p} j {j}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_read_in_place_bounce_only_a_ragged_last_tile() {
+        use deep500_tensor::rng::Xoshiro256StarStar;
+        use deep500_tensor::Tensor;
+        // `B [K x N]` sized exactly: the last row's ragged tile would read
+        // past it and must go through the bounce, at every `nc` edge.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(29);
+        for (m, n, k) in [(3usize, 33usize, 5usize), (9, 70, 300), (1, 7, 2)] {
+            let a = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng);
+            let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng);
+            let run = |nr| {
+                let mut c = vec![0.5f32; m * n];
+                gemm_packed_as(
+                    nr,
+                    m,
+                    n,
+                    k,
+                    a.data(),
+                    false,
+                    b.data(),
+                    false,
+                    n,
+                    &mut c,
+                    Epilogue::None,
+                );
+                c
+            };
+            let (wide, narrow) = (run(NR_W), run(NR));
+            for (w, v) in wide.iter().zip(&narrow) {
+                assert!((w - v).abs() < 1e-4, "{m}x{n}x{k}: {w} vs {v}");
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod properties {
+    use super::*;
+    use deep500_tensor::rng::Xoshiro256StarStar;
+    use deep500_tensor::Tensor;
+    use proptest::prelude::*;
+
+    /// Whether the two tiles' kernels round alike here: both fused
+    /// (AVX-512 host, whose narrow tile runs AVX2+FMA) or both portable
+    /// (no AVX2+FMA, or miri). On an AVX2-only host the wide tile runs its
+    /// portable kernel, which the driver never selects there.
+    fn tiles_round_alike() -> bool {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        {
+            wide_tier_available()
+                || !(std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma"))
+        }
+        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+        {
+            true
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 3 } else { 64 }))]
+
+        /// The wide and the narrow tile give the same bits: every operand
+        /// layout the driver takes (`A` plain or transposed; `B` read in
+        /// place, at a padded row pitch like `Linear`'s weight image, or
+        /// transposed through the pack), reductions past one `KC` block,
+        /// ragged edges, an addend in `C` and every epilogue `Linear` and
+        /// `MatMul` fuse. Under miri both run their portable kernels,
+        /// which checks the offset tables, the bounce tile, the
+        /// transposing pack and the reach assertion.
+        #[test]
+        fn wide_and_narrow_tiles_agree_bitwise(
+            m in 1usize..if cfg!(miri) { 12 } else { 160 },
+            n in 1usize..if cfg!(miri) { 40 } else { 90 },
+            k in 1usize..if cfg!(miri) { 300 } else { 601 },
+            a_trans in any::<bool>(),
+            b_trans in any::<bool>(),
+            pad in 0usize..40,
+            which in 0u8..4,
+            seed in 0u64..1000,
+        ) {
+            let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+            let a = Tensor::rand_uniform([m * k], -1.0, 1.0, &mut rng);
+            // A padded pitch only where `B` is read as rows.
+            let ldb = if b_trans { k } else { n + pad };
+            let rows = if b_trans { n } else { k };
+            let b = Tensor::rand_uniform([(rows - 1) * ldb + if b_trans { k } else { n }], -1.0, 1.0, &mut rng);
+            let addend = Tensor::rand_uniform([m * n], -1.0, 1.0, &mut rng);
+            let bias = Tensor::rand_uniform([n], -1.0, 1.0, &mut rng);
+            let ep = match which {
+                0 => Epilogue::None,
+                1 => Epilogue::Bias(bias.data()),
+                2 => Epilogue::BiasRelu(bias.data()),
+                _ => Epilogue::Relu,
+            };
+            let run = |nr| {
+                let mut c = addend.data().to_vec();
+                gemm_packed_as(nr, m, n, k, a.data(), a_trans, b.data(), b_trans, ldb, &mut c, ep);
+                c
+            };
+            let (wide, narrow) = (run(NR_W), run(NR));
+            if tiles_round_alike() {
+                let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&wide), bits(&narrow), "{}x{}x{} {:?}", m, n, k, ep);
+            } else {
+                for (w, v) in wide.iter().zip(&narrow) {
+                    prop_assert!((w - v).abs() <= 1e-4 * (1.0 + v.abs()), "{} vs {}", w, v);
+                }
+            }
+        }
     }
 }

@@ -1,14 +1,17 @@
 //! The fully-connected (dense) layer: `Y = X Wᵀ + b`.
 //!
 //! Inputs: `X [N, in]`, `W [out, in]`, `b [out]`; output `Y [N, out]`.
-//! Backed by the Level-0 GEMM kernels. Single-row batches (`N == 1`, the
-//! closed-loop serving case) under `Packed` skip the GEMM machinery for a
-//! dedicated GEMV over a per-instance cached transposed weight image —
-//! bit-identical to the batched path (see
-//! [`gemv_bt_padded`](crate::gemm::packed::gemv_bt_padded)), but with the
-//! `B`-pack and the 7-of-8 wasted register-tile rows gone.
+//! Backed by the Level-0 GEMM kernels. Under `Packed` the forward reads
+//! one per-instance weight image, `Wᵀ` as `[in x round_up(out, NR_W)]`
+//! rows, memoized on the weight's version and rewritten in place when it
+//! changes. It serves every batch size: a single row (`N == 1`, the
+//! closed-loop serving case) runs a dedicated GEMV over it (see
+//! [`gemv_bt_padded`](crate::gemm::packed::gemv_bt_padded)), with the
+//! 7-of-8 wasted register-tile rows gone, and more rows run the packed
+//! GEMM reading its rows as `B` — so no call packs `Wᵀ`, and a row served
+//! alone is bit-identical to the same row inside any batch.
 
-use crate::gemm::packed::{gemv_bt_padded, round_up, NR_W};
+use crate::gemm::packed::{gemm_packed_as, gemv_bt_padded, host_nr, pack_bt_rows, round_up, NR_W};
 use crate::gemm::{self, Algorithm, Epilogue};
 use crate::memo::VersionMemo;
 use crate::operator::Operator;
@@ -27,7 +30,8 @@ pub struct LinearOp {
     /// Fold `max(x, 0)` into the write-back after the bias add.
     pub relu: bool,
     /// The `[K x n_pad]` transposed, column-padded weight image the
-    /// `N == 1` GEMV fast path streams, memoized on the weight's version.
+    /// `Packed` forward reads at every batch size, memoized on the
+    /// weight's version.
     cache: VersionMemo<Vec<f32>>,
 }
 
@@ -47,17 +51,15 @@ impl LinearOp {
 
     /// Fetch (or build and memoize) the `[K x round_up(out, NR_W)]`
     /// transposed weight image of a `[out, K]` parameter, zero-padding the
-    /// trailing columns so the GEMV kernel's whole-tile loads stay in
-    /// bounds and inert.
+    /// trailing columns so the kernels' whole-tile loads stay in bounds and
+    /// inert. A rebuild rewrites the replaced image's buffer when no pass
+    /// still holds it.
     fn transposed(&self, w: &Tensor, fout: usize, fin: usize) -> Arc<Vec<f32>> {
-        self.cache.get_or_build(w, |w| {
+        self.cache.get_or_build(w, |w, old| {
             let n_pad = round_up(fout, NR_W);
-            let mut wt = vec![0.0f32; fin * n_pad];
-            for (j, wrow) in w.data().chunks(fin).enumerate() {
-                for (p, &wv) in wrow.iter().enumerate() {
-                    wt[p * n_pad + j] = wv;
-                }
-            }
+            let mut wt = old.unwrap_or_default();
+            wt.resize(fin * n_pad, 0.0);
+            pack_bt_rows(&mut wt, n_pad, w.data(), fin, 0, 0, fin, fout);
             wt
         })
     }
@@ -97,17 +99,33 @@ impl Operator for LinearOp {
         } else {
             Epilogue::Bias(b.data())
         };
-        if n == 1 && self.algo == Algorithm::Packed {
-            // Single-row fast path: GEMV over the cached transposed
-            // weights. Bit-identical to the batched GEMM below — the
-            // other `Algorithm` tiers stay on their reference kernels.
-            // Safety audit: `gemv_bt_padded`'s SIMD tiles assume every
-            // cached row is padded to `round_up(fout, NR_W)` readable
-            // lanes; `transposed` builds exactly that layout, and the CI
-            // miri job interprets the `linear` tests to check it.
+        if self.algo == Algorithm::Packed {
+            // Safety audit: `gemv_bt_padded`'s SIMD tiles and the wide
+            // GEMM assume every image row is padded to `round_up(fout,
+            // NR_W)` readable lanes; `transposed` builds exactly that
+            // layout, and the CI miri job interprets the `linear` tests
+            // to check it.
             let wt = self.transposed(w, fout, fin);
-            let mut y = Tensor::zeros([1, fout]);
-            gemv_bt_padded(fout, fin, x.data(), &wt, y.data_mut(), epilogue);
+            let mut y = Tensor::zeros([n, fout]);
+            if n == 1 {
+                gemv_bt_padded(fout, fin, x.data(), &wt, y.data_mut(), epilogue);
+            } else {
+                let ldb = round_up(fout, NR_W);
+                let (xd, yd) = (x.data(), y.data_mut());
+                gemm_packed_as(
+                    host_nr(),
+                    n,
+                    fout,
+                    fin,
+                    xd,
+                    false,
+                    &wt,
+                    false,
+                    ldb,
+                    yd,
+                    epilogue,
+                );
+            }
             return Ok(vec![y]);
         }
         let y = gemm::matmul_a_bt_with_epilogue(self.algo, x, w, epilogue)?;
@@ -204,27 +222,46 @@ mod tests {
         use deep500_tensor::rng::Xoshiro256StarStar;
         let mut rng = Xoshiro256StarStar::seed_from_u64(11);
         // Ragged out-features (neither a multiple of the GEMV tile nor the
-        // GEMM sliver) and k past one KC block to exercise the chunking.
-        for (fin, fout) in [(120, 84), (300, 37), (64, 120)] {
-            let xb = Tensor::rand_uniform([3, fin], -1.0, 1.0, &mut rng);
+        // GEMM sliver) and k past one KC block to exercise the chunking;
+        // then the distributed MLP's three layers (64 -> 256 -> 128 -> 8)
+        // and LeNet's three (400 or 64 flattened -> 120 -> 84 -> 10), each
+        // inside batches of 2..9 rows. Miri interprets the first three.
+        let shapes: &[(usize, usize)] = &[
+            (120, 84),
+            (300, 37),
+            (64, 120),
+            (64, 256),
+            (256, 128),
+            (128, 8),
+            (400, 120),
+            (84, 10),
+        ];
+        let (shapes, batches) = if cfg!(miri) {
+            (&shapes[..3], 2..=3)
+        } else {
+            (shapes, 2..=9)
+        };
+        for &(fin, fout) in shapes {
             let w = Tensor::rand_uniform([fout, fin], -1.0, 1.0, &mut rng);
             let b = Tensor::rand_uniform([fout], -1.0, 1.0, &mut rng);
-            for relu in [false, true] {
-                let op = LinearOp::new(Algorithm::Packed).with_relu(relu);
-                let yb = op.forward(&[&xb, &w, &b]).unwrap();
-                for r in 0..3 {
-                    let xr = Tensor::from_vec([1, fin], xb.data()[r * fin..(r + 1) * fin].to_vec())
-                        .unwrap();
-                    let yr = op.forward(&[&xr, &w, &b]).unwrap();
-                    let got: Vec<u32> = yr[0].data().iter().map(|v| v.to_bits()).collect();
-                    let want: Vec<u32> = yb[0].data()[r * fout..(r + 1) * fout]
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect();
-                    assert_eq!(
-                        got, want,
-                        "{fin}x{fout} relu={relu}: solo row {r} diverged from its batched row"
-                    );
+            for n in batches.clone() {
+                let xb = Tensor::rand_uniform([n, fin], -1.0, 1.0, &mut rng);
+                for relu in [false, true] {
+                    let op = LinearOp::new(Algorithm::Packed).with_relu(relu);
+                    let yb = op.forward(&[&xb, &w, &b]).unwrap();
+                    for r in 0..n {
+                        let xr = xb.slice_axis0(r, 1).unwrap();
+                        let yr = op.forward(&[&xr, &w, &b]).unwrap();
+                        let got: Vec<u32> = yr[0].data().iter().map(|v| v.to_bits()).collect();
+                        let want: Vec<u32> = yb[0].data()[r * fout..(r + 1) * fout]
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect();
+                        assert_eq!(
+                            got, want,
+                            "{fin}x{fout} n={n} relu={relu}: solo row {r} diverged from its batched row"
+                        );
+                    }
                 }
             }
         }
