@@ -344,10 +344,6 @@ pub(crate) fn pack_bt_rows(
         ldd >= nc && dst.len() >= kc * ldd,
         "transposing pack target"
     );
-    if nc == 0 {
-        dst[..kc * ldd].fill(0.0);
-        return;
-    }
     let src = &b[jc * ldb + pc..];
     let (kw, nw) = (kc / 8 * 8, nc / 8 * 8);
     transpose_blocks(dst, ldd, src, ldb, kw, nw);
