@@ -3,13 +3,11 @@
 //! For every model in the zoo slice below, this harness writes `models`
 //! rows keyed by `model`:
 //!
-//! 1. **Parity** — compiles the network (constant folding, CSE,
-//!    elementwise fusion, GEMM-epilogue fusion) and checks the
-//!    `PlannedExecutor` on the compiled graph against the
+//! 1. **Parity** — compiles the network (GEMM-epilogue fusion) and checks
+//!    the `PlannedExecutor` on the compiled graph against the
 //!    `ReferenceExecutor` on the original graph, *bitwise*: inference
-//!    outputs and — under the training-safe pass set — every parameter
-//!    gradient (`inference_mismatches`, `backprop_mismatches`: tensors
-//!    that differ in any bit).
+//!    outputs and every parameter gradient (`inference_mismatches`,
+//!    `backprop_mismatches`: tensors that differ in any bit).
 //! 2. **Speed** — times the compiled graph against the uncompiled graph,
 //!    both on the one level-parallel tier (`PlannedExecutor`: frozen
 //!    dispatch lists, integer-indexed environment, pooled buffers):
@@ -58,8 +56,11 @@ fn run_case(case: &ZooCase) -> Vec<Row> {
 
     // ---- Inference parity: compiled+planned vs uncompiled reference ----
     let mut compiled = case.net.clone_structure();
-    let report = compile::compile(&mut compiled, &shapes, &CompileOptions::inference())
-        .expect("compile (inference)");
+    let report =
+        compile::compile(&mut compiled, &shapes, &CompileOptions::default()).expect("compile");
+    // Backprop runs on an engine of its own, so the timed one below has
+    // only ever run inference.
+    let tplan_engine = engine(compiled.clone_structure(), ExecutorKind::Planned);
     let reference_engine = engine(case.net.clone_structure(), ExecutorKind::Reference);
     let mut reference = reference_engine.lock();
     let planned_engine = engine(compiled, ExecutorKind::Planned);
@@ -77,11 +78,7 @@ fn run_case(case: &ZooCase) -> Vec<Row> {
         }
     }
 
-    // ---- Backprop parity under the training-safe pass set -------------
-    let mut train_compiled = case.net.clone_structure();
-    compile::compile(&mut train_compiled, &shapes, &CompileOptions::training())
-        .expect("compile (training)");
-    let tplan_engine = engine(train_compiled, ExecutorKind::Planned);
+    // ---- Backprop parity: compiled+planned vs uncompiled reference -----
     let mut tplan = tplan_engine.lock();
     let r_out = reference
         .inference_and_backprop(&feeds, "loss")
@@ -290,7 +287,7 @@ pub fn parity_bitwise(rows: &[Row]) -> Verdict {
 pub fn backprop_parity_bitwise(rows: &[Row]) -> Verdict {
     unless(
         "backprop_parity_bitwise",
-        "training-compiled loss and gradients == reference, bitwise",
+        "compiled loss and gradients == reference, bitwise",
         mismatched(rows, "backprop_mismatches"),
     )
 }

@@ -9,11 +9,10 @@
 //! For every bundled model the full pipeline runs: dataflow/liveness,
 //! static shape & dtype inference at a concrete batch, symbolic-batch
 //! propagation, and wavefront buffer-aliasing analysis with the pool
-//! lower bound. Then every model × batch size × {raw, compiled-inference,
-//! compiled-training} execution plan is lowered to [`PlanIr`] and run
-//! through the plan-soundness lint (`V018`); the raw plan does
-//! not depend on the batch size, the compiled graph's conv tiers do. Exit
-//! status 1 if any model produces a Deny lint.
+//! lower bound. Then every model × batch size × {raw, compiled} execution
+//! plan is lowered to [`PlanIr`] and run through the plan-soundness lint
+//! (`V018`); the raw plan does not depend on the batch size, the compiled
+//! graph's conv tiers do. Exit status 1 if any model produces a Deny lint.
 
 use deep500::graph::compile::{compile, CompileOptions, ExecutionPlan};
 use deep500::graph::models::zoo;
@@ -47,8 +46,8 @@ fn check_variant(label: &str, plan: Result<PlanIr, String>, explain: bool) -> us
     report.deny_count()
 }
 
-/// Plan-soundness sweep: each zoo model at several batch sizes, in raw,
-/// compiled-inference, and compiled-training form.
+/// Plan-soundness sweep: each zoo model at several batch sizes, in raw and
+/// compiled form.
 fn verify_plans(explain: bool) -> usize {
     let mut denies = 0usize;
     for case in zoo() {
@@ -57,23 +56,14 @@ fn verify_plans(explain: bool) -> usize {
             println!("model '{}' @ batch {batch}:", case.name);
             denies += check_variant("raw", lower_plan(&case.net, &shapes), explain);
 
-            let mut inf = case.net.clone_structure();
-            denies += match compile(&mut inf, &shapes, &CompileOptions::inference()) {
+            let mut compiled = case.net.clone_structure();
+            denies += match compile(&mut compiled, &shapes, &CompileOptions::default()) {
                 // compile() ends on the graph gate and builds no plan; the
                 // plan it leaves is lowered and checked here, as the
                 // plan interpreter's build would.
-                Ok(_) => check_variant("compiled-inference", lower_plan(&inf, &shapes), explain),
+                Ok(_) => check_variant("compiled", lower_plan(&compiled, &shapes), explain),
                 Err(e) => {
-                    eprintln!("  plan 'compiled-inference': compile denied: {e}");
-                    1
-                }
-            };
-
-            let mut train = case.net.clone_structure();
-            denies += match compile(&mut train, &shapes, &CompileOptions::training()) {
-                Ok(_) => check_variant("compiled-training", lower_plan(&train, &shapes), explain),
-                Err(e) => {
-                    eprintln!("  plan 'compiled-training': compile denied: {e}");
+                    eprintln!("  plan 'compiled': compile denied: {e}");
                     1
                 }
             };

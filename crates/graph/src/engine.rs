@@ -24,7 +24,7 @@
 //! let net = models::mlp(8, &[16], 4, 1).unwrap();
 //! let engine = Engine::builder(net)
 //!     .executor(ExecutorKind::Planned)
-//!     .compile(CompileOptions::inference())
+//!     .compile(CompileOptions::default())
 //!     .input_shape("x", Shape::new(&[2, 8]))
 //!     .input_shape("labels", Shape::new(&[2]))
 //!     .build()
@@ -124,10 +124,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Run the ahead-of-time compile pipeline (const-fold, CSE, fusion)
-    /// on the network before the executor is built. Passes are gated by
+    /// Run the ahead-of-time compile pipeline (GEMM-epilogue fusion) on
+    /// the network before the executor is built. The rewrite is gated by
     /// the transform-safety harness under the declared
-    /// [`input_shape`](Self::input_shape)s.
+    /// [`input_shape`](Self::input_shape)s. `opts` has no settings; the
+    /// argument is kept because the frozen spine benchmark passes
+    /// [`CompileOptions::inference`].
     pub fn compile(mut self, opts: CompileOptions) -> Self {
         self.compile = Some(opts);
         self
@@ -383,7 +385,7 @@ mod tests {
         let plain = Engine::builder(net.clone_structure()).build().unwrap();
         let compiled = Engine::builder(net)
             .executor(ExecutorKind::Planned)
-            .compile(CompileOptions::inference())
+            .compile(CompileOptions::default())
             .input_shape("x", Shape::new(&[2, 8]))
             .input_shape("labels", Shape::new(&[2]))
             .build()

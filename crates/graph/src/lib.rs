@@ -24,8 +24,10 @@
 //!   a portable network onto backend executors,
 //! * graph [`transforms`]: the micro-batch convolution transformation
 //!   (Oyama et al., evaluated in §V-C) with its memory-constrained split
-//!   solver, and elementwise-operator fusion (the Caffe2-Adam-style
-//!   optimization of Use Case 1),
+//!   solver,
+//! * the ahead-of-time [`compile`](mod@compile) pipeline: GEMM-epilogue
+//!   fusion gated by the transform-safety harness, and the plan
+//!   interpreter,
 //! * a [model zoo](models): LeNet-style CNNs, MLPs, an AlexNet-style conv
 //!   stack, and residual blocks,
 //! * Level-1 validation: [`test_executor`](validate::test_executor) and

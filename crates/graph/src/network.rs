@@ -141,23 +141,6 @@ impl Network {
             .collect()
     }
 
-    /// Rewire every node input reading tensor `from` to read `to` instead.
-    /// Returns the number of rewritten input slots. Used by graph rewrites
-    /// (common-subexpression elimination) that redirect consumers onto a
-    /// surviving producer.
-    pub fn rename_input(&mut self, from: &str, to: &str) -> usize {
-        let mut rewritten = 0;
-        for node in self.nodes.iter_mut().flatten() {
-            for input in node.inputs.iter_mut() {
-                if input == from {
-                    *input = to.to_string();
-                    rewritten += 1;
-                }
-            }
-        }
-        rewritten
-    }
-
     // ------------------------------------------------- tensors & params
 
     /// Register a parameter tensor (ONNX initializer).
@@ -490,17 +473,6 @@ mod tests {
         net.add_node("relu2", "Relu", Attributes::new(), &["x"], &["y"])
             .unwrap();
         assert_eq!(net.num_nodes(), 2);
-    }
-
-    #[test]
-    fn rename_input_rewires_all_consumers() {
-        let mut net = tiny_net();
-        net.add_node("extra", "Relu", Attributes::new(), &["y"], &["y2"])
-            .unwrap();
-        assert_eq!(net.rename_input("y", "x"), 2, "scale and extra rewired");
-        assert!(net.consumers_of("y").is_empty());
-        assert_eq!(net.consumers_of("x").len(), 3);
-        assert_eq!(net.rename_input("missing", "x"), 0);
     }
 
     #[test]

@@ -2,17 +2,13 @@
 //!
 //! The paper separates the network abstraction from operators precisely so
 //! that "researchers can build their own graph transformations to optimize
-//! between operators". Two transformations are provided, matching the
-//! paper's evaluation and motivation:
-//!
-//! * [`microbatch`] — the micro-batch convolution rewrite of Oyama et al.
-//!   (§V-C, Fig. 7): `Conv -> Split + k·Conv + Concat` under a memory
-//!   constraint, with per-micro-batch algorithm selection,
-//! * [`fusion`] — elementwise-operator fusion (the Caffe2-style fused-Adam
-//!   optimization of Use Case 1): chains of elementwise ops collapse into a
-//!   single operator, removing per-operator dispatch overhead.
+//! between operators". The transformation provided is the one the paper
+//! evaluates: [`microbatch`], the micro-batch convolution rewrite of Oyama
+//! et al. (§V-C, Fig. 7): `Conv -> Split + k·Conv + Concat` under a memory
+//! constraint, with per-micro-batch algorithm selection. The compile
+//! pipeline's GEMM-epilogue fusion lives with the pipeline, in
+//! [`crate::compile`].
 
-pub mod fusion;
 pub mod microbatch;
 
 #[cfg(test)]

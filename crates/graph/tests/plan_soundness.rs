@@ -3,9 +3,8 @@
 //! caught.
 //!
 //! Structure mirrors the verifier's contract:
-//! * every zoo model × {raw, compiled-inference, compiled-training}
-//!   verifies with zero deny lints, and both concurrent executor kinds run
-//!   the gate when they are built,
+//! * every zoo model × {raw, compiled} verifies with zero deny lints, and
+//!   both concurrent executor kinds run the gate when they are built,
 //! * six hand-corrupted plans (level reorder, death-list desync, a read
 //!   retargeted past its definition, a second writer, a recycled graph
 //!   output, a memoized input hoisted beside its producer) each produce
@@ -36,22 +35,12 @@ fn every_zoo_plan_verifies_clean_raw_and_compiled() {
         let report = check_plan(&ir);
         assert!(report.passes(), "{name} raw:\n{}", report.render(true));
 
-        // Both compile option sets must leave a plan that clears the gate.
-        let mut inf = net.clone_structure();
-        compile(&mut inf, &shapes, &CompileOptions::inference())
-            .unwrap_or_else(|e| panic!("{name} inference compile denied: {e}"));
-        let report = check_plan(&lower(&inf, &shapes));
-        assert!(
-            report.passes(),
-            "{name} inference:\n{}",
-            report.render(true)
-        );
-
-        let mut train = net.clone_structure();
-        compile(&mut train, &shapes, &CompileOptions::training())
-            .unwrap_or_else(|e| panic!("{name} training compile denied: {e}"));
-        let report = check_plan(&lower(&train, &shapes));
-        assert!(report.passes(), "{name} training:\n{}", report.render(true));
+        // The compiled network must leave a plan that clears the gate.
+        let mut compiled = net.clone_structure();
+        compile(&mut compiled, &shapes, &CompileOptions::default())
+            .unwrap_or_else(|e| panic!("{name} compile denied: {e}"));
+        let report = check_plan(&lower(&compiled, &shapes));
+        assert!(report.passes(), "{name} compiled:\n{}", report.render(true));
     }
 }
 

@@ -1,13 +1,15 @@
 //! Stored graphs that use the retired ahead-of-time filter layout — a
 //! `Conv2d` tagged `weights_packed` / `w_dims`, a rank-1 filter edge, a
-//! `PackConv2dFilter` node — or an `algorithm` attribute that is missing,
-//! the retired `auto` selector, or no tier at all, are untrusted bytes like
-//! any other. Each case round-trips through d5nx and either runs exactly
-//! like its natural-layout (or explicitly tiered) twin or fails with a
-//! typed error; none panics.
+//! `PackConv2dFilter` node — a node of another retired operator type, or
+//! an `algorithm` attribute that is missing, the retired `auto` selector,
+//! or no tier at all, are untrusted bytes like any other. Each case
+//! round-trips through d5nx and either runs exactly like its
+//! natural-layout (or explicitly tiered) twin or fails with a typed error;
+//! none panics.
 
-use deep500_graph::compile::CompileOptions;
+use deep500_graph::compile::{compile, CompileOptions};
 use deep500_graph::format::{decode, encode};
+use deep500_graph::models::zoo;
 use deep500_graph::{Engine, ExecutorKind, Network};
 use deep500_ops::registry::Attributes;
 use deep500_tensor::{Error, Result, Shape, Tensor};
@@ -77,7 +79,7 @@ fn a_rank_1_filter_edge_is_refused_at_build() {
     let stored = roundtrip(&conv_net(attrs, filter(&[len]))).unwrap();
     let Err(err) = Engine::builder(stored.clone_structure())
         .input_shape("x", Shape::new(&X))
-        .compile(CompileOptions::inference())
+        .compile(CompileOptions::default())
         .build()
     else {
         panic!("a rank-1 filter must be refused");
@@ -90,11 +92,13 @@ fn a_rank_1_filter_edge_is_refused_at_build() {
     }
 }
 
-#[test]
-fn a_pack_conv2d_filter_node_is_refused_on_decode() {
+/// Decode a stored graph holding a one-input node of type `op`, which
+/// must be refused as an unknown operator.
+fn assert_refused_on_decode(op: &str) {
     // The encoder writes only registered operators, so store a `Flatten`
     // node (same arity) and rename it in the bytes: every d5nx string is
     // length-prefixed, so the splice leaves a well-formed file.
+    assert!(op.len() < 0x80, "the splice writes a one-byte length");
     let mut net = conv_net(conv_attrs(), filter(&[3, 2, 3, 3]));
     net.add_node("pack", "Flatten", Attributes::new(), &["w"], &["w::packed"])
         .unwrap();
@@ -106,16 +110,31 @@ fn a_pack_conv2d_filter_node_is_refused_on_decode() {
         .expect("the Flatten op type is in the encoding");
     let spliced = [
         &bytes[..at],
-        &[16u8][..],
-        b"PackConv2dFilter",
+        &[op.len() as u8][..],
+        op.as_bytes(),
         &bytes[at + old.len()..],
     ]
     .concat();
     let Err(err) = decode(&spliced) else {
-        panic!("PackConv2dFilter is not an operator");
+        panic!("{op} is not an operator");
     };
     assert!(matches!(err, Error::NotFound(_)), "{err}");
-    assert!(err.to_string().contains("PackConv2dFilter"), "{err}");
+    assert!(err.to_string().contains(op), "{err}");
+}
+
+#[test]
+fn a_pack_conv2d_filter_node_is_refused_on_decode() {
+    assert_refused_on_decode("PackConv2dFilter");
+}
+
+/// Compiling registers no operator, so what a decode accepts does not
+/// depend on whether the process compiled a graph before.
+#[test]
+fn a_fused_elementwise_node_is_refused_on_decode_after_a_compile() {
+    let case = zoo().swap_remove(0);
+    let mut net = case.net.clone_structure();
+    compile(&mut net, &case.input_shapes(), &CompileOptions::default()).unwrap();
+    assert_refused_on_decode("FusedElementwise");
 }
 
 #[test]

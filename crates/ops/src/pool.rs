@@ -222,10 +222,14 @@ impl Pool2dOp {
     }
 }
 
+/// How many runs of whole planes a pool pass is cut into (four per worker
+/// on a two-core host), fixed so the split depends only on the shape.
+const PLANE_RUNS: usize = 8;
+
 /// Run `f(plane index, plane)` over the `len`-element planes of `data`:
-/// planes are independent, so they go through [`crate::par`] — a few runs
-/// of whole planes per worker, `visits` window-element visits as the work
-/// — without changing any result.
+/// planes are independent, so they go through [`crate::par`] — up to
+/// [`PLANE_RUNS`] runs of whole planes, `visits` window-element visits as
+/// the work — without changing any result.
 fn for_each_plane(
     data: &mut [f32],
     len: usize,
@@ -235,8 +239,7 @@ fn for_each_plane(
     if len == 0 {
         return;
     }
-    let tasks = 4 * rayon::current_num_threads();
-    let run = (data.len() / len).div_ceil(tasks);
+    let run = (data.len() / len).div_ceil(PLANE_RUNS);
     crate::par::for_each_chunk(data, run * len, visits, |t, chunk| {
         for (i, p) in chunk.chunks_exact_mut(len).enumerate() {
             f(t * run + i, p);

@@ -343,7 +343,7 @@ fn conv_model_replies_are_bit_identical_to_a_compiled_solo_engine() {
     let replies: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
 
     let engine = Engine::builder(lenet())
-        .compile(CompileOptions::inference())
+        .compile(CompileOptions::default())
         .input_shape("x", Shape::new(&[1, 1, HW, HW]))
         .input_shape("labels", Shape::new(&[1]))
         .build()
