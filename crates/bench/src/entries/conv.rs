@@ -34,7 +34,7 @@
 
 use crate::rows::{select, unless, Better, Row, Verdict};
 use crate::{scale, time_rounds, Scale, Subject};
-use deep500::metrics::norms::linf_diff;
+use deep500::metrics::norms::{linf_diff, nan_max};
 use deep500::ops::conv::{self, Conv2dOp, ConvAlgorithm, ConvGeometry};
 use deep500::ops::deepbench::ConvSize;
 use deep500::ops::Operator;
@@ -139,7 +139,7 @@ fn backward_rows(name: &str, cs: &ConvSize, reps: usize) -> Vec<Row> {
     let got = conv::backward_direct(&dy, &x, &w, g).expect("backward");
     let want = conv::backward_reference(&dy, &x, &w, g).expect("oracle backward");
     let errs = got.iter().zip(&want).map(|(a, b)| rel_linf(a, b));
-    let err = errs.fold(0.0, f64::max);
+    let err = errs.fold(0.0, nan_max);
 
     let timed = time_rounds(
         1,
@@ -282,7 +282,7 @@ pub fn direct_2x_wins(rows: &[Row]) -> Verdict {
 
 pub fn backward_parity(rows: &[Row]) -> Verdict {
     let errs = select(rows, "backward", "oracle_rel_linf").map(|r| r.median);
-    let worst = errs.fold(0.0f64, f64::max);
+    let worst = errs.fold(0.0f64, nan_max);
     Verdict::new(
         "backward_parity",
         worst <= 1e-4,

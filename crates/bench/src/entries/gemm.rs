@@ -29,7 +29,7 @@
 
 use crate::rows::{select, unless, Better, Row, Verdict};
 use crate::{reruns, time_rounds, Subject};
-use deep500::metrics::norms::linf_diff;
+use deep500::metrics::norms::{linf_diff, nan_max};
 use deep500::metrics::stats::Summary;
 use deep500::ops::deepbench::GemmSize;
 use deep500::ops::gemm::{gemm_into, matmul, matmul_at_b_with, Algorithm};
@@ -214,7 +214,7 @@ pub fn measure() -> Vec<Row> {
 
 pub fn parity(rows: &[Row]) -> Verdict {
     let errs = select(rows, "results", "rel_linf").map(|r| r.median);
-    let worst = errs.fold(0.0f64, f64::max);
+    let worst = errs.fold(0.0f64, nan_max);
     Verdict::new(
         "parity",
         worst <= 1e-4,

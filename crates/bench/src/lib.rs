@@ -16,7 +16,7 @@
 //!   a field);
 //! * [`Report`] — the one report writer: `benchmark`, `env`, `rows` and
 //!   `gates`, rendered to `BENCH_<name>.json` (the row schema is
-//!   [`rows`]'s).
+//!   `rows`'s).
 
 use deep500::graph::Engine;
 use deep500::metrics::stats::Summary;

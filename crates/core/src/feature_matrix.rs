@@ -19,7 +19,7 @@ pub enum Support {
 
 impl Support {
     /// The paper's glyphs: full `●`, partial `◐`, none `○`.
-    pub fn glyph(&self) -> &'static str {
+    fn glyph(&self) -> &'static str {
         match self {
             Support::Full => "●",
             Support::Partial => "◐",
@@ -36,6 +36,8 @@ pub const FRAMEWORK_FEATURES: [&str; 13] = [
 ];
 
 /// One Table I row.
+///
+/// Public for: Table I, returned by `framework_matrix`.
 #[derive(Debug, Clone)]
 pub struct FrameworkRow {
     pub name: &'static str,
@@ -123,6 +125,8 @@ pub const BENCHMARK_FEATURES: [&str; 11] = [
 ];
 
 /// One Table II row.
+///
+/// Public for: Table II, returned by `benchmark_matrix`.
 #[derive(Debug, Clone)]
 pub struct BenchmarkRow {
     pub name: &'static str,
@@ -177,14 +181,6 @@ pub fn render_matrix(title: &str, columns: &[&str], rows: &[(String, Vec<Support
     table.render()
 }
 
-/// Count systems that fully support every listed feature.
-pub fn full_coverage_count<const N: usize>(matrix: &[(&str, [Support; N])]) -> usize {
-    matrix
-        .iter()
-        .filter(|(_, f)| f.iter().all(|&s| s == Full))
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,12 +191,12 @@ mod tests {
             .into_iter()
             .map(|r| (r.name, r.features))
             .collect();
-        assert_eq!(full_coverage_count(&matrix), 1);
-        let full = matrix
+        let full: Vec<&str> = matrix
             .iter()
-            .find(|(_, f)| f.iter().all(|&s| s == Full))
-            .unwrap();
-        assert_eq!(full.0, "Deep500");
+            .filter(|(_, f)| f.iter().all(|&s| s == Full))
+            .map(|(name, _)| *name)
+            .collect();
+        assert_eq!(full, ["Deep500"]);
     }
 
     #[test]

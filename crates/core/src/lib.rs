@@ -84,16 +84,8 @@ pub mod prelude {
     };
 }
 
-/// Crate version, for reports.
-pub const VERSION: &str = env!("CARGO_PKG_VERSION");
-
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn version_is_set() {
-        assert!(!super::VERSION.is_empty());
-    }
-
     #[test]
     fn prelude_compiles_and_links_all_levels() {
         use super::prelude::*;

@@ -17,6 +17,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Index entry for one archived sample.
+///
+/// Public for: returned by `write_indexed_tar`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexEntry {
     pub offset: u64,

@@ -18,6 +18,7 @@
 use crate::codec;
 use crate::codec::entropy::{read_u64, write_u64};
 use crate::io_model::{StorageClock, StorageModel};
+use crate::Minibatch;
 use deep500_tensor::{Error, Result, Tensor, Xoshiro256StarStar};
 use rayon::prelude::*;
 use std::io::Write;
@@ -104,12 +105,6 @@ impl RecordReader {
     }
 }
 
-/// A decoded minibatch of images as a `[B, C, H, W]` tensor plus labels.
-pub struct DecodedBatch {
-    pub x: Tensor,
-    pub labels: Tensor,
-}
-
 /// The TF-style input pipeline: sequential reads → shuffle buffer →
 /// parallel decode.
 pub struct RecordPipeline {
@@ -150,8 +145,8 @@ impl RecordPipeline {
 
     /// Pop `batch` records (pseudo-shuffled), decode them (in parallel if
     /// configured), and assemble the batch tensor. Returns `None` when the
-    /// stream and buffer are exhausted.
-    pub fn next_batch(&mut self, batch: usize) -> Result<Option<DecodedBatch>> {
+    /// stream and buffer are exhausted. The batch's `x` is `[B, C, H, W]`.
+    pub fn next_batch(&mut self, batch: usize) -> Result<Option<Minibatch>> {
         self.refill()?;
         if self.buffer.is_empty() {
             return Ok(None);
@@ -187,7 +182,7 @@ impl RecordPipeline {
             x.data_mut()[i * per..(i + 1) * per].copy_from_slice(data);
             labels.data_mut()[i] = *label as f32;
         }
-        Ok(Some(DecodedBatch { x, labels }))
+        Ok(Some(Minibatch { x, labels }))
     }
 
     /// Restart the underlying stream (buffer contents retained, as TF does).

@@ -85,57 +85,57 @@ pub fn assemble_minibatch(dataset: &dyn Dataset, indices: &[usize]) -> Result<Mi
     Ok(Minibatch { x, labels })
 }
 
-/// A trivially small in-memory dataset, mostly for tests.
-pub struct InMemoryDataset {
-    name: String,
-    samples: Vec<Sample>,
-    shape: Shape,
-    classes: usize,
-}
-
-impl InMemoryDataset {
-    /// Wrap a list of samples. All must share a shape.
-    pub fn new(name: &str, samples: Vec<Sample>, classes: usize) -> Result<Self> {
-        let shape = samples
-            .first()
-            .map(|s| s.data.shape().clone())
-            .ok_or_else(|| Error::Invalid("empty dataset".into()))?;
-        if samples.iter().any(|s| s.data.shape() != &shape) {
-            return Err(Error::ShapeMismatch("inconsistent sample shapes".into()));
-        }
-        Ok(InMemoryDataset {
-            name: name.into(),
-            samples,
-            shape,
-            classes,
-        })
-    }
-}
-
-impl Dataset for InMemoryDataset {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn len(&self) -> usize {
-        self.samples.len()
-    }
-    fn sample_shape(&self) -> Shape {
-        self.shape.clone()
-    }
-    fn num_classes(&self) -> usize {
-        self.classes
-    }
-    fn sample(&self, idx: usize) -> Result<Sample> {
-        self.samples
-            .get(idx)
-            .cloned()
-            .ok_or_else(|| Error::NotFound(format!("sample {idx}")))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A trivially small in-memory dataset.
+    struct InMemoryDataset {
+        name: String,
+        samples: Vec<Sample>,
+        shape: Shape,
+        classes: usize,
+    }
+
+    impl InMemoryDataset {
+        /// Wrap a list of samples. All must share a shape.
+        fn new(name: &str, samples: Vec<Sample>, classes: usize) -> Result<Self> {
+            let shape = samples
+                .first()
+                .map(|s| s.data.shape().clone())
+                .ok_or_else(|| Error::Invalid("empty dataset".into()))?;
+            if samples.iter().any(|s| s.data.shape() != &shape) {
+                return Err(Error::ShapeMismatch("inconsistent sample shapes".into()));
+            }
+            Ok(InMemoryDataset {
+                name: name.into(),
+                samples,
+                shape,
+                classes,
+            })
+        }
+    }
+
+    impl Dataset for InMemoryDataset {
+        fn name(&self) -> &str {
+            &self.name
+        }
+        fn len(&self) -> usize {
+            self.samples.len()
+        }
+        fn sample_shape(&self) -> Shape {
+            self.shape.clone()
+        }
+        fn num_classes(&self) -> usize {
+            self.classes
+        }
+        fn sample(&self, idx: usize) -> Result<Sample> {
+            self.samples
+                .get(idx)
+                .cloned()
+                .ok_or_else(|| Error::NotFound(format!("sample {idx}")))
+        }
+    }
 
     fn tiny() -> InMemoryDataset {
         let samples = (0..4)

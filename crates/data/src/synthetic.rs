@@ -133,18 +133,6 @@ impl SyntheticDataset {
         )
     }
 
-    /// ImageNet-shaped dataset: `3x224x224`, 1000 classes.
-    pub fn imagenet_like(len: usize, seed: u64) -> Self {
-        Self::new(
-            "imagenet-synth",
-            Shape::new(&[3, 224, 224]),
-            1000,
-            len,
-            0.4,
-            seed,
-        )
-    }
-
     /// The deterministic class of sample `idx`.
     pub fn label_of(&self, idx: usize) -> u32 {
         // Spread classes evenly but non-contiguously.
@@ -239,10 +227,6 @@ mod tests {
         assert_eq!(
             SyntheticDataset::cifar10_like(1, 0).sample_shape(),
             Shape::new(&[3, 32, 32])
-        );
-        assert_eq!(
-            SyntheticDataset::imagenet_like(1, 0).sample_shape(),
-            Shape::new(&[3, 224, 224])
         );
         assert_eq!(SyntheticDataset::cifar100_like(1, 0).num_classes(), 100);
     }

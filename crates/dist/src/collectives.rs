@@ -8,17 +8,17 @@
 //!   allgather): each rank sends `2·(n−1)/n · S` bytes,
 //! * [`allreduce_flat`] — gather-to-root + broadcast (the naive scheme the
 //!   PS architecture resembles),
-//! * [`broadcast_tree`] / [`gather_to_root`] — binomial-tree broadcast and
-//!   flat gather,
-//! * [`neighbor_exchange`] — the DPSGD gossip step on a ring topology.
+//! * [`broadcast_tree`] — binomial-tree broadcast,
+//! * [`neighbor_exchange_among`] — the DPSGD gossip step on a ring
+//!   topology.
 //!
-//! Each collective has an `_among` variant running over an explicit,
-//! sorted member list — the group-re-formation primitive of the
-//! fault-tolerance layer: when ranks crash, survivors call the `_among`
-//! form with `comm.live_ranks()` and the schedule shrinks to the live
-//! group. With the full membership the `_among` schedule is *identical*
-//! (message for message) to the plain form, which is what makes a
-//! zero-fault run bit-identical to the fault-free path.
+//! The ring allreduce and the gossip step run over an explicit, sorted
+//! member list (the `_among` forms) — the group-re-formation primitive of
+//! the fault-tolerance layer: when ranks crash, survivors pass
+//! `comm.live_ranks()` and the schedule shrinks to the live group. With the
+//! full membership the `_among` schedule is *identical* (message for
+//! message) to the whole-world one, which is what makes a zero-fault run
+//! bit-identical to the fault-free path.
 //!
 //! All collectives return [`CommResult`]; errors carry typed causes
 //! ([`CommError`]) instead of panicking.
@@ -122,9 +122,8 @@ pub fn broadcast_tree(comm: &mut dyn Communicator, buf: &mut [f32], root: usize)
 }
 
 /// Binomial-tree broadcast from `root` over an explicit member group
-/// (sorted ranks; `root` and the caller must be members). Full membership
-/// reproduces the [`broadcast_tree`] schedule exactly.
-pub fn broadcast_among(
+/// (sorted ranks; `root` and the caller must be members).
+fn broadcast_among(
     comm: &mut dyn Communicator,
     buf: &mut [f32],
     root: usize,
@@ -166,40 +165,12 @@ pub fn broadcast_among(
     Ok(())
 }
 
-/// Gather all ranks' buffers to `root`; returns `Some(parts)` (indexed by
-/// rank) at the root, `None` elsewhere.
-pub fn gather_to_root(
-    comm: &mut dyn Communicator,
-    buf: &[f32],
-    root: usize,
-) -> CommResult<Option<Vec<Vec<f32>>>> {
-    if comm.rank() == root {
-        let mut parts = vec![Vec::new(); comm.world()];
-        parts[root] = buf.to_vec();
-        for (peer, part) in parts.iter_mut().enumerate() {
-            if peer != root {
-                *part = comm.recv(peer)?;
-            }
-        }
-        Ok(Some(parts))
-    } else {
-        comm.send(root, buf)?;
-        Ok(None)
-    }
-}
-
-/// DPSGD-style neighbor exchange on a ring: send `buf` to both neighbors,
-/// receive theirs, return the three-way average (self + left + right) / 3.
-/// Communication volume per rank is constant in the world size.
-pub fn neighbor_exchange(comm: &mut dyn Communicator, buf: &[f32]) -> CommResult<Vec<f32>> {
-    let members: Vec<usize> = (0..comm.world()).collect();
-    neighbor_exchange_among(comm, buf, &members)
-}
-
-/// Neighbor exchange on the ring formed by an explicit member group
-/// (sorted ranks; the caller must be a member). Full membership reproduces
-/// the [`neighbor_exchange`] schedule exactly; after crashes the gossip
-/// ring re-forms over the survivors.
+/// DPSGD-style neighbor exchange on the ring formed by an explicit member
+/// group (sorted ranks; the caller must be a member): send `buf` to both
+/// ring neighbors, receive theirs, return the three-way average
+/// (self + left + right) / 3. Communication volume per rank is constant in
+/// the group size; after crashes the gossip ring re-forms over the
+/// survivors.
 pub fn neighbor_exchange_among(
     comm: &mut dyn Communicator,
     buf: &[f32],
@@ -232,15 +203,8 @@ pub fn neighbor_exchange_among(
         .collect())
 }
 
-/// Scale a buffer in place by `1/world` — the averaging step after a sum
-/// allreduce.
-pub fn average_in_place(comm: &dyn Communicator, buf: &mut [f32]) {
-    average_among(buf, comm.world());
-}
-
 /// Scale a buffer in place by `1/group_size` — the surviving-rank
 /// renormalization after an allreduce over a (possibly shrunken) group.
-/// With the full world this is exactly [`average_in_place`].
 pub fn average_among(buf: &mut [f32], group_size: usize) {
     if group_size == 0 {
         return;
@@ -398,25 +362,28 @@ mod tests {
         assert_eq!(results[3].as_ref().unwrap(), &vec![5.0, 6.0]);
     }
 
+    /// The flat allreduce gathers every rank's buffer at rank 0: with
+    /// one-hot contributions the sum holds each rank's part at its index.
     #[test]
     fn gather_collects_by_rank() {
         let results = on_world(4, |c| {
-            let buf = vec![c.rank() as f32];
-            gather_to_root(c, &buf, 0).unwrap()
+            let mut buf = vec![0.0f32; 4];
+            buf[c.rank()] = c.rank() as f32 + 1.0;
+            allreduce_flat(c, &mut buf).unwrap();
+            (buf, c.stats().bytes_received)
         });
-        let root = results[0].as_ref().unwrap();
-        assert_eq!(root.len(), 4);
-        for (r, part) in root.iter().enumerate() {
-            assert_eq!(part, &vec![r as f32]);
+        for (r, (buf, _)) in results.iter().enumerate() {
+            assert_eq!(buf, &vec![1.0, 2.0, 3.0, 4.0], "rank {r}");
         }
-        assert!(results[1].is_none());
+        // The root received one whole buffer from each of the three others.
+        assert!(results[0].1 >= 3 * 4 * 4);
     }
 
     #[test]
     fn neighbor_exchange_averages_ring_neighbors() {
         let results = on_world(4, |c| {
             let buf = vec![c.rank() as f32 * 3.0];
-            neighbor_exchange(c, &buf).unwrap()
+            neighbor_exchange_among(c, &buf, &[0, 1, 2, 3]).unwrap()
         });
         // rank 1: (0 + 3 + 6)/3 = 3
         assert_eq!(results[1], vec![3.0]);
@@ -428,7 +395,7 @@ mod tests {
     fn neighbor_exchange_two_ranks() {
         let results = on_world(2, |c| {
             let buf = vec![if c.rank() == 0 { 3.0 } else { 9.0 }];
-            neighbor_exchange(c, &buf).unwrap()
+            neighbor_exchange_among(c, &buf, &[0, 1]).unwrap()
         });
         // Each rank averages self + the peer's value twice.
         assert_eq!(results[0], vec![7.0]); // (3 + 9 + 9)/3

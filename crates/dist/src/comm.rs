@@ -104,13 +104,13 @@ impl SendOptions {
 
 /// One in-flight message.
 #[derive(Debug, Clone)]
-pub struct Message {
-    pub data: Vec<f32>,
+struct Message {
+    data: Vec<f32>,
     /// Sender's virtual clock at send time (plus any in-network delay).
-    pub send_ts: f64,
+    send_ts: f64,
     /// Logical payload size in bytes (defaults to `4 * data.len()`; the
     /// scaling harness prices full-size tensors while moving small ones).
-    pub logical_bytes: usize,
+    logical_bytes: usize,
 }
 
 /// An MPI-style communicator endpoint.

@@ -8,7 +8,7 @@
 //! [`FaultyCommunicator`] decorates any [`Communicator`] with the plan:
 //! every injected fault is priced in virtual seconds through the α-β
 //! [`NetworkModel`] and counted in
-//! [`FaultCounters`](deep500_metrics::FaultCounters).
+//! [`FaultCounters`].
 //!
 //! Everything is a pure function of the plan's seed and the (lockstep)
 //! message schedule, so the same seed reproduces the same fault sequence
@@ -22,39 +22,6 @@ use crate::netmodel::NetworkModel;
 use deep500_metrics::{CommunicationVolume, FaultCounters};
 use deep500_tensor::SplitMix64;
 use std::sync::Arc;
-
-/// What kind of fault (or recovery action) an event records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// A message transmission was dropped.
-    Drop,
-    /// A message suffered an injected in-network delay.
-    Delay,
-    /// A message was reordered (head-of-line blocking under the in-order
-    /// transport: priced as one extra message time).
-    Reorder,
-    /// This rank crashed per the plan.
-    Crash,
-    /// A dropped transmission was retried.
-    Retry,
-    /// A peer's planned crash was observed by this rank.
-    CrashDetected,
-    /// A receive timed out.
-    TimeoutDetected,
-}
-
-/// One injected fault, in injection order on one rank. The log of these is
-/// the reproducibility witness: same seed ⇒ same sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// Training step during which the fault fired.
-    pub step: u64,
-    /// Fault kind.
-    pub kind: FaultKind,
-    /// The peer involved (destination for sends, source for receives; the
-    /// own rank for crashes).
-    pub peer: usize,
-}
 
 /// A seeded, reproducible fault schedule. All probabilities are per
 /// message transmission; delays and backoff are priced in virtual seconds
@@ -145,13 +112,6 @@ impl FaultPlan {
         self
     }
 
-    /// Reorder each message with probability `rate` (head-of-line delay).
-    pub fn with_reorders(mut self, rate: f64) -> Self {
-        assert!((0.0..1.0).contains(&rate), "reorder rate must be in [0, 1)");
-        self.reorder_rate = rate;
-        self
-    }
-
     /// Slow rank `rank`'s compute down by `factor` (> 1).
     pub fn with_straggler(mut self, rank: usize, factor: f64) -> Self {
         assert!(factor >= 1.0, "straggler factor must be >= 1");
@@ -171,17 +131,8 @@ impl FaultPlan {
         self
     }
 
-    /// True when the plan injects nothing.
-    pub fn is_zero_fault(&self) -> bool {
-        self.drop_rate == 0.0
-            && self.delay_rate == 0.0
-            && self.reorder_rate == 0.0
-            && self.stragglers.is_empty()
-            && self.crashes.is_empty()
-    }
-
     /// The step at which `rank` crashes, if any.
-    pub fn crash_step(&self, rank: usize) -> Option<u64> {
+    fn crash_step(&self, rank: usize) -> Option<u64> {
         self.crashes
             .iter()
             .filter(|(r, _)| *r == rank)
@@ -190,17 +141,17 @@ impl FaultPlan {
     }
 
     /// Whether `rank` is dead at (the beginning of) `step`.
-    pub fn is_dead(&self, rank: usize, step: u64) -> bool {
+    fn is_dead(&self, rank: usize, step: u64) -> bool {
         self.crash_step(rank).is_some_and(|s| s <= step)
     }
 
     /// Ranks alive at `step`, ascending.
-    pub fn live_at(&self, step: u64, world: usize) -> Vec<usize> {
+    fn live_at(&self, step: u64, world: usize) -> Vec<usize> {
         (0..world).filter(|&r| !self.is_dead(r, step)).collect()
     }
 
     /// The straggler slowdown factor of `rank` (1.0 when not a straggler).
-    pub fn straggler_factor(&self, rank: usize) -> f64 {
+    fn straggler_factor(&self, rank: usize) -> f64 {
         self.stragglers
             .iter()
             .filter(|(r, _)| *r == rank)
@@ -208,10 +159,6 @@ impl FaultPlan {
             .fold(1.0, f64::max)
     }
 }
-
-/// Cap on the per-rank fault-event log (reproducibility witness); counts
-/// keep accumulating past it.
-const FAULT_LOG_CAP: usize = 10_000;
 
 /// Decorator injecting a [`FaultPlan`] into any [`Communicator`].
 pub struct FaultyCommunicator<C: Communicator> {
@@ -222,7 +169,6 @@ pub struct FaultyCommunicator<C: Communicator> {
     step: u64,
     dead: bool,
     counters: FaultCounters,
-    events: Vec<FaultEvent>,
 }
 
 impl<C: Communicator> FaultyCommunicator<C> {
@@ -241,29 +187,12 @@ impl<C: Communicator> FaultyCommunicator<C> {
             step: 0,
             dead: false,
             counters: FaultCounters::new(),
-            events: Vec::new(),
         }
-    }
-
-    /// The injected-fault log, in injection order (the reproducibility
-    /// witness: same seed ⇒ same log).
-    pub fn fault_log(&self) -> &[FaultEvent] {
-        &self.events
     }
 
     /// Consume the decorator, returning the inner communicator.
     pub fn into_inner(self) -> C {
         self.inner
-    }
-
-    fn log(&mut self, kind: FaultKind, peer: usize) {
-        if self.events.len() < FAULT_LOG_CAP {
-            self.events.push(FaultEvent {
-                step: self.step,
-                kind,
-                peer,
-            });
-        }
     }
 
     fn check_self_alive(&self) -> CommResult<()> {
@@ -288,7 +217,6 @@ impl<C: Communicator> Communicator for FaultyCommunicator<C> {
             // Plan-visible peer death: sending into the void fails fast
             // and deterministically.
             self.counters.recoveries += 1;
-            self.log(FaultKind::CrashDetected, to);
             return Err(CommError::RankDead(to));
         }
         let msg_s = self.model.message_s(opts.logical_bytes);
@@ -298,7 +226,6 @@ impl<C: Communicator> Communicator for FaultyCommunicator<C> {
                 // The transmission occupied the wire and was lost.
                 attempts += 1;
                 self.counters.drops_injected += 1;
-                self.log(FaultKind::Drop, to);
                 self.inner.advance(msg_s);
                 self.counters.recovery_virtual_s += msg_s;
                 if attempts > self.plan.max_retries {
@@ -309,7 +236,6 @@ impl<C: Communicator> Communicator for FaultyCommunicator<C> {
                 self.inner.advance(backoff);
                 self.counters.recovery_virtual_s += backoff;
                 self.counters.retries += 1;
-                self.log(FaultKind::Retry, to);
                 continue;
             }
             let mut opts = opts;
@@ -317,14 +243,12 @@ impl<C: Communicator> Communicator for FaultyCommunicator<C> {
                 let delay = self.rng.next_f64() * self.plan.max_delay_msgs * msg_s;
                 opts.extra_delay_s += delay;
                 self.counters.delays_injected += 1;
-                self.log(FaultKind::Delay, to);
             }
             if self.plan.reorder_rate > 0.0 && self.rng.next_f64() < self.plan.reorder_rate {
                 // In-order transport: a reordered packet stalls the flow
                 // for one extra message time (head-of-line blocking).
                 opts.extra_delay_s += msg_s;
                 self.counters.reorders_injected += 1;
-                self.log(FaultKind::Reorder, to);
             }
             if attempts > 0 {
                 // A retransmission got through: the drop was recovered.
@@ -343,7 +267,7 @@ impl<C: Communicator> Communicator for FaultyCommunicator<C> {
         self.check_self_alive()?;
         // Whether the plan has killed `from` depends on the step, which
         // cannot change during a call, so it is decided before waiting.
-        let (kind, err) = if self.plan.is_dead(from, self.step) {
+        let err = if self.plan.is_dead(from, self.step) {
             // Messages sent before the crash remain consumable.
             match self.inner.try_recv(from) {
                 Ok(Some(data)) => return Ok(data),
@@ -351,16 +275,15 @@ impl<C: Communicator> Communicator for FaultyCommunicator<C> {
                 Err(e) => return Err(e),
             }
             self.counters.recoveries += 1;
-            (FaultKind::CrashDetected, CommError::RankDead(from))
+            CommError::RankDead(from)
         } else {
             match self.inner.recv_timeout(from, patience_s) {
-                Err(e @ CommError::Timeout { .. }) => (FaultKind::TimeoutDetected, e),
+                Err(e @ CommError::Timeout { .. }) => e,
                 other => return other,
             }
         };
         self.counters.recovery_virtual_s += self.plan.detect_virtual_s;
         self.inner.advance(self.plan.detect_virtual_s);
-        self.log(kind, from);
         Err(err)
     }
 
@@ -393,7 +316,6 @@ impl<C: Communicator> Communicator for FaultyCommunicator<C> {
         if !self.dead && self.plan.is_dead(self.rank(), step) {
             self.dead = true;
             self.counters.crashes_injected += 1;
-            self.log(FaultKind::Crash, self.rank());
             return Err(CommError::RankDead(self.rank()));
         }
         self.check_self_alive()?;
@@ -404,7 +326,6 @@ impl<C: Communicator> Communicator for FaultyCommunicator<C> {
             self.counters.recoveries += 1;
             self.counters.recovery_virtual_s += self.plan.detect_virtual_s;
             self.inner.advance(self.plan.detect_virtual_s);
-            self.log(FaultKind::CrashDetected, self.rank());
         }
         Ok(())
     }
@@ -450,12 +371,10 @@ mod tests {
     #[test]
     fn zero_fault_plan_is_transparent() {
         let (mut f0, mut c1) = pair(FaultPlan::none());
-        assert!(FaultPlan::none().is_zero_fault());
         f0.begin_step(0).unwrap();
         f0.send(1, &[1.0, 2.0]).unwrap();
         assert_eq!(c1.recv(0).unwrap(), vec![1.0, 2.0]);
         assert_eq!(f0.fault_stats(), FaultCounters::default());
-        assert!(f0.fault_log().is_empty());
         assert_eq!(f0.live_ranks(), vec![0, 1]);
     }
 
@@ -486,22 +405,29 @@ mod tests {
 
     #[test]
     fn same_seed_same_fault_log() {
+        // The witness is what the faults cost: the counters, and the
+        // virtual clocks of the sender and of the receiver, which every
+        // drop, backoff, delay and reorder moves.
         let run = |seed: u64| {
-            let (mut f0, mut c1) = pair(
-                FaultPlan::seeded(seed)
+            let (mut f0, mut c1) = pair(FaultPlan {
+                reorder_rate: 0.2,
+                ..FaultPlan::seeded(seed)
                     .with_drops(0.3, 10)
                     .with_delays(0.3, 4.0)
-                    .with_reorders(0.2),
-            );
+            });
             for _ in 0..32 {
                 f0.send(1, &[1.0]).unwrap();
                 c1.recv(0).unwrap();
             }
-            f0.fault_log().to_vec()
+            (
+                f0.fault_stats(),
+                f0.elapsed().to_bits(),
+                c1.elapsed().to_bits(),
+            )
         };
         let a = run(11);
         let b = run(11);
-        assert!(!a.is_empty());
+        assert!(a.0.drops_injected > 0 && a.0.delays_injected > 0 && a.0.reorders_injected > 0);
         assert_eq!(a, b, "same seed must reproduce the fault sequence");
         let c = run(12);
         assert_ne!(a, c, "a different seed should perturb the sequence");

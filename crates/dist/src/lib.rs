@@ -54,7 +54,7 @@ pub mod sparse;
 pub mod tracing;
 
 pub use comm::{CommError, CommResult, Communicator, SendOptions, ThreadTransport};
-pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultyCommunicator};
+pub use fault::{FaultPlan, FaultyCommunicator};
 pub use netmodel::NetworkModel;
 pub use runner::{
     ConsistencyReport, DistributedRunner, RankReport, RankStatus, RunReport, Variant,

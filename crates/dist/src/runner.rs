@@ -37,6 +37,7 @@ use crate::tracing::TracingCommunicator;
 use deep500_data::sampler::{DatasetSampler, ShardedSampler};
 use deep500_data::Dataset;
 use deep500_graph::{Engine, ExecutorKind, Network};
+use deep500_metrics::norms::{abs_diff, nan_max};
 use deep500_metrics::trace::{rank_by_total, OpAttribution, TraceRecorder};
 use deep500_metrics::{CommunicationVolume, FaultCounters};
 use deep500_tensor::{Error, Result};
@@ -46,10 +47,9 @@ use std::sync::Arc;
 use std::thread;
 
 /// Everything a rank's closure receives.
-pub struct RankContext {
-    pub rank: usize,
-    pub world: usize,
-    pub comm: ThreadCommunicator,
+struct RankContext {
+    rank: usize,
+    comm: ThreadCommunicator,
 }
 
 /// Spawn `world` rank threads running `f`; returns per-rank results in
@@ -67,7 +67,7 @@ fn spawn_ranks<T: Send + 'static>(
             let f = f.clone();
             thread::Builder::new()
                 .name(format!("d5-rank{rank}"))
-                .spawn(move || f(RankContext { rank, world, comm }))
+                .spawn(move || f(RankContext { rank, comm }))
                 .expect("spawn rank thread")
         })
         .collect();
@@ -89,6 +89,8 @@ fn spawn_ranks<T: Send + 'static>(
 }
 
 /// Factory signature of [`Variant::Custom`].
+///
+/// Public for: the payload of `Variant::Custom`.
 pub type CustomFactory =
     Arc<dyn Fn(Box<dyn Communicator>) -> Box<dyn DistributedOptimizer> + Send + Sync>;
 
@@ -273,14 +275,6 @@ impl RunReport {
         total
     }
 
-    /// Slowest completed rank's virtual time (the run's makespan).
-    pub fn makespan(&self) -> f64 {
-        self.ranks
-            .iter()
-            .map(|r| r.virtual_time)
-            .fold(0.0, f64::max)
-    }
-
     /// Parameter consistency across the *completed* ranks.
     pub fn consistency(&self, tol: f32) -> ConsistencyReport {
         consistency_over(
@@ -318,9 +312,9 @@ pub struct ConsistencyReport {
     pub tol: f32,
     /// Number of ranks compared.
     pub ranks_checked: usize,
-    /// Largest elementwise |difference| seen.
+    /// Largest elementwise |difference| seen; NaN when some difference is.
     pub max_abs_diff: f32,
-    /// Out-of-tolerance elements (capped at [`ConsistencyReport::MAX_RECORDED`]).
+    /// Out-of-tolerance elements, the first eight found.
     pub divergences: Vec<Divergence>,
     /// Structural mismatches (parameter name/shape disagreements).
     pub structural: Vec<String>,
@@ -329,7 +323,7 @@ pub struct ConsistencyReport {
 impl ConsistencyReport {
     /// Cap on recorded divergences (counts keep accumulating in
     /// `max_abs_diff`).
-    pub const MAX_RECORDED: usize = 8;
+    const MAX_RECORDED: usize = 8;
 
     /// True when every rank's parameters agree within the tolerance.
     pub fn is_consistent(&self) -> bool {
@@ -402,9 +396,11 @@ fn consistency_over<'a>(
                 continue;
             }
             for (i, (a, b)) in v1.iter().zip(v2).enumerate() {
-                let diff = (a - b).abs();
-                report.max_abs_diff = report.max_abs_diff.max(diff);
-                if diff > tol && report.divergences.len() < ConsistencyReport::MAX_RECORDED {
+                // A NaN on either side is a divergence at any tolerance.
+                let diff = abs_diff(*a, *b);
+                report.max_abs_diff = nan_max(report.max_abs_diff.into(), diff) as f32;
+                let agrees = diff <= f64::from(tol);
+                if !agrees && report.divergences.len() < ConsistencyReport::MAX_RECORDED {
                     report.divergences.push(Divergence {
                         rank,
                         reference_rank: ref_rank,
@@ -510,7 +506,7 @@ impl DistributedRunner {
 
     /// Inject a (possibly zero-fault) [`FaultPlan`]: every rank's
     /// communicator is wrapped in a
-    /// [`FaultyCommunicator`](crate::fault::FaultyCommunicator).
+    /// [`FaultyCommunicator`].
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(Arc::new(plan));
         self
@@ -518,7 +514,7 @@ impl DistributedRunner {
 
     /// Record every rank's communication into `recorder`: each rank's
     /// communicator is wrapped in a
-    /// [`TracingCommunicator`](crate::tracing::TracingCommunicator) feeding
+    /// [`TracingCommunicator`] feeding
     /// a per-rank track (`rank0`, `rank1`, …), outermost so injected fault
     /// delays show up in the spans.
     pub fn trace(mut self, recorder: &TraceRecorder) -> Self {
@@ -918,6 +914,31 @@ mod tests {
         let mixed = check(&[(0, mk(2.0)), (2, odd)]);
         assert!(!mixed.is_consistent());
         assert!(!mixed.structural.is_empty());
+    }
+
+    #[test]
+    fn a_nan_parameter_is_a_divergence_at_any_tolerance() {
+        type Params = Vec<(String, Vec<f32>)>;
+        let mk = |v: f32| -> Params { vec![("w".into(), vec![1.0, v])] };
+        let check = |ranks: &[(usize, Params)], tol: f32| {
+            consistency_over(ranks.iter().map(|(r, p)| (*r, p.as_slice())), tol)
+        };
+        for pair in [
+            [(0, mk(2.0)), (1, mk(f32::NAN))],
+            [(0, mk(f32::NAN)), (1, mk(2.0))],
+            [(0, mk(f32::NAN)), (1, mk(f32::NAN))],
+        ] {
+            for tol in [0.0, 1.0, f32::INFINITY] {
+                let report = check(&pair, tol);
+                assert!(!report.is_consistent(), "tol {tol}: {report}");
+                assert_eq!(report.divergences.len(), 1);
+                assert!(report.max_abs_diff.is_nan(), "{report}");
+            }
+        }
+        // Equal values agree at `tol = 0`, matching infinities included.
+        let inf = check(&[(0, mk(f32::INFINITY)), (1, mk(f32::INFINITY))], 0.0);
+        assert!(inf.is_consistent(), "{inf}");
+        assert_eq!(inf.max_abs_diff, 0.0);
     }
 
     #[test]

@@ -266,7 +266,7 @@ pub fn strong_scaling(
 /// Expected transmissions per delivered message under i.i.d. drop
 /// probability `p` with up to `k` retransmissions — the truncated
 /// geometric series `E = (1 − p^{k+1}) / (1 − p)`.
-pub fn expected_attempts(p: f64, k: u32) -> f64 {
+fn expected_attempts(p: f64, k: u32) -> f64 {
     if p <= 0.0 {
         return 1.0;
     }
@@ -278,7 +278,7 @@ pub fn expected_attempts(p: f64, k: u32) -> f64 {
 
 /// [`simulate_step`] under a lossy network: every message drops with
 /// probability `drop_rate` and is retransmitted up to `max_retries` times,
-/// so communication time and volume scale by [`expected_attempts`]. A
+/// so communication time and volume scale by `expected_attempts`. A
 /// message that exhausts its budget is permanently lost (probability
 /// `p^{k+1}`); the synchronous centralized schedules (TF-PS, PSSGD, ASGD)
 /// cannot complete a step without every message, so they abort once the

@@ -78,7 +78,7 @@ impl NetworkVisitor for ProfileLowering<'_> {
 }
 
 /// Lower a portable network onto a framework profile (visitor pipeline).
-pub fn lower_network(net: &Network, profile: &FrameworkProfile) -> Result<Network> {
+fn lower_network(net: &Network, profile: &FrameworkProfile) -> Result<Network> {
     let mut v = ProfileLowering {
         profile,
         out: Network::new(""),

@@ -2,9 +2,9 @@
 //!
 //! Two pieces of the paper's Level-0 evaluation live here:
 //!
-//! * [`run_kernel_direct`] — the DeepBench measurement mode: call the
-//!   kernel with zero framework management ("it only calls a given kernel
-//!   and outputs the resulting GPU runtime"),
+//! * [`run_kernel_framework`] — a kernel call as the profiled framework
+//!   makes it (the DeepBench mode, which "only calls a given kernel and
+//!   outputs the resulting GPU runtime", is a plain `Operator::forward`),
 //! * [`NativeOpWrapper`] — the Rust analogue of
 //!   `custom_op_from_native` (Listing 5): wrap any operator behind
 //!   Deep500's descriptor-checked interface so it can be validated and
@@ -12,14 +12,8 @@
 //!   `tests::wrapping_overhead_is_small` asserts.
 
 use crate::profile::FrameworkProfile;
-use deep500_ops::operator::{checked_forward, Operator};
+use deep500_ops::operator::Operator;
 use deep500_tensor::{Result, Shape, Tensor, TensorDesc};
-
-/// Run an operator's forward pass the DeepBench way: direct call, no
-/// dispatch, no copies, no instrumentation.
-pub fn run_kernel_direct(op: &dyn Operator, inputs: &[&Tensor]) -> Result<Vec<Tensor>> {
-    op.forward(inputs)
-}
 
 /// Run an operator's forward pass the way the profiled framework would:
 /// dispatch burn + optional input copies + the kernel.
@@ -50,11 +44,6 @@ impl<O: Operator> NativeOpWrapper<O> {
     /// Wrap `inner`, declaring the descriptors of the tensors it accepts.
     pub fn new(inner: O, input_descs: Vec<TensorDesc>) -> Self {
         NativeOpWrapper { inner, input_descs }
-    }
-
-    /// The declared input descriptors.
-    pub fn input_descs(&self) -> &[TensorDesc] {
-        &self.input_descs
     }
 
     /// Descriptor check: shapes of `inputs` must match the declaration.
@@ -124,21 +113,13 @@ impl<O: Operator> Operator for NativeOpWrapper<O> {
     }
 }
 
-/// Full checked invocation through the Deep500 interface (descriptor check
-/// + shape verification) — the "Deep500" series of Fig. 6.
-pub fn run_kernel_wrapped<O: Operator>(
-    wrapper: &NativeOpWrapper<O>,
-    inputs: &[&Tensor],
-) -> Result<Vec<Tensor>> {
-    checked_forward(wrapper, inputs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use deep500_metrics::stats::Summary;
     use deep500_metrics::Timer;
     use deep500_ops::gemm::{Algorithm, MatMulOp};
+    use deep500_ops::operator::checked_forward;
     use deep500_tensor::Xoshiro256StarStar;
 
     fn gemm_case(n: usize) -> (MatMulOp, Tensor, Tensor) {
@@ -153,14 +134,13 @@ mod tests {
     #[test]
     fn direct_and_wrapped_agree() {
         let (op, a, b) = gemm_case(32);
-        let direct = run_kernel_direct(&op, &[&a, &b]).unwrap();
+        let direct = op.forward(&[&a, &b]).unwrap();
         let wrapper = NativeOpWrapper::new(
             MatMulOp::new(Algorithm::Parallel),
             vec![TensorDesc::f32([32, 32]), TensorDesc::f32([32, 32])],
         );
-        let wrapped = run_kernel_wrapped(&wrapper, &[&a, &b]).unwrap();
+        let wrapped = checked_forward(&wrapper, &[&a, &b]).unwrap();
         assert_eq!(direct[0], wrapped[0]);
-        assert_eq!(wrapper.input_descs().len(), 2);
     }
 
     #[test]
@@ -185,7 +165,7 @@ mod tests {
         let mut direct_t = Vec::new();
         let mut tf_t = Vec::new();
         for _ in 0..20 {
-            let (_, t) = Timer::time(|| run_kernel_direct(&op, &[&a, &b]).unwrap());
+            let (_, t) = Timer::time(|| op.forward(&[&a, &b]).unwrap());
             direct_t.push(t);
             let (_, t) = Timer::time(|| run_kernel_framework(&tf, &op, &[&a, &b]).unwrap());
             tf_t.push(t);
@@ -208,9 +188,9 @@ mod tests {
         let mut direct_t = Vec::new();
         let mut wrapped_t = Vec::new();
         for _ in 0..15 {
-            let (_, t) = Timer::time(|| run_kernel_direct(&op, &[&a, &b]).unwrap());
+            let (_, t) = Timer::time(|| op.forward(&[&a, &b]).unwrap());
             direct_t.push(t);
-            let (_, t) = Timer::time(|| run_kernel_wrapped(&wrapper, &[&a, &b]).unwrap());
+            let (_, t) = Timer::time(|| checked_forward(&wrapper, &[&a, &b]).unwrap());
             wrapped_t.push(t);
         }
         let d = Summary::of(&direct_t);

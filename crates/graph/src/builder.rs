@@ -321,15 +321,6 @@ impl NetworkBuilder {
         }
         Ok(self.net)
     }
-
-    /// Current sample shape flowing out of the stack (for tests and model
-    /// reports): `[c, h, w]` or `[features]`.
-    pub fn current_shape(&self) -> Vec<usize> {
-        match self.flow {
-            Flow::Image(c, h, w) => vec![c, h, w],
-            Flow::Features(f) => vec![f],
-        }
-    }
 }
 
 #[cfg(test)]
@@ -371,9 +362,9 @@ mod tests {
         let b = NetworkBuilder::image_input("t", 3, 32, 32, 0)
             .conv(8, 5, 1, 2)
             .maxpool(2, 2);
-        assert_eq!(b.current_shape(), vec![8, 16, 16]);
+        assert!(matches!(b.flow, Flow::Image(8, 16, 16)));
         let b = b.flatten();
-        assert_eq!(b.current_shape(), vec![8 * 16 * 16]);
+        assert!(matches!(b.flow, Flow::Features(2048)));
     }
 
     #[test]

@@ -201,9 +201,10 @@ impl ExecutionPlan {
         self.tensor_names.len()
     }
 
-    /// Lower the frozen plan into the verifier's plain-data [`PlanIr`] for
-    /// the plan-soundness lint (`V018`), mirroring how `Network::to_ir()`
-    /// feeds the graph-level passes.
+    /// Lower the frozen plan into the verifier's plain-data
+    /// [`PlanIr`](deep500_verify::PlanIr) for the plan-soundness lint
+    /// (`V018`), mirroring how `Network::to_ir()` feeds the graph-level
+    /// passes.
     ///
     /// The second and third arguments are ignored: liveness needs no
     /// operator, and every weight memo re-checks its version stamp on each

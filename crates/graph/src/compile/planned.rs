@@ -6,7 +6,7 @@
 //! level, joining before the next level starts. Whether a level's steps go
 //! to the thread pool or run in order on the coordinator is
 //! [`deep500_ops::par`]'s decision, taken from the steps' declared FLOPs
-//! (see [`level_work`]): a chain, or a level of small nodes, never pays a
+//! (see `level_work`): a chain, or a level of small nodes, never pays a
 //! hand-off. The frozen plan is the only thing a pass reads. It is a
 //! drop-in [`GraphExecutor`]:
 //!
@@ -182,11 +182,6 @@ impl PlannedExecutor {
             hits: 0,
             cached: 1,
         }
-    }
-
-    /// Buffer-pool effectiveness counters.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
     }
 
     /// The planned forward pass. With `reclaim`, buffers of tensors whose
@@ -587,8 +582,8 @@ mod tests {
         pl.inference(&as_refs(&mlp_feeds(4, 16))).unwrap();
         let as_trait: &dyn GraphExecutor = &pl;
         assert_eq!(as_trait.static_plan_bytes(), None);
-        assert_eq!(as_trait.buffer_pool_stats(), Some(pl.pool_stats()));
-        assert!(pl.pool_stats().held_bytes > 0);
+        assert_eq!(as_trait.buffer_pool_stats(), Some(pl.pool.stats()));
+        assert!(pl.pool.stats().held_bytes > 0);
     }
 
     #[test]
@@ -638,9 +633,9 @@ mod tests {
         let mut ex = PlannedExecutor::construct(net, usize::MAX).unwrap();
         let feeds = mlp_feeds(4, 6);
         ex.inference_and_backprop(&as_refs(&feeds), "loss").unwrap();
-        let first = ex.pool_stats();
+        let first = ex.buffer_pool_stats().unwrap();
         ex.inference_and_backprop(&as_refs(&feeds), "loss").unwrap();
-        let second = ex.pool_stats();
+        let second = ex.buffer_pool_stats().unwrap();
         assert!(
             second.hits > first.hits,
             "second pass should reuse first-pass gradient buffers: {second:?}"
@@ -677,11 +672,11 @@ mod tests {
             for _ in 0..10 {
                 pass(&mut ex);
             }
-            let after_10 = ex.pool_stats();
+            let after_10 = ex.buffer_pool_stats().unwrap();
             for _ in 0..50 {
                 pass(&mut ex);
             }
-            let after_60 = ex.pool_stats();
+            let after_60 = ex.buffer_pool_stats().unwrap();
             assert_eq!(
                 after_60.held_bytes, after_10.held_bytes,
                 "backprop={backprop}: pool grew between pass 10 and pass 60"
@@ -734,7 +729,7 @@ mod tests {
             let ex = engine.lock();
             let planned = ex.as_any().downcast_ref::<PlannedExecutor>().unwrap();
             assert_eq!(planned.plan_cache_stats().builds, 1);
-            held.push(planned.pool_stats().held_bytes);
+            held.push(planned.buffer_pool_stats().unwrap().held_bytes);
         }
         assert_eq!(held[1], held[0], "the second sweep grew the pool");
     }

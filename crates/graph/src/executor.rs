@@ -655,15 +655,6 @@ impl FrameworkOverheadProbe {
     pub fn overhead(&self) -> f64 {
         (self.total_time - self.op_time).max(0.0)
     }
-
-    /// Overhead as a fraction of total time.
-    pub fn overhead_fraction(&self) -> f64 {
-        if self.total_time > 0.0 {
-            self.overhead() / self.total_time
-        } else {
-            0.0
-        }
-    }
 }
 
 impl Event for FrameworkOverheadProbe {
@@ -840,7 +831,7 @@ mod tests {
         probe.end(Phase::OperatorForward, 0);
         probe.end(Phase::Inference, 0);
         assert!(probe.total_time() >= probe.operator_time());
-        assert!(probe.overhead_fraction() <= 1.0);
+        assert!(probe.overhead() <= probe.total_time());
     }
 
     #[test]

@@ -32,9 +32,9 @@ use varint::{
 /// Magic bytes at the start of every d5nx file.
 pub const MAGIC: &[u8; 4] = b"D5NX";
 /// Current format version.
-pub const FORMAT_VERSION: u64 = 1;
+const FORMAT_VERSION: u64 = 1;
 /// Operator-set version (bumped when built-in operator semantics change).
-pub const OPSET_VERSION: u64 = 3;
+const OPSET_VERSION: u64 = 3;
 
 fn write_attr(buf: &mut Vec<u8>, key: &str, value: &AttrValue) {
     write_string(buf, key);

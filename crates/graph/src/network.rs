@@ -182,19 +182,9 @@ impl Network {
             .ok_or_else(|| Error::NotFound(format!("tensor '{name}'")))
     }
 
-    /// Fetch several tensors at once (`fetch_tensors`).
-    pub fn fetch_tensors(&self, names: &[&str]) -> Result<Vec<&Tensor>> {
-        names.iter().map(|n| self.fetch_tensor(n)).collect()
-    }
-
     /// Whether a tensor value is currently available.
     pub fn has_tensor(&self, name: &str) -> bool {
         self.initializers.contains_key(name) || self.values.contains_key(name)
-    }
-
-    /// Remove all non-parameter values (between iterations).
-    pub fn clear_values(&mut self) {
-        self.values.clear();
     }
 
     /// Iterate over the non-parameter value store (fed inputs, gradients,
@@ -242,7 +232,7 @@ impl Network {
     // --------------------------------------------------------- structure
 
     /// Topological order of live nodes: the dependency levels of
-    /// [`Self::levels`], concatenated. Every walk of the graph — both
+    /// `Self::levels`, concatenated. Every walk of the graph — both
     /// execution loops, the visitor, the compile passes and
     /// [`ExecutionPlan::freeze`](crate::ExecutionPlan::freeze) — reads this
     /// one sequence. Errors on a cycle or on an input nothing defines.
@@ -446,9 +436,6 @@ mod tests {
         assert_eq!(net.fetch_tensor("w").unwrap().data(), &[5.0]);
         net.feed_tensor("activation", Tensor::from_slice(&[2.0]));
         assert!(net.has_tensor("activation"));
-        net.clear_values();
-        assert!(!net.has_tensor("activation"));
-        assert!(net.has_tensor("w"), "params survive clear_values");
         assert!(net.fetch_tensor("missing").is_err());
         assert_eq!(net.parameter_bytes(), 4);
     }

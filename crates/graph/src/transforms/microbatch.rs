@@ -26,6 +26,8 @@ use deep500_ops::registry::Attributes;
 use deep500_tensor::{Error, Result, Shape};
 
 /// A micro-batching decision for one convolution node.
+///
+/// Public for: Fig. 7, returned by `plan_microbatches`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MicrobatchPlan {
     /// Micro-batch sizes (sum equals the original batch). The remainder
@@ -84,6 +86,8 @@ pub fn plan_microbatches(
 }
 
 /// Report of one applied micro-batch rewrite.
+///
+/// Public for: Fig. 7, returned by `microbatch_convolutions`.
 #[derive(Debug, Clone)]
 pub struct MicrobatchReport {
     pub node_name: String,

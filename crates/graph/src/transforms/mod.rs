@@ -7,7 +7,7 @@
 //! et al. (§V-C, Fig. 7): `Conv -> Split + k·Conv + Concat` under a memory
 //! constraint, with per-micro-batch algorithm selection. The compile
 //! pipeline's GEMM-epilogue fusion lives with the pipeline, in
-//! [`crate::compile`].
+//! [`crate::compile`](mod@crate::compile).
 
 pub mod microbatch;
 

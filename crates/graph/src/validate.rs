@@ -14,6 +14,8 @@ use deep500_metrics::Timer;
 use deep500_tensor::{Error, PoolStats, Result, Tensor};
 
 /// Result of comparing two executors.
+///
+/// Public for: returned by `test_executor`.
 #[derive(Debug, Clone)]
 pub struct ExecutorReport {
     /// Per-output difference norms (`name`, norms), sorted by name.
@@ -241,6 +243,25 @@ mod tests {
         let labels = Tensor::from_slice(&[0.0]);
         let report = test_executor(&mut a, &mut b, &[("x", x), ("labels", labels)], 2).unwrap();
         assert!(!report.passes(1e-6));
+    }
+
+    #[test]
+    fn a_nan_candidate_fails_validation() {
+        let net = models::mlp(4, &[4], 2, 1).unwrap();
+        let mut poisoned = net.clone_structure();
+        for p in poisoned.get_params().to_vec() {
+            let shape = poisoned.fetch_tensor(&p).unwrap().shape().clone();
+            poisoned.feed_tensor(&p, Tensor::full(shape, f32::NAN));
+        }
+        let mut a = ReferenceExecutor::construct(poisoned, usize::MAX).unwrap();
+        let mut b = ReferenceExecutor::construct(net, usize::MAX).unwrap();
+        let feeds = [
+            ("x", Tensor::ones([1, 4])),
+            ("labels", Tensor::from_slice(&[0.0])),
+        ];
+        let report = test_executor(&mut a, &mut b, &feeds, 1).unwrap();
+        assert!(report.output_norms.iter().any(|(_, n)| n.linf.is_nan()));
+        assert!(!report.passes(f64::INFINITY));
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl CommunicationVolume {
     }
 
     /// Sent bytes in GB (decimal, as the paper reports: "0.952 GB").
-    pub fn sent_gb(&self) -> f64 {
+    fn sent_gb(&self) -> f64 {
         self.bytes_sent as f64 / 1e9
     }
 }

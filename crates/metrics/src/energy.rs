@@ -73,6 +73,9 @@ impl EnergyMetric {
     }
 
     /// Busy (operator-executing) seconds so far.
+    ///
+    /// Public for: §IV-A, the evaluator's energy metric (busy against idle
+    /// time).
     pub fn busy_seconds(&self) -> f64 {
         self.busy_s
     }

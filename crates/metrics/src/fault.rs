@@ -46,7 +46,7 @@ impl FaultCounters {
 
     /// Total faults injected (drops + delays + reorders + crashes +
     /// straggler slowdowns).
-    pub fn total_injected(&self) -> u64 {
+    fn total_injected(&self) -> u64 {
         self.drops_injected
             + self.delays_injected
             + self.reorders_injected

@@ -1,8 +1,8 @@
 //! 2-D heatmaps "to highlight regions of interest" (paper §III-E).
 //!
-//! A [`Heatmap`] is built from a flat buffer interpreted as `rows x cols`;
-//! it can be downsampled, rendered as ASCII art for terminal reports, or
-//! dumped as CSV for external plotting.
+//! A [`Heatmap`] is built from a flat buffer interpreted as `rows x cols`
+//! and summarizes as a [`MetricValue::Matrix`]; it can be mean-pooled
+//! down for display.
 
 use crate::{MetricValue, TestMetric};
 
@@ -81,37 +81,6 @@ impl Heatmap {
         }
         Heatmap::new(out_r, out_c, out)
     }
-
-    /// Render as ASCII art using a 10-level intensity ramp, downsampling to
-    /// fit `max_rows x max_cols` characters.
-    pub fn render_ascii(&self, max_rows: usize, max_cols: usize) -> String {
-        const RAMP: &[u8] = b" .:-=+*#%@";
-        let hm = self.downsample(max_rows, max_cols);
-        let (lo, hi) = hm.range();
-        let span = if hi > lo { hi - lo } else { 1.0 };
-        let mut s = String::with_capacity((hm.cols + 1) * hm.rows);
-        for r in 0..hm.rows {
-            for c in 0..hm.cols {
-                let t = ((hm.get(r, c) - lo) / span * (RAMP.len() - 1) as f64).round() as usize;
-                s.push(RAMP[t.min(RAMP.len() - 1)] as char);
-            }
-            s.push('\n');
-        }
-        s
-    }
-
-    /// Dump as CSV (one row per line).
-    pub fn to_csv(&self) -> String {
-        let mut s = String::new();
-        for r in 0..self.rows {
-            let row: Vec<String> = (0..self.cols)
-                .map(|c| format!("{:.6e}", self.get(r, c)))
-                .collect();
-            s.push_str(&row.join(","));
-            s.push('\n');
-        }
-        s
-    }
 }
 
 impl TestMetric for Heatmap {
@@ -166,31 +135,5 @@ mod tests {
         assert_eq!(d.rows(), 2);
         assert_eq!(d.cols(), 2);
         assert!(d.data().iter().all(|&v| (v - 1.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn ascii_render_shape() {
-        let h = Heatmap::new(3, 5, (0..15).map(|i| i as f64).collect());
-        let art = h.render_ascii(3, 5);
-        let lines: Vec<&str> = art.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines.iter().all(|l| l.len() == 5));
-        // highest intensity maps to '@'
-        assert!(art.contains('@'));
-    }
-
-    #[test]
-    fn csv_rows() {
-        let h = Heatmap::new(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let csv = h.to_csv();
-        assert_eq!(csv.lines().count(), 2);
-        assert!(csv.starts_with("1.000000e0,2.000000e0"));
-    }
-
-    #[test]
-    fn constant_map_renders_without_nan() {
-        let h = Heatmap::new(2, 2, vec![3.0; 4]);
-        let art = h.render_ascii(2, 2);
-        assert_eq!(art.lines().count(), 2);
     }
 }

@@ -54,12 +54,6 @@ impl Json {
             _ => None,
         }
     }
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 
     /// The value under `key` if this is an object holding it.
     pub fn get(&self, key: &str) -> Option<&Json> {
@@ -342,7 +336,7 @@ mod tests {
         assert_eq!(arr[2].as_f64(), Some(-300.0));
         assert_eq!(obj[1].1.as_str(), Some("x\nA"));
         let inner = obj[2].1.as_object().unwrap();
-        assert_eq!(inner[0].1.as_bool(), Some(true));
+        assert!(matches!(inner[0].1, Json::Bool(true)));
         assert!(matches!(inner[1].1, Json::Null));
     }
 

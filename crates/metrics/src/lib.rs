@@ -83,14 +83,6 @@ impl MetricValue {
         }
     }
 
-    /// Extract the series, if this is a `Series`.
-    pub fn as_series(&self) -> Option<&[f64]> {
-        match self {
-            MetricValue::Series(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// `true` if no meaningful value could be computed.
     pub fn is_degenerate(&self) -> bool {
         matches!(self, MetricValue::Degenerate(_))
@@ -169,9 +161,6 @@ mod tests {
     fn metric_value_accessors() {
         assert_eq!(MetricValue::Scalar(2.0).as_scalar(), Some(2.0));
         assert_eq!(MetricValue::Text("x".into()).as_scalar(), None);
-        let s = MetricValue::Series(vec![1.0, 2.0]);
-        assert_eq!(s.as_series().unwrap().len(), 2);
-        assert!(MetricValue::Scalar(0.0).as_series().is_none());
     }
 
     #[test]

@@ -4,14 +4,35 @@
 //! difference between a candidate output and a reference output (§III-E).
 //! These functions operate on flat `f32` slices — the canonical tensor
 //! storage — and compute in `f64` for stable accumulation.
+//!
+//! A NaN anywhere in either operand makes every norm NaN, so a NaN output
+//! never passes a `<= tol` check; equal elements (matching infinities
+//! included) differ by exactly `0`.
+
+/// The larger of `a` and `b`, NaN when either is NaN. `f64::max` returns
+/// the other operand instead, so a fold over it drops NaN.
+pub fn nan_max(a: f64, b: f64) -> f64 {
+    if a.is_nan() || b.is_nan() {
+        f64::NAN
+    } else {
+        a.max(b)
+    }
+}
+
+/// `|x - y|` in `f64`: `0` when `x == y` (so `inf` against `inf` agrees),
+/// NaN when either is NaN.
+pub fn abs_diff(x: f32, y: f32) -> f64 {
+    if x == y {
+        0.0
+    } else {
+        (x as f64 - y as f64).abs()
+    }
+}
 
 /// ℓ1 norm of `a - b` (sum of absolute differences).
-pub fn l1_diff(a: &[f32], b: &[f32]) -> f64 {
+fn l1_diff(a: &[f32], b: &[f32]) -> f64 {
     assert_eq!(a.len(), b.len(), "norm operands must match in length");
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| (x as f64 - y as f64).abs())
-        .sum()
+    a.iter().zip(b).map(|(&x, &y)| abs_diff(x, y)).sum()
 }
 
 /// ℓ2 norm of `a - b` (Euclidean distance).
@@ -20,7 +41,7 @@ pub fn l2_diff(a: &[f32], b: &[f32]) -> f64 {
     a.iter()
         .zip(b)
         .map(|(&x, &y)| {
-            let d = x as f64 - y as f64;
+            let d = abs_diff(x, y);
             d * d
         })
         .sum::<f64>()
@@ -33,32 +54,13 @@ pub fn linf_diff(a: &[f32], b: &[f32]) -> f64 {
     assert_eq!(a.len(), b.len(), "norm operands must match in length");
     a.iter()
         .zip(b)
-        .map(|(&x, &y)| (x as f64 - y as f64).abs())
-        .fold(0.0, f64::max)
+        .map(|(&x, &y)| abs_diff(x, y))
+        .fold(0.0, nan_max)
 }
 
 /// ℓ2 norm of a single vector.
 pub fn l2(a: &[f32]) -> f64 {
     a.iter().map(|&x| x as f64 * x as f64).sum::<f64>().sqrt()
-}
-
-/// Maximum absolute *relative* error, with absolute fallback below `atol`
-/// to avoid division blow-ups near zero.
-pub fn max_relative_error(a: &[f32], b: &[f32], atol: f64) -> f64 {
-    assert_eq!(a.len(), b.len(), "norm operands must match in length");
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| {
-            let (x, y) = (x as f64, y as f64);
-            let diff = (x - y).abs();
-            let scale = x.abs().max(y.abs());
-            if scale < atol {
-                diff
-            } else {
-                diff / scale
-            }
-        })
-        .fold(0.0, f64::max)
 }
 
 /// All three difference norms at once, as reported by `test_forward`.
@@ -118,14 +120,35 @@ mod tests {
     }
 
     #[test]
-    fn relative_error_uses_absolute_fallback() {
-        let a = [1e-12f32];
-        let b = [2e-12f32];
-        // scale below atol -> absolute difference, tiny
-        assert!(max_relative_error(&a, &b, 1e-6) < 1e-10);
-        let a = [100.0f32];
-        let b = [101.0f32];
-        assert!((max_relative_error(&a, &b, 1e-6) - 1.0 / 101.0).abs() < 1e-9);
+    fn a_nan_makes_every_norm_nan_and_fails_within() {
+        for (a, b) in [
+            ([f32::NAN, 1.0], [0.0f32, 1.0]),
+            ([0.0, 1.0], [0.0, f32::NAN]),
+            ([f32::NAN, f32::NAN], [f32::NAN, f32::NAN]),
+        ] {
+            let d = DiffNorms::of(&a, &b);
+            assert!(d.l1.is_nan() && d.l2.is_nan() && d.linf.is_nan(), "{d}");
+            assert!(!d.within(f64::INFINITY), "{d}");
+        }
+    }
+
+    #[test]
+    fn matching_infinities_agree_and_mismatched_ones_do_not() {
+        let inf = [f32::INFINITY, f32::NEG_INFINITY, 2.0];
+        let d = DiffNorms::of(&inf, &inf);
+        assert_eq!((d.l1, d.l2, d.linf), (0.0, 0.0, 0.0));
+        assert!(d.within(0.0));
+        let d = DiffNorms::of(&[f32::INFINITY], &[1.0]);
+        assert_eq!(d.linf, f64::INFINITY);
+        assert!(!d.within(1e30));
+    }
+
+    #[test]
+    fn nan_max_propagates_from_either_side() {
+        assert!(nan_max(f64::NAN, 1.0).is_nan());
+        assert!(nan_max(1.0, f64::NAN).is_nan());
+        assert!([0.5, f64::NAN, 2.0].into_iter().fold(0.0, nan_max).is_nan());
+        assert_eq!(nan_max(-1.0, 3.0), 3.0);
     }
 
     #[test]

@@ -29,12 +29,6 @@ impl Table {
         self
     }
 
-    /// Append a row of `&str` cells.
-    pub fn row_str(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -89,17 +83,6 @@ impl Table {
     }
 }
 
-/// Format seconds as adaptive `s`/`ms`/`µs` text.
-pub fn fmt_duration(seconds: f64) -> String {
-    if seconds >= 1.0 {
-        format!("{seconds:.3} s")
-    } else if seconds >= 1e-3 {
-        format!("{:.3} ms", seconds * 1e3)
-    } else {
-        format!("{:.3} µs", seconds * 1e6)
-    }
-}
-
 /// Format a byte count as adaptive `B`/`KB`/`MB`/`GB` (decimal).
 pub fn fmt_bytes(bytes: u64) -> String {
     let b = bytes as f64;
@@ -121,8 +104,8 @@ mod tests {
     #[test]
     fn table_aligns_columns() {
         let mut t = Table::new("demo", &["name", "value"]);
-        t.row_str(&["a", "1"]);
-        t.row_str(&["longer-name", "2"]);
+        t.row(&["a".into(), "1".into()]);
+        t.row(&["longer-name".into(), "2".into()]);
         let r = t.render();
         assert!(r.contains("== demo =="));
         let lines: Vec<&str> = r.lines().collect();
@@ -137,16 +120,9 @@ mod tests {
     #[test]
     fn short_rows_are_padded() {
         let mut t = Table::new("", &["a", "b", "c"]);
-        t.row_str(&["x"]);
+        t.row(&["x".into()]);
         let r = t.render();
         assert!(r.lines().count() >= 3);
-    }
-
-    #[test]
-    fn duration_formatting() {
-        assert_eq!(fmt_duration(2.5), "2.500 s");
-        assert_eq!(fmt_duration(0.0125), "12.500 ms");
-        assert_eq!(fmt_duration(2.5e-5), "25.000 µs");
     }
 
     #[test]

@@ -185,13 +185,6 @@ fn ln_choose(n: usize, k: usize) -> f64 {
     acc
 }
 
-/// Geometric mean, used when aggregating speedups across problem sizes.
-pub fn geometric_mean(data: &[f64]) -> f64 {
-    assert!(!data.is_empty());
-    let s: f64 = data.iter().map(|x| x.ln()).sum();
-    (s / data.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,12 +257,6 @@ mod tests {
         assert!(a.overlaps(&b));
         assert!(b.overlaps(&a));
         assert!(!a.overlaps(&c));
-    }
-
-    #[test]
-    fn geometric_mean_basic() {
-        assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert!((geometric_mean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -59,7 +59,6 @@ pub struct WallclockTime {
     pending: HashMap<usize, Vec<Instant>>,
     /// `end`s that arrived with no matching open `begin`.
     unmatched_ends: usize,
-    reruns: usize,
 }
 
 impl WallclockTime {
@@ -71,14 +70,7 @@ impl WallclockTime {
             samples: Vec::new(),
             pending: HashMap::new(),
             unmatched_ends: 0,
-            reruns: 30,
         }
-    }
-
-    /// Override the requested number of re-runs.
-    pub fn with_reruns(mut self, n: usize) -> Self {
-        self.reruns = n;
-        self
     }
 
     /// All recorded durations, seconds.
@@ -108,7 +100,7 @@ impl TestMetric for WallclockTime {
         &self.name
     }
     fn reruns(&self) -> usize {
-        self.reruns
+        30
     }
     fn observe(&mut self, value: f64) {
         self.samples.push(value);
@@ -185,8 +177,6 @@ mod tests {
     fn wallclock_reruns_default_and_override() {
         let m = WallclockTime::new(Phase::Inference);
         assert_eq!(m.reruns(), 30);
-        let m = m.with_reruns(5);
-        assert_eq!(m.reruns(), 5);
     }
 
     #[test]

@@ -459,6 +459,8 @@ fn fmt_f64(v: f64) -> String {
 // ---------------------------------------------------------------------------
 
 /// What [`validate_chrome_trace`] measured about a valid trace.
+///
+/// Public for: returned by `validate_chrome_trace`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChromeTraceStats {
     /// Number of `ph:"X"` (complete) spans.

@@ -9,6 +9,7 @@
 //! re-runs can be folded in without storing them all.
 
 use crate::heatmap::Heatmap;
+use crate::norms::nan_max;
 use crate::{MetricValue, TestMetric};
 
 /// Online elementwise mean/variance accumulator over repeated output buffers.
@@ -62,13 +63,9 @@ impl VarianceMap {
     }
 
     /// Maximum variance across elements — the scalar repeatability check.
+    /// NaN when any element's variance is NaN.
     pub fn max_variance(&self) -> f64 {
-        self.variance().into_iter().fold(0.0, f64::max)
-    }
-
-    /// True if every element's variance is `<= tol` — deterministic output.
-    pub fn is_repeatable(&self, tol: f64) -> bool {
-        self.max_variance() <= tol
+        self.variance().into_iter().fold(0.0, nan_max)
     }
 
     /// Variance map as a [`Heatmap`] of the given shape.
@@ -108,7 +105,7 @@ mod tests {
             v.update(&[1.0, 2.0, 3.0, 4.0]);
         }
         assert_eq!(v.count(), 5);
-        assert!(v.is_repeatable(0.0));
+        assert_eq!(v.max_variance(), 0.0);
         assert_eq!(v.mean()[2], 3.0);
     }
 
@@ -120,8 +117,16 @@ mod tests {
         }
         // sample variance of 1..5 is 2.5
         assert!((v.variance()[0] - 2.5).abs() < 1e-12);
-        assert!(!v.is_repeatable(1.0));
-        assert!(v.is_repeatable(2.5));
+        assert_eq!(v.max_variance(), v.variance()[0]);
+    }
+
+    #[test]
+    fn a_nan_element_makes_max_variance_nan() {
+        let mut v = VarianceMap::new(3);
+        v.update(&[1.0, f32::NAN, 3.0]);
+        v.update(&[1.0, 2.0, 5.0]);
+        assert!(v.max_variance().is_nan());
+        assert!(v.summarize().as_scalar().unwrap().is_nan());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use deep500_tensor::{Error, Result, Shape, Tensor};
 
 /// Elementwise activation kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Activation {
+enum Activation {
     Relu,
     Sigmoid,
     Tanh,
@@ -14,7 +14,7 @@ pub enum Activation {
 /// An elementwise activation operator.
 #[derive(Debug, Clone)]
 pub struct ActivationOp {
-    pub kind: Activation,
+    kind: Activation,
 }
 
 impl ActivationOp {

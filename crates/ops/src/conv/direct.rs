@@ -25,7 +25,7 @@
 //!   starting at `ic·Hp·Wp + fh·Wp + fw`, indexed by flat padded position
 //!   `j = oh·Wp + ow`. The `Wp - Wo` positions between output rows (the
 //!   *seam*) are computed with the rest of their register tile and dropped
-//!   by the write-back ([`Seam`]). Other strides have no such window, so
+//!   by the write-back (`Seam`). Other strides have no such window, so
 //!   their rows are gathered — by the same hoisted row copy the explicit
 //!   lowering uses (`im2col_block`), one `KC x NC` block at a time, never
 //!   the whole `K x P` matrix — either row-major for the wide driver or
@@ -38,7 +38,7 @@
 //! [`Epilogue::BiasRowRelu`], while each freshly stored tile is cache-hot.
 //!
 //! On AVX-512-class hosts the panel driver is the dedicated 16-lane
-//! microkernel ([`run_panel_wide`]) at the wide register tile ([`NR_W`] =
+//! microkernel (`run_panel_wide`) at the wide register tile ([`NR_W`] =
 //! 32 columns) — conv GEMMs have few rows (`Co`) and very many columns
 //! (`Ho·Wo`), so widening the per-tile column count is where the extra
 //! vector width pays. It addresses `B` through a per-row offset table
@@ -69,7 +69,7 @@ use deep500_tensor::{recycle_scratch, scratch_dirty, Error, Result, Tensor};
 /// layout for a `Co x K` GEMM A-operand (`K = Cin·kh·kw`).
 ///
 /// Layout: for each `KC` reduction block `pc` (ascending), the `MC` row
-/// panels (ascending `ic`), each a [`pack_a`]-format run of `MR`-row
+/// panels (ascending `ic`), each a `pack_a`-format run of `MR`-row
 /// `[p][i]` slivers with edge rows zero-padded. The block starting at
 /// `(pc, ic)` lives at offset `round_up(co, MR) * pc + ic * kc_b`; total
 /// length is [`packed_filter_len`]`(co, k)`.
@@ -88,7 +88,7 @@ pub struct PackedFilter {
 /// `(m, k)`, never on the GEMM width or sliver width, so one packing
 /// serves every input spatial size on both the narrow and wide panel
 /// drivers.
-pub fn filter_blocking(co: usize, k: usize) -> (usize, usize) {
+fn filter_blocking(co: usize, k: usize) -> (usize, usize) {
     let bl = Blocking::for_conv(co, NR, k, NR);
     (bl.mc, bl.kc)
 }
@@ -147,7 +147,7 @@ pub(super) fn tap(r: usize, kh: usize, kw: usize) -> (usize, usize, usize) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BOperand {
     /// Rows gathered block by block and split into [`NR`]-column slivers
-    /// for the narrow driver ([`run_panel`]).
+    /// for the narrow driver (`run_panel`).
     Slivers,
     /// Rows gathered block by block, row-major, for the wide driver.
     Rows,

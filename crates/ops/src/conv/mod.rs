@@ -82,7 +82,7 @@ impl ConvAlgorithm {
 
 /// Resolved convolution dimensions:
 /// `(n, c, h, w, c_out, kh, kw, h_out, w_out)`.
-pub type ConvDims = (
+type ConvDims = (
     usize,
     usize,
     usize,

@@ -10,7 +10,7 @@ use deep500_tensor::{Error, Result, Shape, Tensor};
 
 /// Elementwise binary operations on same-shaped tensors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinaryKind {
+enum BinaryKind {
     Add,
     Sub,
     Mul,
@@ -20,7 +20,7 @@ pub enum BinaryKind {
 /// An elementwise binary operator.
 #[derive(Debug, Clone)]
 pub struct BinaryOp {
-    pub kind: BinaryKind,
+    kind: BinaryKind,
 }
 
 impl BinaryOp {

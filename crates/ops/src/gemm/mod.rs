@@ -184,7 +184,7 @@ pub fn matmul(algo: Algorithm, a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// traffic); the other tiers apply it as a separate pass with the identical
 /// per-element float sequence, so all tiers stay bit-identical to an
 /// unfused GEMM followed by separate bias/ReLU passes.
-pub fn matmul_with_epilogue(
+fn matmul_with_epilogue(
     algo: Algorithm,
     a: &Tensor,
     b: &Tensor,
@@ -303,7 +303,9 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 
 /// [`matmul_a_bt_with`] with a fused write-back [`Epilogue`] — the
 /// fully-connected forward product (`y = x * W^T` plus bias/activation in
-/// one pass). Fusion/fallback semantics as in [`matmul_with_epilogue`].
+/// one pass). Under `Packed` the epilogue runs inside the final
+/// `KC`-block store; the other tiers apply it as a separate pass with the
+/// identical per-element float sequence.
 pub fn matmul_a_bt_with_epilogue(
     algo: Algorithm,
     a: &Tensor,

@@ -20,15 +20,15 @@
 //! into that gather.
 //!
 //! Two register tiles share the `A` sliver format, and the host picks one
-//! by CPU detection alone ([`wide_tier_available`]):
+//! by CPU detection alone (`wide_tier_available`):
 //!
 //! * **Wide, `MR x NR_W` (8x32), AVX-512.** Every packed GEMM on a host
-//!   with AVX-512F, and the direct convolution tier. [`run_panel_wide`]
+//!   with AVX-512F, and the direct convolution tier. `run_panel_wide`
 //!   reads reduction row `p` of `B` through an offset table, so a
 //!   row-major `B [K x N]` is read in place — no pack at all, only a
 //!   ragged last tile copied into padded scratch when it would read past
 //!   the operand — and a transposed `B [N x K]` takes one transposing pack
-//!   per `KC x NC` block ([`pack_bt_rows`]) into `[p][j]` rows padded to
+//!   per `KC x NC` block (`pack_bt_rows`) into `[p][j]` rows padded to
 //!   whole tiles. `Linear` hands in its memoized `[K x round_up(N, NR_W)]`
 //!   weight image instead, the one its `n = 1` GEMV reads.
 //! * **Narrow, `MR x NR` (8x8), AVX2+FMA.** The fallback for hosts without
@@ -48,7 +48,7 @@
 //! a `// SAFETY:` comment (enforced by the workspace
 //! `clippy::undocumented_unsafe_blocks` deny), and each SIMD kernel is
 //! reachable *only* through its dispatcher's runtime CPUID check — see
-//! [`microkernel`] for the dispatch invariant. Under miri every vendor
+//! `microkernel` for the dispatch invariant. Under miri every vendor
 //! path is compiled out (`cfg(not(miri))`), so `cargo miri test -p
 //! deep500-ops gemm::packed` checks the packing, the offset tables and
 //! the portable kernels of both widths (the tests call the wide driver

@@ -15,6 +15,8 @@ use crate::operator::Operator;
 use deep500_tensor::{Result, Tensor, Xoshiro256StarStar};
 
 /// Report from one gradient check.
+///
+/// Public for: returned by `test_gradient`.
 #[derive(Debug, Clone)]
 pub struct GradCheckReport {
     /// Maximum relative error across all checked input elements.

@@ -6,7 +6,7 @@
 //! rows, memoized on the weight's version and rewritten in place when it
 //! changes. It serves every batch size: a single row (`N == 1`, the
 //! closed-loop serving case) runs a dedicated GEMV over it (see
-//! [`gemv_bt_padded`](crate::gemm::packed::gemv_bt_padded)), with the
+//! `gemv_bt_padded`), with the
 //! 7-of-8 wasted register-tile rows gone, and more rows run the packed
 //! GEMM reading its rows as `B` — so no call packs `Wᵀ`, and a row served
 //! alone is bit-identical to the same row inside any batch.

@@ -7,7 +7,7 @@
 //!
 //! Reduction order: every per-channel sum (the mean and variance of the
 //! forward pass, dgamma and dbeta of the backward pass) adds each `H x W`
-//! plane in [`LANES`] independent `f64` partial sums, folded in a fixed
+//! plane in `LANES` independent `f64` partial sums, folded in a fixed
 //! order that depends only on the plane length, and then adds the planes
 //! in image order. Nothing forks inside a channel, so the bits do not
 //! depend on the thread count. The per-element `f64` formulas are those of

@@ -14,7 +14,7 @@ use std::hint::select_unpredictable;
 
 /// The pooling reduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolKind {
+enum PoolKind {
     Max,
     Average,
     Median,
@@ -24,13 +24,13 @@ pub enum PoolKind {
 /// no padding (matching the common DNN usage).
 #[derive(Debug, Clone)]
 pub struct Pool2dOp {
-    pub kind: PoolKind,
+    kind: PoolKind,
     pub kernel: usize,
     pub stride: usize,
 }
 
 impl Pool2dOp {
-    pub fn new(kind: PoolKind, kernel: usize, stride: usize) -> Self {
+    fn new(kind: PoolKind, kernel: usize, stride: usize) -> Self {
         Pool2dOp {
             kind,
             kernel,

@@ -125,7 +125,7 @@ impl Attributes {
 }
 
 /// Operator factory: builds an operator instance from attributes.
-pub type OpFactory = Arc<dyn Fn(&Attributes) -> Result<Box<dyn Operator>> + Send + Sync>;
+type OpFactory = Arc<dyn Fn(&Attributes) -> Result<Box<dyn Operator>> + Send + Sync>;
 
 struct Registry {
     factories: RwLock<HashMap<String, OpFactory>>,
@@ -172,6 +172,8 @@ pub fn is_registered(name: &str) -> bool {
 }
 
 /// Names of all registered operators, sorted.
+///
+/// Public for: §IV-C, the operator inventory a benchmark sweeps over.
 pub fn registered_ops() -> Vec<String> {
     let mut names: Vec<String> = registry().factories.read().keys().cloned().collect();
     names.sort();

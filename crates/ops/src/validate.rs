@@ -12,6 +12,8 @@ use deep500_metrics::{Heatmap, Timer, VarianceMap};
 use deep500_tensor::{Error, Result, Tensor};
 
 /// The result of a `test_forward` validation run.
+///
+/// Public for: returned by `test_forward`.
 #[derive(Debug, Clone)]
 pub struct ForwardReport {
     /// Difference norms vs the reference, one entry per output tensor.
@@ -103,6 +105,7 @@ pub fn test_forward(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::ActivationOp;
     use crate::conv::{Conv2dOp, ConvAlgorithm};
     use deep500_tensor::Xoshiro256StarStar;
 
@@ -118,6 +121,16 @@ mod tests {
         let report = test_forward(&op, &[&x, &w, &b], &refs, 5).unwrap();
         assert!(report.passes(1e-12));
         assert_eq!(report.time.n, 5);
+    }
+
+    #[test]
+    fn an_all_nan_output_fails() {
+        let op = ActivationOp::sigmoid();
+        let x = Tensor::full([2, 3], f32::NAN);
+        let reference = Tensor::full([2, 3], 0.5);
+        let report = test_forward(&op, &[&x], &[&reference], 3).unwrap();
+        assert!(report.norms[0].linf.is_nan());
+        assert!(!report.passes(f64::INFINITY));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   optionally compiled executor shared by many tenants; the server's
 //!   worker replicas are engines over
 //!   [`clone_structure`](deep500_graph::Network::clone_structure) copies.
-//! * **Batch contract** ([`deep500_verify::batch_contract`]) — the
+//! * **Batch contract** ([`deep500_verify::batch_contract()`]) — the
 //!   verifier's dual-probe symbolic shape engine proves which interface
 //!   tensors scale per-sample with the batch, which makes dynamic
 //!   batching *sound by construction*: only `PerSample` tensors are

@@ -126,22 +126,13 @@ impl BufferPool {
     /// element they read — pack gathers, im2col lowering — this skips the
     /// zero-fill pass of [`BufferPool::acquire`], which on a recycled
     /// multi-megabyte panel is pure wasted memory traffic.
-    pub fn acquire_dirty(&self, numel: usize) -> Vec<f32> {
+    fn acquire_dirty(&self, numel: usize) -> Vec<f32> {
         let mut buf = self.pop(numel);
         // No clear(): the prefix keeps its stale values. resize only
         // zero-fills growth beyond the retired length, so this stays safe
         // code with no uninitialized memory.
         buf.truncate(numel);
         buf.resize(numel, 0.0);
-        buf
-    }
-
-    /// A buffer holding a copy of `src`, recycled when possible. Skips the
-    /// zero-fill of [`BufferPool::acquire`] since every element is written.
-    pub fn acquire_copy(&self, src: &[f32]) -> Vec<f32> {
-        let mut buf = self.pop(src.len());
-        buf.clear();
-        buf.extend_from_slice(src);
         buf
     }
 
@@ -234,7 +225,12 @@ pub(crate) fn alloc_zeroed(numel: usize) -> Vec<f32> {
 /// no pool scope is active.
 pub(crate) fn alloc_copy(src: &[f32]) -> Vec<f32> {
     ACTIVE_POOL.with(|p| match p.borrow().as_ref() {
-        Some(pool) => pool.acquire_copy(src),
+        Some(pool) => {
+            let mut buf = pool.pop(src.len());
+            buf.clear();
+            buf.extend_from_slice(src);
+            buf
+        }
         None => src.to_vec(),
     })
 }

@@ -118,7 +118,7 @@ impl Xoshiro256StarStar {
     }
 
     /// Normal sample with given mean/stddev, as `f32`.
-    pub fn normal_f32(&mut self, mean: f32, stddev: f32) -> f32 {
+    fn normal_f32(&mut self, mean: f32, stddev: f32) -> f32 {
         (mean as f64 + stddev as f64 * self.normal()) as f32
     }
 

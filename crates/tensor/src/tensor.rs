@@ -280,27 +280,13 @@ impl Tensor {
         self.map(|v| alpha * v)
     }
 
-    /// In-place scale.
-    pub fn scale_inplace(&mut self, alpha: f32) {
-        self.version = next_version();
-        for v in &mut self.data {
-            *v *= alpha;
-        }
-    }
-
     /// Elementwise map.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         let mut out = self.clone();
-        out.map_inplace(f);
-        out
-    }
-
-    /// Elementwise map in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        self.version = next_version();
-        for v in &mut self.data {
+        for v in out.data_mut() {
             *v = f(*v);
         }
+        out
     }
 
     // -------------------------------------------------------- reductions
@@ -486,8 +472,6 @@ mod tests {
         a.axpy(-0.5, &g).unwrap();
         assert_eq!(a.data(), &[0.0, -1.0]);
         assert_eq!(a.scale(2.0).data(), &[0.0, -2.0]);
-        a.scale_inplace(3.0);
-        assert_eq!(a.data(), &[0.0, -3.0]);
     }
 
     #[test]

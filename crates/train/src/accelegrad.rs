@@ -61,11 +61,6 @@ impl AcceleGrad {
             squares: HashMap::new(),
         }
     }
-
-    /// Current interpolation weight (test hook).
-    pub fn tau(&self) -> f32 {
-        self.tau_t
-    }
 }
 
 impl ThreeStepOptimizer for AcceleGrad {
@@ -143,7 +138,7 @@ mod tests {
         assert_eq!(a.alpha_t, 1.0);
         a.new_input(); // t = 4 -> 1.25
         assert_eq!(a.alpha_t, 1.25);
-        assert!((a.tau() - 0.8).abs() < 1e-7);
+        assert!((a.tau_t - 0.8).abs() < 1e-7);
     }
 
     #[test]
@@ -196,7 +191,7 @@ mod tests {
         let w = Tensor::from_slice(&[1.0]);
         a.prepare_param("w", &w);
         a.reset();
-        assert_eq!(a.tau(), 1.0);
+        assert_eq!(a.tau_t, 1.0);
         let fed = a.prepare_param("w", &w).unwrap();
         assert_eq!(fed, w);
     }

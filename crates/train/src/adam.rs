@@ -8,11 +8,11 @@ use std::collections::HashMap;
 
 /// Adam hyperparameters.
 #[derive(Debug, Clone, Copy)]
-pub struct AdamConfig {
-    pub lr: f32,
-    pub beta1: f32,
-    pub beta2: f32,
-    pub eps: f32,
+struct AdamConfig {
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
 }
 
 impl Default for AdamConfig {
@@ -28,7 +28,7 @@ impl Default for AdamConfig {
 
 /// The reference Adam optimizer (whole-tensor expression per update).
 pub struct Adam {
-    pub cfg: AdamConfig,
+    cfg: AdamConfig,
     m: HashMap<String, Tensor>,
     v: HashMap<String, Tensor>,
     t: HashMap<String, u32>,
@@ -37,16 +37,11 @@ pub struct Adam {
 impl Adam {
     /// Adam with the given learning rate and default betas.
     pub fn new(lr: f32) -> Self {
-        Self::with_config(AdamConfig {
-            lr,
-            ..Default::default()
-        })
-    }
-
-    /// Fully specified Adam.
-    pub fn with_config(cfg: AdamConfig) -> Self {
         Adam {
-            cfg,
+            cfg: AdamConfig {
+                lr,
+                ..Default::default()
+            },
             m: HashMap::new(),
             v: HashMap::new(),
             t: HashMap::new(),

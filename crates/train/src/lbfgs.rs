@@ -31,6 +31,9 @@ struct History {
 }
 
 /// Stochastic L-BFGS optimizer.
+///
+/// Public for: Use Case 3, a second-order optimizer through the three-step
+/// interface.
 pub struct StochasticLbfgs {
     /// Step size applied to the two-loop direction.
     pub lr: f32,

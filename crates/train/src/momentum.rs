@@ -23,16 +23,6 @@ impl Momentum {
             velocity: HashMap::new(),
         }
     }
-
-    /// Nesterov accelerated gradient.
-    pub fn nesterov(lr: f32, mu: f32) -> Self {
-        Momentum {
-            lr,
-            mu,
-            nesterov: true,
-            velocity: HashMap::new(),
-        }
-    }
 }
 
 impl ThreeStepOptimizer for Momentum {
@@ -102,7 +92,8 @@ mod tests {
 
     #[test]
     fn nesterov_looks_ahead() {
-        let mut m = Momentum::nesterov(1.0, 0.5);
+        let mut m = Momentum::new(1.0, 0.5);
+        m.nesterov = true;
         let w = Tensor::from_slice(&[0.0]);
         let g = Tensor::from_slice(&[1.0]);
         // v = 1; update = g + mu*v = 1.5

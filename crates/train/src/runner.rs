@@ -86,12 +86,6 @@ impl TrainingLog {
     pub fn dataset_latency(&self) -> Option<Summary> {
         Summary::try_of(&self.sampling_times)
     }
-
-    /// Total seconds the run waited for the data pipeline (sum of sampling
-    /// windows).
-    pub fn sampling_total(&self) -> f64 {
-        self.sampling_times.iter().sum()
-    }
 }
 
 /// Evaluate test accuracy: average minibatch accuracy over one pass of the
@@ -311,7 +305,6 @@ mod tests {
         let latency = log.dataset_latency().expect("batches were fetched");
         assert!(latency.n == log.sampling_times.len());
         assert!(latency.mean >= 0.0 && latency.mean.is_finite());
-        assert!(log.sampling_total() >= 0.0);
         // The trace recorder saw the same Sampling windows via the hooks.
         let traced = recorder.phase_total_s(Phase::Sampling);
         assert!(traced >= 0.0);

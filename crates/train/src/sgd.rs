@@ -18,7 +18,7 @@ impl GradientDescent {
     }
 
     /// Scheduled learning rate.
-    pub fn with_schedule(schedule: LrSchedule) -> Self {
+    fn with_schedule(schedule: LrSchedule) -> Self {
         GradientDescent { schedule, t: 0 }
     }
 

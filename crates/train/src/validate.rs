@@ -14,6 +14,8 @@ use deep500_metrics::Timer;
 use deep500_tensor::Result;
 
 /// Report of a single-step optimizer comparison.
+///
+/// Public for: returned by `test_optimizer`.
 #[derive(Debug, Clone)]
 pub struct OptimizerReport {
     /// Per-parameter difference norms after `steps` identical steps.
@@ -82,6 +84,8 @@ pub fn test_optimizer(
 }
 
 /// Report of a whole-training validation.
+///
+/// Public for: returned by `test_training`.
 #[derive(Debug, Clone)]
 pub struct TrainingReport {
     pub log: TrainingLog,
@@ -178,6 +182,21 @@ mod tests {
         let report =
             test_optimizer(&mut cand, &mut *ea, &mut refr, &mut *eb, &batches(4, 10)).unwrap();
         assert!(!report.passes(1e-9));
+    }
+
+    #[test]
+    fn nan_parameters_fail_the_tolerance() {
+        let net = models::mlp(8, &[8], 3, 10).unwrap();
+        let ga = Engine::builder(net.clone_structure()).build().unwrap();
+        let mut ea = ga.lock();
+        let gb = Engine::builder(net).build().unwrap();
+        let mut eb = gb.lock();
+        let mut cand = GradientDescent::new(f32::NAN);
+        let mut refr = GradientDescent::new(0.05);
+        let report =
+            test_optimizer(&mut cand, &mut *ea, &mut refr, &mut *eb, &batches(1, 10)).unwrap();
+        assert!(report.param_norms.iter().all(|(_, n)| n.linf.is_nan()));
+        assert!(!report.passes(f64::INFINITY));
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub struct LiveRange {
 /// executors exactly: consumption at level `cl` keeps the buffer live
 /// through the end of level `cl - 1`; fetched (graph-output) and
 /// never-consumed tensors are pinned to the final level.
-pub fn live_ranges(
+fn live_ranges(
     ir: &GraphIr,
     levels: &[Vec<usize>],
     shapes: &HashMap<String, Shape>,

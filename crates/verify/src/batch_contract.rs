@@ -88,11 +88,6 @@ impl BatchContract {
         Self::with_role(&self.outputs, BatchRole::PerSample)
     }
 
-    /// Outputs that are batch aggregates (reported whole-batch only).
-    pub fn aggregate_outputs(&self) -> Vec<&str> {
-        Self::with_role(&self.outputs, BatchRole::Fixed)
-    }
-
     fn with_role(side: &[(String, BatchRole)], role: BatchRole) -> Vec<&str> {
         side.iter()
             .filter(|(_, r)| *r == role)
@@ -191,7 +186,10 @@ mod tests {
         assert_eq!(contract.role("pred"), Some(BatchRole::PerSample));
         assert_eq!(contract.role("loss"), Some(BatchRole::Fixed));
         assert_eq!(contract.per_sample_outputs(), vec!["pred"]);
-        assert_eq!(contract.aggregate_outputs(), vec!["loss"]);
+        assert_eq!(
+            BatchContract::with_role(&contract.outputs, BatchRole::Fixed),
+            vec!["loss"]
+        );
         assert!(contract.batchable());
     }
 

@@ -25,7 +25,7 @@ use std::collections::HashMap;
 /// The two batch sizes used for dual evaluation. Distinct, small, and both
 /// even (pooling/stride ops stay well-defined where the user's real batch
 /// would be).
-pub const PROBE_BATCHES: [usize; 2] = [4, 6];
+const PROBE_BATCHES: [usize; 2] = [4, 6];
 
 /// One dimension of a symbolic shape: `scale·N + offset`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -280,7 +280,7 @@ pub fn infer(
     shapes
 }
 
-/// Symbolic inference by dual concrete evaluation at [`PROBE_BATCHES`].
+/// Symbolic inference by dual concrete evaluation at `PROBE_BATCHES`.
 /// Returns the symbolic shape of every tensor inferred at *both* probe
 /// sizes. Lints from the first probe are kept (the second evaluates the
 /// same graph; duplicating its findings would double-report).

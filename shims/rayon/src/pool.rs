@@ -1,7 +1,7 @@
 //! The global work-sharing thread pool behind the parallel combinators.
 //!
 //! Workers block on a shared injector queue of `'static` jobs. Borrowing
-//! parallel-for closures are run through a [`TaskSet`] whose lifetime is
+//! parallel-for closures are run through a `TaskSet` whose lifetime is
 //! erased before submission; soundness rests on `run_set` not returning
 //! until every task in the set has finished, so the borrowed data outlives
 //! all uses. Stale helper jobs that fire after completion find an empty
