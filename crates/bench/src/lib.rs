@@ -310,6 +310,7 @@ pub fn time_rounds<const N: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rows::verdict_of;
     use std::cell::RefCell;
 
     #[test]
@@ -444,7 +445,11 @@ mod tests {
         for (name, text) in tracked_reports() {
             let report = Report::parse(&text).expect("the schema holds");
             let entry = BENCHES.iter().find(|e| e.name == name).expect("an entry");
-            let verdicts: Vec<Verdict> = entry.gates.iter().map(|g| g(&report.rows)).collect();
+            let verdicts: Vec<Verdict> = entry
+                .gates
+                .iter()
+                .map(|&g| verdict_of(g, &report.rows))
+                .collect();
             assert_eq!(verdicts, report.gates, "BENCH_{name}.json");
             gates += verdicts.len();
         }

@@ -10,7 +10,7 @@
 //! does not hold. A threshold lives in exactly one place — the entry's
 //! gate function — and CI checks only the exit code.
 
-use crate::rows::{Gate, Row, Verdict};
+use crate::rows::{verdict_of, Gate, Row, Verdict};
 use deep500::metrics::Json;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -209,14 +209,18 @@ impl Report {
         Ok(report)
     }
 
-    /// Evaluate `gates` on the rows parsed back from this report's text,
-    /// then print and write the file to `path` — the report is the entry's
+    /// Evaluate `gates` on the rows parsed back from this report's text
+    /// (`verdict_of`: a gate that reads a non-finite value is red), then
+    /// print and write the file to `path` — the report is the entry's
     /// output, no entry formats a second, human-only copy of its rows —
     /// and turn the gates into an exit code.
     pub fn finish(mut self, gates: &[Gate], path: &Path) -> ExitCode {
         let written = Report::parse(&self.render())
             .unwrap_or_else(|e| panic!("{}: the report breaks its schema: {e}", self.benchmark));
-        self.gates = gates.iter().map(|gate| gate(&written.rows)).collect();
+        self.gates = gates
+            .iter()
+            .map(|&g| verdict_of(g, &written.rows))
+            .collect();
         let text = self.render();
         print!("{text}");
         let dir = path.parent().expect("reports live in a directory");
@@ -244,7 +248,7 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rows::Better;
+    use crate::rows::{no_slower, Better};
 
     fn scratch(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("d5_report_{tag}_{}.json", std::process::id()))
@@ -320,6 +324,65 @@ mod tests {
         let oks: Vec<bool> = gates.iter().map(|g| g.ok).collect();
         assert_eq!(oks, [true, false]);
         assert_eq!(gates[1].detail, "1.23456 <= 1.2");
+    }
+
+    #[test]
+    fn a_nan_parity_row_is_written_and_turns_its_gate_red() {
+        use crate::entries::gemm::parity;
+        let cell = Row::of("results")
+            .key("m", 8usize)
+            .key("n", 8usize)
+            .key("k", 8usize);
+        let tier = |t: &str, err: f64| {
+            cell.clone()
+                .key("tier", t)
+                .value("rel_linf", "ratio", Better::Lower, err)
+        };
+        let path = scratch("nan");
+        let rows = vec![tier("blocked", 1e-7), tier("packed", f64::NAN)];
+        let code = Report::new("unit", rows.clone()).finish(&[parity, holds], &path);
+        assert_eq!(code, ExitCode::FAILURE);
+        let written = std::fs::read_to_string(&path).expect("finish wrote the file");
+        std::fs::remove_file(&path).ok();
+        assert!(written.contains("\"median\": \"NaN\""), "{written}");
+        let report = Report::parse(&written).expect("a NaN row reads back");
+        assert!(report.rows[1].median.is_nan() && report.rows[0] == rows[0]);
+        let oks: Vec<(&str, bool)> = report
+            .gates
+            .iter()
+            .map(|g| (g.name.as_str(), g.ok))
+            .collect();
+        // `holds` counts rows and reads no value, so it stays green.
+        assert_eq!(oks, [("parity", false), ("holds", true)]);
+        assert!(
+            report.gates[0].detail.contains("reads non-finite"),
+            "{}",
+            report.gates[0].detail
+        );
+    }
+
+    #[test]
+    fn a_gate_that_a_nan_cannot_contradict_is_red_too() {
+        // "packed is no slower": a NaN interval never sits above another,
+        // so the gate alone would pass.
+        fn no_slower_gate(rows: &[Row]) -> Verdict {
+            let pair = ("packed".to_string(), rows[0].interval(), rows[1].interval());
+            no_slower("no_slower", "packed is no slower than blocked", [pair])
+        }
+        let s = deep500::metrics::stats::Summary::of(&[1.0, 1.1, 1.2]);
+        let mut slow = Row::of("t").key("tier", "packed").ms("pass", &s);
+        let fast = Row::of("t").key("tier", "blocked").ms("pass", &s);
+        slow.median = f64::INFINITY;
+        slow.ci = Some((f64::NAN, f64::INFINITY));
+        let rows = [slow, fast];
+        assert!(no_slower_gate(&rows).ok);
+        assert!(!verdict_of(no_slower_gate, &rows).ok);
+        let line = Json::parse(&rows[0].json().render()).unwrap();
+        let back = Row::parse(&line).expect("non-finite values read back");
+        assert_eq!(
+            (back.median, back.ci.map(|c| c.1)),
+            (f64::INFINITY, Some(f64::INFINITY))
+        );
     }
 
     #[test]

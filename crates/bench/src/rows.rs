@@ -16,7 +16,10 @@
 //!
 //! A gate is a pure function of the rows *as they are parsed back from
 //! the file* — `fn(&[Row]) -> Verdict` — so it can be unit-tested on
-//! hand-built rows and re-evaluated by anyone from the tracked report.
+//! hand-built rows and re-evaluated by anyone from the tracked report. A
+//! non-finite value (a NaN kernel error, a rate over a zero time) is kept:
+//! the file spells it as a string, and every gate that reads it is red
+//! ([`verdict_of`]).
 //! Timing claims use the CI-separation form of EXPERIMENTS E26: "a is no
 //! slower than b" fails only when a's whole 95 % interval sits above b's
 //! ([`Interval::above`]), i.e. when the measurement *contradicts* the
@@ -110,8 +113,7 @@ impl Row {
         self
     }
 
-    /// A copy of this row's table and keys holding `metric`. Every value
-    /// must be finite: JSON has no spelling for the others.
+    /// A copy of this row's table and keys holding `metric`.
     pub fn measured(
         &self,
         metric: &str,
@@ -121,9 +123,6 @@ impl Row {
         ci: Option<(f64, f64)>,
         n: usize,
     ) -> Row {
-        let finite =
-            median.is_finite() && ci.is_none_or(|(lo, hi)| lo.is_finite() && hi.is_finite());
-        assert!(finite, "{} {metric}: non-finite value", self.table);
         Row {
             metric: metric.to_string(),
             unit: unit.to_string(),
@@ -204,6 +203,12 @@ impl Row {
         values.join(" ")
     }
 
+    /// Whether the median and both bounds are finite.
+    fn finite(&self) -> bool {
+        let (lo, hi) = self.ci.unwrap_or((self.median, self.median));
+        [self.median, lo, hi].iter().all(|v| v.is_finite())
+    }
+
     /// The value as an interval.
     pub fn interval(&self) -> Interval {
         let (median, (lo, hi)) = (self.median, self.ci.unwrap_or((self.median, self.median)));
@@ -231,14 +236,14 @@ impl Row {
     /// The row as its one line of the file.
     pub(crate) fn json(&self) -> Json {
         let keys = self.keys.iter().map(|(k, v)| (k.as_str(), v.clone()));
-        let bound = |b: Option<f64>| b.map_or(Json::Null, Json::Num);
+        let bound = |b: Option<f64>| b.map_or(Json::Null, spelled);
         Json::obj([
             ("table", Json::from(self.table.as_str())),
             ("keys", Json::obj(keys)),
             ("metric", Json::from(self.metric.as_str())),
             ("unit", Json::from(self.unit.as_str())),
             ("better", Json::from(self.better.label())),
-            ("median", Json::Num(self.median)),
+            ("median", spelled(self.median)),
             ("lo", bound(self.ci.map(|c| c.0))),
             ("hi", bound(self.ci.map(|c| c.1))),
             ("n", Json::from(self.n)),
@@ -249,7 +254,7 @@ impl Row {
     /// row it reads as renders to — every reserved field present, in
     /// order and typed; `better` one of three words; key values strings or
     /// integers — and `n >= 1` and `lo <= median <= hi` where there is an
-    /// interval.
+    /// interval and no NaN.
     pub(crate) fn parse(json: &Json) -> Result<Row, String> {
         let text = |k| {
             json.get(k)
@@ -257,7 +262,7 @@ impl Row {
                 .unwrap_or_default()
                 .to_string()
         };
-        let num = |k| json.get(k).and_then(Json::as_f64).unwrap_or(f64::NAN);
+        let num = |k| json.get(k).map_or(f64::NAN, read);
         let keys = json
             .get("keys")
             .and_then(Json::as_object)
@@ -278,11 +283,31 @@ impl Row {
         };
         let (lo, hi) = row.ci.unwrap_or((row.median, row.median));
         let typed = keys.iter().all(|(_, v)| v.as_str().is_some() || int(v));
-        if !typed || row.json() != *json || row.n < 1 || !(lo <= row.median && row.median <= hi) {
+        let nan = [lo, row.median, hi].iter().any(|v| v.is_nan());
+        let ordered = nan || (lo <= row.median && row.median <= hi);
+        if !typed || row.json() != *json || row.n < 1 || !ordered {
             return Err(format!("not a row: {}", json.render()));
         }
         Ok(row)
     }
+}
+
+/// A value as the file spells it: a number, or — JSON having no spelling
+/// for the others — a non-finite one as the string Rust prints it as
+/// (`"NaN"`, `"inf"`, `"-inf"`), which [`read`] parses back.
+fn spelled(v: f64) -> Json {
+    if v.is_finite() {
+        Json::Num(v)
+    } else {
+        Json::from(v.to_string())
+    }
+}
+
+/// The value [`spelled`] wrote; NaN for anything else, which the row's
+/// round trip then refuses.
+fn read(j: &Json) -> f64 {
+    let text = || j.as_str().and_then(|s| s.parse().ok());
+    j.as_f64().or_else(text).unwrap_or(f64::NAN)
 }
 
 /// A key value as a gate detail shows it: a string bare, an integer as
@@ -340,6 +365,44 @@ impl Verdict {
 
 /// A gate: a claim about the rows of one report.
 pub type Gate = fn(&[Row]) -> Verdict;
+
+/// `gate`'s verdict on `rows`, red if it reads a non-finite value. A NaN
+/// fails a `<=` bound by itself but passes every `>` — "a sits above b" is
+/// never contradicted by one — so this is not left to each gate's
+/// comparisons: a gate whose verdict moves when the non-finite values are
+/// replaced by finite stand-ins (`0`, `±1e300`) reads one of them.
+pub(crate) fn verdict_of(gate: Gate, rows: &[Row]) -> Verdict {
+    let verdict = gate(rows);
+    let odd: Vec<&Row> = rows.iter().filter(|r| !r.finite()).collect();
+    if odd.is_empty() {
+        return verdict;
+    }
+    let stand_in = |x: f64| -> Vec<Row> {
+        let fill = |r: &Row| {
+            let mut r = r.clone();
+            if !r.finite() {
+                (r.median, r.ci) = (x, r.ci.map(|_| (x, x)));
+            }
+            r
+        };
+        rows.iter().map(fill).collect()
+    };
+    if [0.0, 1e300, -1e300]
+        .iter()
+        .all(|&x| gate(&stand_in(x)) == verdict)
+    {
+        return verdict;
+    }
+    let names: Vec<String> = odd
+        .iter()
+        .map(|r| format!("{} [{}] {}", r.table, r.label(), r.metric))
+        .collect();
+    Verdict {
+        ok: false,
+        ..verdict
+    }
+    .with(format!("reads non-finite {names:?}"))
+}
 
 /// The verdict of a claim that holds unless something contradicts it.
 pub fn unless(name: &str, claim: &str, contradictions: Vec<String>) -> Verdict {

@@ -12,6 +12,8 @@ use deep500_metrics::{MetricValue, TestMetric};
 use deep500_tensor::Result;
 
 /// Label histogram of sampled elements.
+///
+/// Public for: §IV-E's sampler metric, exposed by `SamplerReport::bias`.
 #[derive(Debug, Clone)]
 pub struct DatasetBias {
     counts: Vec<u64>,
@@ -30,11 +32,6 @@ impl DatasetBias {
         if let Some(c) = self.counts.get_mut(label as usize) {
             *c += 1;
         }
-    }
-
-    /// The raw histogram.
-    pub fn histogram(&self) -> &[u64] {
-        &self.counts
     }
 
     /// Total samples recorded.
@@ -143,7 +140,7 @@ mod tests {
         for l in [0u32, 1, 1, 2, 2, 2] {
             b.record(l);
         }
-        assert_eq!(b.histogram(), &[1, 2, 3]);
+        assert_eq!(b.counts, [1, 2, 3]);
         assert_eq!(b.total(), 6);
         b.record(99); // out of range: ignored
         assert_eq!(b.total(), 6);

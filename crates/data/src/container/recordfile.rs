@@ -46,6 +46,8 @@ pub fn write_recordfile(
 }
 
 /// One encoded record held in memory.
+///
+/// Public for: returned by `RecordReader::next_record`.
 #[derive(Debug, Clone)]
 pub struct Record {
     pub label: u32,

@@ -94,7 +94,7 @@ pub struct SendOptions {
 
 impl SendOptions {
     /// Plain options pricing `data.len() * 4` bytes with no extra delay.
-    pub fn sized(logical_bytes: usize) -> Self {
+    fn sized(logical_bytes: usize) -> Self {
         SendOptions {
             logical_bytes,
             extra_delay_s: 0.0,

@@ -2,9 +2,8 @@
 //!
 //! A seeded [`FaultPlan`] describes the anomalies a run should suffer:
 //! message **drops** (with bounded retransmit + exponential backoff),
-//! bounded in-network **delays**, **reordering** (modeled as head-of-line
-//! blocking delay under an in-order transport), **straggler** ranks whose
-//! compute is slowed by a factor, and **rank crashes** at chosen steps.
+//! bounded in-network **delays**, **straggler** ranks whose compute is
+//! slowed by a factor, and **rank crashes** at chosen steps.
 //! [`FaultyCommunicator`] decorates any [`Communicator`] with the plan:
 //! every injected fault is priced in virtual seconds through the α-β
 //! [`NetworkModel`] and counted in
@@ -28,7 +27,7 @@ use std::sync::Arc;
 /// through the run's [`NetworkModel`].
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    /// Seed for all stochastic decisions (drops, delays, reordering).
+    /// Seed for all stochastic decisions (drops, delays).
     pub seed: u64,
     /// Probability that a message transmission is dropped.
     pub drop_rate: f64,
@@ -41,10 +40,6 @@ pub struct FaultPlan {
     /// payload (`α + bytes/β`); the actual delay is uniform in
     /// `[0, max_delay_msgs)`.
     pub max_delay_msgs: f64,
-    /// Probability that a message is reordered. Under the in-order
-    /// transport this manifests as head-of-line blocking: one extra
-    /// message time of delay.
-    pub reorder_rate: f64,
     /// `(rank, slowdown_factor)` — straggler ranks whose compute advances
     /// are multiplied by the factor (> 1).
     pub stragglers: Vec<(usize, f64)>,
@@ -69,7 +64,6 @@ impl Default for FaultPlan {
             max_retries: 3,
             delay_rate: 0.0,
             max_delay_msgs: 4.0,
-            reorder_rate: 0.0,
             stragglers: Vec::new(),
             crashes: Vec::new(),
             recv_patience_s: 5.0,
@@ -244,12 +238,6 @@ impl<C: Communicator> Communicator for FaultyCommunicator<C> {
                 opts.extra_delay_s += delay;
                 self.counters.delays_injected += 1;
             }
-            if self.plan.reorder_rate > 0.0 && self.rng.next_f64() < self.plan.reorder_rate {
-                // In-order transport: a reordered packet stalls the flow
-                // for one extra message time (head-of-line blocking).
-                opts.extra_delay_s += msg_s;
-                self.counters.reorders_injected += 1;
-            }
             if attempts > 0 {
                 // A retransmission got through: the drop was recovered.
                 self.counters.recoveries += 1;
@@ -407,14 +395,13 @@ mod tests {
     fn same_seed_same_fault_log() {
         // The witness is what the faults cost: the counters, and the
         // virtual clocks of the sender and of the receiver, which every
-        // drop, backoff, delay and reorder moves.
+        // drop, backoff and delay moves.
         let run = |seed: u64| {
-            let (mut f0, mut c1) = pair(FaultPlan {
-                reorder_rate: 0.2,
-                ..FaultPlan::seeded(seed)
+            let (mut f0, mut c1) = pair(
+                FaultPlan::seeded(seed)
                     .with_drops(0.3, 10)
-                    .with_delays(0.3, 4.0)
-            });
+                    .with_delays(0.3, 4.0),
+            );
             for _ in 0..32 {
                 f0.send(1, &[1.0]).unwrap();
                 c1.recv(0).unwrap();
@@ -427,7 +414,7 @@ mod tests {
         };
         let a = run(11);
         let b = run(11);
-        assert!(a.0.drops_injected > 0 && a.0.delays_injected > 0 && a.0.reorders_injected > 0);
+        assert!(a.0.drops_injected > 0 && a.0.delays_injected > 0);
         assert_eq!(a, b, "same seed must reproduce the fault sequence");
         let c = run(12);
         assert_ne!(a, c, "a different seed should perturb the sequence");

@@ -33,7 +33,7 @@
 //! fully deterministic [`fault::FaultPlan`] wraps any communicator in a
 //! [`fault::FaultyCommunicator`] that injects message drops (with
 //! retry/backoff priced through the network model), bounded delays,
-//! reorderings, straggler slowdowns, and rank crashes at chosen steps.
+//! straggler slowdowns, and rank crashes at chosen steps.
 //! Decentralized schemes degrade gracefully — surviving ranks re-form the
 //! group and renormalize their allreduce — while centralized schemes fail
 //! over (lowest live rank becomes the server) or abort with a typed

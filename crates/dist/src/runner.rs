@@ -288,19 +288,19 @@ impl RunReport {
 
 /// One elementwise parameter divergence between two ranks.
 #[derive(Debug, Clone)]
-pub struct Divergence {
+struct Divergence {
     /// The diverging rank.
-    pub rank: usize,
+    rank: usize,
     /// The rank compared against (lowest checked rank).
-    pub reference_rank: usize,
+    reference_rank: usize,
     /// Parameter name.
-    pub param: String,
+    param: String,
     /// Flat element index within the parameter.
-    pub index: usize,
+    index: usize,
     /// Value on `rank`.
-    pub got: f32,
+    got: f32,
     /// Value on `reference_rank`.
-    pub reference: f32,
+    reference: f32,
 }
 
 /// Diagnostic result of a cross-rank parameter consistency check: instead
@@ -315,7 +315,7 @@ pub struct ConsistencyReport {
     /// Largest elementwise |difference| seen; NaN when some difference is.
     pub max_abs_diff: f32,
     /// Out-of-tolerance elements, the first eight found.
-    pub divergences: Vec<Divergence>,
+    divergences: Vec<Divergence>,
     /// Structural mismatches (parameter name/shape disagreements).
     pub structural: Vec<String>,
 }

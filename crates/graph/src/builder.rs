@@ -192,35 +192,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Batch normalization over the current channels.
-    pub fn batchnorm(mut self) -> Self {
-        let c = match self.flow {
-            Flow::Image(c, _, _) => c,
-            Flow::Features(_) => {
-                self.fail(Error::Invalid("batchnorm on feature-vector flow".into()));
-                return self;
-            }
-        };
-        let out = self.fresh("bn");
-        let gname = format!("{out}.gamma");
-        let bname = format!("{out}.beta");
-        self.net.add_parameter(&gname, Tensor::ones([c]));
-        self.net.add_parameter(&bname, Tensor::zeros([c]));
-        let r = self.net.add_node(
-            &out,
-            "BatchNorm",
-            Attributes::new(),
-            &[&self.cursor.clone(), &gname, &bname],
-            &[&out],
-        );
-        if let Err(e) = r {
-            self.fail(e);
-            return self;
-        }
-        self.cursor = out;
-        self
-    }
-
     /// Flatten `[C, H, W]` to features.
     pub fn flatten(mut self) -> Self {
         if let Flow::Image(c, h, w) = self.flow {

@@ -2,7 +2,7 @@
 //!
 //! The fault-injection subsystem in `deep500-dist` decorates a
 //! communicator with a deterministic fault model (message drops, bounded
-//! delays, reordering, stragglers, rank crashes). Every injected fault and
+//! delays, stragglers, rank crashes). Every injected fault and
 //! every recovery action is counted here, so a benchmark can report *how
 //! much* resilience machinery a distributed scheme exercised — retries,
 //! recoveries, virtual seconds spent recovering, and training steps lost
@@ -18,8 +18,6 @@ pub struct FaultCounters {
     pub drops_injected: u64,
     /// Messages held back by an injected network delay.
     pub delays_injected: u64,
-    /// Messages that suffered head-of-line reordering delay.
-    pub reorders_injected: u64,
     /// Rank crashes executed by the plan (1 on the crashing rank).
     pub crashes_injected: u64,
     /// Compute advances slowed down by a straggler factor.
@@ -44,12 +42,11 @@ impl FaultCounters {
         Self::default()
     }
 
-    /// Total faults injected (drops + delays + reorders + crashes +
-    /// straggler slowdowns).
+    /// Total faults injected (drops + delays + crashes + straggler
+    /// slowdowns).
     fn total_injected(&self) -> u64 {
         self.drops_injected
             + self.delays_injected
-            + self.reorders_injected
             + self.crashes_injected
             + self.straggler_slowdowns
     }
@@ -58,7 +55,6 @@ impl FaultCounters {
     pub fn merge(&mut self, other: &FaultCounters) {
         self.drops_injected += other.drops_injected;
         self.delays_injected += other.delays_injected;
-        self.reorders_injected += other.reorders_injected;
         self.crashes_injected += other.crashes_injected;
         self.straggler_slowdowns += other.straggler_slowdowns;
         self.retries += other.retries;
@@ -82,13 +78,12 @@ impl TestMetric for FaultCounters {
     }
     fn render(&self) -> String {
         format!(
-            "fault-tolerance: {} injected ({} drops, {} delays, {} reorders, \
-             {} crashes, {} straggled), {} retries, {} recoveries, \
-             {} steps lost, {:.3} ms virtual recovery",
+            "fault-tolerance: {} injected ({} drops, {} delays, {} crashes, \
+             {} straggled), {} retries, {} recoveries, {} steps lost, \
+             {:.3} ms virtual recovery",
             self.total_injected(),
             self.drops_injected,
             self.delays_injected,
-            self.reorders_injected,
             self.crashes_injected,
             self.straggler_slowdowns,
             self.retries,

@@ -58,29 +58,6 @@ impl Heatmap {
         }
         (lo, hi)
     }
-
-    /// Mean-pool down to at most `max_rows x max_cols` for display.
-    pub fn downsample(&self, max_rows: usize, max_cols: usize) -> Heatmap {
-        assert!(max_rows > 0 && max_cols > 0);
-        let out_r = self.rows.min(max_rows);
-        let out_c = self.cols.min(max_cols);
-        let mut out = vec![0.0; out_r * out_c];
-        let mut counts = vec![0usize; out_r * out_c];
-        for r in 0..self.rows {
-            let tr = r * out_r / self.rows;
-            for c in 0..self.cols {
-                let tc = c * out_c / self.cols;
-                out[tr * out_c + tc] += self.get(r, c);
-                counts[tr * out_c + tc] += 1;
-            }
-        }
-        for (v, &n) in out.iter_mut().zip(&counts) {
-            if n > 0 {
-                *v /= n as f64;
-            }
-        }
-        Heatmap::new(out_r, out_c, out)
-    }
 }
 
 impl TestMetric for Heatmap {
@@ -126,14 +103,5 @@ mod tests {
         let h = Heatmap::abs_diff(2, 2, &a, &b);
         assert_eq!(h.get(1, 0), 9.0);
         assert_eq!(h.get(0, 0), 0.0);
-    }
-
-    #[test]
-    fn downsample_preserves_mean() {
-        let h = Heatmap::new(4, 4, vec![1.0; 16]);
-        let d = h.downsample(2, 2);
-        assert_eq!(d.rows(), 2);
-        assert_eq!(d.cols(), 2);
-        assert!(d.data().iter().all(|&v| (v - 1.0).abs() < 1e-12));
     }
 }

@@ -15,9 +15,9 @@
 //!   ([`Blocking`]) depends only on `(Co, K)`, one packed image serves
 //!   every input spatial size, so the transform runs once per weight
 //!   version, memoized by the `Conv2d` operator.
-//! * **Activations** reach the kernel in one of three forms
+//! * **Activations** reach the kernel in one of two forms
 //!   ([`BOperand`]), chosen by the one rule in [`BOperand::for_geometry`].
-//!   For stride 1 on the wide driver nothing is lowered at all: the image
+//!   For stride 1 nothing is lowered at all: the image
 //!   is copied once into a zero-padded `[C, Hp, Wp]` scratch (`3·20·20`
 //!   floats for LeNet conv1, where the gathered rows were `75·256`; with
 //!   `pad = 0` the input is read in place and even that copy goes), and
@@ -28,8 +28,7 @@
 //!   by the write-back (`Seam`). Other strides have no such window, so
 //!   their rows are gathered — by the same hoisted row copy the explicit
 //!   lowering uses (`im2col_block`), one `KC x NC` block at a time, never
-//!   the whole `K x P` matrix — either row-major for the wide driver or
-//!   into `NR`-column slivers where the host has no wide kernel.
+//!   the whole `K x P` matrix, row-major.
 //!
 //! The output `C` rows are output channels, so the GEMM writes the NCHW
 //! result natively — there is no NCHWc→NCHW conversion pass to pay on the
@@ -37,31 +36,29 @@
 //! packed GEMM's fused write-back via [`Epilogue::BiasRow`] /
 //! [`Epilogue::BiasRowRelu`], while each freshly stored tile is cache-hot.
 //!
-//! On AVX-512-class hosts the panel driver is the dedicated 16-lane
-//! microkernel (`run_panel_wide`) at the wide register tile ([`NR_W`] =
-//! 32 columns) — conv GEMMs have few rows (`Co`) and very many columns
-//! (`Ho·Wo`), so widening the per-tile column count is where the extra
-//! vector width pays. It addresses `B` through a per-row offset table
-//! (`b[offs[p] + j]`), which is what makes windows and gathered rows the
-//! same kernel: gathered rows are the special case `offs[p] = p·ldb`. The
-//! packed *filter* layout is width agnostic (`MR`-row slivers), so one
-//! packing serves both widths and the choice can stay a per-run CPUID
-//! dispatch.
+//! Both forms run through the packed GEMM's one panel driver
+//! (`run_panel`) at the host's register tile (`host_nr`): [`NR_W`] = 32
+//! columns on AVX-512-class hosts — conv GEMMs have few rows (`Co`) and
+//! very many columns (`Ho·Wo`), so widening the per-tile column count is
+//! where the extra vector width pays — and [`NR`] = 8 elsewhere. The
+//! driver addresses `B` through a per-row offset table (`b[offs[p] + j]`),
+//! which is what makes windows and gathered rows the same kernel: gathered
+//! rows are the special case `offs[p] = p·ldb`. The packed *filter*
+//! layout is width agnostic (`MR`-row slivers), so one packing serves both
+//! widths and the choice can stay a per-run CPUID dispatch.
 //!
 //! Determinism: each output element's `K` reduction ascends in the same
 //! blocked order as [`gemm_packed`](crate::gemm::packed), parallelism is
 //! only over whole images, and the epilogue follows the shared
 //! bit-identity contract — so direct-tier results are bit-identical across
 //! thread counts, across the fused/unfused epilogue split, and across
-//! windows vs gathered rows (which columns share a register tile never
-//! enters an element's float sequence; `tests/properties.rs` holds the two
-//! to equal bits). im2col parity stays the paper's ℓ∞-measured ~1e-6, the
+//! windows vs gathered rows and both tile widths (which columns share a
+//! register tile never enters an element's float sequence;
+//! `tests/properties.rs` holds them to equal bits). im2col parity stays the paper's ℓ∞-measured ~1e-6, the
 //! tiers sum in different groupings.
 
 use super::{im2col_block, pad_image, ConvGeometry, Lowering};
-use crate::gemm::packed::{
-    pack_a, round_up, run_panel, run_panel_wide, wide_tier_available, Blocking, Seam, MR, NR, NR_W,
-};
+use crate::gemm::packed::{host_nr, pack_a, round_up, run_panel, Blocking, Seam, MR, NR, NR_W};
 use crate::gemm::Epilogue;
 use deep500_tensor::{recycle_scratch, scratch_dirty, Error, Result, Tensor};
 
@@ -84,10 +81,9 @@ pub struct PackedFilter {
 
 /// The `(mc, kc)` A-panel blocking a `Co x K` filter packs under. Shared by
 /// [`pack_filter`] and [`conv_image`] so a memoized packed filter always
-/// matches the geometry the forward pass consumes: the conv [`Blocking`]'s `mc`/`kc` depend only on
-/// `(m, k)`, never on the GEMM width or sliver width, so one packing
-/// serves every input spatial size on both the narrow and wide panel
-/// drivers.
+/// matches the geometry the forward pass consumes: the conv [`Blocking`]'s
+/// `mc`/`kc` depend only on `(m, k)`, never on the GEMM width or tile
+/// width, so one packing serves every input spatial size at both widths.
 fn filter_blocking(co: usize, k: usize) -> (usize, usize) {
     let bl = Blocking::for_conv(co, NR, k, NR);
     (bl.mc, bl.kc)
@@ -146,21 +142,17 @@ pub(super) fn tap(r: usize, kh: usize, kw: usize) -> (usize, usize, usize) {
 /// positions) reaches the panel driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BOperand {
-    /// Rows gathered block by block and split into [`NR`]-column slivers
-    /// for the narrow driver (`run_panel`).
-    Slivers,
-    /// Rows gathered block by block, row-major, for the wide driver.
+    /// Rows gathered block by block, row-major.
     Rows,
-    /// Stride 1: no rows at all — the wide driver reads each one as a
-    /// window of the zero-padded image (of the input itself when `pad = 0`)
-    /// and drops the seam columns.
+    /// Stride 1: no rows at all — the driver reads each one as a window of
+    /// the zero-padded image (of the input itself when `pad = 0`) and drops
+    /// the seam columns.
     Windows,
 }
 
 impl BOperand {
-    /// The one rule: windows wherever they exist (stride 1) and the wide
-    /// driver is there to read them; otherwise rows gathered for whichever
-    /// driver the host has. Tracked by `BENCH_conv.json`: every stride-1
+    /// The one rule, on every host: windows wherever they exist (stride 1),
+    /// rows gathered otherwise. Tracked by `BENCH_conv.json`: every stride-1
     /// forward cell's `direct` row is the window form (`lenet_conv1` 0.36
     /// → 0.16 ms, `resnet16_body_b4` 0.47 → 0.22 against the gathered rows
     /// it replaced, the 3x3 body cells 1.1–1.9x; EXPERIMENTS E27), and
@@ -171,9 +163,7 @@ impl BOperand {
     /// rounded to whole tiles); an output much narrower than its filter
     /// would pay more, and no tracked shape is one.
     pub fn for_geometry(g: ConvGeometry) -> BOperand {
-        if !wide_tier_available() {
-            BOperand::Slivers
-        } else if g.stride == 1 {
+        if g.stride == 1 {
             BOperand::Windows
         } else {
             BOperand::Rows
@@ -181,11 +171,13 @@ impl BOperand {
     }
 }
 
-/// Blocking and scratch geometry of one `B` operand form: everything
-/// [`workspace_floats`] needs, and nothing that allocates.
+/// Blocking and scratch geometry of one `B` operand form at one tile width:
+/// everything [`workspace_floats`] needs, and nothing that allocates.
 #[derive(Clone, Copy)]
 struct Layout {
     operand: BOperand,
+    /// Register tile width, [`NR`] or [`NR_W`].
+    nr: usize,
     bl: Blocking,
     /// GEMM width per image: `Ho·Wo` gathered columns, or the flat padded
     /// positions `(Ho - 1)·Wp + Wo` under [`BOperand::Windows`].
@@ -196,23 +188,17 @@ struct Layout {
     /// the padded image plus one tile of zero slack (so the last tile's
     /// whole-tile loads stay inside it); or, reading `pad = 0` input in
     /// place, only the one-tile bounce buffer; or one gathered `KC x NC`
-    /// block (a cache line over, to align it) and, for slivers, the row it
-    /// is gathered through.
+    /// block (a cache line over, to align it).
     scratch: usize,
 }
 
 impl Layout {
-    fn new(co: usize, lw: &Lowering, operand: BOperand) -> Layout {
+    fn new(co: usize, lw: &Lowering, operand: BOperand, nr: usize) -> Layout {
         let cols = lw.ho * lw.wo;
         let windows = operand == BOperand::Windows;
-        // The conv blocking rounds the macro-panel step to the sliver
-        // width so every tile is whole; its `(mc, kc)` matches
+        // The conv blocking rounds the macro-panel step to the tile width
+        // so every tile is whole; its `(mc, kc)` matches
         // [`filter_blocking`] by construction, whatever the width.
-        let nr = if operand == BOperand::Slivers {
-            NR
-        } else {
-            NR_W
-        };
         let width = if windows { lw.flat(lw.ho) } else { cols };
         let bl = Blocking::for_conv(co, width, lw.k(), nr);
         let bwidth = if windows {
@@ -221,13 +207,13 @@ impl Layout {
             bl.nc.min(round_up(cols, nr))
         };
         let scratch = match operand {
-            BOperand::Windows if lw.g.pad == 0 => bl.kc * NR_W,
-            BOperand::Windows => lw.padded_len() + NR_W,
+            BOperand::Windows if lw.g.pad == 0 => bl.kc * nr,
+            BOperand::Windows => lw.padded_len() + nr,
             BOperand::Rows => bwidth * bl.kc + 16,
-            BOperand::Slivers => bwidth * bl.kc + 16 + bwidth,
         };
         Layout {
             operand,
+            nr,
             bl,
             width,
             bwidth,
@@ -241,7 +227,7 @@ impl Layout {
 /// and (being the [`Layout`] the kernel sizes its slab with) what the
 /// kernel acquires.
 pub(super) fn workspace_floats(co: usize, lw: &Lowering) -> usize {
-    Layout::new(co, lw, BOperand::for_geometry(lw.g)).scratch
+    Layout::new(co, lw, BOperand::for_geometry(lw.g), host_nr()).scratch
 }
 
 /// Everything about one forward call that does not depend on the image:
@@ -255,7 +241,7 @@ struct Plan<'a> {
     /// Where reduction row `p` starts in `B`: the `K` window offsets, or
     /// `p·bwidth` for the `kc` rows of a gathered block.
     offs: Vec<usize>,
-    /// `p·NR_W`: the rows of the one-tile bounce buffer an image read in
+    /// `p·nr`: the rows of the one-tile bounce buffer an image read in
     /// place finishes through (empty otherwise).
     tile_offs: Vec<usize>,
 }
@@ -266,15 +252,15 @@ impl<'a> Plan<'a> {
         co: usize,
         lw: Lowering,
         operand: BOperand,
+        nr: usize,
         epilogue: Epilogue<'a>,
     ) -> Plan<'a> {
-        let layout = Layout::new(co, &lw, operand);
+        let layout = Layout::new(co, &lw, operand, nr);
         let rows = |pitch: usize| (0..layout.bl.kc).map(|p| p * pitch).collect::<Vec<_>>();
         let (offs, tile_offs) = match operand {
-            BOperand::Windows if lw.g.pad == 0 => (lw.window_offsets(), rows(NR_W)),
+            BOperand::Windows if lw.g.pad == 0 => (lw.window_offsets(), rows(nr)),
             BOperand::Windows => (lw.window_offsets(), Vec::new()),
             BOperand::Rows => (rows(layout.bwidth), Vec::new()),
-            BOperand::Slivers => (Vec::new(), Vec::new()),
         };
         Plan {
             pf,
@@ -296,6 +282,7 @@ impl<'a> Plan<'a> {
 fn conv_image(pl: &Plan<'_>, x: &[f32], optr: &mut [f32]) {
     let Layout {
         operand,
+        nr,
         bl,
         width,
         bwidth,
@@ -314,17 +301,16 @@ fn conv_image(pl: &Plan<'_>, x: &[f32], optr: &mut [f32]) {
     let in_place = operand == BOperand::Windows && lw.g.pad == 0;
     let (window_b, work): (&[f32], &mut [f32]) = match operand {
         BOperand::Windows if !in_place => {
-            let (img, rest) = slab.split_at_mut(lw.padded_len() + NR_W);
+            let (img, rest) = slab.split_at_mut(lw.padded_len() + nr);
             pad_image(xi, lw, &mut img[..lw.padded_len()]);
             img[lw.padded_len()..].fill(0.0);
             (img, rest)
         }
         BOperand::Windows => (x, &mut slab),
         // The gathered block is offset to a 64-byte boundary: `bwidth` and
-        // the tile offsets are multiples of the sliver width, so with an
-        // aligned base *every* kernel B load is cache-line aligned instead
-        // of split across two lines.
-        _ => {
+        // the tile offsets are multiples of the tile width, so with an
+        // aligned base no kernel B load is split across two cache lines.
+        BOperand::Rows => {
             let boff = (slab.as_ptr() as usize).wrapping_neg() % 64 / 4;
             (&[], &mut slab[boff..])
         }
@@ -346,7 +332,7 @@ fn conv_image(pl: &Plan<'_>, x: &[f32], optr: &mut [f32]) {
             let kc_b = bl.kc.min(k - pc);
             let first = pc == 0;
             let last = pc + kc_b == k;
-            // Columns of this block the wide driver reads straight off
+            // Columns of this block the driver reads straight off
             // `window_b`; the rest (`tail`, less than a tile) go through
             // the bounce.
             let mut body = nc_b;
@@ -357,11 +343,11 @@ fn conv_image(pl: &Plan<'_>, x: &[f32], optr: &mut [f32]) {
                     // width` is the image length exactly); only the last,
                     // partial tile of an image with nothing behind it can
                     // reach past the end, and then it is gathered instead.
-                    let reach = jc + pl.offs[pc + kc_b - 1] + round_up(nc_b, NR_W);
+                    let reach = jc + pl.offs[pc + kc_b - 1] + round_up(nc_b, nr);
                     if reach > window_b.len() {
-                        body = nc_b / NR_W * NR_W;
+                        body = nc_b / nr * nr;
                         let tail = nc_b - body;
-                        for (p, row) in row_buf.chunks_exact_mut(NR_W).take(kc_b).enumerate() {
+                        for (p, row) in row_buf.chunks_exact_mut(nr).take(kc_b).enumerate() {
                             let at = pl.offs[pc + p] + jc + body;
                             row[..tail].copy_from_slice(&window_b[at..at + tail]);
                             row[tail..].fill(0.0);
@@ -370,26 +356,12 @@ fn conv_image(pl: &Plan<'_>, x: &[f32], optr: &mut [f32]) {
                 }
                 BOperand::Rows => {
                     // Row-major B: each reduction row once, straight into
-                    // the slot the wide kernel reads at pitch `bwidth`.
-                    // Columns `nc_b..` of the last partial tile are
-                    // zero-filled so its whole-tile loads are inert.
+                    // the slot the kernel reads at pitch `bwidth`. Columns
+                    // `nc_b..` of the last partial tile are zero-filled so
+                    // its whole-tile loads are inert.
                     im2col_block(xi, lw, pc..pc + kc_b, jc..jc + nc_b, bpack, bwidth, 0);
                     for row in bpack.chunks_exact_mut(bwidth).take(kc_b) {
-                        row[nc_b..round_up(nc_b, NR_W)].fill(0.0);
-                    }
-                }
-                BOperand::Slivers => {
-                    // Each reduction row is gathered across the block width
-                    // into `row_buf`, then split into `[jt][p][j]` slivers
-                    // (edge lanes zero-padded) with straight copies.
-                    for p in 0..kc_b {
-                        let r = pc + p;
-                        im2col_block(xi, lw, r..r + 1, jc..jc + nc_b, row_buf, nc_b, 0);
-                        for (jt, chunk) in row_buf[..nc_b].chunks(NR).enumerate() {
-                            let off = (jt * kc_b + p) * NR;
-                            bpack[off..off + chunk.len()].copy_from_slice(chunk);
-                            bpack[off + chunk.len()..off + NR].fill(0.0);
-                        }
+                        row[nc_b..round_up(nc_b, nr)].fill(0.0);
                     }
                 }
             }
@@ -397,17 +369,18 @@ fn conv_image(pl: &Plan<'_>, x: &[f32], optr: &mut [f32]) {
                 let mc_b = bl.mc.min(co - ic);
                 // Safety audit: these calls are safe fns, but they feed the
                 // `unsafe` microkernels in `gemm::packed`, whose SAFETY
-                // comments assume whole `MR`-padded A slivers and `NR_W`
-                // (`NR`) readable B lanes per reduction row. The A slice is
+                // comments assume whole `MR`-padded A slivers and `nr`
+                // readable B lanes per reduction row. The A slice is
                 // `round_up(mc_b, MR)·kc_b` by construction here; the B
-                // side is padded above and `run_panel_wide` asserts its
-                // reach against the slice it is given. The CI miri job
+                // side is padded above and `run_panel` asserts its reach
+                // against the slice it is given. The CI miri job
                 // interprets the `conv::direct` tests to check the
                 // arithmetic end to end.
                 let apack = &pl.pf[rows_pad * pc + ic * kc_b..][..round_up(mc_b, MR) * kc_b];
                 let cpanel = &mut optr[ic * cols..(ic + mc_b) * cols];
-                let mut wide = |b: &[f32], offs: &[usize], seam: Seam, j0: usize, nc: usize| {
-                    run_panel_wide(
+                let mut panel = |b: &[f32], offs: &[usize], seam: Seam, j0: usize, nc: usize| {
+                    run_panel(
+                        nr,
                         apack,
                         b,
                         offs,
@@ -426,26 +399,13 @@ fn conv_image(pl: &Plan<'_>, x: &[f32], optr: &mut [f32]) {
                 match operand {
                     BOperand::Windows => {
                         if body > 0 {
-                            wide(&window_b[jc..], &pl.offs[pc..pc + kc_b], seam, jc, body);
+                            panel(&window_b[jc..], &pl.offs[pc..pc + kc_b], seam, jc, body);
                         }
                         if body < nc_b {
-                            wide(row_buf, &pl.tile_offs[..kc_b], seam, jc + body, nc_b - body);
+                            panel(row_buf, &pl.tile_offs[..kc_b], seam, jc + body, nc_b - body);
                         }
                     }
-                    BOperand::Rows => wide(bpack, &pl.offs[..kc_b], Seam::NONE, jc, nc_b),
-                    BOperand::Slivers => run_panel(
-                        apack,
-                        bpack,
-                        cpanel,
-                        cols,
-                        ic,
-                        jc,
-                        mc_b,
-                        nc_b,
-                        kc_b,
-                        pl.epilogue,
-                        last,
-                    ),
+                    BOperand::Rows => panel(bpack, &pl.offs[..kc_b], Seam::NONE, jc, nc_b),
                 }
             }
         }
@@ -470,17 +430,20 @@ pub fn forward_direct_packed(
     g: ConvGeometry,
     relu: bool,
 ) -> Result<Tensor> {
-    forward_direct_packed_as(x, pf, co, kh, kw, b, g, relu, BOperand::for_geometry(g))
+    let operand = BOperand::for_geometry(g);
+    forward_direct_packed_as(x, pf, co, kh, kw, b, g, relu, operand, host_nr())
 }
 
-/// [`forward_direct_packed`] with the `B` operand form given instead of
-/// chosen: how the tests hold windows to the bits of the gathered rows on
-/// any host (every form runs everywhere — the wide driver falls back to
-/// its portable kernel), and nothing an operator calls.
+/// [`forward_direct_packed`] with the `B` operand form and the register
+/// tile width (`gemm::packed::NR` or `NR_W`) given instead of chosen: how
+/// the tests hold windows to the bits of the gathered rows, and one width
+/// to the other, on any host (every form runs at every width — the driver
+/// falls back to its portable kernel), and nothing an operator calls.
 ///
 /// # Errors
 ///
-/// [`BOperand::Windows`] at a stride other than 1, where there are none.
+/// [`BOperand::Windows`] at a stride other than 1, where there are none,
+/// and a width that is neither tile's.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)] // entry-point plumbing: all scalars
 pub fn forward_direct_packed_as(
@@ -493,6 +456,7 @@ pub fn forward_direct_packed_as(
     g: ConvGeometry,
     relu: bool,
     operand: BOperand,
+    nr: usize,
 ) -> Result<Tensor> {
     let s = x.shape();
     let (n, c, h, wd) = (s.dim(0), s.dim(1), s.dim(2), s.dim(3));
@@ -511,6 +475,9 @@ pub fn forward_direct_packed_as(
             "window lowering needs stride 1, got {}",
             g.stride
         )));
+    }
+    if nr != NR && nr != NR_W {
+        return Err(Error::Invalid(format!("no {nr}-column register tile")));
     }
     let cols = ho * wo;
     let mut out = Tensor::zeros([n, co, ho, wo]);
@@ -538,7 +505,7 @@ pub fn forward_direct_packed_as(
         wo,
         g,
     };
-    let plan = Plan::new(pf, co, lw, operand, epilogue);
+    let plan = Plan::new(pf, co, lw, operand, nr, epilogue);
     let work = n * co * cols * k;
     crate::par::for_each_chunk(out.data_mut(), co * cols, work, |img, optr| {
         conv_image(&plan, &xd[img * c * h * wd..], optr)
@@ -549,6 +516,7 @@ pub fn forward_direct_packed_as(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::packed::properties::tiles_round_alike;
     use deep500_tensor::rng::Xoshiro256StarStar;
 
     #[test]
@@ -665,9 +633,10 @@ mod tests {
 
     #[test]
     fn every_b_operand_form_computes_the_same_convolution() {
-        // Forced forms, so this runs the window and gathered-row paths —
-        // offset tables, seams, the in-place bounce tile — on any host and
-        // under miri (through the portable wide kernel there). Shapes:
+        // Forced forms and widths, so this runs the window and gathered-row
+        // paths — offset tables, seams, the in-place bounce tile — at both
+        // tiles on any host and under miri (through the portable kernel
+        // there). Shapes:
         // LeNet conv1 in small (one seamed tile and a bit), a 1x1 and a
         // 2x3 read in place whose last tile is partial, a wide padding,
         // and a reduction of three KC blocks.
@@ -686,28 +655,50 @@ mod tests {
             let w = Tensor::rand_uniform([co, c, kh, kw], -0.5, 0.5, &mut rng);
             let b = Tensor::rand_uniform([co], -0.1, 0.1, &mut rng);
             let pf = pack_filter(w.data(), co, c * kh * kw);
-            let run = |operand| {
-                forward_direct_packed_as(&x, &pf.data, co, kh, kw, &b, g, true, operand).unwrap()
+            let run = |operand, nr| {
+                forward_direct_packed_as(&x, &pf.data, co, kh, kw, &b, g, true, operand, nr)
+                    .unwrap()
             };
             let what = format!("n{n} c{c} {h}x{wd} co{co} {kh}x{kw} p{pad}");
-            let (windows, rows) = (run(BOperand::Windows), run(BOperand::Rows));
-            assert_eq!(bits(&windows), bits(&rows), "{what}: windows vs rows");
-            // Slivers run another microkernel (fused or not, by host), so
-            // only closeness is owed; the scalar oracle anchors all three.
-            assert!(run(BOperand::Slivers).approx_eq(&rows, 1e-4), "{what}");
             let mut want = super::super::forward_reference(&x, &w, &b, g).unwrap();
             want.data_mut().iter_mut().for_each(|v| *v = v.max(0.0));
-            assert!(windows.approx_eq(&want, 1e-4), "{what}: vs reference");
+            let [narrow, wide] = [NR, NR_W].map(|nr| {
+                let (windows, rows) = (run(BOperand::Windows, nr), run(BOperand::Rows, nr));
+                assert_eq!(
+                    bits(&windows),
+                    bits(&rows),
+                    "{what} nr {nr}: windows vs rows"
+                );
+                assert!(
+                    windows.approx_eq(&want, 1e-4),
+                    "{what} nr {nr}: vs reference"
+                );
+                windows
+            });
+            // The two widths run the same per-element sequence wherever
+            // their kernels round alike (both fused, or both portable).
+            if tiles_round_alike() {
+                assert_eq!(bits(&narrow), bits(&wide), "{what}: narrow vs wide");
+            }
         }
         // Windows exist at stride 1 only.
         let x = Tensor::zeros([1, 1, 4, 4]);
         let pf = pack_filter(&[1.0], 1, 1);
         let g = ConvGeometry { stride: 2, pad: 0 };
         let b = Tensor::zeros([1]);
-        assert!(
-            forward_direct_packed_as(&x, &pf.data, 1, 1, 1, &b, g, false, BOperand::Windows)
-                .is_err()
-        );
+        assert!(forward_direct_packed_as(
+            &x,
+            &pf.data,
+            1,
+            1,
+            1,
+            &b,
+            g,
+            false,
+            BOperand::Windows,
+            NR
+        )
+        .is_err());
     }
 
     #[test]
@@ -722,17 +713,17 @@ mod tests {
             }
         }
         let mut rng = Xoshiro256StarStar::seed_from_u64(29);
-        for pad in [0usize, 2] {
+        for (pad, nr) in [(0usize, NR), (0, NR_W), (2, NR), (2, NR_W)] {
             let g = ConvGeometry { stride: 1, pad };
             let x = Tensor::rand_uniform([1, 2, 7, 6], -1.0, 1.0, &mut rng);
             let w = Tensor::rand_uniform([3, 2, 3, 3], -0.5, 0.5, &mut rng);
             let b = Tensor::zeros([3]);
             let pf = pack_filter(w.data(), 3, 18);
+            let windows = BOperand::Windows;
             let y =
-                forward_direct_packed_as(&x, &pf.data, 3, 3, 3, &b, g, false, BOperand::Windows)
-                    .unwrap();
+                forward_direct_packed_as(&x, &pf.data, 3, 3, 3, &b, g, false, windows, nr).unwrap();
             let want = super::super::forward_reference(&x, &w, &b, g).unwrap();
-            assert!(y.approx_eq(&want, 1e-4), "pad {pad}");
+            assert!(y.approx_eq(&want, 1e-4), "pad {pad} nr {nr}");
         }
     }
 }

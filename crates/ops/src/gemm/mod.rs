@@ -290,8 +290,7 @@ fn a_bt_panel(ib: usize, n: usize, k: usize, ad: &[f32], bd: &[f32], cpanel: &mu
 
 /// `A * B^T`: `A [M x K]`, `B [N x K]`, result `[M x N]`. Tier selection
 /// mirrors [`matmul_at_b_with`]; under `Packed` the transposition is
-/// absorbed into the B-side pack (the narrow tile's sliver gather, the
-/// wide tile's transposing pack).
+/// absorbed into the B-side transposing pack.
 pub fn matmul_a_bt_with(algo: Algorithm, a: &Tensor, b: &Tensor) -> Result<Tensor> {
     matmul_a_bt_with_epilogue(algo, a, b, Epilogue::None)
 }

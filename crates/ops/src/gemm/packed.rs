@@ -19,28 +19,29 @@
 //! whatever the source layout — the transposed `AᵀB` product is absorbed
 //! into that gather.
 //!
-//! Two register tiles share the `A` sliver format, and the host picks one
-//! by CPU detection alone (`wide_tier_available`):
+//! Two register tiles share the `A` sliver format and one panel driver
+//! (`run_panel`), and the host picks one by CPU detection alone
+//! (`host_nr`): `MR x NR_W` (8x32) on hosts with AVX-512F, `MR x NR`
+//! (8x8, AVX2+FMA) elsewhere and under miri. The driver reads reduction
+//! row `p` of `B` through an offset table, whatever the width, so `B` is
+//! never packed into column slivers:
 //!
-//! * **Wide, `MR x NR_W` (8x32), AVX-512.** Every packed GEMM on a host
-//!   with AVX-512F, and the direct convolution tier. `run_panel_wide`
-//!   reads reduction row `p` of `B` through an offset table, so a
-//!   row-major `B [K x N]` is read in place — no pack at all, only a
-//!   ragged last tile copied into padded scratch when it would read past
-//!   the operand — and a transposed `B [N x K]` takes one transposing pack
-//!   per `KC x NC` block (`pack_bt_rows`) into `[p][j]` rows padded to
-//!   whole tiles. `Linear` hands in its memoized `[K x round_up(N, NR_W)]`
-//!   weight image instead, the one its `n = 1` GEMV reads.
-//! * **Narrow, `MR x NR` (8x8), AVX2+FMA.** The fallback for hosts without
-//!   AVX-512F, and what miri interprets: `B` is packed per block into
-//!   `NR`-column slivers `[p][j]`, transposition absorbed into the gather.
+//! * a row-major `B [K x N]` is read in place — only a ragged last tile
+//!   that would read past the operand is copied into padded scratch;
+//! * a transposed `B [N x K]` takes one transposing pack per `KC x NC`
+//!   block (`pack_bt_rows`) into `[p][j]` rows padded to whole tiles;
+//! * `Linear` hands in its memoized `[K x round_up(N, NR_W)]` weight image,
+//!   the one its `n = 1` GEMV reads;
+//! * the direct convolution tier hands in gathered rows, or windows of one
+//!   padded image with a `Seam` between output rows.
 //!
 //! Each microkernel keeps its accumulator block in registers across the
-//! whole `KC` reduction. The portable versions are written so LLVM
-//! autovectorizes them at whatever SIMD width the target offers; on
-//! `x86_64` the explicit AVX2+FMA and AVX-512 variants are selected at
-//! runtime when the CPU supports them (`#[target_feature]`-gated, so the
-//! default baseline build still carries them).
+//! whole `KC` reduction. The portable kernel, generic over the width, is
+//! written so LLVM autovectorizes it at whatever SIMD width the target
+//! offers; on `x86_64` the explicit AVX2+FMA (8-wide) and AVX-512 (32-wide)
+//! variants are selected at runtime when the CPU supports them
+//! (`#[target_feature]`-gated, so the default baseline build still carries
+//! them), each inside a panel loop compiled for its own instruction set.
 //!
 //! Unsafe-code policy: this module is the workspace's vendor-SIMD site
 //! (the one kernel outside it, the convolution `dW` tile in
@@ -48,12 +49,11 @@
 //! a `// SAFETY:` comment (enforced by the workspace
 //! `clippy::undocumented_unsafe_blocks` deny), and each SIMD kernel is
 //! reachable *only* through its dispatcher's runtime CPUID check — see
-//! `microkernel` for the dispatch invariant. Under miri every vendor
-//! path is compiled out (`cfg(not(miri))`), so `cargo miri test -p
-//! deep500-ops gemm::packed` checks the packing, the offset tables and
-//! the portable kernels of both widths (the tests call the wide driver
-//! directly), which share all slice-bounds reasoning with the SIMD
-//! variants.
+//! `run_panel` for the dispatch invariant. Under miri every vendor path
+//! is compiled out (`cfg(not(miri))`), so `cargo miri test -p deep500-ops
+//! gemm::packed` checks the packing, the offset tables and the portable
+//! kernel at both widths (the tests force each), which shares all
+//! slice-bounds reasoning with the SIMD variants.
 //!
 //! Determinism: parallelism is only over disjoint `C` row panels and each
 //! output element's `K` reduction ascends in `p` (one fused multiply-add
@@ -70,12 +70,13 @@ use deep500_tensor::{recycle_scratch, scratch_dirty, scratch_zeroed};
 
 /// Microkernel tile rows (`C` rows kept in registers).
 pub const MR: usize = 8;
-/// Microkernel tile columns (one 8-wide SIMD vector per row).
+/// Narrow tile columns (one 8-wide AVX2 vector per row): the tile of every
+/// packed GEMM and of the direct convolution tier on hosts without
+/// AVX-512F.
 pub const NR: usize = 8;
-/// Wide-variant microkernel tile columns (two 16-lane vectors per row):
-/// the tile of every packed GEMM and of the direct convolution tier on
-/// AVX-512-class hosts. The A sliver format is shared with the narrow
-/// kernel (`MR` rows), so a filter packed once serves both widths.
+/// Wide tile columns (two 16-lane vectors per row): the tile on
+/// AVX-512-class hosts. Both tiles read the same `MR`-row `A` slivers, so
+/// a filter packed once serves both widths.
 pub const NR_W: usize = 32;
 
 /// Cache-aware blocking parameters, in elements. `mc`/`nc` are rounded to
@@ -85,7 +86,8 @@ pub const NR_W: usize = 32;
 pub struct Blocking {
     /// Rows of `A` packed per panel (L2-resident: `mc * kc` floats).
     pub mc: usize,
-    /// Reduction depth per pack (L1-resident slivers: `kc * MR|NR` floats).
+    /// Reduction depth per pack (L1-resident: `kc * MR` sliver floats, and
+    /// `kc` tile rows of `B`).
     pub kc: usize,
     /// Columns of `B` packed per macro-panel (L3-resident: `kc * nc`).
     pub nc: usize,
@@ -93,9 +95,9 @@ pub struct Blocking {
 
 impl Blocking {
     /// Pick blocking from the problem shape. Targets are conservative
-    /// laptop/server-class caches: `MR x KC` and `KC x NR` slivers well
-    /// inside a 32 KiB L1, the packed A panel in half of a 256 KiB L2,
-    /// and the packed B macro-panel in a ~1 MiB L3 share.
+    /// laptop/server-class caches: an `MR x KC` sliver and `KC` rows of one
+    /// `B` tile well inside a 32 KiB L1, the packed A panel in half of a
+    /// 256 KiB L2, and the `B` macro-panel in a ~1 MiB L3 share.
     pub fn for_shape(m: usize, n: usize, k: usize) -> Blocking {
         let kc = k.clamp(1, 256);
         let mc_cap = ((128 * 1024 / 4) / kc).max(MR);
@@ -105,7 +107,7 @@ impl Blocking {
         Blocking { mc, kc, nc }
     }
 
-    /// Blocking for the direct convolution tier's implicit GEMM at sliver
+    /// Blocking for the direct convolution tier's implicit GEMM at tile
     /// width `nr` ([`NR`] or [`NR_W`]). Differs from [`Blocking::for_shape`]
     /// in two ways. First, the `kc` cap stretches beyond 256 (up to 512)
     /// while the `Co`-row A panel still fits the L2 budget — conv GEMMs
@@ -118,7 +120,7 @@ impl Blocking {
     /// saved `C` pass is megabytes). Within the cap the reduction splits
     /// into equal-depth blocks (576 past the stretch would run 2x288,
     /// not 256 + 256 + 64). Second, `nc` is rounded to the selected
-    /// sliver width so every packed tile is whole.
+    /// tile width so every gathered tile is whole.
     pub(crate) fn for_conv(m: usize, n: usize, k: usize, nr: usize) -> Blocking {
         let mut kc_cap = ((128 * 1024 / 4) / m.max(1)).clamp(256, 512);
         if k > kc_cap && k <= kc_cap + kc_cap / 4 {
@@ -268,56 +270,11 @@ pub(crate) fn pack_a(
     }
 }
 
-/// Pack the `kc x nc` block of logical `B` starting at `(pc, jc)` into
-/// `dst` as `NR`-column slivers laid out `[p][j]`, zero-padding columns
-/// beyond `nc`. `B` is stored row-major `[K x N]` (`trans = false`,
-/// `ldb = N`) or `[N x K]` (`trans = true`, `ldb = K`).
-#[allow(clippy::too_many_arguments)] // pack-kernel plumbing: all scalars
-fn pack_b(
-    dst: &mut [f32],
-    b: &[f32],
-    trans: bool,
-    ldb: usize,
-    pc: usize,
-    jc: usize,
-    kc: usize,
-    nc: usize,
-) {
-    for (tile, chunk) in dst[..nc.div_ceil(NR) * NR * kc]
-        .chunks_mut(NR * kc)
-        .enumerate()
-    {
-        let j0 = tile * NR;
-        let cols = NR.min(nc - j0);
-        if trans {
-            // B[N x K]: each source row is contiguous in p, so stream it
-            // once into its lane of every `[p][j]` step.
-            if cols < NR {
-                chunk.fill(0.0);
-            }
-            for j in 0..cols {
-                let at = (jc + j0 + j) * ldb + pc;
-                for (lane, &v) in chunk.chunks_exact_mut(NR).zip(&b[at..at + kc]) {
-                    lane[j] = v;
-                }
-            }
-        } else {
-            for p in 0..kc {
-                let lane = &mut chunk[p * NR..p * NR + NR];
-                // B[K x N]: row pc+p is contiguous in j.
-                let src = &b[(pc + p) * ldb + jc + j0..];
-                lane[..cols].copy_from_slice(&src[..cols]);
-                lane[cols..].iter_mut().for_each(|v| *v = 0.0);
-            }
-        }
-    }
-}
-
-/// The wide tile's transposing pack: the `kc x nc` block of logical `B`
+/// The transposing pack: the `kc x nc` block of logical `B`
 /// at `(pc, jc)`, stored `[N x K]` at row pitch `ldb`, written into `dst`
 /// as `kc` rows of `ldd >= nc` floats — `dst[p * ldd + j] = B[jc + j][pc +
-/// p]`, columns `nc..ldd` zeroed — which [`run_panel_wide`] reads at
-/// offsets `p * ldd`. `Linear` builds its whole weight image with it
+/// p]`, columns `nc..ldd` zeroed — which [`run_panel`] reads at offsets
+/// `p * ldd`. `Linear` builds its whole weight image with it
 /// (`pc = jc = 0`, `ldd = round_up(N, NR_W)`). The whole 8x8 blocks go
 /// through [`transpose_blocks`], eight output rows at a time so each is
 /// written contiguously; the ragged edges go element by element.
@@ -462,57 +419,69 @@ unsafe fn transpose_blocks_avx(
     }
 }
 
-/// Portable microkernel: `acc += Asliver * Bsliver` with the full `MR x NR`
-/// accumulator in locals. Written lane-wise so LLVM autovectorizes the `j`
-/// loop at the target's native SIMD width.
+/// Portable microkernel at tile width `N`: `acc = Asliver * Btile` with the
+/// full `MR x N` accumulator in locals, reading reduction row `p` of `B` at
+/// `b[offs[p]..][..N]` (see [`run_panel`]). Written lane-wise so LLVM
+/// autovectorizes the `j` loop at the target's native SIMD width. What
+/// runs on hosts without the matching SIMD kernel, and under miri, which
+/// cannot interpret vendor intrinsics.
 #[inline(always)]
-fn microkernel_portable(kc: usize, asliver: &[f32], bsliver: &[f32], acc: &mut [[f32; NR]; MR]) {
-    for p in 0..kc {
+fn microkernel_portable<const N: usize>(
+    asliver: &[f32],
+    b: &[f32],
+    offs: &[usize],
+    acc: &mut [[f32; N]; MR],
+) {
+    let mut local = [[0.0f32; N]; MR];
+    for (p, &off) in offs.iter().enumerate() {
         let ar = &asliver[p * MR..p * MR + MR];
-        let br = &bsliver[p * NR..p * NR + NR];
+        let br = &b[off..off + N];
         for i in 0..MR {
             let ai = ar[i];
-            for j in 0..NR {
-                acc[i][j] += ai * br[j];
+            for j in 0..N {
+                local[i][j] += ai * br[j];
             }
         }
     }
+    *acc = local;
 }
 
-/// Explicit 8-wide AVX2+FMA microkernel: one `__m256` accumulator per `C`
-/// row (MR + 2 live vectors — comfortably inside the 16 ymm registers).
-/// Compiled for every x86_64 build via `#[target_feature]`; only *run*
-/// when [`microkernel`] detects avx2+fma at runtime. Compiled out under
-/// miri, which cannot interpret vendor intrinsics — miri runs exercise the
-/// portable kernel (same packing, same slice bounds) instead.
+/// Explicit 8-wide AVX2+FMA microkernel for the `MR x NR` tile: one
+/// `__m256` accumulator per `C` row (MR + 2 live vectors — comfortably
+/// inside the 16 ymm registers). Reduction row `p` of `B` is the 8 floats
+/// at `b[offs[p]..]`, as in [`microkernel_avx512`]. Compiled out under
+/// miri.
 ///
 /// # Safety
 ///
 /// * The caller must have proven, at runtime, that the executing CPU
 ///   supports AVX2 and FMA — calling this on a CPU without them is
 ///   immediate UB (illegal instruction), regardless of what the slices
-///   contain. [`microkernel`] is the only caller and establishes this
-///   with `is_x86_feature_detected!`.
-/// * `asliver.len() >= kc * MR` and `bsliver.len() >= kc * NR`: the
-///   unaligned vector loads below read `MR`/`NR` lanes at each `p`.
+///   contain. [`run_panel_avx2`] is the only caller; it runs only behind
+///   [`run_panel`]'s `is_x86_feature_detected!`.
+/// * `asliver.len() >= offs.len() * MR`, and `off + NR <= b.len()` for
+///   every `off` in `offs`: the unaligned vector loads read `MR` / `NR`
+///   lanes at each reduction step.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn microkernel_avx2(kc: usize, asliver: &[f32], bsliver: &[f32], acc: &mut [[f32; NR]; MR]) {
+unsafe fn microkernel_avx2(asliver: &[f32], b: &[f32], offs: &[usize], acc: &mut [[f32; NR]; MR]) {
     use core::arch::x86_64::*;
-    debug_assert!(asliver.len() >= kc * MR && bsliver.len() >= kc * NR);
-    // SAFETY: pointer arithmetic stays inside the slices — the packers
-    // always produce whole slivers (`asliver.len() >= kc * MR`,
-    // `bsliver.len() >= kc * NR`, zero-padded at the edges), so
-    // `p * NR + 7` and `p * MR + i` (i < MR) index in-bounds for every
-    // `p < kc`. `_mm256_loadu_ps`/`_mm256_storeu_ps` tolerate any
-    // alignment, and `acc[i]` is exactly `NR == 8` floats, matching one
-    // `__m256` store. The intrinsics themselves are safe to execute
-    // because this fn's `#[target_feature]` contract (CPU has avx2+fma)
-    // is upheld by the caller per the function-level Safety section.
+    debug_assert!(asliver.len() >= offs.len() * MR);
+    debug_assert!(offs.iter().all(|&off| off + NR <= b.len()));
+    // SAFETY: pointer arithmetic stays inside the slices — the A packer
+    // always produces whole slivers (`asliver.len() >= kc * MR`, edge rows
+    // zero-padded) and the caller guarantees `NR` readable lanes past every
+    // row offset, so `offs[p] + 7` and `p * MR + i` (i < MR) index
+    // in-bounds for every `p < kc`. `_mm256_loadu_ps`/`_mm256_storeu_ps`
+    // tolerate any alignment, and `acc[i]` is exactly `NR == 8` floats,
+    // matching one `__m256` store. The intrinsics themselves are safe to
+    // execute because this fn's `#[target_feature]` contract (CPU has
+    // avx2+fma) is upheld by the caller per the function-level Safety
+    // section.
     unsafe {
         let mut vacc = [_mm256_setzero_ps(); MR];
-        for p in 0..kc {
-            let bv = _mm256_loadu_ps(bsliver.as_ptr().add(p * NR));
+        for (p, &off) in offs.iter().enumerate() {
+            let bv = _mm256_loadu_ps(b.as_ptr().add(off));
             let ar = asliver.as_ptr().add(p * MR);
             for (i, v) in vacc.iter_mut().enumerate() {
                 let av = _mm256_set1_ps(*ar.add(i));
@@ -525,80 +494,22 @@ unsafe fn microkernel_avx2(kc: usize, asliver: &[f32], bsliver: &[f32], acc: &mu
     }
 }
 
-/// Run the best microkernel the host supports. The AVX2+FMA variant fuses
-/// each multiply-add (different rounding than the portable mul+add), which
-/// keeps the `Packed` tier a genuinely distinct accumulation for the ℓ∞
-/// comparisons while staying within the 1e-3 parity bound.
-///
-/// Runtime-dispatch invariant: this function is the *only* caller of
-/// [`microkernel_avx2`], and it calls it exclusively behind a successful
-/// `is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")`
-/// check on the executing thread. The detection macro reads CPUID (cached
-/// by std), so a binary compiled for baseline x86_64 stays correct on
-/// pre-AVX2 hardware: the unsafe kernel is compiled in but never reached.
-#[inline]
-fn microkernel(kc: usize, asliver: &[f32], bsliver: &[f32], acc: &mut [[f32; NR]; MR]) {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: the `#[target_feature(enable = "avx2", enable = "fma")]`
-        // contract is established by the runtime detection on this exact
-        // execution path, and the slice-length preconditions hold because
-        // every caller passes whole packed slivers of `kc * MR` /
-        // `kc * NR` elements (see `pack_a`/`pack_b`).
-        unsafe { microkernel_avx2(kc, asliver, bsliver, acc) };
-        return;
-    }
-    microkernel_portable(kc, asliver, bsliver, acc)
-}
-
-/// Portable wide microkernel: identical loop nest to
-/// [`microkernel_portable`] at `NR_W` columns (`acc` is overwritten, like
-/// the SIMD variant's), reading reduction row `p`
-/// of `B` at `b[offs[p]..][..NR_W]` — `B` is never sliver-packed on the
-/// wide path (an unaligned load costs the same as a packed one, and
-/// skipping the pack halves the activation-side memory traffic), and the
-/// per-row offset table lets the rows be anything from gathered rows at a
-/// fixed stride to overlapping windows of one image (see
-/// [`run_panel_wide`]). Exercised on non-AVX-512 hosts and under miri,
-/// which cannot interpret vendor intrinsics.
-#[inline(always)]
-fn microkernel_wide_portable(
-    asliver: &[f32],
-    b: &[f32],
-    offs: &[usize],
-    acc: &mut [[f32; NR_W]; MR],
-) {
-    let mut local = [[0.0f32; NR_W]; MR];
-    for (p, &off) in offs.iter().enumerate() {
-        let ar = &asliver[p * MR..p * MR + MR];
-        let br = &b[off..off + NR_W];
-        for i in 0..MR {
-            let ai = ar[i];
-            for j in 0..NR_W {
-                local[i][j] += ai * br[j];
-            }
-        }
-    }
-    *acc = local;
-}
-
 /// Explicit 16-wide AVX-512 microkernel for the `MR x NR_W` tile: two
 /// `__m512` accumulators per `C` row (16 live accumulator registers plus
 /// four `B` vectors and one broadcast — well inside the 32 zmm registers),
 /// with the `K` loop unrolled by two so the four `B` loads per iteration
 /// hide the FMA latency chain. Reduction row `p` of `B` is the 32 floats at
-/// `b[offs[p]..]` — no sliver packing on the activation side. Per output
-/// element the reduction still ascends in `p` one FMA at a time, so results
-/// are bit-identical to the non-unrolled order (and to
-/// [`microkernel_avx2`]'s, which fuses the same per-element multiply-add
-/// sequence) and do not depend on what the offsets are.
+/// `b[offs[p]..]`. Per output element the reduction still ascends in `p`
+/// one FMA at a time, so results are bit-identical to the non-unrolled
+/// order (and to [`microkernel_avx2`]'s, which fuses the same per-element
+/// multiply-add sequence) and do not depend on what the offsets are.
 ///
 /// # Safety
 ///
 /// * The caller must have proven, at runtime, that the executing CPU
 ///   supports AVX-512F — calling this without it is immediate UB (illegal
-///   instruction). [`run_panel_wide_avx512`] is the only caller; it runs
-///   only behind [`run_panel_wide`]'s `is_x86_feature_detected!`.
+///   instruction). [`run_panel_avx512`] is the only caller; it runs only
+///   behind [`run_panel`]'s `is_x86_feature_detected!`.
 /// * `asliver.len() >= offs.len() * MR`, and `off + NR_W <= b.len()` for
 ///   every `off` in `offs`: the unaligned vector loads read `MR` lanes /
 ///   `NR_W` lanes at each reduction step.
@@ -732,74 +643,7 @@ unsafe fn strided_copy2_avx512(dst: &mut [f32], src: &[f32]) {
     }
 }
 
-/// Whether selecting the wide (`NR_W`-column) tile is a win on this host:
-/// true exactly when the AVX-512 kernel will be dispatched. On narrower
-/// machines the wide tile would run the portable kernel over 4x the
-/// columns of the tuned AVX2 path, so both of its callers — the packed
-/// GEMM driver ([`gemm_packed_into_epilogue`]) and the direct convolution
-/// tier — stay on [`run_panel`] / `NR` there. This is the only switch
-/// between the widths: there is no option for it.
-pub(crate) fn wide_tier_available() -> bool {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    {
-        std::arch::is_x86_feature_detected!("avx512f")
-    }
-    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-    {
-        false
-    }
-}
-
-/// Process one packed `A` panel against one packed `B` macro-panel,
-/// accumulating into the `C` row panel `cpanel` (rows `row0..row0+mc` of
-/// the full `M x N` output, `ldc = N`). When `last` is set (final `KC`
-/// block of the reduction), `epilogue` runs over each freshly stored tile
-/// while it is still cache-hot; `row0` gives the epilogue its absolute row
-/// index (the `BiasRow*` variants index bias per row).
-#[allow(clippy::too_many_arguments)] // hot-path plumbing: all scalars
-pub(crate) fn run_panel(
-    apack: &[f32],
-    bpack: &[f32],
-    cpanel: &mut [f32],
-    ldc: usize,
-    row0: usize,
-    jc: usize,
-    mc: usize,
-    nc: usize,
-    kc: usize,
-    epilogue: Epilogue<'_>,
-    last: bool,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    let fuse = last && !matches!(epilogue, Epilogue::None);
-    for (jt, bsliver) in bpack[..nc.div_ceil(NR) * NR * kc]
-        .chunks(NR * kc)
-        .enumerate()
-    {
-        let j0 = jc + jt * NR;
-        let cols = NR.min(jc + nc - j0);
-        for (it, asliver) in apack[..mc.div_ceil(MR) * MR * kc]
-            .chunks(MR * kc)
-            .enumerate()
-        {
-            let i0 = it * MR;
-            let rows = MR.min(mc - i0);
-            acc.iter_mut().for_each(|row| row.fill(0.0));
-            microkernel(kc, asliver, bsliver, &mut acc);
-            for (i, arow) in acc.iter().enumerate().take(rows) {
-                let crow = &mut cpanel[(i0 + i) * ldc + j0..(i0 + i) * ldc + j0 + cols];
-                for (cv, &av) in crow.iter_mut().zip(arow) {
-                    *cv += av;
-                }
-                if fuse {
-                    epilogue.apply_row(crow, row0 + i0 + i, j0);
-                }
-            }
-        }
-    }
-}
-
-/// Which of the wide driver's flat `B` columns are output columns, and
+/// Which of the panel driver's flat `B` columns are output columns, and
 /// where they land in a `C` row: flat column `j = r * period + q` is kept
 /// iff `q < keep` and is `C` column `r * keep + q`; the rest are *seam*
 /// columns — computed, because the tile is, and dropped on the way out.
@@ -837,24 +681,28 @@ impl Seam {
     }
 }
 
-/// [`run_panel`] at the wide tile width, reading `B` through a per-row
-/// offset table: reduction step `p` of the tile at flat column `j` is the
-/// `NR_W` floats at `b[offs[p] + j..]`. The direct convolution tier feeds
-/// it either rows it gathered off the activation image (`offs[p] = p *
-/// ldb`, the columns past `nc` zero-filled to a whole tile) or, for
-/// stride 1, the overlapping *windows* of one zero-padded image
-/// (`offs[p]` = the tap's `ic * Hp * Wp + fh * Wp + fw`) with the [`Seam`]
-/// that drops the columns between output rows. There is no sliver repack
-/// either way, and the `A` panel format (`MR`-row slivers) is shared with
-/// the narrow path, so pre-packed filters serve both. Epilogue timing and
-/// per-element accumulation order match [`run_panel`] exactly — only the
-/// column grouping per register tile differs, and that grouping (so also
-/// the choice of offsets) never enters an output element's float sequence.
+/// Process one packed `A` panel against one `B` block at tile width `nr`
+/// ([`NR`] or [`NR_W`]), accumulating into the `C` row panel `cpanel` (rows
+/// `row0..row0 + mc` of the output, row pitch `ldc`). `B` is read through a
+/// per-row offset table: reduction step `p` of the tile at flat column `j`
+/// is the `nr` floats at `b[offs[p] + j..]`. The GEMM driver hands in rows
+/// read in place (`offs[p] = (pc + p) * ldb`), a transposing pack's rows or
+/// a one-tile bounce; the direct convolution tier hands in rows it gathered
+/// off the activation image (`offs[p] = p * ldb`, the columns past `nc`
+/// zero-filled to a whole tile) or, for stride 1, the overlapping *windows*
+/// of one zero-padded image (`offs[p]` = the tap's
+/// `ic * Hp * Wp + fh * Wp + fw`) with the [`Seam`] that drops the columns
+/// between output rows.
+/// Which columns share a register tile, and so the width and the offsets,
+/// never enters an output element's float sequence.
 ///
 /// `jc` is the flat column of the panel's first tile in `C` terms (`b` is
 /// already positioned there), `nc` the flat columns to produce. Lanes past
 /// `nc` in the last tile, like seam lanes, are computed from whatever
-/// `b` holds there and never stored.
+/// `b` holds there and never stored. When `last` is set (final `KC` block
+/// of the reduction), `epilogue` runs over each freshly stored tile while
+/// it is still cache-hot; `row0` gives it the absolute row index (the
+/// `BiasRow*` variants index bias per row).
 ///
 /// `first` marks the reduction's first `KC` block over a caller-zeroed
 /// `C`: the tile write-back then *stores* instead of read-modify-writes,
@@ -863,13 +711,21 @@ impl Seam {
 /// accumulator starts at `+0.0` and IEEE-754 addition can never turn it
 /// into `-0.0`, and `0.0 + x == x` bitwise for every other `x`.
 ///
+/// Runtime-dispatch invariant: this function is the only caller of
+/// [`run_panel_avx512`] and [`run_panel_avx2`], and calls each exclusively
+/// behind a successful `is_x86_feature_detected!` for its instruction set
+/// on the executing thread (CPUID, cached by std), so a binary built for
+/// baseline x86_64 stays correct on older hardware: the SIMD kernels are
+/// compiled in but never reached. Without them the portable kernel runs.
+///
 /// # Panics
 ///
 /// If a whole last tile would read past `b`: `max(offs) + round_up(nc,
-/// NR_W) <= b.len()` is asserted in release builds too, because the
-/// AVX-512 kernel's loads rely on it.
+/// nr) <= b.len()` is asserted in release builds too, because the SIMD
+/// kernels' loads rely on it.
 #[allow(clippy::too_many_arguments)] // hot-path plumbing: all scalars
-pub(crate) fn run_panel_wide(
+pub(crate) fn run_panel(
+    nr: usize,
     apack: &[f32],
     b: &[f32],
     offs: &[usize],
@@ -884,9 +740,10 @@ pub(crate) fn run_panel_wide(
     first: bool,
     last: bool,
 ) {
-    let reach = offs.iter().max().map_or(0, |&m| m + round_up(nc, NR_W));
-    assert!(reach <= b.len(), "wide panel reads {reach} of {}", b.len());
-    let panel = WidePanel {
+    debug_assert!(nr == NR || nr == NR_W);
+    let reach = offs.iter().max().map_or(0, |&m| m + round_up(nc, nr));
+    assert!(reach <= b.len(), "panel reads {reach} of {}", b.len());
+    let panel = Panel {
         apack,
         b,
         offs,
@@ -901,19 +758,33 @@ pub(crate) fn run_panel_wide(
         last,
     };
     #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if std::arch::is_x86_feature_detected!("avx512f") {
-        // SAFETY: the `#[target_feature(enable = "avx512f")]` contract is
-        // established by the runtime detection on this exact execution
-        // path, and the reach precondition is the release-mode assertion
-        // above.
-        unsafe { run_panel_wide_avx512(&panel, cpanel) };
-        return;
+    {
+        if nr == NR_W && std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the `#[target_feature(enable = "avx512f")]` contract
+            // is established by the runtime detection on this exact
+            // execution path, and the reach precondition is the
+            // release-mode assertion above.
+            unsafe { run_panel_avx512(&panel, cpanel) };
+            return;
+        }
+        if nr == NR
+            && std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma")
+        {
+            // SAFETY: as above, for `avx2,fma`.
+            unsafe { run_panel_avx2(&panel, cpanel) };
+            return;
+        }
     }
-    panel.run(cpanel, microkernel_wide_portable);
+    if nr == NR_W {
+        panel.run(cpanel, microkernel_portable::<NR_W>);
+    } else {
+        panel.run(cpanel, microkernel_portable::<NR>);
+    }
 }
 
-/// [`run_panel_wide`]'s operands, past its reach check.
-struct WidePanel<'a> {
+/// [`run_panel`]'s operands, past its reach check.
+struct Panel<'a> {
     apack: &'a [f32],
     b: &'a [f32],
     offs: &'a [usize],
@@ -928,26 +799,27 @@ struct WidePanel<'a> {
     last: bool,
 }
 
-impl WidePanel<'_> {
-    /// The panel loop over `kernel`. Inlined into each caller, so under
-    /// [`run_panel_wide_avx512`] the kernel, the accumulator and the
-    /// write-back are compiled for AVX-512 together.
+impl Panel<'_> {
+    /// The panel loop over an `N`-column `kernel`. Inlined into each
+    /// caller, so under [`run_panel_avx512`] / [`run_panel_avx2`] the
+    /// kernel, the accumulator and the write-back are compiled for that
+    /// instruction set together.
     #[inline(always)]
-    fn run(
+    fn run<const N: usize>(
         &self,
         cpanel: &mut [f32],
-        kernel: impl Fn(&[f32], &[f32], &[usize], &mut [[f32; NR_W]; MR]),
+        kernel: impl Fn(&[f32], &[f32], &[usize], &mut [[f32; N]; MR]),
     ) {
         let (offs, ldc, mc, nc) = (self.offs, self.ldc, self.mc, self.nc);
         let kc = offs.len();
-        let mut acc = [[0.0f32; NR_W]; MR];
+        let mut acc = [[0.0f32; N]; MR];
         let mut runs = [(0usize, 0usize, 0usize); NR_W];
         let fuse = self.last && !matches!(self.epilogue, Epilogue::None);
-        for j0r in (0..nc).step_by(NR_W) {
-            let nruns = self.seam.runs(self.jc + j0r, NR_W.min(nc - j0r), &mut runs);
-            // The kernel reads `NR_W` lanes past `offs[p]` in this slice:
-            // in bounds by `run_panel_wide`'s assertion, `j0r + NR_W <=
-            // round_up(nc, NR_W)`.
+        for j0r in (0..nc).step_by(N) {
+            let nruns = self.seam.runs(self.jc + j0r, N.min(nc - j0r), &mut runs);
+            // The kernel reads `N` lanes past `offs[p]` in this slice: in
+            // bounds by `run_panel`'s assertion, `j0r + N <= round_up(nc,
+            // N)`.
             let btile = &self.b[j0r..];
             for (it, asliver) in self.apack[..mc.div_ceil(MR) * MR * kc]
                 .chunks(MR * kc)
@@ -977,26 +849,46 @@ impl WidePanel<'_> {
     }
 }
 
-/// [`WidePanel::run`] over [`microkernel_avx512`], the whole loop nest
+/// [`Panel::run`] over [`microkernel_avx512`], the whole loop nest
 /// compiled for AVX-512: the kernel inlines into it, and the accumulator
 /// write-back runs at the kernel's vector width instead of the baseline
 /// build's.
 ///
 /// # Safety
 ///
-/// * The executing CPU must support AVX-512F; [`run_panel_wide`], the only
+/// * The executing CPU must support AVX-512F; [`run_panel`], the only
 ///   caller, detects it at runtime.
-/// * `max(offs) + round_up(nc, NR_W) <= b.len()`, which
-///   [`run_panel_wide`] asserts: the kernel's loads rely on it.
+/// * `max(offs) + round_up(nc, NR_W) <= b.len()`, which [`run_panel`]
+///   asserts: the kernel's loads rely on it.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx512f")]
-unsafe fn run_panel_wide_avx512(panel: &WidePanel<'_>, cpanel: &mut [f32]) {
+unsafe fn run_panel_avx512(panel: &Panel<'_>, cpanel: &mut [f32]) {
     panel.run(cpanel, |asliver, b, offs, acc| {
         // SAFETY: avx512f holds per this function's contract; the A
         // sliver is whole (`asliver.len() == offs.len() * MR`, by the
-        // `chunks` in `WidePanel::run`) and every row offset has `NR_W`
+        // `chunks` in `Panel::run`) and every row offset has `NR_W`
         // readable lanes in `b` by the reach contract.
         unsafe { microkernel_avx512(asliver, b, offs, acc) }
+    });
+}
+
+/// [`Panel::run`] over [`microkernel_avx2`], the whole loop nest compiled
+/// for AVX2+FMA, as [`run_panel_avx512`] is for the wide tile.
+///
+/// # Safety
+///
+/// * The executing CPU must support AVX2 and FMA; [`run_panel`], the only
+///   caller, detects them at runtime.
+/// * `max(offs) + round_up(nc, NR) <= b.len()`, which [`run_panel`]
+///   asserts: the kernel's loads rely on it.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn run_panel_avx2(panel: &Panel<'_>, cpanel: &mut [f32]) {
+    panel.run(cpanel, |asliver, b, offs, acc| {
+        // SAFETY: avx2+fma hold per this function's contract; the A sliver
+        // is whole, as above, and every row offset has `NR` readable lanes
+        // in `b` by the reach contract.
+        unsafe { microkernel_avx2(asliver, b, offs, acc) }
     });
 }
 
@@ -1199,14 +1091,16 @@ pub(super) fn gemm_packed_into_epilogue(
     gemm_packed_as(host_nr(), m, n, k, a, a_trans, b, b_trans, ldb, c, epilogue)
 }
 
-/// The register tile width packed GEMMs run at on this host: [`NR_W`]
-/// where [`wide_tier_available`], else [`NR`].
+/// The register tile width packed GEMMs and the direct convolution tier
+/// run at on this host: [`NR_W`] where the CPU has AVX-512F, else [`NR`]
+/// (AVX2+FMA, or the portable kernel; always under miri). This is the only
+/// switch between the widths: there is no option for it.
 pub(crate) fn host_nr() -> usize {
-    if wide_tier_available() {
-        NR_W
-    } else {
-        NR
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        return NR_W;
     }
+    NR
 }
 
 /// The packed GEMM at tile width `nr` ([`NR`] or [`NR_W`]; callers pass
@@ -1216,19 +1110,18 @@ pub(crate) fn host_nr() -> usize {
 ///
 /// The `MC` row panels of `C` go through [`par`] with `m * n * k` as their
 /// work; each worker packs its own `A` panel, and the `B` block is shared
-/// read-only. How `B` reaches the kernel depends on the width:
+/// read-only. `B` reaches [`run_panel`] in one of two forms:
 ///
-/// * narrow: each `KC x NC` block packed into `NR`-column slivers;
-/// * wide, `B [K x N]`: read in place — reduction row `p` is the
-///   caller's row `pc + p`, at offset `(pc + p) * ldb` — except a ragged
-///   last tile that would read past the end of `b`, whose `kc` rows are
-///   copied into a zero-padded one-tile bounce;
-/// * wide, `B [N x K]`: each block transposed once into `kc` rows padded
-///   to whole tiles ([`pack_bt_rows`]).
+/// * `B [K x N]`: read in place — reduction row `p` is the caller's row
+///   `pc + p`, at offset `(pc + p) * ldb` — except a ragged last tile that
+///   would read past the end of `b`, whose `kc` rows are copied into a
+///   zero-padded one-tile bounce;
+/// * `B [N x K]`: each block transposed once into `kc` rows padded to
+///   whole tiles ([`pack_bt_rows`]).
 ///
-/// Both widths add each block's register partial into `C` (the wide
-/// driver runs with `first = false`), so the per-element float sequence
-/// is the same at either width and the addend contract holds.
+/// Each block's register partial is added into `C` (the driver runs with
+/// `first = false`), so the per-element float sequence is the same at
+/// either width and the addend contract holds.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_packed_as(
     nr: usize,
@@ -1257,45 +1150,29 @@ pub(crate) fn gemm_packed_as(
     }
     let bl = Blocking::for_shape(m, n, k);
     let lda = if a_trans { m } else { k };
-    let wide = nr == NR_W;
-    let in_place = wide && !b_trans;
     let nc_step = round_up(bl.nc, nr);
-    // Dirty scratch: every packer overwrites the whole prefix its panel
-    // driver reads, edge lanes zero-padded explicitly, so the
-    // acquire-time zero-fill would be wasted traffic. Rows read in place
-    // need only the bounce tile.
-    let mut bpack = scratch_dirty(if in_place {
-        bl.kc * NR_W
-    } else {
+    // Dirty scratch: the transposing pack and the bounce overwrite every
+    // float the panel driver reads, edge lanes zero-padded explicitly, so
+    // the acquire-time zero-fill would be wasted traffic. Rows read in
+    // place need only the bounce tile.
+    let mut bpack = scratch_dirty(if b_trans {
         nc_step.min(round_up(n, nr)) * bl.kc
+    } else {
+        bl.kc * nr
     });
     // The bounce tile's row offsets, built the first time one is needed.
     let mut tile_offs = Vec::new();
-    let mut offs = Vec::with_capacity(if wide { bl.kc } else { 0 });
+    let mut offs = Vec::with_capacity(bl.kc);
     for jc in (0..n).step_by(nc_step) {
         let nc = nc_step.min(n - jc);
         for pc in (0..k).step_by(bl.kc) {
             let kc = bl.kc.min(k - pc);
             let last = pc + kc == k;
-            if !wide {
-                pack_b(&mut bpack, b, b_trans, ldb, pc, jc, kc, nc);
-                let bshared = &bpack;
-                par::for_each_chunk(c, bl.mc * n, m * n * k, |chunk, cpanel| {
-                    let (ic, mc) = (chunk * bl.mc, cpanel.len() / n);
-                    let mut apack = scratch_zeroed(round_up(mc, MR) * kc);
-                    pack_a(&mut apack, a, a_trans, lda, ic, pc, mc, kc);
-                    run_panel(
-                        &apack, bshared, cpanel, n, ic, jc, mc, nc, kc, epilogue, last,
-                    );
-                    recycle_scratch(apack);
-                });
-                continue;
-            }
             // Columns `..body` of the block read `rows` at `offs`; the
             // rest, less than a tile, read the bounce tile.
             offs.clear();
             let (rows, body): (&[f32], usize) = if b_trans {
-                let ldd = round_up(nc, NR_W);
+                let ldd = round_up(nc, nr);
                 pack_bt_rows(&mut bpack, ldd, b, ldb, pc, jc, kc, nc);
                 offs.extend((0..kc).map(|p| p * ldd));
                 (&bpack, nc)
@@ -1305,15 +1182,15 @@ pub(crate) fn gemm_packed_as(
                 // Offsets ascend, so the last is the largest. Whole tiles
                 // always fit (`b` holds `(k - 1) * ldb + n` floats); only
                 // a ragged last tile of `B`'s last rows can reach past it.
-                if offs[kc - 1] + round_up(nc, NR_W) <= rows.len() {
+                if offs[kc - 1] + round_up(nc, nr) <= rows.len() {
                     (rows, nc)
                 } else {
                     if tile_offs.is_empty() {
-                        tile_offs.extend((0..bl.kc).map(|p| p * NR_W));
+                        tile_offs.extend((0..bl.kc).map(|p| p * nr));
                     }
-                    let body = nc / NR_W * NR_W;
+                    let body = nc / nr * nr;
                     let tail = nc - body;
-                    for (row, &off) in bpack.chunks_exact_mut(NR_W).zip(&offs) {
+                    for (row, &off) in bpack.chunks_exact_mut(nr).zip(&offs) {
                         row[..tail].copy_from_slice(&rows[off + body..off + nc]);
                         row[tail..].fill(0.0);
                     }
@@ -1325,13 +1202,13 @@ pub(crate) fn gemm_packed_as(
                 let (ic, mc) = (chunk * bl.mc, cpanel.len() / n);
                 let mut apack = scratch_zeroed(round_up(mc, MR) * kc);
                 pack_a(&mut apack, a, a_trans, lda, ic, pc, mc, kc);
-                // Safety audit: `run_panel_wide` asserts, in release
-                // builds too, that every tile's reach stays inside the `B`
-                // slice it is handed — the bound the AVX-512 kernel's
-                // loads rely on — and the A slivers are whole by
-                // construction above.
+                // Safety audit: `run_panel` asserts, in release builds too,
+                // that every tile's reach stays inside the `B` slice it is
+                // handed — the bound the SIMD kernels' loads rely on — and
+                // the A slivers are whole by construction above.
                 let mut panel = |b: &[f32], offs: &[usize], j0: usize, cols: usize| {
-                    run_panel_wide(
+                    run_panel(
+                        nr,
                         &apack,
                         b,
                         offs,
@@ -1495,32 +1372,34 @@ mod tests {
         let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng);
         let mut par = vec![0.0f32; m * n];
         gemm_packed_into(m, n, k, a.data(), false, b.data(), false, &mut par);
-        // Serial: run panel-by-panel through the same code path.
+        // Serial: run panel-by-panel through the one panel driver, `B`
+        // read in place (`n` is a whole number of tiles at either width).
         let mut serial = vec![0.0f32; m * n];
-        let bl = Blocking::for_shape(m, n, k);
+        let (bl, nr) = (Blocking::for_shape(m, n, k), host_nr());
         for jc in (0..n).step_by(bl.nc) {
             let nc = bl.nc.min(n - jc);
             for pc in (0..k).step_by(bl.kc) {
                 let kc = bl.kc.min(k - pc);
-                let mut bpack = vec![0.0f32; nc.div_ceil(NR) * NR * kc];
-                pack_b(&mut bpack, b.data(), false, n, pc, jc, kc, nc);
+                let offs: Vec<usize> = (pc..pc + kc).map(|p| p * n).collect();
                 for (chunk, cpanel) in serial.chunks_mut(bl.mc * n).enumerate() {
                     let mc = cpanel.len() / n;
                     let mut apack = vec![0.0f32; mc.div_ceil(MR) * MR * kc];
                     pack_a(&mut apack, a.data(), false, k, chunk * bl.mc, pc, mc, kc);
-                    let last = pc + kc == k;
                     run_panel(
+                        nr,
                         &apack,
-                        &bpack,
+                        &b.data()[jc..],
+                        &offs,
                         cpanel,
                         n,
+                        Seam::NONE,
                         chunk * bl.mc,
                         jc,
                         mc,
                         nc,
-                        kc,
                         Epilogue::None,
-                        last,
+                        false,
+                        pc + kc == k,
                     );
                 }
             }
@@ -1565,37 +1444,40 @@ mod tests {
         let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.25 - 1.0).collect();
         let kept: Vec<usize> = (0..flat).filter(|j| j % 5 < 3).collect();
         let ldc = kept.len();
-        let mut c = vec![0.0f32; m * ldc];
-        for (pc, kc) in [(0usize, 4usize), (4, 2)] {
-            let mut apack = vec![0.0f32; round_up(m, MR) * kc];
-            pack_a(&mut apack, a.data(), false, k, 0, pc, m, kc);
-            run_panel_wide(
-                &apack,
-                b.data(),
-                &offs[pc..pc + kc],
-                &mut c,
-                ldc,
-                seam,
-                0,
-                0,
-                m,
-                flat,
-                Epilogue::BiasRowRelu(&bias),
-                pc == 0,
-                pc + kc == k,
-            );
-        }
-        for i in 0..m {
-            for (col, &j) in kept.iter().enumerate() {
-                let dot: f32 = (0..k)
-                    .map(|p| a.data()[i * k + p] * b.data()[offs[p] + j])
-                    .sum();
-                let want = (dot + bias[i]).max(0.0);
-                assert!(
-                    (c[i * ldc + col] - want).abs() < 1e-5,
-                    "row {i} flat {j}: {} vs {want}",
-                    c[i * ldc + col]
+        for nr in [NR, NR_W] {
+            let mut c = vec![0.0f32; m * ldc];
+            for (pc, kc) in [(0usize, 4usize), (4, 2)] {
+                let mut apack = vec![0.0f32; round_up(m, MR) * kc];
+                pack_a(&mut apack, a.data(), false, k, 0, pc, m, kc);
+                run_panel(
+                    nr,
+                    &apack,
+                    b.data(),
+                    &offs[pc..pc + kc],
+                    &mut c,
+                    ldc,
+                    seam,
+                    0,
+                    0,
+                    m,
+                    flat,
+                    Epilogue::BiasRowRelu(&bias),
+                    pc == 0,
+                    pc + kc == k,
                 );
+            }
+            for i in 0..m {
+                for (col, &j) in kept.iter().enumerate() {
+                    let dot: f32 = (0..k)
+                        .map(|p| a.data()[i * k + p] * b.data()[offs[p] + j])
+                        .sum();
+                    let want = (dot + bias[i]).max(0.0);
+                    assert!(
+                        (c[i * ldc + col] - want).abs() < 1e-5,
+                        "nr {nr} row {i} flat {j}: {} vs {want}",
+                        c[i * ldc + col]
+                    );
+                }
             }
         }
     }
@@ -1604,62 +1486,68 @@ mod tests {
     fn wide_portable_kernel_matches_the_dispatched_one() {
         use deep500_tensor::rng::Xoshiro256StarStar;
         use deep500_tensor::Tensor;
-        // On an AVX-512 host this is the only place the portable wide
-        // kernel runs inside the panel loop; everywhere else the two are
-        // the same code.
-        let mut rng = Xoshiro256StarStar::seed_from_u64(19);
-        let offs = [40usize, 3, 3, 0, 97, 64, 65];
-        let (m, nc) = (11usize, 40usize);
-        let apack = Tensor::rand_uniform([round_up(m, MR) * offs.len()], -1.0, 1.0, &mut rng);
-        let b = Tensor::rand_uniform([97 + round_up(nc, NR_W)], -1.0, 1.0, &mut rng);
-        let addend = Tensor::rand_uniform([m * nc], -1.0, 1.0, &mut rng);
-        let mut dispatched = addend.data().to_vec();
-        let mut portable = addend.data().to_vec();
-        let (ap, bd) = (apack.data(), b.data());
-        let ep = Epilogue::Relu;
-        run_panel_wide(
-            ap,
-            bd,
-            &offs,
-            &mut dispatched,
-            nc,
-            Seam::NONE,
-            0,
-            0,
-            m,
-            nc,
-            ep,
-            false,
-            true,
-        );
-        let panel = WidePanel {
-            apack: ap,
-            b: bd,
-            offs: &offs,
-            ldc: nc,
-            seam: Seam::NONE,
-            row0: 0,
-            jc: 0,
-            mc: m,
-            nc,
-            epilogue: ep,
-            first: false,
-            last: true,
-        };
-        panel.run(&mut portable, microkernel_wide_portable);
-        for (p, d) in portable.iter().zip(&dispatched) {
-            assert!((p - d).abs() < 1e-5, "{p} vs {d}");
+        // On a host with the SIMD kernels this is the only place the
+        // portable kernel runs inside the panel loop, at either width;
+        // everywhere else the two are the same code.
+        fn at<const N: usize>() {
+            let mut rng = Xoshiro256StarStar::seed_from_u64(19);
+            let offs = [40usize, 3, 3, 0, 97, 64, 65];
+            let (m, nc) = (11usize, 40usize);
+            let apack = Tensor::rand_uniform([round_up(m, MR) * offs.len()], -1.0, 1.0, &mut rng);
+            let b = Tensor::rand_uniform([97 + round_up(nc, NR_W)], -1.0, 1.0, &mut rng);
+            let addend = Tensor::rand_uniform([m * nc], -1.0, 1.0, &mut rng);
+            let mut dispatched = addend.data().to_vec();
+            let mut portable = addend.data().to_vec();
+            let (ap, bd) = (apack.data(), b.data());
+            let ep = Epilogue::Relu;
+            run_panel(
+                N,
+                ap,
+                bd,
+                &offs,
+                &mut dispatched,
+                nc,
+                Seam::NONE,
+                0,
+                0,
+                m,
+                nc,
+                ep,
+                false,
+                true,
+            );
+            let panel = Panel {
+                apack: ap,
+                b: bd,
+                offs: &offs,
+                ldc: nc,
+                seam: Seam::NONE,
+                row0: 0,
+                jc: 0,
+                mc: m,
+                nc,
+                epilogue: ep,
+                first: false,
+                last: true,
+            };
+            panel.run(&mut portable, microkernel_portable::<N>);
+            for (p, d) in portable.iter().zip(&dispatched) {
+                assert!((p - d).abs() < 1e-5, "nr {N}: {p} vs {d}");
+            }
         }
+        at::<NR>();
+        at::<NR_W>();
     }
 
     #[test]
-    #[should_panic(expected = "wide panel reads")]
+    #[should_panic(expected = "panel reads 41 of 40")]
     fn wide_panel_refuses_a_tile_that_would_read_past_b() {
         let apack = vec![0.0f32; MR * 2];
         let b = vec![0.0f32; 40];
         let mut c = vec![0.0f32; 8];
-        // Offset 9 plus one whole tile is 41 floats.
-        run_panel_wide(
+        // Offset 9 plus one whole wide tile is 41 floats.
+        run_panel(
+            NR_W,
             &apack,
             &b,
             &[0, 9],
@@ -1739,7 +1627,7 @@ mod tests {
 }
 
 #[cfg(test)]
-mod properties {
+pub(crate) mod properties {
     use super::*;
     use deep500_tensor::rng::Xoshiro256StarStar;
     use deep500_tensor::Tensor;
@@ -1749,10 +1637,10 @@ mod properties {
     /// (AVX-512 host, whose narrow tile runs AVX2+FMA) or both portable
     /// (no AVX2+FMA, or miri). On an AVX2-only host the wide tile runs its
     /// portable kernel, which the driver never selects there.
-    fn tiles_round_alike() -> bool {
+    pub(crate) fn tiles_round_alike() -> bool {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         {
-            wide_tier_available()
+            host_nr() == NR_W
                 || !(std::arch::is_x86_feature_detected!("avx2")
                     && std::arch::is_x86_feature_detected!("fma"))
         }
@@ -1765,14 +1653,15 @@ mod properties {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 3 } else { 64 }))]
 
-        /// The wide and the narrow tile give the same bits: every operand
-        /// layout the driver takes (`A` plain or transposed; `B` read in
-        /// place, at a padded row pitch like `Linear`'s weight image, or
-        /// transposed through the pack), reductions past one `KC` block,
-        /// ragged edges, an addend in `C` and every epilogue `Linear` and
-        /// `MatMul` fuse. Under miri both run their portable kernels,
-        /// which checks the offset tables, the bounce tile, the
-        /// transposing pack and the reach assertion.
+        /// The wide and the narrow tile give the same bits over the same
+        /// operand forms: `A` plain or transposed; `B` read in place (its
+        /// ragged last tile bounced), at a padded row pitch like `Linear`'s
+        /// weight image, or transposed through the pack; reductions past
+        /// one `KC` block, ragged edges, an addend in `C` and every
+        /// epilogue `Linear` and `MatMul` fuse. Under miri both run the
+        /// portable kernel, which checks the offset tables, the bounce
+        /// tile, the transposing pack and the reach assertion at both
+        /// widths.
         #[test]
         fn wide_and_narrow_tiles_agree_bitwise(
             m in 1usize..if cfg!(miri) { 12 } else { 160 },

@@ -100,11 +100,11 @@ impl Operator for LinearOp {
             Epilogue::Bias(b.data())
         };
         if self.algo == Algorithm::Packed {
-            // Safety audit: `gemv_bt_padded`'s SIMD tiles and the wide
-            // GEMM assume every image row is padded to `round_up(fout,
-            // NR_W)` readable lanes; `transposed` builds exactly that
-            // layout, and the CI miri job interprets the `linear` tests
-            // to check it.
+            // Safety audit: `gemv_bt_padded`'s SIMD tiles and the packed
+            // GEMM, at either tile width, read whole tiles of every image
+            // row, which is padded to `round_up(fout, NR_W)` lanes;
+            // `transposed` builds exactly that layout, and the CI miri job
+            // interprets the `linear` tests to check it.
             let wt = self.transposed(w, fout, fin);
             let mut y = Tensor::zeros([n, fout]);
             if n == 1 {
@@ -222,7 +222,7 @@ mod tests {
         use deep500_tensor::rng::Xoshiro256StarStar;
         let mut rng = Xoshiro256StarStar::seed_from_u64(11);
         // Ragged out-features (neither a multiple of the GEMV tile nor the
-        // GEMM sliver) and k past one KC block to exercise the chunking;
+        // GEMM's narrow tile) and k past one KC block to exercise the chunking;
         // then the distributed MLP's three layers (64 -> 256 -> 128 -> 8)
         // and LeNet's three (400 or 64 flattened -> 120 -> 84 -> 10), each
         // inside batches of 2..9 rows. Miri interprets the first three.

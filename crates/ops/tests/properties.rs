@@ -4,6 +4,7 @@
 use deep500_ops::activation::{ActivationOp, SoftmaxOp};
 use deep500_ops::conv::direct::{forward_direct_packed_as, pack_filter, BOperand};
 use deep500_ops::conv::{forward_direct, forward_im2col, Conv2dOp, ConvAlgorithm, ConvGeometry};
+use deep500_ops::gemm::packed::{NR, NR_W};
 use deep500_ops::gemm::{
     gemm_into, matmul, matmul_a_bt_with, matmul_at_b_with, Algorithm, Blocking,
 };
@@ -231,11 +232,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Stride 1: reading the reduction rows as windows of the padded image
-    /// gives the bits of gathering them. Non-square images and filters,
-    /// padding from none (read in place, last tile bounced) to the whole
-    /// kernel, reductions of one to three `KC` blocks, output rows
-    /// narrower than a vector and flat widths that fill no whole tile —
-    /// with and without ReLU.
+    /// gives the bits of gathering them, at both register tiles, and the
+    /// narrow tile's windows and seams give the wide tile's bits wherever
+    /// the two kernels round alike. Non-square images and filters, padding
+    /// from none (read in place, last tile bounced) to the whole kernel,
+    /// reductions of one to three `KC` blocks, output rows narrower than a
+    /// vector and flat widths that fill no whole tile — with and without
+    /// ReLU.
     #[test]
     fn conv_window_forward_is_bitwise_the_gathered_forward(
         three in any::<bool>(), c in 1usize..48, co in 1usize..20,
@@ -252,20 +255,44 @@ proptest! {
         let w = rand_tensor(&[co, c, kh, kw], seed ^ 3);
         let b = rand_tensor(&[co], seed ^ 4);
         let pf = pack_filter(w.data(), co, c * kh * kw).data;
-        let run = |operand| {
-            forward_direct_packed_as(&x, &pf, co, kh, kw, &b, g, relu, operand).unwrap()
+        let run = |operand, nr| {
+            forward_direct_packed_as(&x, &pf, co, kh, kw, &b, g, relu, operand, nr).unwrap()
         };
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let windows = run(BOperand::Windows);
-        prop_assert_eq!(
-            bits(&windows), bits(&run(BOperand::Rows)),
-            "n={} c={} {}x{} co={} {}x{} p={} relu={}", n, c, h, wd, co, kh, kw, pad, relu
-        );
-        // And it is what the operator runs wherever the rule picks it.
-        if BOperand::for_geometry(g) == BOperand::Windows {
-            let op = Conv2dOp::new(1, pad, ConvAlgorithm::Direct).with_relu(relu);
-            prop_assert_eq!(bits(&op.forward(&[&x, &w, &b]).unwrap()[0]), bits(&windows));
+        let mut windows = Vec::new();
+        for nr in [NR, NR_W] {
+            let at = bits(&run(BOperand::Windows, nr));
+            prop_assert_eq!(
+                &at, &bits(&run(BOperand::Rows, nr)),
+                "nr={} n={} c={} {}x{} co={} {}x{} p={} relu={}", nr, n, c, h, wd, co, kh, kw, pad, relu
+            );
+            windows.push(at);
         }
+        if tiles_round_alike() {
+            prop_assert_eq!(&windows[0], &windows[1], "narrow vs wide");
+        }
+        // And windows are what the operator runs, at one of the widths.
+        prop_assert_eq!(BOperand::for_geometry(g), BOperand::Windows);
+        let op = Conv2dOp::new(1, pad, ConvAlgorithm::Direct).with_relu(relu);
+        let ran = bits(&op.forward(&[&x, &w, &b]).unwrap()[0]);
+        prop_assert!(windows.contains(&ran));
+    }
+}
+
+/// Whether the 8-wide and the 32-wide kernels round alike on this host:
+/// both fused (AVX-512F, whose hosts also have AVX2+FMA) or both portable
+/// (neither, or miri). On an AVX2-only host the wide tile runs its portable
+/// kernel, which nothing but these tests selects there.
+fn tiles_round_alike() -> bool {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    {
+        std::arch::is_x86_feature_detected!("avx512f")
+            || !(std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma"))
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    {
+        true
     }
 }
 
