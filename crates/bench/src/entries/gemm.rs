@@ -12,11 +12,14 @@
 //! hand-set routing cuts no other row measures: `par::FORK_CUT` (keyed
 //! `cut = fork_cut`, `side`, `tier`, `m`, `n`, `k`: a shape pair of one
 //! aspect whose `m·n·k` straddles it, on the two tiers that hand row
-//! panels to `par`) and `Linear`'s single-row GEMV path (`cut =
-//! linear_gemv`, `side`, `n`, `fin`, `fout`: `n = 1` against `n =
-//! 2..8`; at one `fin x fout` a row's cost is `2·fin·fout` over its
-//! rate). No gate reads them yet: they exist so the next routing change
-//! has a before-row on both sides of each cut.
+//! panels to `par`) and `Linear`'s one-row tile against its batched
+//! tiles (`cut = linear_gemv`, `side`, `n`, `fin`, `fout`: `n = 1`, the
+//! `1 x NR_W` sliver, against `n = 2..8`; at one `fin x fout` a row's
+//! cost is `2·fin·fout` over its rate). Both sides run one packed GEMM
+//! through one panel driver; the keys keep the names of the GEMV path the
+//! one-row tile replaced, so the tracked trajectory stays comparable. No
+//! gate reads them yet: they exist so the next routing change has a
+//! before-row on both sides of each cut.
 //!
 //! A third, `linear`, is the kernel layer under the training workloads:
 //! `gflops` of `Linear`'s forward (`fwd` over the memoized weight image,
@@ -84,7 +87,8 @@ fn time_tiers(
     timed.into_iter().map(|[t]| t).zip(outs).collect()
 }
 
-/// One row on each side of `par::FORK_CUT` and of the GEMV cut-over.
+/// One row on each side of `par::FORK_CUT`, and `Linear`'s one-row tile
+/// against its batched tiles.
 fn cutover_rows(rng: &mut Xoshiro256StarStar) -> Vec<Row> {
     let mut rows = Vec::new();
     // Both tiers fork on `m·n·k >= par::FORK_CUT` and more than one row
@@ -105,9 +109,9 @@ fn cutover_rows(rng: &mut Xoshiro256StarStar) -> Vec<Row> {
             rows.push(cell.rate("gflops", "GFLOP/s", g.flops() / 1e9, &t));
         }
     }
-    // `Linear` forward: one row takes the GEMV over the memoized
-    // transposed weights, two to eight rows the packed GEMM over the same
-    // image — the per-row cost on each side of the cut-over.
+    // `Linear` forward over the memoized transposed weights: one row on
+    // the one-row tile, two to eight rows on the batched tiles — the
+    // per-row cost of each.
     let (fin, fout) = (512, 512);
     let w = Tensor::rand_uniform([fout, fin], -1.0, 1.0, rng);
     let bias = Tensor::zeros([fout]);

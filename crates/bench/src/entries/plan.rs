@@ -131,7 +131,6 @@ fn run_case(case: &ZooCase) -> Vec<Row> {
         count("nodes_before", report.nodes_before),
         count("nodes_after", report.nodes_after),
         count("fused_epilogues", report.fused_epilogues),
-        count("rewrites", report.rewrites()),
         model.count("inference_mismatches", Better::Lower, inference_mismatches),
         model.count("backprop_mismatches", Better::Lower, backprop_mismatches),
         model.ms("compiled_ms", &timed[0][0]),

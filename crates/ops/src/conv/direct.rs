@@ -367,19 +367,19 @@ fn conv_image(pl: &Plan<'_>, x: &[f32], optr: &mut [f32]) {
             }
             for ic in (0..co).step_by(bl.mc) {
                 let mc_b = bl.mc.min(co - ic);
-                // Safety audit: these calls are safe fns, but they feed the
-                // `unsafe` microkernels in `gemm::packed`, whose SAFETY
-                // comments assume whole `MR`-padded A slivers and `nr`
-                // readable B lanes per reduction row. The A slice is
-                // `round_up(mc_b, MR)·kc_b` by construction here; the B
-                // side is padded above and `run_panel` asserts its reach
-                // against the slice it is given. The CI miri job
-                // interprets the `conv::direct` tests to check the
-                // arithmetic end to end.
+                // Safety audit: these calls are safe fns, but at the wide
+                // tile they feed the `unsafe` AVX-512 microkernel in
+                // `gemm::packed`, whose SAFETY comment assumes whole
+                // `MR`-padded A slivers and `nr` readable B lanes per
+                // reduction row. The A slice is `round_up(mc_b, MR)·kc_b`
+                // by construction here; the B side is padded above and
+                // `run_panel` asserts the wide tile's reach against the
+                // slice it is given. The CI miri job interprets the
+                // `conv::direct` tests to check the arithmetic end to end.
                 let apack = &pl.pf[rows_pad * pc + ic * kc_b..][..round_up(mc_b, MR) * kc_b];
                 let cpanel = &mut optr[ic * cols..(ic + mc_b) * cols];
                 let mut panel = |b: &[f32], offs: &[usize], seam: Seam, j0: usize, nc: usize| {
-                    run_panel(
+                    run_panel::<MR>(
                         nr,
                         apack,
                         b,

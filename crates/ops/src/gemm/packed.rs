@@ -19,51 +19,65 @@
 //! whatever the source layout — the transposed `AᵀB` product is absorbed
 //! into that gather.
 //!
-//! Two register tiles share the `A` sliver format and one panel driver
-//! (`run_panel`), and the host picks one by CPU detection alone
-//! (`host_nr`): `MR x NR_W` (8x32) on hosts with AVX-512F, `MR x NR`
-//! (8x8, AVX2+FMA) elsewhere and under miri. The driver reads reduction
-//! row `p` of `B` through an offset table, whatever the width, so `B` is
-//! never packed into column slivers:
+//! Every packed product, one row or many, runs one panel driver
+//! (`run_panel`, generic over the sliver height). Two or more rows are
+//! packed into `MR`-row slivers and run at the width the host picks by CPU
+//! detection alone (`host_nr`): `MR x NR_W` (8x32) on hosts with AVX-512F,
+//! `MR x NR` (8x8) elsewhere and under miri. A single row is its own
+//! one-row sliver, read in place, and runs `1 x NR_W` on every host: a
+//! 1x8 tile is one multiply-add chain per vector, and four of them over the
+//! same 32 columns read 2–3x slower (EXPERIMENTS E46). The driver reads
+//! reduction row `p` of `B` through an offset table, whatever the tile, so
+//! `B` is never packed into column slivers:
 //!
 //! * a row-major `B [K x N]` is read in place — only a ragged last tile
 //!   that would read past the operand is copied into padded scratch;
 //! * a transposed `B [N x K]` takes one transposing pack per `KC x NC`
 //!   block (`pack_bt_rows`) into `[p][j]` rows padded to whole tiles;
-//! * `Linear` hands in its memoized `[K x round_up(N, NR_W)]` weight image,
-//!   the one its `n = 1` GEMV reads;
+//! * `Linear` hands in its memoized `[K x round_up(N, NR_W)]` weight image
+//!   at every batch size;
 //! * the direct convolution tier hands in gathered rows, or windows of one
 //!   padded image with a `Seam` between output rows.
 //!
-//! Each microkernel keeps its accumulator block in registers across the
-//! whole `KC` reduction. The portable kernel, generic over the width, is
-//! written so LLVM autovectorizes it at whatever SIMD width the target
-//! offers; on `x86_64` the explicit AVX2+FMA (8-wide) and AVX-512 (32-wide)
-//! variants are selected at runtime when the CPU supports them
-//! (`#[target_feature]`-gated, so the default baseline build still carries
-//! them), each inside a panel loop compiled for its own instruction set.
+//! Each tile keeps its accumulator block in registers across the whole
+//! `KC` reduction. One portable multiply-add body (`microkernel`),
+//! generic over the tile shape, is written lane-wise so LLVM vectorizes it
+//! for the instruction set of the function it is compiled into. The
+//! `MR x NR` tile runs it inside a panel loop compiled for `avx2,fma`
+//! (`run_panel_fma`) where the CPU has AVX2+FMA, and the `1 x NR_W` tile
+//! inside one compiled for `avx512f` (`run_row_avx512`) where it has
+//! AVX-512F, else for `avx2,fma`; there each step is one fused
+//! `f32::mul_add`. Its plain, unfused instance runs everywhere else (no
+//! AVX2+FMA, other architectures, miri). Only the `MR x NR_W` tile on
+//! AVX-512F hosts keeps a hand-written kernel (`microkernel_avx512`).
 //!
-//! Unsafe-code policy: this module is the workspace's vendor-SIMD site
-//! (the one kernel outside it, the convolution `dW` tile in
-//! `conv::backward`, follows the same rules). Every `unsafe` block carries
-//! a `// SAFETY:` comment (enforced by the workspace
-//! `clippy::undocumented_unsafe_blocks` deny), and each SIMD kernel is
-//! reachable *only* through its dispatcher's runtime CPUID check — see
-//! `run_panel` for the dispatch invariant. Under miri every vendor path
-//! is compiled out (`cfg(not(miri))`), so `cargo miri test -p deep500-ops
-//! gemm::packed` checks the packing, the offset tables and the portable
-//! kernel at both widths (the tests force each), which shares all
-//! slice-bounds reasoning with the SIMD variants.
+//! Unsafe-code policy: vendor intrinsics stay only where the portable body
+//! measurably cannot match them, and each says so, with the measurement,
+//! at its definition: `microkernel_avx512`, `transpose_blocks_avx` and
+//! `strided_copy2_avx512` here, and the convolution `dW` tile in
+//! `conv::backward`, which follows the same rules. Every `unsafe` block
+//! carries a `// SAFETY:` comment (enforced by the workspace
+//! `clippy::undocumented_unsafe_blocks` deny), and each kernel compiled
+//! for an instruction set is reachable *only* through its dispatcher's
+//! runtime CPUID check — see `run_panel` for the dispatch invariant. Under
+//! miri every vendor path is compiled out (`cfg(not(miri))`), so `cargo
+//! miri test -p deep500-ops gemm::packed` checks the packing, the offset
+//! tables and the portable body at all three tile shapes (the tests force
+//! both widths, and one-row products run the third): the same body AVX2
+//! hosts run, there fused.
 //!
 //! Determinism: parallelism is only over disjoint `C` row panels and each
 //! output element's `K` reduction ascends in `p` (one fused multiply-add
 //! per step where the host has FMA, register-summed per `KC` block, block
 //! partials added to `C` in ascending `pc` order), so results are
-//! bit-identical across thread counts and across the two tiles — which
+//! bit-identical across thread counts, across the tiles and between a row
+//! computed alone and the same row inside a batch — which rows and
 //! columns share a register tile never enters an element's float
-//! sequence. The *grouping* of that sum differs from the
-//! `Naive`/`Blocked` tiers, which is exactly the distinct accumulation
-//! order the paper's cross-kernel ℓ∞ comparisons measure.
+//! sequence (a NaN's sign and payload aside, which each kernel's FMA
+//! operand order picks; EXPERIMENTS E46). The *grouping* of that sum
+//! differs from the `Naive`/`Blocked` tiers, which is exactly the
+//! distinct accumulation order the paper's cross-kernel ℓ∞ comparisons
+//! measure.
 
 use crate::par;
 use deep500_tensor::{recycle_scratch, scratch_dirty, scratch_zeroed};
@@ -71,13 +85,16 @@ use deep500_tensor::{recycle_scratch, scratch_dirty, scratch_zeroed};
 /// Microkernel tile rows (`C` rows kept in registers).
 pub const MR: usize = 8;
 /// Narrow tile columns (one 8-wide AVX2 vector per row): the tile of every
-/// packed GEMM and of the direct convolution tier on hosts without
-/// AVX-512F.
+/// packed product of two or more rows and of the direct convolution tier
+/// on hosts without AVX-512F.
 pub const NR: usize = 8;
 /// Wide tile columns (two 16-lane vectors per row): the tile on
-/// AVX-512-class hosts. Both tiles read the same `MR`-row `A` slivers, so
-/// a filter packed once serves both widths.
+/// AVX-512-class hosts, and of a single row on every host. Both batched
+/// tiles read the same `MR`-row `A` slivers, so a filter packed once
+/// serves both widths.
 pub const NR_W: usize = 32;
+/// Deepest reduction block [`Blocking::for_shape`] picks.
+const KC: usize = 256;
 
 /// Cache-aware blocking parameters, in elements. `mc`/`nc` are rounded to
 /// microkernel tile multiples; all three are clamped to the problem shape
@@ -99,7 +116,7 @@ impl Blocking {
     /// `B` tile well inside a 32 KiB L1, the packed A panel in half of a
     /// 256 KiB L2, and the `B` macro-panel in a ~1 MiB L3 share.
     pub fn for_shape(m: usize, n: usize, k: usize) -> Blocking {
-        let kc = k.clamp(1, 256);
+        let kc = k.clamp(1, KC);
         let mc_cap = ((128 * 1024 / 4) / kc).max(MR);
         let mc = round_up(m.clamp(1, mc_cap), MR);
         let nc_cap = ((1024 * 1024 / 4) / kc).max(NR);
@@ -347,7 +364,9 @@ fn transpose_blocks(dst: &mut [f32], ldd: usize, src: &[f32], lds: usize, kw: us
 /// AVX body of [`transpose_blocks`]: per 8x8 block, eight row loads, three
 /// shuffle stages (interleave pairs, then quads, then 128-bit halves) and
 /// eight row stores; blocks go `j`-fastest, so the eight output rows of a
-/// block row fill in order.
+/// block row fill in order. Kept because LLVM does not find these
+/// shuffles: the scalar loop reads 1.35–1.57 Gfloat/s against this
+/// kernel's 2.9–3.5 (EXPERIMENTS E46).
 ///
 /// # Safety
 ///
@@ -419,79 +438,37 @@ unsafe fn transpose_blocks_avx(
     }
 }
 
-/// Portable microkernel at tile width `N`: `acc = Asliver * Btile` with the
-/// full `MR x N` accumulator in locals, reading reduction row `p` of `B` at
+/// The one portable multiply-add body, at tile shape `R x N` (`R` the
+/// sliver height, [`MR`] or 1): `acc = Asliver * Btile` with the whole
+/// accumulator block in locals, reading reduction row `p` of `B` at
 /// `b[offs[p]..][..N]` (see [`run_panel`]). Written lane-wise so LLVM
-/// autovectorizes the `j` loop at the target's native SIMD width. What
-/// runs on hosts without the matching SIMD kernel, and under miri, which
-/// cannot interpret vendor intrinsics.
+/// vectorizes the `j` loop for the instruction set of the function it is
+/// compiled into. `FUSED` makes each step one `f32::mul_add`, a single
+/// rounding like a hardware FMA; only [`run_panel_fma`] and
+/// [`run_row_avx512`] set it, whose targets (`avx2,fma`, `avx512f`)
+/// compile that to one instruction. The plain instance rounds the product
+/// and the sum apart, as hosts without FMA and miri always have.
 #[inline(always)]
-fn microkernel_portable<const N: usize>(
+fn microkernel<const R: usize, const N: usize, const FUSED: bool>(
     asliver: &[f32],
     b: &[f32],
     offs: &[usize],
-    acc: &mut [[f32; N]; MR],
+    acc: &mut [[f32; N]; R],
 ) {
-    let mut local = [[0.0f32; N]; MR];
-    for (p, &off) in offs.iter().enumerate() {
-        let ar = &asliver[p * MR..p * MR + MR];
+    let mut local = [[0.0f32; N]; R];
+    for (ar, &off) in asliver.chunks_exact(R).zip(offs) {
         let br = &b[off..off + N];
-        for i in 0..MR {
-            let ai = ar[i];
-            for j in 0..N {
-                local[i][j] += ai * br[j];
+        for (row, &ai) in local.iter_mut().zip(ar) {
+            for (s, &bv) in row.iter_mut().zip(br) {
+                *s = if FUSED {
+                    ai.mul_add(bv, *s)
+                } else {
+                    *s + ai * bv
+                };
             }
         }
     }
     *acc = local;
-}
-
-/// Explicit 8-wide AVX2+FMA microkernel for the `MR x NR` tile: one
-/// `__m256` accumulator per `C` row (MR + 2 live vectors — comfortably
-/// inside the 16 ymm registers). Reduction row `p` of `B` is the 8 floats
-/// at `b[offs[p]..]`, as in [`microkernel_avx512`]. Compiled out under
-/// miri.
-///
-/// # Safety
-///
-/// * The caller must have proven, at runtime, that the executing CPU
-///   supports AVX2 and FMA — calling this on a CPU without them is
-///   immediate UB (illegal instruction), regardless of what the slices
-///   contain. [`run_panel_avx2`] is the only caller; it runs only behind
-///   [`run_panel`]'s `is_x86_feature_detected!`.
-/// * `asliver.len() >= offs.len() * MR`, and `off + NR <= b.len()` for
-///   every `off` in `offs`: the unaligned vector loads read `MR` / `NR`
-///   lanes at each reduction step.
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn microkernel_avx2(asliver: &[f32], b: &[f32], offs: &[usize], acc: &mut [[f32; NR]; MR]) {
-    use core::arch::x86_64::*;
-    debug_assert!(asliver.len() >= offs.len() * MR);
-    debug_assert!(offs.iter().all(|&off| off + NR <= b.len()));
-    // SAFETY: pointer arithmetic stays inside the slices — the A packer
-    // always produces whole slivers (`asliver.len() >= kc * MR`, edge rows
-    // zero-padded) and the caller guarantees `NR` readable lanes past every
-    // row offset, so `offs[p] + 7` and `p * MR + i` (i < MR) index
-    // in-bounds for every `p < kc`. `_mm256_loadu_ps`/`_mm256_storeu_ps`
-    // tolerate any alignment, and `acc[i]` is exactly `NR == 8` floats,
-    // matching one `__m256` store. The intrinsics themselves are safe to
-    // execute because this fn's `#[target_feature]` contract (CPU has
-    // avx2+fma) is upheld by the caller per the function-level Safety
-    // section.
-    unsafe {
-        let mut vacc = [_mm256_setzero_ps(); MR];
-        for (p, &off) in offs.iter().enumerate() {
-            let bv = _mm256_loadu_ps(b.as_ptr().add(off));
-            let ar = asliver.as_ptr().add(p * MR);
-            for (i, v) in vacc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*ar.add(i));
-                *v = _mm256_fmadd_ps(av, bv, *v);
-            }
-        }
-        for (i, v) in vacc.into_iter().enumerate() {
-            _mm256_storeu_ps(acc[i].as_mut_ptr(), v);
-        }
-    }
 }
 
 /// Explicit 16-wide AVX-512 microkernel for the `MR x NR_W` tile: two
@@ -501,8 +478,12 @@ unsafe fn microkernel_avx2(asliver: &[f32], b: &[f32], offs: &[usize], acc: &mut
 /// hide the FMA latency chain. Reduction row `p` of `B` is the 32 floats at
 /// `b[offs[p]..]`. Per output element the reduction still ascends in `p`
 /// one FMA at a time, so results are bit-identical to the non-unrolled
-/// order (and to [`microkernel_avx2`]'s, which fuses the same per-element
-/// multiply-add sequence) and do not depend on what the offsets are.
+/// order (and to the fused [`microkernel`]'s, which runs the same
+/// per-element multiply-add sequence) and do not depend on what the
+/// offsets are. Kept because LLVM does not find this register blocking:
+/// the portable body at `MR x NR_W` reads 2.6–4.0 GFLOP/s compiled for
+/// `avx512f` and 27–53 for `avx2,fma`, against this kernel's 58–126
+/// (EXPERIMENTS E46).
 ///
 /// # Safety
 ///
@@ -581,7 +562,10 @@ unsafe fn microkernel_avx512(
 /// lowering (`conv::im2col_block`) calls this once a tap's padding bounds
 /// are resolved, so no per-element bounds checks remain. On AVX-512
 /// hosts each 16-element group is produced by two vector loads and one
-/// even-lane compaction shuffle; elsewhere a scalar loop.
+/// even-lane compaction shuffle; elsewhere a scalar loop. The shuffle is
+/// kept because the compiler does not emit it: the scalar loop reads
+/// 1.2–2.4 Gfloat/s, or 2.1–3.8 in 16-element chunks, against its 5.7–6.3
+/// (EXPERIMENTS E46).
 ///
 /// # Panics
 ///
@@ -681,20 +665,22 @@ impl Seam {
     }
 }
 
-/// Process one packed `A` panel against one `B` block at tile width `nr`
-/// ([`NR`] or [`NR_W`]), accumulating into the `C` row panel `cpanel` (rows
-/// `row0..row0 + mc` of the output, row pitch `ldc`). `B` is read through a
-/// per-row offset table: reduction step `p` of the tile at flat column `j`
-/// is the `nr` floats at `b[offs[p] + j..]`. The GEMM driver hands in rows
-/// read in place (`offs[p] = (pc + p) * ldb`), a transposing pack's rows or
-/// a one-tile bounce; the direct convolution tier hands in rows it gathered
-/// off the activation image (`offs[p] = p * ldb`, the columns past `nc`
-/// zero-filled to a whole tile) or, for stride 1, the overlapping *windows*
-/// of one zero-padded image (`offs[p]` = the tap's
+/// Process one `A` panel of `R`-row slivers ([`MR`], or 1 for a single
+/// row) against one `B` block at tile width `nr` ([`NR`] or [`NR_W`]; a
+/// one-row sliver runs at `NR_W` only), accumulating into the `C` row
+/// panel `cpanel` (rows `row0..row0 + mc` of the output, row pitch `ldc`).
+/// `B` is read through a per-row offset table: reduction step `p` of the
+/// tile at flat column `j` is the `nr` floats at `b[offs[p] + j..]`. The
+/// GEMM driver hands in rows read in place (`b` from block row `pc`,
+/// `offs[p] = p * ldb`), a transposing pack's rows or a one-tile bounce;
+/// the direct convolution tier hands in rows it gathered off the
+/// activation image (`offs[p] = p * ldb`, the columns past `nc`
+/// zero-filled to a whole tile) or, for stride 1, the overlapping
+/// *windows* of one zero-padded image (`offs[p]` = the tap's
 /// `ic * Hp * Wp + fh * Wp + fw`) with the [`Seam`] that drops the columns
 /// between output rows.
-/// Which columns share a register tile, and so the width and the offsets,
-/// never enters an output element's float sequence.
+/// Which rows and columns share a register tile, and so the tile and the
+/// offsets, never enters an output element's float sequence.
 ///
 /// `jc` is the flat column of the panel's first tile in `C` terms (`b` is
 /// already positioned there), `nc` the flat columns to produce. Lanes past
@@ -712,19 +698,22 @@ impl Seam {
 /// into `-0.0`, and `0.0 + x == x` bitwise for every other `x`.
 ///
 /// Runtime-dispatch invariant: this function is the only caller of
-/// [`run_panel_avx512`] and [`run_panel_avx2`], and calls each exclusively
+/// [`run_panel_avx512`], [`run_row_avx512`] and [`run_panel_fma`], and
+/// calls each exclusively
 /// behind a successful `is_x86_feature_detected!` for its instruction set
 /// on the executing thread (CPUID, cached by std), so a binary built for
-/// baseline x86_64 stays correct on older hardware: the SIMD kernels are
-/// compiled in but never reached. Without them the portable kernel runs.
+/// baseline x86_64 stays correct on older hardware: the kernels compiled
+/// for those sets are in the binary but never reached. Without them the
+/// plain [`microkernel`] runs.
 ///
 /// # Panics
 ///
-/// If a whole last tile would read past `b`: `max(offs) + round_up(nc,
-/// nr) <= b.len()` is asserted in release builds too, because the SIMD
-/// kernels' loads rely on it.
+/// If a whole last tile would read past `b`. At `MR x NR_W` the bound
+/// `max(offs) + round_up(nc, NR_W) <= b.len()` is asserted up front, in
+/// release builds too, because the AVX-512 kernel's loads rely on it; the
+/// portable body's slicing checks each row it reads.
 #[allow(clippy::too_many_arguments)] // hot-path plumbing: all scalars
-pub(crate) fn run_panel(
+pub(crate) fn run_panel<const R: usize>(
     nr: usize,
     apack: &[f32],
     b: &[f32],
@@ -740,9 +729,13 @@ pub(crate) fn run_panel(
     first: bool,
     last: bool,
 ) {
-    debug_assert!(nr == NR || nr == NR_W);
-    let reach = offs.iter().max().map_or(0, |&m| m + round_up(nc, nr));
-    assert!(reach <= b.len(), "panel reads {reach} of {}", b.len());
+    debug_assert!(matches!((R, nr), (MR, NR) | (MR, NR_W) | (1, NR_W)));
+    // The wide tile may run the one kernel whose loads are unchecked; the
+    // portable body slices every row it reads.
+    if (R, nr) == (MR, NR_W) {
+        let reach = offs.iter().max().map_or(0, |&m| m + round_up(nc, nr));
+        assert!(reach <= b.len(), "panel reads {reach} of {}", b.len());
+    }
     let panel = Panel {
         apack,
         b,
@@ -759,27 +752,29 @@ pub(crate) fn run_panel(
     };
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
-        if nr == NR_W && std::arch::is_x86_feature_detected!("avx512f") {
+        use std::arch::is_x86_feature_detected as has;
+        let fma = has!("avx2") && has!("fma");
+        match (R, nr) {
             // SAFETY: the `#[target_feature(enable = "avx512f")]` contract
             // is established by the runtime detection on this exact
             // execution path, and the reach precondition is the
             // release-mode assertion above.
-            unsafe { run_panel_avx512(&panel, cpanel) };
-            return;
-        }
-        if nr == NR
-            && std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma")
-        {
-            // SAFETY: as above, for `avx2,fma`.
-            unsafe { run_panel_avx2(&panel, cpanel) };
-            return;
+            (MR, NR_W) if has!("avx512f") => return unsafe { run_panel_avx512(&panel, cpanel) },
+            // SAFETY: safe code compiled for `avx512f`, which the runtime
+            // detection establishes here.
+            (1, NR_W) if has!("avx512f") => return unsafe { run_row_avx512(&panel, cpanel) },
+            // SAFETY: safe code compiled for `avx2,fma`, which the runtime
+            // detection establishes here.
+            (1, NR_W) if fma => return unsafe { run_panel_fma::<1, NR_W>(&panel, cpanel) },
+            // SAFETY: as above.
+            (MR, NR) if fma => return unsafe { run_panel_fma::<MR, NR>(&panel, cpanel) },
+            _ => {}
         }
     }
     if nr == NR_W {
-        panel.run(cpanel, microkernel_portable::<NR_W>);
+        panel.run(cpanel, microkernel::<R, NR_W, false>);
     } else {
-        panel.run(cpanel, microkernel_portable::<NR>);
+        panel.run(cpanel, microkernel::<R, NR, false>);
     }
 }
 
@@ -800,19 +795,19 @@ struct Panel<'a> {
 }
 
 impl Panel<'_> {
-    /// The panel loop over an `N`-column `kernel`. Inlined into each
-    /// caller, so under [`run_panel_avx512`] / [`run_panel_avx2`] the
-    /// kernel, the accumulator and the write-back are compiled for that
-    /// instruction set together.
+    /// The panel loop over an `R x N` `kernel`, `apack` read as `R`-row
+    /// slivers. Inlined into each caller, so under [`run_panel_avx512`] /
+    /// [`run_panel_fma`] the kernel, the accumulator and the write-back are
+    /// compiled for that instruction set together.
     #[inline(always)]
-    fn run<const N: usize>(
+    fn run<const R: usize, const N: usize>(
         &self,
         cpanel: &mut [f32],
-        kernel: impl Fn(&[f32], &[f32], &[usize], &mut [[f32; N]; MR]),
+        kernel: impl Fn(&[f32], &[f32], &[usize], &mut [[f32; N]; R]),
     ) {
         let (offs, ldc, mc, nc) = (self.offs, self.ldc, self.mc, self.nc);
         let kc = offs.len();
-        let mut acc = [[0.0f32; N]; MR];
+        let mut acc = [[0.0f32; N]; R];
         let mut runs = [(0usize, 0usize, 0usize); NR_W];
         let fuse = self.last && !matches!(self.epilogue, Epilogue::None);
         for j0r in (0..nc).step_by(N) {
@@ -821,12 +816,12 @@ impl Panel<'_> {
             // bounds by `run_panel`'s assertion, `j0r + N <= round_up(nc,
             // N)`.
             let btile = &self.b[j0r..];
-            for (it, asliver) in self.apack[..mc.div_ceil(MR) * MR * kc]
-                .chunks(MR * kc)
+            for (it, asliver) in self.apack[..mc.div_ceil(R) * R * kc]
+                .chunks(R * kc)
                 .enumerate()
             {
-                let i0 = it * MR;
-                let rows = MR.min(mc - i0);
+                let i0 = it * R;
+                let rows = R.min(mc - i0);
                 kernel(asliver, btile, offs, &mut acc);
                 for (i, arow) in acc.iter().enumerate().take(rows) {
                     for &(lane, col, len) in &runs[..nruns] {
@@ -872,183 +867,50 @@ unsafe fn run_panel_avx512(panel: &Panel<'_>, cpanel: &mut [f32]) {
     });
 }
 
-/// [`Panel::run`] over [`microkernel_avx2`], the whole loop nest compiled
-/// for AVX2+FMA, as [`run_panel_avx512`] is for the wide tile.
-///
-/// # Safety
-///
-/// * The executing CPU must support AVX2 and FMA; [`run_panel`], the only
-///   caller, detects them at runtime.
-/// * `max(offs) + round_up(nc, NR) <= b.len()`, which [`run_panel`]
-///   asserts: the kernel's loads rely on it.
+/// [`Panel::run`] over the fused [`microkernel`] at `R x N`, the whole
+/// loop nest compiled for AVX2+FMA: the `MR x NR` tile, and the `1 x NR_W`
+/// tile without AVX-512F, where the CPU has both. Safe code throughout;
+/// calling it is `unsafe` only because the CPU must have the instruction
+/// sets, which [`run_panel`], the only caller, detects at runtime. At
+/// `MR x NR` the body gives the bits of the hand-written AVX2 intrinsics
+/// it replaced and reads within a few percent of their speed
+/// (EXPERIMENTS E46).
 #[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn run_panel_avx2(panel: &Panel<'_>, cpanel: &mut [f32]) {
+#[target_feature(enable = "avx2,fma")]
+fn run_panel_fma<const R: usize, const N: usize>(panel: &Panel<'_>, cpanel: &mut [f32]) {
+    // The kernel is a call of its own, compiled for FMA (`mul_add` without
+    // it is a libm call). Inlined into the panel loop, the loop's live
+    // values left the 8x8 kernel too few registers: it reloaded two
+    // pointers from the stack every reduction step.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline(never)]
+    fn kernel<const R: usize, const N: usize>(
+        asliver: &[f32],
+        b: &[f32],
+        offs: &[usize],
+        acc: &mut [[f32; N]; R],
+    ) {
+        microkernel::<R, N, true>(asliver, b, offs, acc)
+    }
     panel.run(cpanel, |asliver, b, offs, acc| {
-        // SAFETY: avx2+fma hold per this function's contract; the A sliver
-        // is whole, as above, and every row offset has `NR` readable lanes
-        // in `b` by the reach contract.
-        unsafe { microkernel_avx2(asliver, b, offs, acc) }
+        kernel::<R, N>(asliver, b, offs, acc)
     });
 }
 
-/// Portable single-row GEMV tile: `acc[j] = Σ_p a[p] * b[p][j]` over one
-/// `NR_W`-column tile of a row-major `B` read at row stride `ldb` (`acc`
-/// is overwritten, like the SIMD variants). Unfused mul+add, mirroring
-/// [`microkernel_portable`]'s rounding on hosts where the batched path
-/// also runs portable.
-#[inline(always)]
-fn gemv_tile_portable(kc: usize, a: &[f32], b: &[f32], ldb: usize, acc: &mut [f32; NR_W]) {
-    let mut local = [0.0f32; NR_W];
-    for p in 0..kc {
-        let av = a[p];
-        let br = &b[p * ldb..p * ldb + NR_W];
-        for (s, &bv) in local.iter_mut().zip(br) {
-            *s += av * bv;
-        }
-    }
-    *acc = local;
-}
-
-/// AVX2+FMA single-row GEMV tile: four `__m256` accumulators covering the
-/// same `NR_W`-column tile. Per output element the reduction is one fused
-/// multiply-add per `p`, ascending — the exact float sequence
-/// [`microkernel_avx2`] produces for that element in a batched GEMM, so a
-/// row served through this path is bit-identical to the same row inside a
-/// larger batch.
-///
-/// # Safety
-///
-/// * The executing CPU must support AVX2 and FMA (runtime-detected by
-///   [`gemv_tile`], the only caller); calling without them is UB.
-/// * `a.len() >= kc`, and for `kc > 0`, `b.len() >= (kc - 1) * ldb + NR_W`.
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn gemv_tile_avx2(kc: usize, a: &[f32], b: &[f32], ldb: usize, acc: &mut [f32; NR_W]) {
-    use core::arch::x86_64::*;
-    debug_assert!(a.len() >= kc);
-    debug_assert!(kc == 0 || b.len() >= (kc - 1) * ldb + NR_W);
-    // SAFETY: per the function contract, every `b` row read below carries
-    // `NR_W` readable lanes at stride `ldb` and `a` carries `kc` scalars,
-    // so `p * ldb + 24 + 7` and `p` index in-bounds for `p < kc`. The
-    // unaligned load/store intrinsics tolerate any alignment and `acc` is
-    // exactly `NR_W == 32` floats (four `__m256` stores). Executing the
-    // intrinsics is sound because the caller established avx2+fma.
-    unsafe {
-        let mut v = [_mm256_setzero_ps(); 4];
-        for p in 0..kc {
-            let av = _mm256_set1_ps(*a.get_unchecked(p));
-            let bp = b.as_ptr().add(p * ldb);
-            for (q, vq) in v.iter_mut().enumerate() {
-                *vq = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(q * 8)), *vq);
-            }
-        }
-        for (q, vq) in v.into_iter().enumerate() {
-            _mm256_storeu_ps(acc.as_mut_ptr().add(q * 8), vq);
-        }
-    }
-}
-
-/// AVX-512 single-row GEMV tile: two `__m512` accumulators over the
-/// `NR_W`-column tile, same fused ascending-`p` per-element sequence as
-/// [`gemv_tile_avx2`] and the batched microkernels.
-///
-/// # Safety
-///
-/// Same contract as [`gemv_tile_avx2`] with AVX-512F in place of
-/// AVX2+FMA; [`gemv_tile`] is the only caller.
+/// The same fused body at `1 x NR_W`, compiled for AVX-512F: two 16-lane
+/// multiply-adds per reduction step instead of four 8-lane ones, which
+/// reads a row streamed from L2 about 1.3x faster (`256 -> 128`: 2.4
+/// against 3.1 µs, EXPERIMENTS E46). Same bits: `avx512f` implies FMA.
+/// Calling it is `unsafe` only because the CPU must have AVX-512F, which
+/// [`run_panel`], the only caller, detects at runtime.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx512f")]
-unsafe fn gemv_tile_avx512(kc: usize, a: &[f32], b: &[f32], ldb: usize, acc: &mut [f32; NR_W]) {
-    use core::arch::x86_64::*;
-    debug_assert!(a.len() >= kc);
-    debug_assert!(kc == 0 || b.len() >= (kc - 1) * ldb + NR_W);
-    // SAFETY: bounds as in `gemv_tile_avx2` (rows of `NR_W` readable lanes
-    // at stride `ldb`); `acc` is exactly two `__m512`s wide; avx512f is
-    // established by the caller's runtime detection.
-    unsafe {
-        let mut v0 = _mm512_setzero_ps();
-        let mut v1 = _mm512_setzero_ps();
-        for p in 0..kc {
-            let av = _mm512_set1_ps(*a.get_unchecked(p));
-            let bp = b.as_ptr().add(p * ldb);
-            v0 = _mm512_fmadd_ps(av, _mm512_loadu_ps(bp), v0);
-            v1 = _mm512_fmadd_ps(av, _mm512_loadu_ps(bp.add(16)), v1);
-        }
-        _mm512_storeu_ps(acc.as_mut_ptr(), v0);
-        _mm512_storeu_ps(acc.as_mut_ptr().add(16), v1);
-    }
-}
-
-/// Run the best single-row GEMV tile the host supports, mirroring the
-/// batched kernels' dispatch (and therefore their per-element rounding):
-/// AVX-512F, else AVX2+FMA, else the portable unfused loop.
-#[inline]
-fn gemv_tile(kc: usize, a: &[f32], b: &[f32], ldb: usize, acc: &mut [f32; NR_W]) {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    {
-        // Each variant runs only behind its own feature detection, and the
-        // slice-length contract (`a.len() >= kc`, `b` rows of `NR_W`
-        // readable lanes at stride `ldb`) is guaranteed by the sole caller
-        // `gemv_bt_padded`, whose weight image is column-padded to a whole
-        // number of `NR_W` tiles.
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: avx512f detected; length contract per above.
-            unsafe { gemv_tile_avx512(kc, a, b, ldb, acc) };
-            return;
-        } else if std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma")
-        {
-            // SAFETY: avx2+fma detected; length contract per above.
-            unsafe { gemv_tile_avx2(kc, a, b, ldb, acc) };
-            return;
-        }
-    }
-    gemv_tile_portable(kc, a, b, ldb, acc)
-}
-
-/// Row-vector fast path for `Y = x · Wᵀ (+ epilogue)`: the `m == 1` GEMM
-/// every single-request inference (closed-loop serving, batch-1 dense
-/// heads) issues. `wt` is the weight image *pre-transposed* to `[K x
-/// n_pad]` row-major with `n_pad = round_up(n, NR_W)` zero-padded columns
-/// (built once per weight by the caller and cached), so the kernel
-/// streams it unit-stride — no per-call `B` packing, no wasted
-/// register-tile rows for the seven absent `A` rows.
-///
-/// Bit-identity contract: the reduction runs in `KC` chunks of
-/// `k.clamp(1, 256)` — the same chunking [`Blocking::for_shape`] gives any
-/// batched GEMM at this `k` — and each output element accumulates one
-/// fused multiply-add per `p`, ascending, via [`gemv_tile`]'s
-/// batched-kernel-matching dispatch. A request served alone therefore
-/// reproduces, bit for bit, the row it would produce inside any batch.
-/// The epilogue fires once per element after the last chunk, exactly like
-/// [`run_panel`]'s `last` gating.
-pub(crate) fn gemv_bt_padded(
-    n: usize,
-    k: usize,
-    a: &[f32],
-    wt: &[f32],
-    c: &mut [f32],
-    epilogue: Epilogue<'_>,
-) {
-    let n_pad = round_up(n, NR_W);
-    debug_assert!(a.len() >= k && c.len() >= n && wt.len() >= k * n_pad);
-    if k > 0 {
-        let kc = k.clamp(1, 256);
-        let mut acc = [0.0f32; NR_W];
-        for pc in (0..k).step_by(kc) {
-            let kcb = kc.min(k - pc);
-            for jt in 0..n_pad / NR_W {
-                let j0 = jt * NR_W;
-                let cols = NR_W.min(n - j0);
-                gemv_tile(kcb, &a[pc..], &wt[pc * n_pad + j0..], n_pad, &mut acc);
-                for (cv, &s) in c[j0..j0 + cols].iter_mut().zip(&acc) {
-                    *cv += s;
-                }
-            }
-        }
-    }
-    epilogue.apply_row(&mut c[..n], 0, 0);
+fn run_row_avx512(panel: &Panel<'_>, cpanel: &mut [f32]) {
+    // The closure inherits this function's target, so the body inlined
+    // into it is compiled with FMA wherever the closure ends up.
+    panel.run(cpanel, |asliver, b, offs, acc| {
+        microkernel::<1, NR_W, true>(asliver, b, offs, acc)
+    });
 }
 
 /// Packed GEMM core: `C += op(A) * op(B)` for row-major storage, where
@@ -1106,22 +968,23 @@ pub(crate) fn host_nr() -> usize {
 /// The packed GEMM at tile width `nr` ([`NR`] or [`NR_W`]; callers pass
 /// [`host_nr`], tests either), `B` stored at row pitch `ldb` (`>= n`, or
 /// `>= k` transposed) — `Linear` passes its weight image, whose rows are
-/// padded to whole wide tiles.
+/// padded to whole wide tiles. A single row (`m == 1`) ignores `nr`: it
+/// runs the `1 x NR_W` tile, reading `A` in place as its own sliver.
 ///
 /// The `MC` row panels of `C` go through [`par`] with `m * n * k` as their
 /// work; each worker packs its own `A` panel, and the `B` block is shared
 /// read-only. `B` reaches [`run_panel`] in one of two forms:
 ///
 /// * `B [K x N]`: read in place — reduction row `p` is the caller's row
-///   `pc + p`, at offset `(pc + p) * ldb` — except a ragged last tile that
-///   would read past the end of `b`, whose `kc` rows are copied into a
-///   zero-padded one-tile bounce;
+///   `pc + p`, at offset `p * ldb` from row `pc` — except a ragged last
+///   tile that would read past the end of `b`, whose `kc` rows are copied
+///   into a zero-padded one-tile bounce;
 /// * `B [N x K]`: each block transposed once into `kc` rows padded to
 ///   whole tiles ([`pack_bt_rows`]).
 ///
 /// Each block's register partial is added into `C` (the driver runs with
 /// `first = false`), so the per-element float sequence is the same at
-/// either width and the addend contract holds.
+/// every tile and the addend contract holds.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_packed_as(
     nr: usize,
@@ -1148,21 +1011,39 @@ pub(crate) fn gemm_packed_as(
         }
         return;
     }
+    // One row is a `1 x NR_W` sliver, whatever width was asked for.
+    let run = if m == 1 {
+        run_panel::<1>
+    } else {
+        run_panel::<MR>
+    };
+    let nr = if m == 1 { NR_W } else { nr };
     let bl = Blocking::for_shape(m, n, k);
     let lda = if a_trans { m } else { k };
     let nc_step = round_up(bl.nc, nr);
+    // Reduction row `p` of every block sits `p * pitch` past the block's
+    // first row — of the caller's `B` read in place, or of the transposing
+    // pack — so one offset table serves them all.
+    let pitch = if b_trans {
+        nc_step.min(round_up(n, nr))
+    } else {
+        ldb
+    };
+    let mut offs = [0; KC];
+    for (p, off) in offs[..bl.kc].iter_mut().enumerate() {
+        *off = p * pitch;
+    }
     // Dirty scratch: the transposing pack and the bounce overwrite every
     // float the panel driver reads, edge lanes zero-padded explicitly, so
     // the acquire-time zero-fill would be wasted traffic. Rows read in
-    // place need only the bounce tile.
-    let mut bpack = scratch_dirty(if b_trans {
-        nc_step.min(round_up(n, nr)) * bl.kc
+    // place draw the bounce tile, and its row offsets, only when a ragged
+    // last tile first needs them.
+    let mut bpack = if b_trans {
+        scratch_dirty(pitch * bl.kc)
     } else {
-        bl.kc * nr
-    });
-    // The bounce tile's row offsets, built the first time one is needed.
+        Vec::new()
+    };
     let mut tile_offs = Vec::new();
-    let mut offs = Vec::with_capacity(bl.kc);
     for jc in (0..n).step_by(nc_step) {
         let nc = nc_step.min(n - jc);
         for pc in (0..k).step_by(bl.kc) {
@@ -1170,46 +1051,50 @@ pub(crate) fn gemm_packed_as(
             let last = pc + kc == k;
             // Columns `..body` of the block read `rows` at `offs`; the
             // rest, less than a tile, read the bounce tile.
-            offs.clear();
             let (rows, body): (&[f32], usize) = if b_trans {
-                let ldd = round_up(nc, nr);
-                pack_bt_rows(&mut bpack, ldd, b, ldb, pc, jc, kc, nc);
-                offs.extend((0..kc).map(|p| p * ldd));
+                pack_bt_rows(&mut bpack, pitch, b, ldb, pc, jc, kc, nc);
                 (&bpack, nc)
             } else {
-                offs.extend((pc..pc + kc).map(|p| p * ldb));
-                let rows = &b[jc..];
-                // Offsets ascend, so the last is the largest. Whole tiles
-                // always fit (`b` holds `(k - 1) * ldb + n` floats); only
-                // a ragged last tile of `B`'s last rows can reach past it.
+                let rows = &b[pc * ldb + jc..];
+                // Whole tiles always fit (`b` holds `(k - 1) * ldb + n`
+                // floats); only a ragged last tile of `B`'s last rows can
+                // reach past it.
                 if offs[kc - 1] + round_up(nc, nr) <= rows.len() {
                     (rows, nc)
                 } else {
-                    if tile_offs.is_empty() {
+                    if bpack.is_empty() {
+                        bpack = scratch_dirty(bl.kc * nr);
                         tile_offs.extend((0..bl.kc).map(|p| p * nr));
                     }
                     let body = nc / nr * nr;
                     let tail = nc - body;
-                    for (row, &off) in bpack.chunks_exact_mut(nr).zip(&offs) {
+                    for (row, &off) in bpack.chunks_exact_mut(nr).zip(&offs[..kc]) {
                         row[..tail].copy_from_slice(&rows[off + body..off + nc]);
                         row[tail..].fill(0.0);
                     }
                     (rows, body)
                 }
             };
-            let (offs, bounce, tile_offs) = (&offs[..], &bpack[..], &tile_offs[..]);
+            let (offs, bounce, tile_offs) = (&offs[..kc], &bpack[..], &tile_offs[..]);
             par::for_each_chunk(c, bl.mc * n, m * n * k, |chunk, cpanel| {
                 let (ic, mc) = (chunk * bl.mc, cpanel.len() / n);
-                let mut apack = scratch_zeroed(round_up(mc, MR) * kc);
-                pack_a(&mut apack, a, a_trans, lda, ic, pc, mc, kc);
+                // One row is its own sliver: `A [1 x K]` and `A [K x 1]`
+                // both hold it contiguously, so nothing is packed.
+                let apack = (m > 1).then(|| {
+                    let mut apack = scratch_zeroed(round_up(mc, MR) * kc);
+                    pack_a(&mut apack, a, a_trans, lda, ic, pc, mc, kc);
+                    apack
+                });
+                let sliver = apack.as_deref().unwrap_or(&a[pc..pc + kc]);
                 // Safety audit: `run_panel` asserts, in release builds too,
-                // that every tile's reach stays inside the `B` slice it is
-                // handed — the bound the SIMD kernels' loads rely on — and
-                // the A slivers are whole by construction above.
+                // that every wide tile's reach stays inside the `B` slice it
+                // is handed — the bound the AVX-512 kernel's loads rely on;
+                // the portable body checks its own slices — and the A
+                // slivers are whole by construction above.
                 let mut panel = |b: &[f32], offs: &[usize], j0: usize, cols: usize| {
-                    run_panel(
+                    run(
                         nr,
-                        &apack,
+                        sliver,
                         b,
                         offs,
                         cpanel,
@@ -1230,11 +1115,15 @@ pub(crate) fn gemm_packed_as(
                 if body < nc {
                     panel(bounce, &tile_offs[..kc], jc + body, nc - body);
                 }
-                recycle_scratch(apack);
+                if let Some(apack) = apack {
+                    recycle_scratch(apack);
+                }
             });
         }
     }
-    recycle_scratch(bpack);
+    if !bpack.is_empty() {
+        recycle_scratch(bpack);
+    }
 }
 
 #[cfg(test)]
@@ -1385,7 +1274,7 @@ mod tests {
                     let mc = cpanel.len() / n;
                     let mut apack = vec![0.0f32; mc.div_ceil(MR) * MR * kc];
                     pack_a(&mut apack, a.data(), false, k, chunk * bl.mc, pc, mc, kc);
-                    run_panel(
+                    run_panel::<MR>(
                         nr,
                         &apack,
                         &b.data()[jc..],
@@ -1449,7 +1338,7 @@ mod tests {
             for (pc, kc) in [(0usize, 4usize), (4, 2)] {
                 let mut apack = vec![0.0f32; round_up(m, MR) * kc];
                 pack_a(&mut apack, a.data(), false, k, 0, pc, m, kc);
-                run_panel(
+                run_panel::<MR>(
                     nr,
                     &apack,
                     b.data(),
@@ -1487,9 +1376,9 @@ mod tests {
         use deep500_tensor::rng::Xoshiro256StarStar;
         use deep500_tensor::Tensor;
         // On a host with the SIMD kernels this is the only place the
-        // portable kernel runs inside the panel loop, at either width;
-        // everywhere else the two are the same code.
-        fn at<const N: usize>() {
+        // plain body runs inside the panel loop, at each tile; everywhere
+        // else the two are the same code.
+        fn at<const R: usize, const N: usize>() {
             let mut rng = Xoshiro256StarStar::seed_from_u64(19);
             let offs = [40usize, 3, 3, 0, 97, 64, 65];
             let (m, nc) = (11usize, 40usize);
@@ -1500,7 +1389,7 @@ mod tests {
             let mut portable = addend.data().to_vec();
             let (ap, bd) = (apack.data(), b.data());
             let ep = Epilogue::Relu;
-            run_panel(
+            run_panel::<R>(
                 N,
                 ap,
                 bd,
@@ -1530,13 +1419,14 @@ mod tests {
                 first: false,
                 last: true,
             };
-            panel.run(&mut portable, microkernel_portable::<N>);
+            panel.run(&mut portable, microkernel::<R, N, false>);
             for (p, d) in portable.iter().zip(&dispatched) {
-                assert!((p - d).abs() < 1e-5, "nr {N}: {p} vs {d}");
+                assert!((p - d).abs() < 1e-5, "{R}x{N}: {p} vs {d}");
             }
         }
-        at::<NR>();
-        at::<NR_W>();
+        at::<MR, NR>();
+        at::<MR, NR_W>();
+        at::<1, NR_W>();
     }
 
     #[test]
@@ -1546,7 +1436,7 @@ mod tests {
         let b = vec![0.0f32; 40];
         let mut c = vec![0.0f32; 8];
         // Offset 9 plus one whole wide tile is 41 floats.
-        run_panel(
+        run_panel::<MR>(
             NR_W,
             &apack,
             &b,
@@ -1699,6 +1589,81 @@ pub(crate) mod properties {
             } else {
                 for (w, v) in wide.iter().zip(&narrow) {
                     prop_assert!((w - v).abs() <= 1e-4 * (1.0 + v.abs()), "{} vs {}", w, v);
+                }
+            }
+        }
+
+        /// A row computed alone is the same row of a 2–9-row product (2–3
+        /// under miri), bit for bit, in the operand form of every packed
+        /// entry point:
+        /// `matmul` (`A`, `B` as stored), `matmul_a_bt_with` (`B`
+        /// transposed) with and without an epilogue, and
+        /// `matmul_at_b_with` (`A` transposed); at `k = 0` and at the drawn
+        /// `k`, up to two `KC` blocks. The batch runs at both forced widths
+        /// and the row on its own `1 x NR_W` tile, which rounds like the
+        /// narrow tile on every host and like the wide one wherever the
+        /// two tiles round alike. The entry points themselves run at the
+        /// host's width, where that always holds.
+        #[test]
+        fn a_row_alone_is_its_row_in_a_batch(
+            m in 2usize..if cfg!(miri) { 4 } else { 10 },
+            n in 1usize..if cfg!(miri) { 40 } else { 90 },
+            drawn_k in 1usize..if cfg!(miri) { 300 } else { 601 },
+            entry in 0u8..4,
+            relu in any::<bool>(),
+            seed in 0u64..1000,
+        ) {
+            use crate::gemm::{self, Algorithm::Packed};
+            let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+            let (a_trans, b_trans) = (entry == 3, entry == 1 || entry == 2);
+            let bias = Tensor::rand_uniform([n], -1.0, 1.0, &mut rng);
+            let ep = match (entry, relu) {
+                (2, false) => Epilogue::Bias(bias.data()),
+                (2, true) => Epilogue::BiasRelu(bias.data()),
+                _ => Epilogue::None,
+            };
+            let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for k in [0, drawn_k] {
+                let ad = Tensor::rand_uniform([m * k], -1.0, 1.0, &mut rng);
+                let (a, b) = (ad.data(), Tensor::rand_uniform([n * k], -1.0, 1.0, &mut rng));
+                let ldb = if b_trans { k } else { n };
+                // Row `r` of `op(A)`, which is its own stored form either way.
+                let row = |r: usize| -> Vec<f32> {
+                    (0..k).map(|p| if a_trans { a[p * m + r] } else { a[r * k + p] }).collect()
+                };
+                let public = |rows: usize, a: &[f32]| {
+                    let at = Tensor::from_vec(if a_trans { [k, rows] } else { [rows, k] }, a.to_vec()).unwrap();
+                    let bt = Tensor::from_vec(if b_trans { [n, k] } else { [k, n] }, b.data().to_vec()).unwrap();
+                    match entry {
+                        0 => gemm::matmul(Packed, &at, &bt),
+                        1 => gemm::matmul_a_bt_with(Packed, &at, &bt),
+                        2 => gemm::matmul_a_bt_with_epilogue(Packed, &at, &bt, ep),
+                        _ => gemm::matmul_at_b_with(Packed, &at, &bt),
+                    }
+                    .unwrap()
+                };
+                let batch = public(m, a);
+                for nr in [NR, NR_W] {
+                    let run = |rows: usize, a: &[f32]| {
+                        let mut c = vec![0.0f32; rows * n];
+                        gemm_packed_as(nr, rows, n, k, a, a_trans, b.data(), b_trans, ldb, &mut c, ep);
+                        c
+                    };
+                    let forced = run(m, a);
+                    for r in 0..m {
+                        let (alone, want) = (run(1, &row(r)), &forced[r * n..(r + 1) * n]);
+                        if nr == NR || tiles_round_alike() {
+                            prop_assert_eq!(bits(&alone), bits(want), "nr {} {}x{}x{} entry {} row {}", nr, m, n, k, entry, r);
+                        } else {
+                            for (s, v) in alone.iter().zip(want) {
+                                prop_assert!((s - v).abs() <= 1e-4 * (1.0 + v.abs()), "{} vs {}", s, v);
+                            }
+                        }
+                    }
+                }
+                for r in 0..m {
+                    let alone = public(1, &row(r));
+                    prop_assert_eq!(bits(alone.data()), bits(&batch.data()[r * n..(r + 1) * n]), "host width, {}x{}x{} entry {} row {}", m, n, k, entry, r);
                 }
             }
         }

@@ -4,14 +4,14 @@
 //! Backed by the Level-0 GEMM kernels. Under `Packed` the forward reads
 //! one per-instance weight image, `Wᵀ` as `[in x round_up(out, NR_W)]`
 //! rows, memoized on the weight's version and rewritten in place when it
-//! changes. It serves every batch size: a single row (`N == 1`, the
-//! closed-loop serving case) runs a dedicated GEMV over it (see
-//! `gemv_bt_padded`), with the
-//! 7-of-8 wasted register-tile rows gone, and more rows run the packed
-//! GEMM reading its rows as `B` — so no call packs `Wᵀ`, and a row served
-//! alone is bit-identical to the same row inside any batch.
+//! changes. Every batch size is one packed GEMM reading the image's rows
+//! as `B` through the one panel driver: a single row (`N == 1`, the
+//! closed-loop serving case) runs as a one-row sliver on the `1 x NR_W`
+//! tile, with no packing of either operand, and more rows run the batched
+//! tiles — so no call packs `Wᵀ`, and a row served alone is bit-identical
+//! to the same row inside any batch.
 
-use crate::gemm::packed::{gemm_packed_as, gemv_bt_padded, host_nr, pack_bt_rows, round_up, NR_W};
+use crate::gemm::packed::{gemm_packed_as, host_nr, pack_bt_rows, round_up, NR_W};
 use crate::gemm::{self, Algorithm, Epilogue};
 use crate::memo::VersionMemo;
 use crate::operator::Operator;
@@ -100,32 +100,29 @@ impl Operator for LinearOp {
             Epilogue::Bias(b.data())
         };
         if self.algo == Algorithm::Packed {
-            // Safety audit: `gemv_bt_padded`'s SIMD tiles and the packed
-            // GEMM, at either tile width, read whole tiles of every image
-            // row, which is padded to `round_up(fout, NR_W)` lanes;
-            // `transposed` builds exactly that layout, and the CI miri job
-            // interprets the `linear` tests to check it.
+            // Safety audit: the packed GEMM reads whole tiles of every
+            // image row, at any tile, so each row is padded to
+            // `round_up(fout, NR_W)` lanes; `transposed` builds exactly
+            // that layout, `run_panel` asserts the wide tile's reach
+            // against it (the portable body checks its own slices), and
+            // the CI miri job interprets the `linear` tests to check it.
             let wt = self.transposed(w, fout, fin);
             let mut y = Tensor::zeros([n, fout]);
-            if n == 1 {
-                gemv_bt_padded(fout, fin, x.data(), &wt, y.data_mut(), epilogue);
-            } else {
-                let ldb = round_up(fout, NR_W);
-                let (xd, yd) = (x.data(), y.data_mut());
-                gemm_packed_as(
-                    host_nr(),
-                    n,
-                    fout,
-                    fin,
-                    xd,
-                    false,
-                    &wt,
-                    false,
-                    ldb,
-                    yd,
-                    epilogue,
-                );
-            }
+            let ldb = round_up(fout, NR_W);
+            let (xd, yd) = (x.data(), y.data_mut());
+            gemm_packed_as(
+                host_nr(),
+                n,
+                fout,
+                fin,
+                xd,
+                false,
+                &wt,
+                false,
+                ldb,
+                yd,
+                epilogue,
+            );
             return Ok(vec![y]);
         }
         let y = gemm::matmul_a_bt_with_epilogue(self.algo, x, w, epilogue)?;
@@ -221,8 +218,9 @@ mod tests {
     fn single_row_gemv_is_bit_identical_to_batched_rows() {
         use deep500_tensor::rng::Xoshiro256StarStar;
         let mut rng = Xoshiro256StarStar::seed_from_u64(11);
-        // Ragged out-features (neither a multiple of the GEMV tile nor the
-        // GEMM's narrow tile) and k past one KC block to exercise the chunking;
+        // Ragged out-features (neither a multiple of the one-row tile nor
+        // the narrow batched tile) and k past one KC block to exercise the
+        // chunking;
         // then the distributed MLP's three layers (64 -> 256 -> 128 -> 8)
         // and LeNet's three (400 or 64 flattened -> 120 -> 84 -> 10), each
         // inside batches of 2..9 rows. Miri interprets the first three.

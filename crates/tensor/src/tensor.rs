@@ -182,8 +182,9 @@ impl Tensor {
     /// Monotonic content-version stamp. Two tensors with equal versions
     /// hold bitwise-identical buffers (clone shares the stamp; every
     /// mutation path re-stamps from a never-repeating global counter), so
-    /// derived-data caches — packed conv filters, transposed GEMV weight
-    /// images — can key on this instead of hashing the buffer per call.
+    /// derived-data caches — packed conv filters, `Linear`'s transposed
+    /// weight images — can key on this instead of hashing the buffer per
+    /// call.
     pub fn version(&self) -> u64 {
         self.version
     }
