@@ -43,11 +43,6 @@ impl BrickSet {
         self.total_instances as f64 / self.bricks.len() as f64
     }
 
-    /// Position of `key` in [`Self::bricks`], if present.
-    pub fn index_of(&self, key: &BrickKey) -> Option<usize> {
-        self.index.get(key).copied()
-    }
-
     pub fn len(&self) -> usize {
         self.bricks.len()
     }

@@ -14,7 +14,7 @@
 //! | 3 — Distributed training | [`dist`] | communicators, collectives, PS/allreduce/async/sparse SGD, scaling simulation |
 //!
 //! plus the substrates: [`tensor`] (dense tensors + deterministic RNG),
-//! [`metrics`] (the `TestMetric` infrastructure), [`data`] (datasets,
+//! [`metrics`] (concrete metric types and event hooks), [`data`] (datasets,
 //! the D5J codec, storage containers, samplers), [`frameworks`]
 //! (simulated TensorFlow/Caffe2/PyTorch/DeepBench backends), and
 //! [`verify`] — the static graph verifier that gates every executor
@@ -68,7 +68,7 @@ pub mod prelude {
         models, CompileOptions, Engine, EngineBuilder, ExecutorKind, GraphExecutor, Network,
         PlannedExecutor, ReferenceExecutor, Session,
     };
-    pub use deep500_metrics::{Table, TestMetric, Timer};
+    pub use deep500_metrics::{Table, Timer};
     pub use deep500_ops::registry::{create_op, register_op, Attributes};
     pub use deep500_ops::Operator;
     pub use deep500_serve::{BatchPolicy, ModelConfig, ServeError, Server};

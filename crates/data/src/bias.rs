@@ -8,7 +8,6 @@
 //! own label distribution.
 
 use crate::sampler::DatasetSampler;
-use deep500_metrics::{MetricValue, TestMetric};
 use deep500_tensor::Result;
 
 /// Label histogram of sampled elements.
@@ -54,21 +53,6 @@ impl DatasetBias {
                 }
             })
             .sum()
-    }
-}
-
-impl TestMetric for DatasetBias {
-    fn name(&self) -> &str {
-        "dataset-bias"
-    }
-    fn observe(&mut self, value: f64) {
-        self.record(value as u32);
-    }
-    fn summarize(&self) -> MetricValue {
-        MetricValue::Series(self.counts.iter().map(|&c| c as f64).collect())
-    }
-    fn reset(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
     }
 }
 
@@ -145,8 +129,6 @@ mod tests {
         b.record(99); // out of range: ignored
         assert_eq!(b.total(), 6);
         assert!(b.chi_square(&[2.0; 3]) > 0.0);
-        b.reset();
-        assert_eq!(b.total(), 0);
     }
 
     #[test]

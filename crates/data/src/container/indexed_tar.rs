@@ -242,7 +242,7 @@ mod tests {
         for idx in [7usize, 0, 3] {
             let (img, label) = r.read_sample(idx).unwrap();
             assert_eq!((img.c, img.h, img.w), (3, 32, 32));
-            assert_eq!(label, src.label_of(idx));
+            assert_eq!(label, crate::Dataset::sample(&src, idx).unwrap().label);
         }
         assert!(r.read_sample(10).is_err());
         assert!(clock.elapsed() > 0.0);

@@ -366,6 +366,8 @@ impl ShardedSampler {
     }
 
     /// Indices owned by this rank in the current epoch.
+    ///
+    /// Public for: §IV-F, the slice of an epoch a data-parallel rank owns.
     pub fn shard_indices(&self) -> Vec<usize> {
         self.shard.clone()
     }

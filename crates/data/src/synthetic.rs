@@ -133,13 +133,6 @@ impl SyntheticDataset {
         )
     }
 
-    /// The deterministic class of sample `idx`.
-    pub fn label_of(&self, idx: usize) -> u32 {
-        // Spread classes evenly but non-contiguously.
-        let mut rng = self.base.split((self.offset + idx) as u64);
-        rng.next_below(self.classes) as u32
-    }
-
     /// Fast synthetic minibatch generation — the "Synth" generator of the
     /// paper's Fig. 8: allocate the batch tensor and fill it with cheap
     /// uniform noise + random labels, without the per-pixel Gaussian work
@@ -215,7 +208,6 @@ mod tests {
         assert_eq!(a, b);
         let c = d.sample(43).unwrap();
         assert_ne!(a.data, c.data);
-        assert_eq!(a.label, d.label_of(42));
     }
 
     #[test]
@@ -238,7 +230,7 @@ mod tests {
         let d = SyntheticDataset::mnist_like(400, 3);
         let mut by_class: Vec<Vec<usize>> = vec![Vec::new(); 10];
         for i in 0..400 {
-            by_class[d.label_of(i) as usize].push(i);
+            by_class[d.sample(i).unwrap().label as usize].push(i);
         }
         let (c0, c1) = (&by_class[0], &by_class[1]);
         assert!(c0.len() >= 2 && c1.len() >= 2);
@@ -270,7 +262,7 @@ mod tests {
         let d = SyntheticDataset::mnist_like(1000, 11);
         let mut seen = [false; 10];
         for i in 0..1000 {
-            seen[d.label_of(i) as usize] = true;
+            seen[d.sample(i).unwrap().label as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
     }

@@ -81,7 +81,7 @@ proptest! {
         let ds: Arc<dyn Dataset> = Arc::new(SyntheticDataset::mnist_like(len, seed));
         let expected = {
             let mut labels: Vec<f32> = (0..len)
-                .map(|i| SyntheticDataset::mnist_like(len, seed).label_of(i) as f32)
+                .map(|i| ds.sample(i).unwrap().label as f32)
                 .collect();
             labels.sort_by(|a, b| a.partial_cmp(b).unwrap());
             labels

@@ -98,6 +98,9 @@ pub fn allreduce_ring_among(
 
 /// Flat allreduce: everyone sends to rank 0, which sums and broadcasts the
 /// result (via a binomial tree). The PS-style schedule.
+///
+/// Public for: §IV-F, the naive allreduce the ring schedule is measured
+/// against.
 pub fn allreduce_flat(comm: &mut dyn Communicator, buf: &mut [f32]) -> CommResult<()> {
     let n = comm.world();
     if n == 1 {

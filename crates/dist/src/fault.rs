@@ -99,6 +99,8 @@ impl FaultPlan {
 
     /// Delay each message with probability `rate` by up to
     /// `max_delay_msgs` message times.
+    ///
+    /// Public for: DESIGN §9, the network-delay fault of a fault plan.
     pub fn with_delays(mut self, rate: f64, max_delay_msgs: f64) -> Self {
         assert!((0.0..1.0).contains(&rate), "delay rate must be in [0, 1)");
         self.delay_rate = rate;
@@ -107,6 +109,8 @@ impl FaultPlan {
     }
 
     /// Slow rank `rank`'s compute down by `factor` (> 1).
+    ///
+    /// Public for: DESIGN §9, the straggler fault of a fault plan.
     pub fn with_straggler(mut self, rank: usize, factor: f64) -> Self {
         assert!(factor >= 1.0, "straggler factor must be >= 1");
         self.stragglers.push((rank, factor));

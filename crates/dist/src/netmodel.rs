@@ -26,6 +26,9 @@ impl NetworkModel {
     }
 
     /// Commodity 10 GbE cluster: ~25 µs latency, ~1.1 GB/s.
+    ///
+    /// Public for: §V-E, the commodity network beside the Aries preset
+    /// that Level 3 runs are priced on.
     pub fn ethernet_10g() -> Self {
         NetworkModel {
             alpha_s: 25e-6,

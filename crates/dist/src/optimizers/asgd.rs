@@ -8,11 +8,10 @@
 //! (§V-E) — the serialization shows up in the virtual clock because every
 //! delivery occupies the server endpoint.
 
-use super::{collect_gradients, DistributedOptimizer, SchemeCore};
-use crate::comm::{CommResult, Communicator};
+use super::{collect_gradients, Scheme, SchemeCore};
+use crate::comm::Communicator;
 use deep500_data::Minibatch;
 use deep500_graph::GraphExecutor;
-use deep500_metrics::{CommunicationVolume, FaultCounters};
 use deep500_tensor::{Result, Tensor};
 use deep500_train::optimizer::StepResult;
 use deep500_train::ThreeStepOptimizer;
@@ -33,7 +32,7 @@ impl InconsistentCentralized {
     }
 }
 
-impl DistributedOptimizer for InconsistentCentralized {
+impl Scheme for InconsistentCentralized {
     fn name(&self) -> &str {
         "ASGD"
     }
@@ -78,23 +77,11 @@ impl DistributedOptimizer for InconsistentCentralized {
         Ok(result)
     }
 
-    fn comm_stats(&self) -> CommunicationVolume {
-        self.core.comm.stats()
+    fn core(&self) -> &SchemeCore {
+        &self.core
     }
 
-    fn virtual_time(&self) -> f64 {
-        self.core.comm.elapsed()
-    }
-
-    fn begin_step(&mut self, step: u64) -> CommResult<()> {
-        self.core.comm.begin_step(step)
-    }
-
-    fn advance_virtual(&mut self, seconds: f64) {
-        self.core.comm.advance(seconds);
-    }
-
-    fn fault_stats(&self) -> FaultCounters {
-        self.core.comm.fault_stats()
+    fn core_mut(&mut self) -> &mut SchemeCore {
+        &mut self.core
     }
 }

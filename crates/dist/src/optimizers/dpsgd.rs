@@ -5,12 +5,11 @@
 //! respect to the number of nodes, but usually converges slower and to a
 //! less accurate result" (§V-E).
 
-use super::{collect_gradients, DistributedOptimizer, SchemeCore};
+use super::{collect_gradients, Scheme, SchemeCore};
 use crate::collectives::neighbor_exchange_among;
-use crate::comm::{CommResult, Communicator};
+use crate::comm::Communicator;
 use deep500_data::Minibatch;
 use deep500_graph::GraphExecutor;
-use deep500_metrics::{CommunicationVolume, FaultCounters};
 use deep500_tensor::{Result, Tensor};
 use deep500_train::optimizer::StepResult;
 use deep500_train::ThreeStepOptimizer;
@@ -28,7 +27,7 @@ impl DecentralizedNeighbor {
     }
 }
 
-impl DistributedOptimizer for DecentralizedNeighbor {
+impl Scheme for DecentralizedNeighbor {
     fn name(&self) -> &str {
         "DPSGD"
     }
@@ -58,23 +57,11 @@ impl DistributedOptimizer for DecentralizedNeighbor {
         Ok(result)
     }
 
-    fn comm_stats(&self) -> CommunicationVolume {
-        self.core.comm.stats()
+    fn core(&self) -> &SchemeCore {
+        &self.core
     }
 
-    fn virtual_time(&self) -> f64 {
-        self.core.comm.elapsed()
-    }
-
-    fn begin_step(&mut self, step: u64) -> CommResult<()> {
-        self.core.comm.begin_step(step)
-    }
-
-    fn advance_virtual(&mut self, seconds: f64) {
-        self.core.comm.advance(seconds);
-    }
-
-    fn fault_stats(&self) -> FaultCounters {
-        self.core.comm.fault_stats()
+    fn core_mut(&mut self) -> &mut SchemeCore {
+        &mut self.core
     }
 }

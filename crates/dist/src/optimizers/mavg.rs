@@ -5,12 +5,11 @@
 //! gradient allreduce when the period exceeds one, at some statistical
 //! efficiency cost.
 
-use super::{collect_gradients, DistributedOptimizer, SchemeCore};
+use super::{collect_gradients, Scheme, SchemeCore};
 use crate::collectives::{allreduce_ring_among, average_among};
-use crate::comm::{CommResult, Communicator};
+use crate::comm::Communicator;
 use deep500_data::Minibatch;
 use deep500_graph::GraphExecutor;
-use deep500_metrics::{CommunicationVolume, FaultCounters};
 use deep500_tensor::{Result, Tensor};
 use deep500_train::optimizer::StepResult;
 use deep500_train::ThreeStepOptimizer;
@@ -37,7 +36,7 @@ impl ModelAveraging {
     }
 }
 
-impl DistributedOptimizer for ModelAveraging {
+impl Scheme for ModelAveraging {
     fn name(&self) -> &str {
         "MAVG"
     }
@@ -70,23 +69,11 @@ impl DistributedOptimizer for ModelAveraging {
         Ok(result)
     }
 
-    fn comm_stats(&self) -> CommunicationVolume {
-        self.core.comm.stats()
+    fn core(&self) -> &SchemeCore {
+        &self.core
     }
 
-    fn virtual_time(&self) -> f64 {
-        self.core.comm.elapsed()
-    }
-
-    fn begin_step(&mut self, step: u64) -> CommResult<()> {
-        self.core.comm.begin_step(step)
-    }
-
-    fn advance_virtual(&mut self, seconds: f64) {
-        self.core.comm.advance(seconds);
-    }
-
-    fn fault_stats(&self) -> FaultCounters {
-        self.core.comm.fault_stats()
+    fn core_mut(&mut self) -> &mut SchemeCore {
+        &mut self.core
     }
 }

@@ -71,6 +71,58 @@ pub trait DistributedOptimizer: Send {
     }
 }
 
+/// A built-in scheme: it states its name and its step and owns a
+/// [`SchemeCore`]. The rest of [`DistributedOptimizer`] reads the core's
+/// communicator, in the one implementation below that all eight schemes
+/// share.
+pub(crate) trait Scheme: Send {
+    fn name(&self) -> &str;
+
+    fn train_step(
+        &mut self,
+        executor: &mut dyn GraphExecutor,
+        batch: &Minibatch,
+    ) -> Result<StepResult>;
+
+    fn core(&self) -> &SchemeCore;
+
+    fn core_mut(&mut self) -> &mut SchemeCore;
+}
+
+impl<S: Scheme> DistributedOptimizer for S {
+    fn name(&self) -> &str {
+        Scheme::name(self)
+    }
+
+    fn train_step(
+        &mut self,
+        executor: &mut dyn GraphExecutor,
+        batch: &Minibatch,
+    ) -> Result<StepResult> {
+        Scheme::train_step(self, executor, batch)
+    }
+
+    fn comm_stats(&self) -> CommunicationVolume {
+        self.core().comm.stats()
+    }
+
+    fn virtual_time(&self) -> f64 {
+        self.core().comm.elapsed()
+    }
+
+    fn begin_step(&mut self, step: u64) -> CommResult<()> {
+        self.core_mut().comm.begin_step(step)
+    }
+
+    fn advance_virtual(&mut self, seconds: f64) {
+        self.core_mut().comm.advance(seconds);
+    }
+
+    fn fault_stats(&self) -> FaultCounters {
+        self.core().comm.fault_stats()
+    }
+}
+
 /// `(parameter name, gradient tensor)` pairs.
 pub(crate) type NamedGradients = Vec<(String, Tensor)>;
 
@@ -274,7 +326,7 @@ mod tests {
             x: Tensor::ones([2, 4]),
             labels: Tensor::from_slice(&[0.0, 1.0]),
         };
-        let result = scheme.train_step(&mut *ex, &batch);
+        let result = DistributedOptimizer::train_step(&mut scheme, &mut *ex, &batch);
         (result, spans.with(|s| s.0.clone()))
     }
 

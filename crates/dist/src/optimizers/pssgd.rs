@@ -7,11 +7,10 @@
 //! with the number of workers — the incast that caps PS scalability in
 //! Fig. 12.
 
-use super::{collect_gradients, DistributedOptimizer, SchemeCore};
-use crate::comm::{CommError, CommResult, Communicator};
+use super::{collect_gradients, Scheme, SchemeCore};
+use crate::comm::{CommError, Communicator};
 use deep500_data::Minibatch;
 use deep500_graph::GraphExecutor;
-use deep500_metrics::{CommunicationVolume, FaultCounters};
 use deep500_tensor::{Error, Result, Tensor};
 use deep500_train::optimizer::StepResult;
 use deep500_train::ThreeStepOptimizer;
@@ -29,7 +28,7 @@ impl ConsistentCentralized {
     }
 }
 
-impl DistributedOptimizer for ConsistentCentralized {
+impl Scheme for ConsistentCentralized {
     fn name(&self) -> &str {
         "PSSGD"
     }
@@ -90,23 +89,11 @@ impl DistributedOptimizer for ConsistentCentralized {
         Ok(result)
     }
 
-    fn comm_stats(&self) -> CommunicationVolume {
-        self.core.comm.stats()
+    fn core(&self) -> &SchemeCore {
+        &self.core
     }
 
-    fn virtual_time(&self) -> f64 {
-        self.core.comm.elapsed()
-    }
-
-    fn begin_step(&mut self, step: u64) -> CommResult<()> {
-        self.core.comm.begin_step(step)
-    }
-
-    fn advance_virtual(&mut self, seconds: f64) {
-        self.core.comm.advance(seconds);
-    }
-
-    fn fault_stats(&self) -> FaultCounters {
-        self.core.comm.fault_stats()
+    fn core_mut(&mut self) -> &mut SchemeCore {
+        &mut self.core
     }
 }

@@ -10,11 +10,10 @@
 //! (payloads are priced at their packed bitset size, the
 //! `DataType::Bitset` description of the tensor-descriptor system).
 
-use super::{collect_gradients, DistributedOptimizer, SchemeCore};
-use crate::comm::{CommResult, Communicator};
+use super::{collect_gradients, Scheme, SchemeCore};
+use crate::comm::Communicator;
 use deep500_data::Minibatch;
 use deep500_graph::GraphExecutor;
-use deep500_metrics::{CommunicationVolume, FaultCounters};
 use deep500_tensor::{DataType, Result, Tensor};
 use deep500_train::optimizer::StepResult;
 use deep500_train::ThreeStepOptimizer;
@@ -65,7 +64,7 @@ impl SignCompressedSgd {
     }
 }
 
-impl DistributedOptimizer for SignCompressedSgd {
+impl Scheme for SignCompressedSgd {
     fn name(&self) -> &str {
         "SignSGD"
     }
@@ -130,24 +129,12 @@ impl DistributedOptimizer for SignCompressedSgd {
         Ok(result)
     }
 
-    fn comm_stats(&self) -> CommunicationVolume {
-        self.core.comm.stats()
+    fn core(&self) -> &SchemeCore {
+        &self.core
     }
 
-    fn virtual_time(&self) -> f64 {
-        self.core.comm.elapsed()
-    }
-
-    fn begin_step(&mut self, step: u64) -> CommResult<()> {
-        self.core.comm.begin_step(step)
-    }
-
-    fn advance_virtual(&mut self, seconds: f64) {
-        self.core.comm.advance(seconds);
-    }
-
-    fn fault_stats(&self) -> FaultCounters {
-        self.core.comm.fault_stats()
+    fn core_mut(&mut self) -> &mut SchemeCore {
+        &mut self.core
     }
 }
 

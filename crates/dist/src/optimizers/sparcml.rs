@@ -7,12 +7,11 @@
 //! volume reduction at 8 nodes, eroding as the vectors densify with node
 //! count — both effects emerge from the real [`sparse_allreduce`] here.
 
-use super::{DistributedOptimizer, SchemeCore};
-use crate::comm::{CommResult, Communicator};
+use super::{Scheme, SchemeCore};
+use crate::comm::Communicator;
 use crate::sparse::{sparse_allreduce, SparseVector};
 use deep500_data::Minibatch;
 use deep500_graph::GraphExecutor;
-use deep500_metrics::{CommunicationVolume, FaultCounters};
 use deep500_tensor::{Result, Tensor};
 use deep500_train::optimizer::StepResult;
 use deep500_train::ThreeStepOptimizer;
@@ -45,7 +44,7 @@ impl SparseDecentralized {
     }
 }
 
-impl DistributedOptimizer for SparseDecentralized {
+impl Scheme for SparseDecentralized {
     fn name(&self) -> &str {
         "SparCML"
     }
@@ -76,23 +75,11 @@ impl DistributedOptimizer for SparseDecentralized {
         Ok(result)
     }
 
-    fn comm_stats(&self) -> CommunicationVolume {
-        self.core.comm.stats()
+    fn core(&self) -> &SchemeCore {
+        &self.core
     }
 
-    fn virtual_time(&self) -> f64 {
-        self.core.comm.elapsed()
-    }
-
-    fn begin_step(&mut self, step: u64) -> CommResult<()> {
-        self.core.comm.begin_step(step)
-    }
-
-    fn advance_virtual(&mut self, seconds: f64) {
-        self.core.comm.advance(seconds);
-    }
-
-    fn fault_stats(&self) -> FaultCounters {
-        self.core.comm.fault_stats()
+    fn core_mut(&mut self) -> &mut SchemeCore {
+        &mut self.core
     }
 }

@@ -9,14 +9,23 @@
 //! `.executor(ExecutorKind::Reference)` selects the serial oracle, which
 //! gives the same bits:
 //!
-//! ```ignore
+//! ```
+//! # use deep500_data::synthetic::SyntheticDataset;
+//! # use deep500_dist::runner::{DistributedRunner, Variant};
+//! # use deep500_dist::{FaultPlan, NetworkModel};
+//! # use deep500_tensor::Shape;
+//! # use std::sync::Arc;
+//! # let network = deep500_graph::models::mlp(10, &[8], 3, 5)?;
+//! # let dataset = Arc::new(SyntheticDataset::new("doc", Shape::new(&[10]), 3, 64, 0.3, 7));
 //! let report = DistributedRunner::new(&network, dataset)
-//!     .world(4)
+//!     .world(2)
+//!     .steps(3)
 //!     .variant(Variant::Cdsgd)
 //!     .network(NetworkModel::aries())
 //!     .faults(FaultPlan::seeded(7).with_drops(0.1, 3))
 //!     .run()?;
 //! assert!(report.consistency(1e-5).is_consistent());
+//! # Ok::<(), deep500_tensor::Error>(())
 //! ```
 //!
 //! The result is a [`RunReport`]: per-rank losses, parameters, volumes,

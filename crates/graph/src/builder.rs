@@ -89,6 +89,9 @@ impl NetworkBuilder {
     }
 
     /// Convolution with an explicit algorithm choice.
+    ///
+    /// Public for: §IV-C, Level 0's choice of implementation per operator,
+    /// made from the network builder.
     pub fn conv_with_algo(
         mut self,
         out_c: usize,
@@ -324,7 +327,10 @@ mod tests {
         assert!(out["loss"].data()[0] > 0.0);
         // All parameters got gradients.
         for p in ex.network().get_params().to_vec() {
-            assert!(ex.network().has_tensor(&crate::grad_name(&p)), "{p}");
+            assert!(
+                ex.network().fetch_tensor(&crate::grad_name(&p)).is_ok(),
+                "{p}"
+            );
         }
     }
 

@@ -264,6 +264,9 @@ impl Engine {
 
     /// What the ahead-of-time compile pipeline rewrote (`None` when the
     /// builder ran without [`EngineBuilder::compile`]).
+    ///
+    /// Public for: §IV-D, what the graph transformations of a compiled
+    /// engine rewrote.
     pub fn compile_report(&self) -> Option<&CompileReport> {
         self.core.report.as_ref()
     }

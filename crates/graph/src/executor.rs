@@ -642,6 +642,9 @@ impl FrameworkOverheadProbe {
     }
 
     /// Seconds spent inside operators.
+    ///
+    /// Public for: §V-D, the operator time that framework overhead is
+    /// measured against.
     pub fn operator_time(&self) -> f64 {
         self.op_time
     }

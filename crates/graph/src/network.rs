@@ -182,11 +182,6 @@ impl Network {
             .ok_or_else(|| Error::NotFound(format!("tensor '{name}'")))
     }
 
-    /// Whether a tensor value is currently available.
-    pub fn has_tensor(&self, name: &str) -> bool {
-        self.initializers.contains_key(name) || self.values.contains_key(name)
-    }
-
     /// Iterate over the non-parameter value store (fed inputs, gradients,
     /// constants materialized by compile passes).
     pub fn values(&self) -> impl Iterator<Item = (&String, &Tensor)> {
@@ -435,7 +430,7 @@ mod tests {
         net.feed_tensor("w", Tensor::from_slice(&[5.0]));
         assert_eq!(net.fetch_tensor("w").unwrap().data(), &[5.0]);
         net.feed_tensor("activation", Tensor::from_slice(&[2.0]));
-        assert!(net.has_tensor("activation"));
+        assert!(net.fetch_tensor("activation").is_ok());
         assert!(net.fetch_tensor("missing").is_err());
         assert_eq!(net.parameter_bytes(), 4);
     }
@@ -479,7 +474,7 @@ mod tests {
         net.feed_tensor("x", Tensor::from_slice(&[1.0]));
         let c = net.clone_structure();
         assert_eq!(c.num_nodes(), 2);
-        assert!(c.has_tensor("w"));
-        assert!(!c.has_tensor("x"));
+        assert!(c.fetch_tensor("w").is_ok());
+        assert!(c.fetch_tensor("x").is_err());
     }
 }

@@ -307,7 +307,7 @@ proptest! {
             .network()
             .get_params()
             .iter()
-            .filter(|p| ex.network().has_tensor(&deep500_graph::grad_name(p)))
+            .filter(|p| ex.network().fetch_tensor(&deep500_graph::grad_name(p)).is_ok())
             .count();
         prop_assert_eq!(with_grads, nparams);
     }

@@ -6,8 +6,6 @@
 //! are exact properties of the executed communication schedule rather than
 //! estimates.
 
-use crate::{MetricValue, TestMetric};
-
 /// Bytes and message counts sent/received by one rank (or aggregated over
 /// ranks via [`merge`](CommunicationVolume::merge)).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -48,35 +46,6 @@ impl CommunicationVolume {
         self.messages_sent += other.messages_sent;
         self.messages_received += other.messages_received;
     }
-
-    /// Sent bytes in GB (decimal, as the paper reports: "0.952 GB").
-    fn sent_gb(&self) -> f64 {
-        self.bytes_sent as f64 / 1e9
-    }
-}
-
-impl TestMetric for CommunicationVolume {
-    fn name(&self) -> &str {
-        "communication-volume"
-    }
-    fn observe(&mut self, value: f64) {
-        self.record_send(value as usize);
-    }
-    fn summarize(&self) -> MetricValue {
-        MetricValue::Scalar(self.total_bytes() as f64)
-    }
-    fn render(&self) -> String {
-        format!(
-            "communication-volume: sent {:.3} GB in {} msgs, received {:.3} GB in {} msgs",
-            self.sent_gb(),
-            self.messages_sent,
-            self.bytes_received as f64 / 1e9,
-            self.messages_received
-        )
-    }
-    fn reset(&mut self) {
-        *self = Self::default();
-    }
 }
 
 #[cfg(test)]
@@ -104,22 +73,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total_bytes(), 30);
         assert_eq!(a.messages_received, 1);
-    }
-
-    #[test]
-    fn gb_conversion_is_decimal() {
-        let mut v = CommunicationVolume::new();
-        v.record_send(952_000_000);
-        assert!((v.sent_gb() - 0.952).abs() < 1e-9);
-    }
-
-    #[test]
-    fn render_mentions_both_directions() {
-        let mut v = CommunicationVolume::new();
-        v.record_send(1_000_000_000);
-        let r = v.render();
-        assert!(r.contains("sent 1.000 GB"));
-        v.reset();
-        assert_eq!(v, CommunicationVolume::default());
     }
 }

@@ -8,7 +8,6 @@
 //! network models elsewhere in this reproduction.
 
 use crate::event::{Event, Phase};
-use crate::{MetricValue, TestMetric};
 use std::time::Instant;
 
 /// A device power envelope in watts.
@@ -72,14 +71,6 @@ impl EnergyMetric {
         }
     }
 
-    /// Busy (operator-executing) seconds so far.
-    ///
-    /// Public for: §IV-A, the evaluator's energy metric (busy against idle
-    /// time).
-    pub fn busy_seconds(&self) -> f64 {
-        self.busy_s
-    }
-
     /// Modeled joules so far.
     pub fn energy_j(&self) -> f64 {
         self.model
@@ -119,31 +110,6 @@ impl Event for EnergyMetric {
     }
 }
 
-impl TestMetric for EnergyMetric {
-    fn name(&self) -> &str {
-        "energy"
-    }
-    fn observe(&mut self, value: f64) {
-        self.busy_s += value;
-    }
-    fn summarize(&self) -> MetricValue {
-        MetricValue::Scalar(self.energy_j())
-    }
-    fn render(&self) -> String {
-        format!(
-            "energy: {:.2} J (avg {:.1} W, busy {:.3} s)",
-            self.energy_j(),
-            self.average_power_w(),
-            self.busy_s
-        )
-    }
-    fn reset(&mut self) {
-        self.busy_s = 0.0;
-        self.started = Instant::now();
-        self.op_start = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,13 +138,11 @@ mod tests {
         e.begin(Phase::OperatorForward, 0);
         std::thread::sleep(std::time::Duration::from_millis(5));
         e.end(Phase::OperatorForward, 0);
-        assert!(e.busy_seconds() >= 0.004);
+        assert!(e.busy_s >= 0.004);
         assert!(e.energy_j() > 0.0);
         let avg = e.average_power_w();
         assert!(avg > PowerModel::xeon().idle_w * 0.9);
         assert!(avg <= PowerModel::xeon().active_w * 1.1);
-        e.reset();
-        assert_eq!(e.busy_seconds(), 0.0);
     }
 
     #[test]
@@ -189,7 +153,7 @@ mod tests {
         e.span(Phase::OperatorForward, 0, 0.5);
         e.span(Phase::OperatorBackward, 0, 0.25);
         e.span(Phase::Iteration, 0, 10.0); // not busy time
-        assert!((e.busy_seconds() - 0.75).abs() < 1e-12);
+        assert!((e.busy_s - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -197,6 +161,6 @@ mod tests {
         let mut e = EnergyMetric::new(PowerModel::p100());
         e.begin(Phase::Epoch, 0);
         e.end(Phase::Epoch, 0);
-        assert_eq!(e.busy_seconds(), 0.0);
+        assert_eq!(e.busy_s, 0.0);
     }
 }

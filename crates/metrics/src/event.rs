@@ -118,9 +118,10 @@ impl Phase {
 /// A hook invoked by executors, optimizers and runners.
 ///
 /// All methods have no-op defaults so implementors only override what they
-/// need. A metric type can implement both `Event` and
-/// [`TestMetric`](crate::TestMetric), mirroring the paper's dual-inheritance
-/// pattern.
+/// need. A metric that measures a phase (`WallclockTime`, `EnergyMetric`)
+/// implements `Event` and is read through its own typed accessors; the
+/// paper's second base class, the test metric, has no counterpart here
+/// (see the crate header).
 pub trait Event: Send {
     /// Called when `phase` begins; `id` identifies the instance (node id,
     /// epoch number, iteration number — phase dependent).

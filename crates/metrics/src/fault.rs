@@ -8,8 +8,6 @@
 //! recoveries, virtual seconds spent recovering, and training steps lost
 //! to crashed ranks — as exact counters rather than estimates.
 
-use crate::{MetricValue, TestMetric};
-
 /// Counters of injected faults and recovery work on one rank (or
 /// aggregated across ranks via [`merge`](FaultCounters::merge)).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -42,15 +40,6 @@ impl FaultCounters {
         Self::default()
     }
 
-    /// Total faults injected (drops + delays + crashes + straggler
-    /// slowdowns).
-    fn total_injected(&self) -> u64 {
-        self.drops_injected
-            + self.delays_injected
-            + self.crashes_injected
-            + self.straggler_slowdowns
-    }
-
     /// Aggregate another rank's counters into this one.
     pub fn merge(&mut self, other: &FaultCounters) {
         self.drops_injected += other.drops_injected;
@@ -61,39 +50,6 @@ impl FaultCounters {
         self.recoveries += other.recoveries;
         self.steps_lost += other.steps_lost;
         self.recovery_virtual_s += other.recovery_virtual_s;
-    }
-}
-
-impl TestMetric for FaultCounters {
-    fn name(&self) -> &str {
-        "fault-tolerance"
-    }
-    fn observe(&mut self, _value: f64) {
-        // Faults are recorded through the typed fields; a bare scalar
-        // observation counts one generic injected fault.
-        self.drops_injected += 1;
-    }
-    fn summarize(&self) -> MetricValue {
-        MetricValue::Scalar(self.total_injected() as f64)
-    }
-    fn render(&self) -> String {
-        format!(
-            "fault-tolerance: {} injected ({} drops, {} delays, {} crashes, \
-             {} straggled), {} retries, {} recoveries, {} steps lost, \
-             {:.3} ms virtual recovery",
-            self.total_injected(),
-            self.drops_injected,
-            self.delays_injected,
-            self.crashes_injected,
-            self.straggler_slowdowns,
-            self.retries,
-            self.recoveries,
-            self.steps_lost,
-            self.recovery_virtual_s * 1e3
-        )
-    }
-    fn reset(&mut self) {
-        *self = Self::default();
     }
 }
 
@@ -112,18 +68,8 @@ mod tests {
         b.steps_lost = 4;
         b.recovery_virtual_s = 0.25;
         a.merge(&b);
-        assert_eq!(a.total_injected(), 4);
+        assert_eq!((a.drops_injected, a.crashes_injected), (3, 1));
         assert_eq!(a.steps_lost, 4);
         assert!((a.recovery_virtual_s - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn metric_interface() {
-        let mut c = FaultCounters::new();
-        c.observe(1.0);
-        assert_eq!(c.summarize(), MetricValue::Scalar(1.0));
-        assert!(c.render().contains("1 injected"));
-        c.reset();
-        assert_eq!(c, FaultCounters::default());
     }
 }

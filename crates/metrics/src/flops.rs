@@ -1,58 +1,8 @@
 //! Floating-point-operation counting.
 //!
 //! Deep500 reports FLOPs as a per-operator and per-network performance
-//! metric. Operators declare their analytical FLOP cost; this metric
-//! accumulates those counts and, combined with wallclock time, yields
-//! FLOP/s rates.
-
-use crate::{MetricValue, TestMetric};
-
-/// Accumulates floating-point-operation counts.
-#[derive(Debug, Default)]
-pub struct FlopsMetric {
-    total: f64,
-}
-
-impl FlopsMetric {
-    /// Fresh counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `flops` operations.
-    pub fn add(&mut self, flops: f64) {
-        self.total += flops;
-    }
-
-    /// Total operations counted.
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-
-    /// Rate in FLOP/s given elapsed seconds.
-    pub fn rate(&self, seconds: f64) -> f64 {
-        if seconds > 0.0 {
-            self.total / seconds
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-impl TestMetric for FlopsMetric {
-    fn name(&self) -> &str {
-        "flops"
-    }
-    fn observe(&mut self, value: f64) {
-        self.add(value);
-    }
-    fn summarize(&self) -> MetricValue {
-        MetricValue::Scalar(self.total)
-    }
-    fn reset(&mut self) {
-        self.total = 0.0;
-    }
-}
+//! metric. Operators declare their analytical FLOP cost from these counts;
+//! combined with wallclock time, they yield FLOP/s rates.
 
 /// Analytical FLOP counts for the standard dense kernels, shared by the
 /// operator implementations and the benchmark harnesses.
@@ -92,18 +42,6 @@ pub mod counts {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accumulates_and_rates() {
-        let mut f = FlopsMetric::new();
-        f.add(100.0);
-        f.observe(50.0);
-        assert_eq!(f.total(), 150.0);
-        assert_eq!(f.rate(3.0), 50.0);
-        assert!(f.rate(0.0).is_infinite());
-        f.reset();
-        assert_eq!(f.total(), 0.0);
-    }
 
     #[test]
     fn gemm_count() {

@@ -1,10 +1,7 @@
 //! 2-D heatmaps "to highlight regions of interest" (paper §III-E).
 //!
 //! A [`Heatmap`] is built from a flat buffer interpreted as `rows x cols`
-//! and summarizes as a [`MetricValue::Matrix`]; it can be mean-pooled
-//! down for display.
-
-use crate::{MetricValue, TestMetric};
+//! and read back through its dimensions, data and intensity range.
 
 /// A dense row-major 2-D map of `f64` intensities.
 #[derive(Debug, Clone)]
@@ -57,25 +54,6 @@ impl Heatmap {
             hi = hi.max(v);
         }
         (lo, hi)
-    }
-}
-
-impl TestMetric for Heatmap {
-    fn name(&self) -> &str {
-        "heatmap"
-    }
-    fn observe(&mut self, _value: f64) {
-        // Heatmaps are built from full buffers, not scalar observations.
-    }
-    fn summarize(&self) -> MetricValue {
-        MetricValue::Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.clone(),
-        }
-    }
-    fn reset(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
     }
 }
 

@@ -24,6 +24,9 @@ impl ConfidenceInterval {
 
     /// Whether two intervals overlap — the paper's criterion for declaring
     /// two runtime distributions statistically indistinguishable.
+    ///
+    /// Public for: §V-D, comparing a wrapped and a native runtime by their
+    /// 95% confidence intervals.
     pub fn overlaps(&self, other: &ConfidenceInterval) -> bool {
         self.lo <= other.hi && other.lo <= self.hi
     }

@@ -376,11 +376,6 @@ impl TraceSink {
         });
     }
 
-    /// Spans buffered locally and not yet merged.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Merge the local buffer into the shared recorder (one lock per call).
     pub fn flush(&mut self) {
         if self.buf.is_empty() {
@@ -525,7 +520,7 @@ mod tests {
         sink.begin(Phase::OperatorForward, 3);
         std::thread::sleep(std::time::Duration::from_millis(2));
         sink.end(Phase::OperatorForward, 3);
-        assert_eq!(sink.buffered(), 1, "op spans buffer locally");
+        assert_eq!(sink.buf.len(), 1, "op spans buffer locally");
         sink.flush();
         let tracks = rec.tracks();
         assert_eq!(tracks.len(), 1);
@@ -545,7 +540,7 @@ mod tests {
         assert_eq!(rec.span_count(), 0, "op span stays local");
         sink.end(Phase::Backprop, 1);
         assert_eq!(rec.span_count(), 2, "outer end merges the buffer");
-        assert_eq!(sink.buffered(), 0);
+        assert_eq!(sink.buf.len(), 0);
     }
 
     #[test]

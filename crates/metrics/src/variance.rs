@@ -10,7 +10,6 @@
 
 use crate::heatmap::Heatmap;
 use crate::norms::nan_max;
-use crate::{MetricValue, TestMetric};
 
 /// Online elementwise mean/variance accumulator over repeated output buffers.
 #[derive(Debug, Clone)]
@@ -74,26 +73,6 @@ impl VarianceMap {
     }
 }
 
-impl TestMetric for VarianceMap {
-    fn name(&self) -> &str {
-        "output-variance"
-    }
-    fn reruns(&self) -> usize {
-        30
-    }
-    fn observe(&mut self, _value: f64) {
-        // Fed via `update` with full buffers.
-    }
-    fn summarize(&self) -> MetricValue {
-        MetricValue::Scalar(self.max_variance())
-    }
-    fn reset(&mut self) {
-        self.n = 0;
-        self.mean.iter_mut().for_each(|v| *v = 0.0);
-        self.m2.iter_mut().for_each(|v| *v = 0.0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,7 +105,6 @@ mod tests {
         v.update(&[1.0, f32::NAN, 3.0]);
         v.update(&[1.0, 2.0, 5.0]);
         assert!(v.max_variance().is_nan());
-        assert!(v.summarize().as_scalar().unwrap().is_nan());
     }
 
     #[test]
@@ -144,16 +122,6 @@ mod tests {
         let h = v.heatmap(2, 2);
         assert!(h.get(1, 0) > 0.0);
         assert_eq!(h.get(0, 0), 0.0);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut v = VarianceMap::new(1);
-        v.update(&[1.0]);
-        v.update(&[3.0]);
-        v.reset();
-        assert_eq!(v.count(), 0);
-        assert_eq!(v.max_variance(), 0.0);
     }
 
     #[test]

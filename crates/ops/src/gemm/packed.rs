@@ -1551,7 +1551,11 @@ pub(crate) mod properties {
         /// epilogue `Linear` and `MatMul` fuse. Under miri both run the
         /// portable kernel, which checks the offset tables, the bounce
         /// tile, the transposing pack and the reach assertion at both
-        /// widths.
+        /// widths. The tiles agree bitwise for finite values, ±inf and the
+        /// canonical `f32::NAN`; a NaN input with its sign bit or a payload
+        /// set may leave with different NaN bits per tile (the FMA operand
+        /// order picks which NaN propagates), so the operands drawn here
+        /// are finite.
         #[test]
         fn wide_and_narrow_tiles_agree_bitwise(
             m in 1usize..if cfg!(miri) { 12 } else { 160 },
@@ -1603,7 +1607,11 @@ pub(crate) mod properties {
         /// and the row on its own `1 x NR_W` tile, which rounds like the
         /// narrow tile on every host and like the wide one wherever the
         /// two tiles round alike. The entry points themselves run at the
-        /// host's width, where that always holds.
+        /// host's width, where that always holds. A row alone is its row
+        /// in a batch for finite values, ±inf and the canonical
+        /// `f32::NAN`; a NaN input with its sign bit or a payload set may
+        /// leave with different NaN bits per tile, so the operands drawn
+        /// here are finite.
         #[test]
         fn a_row_alone_is_its_row_in_a_batch(
             m in 2usize..if cfg!(miri) { 4 } else { 10 },

@@ -119,6 +119,9 @@ pub(crate) fn all_wanted(grads: Vec<Option<Tensor>>) -> Vec<Tensor> {
 }
 
 /// Run an operator's forward pass with shape checking, as executors do.
+///
+/// Public for: §IV-C, running one operator (a custom one included) outside
+/// a graph with the arity check an executor applies.
 pub fn checked_forward(op: &dyn Operator, inputs: &[&Tensor]) -> Result<Vec<Tensor>> {
     if inputs.len() != op.num_inputs() {
         return Err(deep500_tensor::Error::Invalid(format!(

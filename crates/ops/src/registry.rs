@@ -171,15 +171,6 @@ pub fn is_registered(name: &str) -> bool {
     registry().factories.read().contains_key(name)
 }
 
-/// Names of all registered operators, sorted.
-///
-/// Public for: §IV-C, the operator inventory a benchmark sweeps over.
-pub fn registered_ops() -> Vec<String> {
-    let mut names: Vec<String> = registry().factories.read().keys().cloned().collect();
-    names.sort();
-    names
-}
-
 fn parse_gemm_algo(attrs: &Attributes) -> Result<Algorithm> {
     match attrs.str_or("algorithm", "packed") {
         "naive" => Ok(Algorithm::Naive),
@@ -368,7 +359,7 @@ mod tests {
             assert!(is_registered(name), "{name} missing");
         }
         assert!(!is_registered("Nonexistent"));
-        assert!(registered_ops().len() >= 20);
+        assert!(registry().factories.read().len() >= 20);
     }
 
     #[test]

@@ -442,6 +442,9 @@ impl ModelConfig {
 
     /// Declare a batch-independent input (shared state: must be identical
     /// across coalesced requests). Symbolically [`SymShape::fixed`]`(dims)`.
+    ///
+    /// Public for: DESIGN §14, a served model's batch-independent input,
+    /// the counterpart of `batched_input`.
     pub fn fixed_input(mut self, name: impl Into<String>, dims: &[usize]) -> Self {
         self.fixed.push((name.into(), dims.to_vec()));
         self

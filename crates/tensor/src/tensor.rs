@@ -316,15 +316,6 @@ impl Tensor {
         self.data.iter().copied().fold(f32::INFINITY, f32::min)
     }
 
-    /// ℓ2 norm of the flat buffer.
-    pub fn l2_norm(&self) -> f64 {
-        self.data
-            .iter()
-            .map(|&v| v as f64 * v as f64)
-            .sum::<f64>()
-            .sqrt()
-    }
-
     /// True if any element is NaN or infinite — the "exploding loss" check.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|v| !v.is_finite())
@@ -482,7 +473,6 @@ mod tests {
         assert!((t.mean() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(t.max(), 3.0);
         assert_eq!(t.min(), -2.0);
-        assert!((t.l2_norm() - (14.0f64).sqrt()).abs() < 1e-9);
         assert!(!t.has_non_finite());
         let bad = Tensor::from_slice(&[1.0, f32::NAN]);
         assert!(bad.has_non_finite());

@@ -126,6 +126,7 @@ impl ThreeStepOptimizer for AcceleGrad {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deep500_metrics::norms;
 
     #[test]
     fn alpha_schedule_matches_listing() {
@@ -181,7 +182,7 @@ mod tests {
             let g = fed.scale(2.0); // gradient at the fed iterate
             w = a.update_rule(&g, &fed, "w").unwrap();
         }
-        assert!(w.l2_norm() < 0.5, "norm {}", w.l2_norm());
+        assert!(norms::l2(w.data()) < 0.5, "norm {}", norms::l2(w.data()));
     }
 
     #[test]

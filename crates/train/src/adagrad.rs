@@ -45,6 +45,7 @@ impl ThreeStepOptimizer for AdaGrad {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deep500_metrics::norms;
 
     #[test]
     fn first_step_is_lr_in_sign_direction() {
@@ -80,6 +81,6 @@ mod tests {
             let g = w.scale(2.0);
             w = o.update_rule(&g, &w, "w").unwrap();
         }
-        assert!(w.l2_norm() < 0.05, "norm {}", w.l2_norm());
+        assert!(norms::l2(w.data()) < 0.05, "norm {}", norms::l2(w.data()));
     }
 }

@@ -155,6 +155,7 @@ impl ThreeStepOptimizer for StochasticLbfgs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deep500_metrics::norms;
 
     /// Quadratic f(w) = 0.5 wᵀ A w with ill-conditioned diagonal A: L-BFGS
     /// must converge much faster than gradient descent at the same lr.
@@ -214,10 +215,10 @@ mod tests {
             lb_w = lbfgs.update_rule(&g, &lb_w, "w").unwrap();
         }
         assert!(
-            lb_w.l2_norm() < gd_w.l2_norm() * 0.1,
+            norms::l2(lb_w.data()) < norms::l2(gd_w.data()) * 0.1,
             "lbfgs {} vs gd {}",
-            lb_w.l2_norm(),
-            gd_w.l2_norm()
+            norms::l2(lb_w.data()),
+            norms::l2(gd_w.data())
         );
     }
 

@@ -56,6 +56,7 @@ impl ThreeStepOptimizer for Momentum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deep500_metrics::norms;
 
     #[test]
     fn zero_momentum_equals_sgd() {
@@ -110,6 +111,6 @@ mod tests {
             let g = w.scale(2.0);
             w = m.update_rule(&g, &w, "w").unwrap();
         }
-        assert!(w.l2_norm() < 1e-4, "norm {}", w.l2_norm());
+        assert!(norms::l2(w.data()) < 1e-4, "norm {}", norms::l2(w.data()));
     }
 }

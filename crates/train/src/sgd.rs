@@ -46,6 +46,7 @@ impl ThreeStepOptimizer for GradientDescent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deep500_metrics::norms;
 
     #[test]
     fn one_step_matches_formula() {
@@ -67,7 +68,7 @@ mod tests {
             let g = w.scale(2.0);
             w = o.update_rule(&g, &w, "w").unwrap();
         }
-        assert!(w.l2_norm() < 1e-6, "norm {}", w.l2_norm());
+        assert!(norms::l2(w.data()) < 1e-6, "norm {}", norms::l2(w.data()));
     }
 
     #[test]

@@ -331,6 +331,8 @@ impl VerifyReport {
     }
 
     /// Lints of a given code (for tests and targeted reporting).
+    ///
+    /// Public for: DESIGN §11, a verifier report queried by lint code.
     pub fn with_code(&self, code: LintCode) -> Vec<&Lint> {
         self.lints.iter().filter(|l| l.code == code).collect()
     }
