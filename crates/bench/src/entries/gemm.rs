@@ -35,7 +35,7 @@ use crate::{reruns, time_rounds, Subject};
 use deep500::metrics::norms::{linf_diff, nan_max};
 use deep500::metrics::stats::Summary;
 use deep500::ops::deepbench::GemmSize;
-use deep500::ops::gemm::{gemm_into, matmul, matmul_at_b_with, Algorithm};
+use deep500::ops::gemm::{gemm_into, matmul, matmul_as, Algorithm, Epilogue};
 use deep500::ops::linear::LinearOp;
 use deep500::ops::par;
 use deep500::ops::Operator;
@@ -76,7 +76,8 @@ fn time_tiers(
             Subject::wall(move || {
                 let mut c = c.borrow_mut();
                 c.fill(0.0);
-                gemm_into(algo, g.m, g.n, g.k, a.data(), b.data(), &mut c);
+                let (a, b, ep) = (a.data(), b.data(), Epilogue::None);
+                gemm_into(algo, g.m, g.n, g.k, a, false, b, false, &mut c, ep);
                 black_box(c[0])
             })
         })
@@ -170,7 +171,9 @@ fn linear_rows(rng: &mut Xoshiro256StarStar) -> Vec<Row> {
                     forward()
                 }),
                 Subject::wall(move || matmul(Algorithm::Packed, g, &w.borrow()).expect("dX")),
-                Subject::wall(move || matmul_at_b_with(Algorithm::Packed, g, x).expect("dW")),
+                Subject::wall(move || {
+                    matmul_as(Algorithm::Packed, g, true, x, false, Epilogue::None).expect("dW")
+                }),
             ];
             let timed = time_rounds(3, 20 * reruns(), &mut subjects);
             let flops = 2.0 * (n * fin * fout) as f64;

@@ -10,31 +10,29 @@
 use crate::sampler::DatasetSampler;
 use deep500_tensor::Result;
 
-/// Label histogram of sampled elements.
-///
-/// Public for: §IV-E's sampler metric, exposed by `SamplerReport::bias`.
-#[derive(Debug, Clone)]
-pub struct DatasetBias {
+/// Label histogram of sampled elements; [`test_sampler`] reduces it to
+/// its chi-square statistic.
+struct DatasetBias {
     counts: Vec<u64>,
 }
 
 impl DatasetBias {
     /// Metric over `classes` labels.
-    pub fn new(classes: usize) -> Self {
+    fn new(classes: usize) -> Self {
         DatasetBias {
             counts: vec![0; classes],
         }
     }
 
     /// Record one sampled label.
-    pub fn record(&mut self, label: u32) {
+    fn record(&mut self, label: u32) {
         if let Some(c) = self.counts.get_mut(label as usize) {
             *c += 1;
         }
     }
 
     /// Total samples recorded.
-    pub fn total(&self) -> u64 {
+    fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
 
@@ -61,7 +59,6 @@ impl DatasetBias {
 /// Public for: returned by `test_sampler`.
 #[derive(Debug, Clone)]
 pub struct SamplerReport {
-    pub bias: DatasetBias,
     /// Samples drawn.
     pub samples: u64,
     /// Chi-square statistic vs the dataset's true label distribution.
@@ -104,7 +101,6 @@ pub fn test_sampler(sampler: &mut dyn DatasetSampler, epochs: usize) -> Result<S
         .collect();
     let chi_square = bias.chi_square(&expected);
     Ok(SamplerReport {
-        bias,
         samples: total as u64,
         chi_square,
         dof: classes.saturating_sub(1),

@@ -33,7 +33,7 @@
 //! Every product participates — there is no skip on zero gradient
 //! elements, so the cost does not depend on gradient density and `0 · NaN`
 //! propagates exactly as in the GEMM backward
-//! ([`matmul_at_b_with`](crate::gemm::matmul_at_b_with)): a non-finite
+//! ([`matmul_as`](crate::gemm::matmul_as) with `A` transposed): a non-finite
 //! `dY` element reaches every tap of its channel's `dW` and, through `Wᵀ`,
 //! `dX`; a non-finite weight reaches `dX` under an all-zero `dY`. The
 //! window reduction adds one case of its own. It multiplies the seam
@@ -57,7 +57,7 @@
 //! bitwise independent of the thread count.
 
 use super::{direct, fetch, im2col_block, pad_image, ConvGeometry, Lowering};
-use crate::gemm::packed::gemm_packed_into;
+use crate::gemm::{gemm_into, Algorithm::Packed, Epilogue};
 use deep500_tensor::{
     recycle_scratch, scratch_dirty, scratch_zeroed, Error, Result, Shape, Tensor,
 };
@@ -451,6 +451,7 @@ fn lane_backward(
     let (k, p, chw) = (lw.k(), lw.ho * lw.wo, lw.c * lw.h * lw.wd);
     let block_cols = bl.imgs * bl.rows * lw.wo;
     let windows = dw_reads_windows(lw, co);
+    let plain = Epilogue::None;
     // Dirty scratch throughout: im2col_block writes every column it
     // lowers (and the dX GEMM's target is cleared first), the dY block is
     // copied whole before use, and the window form writes every float of
@@ -513,14 +514,14 @@ fn lane_backward(
                     im2col_block(xi, lw, 0..k, oh0 * lw.wo..oh1 * lw.wo, colb, cols, il * seg);
                 }
                 // dW += dY · colᵀ
-                gemm_packed_into(co, k, cols, dyblk, false, colb, true, dw);
+                gemm_into(Packed, co, k, cols, dyblk, false, colb, true, dw, plain);
             }
             if let Some(dxl) = dxl.as_deref_mut() {
                 // dcol = Wᵀ · dY, into the column block (dW is done with
                 // it, if it used it at all).
                 let colb = &mut col[..k * cols];
                 colb.fill(0.0);
-                gemm_packed_into(k, cols, co, wdat, true, dyblk, false, colb);
+                gemm_into(Packed, k, cols, co, wdat, true, dyblk, false, colb, plain);
                 for il in 0..ni {
                     let at = (i0 + il - img0) * chw;
                     col2im_rows(colb, cols, il * seg, lw, oh0, oh1, &mut dxl[at..at + chw]);

@@ -17,10 +17,11 @@
 //!   stride 1 (the kernel reads windows of one zero-padded copy of the
 //!   image; other strides gather a cache block of rows at a time), and
 //!   bias/ReLU folded into the GEMM write-back via
-//!   [`Epilogue`](crate::gemm::Epilogue),
+//!   [`Epilogue`],
 //! * [`ConvAlgorithm::Im2col`] — lowering to GEMM through a materialized
 //!   whole-image column buffer (the "explicit precompute GEMM" of the
-//!   paper's figure), sharing the Level-0 GEMM kernels; it sums in a
+//!   paper's figure), sharing the Level-0 GEMM kernels and their fused
+//!   bias/ReLU write-back; it sums in a
 //!   different grouping than the direct tier, which is what keeps the
 //!   paper's ℓ∞ cross-implementation comparisons non-trivial (the scalar
 //!   [`forward_reference`] is the third, bit-transparent, arithmetic).
@@ -41,7 +42,7 @@ pub mod direct;
 
 pub use backward::{backward_direct, backward_reference};
 
-use crate::gemm;
+use crate::gemm::{self, Epilogue};
 use crate::memo::VersionMemo;
 use crate::operator::Operator;
 use deep500_tensor::{Error, Result, Shape, Tensor};
@@ -205,13 +206,7 @@ impl Operator for Conv2dOp {
                 let pf = self.packed_filter(w, co, c * kh * kw);
                 direct::forward_direct_packed(x, &pf.data, co, kh, kw, b, g, self.relu)?
             }
-            ConvAlgorithm::Im2col => {
-                let mut y = forward_im2col(x, w, b, g)?;
-                if self.relu {
-                    relu_inplace(&mut y);
-                }
-                y
-            }
+            ConvAlgorithm::Im2col => forward_im2col(x, w, b, g, self.relu)?,
         };
         Ok(vec![out])
     }
@@ -231,17 +226,7 @@ impl Operator for Conv2dOp {
         outputs: &[&Tensor],
         wanted: &[bool],
     ) -> Result<Vec<Option<Tensor>>> {
-        // With the fused ReLU, first mask the incoming gradient exactly
-        // like a standalone Relu node's backward: g * (y > 0 ? 1 : 0),
-        // where y is this op's (post-ReLU) output.
-        let masked;
-        let dy = if self.relu {
-            let y = outputs[0];
-            masked = grad_outputs[0].zip(y, |gv, yv| gv * if yv > 0.0 { 1.0 } else { 0.0 })?;
-            &masked
-        } else {
-            grad_outputs[0]
-        };
+        let dy = &gemm::packed::relu_grad(self.relu, grad_outputs[0], outputs[0])?;
         // dX is half the work and the only part worth eliding: a first
         // layer's input is a feed nobody differentiates.
         let (dx, dw, db) =
@@ -318,15 +303,6 @@ impl Operator for Conv2dOp {
             note.push_str("+relu");
         }
         Some(note)
-    }
-}
-
-/// `max(x, 0)` over a whole tensor — the unfused ReLU pass for tiers
-/// without a fusable write-back. Same per-element float op as the fused
-/// [`Epilogue`] path and `ActivationOp::relu` (NaN maps to 0).
-fn relu_inplace(t: &mut Tensor) {
-    for v in t.data_mut() {
-        *v = v.max(0.0);
     }
 }
 
@@ -566,8 +542,15 @@ fn im2col_block(
     }
 }
 
-/// im2col + GEMM convolution, parallel over images.
-pub fn forward_im2col(x: &Tensor, w: &Tensor, b: &Tensor, g: ConvGeometry) -> Result<Tensor> {
+/// im2col + GEMM convolution, parallel over images; the bias add and,
+/// with `relu`, `max(x, 0)` ride the GEMM write-back.
+pub fn forward_im2col(
+    x: &Tensor,
+    w: &Tensor,
+    b: &Tensor,
+    g: ConvGeometry,
+    relu: bool,
+) -> Result<Tensor> {
     let (n, c, h, wd) = {
         let s = x.shape();
         (s.dim(0), s.dim(1), s.dim(2), s.dim(3))
@@ -593,6 +576,11 @@ pub fn forward_im2col(x: &Tensor, w: &Tensor, b: &Tensor, g: ConvGeometry) -> Re
     let cols = ho * wo;
     let chw = c * h * wd;
     let (xd, wdat, bd) = (x.data(), w.data(), b.data());
+    let epilogue = if relu {
+        Epilogue::BiasRowRelu(bd)
+    } else {
+        Epilogue::BiasRow(bd)
+    };
     crate::par::for_each_chunk(out.data_mut(), co * cols, n * co * cols * k, |img, optr| {
         // Dirty scratch: im2col_block overwrites all k * cols elements
         // (padding written explicitly), so acquire-time zeroing was
@@ -600,24 +588,13 @@ pub fn forward_im2col(x: &Tensor, w: &Tensor, b: &Tensor, g: ConvGeometry) -> Re
         let mut col = deep500_tensor::scratch_dirty(k * cols);
         let xi = &xd[img * chw..(img + 1) * chw];
         im2col_block(xi, &lw, 0..k, 0..cols, &mut col, cols, 0);
-        // W [co x k] * col [k x cols] -> out [co x cols]; `optr` comes
-        // from Tensor::zeros, so the zeroed-C gemm_into contract holds.
-        gemm::gemm_into(
-            gemm::Algorithm::default(),
-            co,
-            cols,
-            k,
-            wdat,
-            &col[..k * cols],
-            optr,
-        );
+        // W [co x k] * col [k x cols] -> out [co x cols], plus the
+        // per-channel (row) bias; `optr` comes from Tensor::zeros, so the
+        // zeroed-C gemm_into contract holds.
+        let col_k = &col[..k * cols];
+        let algo = gemm::Algorithm::default();
+        gemm::gemm_into(algo, co, cols, k, wdat, false, col_k, false, optr, epilogue);
         deep500_tensor::recycle_scratch(col);
-        for oc in 0..co {
-            let bias = bd[oc];
-            for v in &mut optr[oc * cols..(oc + 1) * cols] {
-                *v += bias;
-            }
-        }
     });
     Ok(out)
 }
@@ -746,7 +723,7 @@ mod tests {
             buf.fill(f32::NAN);
             deep500_tensor::recycle_scratch(buf);
         }
-        let lowered = forward_im2col(&x, &w, &b, g).unwrap();
+        let lowered = forward_im2col(&x, &w, &b, g, false).unwrap();
         let reference = forward_reference(&x, &w, &b, g).unwrap();
         assert!(
             lowered.data().iter().all(|v| v.is_finite()),
@@ -779,7 +756,9 @@ mod tests {
                 .forward(&[&x, &w, &b])
                 .unwrap();
             let mut want = plain[0].clone();
-            relu_inplace(&mut want);
+            for v in want.data_mut() {
+                *v = v.max(0.0);
+            }
             let fb: Vec<u32> = fused[0].data().iter().map(|v| v.to_bits()).collect();
             let wb: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
             assert_eq!(fb, wb, "{algo:?}: fused ReLU diverged from separate pass");
@@ -839,7 +818,7 @@ mod tests {
             let b = Tensor::rand_uniform([co], -0.1, 0.1, &mut rng);
             let g = ConvGeometry { stride, pad };
             let direct = forward_direct(&x, &wt, &b, g).unwrap();
-            let lowered = forward_im2col(&x, &wt, &b, g).unwrap();
+            let lowered = forward_im2col(&x, &wt, &b, g, false).unwrap();
             let err = linf_diff(direct.data(), lowered.data());
             assert!(
                 err < 1e-4,

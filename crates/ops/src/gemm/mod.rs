@@ -15,13 +15,17 @@
 //!   "cuDNN-class" kernel that the simulated frameworks, the DeepBench
 //!   baseline, and both graph executors call by default.
 //!
-//! All kernels compute `C = A * B` for row-major `A (M x K)`, `B (K x N)`,
-//! `C (M x N)`. The first three accumulate each output element in plain
-//! ascending-`p` order and serve as the bit-exact reference tiers; the
-//! packed tier sums the same products with a different grouping (per-`KC`
-//! register partials, FMA where the host supports it), giving the paper's
-//! cross-framework `ℓ∞` comparisons a genuinely distinct accumulation
-//! order to measure.
+//! Every product goes through one slice-level call, [`gemm_into`], and one
+//! tensor-level call, [`matmul_as`]: `C = op(A) * op(B)` for row-major
+//! `op(A) (M x K)`, `op(B) (K x N)`, `C (M x N)`, where the operand form
+//! (either operand transposed, for the backward products and `Linear`'s
+//! `x * Wᵀ`) and the fused write-back [`Epilogue`] are arguments, not
+//! separate functions. The first three tiers accumulate each output
+//! element in plain ascending-`p` order and serve as the bit-exact
+//! reference tiers; the packed tier sums the same products with a
+//! different grouping (per-`KC` register partials, FMA where the host
+//! supports it), giving the paper's cross-framework `ℓ∞` comparisons a
+//! genuinely distinct accumulation order to measure.
 
 pub mod packed;
 
@@ -65,47 +69,53 @@ impl Algorithm {
 /// Cache-block edge for the blocked kernels (elements).
 const BLOCK: usize = 64;
 
-/// `C = A * B` with the selected algorithm; buffers are row-major slices.
-/// `C`'s prior contents are ignored (the accumulate-style kernels clear it
-/// first). Callers holding a freshly zeroed `C` should use [`gemm_into`].
-pub fn gemm(algo: Algorithm, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    match algo {
-        Algorithm::Naive => {
-            debug_assert_eq!(a.len(), m * k);
-            debug_assert_eq!(b.len(), k * n);
-            debug_assert_eq!(c.len(), m * n);
-            gemm_naive(m, n, k, a, b, c);
-        }
-        _ => {
-            c.iter_mut().for_each(|v| *v = 0.0);
-            gemm_into(algo, m, n, k, a, b, c);
-        }
-    }
-}
-
-/// `C += A * B` under the explicit **zeroed-`C` contract**: `c` must hold
-/// zeros on entry (the accumulate-style kernels add into it), so callers
-/// with freshly zeroed buffers — [`Tensor::zeros`], pool acquisitions,
-/// `vec![0.0; ..]` — touch the `M x N` output exactly once instead of
-/// paying [`gemm`]'s redundant clearing pass.
+/// The one slice-level product: `C += op(A) * op(B)` for row-major
+/// slices, `op` a transpose where its flag is set (`A` stored `[K x M]`,
+/// `B` stored `[N x K]`), then the fused write-back `epilogue`. Under the
+/// **zeroed-`C` contract**: `c` holds zeros on entry — a freshly zeroed
+/// buffer ([`Tensor::zeros`], pool acquisitions, `vec![0.0; ..]`) is
+/// touched once. `Packed` adds the product to whatever `c` holds (the
+/// convolution backward accumulates `dW` through it) and runs the epilogue
+/// inside its final `KC`-block store; the other tiers apply it as a
+/// separate pass with the identical per-element float sequence.
+///
+/// The plain form runs the tier's own kernel; both transposed forms run
+/// one reference panel (`transposed_panel`) on every other tier —
+/// serially on `Naive`/`Blocked`, over [`par`]'s row panels on `Parallel`
+/// (bit-identical to serial) — and `Packed` absorbs the transposition
+/// into its pack. No kernel computes `Aᵀ * Bᵀ`.
+#[allow(clippy::too_many_arguments)]
 pub fn gemm_into(
     algo: Algorithm,
     m: usize,
     n: usize,
     k: usize,
     a: &[f32],
+    a_trans: bool,
     b: &[f32],
+    b_trans: bool,
     c: &mut [f32],
+    epilogue: Epilogue<'_>,
 ) {
+    debug_assert!(!(a_trans && b_trans), "no kernel computes A^T * B^T");
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
     match algo {
+        Algorithm::Packed => {
+            let (nr, ldb) = (packed::host_nr(), if b_trans { k } else { n });
+            return packed::gemm_packed_as(nr, m, n, k, a, a_trans, b, b_trans, ldb, c, epilogue);
+        }
+        _ if a_trans || b_trans => {
+            par::for_each_chunk(c, BLOCK * n, algo.panel_work(m, n, k), |chunk, cpanel| {
+                transposed_panel(chunk * BLOCK, m, n, k, a, a_trans, b, cpanel)
+            })
+        }
         Algorithm::Naive => gemm_naive(m, n, k, a, b, c),
         Algorithm::Blocked => gemm_blocked_acc(m, n, k, a, b, c),
         Algorithm::Parallel => gemm_parallel_acc(m, n, k, a, b, c),
-        Algorithm::Packed => packed::gemm_packed_into(m, n, k, a, false, b, false, c),
     }
+    epilogue.apply_matrix(c, n);
 }
 
 fn gemm_naive(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
@@ -157,39 +167,23 @@ fn gemm_parallel_acc(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut
     });
 }
 
-/// Tensor-level GEMM: `A [M x K] * B [K x N] -> C [M x N]`.
-pub fn matmul(algo: Algorithm, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    if a.shape().rank() != 2 || b.shape().rank() != 2 {
-        return Err(Error::ShapeMismatch(format!(
-            "matmul requires rank-2 operands, got {} and {}",
-            a.shape(),
-            b.shape()
-        )));
-    }
-    let (m, ka) = (a.shape().dim(0), a.shape().dim(1));
-    let (kb, n) = (b.shape().dim(0), b.shape().dim(1));
-    if ka != kb {
-        return Err(Error::ShapeMismatch(format!(
-            "matmul inner dims: {} vs {}",
-            ka, kb
-        )));
-    }
-    let mut c = Tensor::zeros([m, n]);
-    gemm_into(algo, m, n, ka, a.data(), b.data(), c.data_mut());
-    Ok(c)
-}
-
-/// [`matmul`] with a fused write-back [`Epilogue`]. Under `Packed` the
-/// epilogue runs inside the final `KC`-block store (zero extra memory
-/// traffic); the other tiers apply it as a separate pass with the identical
-/// per-element float sequence, so all tiers stay bit-identical to an
-/// unfused GEMM followed by separate bias/ReLU passes.
-fn matmul_with_epilogue(
+/// `op(A) [M x K] * op(B) [K x N] -> C [M x N]` plus the fused
+/// write-back: the one tensor-level product, over [`gemm_into`]. Both
+/// operands must be rank 2 with matching inner dimensions
+/// ([`Error::ShapeMismatch`]); both flags set is [`Error::Unsupported`].
+pub fn matmul_as(
     algo: Algorithm,
     a: &Tensor,
+    a_trans: bool,
     b: &Tensor,
+    b_trans: bool,
     epilogue: Epilogue<'_>,
 ) -> Result<Tensor> {
+    if a_trans && b_trans {
+        return Err(Error::Unsupported(
+            "matmul: both operands transposed".into(),
+        ));
+    }
     if a.shape().rank() != 2 || b.shape().rank() != 2 {
         return Err(Error::ShapeMismatch(format!(
             "matmul requires rank-2 operands, got {} and {}",
@@ -197,141 +191,66 @@ fn matmul_with_epilogue(
             b.shape()
         )));
     }
-    let (m, ka) = (a.shape().dim(0), a.shape().dim(1));
-    let (kb, n) = (b.shape().dim(0), b.shape().dim(1));
-    if ka != kb {
+    let (a0, a1) = (a.shape().dim(0), a.shape().dim(1));
+    let (b0, b1) = (b.shape().dim(0), b.shape().dim(1));
+    let (m, k) = if a_trans { (a1, a0) } else { (a0, a1) };
+    let (kb, n) = if b_trans { (b1, b0) } else { (b0, b1) };
+    if k != kb {
         return Err(Error::ShapeMismatch(format!(
-            "matmul inner dims: {} vs {}",
-            ka, kb
+            "matmul inner dims: {k} vs {kb}"
         )));
     }
     let mut c = Tensor::zeros([m, n]);
-    match algo {
-        Algorithm::Packed => {
-            packed::gemm_packed_into_epilogue(
-                m,
-                n,
-                ka,
-                a.data(),
-                false,
-                b.data(),
-                false,
-                c.data_mut(),
-                epilogue,
-            );
-        }
-        _ => {
-            gemm_into(algo, m, n, ka, a.data(), b.data(), c.data_mut());
-            epilogue.apply_matrix(c.data_mut(), n);
-        }
-    }
+    let (ad, bd, cd) = (a.data(), b.data(), c.data_mut());
+    gemm_into(algo, m, n, k, ad, a_trans, bd, b_trans, cd, epilogue);
     Ok(c)
 }
 
-/// `A^T * B` for rows `ib..ib+rows` of the result; `cpanel` holds exactly
-/// those rows. Per output element the `p` reduction ascends, matching the
-/// historical serial kernel bit for bit regardless of panelling. Every
+/// `A [M x K] * B [K x N]`, nothing fused.
+pub fn matmul(algo: Algorithm, a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    matmul_as(algo, a, false, b, false, Epilogue::None)
+}
+
+/// `A [M x K] * Bᵀ` for `B [N x K]` on the default tier. Kept for the
+/// frozen spine benchmark's raw-kernel probe, which calls it by name.
+pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    matmul_as(Algorithm::default(), a, false, b, true, Epilogue::None)
+}
+
+/// `op(A) * op(B)` for rows `ib..` of the result, exactly one operand
+/// transposed; `cpanel` holds exactly those rows, so panelling never
+/// changes an element's float sequence. `Aᵀ * B` adds into `cpanel` over
+/// ascending `p`; `A * Bᵀ` writes each element's dot product of two
+/// contiguous rows (an iterator sum, which starts from `-0.0`). Every
 /// product participates — no zero-skip shortcut, so `0 * NaN` / `0 * inf`
 /// propagate as IEEE 754 demands and the hot loop stays branch-free.
-fn at_b_panel(ib: usize, m: usize, n: usize, k: usize, ad: &[f32], bd: &[f32], cpanel: &mut [f32]) {
-    let rows = cpanel.len() / n;
-    for (ri, crow) in cpanel.chunks_mut(n).enumerate() {
-        let i = ib + ri;
-        debug_assert!(i < ib + rows);
-        for p in 0..k {
-            let av = ad[p * m + i];
-            let brow = &bd[p * n..(p + 1) * n];
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv += av * bv;
+#[allow(clippy::too_many_arguments)]
+fn transposed_panel(
+    ib: usize,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    a_trans: bool,
+    b: &[f32],
+    cpanel: &mut [f32],
+) {
+    for (i, crow) in (ib..).zip(cpanel.chunks_mut(n)) {
+        if a_trans {
+            for p in 0..k {
+                let av = a[p * m + i];
+                for (cv, &bv) in crow.iter_mut().zip(&b[p * n..(p + 1) * n]) {
+                    *cv += av * bv;
+                }
+            }
+        } else {
+            let arow = &a[i * k..(i + 1) * k];
+            for (j, cv) in crow.iter_mut().enumerate() {
+                let brow = &b[j * k..(j + 1) * k];
+                *cv = arow.iter().zip(brow).map(|(&x, &y)| x * y).sum();
             }
         }
     }
-}
-
-/// `A^T * B` without materializing the transpose: `A [K x M]`, `B [K x N]`,
-/// result `[M x N]`. Used by FC/conv backward passes.
-///
-/// `Naive`/`Blocked` run the panel kernel serially (bit-exact reference),
-/// `Parallel` hands the same row panels to [`par`] with the product's
-/// multiply-adds as their work (bit-identical to serial), and `Packed`
-/// absorbs the transposition into the A-panel pack gather so the backward
-/// product runs the same register-tiled microkernel as the forward GEMM.
-pub fn matmul_at_b_with(algo: Algorithm, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (k, m) = (a.shape().dim(0), a.shape().dim(1));
-    let (kb, n) = (b.shape().dim(0), b.shape().dim(1));
-    if k != kb {
-        return Err(Error::ShapeMismatch(format!(
-            "A^T*B inner dims: {k} vs {kb}"
-        )));
-    }
-    let mut c = Tensor::zeros([m, n]);
-    let (ad, bd, cd) = (a.data(), b.data(), c.data_mut());
-    match algo {
-        Algorithm::Packed => packed::gemm_packed_into(m, n, k, ad, true, bd, false, cd),
-        _ => par::for_each_chunk(cd, BLOCK * n, algo.panel_work(m, n, k), |chunk, cpanel| {
-            at_b_panel(chunk * BLOCK, m, n, k, ad, bd, cpanel)
-        }),
-    }
-    Ok(c)
-}
-
-/// `A * B^T` for rows `ib..` of the result (each row is an independent set
-/// of dot products, so panelling cannot change the accumulation order).
-fn a_bt_panel(ib: usize, n: usize, k: usize, ad: &[f32], bd: &[f32], cpanel: &mut [f32]) {
-    for (ri, crow) in cpanel.chunks_mut(n).enumerate() {
-        let i = ib + ri;
-        let arow = &ad[i * k..(i + 1) * k];
-        for (j, cv) in crow.iter_mut().enumerate() {
-            let brow = &bd[j * k..(j + 1) * k];
-            *cv = arow.iter().zip(brow).map(|(&x, &y)| x * y).sum();
-        }
-    }
-}
-
-/// `A * B^T`: `A [M x K]`, `B [N x K]`, result `[M x N]`. Tier selection
-/// mirrors [`matmul_at_b_with`]; under `Packed` the transposition is
-/// absorbed into the B-side transposing pack.
-pub fn matmul_a_bt_with(algo: Algorithm, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    matmul_a_bt_with_epilogue(algo, a, b, Epilogue::None)
-}
-
-/// `A * B^T` with the default algorithm ([`Algorithm::Packed`]).
-pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    matmul_a_bt_with(Algorithm::default(), a, b)
-}
-
-/// [`matmul_a_bt_with`] with a fused write-back [`Epilogue`] — the
-/// fully-connected forward product (`y = x * W^T` plus bias/activation in
-/// one pass). Under `Packed` the epilogue runs inside the final
-/// `KC`-block store; the other tiers apply it as a separate pass with the
-/// identical per-element float sequence.
-pub fn matmul_a_bt_with_epilogue(
-    algo: Algorithm,
-    a: &Tensor,
-    b: &Tensor,
-    epilogue: Epilogue<'_>,
-) -> Result<Tensor> {
-    let (m, k) = (a.shape().dim(0), a.shape().dim(1));
-    let (n, kb) = (b.shape().dim(0), b.shape().dim(1));
-    if k != kb {
-        return Err(Error::ShapeMismatch(format!(
-            "A*B^T inner dims: {k} vs {kb}"
-        )));
-    }
-    let mut c = Tensor::zeros([m, n]);
-    let (ad, bd, cd) = (a.data(), b.data(), c.data_mut());
-    match algo {
-        Algorithm::Packed => {
-            packed::gemm_packed_into_epilogue(m, n, k, ad, false, bd, true, cd, epilogue);
-        }
-        _ => {
-            par::for_each_chunk(cd, BLOCK * n, algo.panel_work(m, n, k), |chunk, cpanel| {
-                a_bt_panel(chunk * BLOCK, n, k, ad, bd, cpanel)
-            });
-            epilogue.apply_matrix(cd, n);
-        }
-    }
-    Ok(c)
 }
 
 /// The `MatMul` operator: `C = A * B`, optionally with a ReLU fused into
@@ -379,9 +298,8 @@ impl crate::operator::Operator for MatMulOp {
         } else {
             Epilogue::None
         };
-        Ok(vec![matmul_with_epilogue(
-            self.algo, inputs[0], inputs[1], epilogue,
-        )?])
+        let (a, b) = (inputs[0], inputs[1]);
+        Ok(vec![matmul_as(self.algo, a, false, b, false, epilogue)?])
     }
     fn backward(
         &self,
@@ -389,21 +307,11 @@ impl crate::operator::Operator for MatMulOp {
         inputs: &[&Tensor],
         outputs: &[&Tensor],
     ) -> Result<Vec<Tensor>> {
-        let g = grad_outputs[0];
-        // With the fused ReLU, first mask the incoming gradient exactly
-        // like a standalone Relu node's backward: g * (y > 0 ? 1 : 0),
-        // where y is this op's (post-ReLU) output.
-        let masked;
-        let g = if self.relu {
-            let y = outputs[0];
-            masked = g.zip(y, |gv, yv| gv * if yv > 0.0 { 1.0 } else { 0.0 })?;
-            &masked
-        } else {
-            g
-        };
+        let g = &packed::relu_grad(self.relu, grad_outputs[0], outputs[0])?;
+        let (a, b) = (inputs[0], inputs[1]);
         // dA = dC * B^T ; dB = A^T * dC
-        let da = matmul_a_bt_with(self.algo, g, inputs[1])?;
-        let db = matmul_at_b_with(self.algo, inputs[0], g)?;
+        let da = matmul_as(self.algo, g, false, b, true, Epilogue::None)?;
+        let db = matmul_as(self.algo, a, true, g, false, Epilogue::None)?;
         Ok(vec![da, db])
     }
     fn flops(&self, s: &[&deep500_tensor::Shape]) -> f64 {
@@ -476,27 +384,44 @@ mod tests {
     }
 
     #[test]
-    fn gemm_into_skips_the_clear_but_matches_gemm() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(9);
-        let (m, n, k) = (33, 17, 65);
-        let a = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng);
-        let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng);
-        for algo in ALL {
-            let mut dirty = vec![f32::NAN; m * n];
-            gemm(algo, m, n, k, a.data(), b.data(), &mut dirty);
-            let mut zeroed = vec![0.0f32; m * n];
-            gemm_into(algo, m, n, k, a.data(), b.data(), &mut zeroed);
-            assert_eq!(dirty, zeroed, "{algo:?}: zeroed-C contract diverged");
-        }
-    }
-
-    #[test]
     fn shape_errors() {
         let a = Tensor::zeros([2, 3]);
         let b = Tensor::zeros([4, 2]);
         assert!(matmul(Algorithm::Naive, &a, &b).is_err());
+        // A rank-1 operand on either side, in every operand form, on
+        // every tier and through both wrappers.
         let v = Tensor::zeros([3]);
-        assert!(matmul(Algorithm::Naive, &v, &b).is_err());
+        let shape_mismatch = |r: Result<Tensor>| matches!(r, Err(Error::ShapeMismatch(_)));
+        for algo in ALL {
+            for (a_trans, b_trans) in [(false, false), (false, true), (true, false)] {
+                let (x, y) = (&v, &b);
+                assert!(shape_mismatch(matmul_as(
+                    algo,
+                    x,
+                    a_trans,
+                    y,
+                    b_trans,
+                    Epilogue::None
+                )));
+                assert!(shape_mismatch(matmul_as(
+                    algo,
+                    y,
+                    a_trans,
+                    x,
+                    b_trans,
+                    Epilogue::None
+                )));
+                let inner = matmul_as(algo, &a, a_trans, &b, b_trans, Epilogue::None);
+                assert!(shape_mismatch(inner), "{algo:?} {a_trans} {b_trans}");
+            }
+            assert!(shape_mismatch(matmul(algo, &v, &b)));
+            assert!(shape_mismatch(matmul(algo, &b, &v)));
+        }
+        assert!(shape_mismatch(matmul_a_bt(&v, &b)));
+        assert!(shape_mismatch(matmul_a_bt(&b, &v)));
+        // Two transposed operands have no kernel.
+        let both = matmul_as(Algorithm::Naive, &a, true, &a, true, Epilogue::None);
+        assert!(matches!(both, Err(Error::Unsupported(_))));
     }
 
     #[test]
@@ -506,7 +431,7 @@ mod tests {
         let b = Tensor::rand_uniform([4, 5], -1.0, 1.0, &mut rng);
         let explicit = matmul(Algorithm::Naive, &a.transpose2d().unwrap(), &b).unwrap();
         for algo in ALL {
-            let atb = matmul_at_b_with(algo, &a, &b).unwrap();
+            let atb = matmul_as(algo, &a, true, &b, false, Epilogue::None).unwrap();
             assert!(atb.approx_eq(&explicit, 1e-5), "{algo:?}");
         }
 
@@ -514,7 +439,7 @@ mod tests {
         let d = Tensor::rand_uniform([6, 3], -1.0, 1.0, &mut rng);
         let explicit = matmul(Algorithm::Naive, &c, &d.transpose2d().unwrap()).unwrap();
         for algo in ALL {
-            let abt = matmul_a_bt_with(algo, &c, &d).unwrap();
+            let abt = matmul_as(algo, &c, false, &d, true, Epilogue::None).unwrap();
             assert!(abt.approx_eq(&explicit, 1e-5), "{algo:?}");
         }
     }
@@ -531,7 +456,7 @@ mod tests {
         bvals[1] = f32::INFINITY; // B[0, 1]
         let b = Tensor::from_vec([2, 3], bvals).unwrap(); // B [K x N]
         for algo in ALL {
-            let c = matmul_at_b_with(algo, &a, &b).unwrap();
+            let c = matmul_as(algo, &a, true, &b, false, Epilogue::None).unwrap();
             // Row 0 of C = 0 * B[0, :] + 1 * B[1, :]: both 0 * NaN and
             // 0 * inf must collapse to NaN.
             assert!(c.data()[0].is_nan(), "{algo:?}: 0 * NaN was dropped");
@@ -543,7 +468,7 @@ mod tests {
         let e = Tensor::from_vec([1, 2], vec![0.0, 1.0]).unwrap();
         let f = Tensor::from_vec([1, 2], vec![f32::NAN, 1.0]).unwrap();
         for algo in ALL {
-            let c = matmul_a_bt_with(algo, &e, &f).unwrap();
+            let c = matmul_as(algo, &e, false, &f, true, Epilogue::None).unwrap();
             assert!(c.data()[0].is_nan(), "{algo:?}: 0 * NaN was dropped");
         }
     }
@@ -575,16 +500,16 @@ mod tests {
 
         let a = Tensor::rand_uniform([k, m], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng);
-        let par = matmul_at_b_with(Algorithm::Parallel, &a, &b).unwrap();
+        let par = matmul_as(Algorithm::Parallel, &a, true, &b, false, Epilogue::None).unwrap();
         let mut serial = Tensor::zeros([m, n]);
-        at_b_panel(0, m, n, k, a.data(), b.data(), serial.data_mut());
+        transposed_panel(0, m, n, k, a.data(), true, b.data(), serial.data_mut());
         assert_eq!(par.data(), serial.data());
 
         let c = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng);
         let d = Tensor::rand_uniform([n, k], -1.0, 1.0, &mut rng);
-        let par = matmul_a_bt_with(Algorithm::Parallel, &c, &d).unwrap();
+        let par = matmul_as(Algorithm::Parallel, &c, false, &d, true, Epilogue::None).unwrap();
         let mut serial = Tensor::zeros([m, n]);
-        a_bt_panel(0, n, k, c.data(), d.data(), serial.data_mut());
+        transposed_panel(0, m, n, k, c.data(), false, d.data(), serial.data_mut());
         assert_eq!(par.data(), serial.data());
     }
 
@@ -602,11 +527,19 @@ mod properties {
     use super::*;
     use proptest::prelude::*;
 
-    /// Unfused reference: plain GEMM, then the epilogue as a separate
-    /// elementwise pass written out longhand — the float sequence a
-    /// standalone bias-add / `Relu` node pair would execute.
-    fn unfused(algo: Algorithm, a: &Tensor, b: &Tensor, ep: &Epilogue<'_>) -> Tensor {
-        let mut c = matmul(algo, a, b).unwrap();
+    /// Unfused reference: the plain product in the same operand form, then
+    /// the epilogue as a separate elementwise pass written out longhand —
+    /// the float sequence a standalone bias-add / `Relu` node pair would
+    /// execute.
+    fn unfused(
+        algo: Algorithm,
+        a: &Tensor,
+        at: bool,
+        b: &Tensor,
+        bt: bool,
+        ep: &Epilogue<'_>,
+    ) -> Tensor {
+        let mut c = matmul_as(algo, a, at, b, bt, Epilogue::None).unwrap();
         let n = c.shape().dim(1);
         for (i, v) in c.data_mut().iter_mut().enumerate() {
             let j = i % n;
@@ -636,10 +569,10 @@ mod properties {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Fused epilogue write-back is bit-identical to GEMM + separate
-        /// epilogue pass on every kernel tier, including NaN and ±inf
-        /// propagation (compared on raw bit patterns; `max` maps NaN to 0
-        /// in both paths).
+        /// Fused epilogue write-back is bit-identical to the product + a
+        /// separate epilogue pass on every kernel tier and in every operand
+        /// form, including NaN and ±inf propagation (compared on raw bit
+        /// patterns; `max` maps NaN to 0 in both paths).
         #[test]
         fn fused_epilogue_matches_unfused_bitwise(
             m in 1usize..10,
@@ -648,12 +581,12 @@ mod properties {
             seed in 0u64..1000,
             pos in 0usize..64,
             kind in 0u8..3,
-            which in 0u8..4,
+            which in 0u8..6,
         ) {
             let mut rng = deep500_tensor::rng::Xoshiro256StarStar::seed_from_u64(seed);
-            let mut a = Tensor::rand_uniform([m, k], -2.0, 2.0, &mut rng);
-            let b = Tensor::rand_uniform([k, n], -2.0, 2.0, &mut rng);
-            let mut bias = vec![0.0f32; n];
+            let mut a = Tensor::rand_uniform([m * k], -2.0, 2.0, &mut rng);
+            let b = Tensor::rand_uniform([k * n], -2.0, 2.0, &mut rng);
+            let mut bias = vec![0.0f32; n.max(m)];
             for v in bias.iter_mut() {
                 *v = rng.next_f32() - 0.5;
             }
@@ -661,44 +594,30 @@ mod properties {
             if kind == 0 {
                 poison(&mut bias, pos, kind); // NaN through the bias path too
             }
-            let ep = match which % 4 {
+            let ep = match which {
                 0 => Epilogue::None,
-                1 => Epilogue::Bias(&bias),
+                1 => Epilogue::Bias(&bias[..n]),
                 2 => Epilogue::Relu,
-                _ => Epilogue::BiasRelu(&bias),
+                3 => Epilogue::BiasRelu(&bias[..n]),
+                4 => Epilogue::BiasRow(&bias[..m]),
+                _ => Epilogue::BiasRowRelu(&bias[..m]),
             };
-            for algo in [
-                Algorithm::Naive,
-                Algorithm::Blocked,
-                Algorithm::Parallel,
-                Algorithm::Packed,
-            ] {
-                let fused = matmul_with_epilogue(algo, &a, &b, ep).unwrap();
-                let reference = unfused(algo, &a, &b, &ep);
-                let fb: Vec<u32> = fused.data().iter().map(|v| v.to_bits()).collect();
-                let rb: Vec<u32> = reference.data().iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(&fb, &rb, "algo {:?}, epilogue {:?}", algo, ep);
-            }
-            // The transposed entry point used by Linear forward
-            // (x * W^T) under the same epilogue.
-            let bt = Tensor::rand_uniform([n, k], -2.0, 2.0, &mut rng);
-            let fused = matmul_a_bt_with_epilogue(Algorithm::Packed, &a, &bt, ep).unwrap();
-            let mut reference = matmul_a_bt_with(Algorithm::Packed, &a, &bt).unwrap();
-            let cols = reference.shape().dim(1);
-            for (i, v) in reference.data_mut().iter_mut().enumerate() {
-                let j = i % cols;
-                match ep {
-                    Epilogue::None => {}
-                    Epilogue::Bias(bias) => *v += bias[j],
-                    Epilogue::Relu => *v = v.max(0.0),
-                    Epilogue::BiasRelu(bias) => *v = (*v + bias[j]).max(0.0),
-                    Epilogue::BiasRow(bias) => *v += bias[i / cols],
-                    Epilogue::BiasRowRelu(bias) => *v = (*v + bias[i / cols]).max(0.0),
+            for (at, bt) in [(false, false), (false, true), (true, false)] {
+                let a = a.reshaped(&if at { [k, m] } else { [m, k] }).unwrap();
+                let b = b.reshaped(&if bt { [n, k] } else { [k, n] }).unwrap();
+                for algo in [
+                    Algorithm::Naive,
+                    Algorithm::Blocked,
+                    Algorithm::Parallel,
+                    Algorithm::Packed,
+                ] {
+                    let fused = matmul_as(algo, &a, at, &b, bt, ep).unwrap();
+                    let reference = unfused(algo, &a, at, &b, bt, &ep);
+                    let fb: Vec<u32> = fused.data().iter().map(|v| v.to_bits()).collect();
+                    let rb: Vec<u32> = reference.data().iter().map(|v| v.to_bits()).collect();
+                    prop_assert_eq!(&fb, &rb, "algo {:?}, at {} bt {}, epilogue {:?}", algo, at, bt, ep);
                 }
             }
-            let fb: Vec<u32> = fused.data().iter().map(|v| v.to_bits()).collect();
-            let rb: Vec<u32> = reference.data().iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(&fb, &rb, "a_bt epilogue {:?}", ep);
         }
     }
 }

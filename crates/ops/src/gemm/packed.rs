@@ -80,7 +80,8 @@
 //! measure.
 
 use crate::par;
-use deep500_tensor::{recycle_scratch, scratch_dirty, scratch_zeroed};
+use deep500_tensor::{recycle_scratch, scratch_dirty, scratch_zeroed, Result, Tensor};
+use std::borrow::Cow;
 
 /// Microkernel tile rows (`C` rows kept in registers).
 pub const MR: usize = 8;
@@ -239,6 +240,18 @@ impl Epilogue<'_> {
             self.apply_row(row, i, 0);
         }
     }
+}
+
+/// The gradient that reaches a product whose write-back fused a ReLU:
+/// `g * (y > 0 ? 1 : 0)` with `y` the op's post-ReLU output — exactly a
+/// standalone `Relu` node's backward — or `g` itself when nothing was
+/// fused. `MatMul`, `Linear` and `Conv2d` mask through it.
+pub(crate) fn relu_grad<'g>(relu: bool, g: &'g Tensor, y: &Tensor) -> Result<Cow<'g, Tensor>> {
+    if !relu {
+        return Ok(Cow::Borrowed(g));
+    }
+    let masked = g.zip(y, |gv, yv| gv * if yv > 0.0 { 1.0 } else { 0.0 })?;
+    Ok(Cow::Owned(masked))
 }
 
 /// Pack the `mc x kc` block of logical `A` starting at `(ic, pc)` into
@@ -913,46 +926,6 @@ fn run_row_avx512(panel: &Panel<'_>, cpanel: &mut [f32]) {
     });
 }
 
-/// Packed GEMM core: `C += op(A) * op(B)` for row-major storage, where
-/// `op` is transpose when the corresponding flag is set (`A` stored
-/// `[K x M]`, `B` stored `[N x K]`). **Contract:** callers hand in a `C`
-/// that already holds the addend — `matmul`-style entry points pass a
-/// freshly zeroed buffer (see [`super::gemm_into`]), and the convolution
-/// backward accumulates `dW` across blocks through it.
-///
-/// Runs at the host's tile width ([`host_nr`]); see [`gemm_packed_as`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_packed_into(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    a_trans: bool,
-    b: &[f32],
-    b_trans: bool,
-    c: &mut [f32],
-) {
-    gemm_packed_into_epilogue(m, n, k, a, a_trans, b, b_trans, c, Epilogue::None)
-}
-
-/// [`gemm_packed_into`] with a fused write-back [`Epilogue`], applied to
-/// every output element exactly once during the final `KC`-block store.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn gemm_packed_into_epilogue(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    a_trans: bool,
-    b: &[f32],
-    b_trans: bool,
-    c: &mut [f32],
-    epilogue: Epilogue<'_>,
-) {
-    let ldb = if b_trans { k } else { n };
-    gemm_packed_as(host_nr(), m, n, k, a, a_trans, b, b_trans, ldb, c, epilogue)
-}
-
 /// The register tile width packed GEMMs and the direct convolution tier
 /// run at on this host: [`NR_W`] where the CPU has AVX-512F, else [`NR`]
 /// (AVX2+FMA, or the portable kernel; always under miri). This is the only
@@ -965,7 +938,15 @@ pub(crate) fn host_nr() -> usize {
     NR
 }
 
-/// The packed GEMM at tile width `nr` ([`NR`] or [`NR_W`]; callers pass
+/// Packed GEMM core: `C += op(A) * op(B)` for row-major storage, where
+/// `op` is transpose when the corresponding flag is set (`A` stored
+/// `[K x M]`, `B` stored `[N x K]`), with a fused write-back [`Epilogue`]
+/// applied to every output element exactly once during the final
+/// `KC`-block store. **Contract:** `C` already holds the addend —
+/// [`super::gemm_into`]'s callers pass a freshly zeroed buffer, and the
+/// convolution backward accumulates `dW` across blocks through it.
+///
+/// Runs at tile width `nr` ([`NR`] or [`NR_W`]; callers pass
 /// [`host_nr`], tests either), `B` stored at row pitch `ldb` (`>= n`, or
 /// `>= k` transposed) — `Linear` passes its weight image, whose rows are
 /// padded to whole wide tiles. A single row (`m == 1`) ignores `nr`: it
@@ -1130,6 +1111,12 @@ pub(crate) fn gemm_packed_as(
 mod tests {
     use super::*;
 
+    /// The packed tier through the one product call, `A` and `B` as stored.
+    fn packed(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32], ep: Epilogue) {
+        use crate::gemm::{gemm_into, Algorithm::Packed};
+        gemm_into(Packed, m, n, k, a, false, b, false, c, ep)
+    }
+
     #[test]
     fn blocking_is_total_on_degenerate_shapes() {
         for (m, n, k) in [(0, 0, 0), (1, 1, 0), (0, 5, 3), (1, 1, 1), (7, 3, 1)] {
@@ -1160,7 +1147,7 @@ mod tests {
     #[test]
     fn empty_k_leaves_c_untouched() {
         let mut c = vec![0.0f32; 6];
-        gemm_packed_into(2, 3, 0, &[], false, &[], false, &mut c);
+        packed(2, 3, 0, &[], &[], &mut c, Epilogue::None);
         assert_eq!(c, vec![0.0; 6]);
     }
 
@@ -1177,7 +1164,7 @@ mod tests {
         let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.25 - 2.0).collect();
 
         let mut unfused = vec![0.0f32; m * n];
-        gemm_packed_into(m, n, k, a.data(), false, b.data(), false, &mut unfused);
+        packed(m, n, k, a.data(), b.data(), &mut unfused, Epilogue::None);
         for row in unfused.chunks_mut(n) {
             for (cv, &bv) in row.iter_mut().zip(&bias) {
                 *cv += bv;
@@ -1188,14 +1175,12 @@ mod tests {
         }
 
         let mut fused = vec![0.0f32; m * n];
-        gemm_packed_into_epilogue(
+        packed(
             m,
             n,
             k,
             a.data(),
-            false,
             b.data(),
-            false,
             &mut fused,
             Epilogue::BiasRelu(&bias),
         );
@@ -1209,9 +1194,9 @@ mod tests {
         let a = [f32::NAN, 1.0];
         let b = [1.0, 1.0, 2.0, -5.0]; // 2x2
         let mut fused = vec![0.0f32; 2];
-        gemm_packed_into_epilogue(1, 2, 2, &a, false, &b, false, &mut fused, Epilogue::Relu);
+        packed(1, 2, 2, &a, &b, &mut fused, Epilogue::Relu);
         let mut unfused = vec![0.0f32; 2];
-        gemm_packed_into(1, 2, 2, &a, false, &b, false, &mut unfused);
+        packed(1, 2, 2, &a, &b, &mut unfused, Epilogue::None);
         for v in unfused.iter_mut() {
             *v = v.max(0.0);
         }
@@ -1224,17 +1209,7 @@ mod tests {
     fn epilogue_runs_even_for_empty_k() {
         let bias = [1.5, -2.0, 3.0];
         let mut c = vec![0.0f32; 6];
-        gemm_packed_into_epilogue(
-            2,
-            3,
-            0,
-            &[],
-            false,
-            &[],
-            false,
-            &mut c,
-            Epilogue::BiasRelu(&bias),
-        );
+        packed(2, 3, 0, &[], &[], &mut c, Epilogue::BiasRelu(&bias));
         assert_eq!(c, vec![1.5, 0.0, 3.0, 1.5, 0.0, 3.0]);
     }
 
@@ -1260,7 +1235,7 @@ mod tests {
         let a = Tensor::rand_uniform([m, k], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform([k, n], -1.0, 1.0, &mut rng);
         let mut par = vec![0.0f32; m * n];
-        gemm_packed_into(m, n, k, a.data(), false, b.data(), false, &mut par);
+        packed(m, n, k, a.data(), b.data(), &mut par, Epilogue::None);
         // Serial: run panel-by-panel through the one panel driver, `B`
         // read in place (`n` is a whole number of tiles at either width).
         let mut serial = vec![0.0f32; m * n];
@@ -1598,15 +1573,13 @@ pub(crate) mod properties {
         }
 
         /// A row computed alone is the same row of a 2–9-row product (2–3
-        /// under miri), bit for bit, in the operand form of every packed
-        /// entry point:
-        /// `matmul` (`A`, `B` as stored), `matmul_a_bt_with` (`B`
-        /// transposed) with and without an epilogue, and
-        /// `matmul_at_b_with` (`A` transposed); at `k = 0` and at the drawn
+        /// under miri), bit for bit, in every operand form `matmul_as`
+        /// takes: `A`, `B` as stored; `B` transposed, with and without an
+        /// epilogue; and `A` transposed; at `k = 0` and at the drawn
         /// `k`, up to two `KC` blocks. The batch runs at both forced widths
         /// and the row on its own `1 x NR_W` tile, which rounds like the
         /// narrow tile on every host and like the wide one wherever the
-        /// two tiles round alike. The entry points themselves run at the
+        /// two tiles round alike. `matmul_as` itself runs at the
         /// host's width, where that always holds. A row alone is its row
         /// in a batch for finite values, ±inf and the canonical
         /// `f32::NAN`; a NaN input with its sign bit or a payload set may
@@ -1642,13 +1615,7 @@ pub(crate) mod properties {
                 let public = |rows: usize, a: &[f32]| {
                     let at = Tensor::from_vec(if a_trans { [k, rows] } else { [rows, k] }, a.to_vec()).unwrap();
                     let bt = Tensor::from_vec(if b_trans { [n, k] } else { [k, n] }, b.data().to_vec()).unwrap();
-                    match entry {
-                        0 => gemm::matmul(Packed, &at, &bt),
-                        1 => gemm::matmul_a_bt_with(Packed, &at, &bt),
-                        2 => gemm::matmul_a_bt_with_epilogue(Packed, &at, &bt, ep),
-                        _ => gemm::matmul_at_b_with(Packed, &at, &bt),
-                    }
-                    .unwrap()
+                    gemm::matmul_as(Packed, &at, a_trans, &bt, b_trans, ep).unwrap()
                 };
                 let batch = public(m, a);
                 for nr in [NR, NR_W] {

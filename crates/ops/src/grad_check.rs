@@ -117,12 +117,13 @@ mod tests {
     use super::*;
     use crate::activation::{ActivationOp, SoftmaxOp};
     use crate::conv::{Conv2dOp, ConvAlgorithm};
-    use crate::elementwise::BinaryOp;
+    use crate::elementwise::{BinaryOp, ScaleOp, SqrtOp};
     use crate::gemm::MatMulOp;
     use crate::linear::LinearOp;
     use crate::loss::{MseLossOp, SoftmaxCrossEntropyOp};
     use crate::norm_ops::BatchNormOp;
     use crate::pool::Pool2dOp;
+    use crate::shape_ops::{ConcatOp, DropoutOp, FlattenOp, ReshapeOp, SplitOp};
 
     const TOL: f64 = 5e-3;
     const EPS: f64 = 1e-3;
@@ -192,14 +193,18 @@ mod tests {
     #[test]
     fn activation_gradients() {
         let mut r = rng();
-        // Keep away from ReLU's kink at 0 by shifting.
+        // Keep away from ReLU's kink and Sqrt's pole at 0 by shifting.
         let x = Tensor::rand_uniform([20], 0.1, 1.0, &mut r);
-        for op in [
-            ActivationOp::relu(),
-            ActivationOp::sigmoid(),
-            ActivationOp::tanh(),
-        ] {
-            let report = test_gradient(&op, &[&x], EPS, 50).unwrap();
+        let ops: [Box<dyn Operator>; 5] = [
+            Box::new(ActivationOp::relu()),
+            Box::new(ActivationOp::sigmoid()),
+            Box::new(ActivationOp::tanh()),
+            Box::new(SqrtOp),
+            Box::new(ScaleOp::new(-1.5, 0.25)),
+        ];
+        for op in ops {
+            let op = op.as_ref();
+            let report = test_gradient(op, &[&x], EPS, 50).unwrap();
             assert!(
                 report.passes(TOL),
                 "{}: {}",
@@ -278,6 +283,31 @@ mod tests {
                 op.name(),
                 report.max_rel_error
             );
+        }
+    }
+
+    #[test]
+    fn shape_op_gradients() {
+        let mut r = rng();
+        let x = Tensor::rand_uniform([2, 3, 2, 2], -1.0, 1.0, &mut r);
+        let (top, rest) = (x.slice_axis0(0, 1).unwrap(), x.slice_axis0(1, 1).unwrap());
+        let ops: [(Box<dyn Operator>, Vec<&Tensor>); 5] = [
+            (Box::new(FlattenOp), vec![&x]),
+            (Box::new(ReshapeOp::new(&[4, 6])), vec![&x]),
+            (Box::new(SplitOp::new(&[1, 1])), vec![&x]),
+            (Box::new(ConcatOp::new(2)), vec![&top, &rest]),
+            // The mask is a fixed function of (seed, numel).
+            (Box::new(DropoutOp::new(0.3, 7)), vec![&x]),
+        ];
+        for (op, inputs) in ops {
+            let report = test_gradient(op.as_ref(), &inputs, EPS, 50).unwrap();
+            assert!(
+                report.passes(TOL),
+                "{}: {}",
+                op.name(),
+                report.max_rel_error
+            );
+            assert!(report.checked > 0, "{}", op.name());
         }
     }
 

@@ -11,7 +11,7 @@
 //! tiles — so no call packs `Wᵀ`, and a row served alone is bit-identical
 //! to the same row inside any batch.
 
-use crate::gemm::packed::{gemm_packed_as, host_nr, pack_bt_rows, round_up, NR_W};
+use crate::gemm::packed::{gemm_packed_as, host_nr, pack_bt_rows, relu_grad, round_up, NR_W};
 use crate::gemm::{self, Algorithm, Epilogue};
 use crate::memo::VersionMemo;
 use crate::operator::Operator;
@@ -125,7 +125,7 @@ impl Operator for LinearOp {
             );
             return Ok(vec![y]);
         }
-        let y = gemm::matmul_a_bt_with_epilogue(self.algo, x, w, epilogue)?;
+        let y = gemm::matmul_as(self.algo, x, false, w, true, epilogue)?;
         Ok(vec![y])
     }
     fn backward(
@@ -144,19 +144,8 @@ impl Operator for LinearOp {
         outputs: &[&Tensor],
         wanted: &[bool],
     ) -> Result<Vec<Option<Tensor>>> {
-        let g = grad_outputs[0]; // [N, out]
+        let g = &relu_grad(self.relu, grad_outputs[0], outputs[0])?; // [N, out]
         let (x, w, b) = (inputs[0], inputs[1], inputs[2]);
-        // With the fused ReLU, first mask the incoming gradient exactly
-        // like a standalone Relu node's backward: g * (y > 0 ? 1 : 0),
-        // where y is this op's (post-ReLU) output.
-        let masked;
-        let g = if self.relu {
-            let y = outputs[0];
-            masked = g.zip(y, |gv, yv| gv * if yv > 0.0 { 1.0 } else { 0.0 })?;
-            &masked
-        } else {
-            g
-        };
         // dX = g * W          [N, in] — skipped for a first layer, whose
         // input is a feed nobody differentiates.
         let dx = if wanted[0] {
@@ -165,7 +154,7 @@ impl Operator for LinearOp {
             None
         };
         // dW = gᵀ * X         [out, in]
-        let dw = gemm::matmul_at_b_with(self.algo, g, x)?;
+        let dw = gemm::matmul_as(self.algo, g, true, x, false, Epilogue::None)?;
         // db = column sums of g
         let fout = g.shape().dim(1);
         let mut db = Tensor::zeros(b.shape().clone());

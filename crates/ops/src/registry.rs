@@ -326,10 +326,15 @@ fn register_builtins(r: &Registry) {
     reg(
         "Dropout",
         Arc::new(|a: &Attributes| {
-            Ok(Box::new(DropoutOp::new(
-                a.float_or("ratio", 0.5) as f32,
-                a.int_or("seed", 0) as u64,
-            )) as _)
+            // A graph file is untrusted: refuse what `DropoutOp::new`
+            // would assert on (NaN included) instead of panicking.
+            let ratio = a.float_or("ratio", 0.5) as f32;
+            if !(0.0..1.0).contains(&ratio) {
+                return Err(Error::Invalid(format!(
+                    "Dropout ratio {ratio} is outside [0, 1)"
+                )));
+            }
+            Ok(Box::new(DropoutOp::new(ratio, a.int_or("seed", 0) as u64)) as _)
         }),
     );
 }

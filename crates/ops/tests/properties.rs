@@ -5,9 +5,7 @@ use deep500_ops::activation::{ActivationOp, SoftmaxOp};
 use deep500_ops::conv::direct::{forward_direct_packed_as, pack_filter, BOperand};
 use deep500_ops::conv::{forward_direct, forward_im2col, Conv2dOp, ConvAlgorithm, ConvGeometry};
 use deep500_ops::gemm::packed::{NR, NR_W};
-use deep500_ops::gemm::{
-    gemm_into, matmul, matmul_a_bt_with, matmul_at_b_with, Algorithm, Blocking,
-};
+use deep500_ops::gemm::{gemm_into, matmul, matmul_as, Algorithm, Blocking, Epilogue};
 use deep500_ops::grad_check::test_gradient;
 use deep500_ops::pool::Pool2dOp;
 use deep500_ops::shape_ops::{ConcatOp, SplitOp};
@@ -57,14 +55,14 @@ proptest! {
 
         // A^T * B: A stored [K x M].
         let at = rand_tensor(&[k, m], seed ^ 2);
-        let reference = matmul_at_b_with(Algorithm::Naive, &at, &b).unwrap();
-        let c = matmul_at_b_with(Algorithm::Packed, &at, &b).unwrap();
+        let reference = matmul_as(Algorithm::Naive, &at, true, &b, false, Epilogue::None).unwrap();
+        let c = matmul_as(Algorithm::Packed, &at, true, &b, false, Epilogue::None).unwrap();
         prop_assert!(c.approx_eq(&reference, 1e-3), "at_b {m}x{n}x{k}");
 
         // A * B^T: B stored [N x K].
         let bt = rand_tensor(&[n, k], seed ^ 3);
-        let reference = matmul_a_bt_with(Algorithm::Naive, &a, &bt).unwrap();
-        let c = matmul_a_bt_with(Algorithm::Packed, &a, &bt).unwrap();
+        let reference = matmul_as(Algorithm::Naive, &a, false, &bt, true, Epilogue::None).unwrap();
+        let c = matmul_as(Algorithm::Packed, &a, false, &bt, true, Epilogue::None).unwrap();
         prop_assert!(c.approx_eq(&reference, 1e-3), "a_bt {m}x{n}x{k}");
     }
 
@@ -84,7 +82,7 @@ proptest! {
         let a = vec![1.0f32; m * k];
         let b = vec![1.0f32; k * n];
         let mut c = vec![0.0f32; m * n];
-        gemm_into(Algorithm::Packed, m, n, k, &a, &b, &mut c);
+        gemm_into(Algorithm::Packed, m, n, k, &a, false, &b, false, &mut c, Epilogue::None);
         if k == 0 {
             prop_assert!(c.iter().all(|&v| v == 0.0));
         } else {
@@ -116,7 +114,7 @@ proptest! {
         let b = rand_tensor(&[co], seed ^ 4);
         let g = ConvGeometry { stride, pad };
         let direct = forward_direct(&x, &w, &b, g).unwrap();
-        let lowered = forward_im2col(&x, &w, &b, g).unwrap();
+        let lowered = forward_im2col(&x, &w, &b, g, false).unwrap();
         prop_assert!(direct.approx_eq(&lowered, 1e-4));
     }
 

@@ -5,7 +5,7 @@
 //! aliasing analysis, and transform-safety harness.
 
 use deep500_ops::registry::Attributes;
-use deep500_tensor::{DataType, Shape};
+use deep500_tensor::{DataType, Error, Shape};
 use deep500_verify::shape_pass::{SymDim, SymShape};
 use deep500_verify::{aliasing, transform_safety, GraphIr, LintCode, Severity, Verifier};
 
@@ -133,6 +133,32 @@ fn arity_and_unknown_ops_are_denied_by_the_shape_pass() {
     assert_eq!(report.with_code(LintCode::ArityMismatch).len(), 1);
     assert_eq!(report.with_code(LintCode::UnknownOp).len(), 1);
     assert!(!report.passes());
+}
+
+#[test]
+fn a_dropout_ratio_outside_its_range_is_refused_not_a_panic() {
+    for ratio in [1.0, f64::NAN, -0.25, 2.0] {
+        let attrs = Attributes::new().with_float("ratio", ratio);
+        let made = deep500_ops::registry::create_op("Dropout", &attrs);
+        assert!(matches!(made, Err(Error::Invalid(_))), "ratio {ratio}");
+        let ir = GraphIr::new("dropout")
+            .input("x")
+            .node("drop", "Dropout", attrs, &["x"], &["y"])
+            .output("y");
+        let x = [("x", Shape::new(&[2, 3]))];
+        let report = Verifier::new().check_with_inputs(&ir, &x);
+        assert_eq!(
+            report.with_code(LintCode::UnknownOp).len(),
+            1,
+            "ratio {ratio}"
+        );
+        assert!(
+            deep500_verify::gate_with_inputs(&ir, &x).is_err(),
+            "ratio {ratio}"
+        );
+    }
+    let attrs = Attributes::new().with_float("ratio", 0.0);
+    assert!(deep500_ops::registry::create_op("Dropout", &attrs).is_ok());
 }
 
 #[test]
